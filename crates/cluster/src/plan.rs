@@ -1,5 +1,7 @@
 //! The shared serving plan updated by the controller and read by workers.
 
+use diffserve_core::kernel::worker_targets;
+
 /// A snapshot of the controller's decisions: worker tier assignments,
 /// per-tier batch sizes, and the per-boundary cascade thresholds. Workers
 /// read the current plan at every batch boundary; the controller swaps in
@@ -87,7 +89,8 @@ impl ServingPlan {
     /// whose `excluded` flag is unset — used under scenario-driven worker
     /// churn so a failed worker's slot neither satisfies nor distorts the
     /// allocation. `excluded` may be shorter than the fleet; missing entries
-    /// mean "not excluded".
+    /// mean "not excluded". The N = 2 case of
+    /// [`ServingPlan::retarget_ladder_masked`].
     ///
     /// # Examples
     ///
@@ -106,57 +109,27 @@ impl ServingPlan {
         heavy_workers: usize,
         excluded: &[bool],
     ) {
-        let is_excluded = |i: usize| excluded.get(i).copied().unwrap_or(false);
-        let avail: Vec<usize> = (0..self.tiers.len()).filter(|&i| !is_excluded(i)).collect();
-        let n = avail.len();
-        let spare = n.saturating_sub(light_workers + heavy_workers);
-        let target_light = (light_workers + spare).min(n);
-        let mut current_light = avail.iter().filter(|&&i| self.tiers[i] == 0).count();
-        // Flip workers one at a time until the count matches.
-        for &i in &avail {
-            if current_light == target_light {
-                break;
-            }
-            if current_light < target_light && self.tiers[i] != 0 {
-                self.tiers[i] = 0;
-                current_light += 1;
-            } else if current_light > target_light && self.tiers[i] == 0 {
-                self.tiers[i] = 1;
-                current_light -= 1;
-            }
-        }
+        self.retarget_ladder_masked(&[light_workers, heavy_workers], excluded);
     }
 
-    /// N-tier generalization of [`ServingPlan::retarget_masked`]: re-derives
-    /// tier assignments from per-tier target counts over the non-excluded
-    /// workers, flipping as few workers as possible. Spare capacity beyond
-    /// the targets defaults to the entry tier (mirroring the two-tier
-    /// retarget); an over-subscribed plan is truncated from the deep end.
+    /// Re-derives tier assignments from per-tier target counts over the
+    /// non-excluded workers, flipping as few workers as possible. The
+    /// targets come from the serving kernel's [`worker_targets`]: spare
+    /// capacity beyond the plan joins the entry tier, an over-subscribed
+    /// plan is cut from the deep end.
     pub fn retarget_ladder_masked(&mut self, workers: &[usize], excluded: &[bool]) {
         let nt = self.num_tiers();
         let is_excluded = |i: usize| excluded.get(i).copied().unwrap_or(false);
         let avail: Vec<usize> = (0..self.tiers.len()).filter(|&i| !is_excluded(i)).collect();
-        let mut target = vec![0usize; nt];
-        for (t, &w) in workers.iter().enumerate().take(nt) {
-            target[t] = w;
-        }
-        let assigned: usize = target.iter().sum();
-        target[0] += avail.len().saturating_sub(assigned);
-        let mut excess = assigned.saturating_sub(avail.len());
-        for t in (0..nt).rev() {
-            if excess == 0 {
-                break;
-            }
-            let cut = target[t].min(excess);
-            target[t] -= cut;
-            excess -= cut;
-        }
+        let mut planned = workers.to_vec();
+        planned.resize(nt, 0);
+        let target = worker_targets(&planned, avail.len());
         let mut current = vec![0usize; nt];
         for &i in &avail {
             current[self.tiers[i].min(nt - 1)] += 1;
         }
         // Move workers from surplus tiers to deficit tiers, lowest worker
-        // index first (the two-tier retarget's tie-break).
+        // index first.
         for &i in &avail {
             let t = self.tiers[i].min(nt - 1);
             if current[t] <= target[t] {

@@ -20,6 +20,9 @@
 //! 4. **Plan actuation** — the backend-side half: a [`PlanActuator`]
 //!    applies the returned [`ControlDirective`] to live serving state (the
 //!    simulator's worker array, the testbed's shared [`ServingPlan`]).
+//!    Every plan reaches the actuator in the N-tier form: a two-tier
+//!    [`Allocation`] is the N = 2 [`LadderAllocation`], converted once
+//!    here.
 //!
 //! Historically this logic was written twice — interleaved with event
 //! handling in `core::sim` and with thread plumbing in `cluster::runtime` —
@@ -86,9 +89,10 @@ pub struct ControlObservation {
     /// profile estimator's input stream.
     pub confidences: Vec<f64>,
     /// Queries queued on alive workers of each tier right now, entry tier
-    /// first (length N on a ladder backend). Empty (the default) on legacy
-    /// two-tier backends, which report through
-    /// [`light_queue`](Self::light_queue)/[`heavy_queue`](Self::heavy_queue).
+    /// first (length N). The engines derive
+    /// [`light_queue`](Self::light_queue)/[`heavy_queue`](Self::heavy_queue)
+    /// from it (entry tier / everything deeper); the two-tier planner reads
+    /// only those scalars, so hand-built observations may leave this empty.
     pub tier_queues: Vec<usize>,
     /// Confidences observed at escalation boundaries **deeper than the
     /// first** since the last tick — `deep_confidences[i]` is boundary
@@ -107,22 +111,32 @@ pub struct ControlObservation {
 /// [`PlanActuator`] applies it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlDirective {
-    /// Apply a solved cascade allocation (threshold, worker split, batch
-    /// sizes).
-    Apply(Allocation),
-    /// Proteus: apply the allocation and route `heavy_fraction` of queries
-    /// directly to the heavy tier.
-    ApplyProteus {
-        /// Worker split and batch sizes.
-        allocation: Allocation,
-        /// Fraction of arrivals routed to the heavy model.
-        heavy_fraction: f64,
+    /// Apply a solved allocation: per-boundary thresholds, per-tier worker
+    /// counts and batch sizes. A two-tier cascade is the N = 2 plan.
+    Apply {
+        /// The plan to actuate.
+        plan: LadderAllocation,
+        /// Proteus only: the fraction of arrivals routed directly to the
+        /// terminal tier.
+        heavy_fraction: Option<f64>,
     },
-    /// Apply a solved N-tier ladder allocation (per-boundary threshold
-    /// vector, per-tier worker counts and batch sizes).
-    ApplyLadder(LadderAllocation),
     /// Keep the current plan (static policies after bootstrap).
     Hold,
+}
+
+impl ControlDirective {
+    /// A two-tier allocation in the N-tier plan form every actuator takes.
+    fn two_tier(alloc: Allocation, heavy_fraction: Option<f64>) -> Self {
+        ControlDirective::Apply {
+            plan: LadderAllocation {
+                thresholds: vec![alloc.threshold],
+                workers: vec![alloc.light_workers, alloc.heavy_workers],
+                batches: vec![alloc.light_batch, alloc.heavy_batch],
+                feasible: alloc.feasible,
+            },
+            heavy_fraction,
+        }
+    }
 }
 
 /// One allocation-planning strategy: demand and constraints in, a
@@ -170,7 +184,7 @@ impl AllocPlanner for CascadePlanner {
             AllocatorBackend::Milp => solve_milp_allocation_warm(inputs, &mut self.warm),
             AllocatorBackend::Exhaustive => solve_exhaustive(inputs),
         };
-        ControlDirective::Apply(solved.unwrap_or_else(|| overload_fallback(inputs)))
+        ControlDirective::two_tier(solved.unwrap_or_else(|| overload_fallback(inputs)), None)
     }
 }
 
@@ -181,16 +195,9 @@ pub struct ProteusPlanner;
 
 impl AllocPlanner for ProteusPlanner {
     fn plan(&mut self, inputs: &AllocatorInputs<'_>) -> ControlDirective {
-        match solve_proteus(inputs) {
-            Some((allocation, heavy_fraction)) => ControlDirective::ApplyProteus {
-                allocation,
-                heavy_fraction,
-            },
-            None => ControlDirective::ApplyProteus {
-                allocation: overload_fallback(inputs),
-                heavy_fraction: 0.0,
-            },
-        }
+        let (allocation, heavy_fraction) =
+            solve_proteus(inputs).unwrap_or_else(|| (overload_fallback(inputs), 0.0));
+        ControlDirective::two_tier(allocation, Some(heavy_fraction))
     }
 }
 
@@ -355,9 +362,8 @@ impl ControlLoop {
     /// Attaches N-tier ladder planning state: per-tier execution profiles
     /// (cheapest first), per-boundary discriminator latencies, and
     /// per-boundary offline deferral profiles. Once attached, dynamic
-    /// ticks emit [`ControlDirective::ApplyLadder`] with an N-dimensional
-    /// threshold vector instead of the two-tier
-    /// [`ControlDirective::Apply`].
+    /// ticks plan an N-dimensional threshold vector through
+    /// [`solve_ladder`] instead of the two-tier solvers.
     ///
     /// Callers only attach ladders with more than two tiers
     /// ([`SessionSpec::control_loop`](crate::serve::SessionSpec::control_loop));
@@ -407,22 +413,28 @@ impl ControlLoop {
         let batches = self.config.batch_sizes.clone();
         let workers = self.config.num_workers;
         match self.settings.policy {
-            Policy::ClipperLight => ControlDirective::Apply(Allocation {
-                threshold: 0.5,
-                light_workers: workers,
-                heavy_workers: 0,
-                light_batch: self.clipper_batch(ModelTier::Light),
-                heavy_batch: 1,
-                feasible: true,
-            }),
-            Policy::ClipperHeavy => ControlDirective::Apply(Allocation {
-                threshold: 0.5,
-                light_workers: 0,
-                heavy_workers: workers,
-                light_batch: 1,
-                heavy_batch: self.clipper_batch(ModelTier::Heavy),
-                feasible: true,
-            }),
+            Policy::ClipperLight => ControlDirective::two_tier(
+                Allocation {
+                    threshold: 0.5,
+                    light_workers: workers,
+                    heavy_workers: 0,
+                    light_batch: self.clipper_batch(ModelTier::Light),
+                    heavy_batch: 1,
+                    feasible: true,
+                },
+                None,
+            ),
+            Policy::ClipperHeavy => ControlDirective::two_tier(
+                Allocation {
+                    threshold: 0.5,
+                    light_workers: 0,
+                    heavy_workers: workers,
+                    light_batch: 1,
+                    heavy_batch: self.clipper_batch(ModelTier::Heavy),
+                    feasible: true,
+                },
+                None,
+            ),
             Policy::DiffServeStatic => {
                 // Provisioned for the anticipated peak and never re-solved
                 // (§4.1: "provisioned to accommodate maximum anticipated
@@ -558,9 +570,8 @@ impl ControlLoop {
             obs.alive_workers,
         );
         if aimd_cascade {
-            if let ControlDirective::Apply(alloc) = &mut directive {
-                alloc.light_batch = self.aimd_light_batch;
-                alloc.heavy_batch = self.aimd_heavy_batch;
+            if let ControlDirective::Apply { plan, .. } = &mut directive {
+                plan.batches = vec![self.aimd_light_batch, self.aimd_heavy_batch];
             }
         }
         directive
@@ -819,7 +830,10 @@ impl ControlLoop {
         };
         let milp = matches!(self.settings.backend, AllocatorBackend::Milp);
         let solved = solve_ladder(&inputs, milp, warm);
-        ControlDirective::ApplyLadder(solved.unwrap_or_else(|| ladder_overload_fallback(&inputs)))
+        ControlDirective::Apply {
+            plan: solved.unwrap_or_else(|| ladder_overload_fallback(&inputs)),
+            heavy_fraction: None,
+        }
     }
 }
 
@@ -925,18 +939,15 @@ mod tests {
     fn clipper_bootstrap_dedicates_the_fleet() {
         let mut cl = test_loop(Policy::ClipperLight, small_config());
         match cl.bootstrap(8.0) {
-            ControlDirective::Apply(a) => {
-                assert_eq!(a.light_workers, 8);
-                assert_eq!(a.heavy_workers, 0);
-                assert!(a.light_batch >= 1);
+            ControlDirective::Apply { plan, .. } => {
+                assert_eq!(plan.workers, [8, 0]);
+                assert!(plan.batches[0] >= 1);
             }
             d => panic!("unexpected directive {d:?}"),
         }
         let mut cl = test_loop(Policy::ClipperHeavy, small_config());
         match cl.bootstrap(8.0) {
-            ControlDirective::Apply(a) => {
-                assert_eq!((a.light_workers, a.heavy_workers), (0, 8));
-            }
+            ControlDirective::Apply { plan, .. } => assert_eq!(plan.workers, [0, 8]),
             d => panic!("unexpected directive {d:?}"),
         }
     }
@@ -948,7 +959,7 @@ mod tests {
         let mut high = test_loop(Policy::DiffServe, small_config());
         high.bootstrap(8.0);
         let t_of = |d: ControlDirective| match d {
-            ControlDirective::Apply(a) => a.threshold,
+            ControlDirective::Apply { plan, .. } => plan.thresholds[0],
             d => panic!("unexpected directive {d:?}"),
         };
         let t_low = t_of(low.step(&obs(4)));
@@ -979,12 +990,12 @@ mod tests {
             thresholds: &thresholds,
         };
         match ProteusPlanner.plan(&inputs) {
-            ControlDirective::ApplyProteus {
-                allocation,
+            ControlDirective::Apply {
+                plan,
                 heavy_fraction,
             } => {
-                assert_eq!(heavy_fraction, 0.0);
-                assert!(!allocation.feasible);
+                assert_eq!(heavy_fraction, Some(0.0));
+                assert!(!plan.feasible);
             }
             d => panic!("unexpected directive {d:?}"),
         }
@@ -1011,9 +1022,9 @@ mod tests {
         };
         for backend in [AllocatorBackend::Exhaustive, AllocatorBackend::Milp] {
             match CascadePlanner::new(backend).plan(&inputs) {
-                ControlDirective::Apply(a) => {
-                    assert!(!a.feasible, "{backend:?} must fall back");
-                    assert_eq!(a.threshold, 0.0);
+                ControlDirective::Apply { plan, .. } => {
+                    assert!(!plan.feasible, "{backend:?} must fall back");
+                    assert_eq!(plan.thresholds, [0.0]);
                 }
                 d => panic!("unexpected directive {d:?}"),
             }
@@ -1099,7 +1110,7 @@ mod tests {
     #[test]
     fn degraded_capacity_lowers_the_threshold_unless_nameplate() {
         let t_of = |d: ControlDirective| match d {
-            ControlDirective::Apply(a) => a.threshold,
+            ControlDirective::Apply { plan, .. } => plan.thresholds[0],
             d => panic!("unexpected directive {d:?}"),
         };
         let observe = |effective: f64, knobs: AblationKnobs| {

@@ -1,0 +1,1181 @@
+//! The serving kernel: every serving *decision*, written once.
+//!
+//! Both execution engines — the discrete-event simulator ([`crate::sim`])
+//! and the thread-based testbed (`diffserve-cluster`) — serve the same
+//! system, so what a batch costs, where a query is routed, whether an
+//! output escalates, how a plan maps onto workers and what the controller
+//! is told must be one model, not two hand-synchronised copies. This
+//! module is that model: plain functions over borrowed data, with no
+//! clocks, no locks and no event queue. An engine keeps only *when* things
+//! happen (event queue vs threads and sleeps) and its own state access
+//! (sorted load index vs atomics and locks); every decision is a call
+//! here.
+//!
+//! * [`Kernel`] — the tier roster resolved from a [`CascadeRuntime`] plus
+//!   the static serving parameters, and on it the service-time model
+//!   `(stage − resume savings + swap) × slowdown` ([`Kernel::eta_secs`]
+//!   read-only, [`Kernel::dispatch_secs`] charging the module cache), the
+//!   drop-front rule ([`Kernel::predicted_misses`]), the routing score
+//!   ([`Kernel::routing_load`], [`Kernel::miss_penalty`], [`pick_min`]),
+//!   the entry tier per policy ([`Kernel::entry_tier`]), the boundary
+//!   verdict ([`Kernel::verdict`]) and response / snapshot assembly.
+//! * [`worker_targets`] — per-tier worker targets from a plan.
+//! * [`TickTelemetry`], [`FleetTally`] — what an engine counts between
+//!   control ticks and across its fleet, and the one place a
+//!   [`ControlObservation`] is built from them.
+//! * [`Ledger`] — outcome accounting (SLO tracker, responses, rolling
+//!   FID, running completion counters, pending drops).
+
+use diffserve_imagegen::{
+    resume_savings, reused_steps, DiffusionModel, Discriminator, GeneratedImage,
+    OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageLatencyBreakdown,
+    StageState,
+};
+use diffserve_metrics::{GaussianStats, RollingFid, SloTracker};
+use diffserve_simkit::time::{SimDuration, SimTime};
+use diffserve_trace::FleetHealth;
+use rand::Rng;
+
+use crate::addons::{AddonStats, AddonsConfig, ModuleCache};
+use crate::config::SystemConfig;
+use crate::control::ControlObservation;
+use crate::policy::Policy;
+use crate::query::{CompletedResponse, ModelTier, QueryId};
+use crate::runtime::CascadeRuntime;
+use crate::serve::{drain_outcomes, session_rolling_fid, QueryOutcome, SessionSnapshot};
+use crate::sim::RunSettings;
+
+/// The legacy two-bucket view of a ladder tier: the entry tier is the
+/// light side, every deeper tier the heavy side.
+#[inline]
+pub fn model_tier(tier: usize) -> ModelTier {
+    if tier == 0 {
+        ModelTier::Light
+    } else {
+        ModelTier::Heavy
+    }
+}
+
+/// What the service-time model needs to know about one batch member.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Member {
+    /// Denoise progress carried from another tier, if any.
+    pub resume: Option<StageState>,
+    /// Add-on module (catalog index) the member requires, if any.
+    pub addon: Option<usize>,
+}
+
+/// What a tier's output does at its escalation boundary.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Verdict {
+    /// Serve this tier's output. Carries the boundary confidence when one
+    /// was scored (`None` on the terminal tier and off-cascade policies).
+    Complete(Option<f64>),
+    /// Hand the query to the next tier.
+    Escalate {
+        /// The boundary confidence that fell below the threshold.
+        confidence: f64,
+        /// This tier's finished denoise schedule, for the next pass to
+        /// resume from; `None` in restart mode.
+        resume: Option<StageState>,
+    },
+}
+
+impl Verdict {
+    /// The boundary confidence, when one was scored.
+    pub fn confidence(&self) -> Option<f64> {
+        match *self {
+            Verdict::Complete(c) => c,
+            Verdict::Escalate { confidence, .. } => Some(confidence),
+        }
+    }
+}
+
+/// The tier roster and the static serving parameters every decision reads.
+///
+/// Borrows the prepared models from the [`CascadeRuntime`] and copies the
+/// handful of configuration values it needs, so an engine (or each of its
+/// threads) builds one up front and calls it on the per-query path without
+/// touching configuration again.
+#[derive(Debug, Clone)]
+pub struct Kernel<'a> {
+    /// The model tiers, cheapest first. A legacy (non-ladder) runtime is
+    /// exactly `[light, heavy]`, so every tier-indexed function reduces to
+    /// the two-tier arithmetic bit-for-bit.
+    models: Vec<&'a DiffusionModel>,
+    /// One discriminator per escalation boundary (length `N − 1`);
+    /// `discriminators[k]` scores tier-`k` outputs.
+    discriminators: Vec<&'a Discriminator>,
+    dataset: &'a PromptDataset,
+    policy: Policy,
+    health_blind: bool,
+    affinity_blind: bool,
+    resume: bool,
+    resume_step_credit: f64,
+    resume_quality_penalty: f64,
+    addons: Option<AddonsConfig>,
+    /// Configuration of the pre-execution router, present only where one
+    /// runs: deep ladders on a cascade policy with predictive routing on.
+    router: Option<OnlineRouterConfig>,
+}
+
+impl<'a> Kernel<'a> {
+    /// Resolves the roster and parameters for one session.
+    pub fn new(runtime: &'a CascadeRuntime, config: &SystemConfig, settings: &RunSettings) -> Self {
+        let (models, discriminators): (Vec<_>, Vec<_>) = match &runtime.ladder {
+            Some(art) => (
+                art.models.iter().collect(),
+                art.discriminators.iter().collect(),
+            ),
+            None => (
+                vec![&runtime.spec.light, &runtime.spec.heavy],
+                vec![&runtime.discriminator],
+            ),
+        };
+        let ladder = config.ladder.clone().unwrap_or_default();
+        let router = (models.len() > 2
+            && ladder.predictive_routing
+            && matches!(settings.policy, Policy::DiffServe | Policy::DiffServeStatic))
+        .then_some(OnlineRouterConfig {
+            observation_noise: ladder.predictive_observation_noise,
+            learning_rate: ladder.predictive_learning_rate,
+            min_observations: ladder.predictive_min_observations,
+            margin: ladder.predictive_margin,
+        });
+        Kernel {
+            models,
+            discriminators,
+            dataset: &runtime.dataset,
+            policy: settings.policy,
+            health_blind: settings.knobs.health_blind_routing,
+            affinity_blind: settings.knobs.affinity_blind_routing,
+            resume: config.resume_from_latents,
+            resume_step_credit: config.resume_step_credit,
+            resume_quality_penalty: config.resume_quality_penalty,
+            addons: config.addons.clone(),
+            router,
+        }
+    }
+
+    /// Number of model tiers (2 for a legacy cascade).
+    #[inline]
+    pub fn num_tiers(&self) -> usize {
+        self.models.len()
+    }
+
+    /// The model serving ladder tier `tier`.
+    #[inline]
+    pub fn model(&self, tier: usize) -> &'a DiffusionModel {
+        self.models[tier]
+    }
+
+    /// A cold pre-execution router, on sessions that run one.
+    pub fn new_router(&self) -> Option<OnlinePredictiveRouter> {
+        self.router
+            .map(|config| OnlinePredictiveRouter::new(self.discriminators.len(), config))
+    }
+
+    // --- Service-time model ------------------------------------------------
+
+    /// Single-stage service latency of a batch on a tier: the tier's model
+    /// execution plus — on non-terminal cascade tiers — the boundary
+    /// discriminator's per-query scoring cost.
+    #[inline]
+    pub fn stage_latency(&self, tier: usize, batch: usize) -> f64 {
+        let base = self.models[tier]
+            .latency()
+            .exec_latency(batch)
+            .as_secs_f64();
+        match self.discriminators.get(tier) {
+            Some(d) if self.policy.uses_cascade() => {
+                base + d.latency().as_secs_f64() * batch as f64
+            }
+            _ => base,
+        }
+    }
+
+    /// Denoise steps a query skips at `tier` by resuming from carried
+    /// latents. Exactly `0` at the entry tier, with resume disabled, with
+    /// no carried state, or with a zero step credit — every resume-aware
+    /// function below reduces to the restart arithmetic bit-for-bit in
+    /// those cases.
+    #[inline]
+    pub fn reused_steps(&self, tier: usize, resume: Option<StageState>) -> u32 {
+        match resume {
+            Some(st) if tier > 0 && self.resume => {
+                reused_steps(self.models[tier].steps(), st, self.resume_step_credit)
+            }
+            _ => 0,
+        }
+    }
+
+    /// Total service-time discount of a batch: the sum of each member's
+    /// [`resume_savings`]. Always `0.0` for the entry tier and in restart
+    /// mode, so `stage_latency − 0.0` stays bitwise the undiscounted time.
+    #[inline]
+    pub fn batch_resume_savings(
+        &self,
+        tier: usize,
+        members: impl Iterator<Item = Option<StageState>>,
+    ) -> f64 {
+        if tier == 0 || !self.resume {
+            return 0.0;
+        }
+        let profile = self.models[tier].latency();
+        let steps = self.models[tier].steps();
+        members
+            .map(|r| resume_savings(profile, self.reused_steps(tier, r), steps))
+            .sum()
+    }
+
+    /// Total module-load seconds a prospective batch would pay on the
+    /// worker owning `cache`: the summed load latencies of the *distinct*
+    /// add-on modules its members require that are not resident at batch
+    /// start. Read-only (`seen` is caller-provided scratch for the distinct
+    /// set); exactly `0.0` with add-ons disabled.
+    #[inline]
+    pub fn batch_swap_secs(
+        &self,
+        cache: Option<&ModuleCache>,
+        members: impl Iterator<Item = Option<usize>>,
+        seen: &mut Vec<usize>,
+    ) -> f64 {
+        let (Some(addons), Some(cache)) = (&self.addons, cache) else {
+            return 0.0;
+        };
+        seen.clear();
+        let mut secs = 0.0;
+        for id in members.flatten() {
+            if !cache.contains(id) && !seen.contains(&id) {
+                seen.push(id);
+                secs += addons.catalog.get(id).load_secs;
+            }
+        }
+        secs
+    }
+
+    /// Charges a dispatching batch's module swaps: records one hit/miss
+    /// per add-on-carrying member (judged against cache residency at batch
+    /// start, with each distinct missing module's load latency attributed
+    /// to its first requester), then admits every required module in
+    /// member order — hits refresh LRU recency, misses load and evict.
+    /// Returns the total load seconds, bitwise what
+    /// [`Kernel::batch_swap_secs`] predicted for the same batch.
+    #[inline]
+    pub fn charge_batch_swaps(
+        &self,
+        tier: usize,
+        cache: Option<&mut ModuleCache>,
+        stats: &mut AddonStats,
+        members: impl Iterator<Item = Option<usize>> + Clone,
+        seen: &mut Vec<usize>,
+    ) -> f64 {
+        let (Some(addons), Some(cache)) = (&self.addons, cache) else {
+            return 0.0;
+        };
+        seen.clear();
+        let mut secs = 0.0;
+        for id in members.clone().flatten() {
+            let hit = cache.contains(id);
+            let swap = if !hit && !seen.contains(&id) {
+                seen.push(id);
+                addons.catalog.get(id).load_secs
+            } else {
+                0.0
+            };
+            stats.record(model_tier(tier), hit, swap);
+            secs += swap;
+        }
+        for id in members.flatten() {
+            cache.admit(id, &addons.catalog);
+        }
+        secs
+    }
+
+    /// The service-time formula: residual stage latency (resumed members
+    /// skip their reused steps) plus module loads, all stretched by the
+    /// worker's health slowdown — degradation stretches only work actually
+    /// run, so the slowdown multiplies after the subtraction.
+    #[inline]
+    fn service_secs(
+        &self,
+        tier: usize,
+        batch: usize,
+        savings: f64,
+        swap: f64,
+        slowdown: f64,
+    ) -> f64 {
+        (self.stage_latency(tier, batch) - savings + swap) * slowdown
+    }
+
+    /// Read-only service time of a prospective batch on the worker owning
+    /// `cache`, at its current health.
+    #[inline]
+    pub fn eta_secs<I>(
+        &self,
+        tier: usize,
+        members: I,
+        cache: Option<&ModuleCache>,
+        slowdown: f64,
+        seen: &mut Vec<usize>,
+    ) -> f64
+    where
+        I: ExactSizeIterator<Item = Member> + Clone,
+    {
+        let batch = members.len();
+        let savings = self.batch_resume_savings(tier, members.clone().map(|m| m.resume));
+        let swap = self.batch_swap_secs(cache, members.map(|m| m.addon), seen);
+        self.service_secs(tier, batch, savings, swap, slowdown)
+    }
+
+    /// Service time of a batch at dispatch. Identical arithmetic to
+    /// [`Kernel::eta_secs`] — the two agree bit-for-bit on the same batch
+    /// and cache state — but charges the swaps to `cache` and `stats`.
+    #[inline]
+    pub fn dispatch_secs<I>(
+        &self,
+        tier: usize,
+        members: I,
+        cache: Option<&mut ModuleCache>,
+        stats: &mut AddonStats,
+        slowdown: f64,
+        seen: &mut Vec<usize>,
+    ) -> f64
+    where
+        I: ExactSizeIterator<Item = Member> + Clone,
+    {
+        let batch = members.len();
+        let savings = self.batch_resume_savings(tier, members.clone().map(|m| m.resume));
+        let swap = self.charge_batch_swaps(tier, cache, stats, members.map(|m| m.addon), seen);
+        self.service_secs(tier, batch, savings, swap, slowdown)
+    }
+
+    /// The drop-front rule (§4.1): how many entries at the front of a
+    /// worker's queue cannot finish this stage by their deadline and are
+    /// shed. The front is dropped while the ETA of the prospective batch —
+    /// the first `batch_max` *remaining* entries — exceeds the front's
+    /// deadline; every drop re-estimates with the batch that would
+    /// actually run. `member(i)` and `deadline(i)` describe queue entry
+    /// `i` (0 = front).
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn predicted_misses(
+        &self,
+        tier: usize,
+        queued: usize,
+        batch_max: usize,
+        now: SimTime,
+        slowdown: f64,
+        cache: Option<&ModuleCache>,
+        member: impl Fn(usize) -> Member + Copy,
+        deadline: impl Fn(usize) -> SimTime,
+        seen: &mut Vec<usize>,
+    ) -> usize {
+        let mut shed = 0;
+        while shed < queued {
+            let batch = (queued - shed).min(batch_max);
+            let secs = self.eta_secs(
+                tier,
+                (shed..shed + batch).map(member),
+                cache,
+                slowdown,
+                seen,
+            );
+            if now + SimDuration::from_secs_f64(secs) > deadline(shed) {
+                shed += 1;
+            } else {
+                break;
+            }
+        }
+        shed
+    }
+
+    /// Single-query nameplate GPU-seconds a completion consumed across the
+    /// tiers it touched (see [`CompletedResponse::gpu_time`]): every
+    /// cascade stage from the query's entry tier through its completion
+    /// tier, net of resumed steps at the final tier.
+    #[inline]
+    pub fn single_query_gpu_time(&self, entry: usize, tier: usize, reused: u32) -> f64 {
+        let model = self.models[tier];
+        let own =
+            self.stage_latency(tier, 1) - resume_savings(model.latency(), reused, model.steps());
+        if self.policy.uses_cascade() && tier > entry {
+            // Escalated: the shallower passes and their discriminator
+            // scores ran first and their cost is sunk.
+            (entry..tier).map(|j| self.stage_latency(j, 1)).sum::<f64>() + own
+        } else {
+            own
+        }
+    }
+
+    // --- Generation and the boundary verdict -------------------------------
+
+    /// The prompt served for query `qid` — its explicit payload if one was
+    /// submitted, else the dataset's cyclic prompt — with the active
+    /// difficulty shift applied.
+    #[inline]
+    pub fn served_prompt(&self, qid: u64, explicit: Option<Prompt>, difficulty: f64) -> Prompt {
+        explicit
+            .unwrap_or_else(|| *self.dataset.prompt_cyclic(qid))
+            .harder(difficulty)
+    }
+
+    /// Tier `tier`'s output for a prompt, resuming from carried latents
+    /// when possible. Returns the image and the reused step count. A
+    /// restart (no reuse) is bitwise `generate`; a lossless resume
+    /// (`resume_quality_penalty == 0`) produces the identical image at
+    /// lower service time.
+    #[inline]
+    pub fn generate(
+        &self,
+        tier: usize,
+        prompt: &Prompt,
+        resume: Option<StageState>,
+    ) -> (GeneratedImage, u32) {
+        let reused = self.reused_steps(tier, resume);
+        let model = self.models[tier];
+        if reused > 0 {
+            let image = model.generate_with_quality_shift(prompt, -self.resume_quality_penalty);
+            (image, reused)
+        } else {
+            (model.generate(prompt), 0)
+        }
+    }
+
+    /// Scores a tier's output at its boundary and decides: escalate when
+    /// the confidence falls below the boundary's threshold *and* a deeper
+    /// tier has an alive worker, else complete. With the deeper pools
+    /// wiped out by churn an escalation would land back on this tier,
+    /// deterministically regenerate the same image and bounce forever —
+    /// serving this output instead degrades gracefully. Every verdict,
+    /// kept or escalated, trains the pre-execution `router`. The terminal
+    /// tier and off-cascade policies complete without scoring.
+    #[inline]
+    pub fn verdict(
+        &self,
+        tier: usize,
+        features: &[f64],
+        prompt: &Prompt,
+        thresholds: &[f64],
+        router: Option<&mut OnlinePredictiveRouter>,
+        deeper_alive: impl FnOnce() -> bool,
+    ) -> Verdict {
+        let disc = match self.discriminators.get(tier) {
+            Some(d) if self.policy.uses_cascade() => d,
+            _ => return Verdict::Complete(None),
+        };
+        let confidence = disc.confidence(features);
+        let escalate = confidence < thresholds[tier] && deeper_alive();
+        if let Some(r) = router {
+            r.observe(tier, prompt, escalate);
+        }
+        if escalate {
+            Verdict::Escalate {
+                confidence,
+                resume: self
+                    .resume
+                    .then(|| StageState::completed(self.models[tier].steps())),
+            }
+        } else {
+            Verdict::Complete(Some(confidence))
+        }
+    }
+
+    /// Assembles the response for a query completing at `tier`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn response(
+        &self,
+        id: QueryId,
+        arrival: SimTime,
+        completion: SimTime,
+        image: GeneratedImage,
+        entry: usize,
+        tier: usize,
+        confidence: Option<f64>,
+        reused: u32,
+    ) -> CompletedResponse {
+        CompletedResponse {
+            id,
+            arrival,
+            completion,
+            features: image.features,
+            quality: image.quality,
+            tier: model_tier(tier),
+            tier_index: tier,
+            confidence,
+            gpu_time: self.single_query_gpu_time(entry, tier, reused),
+            reused_steps: reused,
+        }
+    }
+
+    // --- Routing -------------------------------------------------------------
+
+    /// The load the router ranks a worker by: its queued-plus-running
+    /// count *plus the arriving query*, weighted by the health slowdown.
+    /// Counting the arrival matters — a straggler with an empty queue
+    /// would otherwise score `0 × slowdown = 0`, indistinguishable from an
+    /// idle healthy worker. On a healthy fleet `(load + 1) × 1.0` ranks
+    /// workers exactly like raw `load`. The health-blind ablation ranks by
+    /// raw count.
+    #[inline]
+    pub fn routing_load(&self, load: usize, slowdown: f64) -> f64 {
+        if self.health_blind {
+            load as f64
+        } else {
+            (load + 1) as f64 * slowdown
+        }
+    }
+
+    /// The affinity term for a query requiring `addon` bound for `tier`:
+    /// the module id and the score penalty a worker *without* it resident
+    /// pays — the module's load latency in units of the tier's single-query
+    /// service time, so a cached replica slightly deeper in queue beats an
+    /// idle worker that must swap. `None` (plain load ranking) when add-ons
+    /// are off, the query carries none, or under the affinity-blind
+    /// ablation.
+    #[inline]
+    pub fn miss_penalty(&self, tier: usize, addon: Option<usize>) -> Option<(usize, f64)> {
+        let addons = self.addons.as_ref()?;
+        let id = addon?;
+        if self.affinity_blind {
+            return None;
+        }
+        Some((
+            id,
+            addons.catalog.get(id).load_secs / self.stage_latency(tier, 1),
+        ))
+    }
+
+    /// The tier an arriving query enters at, and whether it counts as
+    /// demand on the deeper pools (the controller's heavy-arrival signal).
+    /// Clipper pins one end of the ladder; Proteus draws the terminal tier
+    /// with probability `heavy_fraction`; the cascade policies enter at
+    /// tier 0 unless the predictive `router` skips ahead. The router is
+    /// ignored while `bypass_suspended` — under the overload fallback every
+    /// arrival must enter where the floored thresholds can shed it.
+    /// `prompt` is only evaluated when the router is consulted.
+    #[inline]
+    pub fn entry_tier(
+        &self,
+        heavy_fraction: f64,
+        rng: &mut impl Rng,
+        router: Option<&OnlinePredictiveRouter>,
+        bypass_suspended: bool,
+        prompt: impl FnOnce() -> Prompt,
+    ) -> (usize, bool) {
+        let last = self.models.len() - 1;
+        match self.policy {
+            Policy::ClipperLight => (0, false),
+            Policy::ClipperHeavy => (last, false),
+            Policy::Proteus => {
+                if rng.gen_range(0.0..1.0) < heavy_fraction {
+                    (last, true)
+                } else {
+                    (0, false)
+                }
+            }
+            Policy::DiffServeStatic | Policy::DiffServe => match router {
+                Some(r) if !bypass_suspended => {
+                    let tier = r.entry_tier(&prompt());
+                    (tier, tier > 0)
+                }
+                _ => (0, false),
+            },
+        }
+    }
+
+    // --- Snapshots -----------------------------------------------------------
+
+    /// Assembles a live [`SessionSnapshot`]; the legacy `light_*` /
+    /// `heavy_*` scalars are the entry tier and the sum of everything
+    /// deeper.
+    #[allow(clippy::too_many_arguments)]
+    pub fn snapshot(
+        &self,
+        now: SimTime,
+        fleet: FleetTally,
+        thresholds: Vec<f64>,
+        tier_escalations: Vec<u64>,
+        submitted: u64,
+        ledger: &Ledger,
+        deferral_gap: f64,
+        addon_stats: AddonStats,
+    ) -> SessionSnapshot {
+        let exec1 = |m: &DiffusionModel| {
+            StageLatencyBreakdown::of_latency(m.latency().exec_latency(1).as_secs_f64())
+        };
+        let completions = ledger.responses.len();
+        SessionSnapshot {
+            now,
+            threshold: thresholds[0],
+            light_workers: fleet.tier_workers[0],
+            heavy_workers: fleet.tier_workers[1..].iter().sum(),
+            failed_workers: fleet.failed,
+            degraded_workers: fleet.degraded,
+            light_queue: fleet.tier_queues[0],
+            heavy_queue: fleet.tier_queues[1..].iter().sum(),
+            light_busy: fleet.tier_busy[0],
+            heavy_busy: fleet.tier_busy[1..].iter().sum(),
+            submitted,
+            completed: ledger.slo.on_time() + ledger.slo.late(),
+            dropped: ledger.slo.dropped(),
+            heavy_fraction: if completions == 0 {
+                0.0
+            } else {
+                ledger.heavy_done as f64 / completions as f64
+            },
+            fid_estimate: ledger.rolling_fid.estimate(),
+            deferral_gap,
+            light_stage_latency: exec1(self.models[0]),
+            heavy_stage_latency: exec1(self.models[self.models.len() - 1]),
+            resumed_completions: ledger.resumed,
+            addon_stats,
+            tier_workers: fleet.tier_workers,
+            tier_queues: fleet.tier_queues,
+            tier_busy: fleet.tier_busy,
+            tier_escalations,
+            thresholds,
+        }
+    }
+}
+
+/// First-minimum pick over `(worker, score)` candidates: the strict `<`
+/// keeps the earliest candidate on ties, so feeding candidates in worker
+/// order breaks ties toward the lowest index. `None` when empty.
+#[inline]
+pub fn pick_min(candidates: impl Iterator<Item = (usize, f64)>) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (worker, score) in candidates {
+        if best.is_none_or(|(_, b)| score < b) {
+            best = Some((worker, score));
+        }
+    }
+    best.map(|(worker, _)| worker)
+}
+
+/// Per-tier worker targets for a fleet of `alive` workers under a plan
+/// asking for `planned[t]` workers on tier `t`: spare alive workers join
+/// the entry tier, and an over-subscribed plan is cut from the deep end.
+/// The targets always sum to `alive`.
+pub fn worker_targets(planned: &[usize], alive: usize) -> Vec<usize> {
+    let mut targets = planned.to_vec();
+    let total: usize = planned.iter().sum();
+    targets[0] += alive.saturating_sub(total);
+    let mut excess = total.saturating_sub(alive);
+    for t in targets.iter_mut().rev() {
+        let cut = excess.min(*t);
+        *t -= cut;
+        excess -= cut;
+    }
+    targets
+}
+
+/// A point-in-time tally of a fleet, gathered by one pass over the
+/// engine's workers: per-tier alive workers, queue depths and busy counts,
+/// the failed and degraded counts, and the effective capacity.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetTally {
+    /// Alive workers assigned (or switching) to each tier.
+    pub tier_workers: Vec<usize>,
+    /// Queries queued on each tier's alive workers.
+    pub tier_queues: Vec<usize>,
+    /// Alive workers per tier currently executing (or loading a model).
+    pub tier_busy: Vec<usize>,
+    /// Fail-stopped workers.
+    pub failed: usize,
+    /// Alive workers running below nameplate speed.
+    pub degraded: usize,
+    /// Sum of the alive workers' speed factors, in worker order.
+    pub effective_capacity: f64,
+}
+
+impl FleetTally {
+    /// An empty tally over `num_tiers` tiers.
+    pub fn new(num_tiers: usize) -> Self {
+        FleetTally {
+            tier_workers: vec![0; num_tiers],
+            tier_queues: vec![0; num_tiers],
+            tier_busy: vec![0; num_tiers],
+            failed: 0,
+            degraded: 0,
+            effective_capacity: 0.0,
+        }
+    }
+
+    /// Counts one fail-stopped worker.
+    pub fn add_failed(&mut self) {
+        self.failed += 1;
+    }
+
+    /// Counts one alive worker targeting `tier`.
+    pub fn add_alive(&mut self, tier: usize, queued: usize, busy: bool, speed_factor: f64) {
+        self.tier_workers[tier] += 1;
+        self.tier_queues[tier] += queued;
+        self.tier_busy[tier] += usize::from(busy);
+        self.degraded += usize::from(speed_factor < 1.0);
+        self.effective_capacity += speed_factor;
+    }
+
+    /// Alive workers across all tiers.
+    pub fn alive(&self) -> usize {
+        self.tier_workers.iter().sum()
+    }
+
+    /// Busy fraction of the alive fleet (`0.0` with nobody alive).
+    pub fn utilization(&self) -> f64 {
+        match self.alive() {
+            0 => 0.0,
+            alive => self.tier_busy.iter().sum::<usize>() as f64 / alive as f64,
+        }
+    }
+
+    /// The counts hazard draws and perturbation checks condition on.
+    pub fn health(&self) -> FleetHealth {
+        FleetHealth {
+            alive: self.alive(),
+            failed: self.failed,
+            degraded: self.degraded,
+        }
+    }
+}
+
+/// What an engine counts between two control ticks.
+#[derive(Debug, Clone, Default)]
+pub struct TickTelemetry {
+    arrivals: u64,
+    heavy_arrivals: u64,
+    /// SLO violations attributed to the entry tier / to any deeper tier —
+    /// AIMD's two-bucket decrease signal.
+    violations: [u64; 2],
+    confidences: Vec<f64>,
+    /// Boundary ≥ 1 confidence streams (`[k]` holds boundary `k + 1`).
+    deep_confidences: Vec<Vec<f64>>,
+    /// Queries admitted directly at each tier; empty unless tracked.
+    tier_direct: Vec<u64>,
+}
+
+impl TickTelemetry {
+    /// Fresh counters for a `num_tiers` ladder. Per-tier direct admissions
+    /// are only tracked where a predictive router can produce them.
+    pub fn new(num_tiers: usize, track_direct: bool) -> Self {
+        TickTelemetry {
+            deep_confidences: vec![Vec::new(); num_tiers.saturating_sub(2)],
+            tier_direct: vec![0; if track_direct { num_tiers } else { 0 }],
+            ..Default::default()
+        }
+    }
+
+    /// Counts an arrival admitted at `tier`; `deep_demand` is the second
+    /// half of [`Kernel::entry_tier`]'s answer.
+    #[inline]
+    pub fn record_arrival(&mut self, tier: usize, deep_demand: bool) {
+        self.arrivals += 1;
+        self.heavy_arrivals += u64::from(deep_demand);
+        if let Some(c) = self.tier_direct.get_mut(tier) {
+            *c += 1;
+        }
+    }
+
+    /// Counts an escalation as demand on the deeper pools.
+    #[inline]
+    pub fn record_escalation(&mut self) {
+        self.heavy_arrivals += 1;
+    }
+
+    /// Attributes one SLO violation (a drop or a late completion) to the
+    /// tier that was serving the query.
+    #[inline]
+    pub fn record_violation(&mut self, tier: usize) {
+        self.violations[usize::from(tier > 0)] += 1;
+    }
+
+    /// Appends a confidence scored at boundary `tier → tier + 1`.
+    #[inline]
+    pub fn record_confidence(&mut self, tier: usize, confidence: f64) {
+        match tier {
+            0 => self.confidences.push(confidence),
+            _ => self.deep_confidences[tier - 1].push(confidence),
+        }
+    }
+
+    /// Drains the window into the [`ControlObservation`] for a tick at
+    /// `now` over the given fleet; `batches` are the batch sizes the entry
+    /// and terminal tiers currently operate. The legacy scalar queue
+    /// fields are the entry tier and the sum of everything deeper.
+    pub fn observe(
+        &mut self,
+        now: SimTime,
+        fleet: &FleetTally,
+        batches: (usize, usize),
+    ) -> ControlObservation {
+        let direct = vec![0; self.tier_direct.len()];
+        let [violations_light, violations_heavy] = std::mem::take(&mut self.violations);
+        ControlObservation {
+            now,
+            arrivals: std::mem::take(&mut self.arrivals),
+            heavy_arrivals: std::mem::take(&mut self.heavy_arrivals),
+            violations_light,
+            violations_heavy,
+            light_queue: fleet.tier_queues[0],
+            heavy_queue: fleet.tier_queues[1..].iter().sum(),
+            alive_workers: fleet.alive(),
+            effective_capacity: fleet.effective_capacity,
+            current_light_batch: batches.0,
+            current_heavy_batch: batches.1,
+            confidences: std::mem::take(&mut self.confidences),
+            tier_queues: fleet.tier_queues.clone(),
+            deep_confidences: self
+                .deep_confidences
+                .iter_mut()
+                .map(std::mem::take)
+                .collect(),
+            tier_direct_arrivals: std::mem::replace(&mut self.tier_direct, direct),
+        }
+    }
+}
+
+/// Outcome accounting for one session: the SLO tracker, the completed
+/// responses, the rolling FID estimate and the running counters snapshots
+/// read — all updated where an outcome is recorded, so a snapshot costs
+/// nothing per response.
+#[derive(Debug)]
+pub struct Ledger {
+    slo: SloTracker,
+    responses: Vec<CompletedResponse>,
+    rolling_fid: RollingFid,
+    heavy_done: u64,
+    resumed: u64,
+    /// Drops recorded since the last drain: `(id, arrival, dropped_at)`.
+    drops: Vec<(QueryId, SimTime, SimTime)>,
+    drained: usize,
+}
+
+impl Ledger {
+    /// An empty ledger for the given SLO and FID reference.
+    pub fn new(slo: SimDuration, reference: &GaussianStats) -> Self {
+        Ledger {
+            slo: SloTracker::new(slo),
+            responses: Vec::new(),
+            rolling_fid: session_rolling_fid(reference),
+            heavy_done: 0,
+            resumed: 0,
+            drops: Vec::new(),
+            drained: 0,
+        }
+    }
+
+    /// Records a completion; returns whether it missed the SLO.
+    #[inline]
+    pub fn complete(&mut self, response: CompletedResponse) -> bool {
+        let outcome = self
+            .slo
+            .record_completion(response.arrival, response.completion);
+        self.heavy_done += u64::from(response.tier == ModelTier::Heavy);
+        self.resumed += u64::from(response.reused_steps > 0);
+        self.rolling_fid.push(&response.features);
+        self.responses.push(response);
+        outcome.is_violation()
+    }
+
+    /// Records a query shed at `at`.
+    #[inline]
+    pub fn drop_query(&mut self, id: QueryId, arrival: SimTime, at: SimTime) {
+        self.slo.record_drop(arrival, at);
+        self.drops.push((id, arrival, at));
+    }
+
+    /// Records a query lost without a trace (stuck in a closed channel at
+    /// shutdown): it counts against the SLO but has no outcome to drain.
+    pub fn drop_lost(&mut self, at: SimTime) {
+        self.slo.record_drop(at, at);
+    }
+
+    /// Drains the outcomes recorded since the last call, in recording
+    /// order.
+    pub fn drain(&mut self) -> Vec<QueryOutcome> {
+        drain_outcomes(&self.responses, &mut self.drained, &mut self.drops)
+    }
+
+    /// The SLO tracker.
+    pub fn slo(&self) -> &SloTracker {
+        &self.slo
+    }
+
+    /// Every completion so far, in recording order.
+    pub fn responses(&self) -> &[CompletedResponse] {
+        &self.responses
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::Policy;
+    use diffserve_imagegen::{ladder3, DiscriminatorConfig, FeatureSpec};
+    use std::sync::OnceLock;
+
+    /// A small 3-tier runtime: the kernel only reads its latency profiles,
+    /// step counts and discriminator latencies here.
+    fn runtime() -> &'static CascadeRuntime {
+        static RT: OnceLock<CascadeRuntime> = OnceLock::new();
+        RT.get_or_init(|| {
+            CascadeRuntime::prepare_ladder(
+                ladder3(FeatureSpec::default()),
+                300,
+                7,
+                DiscriminatorConfig {
+                    train_prompts: 100,
+                    epochs: 2,
+                    ..Default::default()
+                },
+            )
+        })
+    }
+
+    fn settings() -> RunSettings {
+        RunSettings::new(Policy::DiffServe, 8.0)
+    }
+
+    /// Resume and add-ons both on.
+    fn full_config() -> SystemConfig {
+        SystemConfig {
+            resume_from_latents: true,
+            addons: Some(AddonsConfig::demo(11)),
+            ..Default::default()
+        }
+    }
+
+    /// Decodes a drawn `(resume code, add-on code)` pair: code 0 is "none",
+    /// resume code `k` carries tier `k − 1`'s finished schedule, add-on
+    /// code `k` requires module `k − 1`.
+    fn member(kernel: &Kernel<'_>, (resume, addon): (usize, usize)) -> Member {
+        Member {
+            resume: resume
+                .checked_sub(1)
+                .map(|t| StageState::completed(kernel.model(t).steps())),
+            addon: addon.checked_sub(1),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// (a) The invariant both engines rely on: for any tier, batch,
+        /// cache residency and slowdown, the read-only ETA equals the
+        /// service time charged at dispatch bit-for-bit.
+        #[test]
+        fn eta_equals_the_service_time_charged_at_dispatch(
+            tier in 0usize..3,
+            drawn in proptest::collection::vec((0usize..3, 0usize..9), 1..17),
+            resident in proptest::collection::vec(0usize..8, 0..6),
+            slowdown_tenths in 10u32..40,
+        ) {
+            let config = full_config();
+            let kernel = Kernel::new(runtime(), &config, &settings());
+            let addons = config.addons.as_ref().expect("add-ons on");
+            let members: Vec<Member> = drawn.iter().map(|&d| member(&kernel, d)).collect();
+            let mut cache = ModuleCache::new(addons.cache_mem_mb);
+            for &id in &resident {
+                cache.admit(id, &addons.catalog);
+            }
+            let slowdown = f64::from(slowdown_tenths) / 10.0;
+            let (mut seen, mut stats) = (Vec::new(), AddonStats::default());
+            let eta = kernel.eta_secs(
+                tier,
+                members.iter().copied(),
+                Some(&cache),
+                slowdown,
+                &mut seen,
+            );
+            let charged = kernel.dispatch_secs(
+                tier,
+                members.iter().copied(),
+                Some(&mut cache),
+                &mut stats,
+                slowdown,
+                &mut seen,
+            );
+            proptest::prop_assert_eq!(eta.to_bits(), charged.to_bits());
+            // Dispatch records exactly one lookup per add-on-carrying member.
+            let carrying = members.iter().filter(|m| m.addon.is_some()).count() as u64;
+            proptest::prop_assert_eq!(stats.total_lookups(), carrying);
+        }
+
+        /// (c) Resume off and add-ons off: whatever state the members
+        /// carry, the service time is bitwise `stage_latency × slowdown`.
+        #[test]
+        fn restart_mode_without_addons_is_the_bare_stage_latency(
+            tier in 0usize..3,
+            drawn in proptest::collection::vec((0usize..3, 0usize..9), 1..17),
+            slowdown_tenths in 10u32..40,
+        ) {
+            let kernel = Kernel::new(runtime(), &SystemConfig::default(), &settings());
+            let members: Vec<Member> = drawn.iter().map(|&d| member(&kernel, d)).collect();
+            let slowdown = f64::from(slowdown_tenths) / 10.0;
+            let (mut seen, mut stats) = (Vec::new(), AddonStats::default());
+            let bare = kernel.stage_latency(tier, members.len()) * slowdown;
+            let eta = kernel.eta_secs(tier, members.iter().copied(), None, slowdown, &mut seen);
+            let charged = kernel.dispatch_secs(
+                tier,
+                members.iter().copied(),
+                None,
+                &mut stats,
+                slowdown,
+                &mut seen,
+            );
+            proptest::prop_assert_eq!(eta.to_bits(), bare.to_bits());
+            proptest::prop_assert_eq!(charged.to_bits(), bare.to_bits());
+            proptest::prop_assert_eq!(stats, AddonStats::default());
+        }
+    }
+
+    /// (b) At N = 2 the worker targets are the legacy arithmetic: spare
+    /// workers join the light tier, `target_light = min(l + spare, n)`,
+    /// the rest serve heavy.
+    #[test]
+    fn two_tier_worker_targets_match_the_legacy_split() {
+        for alive in 0..=32usize {
+            for l in 0..=32usize {
+                for h in 0..=32usize {
+                    let spare = alive.saturating_sub(l + h);
+                    let target_light = (l + spare).min(alive);
+                    assert_eq!(
+                        worker_targets(&[l, h], alive),
+                        [target_light, alive - target_light],
+                        "alive {alive}, plan {l}/{h}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn worker_targets_cut_oversubscription_from_the_deep_end() {
+        assert_eq!(worker_targets(&[2, 1, 1], 3), [2, 1, 0]);
+        assert_eq!(worker_targets(&[2, 2, 2], 3), [2, 1, 0]);
+        assert_eq!(worker_targets(&[4, 1, 1], 3), [3, 0, 0]);
+        assert_eq!(worker_targets(&[1, 1, 1], 6), [4, 1, 1]);
+    }
+
+    /// (d) On an all-healthy fleet equal loads tie, and the first-minimum
+    /// pick over candidates in worker order keeps the lowest index.
+    #[test]
+    fn first_minimum_breaks_ties_toward_the_lowest_index() {
+        let kernel = Kernel::new(runtime(), &SystemConfig::default(), &settings());
+        let loads = [3usize, 1, 2, 1, 1];
+        let scores = |loads: &[usize]| -> Vec<(usize, f64)> {
+            loads
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| (i, kernel.routing_load(l, 1.0)))
+                .collect()
+        };
+        assert_eq!(pick_min(scores(&loads).into_iter()), Some(1));
+        assert_eq!(pick_min(scores(&[0; 6]).into_iter()), Some(0));
+        assert_eq!(pick_min(std::iter::empty()), None);
+        // A 2×-degraded idle worker loses to a healthy one with one queued.
+        let degraded_idle = kernel.routing_load(0, 2.0);
+        let healthy_one = kernel.routing_load(1, 1.0);
+        assert_eq!(
+            pick_min([(0, degraded_idle), (1, healthy_one)].into_iter()),
+            Some(0),
+            "(0 + 1) × 2 ties (1 + 1) × 1 and the lower index wins"
+        );
+        assert!(kernel.routing_load(0, 2.5) > healthy_one);
+    }
+
+    /// Drop-front sheds the front while the batch that would *actually
+    /// run* misses the front's deadline, re-estimating after every drop.
+    /// A batch of 4 whose first member misses at any size and whose other
+    /// three miss at `b = 4` but fit at `b = 3` sheds exactly one. (The
+    /// testbed used to price the batch once as collected and shed every
+    /// member missing that single estimate — all four.)
+    #[test]
+    fn drop_front_re_estimates_with_the_shrunken_batch() {
+        let kernel = Kernel::new(runtime(), &SystemConfig::default(), &settings());
+        let tier = 2;
+        let (at3, at4) = (kernel.stage_latency(tier, 3), kernel.stage_latency(tier, 4));
+        assert!(at3 < at4);
+        let now = SimTime::from_secs(10);
+        let fits_three = now + SimDuration::from_secs_f64((at3 + at4) / 2.0);
+        let deadlines = [
+            now + SimDuration::from_secs_f64(0.01),
+            fits_three,
+            fits_three,
+            fits_three,
+        ];
+        let shed = kernel.predicted_misses(
+            tier,
+            deadlines.len(),
+            4,
+            now,
+            1.0,
+            None,
+            |_| Member::default(),
+            |i| deadlines[i],
+            &mut Vec::new(),
+        );
+        assert_eq!(shed, 1);
+        let eta_as_collected = now + SimDuration::from_secs_f64(at4);
+        assert_eq!(
+            deadlines.iter().filter(|&&d| eta_as_collected > d).count(),
+            4,
+            "the one-shot rule sheds the whole batch"
+        );
+        // A slowed worker stretches the same batch past the deadline.
+        let slowed = kernel.predicted_misses(
+            tier,
+            deadlines.len(),
+            4,
+            now,
+            4.0,
+            None,
+            |_| Member::default(),
+            |i| deadlines[i],
+            &mut Vec::new(),
+        );
+        assert_eq!(slowed, 4);
+    }
+
+    #[test]
+    fn telemetry_drains_into_one_observation() {
+        let mut telemetry = TickTelemetry::new(3, true);
+        telemetry.record_arrival(0, false);
+        telemetry.record_arrival(2, true);
+        telemetry.record_escalation();
+        telemetry.record_violation(0);
+        telemetry.record_violation(2);
+        telemetry.record_violation(1);
+        telemetry.record_confidence(0, 0.25);
+        telemetry.record_confidence(1, 0.75);
+        let mut fleet = FleetTally::new(3);
+        fleet.add_alive(0, 4, true, 1.0);
+        fleet.add_alive(1, 2, false, 0.5);
+        fleet.add_alive(2, 3, true, 1.0);
+        fleet.add_failed();
+        assert_eq!(fleet.alive(), 3);
+        assert_eq!(fleet.degraded, 1);
+        assert!((fleet.utilization() - 2.0 / 3.0).abs() < 1e-12);
+
+        let obs = telemetry.observe(SimTime::from_secs(2), &fleet, (4, 1));
+        assert_eq!((obs.arrivals, obs.heavy_arrivals), (2, 2));
+        assert_eq!((obs.violations_light, obs.violations_heavy), (1, 2));
+        // The legacy scalars are the entry tier and everything deeper.
+        assert_eq!(obs.tier_queues, [4, 2, 3]);
+        assert_eq!((obs.light_queue, obs.heavy_queue), (4, 5));
+        assert_eq!(obs.alive_workers, 3);
+        assert_eq!(obs.effective_capacity, 2.5);
+        assert_eq!((obs.current_light_batch, obs.current_heavy_batch), (4, 1));
+        assert_eq!(obs.confidences, [0.25]);
+        assert_eq!(obs.deep_confidences, [vec![0.75]]);
+        assert_eq!(obs.tier_direct_arrivals, [1, 0, 1]);
+
+        // The window is drained.
+        let next = telemetry.observe(SimTime::from_secs(4), &fleet, (4, 1));
+        assert_eq!((next.arrivals, next.heavy_arrivals), (0, 0));
+        assert_eq!((next.violations_light, next.violations_heavy), (0, 0));
+        assert!(next.confidences.is_empty());
+        assert_eq!(next.tier_direct_arrivals, [0, 0, 0]);
+    }
+}

@@ -28,6 +28,8 @@
 //!   driven each control interval by both execution engines.
 //! * [`hetero`] — the §5 heterogeneous-cluster extension (worker classes
 //!   with per-class speeds).
+//! * [`kernel`] — the serving kernel: the service-time, routing,
+//!   escalation and accounting model both engines call for every decision.
 //! * [`runtime`] — offline-prepared artifacts (dataset, discriminator,
 //!   deferral profile, FID reference).
 //! * [`serve`] — the unified serving-session API: the [`ServingBackend`]
@@ -70,6 +72,7 @@ pub mod allocator;
 pub mod config;
 pub mod control;
 pub mod hetero;
+pub mod kernel;
 pub mod policy;
 pub mod query;
 pub mod report;
@@ -90,6 +93,7 @@ pub use control::{
 };
 pub use diffserve_milp::WarmStart;
 pub use hetero::{solve_heterogeneous, HeteroAllocation, HeteroInputs, WorkerClass};
+pub use kernel::Kernel;
 pub use policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};
 pub use query::{CompletedResponse, ModelTier, Query, QueryId, WorkerHealth};
 pub use report::{RunReport, TierStats};

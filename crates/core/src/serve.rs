@@ -990,7 +990,10 @@ mod tests {
     fn observer_sees_threshold_and_progress() {
         let mut session = ServingSession::builder()
             .runtime(test_runtime())
-            .config(small_config())
+            .config(SystemConfig {
+                resume_from_latents: true,
+                ..small_config()
+            })
             .policy(Policy::DiffServe)
             .build()
             .expect("valid session");
@@ -1006,6 +1009,23 @@ mod tests {
         assert!(last.completed + last.dropped > 0);
         assert!(last.threshold.is_finite());
         assert!(last.light_workers + last.heavy_workers + last.failed_workers <= 4);
+
+        // The snapshot's running counters equal a scan over every outcome
+        // recorded up to the same instant.
+        let done: Vec<CompletedResponse> = session
+            .poll()
+            .into_iter()
+            .filter_map(|o| match o {
+                QueryOutcome::Completed(r) => Some(r),
+                QueryOutcome::Dropped { .. } => None,
+            })
+            .collect();
+        let heavy = done.iter().filter(|r| r.tier == ModelTier::Heavy).count();
+        let resumed = done.iter().filter(|r| r.reused_steps > 0).count() as u64;
+        assert!(heavy > 0 && resumed > 0, "exercise both counters");
+        assert_eq!(last.completed, done.len() as u64);
+        assert_eq!(last.heavy_fraction, heavy as f64 / done.len() as f64);
+        assert_eq!(last.resumed_completions, resumed);
     }
 
     #[test]

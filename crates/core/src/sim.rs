@@ -9,7 +9,11 @@
 //!
 //! The simulator is one of the two engines behind the unified
 //! [`ServingSession`] API (the other is the
-//! thread-based testbed in `diffserve-cluster`): [`SimBackend`] implements
+//! thread-based testbed in `diffserve-cluster`). It owns *when* things
+//! happen — the event queue — and its state access (the sorted per-tier
+//! load index); every serving decision (service times, drop-front, routing
+//! score, entry tier, escalation verdict, worker targets, telemetry) is a
+//! call into the shared [`crate::kernel`]. [`SimBackend`] implements
 //! [`ServingBackend`] over the event loop, so
 //! applications can submit queries incrementally, tap live metrics, and
 //! inject perturbations mid-run. The two batch entry points — [`run_trace`]
@@ -26,29 +30,26 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use diffserve_imagegen::{
-    resume_savings, reused_steps, DiffusionModel, Discriminator, GeneratedImage,
-    OnlinePredictiveRouter, OnlineRouterConfig, Prompt, StageLatencyBreakdown, StageState,
-};
-use diffserve_metrics::{RollingFid, SloTracker, WindowedSeries};
+use diffserve_imagegen::{GeneratedImage, OnlinePredictiveRouter, Prompt, StageState};
+use diffserve_metrics::WindowedSeries;
 use diffserve_simkit::prelude::*;
 use diffserve_trace::{
     CapacityEvent, FleetHealth, HazardProcess, Incident, IncidentLog, Scenario, ScenarioError,
     ScenarioEvent, Trace,
 };
-use rand::Rng;
 
 use crate::addons::{AddonStats, ModuleCache};
-use crate::allocator::{Allocation, LadderAllocation};
+use crate::allocator::LadderAllocation;
 use crate::config::{ConfigError, SystemConfig};
-use crate::control::{ControlDirective, ControlLoop, ControlObservation, PlanActuator};
+use crate::control::{ControlDirective, ControlLoop, PlanActuator};
+use crate::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
 use crate::policy::{AblationKnobs, Policy};
-use crate::query::{CompletedResponse, ModelTier, QueryId, WorkerHealth};
+use crate::query::{QueryId, WorkerHealth};
 use crate::report::RunReport;
 use crate::runtime::CascadeRuntime;
 use crate::serve::{
-    session_rolling_fid, QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession,
-    SessionSnapshot, SessionSpec,
+    QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession, SessionSnapshot,
+    SessionSpec,
 };
 
 /// Event budget for one simulated run — a backstop against runaway
@@ -169,17 +170,6 @@ impl Worker {
 
     fn load(&self) -> usize {
         self.queue.len() + self.in_flight.len()
-    }
-
-    /// The router's ETA estimate for an arriving query: current load plus
-    /// the query itself, weighted by the health slowdown. Counting the
-    /// arrival matters — a straggler with an empty queue would otherwise
-    /// score `0 × slowdown = 0`, indistinguishable from an idle healthy
-    /// worker. On a healthy fleet `(load + 1) × 1.0` ranks workers exactly
-    /// like raw `load` (both integer-valued), so healthy routing is
-    /// unchanged.
-    fn effective_load(&self) -> f64 {
-        (self.load() + 1) as f64 * self.health.slowdown()
     }
 }
 
@@ -305,27 +295,33 @@ struct QueryRec {
     entry_tier: usize,
 }
 
+impl QueryRec {
+    /// What the service-time model reads of this query.
+    fn member(&self) -> Member {
+        Member {
+            resume: self.resume,
+            addon: self.addon,
+        }
+    }
+}
+
 struct ServingSim<'a> {
     config: SystemConfig,
     settings: RunSettings,
     runtime: &'a CascadeRuntime,
+    /// The serving kernel: tier roster, service-time model, routing score,
+    /// entry tier and boundary verdict. This engine only schedules — every
+    /// decision is a call into it.
+    kernel: Kernel<'a>,
     /// The backend-agnostic control plane; this backend only gathers
-    /// [`ControlObservation`]s and actuates the returned directives.
+    /// [`ControlObservation`](crate::control::ControlObservation)s and
+    /// actuates the returned directives.
     control: ControlLoop,
     workers: Vec<Worker>,
     /// Per-tier sorted load index over `workers`; kept in sync by
     /// [`Self::refresh_index`] after every load/health/tier mutation.
     index: LoadIndex,
     queries: Vec<QueryRec>,
-    /// The ladder's model tiers, cheapest first. For a legacy (non-ladder)
-    /// runtime this is exactly `[&spec.light, &spec.heavy]`, so every
-    /// tier-indexed path below reduces to the historical two-tier
-    /// arithmetic bit-for-bit.
-    models: Vec<&'a DiffusionModel>,
-    /// One discriminator per escalation boundary (length `N - 1`);
-    /// `discriminators[k]` scores tier-`k` outputs. Legacy runtimes carry
-    /// the single cascade discriminator at boundary 0.
-    discriminators: Vec<&'a Discriminator>,
     /// Per-boundary confidence thresholds; `thresholds[0]` is the legacy
     /// cascade threshold.
     thresholds: Vec<f64>,
@@ -360,36 +356,17 @@ struct ServingSim<'a> {
     /// Scratch: distinct missing module ids of the batch being priced.
     addon_scratch: Vec<usize>,
     // Metrics.
-    slo: SloTracker,
-    responses: Vec<CompletedResponse>,
-    /// Completions whose heavy pass resumed from carried latents.
-    resumed_count: u64,
-    /// Incremental windowed FID over the most recent completions, read at
-    /// every snapshot tap.
-    rolling_fid: RollingFid,
-    arrivals_since_tick: u64,
-    heavy_arrivals_since_tick: u64,
-    violations_since_tick_light: u64,
-    violations_since_tick_heavy: u64,
-    /// Discriminator confidences observed since the last control tick —
-    /// the online profile estimator's input stream.
-    confidences_since_tick: Vec<f64>,
-    /// Boundary ≥ 1 confidences since the last tick (`[k]` holds boundary
-    /// `k + 1`'s stream); always empty on two-tier runs.
-    deep_confidences_since_tick: Vec<Vec<f64>>,
+    /// Outcome accounting: SLO tracker, responses, rolling FID, drops.
+    ledger: Ledger,
+    /// Arrivals, violations and confidences since the last control tick.
+    telemetry: TickTelemetry,
     /// Cumulative escalations across each boundary (`[k]` counts tier `k`
     /// → `k + 1` hand-offs), surfaced in session snapshots.
     tier_escalations: Vec<u64>,
-    /// Queries admitted directly at each tier since the last control tick
-    /// (the predictive router's bypass flow lands at index ≥ 1); only
-    /// maintained on ladder runs with a router, else left empty.
-    tier_direct_since_tick: Vec<u64>,
     threshold_series: WindowedSeries,
     arrival_series: WindowedSeries,
     rng: rand::rngs::StdRng,
     total_arrivals: u64,
-    /// Drops recorded since the last poll: `(id, arrival, dropped_at)`.
-    drop_log: Vec<(QueryId, SimTime, SimTime)>,
     // Reused scratch buffers — dispatch and churn paths run at event rate,
     // so they must not allocate per event.
     /// Holds a completed batch while its queries are scored and routed.
@@ -412,41 +389,18 @@ impl<'a> ServingSim<'a> {
         hazard: Option<HazardProcess>,
     ) -> Self {
         config.validate().expect("valid system config");
-        // The tier roster: ladders with more than two tiers generalize the
-        // serving loop; everything else (including a degenerate two-tier
-        // ladder) runs the exact legacy light/heavy pair.
-        let (models, discriminators): (Vec<&'a DiffusionModel>, Vec<&'a Discriminator>) =
-            match &runtime.ladder {
-                Some(art) if art.num_tiers() > 2 => (
-                    art.models.iter().collect(),
-                    art.discriminators.iter().collect(),
-                ),
-                _ => (
-                    vec![&runtime.spec.light, &runtime.spec.heavy],
-                    vec![&runtime.discriminator],
-                ),
-            };
-        let num_tiers = models.len();
+        let kernel = Kernel::new(runtime, &config, &settings);
+        let num_tiers = kernel.num_tiers();
         let boundaries = num_tiers - 1;
-        let ladder_cfg = config.ladder.clone().unwrap_or_default();
-        let thresholds = match &ladder_cfg.initial_thresholds {
+        let initial = config
+            .ladder
+            .as_ref()
+            .and_then(|l| l.initial_thresholds.as_ref());
+        let thresholds = match initial {
             Some(ts) if ts.len() == boundaries => ts.clone(),
             _ => vec![0.5; boundaries],
         };
-        let router = (num_tiers > 2
-            && ladder_cfg.predictive_routing
-            && matches!(settings.policy, Policy::DiffServe | Policy::DiffServeStatic))
-        .then(|| {
-            OnlinePredictiveRouter::new(
-                boundaries,
-                OnlineRouterConfig {
-                    observation_noise: ladder_cfg.predictive_observation_noise,
-                    learning_rate: ladder_cfg.predictive_learning_rate,
-                    min_observations: ladder_cfg.predictive_min_observations,
-                    margin: ladder_cfg.predictive_margin,
-                },
-            )
-        });
+        let router = kernel.new_router();
         // Bootstrap: half the fleet per tier until the first control tick
         // (static policies overwrite this immediately below). Mid tiers
         // start empty; the first plan staffs them.
@@ -471,10 +425,9 @@ impl<'a> ServingSim<'a> {
             index: LoadIndex::new(config.num_workers, num_tiers),
             workers,
             queries: Vec::new(),
-            models,
-            discriminators,
             thresholds,
             bypass_suspended: false,
+            telemetry: TickTelemetry::new(num_tiers, router.is_some()),
             router,
             proteus_heavy_fraction: 0.5,
             actions,
@@ -490,27 +443,17 @@ impl<'a> ServingSim<'a> {
             },
             addon_stats: AddonStats::default(),
             addon_scratch: Vec::new(),
-            slo: SloTracker::new(config.slo),
-            responses: Vec::new(),
-            resumed_count: 0,
-            rolling_fid: session_rolling_fid(&runtime.reference),
-            arrivals_since_tick: 0,
-            heavy_arrivals_since_tick: 0,
-            violations_since_tick_light: 0,
-            violations_since_tick_heavy: 0,
-            confidences_since_tick: Vec::new(),
-            deep_confidences_since_tick: vec![Vec::new(); boundaries.saturating_sub(1)],
+            ledger: Ledger::new(config.slo, &runtime.reference),
             tier_escalations: vec![0; boundaries],
-            tier_direct_since_tick: Vec::new(),
             threshold_series: WindowedSeries::new(config.metrics_window),
             arrival_series: WindowedSeries::new(config.metrics_window),
             rng: seeded_rng(derive_seed(config.seed, 0x51A7)),
             total_arrivals: 0,
-            drop_log: Vec::new(),
             batch_scratch: Vec::new(),
             orphan_scratch: Vec::new(),
             victim_scratch: Vec::new(),
             requeue_scratch: Vec::new(),
+            kernel,
             config,
             settings,
             runtime,
@@ -571,181 +514,17 @@ impl<'a> ServingSim<'a> {
         self.actions.len() - 1
     }
 
-    /// Single-stage service latency of a batch on a tier: the tier's model
-    /// execution plus — on non-terminal cascade tiers — the boundary
-    /// discriminator's per-query scoring cost.
-    fn stage_latency(&self, tier: usize, batch: usize) -> f64 {
-        let base = self.models[tier]
-            .latency()
-            .exec_latency(batch)
-            .as_secs_f64();
-        match self.discriminators.get(tier) {
-            Some(d) if self.settings.policy.uses_cascade() => {
-                base + d.latency().as_secs_f64() * batch as f64
-            }
-            _ => base,
-        }
-    }
-
-    /// Denoise steps query `qidx` skips at `tier` by resuming from carried
-    /// latents. Exactly `0` at the entry tier, with resume disabled, with
-    /// no carried state, or with a zero step credit — the resume-aware
-    /// paths below all reduce to the restart arithmetic bit-for-bit in
-    /// those cases.
-    fn reused_steps_for(&self, qidx: u64, tier: usize) -> u32 {
-        if tier == 0 || !self.config.resume_from_latents {
-            return 0;
-        }
-        match self.queries[qidx as usize].resume {
-            Some(st) => reused_steps(
-                self.models[tier].steps(),
-                st,
-                self.config.resume_step_credit,
-            ),
-            None => 0,
-        }
-    }
-
-    /// Total service-time discount of a prospective batch: the sum of each
-    /// member's [`resume_savings`]. Always `0.0` for the entry tier and in
-    /// restart mode, so `(stage_latency − 0.0)` stays bitwise equal to the
-    /// undiscounted service time.
-    fn batch_resume_savings(&self, tier: usize, members: impl Iterator<Item = u64>) -> f64 {
-        if tier == 0 || !self.config.resume_from_latents {
-            return 0.0;
-        }
-        let profile = self.models[tier].latency();
-        let steps = self.models[tier].steps();
-        members
-            .map(|q| resume_savings(profile, self.reused_steps_for(q, tier), steps))
-            .sum()
-    }
-
-    /// Total module-load seconds a prospective batch on worker `idx` would
-    /// pay: the summed load latencies of the *distinct* add-on modules its
-    /// members require that are not resident in the worker's cache at batch
-    /// start. Read-only (`seen` is caller-provided scratch for the distinct
-    /// set); exactly `0.0` with add-ons disabled. The dispatch-side
-    /// [`Self::charge_batch_swaps`] computes the identical sum for the same
-    /// batch, so the drop-front ETA and the scheduled service time agree.
-    fn batch_swap_secs(
-        &self,
-        idx: usize,
-        members: impl Iterator<Item = u64>,
-        seen: &mut Vec<usize>,
-    ) -> f64 {
-        let Some(addons) = &self.config.addons else {
-            return 0.0;
-        };
-        seen.clear();
-        let cache = &self.caches[idx];
-        let mut secs = 0.0;
-        for q in members {
-            if let Some(id) = self.queries[q as usize].addon {
-                if !cache.contains(id) && !seen.contains(&id) {
-                    seen.push(id);
-                    secs += addons.catalog.get(id).load_secs;
-                }
-            }
-        }
-        secs
-    }
-
-    /// Charges the dispatching batch's module swaps on worker `idx`:
-    /// records one hit/miss per add-on-carrying member (judged against
-    /// cache residency at batch start, with each distinct missing module's
-    /// load latency attributed to its first requester), then admits every
-    /// required module in member order — hits refresh LRU recency, misses
-    /// load and evict. Returns the total load seconds, bitwise equal to
-    /// what [`Self::batch_swap_secs`] predicted for this batch.
-    fn charge_batch_swaps(&mut self, idx: usize, tier: usize) -> f64 {
-        let Some(addons) = &self.config.addons else {
-            return 0.0;
-        };
-        // Add-on accounting keeps the legacy two-bucket split: entry tier
-        // vs everything deeper.
-        let stats_tier = if tier == 0 {
-            ModelTier::Light
-        } else {
-            ModelTier::Heavy
-        };
-        let mut seen = std::mem::take(&mut self.addon_scratch);
-        seen.clear();
-        let cache = &mut self.caches[idx];
-        let mut secs = 0.0;
-        for &q in &self.workers[idx].in_flight {
-            let Some(id) = self.queries[q as usize].addon else {
-                continue;
-            };
-            let hit = cache.contains(id);
-            let swap = if !hit && !seen.contains(&id) {
-                seen.push(id);
-                addons.catalog.get(id).load_secs
-            } else {
-                0.0
-            };
-            self.addon_stats.record(stats_tier, hit, swap);
-            secs += swap;
-        }
-        for &q in &self.workers[idx].in_flight {
-            if let Some(id) = self.queries[q as usize].addon {
-                cache.admit(id, &addons.catalog);
-            }
-        }
-        seen.clear();
-        self.addon_scratch = seen;
-        secs
-    }
-
-    /// Single-query nameplate GPU-seconds a completion consumed across the
-    /// tiers it touched (see [`CompletedResponse::gpu_time`]): every
-    /// cascade stage from the query's entry tier through its completion
-    /// tier, net of resumed steps at the final tier.
-    fn single_query_gpu_time(&self, entry: usize, tier: usize, reused: u32) -> f64 {
-        let profile = self.models[tier].latency();
-        let own = self.stage_latency(tier, 1)
-            - resume_savings(profile, reused, self.models[tier].steps());
-        if self.settings.policy.uses_cascade() && tier > entry {
-            // Escalated: the shallower passes and their discriminator
-            // scores ran first and their cost is sunk.
-            (entry..tier).map(|j| self.stage_latency(j, 1)).sum::<f64>() + own
-        } else {
-            own
-        }
-    }
-
-    /// Tier `tier`'s output for query `qidx`, resuming from carried latents
-    /// when possible. Returns the image and the reused step count. A
-    /// restart (no reuse) is bitwise `generate`; a lossless resume
-    /// (`resume_quality_penalty == 0`) produces the identical image at
-    /// lower service time.
-    fn tier_generate(&self, tier: usize, qidx: u64, prompt: &Prompt) -> (GeneratedImage, u32) {
-        let reused = self.reused_steps_for(qidx, tier);
-        if reused > 0 {
-            let image = self.models[tier]
-                .generate_with_quality_shift(prompt, -self.config.resume_quality_penalty);
-            (image, reused)
-        } else {
-            (self.models[tier].generate(prompt), 0)
-        }
-    }
-
     /// Initial allocation before any demand has been observed, planned by
     /// the control plane and applied instantly (bootstrap pays no switch
     /// delay).
     fn bootstrap_allocation(&mut self) {
-        let directive = self.control.bootstrap(self.settings.peak_demand_hint);
-        match &directive {
-            ControlDirective::Apply(alloc) => self.apply_allocation_instant(alloc),
-            ControlDirective::ApplyProteus {
-                allocation,
-                heavy_fraction,
-            } => {
-                self.proteus_heavy_fraction = *heavy_fraction;
-                self.apply_allocation_instant(allocation);
-            }
-            ControlDirective::ApplyLadder(alloc) => self.apply_ladder_instant(alloc),
-            ControlDirective::Hold => {}
+        if let ControlDirective::Apply {
+            plan,
+            heavy_fraction,
+        } = self.control.bootstrap(self.settings.peak_demand_hint)
+        {
+            let targets = self.adopt_plan(&plan, heavy_fraction);
+            self.apply_plan_instant(&plan, &targets);
         }
     }
 
@@ -763,7 +542,7 @@ impl<'a> ServingSim<'a> {
     /// worker counts. For the legacy two-tier cascade this is exactly the
     /// old "has alive heavy" check.
     fn has_alive_deeper(&self, tier: usize) -> bool {
-        let v = (tier + 1..self.models.len()).any(|t| self.index.tier_len(t) > 0);
+        let v = (tier + 1..self.kernel.num_tiers()).any(|t| self.index.tier_len(t) > 0);
         debug_assert_eq!(
             v,
             self.workers
@@ -773,173 +552,57 @@ impl<'a> ServingSim<'a> {
         v
     }
 
-    /// Applies an allocation immediately (bootstrap: no switch delay).
-    /// Failed workers are skipped — tiers are assigned positionally across
-    /// the alive fleet only.
-    fn apply_allocation_instant(&mut self, alloc: &Allocation) {
-        self.thresholds[0] = alloc.threshold;
-        let spare = self
-            .alive_count()
-            .saturating_sub(alloc.light_workers + alloc.heavy_workers);
-        let target_light = alloc.light_workers + spare;
-        let mut pos = 0;
-        for w in self.workers.iter_mut() {
-            if w.failed {
-                continue;
+    /// Takes over a plan's routing parameters — per-boundary thresholds,
+    /// the bypass suspension under the overload fallback, Proteus's heavy
+    /// fraction — and returns the per-tier worker targets it implies for
+    /// the alive fleet.
+    fn adopt_plan(&mut self, plan: &LadderAllocation, heavy_fraction: Option<f64>) -> Vec<usize> {
+        self.thresholds.clone_from(&plan.thresholds);
+        self.bypass_suspended = !plan.feasible;
+        if let Some(fraction) = heavy_fraction {
+            self.proteus_heavy_fraction = fraction;
+        }
+        kernel::worker_targets(&plan.workers, self.alive_count())
+    }
+
+    /// Applies a plan immediately (bootstrap: no switch delay). Failed
+    /// workers are skipped — tiers are assigned positionally across the
+    /// alive fleet only, each tier taking its target count in turn.
+    fn apply_plan_instant(&mut self, plan: &LadderAllocation, targets: &[usize]) {
+        let mut alive = self.workers.iter_mut().filter(|w| !w.failed);
+        for (tier, &count) in targets.iter().enumerate() {
+            for w in alive.by_ref().take(count) {
+                w.tier = tier;
+                w.pending_tier = None;
+                w.batch_max = plan.batches[tier].max(1);
             }
-            w.tier = if pos < target_light { 0 } else { 1 };
-            w.pending_tier = None;
-            w.batch_max = if w.tier == 0 {
-                alloc.light_batch
-            } else {
-                alloc.heavy_batch
-            };
-            pos += 1;
         }
         for i in 0..self.workers.len() {
             self.refresh_index(i);
         }
     }
 
-    /// Applies a ladder allocation immediately (bootstrap: no switch
-    /// delay). Mirrors [`Self::apply_allocation_instant`]: spare alive
-    /// workers beyond the plan's totals join the entry tier, and tiers are
-    /// assigned positionally across the alive fleet.
-    fn apply_ladder_instant(&mut self, alloc: &LadderAllocation) {
-        self.thresholds.clone_from(&alloc.thresholds);
-        self.bypass_suspended = !alloc.feasible;
-        let planned: usize = alloc.workers.iter().sum();
-        let spare = self.alive_count().saturating_sub(planned);
-        let mut targets = alloc.workers.clone();
-        targets[0] += spare;
-        let mut pos = 0;
-        for w in self.workers.iter_mut() {
-            if w.failed {
-                continue;
-            }
-            // Positional assignment by prefix sums over the targets.
-            let mut tier = targets.len() - 1;
-            let mut cum = 0;
-            for (t, &n) in targets.iter().enumerate() {
-                cum += n;
-                if pos < cum {
-                    tier = t;
-                    break;
-                }
-            }
-            w.tier = tier;
-            w.pending_tier = None;
-            w.batch_max = alloc.batches[tier].max(1);
-            pos += 1;
-        }
-        for i in 0..self.workers.len() {
-            self.refresh_index(i);
-        }
-    }
-
-    /// Applies an allocation at runtime: batch sizes update immediately,
-    /// tier changes go through the model-switch protocol (idle workers
-    /// switch now and pay the load delay; busy ones switch at their next
-    /// batch boundary).
-    fn apply_allocation(
+    /// Applies a plan at runtime: batch sizes update immediately, tier
+    /// changes go through the model-switch protocol (idle workers switch
+    /// now and pay the load delay; busy ones switch at their next batch
+    /// boundary). Each surplus tier donates its least-loaded workers to
+    /// the deficit tiers in tier order.
+    fn apply_plan(
         &mut self,
-        alloc: &Allocation,
+        plan: &LadderAllocation,
+        targets: &[usize],
         now: SimTime,
         queue: &mut EventQueue<Event>,
     ) {
-        self.thresholds[0] = alloc.threshold;
-        let spare = self
-            .alive_count()
-            .saturating_sub(alloc.light_workers + alloc.heavy_workers);
-        let target_light = alloc.light_workers + spare;
-
         for w in self.workers.iter_mut().filter(|w| !w.failed) {
-            let b = if w.target_tier() == 0 {
-                alloc.light_batch
-            } else {
-                alloc.heavy_batch
-            };
-            w.batch_max = b.max(1);
-        }
-
-        let current_light = self.index.tier_len(0);
-        debug_assert_eq!(
-            current_light,
-            self.workers
-                .iter()
-                .filter(|w| !w.failed && w.target_tier() == 0)
-                .count()
-        );
-
-        let (from, to, count) = if current_light > target_light {
-            (0, 1, current_light - target_light)
-        } else {
-            (1, 0, target_light - current_light)
-        };
-        if count == 0 {
-            return;
-        }
-        // Switch the least-loaded workers of the donor tier. The index
-        // already holds the tier's membership, so only tier-sized work is
-        // done here instead of a full-fleet scan; the explicit `(load,
-        // index)` sort key reproduces the historical stable-sort order.
-        let mut candidates = std::mem::take(&mut self.victim_scratch);
-        candidates.clear();
-        self.index.tier_members(from, &mut candidates);
-        candidates.sort_unstable_by_key(|&i| (self.workers[i].load(), i));
-        candidates.truncate(count);
-
-        for &idx in &candidates {
-            // Re-route queued queries: they were bound for the donor tier.
-            let mut orphans = std::mem::take(&mut self.requeue_scratch);
-            orphans.clear();
-            orphans.extend(self.workers[idx].queue.drain(..));
-            self.workers[idx].pending_tier = Some(to);
-            self.workers[idx].batch_max = if to == 0 {
-                alloc.light_batch.max(1)
-            } else {
-                alloc.heavy_batch.max(1)
-            };
-            // The worker must leave the donor pool before its queue is
-            // re-routed, or the router could hand the orphans right back.
-            self.refresh_index(idx);
-            for &q in &orphans {
-                self.route_to_tier(from, q, now, queue);
-            }
-            orphans.clear();
-            self.requeue_scratch = orphans;
-            if !self.workers[idx].busy {
-                self.begin_switch(idx, now, queue);
-            }
-        }
-        candidates.clear();
-        self.victim_scratch = candidates;
-    }
-
-    /// Applies a ladder allocation at runtime: the N-tier generalization of
-    /// [`Self::apply_allocation`]. Batch sizes update immediately; each
-    /// surplus tier donates its least-loaded workers (the exact per-victim
-    /// switch protocol the two-tier path uses) to the deficit tiers in tier
-    /// order.
-    fn apply_ladder_allocation(
-        &mut self,
-        alloc: &LadderAllocation,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) {
-        self.thresholds.clone_from(&alloc.thresholds);
-        self.bypass_suspended = !alloc.feasible;
-        let planned: usize = alloc.workers.iter().sum();
-        let spare = self.alive_count().saturating_sub(planned);
-        let mut targets = alloc.workers.clone();
-        targets[0] += spare;
-
-        for w in self.workers.iter_mut().filter(|w| !w.failed) {
-            w.batch_max = alloc.batches[w.target_tier()].max(1);
+            w.batch_max = plan.batches[w.target_tier()].max(1);
         }
 
         // Donors: each tier's surplus beyond its target, least-loaded
-        // first, collected in tier order.
+        // first, collected in tier order. The index already holds each
+        // tier's membership, so only tier-sized work is done here instead
+        // of a full-fleet scan; the explicit `(load, index)` sort key
+        // reproduces the historical stable-sort order.
         let mut donors: Vec<(usize, usize)> = Vec::new();
         let mut candidates = std::mem::take(&mut self.victim_scratch);
         for (t, &target) in targets.iter().enumerate() {
@@ -964,11 +627,13 @@ impl<'a> ServingSim<'a> {
                     return;
                 };
                 deficit -= 1;
+                // Re-route queued queries: they were bound for the donor
+                // tier.
                 let mut orphans = std::mem::take(&mut self.requeue_scratch);
                 orphans.clear();
                 orphans.extend(self.workers[idx].queue.drain(..));
                 self.workers[idx].pending_tier = Some(t);
-                self.workers[idx].batch_max = alloc.batches[t].max(1);
+                self.workers[idx].batch_max = plan.batches[t].max(1);
                 // Leave the donor pool before the queue is re-routed, or
                 // the router could hand the orphans right back.
                 self.refresh_index(idx);
@@ -997,77 +662,55 @@ impl<'a> ServingSim<'a> {
         );
     }
 
-    /// The load the router ranks worker `i` by: effective (health-weighted)
-    /// load, or raw queue depth under the health-blind routing ablation.
+    /// The load the router ranks worker `i` by (see
+    /// [`Kernel::routing_load`]): health-weighted, or raw queue depth under
+    /// the health-blind routing ablation.
     fn routing_load(&self, i: usize) -> f64 {
-        if self.settings.knobs.health_blind_routing {
-            self.workers[i].load() as f64
+        let w = &self.workers[i];
+        self.kernel.routing_load(w.load(), w.health.slowdown())
+    }
+
+    /// Affinity-aware pick for an add-on-carrying query: over the default
+    /// ladder's first non-empty candidate pool (tier primaries, then
+    /// workers switching toward the tier, then any alive worker), rank
+    /// each worker by its routing load plus the kernel's miss penalty when
+    /// its cache lacks the module. Ties keep the pool's `(load, index)`
+    /// order. Returns `None` (→ the default ladder, which stays
+    /// bit-identical) when [`Kernel::miss_penalty`] does not apply.
+    fn affinity_route(&self, tier: usize, qidx: u64) -> Option<usize> {
+        let (id, penalty) = self
+            .kernel
+            .miss_penalty(tier, self.queries[qidx as usize].addon)?;
+        let pool = if !self.index.primary[tier].is_empty() {
+            &self.index.primary[tier]
+        } else if !self.index.pending_to[tier].is_empty() {
+            &self.index.pending_to[tier]
         } else {
-            self.workers[i].effective_load()
-        }
+            &self.index.alive
+        };
+        kernel::pick_min(pool.iter().map(|&(_, i)| {
+            let miss = if self.caches[i].contains(id) {
+                0.0
+            } else {
+                penalty
+            };
+            (i, self.routing_load(i) + miss)
+        }))
     }
 
     /// Health-weighted join-shortest-queue routing to the pool of a tier.
     /// Prefers alive workers already running the tier; falls back to ones
     /// switching toward it, then to any alive worker.
     ///
-    /// Each candidate is ranked by *effective* load — see
-    /// [`Worker::effective_load`] — so a 2×-degraded worker's queue slots
-    /// cost twice a healthy one's. Health-blind JSQ (plain `load`) keeps
-    /// feeding stragglers as if they drained at nameplate speed, which is
-    /// exactly where SLO violations concentrate under brownout. On a fully
-    /// healthy fleet the effective load ranks workers exactly like the raw
-    /// integer load, and the index tie-break preserves the historical pick,
-    /// so healthy runs are bit-identical to the old routing.
+    /// Each candidate is ranked by its routing load, so a 2×-degraded
+    /// worker's queue slots cost twice a healthy one's. Health-blind JSQ
+    /// keeps feeding stragglers as if they drained at nameplate speed,
+    /// which is exactly where SLO violations concentrate under brownout.
     /// The candidate ladder is answered by the per-tier load index in
-    /// `O(log n)`: tier primaries first, then workers switching toward the
-    /// tier, then any alive worker — each pool pre-sorted by `(routing
-    /// load, index)`, the exact ranking the old linear scan computed.
-    /// Debug builds re-run the scan and assert the index agrees.
-    /// Affinity-aware pick for an add-on-carrying query: over the default
-    /// ladder's first non-empty candidate pool (tier primaries, then
-    /// workers switching toward the tier, then any alive worker), rank
-    /// each worker by its routing load plus a miss penalty — the required
-    /// module's load latency normalized by the tier's single-query service
-    /// time — so a cached replica slightly deeper in queue beats an idle
-    /// worker that must swap. Ties break toward the lower worker index,
-    /// like the default JSQ. Returns `None` (→ the default ladder, which
-    /// stays bit-identical) when add-ons are disabled, the query carries
-    /// none, or the affinity-blind ablation is on.
-    fn affinity_route(&self, tier: usize, qidx: u64) -> Option<usize> {
-        let addons = self.config.addons.as_ref()?;
-        let id = self.queries[qidx as usize].addon?;
-        if self.settings.knobs.affinity_blind_routing {
-            return None;
-        }
-        let t = tier;
-        let penalty = addons.catalog.get(id).load_secs / self.stage_latency(tier, 1);
-        let pool = if !self.index.primary[t].is_empty() {
-            &self.index.primary[t]
-        } else if !self.index.pending_to[t].is_empty() {
-            &self.index.pending_to[t]
-        } else {
-            &self.index.alive
-        };
-        let mut best: Option<(f64, usize)> = None;
-        for &(_, i) in pool {
-            let score = self.routing_load(i)
-                + if self.caches[i].contains(id) {
-                    0.0
-                } else {
-                    penalty
-                };
-            let better = match best {
-                None => true,
-                Some((bs, _)) => score < bs,
-            };
-            if better {
-                best = Some((score, i));
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-
+    /// `O(log n)`, each pool pre-sorted by `(routing load, index)` — the
+    /// exact ranking of the linear scan that debug builds re-run and
+    /// compare against. Add-on-carrying queries go through
+    /// [`Self::affinity_route`] first.
     fn route_to_tier(
         &mut self,
         tier: usize,
@@ -1139,45 +782,28 @@ impl<'a> ServingSim<'a> {
         // Drop-front policy: shed queries that cannot finish this stage in
         // time (counted as SLO violations, §4.1).
         if self.config.drop_predicted_misses {
-            let mut swap_seen = std::mem::take(&mut self.addon_scratch);
-            while let Some(&front) = self.workers[idx].queue.front() {
-                let b_est = self.workers[idx].queue.len().min(bmax);
-                // Resume-aware ETA: the prospective batch (the queue's first
-                // `b_est` entries) may carry latents whose reused steps
-                // shrink the service time. Degradation stretches only the
-                // residual work, so the slowdown multiplies after the
-                // subtraction. Missing add-on modules add their load
-                // latency (`swap` is exactly 0.0 with add-ons disabled).
-                let savings = self.batch_resume_savings(
-                    tier,
-                    self.workers[idx].queue.iter().take(b_est).copied(),
-                );
-                let swap = self.batch_swap_secs(
-                    idx,
-                    self.workers[idx].queue.iter().take(b_est).copied(),
-                    &mut swap_seen,
-                );
-                let eta = now
-                    + SimDuration::from_secs_f64(
-                        (self.stage_latency(tier, b_est) - savings + swap) * slowdown,
-                    );
-                let rec = self.queries[front as usize];
-                if eta > rec.deadline {
-                    self.workers[idx].queue.pop_front();
-                    self.queries[front as usize].finished = true;
-                    self.slo.record_drop(rec.arrival, now);
-                    self.drop_log.push((QueryId(front), rec.arrival, now));
-                    if tier == 0 {
-                        self.violations_since_tick_light += 1;
-                    } else {
-                        self.violations_since_tick_heavy += 1;
-                    }
-                } else {
-                    break;
-                }
+            let (pending, queries) = (&self.workers[idx].queue, &self.queries);
+            let shed = self.kernel.predicted_misses(
+                tier,
+                pending.len(),
+                bmax,
+                now,
+                slowdown,
+                self.caches.get(idx),
+                |i| queries[pending[i] as usize].member(),
+                |i| queries[pending[i] as usize].deadline,
+                &mut self.addon_scratch,
+            );
+            for _ in 0..shed {
+                let front = self.workers[idx]
+                    .queue
+                    .pop_front()
+                    .expect("shed entries are queued");
+                let rec = &mut self.queries[front as usize];
+                rec.finished = true;
+                self.ledger.drop_query(QueryId(front), rec.arrival, now);
+                self.telemetry.record_violation(tier);
             }
-            swap_seen.clear();
-            self.addon_scratch = swap_seen;
         }
         // Dropped-front pops changed the load; moving queue entries into
         // the in-flight buffer below does not (both count toward it).
@@ -1191,19 +817,21 @@ impl<'a> ServingSim<'a> {
         // Move the batch into the worker's reusable in-flight buffer —
         // dispatch runs at event rate and must not allocate.
         w.in_flight.extend(w.queue.drain(..take));
-        // Service time covers only the residual steps of resumed members
-        // (`savings` is exactly 0.0 in restart mode) plus any add-on module
-        // swaps the batch triggers (`swap` is exactly 0.0 with add-ons
-        // disabled); the health slowdown stretches that residual, not the
-        // skipped work.
-        let savings = self.batch_resume_savings(tier, self.workers[idx].in_flight.iter().copied());
-        let swap = self.charge_batch_swaps(idx, tier);
-        let dur = SimDuration::from_secs_f64(
-            (self.stage_latency(tier, take) - savings + swap) * slowdown,
+        w.busy = true;
+        let queries = &self.queries;
+        let secs = self.kernel.dispatch_secs(
+            tier,
+            self.workers[idx]
+                .in_flight
+                .iter()
+                .map(|&q| queries[q as usize].member()),
+            self.caches.get_mut(idx),
+            &mut self.addon_stats,
+            slowdown,
+            &mut self.addon_scratch,
         );
-        self.workers[idx].busy = true;
         queue.push(
-            now + dur,
+            now + SimDuration::from_secs_f64(secs),
             Event::BatchDone {
                 worker: idx,
                 epoch: self.workers[idx].epoch,
@@ -1220,36 +848,21 @@ impl<'a> ServingSim<'a> {
         reused: u32,
         now: SimTime,
     ) {
-        let rec = self.queries[qidx as usize];
-        self.queries[qidx as usize].finished = true;
-        let outcome = self.slo.record_completion(rec.arrival, now);
-        if outcome.is_violation() {
-            if tier == 0 {
-                self.violations_since_tick_light += 1;
-            } else {
-                self.violations_since_tick_heavy += 1;
-            }
-        }
-        if reused > 0 {
-            self.resumed_count += 1;
-        }
-        self.rolling_fid.push(&image.features);
-        self.responses.push(CompletedResponse {
-            id: QueryId(qidx),
-            arrival: rec.arrival,
-            completion: now,
-            features: image.features,
-            quality: image.quality,
-            tier: if tier == 0 {
-                ModelTier::Light
-            } else {
-                ModelTier::Heavy
-            },
-            tier_index: tier,
+        let rec = &mut self.queries[qidx as usize];
+        rec.finished = true;
+        let response = self.kernel.response(
+            QueryId(qidx),
+            rec.arrival,
+            now,
+            image,
+            rec.entry_tier,
+            tier,
             confidence,
-            gpu_time: self.single_query_gpu_time(rec.entry_tier, tier, reused),
-            reused_steps: reused,
-        });
+            reused,
+        );
+        if self.ledger.complete(response) {
+            self.telemetry.record_violation(tier);
+        }
     }
 
     fn handle_arrival(&mut self, qidx: u64, now: SimTime, queue: &mut EventQueue<Event>) {
@@ -1259,57 +872,24 @@ impl<'a> ServingSim<'a> {
         );
         self.queries[qidx as usize].arrived = true;
         self.total_arrivals += 1;
-        self.arrivals_since_tick += 1;
         self.arrival_series.push(now, 1.0);
 
-        let tier = match self.settings.policy {
-            Policy::ClipperLight => 0,
-            Policy::ClipperHeavy => self.models.len() - 1,
-            Policy::Proteus => {
-                if self.rng.gen_range(0.0..1.0) < self.proteus_heavy_fraction {
-                    self.heavy_arrivals_since_tick += 1;
-                    self.models.len() - 1
-                } else {
-                    0
-                }
-            }
-            Policy::DiffServeStatic | Policy::DiffServe => match &self.router {
-                // Predictive straight-to-tier routing: queries predicted to
-                // escalate skip the cheap tiers. The prediction sees the
-                // same (difficulty-shifted) prompt the tiers will serve.
-                // Suspended while the controller is shedding (overload
-                // fallback): bypassed traffic would be immune to the
-                // floored thresholds.
-                Some(r) if !self.bypass_suspended => {
-                    let t = r.entry_tier(&self.served_prompt(qidx));
-                    if t > 0 {
-                        // A skipped-ahead query is demand the deeper pools
-                        // must absorb — count it like an escalation.
-                        self.heavy_arrivals_since_tick += 1;
-                    }
-                    t
-                }
-                _ => 0,
+        // The router's prediction sees the same (difficulty-shifted)
+        // prompt the tiers will serve.
+        let (tier, deep_demand) = self.kernel.entry_tier(
+            self.proteus_heavy_fraction,
+            &mut self.rng,
+            self.router.as_ref(),
+            self.bypass_suspended,
+            || {
+                let explicit = self.queries[qidx as usize].prompt;
+                self.kernel
+                    .served_prompt(qidx, explicit, self.difficulty_delta)
             },
-        };
+        );
+        self.telemetry.record_arrival(tier, deep_demand);
         self.queries[qidx as usize].entry_tier = tier;
-        if self.router.is_some() {
-            if self.tier_direct_since_tick.len() != self.models.len() {
-                self.tier_direct_since_tick = vec![0; self.models.len()];
-            }
-            self.tier_direct_since_tick[tier] += 1;
-        }
         self.route_to_tier(tier, qidx, now, queue);
-    }
-
-    /// The prompt served for query `qidx` — its explicit payload if one was
-    /// submitted, else the dataset's cyclic prompt — with any active
-    /// difficulty shift applied.
-    fn served_prompt(&self, qidx: u64) -> Prompt {
-        self.queries[qidx as usize]
-            .prompt
-            .unwrap_or_else(|| *self.runtime.dataset.prompt_cyclic(qidx))
-            .harder(self.difficulty_delta)
     }
 
     fn handle_batch_done(
@@ -1345,44 +925,38 @@ impl<'a> ServingSim<'a> {
         // The emptied in-flight buffer lowered this worker's load; the
         // index must see that before any escalation below routes.
         self.refresh_index(idx);
-        let last = self.models.len() - 1;
+        // Tier membership cannot change while the batch is scored, so one
+        // index probe answers for every member.
+        let deeper_alive = self.has_alive_deeper(tier);
         for &qidx in &batch {
-            let prompt = self.served_prompt(qidx);
-            let (image, reused) = self.tier_generate(tier, qidx, &prompt);
-            if tier < last && self.settings.policy.uses_cascade() {
-                let conf = self.discriminators[tier].confidence(&image.features);
-                if tier == 0 {
-                    self.confidences_since_tick.push(conf);
-                } else {
-                    self.deep_confidences_since_tick[tier - 1].push(conf);
+            let rec = &self.queries[qidx as usize];
+            let prompt = self
+                .kernel
+                .served_prompt(qidx, rec.prompt, self.difficulty_delta);
+            let (image, reused) = self.kernel.generate(tier, &prompt, rec.resume);
+            let verdict = self.kernel.verdict(
+                tier,
+                &image.features,
+                &prompt,
+                &self.thresholds,
+                self.router.as_mut(),
+                || deeper_alive,
+            );
+            if let Some(confidence) = verdict.confidence() {
+                self.telemetry.record_confidence(tier, confidence);
+            }
+            match verdict {
+                Verdict::Complete(confidence) => {
+                    self.complete(qidx, image, tier, confidence, reused, now)
                 }
-                // With the deeper pools wiped out by churn, an escalation
-                // would land back on a worker of this tier,
-                // deterministically regenerate the same image, and bounce
-                // forever — degrade gracefully by serving this output
-                // instead.
-                let escalate = conf < self.thresholds[tier] && self.has_alive_deeper(tier);
-                if let Some(r) = self.router.as_mut() {
-                    // Every verdict trains the pre-execution router, kept
-                    // or escalated alike.
-                    r.observe(tier, &prompt, escalate);
-                }
-                if !escalate {
-                    self.complete(qidx, image, tier, Some(conf), reused, now);
-                } else {
-                    if self.config.resume_from_latents {
-                        // Carry this tier's finished denoise schedule so
-                        // the next pass resumes from its latents instead
-                        // of restarting.
-                        self.queries[qidx as usize].resume =
-                            Some(StageState::completed(self.models[tier].steps()));
+                Verdict::Escalate { resume, .. } => {
+                    if resume.is_some() {
+                        self.queries[qidx as usize].resume = resume;
                     }
                     self.tier_escalations[tier] += 1;
-                    self.heavy_arrivals_since_tick += 1;
+                    self.telemetry.record_escalation();
                     self.route_to_tier(tier + 1, qidx, now, queue);
                 }
-            } else {
-                self.complete(qidx, image, tier, None, reused, now);
             }
         }
         batch.clear();
@@ -1546,6 +1120,7 @@ impl<'a> ServingSim<'a> {
     /// hazard does lands in the incident log, so a surprising run replays
     /// from its report.
     fn handle_hazard_check(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
+        let fleet = self.fleet_tally();
         let Some(hazard) = self.hazard.as_mut() else {
             return;
         };
@@ -1559,76 +1134,42 @@ impl<'a> ServingSim<'a> {
             interval
         };
         self.hazard_checks += 1;
-        let alive = self.workers.iter().filter(|w| !w.failed).count();
-        let busy = self.workers.iter().filter(|w| !w.failed && w.busy).count();
-        let degraded = self
-            .workers
-            .iter()
-            .filter(|w| !w.failed && w.health.is_degraded())
-            .count();
-        let utilization = if alive == 0 {
-            0.0
-        } else {
-            busy as f64 / alive as f64
-        };
-        let fleet = FleetHealth {
-            alive,
-            failed: self.workers.len() - alive,
-            degraded,
-        };
-        let events = hazard.step(dt, utilization, fleet);
+        let events = hazard.step(dt, fleet.utilization(), fleet.health());
         for event in events {
             self.fire_event(event, now, queue);
         }
         queue.push(now + interval, Event::HazardCheck);
     }
 
-    /// One control tick: gather what this backend observed since the last
-    /// tick, let the shared [`ControlLoop`] run the pipeline (demand
-    /// estimation → profile estimation → allocation planning), and actuate
-    /// the directive.
-    fn handle_control_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        let n = self.models.len();
-        let mut tier_queues = vec![0usize; n];
-        for w in self.workers.iter().filter(|w| !w.failed) {
-            tier_queues[w.target_tier()] += w.queue.len();
+    /// One pass over the workers: per-tier alive counts, queue depths and
+    /// busy flags, failed/degraded counts, effective capacity.
+    fn fleet_tally(&self) -> FleetTally {
+        let mut fleet = FleetTally::new(self.kernel.num_tiers());
+        for w in &self.workers {
+            if w.failed {
+                fleet.add_failed();
+            } else {
+                fleet.add_alive(
+                    w.target_tier(),
+                    w.queue.len(),
+                    w.busy,
+                    w.health.speed_factor,
+                );
+            }
         }
-        // The legacy scalars are the entry tier and everything deeper —
-        // for a two-tier run these are exactly the old per-tier sums.
-        let light_queue = tier_queues[0];
-        let heavy_queue: usize = tier_queues[1..].iter().sum();
-        let effective_capacity: f64 = self
-            .workers
-            .iter()
-            .filter(|w| !w.failed)
-            .map(|w| w.health.speed_factor)
-            .sum();
-        let obs = ControlObservation {
-            now,
-            arrivals: self.arrivals_since_tick,
-            heavy_arrivals: self.heavy_arrivals_since_tick,
-            violations_light: self.violations_since_tick_light,
-            violations_heavy: self.violations_since_tick_heavy,
-            light_queue,
-            heavy_queue,
-            alive_workers: self.alive_count(),
-            effective_capacity,
-            current_light_batch: self.current_batch(0),
-            current_heavy_batch: self.current_batch(n - 1),
-            confidences: std::mem::take(&mut self.confidences_since_tick),
-            tier_queues,
-            deep_confidences: self
-                .deep_confidences_since_tick
-                .iter_mut()
-                .map(std::mem::take)
-                .collect(),
-            tier_direct_arrivals: std::mem::take(&mut self.tier_direct_since_tick),
-        };
-        self.arrivals_since_tick = 0;
-        self.heavy_arrivals_since_tick = 0;
-        self.violations_since_tick_light = 0;
-        self.violations_since_tick_heavy = 0;
+        fleet
+    }
 
+    /// One control tick: hand what this backend observed since the last
+    /// tick to the shared [`ControlLoop`] (demand estimation → profile
+    /// estimation → allocation planning) and actuate the directive.
+    fn handle_control_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
+        let fleet = self.fleet_tally();
+        let batches = (
+            self.current_batch(0),
+            self.current_batch(self.kernel.num_tiers() - 1),
+        );
+        let obs = self.telemetry.observe(now, &fleet, batches);
         let directive = self.control.step(&obs);
         SimActuator {
             sim: self,
@@ -1650,75 +1191,16 @@ impl<'a> ServingSim<'a> {
 
     /// Live metrics for [`SessionSnapshot`] taps.
     fn snapshot(&self, now: SimTime) -> SessionSnapshot {
-        let n = self.models.len();
-        let mut tier_workers = vec![0usize; n];
-        let mut tier_queues = vec![0usize; n];
-        let mut tier_busy = vec![0usize; n];
-        let mut failed_workers = 0;
-        let mut degraded_workers = 0;
-        for w in &self.workers {
-            if w.failed {
-                failed_workers += 1;
-                continue;
-            }
-            if w.health.is_degraded() {
-                degraded_workers += 1;
-            }
-            let t = w.target_tier();
-            tier_workers[t] += 1;
-            tier_queues[t] += w.queue.len();
-            tier_busy[t] += usize::from(w.busy);
-        }
-        let heavy_done = self
-            .responses
-            .iter()
-            .filter(|r| r.tier == ModelTier::Heavy)
-            .count();
-        SessionSnapshot {
+        self.kernel.snapshot(
             now,
-            threshold: self.thresholds[0],
-            light_workers: tier_workers[0],
-            heavy_workers: tier_workers[1..].iter().sum(),
-            failed_workers,
-            degraded_workers,
-            light_queue: tier_queues[0],
-            heavy_queue: tier_queues[1..].iter().sum(),
-            light_busy: tier_busy[0],
-            heavy_busy: tier_busy[1..].iter().sum(),
-            submitted: self.queries.len() as u64,
-            completed: self.slo.on_time() + self.slo.late(),
-            dropped: self.slo.dropped(),
-            heavy_fraction: if self.responses.is_empty() {
-                0.0
-            } else {
-                heavy_done as f64 / self.responses.len() as f64
-            },
-            fid_estimate: self.rolling_fid.estimate(),
-            deferral_gap: self.control.deferral_gap(),
-            light_stage_latency: StageLatencyBreakdown::of_latency(
-                self.runtime
-                    .spec
-                    .light
-                    .latency()
-                    .exec_latency(1)
-                    .as_secs_f64(),
-            ),
-            heavy_stage_latency: StageLatencyBreakdown::of_latency(
-                self.runtime
-                    .spec
-                    .heavy
-                    .latency()
-                    .exec_latency(1)
-                    .as_secs_f64(),
-            ),
-            resumed_completions: self.resumed_count,
-            addon_stats: self.addon_stats,
-            tier_workers,
-            tier_queues,
-            tier_busy,
-            tier_escalations: self.tier_escalations.clone(),
-            thresholds: self.thresholds.clone(),
-        }
+            self.fleet_tally(),
+            self.thresholds.clone(),
+            self.tier_escalations.clone(),
+            self.queries.len() as u64,
+            &self.ledger,
+            self.control.deferral_gap(),
+            self.addon_stats,
+        )
     }
 }
 
@@ -1733,21 +1215,13 @@ struct SimActuator<'s, 'a, 'q> {
 
 impl PlanActuator for SimActuator<'_, '_, '_> {
     fn actuate(&mut self, directive: &ControlDirective) {
-        match directive {
-            ControlDirective::Apply(alloc) => {
-                self.sim.apply_allocation(alloc, self.now, self.queue)
-            }
-            ControlDirective::ApplyProteus {
-                allocation,
-                heavy_fraction,
-            } => {
-                self.sim.proteus_heavy_fraction = *heavy_fraction;
-                self.sim.apply_allocation(allocation, self.now, self.queue);
-            }
-            ControlDirective::ApplyLadder(alloc) => self
-                .sim
-                .apply_ladder_allocation(alloc, self.now, self.queue),
-            ControlDirective::Hold => {}
+        if let ControlDirective::Apply {
+            plan,
+            heavy_fraction,
+        } = directive
+        {
+            let targets = self.sim.adopt_plan(plan, *heavy_fraction);
+            self.sim.apply_plan(plan, &targets, self.now, self.queue);
         }
     }
 }
@@ -1783,7 +1257,6 @@ pub struct SimBackend<'a> {
     /// events — exactly the batch wrappers' event order.
     started: bool,
     remaining_budget: u64,
-    completion_cursor: usize,
     /// Net worker-failure delta from injected perturbations that are
     /// scheduled but have not fired yet (cleared on every advance):
     /// injected fails minus injected recovers. Validation of back-to-back
@@ -1835,7 +1308,6 @@ impl<'a> SimBackend<'a> {
             cursor: SimTime::ZERO,
             started: false,
             remaining_budget: EVENT_BUDGET,
-            completion_cursor: 0,
             pending_failed: 0,
             pending_degraded: 0,
         }
@@ -1902,12 +1374,7 @@ impl ServingBackend for SimBackend<'_> {
     }
 
     fn drain_completions(&mut self) -> Vec<QueryOutcome> {
-        let state = self.sim.actor_mut();
-        crate::serve::drain_outcomes(
-            &state.responses,
-            &mut self.completion_cursor,
-            &mut state.drop_log,
-        )
+        self.sim.actor_mut().ledger.drain()
     }
 
     fn apply_perturbation(&mut self, event: ScenarioEvent) -> Result<(), ScenarioError> {
@@ -1915,48 +1382,28 @@ impl ServingBackend for SimBackend<'_> {
         // Validate against the fleet state *projected* over injections that
         // are scheduled but have not fired yet (they fire at the next
         // advance), so back-to-back injections compose like the cluster
-        // backend's immediate application.
-        let state = self.sim.actor();
-        let total = state.workers.len();
-        let failed = ((total - state.alive_count()) as isize + self.pending_failed)
-            .clamp(0, total as isize) as usize;
+        // backend's immediate application. A bad event must never reach
+        // the incident log, or the recording stops being replayable.
+        let live = self.sim.actor().fleet_tally().health();
+        let total = live.alive + live.failed;
+        let failed = (live.failed as isize + self.pending_failed).clamp(0, total as isize) as usize;
         let alive = total - failed;
-        let live_degraded = state
-            .workers
-            .iter()
-            .filter(|w| !w.failed && w.health.is_degraded())
-            .count();
         let degraded =
-            (live_degraded as isize + self.pending_degraded).clamp(0, alive as isize) as usize;
-        // Shared state-independent checks first (zero counts, bad
-        // slowdowns/deltas) — a bad event must never reach the incident
-        // log, or the recording stops being replayable.
-        event.validate()?;
+            (live.degraded as isize + self.pending_degraded).clamp(0, alive as isize) as usize;
+        let projected = FleetHealth {
+            alive,
+            failed,
+            degraded,
+        };
+        event.validate_against(self.cursor, projected)?;
         match event {
-            ScenarioEvent::Capacity(CapacityEvent::Fail(n)) => {
-                let remaining = alive.saturating_sub(n);
-                if remaining < 2 {
-                    return Err(ScenarioError::PoolExhausted {
-                        at: self.cursor,
-                        alive: remaining,
-                    });
-                }
-                self.pending_failed += n as isize;
-            }
-            ScenarioEvent::Capacity(CapacityEvent::Recover(n)) => {
-                if n > failed {
-                    return Err(ScenarioError::RecoverWithoutFailure { at: self.cursor });
-                }
-                self.pending_failed -= n as isize;
-            }
+            ScenarioEvent::Capacity(CapacityEvent::Fail(n)) => self.pending_failed += n as isize,
+            ScenarioEvent::Capacity(CapacityEvent::Recover(n)) => self.pending_failed -= n as isize,
             ScenarioEvent::Capacity(CapacityEvent::Degrade(n, _)) => {
-                self.pending_degraded += n as isize;
+                self.pending_degraded += n as isize
             }
             ScenarioEvent::Capacity(CapacityEvent::Restore(n)) => {
-                if n > degraded {
-                    return Err(ScenarioError::RestoreWithoutDegrade { at: self.cursor });
-                }
-                self.pending_degraded -= n as isize;
+                self.pending_degraded -= n as isize
             }
             ScenarioEvent::Difficulty(_) => {}
         }
@@ -1978,20 +1425,17 @@ impl ServingBackend for SimBackend<'_> {
             if rec.finished {
                 continue;
             }
-            if rec.arrived {
-                // Arrived but never finished: it violated its deadline long
-                // ago (the drain period exceeds the SLO).
-                state.slo.record_drop(rec.arrival, horizon);
-            } else {
-                // Submitted for an arrival past the horizon: never entered
-                // the system, but every submission must be accounted —
-                // mirror the cluster backend's shutdown-drop bookkeeping.
+            // Arrived but never finished: it violated its deadline long ago
+            // (the drain period exceeds the SLO). Submitted for an arrival
+            // past the horizon: it never entered the system, but every
+            // submission must be accounted — mirror the cluster backend's
+            // shutdown-drop bookkeeping.
+            if !rec.arrived {
                 state.total_arrivals += 1;
-                state.slo.record_drop(horizon, horizon);
             }
             state
-                .drop_log
-                .push((QueryId(i as u64), rec.arrival, horizon));
+                .ledger
+                .drop_query(QueryId(i as u64), rec.arrival, horizon);
             state.queries[i].finished = true;
         }
         build_report(state, horizon)
@@ -2110,8 +1554,8 @@ fn build_report(mut state: ServingSim<'_>, horizon: SimTime) -> RunReport {
     RunReport::assemble(
         state.settings.policy,
         state.total_arrivals,
-        &state.slo,
-        &state.responses,
+        state.ledger.slo(),
+        state.ledger.responses(),
         &state.runtime.reference,
         state.config.metrics_window,
         to_secs(state.arrival_series.window_rates()),

@@ -62,10 +62,7 @@ pub use features::FeatureSpec;
 pub use ladder::{ladder3, ladder4, LadderError, TierLadder};
 pub use model::{DiffusionModel, GeneratedImage, LatencyProfile, QualityProfile};
 pub use pipeline::{Pipeline, PipelineEval};
-pub use predictive::{
-    evaluate_predictive, text_embedding, OnlinePredictiveRouter, OnlineRouterConfig,
-    PredictiveConfig, PredictiveEval, PredictiveRouter,
-};
+pub use predictive::{text_embedding, OnlinePredictiveRouter, OnlineRouterConfig};
 pub use prompt::{DatasetKind, Prompt, PromptDataset};
 pub use scorers::{ClipScorer, PickScorer};
 pub use stage::{

@@ -6,21 +6,17 @@
 //! remains an open question whether a query-based routing strategy would
 //! yield better performance."
 //!
-//! This module implements that alternative so the question can be measured:
-//! a classifier is trained on (noisy) prompt embeddings to predict whether
-//! the lightweight model will render the prompt well; queries predicted to
-//! render badly skip the light stage entirely and go straight to the
-//! heavyweight model. Compared to the post-hoc discriminator cascade, the
-//! predictive router saves the light-stage latency on deferred queries but
-//! routes on strictly less information (it never sees the actual image).
+//! This module implements that alternative inside the serving loop: the
+//! [`OnlinePredictiveRouter`] learns, from (noisy) prompt embeddings and
+//! the discriminator verdicts the ladder actually produces, which queries
+//! will escalate, and admits those straight at a deeper tier. Compared to
+//! the post-hoc discriminator cascade it saves the cheap-tier latency on
+//! deferred queries but routes on strictly less information (it never sees
+//! the actual image).
 
-use diffserve_linalg::Mat;
-use diffserve_metrics::fid_score;
-use diffserve_nn::{Adam, Mlp, TrainConfig};
 use diffserve_simkit::rng::{derive_seed, seeded_rng, Normal, Sampler};
 
-use crate::model::DiffusionModel;
-use crate::prompt::{Prompt, PromptDataset};
+use crate::prompt::Prompt;
 
 /// Dimensionality of the synthetic prompt (text) embedding.
 pub const TEXT_DIM: usize = 8;
@@ -41,125 +37,12 @@ pub fn text_embedding(prompt: &Prompt, observation_noise: f64) -> Vec<f64> {
     e
 }
 
-/// Configuration for training a [`PredictiveRouter`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PredictiveConfig {
-    /// Std of the observation noise on the embedding's informative
-    /// coordinates.
-    pub observation_noise: f64,
-    /// Number of training prompts.
-    pub train_prompts: usize,
-    /// Training epochs.
-    pub epochs: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for PredictiveConfig {
-    fn default() -> Self {
-        PredictiveConfig {
-            observation_noise: 0.35,
-            train_prompts: 1000,
-            epochs: 25,
-            seed: 0x9817,
-        }
-    }
-}
-
-/// A text-only quality predictor routing queries before any generation.
-#[derive(Debug, Clone)]
-pub struct PredictiveRouter {
-    classifier: Mlp,
-    config: PredictiveConfig,
-    /// Sorted training-set scores for calibration (same equalization scheme
-    /// as the discriminator).
-    calibration: Vec<f64>,
-}
-
-impl PredictiveRouter {
-    /// Trains the router: label = "the light model renders this prompt at
-    /// or above its median quality".
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset is smaller than the training-prompt request.
-    pub fn train(
-        dataset: &PromptDataset,
-        light: &DiffusionModel,
-        config: PredictiveConfig,
-    ) -> Self {
-        assert!(
-            config.train_prompts <= dataset.len(),
-            "train_prompts exceeds dataset size"
-        );
-        let prompts = &dataset.prompts()[..config.train_prompts];
-        let mut qualities: Vec<f64> = prompts.iter().map(|p| light.generate(p).quality).collect();
-        let mut sorted = qualities.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite quality"));
-        let median = sorted[sorted.len() / 2];
-
-        let rows: Vec<Vec<f64>> = prompts
-            .iter()
-            .map(|p| text_embedding(p, config.observation_noise))
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = Mat::from_rows(&refs);
-        let labels: Vec<usize> = qualities
-            .drain(..)
-            .map(|q| usize::from(q >= median))
-            .collect();
-
-        let mut rng = seeded_rng(derive_seed(config.seed, 0x11A8));
-        let mut classifier = Mlp::new(&[TEXT_DIM, 16, 2], &mut rng);
-        let mut opt = Adam::new(0.01);
-        classifier.fit(
-            &x,
-            &labels,
-            &mut opt,
-            &TrainConfig {
-                epochs: config.epochs,
-                batch_size: 64,
-                shuffle: true,
-            },
-            &mut rng,
-        );
-
-        let mut router = PredictiveRouter {
-            classifier,
-            config,
-            calibration: Vec::new(),
-        };
-        let mut raw: Vec<f64> = prompts.iter().map(|p| router.raw_score(p)).collect();
-        raw.sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
-        router.calibration = raw;
-        router
-    }
-
-    fn raw_score(&self, prompt: &Prompt) -> f64 {
-        let e = text_embedding(prompt, self.config.observation_noise);
-        let x = Mat::from_rows(&[e.as_slice()]);
-        self.classifier.predict_proba(&x)[(0, 1)]
-    }
-
-    /// Calibrated confidence in `[0, 1]` that the light model suffices for
-    /// this prompt — comparable to the discriminator's threshold scale.
-    pub fn confidence(&self, prompt: &Prompt) -> f64 {
-        let raw = self.raw_score(prompt);
-        let n = self.calibration.len();
-        if n == 0 {
-            return raw;
-        }
-        let idx = self.calibration.partition_point(|&v| v < raw);
-        idx as f64 / n as f64
-    }
-}
-
 /// Knobs for the [`OnlinePredictiveRouter`] used by the serving engines in
 /// ladder mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineRouterConfig {
     /// Std of the observation noise on the embedding's informative
-    /// coordinates (same knob as [`PredictiveConfig::observation_noise`]).
+    /// coordinates.
     pub observation_noise: f64,
     /// SGD step size for the per-boundary logistic models.
     pub learning_rate: f64,
@@ -277,178 +160,28 @@ fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
-/// Outcome of evaluating predictive routing over a dataset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredictiveEval {
-    /// FID of the blended responses.
-    pub fid: f64,
-    /// Fraction routed directly to the heavy model.
-    pub heavy_fraction: f64,
-    /// Mean per-query latency (deferred queries pay only the heavy stage —
-    /// the predictive router's structural advantage).
-    pub mean_latency: f64,
-}
-
-/// Evaluates predictive routing at a confidence threshold: prompts whose
-/// predicted light-suitability falls below `threshold` go straight to the
-/// heavy model.
-pub fn evaluate_predictive(
-    dataset: &PromptDataset,
-    light: &DiffusionModel,
-    heavy: &DiffusionModel,
-    router: &PredictiveRouter,
-    threshold: f64,
-) -> PredictiveEval {
-    let light_lat = light.latency().exec_latency(1).as_secs_f64();
-    let heavy_lat = heavy.latency().exec_latency(1).as_secs_f64();
-    let mut features: Vec<Vec<f64>> = Vec::with_capacity(dataset.len());
-    let mut heavies = 0usize;
-    let mut latency = 0.0;
-    for p in dataset.prompts() {
-        if router.confidence(p) >= threshold {
-            features.push(light.generate(p).features);
-            latency += light_lat;
-        } else {
-            features.push(heavy.generate(p).features);
-            latency += heavy_lat;
-            heavies += 1;
-        }
-    }
-    let refs: Vec<&[f64]> = features.iter().map(|f| f.as_slice()).collect();
-    let fid = fid_score(&Mat::from_rows(&refs), dataset.real_features(), 1e-6)
-        .expect("well-conditioned features");
-    PredictiveEval {
-        fid,
-        heavy_fraction: heavies as f64 / dataset.len() as f64,
-        mean_latency: latency / dataset.len() as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cascade::{evaluate_cascade, RoutingRule};
-    use crate::discriminator::{Discriminator, DiscriminatorConfig};
     use crate::features::FeatureSpec;
-    use crate::prompt::DatasetKind;
-    use crate::zoo::{sd_turbo, sd_v15};
-    use std::sync::OnceLock;
+    use crate::prompt::{DatasetKind, PromptDataset};
 
-    struct Fx {
-        dataset: PromptDataset,
-        light: DiffusionModel,
-        heavy: DiffusionModel,
-        router: PredictiveRouter,
-        disc: Discriminator,
-    }
-
-    fn fx() -> &'static Fx {
-        static F: OnceLock<Fx> = OnceLock::new();
-        F.get_or_init(|| {
-            let spec = FeatureSpec::default();
-            let dataset = PromptDataset::synthesize(DatasetKind::MsCoco, 1500, 61, spec);
-            let light = sd_turbo(spec);
-            let heavy = sd_v15(spec);
-            let router = PredictiveRouter::train(
-                &dataset,
-                &light,
-                PredictiveConfig {
-                    train_prompts: 600,
-                    epochs: 15,
-                    ..Default::default()
-                },
-            );
-            let disc = Discriminator::train(
-                &dataset,
-                &light,
-                &heavy,
-                DiscriminatorConfig {
-                    train_prompts: 600,
-                    epochs: 10,
-                    ..Default::default()
-                },
-            );
-            Fx {
-                dataset,
-                light,
-                heavy,
-                router,
-                disc,
-            }
-        })
+    fn dataset() -> PromptDataset {
+        PromptDataset::synthesize(DatasetKind::MsCoco, 1500, 61, FeatureSpec::default())
     }
 
     #[test]
     fn embedding_is_deterministic_and_informative() {
-        let f = fx();
-        let p = &f.dataset.prompts()[7];
+        let dataset = dataset();
+        let p = &dataset.prompts()[7];
         assert_eq!(text_embedding(p, 0.3), text_embedding(p, 0.3));
         // Zero-noise embedding carries difficulty exactly.
         assert!((text_embedding(p, 0.0)[0] - p.difficulty).abs() < 1e-12);
     }
 
     #[test]
-    fn router_beats_random_routing() {
-        let f = fx();
-        let eval = evaluate_predictive(&f.dataset, &f.light, &f.heavy, &f.router, 0.5);
-        let random = evaluate_cascade(
-            &f.dataset,
-            &f.light,
-            &f.heavy,
-            &RoutingRule::Random { seed: 3 },
-            eval.heavy_fraction,
-        );
-        assert!(
-            eval.fid < random.fid,
-            "predictive routing {} should beat random {}",
-            eval.fid,
-            random.fid
-        );
-    }
-
-    #[test]
-    fn post_hoc_discriminator_beats_text_only_prediction_on_quality() {
-        // The paper's hypothesis: the image-aware discriminator routes
-        // better than any text-only predictor at matched deferral.
-        let f = fx();
-        let pred = evaluate_predictive(&f.dataset, &f.light, &f.heavy, &f.router, 0.5);
-        let disc = evaluate_cascade(
-            &f.dataset,
-            &f.light,
-            &f.heavy,
-            &RoutingRule::Discriminator(&f.disc),
-            pred.heavy_fraction,
-        );
-        assert!(
-            disc.fid < pred.fid,
-            "discriminator {} should beat predictive {}",
-            disc.fid,
-            pred.fid
-        );
-    }
-
-    #[test]
-    fn predictive_routing_is_cheaper_for_deferred_queries() {
-        // Structural advantage: deferred queries skip the light stage, so
-        // at the same deferral fraction the predictive router must be
-        // cheaper than the cascade's structural cost (light + discriminator
-        // on every query, heavy on the deferred share).
-        let f = fx();
-        let pred = evaluate_predictive(&f.dataset, &f.light, &f.heavy, &f.router, 0.5);
-        let cascade_cost_at_same_fraction = f.light.latency().exec_latency(1).as_secs_f64()
-            + f.disc.latency().as_secs_f64()
-            + pred.heavy_fraction * f.heavy.latency().exec_latency(1).as_secs_f64();
-        assert!(
-            pred.mean_latency < cascade_cost_at_same_fraction,
-            "predictive {} should be cheaper than the cascade's structural cost {}",
-            pred.mean_latency,
-            cascade_cost_at_same_fraction
-        );
-    }
-
-    #[test]
     fn online_router_learns_escalation_outcomes() {
-        let f = fx();
+        let dataset = dataset();
         let mut router = OnlinePredictiveRouter::new(
             1,
             OnlineRouterConfig {
@@ -456,7 +189,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let prompts = f.dataset.prompts();
+        let prompts = dataset.prompts();
         assert_eq!(
             router.entry_tier(&prompts[0]),
             0,
@@ -500,14 +233,5 @@ mod tests {
             router.escalation_prob(0, &held_out[3]),
             replay.escalation_prob(0, &held_out[3])
         );
-    }
-
-    #[test]
-    fn thresholds_span_all_light_to_all_heavy() {
-        let f = fx();
-        let all_light = evaluate_predictive(&f.dataset, &f.light, &f.heavy, &f.router, 0.0);
-        assert_eq!(all_light.heavy_fraction, 0.0);
-        let all_heavy = evaluate_predictive(&f.dataset, &f.light, &f.heavy, &f.router, 1.01);
-        assert_eq!(all_heavy.heavy_fraction, 1.0);
     }
 }

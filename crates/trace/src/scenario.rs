@@ -229,6 +229,36 @@ impl ScenarioEvent {
             _ => Ok(()),
         }
     }
+
+    /// Full validity of injecting this event at `at` into a fleet in state
+    /// `fleet`: [`ScenarioEvent::validate`] first, then the fleet-state
+    /// rules — a failure must leave two workers alive, a recovery cannot
+    /// name more workers than are failed, a restoration no more than are
+    /// degraded. Both engines run this before applying an injected
+    /// perturbation, so a bad event never reaches the incident log.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated invariant as a typed [`ScenarioError`].
+    pub fn validate_against(&self, at: SimTime, fleet: FleetHealth) -> Result<(), ScenarioError> {
+        self.validate()?;
+        match *self {
+            ScenarioEvent::Capacity(CapacityEvent::Fail(n)) => {
+                let alive = fleet.alive.saturating_sub(n);
+                if alive < 2 {
+                    return Err(ScenarioError::PoolExhausted { at, alive });
+                }
+            }
+            ScenarioEvent::Capacity(CapacityEvent::Recover(n)) if n > fleet.failed => {
+                return Err(ScenarioError::RecoverWithoutFailure { at });
+            }
+            ScenarioEvent::Capacity(CapacityEvent::Restore(n)) if n > fleet.degraded => {
+                return Err(ScenarioError::RestoreWithoutDegrade { at });
+            }
+            _ => {}
+        }
+        Ok(())
+    }
 }
 
 /// One perturbation a run path actually fired, stamped with its firing
@@ -1258,6 +1288,42 @@ mod tests {
         ));
         // The same churn is fine on a bigger pool.
         assert!(s.validate(16).is_ok());
+    }
+
+    #[test]
+    fn validate_against_applies_fleet_state_rules() {
+        let at = SimTime::from_secs(3);
+        let fleet = FleetHealth {
+            alive: 5,
+            failed: 3,
+            degraded: 2,
+        };
+        let check = |e: CapacityEvent| ScenarioEvent::Capacity(e).validate_against(at, fleet);
+        assert_eq!(check(CapacityEvent::Fail(3)), Ok(()));
+        assert_eq!(
+            check(CapacityEvent::Fail(4)),
+            Err(ScenarioError::PoolExhausted { at, alive: 1 })
+        );
+        assert_eq!(check(CapacityEvent::Recover(3)), Ok(()));
+        assert_eq!(
+            check(CapacityEvent::Recover(4)),
+            Err(ScenarioError::RecoverWithoutFailure { at })
+        );
+        assert_eq!(check(CapacityEvent::Restore(2)), Ok(()));
+        assert_eq!(
+            check(CapacityEvent::Restore(3)),
+            Err(ScenarioError::RestoreWithoutDegrade { at })
+        );
+        assert_eq!(check(CapacityEvent::Degrade(9, 2.0)), Ok(()));
+        // State-independent checks come first.
+        assert_eq!(
+            check(CapacityEvent::Recover(0)),
+            Err(ScenarioError::ZeroWorkers)
+        );
+        assert_eq!(
+            ScenarioEvent::Difficulty(0.3).validate_against(at, fleet),
+            Ok(())
+        );
     }
 
     #[test]

@@ -2,6 +2,16 @@
 //! (thread-based) testbed must agree on system-level metrics for the same
 //! workload. The paper reports 0.56% FID and 1.1-point SLO-violation gaps;
 //! this wall-clock miniature allows looser tolerances but the same check.
+//!
+//! Both engines decide through `core::kernel`, so what is left between them
+//! is thread scheduling. The timing-dependent tolerances below are the
+//! worst gap seen over ~60 local runs (debug and release, tests in parallel
+//! on two cores) with 2x headroom, rounded up: FID 0.10 (worst 0.047),
+//! threshold tracking 0.10 (worst 0.050), GPU time 0.18 (worst 0.088).
+//! The violation-ratio gap has a long tail — a host hiccup of a few hundred
+//! wall-clock milliseconds is seconds of simulated time — with 0.12 and
+//! worse observed, so it keeps its 0.30; so does the add-on hit-rate gap
+//! (worst 0.104 against 0.20).
 
 use diffserve::prelude::*;
 use diffserve_simkit::time::SimDuration;
@@ -50,7 +60,7 @@ fn simulator_and_cluster_agree_for_diffserve() {
     );
     let fid_gap = (testbed.fid - sim.fid).abs() / sim.fid;
     assert!(
-        fid_gap < 0.25,
+        fid_gap < 0.10,
         "FID gap {fid_gap:.3}: sim {:.2} vs testbed {:.2}",
         sim.fid,
         testbed.fid
@@ -76,7 +86,7 @@ fn simulator_and_cluster_agree_for_diffserve() {
     };
     let t_gap = (mean_t(&testbed) - mean_t(&sim)).abs();
     assert!(
-        t_gap < 0.2,
+        t_gap < 0.10,
         "cluster threshold must track the sim's: gap {t_gap:.3} (sim {:.3}, cluster {:.3})",
         mean_t(&sim),
         mean_t(&testbed)
@@ -115,7 +125,7 @@ fn simulator_and_cluster_agree_with_online_estimator() {
     );
     let fid_gap = (testbed.fid - sim.fid).abs() / sim.fid;
     assert!(
-        fid_gap < 0.25,
+        fid_gap < 0.10,
         "FID gap {fid_gap:.3}: sim {:.2} vs testbed {:.2}",
         sim.fid,
         testbed.fid
@@ -194,7 +204,7 @@ fn simulator_and_cluster_agree_with_resume_from_latents() {
 
     let fid_gap = (testbed.fid - sim.fid).abs() / sim.fid;
     assert!(
-        fid_gap < 0.25,
+        fid_gap < 0.10,
         "FID gap {fid_gap:.3}: sim {:.2} vs testbed {:.2}",
         sim.fid,
         testbed.fid
@@ -206,7 +216,7 @@ fn simulator_and_cluster_agree_with_resume_from_latents() {
     let gpu_gap = (testbed.gpu_time_per_query - sim.gpu_time_per_query).abs()
         / sim.gpu_time_per_query.max(1e-9);
     assert!(
-        gpu_gap < 0.25,
+        gpu_gap < 0.18,
         "GPU-time gap {gpu_gap:.3}: sim {:.3} vs testbed {:.3}",
         sim.gpu_time_per_query,
         testbed.gpu_time_per_query
@@ -269,6 +279,9 @@ fn simulator_and_cluster_agree_on_addon_aggregates() {
         sim.addon_stats.total_mean_swap_secs(),
         testbed.addon_stats.total_mean_swap_secs()
     );
+    // Under this add-on mix the simulator sheds ~40 % of the stream and the
+    // testbed's wall-clock batching sheds less: a gap of 0.11-0.22 that
+    // predates the shared kernel.
     let viol_gap = (testbed.violation_ratio - sim.violation_ratio).abs();
     assert!(viol_gap < 0.30, "violation gap {viol_gap:.3}");
 }
