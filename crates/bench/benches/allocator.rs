@@ -1,9 +1,10 @@
 //! End-to-end controller decision latency: the full per-tick path (demand
-//! estimate → queue model → allocation solve) for both backends, plus
-//! deferral-profile queries.
+//! estimate → queue model → allocation solve) for both two-tier backends,
+//! the N-tier ladder tick (`ladder3_solve_cold` / `ladder3_solve_warm`),
+//! plus deferral-profile queries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use diffserve_bench::{prepare_runtime_small, CascadeId};
+use diffserve_bench::{bench_ladder3_solve, prepare_runtime_small, CascadeId};
 use diffserve_core::{solve_exhaustive, solve_proteus, AllocatorInputs};
 
 fn bench_allocator(c: &mut Criterion) {
@@ -32,6 +33,7 @@ fn bench_allocator(c: &mut Criterion) {
         let inputs = mk(18.0);
         b.iter(|| solve_proteus(std::hint::black_box(&inputs)).expect("feasible"))
     });
+    bench_ladder3_solve(&runtime, c);
     c.bench_function("deferral_profile_lookup", |b| {
         b.iter(|| {
             runtime

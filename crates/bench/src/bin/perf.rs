@@ -13,9 +13,14 @@
 //!    run once serially and once fanned across cores by a work-stealing
 //!    `std::thread::scope` runner. The export records both wall times and
 //!    the resulting speedup (≈1.0 on a single-core host by construction).
-//! 3. **MILP ladder** — control ticks under drifting demand, solved cold
-//!    every tick vs. carrying an [`AllocWarmState`] tick to tick (basis
-//!    reuse + threshold pinning).
+//! 3. **Solver ticks** — control ticks under drifting demand, solved cold
+//!    every tick vs. carrying the warm state tick to tick. Two pairs:
+//!    `milp_ladder_cold/warm` is the legacy *two-tier* MILP
+//!    (`solve_milp_allocation[_warm]`, an [`AllocWarmState`]: basis reuse +
+//!    threshold pinning) — the "ladder" in its key is the ladder of ticks,
+//!    kept so the committed baseline stays comparable — and
+//!    `ladder3_solve_cold/warm` is the N-tier quality-ladder allocator
+//!    (`solve_ladder`, 3 tiers, MILP inner solver).
 //! 4. **Cluster replay** — the same diurnal curve replayed on the
 //!    thread-and-channel testbed backend (`run_cluster`) at paper-testbed
 //!    fleet scale, wall-clock timed, so the cluster runtime's overhead has
@@ -64,7 +69,8 @@ use std::time::Instant;
 
 use criterion::{black_box, Criterion};
 use diffserve_bench::{
-    f2, prepare_ladder_runtime_small, prepare_runtime_small, CascadeId, Table, EXPERIMENT_SEED,
+    bench_ladder3_solve, f2, prepare_ladder_runtime_small, prepare_runtime_small, CascadeId, Table,
+    EXPERIMENT_SEED, LADDER3_TICKS,
 };
 use diffserve_cluster::{run_cluster, ClusterConfig};
 use diffserve_core::{
@@ -229,9 +235,10 @@ fn main() {
     let mut records = Vec::new();
     let mut criterion = Criterion::default();
 
-    // MILP ladder: shared between modes, so the CI smoke job tracks solver
+    // Solver ticks: shared between modes, so the CI smoke job tracks solver
     // regressions against the committed full baseline.
     milp_ladder(&runtime, &mut criterion);
+    bench_ladder3_solve(&runtime, &mut criterion);
 
     // Smoke-sized workloads: always run, so a full baseline has the keys
     // the CI job compares.
@@ -348,6 +355,8 @@ fn main() {
             vec![("workers", FLEET.to_string())]
         } else if m.id.contains("milp_ladder") {
             vec![("ticks", MILP_TICKS.to_string())]
+        } else if m.id.contains("ladder3_solve") {
+            vec![("ticks", LADDER3_TICKS.to_string())]
         } else {
             Vec::new()
         };
@@ -584,15 +593,18 @@ fn cluster_replay(
     });
 }
 
-/// Control ticks in the MILP ladder.
+/// Control ticks in the `milp_ladder_*` pair.
 const MILP_TICKS: usize = 12;
 
-/// Times [`MILP_TICKS`] allocator solves under a drifting demand estimate:
-/// once solving cold every tick, once threading an [`AllocWarmState`]
-/// through the ladder the way
-/// [`CascadePlanner`](diffserve_core::CascadePlanner) does. Warm starting
-/// never changes the plan (uniqueness penalties dwarf the optimality gap),
-/// so both ladders produce identical allocations. The pair tracks the
+/// Times [`MILP_TICKS`] solves of the legacy *two-tier* allocation MILP
+/// (paper Eq. 1–5) under a drifting demand estimate: once solving cold
+/// every tick ([`solve_milp_allocation`]), once threading an
+/// [`AllocWarmState`] through the ticks ([`solve_milp_allocation_warm`])
+/// the way [`CascadePlanner`](diffserve_core::CascadePlanner) does. Despite
+/// the key this is not the N-tier quality ladder — `solve_ladder` is timed
+/// by `ladder3_solve_*` ([`bench_ladder3_solve`]). Warm starting never
+/// changes the plan (uniqueness penalties dwarf the optimality gap), so
+/// both runs produce identical allocations. The pair tracks the
 /// payoff of basis reuse + threshold pinning: warm ticks solve a couple of
 /// pinned residual MILPs from the previous basis instead of the full
 /// formulation from scratch, and the `--smoke` gate enforces that warm

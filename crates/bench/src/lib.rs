@@ -15,9 +15,13 @@ use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 
-use diffserve_core::CascadeRuntime;
+use criterion::{black_box, Criterion};
+use diffserve_core::{
+    solve_ladder, CascadeRuntime, LadderConfig, LadderInputs, LadderWarmState, SystemConfig,
+};
 use diffserve_imagegen::{
-    cascade1, cascade2, cascade3, CascadeSpec, DiscriminatorConfig, FeatureSpec, TierLadder,
+    cascade1, cascade2, cascade3, CascadeSpec, DiscriminatorConfig, FeatureSpec, LatencyProfile,
+    TierLadder,
 };
 
 /// Standard seed shared by all experiments for reproducibility.
@@ -203,6 +207,62 @@ pub fn prepare_ladder_runtime_small(ladder: TierLadder) -> CascadeRuntime {
             ..Default::default()
         },
     )
+}
+
+/// Control ticks per iteration of the `ladder3_solve_*` benchmarks.
+pub const LADDER3_TICKS: usize = 12;
+
+/// Registers `ladder3_solve_cold` and `ladder3_solve_warm`: the N-tier
+/// allocator's control tick ([`solve_ladder`] on a 3-tier ladder with the
+/// MILP inner solver, predictive direct-admission fractions set and the
+/// default raise limit), [`LADDER3_TICKS`] ticks under an EWMA-like ~0.6 %
+/// per-tick demand drift. Cold gives every tick a fresh
+/// [`LadderWarmState`]; warm threads one through all of them, the way the
+/// control loop does. Shared by the `perf` binary (`BENCH_sim.json`) and
+/// the `allocator` Criterion bench so both time the same thing.
+pub fn bench_ladder3_solve(runtime: &CascadeRuntime, criterion: &mut Criterion) {
+    let config = SystemConfig::default();
+    let thresholds = config.threshold_grid();
+    let inputs_at = |demand: f64| LadderInputs {
+        demand_qps: demand,
+        queue_delays: vec![0.2, 0.3, 0.2],
+        slo: config.slo.as_secs_f64(),
+        total_workers: config.num_workers,
+        deferrals: vec![&runtime.deferral; 2],
+        tiers: vec![
+            LatencyProfile::new(0.10, 0.55),
+            LatencyProfile::new(0.85, 0.15),
+            LatencyProfile::new(1.78, 0.12),
+        ],
+        discriminator_latency: vec![0.01; 2],
+        batch_sizes: &config.batch_sizes,
+        thresholds: &thresholds,
+        max_raise_per_solve: LadderConfig::default().max_threshold_raise_per_tick,
+        direct_fractions: vec![0.8, 0.15, 0.05],
+    };
+    let demands: Vec<f64> = (0..LADDER3_TICKS)
+        .map(|i| 8.0 * 1.006f64.powi(i as i32))
+        .collect();
+
+    criterion.bench_function("ladder3_solve_cold", |b| {
+        b.iter(|| {
+            for &d in &demands {
+                black_box(solve_ladder(
+                    &inputs_at(d),
+                    true,
+                    &mut LadderWarmState::new(),
+                ));
+            }
+        })
+    });
+    criterion.bench_function("ladder3_solve_warm", |b| {
+        b.iter(|| {
+            let mut warm = LadderWarmState::new();
+            for &d in &demands {
+                black_box(solve_ladder(&inputs_at(d), true, &mut warm));
+            }
+        })
+    });
 }
 
 /// Formats a float with 2 decimals (experiment table convention).

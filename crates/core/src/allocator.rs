@@ -14,8 +14,12 @@
 //! over the configuration grid (the paper notes ~9K configurations for its
 //! setting). Property tests assert they find the same optimal threshold.
 
+use std::collections::HashMap;
+
 use diffserve_imagegen::{DeferralProfile, LatencyProfile};
-use diffserve_milp::{solve_milp_warm, Direction, MilpOptions, Problem, Sense, VarKind, WarmStart};
+use diffserve_milp::{
+    find_feasible, solve_milp_warm, Direction, MilpOptions, Problem, Sense, VarKind, WarmStart,
+};
 
 /// Inputs to one allocation decision.
 #[derive(Debug, Clone)]
@@ -724,9 +728,14 @@ pub struct LadderAllocation {
 
 /// Tick-to-tick state for [`solve_ladder`]: the previous tick's optimal
 /// threshold levels (seeding the per-boundary gallop) and one shared
-/// [`WarmStart`] basis — every fixed-level residual MILP has the same
-/// shape (only the demand right-hand sides move), so a single handle
-/// warm-starts them all.
+/// [`WarmStart`] handle. Every fixed-level residual MILP has the same
+/// rows and columns, so a single handle serves them all — but more than
+/// right-hand sides move between probes: the per-tier demands set the
+/// throughput right-hand sides *and* the tight worker bounds (each
+/// `w_{k,j}`'s upper bound and its activation coefficient). The handle
+/// copes by construction: the remembered point is re-validated against
+/// each probe's numbers, and the remembered basis is refactorized against
+/// them, so a probe the hint no longer fits just starts colder.
 #[derive(Debug, Clone, Default)]
 pub struct LadderWarmState {
     levels: Option<Vec<usize>>,
@@ -751,12 +760,21 @@ impl LadderWarmState {
     }
 }
 
-/// Minimal worker/batch plan serving fixed per-tier demands, by exhaustive
-/// scan over batch tuples. Minimizes total workers, tie-breaking on the
-/// lexicographically smallest batch tuple. `None` when infeasible.
+/// Workers tier `k` needs to serve `demand` at throughput `tp`: the
+/// minimal count, and never an empty tier.
+fn min_workers(demand: f64, tp: f64) -> f64 {
+    (demand / tp).ceil().max(1.0)
+}
+
+/// Worker/batch plan serving fixed per-tier demands, by exhaustive scan
+/// over batch tuples: the plan with the fewest total workers, tie-breaking
+/// on the lexicographically smallest batch tuple — or, with `first_fit`,
+/// the first tuple that fits at all (a feasibility probe has no use for
+/// the minimum). `None` when infeasible.
 fn ladder_fixed_exhaustive(
     inputs: &LadderInputs<'_>,
     demands: &[f64],
+    first_fit: bool,
 ) -> Option<(Vec<usize>, Vec<usize>)> {
     let n = inputs.num_tiers();
     let nb = inputs.batch_sizes.len();
@@ -764,139 +782,271 @@ fn ladder_fixed_exhaustive(
     let mut best: Option<(usize, Vec<usize>, Vec<usize>)> = None;
     // Odometer over batch tuples, lexicographic so the first tuple found
     // at the minimal worker count is also the lexicographically smallest.
+    // `batches` and `workers` are rewritten in place for every tuple.
     let mut idx = vec![0usize; n];
+    let mut batches = vec![inputs.batch_sizes[0]; n];
+    let mut workers = vec![0usize; n];
     'tuples: loop {
-        let batches: Vec<usize> = idx.iter().map(|&j| inputs.batch_sizes[j]).collect();
         let latency: f64 = (0..n)
             .map(|k| inputs.tier_stage_latency(k, batches[k]))
             .sum::<f64>()
             + queue_total;
         if latency <= inputs.slo {
-            let workers: Vec<usize> = (0..n)
-                .map(|k| {
-                    (demands[k] / inputs.tier_stage_throughput(k, batches[k]))
-                        .ceil()
-                        .max(1.0) as usize
-                })
-                .collect();
+            for k in 0..n {
+                let tp = inputs.tier_stage_throughput(k, batches[k]);
+                workers[k] = min_workers(demands[k], tp) as usize;
+            }
             let total: usize = workers.iter().sum();
-            if total <= inputs.total_workers && best.as_ref().is_none_or(|(t, _, _)| total < *t) {
-                best = Some((total, workers, batches));
+            if total <= inputs.total_workers {
+                if first_fit {
+                    return Some((workers, batches));
+                }
+                if best.as_ref().is_none_or(|(t, _, _)| total < *t) {
+                    best = Some((total, workers.clone(), batches.clone()));
+                }
             }
         }
         // Advance the odometer.
         for k in (0..n).rev() {
             idx[k] += 1;
             if idx[k] < nb {
+                batches[k] = inputs.batch_sizes[idx[k]];
                 continue 'tuples;
             }
             idx[k] = 0;
+            batches[k] = inputs.batch_sizes[0];
         }
         break;
     }
     best.map(|(_, workers, batches)| (workers, batches))
 }
 
-/// Minimal worker/batch plan serving fixed per-tier demands, as a MILP
-/// warm-started from `warm`. The formulation is the per-tier product of
-/// the legacy pinned residual: batch selectors `y_{k,j}`, workers
-/// `w_{k,j}` active only under the selected batch, per-tier throughput and
-/// non-emptiness, the shared capacity and cascade-latency rows. The
-/// lexicographic batch penalties (`1e-4·10^{-k}·j`) replicate the
-/// exhaustive solver's tie-breaking, so both inner solvers return the
-/// identical plan.
-fn ladder_fixed_milp(
-    inputs: &LadderInputs<'_>,
-    demands: &[f64],
-    warm: &mut WarmStart,
-) -> Option<(Vec<usize>, Vec<usize>)> {
-    let n = inputs.num_tiers();
-    let nb = inputs.batch_sizes.len();
-    let s = inputs.total_workers as f64;
-    let mut p = Problem::new(Direction::Minimize);
-    let y: Vec<Vec<_>> = (0..n)
-        .map(|k| (0..nb).map(|j| p.add_binary(format!("y{k}_{j}"))).collect())
-        .collect();
-    let w: Vec<Vec<_>> = (0..n)
-        .map(|k| {
-            (0..nb)
-                .map(|j| p.add_var(format!("w{k}_{j}"), VarKind::Integer, 0.0, s))
-                .collect()
-        })
-        .collect();
-
-    let mut cap: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
-    let mut lat: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
-    for k in 0..n {
-        let one: Vec<_> = y[k].iter().map(|&id| (id, 1.0)).collect();
-        p.add_constraint(format!("one-batch-{k}"), &one, Sense::Eq, 1.0);
-        let nonempty: Vec<_> = w[k].iter().map(|&id| (id, 1.0)).collect();
-        p.add_constraint(format!("nonempty-{k}"), &nonempty, Sense::Ge, 1.0);
-        let tp: Vec<_> = (0..nb)
-            .map(|j| {
-                (
-                    w[k][j],
-                    inputs.tier_stage_throughput(k, inputs.batch_sizes[j]),
-                )
-            })
-            .collect();
-        p.add_constraint(format!("throughput-{k}"), &tp, Sense::Ge, demands[k]);
-        for j in 0..nb {
-            p.add_constraint(
-                format!("active-{k}-{j}"),
-                &[(w[k][j], 1.0), (y[k][j], -s)],
-                Sense::Le,
-                0.0,
-            );
-            cap.push((w[k][j], 1.0));
-            lat.push((y[k][j], inputs.tier_stage_latency(k, inputs.batch_sizes[j])));
-        }
-    }
-    p.add_constraint("capacity", &cap, Sense::Le, s);
-    let lat_budget = inputs.slo - inputs.queue_delays.iter().sum::<f64>();
-    if lat_budget.is_finite() {
-        p.add_constraint("latency", &lat, Sense::Le, lat_budget);
-    }
-
-    // Minimize total workers; geometric batch penalties keep the optimum
-    // unique and equal to the exhaustive tie-break (smaller batches on
-    // earlier tiers win ties). The penalties sum to < 1, so they can
-    // never trade away a worker.
-    let mut obj: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
-    for k in 0..n {
-        let scale = 1e-4 * 10f64.powi(-(k as i32));
-        for j in 0..nb {
-            obj.push((w[k][j], 1.0));
-            obj.push((y[k][j], scale * j as f64));
-        }
-    }
-    p.set_objective(&obj);
-
-    let sol = solve_milp_warm(&p, &MilpOptions::default(), warm).ok()?;
-    let mut workers = Vec::with_capacity(n);
-    let mut batches = Vec::with_capacity(n);
-    for k in 0..n {
-        let j = (0..nb)
-            .find(|&j| sol.values[y[k][j].index()] > 0.5)
-            .expect("exactly-one constraint guarantees a selection");
-        batches.push(inputs.batch_sizes[j]);
-        workers.push((0..nb).map(|j| sol.values[w[k][j].index()] as usize).sum());
-    }
-    Some((workers, batches))
+/// The fixed-level residual MILP: minimal worker/batch plan serving fixed
+/// per-tier demands. Built once per [`solve_ladder`] call and re-aimed at
+/// each probe's demands by [`aim`](Self::aim), which patches numbers in
+/// place — the rows, columns and their names never change.
+///
+/// The formulation is the per-tier product of the legacy pinned residual:
+/// batch selectors `y_{k,j}`, workers `w_{k,j}` active only under the
+/// selected batch, per-tier throughput and non-emptiness, the shared
+/// capacity and cascade-latency rows. The lexicographic batch penalties
+/// (`1e-4·10^{-k}·j`) replicate the exhaustive solver's tie-breaking, so
+/// both inner solvers return the identical plan.
+///
+/// Each `w_{k,j}` is bounded — as a variable and in its activation row
+/// `w_{k,j} ≤ U_{k,j}·y_{k,j}` — by `U_{k,j} = min(S, max(1, ⌈d_k /
+/// T_k(B_j)⌉))`, the count tier `k` needs under batch `j`, not by the
+/// fleet size `S`. That is exact here because the objective minimizes
+/// total workers: an optimum never holds more than the minimal count under
+/// its chosen batch, and a feasible point above it stays feasible when
+/// lowered to it. With `S` as the big-M the relaxation sets `y = w/S`,
+/// spreads a tier over several batches and leaves the latency row slack;
+/// the tight bound forces `y_{k,j} ≥ w_{k,j}/U_{k,j}`, so the latency row
+/// binds in the LP and branch & bound needs a fraction of the nodes. (The
+/// two-tier `build_allocation_milp` cannot use it: its `w2` carries a
+/// `+1e-7` bonus that hands spare workers to the heavy tier, so its
+/// optimum does exceed the minimal count.)
+struct LadderResidual {
+    problem: Problem,
+    /// `y[k][j]`: tier `k` runs batch `batch_sizes[j]`.
+    y: Vec<Vec<diffserve_milp::VarId>>,
+    /// `w[k][j]`: tier `k`'s workers, nonzero only under batch `j`.
+    w: Vec<Vec<diffserve_milp::VarId>>,
+    /// `tp[k][j] = T_k(B_j)`.
+    tp: Vec<Vec<f64>>,
+    /// Fleet size `S`, the cap on every worker bound.
+    fleet: f64,
+    /// Row of `throughput-k`, whose rhs is `d_k`.
+    throughput_row: Vec<usize>,
+    /// Row of `active-k-j`, whose `y` coefficient is `-U_{k,j}`.
+    active_row: Vec<Vec<usize>>,
 }
 
-/// One fixed-level solve through the configured inner solver.
-fn ladder_fixed(
-    inputs: &LadderInputs<'_>,
-    levels: &[usize],
-    milp: bool,
-    warm: &mut WarmStart,
-) -> Option<(Vec<usize>, Vec<usize>)> {
-    let demands = inputs.tier_demands(levels);
-    if milp {
-        ladder_fixed_milp(inputs, &demands, warm)
-    } else {
-        ladder_fixed_exhaustive(inputs, &demands)
+impl LadderResidual {
+    /// The problem shape with every demand-dependent number at its
+    /// loosest (`d_k = 0`, `U_{k,j} = S`); [`aim`](Self::aim) before
+    /// solving.
+    fn build(inputs: &LadderInputs<'_>) -> Self {
+        let n = inputs.num_tiers();
+        let nb = inputs.batch_sizes.len();
+        let s = inputs.total_workers as f64;
+        let mut p = Problem::new(Direction::Minimize);
+        let y: Vec<Vec<_>> = (0..n)
+            .map(|k| (0..nb).map(|j| p.add_binary(format!("y{k}_{j}"))).collect())
+            .collect();
+        let w: Vec<Vec<_>> = (0..n)
+            .map(|k| {
+                (0..nb)
+                    .map(|j| p.add_var(format!("w{k}_{j}"), VarKind::Integer, 0.0, s))
+                    .collect()
+            })
+            .collect();
+        let tp: Vec<Vec<f64>> = (0..n)
+            .map(|k| {
+                inputs
+                    .batch_sizes
+                    .iter()
+                    .map(|&b| inputs.tier_stage_throughput(k, b))
+                    .collect()
+            })
+            .collect();
+
+        let mut throughput_row = Vec::with_capacity(n);
+        let mut active_row = Vec::with_capacity(n);
+        let mut cap: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
+        let mut lat: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
+        for k in 0..n {
+            let one: Vec<_> = y[k].iter().map(|&id| (id, 1.0)).collect();
+            p.add_constraint(format!("one-batch-{k}"), &one, Sense::Eq, 1.0);
+            let nonempty: Vec<_> = w[k].iter().map(|&id| (id, 1.0)).collect();
+            p.add_constraint(format!("nonempty-{k}"), &nonempty, Sense::Ge, 1.0);
+            let through: Vec<_> = (0..nb).map(|j| (w[k][j], tp[k][j])).collect();
+            throughput_row.push(p.add_constraint(
+                format!("throughput-{k}"),
+                &through,
+                Sense::Ge,
+                0.0,
+            ));
+            active_row.push(
+                (0..nb)
+                    .map(|j| {
+                        cap.push((w[k][j], 1.0));
+                        lat.push((y[k][j], inputs.tier_stage_latency(k, inputs.batch_sizes[j])));
+                        p.add_constraint(
+                            format!("active-{k}-{j}"),
+                            &[(w[k][j], 1.0), (y[k][j], -s)],
+                            Sense::Le,
+                            0.0,
+                        )
+                    })
+                    .collect(),
+            );
+        }
+        p.add_constraint("capacity", &cap, Sense::Le, s);
+        let lat_budget = inputs.slo - inputs.queue_delays.iter().sum::<f64>();
+        if lat_budget.is_finite() {
+            p.add_constraint("latency", &lat, Sense::Le, lat_budget);
+        }
+
+        // Minimize total workers; geometric batch penalties keep the optimum
+        // unique and equal to the exhaustive tie-break (smaller batches on
+        // earlier tiers win ties). The penalties sum to < 1, so they can
+        // never trade away a worker.
+        let mut obj: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
+        for k in 0..n {
+            let scale = 1e-4 * 10f64.powi(-(k as i32));
+            for j in 0..nb {
+                obj.push((w[k][j], 1.0));
+                obj.push((y[k][j], scale * j as f64));
+            }
+        }
+        p.set_objective(&obj);
+
+        LadderResidual {
+            problem: p,
+            y,
+            w,
+            tp,
+            fleet: s,
+            throughput_row,
+            active_row,
+        }
+    }
+
+    /// Re-aims the problem at per-tier `demands`: the throughput
+    /// right-hand sides and every tight worker bound `U_{k,j}`.
+    fn aim(&mut self, demands: &[f64]) {
+        for (k, &d) in demands.iter().enumerate() {
+            self.problem.set_rhs(self.throughput_row[k], d);
+            for j in 0..self.tp[k].len() {
+                let bound = min_workers(d, self.tp[k][j]).min(self.fleet);
+                self.problem.set_upper_bound(self.w[k][j], bound);
+                self.problem
+                    .set_coefficient(self.active_row[k][j], self.y[k][j], -bound);
+            }
+        }
+    }
+
+    /// Reads the per-tier `(workers, batches)` off a solution.
+    fn plan(&self, batch_sizes: &[usize], values: &[f64]) -> (Vec<usize>, Vec<usize>) {
+        let mut workers = Vec::with_capacity(self.y.len());
+        let mut batches = Vec::with_capacity(self.y.len());
+        for (y_k, w_k) in self.y.iter().zip(&self.w) {
+            let j = y_k
+                .iter()
+                .position(|id| values[id.index()] > 0.5)
+                .expect("exactly-one constraint guarantees a selection");
+            batches.push(batch_sizes[j]);
+            workers.push(w_k.iter().map(|id| values[id.index()] as usize).sum());
+        }
+        (workers, batches)
+    }
+}
+
+/// One tick's view of the fixed-level residual problem, through the
+/// configured inner solver. The threshold search asks
+/// [`feasible`](Self::feasible) — answered from an exact-match memo when
+/// the same level vector was already probed this tick — and the tick ends
+/// with the single [`plan`](Self::plan) call that needs an optimum.
+struct LadderProbe<'a, 'i> {
+    inputs: &'a LadderInputs<'i>,
+    /// `Some` for the MILP inner solver, `None` for the exhaustive scan.
+    residual: Option<LadderResidual>,
+    warm: &'a mut WarmStart,
+    /// Feasibility verdicts of this tick, keyed by the level vector. Only
+    /// an identical vector hits: monotonicity could answer more probes
+    /// from their neighbours, but the memo must never decide differently
+    /// from the solver it stands in for.
+    memo: HashMap<Vec<usize>, bool>,
+}
+
+impl<'a, 'i> LadderProbe<'a, 'i> {
+    fn new(inputs: &'a LadderInputs<'i>, milp: bool, warm: &'a mut WarmStart) -> Self {
+        LadderProbe {
+            inputs,
+            residual: milp.then(|| LadderResidual::build(inputs)),
+            warm,
+            memo: HashMap::new(),
+        }
+    }
+
+    /// The per-tier demands `levels` implies, with the residual (if any)
+    /// aimed at them.
+    fn demands_at(&mut self, levels: &[usize]) -> Vec<f64> {
+        let demands = self.inputs.tier_demands(levels);
+        if let Some(residual) = &mut self.residual {
+            residual.aim(&demands);
+        }
+        demands
+    }
+
+    /// Whether any worker/batch plan serves the demands `levels` implies.
+    fn feasible(&mut self, levels: &[usize]) -> bool {
+        if let Some(&known) = self.memo.get(levels) {
+            return known;
+        }
+        let demands = self.demands_at(levels);
+        let verdict = match &self.residual {
+            Some(residual) => {
+                find_feasible(&residual.problem, &MilpOptions::default(), self.warm).is_ok()
+            }
+            None => ladder_fixed_exhaustive(self.inputs, &demands, true).is_some(),
+        };
+        self.memo.insert(levels.to_vec(), verdict);
+        verdict
+    }
+
+    /// The minimal worker/batch plan at `levels`; `None` when infeasible.
+    fn plan(&mut self, levels: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
+        let demands = self.demands_at(levels);
+        match &self.residual {
+            Some(residual) => {
+                let sol =
+                    solve_milp_warm(&residual.problem, &MilpOptions::default(), self.warm).ok()?;
+                Some(residual.plan(self.inputs.batch_sizes, &sol.values))
+            }
+            None => ladder_fixed_exhaustive(self.inputs, &demands, false),
+        }
     }
 }
 
@@ -910,9 +1060,14 @@ fn ladder_fixed(
 /// boundaries fixed. Feasibility is monotone decreasing in every level —
 /// raising `t_k` only raises the demand on tiers deeper than `k` — so the
 /// per-coordinate search is exact; two passes settle cross-boundary
-/// interactions. Each feasibility probe is a fixed-level residual problem
-/// solved by the configured inner solver (`milp` reuses one simplex basis
-/// across every probe, tick after tick).
+/// interactions.
+///
+/// Every probe of that search — re-anchor, gallop, bisection — asks the
+/// fixed-level residual problem only *whether* it is feasible, and asks
+/// at most once per level vector per call. Exactly one optimality solve
+/// runs, at the final (rate-limited) levels, and its plan is the answer.
+/// With `milp` the residual is one [`Problem`] re-aimed per probe and one
+/// [`WarmStart`] carried across every probe, tick after tick.
 ///
 /// Spare workers land on the deepest tier. Returns `None` when even the
 /// all-lowest-levels ladder is infeasible; callers then fall back to
@@ -928,13 +1083,16 @@ pub fn solve_ladder(
         Some(l) if l.len() == nb && l.iter().all(|&x| x < nt) => Some(l),
         _ => None,
     };
+    let mut probe = LadderProbe::new(inputs, milp, &mut state.milp);
     let mut levels = warm_levels.clone().unwrap_or_else(|| vec![0; nb]);
     // Re-anchor on a feasible point: the warm levels may have drifted
     // infeasible, and all-lowest-levels is the least-demand ladder — if
     // even that fails, no level vector is feasible (monotonicity).
-    if ladder_fixed(inputs, &levels, milp, &mut state.milp).is_none() {
+    if !probe.feasible(&levels) {
         levels = vec![0; nb];
-        ladder_fixed(inputs, &levels, milp, &mut state.milp)?;
+        if !probe.feasible(&levels) {
+            return None;
+        }
     }
 
     for _pass in 0..2 {
@@ -946,7 +1104,7 @@ pub fn solve_ladder(
             while lo + step < nt {
                 let cand = lo + step;
                 levels[k] = cand;
-                if ladder_fixed(inputs, &levels, milp, &mut state.milp).is_some() {
+                if probe.feasible(&levels) {
                     lo = cand;
                     step *= 2;
                 } else {
@@ -956,7 +1114,7 @@ pub fn solve_ladder(
             }
             if hi == nt && lo + 1 < nt {
                 levels[k] = nt - 1;
-                if ladder_fixed(inputs, &levels, milp, &mut state.milp).is_some() {
+                if probe.feasible(&levels) {
                     lo = nt - 1;
                 } else {
                     hi = nt - 1;
@@ -965,7 +1123,7 @@ pub fn solve_ladder(
             while hi - lo > 1 {
                 let mid = lo + (hi - lo) / 2;
                 levels[k] = mid;
-                if ladder_fixed(inputs, &levels, milp, &mut state.milp).is_some() {
+                if probe.feasible(&levels) {
                     lo = mid;
                 } else {
                     hi = mid;
@@ -985,7 +1143,8 @@ pub fn solve_ladder(
         }
     }
 
-    let (mut workers, batches) = ladder_fixed(inputs, &levels, milp, &mut state.milp)
+    let (mut workers, batches) = probe
+        .plan(&levels)
         .expect("final levels were verified feasible coordinate-wise");
     // Worker-split hysteresis: if the previously actuated split still
     // covers every tier's minimal need, keep it — extra workers on a tier
@@ -1594,6 +1753,55 @@ mod tests {
             let ex = solve_ladder(&inputs, false, &mut LadderWarmState::new());
             let milp = solve_ladder(&inputs, true, &mut LadderWarmState::new());
             assert_eq!(ex, milp, "demand {demand}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The two inner solvers are interchangeable tick for tick: over a
+        /// random demand walk, each threaded through its own
+        /// [`LadderWarmState`], the MILP path (tight residual, feasibility
+        /// probes through one carried handle, one optimality solve) and
+        /// the exhaustive scan return the identical [`LadderAllocation`] —
+        /// thresholds, hysteresis-held worker split, batches, and the
+        /// infeasible ticks in between.
+        #[test]
+        fn ladder_milp_matches_exhaustive_on_random_walks(
+            demands in proptest::collection::vec(1u32..400, 1..10),
+            fleet in 3usize..=32,
+            batch_grid in 0usize..4,
+            raise in 0usize..3,
+            direct in (0u32..=100, 0u32..=100),
+            queues in proptest::collection::vec(0u32..60, 3..4),
+        ) {
+            let deferrals = vec![uniform_profile(), uniform_profile()];
+            let batches: &[usize] = [
+                &[1usize, 2, 4, 8][..],
+                &[1, 2, 4, 8, 16],
+                &[1, 4],
+                &[1, 2, 3],
+            ][batch_grid];
+            let thresholds = grid(11, 0.9);
+            let mut inputs = ladder3_inputs(&deferrals, batches, &thresholds, 0.0);
+            inputs.total_workers = fleet;
+            inputs.queue_delays = queues.iter().map(|&q| q as f64 / 100.0).collect();
+            inputs.max_raise_per_solve = [None, Some(1), Some(2)][raise];
+            if direct != (0, 0) {
+                // Up to half the demand enters at tier 1, up to 30 % at tier 2.
+                let (d1, d2) = (direct.0 as f64 / 200.0, direct.1 as f64 * 0.003);
+                inputs.direct_fractions = vec![1.0 - d1 - d2, d1, d2];
+            }
+            let mut milp_state = LadderWarmState::new();
+            let mut scan_state = LadderWarmState::new();
+            for (tick, &raw) in demands.iter().enumerate() {
+                // 0.1 .. 40 qps: from an idle fleet to hopeless overload
+                // on the small ones.
+                inputs.demand_qps = raw as f64 / 10.0;
+                let milp = solve_ladder(&inputs, true, &mut milp_state);
+                let scan = solve_ladder(&inputs, false, &mut scan_state);
+                proptest::prop_assert_eq!(milp, scan, "tick {} at {} qps", tick, inputs.demand_qps);
+            }
         }
     }
 

@@ -38,7 +38,8 @@ pub struct MilpSolution {
     /// Number of branch & bound nodes expanded.
     pub nodes: usize,
     /// `true` when the search completed (solution proved optimal); `false`
-    /// when the node limit stopped the search with an incumbent in hand.
+    /// when the node limit stopped the search with an incumbent in hand, and
+    /// always `false` for a [`find_feasible`] witness.
     pub proved_optimal: bool,
 }
 
@@ -52,6 +53,11 @@ pub struct MilpSolution {
 /// search starts with an incumbent in hand, pruning from the first node,
 /// and when the root relaxation already proves the remembered point
 /// optimal the solve returns after a single LP (no branching at all).
+///
+/// [`find_feasible`] goes through the same handle: a remembered point that
+/// is still feasible *is* the answer to a feasibility question, so such a
+/// probe returns without solving a single LP, and whatever witness a
+/// probe finds is remembered for the next call of either kind.
 ///
 /// The handle is defensive by construction: a remembered point is
 /// re-validated against the *current* problem (dimensions, bounds,
@@ -135,6 +141,10 @@ fn usable_incumbent(problem: &Problem, values: &[f64]) -> bool {
 
 #[derive(Debug)]
 struct Node {
+    /// Depth in the tree when the search dives for a first feasible point
+    /// ([`Goal::Feasible`]: deepest node first); 0 on every node of an
+    /// optimality search, which `score` alone orders (best first).
+    dive: usize,
     /// LP relaxation bound, normalized so larger is better.
     score: f64,
     lower: Vec<f64>,
@@ -144,7 +154,7 @@ struct Node {
 
 impl PartialEq for Node {
     fn eq(&self, other: &Self) -> bool {
-        self.score == other.score
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Node {}
@@ -155,9 +165,11 @@ impl PartialOrd for Node {
 }
 impl Ord for Node {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.score
-            .partial_cmp(&other.score)
-            .unwrap_or(Ordering::Equal)
+        self.dive.cmp(&other.dive).then(
+            self.score
+                .partial_cmp(&other.score)
+                .unwrap_or(Ordering::Equal),
+        )
     }
 }
 
@@ -192,7 +204,7 @@ impl Ord for Node {
 /// # Ok::<(), diffserve_milp::SolveError>(())
 /// ```
 pub fn solve_milp(problem: &Problem, options: &MilpOptions) -> Result<MilpSolution, SolveError> {
-    solve_seeded(problem, options, None, None).map(|(sol, _)| sol)
+    solve_seeded(problem, options, Goal::Optimal, None, None).map(|(sol, _)| sol)
 }
 
 /// [`solve_milp`] with tick-to-tick state carried in a [`WarmStart`].
@@ -217,22 +229,66 @@ pub fn solve_milp_warm(
     options: &MilpOptions,
     warm: &mut WarmStart,
 ) -> Result<MilpSolution, SolveError> {
-    let result = solve_seeded(
+    solve_through(problem, options, Goal::Optimal, warm)
+}
+
+/// Answers only *whether* `problem` has an integral feasible point,
+/// returning the first one found as a witness (`proved_optimal` is
+/// `false`; its objective is whatever the witness happens to score).
+///
+/// `Ok` exactly when [`solve_milp`] would be `Ok`, and every error is the
+/// same error: the search is the same branch & bound over the same LP
+/// relaxations with the same tolerances, so `Infeasible` still takes the
+/// exhausted tree. What it skips is the proof of optimality: it stops at
+/// the first integral node, and it expands the deepest open node first
+/// (a dive reaches an integral point in about one node per branched
+/// variable, where best-first order keeps widening the top of the tree;
+/// with no incumbent nothing is ever pruned, so the order cannot change
+/// the verdict). When the point remembered in `warm` is still feasible
+/// for `problem` it returns that point at once, without an LP. Searches
+/// that bisect on feasibility (the ladder allocator's threshold probes)
+/// ask this instead of paying for an optimum they never read. The witness
+/// and its basis are remembered in `warm`.
+///
+/// # Errors
+///
+/// Exactly as [`solve_milp`].
+pub fn find_feasible(
+    problem: &Problem,
+    options: &MilpOptions,
+    warm: &mut WarmStart,
+) -> Result<MilpSolution, SolveError> {
+    solve_through(problem, options, Goal::Feasible, warm)
+}
+
+/// What a search must establish before it may stop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Goal {
+    /// The best integral point, proved by the exhausted (pruned) tree.
+    Optimal,
+    /// Any integral point.
+    Feasible,
+}
+
+/// One search seeded from, and remembered into, `warm`.
+fn solve_through(
+    problem: &Problem,
+    options: &MilpOptions,
+    goal: Goal,
+    warm: &mut WarmStart,
+) -> Result<MilpSolution, SolveError> {
+    let (sol, basis) = solve_seeded(
         problem,
         options,
+        goal,
         warm.previous.as_deref(),
         warm.basis.as_ref(),
-    );
-    match result {
-        Ok((sol, basis)) => {
-            warm.previous = Some(sol.values.clone());
-            if basis.is_some() {
-                warm.basis = basis;
-            }
-            Ok(sol)
-        }
-        Err(e) => Err(e),
+    )?;
+    warm.previous = Some(sol.values.clone());
+    if basis.is_some() {
+        warm.basis = basis;
     }
+    Ok(sol)
 }
 
 /// Core search. Returns the solution plus the simplex basis of the LP
@@ -241,6 +297,7 @@ pub fn solve_milp_warm(
 fn solve_seeded(
     problem: &Problem,
     options: &MilpOptions,
+    goal: Goal,
     hint: Option<&[f64]>,
     hint_basis: Option<&Basis>,
 ) -> Result<(MilpSolution, Option<Basis>), SolveError> {
@@ -286,6 +343,12 @@ fn solve_seeded(
     } else {
         None
     };
+    if goal == Goal::Feasible {
+        // A still-feasible remembered point answers the question outright.
+        if let Some(s) = incumbent.take() {
+            return Ok((s, incumbent_basis));
+        }
+    }
 
     let root_relax = solve_lp_with_bounds(problem, &root_lower, &root_upper, hint_basis)?;
     if let Some(best) = &incumbent {
@@ -301,6 +364,7 @@ fn solve_seeded(
     }
     let mut heap = BinaryHeap::new();
     heap.push(Node {
+        dive: 0,
         score: norm(root_relax.objective),
         lower: root_lower,
         upper: root_upper,
@@ -357,6 +421,15 @@ fn solve_seeded(
                     .zip(&values)
                     .map(|(c, x)| c * x)
                     .sum();
+                if goal == Goal::Feasible {
+                    let witness = MilpSolution {
+                        objective: obj,
+                        values,
+                        nodes,
+                        proved_optimal: false,
+                    };
+                    return Ok((witness, Some(node.relaxation.basis)));
+                }
                 let better = incumbent
                     .as_ref()
                     .is_none_or(|b| norm(obj) > norm(b.objective) + options.gap);
@@ -373,39 +446,40 @@ fn solve_seeded(
             Some(v) => {
                 let x = node.relaxation.values[v.index()];
                 let floor = x.floor();
+                let cutoff = incumbent
+                    .as_ref()
+                    .map(|best| norm(best.objective) + options.gap);
+                let dive = match goal {
+                    Goal::Optimal => 0,
+                    Goal::Feasible => node.dive + 1,
+                };
                 // Down branch: x <= floor.
-                {
+                if node.lower[v.index()] <= floor {
                     let mut upper = node.upper.clone();
                     upper[v.index()] = floor;
-                    if node.lower[v.index()] <= floor {
-                        push_child(
-                            problem,
-                            &node.lower,
-                            &upper,
-                            &node.relaxation.basis,
-                            norm,
-                            &incumbent,
-                            options,
-                            &mut heap,
-                        );
-                    }
+                    push_child(
+                        problem,
+                        node.lower.clone(),
+                        upper,
+                        &node.relaxation.basis,
+                        dive,
+                        cutoff,
+                        &mut heap,
+                    );
                 }
                 // Up branch: x >= floor + 1.
-                {
-                    let mut lower = node.lower.clone();
+                if floor + 1.0 <= node.upper[v.index()] {
+                    let mut lower = node.lower;
                     lower[v.index()] = floor + 1.0;
-                    if lower[v.index()] <= node.upper[v.index()] {
-                        push_child(
-                            problem,
-                            &lower,
-                            &node.upper,
-                            &node.relaxation.basis,
-                            norm,
-                            &incumbent,
-                            options,
-                            &mut heap,
-                        );
-                    }
+                    push_child(
+                        problem,
+                        lower,
+                        node.upper,
+                        &node.relaxation.basis,
+                        dive,
+                        cutoff,
+                        &mut heap,
+                    );
                 }
             }
         }
@@ -423,37 +497,37 @@ fn solve_seeded(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Solves one child's relaxation from its parent's basis and queues it,
+/// unless it is infeasible or its bound cannot beat `cutoff` (the
+/// incumbent's normalized objective plus the gap).
 fn push_child(
     problem: &Problem,
-    lower: &[f64],
-    upper: &[f64],
+    lower: Vec<f64>,
+    upper: Vec<f64>,
     parent_basis: &Basis,
-    norm: impl Fn(f64) -> f64,
-    incumbent: &Option<MilpSolution>,
-    options: &MilpOptions,
+    dive: usize,
+    cutoff: Option<f64>,
     heap: &mut BinaryHeap<Node>,
 ) {
-    match solve_lp_with_bounds(problem, lower, upper, Some(parent_basis)) {
-        Ok(relaxation) => {
-            let score = norm(relaxation.objective);
-            if let Some(best) = incumbent {
-                if score <= norm(best.objective) + options.gap {
-                    return; // Bound: can't beat the incumbent.
-                }
-            }
-            heap.push(Node {
-                score,
-                lower: lower.to_vec(),
-                upper: upper.to_vec(),
-                relaxation,
-            });
-        }
-        Err(SolveError::Infeasible) => {}
-        // Unbounded/iteration-limit children are dropped; the root solve
-        // already screened for unboundedness.
-        Err(_) => {}
+    // Infeasible children end here. So do unbounded/iteration-limit ones:
+    // the root solve already screened for unboundedness.
+    let Ok(relaxation) = solve_lp_with_bounds(problem, &lower, &upper, Some(parent_basis)) else {
+        return;
+    };
+    let score = match problem.direction() {
+        Direction::Maximize => relaxation.objective,
+        Direction::Minimize => -relaxation.objective,
+    };
+    if cutoff.is_some_and(|c| score <= c) {
+        return; // Bound: can't beat the incumbent.
     }
+    heap.push(Node {
+        dive,
+        score,
+        lower,
+        upper,
+        relaxation,
+    });
 }
 
 #[cfg(test)]
@@ -746,6 +820,105 @@ mod tests {
         }
         rec(p, 0, &mut assign, &lowers, &uppers, &mut best);
         best
+    }
+
+    #[test]
+    fn find_feasible_stops_at_a_witness_and_reuses_it() {
+        let p = knapsack(9.0);
+        let mut warm = WarmStart::new();
+        let first = find_feasible(&p, &MilpOptions::default(), &mut warm).unwrap();
+        assert!(usable_incumbent(&p, &first.values));
+        assert!(!first.proved_optimal);
+        assert!(warm.is_primed());
+        // The remembered witness still fits: answered without a single LP.
+        let again = find_feasible(&p, &MilpOptions::default(), &mut warm).unwrap();
+        assert_eq!(again.nodes, 0);
+        assert_eq!(again.values, first.values);
+        // A witness is a valid seed for the optimality solve, never its answer.
+        let best = solve_milp_warm(&p, &MilpOptions::default(), &mut warm).unwrap();
+        assert_eq!(best.values, vec![1.0, 1.0, 0.0]);
+        assert!(best.proved_optimal);
+    }
+
+    #[test]
+    fn find_feasible_agrees_with_solve_and_brute_force_under_any_hint() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1305);
+        let opts = MilpOptions::default();
+        // One handle carried across every trial: by the next trial its
+        // point and basis are stale, and often the wrong dimension.
+        let mut carried = WarmStart::new();
+        let (mut feasible, mut infeasible) = (0, 0);
+        for trial in 0..120 {
+            let n = rng.gen_range(2..5usize);
+            let m = rng.gen_range(1..5usize);
+            let mut p = Problem::new(Direction::Minimize);
+            let vars: Vec<_> = (0..n)
+                .map(|i| p.add_var(format!("x{i}"), VarKind::Integer, 0.0, 4.0))
+                .collect();
+            // Mixed senses and signed right-hand sides: about a third of
+            // these have no integral point at all.
+            for c in 0..m {
+                let terms: Vec<_> = vars
+                    .iter()
+                    .map(|&v| (v, rng.gen_range(-3..=3) as f64))
+                    .collect();
+                let sense = [Sense::Le, Sense::Ge, Sense::Eq][rng.gen_range(0..3usize)];
+                p.add_constraint(format!("c{c}"), &terms, sense, rng.gen_range(-4..12) as f64);
+            }
+            let obj: Vec<_> = vars
+                .iter()
+                .map(|&v| (v, rng.gen_range(-5..=5) as f64))
+                .collect();
+            p.set_objective(&obj);
+
+            let reference = brute_force(&p).is_some();
+            assert_eq!(
+                solve_milp(&p, &opts).is_ok(),
+                reference,
+                "trial {trial}: optimality solve vs brute force\n{p}"
+            );
+            if reference {
+                feasible += 1;
+            } else {
+                infeasible += 1;
+            }
+
+            let mut out_of_bounds = WarmStart::new();
+            out_of_bounds.set_previous(Some(vec![9.0; n]));
+            let mut wrong_dimension = WarmStart::new();
+            wrong_dimension.set_previous(Some(vec![0.0; n + 1]));
+            for (hint, warm) in [
+                ("none", &mut WarmStart::new()),
+                ("stale", &mut carried),
+                ("infeasible", &mut out_of_bounds),
+                ("wrong dimension", &mut wrong_dimension),
+            ] {
+                match find_feasible(&p, &opts, warm) {
+                    Ok(witness) => {
+                        assert!(
+                            reference,
+                            "trial {trial}, {hint} hint: phantom witness\n{p}"
+                        );
+                        assert!(
+                            usable_incumbent(&p, &witness.values),
+                            "trial {trial}, {hint} hint: witness is not feasible\n{p}"
+                        );
+                    }
+                    Err(e) => {
+                        assert_eq!(e, SolveError::Infeasible, "trial {trial}, {hint} hint");
+                        assert!(
+                            !reference,
+                            "trial {trial}, {hint} hint: missed a point\n{p}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            feasible >= 20 && infeasible >= 20,
+            "the instances must exercise both verdicts: {feasible} feasible, {infeasible} not"
+        );
     }
 
     #[test]

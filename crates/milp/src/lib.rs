@@ -7,6 +7,9 @@
 //! crate provides the substitute substrate: a dense bounded-variable
 //! primal/dual simplex ([`solve_lp`]) and a best-first branch & bound
 //! ([`solve_milp`]) over it, behind a small modelling API ([`Problem`]).
+//! Callers that only need to know *whether* an integral point exists ask
+//! [`find_feasible`], which runs the same search but stops at the first
+//! one.
 //! Every LP solve returns its optimal [`Basis`], and related solves
 //! (branch & bound children, tick-to-tick controller re-solves) restart
 //! from it with a dual-simplex reoptimization instead of a full two-phase
@@ -42,6 +45,8 @@ pub mod branch;
 pub mod problem;
 pub mod simplex;
 
-pub use branch::{solve_milp, solve_milp_warm, MilpOptions, MilpSolution, WarmStart, INT_TOL};
+pub use branch::{
+    find_feasible, solve_milp, solve_milp_warm, MilpOptions, MilpSolution, WarmStart, INT_TOL,
+};
 pub use problem::{Direction, Problem, Sense, VarId, VarKind};
 pub use simplex::{solve_lp, solve_lp_with_bounds, Basis, ColStatus, LpSolution, SolveError, TOL};

@@ -147,7 +147,9 @@ impl Problem {
         self.add_var(name, VarKind::Integer, 0.0, 1.0)
     }
 
-    /// Adds a linear constraint `Σ coef·var  sense  rhs`.
+    /// Adds a linear constraint `Σ coef·var  sense  rhs` and returns its
+    /// row index (the handle [`set_rhs`](Self::set_rhs) and
+    /// [`set_coefficient`](Self::set_coefficient) take).
     ///
     /// Repeated variables in `terms` are accumulated.
     ///
@@ -161,7 +163,7 @@ impl Problem {
         terms: &[(VarId, f64)],
         sense: Sense,
         rhs: f64,
-    ) {
+    ) -> usize {
         assert!(rhs.is_finite(), "constraint rhs must be finite");
         let mut acc: Vec<(VarId, f64)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
@@ -179,6 +181,56 @@ impl Problem {
             sense,
             rhs,
         });
+        self.constraints.len() - 1
+    }
+
+    /// Replaces the right-hand side of constraint `row`.
+    ///
+    /// Together with [`set_coefficient`](Self::set_coefficient) and
+    /// [`set_upper_bound`](Self::set_upper_bound) this lets a controller
+    /// build a problem shape once and re-aim its numbers at each related
+    /// solve. None of them changes the column or row layout, so a
+    /// [`Basis`](crate::Basis) from an earlier solve still fits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range or `rhs` is non-finite.
+    pub fn set_rhs(&mut self, row: usize, rhs: f64) {
+        assert!(rhs.is_finite(), "constraint rhs must be finite");
+        self.constraints[row].rhs = rhs;
+    }
+
+    /// Replaces the coefficient of `var` in constraint `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range, `coef` is non-finite, or `var` is
+    /// not one of the constraint's terms (the sparsity pattern is fixed
+    /// when the constraint is added).
+    pub fn set_coefficient(&mut self, row: usize, var: VarId, coef: f64) {
+        assert!(coef.is_finite(), "constraint coefficient must be finite");
+        let slot = self.constraints[row]
+            .terms
+            .iter_mut()
+            .find(|(id, _)| *id == var)
+            .expect("variable is not a term of this constraint");
+        slot.1 = coef;
+    }
+
+    /// Replaces the upper bound of `var`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` is out of range, or `upper` is NaN or below the
+    /// variable's lower bound.
+    pub fn set_upper_bound(&mut self, var: VarId, upper: f64) {
+        let v = &mut self.vars[var.0];
+        assert!(
+            v.lower <= upper,
+            "lower bound {} exceeds upper bound {upper}",
+            v.lower
+        );
+        v.upper = upper;
     }
 
     /// Sets the objective coefficients (unmentioned variables get 0).
@@ -305,6 +357,33 @@ mod tests {
         assert_eq!(p.constraints[0].terms, vec![(x, 3.0)]);
         p.set_objective(&[(x, 1.0), (x, 1.5)]);
         assert_eq!(p.objective[0], 2.5);
+    }
+
+    #[test]
+    fn patching_keeps_the_layout_and_moves_the_numbers() {
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Integer, 0.0, 8.0);
+        let b = p.add_binary("b");
+        let active = p.add_constraint("active", &[(x, 1.0), (b, -8.0)], Sense::Le, 0.0);
+        let need = p.add_constraint("need", &[(x, 2.0)], Sense::Ge, 3.0);
+        assert_eq!((active, need), (0, 1));
+        p.set_rhs(need, 5.0);
+        p.set_coefficient(active, b, -3.0);
+        p.set_upper_bound(x, 3.0);
+        assert_eq!(p.constraints[need].rhs, 5.0);
+        assert_eq!(p.constraints[active].terms, vec![(x, 1.0), (b, -3.0)]);
+        assert_eq!(p.upper_bounds(), vec![3.0, 1.0]);
+        assert_eq!((p.num_vars(), p.num_constraints()), (2, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a term")]
+    fn patching_a_missing_term_panics() {
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 1.0);
+        let y = p.add_var("y", VarKind::Continuous, 0.0, 1.0);
+        let row = p.add_constraint("c", &[(x, 1.0)], Sense::Le, 1.0);
+        p.set_coefficient(row, y, 2.0);
     }
 
     #[test]
