@@ -38,7 +38,7 @@ use diffserve_core::{
     ModuleCache, PlanActuator, Policy, QueryId, RunReport, RunSettings, SystemConfig,
 };
 use diffserve_imagegen::{OnlinePredictiveRouter, Prompt, StageState};
-use diffserve_metrics::{GaussianStats, WindowedSeries};
+use diffserve_metrics::WindowedSeries;
 use diffserve_simkit::prelude::*;
 use diffserve_trace::{
     CapacityEvent, Hazard, HazardProcess, Incident, IncidentLog, Scenario, ScenarioError,
@@ -383,8 +383,8 @@ pub struct ClusterBackend<'a> {
     kernel: Kernel<'a>,
     settings: RunSettings,
     sys: SystemConfig,
-    reference: &'a GaussianStats,
-    /// Outcome accounting: SLO tracker, responses, rolling FID, drops.
+    /// Outcome accounting: SLO tracker, streamed report totals, rolling
+    /// FID, outcomes awaiting a poll.
     ledger: Ledger,
     route_rng: rand::rngs::StdRng,
     demand_track: WindowedSeries,
@@ -520,8 +520,7 @@ impl<'a> ClusterBackend<'a> {
             hazard_thread,
             route_rng: seeded_rng(derive_seed(sys.seed, 0x20C7)),
             demand_track: WindowedSeries::new(sys.metrics_window),
-            reference: &runtime.reference,
-            ledger: Ledger::new(sys.slo, &runtime.reference),
+            ledger: Ledger::new(&sys, &runtime.reference),
             control,
             kernel,
             settings,
@@ -684,9 +683,7 @@ impl ServingBackend for ClusterBackend<'_> {
             self.settings.policy,
             total,
             self.ledger.slo(),
-            self.ledger.responses(),
-            self.reference,
-            self.sys.metrics_window,
+            self.ledger.totals(),
             self.demand_track
                 .window_rates()
                 .into_iter()

@@ -23,8 +23,8 @@
 //! * [`TickTelemetry`], [`FleetTally`] — what an engine counts between
 //!   control ticks and across its fleet, and the one place a
 //!   [`ControlObservation`] is built from them.
-//! * [`Ledger`] — outcome accounting (SLO tracker, responses, rolling
-//!   FID, running completion counters, pending drops).
+//! * [`Ledger`] — outcome accounting (SLO tracker, the report's streamed
+//!   [`CompletionTotals`], the rolling-FID ring, outcomes awaiting a poll).
 
 use diffserve_imagegen::{
     resume_savings, reused_steps, DiffusionModel, Discriminator, GeneratedImage,
@@ -41,8 +41,9 @@ use crate::config::SystemConfig;
 use crate::control::ControlObservation;
 use crate::policy::Policy;
 use crate::query::{CompletedResponse, ModelTier, QueryId};
+use crate::report::CompletionTotals;
 use crate::runtime::CascadeRuntime;
-use crate::serve::{drain_outcomes, session_rolling_fid, QueryOutcome, SessionSnapshot};
+use crate::serve::{QueryOutcome, SessionSnapshot};
 use crate::sim::RunSettings;
 
 /// The legacy two-bucket view of a ladder tier: the entry tier is the
@@ -605,7 +606,7 @@ impl<'a> Kernel<'a> {
         let exec1 = |m: &DiffusionModel| {
             StageLatencyBreakdown::of_latency(m.latency().exec_latency(1).as_secs_f64())
         };
-        let completions = ledger.responses.len();
+        let completions = ledger.totals.completions();
         SessionSnapshot {
             now,
             threshold: thresholds[0],
@@ -623,13 +624,13 @@ impl<'a> Kernel<'a> {
             heavy_fraction: if completions == 0 {
                 0.0
             } else {
-                ledger.heavy_done as f64 / completions as f64
+                ledger.totals.heavy() as f64 / completions as f64
             },
             fid_estimate: ledger.rolling_fid.estimate(),
             deferral_gap,
             light_stage_latency: exec1(self.models[0]),
             heavy_stage_latency: exec1(self.models[self.models.len() - 1]),
-            resumed_completions: ledger.resumed,
+            resumed_completions: ledger.totals.resumed(),
             addon_stats,
             tier_workers: fleet.tier_workers,
             tier_queues: fleet.tier_queues,
@@ -835,34 +836,47 @@ impl TickTelemetry {
     }
 }
 
-/// Outcome accounting for one session: the SLO tracker, the completed
-/// responses, the rolling FID estimate and the running counters snapshots
-/// read — all updated where an outcome is recorded, so a snapshot costs
-/// nothing per response.
+/// Number of most-recent responses the snapshots' rolling FID estimate is
+/// fit on.
+const FID_ESTIMATE_TAIL: usize = 256;
+
+/// Ridge added to the rolling window's covariance diagonal; matches the
+/// regularization the report's windowed FID series uses for small windows.
+const FID_ESTIMATE_RIDGE: f64 = 1e-3;
+
+/// Outcome accounting for one session, updated where an outcome is
+/// recorded: the SLO tracker, the streamed totals the final report is
+/// assembled from, the ring behind the snapshots' rolling FID estimate, and
+/// the outcomes awaiting the next poll. A completion's feature row is read
+/// twice here (into its moment cell and into the ring) and never again, so
+/// neither a snapshot nor the report costs anything per response.
 #[derive(Debug)]
 pub struct Ledger {
     slo: SloTracker,
-    responses: Vec<CompletedResponse>,
+    totals: CompletionTotals,
     rolling_fid: RollingFid,
-    heavy_done: u64,
-    resumed: u64,
-    /// Drops recorded since the last drain: `(id, arrival, dropped_at)`.
-    drops: Vec<(QueryId, SimTime, SimTime)>,
-    drained: usize,
+    /// Outcomes recorded since the last drain, in recording order. `None`
+    /// on a session that is never polled (the batch entry points), which
+    /// then keeps no outcome at all.
+    undrained: Option<Vec<QueryOutcome>>,
 }
 
 impl Ledger {
-    /// An empty ledger for the given SLO and FID reference.
-    pub fn new(slo: SimDuration, reference: &GaussianStats) -> Self {
+    /// An empty ledger for the configured SLO and metrics window, scoring
+    /// against the FID reference.
+    pub fn new(config: &SystemConfig, reference: &GaussianStats) -> Self {
         Ledger {
-            slo: SloTracker::new(slo),
-            responses: Vec::new(),
-            rolling_fid: session_rolling_fid(reference),
-            heavy_done: 0,
-            resumed: 0,
-            drops: Vec::new(),
-            drained: 0,
+            slo: SloTracker::new(config.slo),
+            totals: CompletionTotals::new(reference, config.metrics_window),
+            rolling_fid: RollingFid::new(reference.clone(), FID_ESTIMATE_TAIL, FID_ESTIMATE_RIDGE),
+            undrained: Some(Vec::new()),
         }
+    }
+
+    /// Stops keeping outcomes for [`Ledger::drain`]: for sessions whose
+    /// driver never polls.
+    pub(crate) fn discard_outcomes(&mut self) {
+        self.undrained = None;
     }
 
     /// Records a completion; returns whether it missed the SLO.
@@ -871,10 +885,11 @@ impl Ledger {
         let outcome = self
             .slo
             .record_completion(response.arrival, response.completion);
-        self.heavy_done += u64::from(response.tier == ModelTier::Heavy);
-        self.resumed += u64::from(response.reused_steps > 0);
         self.rolling_fid.push(&response.features);
-        self.responses.push(response);
+        self.totals.record(&response);
+        if let Some(undrained) = &mut self.undrained {
+            undrained.push(QueryOutcome::Completed(response));
+        }
         outcome.is_violation()
     }
 
@@ -882,7 +897,9 @@ impl Ledger {
     #[inline]
     pub fn drop_query(&mut self, id: QueryId, arrival: SimTime, at: SimTime) {
         self.slo.record_drop(arrival, at);
-        self.drops.push((id, arrival, at));
+        if let Some(undrained) = &mut self.undrained {
+            undrained.push(QueryOutcome::Dropped { id, arrival, at });
+        }
     }
 
     /// Records a query lost without a trace (stuck in a closed channel at
@@ -891,10 +908,13 @@ impl Ledger {
         self.slo.record_drop(at, at);
     }
 
-    /// Drains the outcomes recorded since the last call, in recording
-    /// order.
+    /// Hands over the outcomes recorded since the last call, in recording
+    /// order, and forgets them.
     pub fn drain(&mut self) -> Vec<QueryOutcome> {
-        drain_outcomes(&self.responses, &mut self.drained, &mut self.drops)
+        self.undrained
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// The SLO tracker.
@@ -902,9 +922,9 @@ impl Ledger {
         &self.slo
     }
 
-    /// Every completion so far, in recording order.
-    pub fn responses(&self) -> &[CompletedResponse] {
-        &self.responses
+    /// What the final report derives from the completions.
+    pub fn totals(&self) -> &CompletionTotals {
+        &self.totals
     }
 }
 

@@ -1,7 +1,6 @@
 //! Run reports: the measurements every experiment consumes.
 
-use diffserve_linalg::Mat;
-use diffserve_metrics::{frechet_distance, GaussianStats, SloTracker};
+use diffserve_metrics::{frechet_distance, CenteredMoments, GaussianStats, SloTracker};
 use diffserve_simkit::time::SimDuration;
 use diffserve_trace::IncidentLog;
 
@@ -101,64 +100,139 @@ pub struct TierStats {
     pub escalated_past: u64,
 }
 
-/// FID of a set of completed responses against the reference Gaussian;
-/// `NaN` with fewer than two responses.
-pub fn fid_of_responses(
-    responses: &[CompletedResponse],
-    reference: &GaussianStats,
-    ridge: f64,
-) -> f64 {
-    if responses.len() < 2 {
-        return f64::NAN;
-    }
-    let rows: Vec<&[f64]> = responses.iter().map(|r| r.features.as_slice()).collect();
-    let m = Mat::from_rows(&rows);
-    match GaussianStats::fit(&m, ridge) {
-        Ok(g) => frechet_distance(&g, reference).unwrap_or(f64::NAN),
-        Err(_) => f64::NAN,
-    }
+/// Ridge on the covariance of the whole-run and per-tier fits.
+const RUN_FID_RIDGE: f64 = 1e-6;
+/// Ridge on the covariance of one metrics window's fit: windows hold tens
+/// of rows, so their covariance needs the firmer regularization.
+const WINDOW_FID_RIDGE: f64 = 1e-3;
+/// Windows with fewer rows are left out of `fid_series` (their covariance
+/// would be noise).
+const WINDOW_FID_MIN_ROWS: u64 = 24;
+
+/// Running count and latency sum of one ladder tier's completions.
+#[derive(Debug, Clone, Copy, Default)]
+struct TierTotals {
+    completions: u64,
+    latency_sum: f64,
 }
 
-/// Windowed FID over completion time. Windows with fewer than
-/// `min_samples` responses are omitted (their covariance would be noise).
-pub fn windowed_fid(
-    responses: &[CompletedResponse],
-    reference: &GaussianStats,
+/// Everything a [`RunReport`] derives from the completed responses,
+/// accumulated one response at a time so that no row has to be kept for
+/// [`RunReport::assemble`] to re-read.
+///
+/// The FID family comes from [`CenteredMoments`] cells, one per (metrics
+/// window, ladder tier), each row centred on the reference mean: cells
+/// merge by addition, so the run FID is the fit of all cells merged, a
+/// window's FID the fit of its row of cells, and a tier's FID the fit of its
+/// column. Every other aggregate is a running count or a running sum taken
+/// in recording order — the order a scan over the responses would add them
+/// in, so the sums are the same bits.
+#[derive(Debug, Clone)]
+pub struct CompletionTotals {
+    reference: GaussianStats,
     window: SimDuration,
-    min_samples: usize,
-) -> Vec<(f64, f64)> {
-    if responses.is_empty() {
-        return Vec::new();
-    }
-    let end = responses
-        .iter()
-        .map(|r| r.completion)
-        .max()
-        .expect("non-empty responses");
-    let nwin = (end.as_micros() / window.as_micros() + 1) as usize;
-    let mut buckets: Vec<Vec<&CompletedResponse>> = vec![Vec::new(); nwin];
-    for r in responses {
-        let w = (r.completion.as_micros() / window.as_micros()) as usize;
-        buckets[w].push(r);
-    }
-    let mut series = Vec::new();
-    for (w, bucket) in buckets.iter().enumerate() {
-        if bucket.len() < min_samples.max(2) {
-            continue;
+    /// `cells[w][t]`: tier `t`'s completions in metrics window `w`. Both
+    /// levels grow on demand.
+    cells: Vec<Vec<CenteredMoments>>,
+    /// Scratch: the row being recorded minus the reference mean.
+    centered: Vec<f64>,
+    /// Per ladder tier, up to the deepest that completed anything.
+    tiers: Vec<TierTotals>,
+    heavy: u64,
+    heavy_latency_sum: f64,
+    resumed: u64,
+    reused_steps_sum: f64,
+    gpu_time_sum: f64,
+}
+
+impl CompletionTotals {
+    /// Empty totals scoring against `reference`, with the FID series
+    /// bucketed into windows of length `window`.
+    pub fn new(reference: &GaussianStats, window: SimDuration) -> Self {
+        CompletionTotals {
+            reference: reference.clone(),
+            window,
+            cells: Vec::new(),
+            centered: Vec::with_capacity(reference.dim()),
+            tiers: Vec::new(),
+            heavy: 0,
+            heavy_latency_sum: 0.0,
+            resumed: 0,
+            reused_steps_sum: 0.0,
+            gpu_time_sum: 0.0,
         }
-        let rows: Vec<&[f64]> = bucket.iter().map(|r| r.features.as_slice()).collect();
-        let m = Mat::from_rows(&rows);
-        if let Ok(g) = GaussianStats::fit(&m, 1e-3) {
-            if let Ok(d) = frechet_distance(&g, reference) {
-                series.push((w as f64 * window.as_secs_f64(), d));
-            }
-        }
     }
-    series
+
+    /// Adds one completed response.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the response's features do not have the reference's
+    /// dimensionality.
+    #[inline]
+    pub fn record(&mut self, response: &CompletedResponse) {
+        let latency = response.latency_secs();
+        let tier = response.tier_index;
+        self.gpu_time_sum += response.gpu_time;
+        if response.tier == ModelTier::Heavy {
+            self.heavy += 1;
+            self.heavy_latency_sum += latency;
+        }
+        if response.reused_steps > 0 {
+            self.resumed += 1;
+            self.reused_steps_sum += response.reused_steps as f64;
+        }
+        if tier >= self.tiers.len() {
+            self.tiers.resize(tier + 1, TierTotals::default());
+        }
+        self.tiers[tier].completions += 1;
+        self.tiers[tier].latency_sum += latency;
+
+        let window = (response.completion.as_micros() / self.window.as_micros()) as usize;
+        if window >= self.cells.len() {
+            self.cells.resize_with(window + 1, Vec::new);
+        }
+        let row = &mut self.cells[window];
+        if tier >= row.len() {
+            let dim = self.reference.dim();
+            row.resize_with(tier + 1, || CenteredMoments::new(dim));
+        }
+        self.centered.clear();
+        self.centered.extend(
+            response
+                .features
+                .iter()
+                .zip(self.reference.mean())
+                .map(|(x, r)| x - r),
+        );
+        row[tier].push(&self.centered);
+    }
+
+    /// Responses recorded so far.
+    pub fn completions(&self) -> u64 {
+        self.tiers.iter().map(|t| t.completions).sum()
+    }
+
+    /// Of those, the ones served past the entry tier.
+    pub fn heavy(&self) -> u64 {
+        self.heavy
+    }
+
+    /// Of those, the ones whose final pass resumed from carried latents.
+    pub fn resumed(&self) -> u64 {
+        self.resumed
+    }
+
+    /// FID of the rows in `moments` against the reference; `None` with
+    /// fewer than two rows or on numerical failure.
+    fn fid(&self, moments: &CenteredMoments, ridge: f64) -> Option<f64> {
+        let fitted = moments.gaussian(self.reference.mean(), ridge).ok()?;
+        frechet_distance(&fitted, &self.reference).ok()
+    }
 }
 
 impl RunReport {
-    /// Assembles a report from raw run observations. Shared by the
+    /// Assembles a report from a run's streamed accounting. Shared by the
     /// discrete-event simulator and the thread-based cluster runtime so the
     /// two are compared on identical accounting.
     #[allow(clippy::too_many_arguments)]
@@ -166,62 +240,62 @@ impl RunReport {
         policy: Policy,
         total_queries: u64,
         slo: &SloTracker,
-        responses: &[CompletedResponse],
-        reference: &GaussianStats,
-        window: SimDuration,
+        totals: &CompletionTotals,
         demand_series: Vec<(f64, f64)>,
         threshold_series: Vec<(f64, f64)>,
         deferral_error_series: Vec<(f64, f64)>,
         incident_log: IncidentLog,
         addon_stats: AddonStats,
     ) -> RunReport {
-        let fid = fid_of_responses(responses, reference, 1e-6);
-        let fid_series = windowed_fid(responses, reference, window, 24);
+        // One pass over the cells: each merges into its window, its tier
+        // and (through its window) the run.
+        let dim = totals.reference.dim();
+        let mut run = CenteredMoments::new(dim);
+        let mut per_tier = vec![CenteredMoments::new(dim); totals.tiers.len()];
+        let mut fid_series = Vec::new();
+        for (w, row) in totals.cells.iter().enumerate() {
+            let mut in_window = CenteredMoments::new(dim);
+            for (cell, tier) in row.iter().zip(&mut per_tier) {
+                in_window.merge(cell);
+                tier.merge(cell);
+            }
+            run.merge(&in_window);
+            if in_window.count() >= WINDOW_FID_MIN_ROWS {
+                if let Some(fid) = totals.fid(&in_window, WINDOW_FID_RIDGE) {
+                    fid_series.push((w as f64 * totals.window.as_secs_f64(), fid));
+                }
+            }
+        }
+        let fid = totals.fid(&run, RUN_FID_RIDGE).unwrap_or(f64::NAN);
+        let completions = totals.completions();
         let mean_windowed_fid = if fid_series.is_empty() {
             fid
         } else {
             fid_series.iter().map(|(_, f)| f).sum::<f64>() / fid_series.len() as f64
         };
-        let heavy_count = responses
-            .iter()
-            .filter(|r| r.tier == ModelTier::Heavy)
-            .count();
-        let heavy_latency_sum: f64 = responses
-            .iter()
-            .filter(|r| r.tier == ModelTier::Heavy)
-            .map(|r| r.latency_secs())
-            .sum();
-        let resumed: Vec<&CompletedResponse> =
-            responses.iter().filter(|r| r.reused_steps > 0).collect();
-        let gpu_time_sum: f64 = responses.iter().map(|r| r.gpu_time).sum();
         let violation_series = slo
-            .windowed_violation_ratio(window)
+            .windowed_violation_ratio(totals.window)
             .into_iter()
             .map(|(t, v)| (t.as_secs_f64(), v))
             .collect();
-        let num_tiers = responses
+        let mean_of = |sum: f64, count: u64| {
+            if count == 0 {
+                0.0
+            } else {
+                sum / count as f64
+            }
+        };
+        let tier_breakdown = totals
+            .tiers
             .iter()
-            .map(|r| r.tier_index + 1)
-            .max()
-            .unwrap_or(0);
-        let tier_breakdown = (0..num_tiers)
-            .map(|t| {
-                let members: Vec<CompletedResponse> = responses
-                    .iter()
-                    .filter(|r| r.tier_index == t)
-                    .cloned()
-                    .collect();
-                TierStats {
-                    tier: t,
-                    completions: members.len() as u64,
-                    mean_latency: if members.is_empty() {
-                        0.0
-                    } else {
-                        members.iter().map(|r| r.latency_secs()).sum::<f64>() / members.len() as f64
-                    },
-                    fid: fid_of_responses(&members, reference, 1e-6),
-                    escalated_past: responses.iter().filter(|r| r.tier_index > t).count() as u64,
-                }
+            .zip(&per_tier)
+            .enumerate()
+            .map(|(t, (tier, moments))| TierStats {
+                tier: t,
+                completions: tier.completions,
+                mean_latency: mean_of(tier.latency_sum, tier.completions),
+                fid: totals.fid(moments, RUN_FID_RIDGE).unwrap_or(f64::NAN),
+                escalated_past: totals.tiers[t + 1..].iter().map(|d| d.completions).sum(),
             })
             .collect();
         RunReport {
@@ -241,27 +315,11 @@ impl RunReport {
             incident_log,
             addon_stats,
             mean_windowed_fid,
-            heavy_fraction: if responses.is_empty() {
-                0.0
-            } else {
-                heavy_count as f64 / responses.len() as f64
-            },
-            mean_heavy_latency: if heavy_count == 0 {
-                0.0
-            } else {
-                heavy_latency_sum / heavy_count as f64
-            },
-            resumed_queries: resumed.len() as u64,
-            mean_reused_steps: if resumed.is_empty() {
-                0.0
-            } else {
-                resumed.iter().map(|r| r.reused_steps as f64).sum::<f64>() / resumed.len() as f64
-            },
-            gpu_time_per_query: if responses.is_empty() {
-                0.0
-            } else {
-                gpu_time_sum / responses.len() as f64
-            },
+            heavy_fraction: mean_of(totals.heavy as f64, completions),
+            mean_heavy_latency: mean_of(totals.heavy_latency_sum, totals.heavy),
+            resumed_queries: totals.resumed,
+            mean_reused_steps: mean_of(totals.reused_steps_sum, totals.resumed),
+            gpu_time_per_query: mean_of(totals.gpu_time_sum, completions),
             tier_breakdown,
         }
     }
@@ -340,6 +398,222 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::model_tier;
+    use crate::query::QueryId;
+    use diffserve_linalg::Mat;
+    use diffserve_simkit::time::SimTime;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The oracle the streamed cells replaced: gather the rows of a set,
+    /// fit a Gaussian in two passes, measure it against the reference.
+    fn two_pass_fid(rows: &[&CompletedResponse], reference: &GaussianStats, ridge: f64) -> f64 {
+        if rows.len() < 2 {
+            return f64::NAN;
+        }
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.features.as_slice()).collect();
+        GaussianStats::fit(&Mat::from_rows(&refs), ridge)
+            .and_then(|g| frechet_distance(&g, reference))
+            .unwrap_or(f64::NAN)
+    }
+
+    /// Both `NaN`, or within 1e-9 relative.
+    fn close(streamed: f64, oracle: f64) -> bool {
+        (streamed.is_nan() && oracle.is_nan())
+            || (streamed - oracle).abs() <= 1e-9 * oracle.abs().max(1e-12)
+    }
+
+    const DIM: usize = 4;
+    const WINDOW_SECS: u64 = 10;
+    /// Window populations the generator draws from: empty, too few to fit,
+    /// either side of the 24-row rule, and comfortably above it.
+    const POPULATIONS: [usize; 8] = [0, 1, 2, 23, 24, 25, 40, 61];
+
+    fn reference() -> GaussianStats {
+        let cov = Mat::from_fn(DIM, DIM, |i, j| match i.abs_diff(j) {
+            0 => 1.0 + 0.3 * i as f64,
+            1 => 0.2,
+            _ => 0.0,
+        });
+        GaussianStats::from_moments(vec![0.4, -1.1, 2.5, 0.0], cov)
+    }
+
+    /// Random completions: `populations[w]` of them in metrics window `w`,
+    /// spread over the tiers of `tier_mask`, plus — with `lonely` — a
+    /// single completion on tier 3, all in shuffled recording order.
+    fn responses(
+        populations: &[usize],
+        tier_mask: usize,
+        lonely: bool,
+        seed: u64,
+    ) -> Vec<CompletedResponse> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let tiers: Vec<usize> = (0..3).filter(|t| tier_mask & (1 << t) != 0).collect();
+        let mut slots: Vec<(usize, usize)> = populations
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &n)| std::iter::repeat_n(w, n))
+            .map(|w| (w, tiers[rng.gen_range(0..tiers.len())]))
+            .collect();
+        if lonely {
+            slots.push((rng.gen_range(0..populations.len()), 3));
+        }
+        let mean = reference().mean().to_vec();
+        let mut out: Vec<CompletedResponse> = slots
+            .into_iter()
+            .enumerate()
+            .map(|(id, (w, tier))| {
+                let completion = SimTime::from_micros(
+                    w as u64 * WINDOW_SECS * 1_000_000 + rng.gen_range(0..WINDOW_SECS * 1_000_000),
+                );
+                let latency = rng.gen_range(0..completion.as_micros().min(8_000_000) + 1);
+                CompletedResponse {
+                    id: QueryId(id as u64),
+                    arrival: SimTime::from_micros(completion.as_micros() - latency),
+                    completion,
+                    // Each tier sits at its own distance from the reference.
+                    features: mean
+                        .iter()
+                        .map(|m| m + 0.5 * tier as f64 + rng.gen_range(-1.5..1.5))
+                        .collect(),
+                    quality: 0.5,
+                    tier: model_tier(tier),
+                    tier_index: tier,
+                    confidence: None,
+                    gpu_time: rng.gen_range(0.1..3.0),
+                    reused_steps: if tier > 0 { rng.gen_range(0..4) } else { 0 },
+                }
+            })
+            .collect();
+        out.shuffle(&mut rng);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The report assembled from streamed cells against the one a scan
+        /// over the retained responses would give: the FID family has the
+        /// same shape (series length and keys, breakdown length, `NaN` in
+        /// the same places) and agrees within 1e-9 relative with the
+        /// two-pass fit; every count and every running sum is the same
+        /// bits.
+        #[test]
+        fn streamed_report_matches_a_scan_over_the_responses(
+            populations in proptest::collection::vec(0usize..8, 1..6),
+            tier_mask in 1usize..8,
+            lonely in 0usize..2,
+            seed in 0u64..100_000,
+        ) {
+            let populations: Vec<usize> = populations.iter().map(|&p| POPULATIONS[p]).collect();
+            let responses = responses(&populations, tier_mask, lonely == 1, seed);
+            let reference = reference();
+            let window = SimDuration::from_secs(WINDOW_SECS);
+            let mut slo = SloTracker::new(SimDuration::from_secs(5));
+            let mut totals = CompletionTotals::new(&reference, window);
+            for r in &responses {
+                slo.record_completion(r.arrival, r.completion);
+                totals.record(r);
+            }
+            let report = RunReport::assemble(
+                Policy::DiffServe,
+                responses.len() as u64,
+                &slo,
+                &totals,
+                Vec::new(),
+                Vec::new(),
+                Vec::new(),
+                Vec::new(),
+                AddonStats::default(),
+            );
+
+            let all: Vec<&CompletedResponse> = responses.iter().collect();
+            proptest::prop_assert!(close(report.fid, two_pass_fid(&all, &reference, 1e-6)));
+
+            // The series: one entry per window holding at least 24 rows,
+            // keyed by the window's start.
+            let mut series = Vec::new();
+            for w in 0..populations.len() {
+                let members: Vec<&CompletedResponse> = all
+                    .iter()
+                    .copied()
+                    .filter(|r| r.completion.as_micros() / window.as_micros() == w as u64)
+                    .collect();
+                if members.len() >= 24 {
+                    series.push((
+                        w as f64 * window.as_secs_f64(),
+                        two_pass_fid(&members, &reference, 1e-3),
+                    ));
+                }
+            }
+            proptest::prop_assert_eq!(report.fid_series.len(), series.len());
+            for (got, want) in report.fid_series.iter().zip(&series) {
+                proptest::prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
+                proptest::prop_assert!(close(got.1, want.1), "{:?} vs {:?}", got, want);
+            }
+            let mean_windowed = if series.is_empty() {
+                report.fid
+            } else {
+                series.iter().map(|(_, f)| f).sum::<f64>() / series.len() as f64
+            };
+            proptest::prop_assert!(close(report.mean_windowed_fid, mean_windowed));
+
+            // The breakdown: an entry per tier up to the deepest that
+            // completed anything, empty tiers in between included.
+            let depth = all.iter().map(|r| r.tier_index + 1).max().unwrap_or(0);
+            proptest::prop_assert_eq!(report.tier_breakdown.len(), depth);
+            for (t, stats) in report.tier_breakdown.iter().enumerate() {
+                let members: Vec<&CompletedResponse> =
+                    all.iter().copied().filter(|r| r.tier_index == t).collect();
+                proptest::prop_assert_eq!(stats.tier, t);
+                proptest::prop_assert_eq!(stats.completions, members.len() as u64);
+                let mean_latency = if members.is_empty() {
+                    0.0
+                } else {
+                    members.iter().map(|r| r.latency_secs()).sum::<f64>() / members.len() as f64
+                };
+                proptest::prop_assert_eq!(stats.mean_latency.to_bits(), mean_latency.to_bits());
+                proptest::prop_assert_eq!(stats.fid.is_nan(), members.len() < 2);
+                proptest::prop_assert!(close(stats.fid, two_pass_fid(&members, &reference, 1e-6)));
+                proptest::prop_assert_eq!(
+                    stats.escalated_past,
+                    all.iter().filter(|r| r.tier_index > t).count() as u64
+                );
+            }
+
+            // The running sums, against sums over the slice in its order.
+            let n = all.len() as f64;
+            let heavy: Vec<f64> = all
+                .iter()
+                .filter(|r| r.tier == ModelTier::Heavy)
+                .map(|r| r.latency_secs())
+                .collect();
+            let reused: Vec<f64> = all
+                .iter()
+                .filter(|r| r.reused_steps > 0)
+                .map(|r| r.reused_steps as f64)
+                .collect();
+            let mean = |xs: &[f64]| {
+                if xs.is_empty() {
+                    0.0
+                } else {
+                    xs.iter().sum::<f64>() / xs.len() as f64
+                }
+            };
+            let gpu: Vec<f64> = all.iter().map(|r| r.gpu_time).collect();
+            proptest::prop_assert_eq!(
+                report.heavy_fraction.to_bits(),
+                if all.is_empty() { 0.0 } else { heavy.len() as f64 / n }.to_bits()
+            );
+            proptest::prop_assert_eq!(report.mean_heavy_latency.to_bits(), mean(&heavy).to_bits());
+            proptest::prop_assert_eq!(report.resumed_queries, reused.len() as u64);
+            proptest::prop_assert_eq!(report.mean_reused_steps.to_bits(), mean(&reused).to_bits());
+            proptest::prop_assert_eq!(report.gpu_time_per_query.to_bits(), mean(&gpu).to_bits());
+            proptest::prop_assert_eq!(totals.completions(), all.len() as u64);
+            proptest::prop_assert_eq!(totals.heavy(), heavy.len() as u64);
+            proptest::prop_assert_eq!(totals.resumed(), reused.len() as u64);
+        }
+    }
 
     #[test]
     fn summary_contains_key_numbers() {

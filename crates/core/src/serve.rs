@@ -63,7 +63,6 @@
 //! ```
 
 use diffserve_imagegen::{Prompt, StageLatencyBreakdown, StageState};
-use diffserve_metrics::{GaussianStats, RollingFid};
 use diffserve_simkit::rng::{derive_seed, seeded_rng};
 use diffserve_simkit::time::SimTime;
 use diffserve_trace::{
@@ -74,20 +73,13 @@ use crate::addons::AddonStats;
 use crate::config::{ConfigError, SystemConfig};
 use crate::policy::{AblationKnobs, Policy};
 use crate::query::{CompletedResponse, ModelTier, QueryId};
-use crate::report::{fid_of_responses, RunReport};
+use crate::report::RunReport;
 use crate::runtime::CascadeRuntime;
 use crate::sim::{AllocatorBackend, RunSettings, SimBackend};
 
 /// Seed stream used for trace-replay arrival generation — shared by every
 /// backend so the simulator and the testbed draw identical Poisson streams.
 pub(crate) const ARRIVAL_SEED_STREAM: u64 = 0xA881;
-
-/// Number of most-recent responses the rolling FID estimate is fit on.
-const FID_ESTIMATE_TAIL: usize = 256;
-
-/// Ridge added to the rolling window's covariance diagonal; matches the
-/// regularization the windowed-FID report series uses for small windows.
-const FID_ESTIMATE_RIDGE: f64 = 1e-3;
 
 /// Which execution engine a [`SessionBuilder`] should construct.
 ///
@@ -311,54 +303,6 @@ impl SessionSnapshot {
             busy as f64 / total as f64
         }
     }
-}
-
-/// Rolling FID estimate for snapshots: a Gaussian fit over the most recent
-/// completions only, so the cost per tap stays bounded no matter how long
-/// the session runs. `NaN` with fewer than two responses.
-///
-/// This is the batch reference computation; the engines themselves
-/// maintain a [`session_rolling_fid`] estimator so each completion costs
-/// `O(d²)` instead of refitting the whole tail at every snapshot tap.
-pub fn rolling_fid_estimate(responses: &[CompletedResponse], reference: &GaussianStats) -> f64 {
-    let tail = &responses[responses.len().saturating_sub(FID_ESTIMATE_TAIL)..];
-    fid_of_responses(tail, reference, FID_ESTIMATE_RIDGE)
-}
-
-/// The incremental rolling-FID estimator every backend keeps for its
-/// snapshots, configured identically to [`rolling_fid_estimate`]: a
-/// 256-response window with the same covariance ridge. Backends push each
-/// completion's features as they record it and read
-/// [`RollingFid::estimate`] at snapshot time.
-pub fn session_rolling_fid(reference: &GaussianStats) -> RollingFid {
-    RollingFid::new(reference.clone(), FID_ESTIMATE_TAIL, FID_ESTIMATE_RIDGE)
-}
-
-/// The outcome-draining protocol shared by every backend: clone the
-/// completions recorded since `cursor` (advancing it), drain the pending
-/// drop log, and merge the two streams back into recording order by
-/// timestamp (each accumulates monotonically, so a stable sort suffices).
-pub fn drain_outcomes(
-    responses: &[CompletedResponse],
-    cursor: &mut usize,
-    drops: &mut Vec<(QueryId, SimTime, SimTime)>,
-) -> Vec<QueryOutcome> {
-    let mut out: Vec<QueryOutcome> = responses[*cursor..]
-        .iter()
-        .cloned()
-        .map(QueryOutcome::Completed)
-        .collect();
-    *cursor = responses.len();
-    out.extend(
-        drops
-            .drain(..)
-            .map(|(id, arrival, at)| QueryOutcome::Dropped { id, arrival, at }),
-    );
-    out.sort_by_key(|o| match o {
-        QueryOutcome::Completed(r) => r.completion,
-        QueryOutcome::Dropped { at, .. } => *at,
-    });
-    out
 }
 
 /// Why a [`SessionBuilder`] refused to construct a session.
@@ -791,7 +735,10 @@ impl<'a> ServingSession<'a> {
     }
 
     /// Drains outcomes (completions and drops) recorded since the last
-    /// poll.
+    /// poll. They are handed over, not copied: the session keeps an outcome
+    /// only until it is polled (a session never polled keeps them all until
+    /// [`ServingSession::finish`]), and the final report does not depend on
+    /// them — it is assembled from totals streamed at completion time.
     pub fn poll(&mut self) -> Vec<QueryOutcome> {
         self.backend.drain_completions()
     }

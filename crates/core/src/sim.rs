@@ -193,20 +193,26 @@ enum RoutePool {
 
 /// Per-tier sorted load index over the alive fleet.
 ///
-/// Replaces the router's linear scans: every alive worker sits in exactly
-/// one pool (primary or pending, per tier) and in the global alive set,
-/// keyed by `(routing load, worker index)`. `BTreeSet` minima then answer
-/// "least-loaded worker of this tier" in `O(log n)` instead of `O(n)`,
-/// and the `(key, index)` ordering reproduces the scan's `(load, index)`
-/// tie-break bit-for-bit. Debug builds assert that agreement on every
-/// routing decision (see `ServingSim::scan_route`).
+/// Replaces the router's linear scans. The invariant: every alive worker
+/// sits in exactly one pool — primary or pending, of exactly one tier —
+/// keyed by `(routing load, worker index)`, and `slot` says which; a failed
+/// worker sits in none. `BTreeSet` minima then answer "least-loaded worker
+/// of this tier" in `O(log n)` instead of `O(n)`, and the `(key, index)`
+/// ordering reproduces the scan's `(load, index)` tie-break bit-for-bit.
+/// Because the pools partition the alive fleet there is no separate set of
+/// all alive workers: their count is a counter, their minimum the least of
+/// the pool minima, and their `(key, index)` order the merge of the pools.
+/// Debug builds assert agreement with the scan on every routing decision
+/// (see `ServingSim::scan_route`); `load_index_matches_a_linear_scan` does
+/// the same against a model in release builds.
 #[derive(Debug, Clone)]
 struct LoadIndex {
     primary: Vec<BTreeSet<(u64, usize)>>,
     pending_to: Vec<BTreeSet<(u64, usize)>>,
-    alive: BTreeSet<(u64, usize)>,
     /// Back-reference per worker: its pool and key, `None` while failed.
     slot: Vec<Option<(RoutePool, u64)>>,
+    /// Workers with a slot.
+    alive: usize,
 }
 
 impl LoadIndex {
@@ -214,47 +220,72 @@ impl LoadIndex {
         LoadIndex {
             primary: vec![BTreeSet::new(); tiers],
             pending_to: vec![BTreeSet::new(); tiers],
-            alive: BTreeSet::new(),
             slot: vec![None; n],
+            alive: 0,
+        }
+    }
+
+    fn pool_mut(&mut self, pool: RoutePool) -> &mut BTreeSet<(u64, usize)> {
+        match pool {
+            RoutePool::Primary(t) => &mut self.primary[t],
+            RoutePool::PendingTo(t) => &mut self.pending_to[t],
         }
     }
 
     fn remove(&mut self, idx: usize) {
         if let Some((pool, key)) = self.slot[idx].take() {
-            let set = match pool {
-                RoutePool::Primary(t) => &mut self.primary[t],
-                RoutePool::PendingTo(t) => &mut self.pending_to[t],
-            };
-            set.remove(&(key, idx));
-            self.alive.remove(&(key, idx));
+            self.pool_mut(pool).remove(&(key, idx));
+            self.alive -= 1;
         }
     }
 
+    /// Files worker `idx` under `(pool, key)`. A worker already filed
+    /// exactly there is left alone: most refreshes follow a change that
+    /// did not move the load (a batch moving from queue to in-flight), and
+    /// the B-tree must not be re-sorted for those.
     fn insert(&mut self, idx: usize, pool: RoutePool, key: u64) {
+        if self.slot[idx] == Some((pool, key)) {
+            return;
+        }
         self.remove(idx);
-        let set = match pool {
-            RoutePool::Primary(t) => &mut self.primary[t],
-            RoutePool::PendingTo(t) => &mut self.pending_to[t],
-        };
-        set.insert((key, idx));
-        self.alive.insert((key, idx));
+        self.pool_mut(pool).insert((key, idx));
         self.slot[idx] = Some((pool, key));
+        self.alive += 1;
     }
 
     fn min_primary(&self, tier: usize) -> Option<usize> {
-        self.primary[tier].iter().next().map(|&(_, i)| i)
+        self.primary[tier].first().map(|&(_, i)| i)
     }
 
     fn min_pending_to(&self, tier: usize) -> Option<usize> {
-        self.pending_to[tier].iter().next().map(|&(_, i)| i)
+        self.pending_to[tier].first().map(|&(_, i)| i)
     }
 
+    /// The pools, which between them hold every alive worker once.
+    fn pools(&self) -> impl Iterator<Item = &BTreeSet<(u64, usize)>> {
+        self.primary.iter().chain(&self.pending_to)
+    }
+
+    /// The least `(key, index)` over the whole alive fleet.
     fn min_alive(&self) -> Option<usize> {
-        self.alive.iter().next().map(|&(_, i)| i)
+        self.pools()
+            .filter_map(BTreeSet::first)
+            .min()
+            .map(|&(_, i)| i)
+    }
+
+    /// Every alive worker in `(key, index)` order, the order one set of
+    /// them all would iterate in. Only a query bound for a tier nobody
+    /// serves ranks the whole fleet, so this is off the hot path and the
+    /// pools are simply gathered and sorted.
+    fn alive_in_order(&self) -> Vec<usize> {
+        let mut all: Vec<(u64, usize)> = self.pools().flatten().copied().collect();
+        all.sort_unstable();
+        all.into_iter().map(|(_, i)| i).collect()
     }
 
     fn alive_len(&self) -> usize {
-        self.alive.len()
+        self.alive
     }
 
     /// Alive workers whose target tier is `tier` (primaries plus workers
@@ -308,7 +339,6 @@ impl QueryRec {
 struct ServingSim<'a> {
     config: SystemConfig,
     settings: RunSettings,
-    runtime: &'a CascadeRuntime,
     /// The serving kernel: tier roster, service-time model, routing score,
     /// entry tier and boundary verdict. This engine only schedules — every
     /// decision is a call into it.
@@ -356,7 +386,8 @@ struct ServingSim<'a> {
     /// Scratch: distinct missing module ids of the batch being priced.
     addon_scratch: Vec<usize>,
     // Metrics.
-    /// Outcome accounting: SLO tracker, responses, rolling FID, drops.
+    /// Outcome accounting: SLO tracker, streamed report totals, rolling
+    /// FID, outcomes awaiting a poll.
     ledger: Ledger,
     /// Arrivals, violations and confidences since the last control tick.
     telemetry: TickTelemetry,
@@ -443,7 +474,7 @@ impl<'a> ServingSim<'a> {
             },
             addon_stats: AddonStats::default(),
             addon_scratch: Vec::new(),
-            ledger: Ledger::new(config.slo, &runtime.reference),
+            ledger: Ledger::new(&config, &runtime.reference),
             tier_escalations: vec![0; boundaries],
             threshold_series: WindowedSeries::new(config.metrics_window),
             arrival_series: WindowedSeries::new(config.metrics_window),
@@ -456,7 +487,6 @@ impl<'a> ServingSim<'a> {
             kernel,
             config,
             settings,
-            runtime,
             control,
         };
         for i in 0..sim.workers.len() {
@@ -681,21 +711,21 @@ impl<'a> ServingSim<'a> {
         let (id, penalty) = self
             .kernel
             .miss_penalty(tier, self.queries[qidx as usize].addon)?;
-        let pool = if !self.index.primary[tier].is_empty() {
-            &self.index.primary[tier]
-        } else if !self.index.pending_to[tier].is_empty() {
-            &self.index.pending_to[tier]
-        } else {
-            &self.index.alive
-        };
-        kernel::pick_min(pool.iter().map(|&(_, i)| {
+        let score = |i: usize| {
             let miss = if self.caches[i].contains(id) {
                 0.0
             } else {
                 penalty
             };
             (i, self.routing_load(i) + miss)
-        }))
+        };
+        let pool = [&self.index.primary[tier], &self.index.pending_to[tier]]
+            .into_iter()
+            .find(|pool| !pool.is_empty());
+        match pool {
+            Some(pool) => kernel::pick_min(pool.iter().map(|&(_, i)| score(i))),
+            None => kernel::pick_min(self.index.alive_in_order().into_iter().map(score)),
+        }
     }
 
     /// Health-weighted join-shortest-queue routing to the pool of a tier.
@@ -1488,16 +1518,7 @@ pub fn run_trace(
     settings: &RunSettings,
     trace: &Trace,
 ) -> RunReport {
-    let mut session = ServingSession::builder()
-        .runtime(runtime)
-        .config(config.clone())
-        .settings(settings.clone())
-        .build()
-        .expect("valid system config and settings");
-    session.replay_trace(trace);
-    // Horizon: trace end plus a drain period of 4 SLOs.
-    session.run_until(SimTime::ZERO + trace.duration() + config.slo * 4);
-    session.finish()
+    run_batch(runtime, config, settings, None, trace)
 }
 
 /// Runs one policy against a [`Scenario`]: the base trace with its demand
@@ -1522,15 +1543,42 @@ pub fn run_scenario(
     settings: &RunSettings,
     scenario: &Scenario,
 ) -> RunReport {
-    let mut session = ServingSession::builder()
+    run_batch(
+        runtime,
+        config,
+        settings,
+        Some(scenario),
+        &scenario.effective_trace(),
+    )
+}
+
+/// The batch drive behind [`run_trace`] and [`run_scenario`]: replay the
+/// trace into a simulator-backed session, run to the trace end plus a drain
+/// period of 4 SLOs, finish. Nothing here polls, so the session's ledger is
+/// told to keep no per-query outcomes — a replay's memory then does not
+/// grow with its length. The report is the one a polled session produces:
+/// it is assembled from the ledger's streamed totals either way.
+fn run_batch(
+    runtime: &CascadeRuntime,
+    config: &SystemConfig,
+    settings: &RunSettings,
+    scenario: Option<&Scenario>,
+    trace: &Trace,
+) -> RunReport {
+    let mut builder = ServingSession::builder()
         .runtime(runtime)
         .config(config.clone())
-        .settings(settings.clone())
-        .scenario(scenario.clone())
-        .build()
+        .settings(settings.clone());
+    if let Some(scenario) = scenario {
+        builder = builder.scenario(scenario.clone());
+    }
+    let spec = builder
+        .validate()
         .expect("valid scenario and system config");
-    let trace = scenario.effective_trace();
-    session.replay_trace(&trace);
+    let mut backend = SimBackend::new(&spec);
+    backend.sim.actor_mut().ledger.discard_outcomes();
+    let mut session = ServingSession::from_backend(&spec, Box::new(backend));
+    session.replay_trace(trace);
     session.run_until(SimTime::ZERO + trace.duration() + config.slo * 4);
     session.finish()
 }
@@ -1555,9 +1603,7 @@ fn build_report(mut state: ServingSim<'_>, horizon: SimTime) -> RunReport {
         state.settings.policy,
         state.total_arrivals,
         state.ledger.slo(),
-        state.ledger.responses(),
-        &state.runtime.reference,
-        state.config.metrics_window,
+        state.ledger.totals(),
         to_secs(state.arrival_series.window_rates()),
         to_secs(state.threshold_series.window_means()),
         deferral_errors,
@@ -1601,6 +1647,98 @@ mod tests {
 
     fn flat_trace(qps: f64, secs: u64) -> Trace {
         Trace::constant(qps, SimDuration::from_secs(secs)).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The load index against a model that keeps each worker's
+        /// `(pool, key)` in a plain vector and answers every question by
+        /// linear scan. `scan_route` makes the same comparison on live
+        /// routing decisions, but only in debug builds; this one holds in
+        /// release builds too. Each drawn operation is an insert (a
+        /// recovery, a re-key, a tier switch, or — filed where it already
+        /// is — the early return), a removal (a fail-stop), or the
+        /// emptying of a whole tier, after which a query bound for it
+        /// ranks the merged fleet (`alive_in_order`).
+        #[test]
+        fn load_index_matches_a_linear_scan(
+            ops in proptest::collection::vec(
+                (0usize..8, 0usize..12, 0usize..6, 0usize..5),
+                1..120,
+            ),
+        ) {
+            const WORKERS: usize = 12;
+            const TIERS: usize = 3;
+            let mut index = LoadIndex::new(WORKERS, TIERS);
+            let mut model: Vec<Option<(RoutePool, u64)>> = vec![None; WORKERS];
+            for (kind, idx, pool, load) in ops {
+                let pool = match pool {
+                    p if p < TIERS => RoutePool::Primary(p),
+                    p => RoutePool::PendingTo(p - TIERS),
+                };
+                // Few distinct loads, so ties on the key are common.
+                let key = load_key(load as f64 * 0.5);
+                match kind {
+                    0 => {
+                        index.remove(idx);
+                        model[idx] = None;
+                    }
+                    1 => {
+                        let tier_of = |pool| match pool {
+                            RoutePool::Primary(t) | RoutePool::PendingTo(t) => t,
+                        };
+                        for (i, slot) in model.iter_mut().enumerate() {
+                            if slot.is_some_and(|(p, _)| tier_of(p) == tier_of(pool)) {
+                                index.remove(i);
+                                *slot = None;
+                            }
+                        }
+                    }
+                    2 => {
+                        // Re-file a worker exactly where it already is.
+                        if let Some((pool, key)) = model[idx] {
+                            index.insert(idx, pool, key);
+                        }
+                    }
+                    _ => {
+                        index.insert(idx, pool, key);
+                        model[idx] = Some((pool, key));
+                    }
+                }
+
+                let scan = |want: &dyn Fn(RoutePool) -> bool| -> Vec<(u64, usize)> {
+                    let mut members: Vec<(u64, usize)> = model
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, slot)| Some((slot.filter(|&(p, _)| want(p))?.1, i)))
+                        .collect();
+                    members.sort_unstable();
+                    members
+                };
+                let first = |members: &[(u64, usize)]| members.first().map(|&(_, i)| i);
+                let everyone = scan(&|_| true);
+                proptest::prop_assert_eq!(index.alive_len(), everyone.len());
+                proptest::prop_assert_eq!(index.min_alive(), first(&everyone));
+                proptest::prop_assert_eq!(
+                    index.alive_in_order(),
+                    everyone.iter().map(|&(_, i)| i).collect::<Vec<_>>()
+                );
+                for t in 0..TIERS {
+                    let primaries = scan(&|p| p == RoutePool::Primary(t));
+                    let pending = scan(&|p| p == RoutePool::PendingTo(t));
+                    proptest::prop_assert_eq!(index.min_primary(t), first(&primaries));
+                    proptest::prop_assert_eq!(index.min_pending_to(t), first(&pending));
+                    proptest::prop_assert_eq!(index.tier_len(t), primaries.len() + pending.len());
+                    let mut members = Vec::new();
+                    index.tier_members(t, &mut members);
+                    let listed: Vec<usize> =
+                        primaries.iter().chain(&pending).map(|&(_, i)| i).collect();
+                    proptest::prop_assert_eq!(members, listed);
+                }
+                proptest::prop_assert_eq!(&index.slot, &model);
+            }
+        }
     }
 
     #[test]

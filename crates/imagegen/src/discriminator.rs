@@ -22,6 +22,10 @@ use crate::features::DIM;
 use crate::model::DiffusionModel;
 use crate::prompt::PromptDataset;
 
+/// Widest layer of any backbone stand-in (input included): sizes the stack
+/// scratch of the per-query forward pass.
+const MAX_WIDTH: usize = 64;
+
 /// Discriminator backbone (paper Fig. 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiscArch {
@@ -34,7 +38,8 @@ pub enum DiscArch {
 }
 
 impl DiscArch {
-    /// Hidden-layer widths standing in for backbone capacity.
+    /// Hidden-layer widths standing in for backbone capacity; none may
+    /// exceed [`MAX_WIDTH`].
     fn hidden_widths(self) -> Vec<usize> {
         match self {
             DiscArch::EfficientNetV2 => vec![32, 16],
@@ -253,34 +258,30 @@ impl Discriminator {
     }
 
     /// Uncalibrated softmax probability that `features` belong to a real
-    /// image.
+    /// image. Runs once per served query, so the forward pass is a single
+    /// row over stack scratch ([`Mlp::predict_proba_row`]) — no heap
+    /// allocation, same bits as the batched `predict_proba`.
     ///
     /// # Panics
     ///
     /// Panics if the feature vector has the wrong dimensionality.
     pub fn raw_confidence(&self, features: &[f64]) -> f64 {
         assert_eq!(features.len(), DIM, "feature dimensionality mismatch");
-        let extracted = self.extract(features);
-        let x = Mat::from_rows(&[&extracted]);
-        self.classifier.predict_proba(&x)[(0, 1)]
-    }
-
-    /// Applies the backbone's feature-extraction noise, deterministically
-    /// per image (seeded from the feature bits) so repeated scoring of the
-    /// same image is stable.
-    fn extract(&self, features: &[f64]) -> Vec<f64> {
+        let mut extracted = [0.0; DIM];
+        extracted.copy_from_slice(features);
         let sigma = self.config.arch.feature_noise();
-        if sigma == 0.0 {
-            return features.to_vec();
+        if sigma != 0.0 {
+            // The backbone's feature-extraction noise, deterministic per
+            // image (seeded from the feature bits) so repeated scoring of
+            // the same image is stable.
+            let tag = features
+                .iter()
+                .fold(0u64, |acc, f| acc.rotate_left(7) ^ f.to_bits());
+            let mut rng = seeded_rng(derive_seed(self.config.seed, tag));
+            extracted[crate::features::ARTIFACT_AXIS] += sigma * Normal::standard().draw(&mut rng);
         }
-        let tag = features
-            .iter()
-            .fold(0u64, |acc, f| acc.rotate_left(7) ^ f.to_bits());
-        let mut rng = seeded_rng(derive_seed(self.config.seed, tag));
-        let normal = Normal::standard();
-        let mut out = features.to_vec();
-        out[crate::features::ARTIFACT_AXIS] += sigma * normal.draw(&mut rng);
-        out
+        let mut scratch = [0.0; 2 * MAX_WIDTH];
+        self.classifier.predict_proba_row(&extracted, &mut scratch)[1]
     }
 
     /// Calibrated confidence in `[0, 1]` — the cascade's quality score.
@@ -421,6 +422,78 @@ mod tests {
         let batch = disc.confidences(&Mat::from_rows(&refs));
         for (i, img) in imgs.iter().enumerate() {
             assert!((batch[i] - disc.confidence(img)).abs() < 1e-12);
+        }
+    }
+
+    /// The small setup plus one quickly trained discriminator per backbone,
+    /// in [`ARCHS`] order.
+    type Fixture = (PromptDataset, [DiffusionModel; 2], Vec<Discriminator>);
+
+    fn trained_archs() -> &'static Fixture {
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let (dataset, light, heavy) = small_setup();
+            let discs = ARCHS
+                .iter()
+                .map(|&arch| {
+                    let config = DiscriminatorConfig {
+                        arch,
+                        ..quick_config()
+                    };
+                    Discriminator::train(&dataset, &light, &heavy, config)
+                })
+                .collect();
+            (dataset, [light, heavy], discs)
+        })
+    }
+
+    const ARCHS: [DiscArch; 3] = [
+        DiscArch::EfficientNetV2,
+        DiscArch::ResNet34,
+        DiscArch::ViTB16,
+    ];
+
+    /// The confidence as it was computed before the row forward: extract
+    /// into a fresh vector, wrap it in a 1-row matrix, run the batched
+    /// `predict_proba`.
+    fn confidence_via_matrix(disc: &Discriminator, features: &[f64]) -> f64 {
+        let mut extracted = features.to_vec();
+        let sigma = disc.config.arch.feature_noise();
+        if sigma != 0.0 {
+            let tag = features
+                .iter()
+                .fold(0u64, |acc, f| acc.rotate_left(7) ^ f.to_bits());
+            let mut rng = seeded_rng(derive_seed(disc.config.seed, tag));
+            extracted[crate::features::ARTIFACT_AXIS] += sigma * Normal::standard().draw(&mut rng);
+        }
+        let x = Mat::from_rows(&[&extracted]);
+        disc.equalize(disc.classifier.predict_proba(&x)[(0, 1)])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(192))]
+
+        /// On every backbone — noiseless, and the two that perturb the
+        /// artifact axis — the allocation-free confidence is bit-for-bit
+        /// the matrix path's, also on rows with coordinates zeroed out
+        /// (the accumulation skips exact zeros).
+        #[test]
+        fn confidence_matches_the_matrix_path_bitwise(
+            arch in 0usize..3,
+            prompt in 0usize..600,
+            tier in 0usize..2,
+            zero_stride in 1usize..20,
+        ) {
+            let (dataset, models, discs) = trained_archs();
+            let mut features = models[tier].generate(&dataset.prompts()[prompt]).features;
+            for v in features.iter_mut().skip(1).step_by(zero_stride) {
+                *v = 0.0;
+            }
+            let disc = &discs[arch];
+            proptest::prop_assert_eq!(
+                disc.confidence(&features).to_bits(),
+                confidence_via_matrix(disc, &features).to_bits()
+            );
         }
     }
 

@@ -116,6 +116,136 @@ impl GaussianStats {
     }
 }
 
+/// Mergeable sufficient statistics of a feature set, for fitting a Gaussian
+/// to a stream without keeping its rows: the row count `n`, `Σc` and the
+/// upper triangle of `Σccᵀ` over *centred* rows `c = x − r`.
+///
+/// The shift `r` is the caller's, fixed for every row of every set that
+/// will be merged: sets centred on the same `r` merge by plain addition.
+/// Any `r` gives the same Gaussian in exact arithmetic; in floating point
+/// `Σccᵀ − ΣcΣcᵀ/n` cancels digits in proportion to `|mean − r|² /
+/// variance`, so `r` should sit near the data (for generated features, the
+/// FID reference mean), not wherever the feature space has its origin.
+///
+/// # Examples
+///
+/// ```
+/// use diffserve_linalg::Mat;
+/// use diffserve_metrics::{CenteredMoments, GaussianStats};
+///
+/// let rows = [[1.0, 2.0], [2.0, 4.5], [3.0, 6.0]];
+/// let shift = [2.0, 4.0];
+/// let mut moments = CenteredMoments::new(2);
+/// for row in &rows {
+///     moments.push(&[row[0] - shift[0], row[1] - shift[1]]);
+/// }
+/// let streamed = moments.gaussian(&shift, 1e-6)?;
+/// let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+/// let two_pass = GaussianStats::fit(&Mat::from_rows(&refs), 1e-6)?;
+/// assert!(streamed.cov().max_abs_diff(two_pass.cov()) < 1e-12);
+/// # Ok::<(), diffserve_metrics::FidError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct CenteredMoments {
+    count: u64,
+    sum: Vec<f64>,
+    /// Upper triangle of `Σccᵀ`, packed row by row (`d`, `d − 1`, … cells).
+    scatter: Vec<f64>,
+}
+
+impl CenteredMoments {
+    /// An empty set over `dim` features.
+    pub fn new(dim: usize) -> Self {
+        CenteredMoments {
+            count: 0,
+            sum: vec![0.0; dim],
+            scatter: vec![0.0; dim * (dim + 1) / 2],
+        }
+    }
+
+    /// Rows accumulated so far.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Adds one row, already centred on the shift.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row does not have this set's dimensionality.
+    #[inline]
+    pub fn push(&mut self, centered: &[f64]) {
+        assert_eq!(centered.len(), self.sum.len(), "feature dimension mismatch");
+        self.count += 1;
+        for (s, &c) in self.sum.iter_mut().zip(centered) {
+            *s += c;
+        }
+        let mut rest = self.scatter.as_mut_slice();
+        for (a, &ca) in centered.iter().enumerate() {
+            let (row, tail) = rest.split_at_mut(centered.len() - a);
+            for (cell, &cb) in row.iter_mut().zip(&centered[a..]) {
+                *cell += ca * cb;
+            }
+            rest = tail;
+        }
+    }
+
+    /// Adds every row of `other`, which must be centred on the same shift.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dimensionality mismatch.
+    pub fn merge(&mut self, other: &CenteredMoments) {
+        assert_eq!(
+            other.sum.len(),
+            self.sum.len(),
+            "feature dimension mismatch"
+        );
+        self.count += other.count;
+        for (s, o) in self.sum.iter_mut().zip(&other.sum) {
+            *s += o;
+        }
+        for (s, o) in self.scatter.iter_mut().zip(&other.scatter) {
+            *s += o;
+        }
+    }
+
+    /// The Gaussian [`GaussianStats::fit`] would fit to the accumulated
+    /// rows: mean `r + Σc/n`, sample covariance `(Σccᵀ − ΣcΣcᵀ/n)/(n − 1)`
+    /// plus `ridge · I`. `shift` is the `r` the rows were centred on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FidError::TooFewSamples`] with fewer than two rows.
+    pub fn gaussian(&self, shift: &[f64], ridge: f64) -> Result<GaussianStats, FidError> {
+        assert_eq!(shift.len(), self.sum.len(), "feature dimension mismatch");
+        if self.count < 2 {
+            return Err(FidError::TooFewSamples {
+                got: self.count as usize,
+            });
+        }
+        let d = self.sum.len();
+        let n = self.count as f64;
+        let mean = shift
+            .iter()
+            .zip(&self.sum)
+            .map(|(r, s)| r + s / n)
+            .collect();
+        let mut cov = Mat::zeros(d, d);
+        let mut packed = self.scatter.iter();
+        for a in 0..d {
+            for b in a..d {
+                let scatter = packed.next().expect("d(d+1)/2 packed cells");
+                let c = (scatter - self.sum[a] * self.sum[b] / n) / (n - 1.0);
+                cov[(a, b)] = c;
+                cov[(b, a)] = c;
+            }
+            cov[(a, a)] += ridge;
+        }
+        Ok(GaussianStats { mean, cov })
+    }
+}
+
 /// Exact Fréchet distance between two Gaussians.
 ///
 /// # Errors
@@ -274,8 +404,53 @@ mod tests {
         }
     }
 
+    #[test]
+    fn centered_moments_need_two_rows() {
+        let mut m = CenteredMoments::new(2);
+        assert!(matches!(
+            m.gaussian(&[0.0, 0.0], 0.0),
+            Err(FidError::TooFewSamples { got: 0 })
+        ));
+        m.push(&[0.5, -0.5]);
+        assert!(matches!(
+            m.gaussian(&[0.0, 0.0], 0.0),
+            Err(FidError::TooFewSamples { got: 1 })
+        ));
+        m.push(&[-0.5, 0.5]);
+        assert_eq!(m.count(), 2);
+        assert!(m.gaussian(&[0.0, 0.0], 0.0).is_ok());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Streamed moments give the two-pass fit's Gaussian whatever the
+        /// shift, and two sets centred on one shift merge into the set of
+        /// all their rows.
+        #[test]
+        fn centered_moments_match_the_two_pass_fit(
+            seed in 0u64..1000,
+            n in 2usize..120,
+            split in 0usize..120,
+            shift_scale in 0.0f64..3.0,
+        ) {
+            let x = gaussian_samples(n, &[0.7, -1.3, 4.0], 1.5, seed);
+            let shift = [0.5 * shift_scale, -shift_scale, 3.0 + shift_scale];
+            let (mut head, mut tail) = (CenteredMoments::new(3), CenteredMoments::new(3));
+            for i in 0..n {
+                let c: Vec<f64> = x.row(i).iter().zip(&shift).map(|(v, r)| v - r).collect();
+                if i < split { head.push(&c) } else { tail.push(&c) }
+            }
+            head.merge(&tail);
+            prop_assert_eq!(head.count(), n as u64);
+            let streamed = head.gaussian(&shift, 1e-6).unwrap();
+            let two_pass = GaussianStats::fit(&x, 1e-6).unwrap();
+            for (a, b) in streamed.mean().iter().zip(two_pass.mean()) {
+                prop_assert!((a - b).abs() < 1e-12);
+            }
+            prop_assert!(streamed.cov().max_abs_diff(two_pass.cov()) < 1e-11);
+            prop_assert!(streamed.cov().is_symmetric(0.0));
+        }
 
         #[test]
         fn fid_nonnegative_and_symmetric(seed_a in 0u64..100, seed_b in 100u64..200) {

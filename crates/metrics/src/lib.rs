@@ -13,8 +13,8 @@
 //!    including the windowed time series used in Figs. 5 and 8.
 //!
 //! [`series`] provides the generic windowed aggregation used for demand and
-//! threshold plots, and [`rolling`] maintains the live windowed FID estimate
-//! incrementally for per-snapshot taps.
+//! threshold plots, and [`rolling`] buffers the most recent feature rows for
+//! the live windowed FID estimate of per-snapshot taps.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -24,7 +24,7 @@ pub mod rolling;
 pub mod series;
 pub mod slo;
 
-pub use fid::{fid_score, frechet_distance, FidError, GaussianStats};
+pub use fid::{fid_score, frechet_distance, CenteredMoments, FidError, GaussianStats};
 pub use rolling::RollingFid;
 pub use series::WindowedSeries;
 pub use slo::{QueryOutcome, SloTracker};

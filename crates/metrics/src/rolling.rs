@@ -1,35 +1,23 @@
-//! Incremental rolling-FID estimation.
+//! Rolling-FID estimation over the most recent responses.
 //!
-//! The serving session exposes a live FID estimate over the most recent
-//! responses in every snapshot. Refitting a Gaussian from scratch over the
-//! tail costs `O(window · d²)` per snapshot; at tight observer cadences
-//! that refit dominates snapshot time. [`RollingFid`] maintains the
-//! windowed first and second moments incrementally — `O(d)` + `O(d²)` per
-//! pushed sample, independent of the window length — and only pays the
-//! eigendecomposition when an estimate is actually requested.
-//!
-//! The estimator keeps a ring buffer of the raw feature vectors alongside
-//! the running sum `Σx` and scatter `Σxxᵀ`, so evicting the oldest sample
-//! is a subtraction rather than a refit. Floating-point drift from the
-//! add/subtract cycle is bounded by rebuilding the moments exactly from
-//! the buffer every [`REBUILD_INTERVAL`] pushes.
-
-use std::collections::VecDeque;
+//! The serving session exposes a live FID estimate over the last few
+//! hundred responses in every snapshot. Completions arrive at query rate
+//! while snapshots are taken at observer cadence at most — and not at all
+//! by the batch entry points — so [`RollingFid`] makes the per-completion
+//! step as cheap as it can be: [`RollingFid::push`] copies the row into a
+//! reused ring slot and does nothing else. [`RollingFid::estimate`] fits a
+//! Gaussian to the buffered rows (`O(window · d²)`, next to the `O(d³)`
+//! Fréchet distance it has to pay anyway) when a snapshot asks for it.
 
 use diffserve_linalg::Mat;
 
 use crate::fid::{frechet_distance, GaussianStats};
 
-/// Exact moment rebuilds happen every this many pushes, bounding the
-/// accumulated round-off of the incremental add/subtract updates.
-pub const REBUILD_INTERVAL: usize = 4096;
-
-/// Windowed FID estimator with `O(d²)`-per-sample incremental updates.
+/// Windowed FID estimator: a ring of the last `window` feature rows.
 ///
-/// Semantically equivalent to fitting [`GaussianStats`] over the last
-/// `window` pushed feature vectors (sample covariance, `ridge · I` added
-/// to the diagonal) and taking the Fréchet distance to the reference —
-/// but without re-scanning the window on every estimate.
+/// [`RollingFid::estimate`] is exactly [`GaussianStats::fit`] over those
+/// rows in arrival order (sample covariance, `ridge · I` added to the
+/// diagonal) followed by the Fréchet distance to the reference.
 ///
 /// # Examples
 ///
@@ -51,12 +39,11 @@ pub struct RollingFid {
     reference: GaussianStats,
     window: usize,
     ridge: f64,
-    buf: VecDeque<Vec<f64>>,
-    /// Running `Σx` over the buffer.
-    sum: Vec<f64>,
-    /// Running `Σxxᵀ` over the buffer.
-    scatter: Mat,
-    pushes_since_rebuild: usize,
+    /// The buffered rows, row-major; grows to `window` rows, then wraps.
+    ring: Vec<f64>,
+    /// Once the ring is full, the row the next push overwrites (the
+    /// oldest); `0` while it is still filling.
+    oldest: usize,
 }
 
 impl RollingFid {
@@ -75,21 +62,19 @@ impl RollingFid {
             reference,
             window,
             ridge,
-            buf: VecDeque::with_capacity(window + 1),
-            sum: vec![0.0; d],
-            scatter: Mat::zeros(d, d),
-            pushes_since_rebuild: 0,
+            ring: Vec::with_capacity(window * d),
+            oldest: 0,
         }
     }
 
     /// Number of samples currently in the window.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len() / self.reference.dim()
     }
 
     /// `true` if no samples have been pushed yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.is_empty()
     }
 
     /// The window length this estimator was built with.
@@ -97,27 +82,21 @@ impl RollingFid {
         self.window
     }
 
-    /// Pushes one feature vector, evicting the oldest once the window is
-    /// full.
+    /// Pushes one feature vector, overwriting the oldest once the window
+    /// is full.
     ///
     /// # Panics
     ///
     /// Panics if `features` does not match the reference dimensionality.
+    #[inline]
     pub fn push(&mut self, features: &[f64]) {
-        assert_eq!(
-            features.len(),
-            self.reference.dim(),
-            "feature dimension mismatch"
-        );
-        self.accumulate(features, 1.0);
-        self.buf.push_back(features.to_vec());
-        if self.buf.len() > self.window {
-            let old = self.buf.pop_front().expect("buffer just exceeded window");
-            self.accumulate(&old, -1.0);
-        }
-        self.pushes_since_rebuild += 1;
-        if self.pushes_since_rebuild >= REBUILD_INTERVAL {
-            self.rebuild();
+        let d = self.reference.dim();
+        assert_eq!(features.len(), d, "feature dimension mismatch");
+        if self.len() < self.window {
+            self.ring.extend_from_slice(features);
+        } else {
+            self.ring[self.oldest * d..(self.oldest + 1) * d].copy_from_slice(features);
+            self.oldest = (self.oldest + 1) % self.window;
         }
     }
 
@@ -125,51 +104,14 @@ impl RollingFid {
     /// than two samples (matching [`GaussianStats::fit`]'s requirement) or
     /// on numerical failure.
     pub fn estimate(&self) -> f64 {
-        let n = self.buf.len();
+        let (n, d) = (self.len(), self.reference.dim());
         if n < 2 {
             return f64::NAN;
         }
-        let d = self.sum.len();
-        let inv_n = 1.0 / n as f64;
-        let mean: Vec<f64> = self.sum.iter().map(|s| s * inv_n).collect();
-        // Sample covariance from the moments: (Σxxᵀ − n·μμᵀ) / (n − 1).
-        let denom = (n - 1) as f64;
-        let mut cov = Mat::zeros(d, d);
-        for a in 0..d {
-            for b in a..d {
-                let c = (self.scatter[(a, b)] - n as f64 * mean[a] * mean[b]) / denom;
-                cov[(a, b)] = c;
-                cov[(b, a)] = c;
-            }
-            cov[(a, a)] += self.ridge;
-        }
-        let stats = GaussianStats::from_moments(mean, cov);
-        frechet_distance(&stats, &self.reference).unwrap_or(f64::NAN)
-    }
-
-    /// Adds (`sign = 1.0`) or removes (`sign = -1.0`) one sample's
-    /// contribution to the running moments. Only the upper triangle of the
-    /// scatter is maintained; [`Self::estimate`] mirrors it.
-    fn accumulate(&mut self, x: &[f64], sign: f64) {
-        for (s, &v) in self.sum.iter_mut().zip(x) {
-            *s += sign * v;
-        }
-        for (a, &xa) in x.iter().enumerate() {
-            for (b, &xb) in x.iter().enumerate().skip(a) {
-                self.scatter[(a, b)] += sign * xa * xb;
-            }
-        }
-    }
-
-    /// Recomputes the moments exactly from the buffered samples.
-    fn rebuild(&mut self) {
-        self.sum.iter_mut().for_each(|s| *s = 0.0);
-        self.scatter = Mat::zeros(self.sum.len(), self.sum.len());
-        let samples: Vec<Vec<f64>> = self.buf.iter().cloned().collect();
-        for x in &samples {
-            self.accumulate(x, 1.0);
-        }
-        self.pushes_since_rebuild = 0;
+        let rows = Mat::from_fn(n, d, |i, j| self.ring[(self.oldest + i) % n * d + j]);
+        GaussianStats::fit(&rows, self.ridge)
+            .and_then(|g| frechet_distance(&g, &self.reference))
+            .unwrap_or(f64::NAN)
     }
 }
 
@@ -184,8 +126,8 @@ mod tests {
         GaussianStats::from_moments(vec![0.2, -0.4], Mat::from_rows(&[&[1.5, 0.2], &[0.2, 0.9]]))
     }
 
-    /// The batch computation the incremental path must agree with: fit a
-    /// Gaussian over exactly the window tail and take the distance.
+    /// The batch computation the ring must reproduce: fit a Gaussian over
+    /// exactly the window tail, in arrival order, and take the distance.
     fn batch_estimate(
         samples: &[Vec<f64>],
         window: usize,
@@ -235,36 +177,15 @@ mod tests {
             let x = vec![rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0)];
             rolling.push(&x);
             seen.push(x);
-            let inc = rolling.estimate();
+            let ring = rolling.estimate();
             let batch = batch_estimate(&seen, 16, 1e-3, &reference);
-            if batch.is_nan() {
-                assert!(inc.is_nan());
-            } else {
-                assert!(
-                    (inc - batch).abs() < 1e-8,
-                    "incremental {inc} vs batch {batch} after {} pushes",
-                    seen.len()
-                );
-            }
+            assert_eq!(
+                ring.to_bits(),
+                batch.to_bits(),
+                "ring {ring} vs batch {batch} after {} pushes",
+                seen.len()
+            );
         }
-    }
-
-    #[test]
-    fn rebuild_keeps_the_estimate_exact() {
-        // Push past the rebuild interval; the periodic exact recompute
-        // must leave the estimate agreeing with the batch fit.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let reference = reference_2d();
-        let mut rolling = RollingFid::new(reference.clone(), 8, 1e-3);
-        let mut seen: Vec<Vec<f64>> = Vec::new();
-        for _ in 0..(REBUILD_INTERVAL + 32) {
-            let x = vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)];
-            rolling.push(&x);
-            seen.push(x);
-        }
-        let inc = rolling.estimate();
-        let batch = batch_estimate(&seen, 8, 1e-3, &reference);
-        assert!((inc - batch).abs() < 1e-8, "{inc} vs {batch}");
     }
 
     #[test]
@@ -283,11 +204,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Incremental and batch estimates agree for random streams,
-        /// window sizes, and ridges — including streams shorter than the
-        /// window and streams that wrap it several times.
+        /// Ring and batch estimates are the same bits for random streams
+        /// and window sizes — including streams shorter than the window
+        /// and streams that wrap it several times.
         #[test]
-        fn incremental_matches_batch(
+        fn ring_matches_batch(
             seed in 0u64..1000,
             window in 2usize..24,
             n in 0usize..80,
@@ -301,13 +222,9 @@ mod tests {
                 rolling.push(&x);
                 seen.push(x);
             }
-            let inc = rolling.estimate();
+            let ring = rolling.estimate();
             let batch = batch_estimate(&seen, window, 1e-3, &reference);
-            if batch.is_nan() {
-                prop_assert!(inc.is_nan());
-            } else {
-                prop_assert!((inc - batch).abs() < 1e-7, "{} vs {}", inc, batch);
-            }
+            prop_assert_eq!(ring.to_bits(), batch.to_bits(), "{} vs {}", ring, batch);
         }
     }
 }

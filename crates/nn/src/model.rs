@@ -112,6 +112,74 @@ impl Mlp {
         softmax(&self.logits(x))
     }
 
+    /// Width of the widest layer, input included: a row forward needs
+    /// `2 × max_width()` scratch cells.
+    pub fn max_width(&self) -> usize {
+        self.layers
+            .iter()
+            .map(|l| l.inputs().max(l.outputs()))
+            .max()
+            .expect("an MLP has at least one layer")
+    }
+
+    /// Class probabilities of one input row without allocating: the
+    /// activations ping-pong between the two halves of `scratch`, and the
+    /// returned slice (one probability per class) borrows from it.
+    ///
+    /// Bit-identical to [`Mlp::predict_proba`] on the 1-row matrix: each
+    /// layer accumulates in `Mat::matmul`'s order (input index outer,
+    /// output index inner, exact-zero inputs skipped), then adds the bias
+    /// and applies the same ReLU and max-shifted softmax.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not match the input width or `scratch` holds
+    /// fewer than `2 × max_width()` cells.
+    pub fn predict_proba_row<'s>(&self, x: &[f64], scratch: &'s mut [f64]) -> &'s [f64] {
+        let width = self.max_width();
+        assert!(
+            scratch.len() >= 2 * width,
+            "row forward needs {} scratch cells, got {}",
+            2 * width,
+            scratch.len()
+        );
+        assert_eq!(x.len(), self.layers[0].inputs(), "input width mismatch");
+        let (mut cur, mut next) = scratch.split_at_mut(width);
+        cur[..x.len()].copy_from_slice(x);
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let out = &mut next[..layer.outputs()];
+            out.fill(0.0);
+            let weights = layer.weights().as_slice().chunks_exact(out.len());
+            for (&a, row) in cur[..layer.inputs()].iter().zip(weights) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &w) in out.iter_mut().zip(row) {
+                    *o += a * w;
+                }
+            }
+            for (o, &b) in out.iter_mut().zip(layer.biases()) {
+                *o += b;
+                if i < last {
+                    *o = o.max(0.0);
+                }
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        let probs = &mut cur[..self.layers[last].outputs()];
+        let row_max = probs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut sum = 0.0;
+        for p in probs.iter_mut() {
+            *p = (*p - row_max).exp();
+            sum += *p;
+        }
+        for p in probs.iter_mut() {
+            *p /= sum;
+        }
+        probs
+    }
+
     /// Hard class predictions (argmax).
     pub fn predict(&self, x: &Mat) -> Vec<usize> {
         let p = self.logits(x);
@@ -337,6 +405,60 @@ mod tests {
         let sum: f64 = p.row(0).iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
         assert_eq!(p.cols(), 4);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The allocation-free row forward returns exactly the bits of
+        /// `predict_proba` on the 1-row matrix, for any layer stack —
+        /// including exact zeros (of either sign) in the input and the
+        /// weights, which `matmul` skips, and the exact zeros ReLU
+        /// produces in the hidden activations.
+        #[test]
+        fn row_forward_matches_the_one_row_matrix_bitwise(
+            widths in proptest::collection::vec(1usize..40, 2..6),
+            seed in 0u64..100_000,
+            zero_stride in 1usize..6,
+        ) {
+            use rand::Rng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut model = Mlp::new(&widths, &mut rng);
+            for layer in &mut model.layers {
+                let (w, b) = layer.params_mut();
+                for v in w.as_mut_slice().iter_mut().step_by(zero_stride + 1) {
+                    *v = 0.0;
+                }
+                for v in b.iter_mut() {
+                    *v = rng.gen_range(-1.0..1.0);
+                }
+            }
+            let x: Vec<f64> = (0..widths[0])
+                .map(|i| match i % (zero_stride + 1) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-3.0..3.0),
+                })
+                .collect();
+            let want = model.predict_proba(&Mat::from_rows(&[&x]));
+            // NaN-poisoned scratch: a stale cell leaking into the result
+            // would show.
+            let mut scratch = vec![f64::NAN; 2 * model.max_width()];
+            let got = model.predict_proba_row(&x, &mut scratch);
+            proptest::prop_assert_eq!(got.len(), want.cols());
+            for (g, w) in got.iter().zip(want.row(0)) {
+                proptest::prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch cells")]
+    fn row_forward_rejects_short_scratch() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let model = Mlp::new(&[3, 5, 4], &mut rng);
+        assert_eq!(model.max_width(), 5);
+        let _ = model.predict_proba_row(&[0.1, -0.2, 0.3], &mut [0.0; 9]);
     }
 
     #[test]

@@ -70,6 +70,33 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, what: &str) {
         a.deferral_error_series, b.deferral_error_series,
         "{what}: deferral error series"
     );
+    assert_eq!(a.incident_log, b.incident_log, "{what}: incident log");
+    assert_eq!(a.resumed_queries, b.resumed_queries, "{what}: resumed");
+    for (x, y, field) in [
+        (a.mean_heavy_latency, b.mean_heavy_latency, "heavy latency"),
+        (a.mean_reused_steps, b.mean_reused_steps, "reused steps"),
+        (a.gpu_time_per_query, b.gpu_time_per_query, "GPU time"),
+    ] {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: {field}");
+    }
+    assert_eq!(
+        a.tier_breakdown.len(),
+        b.tier_breakdown.len(),
+        "{what}: tiers"
+    );
+    for (x, y) in a.tier_breakdown.iter().zip(&b.tier_breakdown) {
+        assert_eq!(
+            (x.tier, x.completions, x.escalated_past),
+            (y.tier, y.completions, y.escalated_past),
+            "{what}: tier counts"
+        );
+        assert_eq!(
+            (x.mean_latency.to_bits(), x.fid.to_bits()),
+            (y.mean_latency.to_bits(), y.fid.to_bits()),
+            "{what}: tier {} latency and FID",
+            x.tier
+        );
+    }
 }
 
 /// Hand-drives a simulator session the way an application would — chunked
@@ -195,4 +222,72 @@ fn run_scenario_matches_hand_driven_session_under_churn() {
     let session = hand_driven(&rt, &cfg, &settings, Some(&scenario), &effective);
     assert_reports_identical(&legacy, &session, "churn scenario");
     assert!(legacy.total_queries > 100);
+}
+
+#[test]
+fn polling_every_tick_moves_no_bit_and_sees_every_query_once() {
+    // The report is assembled from totals streamed at completion time, and
+    // `poll()` hands the retained outcomes out by move. So a session polled
+    // after every control tick, the same session never polled, and the
+    // batch wrapper (which retains nothing to poll) must all report the
+    // same bits — and the polls, between them, every query exactly once.
+    let rt = runtime();
+    let cfg = SystemConfig {
+        resume_from_latents: true,
+        ..config()
+    };
+    let base = Trace::constant(100.0, SimDuration::from_secs(60)).unwrap();
+    let scenario = Scenario::new("churn", base)
+        .worker_fail(SimTime::from_secs(20), 5)
+        .worker_recover(SimTime::from_secs(40), 5);
+    let trace = scenario.effective_trace();
+    let settings = RunSettings::new(Policy::DiffServe, 100.0);
+    let horizon = SimTime::ZERO + trace.duration() + cfg.slo * 4;
+    let build = || {
+        ServingSession::builder()
+            .runtime(&rt)
+            .config(cfg.clone())
+            .settings(settings.clone())
+            .scenario(scenario.clone())
+            .build()
+            .expect("valid session")
+    };
+
+    let mut unpolled = build();
+    let submitted = unpolled.replay_trace(&trace);
+    unpolled.run_until(horizon);
+    let unpolled = unpolled.finish();
+
+    let mut polled = build();
+    assert_eq!(polled.replay_trace(&trace), submitted);
+    let mut seen = vec![0u32; submitted as usize];
+    let (mut completed, mut dropped) = (0, 0);
+    let mut t = SimTime::ZERO;
+    while t < horizon {
+        t = (t + cfg.control_interval).min(horizon);
+        polled.run_until(t);
+        for outcome in polled.poll() {
+            seen[outcome.id().0 as usize] += 1;
+            if outcome.is_completed() {
+                completed += 1;
+            } else {
+                dropped += 1;
+            }
+        }
+    }
+    let polled = polled.finish();
+
+    assert!(
+        seen.iter().all(|&n| n == 1),
+        "every query polls out exactly once"
+    );
+    assert_eq!((completed, dropped), (polled.completed, polled.dropped));
+    assert!(
+        dropped > 0 && polled.resumed_queries > 0 && !polled.incident_log.is_empty(),
+        "the run must exercise drops ({dropped}), resumes ({}) and incidents",
+        polled.resumed_queries
+    );
+    assert_reports_identical(&unpolled, &polled, "polled every tick vs never");
+    let batch = run_scenario(&rt, &cfg, &settings, &scenario);
+    assert_reports_identical(&batch, &polled, "batch wrapper vs polled every tick");
 }
