@@ -175,10 +175,10 @@ pub fn solve_exhaustive(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
 ///
 /// Carries two independent [`WarmStart`] handles — one for the full MILP
 /// (with the `z_l` threshold selectors) and one for the threshold-pinned
-/// residual problem — plus the previous tick's optimal threshold value
-/// (the "pin"). The two problem shapes differ, so their bases are never
-/// interchangeable; keeping both means every solve the state routes to
-/// restarts from a same-shaped basis.
+/// residual problem — plus the threshold the next tick's search starts
+/// from (the "pin"). The two problem shapes differ, so their bases are
+/// never interchangeable; keeping both means every solve the state routes
+/// to restarts from a same-shaped basis.
 #[derive(Debug, Clone, Default)]
 pub struct AllocWarmState {
     full: WarmStart,
@@ -199,15 +199,25 @@ impl AllocWarmState {
         self.pin = None;
     }
 
-    /// `true` once a solve through this handle has found an optimum.
+    /// `true` once a solve has gone through this handle, whatever its
+    /// verdict: the next one runs the pinned search.
     pub fn is_primed(&self) -> bool {
         self.pin.is_some()
     }
 
-    /// The previous tick's optimal threshold, if that solve was feasible.
+    /// Where the next tick's threshold search starts: the previous tick's
+    /// optimal threshold, or the grid floor if that tick was infeasible
+    /// (recovery then gallops up from level 0 instead of paying for the
+    /// full MILP).
     pub fn pinned_threshold(&self) -> Option<f64> {
         self.pin
     }
+}
+
+/// Eq. 3's right-hand side with the threshold pinned at grid level `l`:
+/// the deferred load `D·f(t_l)`.
+fn deferred_load(inputs: &AllocatorInputs<'_>, l: usize) -> f64 {
+    inputs.demand_qps.max(1e-9) * inputs.deferral.fraction_deferred(inputs.thresholds[l])
 }
 
 /// Variable handles for one allocation MILP. `z` is empty when the
@@ -218,6 +228,9 @@ struct MilpVars {
     z: Vec<diffserve_milp::VarId>,
     w1: Vec<diffserve_milp::VarId>,
     w2: Vec<diffserve_milp::VarId>,
+    /// Row of Eq. 3. With the threshold pinned, its rhs `D·f(t_l)` is the
+    /// only number in the problem that depends on the level.
+    heavy_row: usize,
 }
 
 /// Build the allocation MILP (paper Eq. 5).
@@ -293,7 +306,7 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>, pin: Option<usize>) -> (P
         .map(|k| (w2[k], inputs.heavy.throughput(inputs.batch_sizes[k])))
         .collect();
     let heavy_rhs = match pin {
-        Some(l) => d * inputs.deferral.fraction_deferred(inputs.thresholds[l]),
+        Some(l) => deferred_load(inputs, l),
         None => {
             for (&z_l, &t_l) in z.iter().zip(inputs.thresholds.iter()) {
                 heavy_tp.push((z_l, -d * inputs.deferral.fraction_deferred(t_l)));
@@ -301,7 +314,7 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>, pin: Option<usize>) -> (P
             0.0
         }
     };
-    p.add_constraint("heavy-throughput", &heavy_tp, Sense::Ge, heavy_rhs);
+    let heavy_row = p.add_constraint("heavy-throughput", &heavy_tp, Sense::Ge, heavy_rhs);
 
     // Eq. 4: Σ w1 + Σ w2 ≤ S.
     let mut cap = ones(&w1);
@@ -344,7 +357,15 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>, pin: Option<usize>) -> (P
     }
     p.set_objective(&obj);
 
-    (p, MilpVars { y, v, z, w1, w2 })
+    let vars = MilpVars {
+        y,
+        v,
+        z,
+        w1,
+        w2,
+        heavy_row,
+    };
+    (p, vars)
 }
 
 /// Read an [`Allocation`] off a MILP solution. `pin` supplies the
@@ -389,31 +410,63 @@ pub fn solve_milp_allocation(inputs: &AllocatorInputs<'_>) -> Option<Allocation>
     solve_milp_allocation_warm(inputs, &mut AllocWarmState::new())
 }
 
-/// Solve one full-MILP tick through `state.full`, recording the pin.
-fn solve_full(inputs: &AllocatorInputs<'_>, state: &mut AllocWarmState) -> Option<Allocation> {
-    let (p, vars) = build_allocation_milp(inputs, None);
-    let alloc = solve_milp_warm(&p, &MilpOptions::default(), &mut state.full)
-        .ok()
-        .map(|sol| extract_allocation(inputs, &vars, &sol.values, None));
-    state.pin = alloc.as_ref().map(|a| a.threshold);
-    alloc
+/// The largest level in `0..nt` at which `feasible` holds, or `None` when
+/// not even level 0 does: gallop out from `start`, then binary-search the
+/// bracket. Exact from any `start` as long as `feasible` is monotone —
+/// true up to some level and false above it. A steady-state tick resolves
+/// in two probes (`start` feasible, `start + 1` not).
+fn largest_feasible_level(
+    nt: usize,
+    start: usize,
+    mut feasible: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    // Establish a bracket: `lo` feasible, `hi` infeasible.
+    let (mut lo, mut hi, mut step) = (start, start, 1usize);
+    if feasible(start) {
+        // Gallop upward for an infeasible ceiling.
+        loop {
+            if lo + 1 >= nt {
+                return Some(lo);
+            }
+            hi = (lo + step).min(nt - 1);
+            if !feasible(hi) {
+                break;
+            }
+            lo = hi;
+            step *= 2;
+        }
+    } else {
+        // Gallop downward for a feasible floor.
+        loop {
+            if hi == 0 {
+                return None;
+            }
+            lo = hi.saturating_sub(step);
+            if feasible(lo) {
+                break;
+            }
+            hi = lo;
+            step *= 2;
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if feasible(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
 }
 
-/// Solve the residual MILP with the threshold pinned at grid level `l`.
-/// `None` means that level is infeasible.
-fn solve_pinned_level(
-    inputs: &AllocatorInputs<'_>,
-    l: usize,
-    warm: &mut WarmStart,
-) -> Option<Allocation> {
-    let (p, vars) = build_allocation_milp(inputs, Some(l));
-    solve_milp_warm(&p, &MilpOptions::default(), warm)
-        .ok()
-        .map(|sol| extract_allocation(inputs, &vars, &sol.values, Some(l)))
-}
-
-/// Find the largest feasible threshold level by galloping out from the
-/// previous tick's level `l0`, then binary-searching the bracket.
+/// Find the largest feasible threshold level from the previous tick's
+/// level `l0`, and the optimal plan there.
+///
+/// The residual MILP is built once and re-aimed at each probed level by
+/// its heavy-throughput rhs. Every probe asks only *whether* the level is
+/// feasible, through the carried handle; the one optimality solve runs at
+/// the final level, and its plan is the answer.
 ///
 /// Correct because residual feasibility is monotone in the level: the
 /// only `l`-dependent constraint is Eq. 3's deferred load `D·f(t_l)`,
@@ -427,64 +480,15 @@ fn pinned_search(
     l0: usize,
     warm: &mut WarmStart,
 ) -> Option<Allocation> {
-    let nt = inputs.thresholds.len();
-    // Establish a bracket: `lo` feasible (with its allocation), `hi`
-    // infeasible. A steady-state tick resolves in two residual solves
-    // (l0 feasible, l0+1 not).
-    let (mut lo, mut lo_alloc, mut hi) = match solve_pinned_level(inputs, l0, warm) {
-        Some(a) => {
-            if l0 + 1 >= nt {
-                return Some(a);
-            }
-            // Gallop upward for an infeasible ceiling.
-            let (mut lo, mut lo_alloc) = (l0, a);
-            let mut step = 1usize;
-            loop {
-                let cand = (lo + step).min(nt - 1);
-                match solve_pinned_level(inputs, cand, warm) {
-                    Some(a) => {
-                        if cand == nt - 1 {
-                            return Some(a);
-                        }
-                        lo = cand;
-                        lo_alloc = a;
-                        step *= 2;
-                    }
-                    None => break (lo, lo_alloc, cand),
-                }
-            }
-        }
-        None => {
-            // Gallop downward for a feasible floor; level 0 infeasible
-            // means the full MILP is infeasible too.
-            let mut hi = l0;
-            let mut step = 1usize;
-            loop {
-                if hi == 0 {
-                    return None;
-                }
-                let cand = hi.saturating_sub(step);
-                match solve_pinned_level(inputs, cand, warm) {
-                    Some(a) => break (cand, a, hi),
-                    None => {
-                        hi = cand;
-                        step *= 2;
-                    }
-                }
-            }
-        }
-    };
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        match solve_pinned_level(inputs, mid, warm) {
-            Some(a) => {
-                lo = mid;
-                lo_alloc = a;
-            }
-            None => hi = mid,
-        }
-    }
-    Some(lo_alloc)
+    let options = MilpOptions::default();
+    let (mut p, vars) = build_allocation_milp(inputs, Some(l0));
+    let best = largest_feasible_level(inputs.thresholds.len(), l0, |l| {
+        p.set_rhs(vars.heavy_row, deferred_load(inputs, l));
+        find_feasible(&p, &options, warm).is_ok()
+    })?;
+    p.set_rhs(vars.heavy_row, deferred_load(inputs, best));
+    let sol = solve_milp_warm(&p, &options, warm).expect("the level was just probed feasible");
+    Some(extract_allocation(inputs, &vars, &sol.values, Some(best)))
 }
 
 /// [`solve_milp_allocation`] with tick-to-tick solver state carried in an
@@ -498,12 +502,14 @@ fn pinned_search(
 /// 1. **Basis reuse** — each [`WarmStart`] handle carries the previous
 ///    optimum's simplex basis, so re-solves run a short dual-simplex
 ///    reoptimization instead of two-phase from scratch.
-/// 2. **Threshold pinning** — when the previous tick's threshold is still
-///    on the grid, the search runs over small *residual* MILPs with the
-///    threshold fixed (`build_allocation_milp` with `pin`), locating
-///    the largest feasible level by a gallop + binary search from the
-///    previous level instead of re-solving the full formulation with all
-///    `z_l` selectors.
+/// 2. **Threshold pinning** — once a solve has gone through `state` and
+///    the threshold it left is still on the grid, the search runs over
+///    the small *residual* MILP with the threshold fixed
+///    (`build_allocation_milp` with `pin`), locating the largest feasible
+///    level by a gallop + binary search of feasibility probes from the
+///    previous level and solving to optimality once, there, instead of
+///    re-solving the full formulation with all `z_l` selectors. An
+///    infeasible tick leaves the pin at the grid floor.
 ///
 /// The objective's lexicographic uniqueness penalties dwarf the solver's
 /// optimality gap, so the warm-started solution is the *same* allocation
@@ -515,16 +521,25 @@ pub fn solve_milp_allocation_warm(
     inputs: &AllocatorInputs<'_>,
     state: &mut AllocWarmState,
 ) -> Option<Allocation> {
-    if let Some(pin_t) = state.pin {
-        // The pin is only trusted when it still names a grid value
-        // exactly; any drift in the grid falls back to the full MILP.
-        if let Some(l0) = inputs.thresholds.iter().position(|&t| t == pin_t) {
-            let alloc = pinned_search(inputs, l0, &mut state.pinned);
-            state.pin = alloc.as_ref().map(|a| a.threshold);
-            return alloc;
+    // The pin is only trusted when it still names a grid value exactly;
+    // a cold state or any drift in the grid takes the full MILP.
+    let l0 = state
+        .pin
+        .and_then(|pin| inputs.thresholds.iter().position(|&t| t == pin));
+    let alloc = match l0 {
+        Some(l0) => pinned_search(inputs, l0, &mut state.pinned),
+        None => {
+            let (p, vars) = build_allocation_milp(inputs, None);
+            solve_milp_warm(&p, &MilpOptions::default(), &mut state.full)
+                .ok()
+                .map(|sol| extract_allocation(inputs, &vars, &sol.values, None))
         }
-    }
-    solve_full(inputs, state)
+    };
+    // An infeasible tick parks the pin at the grid floor: every level is
+    // infeasible, so the next search may as well start from the bottom.
+    let floor = inputs.thresholds.first().copied();
+    state.pin = alloc.as_ref().map(|a| a.threshold).or(floor);
+    alloc
 }
 
 /// Best-effort allocation under overload: threshold 0 (everything stays on
@@ -1097,39 +1112,14 @@ pub fn solve_ladder(
 
     for _pass in 0..2 {
         for k in 0..nb {
-            // Gallop upward from the current (feasible) level for an
-            // infeasible ceiling, then binary-search the bracket.
-            let (mut lo, mut hi) = (levels[k], nt);
-            let mut step = 1usize;
-            while lo + step < nt {
-                let cand = lo + step;
-                levels[k] = cand;
-                if probe.feasible(&levels) {
-                    lo = cand;
-                    step *= 2;
-                } else {
-                    hi = cand;
-                    break;
-                }
-            }
-            if hi == nt && lo + 1 < nt {
-                levels[k] = nt - 1;
-                if probe.feasible(&levels) {
-                    lo = nt - 1;
-                } else {
-                    hi = nt - 1;
-                }
-            }
-            while hi - lo > 1 {
-                let mid = lo + (hi - lo) / 2;
-                levels[k] = mid;
-                if probe.feasible(&levels) {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            levels[k] = lo;
+            // From the current (feasible) level: the re-probe of it is a
+            // memo hit.
+            let start = levels[k];
+            let best = largest_feasible_level(nt, start, |l| {
+                levels[k] = l;
+                probe.feasible(&levels)
+            });
+            levels[k] = best.expect("the start level is feasible");
         }
     }
 
@@ -1331,9 +1321,11 @@ mod tests {
             let cold = solve_milp_allocation(&inputs);
             let warmed = solve_milp_allocation_warm(&inputs, &mut warm);
             assert_eq!(warmed, cold, "demand {demand}");
+            // The overload tick parks the pin at the grid floor, so the
+            // tick after it gallops up from there, not through the full MILP.
             assert_eq!(
                 warm.pinned_threshold(),
-                cold.map(|a| a.threshold),
+                Some(cold.map_or(thresholds[0], |a| a.threshold)),
                 "pin must track the optimal threshold at demand {demand}"
             );
         }
@@ -1741,6 +1733,63 @@ mod tests {
             );
             assert_eq!(ladder.workers.iter().sum::<usize>(), 16, "spares placed");
         }
+    }
+
+    /// The solver-effort contract both residual MILPs rest on: a search
+    /// refactorizes at most once and solves cold at most once, both at its
+    /// root (a cold handle: never and once), so no child — in particular
+    /// none the dual simplex certified infeasible — is re-solved cold.
+    #[test]
+    fn residual_searches_pay_for_refactorization_and_cold_solves_only_at_the_root() {
+        let options = MilpOptions::default();
+        let mut certified = 0;
+        let mut check = |problem: &Problem, carried: &mut WarmStart| {
+            let cold = diffserve_milp::solve_milp(problem, &options).map(|sol| sol.effort);
+            if let Ok(effort) = cold {
+                assert_eq!((effort.refactorizations, effort.cold_solves), (0, 1));
+                certified += effort.certified_infeasible;
+            }
+            for sol in [
+                find_feasible(problem, &options, &mut carried.clone()),
+                solve_milp_warm(problem, &options, carried),
+            ] {
+                assert_eq!(sol.is_ok(), cold.is_ok());
+                let Ok(effort) = sol.map(|sol| sol.effort) else {
+                    continue;
+                };
+                assert!(
+                    effort.refactorizations <= 1 && effort.cold_solves <= 1,
+                    "a child fell back: {effort:?}"
+                );
+                certified += effort.certified_infeasible;
+            }
+        };
+
+        let batches = [1usize, 2, 4, 8, 16];
+        let thresholds = grid(26, 0.9);
+        let deferral = uniform_profile();
+        let mut carried = WarmStart::new();
+        for demand in [6.0, 6.3, 9.0, 14.0, 22.0, 30.0] {
+            let inputs = cascade1_inputs(&deferral, &batches, &thresholds, demand);
+            for level in [0, 6, 13, 25] {
+                check(&build_allocation_milp(&inputs, Some(level)).0, &mut carried);
+            }
+        }
+
+        let deferrals = vec![uniform_profile(), uniform_profile()];
+        let mut carried = WarmStart::new();
+        for demand in [2.0, 5.0, 9.0, 14.0] {
+            let inputs = ladder3_inputs(&deferrals, &batches, &thresholds, demand);
+            let mut residual = LadderResidual::build(&inputs);
+            for levels in [[0, 0], [6, 13], [20, 5], [25, 25]] {
+                residual.aim(&inputs.tier_demands(&levels));
+                check(&residual.problem, &mut carried);
+            }
+        }
+        assert!(
+            certified > 100,
+            "the certificate must be what prunes: {certified}"
+        );
     }
 
     #[test]

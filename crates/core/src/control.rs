@@ -157,10 +157,10 @@ pub trait AllocPlanner: std::fmt::Debug + Send {
 ///
 /// The MILP backend keeps an [`AllocWarmState`] across ticks: the demand
 /// estimate moves slowly between control intervals, so the previous tick's
-/// threshold pins the next solve to a couple of small residual MILPs, each
-/// restarted from the previous optimal simplex basis. The allocator's
-/// uniqueness penalties guarantee the warm-started plan is identical to a
-/// cold solve's.
+/// threshold pins the next solve to a few feasibility probes of one small
+/// residual MILP and a single optimality solve, each restarted from the
+/// previous simplex basis. The allocator's uniqueness penalties guarantee
+/// the warm-started plan is identical to a cold solve's.
 #[derive(Debug, Clone)]
 pub struct CascadePlanner {
     /// Which solver implementation to invoke.

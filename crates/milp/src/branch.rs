@@ -3,8 +3,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::problem::{Direction, Problem, Sense};
-use crate::simplex::{solve_lp_with_bounds, Basis, LpSolution, SolveError};
+use crate::problem::{Direction, Problem, Sense, VarId};
+use crate::simplex::{Basis, LpSolver, SolveEffort, SolveError, Tableau};
 
 /// Tolerance within which an LP value counts as integral.
 pub const INT_TOL: f64 = 1e-6;
@@ -41,6 +41,12 @@ pub struct MilpSolution {
     /// when the node limit stopped the search with an incumbent in hand, and
     /// always `false` for a [`find_feasible`] witness.
     pub proved_optimal: bool,
+    /// What the search cost: LP solves, pivots, refactorizations, cold
+    /// two-phase solves and certified-infeasible children. Below the root
+    /// every node continues from its parent's tableau, so
+    /// `refactorizations ≤ 1`, and `cold_solves` beyond a cold root counts
+    /// the children that fell back.
+    pub effort: SolveEffort,
 }
 
 /// Carry-over state for warm-starting successive related solves.
@@ -62,9 +68,9 @@ pub struct MilpSolution {
 /// The handle is defensive by construction: a remembered point is
 /// re-validated against the *current* problem (dimensions, bounds,
 /// integrality, every constraint) before it is used, and a remembered
-/// basis is structurally validated (and refactorized) by the simplex
-/// layer, so a stale or mismatched hint degrades to a cold solve rather
-/// than a wrong answer.
+/// basis is structurally validated and refactorized against it by the
+/// simplex layer (once, at the root of the search), so a stale or
+/// mismatched hint degrades to a cold solve rather than a wrong answer.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     previous: Option<Vec<f64>>,
@@ -139,6 +145,7 @@ fn usable_incumbent(problem: &Problem, values: &[f64]) -> bool {
     })
 }
 
+/// An open node: a solved LP relaxation waiting to be branched on.
 #[derive(Debug)]
 struct Node {
     /// Depth in the tree when the search dives for a first feasible point
@@ -147,9 +154,11 @@ struct Node {
     dive: usize,
     /// LP relaxation bound, normalized so larger is better.
     score: f64,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    relaxation: LpSolution,
+    /// The relaxation's optimal point.
+    values: Vec<f64>,
+    /// The relaxation's solved tableau, which holds the node's variable
+    /// bounds too. Children copy it and change one bound.
+    tableau: Tableau,
 }
 
 impl PartialEq for Node {
@@ -302,9 +311,6 @@ fn solve_seeded(
     hint_basis: Option<&Basis>,
 ) -> Result<(MilpSolution, Option<Basis>), SolveError> {
     let int_vars = problem.integer_vars();
-    let maximize = problem.direction() == Direction::Maximize;
-    let norm = |obj: f64| if maximize { obj } else { -obj };
-
     let root_lower = problem.lower_bounds();
     let root_upper = problem.upper_bounds();
     for &v in &int_vars {
@@ -317,217 +323,238 @@ fn solve_seeded(
 
     // Seed the incumbent from the warm-start hint when it is still an
     // integral feasible point of *this* problem.
-    let mut incumbent: Option<MilpSolution> = hint
+    let incumbent = hint
         .filter(|values| usable_incumbent(problem, values))
-        .map(|values| {
-            let mut values = values.to_vec();
-            for &v in &int_vars {
-                values[v.index()] = values[v.index()].round();
-            }
-            let objective = problem
-                .objective
-                .iter()
-                .zip(&values)
-                .map(|(c, x)| c * x)
-                .sum();
-            MilpSolution {
-                objective,
-                values,
-                nodes: 0,
-                proved_optimal: false,
-            }
-        });
-
-    let mut incumbent_basis: Option<Basis> = if incumbent.is_some() {
-        hint_basis.cloned()
-    } else {
-        None
-    };
+        .map(|values| integral_point(problem, &int_vars, values.to_vec(), 0, false));
+    let incumbent_basis = incumbent.as_ref().and(hint_basis).cloned();
     if goal == Goal::Feasible {
         // A still-feasible remembered point answers the question outright.
-        if let Some(s) = incumbent.take() {
+        if let Some(s) = incumbent {
             return Ok((s, incumbent_basis));
         }
     }
 
-    let root_relax = solve_lp_with_bounds(problem, &root_lower, &root_upper, hint_basis)?;
-    if let Some(best) = &incumbent {
-        // Fast path: the root bound already proves the seeded incumbent
-        // optimal (within the gap) — no branching needed. The root basis
-        // is this tick's optimal basis: carry it instead of the hint.
-        if norm(root_relax.objective) <= norm(best.objective) + options.gap {
-            let mut s = incumbent.take().expect("just matched Some");
-            s.nodes = 1;
-            s.proved_optimal = true;
-            return Ok((s, Some(root_relax.basis)));
-        }
+    // The bound-independent part of the LP is laid out once; the root and
+    // every node below it solve through it.
+    let mut lp = LpSolver::new(problem);
+    let mut search = Search {
+        problem,
+        int_vars: &int_vars,
+        options,
+        goal,
+        lp: &mut lp,
+        heap: BinaryHeap::new(),
+    };
+    let found = search.run(
+        &root_lower,
+        &root_upper,
+        hint_basis,
+        incumbent,
+        incumbent_basis,
+    );
+    found.map(|(mut solution, basis)| {
+        solution.effort = lp.effort();
+        (solution, basis)
+    })
+}
+
+/// `values` snapped to an integral point of `problem`, with its objective
+/// recomputed from the snapped values so it is independent of the LP
+/// pivot path (warm and cold solves then agree bit for bit, not just
+/// within round-off).
+fn integral_point(
+    problem: &Problem,
+    int_vars: &[VarId],
+    mut values: Vec<f64>,
+    nodes: usize,
+    proved_optimal: bool,
+) -> MilpSolution {
+    for &v in int_vars {
+        values[v.index()] = values[v.index()].round();
     }
-    let mut heap = BinaryHeap::new();
-    heap.push(Node {
-        dive: 0,
-        score: norm(root_relax.objective),
-        lower: root_lower,
-        upper: root_upper,
-        relaxation: root_relax,
-    });
-
-    let mut nodes = 0usize;
-
-    while let Some(node) = heap.pop() {
-        if nodes >= options.node_limit {
-            return match incumbent {
-                Some(mut s) => {
-                    s.nodes = nodes;
-                    s.proved_optimal = false;
-                    Ok((s, incumbent_basis))
-                }
-                None => Err(SolveError::IterationLimit),
-            };
-        }
-        nodes += 1;
-
-        // Prune against the incumbent.
-        if let Some(best) = &incumbent {
-            if node.score <= norm(best.objective) + options.gap {
-                continue;
-            }
-        }
-
-        // Find the most fractional integer variable.
-        let mut branch_var = None;
-        let mut best_frac = INT_TOL;
-        for &v in &int_vars {
-            let x = node.relaxation.values[v.index()];
-            let frac = (x - x.round()).abs();
-            if frac > best_frac {
-                best_frac = frac;
-                branch_var = Some(v);
-            }
-        }
-
-        match branch_var {
-            None => {
-                // Integral: snap and record as incumbent if better. The
-                // objective is recomputed from the snapped values so it is
-                // independent of the LP pivot path (warm and cold solves
-                // then agree bit for bit, not just within round-off).
-                let mut values = node.relaxation.values.clone();
-                for &v in &int_vars {
-                    values[v.index()] = values[v.index()].round();
-                }
-                let obj: f64 = problem
-                    .objective
-                    .iter()
-                    .zip(&values)
-                    .map(|(c, x)| c * x)
-                    .sum();
-                if goal == Goal::Feasible {
-                    let witness = MilpSolution {
-                        objective: obj,
-                        values,
-                        nodes,
-                        proved_optimal: false,
-                    };
-                    return Ok((witness, Some(node.relaxation.basis)));
-                }
-                let better = incumbent
-                    .as_ref()
-                    .is_none_or(|b| norm(obj) > norm(b.objective) + options.gap);
-                if better {
-                    incumbent = Some(MilpSolution {
-                        objective: obj,
-                        values,
-                        nodes,
-                        proved_optimal: true,
-                    });
-                    incumbent_basis = Some(node.relaxation.basis.clone());
-                }
-            }
-            Some(v) => {
-                let x = node.relaxation.values[v.index()];
-                let floor = x.floor();
-                let cutoff = incumbent
-                    .as_ref()
-                    .map(|best| norm(best.objective) + options.gap);
-                let dive = match goal {
-                    Goal::Optimal => 0,
-                    Goal::Feasible => node.dive + 1,
-                };
-                // Down branch: x <= floor.
-                if node.lower[v.index()] <= floor {
-                    let mut upper = node.upper.clone();
-                    upper[v.index()] = floor;
-                    push_child(
-                        problem,
-                        node.lower.clone(),
-                        upper,
-                        &node.relaxation.basis,
-                        dive,
-                        cutoff,
-                        &mut heap,
-                    );
-                }
-                // Up branch: x >= floor + 1.
-                if floor + 1.0 <= node.upper[v.index()] {
-                    let mut lower = node.lower;
-                    lower[v.index()] = floor + 1.0;
-                    push_child(
-                        problem,
-                        lower,
-                        node.upper,
-                        &node.relaxation.basis,
-                        dive,
-                        cutoff,
-                        &mut heap,
-                    );
-                }
-            }
-        }
-    }
-
-    match incumbent {
-        Some(mut s) => {
-            s.nodes = nodes;
-            // The heap drained, so the search is complete — relevant when a
-            // seeded incumbent (created unproven) was never displaced.
-            s.proved_optimal = true;
-            Ok((s, incumbent_basis))
-        }
-        None => Err(SolveError::Infeasible),
+    let objective = problem
+        .objective
+        .iter()
+        .zip(&values)
+        .map(|(c, x)| c * x)
+        .sum();
+    MilpSolution {
+        objective,
+        values,
+        nodes,
+        proved_optimal,
+        effort: SolveEffort::default(),
     }
 }
 
-/// Solves one child's relaxation from its parent's basis and queues it,
-/// unless it is infeasible or its bound cannot beat `cutoff` (the
-/// incumbent's normalized objective plus the gap).
-fn push_child(
-    problem: &Problem,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    parent_basis: &Basis,
-    dive: usize,
-    cutoff: Option<f64>,
-    heap: &mut BinaryHeap<Node>,
-) {
-    // Infeasible children end here. So do unbounded/iteration-limit ones:
-    // the root solve already screened for unboundedness.
-    let Ok(relaxation) = solve_lp_with_bounds(problem, &lower, &upper, Some(parent_basis)) else {
-        return;
-    };
-    let score = match problem.direction() {
-        Direction::Maximize => relaxation.objective,
-        Direction::Minimize => -relaxation.objective,
-    };
-    if cutoff.is_some_and(|c| score <= c) {
-        return; // Bound: can't beat the incumbent.
+/// One branch & bound search over one [`LpSolver`].
+struct Search<'a> {
+    problem: &'a Problem,
+    int_vars: &'a [VarId],
+    options: &'a MilpOptions,
+    goal: Goal,
+    lp: &'a mut LpSolver,
+    heap: BinaryHeap<Node>,
+}
+
+impl Search<'_> {
+    /// LP objective normalized so larger is better.
+    fn norm(&self, objective: f64) -> f64 {
+        match self.problem.direction() {
+            Direction::Maximize => objective,
+            Direction::Minimize => -objective,
+        }
     }
-    heap.push(Node {
-        dive,
-        score,
-        lower,
-        upper,
-        relaxation,
-    });
+
+    fn run(
+        &mut self,
+        root_lower: &[f64],
+        root_upper: &[f64],
+        hint_basis: Option<&Basis>,
+        mut incumbent: Option<MilpSolution>,
+        mut incumbent_basis: Option<Basis>,
+    ) -> Result<(MilpSolution, Option<Basis>), SolveError> {
+        let gap = self.options.gap;
+        // The one solve that may refactorize: the hint is a basis from
+        // another tick, whose coefficients may have moved since.
+        let root = self.lp.solve(root_lower, root_upper, hint_basis)?;
+        let values = self.lp.values(&root);
+        let score = self.norm(self.lp.objective(&values));
+        if let Some(best) = &incumbent {
+            // Fast path: the root bound already proves the seeded incumbent
+            // optimal (within the gap) — no branching needed. The root basis
+            // is this tick's optimal basis: carry it instead of the hint.
+            if score <= self.norm(best.objective) + gap {
+                let mut s = incumbent.take().expect("just matched Some");
+                s.nodes = 1;
+                s.proved_optimal = true;
+                return Ok((s, Some(root.basis())));
+            }
+        }
+        self.heap.push(Node {
+            dive: 0,
+            score,
+            values,
+            tableau: root,
+        });
+
+        let mut nodes = 0usize;
+
+        while let Some(node) = self.heap.pop() {
+            if nodes >= self.options.node_limit {
+                return match incumbent {
+                    Some(mut s) => {
+                        s.nodes = nodes;
+                        s.proved_optimal = false;
+                        Ok((s, incumbent_basis))
+                    }
+                    None => Err(SolveError::IterationLimit),
+                };
+            }
+            nodes += 1;
+
+            // Prune against the incumbent.
+            if let Some(best) = &incumbent {
+                if node.score <= self.norm(best.objective) + gap {
+                    continue;
+                }
+            }
+
+            // Find the most fractional integer variable.
+            let mut branch_var = None;
+            let mut best_frac = INT_TOL;
+            for &v in self.int_vars {
+                let x = node.values[v.index()];
+                let frac = (x - x.round()).abs();
+                if frac > best_frac {
+                    best_frac = frac;
+                    branch_var = Some(v);
+                }
+            }
+
+            match branch_var {
+                None => {
+                    // Integral: snap and record as incumbent if better.
+                    let point =
+                        integral_point(self.problem, self.int_vars, node.values, nodes, true);
+                    if self.goal == Goal::Feasible {
+                        let witness = MilpSolution {
+                            proved_optimal: false,
+                            ..point
+                        };
+                        return Ok((witness, Some(node.tableau.basis())));
+                    }
+                    let better = incumbent
+                        .as_ref()
+                        .is_none_or(|b| self.norm(point.objective) > self.norm(b.objective) + gap);
+                    if better {
+                        incumbent = Some(point);
+                        incumbent_basis = Some(node.tableau.basis());
+                    }
+                }
+                Some(v) => {
+                    let floor = node.values[v.index()].floor();
+                    let (lower, upper) = node.tableau.bounds(v);
+                    let cutoff = incumbent
+                        .as_ref()
+                        .map(|best| self.norm(best.objective) + gap);
+                    let dive = match self.goal {
+                        Goal::Optimal => 0,
+                        Goal::Feasible => node.dive + 1,
+                    };
+                    // Down branch: x <= floor.
+                    if lower <= floor {
+                        self.push_child(&node.tableau, v, (lower, floor), dive, cutoff);
+                    }
+                    // Up branch: x >= floor + 1.
+                    if floor + 1.0 <= upper {
+                        self.push_child(&node.tableau, v, (floor + 1.0, upper), dive, cutoff);
+                    }
+                }
+            }
+        }
+
+        match incumbent {
+            Some(mut s) => {
+                s.nodes = nodes;
+                // The heap drained, so the search is complete — relevant when a
+                // seeded incumbent (created unproven) was never displaced.
+                s.proved_optimal = true;
+                Ok((s, incumbent_basis))
+            }
+            None => Err(SolveError::Infeasible),
+        }
+    }
+
+    /// Solves the child of `parent` that confines `var` to `bounds` —
+    /// from a copy of the parent's tableau, with that one bound changed —
+    /// and queues it, unless it is infeasible or its bound cannot beat
+    /// `cutoff` (the incumbent's normalized objective plus the gap).
+    fn push_child(
+        &mut self,
+        parent: &Tableau,
+        var: VarId,
+        bounds: (f64, f64),
+        dive: usize,
+        cutoff: Option<f64>,
+    ) {
+        // Infeasible children end here. So do unbounded/iteration-limit ones:
+        // the root solve already screened for unboundedness.
+        let Ok(tableau) = self.lp.solve_child(parent, var, bounds.0, bounds.1) else {
+            return;
+        };
+        let values = self.lp.values(&tableau);
+        let score = self.norm(self.lp.objective(&values));
+        if cutoff.is_some_and(|c| score <= c) {
+            return; // Bound: can't beat the incumbent.
+        }
+        self.heap.push(Node {
+            dive,
+            score,
+            values,
+            tableau,
+        });
+    }
 }
 
 #[cfg(test)]

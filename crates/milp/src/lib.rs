@@ -10,10 +10,12 @@
 //! Callers that only need to know *whether* an integral point exists ask
 //! [`find_feasible`], which runs the same search but stops at the first
 //! one.
-//! Every LP solve returns its optimal [`Basis`], and related solves
-//! (branch & bound children, tick-to-tick controller re-solves) restart
-//! from it with a dual-simplex reoptimization instead of a full two-phase
-//! run.
+//! Related solves restart from what the last one left behind instead of
+//! running two phases from scratch: a tick-to-tick controller re-solve
+//! refactorizes the previous optimum's [`Basis`] once, at its root, and
+//! every branch & bound child below continues from its parent's solved
+//! [`Tableau`] with a few dual-simplex pivots ([`LpSolver`]). What a
+//! search cost is on its solution as a [`SolveEffort`].
 //!
 //! The DiffServe allocation instances are tiny by MILP standards (tens of
 //! integer variables, tens of constraints), and the paper reports ~10 ms
@@ -49,4 +51,7 @@ pub use branch::{
     find_feasible, solve_milp, solve_milp_warm, MilpOptions, MilpSolution, WarmStart, INT_TOL,
 };
 pub use problem::{Direction, Problem, Sense, VarId, VarKind};
-pub use simplex::{solve_lp, solve_lp_with_bounds, Basis, ColStatus, LpSolution, SolveError, TOL};
+pub use simplex::{
+    solve_lp, solve_lp_with_bounds, Basis, ColStatus, LpSolution, LpSolver, SolveEffort,
+    SolveError, Tableau, TOL,
+};

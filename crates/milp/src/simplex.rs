@@ -15,15 +15,28 @@
 //!
 //! Cold solves run a composite phase 1 (minimize the total bound
 //! violation of the basics with a first-breakpoint ratio test) followed
-//! by a primal phase 2. Warm solves refactorize the supplied basis and
-//! reoptimize with a bounded dual simplex (bound changes leave the parent
-//! basis dual feasible); whenever the basis is stale, singular, or the
-//! reoptimization misbehaves numerically, the solver falls back to the
-//! cold two-phase path, so correctness never depends on the fast path.
-//! Entering variables use Dantzig's rule with a Bland fallback once the
-//! iteration count suggests degenerate cycling.
+//! by a primal phase 2. A warm solve reoptimizes with a bounded dual
+//! simplex, and there are two ways into it. A [`Basis`] carried over from
+//! another solve — whose coefficients may have moved since — is
+//! refactorized against this problem first ([`LpSolver::solve`]). A
+//! branch & bound child skips that: it differs from its parent by one
+//! bound, so it copies the parent's solved [`Tableau`], applies the bound
+//! change to it, and pivots on from there ([`LpSolver::solve_child`]);
+//! the bound-independent part of the LP is built once per [`LpSolver`].
+//!
+//! A warm solve returns one of three answers. An optimum is re-checked
+//! for primal and dual feasibility before it is handed back. When the
+//! dual simplex stops on a violated row that no column can repair, the
+//! row is checked as an infeasibility certificate — every nonbasic column
+//! moved to whichever bound helps the row most, the columns too small to
+//! pivot on charged their full range — and a certified row *is* the
+//! verdict. Anything else (a stale or singular basis, a marginal or
+//! doubtful certificate, an iteration limit, a failed re-check) falls
+//! back to refactorize → cold two-phase, so correctness never depends on
+//! the fast path. Entering variables use Dantzig's rule with a Bland
+//! fallback once the iteration count suggests degenerate cycling.
 
-use crate::problem::{Direction, Problem, Sense};
+use crate::problem::{Direction, Problem, Sense, VarId};
 
 /// Numerical tolerance used throughout the solver.
 pub const TOL: f64 = 1e-9;
@@ -36,6 +49,12 @@ const DUAL_TOL: f64 = 1e-7;
 
 /// Smallest pivot magnitude accepted when refactorizing a warm basis.
 const PIVOT_TOL: f64 = 1e-7;
+
+/// Margin by which a row must miss its bound, best case, before the dual
+/// simplex may call the LP infeasible on its own. Ten times [`FEAS_TOL`]:
+/// a gap within a few `FEAS_TOL` is where the cold path's round-off could
+/// land on the other side, so those go cold.
+const CERT_TOL: f64 = 1e-6;
 
 /// Why the solver could not return an optimum.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,11 +133,31 @@ pub struct LpSolution {
     /// Optimal objective value in the problem's original direction.
     pub objective: f64,
     /// Optimal value of each variable, indexed by [`VarId::index`].
-    ///
-    /// [`VarId::index`]: crate::problem::VarId::index
     pub values: Vec<f64>,
     /// The optimal basis, reusable to warm-start a related solve.
     pub basis: Basis,
+}
+
+/// Exact counts of the work one [`LpSolver`] has done — loop counters,
+/// always on. A branch & bound search stamps them on its
+/// [`MilpSolution`](crate::MilpSolution).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveEffort {
+    /// LP relaxations solved ([`LpSolver::solve`] and
+    /// [`LpSolver::solve_child`] calls), whatever their verdict.
+    pub lp_solves: usize,
+    /// Simplex pivots (basis changes; bound flips are not counted).
+    pub pivots: usize,
+    /// Gauss-Jordan refactorizations of a carried [`Basis`]. A search
+    /// needs at most one, at its root; any more are children that fell
+    /// back.
+    pub refactorizations: usize,
+    /// Cold two-phase solves: every solve without a usable warm start,
+    /// and every warm one that fell back.
+    pub cold_solves: usize,
+    /// Warm solves the dual simplex ended with a certified-infeasible row
+    /// (no cold re-solve).
+    pub certified_infeasible: usize,
 }
 
 /// Solves the LP relaxation of `problem` (integrality ignored).
@@ -139,14 +178,16 @@ pub fn solve_lp(problem: &Problem) -> Result<LpSolution, SolveError> {
 /// Solves the LP relaxation with overridden variable bounds, optionally
 /// warm-started from a previous solve's [`Basis`].
 ///
-/// Branch & bound uses this to solve node relaxations without rebuilding
-/// the [`Problem`], handing each child its parent's optimal basis: a
-/// child differs only in one variable bound, which leaves the parent
-/// basis dual feasible, so the solve reduces to a handful of dual simplex
-/// pivots instead of a full two-phase run. A basis that does not fit the
-/// problem (wrong shape, statuses pointing at infinite bounds, singular)
-/// is ignored and the solve runs cold — the warm path can never change
-/// the result, only the time to reach it.
+/// This is [`LpSolver::solve`] on a solver built for the one call: the
+/// basis, if it fits, is refactorized against `problem` and reoptimized
+/// by the dual simplex, which either reaches the optimum or certifies
+/// that none exists; a basis that does not fit (wrong shape, statuses
+/// pointing at infinite bounds, singular) or a reoptimization that is not
+/// sure of its answer gives way to the cold two-phase solve. The warm
+/// path can never change the result, only the time to reach it. Branch &
+/// bound does not come through here per node — it keeps one [`LpSolver`]
+/// per search and continues each child from its parent's [`Tableau`] —
+/// but this is the path every such child falls back to.
 ///
 /// # Errors
 ///
@@ -162,44 +203,17 @@ pub fn solve_lp_with_bounds(
     upper: &[f64],
     warm: Option<&Basis>,
 ) -> Result<LpSolution, SolveError> {
-    let n = problem.num_vars();
-    assert_eq!(lower.len(), n, "lower bounds length mismatch");
-    assert_eq!(upper.len(), n, "upper bounds length mismatch");
-    for j in 0..n {
-        assert!(
-            lower[j] <= upper[j] + TOL,
-            "inverted bounds for variable {j}: [{}, {}]",
-            lower[j],
-            upper[j]
-        );
-        if lower[j] > upper[j] {
-            // Equal-within-tolerance but numerically inverted: clamp.
-            return solve_lp_with_bounds(
-                problem,
-                &lower
-                    .iter()
-                    .zip(upper)
-                    .map(|(l, u)| l.min(*u))
-                    .collect::<Vec<_>>(),
-                upper,
-                warm,
-            );
-        }
-    }
-
-    let inst = Instance::build(problem, lower, upper);
-    if let Some(basis) = warm {
-        if let Some(t) = inst.try_warm(basis) {
-            return Ok(inst.extract(&t));
-        }
-    }
-    let t = inst.solve_cold()?;
-    Ok(inst.extract(&t))
+    let mut solver = LpSolver::new(problem);
+    let t = solver.solve(lower, upper, warm)?;
+    Ok(solver.solution(&t))
 }
 
-/// The LP in solver form: `A x + s = b` with per-column bounds, senses
-/// folded into the slack bounds, costs in minimization form.
-struct Instance {
+/// One LP in solver form — `A x + s = b`, senses folded into the slack
+/// bounds, costs in minimization form — ready to be solved under any
+/// number of variable-bound vectors. Everything here is independent of
+/// those bounds and built once; the bounds travel with each [`Tableau`].
+#[derive(Debug)]
+pub struct LpSolver {
     /// Rows (constraints).
     m: usize,
     /// Columns: `ns` structurals then `m` slacks.
@@ -212,19 +226,20 @@ struct Instance {
     /// Right-hand sides, unnormalized (no row flipping — the layout must
     /// not depend on bound or rhs signs, or bases would not be reusable).
     b: Vec<f64>,
-    /// Per-column lower bounds (structurals then slacks).
-    lower: Vec<f64>,
-    /// Per-column upper bounds.
-    upper: Vec<f64>,
+    /// Slack bounds, one pair per row: the row's sense.
+    slack_bounds: Vec<(f64, f64)>,
     /// Minimization costs (slacks cost zero).
     cost: Vec<f64>,
     /// `+1` for minimize, `-1` for maximize (applied to costs).
     sign: f64,
+    effort: SolveEffort,
 }
 
-/// Mutable solver state: the tableau `B⁻¹A`, the basic values, and the
-/// column statuses.
-struct Tableau {
+/// A solved LP relaxation: the tableau `B⁻¹A` at the optimum, the basic
+/// values, the column statuses, and the bounds it was solved under.
+/// [`LpSolver::solve_child`] continues from it.
+#[derive(Debug, Clone)]
+pub struct Tableau {
     /// `B⁻¹A`, `m × n` row-major.
     a: Vec<f64>,
     /// Value of the basic variable of each row.
@@ -233,19 +248,56 @@ struct Tableau {
     basis: Vec<usize>,
     /// Status of every column.
     status: Vec<ColStatus>,
+    /// Per-column lower bounds (structurals then slacks).
+    lower: Vec<f64>,
+    /// Per-column upper bounds.
+    upper: Vec<f64>,
 }
 
-impl Instance {
-    fn build(problem: &Problem, lower: &[f64], upper: &[f64]) -> Instance {
+impl Tableau {
+    /// The `[lower, upper]` bounds `var` was solved under.
+    pub fn bounds(&self, var: VarId) -> (f64, f64) {
+        (self.lower[var.0], self.upper[var.0])
+    }
+
+    /// The optimal basis, reusable to warm-start a related solve.
+    pub fn basis(&self) -> Basis {
+        Basis {
+            statuses: self.status.clone(),
+            basic: self.basis.clone(),
+        }
+    }
+
+    /// The resting value of nonbasic column `j`.
+    fn nb_val(&self, j: usize) -> f64 {
+        match self.status[j] {
+            ColStatus::AtLower => self.lower[j],
+            ColStatus::AtUpper => self.upper[j],
+            ColStatus::Free => 0.0,
+            ColStatus::Basic => unreachable!("basic column has no resting value"),
+        }
+    }
+}
+
+/// Why a warm solve stopped short of an optimum.
+enum Stop {
+    /// A violated row that no column movement can repair: the LP is
+    /// infeasible, with [`CERT_TOL`] to spare.
+    Infeasible,
+    /// Anything else; the cold path decides.
+    Unsure,
+}
+
+impl LpSolver {
+    /// Lays out `problem`'s LP relaxation. Its own variable bounds are not
+    /// read; every solve names the bounds it wants.
+    pub fn new(problem: &Problem) -> LpSolver {
         let ns = problem.num_vars();
         let m = problem.constraints.len();
         let n = ns + m;
         let mut a0 = vec![0.0; m * n];
         let mut b = vec![0.0; m];
-        let mut lo = vec![0.0; n];
-        let mut up = vec![0.0; n];
-        lo[..ns].copy_from_slice(lower);
-        up[..ns].copy_from_slice(upper);
+        let mut slack_bounds = Vec::with_capacity(m);
         for (i, c) in problem.constraints.iter().enumerate() {
             for &(v, coef) in &c.terms {
                 a0[i * n + v.0] += coef;
@@ -253,13 +305,11 @@ impl Instance {
             a0[i * n + ns + i] = 1.0;
             b[i] = c.rhs;
             // Sense as slack bounds: a·x + s = rhs.
-            let (slo, sup) = match c.sense {
+            slack_bounds.push(match c.sense {
                 Sense::Le => (0.0, f64::INFINITY),
                 Sense::Ge => (f64::NEG_INFINITY, 0.0),
                 Sense::Eq => (0.0, 0.0),
-            };
-            lo[ns + i] = slo;
-            up[ns + i] = sup;
+            });
         }
         let sign = match problem.direction {
             Direction::Minimize => 1.0,
@@ -269,122 +319,289 @@ impl Instance {
         for (c, &obj) in cost.iter_mut().zip(&problem.objective) {
             *c = obj * sign;
         }
-        Instance {
+        LpSolver {
             m,
             n,
             ns,
             a0,
             b,
-            lower: lo,
-            upper: up,
+            slack_bounds,
             cost,
             sign,
+            effort: SolveEffort::default(),
         }
+    }
+
+    /// The work done through this solver so far.
+    pub fn effort(&self) -> SolveEffort {
+        self.effort
+    }
+
+    /// Solves under the variable bounds `lower`/`upper`, warm-started from
+    /// `warm` when it fits: refactorize, reoptimize, and — unless that
+    /// ends in an optimum or a certified infeasibility — solve cold.
+    ///
+    /// # Errors
+    ///
+    /// See [`solve_lp`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bound vectors do not match the number of variables or
+    /// if any pair is inverted.
+    pub fn solve(
+        &mut self,
+        lower: &[f64],
+        upper: &[f64],
+        warm: Option<&Basis>,
+    ) -> Result<Tableau, SolveError> {
+        assert_eq!(lower.len(), self.ns, "lower bounds length mismatch");
+        assert_eq!(upper.len(), self.ns, "upper bounds length mismatch");
+        for (j, (&l, &u)) in lower.iter().zip(upper).enumerate() {
+            assert!(l <= u + TOL, "inverted bounds for variable {j}: [{l}, {u}]");
+        }
+        self.effort.lp_solves += 1;
+        // Equal-within-tolerance but numerically inverted pairs clamp.
+        let mut lo: Vec<f64> = lower.iter().zip(upper).map(|(l, u)| l.min(*u)).collect();
+        let mut up = upper.to_vec();
+        for &(slo, sup) in &self.slack_bounds {
+            lo.push(slo);
+            up.push(sup);
+        }
+        self.solve_from(lo, up, warm)
+    }
+
+    /// Solves `parent`'s LP with `var`'s bounds replaced by `[lower,
+    /// upper]` — a branch & bound child. The child starts from a copy of
+    /// the parent's tableau: a bound change leaves it dual feasible (a
+    /// basic `var` keeps every basic value where it is; a nonbasic one
+    /// resting on the moved bound shifts them by `−α·Δ`), so the dual
+    /// simplex needs a handful of pivots and no refactorization. If that
+    /// ends unsure, the child is solved as [`solve`](Self::solve) would
+    /// from the parent's [`Basis`].
+    ///
+    /// Meant for tightening; any other change is still answered
+    /// correctly, because a tableau that lost dual feasibility is either
+    /// finished by the primal simplex or handed to the fallback.
+    ///
+    /// # Errors
+    ///
+    /// See [`solve_lp`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lower > upper` or `parent` is not a tableau of this
+    /// solver's shape.
+    pub fn solve_child(
+        &mut self,
+        parent: &Tableau,
+        var: VarId,
+        lower: f64,
+        upper: f64,
+    ) -> Result<Tableau, SolveError> {
+        assert!(lower <= upper, "inverted bounds [{lower}, {upper}]");
+        assert_eq!(parent.a.len(), self.m * self.n, "tableau shape mismatch");
+        self.effort.lp_solves += 1;
+        let mut t = parent.clone();
+        self.rebound(&mut t, var.0, lower, upper);
+        match self.reoptimize(&mut t) {
+            Ok(()) => Ok(t),
+            Err(Stop::Infeasible) => Err(SolveError::Infeasible),
+            Err(Stop::Unsure) => {
+                let (mut lo, mut up) = (parent.lower.clone(), parent.upper.clone());
+                lo[var.0] = lower;
+                up[var.0] = upper;
+                self.solve_from(lo, up, Some(&parent.basis()))
+            }
+        }
+    }
+
+    /// Reads the solution out of an optimal tableau.
+    pub fn solution(&self, t: &Tableau) -> LpSolution {
+        let values = self.values(t);
+        LpSolution {
+            objective: self.objective(&values),
+            values,
+            basis: t.basis(),
+        }
+    }
+
+    /// The value of every structural variable at `t`'s vertex.
+    pub fn values(&self, t: &Tableau) -> Vec<f64> {
+        let mut values: Vec<f64> = (0..self.ns)
+            .map(|j| match t.status[j] {
+                ColStatus::Basic => 0.0,
+                _ => t.nb_val(j),
+            })
+            .collect();
+        for (&bi, &x) in t.basis.iter().zip(&t.xb) {
+            if bi < self.ns {
+                // Snap to bounds against round-off.
+                values[bi] = x.max(t.lower[bi]).min(t.upper[bi]);
+            }
+        }
+        values
+    }
+
+    /// The objective at `values`, in the problem's original direction.
+    pub fn objective(&self, values: &[f64]) -> f64 {
+        let min_obj: f64 = values.iter().zip(&self.cost).map(|(v, c)| v * c).sum();
+        min_obj * self.sign
     }
 
     fn max_iters(&self) -> usize {
         50 * (self.m + self.n + 10)
     }
 
-    /// The resting value of a nonbasic column with the given status.
-    fn nb_val(&self, j: usize, status: ColStatus) -> f64 {
-        match status {
-            ColStatus::AtLower => self.lower[j],
-            ColStatus::AtUpper => self.upper[j],
-            ColStatus::Free => 0.0,
-            ColStatus::Basic => unreachable!("basic column has no resting value"),
-        }
-    }
-
-    /// The all-slack starting tableau (`B = I`).
-    fn cold_tableau(&self) -> Tableau {
-        let mut status = Vec::with_capacity(self.n);
-        for j in 0..self.ns {
-            status.push(if self.lower[j].is_finite() {
-                ColStatus::AtLower
-            } else if self.upper[j].is_finite() {
-                ColStatus::AtUpper
-            } else {
-                ColStatus::Free
-            });
-        }
-        for _ in 0..self.m {
-            status.push(ColStatus::Basic);
-        }
-        let basis: Vec<usize> = (self.ns..self.n).collect();
-        let mut xb = self.b.clone();
-        for (i, x) in xb.iter_mut().enumerate() {
-            for (j, &st) in status.iter().enumerate().take(self.ns) {
-                let coef = self.a0[i * self.n + j];
-                if coef != 0.0 {
-                    *x -= coef * self.nb_val(j, st);
-                }
+    /// The whole path under full-length column bounds: the warm start if
+    /// it delivers a verdict, the cold two-phase solve otherwise. Every
+    /// fallback ends here.
+    fn solve_from(
+        &mut self,
+        lower: Vec<f64>,
+        upper: Vec<f64>,
+        warm: Option<&Basis>,
+    ) -> Result<Tableau, SolveError> {
+        let mut t = Tableau {
+            a: Vec::new(),
+            xb: Vec::new(),
+            basis: Vec::new(),
+            status: Vec::new(),
+            lower,
+            upper,
+        };
+        if warm.is_some_and(|basis| self.refactorize(basis, &mut t)) {
+            match self.reoptimize(&mut t) {
+                Ok(()) => return Ok(t),
+                Err(Stop::Infeasible) => return Err(SolveError::Infeasible),
+                Err(Stop::Unsure) => {}
             }
         }
-        Tableau {
-            a: self.a0.clone(),
-            xb,
-            basis,
-            status,
-        }
-    }
-
-    fn solve_cold(&self) -> Result<Tableau, SolveError> {
-        let mut t = self.cold_tableau();
+        self.effort.cold_solves += 1;
+        self.cold_start(&mut t);
         self.primal_phase1(&mut t)?;
         self.primal_phase2(&mut t)?;
         Ok(t)
     }
 
-    /// Attempts a warm solve from `basis`. Any validation, factorization,
-    /// or reoptimization hiccup returns `None` — the caller falls back to
-    /// the cold path, which alone decides infeasible/unbounded verdicts.
-    fn try_warm(&self, basis: &Basis) -> Option<Tableau> {
-        let mut t = self.refactorize(basis)?;
-        let dual_ok = self.is_dual_feasible(&t);
-        if dual_ok {
-            self.dual_simplex(&mut t).ok()?;
-        } else if !self.is_primal_feasible(&t) {
-            // Neither dual nor primal feasible: the basis buys nothing.
-            return None;
-        }
-        self.primal_phase2(&mut t).ok()?;
-        // Paranoia: never hand back a tableau that is not an optimum.
-        if self.is_primal_feasible(&t) && self.is_dual_feasible(&t) {
-            Some(t)
-        } else {
-            None
+    /// Resets `t` to the all-slack starting tableau (`B = I`) under its
+    /// bounds.
+    fn cold_start(&self, t: &mut Tableau) {
+        t.status = (0..self.ns)
+            .map(|j| {
+                if t.lower[j].is_finite() {
+                    ColStatus::AtLower
+                } else if t.upper[j].is_finite() {
+                    ColStatus::AtUpper
+                } else {
+                    ColStatus::Free
+                }
+            })
+            .collect();
+        t.status.resize(self.n, ColStatus::Basic);
+        t.basis = (self.ns..self.n).collect();
+        t.a = self.a0.clone();
+        t.xb = self.b.clone();
+        self.rest_nonbasics(t);
+    }
+
+    /// Turns `t.xb` from `B⁻¹b` into the basic values: `x_B = B⁻¹b −
+    /// Σ_nonbasic (B⁻¹A)_j · v_j`, every nonbasic column at its resting
+    /// value `v_j`.
+    fn rest_nonbasics(&self, t: &mut Tableau) {
+        for j in 0..self.n {
+            if t.status[j] != ColStatus::Basic {
+                let v = t.nb_val(j);
+                if v != 0.0 {
+                    self.shift_basics(t, j, v);
+                }
+            }
         }
     }
 
-    /// Rebuilds the tableau for `basis` by Gauss-Jordan elimination with
-    /// row pivoting. Returns `None` when the basis does not fit this
-    /// problem or its columns are (near-)singular.
-    fn refactorize(&self, basis: &Basis) -> Option<Tableau> {
+    /// Moves nonbasic column `j` by `delta`: every basic value follows by
+    /// `−α_j·delta`.
+    fn shift_basics(&self, t: &mut Tableau, j: usize, delta: f64) {
+        for (i, x) in t.xb.iter_mut().enumerate() {
+            let coef = t.a[i * self.n + j];
+            if coef != 0.0 {
+                *x -= coef * delta;
+            }
+        }
+    }
+
+    /// Replaces column `j`'s bounds in a solved tableau. A basic column
+    /// only gets new bounds to be checked against; a nonbasic one stays on
+    /// the side it rests on (while that side is finite) and carries the
+    /// basics along if its resting value moved.
+    fn rebound(&self, t: &mut Tableau, j: usize, lower: f64, upper: f64) {
+        let rested = (t.status[j] != ColStatus::Basic).then(|| t.nb_val(j));
+        t.lower[j] = lower;
+        t.upper[j] = upper;
+        let Some(rested) = rested else { return };
+        t.status[j] = match t.status[j] {
+            ColStatus::AtLower if lower.is_finite() => ColStatus::AtLower,
+            ColStatus::AtUpper if upper.is_finite() => ColStatus::AtUpper,
+            _ if lower.is_finite() => ColStatus::AtLower,
+            _ if upper.is_finite() => ColStatus::AtUpper,
+            _ => ColStatus::Free,
+        };
+        let delta = t.nb_val(j) - rested;
+        if delta != 0.0 {
+            self.shift_basics(t, j, delta);
+        }
+    }
+
+    /// Drives a tableau with a valid basis to the optimum of its bounds:
+    /// dual simplex when it starts dual feasible, primal simplex when it
+    /// starts primal feasible, and a final check that what comes out is an
+    /// optimum.
+    fn reoptimize(&mut self, t: &mut Tableau) -> Result<(), Stop> {
+        if self.is_dual_feasible(t) {
+            self.dual_simplex(t)?;
+        } else if !self.is_primal_feasible(t) {
+            // Neither dual nor primal feasible: the basis buys nothing.
+            return Err(Stop::Unsure);
+        }
+        self.primal_phase2(t).map_err(|_| Stop::Unsure)?;
+        // Paranoia: never hand back a tableau that is not an optimum.
+        if self.is_primal_feasible(t) && self.is_dual_feasible(t) {
+            Ok(())
+        } else {
+            Err(Stop::Unsure)
+        }
+    }
+
+    /// Rebuilds `t`'s tableau for `basis` under `t`'s bounds by
+    /// Gauss-Jordan elimination with row pivoting. Returns `false`, with
+    /// `t`'s bounds untouched, when the basis does not fit this problem or
+    /// its columns are (near-)singular.
+    fn refactorize(&mut self, basis: &Basis, t: &mut Tableau) -> bool {
         let (m, n) = (self.m, self.n);
         if basis.statuses.len() != n || basis.basic.len() != m {
-            return None;
+            return false;
         }
         let mut n_basic = 0usize;
         for (j, &s) in basis.statuses.iter().enumerate() {
             match s {
                 ColStatus::Basic => n_basic += 1,
-                ColStatus::AtLower if !self.lower[j].is_finite() => return None,
-                ColStatus::AtUpper if !self.upper[j].is_finite() => return None,
+                ColStatus::AtLower if !t.lower[j].is_finite() => return false,
+                ColStatus::AtUpper if !t.upper[j].is_finite() => return false,
                 _ => {}
             }
         }
         if n_basic != m {
-            return None;
+            return false;
         }
         let mut seen = vec![false; n];
         for &c in &basis.basic {
             if c >= n || basis.statuses[c] != ColStatus::Basic || seen[c] {
-                return None;
+                return false;
             }
             seen[c] = true;
         }
 
+        self.effort.refactorizations += 1;
         let mut a = self.a0.clone();
         let mut rhs = self.b.clone();
         let mut assigned = vec![false; m];
@@ -402,7 +619,7 @@ impl Instance {
                 }
             }
             if row == usize::MAX {
-                return None; // singular basis
+                return false; // singular basis
             }
             let p = a[row * n + c];
             for v in &mut a[row * n..row * n + n] {
@@ -427,29 +644,12 @@ impl Instance {
             new_basis[row] = c;
         }
 
-        // Basic values: x_B = B⁻¹b − Σ_nonbasic (B⁻¹A)_j · v_j.
-        let status = basis.statuses.clone();
-        let mut xb = rhs;
-        for j in 0..n {
-            if status[j] == ColStatus::Basic {
-                continue;
-            }
-            let v = self.nb_val(j, status[j]);
-            if v != 0.0 {
-                for i in 0..m {
-                    let coef = a[i * n + j];
-                    if coef != 0.0 {
-                        xb[i] -= coef * v;
-                    }
-                }
-            }
-        }
-        Some(Tableau {
-            a,
-            xb,
-            basis: new_basis,
-            status,
-        })
+        t.a = a;
+        t.xb = rhs;
+        t.basis = new_basis;
+        t.status = basis.statuses.clone();
+        self.rest_nonbasics(t);
+        true
     }
 
     /// Reduced costs `r = c − c_B' B⁻¹A` for `costs`, written into `r`.
@@ -468,8 +668,8 @@ impl Instance {
 
     fn is_primal_feasible(&self, t: &Tableau) -> bool {
         t.xb.iter().zip(&t.basis).all(|(&x, &b)| {
-            x >= self.lower[b] - FEAS_TOL * (1.0 + self.lower[b].abs())
-                && x <= self.upper[b] + FEAS_TOL * (1.0 + self.upper[b].abs())
+            x >= t.lower[b] - FEAS_TOL * (1.0 + t.lower[b].abs())
+                && x <= t.upper[b] + FEAS_TOL * (1.0 + t.upper[b].abs())
         })
     }
 
@@ -479,7 +679,7 @@ impl Instance {
         (0..self.n).all(|j| match t.status[j] {
             ColStatus::Basic => true,
             // Fixed columns can never enter, so their sign is irrelevant.
-            _ if self.lower[j] == self.upper[j] => true,
+            _ if t.lower[j] == t.upper[j] => true,
             ColStatus::AtLower => r[j] >= -DUAL_TOL,
             ColStatus::AtUpper => r[j] <= DUAL_TOL,
             ColStatus::Free => r[j].abs() <= DUAL_TOL,
@@ -496,7 +696,7 @@ impl Instance {
         for (j, &rj) in r.iter().enumerate().take(self.n) {
             let (viol, sigma) = match t.status[j] {
                 ColStatus::Basic => continue,
-                _ if self.lower[j] == self.upper[j] => continue, // fixed
+                _ if t.lower[j] == t.upper[j] => continue, // fixed
                 ColStatus::AtLower => (-rj, 1.0),
                 ColStatus::AtUpper => (rj, -1.0),
                 ColStatus::Free => (rj.abs(), if rj > 0.0 { -1.0 } else { 1.0 }),
@@ -517,21 +717,15 @@ impl Instance {
     /// with the leaving variable parked at lower (`to_upper == false`) or
     /// upper.
     fn apply_step(
-        &self,
+        &mut self,
         t: &mut Tableau,
         e: usize,
         sigma: f64,
         step: f64,
         leave: Option<(usize, bool)>,
     ) {
-        let n = self.n;
         if step != 0.0 {
-            for i in 0..self.m {
-                let coef = t.a[i * n + e];
-                if coef != 0.0 {
-                    t.xb[i] -= sigma * step * coef;
-                }
-            }
+            self.shift_basics(t, e, sigma * step);
         }
         match leave {
             None => {
@@ -542,7 +736,7 @@ impl Instance {
                 };
             }
             Some((r, to_upper)) => {
-                let entering_val = self.nb_val(e, t.status[e]) + sigma * step;
+                let entering_val = t.nb_val(e) + sigma * step;
                 let leaving = t.basis[r];
                 t.status[leaving] = if to_upper {
                     ColStatus::AtUpper
@@ -550,7 +744,8 @@ impl Instance {
                     ColStatus::AtLower
                 };
                 t.status[e] = ColStatus::Basic;
-                Self::pivot(t, n, r, e);
+                self.effort.pivots += 1;
+                Self::pivot(t, self.n, r, e);
                 t.xb[r] = entering_val;
             }
         }
@@ -585,18 +780,17 @@ impl Instance {
     /// minimizing the total violation, with a first-breakpoint ratio test
     /// (an infeasible basic leaving through its violated bound is a kink,
     /// not a wall).
-    fn primal_phase1(&self, t: &mut Tableau) -> Result<(), SolveError> {
+    fn primal_phase1(&mut self, t: &mut Tableau) -> Result<(), SolveError> {
         let (m, n) = (self.m, self.n);
         let bland_after = 10 * (m + n + 10);
         let mut d = vec![0.0; m]; // violation direction per row
         let mut r = vec![0.0; n];
-        let mut costs = vec![0.0; n];
         for iter in 0..self.max_iters() {
             let mut infeasible = false;
             for ((di, &bi), &x) in d.iter_mut().zip(&t.basis).zip(&t.xb) {
-                *di = if x < self.lower[bi] - FEAS_TOL * (1.0 + self.lower[bi].abs()) {
+                *di = if x < t.lower[bi] - FEAS_TOL * (1.0 + t.lower[bi].abs()) {
                     -1.0
-                } else if x > self.upper[bi] + FEAS_TOL * (1.0 + self.upper[bi].abs()) {
+                } else if x > t.upper[bi] + FEAS_TOL * (1.0 + t.upper[bi].abs()) {
                     1.0
                 } else {
                     0.0
@@ -608,7 +802,6 @@ impl Instance {
             }
             // Phase-1 reduced costs: the violation decreases at rate
             // |r_j| along an eligible entering direction.
-            costs.iter_mut().for_each(|c| *c = 0.0);
             r.iter_mut().for_each(|v| *v = 0.0);
             for (i, &di) in d.iter().enumerate() {
                 if di != 0.0 {
@@ -638,22 +831,22 @@ impl Instance {
                     if rate <= 0.0 {
                         continue; // moving further below its lower bound
                     }
-                    (self.lower[bi], false)
+                    (t.lower[bi], false)
                 } else if di == 1.0 {
                     if rate >= 0.0 {
                         continue;
                     }
-                    (self.upper[bi], true)
+                    (t.upper[bi], true)
                 } else if rate > 0.0 {
-                    if !self.upper[bi].is_finite() {
+                    if !t.upper[bi].is_finite() {
                         continue;
                     }
-                    (self.upper[bi], true)
+                    (t.upper[bi], true)
                 } else {
-                    if !self.lower[bi].is_finite() {
+                    if !t.lower[bi].is_finite() {
                         continue;
                     }
-                    (self.lower[bi], false)
+                    (t.lower[bi], false)
                 };
                 let tstep = ((limit - t.xb[i]) / rate).max(0.0);
                 if self.tighter(t, tstep, i, step, leave) {
@@ -672,7 +865,7 @@ impl Instance {
     }
 
     /// Primal phase 2 from a primal-feasible tableau.
-    fn primal_phase2(&self, t: &mut Tableau) -> Result<(), SolveError> {
+    fn primal_phase2(&mut self, t: &mut Tableau) -> Result<(), SolveError> {
         let (m, n) = (self.m, self.n);
         let bland_after = 10 * (m + n + 10);
         let mut r = vec![0.0; n];
@@ -692,15 +885,15 @@ impl Instance {
                 }
                 let bi = t.basis[i];
                 let (limit, to_upper) = if rate > 0.0 {
-                    if !self.upper[bi].is_finite() {
+                    if !t.upper[bi].is_finite() {
                         continue;
                     }
-                    (self.upper[bi], true)
+                    (t.upper[bi], true)
                 } else {
-                    if !self.lower[bi].is_finite() {
+                    if !t.lower[bi].is_finite() {
                         continue;
                     }
-                    (self.lower[bi], false)
+                    (t.lower[bi], false)
                 };
                 let tstep = ((limit - t.xb[i]) / rate).max(0.0);
                 if self.tighter(t, tstep, i, step, leave) {
@@ -720,7 +913,7 @@ impl Instance {
     /// opposite bound (a bound flip, no pivot needed).
     fn flip_cap(&self, t: &Tableau, e: usize) -> f64 {
         match t.status[e] {
-            ColStatus::AtLower | ColStatus::AtUpper => self.upper[e] - self.lower[e],
+            ColStatus::AtLower | ColStatus::AtUpper => t.upper[e] - t.lower[e],
             _ => f64::INFINITY,
         }
     }
@@ -745,7 +938,7 @@ impl Instance {
 
     /// Bounded dual simplex: starting dual feasible, repair primal
     /// feasibility row by row while keeping the reduced costs signed.
-    fn dual_simplex(&self, t: &mut Tableau) -> Result<(), SolveError> {
+    fn dual_simplex(&mut self, t: &mut Tableau) -> Result<(), Stop> {
         let (m, n) = (self.m, self.n);
         let mut r = vec![0.0; n];
         for _ in 0..self.max_iters() {
@@ -754,8 +947,8 @@ impl Instance {
             let mut worst: f64 = 0.0;
             for i in 0..m {
                 let bi = t.basis[i];
-                let below = (self.lower[bi] - t.xb[i]) / (1.0 + self.lower[bi].abs());
-                let above = (t.xb[i] - self.upper[bi]) / (1.0 + self.upper[bi].abs());
+                let below = (t.lower[bi] - t.xb[i]) / (1.0 + t.lower[bi].abs());
+                let above = (t.xb[i] - t.upper[bi]) / (1.0 + t.upper[bi].abs());
                 if below > worst.max(FEAS_TOL) {
                     worst = below;
                     leave = Some((i, true));
@@ -775,7 +968,7 @@ impl Instance {
             // its violated bound — keeps every reduced cost signed.
             let mut best: Option<(usize, f64)> = None;
             for (j, &rj) in r.iter().enumerate().take(n) {
-                if t.status[j] == ColStatus::Basic || self.lower[j] == self.upper[j] {
+                if t.status[j] == ColStatus::Basic || t.lower[j] == t.upper[j] {
                     continue;
                 }
                 let alpha = t.a[row * n + j];
@@ -812,11 +1005,14 @@ impl Instance {
                     best = Some((j, ratio));
                 }
             }
-            // No eligible column certifies primal infeasibility, but the
-            // warm path treats any non-optimal outcome as "fall back to
-            // the cold solve" — let the caller surface it as an error.
+            // No eligible column: this row may prove the LP infeasible.
             let Some((e, _)) = best else {
-                return Err(SolveError::Infeasible);
+                return Err(if self.certifies_infeasibility(t, row, below) {
+                    self.effort.certified_infeasible += 1;
+                    Stop::Infeasible
+                } else {
+                    Stop::Unsure
+                });
             };
 
             let alpha = t.a[row * n + e];
@@ -826,49 +1022,75 @@ impl Instance {
                 alpha.signum()
             };
             let bi = t.basis[row];
-            let target = if below {
-                self.lower[bi]
-            } else {
-                self.upper[bi]
-            };
+            let target = if below { t.lower[bi] } else { t.upper[bi] };
             let rate = -sigma * alpha;
             let step = ((target - t.xb[row]) / rate).max(0.0);
             self.apply_step(t, e, sigma, step, Some((row, !below)));
         }
-        Err(SolveError::IterationLimit)
+        Err(Stop::Unsure)
     }
 
-    /// Reads the solution out of an optimal tableau.
-    fn extract(&self, t: &Tableau) -> LpSolution {
-        let mut values = vec![0.0; self.ns];
-        for (j, v) in values.iter_mut().enumerate() {
-            if t.status[j] != ColStatus::Basic {
-                *v = self.nb_val(j, t.status[j]);
+    /// Whether `row`, whose basic sits `below` its lower (or above its
+    /// upper) bound, proves the LP infeasible. The row reads `x_B = x̄_B −
+    /// Σ_j α_j·(x_j − x̄_j)` over the nonbasic columns, so the furthest the
+    /// basic can travel toward its bound is the sum, over those columns,
+    /// of the best each can do inside its own bounds — computed here
+    /// column by column rather than inferred from "the ratio test found
+    /// nothing". A column the ratio test skipped for `|α| ≤ TOL` is
+    /// charged `|α|` times all the [`travel`](Self::travel) it has,
+    /// whichever way it would have to move; unbounded travel that helps at
+    /// all leaves the row uncertified. Certified means the bound is still
+    /// out of reach by [`CERT_TOL`].
+    fn certifies_infeasibility(&self, t: &Tableau, row: usize, below: bool) -> bool {
+        let bi = t.basis[row];
+        let (gap, bound) = if below {
+            (t.lower[bi] - t.xb[row], t.lower[bi])
+        } else {
+            (t.xb[row] - t.upper[bi], t.upper[bi])
+        };
+        let mut reach = 0.0;
+        for j in 0..self.n {
+            let alpha = t.a[row * self.n + j];
+            if t.status[j] == ColStatus::Basic || alpha == 0.0 || t.lower[j] == t.upper[j] {
+                continue;
+            }
+            // Rate at which the basic nears its bound as x_j rises.
+            let toward = if below { -alpha } else { alpha };
+            let helps = alpha.abs() <= TOL
+                || match t.status[j] {
+                    ColStatus::AtLower => toward > 0.0,
+                    ColStatus::AtUpper => toward < 0.0,
+                    _ => true,
+                };
+            if helps {
+                reach += alpha.abs() * self.travel(t, j);
             }
         }
-        for i in 0..self.m {
-            if t.basis[i] < self.ns {
-                values[t.basis[i]] = t.xb[i];
+        gap - reach > CERT_TOL * (1.0 + bound.abs())
+    }
+
+    /// How far nonbasic column `j` can sit from its resting value in any
+    /// feasible point. For most columns that is the width of their bounds.
+    /// A slack with an open side (`≤` and `≥` rows) is still confined by
+    /// its row, `s = b − a·x` over the box the structurals live in — which
+    /// is what keeps pivoting round-off of `1e-17` in such a column from
+    /// voiding every certificate.
+    fn travel(&self, t: &Tableau, j: usize) -> f64 {
+        let width = t.upper[j] - t.lower[j];
+        if width.is_finite() || j < self.ns {
+            return width;
+        }
+        let i = j - self.ns;
+        let (mut least, mut most) = (self.b[i], self.b[i]);
+        for (k, &a) in self.a0[i * self.n..i * self.n + self.ns].iter().enumerate() {
+            if a != 0.0 {
+                let (p, q) = (a * t.lower[k], a * t.upper[k]);
+                least -= p.max(q);
+                most -= p.min(q);
             }
         }
-        // Snap to bounds against round-off.
-        for (j, v) in values.iter_mut().enumerate() {
-            if *v < self.lower[j] {
-                *v = self.lower[j];
-            }
-            if *v > self.upper[j] {
-                *v = self.upper[j];
-            }
-        }
-        let min_obj: f64 = values.iter().zip(&self.cost).map(|(v, c)| v * c).sum();
-        LpSolution {
-            objective: min_obj * self.sign,
-            values,
-            basis: Basis {
-                statuses: t.status.clone(),
-                basic: t.basis.clone(),
-            },
-        }
+        let rest = t.nb_val(j);
+        (most - rest).abs().max((least - rest).abs())
     }
 }
 

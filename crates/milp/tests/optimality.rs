@@ -1,7 +1,9 @@
 //! Optimality property tests: the branch & bound optimum must dominate any
 //! feasible point, and the LP relaxation must bound the MILP optimum.
 
-use diffserve_milp::{solve_lp, solve_milp, Direction, MilpOptions, Problem, Sense, VarKind};
+use diffserve_milp::{
+    find_feasible, solve_lp, solve_milp, Direction, MilpOptions, Problem, Sense, VarKind, WarmStart,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -100,4 +102,31 @@ fn origin_is_always_feasible_in_generated_ips() {
         assert!(ip.feasible(&vec![0.0; ip.n]));
         assert_eq!(ip.value(&vec![0.0; ip.n]), 0.0);
     }
+}
+
+/// The solver's answers on this file's generator, recorded at the commit
+/// before branch & bound children started from their parent's tableau
+/// and certified-infeasible children stopped re-solving cold: FNV-1a over
+/// every optimal objective's bit pattern (integer data, so alternate
+/// optima hash alike) and every [`find_feasible`] verdict. Neither change
+/// may move an answer.
+#[test]
+fn answers_match_the_recorded_parent_commit() {
+    let options = MilpOptions::default();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| hash = (hash ^ word).wrapping_mul(0x1000_0000_01b3);
+    for seed in 0..400 {
+        let ip = random_tracked_ip(seed);
+        let sol = solve_milp(&ip.problem, &options).expect("origin feasible");
+        assert_eq!(
+            (sol.effort.refactorizations, sol.effort.cold_solves),
+            (0, 1),
+            "seed {seed}: a cold search solves cold once, at its root\n{}",
+            ip.problem
+        );
+        mix(sol.objective.to_bits());
+        let witness = find_feasible(&ip.problem, &options, &mut WarmStart::new());
+        mix(u64::from(witness.is_ok_and(|w| ip.feasible(&w.values))));
+    }
+    assert_eq!(hash, 0xaab2_074d_9a7e_5de5, "{hash:#018x}");
 }

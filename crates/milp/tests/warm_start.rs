@@ -7,8 +7,8 @@
 //! of the same problem.
 
 use diffserve_milp::{
-    solve_milp, solve_milp_warm, Basis, ColStatus, Direction, MilpOptions, Problem, Sense, VarKind,
-    WarmStart,
+    find_feasible, solve_milp, solve_milp_warm, Basis, ColStatus, Direction, MilpOptions, Problem,
+    Sense, VarKind, WarmStart,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -236,4 +236,37 @@ fn corrupt_bases_fall_back_instead_of_erroring() {
             .unwrap_or_else(|e| panic!("corruption {i} must fall back, got {e:?}"));
         assert_eq!(warmed.values, cold.values, "corruption {i}");
     }
+}
+
+/// The solver's answers on this file's generator, recorded at the commit
+/// before branch & bound children started from their parent's tableau
+/// and certified-infeasible children stopped re-solving cold: FNV-1a over
+/// the unique optimum (every value's and the objective's bit pattern) of
+/// each tick of a drift path, solved cold and through one carried handle,
+/// and over every [`find_feasible`] verdict. Neither change may move an
+/// answer.
+#[test]
+fn answers_match_the_recorded_parent_commit() {
+    let options = MilpOptions::default();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| hash = (hash ^ word).wrapping_mul(0x1000_0000_01b3);
+    for seed in 0..300 {
+        let ip = DriftingIp::random(seed);
+        let mut warm = WarmStart::new();
+        let mut probes = WarmStart::new();
+        for drift in [0.0, 1.0, 1.5, -2.0, 4.0, 0.5, -5.0, 2.5] {
+            let p = ip.at_unique(drift);
+            let cold = solve_milp(&p, &options).expect("origin feasible");
+            let warmed = solve_milp_warm(&p, &options, &mut warm).expect("origin feasible");
+            assert_eq!(warmed.values, cold.values, "seed {seed} drift {drift}");
+            for x in cold.values.iter().chain([&cold.objective]) {
+                mix(x.to_bits());
+            }
+            let witness = find_feasible(&p, &options, &mut probes);
+            mix(u64::from(
+                witness.is_ok_and(|w| ip.feasible(drift, &w.values)),
+            ));
+        }
+    }
+    assert_eq!(hash, 0x6024_02b7_63b0_2665, "{hash:#018x}");
 }

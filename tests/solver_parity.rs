@@ -1,9 +1,13 @@
 //! Property tests: the MILP allocator and the exhaustive grid allocator are
-//! interchangeable — same optimal threshold on randomized inputs — and the
-//! allocator respects its own constraints.
+//! interchangeable — same optimal threshold on randomized inputs — the
+//! allocator respects its own constraints, and the MILP allocator's
+//! tick-to-tick state never changes a plan.
 
 use diffserve::imagegen::{DeferralProfile, LatencyProfile};
-use diffserve::serving::{solve_exhaustive, solve_milp_allocation, AllocatorInputs};
+use diffserve::serving::{
+    solve_exhaustive, solve_milp_allocation, solve_milp_allocation_warm, AllocWarmState,
+    AllocatorInputs,
+};
 use proptest::prelude::*;
 
 fn uniform_deferral() -> DeferralProfile {
@@ -133,6 +137,81 @@ proptest! {
                 l.threshold >= s.threshold - 1e-9,
                 "more workers should never lower the optimal threshold: {} -> {}",
                 s.threshold, l.threshold
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One [`AllocWarmState`] carried through a random walk like the churn
+    /// scenarios produce — demand and queue delays drifting and jumping,
+    /// the fleet dropping 8 → 4 → 8, overloaded and latency-infeasible
+    /// ticks in between, stage resume on or off — returns, tick for tick,
+    /// the plan of a cold full-MILP solve, which is the exhaustive
+    /// solver's plan. The walk starts from a cold state, from the
+    /// grid-floor pin an infeasible tick leaves, or from a state primed on
+    /// another grid.
+    #[test]
+    fn warm_milp_matches_cold_and_exhaustive_under_churn(
+        demands in proptest::collection::vec(1u32..1500, 12..13),
+        light_queues in proptest::collection::vec(0u32..100, 12..13),
+        heavy_queues in proptest::collection::vec(0u32..350, 12..13),
+        ticks in 3usize..13,
+        resume in 0usize..2,
+        start in 0usize..3,
+    ) {
+        let deferral = uniform_deferral();
+        let grid = thresholds(19);
+        let other_grid = thresholds(7);
+        let batches = [1usize, 2, 4, 8, 16];
+        let inputs_at = |tick: usize, workers: usize, grid| AllocatorInputs {
+            // 0.1 .. 150 qps: an idle fleet up to a load no batch size
+            // serves (≈ 120 qps on 8 workers, ≈ 50 on 4).
+            demand_qps: demands[tick] as f64 / 10.0,
+            queue_delay_light: light_queues[tick] as f64 / 100.0,
+            // Up to 3.5 s: past ≈ 3 s no batch pair fits the 5 s SLO.
+            queue_delay_heavy: heavy_queues[tick] as f64 / 100.0,
+            slo: 5.0,
+            total_workers: workers,
+            deferral: &deferral,
+            light: LatencyProfile::new(0.10, 0.55),
+            heavy: LatencyProfile::new(1.78, 0.12),
+            resume_heavy: (resume == 1).then(|| LatencyProfile::new(0.89, 0.24)),
+            discriminator_latency: 0.01,
+            batch_sizes: &batches,
+            thresholds: grid,
+        };
+
+        let mut state = AllocWarmState::new();
+        match start {
+            0 => {}
+            1 => {
+                let hopeless = AllocatorInputs { demand_qps: 1e4, ..inputs_at(0, 8, &grid) };
+                prop_assert!(solve_milp_allocation_warm(&hopeless, &mut state).is_none());
+                prop_assert_eq!(state.pinned_threshold(), Some(grid[0]));
+            }
+            _ => {
+                let easy = AllocatorInputs {
+                    demand_qps: 3.0,
+                    queue_delay_light: 0.1,
+                    queue_delay_heavy: 0.3,
+                    ..inputs_at(0, 8, &other_grid)
+                };
+                prop_assert!(solve_milp_allocation_warm(&easy, &mut state).is_some());
+            }
+        }
+        for tick in 0..ticks {
+            let workers = if (ticks / 3..2 * ticks / 3).contains(&tick) { 4 } else { 8 };
+            let inputs = inputs_at(tick, workers, &grid);
+            let cold = solve_milp_allocation(&inputs);
+            let warm = solve_milp_allocation_warm(&inputs, &mut state);
+            prop_assert_eq!(&warm, &cold, "tick {} on {} workers", tick, workers);
+            prop_assert_eq!(
+                &cold,
+                &solve_exhaustive(&inputs),
+                "tick {} on {} workers: MILP vs exhaustive", tick, workers
             );
         }
     }
