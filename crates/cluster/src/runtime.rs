@@ -682,8 +682,7 @@ impl ServingBackend for ClusterBackend<'_> {
         RunReport::assemble(
             self.settings.policy,
             total,
-            self.ledger.slo(),
-            self.ledger.totals(),
+            &self.ledger,
             self.demand_track
                 .window_rates()
                 .into_iter()

@@ -31,7 +31,7 @@ use diffserve_imagegen::{
     OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageLatencyBreakdown,
     StageState,
 };
-use diffserve_metrics::{GaussianStats, RollingFid, SloTracker};
+use diffserve_metrics::{GaussianStats, RollingFid, SloTracker, ViolationWindows};
 use diffserve_simkit::time::{SimDuration, SimTime};
 use diffserve_trace::FleetHealth;
 use rand::Rng;
@@ -845,14 +845,16 @@ const FID_ESTIMATE_TAIL: usize = 256;
 const FID_ESTIMATE_RIDGE: f64 = 1e-3;
 
 /// Outcome accounting for one session, updated where an outcome is
-/// recorded: the SLO tracker, the streamed totals the final report is
-/// assembled from, the ring behind the snapshots' rolling FID estimate, and
-/// the outcomes awaiting the next poll. A completion's feature row is read
-/// twice here (into its moment cell and into the ring) and never again, so
-/// neither a snapshot nor the report costs anything per response.
+/// recorded: the SLO tracker, the per-window violation counts, the streamed
+/// totals the final report is assembled from, the ring behind the
+/// snapshots' rolling FID estimate, and the outcomes awaiting the next
+/// poll. A completion's feature row is read twice here (into its moment
+/// cell and into the ring) and never again, so neither a snapshot nor the
+/// report costs anything per response.
 #[derive(Debug)]
 pub struct Ledger {
     slo: SloTracker,
+    violations: ViolationWindows,
     totals: CompletionTotals,
     rolling_fid: RollingFid,
     /// Outcomes recorded since the last drain, in recording order. `None`
@@ -867,6 +869,7 @@ impl Ledger {
     pub fn new(config: &SystemConfig, reference: &GaussianStats) -> Self {
         Ledger {
             slo: SloTracker::new(config.slo),
+            violations: ViolationWindows::new(config.metrics_window),
             totals: CompletionTotals::new(reference, config.metrics_window),
             rolling_fid: RollingFid::new(reference.clone(), FID_ESTIMATE_TAIL, FID_ESTIMATE_RIDGE),
             undrained: Some(Vec::new()),
@@ -885,6 +888,8 @@ impl Ledger {
         let outcome = self
             .slo
             .record_completion(response.arrival, response.completion);
+        self.violations
+            .record(response.completion, outcome.is_violation());
         self.rolling_fid.push(&response.features);
         self.totals.record(&response);
         if let Some(undrained) = &mut self.undrained {
@@ -896,7 +901,7 @@ impl Ledger {
     /// Records a query shed at `at`.
     #[inline]
     pub fn drop_query(&mut self, id: QueryId, arrival: SimTime, at: SimTime) {
-        self.slo.record_drop(arrival, at);
+        self.count_drop(at);
         if let Some(undrained) = &mut self.undrained {
             undrained.push(QueryOutcome::Dropped { id, arrival, at });
         }
@@ -905,7 +910,12 @@ impl Ledger {
     /// Records a query lost without a trace (stuck in a closed channel at
     /// shutdown): it counts against the SLO but has no outcome to drain.
     pub fn drop_lost(&mut self, at: SimTime) {
-        self.slo.record_drop(at, at);
+        self.count_drop(at);
+    }
+
+    fn count_drop(&mut self, at: SimTime) {
+        self.slo.record_drop();
+        self.violations.record(at, true);
     }
 
     /// Hands over the outcomes recorded since the last call, in recording
@@ -920,6 +930,11 @@ impl Ledger {
     /// The SLO tracker.
     pub fn slo(&self) -> &SloTracker {
         &self.slo
+    }
+
+    /// Outcome counts per metrics window.
+    pub fn violations(&self) -> &ViolationWindows {
+        &self.violations
     }
 
     /// What the final report derives from the completions.

@@ -1,10 +1,11 @@
 //! Run reports: the measurements every experiment consumes.
 
-use diffserve_metrics::{frechet_distance, CenteredMoments, GaussianStats, SloTracker};
+use diffserve_metrics::{frechet_distance, CenteredMoments, GaussianStats};
 use diffserve_simkit::time::SimDuration;
 use diffserve_trace::IncidentLog;
 
 use crate::addons::AddonStats;
+use crate::kernel::Ledger;
 use crate::policy::Policy;
 use crate::query::{CompletedResponse, ModelTier};
 
@@ -224,10 +225,18 @@ impl CompletionTotals {
     }
 
     /// FID of the rows in `moments` against the reference; `None` with
-    /// fewer than two rows or on numerical failure.
-    fn fid(&self, moments: &CenteredMoments, ridge: f64) -> Option<f64> {
-        let fitted = moments.gaussian(self.reference.mean(), ridge).ok()?;
-        frechet_distance(&fitted, &self.reference).ok()
+    /// fewer than two rows or on numerical failure. `fitted` is scratch of
+    /// the reference's dimensionality that the fit overwrites.
+    fn fid(
+        &self,
+        moments: &CenteredMoments,
+        ridge: f64,
+        fitted: &mut GaussianStats,
+    ) -> Option<f64> {
+        moments
+            .gaussian_into(self.reference.mean(), ridge, fitted)
+            .ok()?;
+        frechet_distance(fitted, &self.reference).ok()
     }
 }
 
@@ -235,46 +244,56 @@ impl RunReport {
     /// Assembles a report from a run's streamed accounting. Shared by the
     /// discrete-event simulator and the thread-based cluster runtime so the
     /// two are compared on identical accounting.
+    ///
+    /// The cost is one Gaussian fit and one Fréchet distance per metrics
+    /// window, per tier and for the run — `O((windows + tiers) · d³)`
+    /// whatever the number of responses — and every fit goes into one
+    /// reused Gaussian.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble(
         policy: Policy,
         total_queries: u64,
-        slo: &SloTracker,
-        totals: &CompletionTotals,
+        ledger: &Ledger,
         demand_series: Vec<(f64, f64)>,
         threshold_series: Vec<(f64, f64)>,
         deferral_error_series: Vec<(f64, f64)>,
         incident_log: IncidentLog,
         addon_stats: AddonStats,
     ) -> RunReport {
+        let (slo, totals) = (ledger.slo(), ledger.totals());
         // One pass over the cells: each merges into its window, its tier
         // and (through its window) the run.
         let dim = totals.reference.dim();
         let mut run = CenteredMoments::new(dim);
         let mut per_tier = vec![CenteredMoments::new(dim); totals.tiers.len()];
+        let mut in_window = CenteredMoments::new(dim);
+        let mut fitted = totals.reference.clone();
         let mut fid_series = Vec::new();
         for (w, row) in totals.cells.iter().enumerate() {
-            let mut in_window = CenteredMoments::new(dim);
+            in_window.clear();
             for (cell, tier) in row.iter().zip(&mut per_tier) {
                 in_window.merge(cell);
                 tier.merge(cell);
             }
             run.merge(&in_window);
             if in_window.count() >= WINDOW_FID_MIN_ROWS {
-                if let Some(fid) = totals.fid(&in_window, WINDOW_FID_RIDGE) {
+                if let Some(fid) = totals.fid(&in_window, WINDOW_FID_RIDGE, &mut fitted) {
                     fid_series.push((w as f64 * totals.window.as_secs_f64(), fid));
                 }
             }
         }
-        let fid = totals.fid(&run, RUN_FID_RIDGE).unwrap_or(f64::NAN);
+        let fid = totals
+            .fid(&run, RUN_FID_RIDGE, &mut fitted)
+            .unwrap_or(f64::NAN);
         let completions = totals.completions();
         let mean_windowed_fid = if fid_series.is_empty() {
             fid
         } else {
             fid_series.iter().map(|(_, f)| f).sum::<f64>() / fid_series.len() as f64
         };
-        let violation_series = slo
-            .windowed_violation_ratio(totals.window)
+        let violation_series = ledger
+            .violations()
+            .ratios()
             .into_iter()
             .map(|(t, v)| (t.as_secs_f64(), v))
             .collect();
@@ -294,7 +313,9 @@ impl RunReport {
                 tier: t,
                 completions: tier.completions,
                 mean_latency: mean_of(tier.latency_sum, tier.completions),
-                fid: totals.fid(moments, RUN_FID_RIDGE).unwrap_or(f64::NAN),
+                fid: totals
+                    .fid(moments, RUN_FID_RIDGE, &mut fitted)
+                    .unwrap_or(f64::NAN),
                 escalated_past: totals.tiers[t + 1..].iter().map(|d| d.completions).sum(),
             })
             .collect();
@@ -398,6 +419,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
     use crate::kernel::model_tier;
     use crate::query::QueryId;
     use diffserve_linalg::Mat;
@@ -509,17 +531,20 @@ mod tests {
             let responses = responses(&populations, tier_mask, lonely == 1, seed);
             let reference = reference();
             let window = SimDuration::from_secs(WINDOW_SECS);
-            let mut slo = SloTracker::new(SimDuration::from_secs(5));
-            let mut totals = CompletionTotals::new(&reference, window);
+            let config = SystemConfig {
+                slo: SimDuration::from_secs(5),
+                metrics_window: window,
+                ..SystemConfig::default()
+            };
+            let mut ledger = Ledger::new(&config, &reference);
             for r in &responses {
-                slo.record_completion(r.arrival, r.completion);
-                totals.record(r);
+                ledger.complete(r.clone());
             }
+            let totals = ledger.totals();
             let report = RunReport::assemble(
                 Policy::DiffServe,
                 responses.len() as u64,
-                &slo,
-                &totals,
+                &ledger,
                 Vec::new(),
                 Vec::new(),
                 Vec::new(),

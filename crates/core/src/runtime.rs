@@ -121,6 +121,11 @@ impl CascadeRuntime {
 
         let reference = GaussianStats::fit(dataset.real_features(), 1e-6)
             .expect("reference set has enough samples");
+        // Every Fréchet distance of every session goes through this root:
+        // take it here so that sessions clone it instead of each taking it.
+        reference
+            .cov_sqrt()
+            .expect("a finite sample covariance has a square root");
 
         CascadeRuntime {
             spec,

@@ -1602,8 +1602,7 @@ fn build_report(mut state: ServingSim<'_>, horizon: SimTime) -> RunReport {
     RunReport::assemble(
         state.settings.policy,
         state.total_arrivals,
-        state.ledger.slo(),
-        state.ledger.totals(),
+        &state.ledger,
         to_secs(state.arrival_series.window_rates()),
         to_secs(state.threshold_series.window_means()),
         deferral_errors,

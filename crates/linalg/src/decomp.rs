@@ -1,5 +1,6 @@
-//! Matrix decompositions: Cholesky, LU solve, Jacobi eigendecomposition,
-//! and the PSD matrix square root needed by the Fréchet distance.
+//! Matrix decompositions: Cholesky, LU solve, the symmetric eigen-solver
+//! (Householder tridiagonalization + implicit-shift QL), and the PSD matrix
+//! square root needed by the Fréchet distance.
 
 use crate::matrix::Mat;
 
@@ -15,7 +16,7 @@ pub enum DecompError {
     NotPositiveDefinite,
     /// LU elimination hit a (near-)zero pivot: the matrix is singular.
     Singular,
-    /// Jacobi sweeps failed to converge within the iteration budget.
+    /// The eigen-solver's QL iteration failed to converge within its budget.
     NoConvergence,
 }
 
@@ -151,15 +152,47 @@ pub struct SymEigen {
     pub vectors: Mat,
 }
 
-/// Jacobi eigendecomposition of a symmetric matrix.
+/// Eigendecomposition of a symmetric matrix: Householder reduction to
+/// tridiagonal form, then implicit-shift QL with the rotations accumulated
+/// into the eigenvectors.
 ///
 /// # Errors
 ///
 /// Returns [`DecompError::NotSquare`], [`DecompError::NotSymmetric`], or
-/// [`DecompError::NoConvergence`] if the off-diagonal mass does not vanish
-/// within 100 sweeps (never observed for the ≤64×64 matrices this workspace
-/// uses).
+/// [`DecompError::NoConvergence`] if an eigenvalue does not settle within
+/// the QL iteration budget or the input holds a non-finite entry (never
+/// observed for the ≤64×64 covariances this workspace uses).
 pub fn sym_eigen(a: &Mat) -> Result<SymEigen, DecompError> {
+    let mut vectors = checked_symmetric(a)?;
+    let (mut values, mut off) = tridiagonalize(&mut vectors, true);
+    ql_implicit(&mut values, &mut off, Some(&mut vectors))?;
+    let n = values.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| values[i].total_cmp(&values[j]));
+    Ok(SymEigen {
+        values: order.iter().map(|&i| values[i]).collect(),
+        vectors: Mat::from_fn(n, n, |r, c| vectors[(r, order[c])]),
+    })
+}
+
+/// Eigenvalues of a symmetric matrix in ascending order: the reduction and
+/// iteration of [`sym_eigen`] without the eigenvectors, which is most of
+/// its cost. The values are the same bits `sym_eigen` returns.
+///
+/// # Errors
+///
+/// As [`sym_eigen`].
+pub fn sym_eigenvalues(a: &Mat) -> Result<Vec<f64>, DecompError> {
+    let mut work = checked_symmetric(a)?;
+    let (mut values, mut off) = tridiagonalize(&mut work, false);
+    ql_implicit(&mut values, &mut off, None)?;
+    values.sort_by(f64::total_cmp);
+    Ok(values)
+}
+
+/// The input checks of the eigen-solvers; returns the symmetrized working
+/// copy they reduce in place.
+fn checked_symmetric(a: &Mat) -> Result<Mat, DecompError> {
     if !a.is_square() {
         return Err(DecompError::NotSquare);
     }
@@ -167,83 +200,211 @@ pub fn sym_eigen(a: &Mat) -> Result<SymEigen, DecompError> {
     if !a.is_symmetric(1e-8 * scale) {
         return Err(DecompError::NotSymmetric);
     }
-    let n = a.rows();
     let mut m = a.clone();
     m.symmetrize();
-    let mut v = Mat::identity(n);
+    Ok(m)
+}
 
-    const MAX_SWEEPS: usize = 100;
-    for _ in 0..MAX_SWEEPS {
-        // Off-diagonal Frobenius mass.
-        let mut off = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += m[(i, j)] * m[(i, j)];
+/// Householder reduction of the symmetric `a` to tridiagonal form
+/// `Qᵀ A Q`, returned as `(diag, off)`: the diagonal, and the sub-diagonal
+/// in `off[1..]` (`off[0]` is 0). Only the lower triangle of `a` is read.
+/// With `vectors`, `a` is overwritten by `Q`; without, its contents are
+/// left as scratch.
+fn tridiagonalize(a: &mut Mat, vectors: bool) -> (Vec<f64>, Vec<f64>) {
+    let n = a.rows();
+    let (mut diag, mut off) = (vec![0.0; n], vec![0.0; n]);
+    // Row i's Householder vector u zeroes a[i][0..i-1]; it is kept in
+    // a[i][0..i] (and u/h in column i when Q is wanted), h = |u|²/2 in
+    // diag[i]. `off[0..i]` doubles as the scratch for p = A u / h.
+    for i in (1..n).rev() {
+        let mut h = 0.0;
+        let scale: f64 = if i > 1 {
+            a.row(i)[..i].iter().map(|x| x.abs()).sum()
+        } else {
+            0.0
+        };
+        if scale == 0.0 {
+            // A single element, or a row already reduced.
+            off[i] = a[(i, i - 1)];
+        } else {
+            for x in &mut a.row_mut(i)[..i] {
+                *x /= scale;
+                h += *x * *x;
+            }
+            let f = a[(i, i - 1)];
+            let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
+            off[i] = scale * g;
+            h -= f * g;
+            a[(i, i - 1)] = f - g;
+            let mut f = 0.0;
+            for j in 0..i {
+                if vectors {
+                    a[(j, i)] = a[(i, j)] / h;
+                }
+                let mut g = 0.0;
+                for k in 0..=j {
+                    g += a[(j, k)] * a[(i, k)];
+                }
+                for k in (j + 1)..i {
+                    g += a[(k, j)] * a[(i, k)];
+                }
+                off[j] = g / h;
+                f += off[j] * a[(i, j)];
+            }
+            // A ← A − u qᵀ − q uᵀ with q = p − (uᵀp / 2h) u.
+            let hh = f / (h + h);
+            for j in 0..i {
+                let f = a[(i, j)];
+                let g = off[j] - hh * f;
+                off[j] = g;
+                for k in 0..=j {
+                    let upd = f * off[k] + g * a[(i, k)];
+                    a[(j, k)] -= upd;
+                }
             }
         }
-        if off.sqrt() <= 1e-12 * scale {
-            let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (m[(i, i)], i)).collect();
-            pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite eigenvalues"));
-            let values: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-            let vectors = Mat::from_fn(n, n, |r, c| v[(r, pairs[c].1)]);
-            return Ok(SymEigen { values, vectors });
+        diag[i] = h;
+    }
+    off[0] = 0.0;
+    if !vectors {
+        for (i, d) in diag.iter_mut().enumerate() {
+            *d = a[(i, i)];
         }
-        // One cyclic sweep of Jacobi rotations.
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[(p, q)];
-                if apq.abs() <= 1e-300 {
-                    continue;
+        return (diag, off);
+    }
+    // Accumulate Q = P₁ P₂ … from the stored vectors, first block outward
+    // (diag[0] is still 0: row 0 has no reflector).
+    for i in 0..n {
+        if diag[i] != 0.0 {
+            for j in 0..i {
+                let mut g = 0.0;
+                for k in 0..i {
+                    g += a[(i, k)] * a[(k, j)];
                 }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = if theta >= 0.0 {
-                    1.0 / (theta + (1.0 + theta * theta).sqrt())
-                } else {
-                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-                for k in 0..n {
-                    let mkp = m[(k, p)];
-                    let mkq = m[(k, q)];
-                    m[(k, p)] = c * mkp - s * mkq;
-                    m[(k, q)] = s * mkp + c * mkq;
-                }
-                for k in 0..n {
-                    let mpk = m[(p, k)];
-                    let mqk = m[(q, k)];
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
-                }
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
+                for k in 0..i {
+                    let upd = g * a[(k, i)];
+                    a[(k, j)] -= upd;
                 }
             }
+        }
+        diag[i] = a[(i, i)];
+        a[(i, i)] = 1.0;
+        for j in 0..i {
+            a[(j, i)] = 0.0;
+            a[(i, j)] = 0.0;
         }
     }
-    Err(DecompError::NoConvergence)
+    (diag, off)
+}
+
+/// QL iterations one eigenvalue may take before the solve is abandoned;
+/// convergence is cubic, so a handful is typical.
+const MAX_QL_ITERATIONS: usize = 60;
+
+/// Implicit-shift QL on the tridiagonal matrix `tridiagonalize` produced:
+/// on return `diag` holds the eigenvalues (unordered). With `vectors`
+/// holding the reduction's `Q`, its columns become the matching
+/// eigenvectors.
+fn ql_implicit(
+    diag: &mut [f64],
+    off: &mut [f64],
+    mut vectors: Option<&mut Mat>,
+) -> Result<(), DecompError> {
+    let n = diag.len();
+    // off[i] now couples diag[i] and diag[i + 1].
+    off.rotate_left(1);
+    for l in 0..n {
+        let mut iterations = 0;
+        loop {
+            // The block [l, m] ends at the first negligible coupling.
+            let mut m = l;
+            while m + 1 < n {
+                let dd = diag[m].abs() + diag[m + 1].abs();
+                if off[m].abs() <= f64::EPSILON * dd {
+                    break;
+                }
+                m += 1;
+            }
+            if m == l {
+                break;
+            }
+            iterations += 1;
+            if iterations > MAX_QL_ITERATIONS {
+                return Err(DecompError::NoConvergence);
+            }
+            // Wilkinson shift from the leading 2×2 of the block, then chase
+            // the bulge from m back up to l with plane rotations.
+            let mut g = (diag[l + 1] - diag[l]) / (2.0 * off[l]);
+            let mut r = g.hypot(1.0);
+            g = diag[m] - diag[l] + off[l] / (g + r.copysign(g));
+            let (mut s, mut c, mut p) = (1.0, 1.0, 0.0);
+            let mut underflow = false;
+            for i in (l..m).rev() {
+                let f = s * off[i];
+                let b = c * off[i];
+                r = f.hypot(g);
+                off[i + 1] = r;
+                if r == 0.0 {
+                    // The rotation vanished: deflate here and start over.
+                    diag[i + 1] -= p;
+                    off[m] = 0.0;
+                    underflow = true;
+                    break;
+                }
+                s = f / r;
+                c = g / r;
+                g = diag[i + 1] - p;
+                r = (diag[i] - g) * s + 2.0 * c * b;
+                p = s * r;
+                diag[i + 1] = g + p;
+                g = c * r - b;
+                if let Some(z) = vectors.as_deref_mut() {
+                    for k in 0..n {
+                        let row = z.row_mut(k);
+                        let f = row[i + 1];
+                        row[i + 1] = s * row[i] + c * f;
+                        row[i] = c * row[i] - s * f;
+                    }
+                }
+            }
+            if underflow {
+                continue;
+            }
+            diag[l] -= p;
+            off[l] = g;
+            off[m] = 0.0;
+        }
+    }
+    if diag.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(DecompError::NoConvergence)
+    }
 }
 
 /// Square root of a symmetric positive semi-definite matrix.
 ///
 /// Computed as `V diag(√max(λ, 0)) Vᵀ`; tiny negative eigenvalues from
 /// floating-point noise are clamped to zero, which is the standard practice
-/// in FID implementations.
+/// in FID implementations. The result is exactly symmetric.
 ///
 /// # Errors
 ///
 /// Propagates eigendecomposition failures.
 pub fn sqrtm_psd(a: &Mat) -> Result<Mat, DecompError> {
     let eig = sym_eigen(a)?;
-    let sqrt_vals: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
-    let d = Mat::from_diag(&sqrt_vals);
-    let vt = eig.vectors.transpose();
-    Ok(eig.vectors.matmul(&d).matmul(&vt))
+    let n = eig.values.len();
+    let roots: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
+    let mut out = Mat::zeros(n, n);
+    for i in 0..n {
+        for j in i..n {
+            let (vi, vj) = (eig.vectors.row(i), eig.vectors.row(j));
+            let x: f64 = (0..n).map(|k| vi[k] * roots[k] * vj[k]).sum();
+            out[(i, j)] = x;
+            out[(j, i)] = x;
+        }
+    }
+    Ok(out)
 }
 
 /// Determinant via LU with partial pivoting (0.0 for singular matrices).

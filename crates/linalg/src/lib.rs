@@ -6,9 +6,11 @@
 //! covariances, and a positive-semi-definite matrix square root; the
 //! discriminator substrate needs matrix products; and the MILP solver uses
 //! dense elimination. This crate implements exactly that surface from
-//! scratch — [`Mat`] plus [`cholesky`], [`lu_solve`], [`sym_eigen`]
-//! (cyclic Jacobi), [`sqrtm_psd`], and [`determinant`] — because no external
-//! linear-algebra crate is sanctioned for this workspace.
+//! scratch — [`Mat`] plus [`cholesky`], [`lu_solve`], [`sym_eigen`] and its
+//! values-only form [`sym_eigenvalues`] (one solver: Householder
+//! tridiagonalization, then implicit-shift QL), [`sqrtm_psd`], and
+//! [`determinant`] — because no external linear-algebra crate is sanctioned
+//! for this workspace.
 //!
 //! # Examples
 //!
@@ -28,5 +30,7 @@
 pub mod decomp;
 pub mod matrix;
 
-pub use decomp::{cholesky, determinant, lu_solve, sqrtm_psd, sym_eigen, DecompError, SymEigen};
+pub use decomp::{
+    cholesky, determinant, lu_solve, sqrtm_psd, sym_eigen, sym_eigenvalues, DecompError, SymEigen,
+};
 pub use matrix::Mat;

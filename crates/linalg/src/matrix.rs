@@ -155,13 +155,13 @@ impl Mat {
         );
         let mut out = Mat::zeros(self.rows, other.cols);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
+            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
+            for (k, &a) in self.row(i).iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
+                for (o, &b) in out_row.iter_mut().zip(other.row(k)) {
+                    *o += a * b;
                 }
             }
         }

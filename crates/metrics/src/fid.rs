@@ -11,10 +11,13 @@
 //! In the original pipeline the features come from InceptionV3; in this
 //! reproduction they come from the synthetic image substrate
 //! (`diffserve-imagegen`), and the distance itself is computed exactly, via
-//! the symmetric reformulation `tr((Σ₁Σ₂)^{1/2}) = Σᵢ √λᵢ(S Σ₂ S)` with
-//! `S = Σ₁^{1/2}`.
+//! the symmetric reformulation `tr((Σ₁Σ₂)^{1/2}) = Σᵢ √λᵢ(S Σ₁ S)` with
+//! `S = Σ₂^{1/2}`: the root is taken of the *second* Gaussian, which every
+//! caller makes the long-lived reference, and is kept by it.
 
-use diffserve_linalg::{sqrtm_psd, sym_eigen, DecompError, Mat};
+use std::sync::OnceLock;
+
+use diffserve_linalg::{sqrtm_psd, sym_eigenvalues, DecompError, Mat};
 
 /// Errors from FID computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,10 +61,22 @@ impl From<DecompError> for FidError {
 }
 
 /// Gaussian summary (mean + covariance) of a feature set.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Also carries the square root of its covariance once something has asked
+/// for it ([`GaussianStats::cov_sqrt`]): clones of a rooted Gaussian are
+/// rooted, and equality looks at the mean and covariance only.
+#[derive(Debug, Clone)]
 pub struct GaussianStats {
     mean: Vec<f64>,
     cov: Mat,
+    /// `cov^{1/2}`, set on first use.
+    cov_sqrt: OnceLock<Mat>,
+}
+
+impl PartialEq for GaussianStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.mean == other.mean && self.cov == other.cov
+    }
 }
 
 impl GaussianStats {
@@ -85,7 +100,7 @@ impl GaussianStats {
         for i in 0..cov.rows() {
             cov[(i, i)] += ridge;
         }
-        Ok(GaussianStats { mean, cov })
+        Ok(GaussianStats::from_moments(mean, cov))
     }
 
     /// Builds stats directly from a known mean and covariance.
@@ -97,7 +112,11 @@ impl GaussianStats {
     pub fn from_moments(mean: Vec<f64>, cov: Mat) -> Self {
         assert!(cov.is_square(), "covariance must be square");
         assert_eq!(mean.len(), cov.rows(), "mean/covariance size mismatch");
-        GaussianStats { mean, cov }
+        GaussianStats {
+            mean,
+            cov,
+            cov_sqrt: OnceLock::new(),
+        }
     }
 
     /// Feature dimensionality.
@@ -113,6 +132,23 @@ impl GaussianStats {
     /// The covariance matrix.
     pub fn cov(&self) -> &Mat {
         &self.cov
+    }
+
+    /// The PSD square root of the covariance ([`sqrtm_psd`]), computed by
+    /// the first call and kept: later calls, and calls on clones taken
+    /// after it, return the stored matrix. [`frechet_distance`] asks this
+    /// of its second argument, so a reference Gaussian is rooted once
+    /// however many distances are taken to it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the eigendecomposition's failure; nothing is stored then.
+    pub fn cov_sqrt(&self) -> Result<&Mat, FidError> {
+        if let Some(root) = self.cov_sqrt.get() {
+            return Ok(root);
+        }
+        let root = sqrtm_psd(&self.cov)?;
+        Ok(self.cov_sqrt.get_or_init(|| root))
     }
 }
 
@@ -168,6 +204,13 @@ impl CenteredMoments {
         self.count
     }
 
+    /// Forgets every row, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.count = 0;
+        self.sum.fill(0.0);
+        self.scatter.fill(0.0);
+    }
+
     /// Adds one row, already centred on the shift.
     ///
     /// # Panics
@@ -218,35 +261,65 @@ impl CenteredMoments {
     ///
     /// Returns [`FidError::TooFewSamples`] with fewer than two rows.
     pub fn gaussian(&self, shift: &[f64], ridge: f64) -> Result<GaussianStats, FidError> {
-        assert_eq!(shift.len(), self.sum.len(), "feature dimension mismatch");
+        let d = self.sum.len();
+        let mut fitted = GaussianStats::from_moments(vec![0.0; d], Mat::zeros(d, d));
+        self.gaussian_into(shift, ridge, &mut fitted)?;
+        Ok(fitted)
+    }
+
+    /// [`CenteredMoments::gaussian`] written over `out`, a Gaussian of the
+    /// same dimensionality whose buffers are reused: fitting one set after
+    /// another into the same `out` allocates nothing. On an error `out` is
+    /// left as it was.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FidError::TooFewSamples`] with fewer than two rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shift` or `out` does not have this set's dimensionality.
+    pub fn gaussian_into(
+        &self,
+        shift: &[f64],
+        ridge: f64,
+        out: &mut GaussianStats,
+    ) -> Result<(), FidError> {
+        let d = self.sum.len();
+        assert_eq!(shift.len(), d, "feature dimension mismatch");
+        assert_eq!(out.dim(), d, "feature dimension mismatch");
         if self.count < 2 {
             return Err(FidError::TooFewSamples {
                 got: self.count as usize,
             });
         }
-        let d = self.sum.len();
         let n = self.count as f64;
-        let mean = shift
-            .iter()
-            .zip(&self.sum)
-            .map(|(r, s)| r + s / n)
-            .collect();
-        let mut cov = Mat::zeros(d, d);
+        for ((m, r), s) in out.mean.iter_mut().zip(shift).zip(&self.sum) {
+            *m = r + s / n;
+        }
         let mut packed = self.scatter.iter();
         for a in 0..d {
             for b in a..d {
                 let scatter = packed.next().expect("d(d+1)/2 packed cells");
                 let c = (scatter - self.sum[a] * self.sum[b] / n) / (n - 1.0);
-                cov[(a, b)] = c;
-                cov[(b, a)] = c;
+                out.cov[(a, b)] = c;
+                out.cov[(b, a)] = c;
             }
-            cov[(a, a)] += ridge;
+            out.cov[(a, a)] += ridge;
         }
-        Ok(GaussianStats { mean, cov })
+        out.cov_sqrt = OnceLock::new();
+        Ok(())
     }
 }
 
 /// Exact Fréchet distance between two Gaussians.
+///
+/// The trace term goes through the square root of **`b`'s** covariance
+/// ([`GaussianStats::cov_sqrt`], computed once per `b` and carried by its
+/// clones), so pass the Gaussian that outlives the call — the FID
+/// reference — second: each distance to it then costs two matrix products
+/// and one values-only eigen-solve. The distance itself is symmetric in its
+/// arguments up to round-off.
 ///
 /// # Errors
 ///
@@ -266,12 +339,14 @@ pub fn frechet_distance(a: &GaussianStats, b: &GaussianStats) -> Result<f64, Fid
         .map(|(x, y)| (x - y) * (x - y))
         .sum();
 
-    // tr((Σa Σb)^{1/2}) through the symmetric product S Σb S, S = Σa^{1/2}.
-    let s = sqrtm_psd(&a.cov)?;
-    let mut inner = s.matmul(&b.cov).matmul(&s);
+    // tr((Σa Σb)^{1/2}) through the symmetric product S Σa S, S = Σb^{1/2}.
+    let s = b.cov_sqrt()?;
+    let mut inner = s.matmul(&a.cov).matmul(s);
     inner.symmetrize();
-    let eig = sym_eigen(&inner)?;
-    let tr_sqrt: f64 = eig.values.iter().map(|&l| l.max(0.0).sqrt()).sum();
+    let tr_sqrt: f64 = sym_eigenvalues(&inner)?
+        .iter()
+        .map(|&l| l.max(0.0).sqrt())
+        .sum();
 
     let fid = mean_term + a.cov.trace() + b.cov.trace() - 2.0 * tr_sqrt;
     // Clamp tiny negative round-off; FID is non-negative by construction.
@@ -421,8 +496,102 @@ mod tests {
         assert!(m.gaussian(&[0.0, 0.0], 0.0).is_ok());
     }
 
+    /// A d = 16 feature set whose columns differ in location and spread and
+    /// are correlated, like the synthetic image features.
+    fn feature_rows(n: usize, offset: f64, seed: u64) -> Mat {
+        let mean: Vec<f64> = (0..16).map(|j| offset + 0.1 * j as f64).collect();
+        let mut x = gaussian_samples(n, &mean, 1.0, seed);
+        for i in 0..n {
+            let row = x.row_mut(i);
+            for j in 1..16 {
+                row[j] = (0.4 + 0.05 * j as f64) * row[j] + 0.3 * row[j - 1];
+            }
+        }
+        x
+    }
+
+    #[test]
+    fn the_root_is_taken_once_and_travels_with_clones() {
+        let reference = GaussianStats::fit(&feature_rows(2000, 0.0, 1), 1e-6).unwrap();
+        let window = GaussianStats::fit(&feature_rows(60, 0.2, 2), 1e-3).unwrap();
+        assert!(reference.cov_sqrt.get().is_none());
+        let unrooted = reference.clone();
+        let first = frechet_distance(&window, &reference).unwrap();
+        // Rooted by the call above; the same matrix from then on.
+        let root: *const Mat = reference.cov_sqrt().unwrap();
+        assert!(std::ptr::eq(root, reference.cov_sqrt().unwrap()));
+        let rooted_clone = reference.clone();
+        assert!(rooted_clone.cov_sqrt.get().is_some());
+        assert!(unrooted.cov_sqrt.get().is_none());
+        assert_eq!(reference, unrooted, "equality ignores the root");
+        for other in [&reference, &rooted_clone, &unrooted] {
+            let again = frechet_distance(&window, other).unwrap();
+            assert_eq!(first.to_bits(), again.to_bits());
+        }
+        // The first argument is never rooted.
+        assert!(window.cov_sqrt.get().is_none());
+    }
+
+    #[test]
+    fn refitting_into_a_rooted_gaussian_drops_its_root() {
+        let reference = GaussianStats::fit(&feature_rows(500, 0.0, 3), 1e-6).unwrap();
+        reference.cov_sqrt().unwrap();
+        let rows = feature_rows(40, 0.3, 4);
+        let mut moments = CenteredMoments::new(16);
+        for i in 0..40 {
+            let c: Vec<f64> = rows
+                .row(i)
+                .iter()
+                .zip(reference.mean())
+                .map(|(x, r)| x - r)
+                .collect();
+            moments.push(&c);
+        }
+        let fresh = moments.gaussian(reference.mean(), 1e-3).unwrap();
+        let mut reused = reference.clone();
+        moments
+            .gaussian_into(reference.mean(), 1e-3, &mut reused)
+            .unwrap();
+        assert_eq!(reused, fresh);
+        assert!(reused.cov_sqrt.get().is_none());
+        assert_eq!(
+            frechet_distance(&reference, &reused).unwrap().to_bits(),
+            frechet_distance(&reference, &fresh).unwrap().to_bits()
+        );
+        // Too few rows: an error, and the target untouched.
+        moments.clear();
+        assert_eq!(moments.count(), 0);
+        assert!(moments
+            .gaussian_into(reference.mean(), 1e-3, &mut reused)
+            .is_err());
+        assert_eq!(reused, fresh);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Which Gaussian is rooted does not matter beyond round-off, on the
+        /// shapes the report feeds in: a metrics window (24–400 rows, the
+        /// window ridge) or a whole run (thousands of rows, the run ridge)
+        /// against the reference fit.
+        #[test]
+        fn either_argument_can_be_the_rooted_one(
+            rows in 24usize..401,
+            run_shaped in 0usize..2,
+            offset in -0.5f64..0.5,
+            seed in 0u64..10_000,
+        ) {
+            let reference = GaussianStats::fit(&feature_rows(2000, 0.0, seed), 1e-6).unwrap();
+            let (rows, ridge) = if run_shaped == 1 { (10 * rows, 1e-6) } else { (rows, 1e-3) };
+            let fitted = GaussianStats::fit(&feature_rows(rows, offset, seed + 1), ridge).unwrap();
+            let forward = frechet_distance(&fitted, &reference).unwrap();
+            let backward = frechet_distance(&reference, &fitted).unwrap();
+            prop_assert!(forward > 0.0);
+            prop_assert!(
+                (forward - backward).abs() <= 1e-10 * forward,
+                "{} vs {}", forward, backward
+            );
+        }
 
         /// Streamed moments give the two-pass fit's Gaussian whatever the
         /// shift, and two sets centred on one shift merge into the set of

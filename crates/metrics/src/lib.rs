@@ -10,7 +10,8 @@
 //!    vectors produced by `diffserve-imagegen`.
 //! 2. **SLO violation ratio** — the fraction of queries that finish late or
 //!    are preemptively dropped. [`slo`] implements that accounting,
-//!    including the windowed time series used in Figs. 5 and 8.
+//!    including the per-window counts behind the time series of Figs. 5
+//!    and 8.
 //!
 //! [`series`] provides the generic windowed aggregation used for demand and
 //! threshold plots, and [`rolling`] buffers the most recent feature rows for
@@ -27,4 +28,4 @@ pub mod slo;
 pub use fid::{fid_score, frechet_distance, CenteredMoments, FidError, GaussianStats};
 pub use rolling::RollingFid;
 pub use series::WindowedSeries;
-pub use slo::{QueryOutcome, SloTracker};
+pub use slo::{QueryOutcome, SloTracker, ViolationWindows};
