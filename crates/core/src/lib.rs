@@ -99,8 +99,8 @@ pub use query::{CompletedResponse, ModelTier, Query, QueryId, WorkerHealth};
 pub use report::{RunReport, TierStats};
 pub use runtime::{CascadeRuntime, LadderArtifacts};
 pub use serve::{
-    Backend, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession,
-    SessionBuilder, SessionSnapshot, SessionSpec,
+    ArrivalStream, Backend, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend,
+    ServingSession, SessionBuilder, SessionSnapshot, SessionSpec,
 };
 pub use sim::{run_scenario, run_trace, AllocatorBackend, RunSettings, SimBackend};
 
@@ -117,8 +117,8 @@ pub mod prelude {
     pub use crate::report::RunReport;
     pub use crate::runtime::{CascadeRuntime, LadderArtifacts};
     pub use crate::serve::{
-        Backend, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession,
-        SessionBuilder, SessionSnapshot, SessionSpec,
+        ArrivalStream, Backend, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend,
+        ServingSession, SessionBuilder, SessionSnapshot, SessionSpec,
     };
     pub use crate::sim::{run_scenario, run_trace, AllocatorBackend, RunSettings};
 }

@@ -66,8 +66,9 @@ use diffserve_imagegen::{Prompt, StageLatencyBreakdown, StageState};
 use diffserve_simkit::rng::{derive_seed, seeded_rng};
 use diffserve_simkit::time::SimTime;
 use diffserve_trace::{
-    poisson_arrivals, AddonMix, Scenario, ScenarioError, ScenarioEvent, Trace, TrendWindow,
+    AddonMix, PoissonArrivals, Scenario, ScenarioError, ScenarioEvent, Trace, TrendWindow,
 };
+use rand::rngs::StdRng;
 
 use crate::addons::AddonStats;
 use crate::config::{ConfigError, SystemConfig};
@@ -180,6 +181,67 @@ impl QuerySpec {
         self
     }
 }
+
+/// A demand trace's query submissions, drawn one at a time: what
+/// [`ServingSession::replay_trace`] hands a backend through
+/// [`ServingBackend::submit_stream`].
+///
+/// Yields one [`QuerySpec`] per Poisson arrival of the trace, in arrival
+/// order, timed ([`QuerySpec::at`]) and carrying the add-on the mix draws
+/// for the id the query will get. The stream owns everything it draws from
+/// and knows its length ([`ExactSizeIterator`]; counted once at
+/// construction on a clone of the RNG), so a backend can reserve the ids up
+/// front and then pull arrivals as serving time reaches them — holding one
+/// pending arrival, however long the trace.
+#[derive(Debug, Clone)]
+pub struct ArrivalStream {
+    arrivals: PoissonArrivals<Trace, StdRng>,
+    mix: Option<AddonMix>,
+    /// The id the next yielded query will be assigned.
+    next_id: u64,
+    remaining: usize,
+}
+
+impl ArrivalStream {
+    /// The submissions replaying `trace` makes: Poisson arrivals drawn from
+    /// `rng`, add-ons from `mix` (none when `None`), for queries numbered
+    /// from `first_id`.
+    pub fn new(trace: Trace, rng: StdRng, mix: Option<AddonMix>, first_id: u64) -> Self {
+        let remaining = PoissonArrivals::new(&trace, rng.clone()).count();
+        ArrivalStream {
+            arrivals: PoissonArrivals::new(trace, rng),
+            mix,
+            next_id: first_id,
+            remaining,
+        }
+    }
+
+    /// The id the next yielded query is drawn for.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
+    }
+}
+
+impl Iterator for ArrivalStream {
+    type Item = QuerySpec;
+
+    fn next(&mut self) -> Option<QuerySpec> {
+        let at = self.arrivals.next()?;
+        let mut spec = QuerySpec::new().at(at);
+        if let Some(id) = self.mix.as_ref().and_then(|mix| mix.draw(self.next_id, at)) {
+            spec = spec.addon(id);
+        }
+        self.next_id += 1;
+        self.remaining -= 1;
+        Some(spec)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for ArrivalStream {}
 
 /// The terminal fate of one submitted query, drained via
 /// [`ServingSession::poll`].
@@ -367,6 +429,19 @@ pub trait ServingBackend {
     /// Enqueues one query and returns its ticket. Arrival times in the
     /// past are clamped to [`ServingBackend::now`].
     fn submit(&mut self, spec: QuerySpec) -> QueryTicket;
+
+    /// Enqueues every query of a trace replay, taking the ids
+    /// `next_id .. next_id + len` in stream order. The default submits the
+    /// stream query by query, which is what an engine that paces
+    /// submissions in wall time wants (the testbed's
+    /// [`submit`](ServingBackend::submit) blocks until each arrival is
+    /// due, so it draws lazily already). The simulator keeps the stream and
+    /// draws each arrival when serving time reaches the one before it.
+    fn submit_stream(&mut self, stream: ArrivalStream) {
+        for spec in stream {
+            self.submit(spec);
+        }
+    }
 
     /// Advances serving time to `until` (no-op if `until` is in the past).
     /// The simulator processes every event up to `until`; the testbed
@@ -686,10 +761,14 @@ impl<'a> ServingSession<'a> {
     /// is keyed by query id from a separate seed stream, so enabling
     /// add-ons leaves the arrival instants bit-identical. Returns the
     /// number of queries submitted.
+    ///
+    /// The arrivals are handed to the backend as one lazy
+    /// [`ArrivalStream`], equivalent to calling
+    /// [`submit_spec`](ServingSession::submit_spec) for each of them here
+    /// (`tests/api_parity.rs`): the ids `submitted() .. submitted() + n`
+    /// are taken now, whatever is submitted afterwards.
     pub fn replay_trace(&mut self, trace: &Trace) -> u64 {
-        let mut rng = seeded_rng(derive_seed(self.config.seed, ARRIVAL_SEED_STREAM));
-        let arrivals = poisson_arrivals(trace, &mut rng);
-        let n = arrivals.len() as u64;
+        let rng = seeded_rng(derive_seed(self.config.seed, ARRIVAL_SEED_STREAM));
         let mix: Option<AddonMix> = self.config.addons.as_ref().map(|a| {
             let mut mix = a.mix.clone();
             for w in &self.addon_trends {
@@ -697,17 +776,12 @@ impl<'a> ServingSession<'a> {
             }
             mix
         });
-        for t in arrivals {
-            let mut spec = QuerySpec::new().at(t);
-            if let Some(mix) = &mix {
-                // The pre-increment counter is exactly the id the backend
-                // will assign (both engines number queries from 0).
-                if let Some(id) = mix.draw(self.submitted, t) {
-                    spec = spec.addon(id);
-                }
-            }
-            self.submit_spec(spec);
-        }
+        // The submitted counter is exactly the id the backend will assign
+        // next (both engines number queries from 0).
+        let stream = ArrivalStream::new(trace.clone(), rng, mix, self.submitted);
+        let n = stream.len() as u64;
+        self.submitted += n;
+        self.backend.submit_stream(stream);
         n
     }
 

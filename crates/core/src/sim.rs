@@ -48,13 +48,24 @@ use crate::query::{QueryId, WorkerHealth};
 use crate::report::RunReport;
 use crate::runtime::CascadeRuntime;
 use crate::serve::{
-    QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession, SessionSnapshot,
-    SessionSpec,
+    ArrivalStream, QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession,
+    SessionSnapshot, SessionSpec,
 };
 
-/// Event budget for one simulated run — a backstop against runaway
-/// scheduling loops, far above what any real workload processes.
+/// Event budget a simulated run starts with — a backstop against runaway
+/// scheduling loops. It pays for what does not scale with the queries
+/// (control ticks, hazard checks, scenario actions, model switches: one
+/// tick every 2 s for three simulated years); every submitted query tops
+/// it up by [`EVENTS_PER_QUERY`], so no replay, however long, runs out by
+/// being long. Exhaustion therefore means a schedule loop: debug builds
+/// assert on it, release builds stop advancing and `finish` accounts
+/// whatever is left as dropped.
 const EVENT_BUDGET: u64 = 50_000_000;
+
+/// Budget allowance per submitted query: its arrival, at most one batch
+/// completion per ladder tier it visits, and the re-dispatches worker
+/// churn can cost it — a handful, rounded far up.
+const EVENTS_PER_QUERY: u64 = 32;
 
 /// Which allocator implementation the controller invokes.
 ///
@@ -124,7 +135,12 @@ impl RunSettings {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
-    Arrival(u64),
+    /// An explicitly submitted query (its record already allocated) enters
+    /// the system.
+    Arrival(Slot),
+    /// The pending arrival of the `i`-th attached trace stream fires, and
+    /// schedules the stream's next one.
+    TraceArrival(usize),
     /// Batch completion (or model-switch completion) on a worker. The epoch
     /// tags the worker incarnation that scheduled it: a fail-stop bumps the
     /// worker's epoch, so completions scheduled before the failure arrive
@@ -149,9 +165,9 @@ struct Worker {
     tier: usize,
     pending_tier: Option<usize>,
     batch_max: usize,
-    queue: VecDeque<u64>,
+    queue: VecDeque<Slot>,
     busy: bool,
-    in_flight: Vec<u64>,
+    in_flight: Vec<Slot>,
     /// Fail-stopped: receives no work and emits no completions until a
     /// scenario recovery.
     failed: bool,
@@ -301,13 +317,17 @@ impl LoadIndex {
     }
 }
 
+/// One query between its submission (a trace arrival: its arrival) and its
+/// terminal state, when the record is retired: the table holds what is in
+/// flight, not what was ever submitted.
 #[derive(Debug, Clone, Copy)]
 struct QueryRec {
+    id: u64,
     arrival: SimTime,
     deadline: SimTime,
-    finished: bool,
-    /// Whether the arrival event has been processed yet (queries are
-    /// registered at submit time, which may precede their arrival).
+    /// Whether the arrival event has been processed yet (explicit
+    /// submissions are registered at submit time, which may precede their
+    /// arrival).
     arrived: bool,
     /// Explicit prompt payload; `None` serves the dataset's cyclic prompt.
     prompt: Option<Prompt>,
@@ -336,6 +356,40 @@ impl QueryRec {
     }
 }
 
+/// An attached trace replay: the stream of its arrivals and the one of them
+/// that is scheduled. Handling that arrival draws and schedules the next,
+/// all under the one event-queue sequence number reserved when the stream
+/// was attached — so the events pop exactly where scheduling every arrival
+/// at attach time put them, and the queue holds one entry per stream.
+#[derive(Debug)]
+struct TraceFeed {
+    stream: ArrivalStream,
+    /// Serving time when the stream was attached: earlier arrivals are
+    /// clamped up to it, as a submission in the past is.
+    floor: SimTime,
+    /// The stream's place in the same-instant event order.
+    seq: u64,
+    /// The scheduled arrival and the id it will be admitted under; `None`
+    /// once the stream is exhausted.
+    pending: Option<(u64, QuerySpec)>,
+}
+
+impl TraceFeed {
+    /// Draws the next arrival into `pending`; returns when it is due.
+    fn advance(&mut self) -> Option<SimTime> {
+        let id = self.stream.next_id();
+        self.pending = self.stream.next().map(|spec| (id, spec));
+        self.pending
+            .map(|(_, spec)| arrival_time(&spec, self.floor))
+    }
+}
+
+/// When a submission made at serving time `now` arrives: at its requested
+/// instant, or now if that is unset or already past.
+fn arrival_time(spec: &QuerySpec, now: SimTime) -> SimTime {
+    spec.at.unwrap_or(now).max(now)
+}
+
 struct ServingSim<'a> {
     config: SystemConfig,
     settings: RunSettings,
@@ -351,7 +405,14 @@ struct ServingSim<'a> {
     /// Per-tier sorted load index over `workers`; kept in sync by
     /// [`Self::refresh_index`] after every load/health/tier mutation.
     index: LoadIndex,
-    queries: Vec<QueryRec>,
+    /// The in-flight queries' records; worker queues, batches and events
+    /// name them by slot.
+    queries: Slab<QueryRec>,
+    /// Ids handed out so far, trace replays' reserved ranges included; the
+    /// next submission gets this one.
+    submitted: u64,
+    /// Attached trace replays, in attach (and so id) order.
+    feeds: Vec<TraceFeed>,
     /// Per-boundary confidence thresholds; `thresholds[0]` is the legacy
     /// cascade threshold.
     thresholds: Vec<f64>,
@@ -401,13 +462,13 @@ struct ServingSim<'a> {
     // Reused scratch buffers — dispatch and churn paths run at event rate,
     // so they must not allocate per event.
     /// Holds a completed batch while its queries are scored and routed.
-    batch_scratch: Vec<u64>,
+    batch_scratch: Vec<Slot>,
     /// Holds orphaned queries while a failed fleet slice is re-routed.
-    orphan_scratch: Vec<(usize, u64)>,
+    orphan_scratch: Vec<(usize, Slot)>,
     /// Holds donor-tier candidate indices during allocation switches.
     victim_scratch: Vec<usize>,
     /// Holds a switching worker's queue while it is re-routed.
-    requeue_scratch: Vec<u64>,
+    requeue_scratch: Vec<Slot>,
 }
 
 impl<'a> ServingSim<'a> {
@@ -455,7 +516,9 @@ impl<'a> ServingSim<'a> {
         let mut sim = ServingSim {
             index: LoadIndex::new(config.num_workers, num_tiers),
             workers,
-            queries: Vec::new(),
+            queries: Slab::new(),
+            submitted: 0,
+            feeds: Vec::new(),
             thresholds,
             bypass_suspended: false,
             telemetry: TickTelemetry::new(num_tiers, router.is_some()),
@@ -513,28 +576,26 @@ impl<'a> ServingSim<'a> {
         self.index.insert(idx, pool, key);
     }
 
-    /// Registers a query for arrival at `at`; its record is indexed by the
-    /// returned id. The arrival event itself is scheduled by the caller.
-    fn enqueue_query(
-        &mut self,
-        at: SimTime,
-        prompt: Option<Prompt>,
-        deadline: Option<SimTime>,
-        resume: Option<StageState>,
-        addon: Option<usize>,
-    ) -> u64 {
-        let qidx = self.queries.len() as u64;
-        self.queries.push(QueryRec {
+    /// Allocates the record of query `id`, arriving at `at`. Scheduling
+    /// (or handling) the arrival is the caller's.
+    fn admit(&mut self, id: u64, at: SimTime, spec: &QuerySpec) -> Slot {
+        self.queries.insert(QueryRec {
+            id,
             arrival: at,
-            deadline: deadline.unwrap_or(at + self.config.slo),
-            finished: false,
+            deadline: spec.deadline.unwrap_or(at + self.config.slo),
             arrived: false,
-            prompt,
-            resume,
-            addon,
+            prompt: spec.prompt,
+            resume: spec.resume_from,
+            addon: spec.addon,
             entry_tier: 0,
-        });
-        qidx
+        })
+    }
+
+    /// Takes the next `n` query ids; returns the first.
+    fn reserve_ids(&mut self, n: u64) -> u64 {
+        let first = self.submitted;
+        self.submitted += n;
+        first
     }
 
     /// Appends a perturbation to the action table, returning its index for
@@ -707,10 +768,8 @@ impl<'a> ServingSim<'a> {
     /// its cache lacks the module. Ties keep the pool's `(load, index)`
     /// order. Returns `None` (→ the default ladder, which stays
     /// bit-identical) when [`Kernel::miss_penalty`] does not apply.
-    fn affinity_route(&self, tier: usize, qidx: u64) -> Option<usize> {
-        let (id, penalty) = self
-            .kernel
-            .miss_penalty(tier, self.queries[qidx as usize].addon)?;
+    fn affinity_route(&self, tier: usize, query: Slot) -> Option<usize> {
+        let (id, penalty) = self.kernel.miss_penalty(tier, self.queries[query].addon)?;
         let score = |i: usize| {
             let miss = if self.caches[i].contains(id) {
                 0.0
@@ -744,12 +803,12 @@ impl<'a> ServingSim<'a> {
     fn route_to_tier(
         &mut self,
         tier: usize,
-        qidx: u64,
+        query: Slot,
         now: SimTime,
         queue: &mut EventQueue<Event>,
     ) {
-        if let Some(chosen) = self.affinity_route(tier, qidx) {
-            self.workers[chosen].queue.push_back(qidx);
+        if let Some(chosen) = self.affinity_route(tier, query) {
+            self.workers[chosen].queue.push_back(query);
             self.refresh_index(chosen);
             self.try_start(chosen, now, queue);
             return;
@@ -767,7 +826,7 @@ impl<'a> ServingSim<'a> {
             self.scan_route(tier),
             "per-tier load index diverged from the linear routing scan"
         );
-        self.workers[chosen].queue.push_back(qidx);
+        self.workers[chosen].queue.push_back(query);
         self.refresh_index(chosen);
         self.try_start(chosen, now, queue);
     }
@@ -820,8 +879,8 @@ impl<'a> ServingSim<'a> {
                 now,
                 slowdown,
                 self.caches.get(idx),
-                |i| queries[pending[i] as usize].member(),
-                |i| queries[pending[i] as usize].deadline,
+                |i| queries[pending[i]].member(),
+                |i| queries[pending[i]].deadline,
                 &mut self.addon_scratch,
             );
             for _ in 0..shed {
@@ -829,9 +888,8 @@ impl<'a> ServingSim<'a> {
                     .queue
                     .pop_front()
                     .expect("shed entries are queued");
-                let rec = &mut self.queries[front as usize];
-                rec.finished = true;
-                self.ledger.drop_query(QueryId(front), rec.arrival, now);
+                let rec = self.queries.remove(front);
+                self.ledger.drop_query(QueryId(rec.id), rec.arrival, now);
                 self.telemetry.record_violation(tier);
             }
         }
@@ -854,7 +912,7 @@ impl<'a> ServingSim<'a> {
             self.workers[idx]
                 .in_flight
                 .iter()
-                .map(|&q| queries[q as usize].member()),
+                .map(|&q| queries[q].member()),
             self.caches.get_mut(idx),
             &mut self.addon_stats,
             slowdown,
@@ -869,19 +927,20 @@ impl<'a> ServingSim<'a> {
         );
     }
 
+    /// A query's terminal state: its record is retired and its response
+    /// goes to the ledger.
     fn complete(
         &mut self,
-        qidx: u64,
+        query: Slot,
         image: GeneratedImage,
         tier: usize,
         confidence: Option<f64>,
         reused: u32,
         now: SimTime,
     ) {
-        let rec = &mut self.queries[qidx as usize];
-        rec.finished = true;
+        let rec = self.queries.remove(query);
         let response = self.kernel.response(
-            QueryId(qidx),
+            QueryId(rec.id),
             rec.arrival,
             now,
             image,
@@ -895,12 +954,24 @@ impl<'a> ServingSim<'a> {
         }
     }
 
-    fn handle_arrival(&mut self, qidx: u64, now: SimTime, queue: &mut EventQueue<Event>) {
-        debug_assert!(
-            !self.queries[qidx as usize].arrived,
-            "duplicate arrival for query {qidx}"
-        );
-        self.queries[qidx as usize].arrived = true;
+    /// The scheduled arrival of trace stream `feed` fires: the stream's
+    /// next arrival takes its place in the event queue, and the query gets
+    /// its record now — not when the replay was attached — and arrives.
+    fn handle_trace_arrival(&mut self, feed: usize, now: SimTime, queue: &mut EventQueue<Event>) {
+        let f = &mut self.feeds[feed];
+        let (id, spec) = f.pending.take().expect("a scheduled arrival is pending");
+        if let Some(at) = f.advance() {
+            queue.push_at(at, f.seq, Event::TraceArrival(feed));
+        }
+        let query = self.admit(id, now, &spec);
+        self.handle_arrival(query, now, queue);
+    }
+
+    fn handle_arrival(&mut self, query: Slot, now: SimTime, queue: &mut EventQueue<Event>) {
+        let rec = &mut self.queries[query];
+        debug_assert!(!rec.arrived, "duplicate arrival for query {}", rec.id);
+        rec.arrived = true;
+        let (id, explicit) = (rec.id, rec.prompt);
         self.total_arrivals += 1;
         self.arrival_series.push(now, 1.0);
 
@@ -912,14 +983,13 @@ impl<'a> ServingSim<'a> {
             self.router.as_ref(),
             self.bypass_suspended,
             || {
-                let explicit = self.queries[qidx as usize].prompt;
                 self.kernel
-                    .served_prompt(qidx, explicit, self.difficulty_delta)
+                    .served_prompt(id, explicit, self.difficulty_delta)
             },
         );
         self.telemetry.record_arrival(tier, deep_demand);
-        self.queries[qidx as usize].entry_tier = tier;
-        self.route_to_tier(tier, qidx, now, queue);
+        self.queries[query].entry_tier = tier;
+        self.route_to_tier(tier, query, now, queue);
     }
 
     fn handle_batch_done(
@@ -958,11 +1028,11 @@ impl<'a> ServingSim<'a> {
         // Tier membership cannot change while the batch is scored, so one
         // index probe answers for every member.
         let deeper_alive = self.has_alive_deeper(tier);
-        for &qidx in &batch {
-            let rec = &self.queries[qidx as usize];
+        for &query in &batch {
+            let rec = &self.queries[query];
             let prompt = self
                 .kernel
-                .served_prompt(qidx, rec.prompt, self.difficulty_delta);
+                .served_prompt(rec.id, rec.prompt, self.difficulty_delta);
             let (image, reused) = self.kernel.generate(tier, &prompt, rec.resume);
             let verdict = self.kernel.verdict(
                 tier,
@@ -977,15 +1047,15 @@ impl<'a> ServingSim<'a> {
             }
             match verdict {
                 Verdict::Complete(confidence) => {
-                    self.complete(qidx, image, tier, confidence, reused, now)
+                    self.complete(query, image, tier, confidence, reused, now)
                 }
                 Verdict::Escalate { resume, .. } => {
                     if resume.is_some() {
-                        self.queries[qidx as usize].resume = resume;
+                        self.queries[query].resume = resume;
                     }
                     self.tier_escalations[tier] += 1;
                     self.telemetry.record_escalation();
-                    self.route_to_tier(tier + 1, qidx, now, queue);
+                    self.route_to_tier(tier + 1, query, now, queue);
                 }
             }
         }
@@ -1033,10 +1103,10 @@ impl<'a> ServingSim<'a> {
             }
             self.refresh_index(idx);
         }
+        // Queued and in-flight queries are all unfinished: a record leaves
+        // its worker's buffers before it is retired.
         for &(tier, q) in &orphans {
-            if !self.queries[q as usize].finished {
-                self.route_to_tier(tier, q, now, queue);
-            }
+            self.route_to_tier(tier, q, now, queue);
         }
         orphans.clear();
         self.orphan_scratch = orphans;
@@ -1226,7 +1296,7 @@ impl<'a> ServingSim<'a> {
             self.fleet_tally(),
             self.thresholds.clone(),
             self.tier_escalations.clone(),
-            self.queries.len() as u64,
+            self.submitted,
             &self.ledger,
             self.control.deferral_gap(),
             self.addon_stats,
@@ -1259,7 +1329,8 @@ impl PlanActuator for SimActuator<'_, '_, '_> {
 impl Actor<Event> for ServingSim<'_> {
     fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
         match event {
-            Event::Arrival(qidx) => self.handle_arrival(qidx, now, queue),
+            Event::Arrival(query) => self.handle_arrival(query, now, queue),
+            Event::TraceArrival(feed) => self.handle_trace_arrival(feed, now, queue),
             Event::BatchDone { worker, epoch } => self.handle_batch_done(worker, epoch, now, queue),
             Event::ControlTick => self.handle_control_tick(now, queue),
             Event::Scenario(i) => self.handle_scenario(i, now, queue),
@@ -1328,10 +1399,11 @@ impl<'a> SimBackend<'a> {
             actions,
             hazard,
         );
-        // Pending events scale with the fleet (per-worker batch timers and
-        // in-flight completions) plus a cushion for arrivals and control
-        // ticks; preallocating keeps multi-million-event replays free of
-        // event-queue reallocation.
+        // Pending events scale with the fleet (one batch or switch timer
+        // per worker) plus a cushion for explicit submissions, control
+        // ticks and scenario actions — a trace replay holds one pending
+        // arrival however long it is — so preallocating keeps
+        // multi-million-event replays free of event-queue reallocation.
         let event_capacity = spec.config.num_workers * 4 + 1024;
         SimBackend {
             sim: Simulation::with_capacity(state, event_capacity),
@@ -1373,17 +1445,41 @@ impl ServingBackend for SimBackend<'_> {
     }
 
     fn submit(&mut self, spec: QuerySpec) -> QueryTicket {
-        let at = spec.at.unwrap_or(self.cursor).max(self.cursor);
+        let at = arrival_time(&spec, self.cursor);
         let state = self.sim.actor_mut();
-        let qidx =
-            state.enqueue_query(at, spec.prompt, spec.deadline, spec.resume_from, spec.addon);
-        let deadline = state.queries[qidx as usize].deadline;
-        self.sim.schedule(at, Event::Arrival(qidx));
+        let id = state.reserve_ids(1);
+        let query = state.admit(id, at, &spec);
+        let deadline = state.queries[query].deadline;
+        self.sim.schedule(at, Event::Arrival(query));
+        self.remaining_budget = self.remaining_budget.saturating_add(EVENTS_PER_QUERY);
         QueryTicket {
-            id: QueryId(qidx),
+            id: QueryId(id),
             arrival: at,
             deadline,
         }
+    }
+
+    fn submit_stream(&mut self, stream: ArrivalStream) {
+        let n = stream.len() as u64;
+        let seq = self.sim.reserve_seq();
+        let state = self.sim.actor_mut();
+        let first_id = state.reserve_ids(n);
+        debug_assert_eq!(stream.next_id(), first_id, "stream drawn for other ids");
+        let mut feed = TraceFeed {
+            stream,
+            floor: self.cursor,
+            seq,
+            pending: None,
+        };
+        let first = feed.advance();
+        state.feeds.push(feed);
+        let feed = state.feeds.len() - 1;
+        if let Some(at) = first {
+            self.sim.schedule_at(at, seq, Event::TraceArrival(feed));
+        }
+        self.remaining_budget = self
+            .remaining_budget
+            .saturating_add(n.saturating_mul(EVENTS_PER_QUERY));
     }
 
     fn tick(&mut self, until: SimTime) {
@@ -1392,8 +1488,15 @@ impl ServingBackend for SimBackend<'_> {
             self.cursor = until;
         }
         let before = self.sim.processed();
-        self.sim
+        let outcome = self
+            .sim
             .run_until_with_budget(self.cursor, self.remaining_budget);
+        debug_assert_ne!(
+            outcome,
+            RunOutcome::EventBudgetExhausted,
+            "event budget exhausted at {}: a schedule loop",
+            self.sim.now()
+        );
         self.remaining_budget = self
             .remaining_budget
             .saturating_sub(self.sim.processed() - before);
@@ -1450,23 +1553,30 @@ impl ServingBackend for SimBackend<'_> {
     fn finish(mut self: Box<Self>, horizon: SimTime) -> RunReport {
         self.tick(horizon);
         let mut state = self.sim.into_actor();
-        for i in 0..state.queries.len() {
-            let rec = state.queries[i];
-            if rec.finished {
-                continue;
-            }
-            // Arrived but never finished: it violated its deadline long ago
-            // (the drain period exceeds the SLO). Submitted for an arrival
-            // past the horizon: it never entered the system, but every
-            // submission must be accounted — mirror the cluster backend's
-            // shutdown-drop bookkeeping.
+        // Whatever has a record is unfinished. Arrived but never finished:
+        // it violated its deadline long ago (the drain period exceeds the
+        // SLO). Submitted for an arrival past the horizon: it never entered
+        // the system, but every submission must be accounted — mirror the
+        // cluster backend's shutdown-drop bookkeeping.
+        let mut live: Vec<QueryRec> = state.queries.values().copied().collect();
+        live.sort_unstable_by_key(|rec| rec.id);
+        for rec in live {
             if !rec.arrived {
                 state.total_arrivals += 1;
             }
             state
                 .ledger
-                .drop_query(QueryId(i as u64), rec.arrival, horizon);
-            state.queries[i].finished = true;
+                .drop_query(QueryId(rec.id), rec.arrival, horizon);
+        }
+        // So is the rest of every trace replay the horizon cut short: its
+        // scheduled arrival and the ones not drawn yet, in id order.
+        for feed in &mut state.feeds {
+            while let Some((id, spec)) = feed.pending {
+                state.total_arrivals += 1;
+                let arrival = arrival_time(&spec, feed.floor);
+                state.ledger.drop_query(QueryId(id), arrival, horizon);
+                feed.advance();
+            }
         }
         build_report(state, horizon)
     }
@@ -1738,6 +1848,49 @@ mod tests {
                 proptest::prop_assert_eq!(&index.slot, &model);
             }
         }
+    }
+
+    /// Replays `secs` of 40 qps on a 16-worker fleet and returns the
+    /// high-water marks of the query-record slab and of the event queue.
+    fn replay_high_water(secs: u64) -> (usize, usize) {
+        let config = SystemConfig {
+            num_workers: 16,
+            ..Default::default()
+        };
+        let trace = flat_trace(40.0, secs);
+        let spec = ServingSession::builder()
+            .runtime(test_runtime())
+            .config(config.clone())
+            .settings(RunSettings::new(Policy::DiffServe, 40.0))
+            .validate()
+            .unwrap();
+        let mut backend = SimBackend::new(&spec);
+        backend.sim.actor_mut().ledger.discard_outcomes();
+        let rng = seeded_rng(derive_seed(config.seed, crate::serve::ARRIVAL_SEED_STREAM));
+        backend.submit_stream(ArrivalStream::new(trace.clone(), rng, None, 0));
+        backend.tick(SimTime::ZERO + trace.duration() + config.slo * 4);
+        let state = backend.sim.actor();
+        assert!(state.queries.is_empty(), "every record was retired");
+        assert!(state.submitted > 30 * secs);
+        (state.queries.high_water(), backend.sim.queue().high_water())
+    }
+
+    /// Memory as a count: the live query records and the pending events
+    /// track what is in flight, so an 8× longer replay of the same demand
+    /// needs no more of either — and both fit the event queue's
+    /// preallocation, which the eager replay overran by the query count.
+    /// The marks are equal, not just close: both are set while the
+    /// bootstrap allocation rides out the first control ticks, and the two
+    /// runs share that stretch bit for bit (the same held on every other
+    /// seed tried).
+    #[test]
+    fn live_records_and_pending_events_do_not_grow_with_the_horizon() {
+        let (records, events) = replay_high_water(60);
+        let (records_8x, events_8x) = replay_high_water(480);
+        println!("records {records} / {records_8x}, events {events} / {events_8x}");
+        let bound = 16 * 4 + 1024;
+        assert!(records_8x <= bound && events_8x <= bound);
+        assert_eq!((records, events), (records_8x, events_8x));
     }
 
     #[test]

@@ -2,10 +2,12 @@
 
 use diffserve_simkit::time::{SimDuration, SimTime};
 
-/// Accumulates timestamped scalar samples and aggregates them per window.
+/// Aggregates timestamped scalar samples per window as they arrive.
 ///
 /// Used for the paper's time-series panels (demand, FID, threshold over
-/// time — Figs. 5 and 8).
+/// time — Figs. 5 and 8). A sample is folded into its window's running sum
+/// and count and not kept, so a series costs one cell per window however
+/// many samples it saw (the arrival series sees one per query).
 ///
 /// # Examples
 ///
@@ -25,7 +27,10 @@ use diffserve_simkit::time::{SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct WindowedSeries {
     window: SimDuration,
-    samples: Vec<(SimTime, f64)>,
+    /// `(sum, count)` of the samples of each window, up to the latest one
+    /// that has any; samples add to the sum in push order.
+    cells: Vec<(f64, u64)>,
+    len: usize,
 }
 
 impl WindowedSeries {
@@ -38,7 +43,8 @@ impl WindowedSeries {
         assert!(!window.is_zero(), "window must be positive");
         WindowedSeries {
             window,
-            samples: Vec::new(),
+            cells: Vec::new(),
+            len: 0,
         }
     }
 
@@ -47,17 +53,24 @@ impl WindowedSeries {
         if value.is_nan() {
             return;
         }
-        self.samples.push((t, value));
+        let idx = (t.as_micros() / self.window.as_micros()) as usize;
+        if idx >= self.cells.len() {
+            self.cells.resize(idx + 1, (0.0, 0));
+        }
+        let cell = &mut self.cells[idx];
+        cell.0 += value;
+        cell.1 += 1;
+        self.len += 1;
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.len
     }
 
     /// Returns `true` if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len == 0
     }
 
     /// The aggregation window.
@@ -65,74 +78,35 @@ impl WindowedSeries {
         self.window
     }
 
-    /// Raw samples in insertion order.
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
-    fn fold_windows<A: Clone>(
-        &self,
-        init: A,
-        mut fold: impl FnMut(&mut A, f64),
-    ) -> Vec<(SimTime, A)> {
-        if self.samples.is_empty() {
-            return Vec::new();
-        }
-        let end = self
-            .samples
+    /// One value per window, keyed by window start, from its sum and count.
+    fn per_window<A>(&self, value: impl Fn(f64, u64) -> A) -> Vec<(SimTime, A)> {
+        self.cells
             .iter()
-            .map(|(t, _)| *t)
-            .max()
-            .expect("non-empty samples");
-        let n = (end.as_micros() / self.window.as_micros() + 1) as usize;
-        let mut accs = vec![init; n];
-        for &(t, v) in &self.samples {
-            let idx = (t.as_micros() / self.window.as_micros()) as usize;
-            fold(&mut accs[idx], v);
-        }
-        accs.into_iter()
             .enumerate()
-            .map(|(i, a)| (SimTime::ZERO + self.window * i as u64, a))
+            .map(|(i, &(sum, n))| (SimTime::ZERO + self.window * i as u64, value(sum, n)))
             .collect()
     }
 
     /// Per-window means (empty windows report 0).
     pub fn window_means(&self) -> Vec<(SimTime, f64)> {
-        self.fold_windows((0.0f64, 0u64), |acc, v| {
-            acc.0 += v;
-            acc.1 += 1;
-        })
-        .into_iter()
-        .map(|(t, (sum, n))| (t, if n == 0 { 0.0 } else { sum / n as f64 }))
-        .collect()
+        self.per_window(|sum, n| if n == 0 { 0.0 } else { sum / n as f64 })
     }
 
     /// Per-window sums.
     pub fn window_sums(&self) -> Vec<(SimTime, f64)> {
-        self.fold_windows(0.0f64, |acc, v| *acc += v)
+        self.per_window(|sum, _| sum)
     }
 
     /// Per-window sample counts.
     pub fn window_counts(&self) -> Vec<(SimTime, u64)> {
-        self.fold_windows(0u64, |acc, _| *acc += 1)
+        self.per_window(|_, n| n)
     }
 
     /// Per-window rates: count divided by window length in seconds
     /// (e.g. arrivals → QPS).
     pub fn window_rates(&self) -> Vec<(SimTime, f64)> {
         let secs = self.window.as_secs_f64();
-        self.window_counts()
-            .into_iter()
-            .map(|(t, c)| (t, c as f64 / secs))
-            .collect()
-    }
-
-    /// Mean over all samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|(_, v)| v).sum::<f64>() / self.samples.len() as f64
+        self.per_window(|_, n| n as f64 / secs)
     }
 }
 
@@ -171,12 +145,34 @@ mod tests {
         let mut s = WindowedSeries::new(SimDuration::from_secs(1));
         assert!(s.is_empty());
         assert!(s.window_means().is_empty());
-        assert_eq!(s.mean(), 0.0);
         s.push(secs(0), f64::NAN);
         assert!(s.is_empty());
         s.push(secs(0), 2.0);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.mean(), 2.0);
+        assert_eq!(s.window_means(), vec![(secs(0), 2.0)]);
+    }
+
+    /// Samples need not come in time order (the testbed's demand track is
+    /// pushed at the instants arrivals were *due*): a sample lands in its
+    /// own window whenever it is pushed, and a window's sum adds in push
+    /// order.
+    #[test]
+    fn out_of_order_samples_land_in_their_windows() {
+        let mut s = WindowedSeries::new(SimDuration::from_secs(1));
+        s.push(secs(3), 0.1);
+        s.push(secs(0), 0.2);
+        s.push(secs(3), 0.3);
+        assert_eq!(s.len(), 3);
+        assert_eq!(
+            s.window_sums(),
+            vec![
+                (secs(0), 0.2),
+                (secs(1), 0.0),
+                (secs(2), 0.0),
+                (secs(3), 0.1 + 0.3)
+            ]
+        );
+        assert_eq!(s.window_counts()[3].1, 2);
     }
 
     #[test]

@@ -90,6 +90,23 @@ impl<E, A: Actor<E>> Simulation<E, A> {
         self.queue.push(time, event);
     }
 
+    /// Reserves a place in the same-instant FIFO order for a stream of
+    /// events fed one at a time; see [`EventQueue::reserve_seq`].
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.queue.reserve_seq()
+    }
+
+    /// Schedules an event under a reserved sequence number; see
+    /// [`EventQueue::push_at`].
+    pub fn schedule_at(&mut self, time: SimTime, seq: u64, event: E) {
+        self.queue.push_at(time, seq, event);
+    }
+
+    /// Shared access to the event queue (its length and high-water mark).
+    pub fn queue(&self) -> &EventQueue<E> {
+        &self.queue
+    }
+
     /// Current simulated time (timestamp of the last processed event).
     pub fn now(&self) -> SimTime {
         self.now

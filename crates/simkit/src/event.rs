@@ -12,6 +12,14 @@
 //! reallocates once it reaches its steady-state in-flight event count. The
 //! 4-ary shape halves the sift-down depth of a binary heap and keeps the
 //! hot path in one cache line per level.
+//!
+//! A long pre-known stream of events (a trace's arrivals) need not sit in
+//! the heap all at once to keep its place in the FIFO order: the stream
+//! takes one sequence number with [`EventQueue::reserve_seq`] where it
+//! would have been pushed, and then keeps a single pending element in the
+//! queue under that number ([`EventQueue::push_at`]), pushing the next one
+//! when the pending one pops. The pop order is the one pushing the whole
+//! stream up front gives, and the heap holds one entry per stream.
 
 use crate::time::SimTime;
 
@@ -62,6 +70,10 @@ pub struct EventQueue<E> {
     /// Freed `slab` slots, reused before the slab grows.
     free: Vec<usize>,
     seq: u64,
+    /// Debug builds only: every reserved sequence number and whether an
+    /// entry pushed under it is pending.
+    #[cfg(debug_assertions)]
+    reserved: Vec<(u64, bool)>,
 }
 
 impl<E> EventQueue<E> {
@@ -72,6 +84,8 @@ impl<E> EventQueue<E> {
             slab: Vec::new(),
             free: Vec::new(),
             seq: 0,
+            #[cfg(debug_assertions)]
+            reserved: Vec::new(),
         }
     }
 
@@ -80,15 +94,53 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: Vec::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            seq: 0,
+            ..Self::new()
         }
     }
 
-    /// Schedules `event` to fire at `time`.
+    /// Schedules `event` to fire at `time`, after everything already
+    /// scheduled for that instant.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
+        self.insert(time, seq, event);
+    }
+
+    /// Takes the next sequence number out of the FIFO order without
+    /// scheduling anything: the place in line of a stream of events that
+    /// will be fed through [`EventQueue::push_at`] one at a time.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        #[cfg(debug_assertions)]
+        self.reserved.push((seq, false));
+        seq
+    }
+
+    /// Schedules `event` to fire at `time` under the reserved sequence
+    /// number `seq`: among events of that instant it pops after those
+    /// pushed before `seq` was reserved and before those pushed since.
+    ///
+    /// A stream whose times never decrease, which pushes its next element
+    /// when the pending one pops, is popped exactly as if every element had
+    /// been [`push`](EventQueue::push)ed where `seq` was reserved. At most
+    /// one entry per reserved number may be pending; debug builds assert
+    /// that, and that `seq` came from [`EventQueue::reserve_seq`].
+    pub fn push_at(&mut self, time: SimTime, seq: u64, event: E) {
+        #[cfg(debug_assertions)]
+        {
+            let pending = self.reserved.iter_mut().find(|(s, _)| *s == seq);
+            let pending = pending.expect("push_at needs a sequence number from reserve_seq");
+            assert!(
+                !pending.1,
+                "reserved sequence number {seq} is already pending"
+            );
+            pending.1 = true;
+        }
+        self.insert(time, seq, event);
+    }
+
+    fn insert(&mut self, time: SimTime, seq: u64, event: E) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot] = Some(event);
@@ -117,6 +169,10 @@ impl<E> EventQueue<E> {
         }
         let event = self.slab[key.slot].take().expect("popped slot is live");
         self.free.push(key.slot);
+        #[cfg(debug_assertions)]
+        if let Some(pending) = self.reserved.iter_mut().find(|(s, _)| *s == key.seq) {
+            pending.1 = false;
+        }
         Some((key.time, event))
     }
 
@@ -135,11 +191,22 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
+    /// The most events that were ever pending at once (since the last
+    /// [`clear`](EventQueue::clear)): the payload slab grows only when
+    /// every slot is taken, so its length is that count.
+    pub fn high_water(&self) -> usize {
+        self.slab.len()
+    }
+
     /// Removes all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.slab.clear();
         self.free.clear();
+        #[cfg(debug_assertions)]
+        for pending in &mut self.reserved {
+            pending.1 = false;
+        }
     }
 
     /// Restores the heap property upward from `i` after a push.
@@ -263,7 +330,141 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    #[test]
+    fn high_water_is_the_peak_pending_count() {
+        let mut q = EventQueue::new();
+        for i in 0..5u64 {
+            q.push(SimTime::from_micros(i), i);
+        }
+        q.pop();
+        q.pop();
+        q.push(SimTime::from_micros(9), 9);
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.high_water(), 5);
+    }
+
+    #[test]
+    fn a_reserved_seq_keeps_its_place_among_equal_times() {
+        let t = SimTime::from_secs(1);
+        let mut q = EventQueue::new();
+        q.push(t, "before");
+        let seq = q.reserve_seq();
+        q.push(t, "after");
+        q.push_at(t, seq, "stream 0");
+        assert_eq!(q.pop().unwrap().1, "before");
+        assert_eq!(q.pop().unwrap().1, "stream 0");
+        // The next element of the stream, same instant, still precedes
+        // what was pushed after the reservation.
+        q.push_at(t, seq, "stream 1");
+        assert_eq!(q.pop().unwrap().1, "stream 1");
+        assert_eq!(q.pop().unwrap().1, "after");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "from reserve_seq")]
+    fn push_at_rejects_an_unreserved_seq() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, 0);
+        q.push_at(SimTime::ZERO, 0, 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already pending")]
+    fn push_at_rejects_a_second_pending_entry() {
+        let mut q = EventQueue::new();
+        let seq = q.reserve_seq();
+        q.push_at(SimTime::ZERO, seq, 0);
+        q.push_at(SimTime::ZERO, seq, 1);
+    }
+
+    /// What a queue under test holds: an ordinary event, or element `k` of
+    /// stream `s`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Ev {
+        Other(usize),
+        Stream(usize, usize),
+    }
+
     proptest! {
+        /// The crux of the streaming replay's bit-identity: a stream fed
+        /// one element at a time under a reserved sequence number pops
+        /// exactly where pushing all of it at the attach point would have
+        /// put it. Times are drawn from a tiny range so ties between
+        /// stream elements and other events — pushed before the attach
+        /// point and after it — are the common case, and zero gaps put
+        /// equal timestamps inside a stream too.
+        #[test]
+        fn chained_stream_pops_like_an_eager_one(
+            streams in proptest::collection::vec(
+                proptest::collection::vec(0u64..3, 0..12),
+                1..4,
+            ),
+            ops in proptest::collection::vec((0u8..4, 0u64..20), 0..120),
+        ) {
+            // Nondecreasing element times per stream.
+            let streams: Vec<Vec<SimTime>> = streams
+                .iter()
+                .map(|gaps| {
+                    gaps.iter()
+                        .scan(0u64, |t, gap| {
+                            *t += gap;
+                            Some(SimTime::from_micros(*t))
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut eager = EventQueue::new();
+            let mut chained = EventQueue::new();
+            let mut seqs = Vec::new();
+            let mut others = 0;
+            let pop_both = |eager: &mut EventQueue<Ev>,
+                            chained: &mut EventQueue<Ev>,
+                            seqs: &[u64]| {
+                let got = chained.pop();
+                if let Some((_, Ev::Stream(s, k))) = got {
+                    if let Some(&next) = streams[s].get(k + 1) {
+                        chained.push_at(next, seqs[s], Ev::Stream(s, k + 1));
+                    }
+                }
+                (eager.pop(), got)
+            };
+            for &(op, t) in &ops {
+                match op {
+                    // Attach the next stream, if one is left.
+                    0 if seqs.len() < streams.len() => {
+                        let s = seqs.len();
+                        for (k, &at) in streams[s].iter().enumerate() {
+                            eager.push(at, Ev::Stream(s, k));
+                        }
+                        seqs.push(chained.reserve_seq());
+                        if let Some(&first) = streams[s].first() {
+                            chained.push_at(first, seqs[s], Ev::Stream(s, 0));
+                        }
+                    }
+                    1 => {
+                        let (want, got) = pop_both(&mut eager, &mut chained, &seqs);
+                        prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        let at = SimTime::from_micros(t);
+                        eager.push(at, Ev::Other(others));
+                        chained.push(at, Ev::Other(others));
+                        others += 1;
+                    }
+                }
+                prop_assert!(chained.len() <= eager.len());
+            }
+            loop {
+                let (want, got) = pop_both(&mut eager, &mut chained, &seqs);
+                prop_assert_eq!(got, want);
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
+
         #[test]
         fn drains_sorted(times in proptest::collection::vec(0u64..1_000_000, 0..200)) {
             let mut q = EventQueue::new();

@@ -14,6 +14,8 @@
 //!   tie-breaking.
 //! * [`engine`] — a small driver loop ([`Simulation`]) over an [`Actor`]
 //!   state machine.
+//! * [`slab`] — a slot-addressed arena ([`Slab`]) for per-entity records
+//!   that are retired when the entity leaves the simulation.
 //! * [`rng`] — seeded RNG helpers and from-scratch samplers (exponential,
 //!   normal, gamma, beta, log-normal).
 //! * [`stats`] — online statistics (Welford, EWMA, quantiles) used by the
@@ -43,12 +45,14 @@
 pub mod engine;
 pub mod event;
 pub mod rng;
+pub mod slab;
 pub mod stats;
 pub mod time;
 
 pub use engine::{Actor, RunOutcome, Simulation};
 pub use event::EventQueue;
 pub use rng::{seeded_rng, Sampler};
+pub use slab::{Slab, Slot};
 pub use time::{SimDuration, SimTime};
 
 /// Convenience re-exports for simulation code.
@@ -58,6 +62,7 @@ pub mod prelude {
     pub use crate::rng::{
         derive_seed, seeded_rng, Beta, Exponential, Gamma, LogNormal, Normal, Sampler,
     };
+    pub use crate::slab::{Slab, Slot};
     pub use crate::stats::{Ewma, Quantiles, Welford};
     pub use crate::time::{SimDuration, SimTime};
 }

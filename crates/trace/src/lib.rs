@@ -35,7 +35,7 @@ pub mod scenario;
 mod trace;
 
 pub use addon_mix::{AddonMix, TrendWindow, ADDON_SEED_STREAM};
-pub use arrival::{paced_arrivals, poisson_arrivals};
+pub use arrival::{paced_arrivals, poisson_arrivals, PoissonArrivals};
 pub use azure::{synthesize_azure_trace, AzureTraceConfig};
 pub use burst::{bursty_arrivals, BurstConfig};
 pub use demand::DemandEstimator;

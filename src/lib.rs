@@ -109,8 +109,8 @@ pub mod prelude {
     pub use diffserve_trace::{
         poisson_arrivals, standard_scenarios, style_shift_flash_crowd, synthesize_azure_trace,
         AddonMix, AzureTraceConfig, CapacityEvent, DemandEstimator, FleetHealth, Hazard,
-        HazardProcess, Incident, IncidentLog, Perturbation, Scenario, ScenarioError, ScenarioEvent,
-        Trace, TrendWindow,
+        HazardProcess, Incident, IncidentLog, Perturbation, PoissonArrivals, Scenario,
+        ScenarioError, ScenarioEvent, Trace, TrendWindow,
     };
 }
 

@@ -291,3 +291,173 @@ fn polling_every_tick_moves_no_bit_and_sees_every_query_once() {
     let batch = run_scenario(&rt, &cfg, &settings, &scenario);
     assert_reports_identical(&batch, &polled, "batch wrapper vs polled every tick");
 }
+
+/// The seed stream `ServingSession::replay_trace` draws its arrivals from.
+const ARRIVAL_SEED_STREAM: u64 = 0xA881;
+
+/// What `replay_trace` is specified to be: one `submit_spec` per Poisson
+/// arrival, all of them up front, add-ons drawn per query id from the
+/// configured mix.
+fn replay_by_hand(session: &mut ServingSession<'_>, cfg: &SystemConfig, trace: &Trace) -> u64 {
+    let mut rng = seeded_rng(derive_seed(cfg.seed, ARRIVAL_SEED_STREAM));
+    let arrivals = poisson_arrivals(trace, &mut rng);
+    for &t in &arrivals {
+        let mut spec = QuerySpec::new().at(t);
+        let addon = cfg
+            .addons
+            .as_ref()
+            .and_then(|a| a.mix.draw(session.submitted(), t));
+        if let Some(id) = addon {
+            spec = spec.addon(id);
+        }
+        session.submit_spec(spec);
+    }
+    arrivals.len() as u64
+}
+
+#[test]
+fn streamed_replay_matches_submitting_every_arrival_up_front() {
+    // `replay_trace` hands the simulator one lazy stream and the engine
+    // draws each arrival when the one before it fires. The eager form —
+    // every arrival submitted, recorded and scheduled before serving
+    // starts — must report the same bits: same ids, same add-ons, same
+    // order among events of one instant, same routing-RNG draws (Proteus).
+    let rt = runtime();
+    let trace = Trace::from_qps(
+        [vec![30.0; 20], vec![0.0; 5], vec![60.0; 20]].concat(),
+        SimDuration::from_secs(1),
+    )
+    .unwrap();
+    let horizon = SimTime::ZERO + trace.duration() + config().slo * 4;
+    for policy in [Policy::DiffServe, Policy::Proteus] {
+        for addons in [None, Some(AddonsConfig::demo(5))] {
+            let what = format!("{} addons={}", policy.name(), addons.is_some());
+            let cfg = SystemConfig { addons, ..config() };
+            let build = || {
+                ServingSession::builder()
+                    .runtime(&rt)
+                    .config(cfg.clone())
+                    .settings(RunSettings::new(policy, 60.0))
+                    .build()
+                    .expect("valid session")
+            };
+            let mut streamed = build();
+            let n = streamed.replay_trace(&trace);
+            let mut eager = build();
+            assert_eq!(replay_by_hand(&mut eager, &cfg, &trace), n, "{what}");
+            assert_eq!(streamed.submitted(), eager.submitted(), "{what}");
+            streamed.run_until(horizon);
+            eager.run_until(horizon);
+            assert_eq!(streamed.snapshot(), eager.snapshot(), "{what}: snapshot");
+            assert_eq!(streamed.poll(), eager.poll(), "{what}: polled outcomes");
+            let (streamed, eager) = (streamed.finish(), eager.finish());
+            assert_reports_identical(&eager, &streamed, &what);
+            assert!(
+                streamed.total_queries > 1000 && streamed.dropped > 0,
+                "{what}"
+            );
+            assert_eq!(streamed.addon_stats, eager.addon_stats, "{what}");
+            let misses: u64 = streamed.addon_stats.misses.iter().sum();
+            assert_eq!(misses > 0, cfg.addons.is_some(), "{what}: add-on misses");
+        }
+    }
+}
+
+#[test]
+fn replay_then_explicit_submissions_then_an_early_finish_conserve_queries() {
+    // A replay reserves its ids when it is attached, so queries submitted
+    // while it is still being drawn take the ids after it; finishing
+    // before the trace ends must still account every reserved id.
+    let rt = runtime();
+    let cfg = config();
+    let trace = Trace::constant(20.0, SimDuration::from_secs(60)).unwrap();
+    let mut session = ServingSession::builder()
+        .runtime(&rt)
+        .config(cfg.clone())
+        .settings(RunSettings::new(Policy::DiffServe, 20.0))
+        .build()
+        .expect("valid session");
+    let n = session.replay_trace(&trace);
+    let mut polled = Vec::new();
+    let mut tickets = Vec::new();
+    for step in 1..=4u64 {
+        session.run_until(SimTime::from_secs(5 * step));
+        polled.extend(session.poll());
+        // One now, one inside the driven window, one far past the end.
+        let now = session.now();
+        for at in [
+            now,
+            now + SimDuration::from_secs(2),
+            SimTime::from_secs(900),
+        ] {
+            let ticket = session.submit_spec(QuerySpec::new().at(at));
+            assert!(ticket.id.0 >= n, "id {} is the replay's", ticket.id.0);
+            tickets.push(ticket.id.0);
+        }
+    }
+    let submitted = session.submitted();
+    assert_eq!(submitted, n + 12);
+    assert_eq!(session.snapshot().submitted, submitted);
+    let mut ids = tickets.clone();
+    ids.dedup();
+    assert_eq!(
+        ids,
+        (n..n + 12).collect::<Vec<_>>(),
+        "explicit ids follow the replay"
+    );
+
+    // Stop a third of the way through the trace.
+    session.run_until(SimTime::from_secs(22));
+    polled.extend(session.poll());
+    let mut seen = vec![false; submitted as usize];
+    for outcome in &polled {
+        let id = outcome.id().0 as usize;
+        assert!(!seen[id], "query {id} polled twice");
+        seen[id] = true;
+    }
+    let polled_explicit = tickets.iter().filter(|&&id| seen[id as usize]).count();
+    assert!((4..12).contains(&polled_explicit), "{polled_explicit}");
+    let report = session.finish();
+    assert_eq!(report.total_queries, submitted);
+    assert_eq!(report.completed + report.dropped, report.total_queries);
+    assert!(
+        report.dropped > n / 2,
+        "the undrawn two thirds of the replay are drops: {}",
+        report.dropped
+    );
+}
+
+#[test]
+fn two_replays_on_one_session_submit_both() {
+    let rt = runtime();
+    let cfg = config();
+    let trace = Trace::constant(5.0, SimDuration::from_secs(30)).unwrap();
+    let settings = RunSettings::new(Policy::DiffServe, 10.0);
+    let build = || {
+        ServingSession::builder()
+            .runtime(&rt)
+            .config(cfg.clone())
+            .settings(settings.clone())
+            .build()
+            .expect("valid session")
+    };
+    let mut streamed = build();
+    let n = streamed.replay_trace(&trace);
+    assert_eq!(streamed.replay_trace(&trace), n);
+    assert_eq!(streamed.submitted(), 2 * n);
+    // Two interleaved streams, each under its own place in the event
+    // order, against the same two replays submitted eagerly.
+    let mut eager = build();
+    replay_by_hand(&mut eager, &cfg, &trace);
+    replay_by_hand(&mut eager, &cfg, &trace);
+    let horizon = SimTime::ZERO + trace.duration() + cfg.slo * 4;
+    streamed.run_until(horizon);
+    eager.run_until(horizon);
+    let polled = streamed.poll();
+    assert_eq!(polled.len() as u64, 2 * n);
+    assert_eq!(polled, eager.poll());
+    let report = streamed.finish();
+    assert_eq!(report.total_queries, 2 * n);
+    assert_eq!(report.completed + report.dropped, 2 * n);
+    assert_reports_identical(&eager.finish(), &report, "two replays");
+}
