@@ -1074,14 +1074,14 @@ fn worker_loop(
         let thresholds = shared.plan.read().thresholds.clone();
 
         for mut job in batch {
-            let prompt = kernel.served_prompt(job.qid, job.prompt, shared.difficulty_delta());
-            let (image, reused) = kernel.generate(current_tier, &prompt, job.resume);
             let verdict = {
                 let mut router = shared.router.as_ref().map(|r| r.lock());
-                kernel.verdict(
+                kernel.serve(
                     current_tier,
-                    &image.features,
-                    &prompt,
+                    job.qid,
+                    job.prompt,
+                    shared.difficulty_delta(),
+                    job.resume,
                     &thresholds,
                     router.as_deref_mut(),
                     || shared.has_alive_deeper(current_tier),
@@ -1094,7 +1094,11 @@ fn worker_loop(
                     .record_confidence(current_tier, confidence);
             }
             match verdict {
-                Verdict::Complete(confidence) => {
+                Verdict::Complete {
+                    confidence,
+                    image,
+                    reused,
+                } => {
                     // Late completions are violations attributed to the
                     // tier that finished the query (escalated queries count
                     // against the heavy side); escalations are not

@@ -17,8 +17,9 @@
 //!   read-only, [`Kernel::dispatch_secs`] charging the module cache), the
 //!   drop-front rule ([`Kernel::predicted_misses`]), the routing score
 //!   ([`Kernel::routing_load`], [`Kernel::miss_penalty`], [`pick_min`]),
-//!   the entry tier per policy ([`Kernel::entry_tier`]), the boundary
-//!   verdict ([`Kernel::verdict`]) and response / snapshot assembly.
+//!   the entry tier per policy ([`Kernel::entry_tier`]), a query's pass
+//!   through a tier — boundary verdict, and the image when it completes
+//!   there ([`Kernel::serve`]) — and response / snapshot assembly.
 //! * [`worker_targets`] — per-tier worker targets from a plan.
 //! * [`TickTelemetry`], [`FleetTally`] — what an engine counts between
 //!   control ticks and across its fleet, and the one place a
@@ -67,11 +68,18 @@ pub struct Member {
 }
 
 /// What a tier's output does at its escalation boundary.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
-    /// Serve this tier's output. Carries the boundary confidence when one
-    /// was scored (`None` on the terminal tier and off-cascade policies).
-    Complete(Option<f64>),
+    /// Serve this tier's output.
+    Complete {
+        /// The boundary confidence, when one was scored (`None` on the
+        /// terminal tier and off-cascade policies).
+        confidence: Option<f64>,
+        /// The tier's rendered output.
+        image: GeneratedImage,
+        /// Denoise steps the render reused from carried latents.
+        reused: u32,
+    },
     /// Hand the query to the next tier.
     Escalate {
         /// The boundary confidence that fell below the threshold.
@@ -86,7 +94,7 @@ impl Verdict {
     /// The boundary confidence, when one was scored.
     pub fn confidence(&self) -> Option<f64> {
         match *self {
-            Verdict::Complete(c) => c,
+            Verdict::Complete { confidence, .. } => confidence,
             Verdict::Escalate { confidence, .. } => Some(confidence),
         }
     }
@@ -107,6 +115,9 @@ pub struct Kernel<'a> {
     /// One discriminator per escalation boundary (length `N − 1`);
     /// `discriminators[k]` scores tier-`k` outputs.
     discriminators: Vec<&'a Discriminator>,
+    /// The runtime's score table: `scores[k][i]` is `discriminators[k]`'s
+    /// confidence in `models[k]`'s plain render of dataset prompt `i`.
+    scores: &'a [Vec<f64>],
     dataset: &'a PromptDataset,
     policy: Policy,
     health_blind: bool,
@@ -122,6 +133,14 @@ pub struct Kernel<'a> {
 
 impl<'a> Kernel<'a> {
     /// Resolves the roster and parameters for one session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the runtime's score table does not hold one row of
+    /// `dataset.len()` scores per boundary — the runtime's `dataset` or
+    /// ladder was replaced after it was prepared. Debug builds also re-score
+    /// the first, middle and last prompt of every boundary, which catches a
+    /// replaced discriminator.
     pub fn new(runtime: &'a CascadeRuntime, config: &SystemConfig, settings: &RunSettings) -> Self {
         let (models, discriminators): (Vec<_>, Vec<_>) = match &runtime.ladder {
             Some(art) => (
@@ -133,6 +152,22 @@ impl<'a> Kernel<'a> {
                 vec![&runtime.discriminator],
             ),
         };
+        let (scores, prompts) = (runtime.scores(), runtime.dataset.prompts());
+        assert!(
+            scores.len() >= discriminators.len()
+                && scores.iter().all(|row| row.len() == prompts.len()),
+            "the score table no longer matches the runtime's dataset and ladder"
+        );
+        for (k, disc) in discriminators.iter().enumerate() {
+            for i in [0, prompts.len() / 2, prompts.len() - 1] {
+                debug_assert_eq!(
+                    scores[k][i].to_bits(),
+                    disc.confidence(&models[k].generate(&prompts[i]).features)
+                        .to_bits(),
+                    "boundary {k}'s score table is stale at prompt {i}"
+                );
+            }
+        }
         let ladder = config.ladder.clone().unwrap_or_default();
         let router = (models.len() > 2
             && ladder.predictive_routing
@@ -146,6 +181,7 @@ impl<'a> Kernel<'a> {
         Kernel {
             models,
             discriminators,
+            scores,
             dataset: &runtime.dataset,
             policy: settings.policy,
             health_blind: settings.knobs.health_blind_routing,
@@ -421,54 +457,62 @@ impl<'a> Kernel<'a> {
             .harder(difficulty)
     }
 
-    /// Tier `tier`'s output for a prompt, resuming from carried latents
-    /// when possible. Returns the image and the reused step count. A
-    /// restart (no reuse) is bitwise `generate`; a lossless resume
-    /// (`resume_quality_penalty == 0`) produces the identical image at
-    /// lower service time.
+    /// Query `qid`'s pass through `tier`: scores the tier's output at its
+    /// boundary and decides, rendering the output only when the query
+    /// completes here or when the score needs it.
+    ///
+    /// The query escalates when the confidence falls below the boundary's
+    /// threshold *and* a deeper tier has an alive worker, else completes.
+    /// With the deeper pools wiped out by churn an escalation would land
+    /// back on this tier, deterministically regenerate the same image and
+    /// bounce forever — serving this output instead degrades gracefully.
+    /// Every verdict, kept or escalated, trains the pre-execution `router`.
+    /// The terminal tier and off-cascade policies complete without scoring.
+    ///
+    /// The output resumes from carried latents when possible: a restart (no
+    /// reuse) is bitwise `generate`, and a lossless resume
+    /// (`resume_quality_penalty == 0`) the identical image at lower service
+    /// time. So when the query serves its dataset prompt unshifted
+    /// (`explicit` is `None`, `difficulty` is `0.0`) and the output is that
+    /// plain render, its confidence is the runtime's prepared score, and an
+    /// escalating query is never rendered at the tier it leaves. Any other
+    /// output is rendered and scored, and the one render is what completes.
     #[inline]
-    pub fn generate(
+    #[allow(clippy::too_many_arguments)]
+    pub fn serve(
         &self,
         tier: usize,
-        prompt: &Prompt,
+        qid: u64,
+        explicit: Option<Prompt>,
+        difficulty: f64,
         resume: Option<StageState>,
-    ) -> (GeneratedImage, u32) {
-        let reused = self.reused_steps(tier, resume);
-        let model = self.models[tier];
-        if reused > 0 {
-            let image = model.generate_with_quality_shift(prompt, -self.resume_quality_penalty);
-            (image, reused)
-        } else {
-            (model.generate(prompt), 0)
-        }
-    }
-
-    /// Scores a tier's output at its boundary and decides: escalate when
-    /// the confidence falls below the boundary's threshold *and* a deeper
-    /// tier has an alive worker, else complete. With the deeper pools
-    /// wiped out by churn an escalation would land back on this tier,
-    /// deterministically regenerate the same image and bounce forever —
-    /// serving this output instead degrades gracefully. Every verdict,
-    /// kept or escalated, trains the pre-execution `router`. The terminal
-    /// tier and off-cascade policies complete without scoring.
-    #[inline]
-    pub fn verdict(
-        &self,
-        tier: usize,
-        features: &[f64],
-        prompt: &Prompt,
         thresholds: &[f64],
         router: Option<&mut OnlinePredictiveRouter>,
         deeper_alive: impl FnOnce() -> bool,
     ) -> Verdict {
+        let prompt = self.served_prompt(qid, explicit, difficulty);
+        let reused = self.reused_steps(tier, resume);
         let disc = match self.discriminators.get(tier) {
             Some(d) if self.policy.uses_cascade() => d,
-            _ => return Verdict::Complete(None),
+            _ => {
+                return Verdict::Complete {
+                    confidence: None,
+                    image: self.render(tier, &prompt, reused),
+                    reused,
+                }
+            }
         };
-        let confidence = disc.confidence(features);
+        let plain = reused == 0 || self.resume_quality_penalty == 0.0;
+        let (confidence, image) = if explicit.is_none() && difficulty == 0.0 && plain {
+            let i = (qid % self.dataset.len() as u64) as usize;
+            (self.scores[tier][i], None)
+        } else {
+            let image = self.render(tier, &prompt, reused);
+            (disc.confidence(&image.features), Some(image))
+        };
         let escalate = confidence < thresholds[tier] && deeper_alive();
         if let Some(r) = router {
-            r.observe(tier, prompt, escalate);
+            r.observe(tier, &prompt, escalate);
         }
         if escalate {
             Verdict::Escalate {
@@ -478,7 +522,22 @@ impl<'a> Kernel<'a> {
                     .then(|| StageState::completed(self.models[tier].steps())),
             }
         } else {
-            Verdict::Complete(Some(confidence))
+            Verdict::Complete {
+                confidence: Some(confidence),
+                image: image.unwrap_or_else(|| self.render(tier, &prompt, reused)),
+                reused,
+            }
+        }
+    }
+
+    /// Tier `tier`'s output for a prompt, `reused` steps into it.
+    #[inline]
+    fn render(&self, tier: usize, prompt: &Prompt, reused: u32) -> GeneratedImage {
+        let model = self.models[tier];
+        if reused > 0 {
+            model.generate_with_quality_shift(prompt, -self.resume_quality_penalty)
+        } else {
+            model.generate(prompt)
         }
     }
 

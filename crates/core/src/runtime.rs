@@ -59,11 +59,19 @@ pub struct CascadeRuntime {
     /// construction) keeps both serving engines on the exact two-tier
     /// cascade code path.
     pub ladder: Option<LadderArtifacts>,
+    /// `scores[k][i]`: boundary `k`'s confidence in tier `k`'s plain render
+    /// of dataset prompt `i`, one row per boundary. A boundary verdict on a
+    /// dataset prompt reads it instead of rendering and scoring again, and
+    /// `f(t)` is profiled from its held-out slice. Private so that it
+    /// cannot be swapped apart from the artifacts above; read it through
+    /// [`CascadeRuntime::scores`].
+    scores: Vec<Vec<f64>>,
 }
 
 impl CascadeRuntime {
     /// Prepares a cascade: synthesizes the dataset, trains the
-    /// discriminator, and profiles `f(t)` on prompts held out from
+    /// discriminator, scores every dataset prompt's light render with it,
+    /// and profiles `f(t)` from the scores of the prompts held out from
     /// discriminator training.
     ///
     /// # Panics
@@ -108,16 +116,12 @@ impl CascadeRuntime {
             feature_spec,
         );
         let discriminator = Discriminator::train(&dataset, &spec.light, &spec.heavy, disc_config);
-
-        // Profile f(t) on held-out prompts, exactly like the paper's offline
-        // initialization.
-        let held_out = &dataset.prompts()[disc_config.train_prompts..];
-        let confidences: Vec<f64> = held_out
-            .iter()
-            .map(|p| discriminator.confidence(&spec.light.generate(p).features))
-            .collect();
-        let deferral = DeferralProfile::from_confidences(confidences)
-            .expect("held-out profiling set is non-empty by the dataset-size assertion");
+        let (scores, deferral) = score_boundary(
+            &dataset,
+            &spec.light,
+            &discriminator,
+            disc_config.train_prompts,
+        );
 
         let reference = GaussianStats::fit(dataset.real_features(), 1e-6)
             .expect("reference set has enough samples");
@@ -134,13 +138,14 @@ impl CascadeRuntime {
             deferral,
             reference,
             ladder: None,
+            scores: vec![scores],
         }
     }
 
     /// Prepares an N-tier quality ladder: synthesizes the dataset once,
-    /// then trains one discriminator and profiles one deferral curve per
-    /// boundary (each on the same held-out prompt split the legacy cascade
-    /// uses).
+    /// then per boundary trains one discriminator, scores every dataset
+    /// prompt with it and profiles one deferral curve (each on the same
+    /// held-out prompt split the legacy cascade uses).
     ///
     /// A two-tier ladder reuses the legacy preparation code paths verbatim,
     /// so its artifacts — and every downstream serving decision — are
@@ -163,7 +168,6 @@ impl CascadeRuntime {
             CascadeRuntime::prepare(ladder.cascade_view(), dataset_size, seed, disc_config);
 
         let terminal = &ladder.tiers[ladder.num_tiers() - 1];
-        let held_out = &runtime.dataset.prompts()[disc_config.train_prompts..];
         let mut discriminators = Vec::with_capacity(ladder.boundaries());
         let mut deferrals = Vec::with_capacity(ladder.boundaries());
         for (k, tier) in ladder.tiers[..ladder.num_tiers() - 1].iter().enumerate() {
@@ -174,12 +178,9 @@ impl CascadeRuntime {
                 continue;
             }
             let disc = Discriminator::train(&runtime.dataset, tier, terminal, disc_config);
-            let confidences: Vec<f64> = held_out
-                .iter()
-                .map(|p| disc.confidence(&tier.generate(p).features))
-                .collect();
-            let deferral = DeferralProfile::from_confidences(confidences)
-                .expect("held-out profiling set is non-empty by the dataset-size assertion");
+            let (scores, deferral) =
+                score_boundary(&runtime.dataset, tier, &disc, disc_config.train_prompts);
+            runtime.scores.push(scores);
             discriminators.push(disc);
             deferrals.push(deferral);
         }
@@ -196,6 +197,32 @@ impl CascadeRuntime {
     pub fn num_tiers(&self) -> usize {
         self.ladder.as_ref().map_or(2, LadderArtifacts::num_tiers)
     }
+
+    /// The prepared score table: `scores()[k][i]` is boundary `k`'s
+    /// confidence in tier `k`'s plain render of `dataset.prompts()[i]`.
+    pub fn scores(&self) -> &[Vec<f64>] {
+        &self.scores
+    }
+}
+
+/// Scores the plain render of every dataset prompt at one boundary, and
+/// profiles `f(t)` from the scores of the prompts after the first
+/// `train_prompts` — the ones discriminator training never saw, exactly
+/// like the paper's offline initialization.
+fn score_boundary(
+    dataset: &PromptDataset,
+    model: &DiffusionModel,
+    discriminator: &Discriminator,
+    train_prompts: usize,
+) -> (Vec<f64>, DeferralProfile) {
+    let scores: Vec<f64> = dataset
+        .prompts()
+        .iter()
+        .map(|p| discriminator.confidence(&model.generate(p).features))
+        .collect();
+    let deferral = DeferralProfile::from_confidences(scores[train_prompts..].to_vec())
+        .expect("held-out profiling set is non-empty by the dataset-size assertion");
+    (scores, deferral)
 }
 
 #[cfg(test)]
@@ -270,6 +297,51 @@ mod tests {
                 artifacts.deferrals[0].fraction_deferred(t)
             );
         }
+        // So is the score table, and it is the fresh render's score.
+        assert_eq!(legacy.scores(), ladder.scores());
+        assert_table_is_fresh(&ladder);
+    }
+
+    /// Every entry of `rt`'s score table equals, bitwise, a fresh render
+    /// of its prompt scored by its boundary's discriminator.
+    fn assert_table_is_fresh(rt: &CascadeRuntime) {
+        let (models, discs): (Vec<&DiffusionModel>, Vec<&Discriminator>) = match &rt.ladder {
+            Some(a) => (a.models.iter().collect(), a.discriminators.iter().collect()),
+            None => (vec![&rt.spec.light], vec![&rt.discriminator]),
+        };
+        assert_eq!(rt.scores().len(), discs.len(), "one row per boundary");
+        for (k, row) in rt.scores().iter().enumerate() {
+            assert_eq!(row.len(), rt.dataset.len(), "boundary {k}");
+            for (i, (p, score)) in rt.dataset.prompts().iter().zip(row).enumerate() {
+                let fresh = discs[k].confidence(&models[k].generate(p).features);
+                assert_eq!(score.to_bits(), fresh.to_bits(), "boundary {k}, prompt {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn score_table_is_the_fresh_score_under_every_arch() {
+        // ResNet and ViT add backbone noise seeded from the feature bits,
+        // so a tabled score is only sound if that noise is reproducible.
+        use diffserve_imagegen::DiscArch;
+        for arch in [
+            DiscArch::EfficientNetV2,
+            DiscArch::ResNet34,
+            DiscArch::ViTB16,
+        ] {
+            let rt = CascadeRuntime::prepare(
+                cascade1(FeatureSpec::default()),
+                300,
+                7,
+                DiscriminatorConfig {
+                    arch,
+                    train_prompts: 100,
+                    epochs: 2,
+                    ..Default::default()
+                },
+            );
+            assert_table_is_fresh(&rt);
+        }
     }
 
     #[test]
@@ -296,6 +368,7 @@ mod tests {
         // The embedded cascade view spans the ladder's endpoints.
         assert_eq!(rt.spec.light.name(), artifacts.models[0].name());
         assert_eq!(rt.spec.heavy.name(), artifacts.models[2].name());
+        assert_table_is_fresh(&rt);
     }
 
     #[test]

@@ -1030,14 +1030,12 @@ impl<'a> ServingSim<'a> {
         let deeper_alive = self.has_alive_deeper(tier);
         for &query in &batch {
             let rec = &self.queries[query];
-            let prompt = self
-                .kernel
-                .served_prompt(rec.id, rec.prompt, self.difficulty_delta);
-            let (image, reused) = self.kernel.generate(tier, &prompt, rec.resume);
-            let verdict = self.kernel.verdict(
+            let verdict = self.kernel.serve(
                 tier,
-                &image.features,
-                &prompt,
+                rec.id,
+                rec.prompt,
+                self.difficulty_delta,
+                rec.resume,
                 &self.thresholds,
                 self.router.as_mut(),
                 || deeper_alive,
@@ -1046,9 +1044,11 @@ impl<'a> ServingSim<'a> {
                 self.telemetry.record_confidence(tier, confidence);
             }
             match verdict {
-                Verdict::Complete(confidence) => {
-                    self.complete(query, image, tier, confidence, reused, now)
-                }
+                Verdict::Complete {
+                    confidence,
+                    image,
+                    reused,
+                } => self.complete(query, image, tier, confidence, reused, now),
                 Verdict::Escalate { resume, .. } => {
                     if resume.is_some() {
                         self.queries[query].resume = resume;

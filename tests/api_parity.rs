@@ -297,12 +297,21 @@ const ARRIVAL_SEED_STREAM: u64 = 0xA881;
 
 /// What `replay_trace` is specified to be: one `submit_spec` per Poisson
 /// arrival, all of them up front, add-ons drawn per query id from the
-/// configured mix.
-fn replay_by_hand(session: &mut ServingSession<'_>, cfg: &SystemConfig, trace: &Trace) -> u64 {
+/// configured mix. With `explicit` set, every query also carries the
+/// dataset prompt it would have been served anyway.
+fn replay_by_hand(
+    session: &mut ServingSession<'_>,
+    cfg: &SystemConfig,
+    trace: &Trace,
+    explicit: Option<&PromptDataset>,
+) -> u64 {
     let mut rng = seeded_rng(derive_seed(cfg.seed, ARRIVAL_SEED_STREAM));
     let arrivals = poisson_arrivals(trace, &mut rng);
     for &t in &arrivals {
         let mut spec = QuerySpec::new().at(t);
+        if let Some(dataset) = explicit {
+            spec = spec.prompt(*dataset.prompt_cyclic(session.submitted()));
+        }
         let addon = cfg
             .addons
             .as_ref()
@@ -344,7 +353,7 @@ fn streamed_replay_matches_submitting_every_arrival_up_front() {
             let mut streamed = build();
             let n = streamed.replay_trace(&trace);
             let mut eager = build();
-            assert_eq!(replay_by_hand(&mut eager, &cfg, &trace), n, "{what}");
+            assert_eq!(replay_by_hand(&mut eager, &cfg, &trace, None), n, "{what}");
             assert_eq!(streamed.submitted(), eager.submitted(), "{what}");
             streamed.run_until(horizon);
             eager.run_until(horizon);
@@ -448,8 +457,8 @@ fn two_replays_on_one_session_submit_both() {
     // Two interleaved streams, each under its own place in the event
     // order, against the same two replays submitted eagerly.
     let mut eager = build();
-    replay_by_hand(&mut eager, &cfg, &trace);
-    replay_by_hand(&mut eager, &cfg, &trace);
+    replay_by_hand(&mut eager, &cfg, &trace, None);
+    replay_by_hand(&mut eager, &cfg, &trace, None);
     let horizon = SimTime::ZERO + trace.duration() + cfg.slo * 4;
     streamed.run_until(horizon);
     eager.run_until(horizon);
@@ -460,4 +469,167 @@ fn two_replays_on_one_session_submit_both() {
     assert_eq!(report.total_queries, 2 * n);
     assert_eq!(report.completed + report.dropped, 2 * n);
     assert_reports_identical(&eager.finish(), &report, "two replays");
+}
+
+/// `replay_trace` on `rt` against the same queries submitted eagerly with
+/// their dataset prompts spelled out. A query that carries a prompt is
+/// rendered and scored at every boundary it reaches; one that does not has
+/// its boundary score read from the runtime's prepared table. The two must
+/// agree on every polled outcome and every report bit. Returns the
+/// replay's polled outcomes and report.
+fn tabled_matches_rendered(
+    rt: &CascadeRuntime,
+    cfg: &SystemConfig,
+    policy: Policy,
+    what: &str,
+) -> (Vec<QueryOutcome>, RunReport) {
+    let trace = Trace::from_qps(
+        [vec![30.0; 20], vec![0.0; 5], vec![60.0; 20]].concat(),
+        SimDuration::from_secs(1),
+    )
+    .unwrap();
+    let horizon = SimTime::ZERO + trace.duration() + cfg.slo * 4;
+    let build = || {
+        ServingSession::builder()
+            .runtime(rt)
+            .config(cfg.clone())
+            .settings(RunSettings::new(policy, 60.0))
+            .build()
+            .expect("valid session")
+    };
+    let mut tabled = build();
+    let n = tabled.replay_trace(&trace);
+    let mut rendered = build();
+    let explicit = Some(&rt.dataset);
+    assert_eq!(
+        replay_by_hand(&mut rendered, cfg, &trace, explicit),
+        n,
+        "{what}"
+    );
+    tabled.run_until(horizon);
+    rendered.run_until(horizon);
+    assert_eq!(tabled.snapshot(), rendered.snapshot(), "{what}: snapshot");
+    let polled = tabled.poll();
+    assert_eq!(polled, rendered.poll(), "{what}: polled outcomes");
+    let report = tabled.finish();
+    assert_reports_identical(&rendered.finish(), &report, what);
+    assert!(report.total_queries > 1000 && report.dropped > 0, "{what}");
+    (polled, report)
+}
+
+#[test]
+fn tabled_scores_match_render_then_score_on_two_tiers() {
+    let rt = runtime();
+    for resume_from_latents in [false, true] {
+        let cfg = SystemConfig {
+            resume_from_latents,
+            ..config()
+        };
+        let what = format!("two-tier resume={resume_from_latents}");
+        let (_, report) = tabled_matches_rendered(&rt, &cfg, Policy::DiffServe, &what);
+        assert!(report.tier_breakdown[0].escalated_past > 0, "{what}");
+        assert_eq!(report.resumed_queries > 0, resume_from_latents, "{what}");
+    }
+}
+
+#[test]
+fn tabled_scores_match_render_then_score_on_a_resuming_ladder() {
+    let rt = CascadeRuntime::prepare_ladder(
+        ladder3(FeatureSpec::default()),
+        1200,
+        2024,
+        DiscriminatorConfig {
+            train_prompts: 500,
+            epochs: 8,
+            ..Default::default()
+        },
+    );
+    let cfg = |resume_quality_penalty| SystemConfig {
+        ladder: Some(LadderConfig::default()),
+        resume_from_latents: true,
+        resume_quality_penalty,
+        addons: Some(AddonsConfig::demo(5)),
+        ..config()
+    };
+    let (lossless, lossless_report) =
+        tabled_matches_rendered(&rt, &cfg(0.0), Policy::DiffServe, "ladder3 lossless");
+    // A lossy resume renders the mid tier's output with a quality penalty,
+    // which is not the plain render the table scored: those queries must
+    // take the render-then-score path (the explicit-prompt twin above would
+    // catch a tabled score), and their boundary-1 scores must move.
+    let (lossy, lossy_report) =
+        tabled_matches_rendered(&rt, &cfg(0.2), Policy::DiffServe, "ladder3 lossy");
+    assert!(lossless_report.resumed_queries > 0);
+    let resumed_mid_tier = |outcomes: &[QueryOutcome]| -> Vec<(u64, u64)> {
+        outcomes
+            .iter()
+            .filter_map(|o| match o {
+                QueryOutcome::Completed(r) if r.tier_index == 1 && r.reused_steps > 0 => {
+                    Some((r.id.0, r.confidence.expect("boundary 1 scored").to_bits()))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let lossless_scores = resumed_mid_tier(&lossless);
+    let lossy_scores = resumed_mid_tier(&lossy);
+    assert!(!lossless_scores.is_empty() && !lossy_scores.is_empty());
+    let moved = lossy_scores
+        .iter()
+        .filter(|(id, bits)| {
+            lossless_scores
+                .iter()
+                .any(|(other, other_bits)| other == id && other_bits != bits)
+        })
+        .count();
+    assert!(
+        moved > 0,
+        "no resumed mid-tier query's boundary score moved under the penalty"
+    );
+    assert_ne!(lossless_report.fid.to_bits(), lossy_report.fid.to_bits());
+}
+
+#[test]
+fn testbed_render_then_score_makes_the_simulators_tabled_decisions() {
+    // The testbed's timing is the host's, so only what is decided by
+    // scores alone can be compared exactly: under a pinned threshold, with
+    // no predictive drops and no churn, every query's path through the
+    // cascade is fixed by its boundary score. The testbed serves explicit
+    // prompts (render, then score); the simulator replays dataset queries
+    // (scores read from the table).
+    let rt = runtime();
+    let cfg = SystemConfig {
+        drop_predicted_misses: false,
+        ..config()
+    };
+    let trace = Trace::constant(3.0, SimDuration::from_secs(30)).unwrap();
+    let mut settings = RunSettings::new(Policy::DiffServeStatic, 3.0);
+    settings.knobs = AblationKnobs::static_threshold(0.5);
+    let horizon = SimTime::ZERO + trace.duration() + cfg.slo * 4;
+
+    let sim = run_trace(&rt, &cfg, &settings, &trace);
+    let mut testbed = ServingSession::builder()
+        .runtime(&rt)
+        .config(cfg.clone())
+        .settings(settings)
+        .build_cluster(if cfg!(debug_assertions) { 0.05 } else { 0.01 })
+        .expect("valid session");
+    replay_by_hand(&mut testbed, &cfg, &trace, Some(&rt.dataset));
+    testbed.run_until(horizon);
+    let testbed = testbed.finish();
+
+    let decisions = |r: &RunReport| {
+        let tiers: Vec<_> = r
+            .tier_breakdown
+            .iter()
+            .map(|s| (s.tier, s.completions, s.escalated_past))
+            .collect();
+        (r.total_queries, r.completed, r.dropped, tiers)
+    };
+    assert_eq!(decisions(&testbed), decisions(&sim));
+    assert_eq!(sim.completed, sim.total_queries, "nothing is shed");
+    assert!(sim.tier_breakdown[0].escalated_past > 0 && sim.tier_breakdown[0].completions > 0);
+    for r in [&sim, &testbed] {
+        assert!(r.threshold_series.iter().all(|&(_, t)| t == 0.5));
+    }
 }
