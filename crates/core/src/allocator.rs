@@ -744,13 +744,12 @@ pub struct LadderAllocation {
 /// Tick-to-tick state for [`solve_ladder`]: the previous tick's optimal
 /// threshold levels (seeding the per-boundary gallop) and one shared
 /// [`WarmStart`] handle. Every fixed-level residual MILP has the same
-/// rows and columns, so a single handle serves them all — but more than
-/// right-hand sides move between probes: the per-tier demands set the
-/// throughput right-hand sides *and* the tight worker bounds (each
-/// `w_{k,j}`'s upper bound and its activation coefficient). The handle
-/// copes by construction: the remembered point is re-validated against
-/// each probe's numbers, and the remembered basis is refactorized against
-/// them, so a probe the hint no longer fits just starts colder.
+/// rows and columns, so a single handle serves them all, even though what
+/// moves between probes is not a right-hand side: the per-tier demands set
+/// each batch selector's cost, its capacity coefficient and its bound. The
+/// handle copes by construction: the remembered point is re-validated
+/// against each probe's numbers, and the remembered basis is refactorized
+/// against them, so a probe the hint no longer fits just starts colder.
 #[derive(Debug, Clone, Default)]
 pub struct LadderWarmState {
     levels: Option<Vec<usize>>,
@@ -841,58 +840,44 @@ fn ladder_fixed_exhaustive(
 /// each probe's demands by [`aim`](Self::aim), which patches numbers in
 /// place — the rows, columns and their names never change.
 ///
-/// The formulation is the per-tier product of the legacy pinned residual:
-/// batch selectors `y_{k,j}`, workers `w_{k,j}` active only under the
-/// selected batch, per-tier throughput and non-emptiness, the shared
-/// capacity and cascade-latency rows. The lexicographic batch penalties
-/// (`1e-4·10^{-k}·j`) replicate the exhaustive solver's tie-breaking, so
-/// both inner solvers return the identical plan.
+/// It is a multiple-choice knapsack over batch selectors `y_{k,j}`: one
+/// `one-batch-k` row per tier, the shared `capacity` row `Σ U'_{k,j}·y_{k,j}
+/// ≤ S` and the cascade `latency` row. Selecting batch `j` on tier `k`
+/// costs `U'_{k,j} = max(1, ⌈d_k / T_k(B_j)⌉)` workers, plus a lexicographic
+/// batch penalty (`1e-4·10^{-k}·j`) that replicates the exhaustive solver's
+/// tie-breaking, so both inner solvers return the identical plan.
 ///
-/// Each `w_{k,j}` is bounded — as a variable and in its activation row
-/// `w_{k,j} ≤ U_{k,j}·y_{k,j}` — by `U_{k,j} = min(S, max(1, ⌈d_k /
-/// T_k(B_j)⌉))`, the count tier `k` needs under batch `j`, not by the
-/// fleet size `S`. That is exact here because the objective minimizes
-/// total workers: an optimum never holds more than the minimal count under
-/// its chosen batch, and a feasible point above it stays feasible when
-/// lowered to it. With `S` as the big-M the relaxation sets `y = w/S`,
-/// spreads a tier over several batches and leaves the latency row slack;
-/// the tight bound forces `y_{k,j} ≥ w_{k,j}/U_{k,j}`, so the latency row
-/// binds in the LP and branch & bound needs a fraction of the nodes. (The
-/// two-tier `build_allocation_milp` cannot use it: its `w2` carries a
-/// `+1e-7` bonus that hands spare workers to the heavy tier, so its
-/// optimum does exceed the minimal count.)
+/// There are no worker columns because, with tier `k`'s batch fixed, the
+/// objective minimizes total workers: fewer than `U'_{k,j}` miss the tier's
+/// demand, and more only cost. So substituting `w_{k,j} = U'_{k,j}·y_{k,j}`
+/// is exact, leaves N·B binaries and N+2 rows, and needs no big-M row; a
+/// batch whose `U'` alone exceeds `S` is fixed out by its bound, and the
+/// fleet size is only a coefficient. (The two-tier `build_allocation_milp`
+/// cannot substitute: its `w2` carries a `+1e-7` bonus that hands spare
+/// workers to the heavy tier, so its optimum does exceed the minimal count.)
 struct LadderResidual {
     problem: Problem,
     /// `y[k][j]`: tier `k` runs batch `batch_sizes[j]`.
     y: Vec<Vec<diffserve_milp::VarId>>,
-    /// `w[k][j]`: tier `k`'s workers, nonzero only under batch `j`.
-    w: Vec<Vec<diffserve_milp::VarId>>,
     /// `tp[k][j] = T_k(B_j)`.
     tp: Vec<Vec<f64>>,
-    /// Fleet size `S`, the cap on every worker bound.
+    /// Fleet size `S`.
     fleet: f64,
-    /// Row of `throughput-k`, whose rhs is `d_k`.
-    throughput_row: Vec<usize>,
-    /// Row of `active-k-j`, whose `y` coefficient is `-U_{k,j}`.
-    active_row: Vec<Vec<usize>>,
+    /// Row of `capacity`, whose `y_{k,j}` coefficient is `U'_{k,j}`.
+    capacity_row: usize,
 }
 
 impl LadderResidual {
-    /// The problem shape with every demand-dependent number at its
-    /// loosest (`d_k = 0`, `U_{k,j} = S`); [`aim`](Self::aim) before
-    /// solving.
+    /// The problem shape with placeholder costs and capacity coefficients;
+    /// [`aim`](Self::aim) before solving.
     fn build(inputs: &LadderInputs<'_>) -> Self {
         let n = inputs.num_tiers();
-        let nb = inputs.batch_sizes.len();
         let s = inputs.total_workers as f64;
         let mut p = Problem::new(Direction::Minimize);
         let y: Vec<Vec<_>> = (0..n)
-            .map(|k| (0..nb).map(|j| p.add_binary(format!("y{k}_{j}"))).collect())
-            .collect();
-        let w: Vec<Vec<_>> = (0..n)
             .map(|k| {
-                (0..nb)
-                    .map(|j| p.add_var(format!("w{k}_{j}"), VarKind::Integer, 0.0, s))
+                (0..inputs.batch_sizes.len())
+                    .map(|j| p.add_binary(format!("y{k}_{j}")))
                     .collect()
             })
             .collect();
@@ -906,95 +891,72 @@ impl LadderResidual {
             })
             .collect();
 
-        let mut throughput_row = Vec::with_capacity(n);
-        let mut active_row = Vec::with_capacity(n);
         let mut cap: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
         let mut lat: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
-        for k in 0..n {
-            let one: Vec<_> = y[k].iter().map(|&id| (id, 1.0)).collect();
+        for (k, y_k) in y.iter().enumerate() {
+            let one: Vec<_> = y_k.iter().map(|&id| (id, 1.0)).collect();
             p.add_constraint(format!("one-batch-{k}"), &one, Sense::Eq, 1.0);
-            let nonempty: Vec<_> = w[k].iter().map(|&id| (id, 1.0)).collect();
-            p.add_constraint(format!("nonempty-{k}"), &nonempty, Sense::Ge, 1.0);
-            let through: Vec<_> = (0..nb).map(|j| (w[k][j], tp[k][j])).collect();
-            throughput_row.push(p.add_constraint(
-                format!("throughput-{k}"),
-                &through,
-                Sense::Ge,
-                0.0,
-            ));
-            active_row.push(
-                (0..nb)
-                    .map(|j| {
-                        cap.push((w[k][j], 1.0));
-                        lat.push((y[k][j], inputs.tier_stage_latency(k, inputs.batch_sizes[j])));
-                        p.add_constraint(
-                            format!("active-{k}-{j}"),
-                            &[(w[k][j], 1.0), (y[k][j], -s)],
-                            Sense::Le,
-                            0.0,
-                        )
-                    })
-                    .collect(),
-            );
+            for (&id, &b) in y_k.iter().zip(inputs.batch_sizes) {
+                cap.push((id, 1.0));
+                lat.push((id, inputs.tier_stage_latency(k, b)));
+            }
         }
-        p.add_constraint("capacity", &cap, Sense::Le, s);
+        let capacity_row = p.add_constraint("capacity", &cap, Sense::Le, s);
         let lat_budget = inputs.slo - inputs.queue_delays.iter().sum::<f64>();
         if lat_budget.is_finite() {
             p.add_constraint("latency", &lat, Sense::Le, lat_budget);
         }
 
-        // Minimize total workers; geometric batch penalties keep the optimum
-        // unique and equal to the exhaustive tie-break (smaller batches on
-        // earlier tiers win ties). The penalties sum to < 1, so they can
-        // never trade away a worker.
-        let mut obj: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
-        for k in 0..n {
-            let scale = 1e-4 * 10f64.powi(-(k as i32));
-            for j in 0..nb {
-                obj.push((w[k][j], 1.0));
-                obj.push((y[k][j], scale * j as f64));
-            }
-        }
-        p.set_objective(&obj);
-
         LadderResidual {
             problem: p,
             y,
-            w,
             tp,
             fleet: s,
-            throughput_row,
-            active_row,
+            capacity_row,
         }
     }
 
-    /// Re-aims the problem at per-tier `demands`: the throughput
-    /// right-hand sides and every tight worker bound `U_{k,j}`.
+    /// Re-aims the problem at per-tier `demands`: every selector's cost,
+    /// capacity coefficient and bound.
     fn aim(&mut self, demands: &[f64]) {
         for (k, &d) in demands.iter().enumerate() {
-            self.problem.set_rhs(self.throughput_row[k], d);
-            for j in 0..self.tp[k].len() {
-                let bound = min_workers(d, self.tp[k][j]).min(self.fleet);
-                self.problem.set_upper_bound(self.w[k][j], bound);
+            // Geometric batch penalties keep the optimum unique and equal to
+            // the exhaustive tie-break (smaller batches on earlier tiers win
+            // ties). They sum to < 1, so they can never trade away a worker.
+            let scale = 1e-4 * 10f64.powi(-(k as i32));
+            for (j, &id) in self.y[k].iter().enumerate() {
+                let need = min_workers(d, self.tp[k][j]);
+                // A batch that alone overflows the fleet is fixed out; capping
+                // its numbers at `S` keeps the tableau at the fleet's scale.
+                let u = need.min(self.fleet);
                 self.problem
-                    .set_coefficient(self.active_row[k][j], self.y[k][j], -bound);
+                    .set_objective_coefficient(id, u + scale * j as f64);
+                self.problem.set_coefficient(self.capacity_row, id, u);
+                self.problem
+                    .set_upper_bound(id, if need > self.fleet { 0.0 } else { 1.0 });
             }
         }
     }
 
-    /// Reads the per-tier `(workers, batches)` off a solution.
-    fn plan(&self, batch_sizes: &[usize], values: &[f64]) -> (Vec<usize>, Vec<usize>) {
-        let mut workers = Vec::with_capacity(self.y.len());
-        let mut batches = Vec::with_capacity(self.y.len());
-        for (y_k, w_k) in self.y.iter().zip(&self.w) {
-            let j = y_k
-                .iter()
-                .position(|id| values[id.index()] > 0.5)
-                .expect("exactly-one constraint guarantees a selection");
-            batches.push(batch_sizes[j]);
-            workers.push(w_k.iter().map(|id| values[id.index()] as usize).sum());
-        }
-        (workers, batches)
+    /// Reads the per-tier `(workers, batches)` off a solution at `demands`.
+    fn plan(
+        &self,
+        batch_sizes: &[usize],
+        demands: &[f64],
+        values: &[f64],
+    ) -> (Vec<usize>, Vec<usize>) {
+        self.y
+            .iter()
+            .zip(&self.tp)
+            .zip(demands)
+            .map(|((y_k, tp_k), &d)| {
+                let j = y_k
+                    .iter()
+                    .position(|id| values[id.index()] > 0.5)
+                    .expect("exactly-one constraint guarantees a selection");
+                (min_workers(d, tp_k[j]) as usize, batch_sizes[j])
+            })
+            .unzip()
     }
 }
 
@@ -1058,7 +1020,7 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
             Some(residual) => {
                 let sol =
                     solve_milp_warm(&residual.problem, &MilpOptions::default(), self.warm).ok()?;
-                Some(residual.plan(self.inputs.batch_sizes, &sol.values))
+                Some(residual.plan(self.inputs.batch_sizes, &demands, &sol.values))
             }
             None => ladder_fixed_exhaustive(self.inputs, &demands, false),
         }
@@ -1739,42 +1701,56 @@ mod tests {
     /// refactorizes at most once and solves cold at most once, both at its
     /// root (a cold handle: never and once), so no child — in particular
     /// none the dual simplex certified infeasible — is re-solved cold.
-    #[test]
-    fn residual_searches_pay_for_refactorization_and_cold_solves_only_at_the_root() {
+    /// Returns how many children the searches certified infeasible.
+    fn check_root_only_effort(problem: &Problem, carried: &mut WarmStart) -> usize {
         let options = MilpOptions::default();
         let mut certified = 0;
-        let mut check = |problem: &Problem, carried: &mut WarmStart| {
-            let cold = diffserve_milp::solve_milp(problem, &options).map(|sol| sol.effort);
-            if let Ok(effort) = cold {
-                assert_eq!((effort.refactorizations, effort.cold_solves), (0, 1));
-                certified += effort.certified_infeasible;
-            }
-            for sol in [
-                find_feasible(problem, &options, &mut carried.clone()),
-                solve_milp_warm(problem, &options, carried),
-            ] {
-                assert_eq!(sol.is_ok(), cold.is_ok());
-                let Ok(effort) = sol.map(|sol| sol.effort) else {
-                    continue;
-                };
-                assert!(
-                    effort.refactorizations <= 1 && effort.cold_solves <= 1,
-                    "a child fell back: {effort:?}"
-                );
-                certified += effort.certified_infeasible;
-            }
-        };
+        let cold = diffserve_milp::solve_milp(problem, &options).map(|sol| sol.effort);
+        if let Ok(effort) = cold {
+            assert_eq!((effort.refactorizations, effort.cold_solves), (0, 1));
+            certified += effort.certified_infeasible;
+        }
+        for sol in [
+            find_feasible(problem, &options, &mut carried.clone()),
+            solve_milp_warm(problem, &options, carried),
+        ] {
+            assert_eq!(sol.is_ok(), cold.is_ok());
+            let Ok(effort) = sol.map(|sol| sol.effort) else {
+                continue;
+            };
+            assert!(
+                effort.refactorizations <= 1 && effort.cold_solves <= 1,
+                "a child fell back: {effort:?}"
+            );
+            certified += effort.certified_infeasible;
+        }
+        certified
+    }
 
+    #[test]
+    fn residual_searches_pay_for_refactorization_and_cold_solves_only_at_the_root() {
         let batches = [1usize, 2, 4, 8, 16];
         let thresholds = grid(26, 0.9);
         let deferral = uniform_profile();
         let mut carried = WarmStart::new();
+        let mut certified = 0;
         for demand in [6.0, 6.3, 9.0, 14.0, 22.0, 30.0] {
-            let inputs = cascade1_inputs(&deferral, &batches, &thresholds, demand);
+            // At 16 workers the pinned trees are too small to certify
+            // anything; at 128 (demand scaled along) they are not.
+            let mut inputs = cascade1_inputs(&deferral, &batches, &thresholds, 8.0 * demand);
+            inputs.total_workers = 128;
             for level in [0, 6, 13, 25] {
-                check(&build_allocation_milp(&inputs, Some(level)).0, &mut carried);
+                let problem = build_allocation_milp(&inputs, Some(level)).0;
+                certified += check_root_only_effort(&problem, &mut carried);
             }
         }
+        // The two-tier residual's big-M trees are deep enough that the
+        // certificate is what prunes them; the ladder's knapsack trees are
+        // too small to need it.
+        assert!(
+            certified > 100,
+            "the certificate must be what prunes: {certified}"
+        );
 
         let deferrals = vec![uniform_profile(), uniform_profile()];
         let mut carried = WarmStart::new();
@@ -1783,12 +1759,49 @@ mod tests {
             let mut residual = LadderResidual::build(&inputs);
             for levels in [[0, 0], [6, 13], [20, 5], [25, 25]] {
                 residual.aim(&inputs.tier_demands(&levels));
-                check(&residual.problem, &mut carried);
+                check_root_only_effort(&residual.problem, &mut carried);
             }
         }
+    }
+
+    /// The ladder residual is a multiple-choice knapsack — N·B binary
+    /// selectors, one row per tier plus capacity and latency — and its
+    /// relaxation is tight enough that the tick's optimality solve barely
+    /// branches. Measured on the final levels of a 60-step demand walk.
+    #[test]
+    fn ladder_residual_is_a_knapsack_that_barely_branches() {
+        let deferrals = vec![uniform_profile(), uniform_profile()];
+        let batches = [1usize, 2, 4, 8, 16];
+        let thresholds = grid(26, 0.9);
+        let mut inputs = ladder3_inputs(&deferrals, &batches, &thresholds, 0.0);
+        let mut residual = LadderResidual::build(&inputs);
+        let shape = (
+            residual.problem.num_vars(),
+            residual.problem.integer_vars().len(),
+            residual.problem.num_constraints(),
+        );
+        assert_eq!(shape, (3 * 5, 3 * 5, 3 + 2));
+
+        // The tick's optimality solve: at the levels the search settles on,
+        // through a handle carried from the previous tick's optimum.
+        let (mut state, mut carried) = (LadderWarmState::new(), WarmStart::new());
+        let mut nodes = 0;
+        for step in 0..60 {
+            inputs.demand_qps = 2.0 + 12.0 * (0.5 + 0.5 * (step as f64 * 0.2).sin());
+            let plan = solve_ladder(&inputs, true, &mut state).expect("feasible walk");
+            let levels: Vec<usize> = plan
+                .thresholds
+                .iter()
+                .map(|t| thresholds.iter().position(|g| g == t).expect("on the grid"))
+                .collect();
+            residual.aim(&inputs.tier_demands(&levels));
+            let sol = solve_milp_warm(&residual.problem, &MilpOptions::default(), &mut carried)
+                .expect("the search verified these levels feasible");
+            nodes += sol.nodes;
+        }
         assert!(
-            certified > 100,
-            "the certificate must be what prunes: {certified}"
+            nodes <= 3 * 60,
+            "{nodes} B&B nodes over 60 optimality solves"
         );
     }
 
@@ -1810,15 +1823,17 @@ mod tests {
 
         /// The two inner solvers are interchangeable tick for tick: over a
         /// random demand walk, each threaded through its own
-        /// [`LadderWarmState`], the MILP path (tight residual, feasibility
+        /// [`LadderWarmState`], the MILP path (knapsack residual, feasibility
         /// probes through one carried handle, one optimality solve) and
         /// the exhaustive scan return the identical [`LadderAllocation`] —
         /// thresholds, hysteresis-held worker split, batches, and the
-        /// infeasible ticks in between.
+        /// infeasible ticks in between. Fleets run from 3 workers to the
+        /// 1000-worker fleet scale, where the fleet size is only a
+        /// coefficient of the residual.
         #[test]
         fn ladder_milp_matches_exhaustive_on_random_walks(
             demands in proptest::collection::vec(1u32..400, 1..10),
-            fleet in 3usize..=32,
+            fleet_scale in 0u32..=100,
             batch_grid in 0usize..4,
             raise in 0usize..3,
             direct in (0u32..=100, 0u32..=100),
@@ -1832,6 +1847,8 @@ mod tests {
                 &[1, 2, 3],
             ][batch_grid];
             let thresholds = grid(11, 0.9);
+            // Log-uniform over 3..=1000, so small fleets stay well covered.
+            let fleet = (3.0 * (1000.0f64 / 3.0).powf(fleet_scale as f64 / 100.0)).round() as usize;
             let mut inputs = ladder3_inputs(&deferrals, batches, &thresholds, 0.0);
             inputs.total_workers = fleet;
             inputs.queue_delays = queues.iter().map(|&q| q as f64 / 100.0).collect();
@@ -1844,9 +1861,9 @@ mod tests {
             let mut milp_state = LadderWarmState::new();
             let mut scan_state = LadderWarmState::new();
             for (tick, &raw) in demands.iter().enumerate() {
-                // 0.1 .. 40 qps: from an idle fleet to hopeless overload
-                // on the small ones.
-                inputs.demand_qps = raw as f64 / 10.0;
+                // 0.1 .. 40 qps per 16 workers: from an idle fleet to
+                // hopeless overload on the small ones.
+                inputs.demand_qps = raw as f64 / 10.0 * (fleet as f64 / 16.0).max(1.0);
                 let milp = solve_ladder(&inputs, true, &mut milp_state);
                 let scan = solve_ladder(&inputs, false, &mut scan_state);
                 proptest::prop_assert_eq!(milp, scan, "tick {} at {} qps", tick, inputs.demand_qps);

@@ -186,11 +186,13 @@ impl Problem {
 
     /// Replaces the right-hand side of constraint `row`.
     ///
-    /// Together with [`set_coefficient`](Self::set_coefficient) and
-    /// [`set_upper_bound`](Self::set_upper_bound) this lets a controller
-    /// build a problem shape once and re-aim its numbers at each related
-    /// solve. None of them changes the column or row layout, so a
-    /// [`Basis`](crate::Basis) from an earlier solve still fits.
+    /// Together with [`set_coefficient`](Self::set_coefficient),
+    /// [`set_upper_bound`](Self::set_upper_bound) and
+    /// [`set_objective_coefficient`](Self::set_objective_coefficient) this
+    /// lets a controller build a problem shape once and re-aim its numbers
+    /// at each related solve. None of them changes the column or row
+    /// layout, so a [`Basis`](crate::Basis) from an earlier solve still
+    /// fits.
     ///
     /// # Panics
     ///
@@ -231,6 +233,16 @@ impl Problem {
             v.lower
         );
         v.upper = upper;
+    }
+
+    /// Replaces the objective coefficient of `var`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` is out of range or `coef` is non-finite.
+    pub fn set_objective_coefficient(&mut self, var: VarId, coef: f64) {
+        assert!(coef.is_finite(), "objective coefficient must be finite");
+        self.objective[var.0] = coef;
     }
 
     /// Sets the objective coefficients (unmentioned variables get 0).
@@ -370,9 +382,12 @@ mod tests {
         p.set_rhs(need, 5.0);
         p.set_coefficient(active, b, -3.0);
         p.set_upper_bound(x, 3.0);
+        p.set_objective(&[(x, 1.0)]);
+        p.set_objective_coefficient(b, 0.5);
         assert_eq!(p.constraints[need].rhs, 5.0);
         assert_eq!(p.constraints[active].terms, vec![(x, 1.0), (b, -3.0)]);
         assert_eq!(p.upper_bounds(), vec![3.0, 1.0]);
+        assert_eq!(p.objective, vec![1.0, 0.5]);
         assert_eq!((p.num_vars(), p.num_constraints()), (2, 2));
     }
 

@@ -13,6 +13,9 @@
 //!    thread-based cluster testbed must agree on where traffic settles:
 //!    per-tier escalation counts within a loose wall-clock tolerance,
 //!    mirroring the paper's §4.3 sim-vs-testbed validation.
+//! 3. **Solver parity** — the MILP and exhaustive allocator backends make
+//!    the same plan on every control tick of a real ladder session, so
+//!    the whole run is bit-identical under either.
 
 use diffserve::prelude::*;
 use diffserve_imagegen::TierLadder;
@@ -199,4 +202,39 @@ fn sim_and_cluster_agree_on_ladder_escalations() {
         testbed.tier_breakdown[1].completions > 0,
         "testbed mid tier served traffic"
     );
+}
+
+/// Every control tick of a `ladder_control`-shaped session — 3-tier
+/// ladder, latent resume, add-ons, online profile refresh, 16 workers on a
+/// 2–16 qps diurnal trace — is a real allocator instance. The MILP and
+/// exhaustive backends must plan each one identically, so the two runs'
+/// reports must agree to the bit, in every field.
+#[test]
+fn milp_and_exhaustive_backends_serve_a_ladder_session_identically() {
+    let system = SystemConfig {
+        num_workers: 16,
+        ladder: Some(LadderConfig::default()),
+        resume_from_latents: true,
+        addons: Some(AddonsConfig::demo(7)),
+        online_profile_refresh: true,
+        ..Default::default()
+    };
+    let trace = synthesize_azure_trace(&AzureTraceConfig {
+        min_qps: 2.0,
+        max_qps: 16.0,
+        duration: SimDuration::from_secs(300),
+        ..Default::default()
+    })
+    .expect("valid trace");
+    let run = |backend| {
+        let settings = RunSettings {
+            backend,
+            ..RunSettings::new(Policy::DiffServe, trace.max_qps())
+        };
+        run_trace(ladder3_runtime(), &system, &settings, &trace)
+    };
+    let milp = run(AllocatorBackend::Milp);
+    let exhaustive = run(AllocatorBackend::Exhaustive);
+    assert!(milp.total_queries > 1000, "{}", milp.total_queries);
+    assert_eq!(format!("{milp:?}"), format!("{exhaustive:?}"));
 }
