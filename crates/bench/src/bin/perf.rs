@@ -15,10 +15,10 @@
 //!    the resulting speedup (≈1.0 on a single-core host by construction).
 //! 3. **Solver ticks** — control ticks under drifting demand, solved cold
 //!    every tick vs. carrying the warm state tick to tick. Two pairs:
-//!    `milp_ladder_cold/warm` is the legacy *two-tier* MILP
-//!    (`solve_milp_allocation[_warm]`, an [`AllocWarmState`]: basis reuse +
-//!    threshold pinning) — the "ladder" in its key is the ladder of ticks,
-//!    kept so the committed baseline stays comparable — and
+//!    `milp_ladder_cold/warm` is the legacy *two-tier* allocator (the full
+//!    MILP cold vs. the knapsack search through an [`AllocWarmState`],
+//!    `solve_milp_allocation[_warm]`) — the "ladder" in its key is the
+//!    ladder of ticks, kept so the committed baseline stays comparable — and
 //!    `ladder3_solve_cold/warm` is the N-tier quality-ladder allocator
 //!    (`solve_ladder`, 3 tiers, MILP inner solver).
 //! 4. **Cluster replay** — the same diurnal curve replayed on the
@@ -596,19 +596,19 @@ fn cluster_replay(
 /// Control ticks in the `milp_ladder_*` pair.
 const MILP_TICKS: usize = 12;
 
-/// Times [`MILP_TICKS`] solves of the legacy *two-tier* allocation MILP
-/// (paper Eq. 1–5) under a drifting demand estimate: once solving cold
-/// every tick ([`solve_milp_allocation`]), once threading an
-/// [`AllocWarmState`] through the ticks ([`solve_milp_allocation_warm`])
-/// the way [`CascadePlanner`](diffserve_core::CascadePlanner) does. Despite
-/// the key this is not the N-tier quality ladder — `solve_ladder` is timed
-/// by `ladder3_solve_*` ([`bench_ladder3_solve`]). Warm starting never
-/// changes the plan (uniqueness penalties dwarf the optimality gap), so
-/// both runs produce identical allocations. The pair tracks the
-/// payoff of basis reuse + threshold pinning: warm ticks solve a couple of
-/// pinned residual MILPs from the previous basis instead of the full
-/// formulation from scratch, and the `--smoke` gate enforces that warm
-/// stays ≥ 15 % faster than cold.
+/// Times [`MILP_TICKS`] solves of the legacy *two-tier* allocator under a
+/// drifting demand estimate: once solving the full Eq. 1–5 MILP cold every
+/// tick ([`solve_milp_allocation`], the formulation oracle), once
+/// threading an [`AllocWarmState`] through the ticks
+/// ([`solve_milp_allocation_warm`]) the way
+/// [`CascadePlanner`](diffserve_core::CascadePlanner) does. Despite the key
+/// this is not the N-tier quality ladder — `solve_ladder` is timed by
+/// `ladder3_solve_*` ([`bench_ladder3_solve`]). At this 16-worker fleet
+/// both return identical allocations. The pair tracks the payoff of the
+/// serving path: warm ticks probe and solve the small two-tier batch
+/// knapsack from the previous basis instead of the full formulation from
+/// scratch, and the `--smoke` gate enforces that warm stays ≥ 15 % faster
+/// than cold.
 fn milp_ladder(runtime: &CascadeRuntime, criterion: &mut Criterion) {
     let config = SystemConfig::default();
     let thresholds = config.threshold_grid();

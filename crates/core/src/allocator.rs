@@ -18,7 +18,8 @@ use std::collections::HashMap;
 
 use diffserve_imagegen::{DeferralProfile, LatencyProfile};
 use diffserve_milp::{
-    find_feasible, solve_milp_warm, Direction, MilpOptions, Problem, Sense, VarKind, WarmStart,
+    find_feasible, solve_milp, solve_milp_warm, Direction, MilpOptions, Problem, Sense, VarKind,
+    WarmStart,
 };
 
 /// Inputs to one allocation decision.
@@ -171,44 +172,37 @@ pub fn solve_exhaustive(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
     best
 }
 
-/// Tick-to-tick solver state for [`solve_milp_allocation_warm`].
-///
-/// Carries two independent [`WarmStart`] handles — one for the full MILP
-/// (with the `z_l` threshold selectors) and one for the threshold-pinned
-/// residual problem — plus the threshold the next tick's search starts
-/// from (the "pin"). The two problem shapes differ, so their bases are
-/// never interchangeable; keeping both means every solve the state routes
-/// to restarts from a same-shaped basis.
+/// Tick-to-tick solver state for [`solve_milp_allocation_warm`]: one
+/// [`WarmStart`] handle, carried across every probe and optimality solve
+/// of the two-tier knapsack tick after tick, and the threshold the next
+/// tick's search starts from (the "pin").
 #[derive(Debug, Clone, Default)]
 pub struct AllocWarmState {
-    full: WarmStart,
-    pinned: WarmStart,
+    milp: WarmStart,
     pin: Option<f64>,
 }
 
 impl AllocWarmState {
-    /// An empty state; the first solve through it runs the full MILP cold.
+    /// An empty state; the first search through it gallops up from the
+    /// grid floor.
     pub fn new() -> Self {
         AllocWarmState::default()
     }
 
-    /// Drop all carried state; the next solve runs the full MILP cold.
+    /// Drop all carried state; the next search starts cold.
     pub fn clear(&mut self) {
-        self.full.clear();
-        self.pinned.clear();
+        self.milp.clear();
         self.pin = None;
     }
 
     /// `true` once a solve has gone through this handle, whatever its
-    /// verdict: the next one runs the pinned search.
+    /// verdict.
     pub fn is_primed(&self) -> bool {
         self.pin.is_some()
     }
 
     /// Where the next tick's threshold search starts: the previous tick's
-    /// optimal threshold, or the grid floor if that tick was infeasible
-    /// (recovery then gallops up from level 0 instead of paying for the
-    /// full MILP).
+    /// optimal threshold, or the grid floor if that tick was infeasible.
     pub fn pinned_threshold(&self) -> Option<f64> {
         self.pin
     }
@@ -220,42 +214,25 @@ fn deferred_load(inputs: &AllocatorInputs<'_>, l: usize) -> f64 {
     inputs.demand_qps.max(1e-9) * inputs.deferral.fraction_deferred(inputs.thresholds[l])
 }
 
-/// Variable handles for one allocation MILP. `z` is empty when the
-/// threshold is pinned (the residual problem has no threshold choice).
+/// Variable handles for the full allocation MILP.
 struct MilpVars {
     y: Vec<diffserve_milp::VarId>,
     v: Vec<diffserve_milp::VarId>,
     z: Vec<diffserve_milp::VarId>,
     w1: Vec<diffserve_milp::VarId>,
     w2: Vec<diffserve_milp::VarId>,
-    /// Row of Eq. 3. With the threshold pinned, its rhs `D·f(t_l)` is the
-    /// only number in the problem that depends on the level.
-    heavy_row: usize,
 }
 
-/// Build the allocation MILP (paper Eq. 5).
-///
-/// With `pin = None` this is the full formulation: binary selectors `y_j`
+/// Build the full allocation MILP (paper Eq. 5): binary selectors `y_j`
 /// (light batch), `v_k` (heavy batch), `z_l` (threshold level); integer
 /// worker counts `w1_j`, `w2_k` active only under their selected batch
-/// size. The products in Eqs. 2–3 linearize because throughput
-/// coefficients are constants per batch size.
-///
-/// With `pin = Some(l)` the threshold is fixed at grid level `l`: the
-/// `z` selectors and the one-threshold constraint disappear, and the
-/// deferred-load term `D·f(t_l)` folds into the heavy-throughput rhs.
-/// The objective keeps the same uniqueness penalties on `y/v/w1/w2` and
-/// drops only the (now constant) `t_l` term, so the residual optimum is
-/// exactly the full MILP's optimum conditioned on `z_l = 1`.
-fn build_allocation_milp(inputs: &AllocatorInputs<'_>, pin: Option<usize>) -> (Problem, MilpVars) {
+/// size, with `S` as the big-M. The products in Eqs. 2–3 linearize
+/// because throughput coefficients are constants per batch size.
+fn build_allocation_milp(inputs: &AllocatorInputs<'_>) -> (Problem, MilpVars) {
     let d = inputs.demand_qps.max(1e-9);
     let s = inputs.total_workers as f64;
     let nb = inputs.batch_sizes.len();
-    let nt = if pin.is_some() {
-        0
-    } else {
-        inputs.thresholds.len()
-    };
+    let nt = inputs.thresholds.len();
 
     let mut p = Problem::new(Direction::Maximize);
     let y: Vec<_> = (0..nb).map(|j| p.add_binary(format!("y{j}"))).collect();
@@ -274,9 +251,7 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>, pin: Option<usize>) -> (P
     };
     p.add_constraint("one-light-batch", &ones(&y), Sense::Eq, 1.0);
     p.add_constraint("one-heavy-batch", &ones(&v), Sense::Eq, 1.0);
-    if pin.is_none() {
-        p.add_constraint("one-threshold", &ones(&z), Sense::Eq, 1.0);
-    }
+    p.add_constraint("one-threshold", &ones(&z), Sense::Eq, 1.0);
 
     // Workers only under the selected batch size: w1_j ≤ S·y_j.
     for j in 0..nb {
@@ -300,21 +275,14 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>, pin: Option<usize>) -> (P
         .collect();
     p.add_constraint("light-throughput", &light_tp, Sense::Ge, d);
 
-    // Eq. 3: Σ_k T2(B_k)·w2_k − D·Σ_l f(t_l)·z_l ≥ 0, or with the
-    // threshold pinned at level l, Σ_k T2(B_k)·w2_k ≥ D·f(t_l).
+    // Eq. 3: Σ_k T2(B_k)·w2_k − D·Σ_l f(t_l)·z_l ≥ 0.
     let mut heavy_tp: Vec<(diffserve_milp::VarId, f64)> = (0..nb)
         .map(|k| (w2[k], inputs.heavy.throughput(inputs.batch_sizes[k])))
         .collect();
-    let heavy_rhs = match pin {
-        Some(l) => deferred_load(inputs, l),
-        None => {
-            for (&z_l, &t_l) in z.iter().zip(inputs.thresholds.iter()) {
-                heavy_tp.push((z_l, -d * inputs.deferral.fraction_deferred(t_l)));
-            }
-            0.0
-        }
-    };
-    let heavy_row = p.add_constraint("heavy-throughput", &heavy_tp, Sense::Ge, heavy_rhs);
+    for (&z_l, &t_l) in z.iter().zip(inputs.thresholds.iter()) {
+        heavy_tp.push((z_l, -d * inputs.deferral.fraction_deferred(t_l)));
+    }
+    p.add_constraint("heavy-throughput", &heavy_tp, Sense::Ge, 0.0);
 
     // Eq. 4: Σ w1 + Σ w2 ≤ S.
     let mut cap = ones(&w1);
@@ -339,12 +307,14 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>, pin: Option<usize>) -> (P
     }
 
     // Objective (Eq. 5): maximize the threshold. Tiny lexicographic
-    // penalties make the optimum unique and identical to the exhaustive
-    // solver's tie-breaking (smaller batches first, then minimal light
-    // workers with the remainder on the heavy tier). The penalty scales are
-    // far below the threshold grid spacing, so they can never trade away
-    // objective value. The pinned residual keeps the identical penalties
-    // (its threshold term is a constant, omitted).
+    // penalties make the optimum unique: smaller batches first, then
+    // minimal light workers with the remainder on the heavy tier. The
+    // penalty scales are far below the threshold grid spacing, so they can
+    // never trade away objective value. They reproduce the exhaustive
+    // solver's tie-break only while `1.1e-6·ΔU1 < 1e-4`, where `ΔU1` is
+    // how far the light tier's minimal worker counts spread across batch
+    // sizes — below ≈ 91 workers. On larger fleets a bigger light batch
+    // can win by needing fewer light workers.
     let mut obj: Vec<(diffserve_milp::VarId, f64)> =
         (0..nt).map(|l| (z[l], inputs.thresholds[l])).collect();
     for j in 0..nb {
@@ -357,69 +327,51 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>, pin: Option<usize>) -> (P
     }
     p.set_objective(&obj);
 
-    let vars = MilpVars {
-        y,
-        v,
-        z,
-        w1,
-        w2,
-        heavy_row,
-    };
-    (p, vars)
+    (p, MilpVars { y, v, z, w1, w2 })
 }
 
-/// Read an [`Allocation`] off a MILP solution. `pin` supplies the
-/// threshold level when the problem had no `z` selectors.
-fn extract_allocation(
-    inputs: &AllocatorInputs<'_>,
-    vars: &MilpVars,
-    values: &[f64],
-    pin: Option<usize>,
-) -> Allocation {
-    let nb = inputs.batch_sizes.len();
+/// The paper's full allocation MILP (Eq. 1–5, `build_allocation_milp`),
+/// solved cold with `diffserve-milp`: the formulation oracle for tests
+/// and the per-layer probe. Serving ticks take
+/// [`solve_milp_allocation_warm`], which returns the same plan below ≈ 91
+/// workers (where this MILP's penalties still reproduce the exhaustive
+/// tie-break) and [`solve_exhaustive`]'s plan at any fleet size.
+///
+/// Returns `None` if the MILP is infeasible.
+pub fn solve_milp_allocation(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
+    let (p, vars) = build_allocation_milp(inputs);
+    let values = solve_milp(&p, &MilpOptions::default()).ok()?.values;
     let pick = |sel: &[diffserve_milp::VarId]| -> usize {
         sel.iter()
             .position(|&id| values[id.index()] > 0.5)
             .expect("exactly-one constraint guarantees a selection")
     };
-    let j = pick(&vars.y);
-    let k = pick(&vars.v);
-    let l = match pin {
-        Some(l) => l,
-        None => pick(&vars.z),
+    let workers = |w: &[diffserve_milp::VarId]| -> usize {
+        w.iter().map(|id| values[id.index()] as usize).sum()
     };
-    let light_workers: usize = (0..nb).map(|i| values[vars.w1[i].index()] as usize).sum();
-    let heavy_workers: usize = (0..nb).map(|i| values[vars.w2[i].index()] as usize).sum();
-    Allocation {
-        threshold: inputs.thresholds[l],
-        light_workers,
-        heavy_workers,
-        light_batch: inputs.batch_sizes[j],
-        heavy_batch: inputs.batch_sizes[k],
+    Some(Allocation {
+        threshold: inputs.thresholds[pick(&vars.z)],
+        light_workers: workers(&vars.w1),
+        heavy_workers: workers(&vars.w2),
+        light_batch: inputs.batch_sizes[pick(&vars.y)],
+        heavy_batch: inputs.batch_sizes[pick(&vars.v)],
         feasible: true,
-    }
-}
-
-/// MILP solver for the allocation problem (paper Eq. 5), built on
-/// `diffserve-milp`. Solves cold (`build_allocation_milp` documents the
-/// formulation); see [`solve_milp_allocation_warm`] for the tick-to-tick
-/// fast path.
-///
-/// Returns `None` if the MILP is infeasible.
-pub fn solve_milp_allocation(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
-    solve_milp_allocation_warm(inputs, &mut AllocWarmState::new())
+    })
 }
 
 /// The largest level in `0..nt` at which `feasible` holds, or `None` when
-/// not even level 0 does: gallop out from `start`, then binary-search the
-/// bracket. Exact from any `start` as long as `feasible` is monotone —
-/// true up to some level and false above it. A steady-state tick resolves
-/// in two probes (`start` feasible, `start + 1` not).
+/// not even level 0 does (or `nt` is 0): gallop out from `start`, then
+/// binary-search the bracket. Exact from any `start` as long as `feasible`
+/// is monotone — true up to some level and false above it. A steady-state
+/// tick resolves in two probes (`start` feasible, `start + 1` not).
 fn largest_feasible_level(
     nt: usize,
     start: usize,
     mut feasible: impl FnMut(usize) -> bool,
 ) -> Option<usize> {
+    if nt == 0 {
+        return None;
+    }
     // Establish a bracket: `lo` feasible, `hi` infeasible.
     let (mut lo, mut hi, mut step) = (start, start, 1usize);
     if feasible(start) {
@@ -460,81 +412,244 @@ fn largest_feasible_level(
     Some(lo)
 }
 
-/// Find the largest feasible threshold level from the previous tick's
-/// level `l0`, and the optimal plan there.
-///
-/// The residual MILP is built once and re-aimed at each probed level by
-/// its heavy-throughput rhs. Every probe asks only *whether* the level is
-/// feasible, through the carried handle; the one optimality solve runs at
-/// the final level, and its plan is the answer.
-///
-/// Correct because residual feasibility is monotone in the level: the
-/// only `l`-dependent constraint is Eq. 3's deferred load `D·f(t_l)`,
-/// and `f` is nondecreasing over the ascending threshold grid, so every
-/// level below a feasible one is feasible and every level above an
-/// infeasible one is infeasible. The full MILP's penalties are far below
-/// the grid spacing, so its optimum also sits at the largest feasible
-/// level — the two paths agree exactly.
-fn pinned_search(
-    inputs: &AllocatorInputs<'_>,
-    l0: usize,
-    warm: &mut WarmStart,
-) -> Option<Allocation> {
-    let options = MilpOptions::default();
-    let (mut p, vars) = build_allocation_milp(inputs, Some(l0));
-    let best = largest_feasible_level(inputs.thresholds.len(), l0, |l| {
-        p.set_rhs(vars.heavy_row, deferred_load(inputs, l));
-        find_feasible(&p, &options, warm).is_ok()
-    })?;
-    p.set_rhs(vars.heavy_row, deferred_load(inputs, best));
-    let sol = solve_milp_warm(&p, &options, warm).expect("the level was just probed feasible");
-    Some(extract_allocation(inputs, &vars, &sol.values, Some(best)))
+/// Workers a tier needs to serve `demand` at throughput `tp`: the minimal
+/// count, and never an empty tier.
+fn min_workers(demand: f64, tp: f64) -> f64 {
+    (demand / tp).ceil().max(1.0)
 }
 
-/// [`solve_milp_allocation`] with tick-to-tick solver state carried in an
-/// [`AllocWarmState`].
+/// One batch size as a [`BatchKnapsack`] choice.
+struct BatchChoice {
+    /// Its term in the cascade `latency` row, seconds.
+    latency: f64,
+    /// One worker's serving throughput at this batch size, queries/s.
+    throughput: f64,
+    /// Tie-break cost, added to any per-worker cost.
+    penalty: f64,
+}
+
+/// The residual both MILP allocators search once their thresholds are
+/// fixed: a multiple-choice knapsack over batch selectors `y_{g,j}`, one
+/// group `g` per tier.
 ///
-/// Successive control ticks solve the same formulation under a slowly
-/// drifting demand estimate, so the previous tick's optimum usually seeds
-/// (and very often immediately proves) the next solve. Two mechanisms
-/// stack:
+/// Choosing batch `j` for group `g` takes `U_{g,j} = max(1, ⌈d_g /
+/// T_g(B_j)⌉)` workers, the fewest that serve the group's demand `d_g`.
+/// The rows are one `one-batch-g` equality per group, the shared
+/// `capacity` row `Σ U_{g,j}·y_{g,j} ≤ S`, and the cascade `latency` row
+/// (absent under an infinite SLO, the AIMD case). A selector costs
+/// `worker_cost·U_{g,j}` plus its tie-break penalty; one whose `U` alone
+/// exceeds `S` is fixed out by its bound. [`aim`](Self::aim) re-points a
+/// group at a new demand by patching those numbers in place, so rows,
+/// columns and their names never change, and the fleet size is only a
+/// coefficient: the problem is the same size at 1000 workers as at 8.
 ///
-/// 1. **Basis reuse** — each [`WarmStart`] handle carries the previous
-///    optimum's simplex basis, so re-solves run a short dual-simplex
-///    reoptimization instead of two-phase from scratch.
-/// 2. **Threshold pinning** — once a solve has gone through `state` and
-///    the threshold it left is still on the grid, the search runs over
-///    the small *residual* MILP with the threshold fixed
-///    (`build_allocation_milp` with `pin`), locating the largest feasible
-///    level by a gallop + binary search of feasibility probes from the
-///    previous level and solving to optimality once, there, instead of
-///    re-solving the full formulation with all `z_l` selectors. An
-///    infeasible tick leaves the pin at the grid floor.
+/// There are no worker columns because, with every batch fixed, the
+/// optimal worker counts are already known:
 ///
-/// The objective's lexicographic uniqueness penalties dwarf the solver's
-/// optimality gap, so the warm-started solution is the *same* allocation
-/// a cold solve would return — warm starting changes solve time, never
-/// the plan.
+/// * The N-tier ladder ([`solve_ladder`], `worker_cost` 1) minimizes total
+///   workers, so each tier takes exactly `U`: fewer miss its demand, more
+///   only cost. Geometric batch penalties `1e-4·10^{-k}·j` sum to < 1, so
+///   they never trade away a worker, and reproduce the exhaustive
+///   tie-break.
+/// * The two-tier cascade ([`solve_milp_allocation_warm`], `worker_cost`
+///   0) keeps the light tier minimal and hands every spare worker to the
+///   heavy tier, so once both batches are fixed the full MILP's worker
+///   terms are constants. Only the batch pair is left to rank, at cost
+///   `j·B + k`: the exhaustive solver's lexicographic tie-break.
+struct BatchKnapsack {
+    problem: Problem,
+    /// `y[g][j]`: group `g` runs batch choice `j`.
+    y: Vec<Vec<diffserve_milp::VarId>>,
+    choices: Vec<Vec<BatchChoice>>,
+    /// Objective cost of each worker a selector takes.
+    worker_cost: f64,
+    /// The demand each group was last aimed at.
+    demand: Vec<f64>,
+    /// Fleet size `S`.
+    fleet: f64,
+    /// Row of `capacity`, whose `y_{g,j}` coefficient is `U_{g,j}`.
+    capacity_row: usize,
+}
+
+impl BatchKnapsack {
+    /// The problem shape with placeholder costs and capacity coefficients;
+    /// [`aim`](Self::aim) every group before solving.
+    fn build(
+        choices: Vec<Vec<BatchChoice>>,
+        worker_cost: f64,
+        total_workers: usize,
+        lat_budget: f64,
+    ) -> Self {
+        let s = total_workers as f64;
+        let mut p = Problem::new(Direction::Minimize);
+        let y: Vec<Vec<_>> = choices
+            .iter()
+            .enumerate()
+            .map(|(g, c)| {
+                (0..c.len())
+                    .map(|j| p.add_binary(format!("y{g}_{j}")))
+                    .collect()
+            })
+            .collect();
+        let mut cap: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
+        let mut lat: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
+        for (g, (y_g, c_g)) in y.iter().zip(&choices).enumerate() {
+            let one: Vec<_> = y_g.iter().map(|&id| (id, 1.0)).collect();
+            p.add_constraint(format!("one-batch-{g}"), &one, Sense::Eq, 1.0);
+            for (&id, c) in y_g.iter().zip(c_g) {
+                cap.push((id, 1.0));
+                lat.push((id, c.latency));
+            }
+        }
+        let capacity_row = p.add_constraint("capacity", &cap, Sense::Le, s);
+        if lat_budget.is_finite() {
+            p.add_constraint("latency", &lat, Sense::Le, lat_budget);
+        }
+        BatchKnapsack {
+            problem: p,
+            y,
+            demand: vec![0.0; choices.len()],
+            choices,
+            worker_cost,
+            fleet: s,
+            capacity_row,
+        }
+    }
+
+    /// The N-tier ladder's fixed-level residual.
+    fn ladder(inputs: &LadderInputs<'_>) -> Self {
+        let choices = (0..inputs.num_tiers())
+            .map(|k| {
+                let scale = 1e-4 * 10f64.powi(-(k as i32));
+                inputs
+                    .batch_sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &b)| BatchChoice {
+                        latency: inputs.tier_stage_latency(k, b),
+                        throughput: inputs.tier_stage_throughput(k, b),
+                        penalty: scale * j as f64,
+                    })
+                    .collect()
+            })
+            .collect();
+        let lat_budget = inputs.slo - inputs.queue_delays.iter().sum::<f64>();
+        BatchKnapsack::build(choices, 1.0, inputs.total_workers, lat_budget)
+    }
+
+    /// The two-tier threshold-pinned residual, light group (0) aimed at
+    /// the demand; aim the heavy group (1) at a level's deferred load.
+    fn two_tier(inputs: &AllocatorInputs<'_>) -> Self {
+        let nb = inputs.batch_sizes.len();
+        let (mut light, mut heavy) = (Vec::with_capacity(nb), Vec::with_capacity(nb));
+        for (j, &b) in inputs.batch_sizes.iter().enumerate() {
+            light.push(BatchChoice {
+                latency: light_stage_latency(inputs, b),
+                throughput: light_stage_throughput(inputs, b),
+                penalty: (j * nb) as f64,
+            });
+            heavy.push(BatchChoice {
+                latency: heavy_slo_latency(inputs, b),
+                throughput: inputs.heavy.throughput(b),
+                penalty: j as f64,
+            });
+        }
+        let lat_budget = inputs.slo - inputs.queue_delay_light - inputs.queue_delay_heavy;
+        let mut knapsack =
+            BatchKnapsack::build(vec![light, heavy], 0.0, inputs.total_workers, lat_budget);
+        knapsack.aim(0, inputs.demand_qps.max(1e-9));
+        knapsack
+    }
+
+    /// Re-aims group `g` at `demand`: each of its selectors' cost,
+    /// capacity coefficient and bound.
+    fn aim(&mut self, g: usize, demand: f64) {
+        self.demand[g] = demand;
+        for (&id, c) in self.y[g].iter().zip(&self.choices[g]) {
+            let need = min_workers(demand, c.throughput);
+            // A batch that alone overflows the fleet is fixed out; capping
+            // its numbers at `S` keeps the tableau at the fleet's scale.
+            let u = need.min(self.fleet);
+            self.problem
+                .set_objective_coefficient(id, self.worker_cost * u + c.penalty);
+            self.problem.set_coefficient(self.capacity_row, id, u);
+            self.problem
+                .set_upper_bound(id, if need > self.fleet { 0.0 } else { 1.0 });
+        }
+    }
+
+    /// Per group, the batch choice `values` selects and the workers it
+    /// takes at the demand the group was last aimed at.
+    fn plan(&self, values: &[f64]) -> Vec<(usize, usize)> {
+        self.y
+            .iter()
+            .zip(&self.choices)
+            .zip(&self.demand)
+            .map(|((y_g, c_g), &d)| {
+                let j = y_g
+                    .iter()
+                    .position(|id| values[id.index()] > 0.5)
+                    .expect("exactly-one constraint guarantees a selection");
+                (j, min_workers(d, c_g[j].throughput) as usize)
+            })
+            .collect()
+    }
+}
+
+/// The MILP allocator's serving path: the largest feasible threshold and
+/// the optimal plan there, searched over the two-tier `BatchKnapsack`
+/// with tick-to-tick state carried in an [`AllocWarmState`].
 ///
-/// Returns `None` if the MILP is infeasible.
+/// Feasibility at a fixed threshold level is monotone: the only
+/// level-dependent number is Eq. 3's deferred load `D·f(t_l)`, and `f` is
+/// nondecreasing over the ascending grid, so every level below a feasible
+/// one is feasible. The search gallops + binary-searches from the previous
+/// tick's level — the grid floor when the state is cold, its threshold is
+/// no longer on the grid, or the previous tick was infeasible — asking
+/// each probe only *whether* the level is feasible (`find_feasible`, which
+/// re-aims just the heavy selectors), and solves to optimality once, at
+/// the largest feasible level. Every solve goes through the state's one
+/// [`WarmStart`], so a re-solve is a short dual-simplex reoptimization from
+/// the previous basis, or no LP at all when the remembered point still
+/// fits.
+///
+/// The plan is [`solve_exhaustive`]'s at any fleet size: the largest
+/// feasible threshold, then the lexicographically smallest batch pair,
+/// minimal light workers and every spare on the heavy tier. Below ≈ 91
+/// workers it is also the full MILP's ([`solve_milp_allocation`]). Warm
+/// starting changes solve time, never the plan.
+///
+/// Returns `None` if no level is feasible.
 pub fn solve_milp_allocation_warm(
     inputs: &AllocatorInputs<'_>,
     state: &mut AllocWarmState,
 ) -> Option<Allocation> {
-    // The pin is only trusted when it still names a grid value exactly;
-    // a cold state or any drift in the grid takes the full MILP.
+    // The pin is only trusted when it still names a grid value exactly.
     let l0 = state
         .pin
-        .and_then(|pin| inputs.thresholds.iter().position(|&t| t == pin));
-    let alloc = match l0 {
-        Some(l0) => pinned_search(inputs, l0, &mut state.pinned),
-        None => {
-            let (p, vars) = build_allocation_milp(inputs, None);
-            solve_milp_warm(&p, &MilpOptions::default(), &mut state.full)
-                .ok()
-                .map(|sol| extract_allocation(inputs, &vars, &sol.values, None))
+        .and_then(|pin| inputs.thresholds.iter().position(|&t| t == pin))
+        .unwrap_or(0);
+    let options = MilpOptions::default();
+    let mut knapsack = BatchKnapsack::two_tier(inputs);
+    let best = largest_feasible_level(inputs.thresholds.len(), l0, |l| {
+        knapsack.aim(1, deferred_load(inputs, l));
+        find_feasible(&knapsack.problem, &options, &mut state.milp).is_ok()
+    });
+    let alloc = best.map(|l| {
+        knapsack.aim(1, deferred_load(inputs, l));
+        let sol = solve_milp_warm(&knapsack.problem, &options, &mut state.milp)
+            .expect("the level was just probed feasible");
+        let plan = knapsack.plan(&sol.values);
+        let ((j, light_workers), (k, _)) = (plan[0], plan[1]);
+        Allocation {
+            threshold: inputs.thresholds[l],
+            light_workers,
+            heavy_workers: inputs.total_workers - light_workers,
+            light_batch: inputs.batch_sizes[j],
+            heavy_batch: inputs.batch_sizes[k],
+            feasible: true,
         }
-    };
+    });
     // An infeasible tick parks the pin at the grid floor: every level is
     // infeasible, so the next search may as well start from the bottom.
     let floor = inputs.thresholds.first().copied();
@@ -774,12 +889,6 @@ impl LadderWarmState {
     }
 }
 
-/// Workers tier `k` needs to serve `demand` at throughput `tp`: the
-/// minimal count, and never an empty tier.
-fn min_workers(demand: f64, tp: f64) -> f64 {
-    (demand / tp).ceil().max(1.0)
-}
-
 /// Worker/batch plan serving fixed per-tier demands, by exhaustive scan
 /// over batch tuples: the plan with the fewest total workers, tie-breaking
 /// on the lexicographically smallest batch tuple — or, with `first_fit`,
@@ -835,131 +944,6 @@ fn ladder_fixed_exhaustive(
     best.map(|(_, workers, batches)| (workers, batches))
 }
 
-/// The fixed-level residual MILP: minimal worker/batch plan serving fixed
-/// per-tier demands. Built once per [`solve_ladder`] call and re-aimed at
-/// each probe's demands by [`aim`](Self::aim), which patches numbers in
-/// place — the rows, columns and their names never change.
-///
-/// It is a multiple-choice knapsack over batch selectors `y_{k,j}`: one
-/// `one-batch-k` row per tier, the shared `capacity` row `Σ U'_{k,j}·y_{k,j}
-/// ≤ S` and the cascade `latency` row. Selecting batch `j` on tier `k`
-/// costs `U'_{k,j} = max(1, ⌈d_k / T_k(B_j)⌉)` workers, plus a lexicographic
-/// batch penalty (`1e-4·10^{-k}·j`) that replicates the exhaustive solver's
-/// tie-breaking, so both inner solvers return the identical plan.
-///
-/// There are no worker columns because, with tier `k`'s batch fixed, the
-/// objective minimizes total workers: fewer than `U'_{k,j}` miss the tier's
-/// demand, and more only cost. So substituting `w_{k,j} = U'_{k,j}·y_{k,j}`
-/// is exact, leaves N·B binaries and N+2 rows, and needs no big-M row; a
-/// batch whose `U'` alone exceeds `S` is fixed out by its bound, and the
-/// fleet size is only a coefficient. (The two-tier `build_allocation_milp`
-/// cannot substitute: its `w2` carries a `+1e-7` bonus that hands spare
-/// workers to the heavy tier, so its optimum does exceed the minimal count.)
-struct LadderResidual {
-    problem: Problem,
-    /// `y[k][j]`: tier `k` runs batch `batch_sizes[j]`.
-    y: Vec<Vec<diffserve_milp::VarId>>,
-    /// `tp[k][j] = T_k(B_j)`.
-    tp: Vec<Vec<f64>>,
-    /// Fleet size `S`.
-    fleet: f64,
-    /// Row of `capacity`, whose `y_{k,j}` coefficient is `U'_{k,j}`.
-    capacity_row: usize,
-}
-
-impl LadderResidual {
-    /// The problem shape with placeholder costs and capacity coefficients;
-    /// [`aim`](Self::aim) before solving.
-    fn build(inputs: &LadderInputs<'_>) -> Self {
-        let n = inputs.num_tiers();
-        let s = inputs.total_workers as f64;
-        let mut p = Problem::new(Direction::Minimize);
-        let y: Vec<Vec<_>> = (0..n)
-            .map(|k| {
-                (0..inputs.batch_sizes.len())
-                    .map(|j| p.add_binary(format!("y{k}_{j}")))
-                    .collect()
-            })
-            .collect();
-        let tp: Vec<Vec<f64>> = (0..n)
-            .map(|k| {
-                inputs
-                    .batch_sizes
-                    .iter()
-                    .map(|&b| inputs.tier_stage_throughput(k, b))
-                    .collect()
-            })
-            .collect();
-
-        let mut cap: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
-        let mut lat: Vec<(diffserve_milp::VarId, f64)> = Vec::new();
-        for (k, y_k) in y.iter().enumerate() {
-            let one: Vec<_> = y_k.iter().map(|&id| (id, 1.0)).collect();
-            p.add_constraint(format!("one-batch-{k}"), &one, Sense::Eq, 1.0);
-            for (&id, &b) in y_k.iter().zip(inputs.batch_sizes) {
-                cap.push((id, 1.0));
-                lat.push((id, inputs.tier_stage_latency(k, b)));
-            }
-        }
-        let capacity_row = p.add_constraint("capacity", &cap, Sense::Le, s);
-        let lat_budget = inputs.slo - inputs.queue_delays.iter().sum::<f64>();
-        if lat_budget.is_finite() {
-            p.add_constraint("latency", &lat, Sense::Le, lat_budget);
-        }
-
-        LadderResidual {
-            problem: p,
-            y,
-            tp,
-            fleet: s,
-            capacity_row,
-        }
-    }
-
-    /// Re-aims the problem at per-tier `demands`: every selector's cost,
-    /// capacity coefficient and bound.
-    fn aim(&mut self, demands: &[f64]) {
-        for (k, &d) in demands.iter().enumerate() {
-            // Geometric batch penalties keep the optimum unique and equal to
-            // the exhaustive tie-break (smaller batches on earlier tiers win
-            // ties). They sum to < 1, so they can never trade away a worker.
-            let scale = 1e-4 * 10f64.powi(-(k as i32));
-            for (j, &id) in self.y[k].iter().enumerate() {
-                let need = min_workers(d, self.tp[k][j]);
-                // A batch that alone overflows the fleet is fixed out; capping
-                // its numbers at `S` keeps the tableau at the fleet's scale.
-                let u = need.min(self.fleet);
-                self.problem
-                    .set_objective_coefficient(id, u + scale * j as f64);
-                self.problem.set_coefficient(self.capacity_row, id, u);
-                self.problem
-                    .set_upper_bound(id, if need > self.fleet { 0.0 } else { 1.0 });
-            }
-        }
-    }
-
-    /// Reads the per-tier `(workers, batches)` off a solution at `demands`.
-    fn plan(
-        &self,
-        batch_sizes: &[usize],
-        demands: &[f64],
-        values: &[f64],
-    ) -> (Vec<usize>, Vec<usize>) {
-        self.y
-            .iter()
-            .zip(&self.tp)
-            .zip(demands)
-            .map(|((y_k, tp_k), &d)| {
-                let j = y_k
-                    .iter()
-                    .position(|id| values[id.index()] > 0.5)
-                    .expect("exactly-one constraint guarantees a selection");
-                (min_workers(d, tp_k[j]) as usize, batch_sizes[j])
-            })
-            .unzip()
-    }
-}
-
 /// One tick's view of the fixed-level residual problem, through the
 /// configured inner solver. The threshold search asks
 /// [`feasible`](Self::feasible) — answered from an exact-match memo when
@@ -967,8 +951,9 @@ impl LadderResidual {
 /// with the single [`plan`](Self::plan) call that needs an optimum.
 struct LadderProbe<'a, 'i> {
     inputs: &'a LadderInputs<'i>,
-    /// `Some` for the MILP inner solver, `None` for the exhaustive scan.
-    residual: Option<LadderResidual>,
+    /// The fixed-level residual ([`BatchKnapsack::ladder`]) for the MILP
+    /// inner solver, `None` for the exhaustive scan.
+    residual: Option<BatchKnapsack>,
     warm: &'a mut WarmStart,
     /// Feasibility verdicts of this tick, keyed by the level vector. Only
     /// an identical vector hits: monotonicity could answer more probes
@@ -981,7 +966,7 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
     fn new(inputs: &'a LadderInputs<'i>, milp: bool, warm: &'a mut WarmStart) -> Self {
         LadderProbe {
             inputs,
-            residual: milp.then(|| LadderResidual::build(inputs)),
+            residual: milp.then(|| BatchKnapsack::ladder(inputs)),
             warm,
             memo: HashMap::new(),
         }
@@ -992,7 +977,9 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
     fn demands_at(&mut self, levels: &[usize]) -> Vec<f64> {
         let demands = self.inputs.tier_demands(levels);
         if let Some(residual) = &mut self.residual {
-            residual.aim(&demands);
+            for (k, &d) in demands.iter().enumerate() {
+                residual.aim(k, d);
+            }
         }
         demands
     }
@@ -1020,7 +1007,8 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
             Some(residual) => {
                 let sol =
                     solve_milp_warm(&residual.problem, &MilpOptions::default(), self.warm).ok()?;
-                Some(residual.plan(self.inputs.batch_sizes, &demands, &sol.values))
+                let plan = residual.plan(&sol.values).into_iter();
+                Some(plan.map(|(j, w)| (w, self.inputs.batch_sizes[j])).unzip())
             }
             None => ladder_fixed_exhaustive(self.inputs, &demands, false),
         }
@@ -1697,7 +1685,7 @@ mod tests {
         }
     }
 
-    /// The solver-effort contract both residual MILPs rest on: a search
+    /// The solver-effort contract every allocator MILP rests on: a search
     /// refactorizes at most once and solves cold at most once, both at its
     /// root (a cold handle: never and once), so no child — in particular
     /// none the dual simplex certified infeasible — is re-solved cold.
@@ -1705,7 +1693,7 @@ mod tests {
     fn check_root_only_effort(problem: &Problem, carried: &mut WarmStart) -> usize {
         let options = MilpOptions::default();
         let mut certified = 0;
-        let cold = diffserve_milp::solve_milp(problem, &options).map(|sol| sol.effort);
+        let cold = solve_milp(problem, &options).map(|sol| sol.effort);
         if let Ok(effort) = cold {
             assert_eq!((effort.refactorizations, effort.cold_solves), (0, 1));
             certified += effort.certified_infeasible;
@@ -1727,58 +1715,126 @@ mod tests {
         certified
     }
 
+    /// Aims each ladder tier's group of `knapsack` at its demand.
+    fn aim_tiers(knapsack: &mut BatchKnapsack, demands: &[f64]) {
+        for (k, &d) in demands.iter().enumerate() {
+            knapsack.aim(k, d);
+        }
+    }
+
     #[test]
     fn residual_searches_pay_for_refactorization_and_cold_solves_only_at_the_root() {
         let batches = [1usize, 2, 4, 8, 16];
         let thresholds = grid(26, 0.9);
         let deferral = uniform_profile();
+        // The full oracle MILP's big-M trees are deep enough that the
+        // certificate is what prunes them; the knapsacks' trees are too
+        // small to need it.
         let mut carried = WarmStart::new();
         let mut certified = 0;
         for demand in [6.0, 6.3, 9.0, 14.0, 22.0, 30.0] {
-            // At 16 workers the pinned trees are too small to certify
-            // anything; at 128 (demand scaled along) they are not.
-            let mut inputs = cascade1_inputs(&deferral, &batches, &thresholds, 8.0 * demand);
-            inputs.total_workers = 128;
-            for level in [0, 6, 13, 25] {
-                let problem = build_allocation_milp(&inputs, Some(level)).0;
-                certified += check_root_only_effort(&problem, &mut carried);
-            }
+            let inputs = cascade1_inputs(&deferral, &batches, &thresholds, demand);
+            certified += check_root_only_effort(&build_allocation_milp(&inputs).0, &mut carried);
         }
-        // The two-tier residual's big-M trees are deep enough that the
-        // certificate is what prunes them; the ladder's knapsack trees are
-        // too small to need it.
         assert!(
             certified > 100,
             "the certificate must be what prunes: {certified}"
         );
 
+        let mut carried = WarmStart::new();
+        for (workers, demand) in [(8, 3.0), (8, 12.0), (1000, 400.0), (1000, 4000.0)] {
+            let mut inputs = cascade1_inputs(&deferral, &batches, &thresholds, demand);
+            inputs.total_workers = workers;
+            let mut knapsack = BatchKnapsack::two_tier(&inputs);
+            for level in [0, 6, 13, 25] {
+                knapsack.aim(1, deferred_load(&inputs, level));
+                check_root_only_effort(&knapsack.problem, &mut carried);
+            }
+        }
+
         let deferrals = vec![uniform_profile(), uniform_profile()];
         let mut carried = WarmStart::new();
         for demand in [2.0, 5.0, 9.0, 14.0] {
             let inputs = ladder3_inputs(&deferrals, &batches, &thresholds, demand);
-            let mut residual = LadderResidual::build(&inputs);
+            let mut knapsack = BatchKnapsack::ladder(&inputs);
             for levels in [[0, 0], [6, 13], [20, 5], [25, 25]] {
-                residual.aim(&inputs.tier_demands(&levels));
-                check_root_only_effort(&residual.problem, &mut carried);
+                aim_tiers(&mut knapsack, &inputs.tier_demands(&levels));
+                check_root_only_effort(&knapsack.problem, &mut carried);
             }
         }
     }
 
-    /// The ladder residual is a multiple-choice knapsack — N·B binary
-    /// selectors, one row per tier plus capacity and latency — and its
-    /// relaxation is tight enough that the tick's optimality solve barely
-    /// branches. Measured on the final levels of a 60-step demand walk.
+    /// The two-tier residual is a multiple-choice knapsack — 2·B binary
+    /// selectors and the `one-batch` pair, `capacity` and `latency` rows
+    /// (no `latency` row under the AIMD case's infinite SLO) — the same
+    /// size at 1000 workers as at 8, and the tick's optimality solve
+    /// barely branches. Measured on a 60-step demand walk that keeps the
+    /// threshold mid-grid, scaled to the fleet: at 8 workers every solve
+    /// ends at the root; at 1000, where no selector is fixed out, the LP
+    /// mixes batch sizes more often and the mean stays ≤ 3 nodes.
+    #[test]
+    fn two_tier_residual_is_a_knapsack_that_barely_branches() {
+        let deferral = uniform_profile();
+        let batches = [1usize, 2, 4, 8, 16];
+        let thresholds = grid(51, 0.9);
+        let options = MilpOptions::default();
+        let shape = |inputs: &AllocatorInputs<'_>| {
+            let p = BatchKnapsack::two_tier(inputs).problem;
+            (p.num_vars(), p.integer_vars().len(), p.num_constraints())
+        };
+        for (workers, max_nodes) in [(8usize, 60), (1000, 3 * 60)] {
+            let mut inputs = cascade1_inputs(&deferral, &batches, &thresholds, 0.0);
+            inputs.total_workers = workers;
+            assert_eq!(shape(&inputs), (2 * 5, 2 * 5, 4), "{workers} workers");
+            let aimd = AllocatorInputs {
+                slo: f64::INFINITY,
+                ..inputs.clone()
+            };
+            assert_eq!(shape(&aimd), (2 * 5, 2 * 5, 3), "{workers} workers");
+
+            // The serving path's search, replayed through a handle of the
+            // test's own so its one optimality solve can be read.
+            let (mut state, mut carried) = (AllocWarmState::new(), WarmStart::new());
+            let (mut level, mut nodes) = (0, Vec::new());
+            for step in 0..60 {
+                let wave = 0.5 + 0.5 * (step as f64 * 0.2).sin();
+                inputs.demand_qps = (1.0 + 9.0 * wave) * workers as f64 / 8.0;
+                let served =
+                    solve_milp_allocation_warm(&inputs, &mut state).expect("feasible walk");
+                let mut knapsack = BatchKnapsack::two_tier(&inputs);
+                level = largest_feasible_level(thresholds.len(), level, |l| {
+                    knapsack.aim(1, deferred_load(&inputs, l));
+                    find_feasible(&knapsack.problem, &options, &mut carried).is_ok()
+                })
+                .expect("feasible walk");
+                assert_eq!(thresholds[level], served.threshold, "step {step}");
+                knapsack.aim(1, deferred_load(&inputs, level));
+                let sol = solve_milp_warm(&knapsack.problem, &options, &mut carried)
+                    .expect("the search verified this level feasible");
+                nodes.push(sol.nodes);
+            }
+            // Every solve visits at least the root, so at 8 workers the
+            // bound says each one ends there.
+            let total: usize = nodes.iter().sum();
+            assert!(total <= max_nodes, "{workers} workers: {nodes:?}");
+        }
+    }
+
+    /// The ladder residual is the same knapsack — N·B binary selectors,
+    /// one row per tier plus capacity and latency — and its relaxation is
+    /// tight enough that the tick's optimality solve barely branches.
+    /// Measured on the final levels of a 60-step demand walk.
     #[test]
     fn ladder_residual_is_a_knapsack_that_barely_branches() {
         let deferrals = vec![uniform_profile(), uniform_profile()];
         let batches = [1usize, 2, 4, 8, 16];
         let thresholds = grid(26, 0.9);
         let mut inputs = ladder3_inputs(&deferrals, &batches, &thresholds, 0.0);
-        let mut residual = LadderResidual::build(&inputs);
+        let mut knapsack = BatchKnapsack::ladder(&inputs);
         let shape = (
-            residual.problem.num_vars(),
-            residual.problem.integer_vars().len(),
-            residual.problem.num_constraints(),
+            knapsack.problem.num_vars(),
+            knapsack.problem.integer_vars().len(),
+            knapsack.problem.num_constraints(),
         );
         assert_eq!(shape, (3 * 5, 3 * 5, 3 + 2));
 
@@ -1794,8 +1850,8 @@ mod tests {
                 .iter()
                 .map(|t| thresholds.iter().position(|g| g == t).expect("on the grid"))
                 .collect();
-            residual.aim(&inputs.tier_demands(&levels));
-            let sol = solve_milp_warm(&residual.problem, &MilpOptions::default(), &mut carried)
+            aim_tiers(&mut knapsack, &inputs.tier_demands(&levels));
+            let sol = solve_milp_warm(&knapsack.problem, &MilpOptions::default(), &mut carried)
                 .expect("the search verified these levels feasible");
             nodes += sol.nodes;
         }

@@ -157,10 +157,10 @@ pub trait AllocPlanner: std::fmt::Debug + Send {
 ///
 /// The MILP backend keeps an [`AllocWarmState`] across ticks: the demand
 /// estimate moves slowly between control intervals, so the previous tick's
-/// threshold pins the next solve to a few feasibility probes of one small
-/// residual MILP and a single optimality solve, each restarted from the
-/// previous simplex basis. The allocator's uniqueness penalties guarantee
-/// the warm-started plan is identical to a cold solve's.
+/// threshold pins the next solve to a few feasibility probes of the
+/// two-tier batch knapsack and a single optimality solve, each restarted
+/// from the previous simplex basis. The plan is the exhaustive solver's,
+/// whatever state the search starts from.
 #[derive(Debug, Clone)]
 pub struct CascadePlanner {
     /// Which solver implementation to invoke.

@@ -1,9 +1,21 @@
 //! Property tests: the MILP allocator and the exhaustive grid allocator are
 //! interchangeable — same optimal threshold on randomized inputs — the
-//! allocator respects its own constraints, and the MILP allocator's
-//! tick-to-tick state never changes a plan.
+//! allocator respects its own constraints, the MILP allocator's
+//! tick-to-tick state never changes a plan, and the MILP backend serves a
+//! fleet-scale replay exactly as the exhaustive one does.
+//!
+//! The fleet-scale replay needs release mode, so it is `#[ignore]`d:
+//!
+//! ```sh
+//! cargo test --release --test solver_parity -- --ignored
+//! ```
 
 use diffserve::imagegen::{DeferralProfile, LatencyProfile};
+use diffserve::prelude::{
+    cascade1, run_trace, synthesize_azure_trace, AllocatorBackend, AzureTraceConfig,
+    CascadeRuntime, DiscriminatorConfig, FeatureSpec, Policy, RunSettings, SimDuration,
+    SystemConfig,
+};
 use diffserve::serving::{
     solve_exhaustive, solve_milp_allocation, solve_milp_allocation_warm, AllocWarmState,
     AllocatorInputs,
@@ -147,12 +159,14 @@ proptest! {
 
     /// One [`AllocWarmState`] carried through a random walk like the churn
     /// scenarios produce — demand and queue delays drifting and jumping,
-    /// the fleet dropping 8 → 4 → 8, overloaded and latency-infeasible
-    /// ticks in between, stage resume on or off — returns, tick for tick,
-    /// the plan of a cold full-MILP solve, which is the exhaustive
-    /// solver's plan. The walk starts from a cold state, from the
-    /// grid-floor pin an infeasible tick leaves, or from a state primed on
-    /// another grid.
+    /// the fleet dropping to half and back (8 → 4 → 8 in the scenarios),
+    /// overloaded and latency-infeasible ticks in between, stage resume on
+    /// or off — returns, tick for tick, the exhaustive solver's plan, on
+    /// fleets of 4–1000 workers with demand scaled to the fleet. Up to 24
+    /// workers it is also the plan of a cold full-MILP solve; above ≈ 91
+    /// that oracle's penalties break ties differently. The walk starts
+    /// from a cold state, from the grid-floor pin an infeasible tick
+    /// leaves, or from a state primed on another grid.
     #[test]
     fn warm_milp_matches_cold_and_exhaustive_under_churn(
         demands in proptest::collection::vec(1u32..1500, 12..13),
@@ -161,15 +175,20 @@ proptest! {
         ticks in 3usize..13,
         resume in 0usize..2,
         start in 0usize..3,
+        fleet_scale in 0u32..=100,
     ) {
         let deferral = uniform_deferral();
         let grid = thresholds(19);
         let other_grid = thresholds(7);
         let batches = [1usize, 2, 4, 8, 16];
+        // Log-uniform over 4..=1000, so the scenarios' small fleets stay
+        // well covered.
+        let fleet = (4.0 * 250f64.powf(fleet_scale as f64 / 100.0)).round() as usize;
+        let load = (fleet as f64 / 8.0).max(1.0);
         let inputs_at = |tick: usize, workers: usize, grid| AllocatorInputs {
-            // 0.1 .. 150 qps: an idle fleet up to a load no batch size
-            // serves (≈ 120 qps on 8 workers, ≈ 50 on 4).
-            demand_qps: demands[tick] as f64 / 10.0,
+            // 0.1 .. 150 qps per 8 workers: an idle fleet up to a load no
+            // batch size serves (≈ 120 qps on 8 workers, ≈ 50 on 4).
+            demand_qps: demands[tick] as f64 / 10.0 * load,
             queue_delay_light: light_queues[tick] as f64 / 100.0,
             // Up to 3.5 s: past ≈ 3 s no batch pair fits the 5 s SLO.
             queue_delay_heavy: heavy_queues[tick] as f64 / 100.0,
@@ -188,31 +207,80 @@ proptest! {
         match start {
             0 => {}
             1 => {
-                let hopeless = AllocatorInputs { demand_qps: 1e4, ..inputs_at(0, 8, &grid) };
+                let hopeless = AllocatorInputs {
+                    demand_qps: 1e4 * load,
+                    ..inputs_at(0, fleet, &grid)
+                };
                 prop_assert!(solve_milp_allocation_warm(&hopeless, &mut state).is_none());
                 prop_assert_eq!(state.pinned_threshold(), Some(grid[0]));
             }
             _ => {
                 let easy = AllocatorInputs {
-                    demand_qps: 3.0,
+                    demand_qps: 3.0 * load,
                     queue_delay_light: 0.1,
                     queue_delay_heavy: 0.3,
-                    ..inputs_at(0, 8, &other_grid)
+                    ..inputs_at(0, fleet, &other_grid)
                 };
                 prop_assert!(solve_milp_allocation_warm(&easy, &mut state).is_some());
             }
         }
         for tick in 0..ticks {
-            let workers = if (ticks / 3..2 * ticks / 3).contains(&tick) { 4 } else { 8 };
+            let workers = if (ticks / 3..2 * ticks / 3).contains(&tick) { fleet / 2 } else { fleet };
             let inputs = inputs_at(tick, workers, &grid);
-            let cold = solve_milp_allocation(&inputs);
             let warm = solve_milp_allocation_warm(&inputs, &mut state);
-            prop_assert_eq!(&warm, &cold, "tick {} on {} workers", tick, workers);
             prop_assert_eq!(
-                &cold,
+                &warm,
                 &solve_exhaustive(&inputs),
-                "tick {} on {} workers: MILP vs exhaustive", tick, workers
+                "tick {} on {} workers: warm MILP vs exhaustive", tick, workers
             );
+            if workers <= 24 {
+                prop_assert_eq!(
+                    &warm,
+                    &solve_milp_allocation(&inputs),
+                    "tick {} on {} workers: warm vs cold full MILP", tick, workers
+                );
+            }
         }
     }
+}
+
+/// The MILP backend at fleet scale: a `fleet_diurnal`-shaped replay — 1000
+/// workers, the Azure diurnal trace at 60–500 qps over 1200 s, ≈ 295 K
+/// queries — finishes under [`AllocatorBackend::Milp`], and its report
+/// equals [`AllocatorBackend::Exhaustive`]'s in every field.
+#[test]
+#[ignore = "two fleet-scale replays; needs --release"]
+fn milp_backend_serves_a_fleet_replay_like_exhaustive() {
+    let runtime = CascadeRuntime::prepare(
+        cascade1(FeatureSpec::default()),
+        1500,
+        20250509,
+        DiscriminatorConfig {
+            train_prompts: 500,
+            epochs: 10,
+            ..Default::default()
+        },
+    );
+    let config = SystemConfig {
+        num_workers: 1000,
+        ..Default::default()
+    };
+    let trace = synthesize_azure_trace(&AzureTraceConfig {
+        min_qps: 60.0,
+        max_qps: 500.0,
+        duration: SimDuration::from_secs(1200),
+        ..Default::default()
+    })
+    .expect("valid trace");
+    let run = |backend| {
+        let settings = RunSettings {
+            backend,
+            ..RunSettings::new(Policy::DiffServe, trace.max_qps())
+        };
+        run_trace(&runtime, &config, &settings, &trace)
+    };
+    let milp = run(AllocatorBackend::Milp);
+    let exhaustive = run(AllocatorBackend::Exhaustive);
+    assert!(milp.total_queries > 200_000, "{}", milp.total_queries);
+    assert_eq!(format!("{milp:?}"), format!("{exhaustive:?}"));
 }
