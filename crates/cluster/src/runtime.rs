@@ -378,8 +378,9 @@ pub struct ClusterBackend<'a> {
     /// The shared control plane, driven by the controller thread and read
     /// for snapshots and the final report.
     control: Arc<Mutex<ControlLoop>>,
-    /// The serving kernel the submit path decides with (every worker
-    /// thread builds its own over a clone of the runtime).
+    /// The serving kernel the submit path decides with. Every worker thread
+    /// builds its own over a clone of the runtime handle, so all of them
+    /// read the caller's one copy of the prepared artifacts.
     kernel: Kernel<'a>,
     settings: RunSettings,
     sys: SystemConfig,
@@ -544,27 +545,34 @@ impl<'a> ClusterBackend<'a> {
         }
     }
 
-    fn shutdown_and_join(&mut self) {
+    /// Signals shutdown and joins every thread, even past one that
+    /// panicked; returns the first panicked thread's role.
+    fn shutdown_and_join(&mut self) -> Result<(), &'static str> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for h in self.worker_handles.drain(..) {
-            h.join().expect("worker thread panicked");
+        let workers = self.worker_handles.drain(..).map(|h| ("worker", h));
+        let others = [
+            ("controller", self.controller.take()),
+            ("scenario", self.scenario_thread.take()),
+            ("hazard", self.hazard_thread.take()),
+        ];
+        let others = others.into_iter().filter_map(|(role, h)| Some((role, h?)));
+        let mut joined = Ok(());
+        for (role, h) in workers.chain(others) {
+            if h.join().is_err() && joined.is_ok() {
+                joined = Err(role);
+            }
         }
-        if let Some(h) = self.controller.take() {
-            h.join().expect("controller thread panicked");
-        }
-        if let Some(h) = self.scenario_thread.take() {
-            h.join().expect("scenario thread panicked");
-        }
-        if let Some(h) = self.hazard_thread.take() {
-            h.join().expect("hazard thread panicked");
-        }
+        joined
     }
 }
 
 impl Drop for ClusterBackend<'_> {
     fn drop(&mut self) {
-        // A session abandoned without finish() must not leak live threads.
-        self.shutdown_and_join();
+        // A session abandoned without finish() must not leak live threads,
+        // and a drop must not panic: it may run during another panic's
+        // unwind, where a second panic aborts. finish() reports a thread
+        // that panicked.
+        let _ = self.shutdown_and_join();
     }
 }
 
@@ -671,7 +679,9 @@ impl ServingBackend for ClusterBackend<'_> {
     }
 
     fn finish(mut self: Box<Self>, horizon: SimTime) -> RunReport {
-        self.shutdown_and_join();
+        if let Err(role) = self.shutdown_and_join() {
+            panic!("{role} thread panicked");
+        }
         self.ingest();
         // Jobs stuck in closed channels at shutdown count as drops.
         let total = self.submitted;

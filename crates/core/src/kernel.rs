@@ -133,14 +133,6 @@ pub struct Kernel<'a> {
 
 impl<'a> Kernel<'a> {
     /// Resolves the roster and parameters for one session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the runtime's score table does not hold one row of
-    /// `dataset.len()` scores per boundary — the runtime's `dataset` or
-    /// ladder was replaced after it was prepared. Debug builds also re-score
-    /// the first, middle and last prompt of every boundary, which catches a
-    /// replaced discriminator.
     pub fn new(runtime: &'a CascadeRuntime, config: &SystemConfig, settings: &RunSettings) -> Self {
         let (models, discriminators): (Vec<_>, Vec<_>) = match &runtime.ladder {
             Some(art) => (
@@ -152,22 +144,6 @@ impl<'a> Kernel<'a> {
                 vec![&runtime.discriminator],
             ),
         };
-        let (scores, prompts) = (runtime.scores(), runtime.dataset.prompts());
-        assert!(
-            scores.len() >= discriminators.len()
-                && scores.iter().all(|row| row.len() == prompts.len()),
-            "the score table no longer matches the runtime's dataset and ladder"
-        );
-        for (k, disc) in discriminators.iter().enumerate() {
-            for i in [0, prompts.len() / 2, prompts.len() - 1] {
-                debug_assert_eq!(
-                    scores[k][i].to_bits(),
-                    disc.confidence(&models[k].generate(&prompts[i]).features)
-                        .to_bits(),
-                    "boundary {k}'s score table is stale at prompt {i}"
-                );
-            }
-        }
         let ladder = config.ladder.clone().unwrap_or_default();
         let router = (models.len() > 2
             && ladder.predictive_routing
@@ -181,7 +157,7 @@ impl<'a> Kernel<'a> {
         Kernel {
             models,
             discriminators,
-            scores,
+            scores: runtime.scores(),
             dataset: &runtime.dataset,
             policy: settings.policy,
             health_blind: settings.knobs.health_blind_routing,

@@ -97,7 +97,7 @@ pub use kernel::Kernel;
 pub use policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};
 pub use query::{CompletedResponse, ModelTier, Query, QueryId, WorkerHealth};
 pub use report::{RunReport, TierStats};
-pub use runtime::{CascadeRuntime, LadderArtifacts};
+pub use runtime::{CascadeRuntime, LadderArtifacts, PreparedRuntime};
 pub use serve::{
     ArrivalStream, Backend, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend,
     ServingSession, SessionBuilder, SessionSnapshot, SessionSpec,

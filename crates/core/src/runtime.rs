@@ -6,6 +6,8 @@ use diffserve_imagegen::{
 };
 use diffserve_metrics::GaussianStats;
 use diffserve_simkit::rng::derive_seed;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Per-boundary artifacts for an N-tier quality ladder.
 ///
@@ -41,16 +43,27 @@ impl LadderArtifacts {
 /// Everything a serving run needs that is prepared *offline* in the paper:
 /// the prompt dataset, the trained discriminator, the profiled deferral
 /// curve `f(t)`, and the FID reference Gaussian.
+///
+/// Immutable once prepared: a handle over one shared [`PreparedRuntime`],
+/// which it dereferences to (`runtime.dataset`, `runtime.scores()`).
+/// Cloning it bumps a reference count and copies no artifact, so every
+/// session and every testbed worker thread reads the same one.
 #[derive(Debug, Clone)]
-pub struct CascadeRuntime {
+pub struct CascadeRuntime(Arc<PreparedRuntime>);
+
+/// The artifacts behind a [`CascadeRuntime`]. Only
+/// [`CascadeRuntime::prepare`] and [`CascadeRuntime::prepare_ladder`] build
+/// one, and nothing hands out a mutable reference to it.
+#[derive(Debug)]
+pub struct PreparedRuntime {
     /// The light/heavy pairing with latency and SLO metadata.
     pub spec: CascadeSpec,
     /// Synthetic prompt dataset (queries + FID reference features).
     pub dataset: PromptDataset,
     /// Trained cascade discriminator.
     pub discriminator: Discriminator,
-    /// Offline-profiled deferral curve `f(t)` (updated online by the
-    /// controller).
+    /// Offline-profiled deferral curve `f(t)` (sessions clone it and update
+    /// their copy online).
     pub deferral: DeferralProfile,
     /// Gaussian fit of the FID reference set, reused by every window.
     pub reference: GaussianStats,
@@ -62,10 +75,17 @@ pub struct CascadeRuntime {
     /// `scores[k][i]`: boundary `k`'s confidence in tier `k`'s plain render
     /// of dataset prompt `i`, one row per boundary. A boundary verdict on a
     /// dataset prompt reads it instead of rendering and scoring again, and
-    /// `f(t)` is profiled from its held-out slice. Private so that it
-    /// cannot be swapped apart from the artifacts above; read it through
-    /// [`CascadeRuntime::scores`].
+    /// `f(t)` is profiled from its held-out slice. Read it through
+    /// [`PreparedRuntime::scores`].
     scores: Vec<Vec<f64>>,
+}
+
+impl Deref for CascadeRuntime {
+    type Target = PreparedRuntime;
+
+    fn deref(&self) -> &PreparedRuntime {
+        &self.0
+    }
 }
 
 impl CascadeRuntime {
@@ -103,6 +123,74 @@ impl CascadeRuntime {
         seed: u64,
         disc_config: DiscriminatorConfig,
     ) -> Self {
+        CascadeRuntime(Arc::new(PreparedRuntime::cascade(
+            spec,
+            dataset_size,
+            seed,
+            disc_config,
+        )))
+    }
+
+    /// Prepares an N-tier quality ladder: synthesizes the dataset once,
+    /// then per boundary trains one discriminator, scores every dataset
+    /// prompt with it and profiles one deferral curve (each on the same
+    /// held-out prompt split the legacy cascade uses).
+    ///
+    /// A two-tier ladder reuses the legacy preparation code paths verbatim,
+    /// so its artifacts — and every downstream serving decision — are
+    /// bit-identical to [`CascadeRuntime::prepare`] on the equivalent
+    /// [`CascadeSpec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ladder fails [`TierLadder::validate`] or if
+    /// `dataset_size` is too small to hold both the discriminator training
+    /// set and a held-out profiling set.
+    pub fn prepare_ladder(
+        ladder: TierLadder,
+        dataset_size: usize,
+        seed: u64,
+        disc_config: DiscriminatorConfig,
+    ) -> Self {
+        ladder.validate().expect("valid tier ladder");
+        let mut prepared =
+            PreparedRuntime::cascade(ladder.cascade_view(), dataset_size, seed, disc_config);
+
+        let terminal = &ladder.tiers[ladder.num_tiers() - 1];
+        let mut discriminators = Vec::with_capacity(ladder.boundaries());
+        let mut deferrals = Vec::with_capacity(ladder.boundaries());
+        for (k, tier) in ladder.tiers[..ladder.num_tiers() - 1].iter().enumerate() {
+            if k == 0 {
+                // Boundary 0 is exactly the legacy cascade's artifacts.
+                discriminators.push(prepared.discriminator.clone());
+                deferrals.push(prepared.deferral.clone());
+                continue;
+            }
+            let disc = Discriminator::train(&prepared.dataset, tier, terminal, disc_config);
+            let (scores, deferral) =
+                score_boundary(&prepared.dataset, tier, &disc, disc_config.train_prompts);
+            prepared.scores.push(scores);
+            discriminators.push(disc);
+            deferrals.push(deferral);
+        }
+
+        prepared.ladder = Some(LadderArtifacts {
+            models: ladder.tiers,
+            discriminators,
+            deferrals,
+        });
+        CascadeRuntime(Arc::new(prepared))
+    }
+}
+
+impl PreparedRuntime {
+    /// The two-tier artifacts of [`CascadeRuntime::prepare`], not yet shared.
+    fn cascade(
+        spec: CascadeSpec,
+        dataset_size: usize,
+        seed: u64,
+        disc_config: DiscriminatorConfig,
+    ) -> Self {
         assert!(
             dataset_size > disc_config.train_prompts + 64,
             "dataset of {dataset_size} leaves no held-out prompts after {} training prompts",
@@ -131,7 +219,7 @@ impl CascadeRuntime {
             .cov_sqrt()
             .expect("a finite sample covariance has a square root");
 
-        CascadeRuntime {
+        PreparedRuntime {
             spec,
             dataset,
             discriminator,
@@ -140,57 +228,6 @@ impl CascadeRuntime {
             ladder: None,
             scores: vec![scores],
         }
-    }
-
-    /// Prepares an N-tier quality ladder: synthesizes the dataset once,
-    /// then per boundary trains one discriminator, scores every dataset
-    /// prompt with it and profiles one deferral curve (each on the same
-    /// held-out prompt split the legacy cascade uses).
-    ///
-    /// A two-tier ladder reuses the legacy preparation code paths verbatim,
-    /// so its artifacts — and every downstream serving decision — are
-    /// bit-identical to [`CascadeRuntime::prepare`] on the equivalent
-    /// [`CascadeSpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ladder fails [`TierLadder::validate`] or if
-    /// `dataset_size` is too small to hold both the discriminator training
-    /// set and a held-out profiling set.
-    pub fn prepare_ladder(
-        ladder: TierLadder,
-        dataset_size: usize,
-        seed: u64,
-        disc_config: DiscriminatorConfig,
-    ) -> Self {
-        ladder.validate().expect("valid tier ladder");
-        let mut runtime =
-            CascadeRuntime::prepare(ladder.cascade_view(), dataset_size, seed, disc_config);
-
-        let terminal = &ladder.tiers[ladder.num_tiers() - 1];
-        let mut discriminators = Vec::with_capacity(ladder.boundaries());
-        let mut deferrals = Vec::with_capacity(ladder.boundaries());
-        for (k, tier) in ladder.tiers[..ladder.num_tiers() - 1].iter().enumerate() {
-            if k == 0 {
-                // Boundary 0 is exactly the legacy cascade's artifacts.
-                discriminators.push(runtime.discriminator.clone());
-                deferrals.push(runtime.deferral.clone());
-                continue;
-            }
-            let disc = Discriminator::train(&runtime.dataset, tier, terminal, disc_config);
-            let (scores, deferral) =
-                score_boundary(&runtime.dataset, tier, &disc, disc_config.train_prompts);
-            runtime.scores.push(scores);
-            discriminators.push(disc);
-            deferrals.push(deferral);
-        }
-
-        runtime.ladder = Some(LadderArtifacts {
-            models: ladder.tiers,
-            discriminators,
-            deferrals,
-        });
-        runtime
     }
 
     /// Number of model tiers this runtime serves (2 for a legacy cascade).
@@ -369,6 +406,36 @@ mod tests {
         assert_eq!(rt.spec.light.name(), artifacts.models[0].name());
         assert_eq!(rt.spec.heavy.name(), artifacts.models[2].name());
         assert_table_is_fresh(&rt);
+    }
+
+    #[test]
+    fn a_clone_shares_the_prepared_artifacts() {
+        let ladder = CascadeRuntime::prepare_ladder(
+            diffserve_imagegen::ladder3(FeatureSpec::default()),
+            300,
+            7,
+            DiscriminatorConfig {
+                train_prompts: 100,
+                epochs: 2,
+                ..Default::default()
+            },
+        );
+        for rt in [quick_runtime(), ladder] {
+            let clone = rt.clone();
+            assert!(std::ptr::eq(rt.dataset.prompts(), clone.dataset.prompts()));
+            assert!(std::ptr::eq(&rt.scores()[0], &clone.scores()[0]));
+            assert!(std::ptr::eq(
+                rt.dataset.real_features(),
+                clone.dataset.real_features()
+            ));
+        }
+    }
+
+    #[test]
+    fn runtime_is_send_and_sync() {
+        // Compiles only if testbed threads can share one runtime.
+        fn shareable<T: Send + Sync>() {}
+        shareable::<CascadeRuntime>();
     }
 
     #[test]

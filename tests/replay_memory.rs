@@ -1,4 +1,5 @@
-//! A replay's peak memory must not grow with its length.
+//! Peak memory must grow neither with a replay's length nor with the
+//! testbed's worker count.
 //!
 //! The simulator keeps one pending arrival per trace replay and retires a
 //! query's record at its terminal state, so what a run holds is what is in
@@ -12,8 +13,16 @@
 //! 18.9 MB and 302.8 MB (and `perf`, which runs both in one process, peaked
 //! at 364 MB).
 //!
+//! Every testbed worker thread builds its kernel over a clone of the
+//! session's `CascadeRuntime`, a reference-counted handle, so the fleet
+//! shares one copy of the prepared artifacts. The check launches a testbed
+//! session at 4 and at 64 workers on the same 1 500-prompt runtime, each in
+//! a child process, and the 64-worker peak must stay within 6 MB of the
+//! 4-worker one. Measured: 4.8 MB and 5.4 MB. When each worker deep-copied
+//! the runtime (≈ 0.43 MB a copy): 6.1 MB and 33.8 MB.
+//!
 //! Linux only (`VmHWM` from `/proc/self/status`), release only in practice
-//! (≈ 10 s there), so both tests are `#[ignore]`d:
+//! (≈ 10 s there), so the tests are `#[ignore]`d:
 //!
 //! ```sh
 //! cargo test --release --test replay_memory -- --ignored --nocapture
@@ -21,8 +30,11 @@
 
 use diffserve::prelude::*;
 
-/// Set in the child processes: the trace's `min_qps,max_qps,seconds`.
-const CHILD_ENV: &str = "DIFFSERVE_REPLAY_MEMORY_CHILD";
+/// Set in the replay child: the trace's `min_qps,max_qps,seconds`.
+const REPLAY_CHILD_ENV: &str = "DIFFSERVE_REPLAY_MEMORY_CHILD";
+
+/// Set in the testbed child: the fleet's worker count.
+const TESTBED_CHILD_ENV: &str = "DIFFSERVE_TESTBED_MEMORY_CHILD";
 
 /// What a child prints its peak resident set size after, in kB.
 const PEAK_TAG: &str = "replay_memory_peak_kb=";
@@ -34,17 +46,9 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// The child's half: one replay at the size the environment names, then
-/// its query count and the process's peak. A plain `--ignored` run has no
-/// size set and returns at once.
-#[test]
-#[ignore = "child process of replay_peak_memory_is_independent_of_its_length"]
-fn replay_child() {
-    let Ok(size) = std::env::var(CHILD_ENV) else {
-        return;
-    };
-    let size: Vec<f64> = size.split(',').map(|v| v.parse().unwrap()).collect();
-    let runtime = CascadeRuntime::prepare(
+/// The runtime both kinds of child serve from.
+fn child_runtime() -> CascadeRuntime {
+    CascadeRuntime::prepare(
         cascade1(FeatureSpec::default()),
         1500,
         20250509,
@@ -53,7 +57,20 @@ fn replay_child() {
             epochs: 10,
             ..Default::default()
         },
-    );
+    )
+}
+
+/// The replay child's half: one replay at the size the environment names,
+/// then its query count and the process's peak. A plain `--ignored` run has
+/// no size set and returns at once.
+#[test]
+#[ignore = "child process of replay_peak_memory_is_independent_of_its_length"]
+fn replay_child() {
+    let Ok(size) = std::env::var(REPLAY_CHILD_ENV) else {
+        return;
+    };
+    let size: Vec<f64> = size.split(',').map(|v| v.parse().unwrap()).collect();
+    let runtime = child_runtime();
     let config = SystemConfig {
         num_workers: 1000,
         ..Default::default()
@@ -72,12 +89,41 @@ fn replay_child() {
     println!("{PEAK_TAG}{}", peak_rss_kb().expect("a Linux child"));
 }
 
-/// Re-executes this binary to run one replay in a process of its own;
-/// returns (queries, peak kB).
-fn replay_in_child(min_qps: f64, max_qps: f64, secs: u64) -> (u64, u64) {
+/// The testbed child's half: one session at the worker count the
+/// environment names, 5 s of constant demand at 100× time compression,
+/// then its query count and the process's peak.
+#[test]
+#[ignore = "child process of testbed_peak_memory_is_independent_of_its_worker_count"]
+fn testbed_child() {
+    let Ok(workers) = std::env::var(TESTBED_CHILD_ENV) else {
+        return;
+    };
+    let runtime = child_runtime();
+    let config = SystemConfig {
+        num_workers: workers.parse().unwrap(),
+        ..Default::default()
+    };
+    let trace = Trace::constant(8.0, SimDuration::from_secs(5)).unwrap();
+    let mut session = ServingSession::builder()
+        .runtime(&runtime)
+        .config(config.clone())
+        .settings(RunSettings::new(Policy::DiffServe, 8.0))
+        .build_cluster(0.01)
+        .expect("valid session");
+    session.replay_trace(&trace);
+    session.run_until(SimTime::ZERO + trace.duration() + config.slo * 4);
+    let report = session.finish();
+    assert_eq!(report.completed + report.dropped, report.total_queries);
+    println!("replay_memory_queries={}", report.total_queries);
+    println!("{PEAK_TAG}{}", peak_rss_kb().expect("a Linux child"));
+}
+
+/// Re-executes this binary to run the `child` test alone in a process of
+/// its own, with `env` set to `value`; returns (queries, peak kB).
+fn run_in_child(child: &str, env: &str, value: &str) -> (u64, u64) {
     let output = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["--ignored", "--exact", "replay_child", "--nocapture"])
-        .env(CHILD_ENV, format!("{min_qps},{max_qps},{secs}"))
+        .args(["--ignored", "--exact", child, "--nocapture"])
+        .env(env, value)
         .output()
         .expect("the test binary re-executes");
     let stdout = String::from_utf8_lossy(&output.stdout);
@@ -88,6 +134,11 @@ fn replay_in_child(min_qps: f64, max_qps: f64, secs: u64) -> (u64, u64) {
             .unwrap_or_else(|| panic!("no {tag} in child output:\n{stdout}"))
     };
     (field("replay_memory_queries="), field(PEAK_TAG))
+}
+
+fn replay_in_child(min_qps: f64, max_qps: f64, secs: u64) -> (u64, u64) {
+    let size = format!("{min_qps},{max_qps},{secs}");
+    run_in_child("replay_child", REPLAY_CHILD_ENV, &size)
 }
 
 #[test]
@@ -109,5 +160,27 @@ fn replay_peak_memory_is_independent_of_its_length() {
         large_kb as f64 <= 1.5 * small_kb as f64,
         "a {large_queries}-query replay peaked at {large_kb} kB, \
          more than 1.5x the {small_kb} kB of a {small_queries}-query one"
+    );
+}
+
+#[test]
+#[ignore = "two testbed sessions in child processes; needs --release"]
+fn testbed_peak_memory_is_independent_of_its_worker_count() {
+    if peak_rss_kb().is_none() {
+        return; // No VmHWM here: nothing to measure.
+    }
+    let (small_queries, small_kb) = run_in_child("testbed_child", TESTBED_CHILD_ENV, "4");
+    let (large_queries, large_kb) = run_in_child("testbed_child", TESTBED_CHILD_ENV, "64");
+    println!(
+        "testbed at 4 workers: {small_queries} queries, peak {:.1} MB; \
+         at 64 workers: {large_queries} queries, peak {:.1} MB",
+        small_kb as f64 / 1024.0,
+        large_kb as f64 / 1024.0
+    );
+    assert_eq!(small_queries, large_queries, "same arrival stream");
+    assert!(
+        large_kb <= small_kb + 6 * 1024,
+        "a 64-worker testbed peaked at {large_kb} kB, more than 6 MB above \
+         the {small_kb} kB of a 4-worker one"
     );
 }
