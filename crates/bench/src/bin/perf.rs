@@ -601,7 +601,7 @@ const MILP_TICKS: usize = 12;
 /// tick ([`solve_milp_allocation`], the formulation oracle), once
 /// threading an [`AllocWarmState`] through the ticks
 /// ([`solve_milp_allocation_warm`]) the way
-/// [`CascadePlanner`](diffserve_core::CascadePlanner) does. Despite the key
+/// the control loop's cascade planner does. Despite the key
 /// this is not the N-tier quality ladder — `solve_ladder` is timed by
 /// `ladder3_solve_*` ([`bench_ladder3_solve`]). At this 16-worker fleet
 /// both return identical allocations. The pair tracks the payoff of the

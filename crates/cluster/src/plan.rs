@@ -169,6 +169,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least two tiers")]
+    fn a_one_tier_bootstrap_panics() {
+        let _ = ServingPlan::bootstrap_tiers(4, 1);
+    }
+
+    #[test]
+    fn batch_for_clamps_past_the_last_tier() {
+        let mut p = ServingPlan::bootstrap_tiers(4, 3);
+        p.batches = vec![1, 2, 8];
+        assert_eq!((p.batch_for(2), p.batch_for(5)), (8, 8));
+    }
+
+    #[test]
     fn retarget_minimizes_switches() {
         let mut p = ServingPlan::bootstrap(8);
         p.retarget(6, 2);

@@ -249,17 +249,6 @@ impl AddonStats {
         }
     }
 
-    /// Mean swap seconds per add-on lookup on `tier` (hits contribute
-    /// zero), or `0.0` with no lookups.
-    pub fn mean_swap_secs(&self, tier: ModelTier) -> f64 {
-        let n = self.lookups(tier);
-        if n == 0 {
-            0.0
-        } else {
-            self.swap_secs[tier_slot(tier)] / n as f64
-        }
-    }
-
     /// Total lookups across tiers.
     pub fn total_lookups(&self) -> u64 {
         self.hits.iter().sum::<u64>() + self.misses.iter().sum::<u64>()
@@ -432,9 +421,9 @@ mod tests {
         assert_eq!(stats.lookups(ModelTier::Heavy), 1);
         assert_eq!(stats.hit_rate(ModelTier::Light), 0.5);
         assert_eq!(stats.hit_rate(ModelTier::Heavy), 0.0);
-        assert!((stats.mean_swap_secs(ModelTier::Light) - 0.2).abs() < 1e-12);
         assert_eq!(stats.total_lookups(), 3);
         assert!((stats.total_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert!((stats.total_mean_swap_secs() - 0.7 / 3.0).abs() < 1e-12);
         let mut merged = AddonStats::default();
         merged.merge(&stats);
         merged.merge(&stats);

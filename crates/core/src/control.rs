@@ -8,15 +8,16 @@
 //!    [`DemandEstimator`]).
 //! 2. **Profile estimation** — the deferral profile `f(t)` the allocator
 //!    solves against. The paper initializes `f` offline and *keeps updating
-//!    it online* (§4.2, Eq. 3); [`ProfileEstimator`] implements both modes:
+//!    it online* (§4.2, Eq. 3); `ProfileEstimator` implements both modes:
 //!    a passthrough over the offline curve, and a streaming
 //!    [`OnlineDeferralEstimator`] that re-estimates the curve from the
 //!    confidences the cascade actually observes so the controller tracks
 //!    difficulty drift.
-//! 3. **Allocation planning** — one [`AllocPlanner`] trait wrapping
-//!    [`solve_milp_allocation_warm`], [`solve_exhaustive`],
-//!    [`solve_proteus`], and the [`overload_fallback`] behind a single
-//!    `plan` call.
+//! 3. **Allocation planning** — one `plan` call over
+//!    [`solve_milp_allocation_warm`], [`solve_exhaustive`] or
+//!    [`solve_proteus`] (per policy and backend), with the
+//!    [`overload_fallback`] when the solve is infeasible; N-tier ladders
+//!    plan through [`solve_ladder`].
 //! 4. **Plan actuation** — the backend-side half: a [`PlanActuator`]
 //!    applies the returned [`ControlDirective`] to live serving state (the
 //!    simulator's worker array, the testbed's shared [`ServingPlan`]).
@@ -139,65 +140,59 @@ impl ControlDirective {
     }
 }
 
-/// One allocation-planning strategy: demand and constraints in, a
-/// [`ControlDirective`] out. Implementations wrap the solver entry points
-/// ([`solve_milp_allocation_warm`], [`solve_exhaustive`], [`solve_proteus`]) and
-/// fall back to [`overload_fallback`] when the problem is infeasible, so
-/// callers never handle `None`.
-pub trait AllocPlanner: std::fmt::Debug + Send {
-    /// Plans one allocation from the tick's solver inputs. Takes `&mut
-    /// self` so implementations can carry solver state between ticks (the
-    /// MILP planner warm-starts each solve from the previous optimum).
-    fn plan(&mut self, inputs: &AllocatorInputs<'_>) -> ControlDirective;
-}
-
-/// The cascade planner (DiffServe and DiffServe-Static): maximizes the
-/// confidence threshold via the configured solver, degrading to the
-/// overload fallback when infeasible.
-///
-/// The MILP backend keeps an [`AllocWarmState`] across ticks: the demand
-/// estimate moves slowly between control intervals, so the previous tick's
-/// threshold pins the next solve to a few feasibility probes of the
-/// two-tier batch knapsack and a single optimality solve, each restarted
-/// from the previous simplex basis. The plan is the exhaustive solver's,
-/// whatever state the search starts from.
+/// The two-tier allocation-planning strategy: demand and constraints in, a
+/// [`ControlDirective`] out. Both variants fall back to
+/// [`overload_fallback`] when the problem is infeasible, so callers never
+/// handle `None`.
 #[derive(Debug, Clone)]
-pub struct CascadePlanner {
-    /// Which solver implementation to invoke.
-    pub backend: AllocatorBackend,
-    warm: AllocWarmState,
+enum Planner {
+    /// DiffServe and DiffServe-Static: maximizes the confidence threshold
+    /// via the configured solver.
+    ///
+    /// The MILP backend keeps an [`AllocWarmState`] across ticks: the
+    /// demand estimate moves slowly between control intervals, so the
+    /// previous tick's threshold pins the next solve to a few feasibility
+    /// probes of the two-tier batch knapsack and a single optimality solve,
+    /// each restarted from the previous simplex basis. The plan is the
+    /// exhaustive solver's, whatever state the search starts from.
+    Cascade {
+        /// Which solver implementation to invoke.
+        backend: AllocatorBackend,
+        warm: AllocWarmState,
+    },
+    /// Proteus: maximizes the heavy routing fraction; under overload
+    /// everything routes light over the fallback allocation.
+    Proteus,
 }
 
-impl CascadePlanner {
-    /// A planner with cold solver state.
-    pub fn new(backend: AllocatorBackend) -> Self {
-        CascadePlanner {
+impl Planner {
+    /// A cascade planner with cold solver state.
+    fn cascade(backend: AllocatorBackend) -> Self {
+        Planner::Cascade {
             backend,
             warm: AllocWarmState::new(),
         }
     }
-}
 
-impl AllocPlanner for CascadePlanner {
+    /// Plans one allocation from the tick's solver inputs.
     fn plan(&mut self, inputs: &AllocatorInputs<'_>) -> ControlDirective {
-        let solved = match self.backend {
-            AllocatorBackend::Milp => solve_milp_allocation_warm(inputs, &mut self.warm),
-            AllocatorBackend::Exhaustive => solve_exhaustive(inputs),
-        };
-        ControlDirective::two_tier(solved.unwrap_or_else(|| overload_fallback(inputs)), None)
-    }
-}
-
-/// The Proteus planner: maximizes the heavy routing fraction; under
-/// overload everything routes light over the fallback allocation.
-#[derive(Debug, Clone, Copy)]
-pub struct ProteusPlanner;
-
-impl AllocPlanner for ProteusPlanner {
-    fn plan(&mut self, inputs: &AllocatorInputs<'_>) -> ControlDirective {
-        let (allocation, heavy_fraction) =
-            solve_proteus(inputs).unwrap_or_else(|| (overload_fallback(inputs), 0.0));
-        ControlDirective::two_tier(allocation, Some(heavy_fraction))
+        match self {
+            Planner::Cascade { backend, warm } => {
+                let solved = match backend {
+                    AllocatorBackend::Milp => solve_milp_allocation_warm(inputs, warm),
+                    AllocatorBackend::Exhaustive => solve_exhaustive(inputs),
+                };
+                ControlDirective::two_tier(
+                    solved.unwrap_or_else(|| overload_fallback(inputs)),
+                    None,
+                )
+            }
+            Planner::Proteus => {
+                let (allocation, heavy_fraction) =
+                    solve_proteus(inputs).unwrap_or_else(|| (overload_fallback(inputs), 0.0));
+                ControlDirective::two_tier(allocation, Some(heavy_fraction))
+            }
+        }
     }
 }
 
@@ -213,7 +208,7 @@ pub trait PlanActuator {
 /// The deferral-profile stage of the pipeline: which `f(t)` the allocator
 /// solves against.
 #[derive(Debug, Clone)]
-pub enum ProfileEstimator {
+enum ProfileEstimator {
     /// Solve against the offline-profiled curve only (the pre-§4.2 mode).
     Offline,
     /// Refresh the curve online from observed confidences, falling back to
@@ -223,7 +218,7 @@ pub enum ProfileEstimator {
 
 impl ProfileEstimator {
     /// Builds the estimator the configuration asks for.
-    pub fn from_config(config: &SystemConfig) -> Self {
+    fn from_config(config: &SystemConfig) -> Self {
         if config.online_profile_refresh {
             ProfileEstimator::Online(OnlineDeferralEstimator::new(
                 config.online_profile_window,
@@ -265,7 +260,7 @@ pub struct ControlLoop {
     discriminator_latency: f64,
     demand: DemandEstimator,
     profile: ProfileEstimator,
-    planner: Box<dyn AllocPlanner>,
+    planner: Planner,
     aimd_light_batch: usize,
     aimd_heavy_batch: usize,
     deferral_errors: Vec<(f64, f64)>,
@@ -285,7 +280,7 @@ struct LadderControl {
     /// Per-boundary offline deferral profiles `f_k(t)`.
     offline: Vec<DeferralProfile>,
     /// Online estimators for boundaries **deeper than the first**
-    /// (boundary 0 rides the legacy [`ProfileEstimator`]); empty when
+    /// (boundary 0 rides the legacy `ProfileEstimator`); empty when
     /// online refresh is off.
     online: Vec<OnlineDeferralEstimator>,
     /// Warm levels + simplex basis carried across ticks.
@@ -307,9 +302,9 @@ impl ControlLoop {
         heavy: LatencyProfile,
         discriminator_latency: f64,
     ) -> Self {
-        let planner: Box<dyn AllocPlanner> = match settings.policy {
-            Policy::Proteus => Box::new(ProteusPlanner),
-            _ => Box::new(CascadePlanner::new(settings.backend)),
+        let planner = match settings.policy {
+            Policy::Proteus => Planner::Proteus,
+            _ => Planner::cascade(settings.backend),
         };
         let demand = DemandEstimator::new(config.ewma_alpha, config.over_provision);
         let profile = ProfileEstimator::from_config(&config);
@@ -397,11 +392,6 @@ impl ControlLoop {
             warm: LadderWarmState::new(),
             direct_frac: Vec::new(),
         });
-    }
-
-    /// `true` when N-tier ladder planning is attached.
-    pub fn ladder_active(&self) -> bool {
-        self.ladder.is_some()
     }
 
     /// The initial allocation before any demand has been observed.
@@ -989,7 +979,7 @@ mod tests {
             batch_sizes: &batches,
             thresholds: &thresholds,
         };
-        match ProteusPlanner.plan(&inputs) {
+        match Planner::Proteus.plan(&inputs) {
             ControlDirective::Apply {
                 plan,
                 heavy_fraction,
@@ -1021,7 +1011,7 @@ mod tests {
             thresholds: &thresholds,
         };
         for backend in [AllocatorBackend::Exhaustive, AllocatorBackend::Milp] {
-            match CascadePlanner::new(backend).plan(&inputs) {
+            match Planner::cascade(backend).plan(&inputs) {
                 ControlDirective::Apply { plan, .. } => {
                     assert!(!plan.feasible, "{backend:?} must fall back");
                     assert_eq!(plan.thresholds, [0.0]);

@@ -26,8 +26,6 @@
 //! * [`control`] — the backend-agnostic control plane: demand estimation →
 //!   online/offline deferral-profile estimation → allocation planning,
 //!   driven each control interval by both execution engines.
-//! * [`hetero`] — the §5 heterogeneous-cluster extension (worker classes
-//!   with per-class speeds).
 //! * [`kernel`] — the serving kernel: the service-time, routing,
 //!   escalation and accounting model both engines call for every decision.
 //! * [`runtime`] — offline-prepared artifacts (dataset, discriminator,
@@ -71,7 +69,6 @@ pub mod addons;
 pub mod allocator;
 pub mod config;
 pub mod control;
-pub mod hetero;
 pub mod kernel;
 pub mod policy;
 pub mod query;
@@ -87,12 +84,8 @@ pub use allocator::{
     AllocatorInputs, LadderAllocation, LadderInputs, LadderWarmState,
 };
 pub use config::{ConfigError, LadderConfig, SystemConfig};
-pub use control::{
-    AllocPlanner, CascadePlanner, ControlDirective, ControlLoop, ControlObservation, PlanActuator,
-    ProfileEstimator, ProteusPlanner,
-};
+pub use control::{ControlDirective, ControlLoop, ControlObservation, PlanActuator};
 pub use diffserve_milp::WarmStart;
-pub use hetero::{solve_heterogeneous, HeteroAllocation, HeteroInputs, WorkerClass};
 pub use kernel::Kernel;
 pub use policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};
 pub use query::{CompletedResponse, ModelTier, Query, QueryId, WorkerHealth};
@@ -102,16 +95,14 @@ pub use serve::{
     ArrivalStream, Backend, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend,
     ServingSession, SessionBuilder, SessionSnapshot, SessionSpec,
 };
-pub use sim::{run_scenario, run_trace, AllocatorBackend, RunSettings, SimBackend};
+pub use sim::{run_scenario, run_trace, AllocatorBackend, RunSettings};
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::addons::{AddonCatalog, AddonModule, AddonStats, AddonsConfig, ModuleCache};
     pub use crate::allocator::{Allocation, AllocatorInputs};
     pub use crate::config::{ConfigError, LadderConfig, SystemConfig};
-    pub use crate::control::{
-        AllocPlanner, ControlDirective, ControlLoop, ControlObservation, PlanActuator,
-    };
+    pub use crate::control::{ControlDirective, ControlLoop, ControlObservation, PlanActuator};
     pub use crate::policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};
     pub use crate::query::{CompletedResponse, ModelTier, Query, QueryId, WorkerHealth};
     pub use crate::report::RunReport;

@@ -168,4 +168,10 @@ mod tests {
         };
         assert!((r.latency_secs() - 2.0).abs() < 1e-12);
     }
+
+    #[test]
+    #[should_panic(expected = "slowdown must be finite and >= 1")]
+    fn a_speedup_is_not_a_degradation() {
+        let _ = WorkerHealth::degraded(0.5);
+    }
 }

@@ -13,7 +13,7 @@
 //! happen — the event queue — and its state access (the sorted per-tier
 //! load index); every serving decision (service times, drop-front, routing
 //! score, entry tier, escalation verdict, worker targets, telemetry) is a
-//! call into the shared [`crate::kernel`]. [`SimBackend`] implements
+//! call into the shared [`crate::kernel`]. `SimBackend` implements
 //! [`ServingBackend`] over the event loop, so
 //! applications can submit queries incrementally, tap live metrics, and
 //! inject perturbations mid-run. The two batch entry points — [`run_trace`]
@@ -1347,7 +1347,7 @@ impl Actor<Event> for ServingSim<'_> {
 /// [`SessionBuilder::build`](crate::serve::SessionBuilder::build) with
 /// [`Backend::Sim`](crate::serve::Backend). Deterministic: the same
 /// submissions and tick schedule replay bit-identically.
-pub struct SimBackend<'a> {
+pub(crate) struct SimBackend<'a> {
     sim: Simulation<Event, ServingSim<'a>>,
     /// The latest instant the backend has been driven to (>= the engine's
     /// last-event clock).

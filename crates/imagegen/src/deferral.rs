@@ -415,6 +415,18 @@ mod tests {
         let _ = OnlineDeferralEstimator::new(8, 9);
     }
 
+    #[test]
+    #[should_panic(expected = "window must be positive")]
+    fn online_estimator_rejects_an_empty_window() {
+        let _ = OnlineDeferralEstimator::new(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "fraction must lie in [0, 1]")]
+    fn threshold_for_a_fraction_above_one_panics() {
+        let _ = profile(vec![0.5]).threshold_for_fraction(1.5);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -26,12 +26,12 @@ use diffserve_simkit::time::SimDuration;
 use crate::features::FeatureSpec;
 use crate::model::DiffusionModel;
 use crate::prompt::DatasetKind;
-use crate::zoo::{sd_turbo, sd_v15, sd_v15_dpms, sdxs, CascadeSpec};
+use crate::zoo::{sd_turbo, sd_v15, sd_v15_dpms, CascadeSpec};
 
 /// An ordered quality ladder of N diffusion-model tiers, cheapest first.
 #[derive(Debug, Clone)]
 pub struct TierLadder {
-    /// Artifact-style short name (`ladder3`, `ladder4`, …).
+    /// Artifact-style short name (`ladder3`, …).
     pub name: &'static str,
     /// The model tiers, cheapest (entry tier) first.
     pub tiers: Vec<DiffusionModel>,
@@ -160,16 +160,6 @@ pub fn ladder3(spec: FeatureSpec) -> TierLadder {
     }
 }
 
-/// Ladder 4: SDXS → SD-Turbo → SDv1.5-DPMS++ → SDv1.5 on MS-COCO, SLO 5 s.
-pub fn ladder4(spec: FeatureSpec) -> TierLadder {
-    TierLadder {
-        name: "ladder4",
-        tiers: vec![sdxs(spec), sd_turbo(spec), sd_v15_dpms(spec), sd_v15(spec)],
-        dataset: DatasetKind::MsCoco,
-        slo: SimDuration::from_secs(5),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,9 +169,8 @@ mod tests {
     fn builtin_ladders_validate() {
         let spec = FeatureSpec::default();
         ladder3(spec).validate().expect("ladder3");
-        ladder4(spec).validate().expect("ladder4");
         assert_eq!(ladder3(spec).boundaries(), 2);
-        assert_eq!(ladder4(spec).num_tiers(), 4);
+        assert_eq!(ladder3(spec).num_tiers(), 3);
     }
 
     #[test]

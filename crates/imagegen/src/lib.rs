@@ -45,7 +45,6 @@ pub mod discriminator;
 pub mod features;
 pub mod ladder;
 pub mod model;
-pub mod pipeline;
 pub mod predictive;
 pub mod prompt;
 pub mod scorers;
@@ -59,20 +58,13 @@ pub use cascade::{
 pub use deferral::{DeferralProfile, OnlineDeferralEstimator, ProfileError};
 pub use discriminator::{DiscArch, Discriminator, DiscriminatorConfig, RealClass};
 pub use features::FeatureSpec;
-pub use ladder::{ladder3, ladder4, LadderError, TierLadder};
+pub use ladder::{ladder3, LadderError, TierLadder};
 pub use model::{DiffusionModel, GeneratedImage, LatencyProfile, QualityProfile};
-pub use pipeline::{Pipeline, PipelineEval};
-pub use predictive::{text_embedding, OnlinePredictiveRouter, OnlineRouterConfig};
+pub use predictive::{OnlinePredictiveRouter, OnlineRouterConfig};
 pub use prompt::{DatasetKind, Prompt, PromptDataset};
 pub use scorers::{ClipScorer, PickScorer};
-pub use stage::{
-    resume_savings, reused_steps, StageLatencyBreakdown, StageState, DECODE_FRAC, DENOISE_FRAC,
-    ENCODE_FRAC,
-};
-pub use zoo::{
-    cascade1, cascade2, cascade3, fig1a_variants, sd_turbo, sd_v15, sd_v15_dpms, sdxl,
-    sdxl_lightning, sdxl_turbo, sdxs, tiny_sd_dpms, CascadeSpec,
-};
+pub use stage::{resume_savings, reused_steps, StageLatencyBreakdown, StageState, DENOISE_FRAC};
+pub use zoo::{cascade1, cascade2, cascade3, fig1a_variants, sd_turbo, sd_v15, sdxs, CascadeSpec};
 
 /// Convenience re-exports.
 pub mod prelude {
@@ -82,7 +74,7 @@ pub mod prelude {
     pub use crate::deferral::{DeferralProfile, OnlineDeferralEstimator, ProfileError};
     pub use crate::discriminator::{DiscArch, Discriminator, DiscriminatorConfig, RealClass};
     pub use crate::features::FeatureSpec;
-    pub use crate::ladder::{ladder3, ladder4, TierLadder};
+    pub use crate::ladder::{ladder3, TierLadder};
     pub use crate::model::{DiffusionModel, GeneratedImage, LatencyProfile, QualityProfile};
     pub use crate::prompt::{DatasetKind, Prompt, PromptDataset};
     pub use crate::scorers::{ClipScorer, PickScorer};

@@ -19,13 +19,13 @@ use diffserve_simkit::rng::{derive_seed, seeded_rng, Normal, Sampler};
 use crate::prompt::Prompt;
 
 /// Dimensionality of the synthetic prompt (text) embedding.
-pub const TEXT_DIM: usize = 8;
+const TEXT_DIM: usize = 8;
 
 /// Deterministic synthetic text embedding of a prompt: two coordinates
 /// carry noisy views of the prompt's difficulty and style, the rest is
 /// prompt-specific structure no router can exploit. The noise level is the
 /// knob that makes text-only quality prediction "challenging" (§5).
-pub fn text_embedding(prompt: &Prompt, observation_noise: f64) -> Vec<f64> {
+fn text_embedding(prompt: &Prompt, observation_noise: f64) -> Vec<f64> {
     let mut rng = seeded_rng(derive_seed(prompt.seed, 0x7E87));
     let normal = Normal::standard();
     let mut e = vec![0.0; TEXT_DIM];

@@ -120,16 +120,6 @@ impl PromptDataset {
         }
     }
 
-    /// The paper's default: first 5K prompts of MS-COCO.
-    pub fn coco_5k(seed: u64) -> Self {
-        Self::synthesize(DatasetKind::MsCoco, 5000, seed, FeatureSpec::default())
-    }
-
-    /// The paper's Cascade-3 dataset: 5K DiffusionDB prompts.
-    pub fn diffusiondb_5k(seed: u64) -> Self {
-        Self::synthesize(DatasetKind::DiffusionDb, 5000, seed, FeatureSpec::default())
-    }
-
     /// Which dataset family this mimics.
     pub fn kind(&self) -> DatasetKind {
         self.kind
@@ -240,5 +230,11 @@ mod tests {
             .map(|p| p.style_bias)
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(max - min > 2.0, "style bias spread too small: {min}..{max}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 prompts")]
+    fn a_single_prompt_is_too_few() {
+        let _ = PromptDataset::synthesize(DatasetKind::MsCoco, 1, 1, FeatureSpec::default());
     }
 }

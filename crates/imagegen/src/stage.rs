@@ -34,7 +34,7 @@ use crate::model::LatencyProfile;
 /// Fraction of a model's end-to-end latency spent in the prompt/latent
 /// encode stage. Encode is prompt-conditioned and tier-specific, so it is
 /// never reused across tiers.
-pub const ENCODE_FRAC: f64 = 0.05;
+const ENCODE_FRAC: f64 = 0.05;
 
 /// Fraction of a model's end-to-end latency spent in the iterative denoise
 /// stage — the only stage whose steps can be resumed from another tier's
@@ -43,7 +43,7 @@ pub const DENOISE_FRAC: f64 = 0.85;
 
 /// Fraction of a model's end-to-end latency spent in the VAE decode stage.
 /// Decode consumes the final latent, so it always runs on the serving tier.
-pub const DECODE_FRAC: f64 = 0.10;
+const DECODE_FRAC: f64 = 0.10;
 
 /// Progress of a query through a model's denoise schedule, carried across
 /// an escalation so the next tier can resume instead of restarting.

@@ -41,7 +41,7 @@ pub fn sd_v15(spec: FeatureSpec) -> DiffusionModel {
 }
 
 /// Builds SDv1.5 with the DPM-Solver++ scheduler (fewer steps, faster).
-pub fn sd_v15_dpms(spec: FeatureSpec) -> DiffusionModel {
+pub(crate) fn sd_v15_dpms(spec: FeatureSpec) -> DiffusionModel {
     DiffusionModel::new(
         "sd-v1.5-dpms++",
         20,
@@ -73,7 +73,7 @@ pub fn sdxs(spec: FeatureSpec) -> DiffusionModel {
 }
 
 /// Builds SDXL-Turbo, a distilled SDXL variant.
-pub fn sdxl_turbo(spec: FeatureSpec) -> DiffusionModel {
+fn sdxl_turbo(spec: FeatureSpec) -> DiffusionModel {
     DiffusionModel::new(
         "sdxl-turbo",
         1,
@@ -89,7 +89,7 @@ pub fn sdxl_turbo(spec: FeatureSpec) -> DiffusionModel {
 }
 
 /// Builds TinySD with the DPM-Solver++ scheduler.
-pub fn tiny_sd_dpms(spec: FeatureSpec) -> DiffusionModel {
+fn tiny_sd_dpms(spec: FeatureSpec) -> DiffusionModel {
     DiffusionModel::new(
         "tiny-sd-dpms++",
         20,
@@ -105,7 +105,7 @@ pub fn tiny_sd_dpms(spec: FeatureSpec) -> DiffusionModel {
 }
 
 /// Builds SDXL-Lightning with 2 steps, ~0.5 s per 1024×1024 image.
-pub fn sdxl_lightning(spec: FeatureSpec) -> DiffusionModel {
+fn sdxl_lightning(spec: FeatureSpec) -> DiffusionModel {
     DiffusionModel::new(
         "sdxl-lightning",
         2,
@@ -121,7 +121,7 @@ pub fn sdxl_lightning(spec: FeatureSpec) -> DiffusionModel {
 }
 
 /// Builds SDXL with 50 steps, ~6 s per 1024×1024 image.
-pub fn sdxl(spec: FeatureSpec) -> DiffusionModel {
+fn sdxl(spec: FeatureSpec) -> DiffusionModel {
     DiffusionModel::new(
         "sdxl",
         50,

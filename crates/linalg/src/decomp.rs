@@ -1,6 +1,6 @@
-//! Matrix decompositions: Cholesky, LU solve, the symmetric eigen-solver
-//! (Householder tridiagonalization + implicit-shift QL), and the PSD matrix
-//! square root needed by the Fréchet distance.
+//! Matrix decompositions: the symmetric eigen-solver (Householder
+//! tridiagonalization + implicit-shift QL) and the PSD matrix square root
+//! needed by the Fréchet distance.
 
 use crate::matrix::Mat;
 
@@ -11,11 +11,6 @@ pub enum DecompError {
     NotSquare,
     /// The input must be symmetric.
     NotSymmetric,
-    /// Cholesky found a non-positive pivot: the matrix is not positive
-    /// definite.
-    NotPositiveDefinite,
-    /// LU elimination hit a (near-)zero pivot: the matrix is singular.
-    Singular,
     /// The eigen-solver's QL iteration failed to converge within its budget.
     NoConvergence,
 }
@@ -25,8 +20,6 @@ impl std::fmt::Display for DecompError {
         let msg = match self {
             DecompError::NotSquare => "matrix is not square",
             DecompError::NotSymmetric => "matrix is not symmetric",
-            DecompError::NotPositiveDefinite => "matrix is not positive definite",
-            DecompError::Singular => "matrix is singular",
             DecompError::NoConvergence => "eigendecomposition did not converge",
         };
         f.write_str(msg)
@@ -34,113 +27,6 @@ impl std::fmt::Display for DecompError {
 }
 
 impl std::error::Error for DecompError {}
-
-/// Cholesky factorization of a symmetric positive-definite matrix.
-///
-/// Returns the lower-triangular `L` with `A = L Lᵀ`.
-///
-/// # Errors
-///
-/// Returns [`DecompError::NotSquare`] or [`DecompError::NotPositiveDefinite`].
-///
-/// # Examples
-///
-/// ```
-/// use diffserve_linalg::{cholesky, Mat};
-///
-/// let a = Mat::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-/// let l = cholesky(&a)?;
-/// let reconstructed = l.matmul(&l.transpose());
-/// assert!(a.max_abs_diff(&reconstructed) < 1e-12);
-/// # Ok::<(), diffserve_linalg::DecompError>(())
-/// ```
-pub fn cholesky(a: &Mat) -> Result<Mat, DecompError> {
-    if !a.is_square() {
-        return Err(DecompError::NotSquare);
-    }
-    let n = a.rows();
-    let mut l = Mat::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a[(i, j)];
-            for k in 0..j {
-                sum -= l[(i, k)] * l[(j, k)];
-            }
-            if i == j {
-                if sum <= 0.0 {
-                    return Err(DecompError::NotPositiveDefinite);
-                }
-                l[(i, j)] = sum.sqrt();
-            } else {
-                l[(i, j)] = sum / l[(j, j)];
-            }
-        }
-    }
-    Ok(l)
-}
-
-/// Solves `A x = b` by LU decomposition with partial pivoting.
-///
-/// # Errors
-///
-/// Returns [`DecompError::NotSquare`] or [`DecompError::Singular`].
-///
-/// # Panics
-///
-/// Panics if `b.len()` does not match the matrix dimension.
-pub fn lu_solve(a: &Mat, b: &[f64]) -> Result<Vec<f64>, DecompError> {
-    if !a.is_square() {
-        return Err(DecompError::NotSquare);
-    }
-    let n = a.rows();
-    assert_eq!(b.len(), n, "rhs length must match matrix dimension");
-    let mut lu = a.clone();
-    let mut x: Vec<f64> = b.to_vec();
-    let mut perm: Vec<usize> = (0..n).collect();
-
-    for col in 0..n {
-        // Partial pivot.
-        let mut pivot_row = col;
-        let mut best = lu[(col, col)].abs();
-        for r in (col + 1)..n {
-            let v = lu[(r, col)].abs();
-            if v > best {
-                best = v;
-                pivot_row = r;
-            }
-        }
-        if best < 1e-12 {
-            return Err(DecompError::Singular);
-        }
-        if pivot_row != col {
-            for j in 0..n {
-                let tmp = lu[(col, j)];
-                lu[(col, j)] = lu[(pivot_row, j)];
-                lu[(pivot_row, j)] = tmp;
-            }
-            perm.swap(col, pivot_row);
-            x.swap(col, pivot_row);
-        }
-        for r in (col + 1)..n {
-            let factor = lu[(r, col)] / lu[(col, col)];
-            lu[(r, col)] = factor;
-            for j in (col + 1)..n {
-                let upd = factor * lu[(col, j)];
-                lu[(r, j)] -= upd;
-            }
-            x[r] -= factor * x[col];
-        }
-    }
-    // Back substitution.
-    for i in (0..n).rev() {
-        let mut sum = x[i];
-        for j in (i + 1)..n {
-            sum -= lu[(i, j)] * x[j];
-        }
-        x[i] = sum / lu[(i, i)];
-    }
-    Ok(x)
-}
 
 /// Result of a symmetric eigendecomposition: `A = V diag(λ) Vᵀ`.
 #[derive(Debug, Clone, PartialEq)]
@@ -407,49 +293,6 @@ pub fn sqrtm_psd(a: &Mat) -> Result<Mat, DecompError> {
     Ok(out)
 }
 
-/// Determinant via LU with partial pivoting (0.0 for singular matrices).
-///
-/// # Panics
-///
-/// Panics if the matrix is not square.
-pub fn determinant(a: &Mat) -> f64 {
-    assert!(a.is_square(), "determinant requires a square matrix");
-    let n = a.rows();
-    let mut lu = a.clone();
-    let mut det = 1.0;
-    for col in 0..n {
-        let mut pivot_row = col;
-        let mut best = lu[(col, col)].abs();
-        for r in (col + 1)..n {
-            let v = lu[(r, col)].abs();
-            if v > best {
-                best = v;
-                pivot_row = r;
-            }
-        }
-        if best < 1e-300 {
-            return 0.0;
-        }
-        if pivot_row != col {
-            for j in 0..n {
-                let tmp = lu[(col, j)];
-                lu[(col, j)] = lu[(pivot_row, j)];
-                lu[(pivot_row, j)] = tmp;
-            }
-            det = -det;
-        }
-        det *= lu[(col, col)];
-        for r in (col + 1)..n {
-            let factor = lu[(r, col)] / lu[(col, col)];
-            for j in (col + 1)..n {
-                let upd = factor * lu[(col, j)];
-                lu[(r, j)] -= upd;
-            }
-        }
-    }
-    det
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,47 +308,6 @@ mod tests {
             spd[(i, i)] += n as f64;
         }
         spd
-    }
-
-    #[test]
-    fn cholesky_reconstructs() {
-        let a = random_spd(6, 1);
-        let l = cholesky(&a).unwrap();
-        let r = l.matmul(&l.transpose());
-        assert!(a.max_abs_diff(&r) < 1e-9);
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
-        assert_eq!(cholesky(&a), Err(DecompError::NotPositiveDefinite));
-    }
-
-    #[test]
-    fn cholesky_rejects_non_square() {
-        assert_eq!(cholesky(&Mat::zeros(2, 3)), Err(DecompError::NotSquare));
-    }
-
-    #[test]
-    fn lu_solve_known_system() {
-        let a = Mat::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let x = lu_solve(&a, &[3.0, 5.0]).unwrap();
-        assert!((x[0] - 0.8).abs() < 1e-12);
-        assert!((x[1] - 1.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lu_solve_requires_pivoting() {
-        // Zero on the initial pivot position forces a row swap.
-        let a = Mat::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = lu_solve(&a, &[2.0, 3.0]).unwrap();
-        assert_eq!(x, vec![3.0, 2.0]);
-    }
-
-    #[test]
-    fn lu_solve_detects_singular() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert_eq!(lu_solve(&a, &[1.0, 2.0]), Err(DecompError::Singular));
     }
 
     #[test]
@@ -556,12 +358,16 @@ mod tests {
     }
 
     #[test]
-    fn determinant_known_values() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert!((determinant(&a) + 2.0).abs() < 1e-12);
-        assert_eq!(determinant(&Mat::identity(5)), 1.0);
-        let singular = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert_eq!(determinant(&singular), 0.0);
+    fn sqrtm_clamps_negative_noise_to_zero() {
+        let s = sqrtm_psd(&Mat::from_diag(&[-1e-15, 4.0])).unwrap();
+        assert!(s.max_abs_diff(&Mat::from_diag(&[0.0, 2.0])) < 1e-12);
+    }
+
+    #[test]
+    fn sqrtm_of_a_singular_matrix_squares_back() {
+        let a = Mat::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
+        let s = sqrtm_psd(&a).unwrap();
+        assert!(a.max_abs_diff(&s.matmul(&s)) < 1e-12);
     }
 
     #[test]
@@ -569,8 +375,6 @@ mod tests {
         for e in [
             DecompError::NotSquare,
             DecompError::NotSymmetric,
-            DecompError::NotPositiveDefinite,
-            DecompError::Singular,
             DecompError::NoConvergence,
         ] {
             assert!(!format!("{e}").is_empty());
@@ -579,25 +383,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn cholesky_roundtrip_random(seed in 0u64..500, n in 2usize..8) {
-            let a = random_spd(n, seed);
-            let l = cholesky(&a).unwrap();
-            let r = l.matmul(&l.transpose());
-            prop_assert!(a.max_abs_diff(&r) < 1e-8);
-        }
-
-        #[test]
-        fn lu_solve_residual_small(seed in 0u64..500, n in 2usize..8) {
-            let a = random_spd(n, seed);
-            let b: Vec<f64> = (0..n).map(|i| (i as f64) - 1.5).collect();
-            let x = lu_solve(&a, &b).unwrap();
-            let ax = a.matvec(&x);
-            for i in 0..n {
-                prop_assert!((ax[i] - b[i]).abs() < 1e-8);
-            }
-        }
 
         #[test]
         fn sqrtm_random_spd(seed in 0u64..200, n in 2usize..8) {

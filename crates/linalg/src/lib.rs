@@ -3,14 +3,13 @@
 //! Small dense linear algebra for the DiffServe reproduction.
 //!
 //! The paper's evaluation metric (Fréchet Inception Distance) needs means,
-//! covariances, and a positive-semi-definite matrix square root; the
-//! discriminator substrate needs matrix products; and the MILP solver uses
-//! dense elimination. This crate implements exactly that surface from
-//! scratch — [`Mat`] plus [`cholesky`], [`lu_solve`], [`sym_eigen`] and its
-//! values-only form [`sym_eigenvalues`] (one solver: Householder
-//! tridiagonalization, then implicit-shift QL), [`sqrtm_psd`], and
-//! [`determinant`] — because no external linear-algebra crate is sanctioned
-//! for this workspace.
+//! covariances, and a positive-semi-definite matrix square root, and the
+//! discriminator substrate needs matrix products. This crate implements
+//! exactly that surface from
+//! scratch — [`Mat`] plus [`sym_eigen`] and its values-only form
+//! [`sym_eigenvalues`] (one solver: Householder tridiagonalization, then
+//! implicit-shift QL) and [`sqrtm_psd`] — because no external
+//! linear-algebra crate is sanctioned for this workspace.
 //!
 //! # Examples
 //!
@@ -30,7 +29,5 @@
 pub mod decomp;
 pub mod matrix;
 
-pub use decomp::{
-    cholesky, determinant, lu_solve, sqrtm_psd, sym_eigen, sym_eigenvalues, DecompError, SymEigen,
-};
+pub use decomp::{sqrtm_psd, sym_eigen, sym_eigenvalues, DecompError, SymEigen};
 pub use matrix::Mat;

@@ -127,16 +127,6 @@ impl Mat {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copies column `j` into a vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of bounds.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "col {j} out of bounds ({})", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// The transpose.
     pub fn transpose(&self) -> Mat {
         Mat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
@@ -166,18 +156,6 @@ impl Mat {
             }
         }
         out
-    }
-
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        (0..self.rows)
-            .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
     }
 
     /// Entry-wise scaling.
@@ -413,13 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let v = vec![5.0, 6.0];
-        assert_eq!(a.matvec(&v), vec![17.0, 39.0]);
-    }
-
-    #[test]
     fn trace_and_norm() {
         let a = Mat::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
         assert_eq!(a.trace(), 7.0);
@@ -480,5 +451,56 @@ mod tests {
     #[test]
     fn debug_is_nonempty() {
         assert!(!format!("{:?}", Mat::identity(2)).is_empty());
+    }
+
+    #[test]
+    fn debug_elides_past_eight_rows_and_columns() {
+        assert!(!format!("{:?}", Mat::zeros(8, 8)).contains("..."));
+        assert_eq!(format!("{:?}", Mat::zeros(9, 9)).matches("...").count(), 9);
+    }
+
+    #[test]
+    fn rows_and_raw_data_write_through() {
+        let mut a = Mat::zeros(2, 3);
+        a.row_mut(1)[2] = 3.0;
+        a.as_mut_slice()[0] = 9.0;
+        assert_eq!(a.as_slice(), &[9.0, 0.0, 0.0, 0.0, 0.0, 3.0]);
+        assert!(!a.is_square() && !a.is_symmetric(f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensions must be positive")]
+    fn zero_dimensions_panic() {
+        let _ = Mat::zeros(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one row")]
+    fn no_rows_panic() {
+        let _ = Mat::from_rows(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent length")]
+    fn ragged_rows_panic() {
+        let _ = Mat::from_rows(&[&[1.0, 2.0], &[3.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn index_out_of_bounds_panics() {
+        let _ = Mat::identity(2)[(0, 2)];
+    }
+
+    #[test]
+    #[should_panic(expected = "square matrix")]
+    fn trace_of_a_non_square_matrix_panics() {
+        let _ = Mat::zeros(2, 3).trace();
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two samples")]
+    fn covariance_needs_two_samples() {
+        let _ = Mat::from_rows(&[&[1.0, 2.0]]).covariance();
     }
 }

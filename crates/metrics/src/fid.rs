@@ -496,6 +496,30 @@ mod tests {
         assert!(m.gaussian(&[0.0, 0.0], 0.0).is_ok());
     }
 
+    #[test]
+    #[should_panic(expected = "feature dimension mismatch")]
+    fn centered_moments_reject_a_row_of_another_width() {
+        CenteredMoments::new(2).push(&[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature dimension mismatch")]
+    fn centered_moments_of_another_width_do_not_merge() {
+        CenteredMoments::new(2).merge(&CenteredMoments::new(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "mean/covariance size mismatch")]
+    fn from_moments_rejects_a_mean_of_another_size() {
+        let _ = GaussianStats::from_moments(vec![0.0], Mat::identity(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "covariance must be square")]
+    fn from_moments_rejects_a_non_square_covariance() {
+        let _ = GaussianStats::from_moments(vec![0.0, 0.0], Mat::zeros(2, 3));
+    }
+
     /// A d = 16 feature set whose columns differ in location and spread and
     /// are correlated, like the synthetic image features.
     fn feature_rows(n: usize, offset: f64, seed: u64) -> Mat {

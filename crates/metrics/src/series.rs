@@ -184,4 +184,10 @@ mod tests {
         assert_eq!(means.len(), 3);
         assert_eq!(means[1].1, 0.0);
     }
+
+    #[test]
+    #[should_panic(expected = "window must be positive")]
+    fn zero_window_panics() {
+        let _ = WindowedSeries::new(SimDuration::ZERO);
+    }
 }

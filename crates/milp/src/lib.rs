@@ -53,5 +53,5 @@ pub use branch::{
 pub use problem::{Direction, Problem, Sense, VarId, VarKind};
 pub use simplex::{
     solve_lp, solve_lp_with_bounds, Basis, ColStatus, LpSolution, LpSolver, SolveEffort,
-    SolveError, Tableau, TOL,
+    SolveError, Tableau,
 };

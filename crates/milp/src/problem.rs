@@ -409,6 +409,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must not be NaN")]
+    fn nan_bound_panics() {
+        Problem::new(Direction::Minimize).add_var("x", VarKind::Continuous, f64::NAN, 1.0);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn foreign_var_id_panics() {
         let mut p1 = Problem::new(Direction::Minimize);

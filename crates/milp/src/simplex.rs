@@ -39,7 +39,7 @@
 use crate::problem::{Direction, Problem, Sense, VarId};
 
 /// Numerical tolerance used throughout the solver.
-pub const TOL: f64 = 1e-9;
+const TOL: f64 = 1e-9;
 
 /// Tolerance for primal feasibility decisions (bound violations).
 const FEAS_TOL: f64 = 1e-7;

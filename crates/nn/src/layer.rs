@@ -92,12 +92,12 @@ impl Dense {
 }
 
 /// Element-wise ReLU.
-pub fn relu(x: &Mat) -> Mat {
+pub(crate) fn relu(x: &Mat) -> Mat {
     Mat::from_fn(x.rows(), x.cols(), |i, j| x[(i, j)].max(0.0))
 }
 
 /// Gradient of ReLU given the forward *input* and upstream gradient.
-pub fn relu_backward(input: &Mat, d_out: &Mat) -> Mat {
+pub(crate) fn relu_backward(input: &Mat, d_out: &Mat) -> Mat {
     Mat::from_fn(input.rows(), input.cols(), |i, j| {
         if input[(i, j)] > 0.0 {
             d_out[(i, j)]
@@ -217,5 +217,18 @@ mod tests {
         // Bias gradient: each output column receives batch-size ones.
         assert!((d_b[0] - 2.0).abs() < 1e-12);
         assert!((d_b[1] - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer dimensions must be positive")]
+    fn zero_width_layer_panics() {
+        let _ = Dense::new(3, 0, &mut rand::rngs::StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn forward_rejects_a_batch_of_the_wrong_width() {
+        let layer = Dense::new(3, 2, &mut rand::rngs::StdRng::seed_from_u64(1));
+        let _ = layer.forward(&Mat::zeros(1, 2));
     }
 }

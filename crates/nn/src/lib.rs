@@ -1,7 +1,7 @@
 //! # diffserve-nn
 //!
 //! A minimal neural-network substrate: dense layers, ReLU/softmax,
-//! cross-entropy, SGD/Adam, and a training loop.
+//! cross-entropy, Adam, and a training loop.
 //!
 //! The DiffServe paper's discriminator is an EfficientNet-V2 trained to
 //! classify images as *real* (ground-truth photographs) or *fake*
@@ -33,11 +33,10 @@
 #![warn(missing_debug_implementations)]
 
 pub mod layer;
-pub mod loss;
+mod loss;
 pub mod model;
 pub mod optim;
 
-pub use layer::{relu, relu_backward, softmax, Dense};
-pub use loss::{mse, softmax_cross_entropy};
+pub use layer::{softmax, Dense};
 pub use model::{accuracy, auc, EpochStats, Mlp, TrainConfig};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;

@@ -13,7 +13,7 @@ use crate::layer::softmax;
 ///
 /// Panics if `labels.len()` differs from the batch size or any label is out
 /// of range.
-pub fn softmax_cross_entropy(logits: &Mat, labels: &[usize]) -> (f64, Mat) {
+pub(crate) fn softmax_cross_entropy(logits: &Mat, labels: &[usize]) -> (f64, Mat) {
     let n = logits.rows();
     assert_eq!(labels.len(), n, "one label per batch row required");
     let probs = softmax(logits);
@@ -28,23 +28,6 @@ pub fn softmax_cross_entropy(logits: &Mat, labels: &[usize]) -> (f64, Mat) {
     }
     let scale = 1.0 / n as f64;
     (loss * scale, grad.scale(scale))
-}
-
-/// Mean squared error and its gradient for a batch of predictions.
-///
-/// # Panics
-///
-/// Panics on a shape mismatch.
-pub fn mse(pred: &Mat, target: &Mat) -> (f64, Mat) {
-    assert_eq!(
-        (pred.rows(), pred.cols()),
-        (target.rows(), target.cols()),
-        "mse shape mismatch"
-    );
-    let n = (pred.rows() * pred.cols()) as f64;
-    let diff = pred - target;
-    let loss = diff.as_slice().iter().map(|d| d * d).sum::<f64>() / n;
-    (loss, diff.scale(2.0 / n))
 }
 
 #[cfg(test)]
@@ -96,16 +79,6 @@ mod tests {
         let (_, grad) = softmax_cross_entropy(&logits, &[1]);
         let sum: f64 = grad.row(0).iter().sum();
         assert!(sum.abs() < 1e-12);
-    }
-
-    #[test]
-    fn mse_known_value() {
-        let pred = Mat::from_rows(&[&[1.0, 2.0]]);
-        let target = Mat::from_rows(&[&[0.0, 0.0]]);
-        let (loss, grad) = mse(&pred, &target);
-        assert!((loss - 2.5).abs() < 1e-12);
-        assert!((grad[(0, 0)] - 1.0).abs() < 1e-12);
-        assert!((grad[(0, 1)] - 2.0).abs() < 1e-12);
     }
 
     #[test]

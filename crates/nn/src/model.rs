@@ -6,7 +6,7 @@ use rand::Rng;
 
 use crate::layer::{relu, relu_backward, softmax, Dense};
 use crate::loss::softmax_cross_entropy;
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 
 /// A feed-forward classifier: dense layers with ReLU between them and a
 /// linear logit head.
@@ -201,7 +201,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if shapes or labels are inconsistent.
-    pub fn train_batch(&mut self, x: &Mat, labels: &[usize], optimizer: &mut dyn Optimizer) -> f64 {
+    pub fn train_batch(&mut self, x: &Mat, labels: &[usize], optimizer: &mut Adam) -> f64 {
         // Forward, caching layer inputs (post-activation) and pre-activations.
         let mut inputs: Vec<Mat> = Vec::with_capacity(self.layers.len());
         let mut pre_acts: Vec<Mat> = Vec::with_capacity(self.layers.len());
@@ -242,7 +242,7 @@ impl Mlp {
         &mut self,
         x: &Mat,
         labels: &[usize],
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Adam,
         config: &TrainConfig,
         rng: &mut R,
     ) -> Vec<EpochStats> {
@@ -473,6 +473,24 @@ mod tests {
     fn accuracy_counts_hits() {
         assert_eq!(accuracy(&[1, 0, 1], &[1, 1, 1]), 2.0 / 3.0);
         assert_eq!(accuracy(&[0], &[0]), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn accuracy_rejects_mismatched_lengths() {
+        let _ = accuracy(&[1, 0], &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty set is undefined")]
+    fn accuracy_of_nothing_panics() {
+        let _ = accuracy(&[], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "input and output widths")]
+    fn a_single_width_is_not_a_model() {
+        let _ = Mlp::new(&[4], &mut rand::rngs::StdRng::seed_from_u64(1));
     }
 
     #[test]

@@ -1,78 +1,20 @@
-//! Gradient-descent optimizers.
+//! The Adam optimizer.
 
 use std::collections::HashMap;
 
-/// A first-order optimizer updating flat parameter slices.
+/// Adam's standard moment decay rates and denominator guard.
+const BETA1: f64 = 0.9;
+const BETA2: f64 = 0.999;
+const EPS: f64 = 1e-8;
+
+/// Adam (Kingma & Ba) with bias-corrected moment estimates, updating flat
+/// parameter slices.
 ///
-/// Parameters are identified by a caller-assigned `slot` so that stateful
-/// optimizers (momentum, Adam moments) can keep per-parameter buffers.
-pub trait Optimizer {
-    /// Applies one update to `param` given `grad`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if `param` and `grad` lengths differ, or if a
-    /// slot changes size between calls.
-    fn update(&mut self, slot: usize, param: &mut [f64], grad: &[f64]);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: HashMap<usize, Vec<f64>>,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr` and momentum coefficient
-    /// `momentum` (0 disables momentum).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn new(lr: f64, momentum: f64) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&momentum),
-            "momentum must lie in [0, 1), got {momentum}"
-        );
-        Sgd {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn update(&mut self, slot: usize, param: &mut [f64], grad: &[f64]) {
-        assert_eq!(param.len(), grad.len(), "param/grad length mismatch");
-        if self.momentum == 0.0 {
-            for (p, g) in param.iter_mut().zip(grad) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        let v = self
-            .velocity
-            .entry(slot)
-            .or_insert_with(|| vec![0.0; param.len()]);
-        assert_eq!(v.len(), param.len(), "slot {slot} changed size");
-        for ((p, g), vel) in param.iter_mut().zip(grad).zip(v.iter_mut()) {
-            *vel = self.momentum * *vel - self.lr * g;
-            *p += *vel;
-        }
-    }
-}
-
-/// Adam (Kingma & Ba) with bias-corrected moment estimates.
+/// Parameters are identified by a caller-assigned `slot` so that each one
+/// keeps its own moment buffers.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     state: HashMap<usize, AdamSlot>,
 }
 
@@ -91,31 +33,20 @@ impl Adam {
     ///
     /// Panics if `lr <= 0`.
     pub fn new(lr: f64) -> Self {
-        Self::with_params(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Creates Adam with explicit hyperparameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range hyperparameters.
-    pub fn with_params(lr: f64, beta1: f64, beta2: f64, eps: f64) -> Self {
         assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1), "beta1 must lie in [0, 1)");
-        assert!((0.0..1.0).contains(&beta2), "beta2 must lie in [0, 1)");
-        assert!(eps > 0.0, "eps must be positive");
         Adam {
             lr,
-            beta1,
-            beta2,
-            eps,
             state: HashMap::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn update(&mut self, slot: usize, param: &mut [f64], grad: &[f64]) {
+    /// Applies one update to `param` given `grad`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `param` and `grad` lengths differ, or if a slot changes
+    /// size between calls.
+    pub fn update(&mut self, slot: usize, param: &mut [f64], grad: &[f64]) {
         assert_eq!(param.len(), grad.len(), "param/grad length mismatch");
         let s = self.state.entry(slot).or_insert_with(|| AdamSlot {
             m: vec![0.0; param.len()],
@@ -124,14 +55,14 @@ impl Optimizer for Adam {
         });
         assert_eq!(s.m.len(), param.len(), "slot {slot} changed size");
         s.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(s.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(s.t as i32);
+        let bc1 = 1.0 - BETA1.powi(s.t as i32);
+        let bc2 = 1.0 - BETA2.powi(s.t as i32);
         for i in 0..param.len() {
-            s.m[i] = self.beta1 * s.m[i] + (1.0 - self.beta1) * grad[i];
-            s.v[i] = self.beta2 * s.v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
+            s.m[i] = BETA1 * s.m[i] + (1.0 - BETA1) * grad[i];
+            s.v[i] = BETA2 * s.v[i] + (1.0 - BETA2) * grad[i] * grad[i];
             let m_hat = s.m[i] / bc1;
             let v_hat = s.v[i] / bc2;
-            param[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            param[i] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
 }
@@ -141,7 +72,7 @@ mod tests {
     use super::*;
 
     /// Minimizing f(x) = (x - 3)^2 should converge near 3.
-    fn descend(opt: &mut dyn Optimizer, steps: usize) -> f64 {
+    fn descend(opt: &mut Adam, steps: usize) -> f64 {
         let mut x = [0.0f64];
         for _ in 0..steps {
             let grad = [2.0 * (x[0] - 3.0)];
@@ -151,24 +82,23 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.0);
-        let x = descend(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-6, "x={x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::new(0.05, 0.9);
-        let x = descend(&mut opt, 400);
-        assert!((x - 3.0).abs() < 1e-4, "x={x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
-        let mut opt = Adam::new(0.1);
-        let x = descend(&mut opt, 500);
+        let x = descend(&mut Adam::new(0.1), 500);
         assert!((x - 3.0).abs() < 1e-3, "x={x}");
+    }
+
+    #[test]
+    fn adam_converges_at_a_small_learning_rate() {
+        let x = descend(&mut Adam::new(0.02), 2000);
+        assert!((x - 3.0).abs() < 1e-3, "x={x}");
+    }
+
+    /// Bias correction: the first step is `lr` whatever the gradient's size.
+    #[test]
+    fn first_step_moves_each_entry_by_the_learning_rate() {
+        let mut x = [0.0f64, 0.0];
+        Adam::new(0.1).update(0, &mut x, &[5.0, -0.01]);
+        assert!((x[0] + 0.1).abs() < 1e-8 && (x[1] - 0.1).abs() < 1e-6);
     }
 
     #[test]
@@ -189,14 +119,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate")]
     fn rejects_bad_lr() {
-        let _ = Sgd::new(0.0, 0.0);
+        let _ = Adam::new(0.0);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn rejects_mismatched_grad() {
-        let mut opt = Sgd::new(0.1, 0.0);
+        let mut opt = Adam::new(0.1);
         let mut x = [0.0f64, 1.0];
         opt.update(0, &mut x, &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "changed size")]
+    fn rejects_a_slot_that_changes_size() {
+        let mut opt = Adam::new(0.1);
+        opt.update(0, &mut [0.0], &[1.0]);
+        opt.update(0, &mut [0.0, 0.0], &[1.0, 1.0]);
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! The layout is allocation-friendly for multi-million-event replays: the
 //! heap array holds only small `(time, seq, slot)` keys, payloads live in a
-//! slot-addressed slab that recycles freed slots, and both grow amortized —
-//! a simulation that preallocates via [`EventQueue::with_capacity`] never
+//! [`Slab`] that recycles freed slots, and both grow amortized — a
+//! simulation that preallocates via [`EventQueue::with_capacity`] never
 //! reallocates once it reaches its steady-state in-flight event count. The
 //! 4-ary shape halves the sift-down depth of a binary heap and keeps the
 //! hot path in one cache line per level.
@@ -21,18 +21,19 @@
 //! when the pending one pops. The pop order is the one pushing the whole
 //! stream up front gives, and the heap holds one entry per stream.
 
+use crate::slab::{Slab, Slot};
 use crate::time::SimTime;
 
 /// Heap fan-out. Four children per node: shallower sifts than a binary
 /// heap, and a node's children share a cache line.
 const ARITY: usize = 4;
 
-/// One heap entry: the ordering key plus the payload's slab slot.
+/// One heap entry: the ordering key plus the payload's slot.
 #[derive(Debug, Clone, Copy)]
 struct Key {
     time: SimTime,
     seq: u64,
-    slot: usize,
+    slot: Slot,
 }
 
 impl Key {
@@ -63,12 +64,10 @@ impl Key {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// 4-ary min-heap over [`Key::rank`]; payloads live in `slab`.
+    /// 4-ary min-heap over [`Key::rank`]; payloads live in `events`.
     heap: Vec<Key>,
-    /// Slot-addressed payload arena; `None` marks a free slot.
-    slab: Vec<Option<E>>,
-    /// Freed `slab` slots, reused before the slab grows.
-    free: Vec<usize>,
+    /// The pending events, each named by its key's slot.
+    events: Slab<E>,
     seq: u64,
     /// Debug builds only: every reserved sequence number and whether an
     /// entry pushed under it is pending.
@@ -81,8 +80,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            events: Slab::new(),
             seq: 0,
             #[cfg(debug_assertions)]
             reserved: Vec::new(),
@@ -93,7 +91,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(capacity),
-            slab: Vec::with_capacity(capacity),
+            events: Slab::with_capacity(capacity),
             ..Self::new()
         }
     }
@@ -141,16 +139,7 @@ impl<E> EventQueue<E> {
     }
 
     fn insert(&mut self, time: SimTime, seq: u64, event: E) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = Some(event);
-                slot
-            }
-            None => {
-                self.slab.push(Some(event));
-                self.slab.len() - 1
-            }
-        };
+        let slot = self.events.insert(event);
         self.heap.push(Key { time, seq, slot });
         self.sift_up(self.heap.len() - 1);
     }
@@ -167,8 +156,7 @@ impl<E> EventQueue<E> {
         if !self.heap.is_empty() {
             self.sift_down(0);
         }
-        let event = self.slab[key.slot].take().expect("popped slot is live");
-        self.free.push(key.slot);
+        let event = self.events.remove(key.slot);
         #[cfg(debug_assertions)]
         if let Some(pending) = self.reserved.iter_mut().find(|(s, _)| *s == key.seq) {
             pending.1 = false;
@@ -191,22 +179,10 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// The most events that were ever pending at once (since the last
-    /// [`clear`](EventQueue::clear)): the payload slab grows only when
-    /// every slot is taken, so its length is that count.
+    /// The most events that were ever pending at once: the payload arena's
+    /// [`Slab::high_water`].
     pub fn high_water(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.slab.clear();
-        self.free.clear();
-        #[cfg(debug_assertions)]
-        for pending in &mut self.reserved {
-            pending.1 = false;
-        }
+        self.events.high_water()
     }
 
     /// Restores the heap property upward from `i` after a push.
@@ -290,15 +266,16 @@ mod tests {
     }
 
     #[test]
-    fn len_and_clear() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.push(SimTime::ZERO, 0);
         q.push(SimTime::ZERO, 1);
         assert_eq!(q.len(), 2);
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
-        // The queue stays usable (and ordered) after a clear.
+        // The queue stays usable (and ordered) once drained.
         q.push(SimTime::from_secs(2), 2);
         q.push(SimTime::from_secs(1), 1);
         assert_eq!(q.pop().unwrap().1, 1);
@@ -308,7 +285,7 @@ mod tests {
     #[test]
     fn slab_slots_are_recycled() {
         // A steady-state workload (push one, pop one) must not grow the
-        // slab past its high-water mark of in-flight events.
+        // arena past its high-water mark of in-flight events.
         let mut q = EventQueue::with_capacity(4);
         for i in 0..4u64 {
             q.push(SimTime::from_micros(i), i);
@@ -318,15 +295,16 @@ mod tests {
             assert_eq!(e, i - 4);
             q.push(SimTime::from_micros(i), i);
         }
-        assert_eq!(q.slab.len(), 4);
-        assert!(q.slab.capacity() >= 4);
+        assert_eq!(q.high_water(), 4);
+        assert_eq!(q.events.len(), 4);
+        assert!(q.events.capacity() >= 4);
     }
 
     #[test]
     fn preallocated_capacity_is_respected() {
         let q: EventQueue<u32> = EventQueue::with_capacity(1024);
         assert!(q.heap.capacity() >= 1024);
-        assert!(q.slab.capacity() >= 1024);
+        assert!(q.events.capacity() >= 1024);
         assert!(q.is_empty());
     }
 

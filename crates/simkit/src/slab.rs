@@ -7,7 +7,8 @@
 //! ([`Slab::high_water`]), not the number ever inserted. The serving
 //! simulator keeps one record per query between its arrival and its
 //! terminal state here, which is what makes a replay's memory independent
-//! of its length.
+//! of its length. [`EventQueue`](crate::event::EventQueue) keeps its
+//! pending events' payloads in one too.
 //!
 //! A [`Slot`] is a bare index in release builds. Debug builds add a
 //! generation tag to the slot and to the entry it names, and every access
@@ -61,6 +62,15 @@ impl<T> Slab<T> {
     pub fn new() -> Self {
         Slab {
             entries: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Creates an empty slab with room for `capacity` live values before
+    /// it reallocates.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Slab {
+            entries: Vec::with_capacity(capacity),
             free: Vec::new(),
         }
     }
@@ -122,6 +132,12 @@ impl<T> Slab<T> {
         self.entries.len()
     }
 
+    /// How many values the arena holds before it reallocates.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// The live values, in slot order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.entries.iter().filter_map(|e| e.value.as_ref())
@@ -172,6 +188,13 @@ mod tests {
         }
         assert_eq!(slab.len(), 4);
         assert_eq!(slab.high_water(), 4);
+    }
+
+    #[test]
+    fn with_capacity_preallocates_without_growing_the_high_water() {
+        let slab: Slab<u32> = Slab::with_capacity(1024);
+        assert!(slab.capacity() >= 1024);
+        assert_eq!((slab.len(), slab.high_water()), (0, 0));
     }
 
     #[test]

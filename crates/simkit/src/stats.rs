@@ -305,6 +305,12 @@ mod tests {
         assert_eq!(q.median(), None);
     }
 
+    #[test]
+    #[should_panic(expected = "quantile must be in [0,1]")]
+    fn quantile_outside_the_unit_interval_panics() {
+        let _ = Quantiles::new().quantile(1.5);
+    }
+
     proptest! {
         #[test]
         fn welford_mean_bounded_by_extremes(xs in proptest::collection::vec(-1e6f64..1e6, 1..100)) {

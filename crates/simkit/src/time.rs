@@ -86,12 +86,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Duration elapsed since `earlier`, or `None` if `earlier` is in the
-    /// future.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -240,7 +234,6 @@ mod tests {
         let past = SimTime::from_secs(1);
         let future = SimTime::from_secs(2);
         assert_eq!(past.saturating_since(future), SimDuration::ZERO);
-        assert_eq!(past.checked_since(future), None);
     }
 
     #[test]
@@ -259,6 +252,12 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_seconds_panics() {
         let _ = SimTime::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration requires a finite")]
+    fn nan_duration_panics() {
+        let _ = SimDuration::from_secs_f64(f64::NAN);
     }
 
     #[test]

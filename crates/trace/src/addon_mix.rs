@@ -37,7 +37,7 @@ use rand::Rng;
 
 /// RNG stream tag for add-on draws, so module assignment never shares a
 /// stream with arrival generation, routing, or the hazard engine.
-pub const ADDON_SEED_STREAM: u64 = 0xADD0;
+const ADDON_SEED_STREAM: u64 = 0xADD0;
 
 /// A time span during which a single trending module captures a fixed share
 /// of all adopting queries, overriding the steady-state Zipf popularity.

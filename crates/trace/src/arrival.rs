@@ -109,27 +109,6 @@ pub fn poisson_arrivals<R: Rng + ?Sized>(trace: &Trace, rng: &mut R) -> Vec<SimT
     arrivals
 }
 
-/// Generates perfectly paced (deterministic) arrivals from a trace.
-///
-/// Each bin with rate `q` produces `round(q · bin_seconds)` arrivals evenly
-/// spaced across the bin. Useful for tests that need exact query counts.
-pub fn paced_arrivals(trace: &Trace) -> Vec<SimTime> {
-    let mut arrivals = Vec::new();
-    let bin_width = trace.bin_width();
-    for (i, &qps) in trace.bins().iter().enumerate() {
-        let count = (qps * bin_width.as_secs_f64()).round() as u64;
-        if count == 0 {
-            continue;
-        }
-        let bin_start = SimTime::ZERO + bin_width * i as u64;
-        let gap = bin_width / count;
-        for k in 0..count {
-            arrivals.push(bin_start + gap * k);
-        }
-    }
-    arrivals
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,16 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn paced_counts_are_exact() {
-        let trace = Trace::from_qps(vec![4.0, 6.0], SimDuration::from_secs(1)).unwrap();
-        let arrivals = paced_arrivals(&trace);
-        assert_eq!(arrivals.len(), 10);
-        assert_eq!(arrivals[0], SimTime::ZERO);
-        // Second bin starts exactly at t=1s.
-        assert_eq!(arrivals[4], SimTime::from_secs(1));
-    }
-
-    #[test]
     fn iterator_ends_for_good_and_skips_silent_tails() {
         let trace = Trace::from_qps(vec![5.0, 0.0, 0.0], SimDuration::from_secs(1)).unwrap();
         let mut arrivals = PoissonArrivals::new(&trace, seeded_rng(2));
@@ -241,14 +210,6 @@ mod tests {
             let owned: Vec<SimTime> = PoissonArrivals::new(trace.clone(), seeded_rng(seed)).collect();
             prop_assert_eq!(&owned, &eager);
             prop_assert_eq!(poisson_arrivals(&trace, &mut seeded_rng(seed)), eager);
-        }
-
-        #[test]
-        fn paced_matches_expected_queries(qps in 1.0f64..50.0, bins in 1usize..20) {
-            let trace = Trace::from_qps(vec![qps; bins], SimDuration::from_secs(1)).unwrap();
-            let arrivals = paced_arrivals(&trace);
-            let expected = (qps.round() as usize) * bins;
-            prop_assert_eq!(arrivals.len(), expected);
         }
     }
 }

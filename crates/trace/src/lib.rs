@@ -1,8 +1,8 @@
 //! # diffserve-trace
 //!
 //! Workload substrate for the DiffServe reproduction: demand traces, arrival
-//! processes, synthetic Azure-Functions-style diurnal curves, trace file I/O
-//! in the artifact's format, and the controller's demand estimator.
+//! processes, synthetic Azure-Functions-style diurnal curves, and the
+//! controller's demand estimator.
 //!
 //! The paper (§4.1) drives its dynamic experiments with the Microsoft Azure
 //! Functions trace scaled shape-preservingly to cluster capacity (e.g.
@@ -30,16 +30,14 @@ pub mod arrival;
 pub mod azure;
 pub mod burst;
 pub mod demand;
-pub mod file;
 pub mod scenario;
 mod trace;
 
-pub use addon_mix::{AddonMix, TrendWindow, ADDON_SEED_STREAM};
-pub use arrival::{paced_arrivals, poisson_arrivals, PoissonArrivals};
+pub use addon_mix::{AddonMix, TrendWindow};
+pub use arrival::{poisson_arrivals, PoissonArrivals};
 pub use azure::{synthesize_azure_trace, AzureTraceConfig};
 pub use burst::{bursty_arrivals, BurstConfig};
 pub use demand::DemandEstimator;
-pub use file::{read_trace, trace_file_name, write_trace};
 pub use scenario::{
     standard_scenarios, style_shift_flash_crowd, CapacityEvent, FleetHealth, Hazard, HazardProcess,
     Incident, IncidentLog, Perturbation, Scenario, ScenarioError, ScenarioEvent,

@@ -1383,6 +1383,19 @@ mod tests {
     }
 
     #[test]
+    fn standard_library_is_valid_at_its_smallest_fleet() {
+        for s in standard_scenarios(&base(), 6) {
+            assert!(s.validate(6).is_ok(), "{} invalid", s.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "need >= 6")]
+    fn standard_library_needs_six_workers() {
+        let _ = standard_scenarios(&base(), 5);
+    }
+
+    #[test]
     fn validate_rejects_bad_degradations() {
         // Slowdowns below 1 would speed workers up; reject them.
         let s = Scenario::new("bad", base()).worker_degrade(SimTime::from_secs(5), 1, 0.5);

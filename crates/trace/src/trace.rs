@@ -24,7 +24,7 @@ pub struct Trace {
     bin_width: SimDuration,
 }
 
-/// Errors from constructing or parsing traces.
+/// Errors from constructing traces.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceError {
     /// The trace has no bins.
@@ -38,13 +38,6 @@ pub enum TraceError {
     },
     /// The bin width was zero.
     ZeroBinWidth,
-    /// A line in a trace file failed to parse.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// The unparseable content.
-        content: String,
-    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -55,9 +48,6 @@ impl std::fmt::Display for TraceError {
                 write!(f, "bin {bin} has invalid rate {value}")
             }
             TraceError::ZeroBinWidth => write!(f, "trace bin width must be positive"),
-            TraceError::Parse { line, content } => {
-                write!(f, "line {line} is not a rate: {content:?}")
-            }
         }
     }
 }
@@ -227,6 +217,12 @@ mod tests {
         let t = Trace::from_qps(vec![7.0, 7.0], secs(1)).unwrap();
         let r = t.rescaled(2.0, 10.0);
         assert_eq!(r.bins(), &[6.0, 6.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid target range")]
+    fn rescale_rejects_an_inverted_range() {
+        let _ = Trace::constant(5.0, secs(2)).unwrap().rescaled(10.0, 2.0);
     }
 
     #[test]

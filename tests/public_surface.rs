@@ -1,0 +1,201 @@
+//! Every name a crate re-exports from its root is used outside that crate.
+//!
+//! A `pub use` in `crates/*/src/lib.rs` is a promise that some other code
+//! needs the name. This test holds each crate to it: every name in a
+//! top-level `pub use` of a crate root (the `prelude` modules are
+//! conveniences and are not checked) must appear as a whole word in some
+//! `.rs` file outside that crate's `src/` — in another crate, the crate's
+//! own `tests/`, `examples/` or `benches/`, the facade's `src/`, `tests/` or
+//! `examples/`, or `benchmark/src/`. `vendor/` and `target/` are not read.
+//!
+//! A name that fails is dead surface: delete it, or make it private if its
+//! own crate still uses it. The exception is a type that no caller names
+//! but that stays public because its crate exposes it (as a field, an
+//! argument, a return type, a `Deref` target or a prelude name); those are
+//! listed in [`KEPT_PUBLIC`] with the reason.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Re-exported types that no other member names but that stay public, each
+/// with where its crate exposes it.
+const KEPT_PUBLIC: &[(&str, &str)] = &[
+    ("AddonModule", "core: `AddonCatalog::new` takes them"),
+    ("ArrivalStream", "core: `submit_stream` takes one"),
+    ("BatchPolicy", "core: field of `AblationKnobs`"),
+    ("LadderAllocation", "core: `solve_ladder` returns one"),
+    ("LadderArtifacts", "core: field of `PreparedRuntime`"),
+    ("PreparedRuntime", "core: `CascadeRuntime` derefs to it"),
+    ("QueueModel", "core: field of `AblationKnobs`"),
+    ("TierStats", "core: field of `RunReport`"),
+    ("WorkerHealth", "core: a prelude name"),
+    ("CascadeEval", "imagegen: `evaluate_cascade` returns one"),
+    ("LadderError", "imagegen: `validate` returns one"),
+    ("ProfileError", "imagegen: `from_confidences` returns one"),
+    ("QualityProfile", "imagegen: `DiffusionModel::new` takes it"),
+    ("SymEigen", "linalg: `sym_eigen` returns one"),
+    ("FidError", "metrics: `frechet_distance` returns one"),
+    ("LpSolution", "milp: `solve_lp` returns one"),
+    ("MilpSolution", "milp: `solve_milp` returns one"),
+    ("Tableau", "milp: `LpSolver::solution` takes one"),
+    ("EpochStats", "nn: `Mlp::fit` returns them"),
+];
+
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The workspace crates, as `(name, directory)`.
+fn crates() -> Vec<(String, PathBuf)> {
+    let mut out: Vec<(String, PathBuf)> = fs::read_dir(repo_root().join("crates"))
+        .expect("crates/ is readable")
+        .map(|entry| entry.expect("crates/ entry").path())
+        .filter(|dir| dir.join("src/lib.rs").is_file())
+        .map(|dir| {
+            let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+            (name, dir)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The names bound by the top-level `pub use` items of a crate root.
+/// Prelude re-exports are indented inside `pub mod prelude` and so are not
+/// top-level.
+fn root_reexports(lib_rs: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut rest = lib_rs;
+    while let Some(at) = rest.find("\npub use ") {
+        let item = &rest[at + "\npub use ".len()..];
+        let end = item.find(';').expect("a `pub use` ends with `;`");
+        let body = &item[..end];
+        let list = match (body.find('{'), body.rfind('}')) {
+            (Some(open), Some(close)) => &body[open + 1..close],
+            _ => body,
+        };
+        for path in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            let bound = path.rsplit(" as ").next().unwrap();
+            let name = bound.rsplit("::").next().unwrap().trim();
+            if name != "self" && name != "*" {
+                names.push(name.to_string());
+            }
+        }
+        rest = &item[end..];
+    }
+    names
+}
+
+/// Every `.rs` file under `dir`, skipping `vendor/` and `target/`.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            let name = path.file_name().unwrap();
+            if name != "vendor" && name != "target" {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The sources a re-export may be named in: every workspace `.rs` file
+/// except this test, with its path, so a crate's own `src/` can be left
+/// out per crate.
+fn sources() -> Vec<(PathBuf, String)> {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let this = root.join("tests/public_surface.rs");
+    files
+        .into_iter()
+        .filter(|path| *path != this)
+        .map(|path| {
+            let text = fs::read_to_string(&path).expect("source is readable");
+            (path, text)
+        })
+        .collect()
+}
+
+/// Whether `name` occurs in `text` with no identifier character on either
+/// side.
+fn has_word(text: &str, name: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(name).any(|(at, _)| {
+        let before = text[..at].chars().next_back();
+        let after = text[at + name.len()..].chars().next();
+        !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+    })
+}
+
+/// Each crate's root re-exports that no source outside its `src/` names,
+/// as `(crate, name)`.
+fn unnamed_reexports() -> Vec<(String, String)> {
+    let sources = sources();
+    let mut unnamed = Vec::new();
+    for (krate, dir) in crates() {
+        let lib_rs = fs::read_to_string(dir.join("src/lib.rs")).expect("lib.rs is readable");
+        let own_src = dir.join("src");
+        for name in root_reexports(&lib_rs) {
+            let named = sources
+                .iter()
+                .any(|(path, text)| !path.starts_with(&own_src) && has_word(text, &name));
+            if !named {
+                unnamed.push((krate.clone(), name));
+            }
+        }
+    }
+    unnamed
+}
+
+#[test]
+fn every_root_reexport_is_named_outside_its_crate() {
+    let dead: Vec<String> = unnamed_reexports()
+        .into_iter()
+        .filter(|(_, name)| !KEPT_PUBLIC.iter().any(|(allowed, _)| allowed == name))
+        .map(|(krate, name)| format!("{krate}::{name}"))
+        .collect();
+    assert!(
+        dead.is_empty(),
+        "root re-exports no other workspace member names (delete them, make them \
+         private, or list a type a public signature exposes in KEPT_PUBLIC): {dead:?}"
+    );
+}
+
+#[test]
+fn the_allowlist_has_no_stale_entries() {
+    let unnamed = unnamed_reexports();
+    let stale: Vec<&str> = KEPT_PUBLIC
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|name| !unnamed.iter().any(|(_, n)| n == name))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "KEPT_PUBLIC lists names that are no longer root re-exports, or that \
+         another member now names: {stale:?}"
+    );
+}
+
+#[test]
+fn the_parser_reads_lists_aliases_and_skips_the_prelude() {
+    let lib_rs = "//! docs\n\
+        pub mod a;\n\
+        pub use a::{One, two as Two,\n    Three};\n\
+        pub use b::Four;\n\
+        pub use other_crate as five;\n\
+        pub mod prelude {\n    pub use crate::a::Six;\n}\n";
+    assert_eq!(
+        root_reexports(lib_rs),
+        ["One", "Two", "Three", "Four", "five"]
+    );
+    assert!(has_word("use x::{Four};", "Four"));
+    assert!(!has_word("FourFive Four_ _Four", "Four"));
+}
