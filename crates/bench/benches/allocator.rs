@@ -4,11 +4,11 @@
 //! plus deferral-profile queries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use diffserve_bench::{bench_ladder3_solve, prepare_runtime_small, CascadeId};
+use diffserve_bench::{bench_ladder3_solve, CascadeId, Scale};
 use diffserve_core::{solve_exhaustive, solve_proteus, AllocatorInputs};
 
 fn bench_allocator(c: &mut Criterion) {
-    let runtime = prepare_runtime_small(CascadeId::One);
+    let runtime = Scale::Smoke.runtime(CascadeId::One);
     let thresholds: Vec<f64> = (0..51).map(|i| 0.9 * i as f64 / 50.0).collect();
     let batches = [1usize, 2, 4, 8, 16];
     let mk = |demand: f64| AllocatorInputs {

@@ -5,11 +5,11 @@
 //! Benchmarks confidence scoring per image and per batch of 16.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use diffserve_bench::{prepare_runtime_small, CascadeId};
+use diffserve_bench::{CascadeId, Scale};
 use diffserve_linalg::Mat;
 
 fn bench_discriminator(c: &mut Criterion) {
-    let runtime = prepare_runtime_small(CascadeId::One);
+    let runtime = Scale::Smoke.runtime(CascadeId::One);
     let prompts = runtime.dataset.prompts();
     let image = runtime.spec.light.generate(&prompts[0]);
     c.bench_function("discriminator_confidence_single", |b| {

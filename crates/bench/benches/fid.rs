@@ -2,12 +2,12 @@
 //! (per-run accounting) and over one 200-response window (time series).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use diffserve_bench::{prepare_runtime_small, CascadeId};
+use diffserve_bench::{CascadeId, Scale};
 use diffserve_linalg::Mat;
 use diffserve_metrics::{fid_score, frechet_distance, GaussianStats};
 
 fn bench_fid(c: &mut Criterion) {
-    let runtime = prepare_runtime_small(CascadeId::One);
+    let runtime = Scale::Smoke.runtime(CascadeId::One);
     let rows: Vec<Vec<f64>> = runtime
         .dataset
         .prompts()

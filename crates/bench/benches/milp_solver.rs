@@ -4,11 +4,11 @@
 //! 5 batch sizes × 16 workers) against the exhaustive grid solver.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use diffserve_bench::{prepare_runtime_small, CascadeId};
+use diffserve_bench::{CascadeId, Scale};
 use diffserve_core::{solve_exhaustive, solve_milp_allocation, AllocatorInputs};
 
 fn bench_milp(c: &mut Criterion) {
-    let runtime = prepare_runtime_small(CascadeId::One);
+    let runtime = Scale::Smoke.runtime(CascadeId::One);
     let thresholds: Vec<f64> = (0..51).map(|i| 0.9 * i as f64 / 50.0).collect();
     let batches = [1usize, 2, 4, 8, 16];
     let inputs = AllocatorInputs {

@@ -2,13 +2,13 @@
 //! 60-second 8-QPS DiffServe run (≈500 queries, thousands of events).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use diffserve_bench::{prepare_runtime_small, CascadeId};
+use diffserve_bench::{CascadeId, Scale};
 use diffserve_core::{run_trace, Policy, RunSettings, SystemConfig};
 use diffserve_simkit::time::SimDuration;
 use diffserve_trace::Trace;
 
 fn bench_simulator(c: &mut Criterion) {
-    let runtime = prepare_runtime_small(CascadeId::One);
+    let runtime = Scale::Smoke.runtime(CascadeId::One);
     let config = SystemConfig {
         num_workers: 8,
         ..Default::default()

@@ -69,8 +69,7 @@ use std::time::Instant;
 
 use criterion::{black_box, Criterion};
 use diffserve_bench::{
-    bench_ladder3_solve, f2, prepare_ladder_runtime_small, prepare_runtime_small, CascadeId, Table,
-    EXPERIMENT_SEED, LADDER3_TICKS,
+    bench_ladder3_solve, f2, CascadeId, Scale, Table, EXPERIMENT_SEED, LADDER3_TICKS,
 };
 use diffserve_cluster::{run_cluster, ClusterConfig};
 use diffserve_core::{
@@ -209,12 +208,12 @@ fn main() {
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"))
     });
 
-    let runtime = prepare_runtime_small(CascadeId::One);
+    let runtime = Scale::Smoke.runtime(CascadeId::One);
     // The ladder mode serves the 3-tier `ladder3` runtime; a full run in
     // any mode also needs it for the ladder smoke keys. Prepared lazily so
     // smoke runs of the other modes skip the extra discriminator training.
     let ladder_runtime = (mode == Mode::Ladder || !smoke)
-        .then(|| prepare_ladder_runtime_small(ladder3(FeatureSpec::default())));
+        .then(|| Scale::Smoke.ladder_runtime(ladder3(FeatureSpec::default())));
     let rt_for = |m: Mode| -> &CascadeRuntime {
         match m {
             Mode::Ladder => ladder_runtime.as_ref().expect("ladder runtime prepared"),

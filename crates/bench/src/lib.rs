@@ -1,19 +1,20 @@
 //! # diffserve-bench
 //!
-//! Experiment harness for the DiffServe reproduction: one binary per table
-//! and figure of the paper (run with
-//! `cargo run -p diffserve-bench --release --bin figN`), plus Criterion
-//! benches for the performance claims (`cargo bench -p diffserve-bench`).
+//! Experiment harness for the DiffServe reproduction. The `repro` binary
+//! runs every paper table, figure and extension experiment
+//! (`cargo run -p diffserve-bench --release --bin repro -- [--smoke] [ID…]`);
+//! the `perf` binary and the Criterion benches
+//! (`cargo bench -p diffserve-bench`) time the system.
 //!
-//! Binaries write their series as CSV under `results/` and print the same
-//! rows to stdout; `EXPERIMENTS.md` records paper-vs-measured for each.
+//! An experiment's output is one [`Table`], printed to stdout and written
+//! as CSV to `results/<id>.csv`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 use std::fs;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::Path;
 
 use criterion::{black_box, Criterion};
 use diffserve_core::{
@@ -31,29 +32,8 @@ pub const EXPERIMENT_SEED: u64 = 20250509;
 /// the first 5K text–image pairs).
 pub const DATASET_SIZE: usize = 5000;
 
-/// Directory where experiment CSVs are written.
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from("results");
-    fs::create_dir_all(&dir).expect("create results directory");
-    dir
-}
-
-/// Writes rows as CSV under `results/{name}.csv` and returns the path.
-///
-/// # Panics
-///
-/// Panics on I/O errors — experiments should fail loudly.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> PathBuf {
-    let path = results_dir().join(format!("{name}.csv"));
-    let mut f = fs::File::create(&path).expect("create csv");
-    writeln!(f, "{}", header.join(",")).expect("write header");
-    for row in rows {
-        writeln!(f, "{}", row.join(",")).expect("write row");
-    }
-    path
-}
-
-/// A minimal fixed-width table printer for experiment stdout.
+/// One experiment's output: a header and its rows, printed to stdout and
+/// written as CSV.
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
@@ -116,9 +96,20 @@ impl Table {
         }
     }
 
-    /// The rows, for CSV reuse.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
+    /// Writes the header and rows as CSV to `path`, creating its parent
+    /// directory.
+    ///
+    /// # Panics
+    ///
+    /// Panics on I/O errors — experiments should fail loudly.
+    pub fn write_csv(&self, path: &Path) {
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir).expect("create results directory");
+        }
+        let mut f = fs::File::create(path).expect("create csv");
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            writeln!(f, "{}", row.join(",")).expect("write csv row");
+        }
     }
 }
 
@@ -143,70 +134,62 @@ impl CascadeId {
             CascadeId::Three => cascade3(fs),
         }
     }
+}
 
-    /// Artifact-style short name.
-    pub fn name(self) -> &'static str {
+/// The scale a runtime is prepared at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Standard experiment scale: [`DATASET_SIZE`] prompts and the default
+    /// (1K-prompt) discriminator training set.
+    Full,
+    /// Reduced scale for CI smoke runs and the benches, so they spend
+    /// their time on the system under test rather than on setup: 1.5K
+    /// prompts and a 500-prompt, 10-epoch discriminator.
+    Smoke,
+}
+
+impl Scale {
+    /// Prompts in the evaluation dataset.
+    pub fn dataset_size(self) -> usize {
         match self {
-            CascadeId::One => "sdturbo",
-            CascadeId::Two => "sdxs",
-            CascadeId::Three => "sdxlltn",
+            Scale::Full => DATASET_SIZE,
+            Scale::Smoke => 1500,
         }
     }
-}
 
-/// Prepares a full cascade runtime at standard experiment scale
-/// (5K prompts, 1K-prompt discriminator training set).
-pub fn prepare_runtime(id: CascadeId) -> CascadeRuntime {
-    CascadeRuntime::prepare(
-        id.spec(),
-        DATASET_SIZE,
-        EXPERIMENT_SEED,
-        DiscriminatorConfig::default(),
-    )
-}
+    /// The discriminator training configuration.
+    pub fn discriminator(self) -> DiscriminatorConfig {
+        match self {
+            Scale::Full => DiscriminatorConfig::default(),
+            Scale::Smoke => DiscriminatorConfig {
+                train_prompts: 500,
+                epochs: 10,
+                ..Default::default()
+            },
+        }
+    }
 
-/// Prepares a reduced-scale runtime for fast iteration (used by the
-/// Criterion benches so they spend their time on the system under test,
-/// not on setup).
-pub fn prepare_runtime_small(id: CascadeId) -> CascadeRuntime {
-    CascadeRuntime::prepare(
-        id.spec(),
-        1500,
-        EXPERIMENT_SEED,
-        DiscriminatorConfig {
-            train_prompts: 500,
-            epochs: 10,
-            ..Default::default()
-        },
-    )
-}
+    /// Prepares a paper cascade's runtime.
+    pub fn runtime(self, id: CascadeId) -> CascadeRuntime {
+        CascadeRuntime::prepare(
+            id.spec(),
+            self.dataset_size(),
+            EXPERIMENT_SEED,
+            self.discriminator(),
+        )
+    }
 
-/// Prepares an N-tier quality-ladder runtime at standard experiment scale
-/// (same dataset size, seed, and discriminator config as
-/// [`prepare_runtime`], so ladder-vs-cascade comparisons share their
-/// prompt stream).
-pub fn prepare_ladder_runtime(ladder: TierLadder) -> CascadeRuntime {
-    CascadeRuntime::prepare_ladder(
-        ladder,
-        DATASET_SIZE,
-        EXPERIMENT_SEED,
-        DiscriminatorConfig::default(),
-    )
-}
-
-/// Reduced-scale ladder runtime matching [`prepare_runtime_small`] (CI
-/// smoke runs).
-pub fn prepare_ladder_runtime_small(ladder: TierLadder) -> CascadeRuntime {
-    CascadeRuntime::prepare_ladder(
-        ladder,
-        1500,
-        EXPERIMENT_SEED,
-        DiscriminatorConfig {
-            train_prompts: 500,
-            epochs: 10,
-            ..Default::default()
-        },
-    )
+    /// Prepares an N-tier quality-ladder runtime over the same prompt
+    /// stream as [`Scale::runtime`], so ladder-vs-cascade comparisons
+    /// share it.
+    pub fn ladder_runtime(self, ladder: TierLadder) -> CascadeRuntime {
+        CascadeRuntime::prepare_ladder(
+            ladder,
+            self.dataset_size(),
+            EXPERIMENT_SEED,
+            self.discriminator(),
+        )
+    }
 }
 
 /// Control ticks per iteration of the `ladder3_solve_*` benchmarks.
@@ -280,11 +263,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_roundtrip() {
+    fn table_prints_and_writes_its_rows_as_csv() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.rows().len(), 1);
         t.print(); // must not panic
+        let path = std::env::temp_dir()
+            .join(format!("diffserve-bench-{}", std::process::id()))
+            .join("t.csv");
+        t.write_csv(&path);
+        assert_eq!(fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -299,7 +287,6 @@ mod tests {
         assert_eq!(CascadeId::One.spec().name, "sdturbo");
         assert_eq!(CascadeId::Two.spec().name, "sdxs");
         assert_eq!(CascadeId::Three.spec().name, "sdxlltn");
-        assert_eq!(CascadeId::Three.name(), "sdxlltn");
     }
 
     #[test]

@@ -205,82 +205,40 @@ impl Shared {
 
     /// Applies one lowered scenario event against live state and records it
     /// in the incident log — the single funnel the scenario replay thread,
-    /// mid-run injection, and the hazard thread all go through. Fails the
-    /// highest-indexed alive workers, recovers the lowest-indexed failed
-    /// workers, degrades the lowest-indexed healthy workers, restores the
-    /// lowest-indexed degraded workers (all mirroring the simulator), or
-    /// swaps the difficulty offset.
+    /// mid-run injection, and the hazard thread all go through. A capacity
+    /// event touches the workers [`kernel::capacity_targets`] picks (the
+    /// simulator applies the same rule); a difficulty event swaps the
+    /// offset.
     ///
     /// Those three threads can race each other, so the whole
-    /// clamp-apply-log sequence is serialized under the log lock, and every
-    /// capacity event is clamped to what the live fleet can actually absorb
-    /// (failures never shrink the pool below two alive workers; recoveries,
-    /// degradations, and restorations never exceed their eligible sets).
-    /// Only the *applied* event is logged — the incident log must stay a
-    /// faithful, replayable account, never a wish list.
+    /// pick-apply-log sequence is serialized under the log lock. Only the
+    /// *applied* event is logged — the incident log must stay a faithful,
+    /// replayable account, never a wish list.
     fn apply_event(&self, action: ScenarioEvent) {
         let mut log = self.incident_log.lock();
-        let n = self.failed.len();
         let applied = match action {
-            ScenarioEvent::Capacity(CapacityEvent::Fail(count)) => {
-                let alive = (0..n).filter(|&i| !self.is_failed(i)).count();
-                let allowed = count.min(alive.saturating_sub(2));
-                let mut remaining = allowed;
-                for i in (0..n).rev() {
-                    if remaining == 0 {
-                        break;
-                    }
-                    if !self.is_failed(i) {
-                        self.failed[i].store(true, Ordering::SeqCst);
-                        // A dead worker's degradation dies with it; it
-                        // rejoins at nameplate speed.
-                        self.speed_bits[i].store(1.0f64.to_bits(), Ordering::SeqCst);
-                        remaining -= 1;
-                    }
-                }
-                (allowed > 0).then_some(ScenarioEvent::Capacity(CapacityEvent::Fail(allowed)))
-            }
-            ScenarioEvent::Capacity(CapacityEvent::Recover(count)) => {
-                let mut done = 0;
-                for flag in &self.failed {
-                    if done == count {
-                        break;
-                    }
-                    if flag.load(Ordering::SeqCst) {
-                        flag.store(false, Ordering::SeqCst);
-                        done += 1;
+            ScenarioEvent::Capacity(capacity) => {
+                let states: Vec<(bool, bool)> = (0..self.failed.len())
+                    .map(|i| (self.is_failed(i), self.is_degraded(i)))
+                    .collect();
+                let touched = kernel::capacity_targets(capacity, &states);
+                for &i in &touched {
+                    match capacity {
+                        CapacityEvent::Fail(_) => {
+                            self.failed[i].store(true, Ordering::SeqCst);
+                            // A dead worker's degradation dies with it; it
+                            // rejoins at nameplate speed.
+                            self.speed_bits[i].store(1.0f64.to_bits(), Ordering::SeqCst);
+                        }
+                        CapacityEvent::Recover(_) => self.failed[i].store(false, Ordering::SeqCst),
+                        CapacityEvent::Degrade(_, slowdown) => self.speed_bits[i]
+                            .store((1.0 / slowdown.max(1.0)).to_bits(), Ordering::SeqCst),
+                        CapacityEvent::Restore(_) => {
+                            self.speed_bits[i].store(1.0f64.to_bits(), Ordering::SeqCst)
+                        }
                     }
                 }
-                (done > 0).then_some(ScenarioEvent::Capacity(CapacityEvent::Recover(done)))
-            }
-            ScenarioEvent::Capacity(CapacityEvent::Degrade(count, slowdown)) => {
-                let factor = (1.0 / slowdown.max(1.0)).to_bits();
-                let mut done = 0;
-                for i in 0..n {
-                    if done == count {
-                        break;
-                    }
-                    if !self.is_failed(i) && !self.is_degraded(i) {
-                        self.speed_bits[i].store(factor, Ordering::SeqCst);
-                        done += 1;
-                    }
-                }
-                (done > 0).then_some(ScenarioEvent::Capacity(CapacityEvent::Degrade(
-                    done, slowdown,
-                )))
-            }
-            ScenarioEvent::Capacity(CapacityEvent::Restore(count)) => {
-                let mut done = 0;
-                for i in 0..n {
-                    if done == count {
-                        break;
-                    }
-                    if !self.is_failed(i) && self.is_degraded(i) {
-                        self.speed_bits[i].store(1.0f64.to_bits(), Ordering::SeqCst);
-                        done += 1;
-                    }
-                }
-                (done > 0).then_some(ScenarioEvent::Capacity(CapacityEvent::Restore(done)))
+                kernel::applied_capacity_event(capacity, touched.len())
             }
             ScenarioEvent::Difficulty(delta) => {
                 self.difficulty_bits
@@ -1258,7 +1216,7 @@ mod tests {
         assert!(!outcomes.is_empty(), "outcomes should stream before finish");
         let snap = session.snapshot();
         assert!(snap.completed + snap.dropped > 0);
-        assert!(snap.light_workers + snap.heavy_workers == 8);
+        assert_eq!(snap.tier_workers.iter().sum::<usize>(), 8);
         // The snapshot's running counters equal a scan over the outcomes
         // the poll just drained (nothing is ingested in between).
         let done: Vec<&CompletedResponse> = outcomes

@@ -69,10 +69,6 @@ pub struct ControlObservation {
     pub violations_light: u64,
     /// SLO violations attributed to the heavy tier since the last tick.
     pub violations_heavy: u64,
-    /// Queries queued on alive light-tier workers right now.
-    pub light_queue: usize,
-    /// Queries queued on alive heavy-tier workers right now.
-    pub heavy_queue: usize,
     /// Workers currently alive (the allocator's capacity `S`).
     pub alive_workers: usize,
     /// Sum of the alive workers' health speed factors — the fleet's
@@ -90,10 +86,9 @@ pub struct ControlObservation {
     /// profile estimator's input stream.
     pub confidences: Vec<f64>,
     /// Queries queued on alive workers of each tier right now, entry tier
-    /// first (length N). The engines derive
-    /// [`light_queue`](Self::light_queue)/[`heavy_queue`](Self::heavy_queue)
-    /// from it (entry tier / everything deeper); the two-tier planner reads
-    /// only those scalars, so hand-built observations may leave this empty.
+    /// first (length N). The two-tier planner reads the entry tier as the
+    /// light queue and everything deeper as the heavy queue; a missing
+    /// entry reads as zero.
     pub tier_queues: Vec<usize>,
     /// Confidences observed at escalation boundaries **deeper than the
     /// first** since the last tick — `deep_confidences[i]` is boundary
@@ -458,10 +453,16 @@ impl ControlLoop {
         let heavy_rate = (obs.heavy_arrivals as f64 / interval.as_secs_f64()).max(0.05);
         let light_rate = demand.max(0.05);
         let (q1, q2) = match self.settings.knobs.queue_model {
-            QueueModel::LittlesLaw => (
-                obs.light_queue as f64 / light_rate,
-                obs.heavy_queue as f64 / heavy_rate,
-            ),
+            QueueModel::LittlesLaw => {
+                let (light_queue, heavy_queue) = match obs.tier_queues.split_first() {
+                    Some((&entry, deeper)) => (entry, deeper.iter().sum()),
+                    None => (0, 0),
+                };
+                (
+                    light_queue as f64 / light_rate,
+                    heavy_queue as f64 / heavy_rate,
+                )
+            }
             QueueModel::TwiceExecution => (
                 2.0 * self.stage_latency(ModelTier::Light, obs.current_light_batch),
                 2.0 * self.stage_latency(ModelTier::Heavy, obs.current_heavy_batch),

@@ -21,6 +21,9 @@
 //!   through a tier — boundary verdict, and the image when it completes
 //!   there ([`Kernel::serve`]) — and response / snapshot assembly.
 //! * [`worker_targets`] — per-tier worker targets from a plan.
+//! * [`capacity_targets`], [`applied_capacity_event`] — which workers a
+//!   fail / recover / degrade / restore event touches, and what the
+//!   incident log records of it.
 //! * [`TickTelemetry`], [`FleetTally`] — what an engine counts between
 //!   control ticks and across its fleet, and the one place a
 //!   [`ControlObservation`] is built from them.
@@ -34,7 +37,7 @@ use diffserve_imagegen::{
 };
 use diffserve_metrics::{GaussianStats, RollingFid, SloTracker, ViolationWindows};
 use diffserve_simkit::time::{SimDuration, SimTime};
-use diffserve_trace::FleetHealth;
+use diffserve_trace::{CapacityEvent, FleetHealth, ScenarioEvent};
 use rand::Rng;
 
 use crate::addons::{AddonStats, AddonsConfig, ModuleCache};
@@ -623,9 +626,7 @@ impl<'a> Kernel<'a> {
 
     // --- Snapshots -----------------------------------------------------------
 
-    /// Assembles a live [`SessionSnapshot`]; the legacy `light_*` /
-    /// `heavy_*` scalars are the entry tier and the sum of everything
-    /// deeper.
+    /// Assembles a live [`SessionSnapshot`].
     #[allow(clippy::too_many_arguments)]
     pub fn snapshot(
         &self,
@@ -645,14 +646,8 @@ impl<'a> Kernel<'a> {
         SessionSnapshot {
             now,
             threshold: thresholds[0],
-            light_workers: fleet.tier_workers[0],
-            heavy_workers: fleet.tier_workers[1..].iter().sum(),
             failed_workers: fleet.failed,
             degraded_workers: fleet.degraded,
-            light_queue: fleet.tier_queues[0],
-            heavy_queue: fleet.tier_queues[1..].iter().sum(),
-            light_busy: fleet.tier_busy[0],
-            heavy_busy: fleet.tier_busy[1..].iter().sum(),
             submitted,
             completed: ledger.slo.on_time() + ledger.slo.late(),
             dropped: ledger.slo.dropped(),
@@ -705,6 +700,52 @@ pub fn worker_targets(planned: &[usize], alive: usize) -> Vec<usize> {
         excess -= cut;
     }
     targets
+}
+
+/// The workers a capacity event applies to, in the order the engines apply
+/// it, given each worker's `(failed, degraded)` state:
+///
+/// * `Fail`: the highest-indexed alive workers, highest first, clamped so
+///   two stay alive;
+/// * `Recover`: the lowest-indexed failed workers;
+/// * `Degrade`: the lowest-indexed healthy alive workers;
+/// * `Restore`: the lowest-indexed degraded alive workers.
+///
+/// Each is clamped to its eligible set, so the result may be shorter than
+/// the event's count (or empty); the engines log the event with the
+/// returned length as its count.
+pub fn capacity_targets(event: CapacityEvent, workers: &[(bool, bool)]) -> Vec<usize> {
+    let lowest = |count: usize, eligible: fn(bool, bool) -> bool| -> Vec<usize> {
+        (0..workers.len())
+            .filter(|&i| eligible(workers[i].0, workers[i].1))
+            .take(count)
+            .collect()
+    };
+    match event {
+        CapacityEvent::Fail(count) => {
+            let alive = workers.iter().filter(|&&(failed, _)| !failed).count();
+            (0..workers.len())
+                .rev()
+                .filter(|&i| !workers[i].0)
+                .take(count.min(alive.saturating_sub(2)))
+                .collect()
+        }
+        CapacityEvent::Recover(count) => lowest(count, |failed, _| failed),
+        CapacityEvent::Degrade(count, _) => lowest(count, |failed, degraded| !failed && !degraded),
+        CapacityEvent::Restore(count) => lowest(count, |failed, degraded| !failed && degraded),
+    }
+}
+
+/// What an engine logs after applying `event` to `applied` workers: the
+/// event with its count replaced, or `None` when nothing applied.
+pub fn applied_capacity_event(event: CapacityEvent, applied: usize) -> Option<ScenarioEvent> {
+    let event = match event {
+        CapacityEvent::Fail(_) => CapacityEvent::Fail(applied),
+        CapacityEvent::Recover(_) => CapacityEvent::Recover(applied),
+        CapacityEvent::Degrade(_, slowdown) => CapacityEvent::Degrade(applied, slowdown),
+        CapacityEvent::Restore(_) => CapacityEvent::Restore(applied),
+    };
+    (applied > 0).then_some(ScenarioEvent::Capacity(event))
 }
 
 /// A point-in-time tally of a fleet, gathered by one pass over the
@@ -837,8 +878,7 @@ impl TickTelemetry {
 
     /// Drains the window into the [`ControlObservation`] for a tick at
     /// `now` over the given fleet; `batches` are the batch sizes the entry
-    /// and terminal tiers currently operate. The legacy scalar queue
-    /// fields are the entry tier and the sum of everything deeper.
+    /// and terminal tiers currently operate.
     pub fn observe(
         &mut self,
         now: SimTime,
@@ -853,8 +893,6 @@ impl TickTelemetry {
             heavy_arrivals: std::mem::take(&mut self.heavy_arrivals),
             violations_light,
             violations_heavy,
-            light_queue: fleet.tier_queues[0],
-            heavy_queue: fleet.tier_queues[1..].iter().sum(),
             alive_workers: fleet.alive(),
             effective_capacity: fleet.effective_capacity,
             current_light_batch: batches.0,
@@ -1209,6 +1247,45 @@ mod tests {
     }
 
     #[test]
+    fn capacity_events_pick_their_workers_by_one_rule() {
+        // (failed, degraded): 0 healthy, 1 degraded, 2 failed, 3 healthy,
+        // 4 degraded, 5 failed.
+        let fleet = [
+            (false, false),
+            (false, true),
+            (true, false),
+            (false, false),
+            (false, true),
+            (true, false),
+        ];
+        let pick = |event| capacity_targets(event, &fleet);
+        // Fail takes alive workers from the top, and two of the four alive
+        // must survive.
+        assert_eq!(pick(CapacityEvent::Fail(1)), [4]);
+        assert_eq!(pick(CapacityEvent::Fail(9)), [4, 3]);
+        assert_eq!(pick(CapacityEvent::Recover(1)), [2]);
+        assert_eq!(pick(CapacityEvent::Recover(9)), [2, 5]);
+        assert_eq!(pick(CapacityEvent::Degrade(9, 2.0)), [0, 3]);
+        assert_eq!(pick(CapacityEvent::Restore(1)), [1]);
+        assert_eq!(pick(CapacityEvent::Restore(9)), [1, 4]);
+
+        // Empty eligible sets: two alive, nobody failed or degraded.
+        let pair = [(false, false), (false, false)];
+        for event in [
+            CapacityEvent::Fail(1),
+            CapacityEvent::Recover(1),
+            CapacityEvent::Restore(1),
+        ] {
+            assert!(capacity_targets(event, &pair).is_empty(), "{event:?}");
+            assert_eq!(applied_capacity_event(event, 0), None);
+        }
+        assert_eq!(
+            applied_capacity_event(CapacityEvent::Degrade(5, 2.0), 2),
+            Some(ScenarioEvent::Capacity(CapacityEvent::Degrade(2, 2.0)))
+        );
+    }
+
+    #[test]
     fn telemetry_drains_into_one_observation() {
         let mut telemetry = TickTelemetry::new(3, true);
         telemetry.record_arrival(0, false);
@@ -1231,9 +1308,7 @@ mod tests {
         let obs = telemetry.observe(SimTime::from_secs(2), &fleet, (4, 1));
         assert_eq!((obs.arrivals, obs.heavy_arrivals), (2, 2));
         assert_eq!((obs.violations_light, obs.violations_heavy), (1, 2));
-        // The legacy scalars are the entry tier and everything deeper.
         assert_eq!(obs.tier_queues, [4, 2, 3]);
-        assert_eq!((obs.light_queue, obs.heavy_queue), (4, 5));
         assert_eq!(obs.alive_workers, 3);
         assert_eq!(obs.effective_capacity, 2.5);
         assert_eq!((obs.current_light_batch, obs.current_heavy_batch), (4, 1));

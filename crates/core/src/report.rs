@@ -61,7 +61,7 @@ pub struct RunReport {
     pub mean_reused_steps: f64,
     /// Mean single-query GPU-seconds consumed per completed query (see
     /// [`CompletedResponse::gpu_time`]) — the efficiency axis the
-    /// `ext_pipeline` benchmark compares across escalation modes.
+    /// `ext_pipeline` experiment compares across escalation modes.
     pub gpu_time_per_query: f64,
     /// Every perturbation the run's fault engine actually fired — scheduled
     /// scenario events, mid-run injections, and hazard-drawn faults alike —

@@ -73,7 +73,7 @@ use rand::rngs::StdRng;
 use crate::addons::AddonStats;
 use crate::config::{ConfigError, SystemConfig};
 use crate::policy::{AblationKnobs, Policy};
-use crate::query::{CompletedResponse, ModelTier, QueryId};
+use crate::query::{CompletedResponse, QueryId};
 use crate::report::RunReport;
 use crate::runtime::CascadeRuntime;
 use crate::sim::{AllocatorBackend, RunSettings, SimBackend};
@@ -287,22 +287,10 @@ pub struct SessionSnapshot {
     /// Active cascade confidence threshold. For the Proteus policy this
     /// slot carries the heavy routing fraction instead.
     pub threshold: f64,
-    /// Alive workers assigned (or switching) to the light tier.
-    pub light_workers: usize,
-    /// Alive workers assigned (or switching) to the heavy tier.
-    pub heavy_workers: usize,
     /// Workers currently fail-stopped.
     pub failed_workers: usize,
     /// Alive workers currently running degraded (below nameplate speed).
     pub degraded_workers: usize,
-    /// Queries queued on (alive) light-tier workers.
-    pub light_queue: usize,
-    /// Queries queued on (alive) heavy-tier workers.
-    pub heavy_queue: usize,
-    /// Alive light-tier workers currently executing a batch.
-    pub light_busy: usize,
-    /// Alive heavy-tier workers currently executing a batch.
-    pub heavy_busy: usize,
     /// Queries submitted so far.
     pub submitted: u64,
     /// Queries completed so far (on time or late).
@@ -335,9 +323,7 @@ pub struct SessionSnapshot {
     /// [`SystemConfig::addons`]: crate::config::SystemConfig::addons
     pub addon_stats: AddonStats,
     /// Alive workers assigned (or switching) to each ladder tier,
-    /// cheapest first. Two entries on legacy runs, where they equal
-    /// [`light_workers`](Self::light_workers) /
-    /// [`heavy_workers`](Self::heavy_workers).
+    /// cheapest first; two entries on a two-tier cascade.
     pub tier_workers: Vec<usize>,
     /// Queries queued on each ladder tier's alive workers.
     pub tier_queues: Vec<usize>,
@@ -352,17 +338,12 @@ pub struct SessionSnapshot {
 }
 
 impl SessionSnapshot {
-    /// Busy fraction of the alive workers on a tier (0 when the tier is
-    /// empty).
-    pub fn utilization(&self, tier: ModelTier) -> f64 {
-        let (busy, total) = match tier {
-            ModelTier::Light => (self.light_busy, self.light_workers),
-            ModelTier::Heavy => (self.heavy_busy, self.heavy_workers),
-        };
-        if total == 0 {
-            0.0
-        } else {
-            busy as f64 / total as f64
+    /// Busy fraction of the alive workers on ladder tier `tier` (0 when
+    /// the tier is empty or out of range).
+    pub fn utilization(&self, tier: usize) -> f64 {
+        match self.tier_workers.get(tier) {
+            Some(&total) if total > 0 => self.tier_busy[tier] as f64 / total as f64,
+            _ => 0.0,
         }
     }
 }
@@ -852,6 +833,7 @@ impl<'a> ServingSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::ModelTier;
     use diffserve_imagegen::{cascade1, DiscriminatorConfig, FeatureSpec};
     use diffserve_simkit::time::SimDuration;
     use std::sync::OnceLock;
@@ -1029,7 +1011,7 @@ mod tests {
         let last = snaps.last().unwrap();
         assert!(last.completed + last.dropped > 0);
         assert!(last.threshold.is_finite());
-        assert!(last.light_workers + last.heavy_workers + last.failed_workers <= 4);
+        assert!(last.tier_workers.iter().sum::<usize>() + last.failed_workers <= 4);
 
         // The snapshot's running counters equal a scan over every outcome
         // recorded up to the same instant.

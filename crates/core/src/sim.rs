@@ -1064,24 +1064,14 @@ impl<'a> ServingSim<'a> {
         self.try_start(idx, now, queue);
     }
 
-    /// A scenario fail-stop: the `count` highest-indexed alive workers go
-    /// down (clamped so at least two stay alive, one per tier). Their
-    /// queued *and* in-flight queries are retried on surviving workers of
-    /// the same tier (fail-stop loses batch progress), and stale
-    /// completions are fenced off by the epoch bump. Returns how many
-    /// workers actually failed.
-    fn handle_fail(&mut self, count: usize, now: SimTime, queue: &mut EventQueue<Event>) -> usize {
-        let alive = self.alive_count();
-        let allowed = count.min(alive.saturating_sub(2));
-        let victims: Vec<usize> = (0..self.workers.len())
-            .rev()
-            .filter(|&i| !self.workers[i].failed)
-            .take(allowed)
-            .collect();
-        let applied = victims.len();
+    /// A scenario fail-stop of `victims`: their queued *and* in-flight
+    /// queries are retried on surviving workers of the same tier (fail-stop
+    /// loses batch progress), and stale completions are fenced off by the
+    /// epoch bump.
+    fn fail_workers(&mut self, victims: &[usize], now: SimTime, queue: &mut EventQueue<Event>) {
         let mut orphans = std::mem::take(&mut self.orphan_scratch);
         orphans.clear();
-        for idx in victims {
+        for &idx in victims {
             let w = &mut self.workers[idx];
             w.failed = true;
             w.epoch += 1;
@@ -1110,25 +1100,18 @@ impl<'a> ServingSim<'a> {
         }
         orphans.clear();
         self.orphan_scratch = orphans;
-        applied
     }
 
-    /// A scenario recovery: the `count` lowest-indexed failed workers come
-    /// back, paying the model load delay before they can serve (the same
-    /// switch protocol a reassigned worker follows). Returns how many
-    /// workers actually rejoined.
-    fn handle_recover(
+    /// A scenario recovery of `returning`: each pays the model load delay
+    /// before it can serve (the switch protocol a reassigned worker
+    /// follows).
+    fn recover_workers(
         &mut self,
-        count: usize,
+        returning: &[usize],
         now: SimTime,
         queue: &mut EventQueue<Event>,
-    ) -> usize {
-        let returning: Vec<usize> = (0..self.workers.len())
-            .filter(|&i| self.workers[i].failed)
-            .take(count)
-            .collect();
-        let applied = returning.len();
-        for idx in returning {
+    ) {
+        for &idx in returning {
             let w = &mut self.workers[idx];
             w.failed = false;
             w.busy = false;
@@ -1137,68 +1120,43 @@ impl<'a> ServingSim<'a> {
             self.refresh_index(idx);
             self.begin_switch(idx, now, queue);
         }
-        applied
     }
 
-    /// A scenario degradation: the `count` lowest-indexed alive healthy
-    /// workers drop to `1/slowdown` of nameplate speed (best-effort: fewer
-    /// healthy workers means fewer degrade). In-flight batches keep their
-    /// already-scheduled completion; the slowdown bites from the next
-    /// dispatch. Returns how many workers actually degraded.
-    fn handle_degrade(&mut self, count: usize, slowdown: f64) -> usize {
-        let victims: Vec<usize> = (0..self.workers.len())
-            .filter(|&i| !self.workers[i].failed && !self.workers[i].health.is_degraded())
-            .take(count)
-            .collect();
-        let applied = victims.len();
-        for idx in victims {
-            self.workers[idx].health = WorkerHealth::degraded(slowdown);
+    /// Sets the health of `workers`. In-flight batches keep their
+    /// already-scheduled completion; a new speed bites from the next
+    /// dispatch.
+    fn set_health(&mut self, workers: &[usize], health: WorkerHealth) {
+        for &idx in workers {
+            self.workers[idx].health = health;
             self.refresh_index(idx);
         }
-        applied
-    }
-
-    /// A scenario restoration: the `count` lowest-indexed degraded workers
-    /// return to nameplate speed. Returns how many were actually restored.
-    fn handle_restore(&mut self, count: usize) -> usize {
-        let returning: Vec<usize> = (0..self.workers.len())
-            .filter(|&i| !self.workers[i].failed && self.workers[i].health.is_degraded())
-            .take(count)
-            .collect();
-        let applied = returning.len();
-        for idx in returning {
-            self.workers[idx].health = WorkerHealth::healthy();
-            self.refresh_index(idx);
-        }
-        applied
     }
 
     /// Applies one perturbation against live state and records what was
     /// *actually applied* in the incident log — the single funnel every
     /// source (scheduled timeline, mid-run injection, hazard draw) goes
-    /// through. Capacity events are best-effort (clamped to the eligible
-    /// set, mirroring the cluster backend), and only the applied counts are
-    /// logged, so the log stays a faithful, replayable account rather than
-    /// a wish list.
+    /// through. A capacity event touches the workers
+    /// [`kernel::capacity_targets`] picks (the testbed applies the same
+    /// rule), and only the applied count is logged, so the log stays a
+    /// faithful, replayable account rather than a wish list.
     fn fire_event(&mut self, event: ScenarioEvent, now: SimTime, queue: &mut EventQueue<Event>) {
         let applied = match event {
-            ScenarioEvent::Capacity(CapacityEvent::Fail(n)) => {
-                let done = self.handle_fail(n, now, queue);
-                (done > 0).then_some(ScenarioEvent::Capacity(CapacityEvent::Fail(done)))
-            }
-            ScenarioEvent::Capacity(CapacityEvent::Recover(n)) => {
-                let done = self.handle_recover(n, now, queue);
-                (done > 0).then_some(ScenarioEvent::Capacity(CapacityEvent::Recover(done)))
-            }
-            ScenarioEvent::Capacity(CapacityEvent::Degrade(n, slowdown)) => {
-                let done = self.handle_degrade(n, slowdown);
-                (done > 0).then_some(ScenarioEvent::Capacity(CapacityEvent::Degrade(
-                    done, slowdown,
-                )))
-            }
-            ScenarioEvent::Capacity(CapacityEvent::Restore(n)) => {
-                let done = self.handle_restore(n);
-                (done > 0).then_some(ScenarioEvent::Capacity(CapacityEvent::Restore(done)))
+            ScenarioEvent::Capacity(capacity) => {
+                let states: Vec<(bool, bool)> = self
+                    .workers
+                    .iter()
+                    .map(|w| (w.failed, w.health.is_degraded()))
+                    .collect();
+                let touched = kernel::capacity_targets(capacity, &states);
+                match capacity {
+                    CapacityEvent::Fail(_) => self.fail_workers(&touched, now, queue),
+                    CapacityEvent::Recover(_) => self.recover_workers(&touched, now, queue),
+                    CapacityEvent::Degrade(_, slowdown) => {
+                        self.set_health(&touched, WorkerHealth::degraded(slowdown))
+                    }
+                    CapacityEvent::Restore(_) => self.set_health(&touched, WorkerHealth::healthy()),
+                }
+                kernel::applied_capacity_event(capacity, touched.len())
             }
             ScenarioEvent::Difficulty(delta) => {
                 self.difficulty_delta = delta;

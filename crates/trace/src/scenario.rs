@@ -1090,7 +1090,7 @@ impl Scenario {
     }
 }
 
-/// The standard named scenario library used by the `scenarios` bench binary
+/// The standard named scenario library used by the `repro` experiments
 /// and the stress-test suite: perturbation times are placed at fractions of
 /// the base trace so any base works.
 ///

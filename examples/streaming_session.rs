@@ -42,11 +42,11 @@ fn main() {
                  done={} dropped={} fid~{:.1}",
                 format!("{}", snap.now),
                 snap.threshold,
-                snap.light_workers,
-                snap.light_queue,
-                snap.utilization(ModelTier::Light) * 100.0,
-                snap.heavy_workers,
-                snap.heavy_queue,
+                snap.tier_workers[0],
+                snap.tier_queues[0],
+                snap.utilization(0) * 100.0,
+                snap.tier_workers[1],
+                snap.tier_queues[1],
                 snap.completed,
                 snap.dropped,
                 snap.fid_estimate,
@@ -97,11 +97,10 @@ fn main() {
     }
     let snap = session.snapshot();
     println!(
-        "  under churn: {} alive workers ({} failed), queues {}/{}",
-        snap.light_workers + snap.heavy_workers,
+        "  under churn: {} alive workers ({} failed), queues {:?}",
+        snap.tier_workers.iter().sum::<usize>(),
         snap.failed_workers,
-        snap.light_queue,
-        snap.heavy_queue,
+        snap.tier_queues,
     );
 
     // Phase 3: recover, drain, and close the session.

@@ -56,8 +56,8 @@
 //!     .build()?;
 //! session.observer(|snap| {
 //!     println!(
-//!         "t={} threshold={:.2} queues={}/{}",
-//!         snap.now, snap.threshold, snap.light_queue, snap.heavy_queue
+//!         "t={} threshold={:.2} queues={:?}",
+//!         snap.now, snap.threshold, snap.tier_queues
 //!     );
 //! });
 //! session.replay_trace(&trace);
@@ -74,8 +74,8 @@
 //! to drive the thread-based testbed through the same API.
 //!
 //! See `ARCHITECTURE.md` for the paper-to-code map (including the legacy →
-//! session migration table), and `EXPERIMENTS.md` for paper-vs-measured
-//! results of every table and figure.
+//! session migration table). The `repro` binary of `diffserve-bench`
+//! reproduces every table and figure.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
