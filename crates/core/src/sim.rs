@@ -10,10 +10,11 @@
 //! The simulator is one of the two engines behind the unified
 //! [`ServingSession`] API (the other is the
 //! thread-based testbed in `diffserve-cluster`). It owns *when* things
-//! happen — the event queue — and its state access (the sorted per-tier
-//! load index); every serving decision (service times, drop-front, routing
-//! score, entry tier, escalation verdict, worker targets, telemetry) is a
-//! call into the shared [`crate::kernel`]. `SimBackend` implements
+//! happen — the event queue — and its state access (the per-tier load
+//! index, workers bucketed by routing key); every serving decision
+//! (service times, drop-front, routing score, entry tier, escalation
+//! verdict, worker targets, telemetry) is a call into the shared
+//! [`crate::kernel`]. `SimBackend` implements
 //! [`ServingBackend`] over the event loop, so
 //! applications can submit queries incrementally, tap live metrics, and
 //! inject perturbations mid-run. The two batch entry points — [`run_trace`]
@@ -28,7 +29,7 @@
 //! the report's incident log, and replaying the log reproduces the run
 //! bit-exactly.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use diffserve_imagegen::{GeneratedImage, OnlinePredictiveRouter, Prompt, StageState};
 use diffserve_metrics::WindowedSeries;
@@ -207,24 +208,156 @@ enum RoutePool {
     PendingTo(usize),
 }
 
-/// Per-tier sorted load index over the alive fleet.
+/// A set of worker indices: one bit per worker, plus one summary bit per
+/// 64-worker word, set while that word has a member. The least member is
+/// two `trailing_zeros` away (after skipping empty summary words, one per
+/// 4 096 workers), adding or removing one touches at most two words, and
+/// iteration yields the members in ascending order.
+#[derive(Debug, Clone)]
+struct WorkerSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl WorkerSet {
+    /// An empty set over workers `0..n`.
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        WorkerSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        let w = i / 64;
+        self.words[w] |= 1 << (i % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Removes `i`; returns whether that left the set empty.
+    fn remove(&mut self, i: usize) -> bool {
+        let w = i / 64;
+        self.words[w] &= !(1 << (i % 64));
+        if self.words[w] != 0 {
+            return false;
+        }
+        self.summary[w / 64] &= !(1 << (w % 64));
+        self.is_empty()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.summary.iter().all(|&bits| bits == 0)
+    }
+
+    fn first(&self) -> Option<usize> {
+        let s = self.summary.iter().position(|&bits| bits != 0)?;
+        let w = s * 64 + self.summary[s].trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let nonempty_words = self
+            .summary
+            .iter()
+            .enumerate()
+            .flat_map(|(s, &bits)| set_bits(bits).map(move |b| s * 64 + b));
+        nonempty_words.flat_map(move |w| set_bits(self.words[w]).map(move |b| w * 64 + b))
+    }
+}
+
+/// The positions of `word`'s set bits, ascending.
+fn set_bits(word: u64) -> impl Iterator<Item = usize> {
+    std::iter::successors((word != 0).then_some(word), |&rest| {
+        Some(rest & (rest - 1)).filter(|&rest| rest != 0)
+    })
+    .map(|rest| rest.trailing_zeros() as usize)
+}
+
+/// One routing pool: its workers bucketed by routing key, the buckets in
+/// key order and none of them empty. Iterating buckets by key and each
+/// bucket's bits in ascending order is exactly `(key, index)` order.
+#[derive(Debug, Clone, Default)]
+struct Pool {
+    buckets: Vec<(u64, WorkerSet)>,
+    len: usize,
+}
+
+impl Pool {
+    fn bucket(&self, key: u64) -> Result<usize, usize> {
+        self.buckets.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    /// Adds worker `idx` of an `n`-worker fleet under `key`, opening the
+    /// key's bucket with a spare set if it has none.
+    fn insert(&mut self, key: u64, idx: usize, spares: &mut Vec<WorkerSet>, n: usize) {
+        let b = self.bucket(key).unwrap_or_else(|b| {
+            let set = spares.pop().unwrap_or_else(|| WorkerSet::new(n));
+            self.buckets.insert(b, (key, set));
+            b
+        });
+        self.buckets[b].1.insert(idx);
+        self.len += 1;
+    }
+
+    /// Removes worker `idx`, filed under `key`; a bucket it leaves empty
+    /// goes to `spares`.
+    fn remove(&mut self, key: u64, idx: usize, spares: &mut Vec<WorkerSet>) {
+        let b = self.bucket(key).expect("a worker is filed under its key");
+        if self.buckets[b].1.remove(idx) {
+            spares.push(self.buckets.remove(b).1);
+        }
+        self.len -= 1;
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.buckets.is_empty()
+    }
+
+    /// The least `(key, index)` in the pool.
+    fn first(&self) -> Option<(u64, usize)> {
+        let (key, set) = self.buckets.first()?;
+        Some((*key, set.first().expect("no bucket is empty")))
+    }
+
+    /// Every `(key, index)` in the pool, in order.
+    fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.buckets
+            .iter()
+            .flat_map(|(key, set)| set.iter().map(move |i| (*key, i)))
+    }
+}
+
+/// Per-tier load index over the alive fleet, workers bucketed by routing
+/// key.
 ///
 /// Replaces the router's linear scans. The invariant: every alive worker
 /// sits in exactly one pool — primary or pending, of exactly one tier —
 /// keyed by `(routing load, worker index)`, and `slot` says which; a failed
-/// worker sits in none. `BTreeSet` minima then answer "least-loaded worker
-/// of this tier" in `O(log n)` instead of `O(n)`, and the `(key, index)`
-/// ordering reproduces the scan's `(load, index)` tie-break bit-for-bit.
-/// Because the pools partition the alive fleet there is no separate set of
-/// all alive workers: their count is a counter, their minimum the least of
-/// the pool minima, and their `(key, index)` order the merge of the pools.
-/// Debug builds assert agreement with the scan on every routing decision
-/// (see `ServingSim::scan_route`); `load_index_matches_a_linear_scan` does
-/// the same against a model in release builds.
+/// worker sits in none. Each pool maps its keys, in order, to a
+/// [`WorkerSet`] of the workers at that key. A healthy fleet's keys are
+/// `(load + 1) × slowdown`, so a pool holds a handful of buckets: the
+/// least-loaded worker of a tier is the first bucket's lowest bit, and
+/// re-keying a worker clears one bit and sets another. Emptied sets wait in
+/// `spares` for the next new key, so the steady state allocates nothing.
+/// The `(key, index)` order reproduces the scan's `(load, index)`
+/// tie-break bit-for-bit. Because the pools partition the alive fleet
+/// there is no separate set of all alive workers: their count is a
+/// counter, their minimum the least of the pool minima, and their
+/// `(key, index)` order the merge of the pools. Debug builds assert
+/// agreement with the scan on every routing decision (see
+/// `ServingSim::scan_route`); `load_index_matches_a_linear_scan` does the
+/// same against a model in release builds.
 #[derive(Debug, Clone)]
 struct LoadIndex {
-    primary: Vec<BTreeSet<(u64, usize)>>,
-    pending_to: Vec<BTreeSet<(u64, usize)>>,
+    primary: Vec<Pool>,
+    pending_to: Vec<Pool>,
+    /// Bucket sets no key holds, all clear.
+    spares: Vec<WorkerSet>,
     /// Back-reference per worker: its pool and key, `None` while failed.
     slot: Vec<Option<(RoutePool, u64)>>,
     /// Workers with a slot.
@@ -234,60 +367,61 @@ struct LoadIndex {
 impl LoadIndex {
     fn new(n: usize, tiers: usize) -> Self {
         LoadIndex {
-            primary: vec![BTreeSet::new(); tiers],
-            pending_to: vec![BTreeSet::new(); tiers],
+            primary: vec![Pool::default(); tiers],
+            pending_to: vec![Pool::default(); tiers],
+            spares: Vec::new(),
             slot: vec![None; n],
             alive: 0,
         }
     }
 
-    fn pool_mut(&mut self, pool: RoutePool) -> &mut BTreeSet<(u64, usize)> {
-        match pool {
+    fn pool_mut(&mut self, pool: RoutePool) -> (&mut Pool, &mut Vec<WorkerSet>) {
+        let pool = match pool {
             RoutePool::Primary(t) => &mut self.primary[t],
             RoutePool::PendingTo(t) => &mut self.pending_to[t],
-        }
+        };
+        (pool, &mut self.spares)
     }
 
     fn remove(&mut self, idx: usize) {
         if let Some((pool, key)) = self.slot[idx].take() {
-            self.pool_mut(pool).remove(&(key, idx));
+            let (pool, spares) = self.pool_mut(pool);
+            pool.remove(key, idx, spares);
             self.alive -= 1;
         }
     }
 
     /// Files worker `idx` under `(pool, key)`. A worker already filed
     /// exactly there is left alone: most refreshes follow a change that
-    /// did not move the load (a batch moving from queue to in-flight), and
-    /// the B-tree must not be re-sorted for those.
+    /// did not move the load (a batch moving from queue to in-flight).
     fn insert(&mut self, idx: usize, pool: RoutePool, key: u64) {
         if self.slot[idx] == Some((pool, key)) {
             return;
         }
         self.remove(idx);
-        self.pool_mut(pool).insert((key, idx));
+        let n = self.slot.len();
+        let (set, spares) = self.pool_mut(pool);
+        set.insert(key, idx, spares, n);
         self.slot[idx] = Some((pool, key));
         self.alive += 1;
     }
 
     fn min_primary(&self, tier: usize) -> Option<usize> {
-        self.primary[tier].first().map(|&(_, i)| i)
+        self.primary[tier].first().map(|(_, i)| i)
     }
 
     fn min_pending_to(&self, tier: usize) -> Option<usize> {
-        self.pending_to[tier].first().map(|&(_, i)| i)
+        self.pending_to[tier].first().map(|(_, i)| i)
     }
 
     /// The pools, which between them hold every alive worker once.
-    fn pools(&self) -> impl Iterator<Item = &BTreeSet<(u64, usize)>> {
+    fn pools(&self) -> impl Iterator<Item = &Pool> {
         self.primary.iter().chain(&self.pending_to)
     }
 
     /// The least `(key, index)` over the whole alive fleet.
     fn min_alive(&self) -> Option<usize> {
-        self.pools()
-            .filter_map(BTreeSet::first)
-            .min()
-            .map(|&(_, i)| i)
+        self.pools().filter_map(Pool::first).min().map(|(_, i)| i)
     }
 
     /// Every alive worker in `(key, index)` order, the order one set of
@@ -295,7 +429,7 @@ impl LoadIndex {
     /// serves ranks the whole fleet, so this is off the hot path and the
     /// pools are simply gathered and sorted.
     fn alive_in_order(&self) -> Vec<usize> {
-        let mut all: Vec<(u64, usize)> = self.pools().flatten().copied().collect();
+        let mut all: Vec<(u64, usize)> = self.pools().flat_map(Pool::iter).collect();
         all.sort_unstable();
         all.into_iter().map(|(_, i)| i).collect()
     }
@@ -312,8 +446,8 @@ impl LoadIndex {
 
     /// Appends the indices of every alive worker targeting `tier`.
     fn tier_members(&self, tier: usize, out: &mut Vec<usize>) {
-        out.extend(self.primary[tier].iter().map(|&(_, i)| i));
-        out.extend(self.pending_to[tier].iter().map(|&(_, i)| i));
+        out.extend(self.primary[tier].iter().map(|(_, i)| i));
+        out.extend(self.pending_to[tier].iter().map(|(_, i)| i));
     }
 }
 
@@ -402,7 +536,7 @@ struct ServingSim<'a> {
     /// actuates the returned directives.
     control: ControlLoop,
     workers: Vec<Worker>,
-    /// Per-tier sorted load index over `workers`; kept in sync by
+    /// Per-tier load index over `workers`, bucketed by key; kept in sync by
     /// [`Self::refresh_index`] after every load/health/tier mutation.
     index: LoadIndex,
     /// The in-flight queries' records; worker queues, batches and events
@@ -782,7 +916,7 @@ impl<'a> ServingSim<'a> {
             .into_iter()
             .find(|pool| !pool.is_empty());
         match pool {
-            Some(pool) => kernel::pick_min(pool.iter().map(|&(_, i)| score(i))),
+            Some(pool) => kernel::pick_min(pool.iter().map(|(_, i)| score(i))),
             None => kernel::pick_min(self.index.alive_in_order().into_iter().map(score)),
         }
     }
@@ -795,11 +929,11 @@ impl<'a> ServingSim<'a> {
     /// worker's queue slots cost twice a healthy one's. Health-blind JSQ
     /// keeps feeding stragglers as if they drained at nameplate speed,
     /// which is exactly where SLO violations concentrate under brownout.
-    /// The candidate ladder is answered by the per-tier load index in
-    /// `O(log n)`, each pool pre-sorted by `(routing load, index)` — the
-    /// exact ranking of the linear scan that debug builds re-run and
-    /// compare against. Add-on-carrying queries go through
-    /// [`Self::affinity_route`] first.
+    /// The candidate ladder is answered by the per-tier load index, each
+    /// pool's minimum the lowest bit of its least-key bucket — the exact
+    /// `(routing load, index)` ranking of the linear scan that debug
+    /// builds re-run and compare against. Add-on-carrying queries go
+    /// through [`Self::affinity_route`] first.
     fn route_to_tier(
         &mut self,
         tier: usize,
@@ -1727,25 +1861,30 @@ mod tests {
         /// recovery, a re-key, a tier switch, or — filed where it already
         /// is — the early return), a removal (a fail-stop), or the
         /// emptying of a whole tier, after which a query bound for it
-        /// ranks the merged fleet (`alive_in_order`).
+        /// ranks the merged fleet (`alive_in_order`). 150 workers span
+        /// three bitset words, the last one partial. The index also keeps
+        /// no empty bucket, and opens a new set only when it holds more
+        /// buckets than it ever has: every other one is a spare.
         #[test]
         fn load_index_matches_a_linear_scan(
             ops in proptest::collection::vec(
-                (0usize..8, 0usize..12, 0usize..6, 0usize..5),
-                1..120,
+                (0usize..8, 0usize..150, 0usize..6, 0usize..5, 0usize..3),
+                1..300,
             ),
         ) {
-            const WORKERS: usize = 12;
+            const WORKERS: usize = 150;
             const TIERS: usize = 3;
             let mut index = LoadIndex::new(WORKERS, TIERS);
             let mut model: Vec<Option<(RoutePool, u64)>> = vec![None; WORKERS];
-            for (kind, idx, pool, load) in ops {
+            let mut peak_buckets = 0;
+            for (kind, idx, pool, load, slowdown) in ops {
                 let pool = match pool {
                     p if p < TIERS => RoutePool::Primary(p),
                     p => RoutePool::PendingTo(p - TIERS),
                 };
-                // Few distinct loads, so ties on the key are common.
-                let key = load_key(load as f64 * 0.5);
+                // Few distinct loads, scaled the way degraded workers'
+                // are, so ties on the key are common (2 × 1.5 = 3 × 1.0).
+                let key = load_key(load as f64 * [1.0, 1.5, 2.0][slowdown]);
                 match kind {
                     0 => {
                         index.remove(idx);
@@ -1804,8 +1943,43 @@ mod tests {
                     proptest::prop_assert_eq!(members, listed);
                 }
                 proptest::prop_assert_eq!(&index.slot, &model);
+
+                let buckets = index.pools().map(|pool| pool.buckets.len()).sum::<usize>();
+                for pool in index.pools() {
+                    proptest::prop_assert!(pool.buckets.iter().all(|(_, set)| !set.is_empty()));
+                }
+                proptest::prop_assert!(index.spares.iter().all(WorkerSet::is_empty));
+                peak_buckets = peak_buckets.max(buckets);
+                proptest::prop_assert_eq!(buckets + index.spares.len(), peak_buckets);
             }
         }
+    }
+
+    /// The bitset against a sorted vector, past the 4 096 workers one
+    /// summary word covers: `first`, `insert`, `remove` and iteration all
+    /// cross the summary-word boundary and the partial last word.
+    #[test]
+    fn worker_set_crosses_summary_words() {
+        const WORKERS: usize = 2 * 4096 + 100;
+        let mut set = WorkerSet::new(WORKERS);
+        assert_eq!(set.summary.len(), 3);
+        assert_eq!(set.first(), None);
+        assert!(set.is_empty());
+        let mut model = Vec::new();
+        for i in [8291, 4096, 4095, 63, 64, 0, 8191, 8192, 4159, 4160] {
+            set.insert(i);
+            model.push(i);
+            model.sort_unstable();
+            assert_eq!(set.first(), model.first().copied());
+            assert_eq!(set.iter().collect::<Vec<_>>(), model);
+        }
+        for i in [0, 63, 64, 4095, 4096, 4159, 4160, 8191, 8192, 8291] {
+            model.retain(|&m| m != i);
+            assert_eq!(set.remove(i), model.is_empty());
+            assert_eq!(set.first(), model.first().copied());
+            assert_eq!(set.iter().collect::<Vec<_>>(), model);
+        }
+        assert!(set.words.iter().chain(&set.summary).all(|&bits| bits == 0));
     }
 
     /// Replays `secs` of 40 qps on a 16-worker fleet and returns the
@@ -1849,6 +2023,35 @@ mod tests {
         let bound = 16 * 4 + 1024;
         assert!(records_8x <= bound && events_8x <= bound);
         assert_eq!((records, events), (records_8x, events_8x));
+    }
+
+    /// Debug builds cross-check every indexed pick against `scan_route`,
+    /// and this is the session test that routes across more than one
+    /// 64-worker bitset word: 136 workers (three words, the last partial)
+    /// through fail-stops, a brownout that makes the routing keys
+    /// fractional, recovery, and add-on queries that rank whole pools in
+    /// `affinity_route`. The brownout covers the lowest 100 healthy
+    /// workers, so while it lasts the least keys sit in the upper words,
+    /// and the recovered workers in the partial last one.
+    #[test]
+    fn multi_word_fleet_routes_like_the_scan() {
+        let cfg = SystemConfig {
+            num_workers: 136,
+            addons: Some(crate::addons::AddonsConfig::demo(31)),
+            metrics_window: SimDuration::from_secs(10),
+            ..Default::default()
+        };
+        let scenario = Scenario::new("churn", flat_trace(80.0, 40))
+            .worker_fail(SimTime::from_secs(8), 24)
+            .worker_degrade(SimTime::from_secs(12), 100, 1.5)
+            .worker_recover(SimTime::from_secs(20), 24)
+            .worker_restore(SimTime::from_secs(30), 100);
+        let settings = RunSettings::new(Policy::DiffServe, 80.0);
+        let report = run_scenario(test_runtime(), &cfg, &settings, &scenario);
+        assert_eq!(report.completed + report.dropped, report.total_queries);
+        assert!(report.total_queries > 2500, "{}", report.total_queries);
+        assert!(report.addon_stats.total_lookups() > 0);
+        assert_eq!(report.incident_log.len(), 4);
     }
 
     #[test]
