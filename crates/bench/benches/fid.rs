@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use diffserve_bench::{CascadeId, Scale};
 use diffserve_linalg::Mat;
-use diffserve_metrics::{fid_score, frechet_distance, GaussianStats};
+use diffserve_metrics::{frechet_distance, GaussianStats};
 
 fn bench_fid(c: &mut Criterion) {
     let runtime = Scale::Smoke.runtime(CascadeId::One);
@@ -19,12 +19,8 @@ fn bench_fid(c: &mut Criterion) {
 
     c.bench_function("fid_full_dataset", |b| {
         b.iter(|| {
-            fid_score(
-                std::hint::black_box(&generated),
-                runtime.dataset.real_features(),
-                1e-6,
-            )
-            .expect("well-conditioned")
+            let g = GaussianStats::fit(std::hint::black_box(&generated), 1e-6).expect("fit");
+            frechet_distance(&g, runtime.dataset.reference()).expect("well-conditioned")
         })
     });
 

@@ -28,7 +28,7 @@ use diffserve_imagegen::{
     PickScorer, Prompt, RealClass, RoutingRule,
 };
 use diffserve_linalg::Mat;
-use diffserve_metrics::fid_score;
+use diffserve_metrics::{frechet_distance, GaussianStats};
 use diffserve_simkit::stats::Welford;
 use diffserve_simkit::time::{SimDuration, SimTime};
 use diffserve_trace::{
@@ -819,8 +819,9 @@ fn reuse(scale: Scale) -> Outcome {
             })
             .collect();
         let refs: Vec<&[f64]> = features.iter().map(|f| f.as_slice()).collect();
-        let reuse_fid = fid_score(&Mat::from_rows(&refs), dataset.real_features(), 1e-6)
-            .expect("well-conditioned features");
+        let generated = GaussianStats::fit(&Mat::from_rows(&refs), 1e-6).expect("two or more rows");
+        let reuse_fid =
+            frechet_distance(&generated, dataset.reference()).expect("well-conditioned features");
 
         t.row(vec![
             runtime.spec.name.into(),

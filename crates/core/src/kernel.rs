@@ -46,7 +46,7 @@ use crate::control::ControlObservation;
 use crate::policy::Policy;
 use crate::query::{CompletedResponse, ModelTier, QueryId};
 use crate::report::CompletionTotals;
-use crate::runtime::CascadeRuntime;
+use crate::runtime::{CascadeRuntime, RenderTable};
 use crate::serve::{QueryOutcome, SessionSnapshot};
 use crate::sim::RunSettings;
 
@@ -78,7 +78,7 @@ pub enum Verdict {
         /// The boundary confidence, when one was scored (`None` on the
         /// terminal tier and off-cascade policies).
         confidence: Option<f64>,
-        /// The tier's rendered output.
+        /// The tier's output: a render, or its render-table copy.
         image: GeneratedImage,
         /// Denoise steps the render reused from carried latents.
         reused: u32,
@@ -121,6 +121,9 @@ pub struct Kernel<'a> {
     /// The runtime's score table: `scores[k][i]` is `discriminators[k]`'s
     /// confidence in `models[k]`'s plain render of dataset prompt `i`.
     scores: &'a [Vec<f64>],
+    /// The runtime's render table: `renders[k].image(i)` is `models[k]`'s
+    /// plain render of dataset prompt `i`.
+    renders: &'a [RenderTable],
     dataset: &'a PromptDataset,
     policy: Policy,
     health_blind: bool,
@@ -161,6 +164,7 @@ impl<'a> Kernel<'a> {
             models,
             discriminators,
             scores: runtime.scores(),
+            renders: runtime.renders(),
             dataset: &runtime.dataset,
             policy: settings.policy,
             health_blind: settings.knobs.health_blind_routing,
@@ -437,7 +441,7 @@ impl<'a> Kernel<'a> {
     }
 
     /// Query `qid`'s pass through `tier`: scores the tier's output at its
-    /// boundary and decides, rendering the output only when the query
+    /// boundary and decides, producing the output only when the query
     /// completes here or when the score needs it.
     ///
     /// The query escalates when the confidence falls below the boundary's
@@ -453,9 +457,12 @@ impl<'a> Kernel<'a> {
     /// (`resume_quality_penalty == 0`) the identical image at lower service
     /// time. So when the query serves its dataset prompt unshifted
     /// (`explicit` is `None`, `difficulty` is `0.0`) and the output is that
-    /// plain render, its confidence is the runtime's prepared score, and an
-    /// escalating query is never rendered at the tier it leaves. Any other
-    /// output is rendered and scored, and the one render is what completes.
+    /// plain render, one predicate sends both reads to the runtime's
+    /// prepared tables: its confidence is the score table's entry, its
+    /// image the render table's row — on every tier, terminal and
+    /// off-cascade included — and nothing is rendered. Any other output
+    /// (explicit prompts, difficulty shifts, lossy resumes) is rendered and
+    /// scored, and the one render is what completes.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn serve(
@@ -471,23 +478,25 @@ impl<'a> Kernel<'a> {
     ) -> Verdict {
         let prompt = self.served_prompt(qid, explicit, difficulty);
         let reused = self.reused_steps(tier, resume);
+        let plain = reused == 0 || self.resume_quality_penalty == 0.0;
+        let row = (explicit.is_none() && difficulty == 0.0 && plain)
+            .then(|| (qid % self.dataset.len() as u64) as usize);
         let disc = match self.discriminators.get(tier) {
             Some(d) if self.policy.uses_cascade() => d,
             _ => {
                 return Verdict::Complete {
                     confidence: None,
-                    image: self.render(tier, &prompt, reused),
+                    image: self.output(tier, row, &prompt, reused),
                     reused,
                 }
             }
         };
-        let plain = reused == 0 || self.resume_quality_penalty == 0.0;
-        let (confidence, image) = if explicit.is_none() && difficulty == 0.0 && plain {
-            let i = (qid % self.dataset.len() as u64) as usize;
-            (self.scores[tier][i], None)
-        } else {
-            let image = self.render(tier, &prompt, reused);
-            (disc.confidence(&image.features), Some(image))
+        let (confidence, image) = match row {
+            Some(i) => (self.scores[tier][i], None),
+            None => {
+                let image = self.render(tier, &prompt, reused);
+                (disc.confidence(&image.features), Some(image))
+            }
         };
         let escalate = confidence < thresholds[tier] && deeper_alive();
         if let Some(r) = router {
@@ -503,10 +512,44 @@ impl<'a> Kernel<'a> {
         } else {
             Verdict::Complete {
                 confidence: Some(confidence),
-                image: image.unwrap_or_else(|| self.render(tier, &prompt, reused)),
+                image: image.unwrap_or_else(|| self.output(tier, row, &prompt, reused)),
                 reused,
             }
         }
+    }
+
+    /// Tier `tier`'s output for `prompt`: row `row` of its render table
+    /// when [`Kernel::serve`]'s predicate picked one, else a render.
+    ///
+    /// Debug builds render a tabled output too and assert that the row is
+    /// that render bit for bit, so a debug test run still generates every
+    /// completion and a stale table fails loudly instead of serving.
+    #[inline]
+    fn output(
+        &self,
+        tier: usize,
+        row: Option<usize>,
+        prompt: &Prompt,
+        reused: u32,
+    ) -> GeneratedImage {
+        let Some(i) = row else {
+            return self.render(tier, prompt, reused);
+        };
+        let image = self.renders[tier].image(i);
+        #[cfg(debug_assertions)]
+        {
+            let fresh = self.render(tier, prompt, reused);
+            let bits = |img: &GeneratedImage| -> Vec<u64> {
+                img.features.iter().map(|f| f.to_bits()).collect()
+            };
+            assert_eq!(bits(&image), bits(&fresh), "tier {tier} row {i} features");
+            assert_eq!(
+                image.quality.to_bits(),
+                fresh.quality.to_bits(),
+                "tier {tier} row {i} quality"
+            );
+        }
+        image
     }
 
     /// Tier `tier`'s output for a prompt, `reused` steps into it.
@@ -1283,6 +1326,126 @@ mod tests {
             applied_capacity_event(CapacityEvent::Degrade(5, 2.0), 2),
             Some(ScenarioEvent::Capacity(CapacityEvent::Degrade(2, 2.0)))
         );
+    }
+
+    /// The image of a verdict that completed.
+    fn completed_image(verdict: Verdict) -> GeneratedImage {
+        match verdict {
+            Verdict::Complete { image, .. } => image,
+            other => panic!("expected a completion, got {other:?}"),
+        }
+    }
+
+    fn bits(image: &GeneratedImage) -> Vec<u64> {
+        let mut bits: Vec<u64> = image.features.iter().map(|f| f.to_bits()).collect();
+        bits.push(image.quality.to_bits());
+        bits
+    }
+
+    /// `kernel` reading another runtime's render table: the same ladder
+    /// prepared at another seed, so every row is some other prompt's image.
+    fn with_stale_renders(mut kernel: Kernel<'static>) -> Kernel<'static> {
+        static STALE: OnceLock<CascadeRuntime> = OnceLock::new();
+        let stale = STALE.get_or_init(|| {
+            CascadeRuntime::prepare_ladder(
+                ladder3(FeatureSpec::default()),
+                300,
+                8,
+                DiscriminatorConfig {
+                    train_prompts: 100,
+                    epochs: 1,
+                    ..Default::default()
+                },
+            )
+        });
+        kernel.renders = stale.renders();
+        kernel
+    }
+
+    /// Terminal-tier and off-cascade completions on a dataset prompt are
+    /// `generate`'s bits, and come from the render table: behind a stale
+    /// table a release build serves the stale row and a debug build's
+    /// cross-check panics. Explicit, shifted and lossy-resume queries never
+    /// read the table, so a stale one cannot change them.
+    #[test]
+    fn completions_read_the_render_table_under_one_predicate() {
+        let (qid, thresholds) = (317, [0.0; 2]);
+        let rt = runtime();
+        let prompt = *rt.dataset.prompt_cyclic(qid);
+        let terminal = Kernel::new(rt, &SystemConfig::default(), &settings());
+        let off_cascade = Kernel::new(
+            rt,
+            &SystemConfig::default(),
+            &RunSettings::new(Policy::ClipperLight, 8.0),
+        );
+        for (kernel, tier) in [(&terminal, 2), (&off_cascade, 0), (&off_cascade, 1)] {
+            let served = completed_image(kernel.serve(
+                tier,
+                qid,
+                None,
+                0.0,
+                None,
+                &thresholds,
+                None,
+                || true,
+            ));
+            assert_eq!(bits(&served), bits(&kernel.model(tier).generate(&prompt)));
+
+            let stale = with_stale_renders(kernel.clone());
+            let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                completed_image(stale.serve(tier, qid, None, 0.0, None, &thresholds, None, || true))
+            }));
+            if cfg!(debug_assertions) {
+                assert!(
+                    read.is_err(),
+                    "tier {tier}: the cross-check must catch a stale row"
+                );
+            } else {
+                let stale_row = stale.renders[tier].image((qid % 300) as usize);
+                assert_eq!(
+                    bits(&read.expect("release builds trust the table")),
+                    bits(&stale_row)
+                );
+            }
+        }
+
+        let lossy = SystemConfig {
+            resume_from_latents: true,
+            resume_quality_penalty: 0.1,
+            ..Default::default()
+        };
+        let lossy = with_stale_renders(Kernel::new(rt, &lossy, &settings()));
+        let carried = Some(StageState::completed(lossy.model(0).steps()));
+        let explicit = Prompt {
+            id: 9,
+            difficulty: 0.4,
+            style_bias: 0.1,
+            seed: 99,
+        };
+        for tier in 0..3 {
+            let model = lossy.model(tier);
+            let cases = [
+                (Some(explicit), 0.0, model.generate(&explicit)),
+                (None, 0.2, model.generate(&prompt.harder(0.2))),
+            ];
+            for (given, shift, expected) in cases {
+                let served = lossy.serve(tier, qid, given, shift, None, &thresholds, None, || true);
+                assert_eq!(
+                    bits(&completed_image(served)),
+                    bits(&expected),
+                    "tier {tier}"
+                );
+            }
+            if tier > 0 {
+                let served = lossy.serve(tier, qid, None, 0.0, carried, &thresholds, None, || true);
+                let expected = model.generate_with_quality_shift(&prompt, -0.1);
+                assert_eq!(
+                    bits(&completed_image(served)),
+                    bits(&expected),
+                    "tier {tier}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Prepared cascade artifacts shared across simulation runs.
 
+use diffserve_imagegen::features::DIM;
 use diffserve_imagegen::{
     CascadeSpec, DeferralProfile, DiffusionModel, Discriminator, DiscriminatorConfig,
-    PromptDataset, TierLadder,
+    GeneratedImage, PromptDataset, TierLadder,
 };
+use diffserve_linalg::Mat;
 use diffserve_metrics::GaussianStats;
 use diffserve_simkit::rng::derive_seed;
 use std::ops::Deref;
@@ -42,7 +44,10 @@ impl LadderArtifacts {
 
 /// Everything a serving run needs that is prepared *offline* in the paper:
 /// the prompt dataset, the trained discriminator, the profiled deferral
-/// curve `f(t)`, and the FID reference Gaussian.
+/// curve `f(t)` and the FID reference Gaussian — plus two tables this
+/// reproduction adds because a render is a pure function of `(tier,
+/// prompt)`: every tier's plain render of every dataset prompt, and every
+/// boundary's score of it.
 ///
 /// Immutable once prepared: a handle over one shared [`PreparedRuntime`],
 /// which it dereferences to (`runtime.dataset`, `runtime.scores()`).
@@ -54,18 +59,25 @@ pub struct CascadeRuntime(Arc<PreparedRuntime>);
 /// The artifacts behind a [`CascadeRuntime`]. Only
 /// [`CascadeRuntime::prepare`] and [`CascadeRuntime::prepare_ladder`] build
 /// one, and nothing hands out a mutable reference to it.
+///
+/// No real-image feature rows stay resident: the dataset keeps its
+/// reference only as a Gaussian, and discriminator training samples the
+/// real rows it reads and frees them. The resident tables are the render
+/// table (`N × DIM` features and `N` qualities per tier, ≈ 0.68 MB a tier
+/// at 5 000 prompts) and the score table.
 #[derive(Debug)]
 pub struct PreparedRuntime {
     /// The light/heavy pairing with latency and SLO metadata.
     pub spec: CascadeSpec,
-    /// Synthetic prompt dataset (queries + FID reference features).
+    /// Synthetic prompt dataset (queries + the FID reference Gaussian).
     pub dataset: PromptDataset,
     /// Trained cascade discriminator.
     pub discriminator: Discriminator,
     /// Offline-profiled deferral curve `f(t)` (sessions clone it and update
     /// their copy online).
     pub deferral: DeferralProfile,
-    /// Gaussian fit of the FID reference set, reused by every window.
+    /// The FID reference Gaussian, reused by every window: a clone of
+    /// [`PromptDataset::reference`], covariance root taken.
     pub reference: GaussianStats,
     /// N-tier ladder artifacts, present only when the runtime was prepared
     /// with [`CascadeRuntime::prepare_ladder`]. `None` (every legacy
@@ -78,6 +90,46 @@ pub struct PreparedRuntime {
     /// `f(t)` is profiled from its held-out slice. Read it through
     /// [`PreparedRuntime::scores`].
     scores: Vec<Vec<f64>>,
+    /// `renders[k]`: tier `k`'s plain render of every dataset prompt, one
+    /// table per tier. A completion on a dataset prompt reads its image
+    /// here, and the score table is scored from it. Read it through
+    /// [`PreparedRuntime::renders`].
+    renders: Vec<RenderTable>,
+}
+
+/// One tier's plain render ([`DiffusionModel::generate`]) of every dataset
+/// prompt: an `N × DIM` feature matrix and `N` latent qualities.
+#[derive(Debug)]
+pub(crate) struct RenderTable {
+    features: Mat,
+    quality: Vec<f64>,
+}
+
+impl RenderTable {
+    /// Renders every prompt of `dataset` with `model`.
+    fn render(model: &DiffusionModel, dataset: &PromptDataset) -> Self {
+        let mut features = Mat::zeros(dataset.len(), DIM);
+        let quality = dataset
+            .prompts()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let image = model.generate(p);
+                features.row_mut(i).copy_from_slice(&image.features);
+                image.quality
+            })
+            .collect();
+        RenderTable { features, quality }
+    }
+
+    /// The image of `dataset.prompts()[i]`, bitwise what `generate` returns.
+    #[inline]
+    pub(crate) fn image(&self, i: usize) -> GeneratedImage {
+        GeneratedImage {
+            features: self.features.row(i).to_vec(),
+            quality: self.quality[i],
+        }
+    }
 }
 
 impl Deref for CascadeRuntime {
@@ -90,9 +142,9 @@ impl Deref for CascadeRuntime {
 
 impl CascadeRuntime {
     /// Prepares a cascade: synthesizes the dataset, trains the
-    /// discriminator, scores every dataset prompt's light render with it,
-    /// and profiles `f(t)` from the scores of the prompts held out from
-    /// discriminator training.
+    /// discriminator, renders every dataset prompt on both tiers, scores
+    /// the light renders, and profiles `f(t)` from the scores of the
+    /// prompts held out from discriminator training.
     ///
     /// # Panics
     ///
@@ -123,8 +175,9 @@ impl CascadeRuntime {
         seed: u64,
         disc_config: DiscriminatorConfig,
     ) -> Self {
-        CascadeRuntime(Arc::new(PreparedRuntime::cascade(
+        CascadeRuntime(Arc::new(PreparedRuntime::build(
             spec,
+            None,
             dataset_size,
             seed,
             disc_config,
@@ -132,14 +185,15 @@ impl CascadeRuntime {
     }
 
     /// Prepares an N-tier quality ladder: synthesizes the dataset once,
-    /// then per boundary trains one discriminator, scores every dataset
-    /// prompt with it and profiles one deferral curve (each on the same
-    /// held-out prompt split the legacy cascade uses).
+    /// trains one discriminator per boundary, renders every dataset prompt
+    /// on every tier, then scores each boundary's renders and profiles one
+    /// deferral curve per boundary (each on the same held-out prompt split
+    /// the legacy cascade uses).
     ///
-    /// A two-tier ladder reuses the legacy preparation code paths verbatim,
-    /// so its artifacts — and every downstream serving decision — are
-    /// bit-identical to [`CascadeRuntime::prepare`] on the equivalent
-    /// [`CascadeSpec`].
+    /// A two-tier ladder runs the same preparation as
+    /// [`CascadeRuntime::prepare`], so its artifacts — and every downstream
+    /// serving decision — are bit-identical to the equivalent
+    /// [`CascadeSpec`]'s.
     ///
     /// # Panics
     ///
@@ -153,40 +207,22 @@ impl CascadeRuntime {
         disc_config: DiscriminatorConfig,
     ) -> Self {
         ladder.validate().expect("valid tier ladder");
-        let mut prepared =
-            PreparedRuntime::cascade(ladder.cascade_view(), dataset_size, seed, disc_config);
-
-        let terminal = &ladder.tiers[ladder.num_tiers() - 1];
-        let mut discriminators = Vec::with_capacity(ladder.boundaries());
-        let mut deferrals = Vec::with_capacity(ladder.boundaries());
-        for (k, tier) in ladder.tiers[..ladder.num_tiers() - 1].iter().enumerate() {
-            if k == 0 {
-                // Boundary 0 is exactly the legacy cascade's artifacts.
-                discriminators.push(prepared.discriminator.clone());
-                deferrals.push(prepared.deferral.clone());
-                continue;
-            }
-            let disc = Discriminator::train(&prepared.dataset, tier, terminal, disc_config);
-            let (scores, deferral) =
-                score_boundary(&prepared.dataset, tier, &disc, disc_config.train_prompts);
-            prepared.scores.push(scores);
-            discriminators.push(disc);
-            deferrals.push(deferral);
-        }
-
-        prepared.ladder = Some(LadderArtifacts {
-            models: ladder.tiers,
-            discriminators,
-            deferrals,
-        });
-        CascadeRuntime(Arc::new(prepared))
+        CascadeRuntime(Arc::new(PreparedRuntime::build(
+            ladder.cascade_view(),
+            Some(ladder.tiers),
+            dataset_size,
+            seed,
+            disc_config,
+        )))
     }
 }
 
 impl PreparedRuntime {
-    /// The two-tier artifacts of [`CascadeRuntime::prepare`], not yet shared.
-    fn cascade(
+    /// The artifacts of `spec`, or of the ladder `tiers` whose endpoints
+    /// `spec` views, not yet shared.
+    fn build(
         spec: CascadeSpec,
+        tiers: Option<Vec<DiffusionModel>>,
         dataset_size: usize,
         seed: u64,
         disc_config: DiscriminatorConfig,
@@ -203,30 +239,40 @@ impl PreparedRuntime {
             derive_seed(seed, 0xDA7A),
             feature_spec,
         );
-        let discriminator = Discriminator::train(&dataset, &spec.light, &spec.heavy, disc_config);
-        let (scores, deferral) = score_boundary(
-            &dataset,
-            &spec.light,
-            &discriminator,
-            disc_config.train_prompts,
-        );
-
-        let reference = GaussianStats::fit(dataset.real_features(), 1e-6)
-            .expect("reference set has enough samples");
-        // Every Fréchet distance of every session goes through this root:
-        // take it here so that sessions clone it instead of each taking it.
-        reference
-            .cov_sqrt()
-            .expect("a finite sample covariance has a square root");
+        let models: Vec<&DiffusionModel> = match &tiers {
+            Some(tiers) => tiers.iter().collect(),
+            None => vec![&spec.light, &spec.heavy],
+        };
+        let (cheap, terminal) = models.split_at(models.len() - 1);
+        // Every boundary trains before any tier renders, so the tables
+        // reuse the heap the training sets freed instead of adding to it.
+        let discriminators: Vec<Discriminator> = cheap
+            .iter()
+            .map(|tier| Discriminator::train(&dataset, tier, terminal[0], disc_config))
+            .collect();
+        let renders: Vec<RenderTable> = models
+            .iter()
+            .map(|tier| RenderTable::render(tier, &dataset))
+            .collect();
+        let (scores, deferrals): (Vec<_>, Vec<_>) = discriminators
+            .iter()
+            .zip(&renders)
+            .map(|(disc, table)| score_boundary(table, disc, disc_config.train_prompts))
+            .unzip();
 
         PreparedRuntime {
+            discriminator: discriminators[0].clone(),
+            deferral: deferrals[0].clone(),
+            reference: dataset.reference().clone(),
+            ladder: tiers.map(|models| LadderArtifacts {
+                models,
+                discriminators,
+                deferrals,
+            }),
             spec,
             dataset,
-            discriminator,
-            deferral,
-            reference,
-            ladder: None,
-            scores: vec![scores],
+            scores,
+            renders,
         }
     }
 
@@ -240,22 +286,25 @@ impl PreparedRuntime {
     pub fn scores(&self) -> &[Vec<f64>] {
         &self.scores
     }
+
+    /// The prepared render table: `renders()[k].image(i)` is tier `k`'s
+    /// plain render of `dataset.prompts()[i]`.
+    pub(crate) fn renders(&self) -> &[RenderTable] {
+        &self.renders
+    }
 }
 
-/// Scores the plain render of every dataset prompt at one boundary, and
-/// profiles `f(t)` from the scores of the prompts after the first
-/// `train_prompts` — the ones discriminator training never saw, exactly
-/// like the paper's offline initialization.
+/// Scores one tier's tabled renders at its boundary, and profiles `f(t)`
+/// from the scores of the prompts after the first `train_prompts` — the
+/// ones discriminator training never saw, exactly like the paper's offline
+/// initialization.
 fn score_boundary(
-    dataset: &PromptDataset,
-    model: &DiffusionModel,
+    renders: &RenderTable,
     discriminator: &Discriminator,
     train_prompts: usize,
 ) -> (Vec<f64>, DeferralProfile) {
-    let scores: Vec<f64> = dataset
-        .prompts()
-        .iter()
-        .map(|p| discriminator.confidence(&model.generate(p).features))
+    let scores: Vec<f64> = (0..renders.quality.len())
+        .map(|i| discriminator.confidence(renders.features.row(i)))
         .collect();
     let deferral = DeferralProfile::from_confidences(scores[train_prompts..].to_vec())
         .expect("held-out profiling set is non-empty by the dataset-size assertion");
@@ -339,25 +388,45 @@ mod tests {
         assert_table_is_fresh(&ladder);
     }
 
-    /// Every entry of `rt`'s score table equals, bitwise, a fresh render
-    /// of its prompt scored by its boundary's discriminator.
+    /// Every entry of `rt`'s tables equals, bitwise, a fresh render of its
+    /// prompt: the render table's features and quality on every tier, and
+    /// the score table's confidence by each boundary's discriminator.
     fn assert_table_is_fresh(rt: &CascadeRuntime) {
         let (models, discs): (Vec<&DiffusionModel>, Vec<&Discriminator>) = match &rt.ladder {
             Some(a) => (a.models.iter().collect(), a.discriminators.iter().collect()),
-            None => (vec![&rt.spec.light], vec![&rt.discriminator]),
+            None => (
+                vec![&rt.spec.light, &rt.spec.heavy],
+                vec![&rt.discriminator],
+            ),
         };
+        assert_eq!(rt.renders().len(), models.len(), "one table per tier");
         assert_eq!(rt.scores().len(), discs.len(), "one row per boundary");
+        for (k, (model, table)) in models.iter().zip(rt.renders()).enumerate() {
+            assert_eq!(table.quality.len(), rt.dataset.len(), "tier {k}");
+            assert_eq!(table.features.rows(), rt.dataset.len(), "tier {k}");
+            for (i, p) in rt.dataset.prompts().iter().enumerate() {
+                let (tabled, fresh) = (table.image(i), model.generate(p));
+                assert_eq!(tabled.quality.to_bits(), fresh.quality.to_bits());
+                for (a, b) in tabled.features.iter().zip(&fresh.features) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "tier {k}, prompt {i}");
+                }
+                if let (Some(row), Some(disc)) = (rt.scores().get(k), discs.get(k)) {
+                    let score = disc.confidence(&fresh.features);
+                    assert_eq!(
+                        row[i].to_bits(),
+                        score.to_bits(),
+                        "boundary {k}, prompt {i}"
+                    );
+                }
+            }
+        }
         for (k, row) in rt.scores().iter().enumerate() {
             assert_eq!(row.len(), rt.dataset.len(), "boundary {k}");
-            for (i, (p, score)) in rt.dataset.prompts().iter().zip(row).enumerate() {
-                let fresh = discs[k].confidence(&models[k].generate(p).features);
-                assert_eq!(score.to_bits(), fresh.to_bits(), "boundary {k}, prompt {i}");
-            }
         }
     }
 
     #[test]
-    fn score_table_is_the_fresh_score_under_every_arch() {
+    fn tables_are_the_fresh_render_and_score_under_every_arch() {
         // ResNet and ViT add backbone noise seeded from the feature bits,
         // so a tabled score is only sound if that noise is reproducible.
         use diffserve_imagegen::DiscArch;
@@ -424,10 +493,8 @@ mod tests {
             let clone = rt.clone();
             assert!(std::ptr::eq(rt.dataset.prompts(), clone.dataset.prompts()));
             assert!(std::ptr::eq(&rt.scores()[0], &clone.scores()[0]));
-            assert!(std::ptr::eq(
-                rt.dataset.real_features(),
-                clone.dataset.real_features()
-            ));
+            assert!(std::ptr::eq(rt.renders(), clone.renders()));
+            assert!(std::ptr::eq(&rt.reference, &clone.reference));
         }
     }
 

@@ -6,7 +6,7 @@
 //! motivation figures (1a, 1b) and discriminator ablation (Fig. 7) measure.
 
 use diffserve_linalg::Mat;
-use diffserve_metrics::fid_score;
+use diffserve_metrics::{frechet_distance, GaussianStats};
 use diffserve_simkit::rng::seeded_rng;
 
 use crate::discriminator::Discriminator;
@@ -96,12 +96,8 @@ pub fn evaluate_cascade(
         }
     }
 
-    let refs: Vec<&[f64]> = features.iter().map(|f| f.as_slice()).collect();
-    let generated = Mat::from_rows(&refs);
-    let fid = fid_score(&generated, dataset.real_features(), 1e-6)
-        .expect("feature sets are well-conditioned");
     CascadeEval {
-        fid,
+        fid: fid_to_reference(dataset, &features),
         deferral_fraction: deferred as f64 / prompts.len() as f64,
         mean_latency: latency_sum / prompts.len() as f64,
     }
@@ -115,15 +111,20 @@ pub fn evaluate_single_model(dataset: &PromptDataset, model: &DiffusionModel) ->
         .iter()
         .map(|p| model.generate(p).features)
         .collect();
-    let refs: Vec<&[f64]> = rows.iter().map(|f| f.as_slice()).collect();
-    let generated = Mat::from_rows(&refs);
-    let fid = fid_score(&generated, dataset.real_features(), 1e-6)
-        .expect("feature sets are well-conditioned");
     CascadeEval {
-        fid,
+        fid: fid_to_reference(dataset, &rows),
         deferral_fraction: 0.0,
         mean_latency: model.latency().exec_latency(1).as_secs_f64(),
     }
+}
+
+/// FID of a response set against the dataset's reference Gaussian, the
+/// set fitted with the same `1e-6` ridge as the reference.
+fn fid_to_reference(dataset: &PromptDataset, rows: &[Vec<f64>]) -> f64 {
+    let refs: Vec<&[f64]> = rows.iter().map(|f| f.as_slice()).collect();
+    let generated =
+        GaussianStats::fit(&Mat::from_rows(&refs), 1e-6).expect("two or more generated rows");
+    frechet_distance(&generated, dataset.reference()).expect("feature sets are well-conditioned")
 }
 
 /// Per-prompt quality difference between heavy and light outputs, scored by

@@ -196,9 +196,9 @@ impl Discriminator {
         }
         match config.real_class {
             RealClass::GroundTruth => {
-                let real = dataset.training_real_features();
+                let real = dataset.training_real_features(n);
                 for i in 0..n {
-                    rows.push(real.row(i % real.rows()).to_vec());
+                    rows.push(real.row(i).to_vec());
                     labels.push(1); // real
                 }
             }
@@ -518,6 +518,45 @@ mod tests {
             a.confidence(&img.features).to_bits(),
             b.confidence(&img.features).to_bits()
         );
+    }
+
+    /// Training samples only the `n` real rows it reads, where it once read
+    /// the first `n` rows of a dataset-sized sample. On a dataset smaller
+    /// than the default `train_prompts`, with every row read (EfficientNet,
+    /// ResNet) and with a 15 % subsample (ViT), the trained scorer is
+    /// bitwise the one the full sample gave: these raw confidences were
+    /// recorded from that code.
+    #[test]
+    fn training_on_the_sampled_prefix_is_bitwise_unchanged() {
+        const RECORDED: [u64; 9] = [
+            0x3fe69cb29ccb00b1,
+            0x3fd4db085a740e1a,
+            0x3fd541f643ca091d,
+            0x3fee2daaab690d25,
+            0x3fedb82db5f2ef71,
+            0x3feffffe897a7ccd,
+            0x3fd7d6068f4e9e23,
+            0x3f9ada1e3f75b46f,
+            0x3fa1041ca86ef5e3,
+        ];
+        let spec = FeatureSpec::default();
+        let dataset = PromptDataset::synthesize(DatasetKind::MsCoco, 120, 11, spec);
+        let (light, heavy) = (sd_turbo(spec), sd_v15(spec));
+        let mut bits = Vec::new();
+        for arch in ARCHS {
+            let config = DiscriminatorConfig {
+                arch,
+                train_prompts: 120,
+                epochs: 3,
+                ..Default::default()
+            };
+            let disc = Discriminator::train(&dataset, &light, &heavy, config);
+            for i in [3, 60, 110] {
+                let image = light.generate(&dataset.prompts()[i]);
+                bits.push(disc.raw_confidence(&image.features).to_bits());
+            }
+        }
+        assert_eq!(bits, RECORDED);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! prompts, as the paper notes in §2.1).
 
 use diffserve_linalg::Mat;
+use diffserve_metrics::GaussianStats;
 use diffserve_simkit::rng::{derive_seed, seeded_rng, Beta, Normal, Sampler};
 
 use crate::features::FeatureSpec;
@@ -79,13 +80,18 @@ impl DatasetKind {
     }
 }
 
-/// A synthetic prompt dataset plus its real-image FID reference features.
+/// A synthetic prompt dataset plus its real-image FID reference.
+///
+/// Keeps no real-image feature rows: the reference set is sampled once at
+/// [`PromptDataset::synthesize`] and kept only as its fitted Gaussian, and
+/// the discriminator's real training rows are re-sampled, from a stored
+/// seed, by the training that reads them.
 #[derive(Debug, Clone)]
 pub struct PromptDataset {
     kind: DatasetKind,
     prompts: Vec<Prompt>,
-    real_features: Mat,
-    training_real_features: Mat,
+    reference: GaussianStats,
+    training_seed: u64,
     spec: FeatureSpec,
 }
 
@@ -109,13 +115,19 @@ impl PromptDataset {
                 seed: derive_seed(seed, 0xF00D ^ id),
             })
             .collect();
-        let real_features = spec.reference_features(n, derive_seed(seed, 0xBEEF));
-        let training_real_features = spec.real_features(n, derive_seed(seed, 0x7EA1));
+        let reference =
+            GaussianStats::fit(&spec.reference_features(n, derive_seed(seed, 0xBEEF)), 1e-6)
+                .expect("two or more reference rows");
+        // Every Fréchet distance to the reference goes through this root:
+        // take it once here, so that every clone carries it.
+        reference
+            .cov_sqrt()
+            .expect("a finite sample covariance has a square root");
         PromptDataset {
             kind,
             prompts,
-            real_features,
-            training_real_features,
+            reference,
+            training_seed: derive_seed(seed, 0x7EA1),
             spec,
         }
     }
@@ -146,16 +158,21 @@ impl PromptDataset {
         &self.prompts[(i % self.prompts.len() as u64) as usize]
     }
 
-    /// Real-image features used as the FID reference (carries the
-    /// evaluation-domain offset; see [`FeatureSpec::eval_gap`]).
-    pub fn real_features(&self) -> &Mat {
-        &self.real_features
+    /// The FID reference: the Gaussian of one real-image feature per prompt
+    /// (carrying the evaluation-domain offset, see
+    /// [`FeatureSpec::eval_gap`]), fitted with ridge `1e-6` and its
+    /// covariance root already taken. Pass it second to
+    /// [`diffserve_metrics::frechet_distance`].
+    pub fn reference(&self) -> &GaussianStats {
+        &self.reference
     }
 
-    /// Real-image features for discriminator training (no evaluation
-    /// offset — the discriminator must never see the FID reference domain).
-    pub fn training_real_features(&self) -> &Mat {
-        &self.training_real_features
+    /// The first `n` real-image features for discriminator training (no
+    /// evaluation offset — the discriminator must never see the FID
+    /// reference domain). Rows are drawn in order from one stream, so a
+    /// shorter sample is a prefix of a longer one.
+    pub fn training_real_features(&self, n: usize) -> Mat {
+        self.spec.real_features(n, self.training_seed)
     }
 
     /// The shared feature-space geometry.
@@ -211,9 +228,22 @@ mod tests {
     }
 
     #[test]
-    fn reference_features_match_prompt_count() {
-        let d = PromptDataset::synthesize(DatasetKind::DiffusionDb, 123, 4, FeatureSpec::default());
-        assert_eq!(d.real_features().rows(), 123);
+    fn the_reference_is_the_fit_of_one_real_row_per_prompt() {
+        let spec = FeatureSpec::default();
+        let d = PromptDataset::synthesize(DatasetKind::DiffusionDb, 123, 4, spec);
+        let rows = spec.reference_features(123, derive_seed(4, 0xBEEF));
+        assert_eq!(d.reference(), &GaussianStats::fit(&rows, 1e-6).unwrap());
+        assert_eq!(d.reference().dim(), crate::features::DIM);
+    }
+
+    #[test]
+    fn a_shorter_training_sample_is_a_prefix_of_a_longer_one() {
+        let d = PromptDataset::synthesize(DatasetKind::MsCoco, 100, 6, FeatureSpec::default());
+        let (short, full) = (d.training_real_features(17), d.training_real_features(100));
+        assert_eq!(short.rows(), 17);
+        for i in 0..17 {
+            assert_eq!(short.row(i), full.row(i), "row {i}");
+        }
     }
 
     #[test]
