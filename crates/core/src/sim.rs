@@ -494,7 +494,8 @@ impl QueryRec {
 /// that is scheduled. Handling that arrival draws and schedules the next,
 /// all under the one event-queue sequence number reserved when the stream
 /// was attached — so the events pop exactly where scheduling every arrival
-/// at attach time put them, and the queue holds one entry per stream.
+/// at attach time put them, and the queue holds one pending arrival per
+/// stream.
 #[derive(Debug)]
 struct TraceFeed {
     stream: ArrivalStream,
@@ -697,17 +698,24 @@ impl<'a> ServingSim<'a> {
     /// Must run after any mutation of the worker's failure flag, tier or
     /// pending assignment, health, or load (queue / in-flight length).
     fn refresh_index(&mut self, idx: usize) {
+        match self.index_entry(idx) {
+            Some((pool, key)) => self.index.insert(idx, pool, key),
+            None => self.index.remove(idx),
+        }
+    }
+
+    /// Where [`Self::refresh_index`] files worker `idx`: its routing pool
+    /// and load key, or `None` while it is failed.
+    fn index_entry(&self, idx: usize) -> Option<(RoutePool, u64)> {
         let w = &self.workers[idx];
         if w.failed {
-            self.index.remove(idx);
-            return;
+            return None;
         }
-        let key = load_key(self.routing_load(idx));
-        let pool = match self.workers[idx].pending_tier {
+        let pool = match w.pending_tier {
             Some(t) => RoutePool::PendingTo(t),
-            None => RoutePool::Primary(self.workers[idx].tier),
+            None => RoutePool::Primary(w.tier),
         };
-        self.index.insert(idx, pool, key);
+        Some((pool, load_key(self.routing_load(idx))))
     }
 
     /// Allocates the record of query `id`, arriving at `at`. Scheduling
@@ -1004,9 +1012,10 @@ impl<'a> ServingSim<'a> {
 
         // Drop-front policy: shed queries that cannot finish this stage in
         // time (counted as SLO violations, §4.1).
+        let mut shed = 0;
         if self.config.drop_predicted_misses {
             let (pending, queries) = (&self.workers[idx].queue, &self.queries);
-            let shed = self.kernel.predicted_misses(
+            shed = self.kernel.predicted_misses(
                 tier,
                 pending.len(),
                 bmax,
@@ -1029,7 +1038,17 @@ impl<'a> ServingSim<'a> {
         }
         // Dropped-front pops changed the load; moving queue entries into
         // the in-flight buffer below does not (both count toward it).
-        self.refresh_index(idx);
+        // Every caller refreshed `idx` after its own last change, so
+        // without a drop the entry is already current.
+        if shed > 0 {
+            self.refresh_index(idx);
+        } else {
+            debug_assert_eq!(
+                self.index.slot[idx],
+                self.index_entry(idx),
+                "try_start found worker {idx}'s load-index entry stale"
+            );
+        }
         if self.workers[idx].queue.is_empty() {
             return;
         }
@@ -1493,9 +1512,10 @@ impl<'a> SimBackend<'a> {
         );
         // Pending events scale with the fleet (one batch or switch timer
         // per worker) plus a cushion for explicit submissions, control
-        // ticks and scenario actions — a trace replay holds one pending
-        // arrival however long it is — so preallocating keeps
-        // multi-million-event replays free of event-queue reallocation.
+        // ticks and scenario actions — a trace replay holds no heap entry,
+        // only one pending arrival beside the heap however long it is — so
+        // preallocating keeps multi-million-event replays free of
+        // event-queue reallocation.
         let event_capacity = spec.config.num_workers * 4 + 1024;
         SimBackend {
             sim: Simulation::with_capacity(state, event_capacity),

@@ -11,24 +11,33 @@
 //! simulation that preallocates via [`EventQueue::with_capacity`] never
 //! reallocates once it reaches its steady-state in-flight event count. The
 //! 4-ary shape halves the sift-down depth of a binary heap and keeps the
-//! hot path in one cache line per level.
+//! hot path in one cache line per level. A key orders by one packed `u128`
+//! rank, `time << 64 | seq` — bit for bit the `(time, seq)` order, since
+//! both fields are `u64` — so each comparison is a single branch-free
+//! compare. Both sifts move a hole instead of swapping at every level, and
+//! write the moving key once: a push raises it from the bottom, and a pop
+//! walks the top's hole down to a leaf along least children (picked with
+//! selects) and raises the heap's last key from there.
 //!
 //! A long pre-known stream of events (a trace's arrivals) need not sit in
-//! the heap all at once to keep its place in the FIFO order: the stream
-//! takes one sequence number with [`EventQueue::reserve_seq`] where it
-//! would have been pushed, and then keeps a single pending element in the
-//! queue under that number ([`EventQueue::push_at`]), pushing the next one
-//! when the pending one pops. The pop order is the one pushing the whole
-//! stream up front gives, and the heap holds one entry per stream.
+//! the heap at all to keep its place in the FIFO order: the stream takes
+//! one sequence number with [`EventQueue::reserve_seq`] where it would have
+//! been pushed, and then keeps a single pending element — its head — under
+//! that number ([`EventQueue::push_at`]), pushing the next one when the
+//! pending one pops. Heads wait beside the heap, not in it: a pop takes the
+//! earliest of the heap top and the earliest head, so an arrival costs no
+//! sift through the heap's other events. Ranks are unique, so the pop order
+//! is exactly the one pushing the whole stream up front gives.
 
 use crate::slab::{Slab, Slot};
 use crate::time::SimTime;
 
 /// Heap fan-out. Four children per node: shallower sifts than a binary
-/// heap, and a node's children share a cache line.
+/// heap, and a node's children share a cache line. [`least_child`]
+/// compares a full node's four as two pairs.
 const ARITY: usize = 4;
 
-/// One heap entry: the ordering key plus the payload's slot.
+/// One pending event's ordering key plus the payload's slot.
 #[derive(Debug, Clone, Copy)]
 struct Key {
     time: SimTime,
@@ -37,11 +46,19 @@ struct Key {
 }
 
 impl Key {
-    /// The total order popped: earliest time first, FIFO within a time.
+    /// The total order popped: earliest time first, FIFO within a time,
+    /// packed into one integer so a comparison is one compare.
     #[inline]
-    fn rank(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn rank(&self) -> u128 {
+        (u128::from(self.time.as_micros()) << 64) | u128::from(self.seq)
     }
+}
+
+/// A stream's reserved sequence number and its pending element, if any.
+#[derive(Debug, Clone)]
+struct Stream {
+    seq: u64,
+    head: Option<Key>,
 }
 
 /// A deterministic time-ordered event queue.
@@ -66,13 +83,17 @@ impl Key {
 pub struct EventQueue<E> {
     /// 4-ary min-heap over [`Key::rank`]; payloads live in `events`.
     heap: Vec<Key>,
-    /// The pending events, each named by its key's slot.
+    /// The pending events, heap entries and stream heads alike, each named
+    /// by its key's slot.
     events: Slab<E>,
     seq: u64,
-    /// Debug builds only: every reserved sequence number and whether an
-    /// entry pushed under it is pending.
-    #[cfg(debug_assertions)]
-    reserved: Vec<(u64, bool)>,
+    /// Every reserved sequence number, ascending (reservation order).
+    streams: Vec<Stream>,
+    /// The stream whose head has the least rank; `None` when no head is
+    /// pending.
+    first_stream: Option<usize>,
+    /// Pending stream heads.
+    heads: usize,
 }
 
 impl<E> EventQueue<E> {
@@ -82,8 +103,9 @@ impl<E> EventQueue<E> {
             heap: Vec::new(),
             events: Slab::new(),
             seq: 0,
-            #[cfg(debug_assertions)]
-            reserved: Vec::new(),
+            streams: Vec::new(),
+            first_stream: None,
+            heads: 0,
         }
     }
 
@@ -101,7 +123,8 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.insert(time, seq, event);
+        let slot = self.events.insert(event);
+        self.sift_up(Key { time, seq, slot });
     }
 
     /// Takes the next sequence number out of the FIFO order without
@@ -110,8 +133,7 @@ impl<E> EventQueue<E> {
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        #[cfg(debug_assertions)]
-        self.reserved.push((seq, false));
+        self.streams.push(Stream { seq, head: None });
         seq
     }
 
@@ -121,62 +143,58 @@ impl<E> EventQueue<E> {
     ///
     /// A stream whose times never decrease, which pushes its next element
     /// when the pending one pops, is popped exactly as if every element had
-    /// been [`push`](EventQueue::push)ed where `seq` was reserved. At most
-    /// one entry per reserved number may be pending; debug builds assert
-    /// that, and that `seq` came from [`EventQueue::reserve_seq`].
+    /// been [`push`](EventQueue::push)ed where `seq` was reserved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` did not come from [`EventQueue::reserve_seq`], or if
+    /// an entry pushed under it is still pending.
     pub fn push_at(&mut self, time: SimTime, seq: u64, event: E) {
-        #[cfg(debug_assertions)]
-        {
-            let pending = self.reserved.iter_mut().find(|(s, _)| *s == seq);
-            let pending = pending.expect("push_at needs a sequence number from reserve_seq");
-            assert!(
-                !pending.1,
-                "reserved sequence number {seq} is already pending"
-            );
-            pending.1 = true;
-        }
-        self.insert(time, seq, event);
-    }
-
-    fn insert(&mut self, time: SimTime, seq: u64, event: E) {
+        let s = self
+            .streams
+            .binary_search_by_key(&seq, |s| s.seq)
+            .unwrap_or_else(|_| panic!("push_at needs a sequence number from reserve_seq"));
+        assert!(
+            self.streams[s].head.is_none(),
+            "reserved sequence number {seq} is already pending"
+        );
         let slot = self.events.insert(event);
-        self.heap.push(Key { time, seq, slot });
-        self.sift_up(self.heap.len() - 1);
+        let key = Key { time, seq, slot };
+        self.streams[s].head = Some(key);
+        self.heads += 1;
+        if self
+            .first_head()
+            .is_none_or(|first| key.rank() < first.rank())
+        {
+            self.first_stream = Some(s);
+        }
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            return None;
+        let (key, is_head) = self.front()?;
+        if is_head {
+            self.take_first_head();
+        } else {
+            self.pop_top();
         }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let key = self.heap.pop().expect("heap is non-empty");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        let event = self.events.remove(key.slot);
-        #[cfg(debug_assertions)]
-        if let Some(pending) = self.reserved.iter_mut().find(|(s, _)| *s == key.seq) {
-            pending.1 = false;
-        }
-        Some((key.time, event))
+        Some((key.time, self.events.remove(key.slot)))
     }
 
     /// Returns the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.time)
+        self.front().map(|(key, _)| key.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.heads
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// The most events that were ever pending at once: the payload arena's
@@ -185,40 +203,102 @@ impl<E> EventQueue<E> {
         self.events.high_water()
     }
 
-    /// Restores the heap property upward from `i` after a push.
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if self.heap[i].rank() < self.heap[parent].rank() {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
+    /// The earliest pending stream head.
+    #[inline]
+    fn first_head(&self) -> Option<Key> {
+        self.first_stream
+            .map(|s| self.streams[s].head.expect("the first head is pending"))
+    }
+
+    /// The earliest pending key, and whether it is a stream head.
+    #[inline]
+    fn front(&self) -> Option<(Key, bool)> {
+        match (self.first_head(), self.heap.first()) {
+            (Some(head), Some(top)) if top.rank() < head.rank() => Some((*top, false)),
+            (Some(head), _) => Some((head, true)),
+            (None, top) => top.map(|&top| (top, false)),
         }
     }
 
-    /// Restores the heap property downward from `i` after a pop.
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let first_child = ARITY * i + 1;
-            if first_child >= n {
-                break;
-            }
-            let mut min = i;
-            for c in first_child..(first_child + ARITY).min(n) {
-                if self.heap[c].rank() < self.heap[min].rank() {
-                    min = c;
-                }
-            }
-            if min == i {
-                break;
-            }
-            self.heap.swap(i, min);
-            i = min;
-        }
+    /// Clears the earliest stream head and finds the next one. Streams are
+    /// few (one per attached replay), so a scan finds it.
+    fn take_first_head(&mut self) {
+        let s = self.first_stream.expect("a head is pending");
+        self.streams[s].head = None;
+        self.heads -= 1;
+        self.first_stream = if self.heads == 0 {
+            None
+        } else {
+            let pending = self.streams.iter().enumerate();
+            pending
+                .filter_map(|(i, stream)| stream.head.map(|head| (head.rank(), i)))
+                .min()
+                .map(|(_, i)| i)
+        };
     }
+
+    /// Removes the heap's top. The hole it leaves walks down to a leaf,
+    /// each least child moving up into it, and the heap's last key rises
+    /// from there (a bottom-up sift): that key was a leaf, so it seldom
+    /// climbs far, and the walk down never compares against it.
+    fn pop_top(&mut self) {
+        let last = self.heap.pop().expect("the heap is non-empty");
+        if self.heap.is_empty() {
+            return;
+        }
+        let heap = &mut self.heap[..];
+        let mut hole = 0;
+        while let Some(child) = least_child(heap, hole) {
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        raise(heap, hole, last);
+    }
+
+    /// Adds `key` at the bottom of the heap and raises it to its level.
+    fn sift_up(&mut self, key: Key) {
+        self.heap.push(key);
+        let hole = self.heap.len() - 1;
+        raise(&mut self.heap, hole, key);
+    }
+}
+
+/// The least child of node `i`, or `None` if `i` is a leaf. A full node's
+/// children are compared pairwise with selects, not branches.
+#[inline]
+fn least_child(heap: &[Key], i: usize) -> Option<usize> {
+    let first = ARITY * i + 1;
+    if let Some(c) = heap.get(first..first + ARITY) {
+        let (r0, r1, r2, r3) = (c[0].rank(), c[1].rank(), c[2].rank(), c[3].rank());
+        let (a, ra) = if r1 < r0 { (1, r1) } else { (0, r0) };
+        let (b, rb) = if r3 < r2 { (3, r3) } else { (2, r2) };
+        return Some(first + if rb < ra { b } else { a });
+    }
+    // The one node with fewer than `ARITY` children.
+    let children = heap.get(first..).filter(|c| !c.is_empty())?;
+    let (mut min, mut min_rank) = (0, children[0].rank());
+    for (c, child) in children.iter().enumerate().skip(1) {
+        let lt = child.rank() < min_rank;
+        min = if lt { c } else { min };
+        min_rank = if lt { child.rank() } else { min_rank };
+    }
+    Some(first + min)
+}
+
+/// Fills the hole at `hole` with `key`, first moving each ancestor that
+/// ranks after it down one level: the key is written once.
+#[inline]
+fn raise(heap: &mut [Key], mut hole: usize, key: Key) {
+    let rank = key.rank();
+    while hole > 0 {
+        let parent = (hole - 1) / ARITY;
+        if heap[parent].rank() < rank {
+            break;
+        }
+        heap[hole] = heap[parent];
+        hole = parent;
+    }
+    heap[hole] = key;
 }
 
 impl<E> Default for EventQueue<E> {
@@ -231,6 +311,8 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order() {
@@ -339,7 +421,24 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
+    fn a_lone_stream_head_is_pending() {
+        let mut q = EventQueue::new();
+        let seq = q.reserve_seq();
+        assert!(q.is_empty());
+        q.push_at(SimTime::from_micros(5), seq, "head");
+        assert!(!q.is_empty());
+        assert_eq!((q.len(), q.high_water()), (1, 1));
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
+        // A heap entry beside the head counts too, whichever pops first.
+        q.push(SimTime::from_micros(3), "event");
+        assert_eq!((q.len(), q.high_water()), (2, 2));
+        assert_eq!(q.pop(), Some((SimTime::from_micros(3), "event")));
+        assert_eq!(q.pop(), Some((SimTime::from_micros(5), "head")));
+        assert_eq!((q.len(), q.peek_time(), q.pop()), (0, None, None));
+        assert_eq!(q.high_water(), 2);
+    }
+
+    #[test]
     #[should_panic(expected = "from reserve_seq")]
     fn push_at_rejects_an_unreserved_seq() {
         let mut q = EventQueue::new();
@@ -348,13 +447,48 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "already pending")]
     fn push_at_rejects_a_second_pending_entry() {
         let mut q = EventQueue::new();
         let seq = q.reserve_seq();
         q.push_at(SimTime::ZERO, seq, 0);
         q.push_at(SimTime::ZERO, seq, 1);
+    }
+
+    /// The packed rank keeps every bit of both fields: times at both ends
+    /// of the clock, and sequence numbers past `u32::MAX` and up against
+    /// `u64::MAX`, in the heap and in stream heads.
+    #[test]
+    fn ranks_pack_the_extremes() {
+        let times = [
+            SimTime::MAX,
+            SimTime::ZERO,
+            SimTime::from_micros(1 << 32),
+            SimTime::MAX,
+            SimTime::ZERO,
+            SimTime::from_micros(u64::MAX - 1),
+        ];
+        for start in [u64::from(u32::MAX) - 2, u64::MAX - 2 * times.len() as u64] {
+            let mut q = EventQueue::new();
+            q.seq = start;
+            let mut reference = BinaryHeap::new();
+            for (i, &t) in times.iter().enumerate() {
+                let seq = if i % 2 == 0 {
+                    let seq = q.reserve_seq();
+                    q.push_at(t, seq, i);
+                    seq
+                } else {
+                    q.push(t, i);
+                    q.seq - 1
+                };
+                reference.push(Reverse((t, seq, i)));
+            }
+            while let Some(Reverse((t, _, i))) = reference.pop() {
+                assert_eq!(q.peek_time(), Some(t));
+                assert_eq!(q.pop(), Some((t, i)));
+            }
+            assert_eq!(q.pop(), None);
+        }
     }
 
     /// What a queue under test holds: an ordinary event, or element `k` of
@@ -369,7 +503,8 @@ mod tests {
         /// The crux of the streaming replay's bit-identity: a stream fed
         /// one element at a time under a reserved sequence number pops
         /// exactly where pushing all of it at the attach point would have
-        /// put it. Times are drawn from a tiny range so ties between
+        /// put it, and `peek_time` always names the time the next pop
+        /// returns. Times are drawn from a tiny range so ties between
         /// stream elements and other events — pushed before the attach
         /// point and after it — are the common case, and zero gaps put
         /// equal timestamps inside a stream too.
@@ -400,13 +535,14 @@ mod tests {
             let pop_both = |eager: &mut EventQueue<Ev>,
                             chained: &mut EventQueue<Ev>,
                             seqs: &[u64]| {
+                let peeked = chained.peek_time();
                 let got = chained.pop();
                 if let Some((_, Ev::Stream(s, k))) = got {
                     if let Some(&next) = streams[s].get(k + 1) {
                         chained.push_at(next, seqs[s], Ev::Stream(s, k + 1));
                     }
                 }
-                (eager.pop(), got)
+                (eager.pop(), got, peeked)
             };
             for &(op, t) in &ops {
                 match op {
@@ -422,8 +558,9 @@ mod tests {
                         }
                     }
                     1 => {
-                        let (want, got) = pop_both(&mut eager, &mut chained, &seqs);
+                        let (want, got, peeked) = pop_both(&mut eager, &mut chained, &seqs);
                         prop_assert_eq!(got, want);
+                        prop_assert_eq!(peeked, got.map(|(t, _)| t));
                     }
                     _ => {
                         let at = SimTime::from_micros(t);
@@ -435,8 +572,9 @@ mod tests {
                 prop_assert!(chained.len() <= eager.len());
             }
             loop {
-                let (want, got) = pop_both(&mut eager, &mut chained, &seqs);
+                let (want, got, peeked) = pop_both(&mut eager, &mut chained, &seqs);
                 prop_assert_eq!(got, want);
+                prop_assert_eq!(peeked, got.map(|(t, _)| t));
                 if got.is_none() {
                     break;
                 }
@@ -466,9 +604,6 @@ mod tests {
         fn pop_order_matches_reference_heap(
             ops in proptest::collection::vec((0u64..1_000, 0u8..2), 0..400)
         ) {
-            use std::cmp::Reverse;
-            use std::collections::BinaryHeap;
-
             let mut q = EventQueue::new();
             let mut reference: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
             let mut seq = 0u64;
