@@ -28,6 +28,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use diffserve_core::config::MODEL_SWITCH_DELAY;
 use diffserve_core::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
 use diffserve_core::serve::{
     BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession,
@@ -921,7 +922,7 @@ fn worker_loop(
     kernel: &Kernel<'_>,
     sys: &SystemConfig,
 ) {
-    let switch_delay = sys.model_switch_delay.as_secs_f64();
+    let switch_delay = MODEL_SWITCH_DELAY.as_secs_f64();
     let mut current_tier = shared.plan.read().tiers[wid];
     let mut was_failed = false;
     let poll = Duration::from_secs_f64((0.02 * shared.scale).max(0.0002));

@@ -4,6 +4,24 @@ use diffserve_simkit::time::SimDuration;
 
 use crate::addons::AddonsConfig;
 
+/// Number of points in the confidence-threshold grid.
+const THRESHOLD_GRID_STEPS: usize = 51;
+
+/// Upper cap on the confidence threshold. Calibrated confidences are
+/// uniform on the lightweight-output distribution, so a cap of `c` always
+/// keeps the top `1 − c` most-real-looking lightweight outputs — excluding
+/// the degenerate all-heavy routing whose FID is *worse* than a
+/// high-threshold blend (paper §2.2: FID rises again as every query goes
+/// heavy).
+const MAX_THRESHOLD: f64 = 0.9;
+
+/// EWMA smoothing factor for demand estimation (and for the ladder
+/// planner's direct-admission split, on the same horizon).
+pub(crate) const EWMA_ALPHA: f64 = 0.6;
+
+/// Latency to swap the model hosted by a worker (weights load).
+pub const MODEL_SWITCH_DELAY: SimDuration = SimDuration::from_secs(1);
+
 /// Cluster and controller configuration for a serving run.
 ///
 /// Defaults follow the paper's testbed: 16 workers, 5 s SLO (Cascade 1),
@@ -18,21 +36,8 @@ pub struct SystemConfig {
     pub control_interval: SimDuration,
     /// Batch sizes the allocator may choose from.
     pub batch_sizes: Vec<usize>,
-    /// Number of points in the confidence-threshold grid.
-    pub threshold_grid_steps: usize,
-    /// Upper cap on the confidence threshold. Calibrated confidences are
-    /// uniform on the lightweight-output distribution, so a cap of `c`
-    /// always keeps the top `1 − c` most-real-looking lightweight outputs —
-    /// excluding the degenerate all-heavy routing whose FID is *worse* than
-    /// a high-threshold blend (paper §2.2: FID rises again as every query
-    /// goes heavy).
-    pub max_threshold: f64,
     /// Over-provisioning factor λ applied to the demand estimate (§3.3).
     pub over_provision: f64,
-    /// EWMA smoothing factor for demand estimation.
-    pub ewma_alpha: f64,
-    /// Latency to swap the model hosted by a worker (weights load).
-    pub model_switch_delay: SimDuration,
     /// Whether workers preemptively drop queries predicted to miss their
     /// deadline (counted as SLO violations, §4.1).
     pub drop_predicted_misses: bool,
@@ -75,8 +80,8 @@ pub struct SystemConfig {
     /// the subsystem bit-identically — no query carries an add-on, no
     /// module cache exists, and routing is unchanged.
     pub addons: Option<AddonsConfig>,
-    /// N-tier quality-ladder knobs (initial thresholds, predictive
-    /// straight-to-tier routing). Only consulted when the runtime was
+    /// N-tier quality-ladder knobs (the predictive router's tuning and
+    /// the threshold-raise cap). Only consulted when the runtime was
     /// prepared with [`crate::CascadeRuntime::prepare_ladder`]; `None`
     /// (the default) keeps ladder runs at the conservative defaults and
     /// leaves non-ladder runs bit-identical.
@@ -90,11 +95,7 @@ impl Default for SystemConfig {
             slo: SimDuration::from_secs(5),
             control_interval: SimDuration::from_secs(2),
             batch_sizes: vec![1, 2, 4, 8, 16],
-            threshold_grid_steps: 51,
-            max_threshold: 0.9,
             over_provision: 1.05,
-            ewma_alpha: 0.6,
-            model_switch_delay: SimDuration::from_secs(1),
             drop_predicted_misses: true,
             metrics_window: SimDuration::from_secs(20),
             seed: 0xD1FF,
@@ -115,14 +116,15 @@ impl Default for SystemConfig {
 /// The ladder itself — which model tiers, their discriminators and deferral
 /// profiles — lives in the prepared runtime; this config carries only the
 /// runtime-tunable policy knobs.
+///
+/// Every cascade session of more than two tiers runs the online
+/// pre-execution router: queries predicted to escalate through a boundary
+/// skip that boundary's cheap tier and enter the ladder deeper. It trains
+/// online from every discriminator verdict; while a boundary is cold every
+/// query still enters at tier 0. Every boundary starts at threshold 0.5
+/// until the first plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderConfig {
-    /// Enable the online pre-execution router: queries predicted to
-    /// escalate through a boundary skip that boundary's cheap tier and
-    /// enter the ladder deeper. Trained online from every discriminator
-    /// verdict; while a boundary is cold every query still enters at
-    /// tier 0.
-    pub predictive_routing: bool,
     /// Predicted escalation probability at or above which a tier is
     /// skipped.
     pub predictive_margin: f64,
@@ -133,9 +135,6 @@ pub struct LadderConfig {
     pub predictive_min_observations: u64,
     /// Std of the observation noise on the router's text embeddings.
     pub predictive_observation_noise: f64,
-    /// Per-boundary thresholds used before the first control tick;
-    /// `None` starts every boundary at the legacy bootstrap value of 0.5.
-    pub initial_thresholds: Option<Vec<f64>>,
     /// Cap on how many threshold-grid levels any boundary may *rise* per
     /// control tick (`None` = unlimited). Falling is always immediate —
     /// load shedding cannot wait — but climbing back toward higher quality
@@ -148,12 +147,10 @@ pub struct LadderConfig {
 impl Default for LadderConfig {
     fn default() -> Self {
         LadderConfig {
-            predictive_routing: true,
             predictive_margin: 0.6,
             predictive_learning_rate: 0.05,
             predictive_min_observations: 64,
             predictive_observation_noise: 0.35,
-            initial_thresholds: None,
             max_threshold_raise_per_tick: Some(2),
         }
     }
@@ -183,21 +180,6 @@ impl LadderConfig {
                 "threshold raise cap must be >= 1 level per tick (None = unlimited)",
             ));
         }
-        if let Some(ts) = &self.initial_thresholds {
-            if ts.is_empty() {
-                return Err(ConfigError::new(
-                    "initial ladder thresholds must be non-empty when given",
-                ));
-            }
-            if ts
-                .iter()
-                .any(|t| !t.is_finite() || !(0.0..=1.0).contains(t))
-            {
-                return Err(ConfigError::new(
-                    "initial ladder thresholds must lie in [0, 1]",
-                ));
-            }
-        }
         Ok(())
     }
 }
@@ -217,17 +199,8 @@ impl SystemConfig {
                 "batch sizes must be non-empty and positive",
             ));
         }
-        if self.threshold_grid_steps < 2 {
-            return Err(ConfigError::new("threshold grid needs at least 2 steps"));
-        }
-        if !(0.0..=1.0).contains(&self.max_threshold) {
-            return Err(ConfigError::new("max threshold must lie in [0, 1]"));
-        }
         if self.over_provision < 1.0 {
             return Err(ConfigError::new("over-provisioning factor must be >= 1"));
-        }
-        if !(0.0 < self.ewma_alpha && self.ewma_alpha <= 1.0) {
-            return Err(ConfigError::new("EWMA alpha must lie in (0, 1]"));
         }
         if self.control_interval.is_zero() || self.metrics_window.is_zero() {
             return Err(ConfigError::new(
@@ -263,11 +236,12 @@ impl SystemConfig {
         Ok(())
     }
 
-    /// The candidate threshold grid `[0, max_threshold]`.
+    /// The candidate threshold grid: `THRESHOLD_GRID_STEPS` (51) evenly
+    /// spaced points on `[0, MAX_THRESHOLD]` (0.9).
     pub fn threshold_grid(&self) -> Vec<f64> {
-        let n = self.threshold_grid_steps;
+        let n = THRESHOLD_GRID_STEPS;
         (0..n)
-            .map(|i| self.max_threshold * i as f64 / (n - 1) as f64)
+            .map(|i| MAX_THRESHOLD * i as f64 / (n - 1) as f64)
             .collect()
     }
 }
@@ -349,30 +323,9 @@ mod tests {
                 },
             ),
             (
-                "grid",
-                SystemConfig {
-                    threshold_grid_steps: 1,
-                    ..base.clone()
-                },
-            ),
-            (
-                "cap",
-                SystemConfig {
-                    max_threshold: 1.5,
-                    ..base.clone()
-                },
-            ),
-            (
                 "lambda",
                 SystemConfig {
                     over_provision: 0.5,
-                    ..base.clone()
-                },
-            ),
-            (
-                "alpha",
-                SystemConfig {
-                    ewma_alpha: 0.0,
                     ..base.clone()
                 },
             ),
@@ -481,16 +434,6 @@ mod tests {
                     ..base.clone()
                 },
             ),
-            (
-                "ladder initial threshold out of range",
-                SystemConfig {
-                    ladder: Some(LadderConfig {
-                        initial_thresholds: Some(vec![0.5, 1.2]),
-                        ..Default::default()
-                    }),
-                    ..base.clone()
-                },
-            ),
         ];
         for (what, cfg) in cases {
             assert!(cfg.validate().is_err(), "{what} should be rejected");
@@ -499,15 +442,11 @@ mod tests {
 
     #[test]
     fn threshold_grid_spans_cap() {
-        let cfg = SystemConfig {
-            threshold_grid_steps: 10,
-            max_threshold: 0.9,
-            ..Default::default()
-        };
-        let g = cfg.threshold_grid();
-        assert_eq!(g.len(), 10);
+        let g = SystemConfig::default().threshold_grid();
+        assert_eq!(g.len(), THRESHOLD_GRID_STEPS);
         assert_eq!(g[0], 0.0);
-        assert!((g[9] - 0.9).abs() < 1e-12);
+        assert!((g[THRESHOLD_GRID_STEPS - 1] - MAX_THRESHOLD).abs() < 1e-12);
+        assert!(g.windows(2).all(|w| w[0] < w[1]), "ascending");
     }
 
     #[test]

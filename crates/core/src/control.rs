@@ -1,23 +1,25 @@
 //! The backend-agnostic control plane.
 //!
-//! DiffServe's controller runs the same pipeline every control interval
-//! regardless of which execution engine hosts the workers:
+//! DiffServe's controller runs the same pipeline every control interval,
+//! whichever execution engine hosts the workers and however many tiers the
+//! runtime serves (a two-tier cascade is the N = 2 ladder):
 //!
 //! 1. **Demand estimation** — EWMA over the arrivals observed since the
 //!    last tick, over-provisioned by λ (§3.3, via
 //!    [`DemandEstimator`]).
-//! 2. **Profile estimation** — the deferral profile `f(t)` the allocator
-//!    solves against. The paper initializes `f` offline and *keeps updating
-//!    it online* (§4.2, Eq. 3); `ProfileEstimator` implements both modes:
-//!    a passthrough over the offline curve, and a streaming
-//!    [`OnlineDeferralEstimator`] that re-estimates the curve from the
-//!    confidences the cascade actually observes so the controller tracks
-//!    difficulty drift.
-//! 3. **Allocation planning** — one `plan` call over
+//! 2. **Profile estimation** — the per-boundary deferral profiles `f_k(t)`
+//!    the allocator solves against. The paper initializes `f` offline and
+//!    *keeps updating it online* (§4.2, Eq. 3): with online refresh on,
+//!    every boundary owns a streaming [`OnlineDeferralEstimator`] that
+//!    re-estimates its curve from the confidences the boundary actually
+//!    observes, so the controller tracks difficulty drift; the offline
+//!    curve rules until the estimator warms up, and always without it.
+//! 3. **Allocation planning** — one `plan` call. The solver is chosen once,
+//!    when the loop is built: a two-tier session plans over
 //!    [`solve_milp_allocation_warm`], [`solve_exhaustive`] or
 //!    [`solve_proteus`] (per policy and backend), with the
-//!    [`overload_fallback`] when the solve is infeasible; N-tier ladders
-//!    plan through [`solve_ladder`].
+//!    [`overload_fallback`] when the solve is infeasible; deeper ladders
+//!    plan through [`solve_ladder`] and [`ladder_overload_fallback`].
 //! 4. **Plan actuation** — the backend-side half: a [`PlanActuator`]
 //!    applies the returned [`ControlDirective`] to live serving state (the
 //!    simulator's worker array, the testbed's shared [`ServingPlan`]).
@@ -43,9 +45,8 @@ use crate::allocator::{
     solve_milp_allocation_warm, solve_proteus, AllocWarmState, Allocation, AllocatorInputs,
     LadderAllocation, LadderInputs, LadderWarmState,
 };
-use crate::config::{LadderConfig, SystemConfig};
+use crate::config::{LadderConfig, SystemConfig, EWMA_ALPHA};
 use crate::policy::{BatchPolicy, Policy, QueueModel};
-use crate::query::ModelTier;
 use crate::serve::SessionSpec;
 use crate::sim::{AllocatorBackend, RunSettings};
 
@@ -86,9 +87,7 @@ pub struct ControlObservation {
     /// profile estimator's input stream.
     pub confidences: Vec<f64>,
     /// Queries queued on alive workers of each tier right now, entry tier
-    /// first (length N). The two-tier planner reads the entry tier as the
-    /// light queue and everything deeper as the heavy queue; a missing
-    /// entry reads as zero.
+    /// first (length N). A missing entry reads as zero.
     pub tier_queues: Vec<usize>,
     /// Confidences observed at escalation boundaries **deeper than the
     /// first** since the last tick — `deep_confidences[i]` is boundary
@@ -135,14 +134,14 @@ impl ControlDirective {
     }
 }
 
-/// The two-tier allocation-planning strategy: demand and constraints in, a
-/// [`ControlDirective`] out. Both variants fall back to
-/// [`overload_fallback`] when the problem is infeasible, so callers never
+/// The allocation-planning strategy, chosen once per session: demand and
+/// constraints in, a [`ControlDirective`] out. Every variant falls back to
+/// an overload plan when the problem is infeasible, so callers never
 /// handle `None`.
 #[derive(Debug, Clone)]
 enum Planner {
-    /// DiffServe and DiffServe-Static: maximizes the confidence threshold
-    /// via the configured solver.
+    /// Two-tier DiffServe and DiffServe-Static: maximizes the confidence
+    /// threshold via the configured solver.
     ///
     /// The MILP backend keeps an [`AllocWarmState`] across ticks: the
     /// demand estimate moves slowly between control intervals, so the
@@ -158,37 +157,15 @@ enum Planner {
     /// Proteus: maximizes the heavy routing fraction; under overload
     /// everything routes light over the fallback allocation.
     Proteus,
-}
-
-impl Planner {
-    /// A cascade planner with cold solver state.
-    fn cascade(backend: AllocatorBackend) -> Self {
-        Planner::Cascade {
-            backend,
-            warm: AllocWarmState::new(),
-        }
-    }
-
-    /// Plans one allocation from the tick's solver inputs.
-    fn plan(&mut self, inputs: &AllocatorInputs<'_>) -> ControlDirective {
-        match self {
-            Planner::Cascade { backend, warm } => {
-                let solved = match backend {
-                    AllocatorBackend::Milp => solve_milp_allocation_warm(inputs, warm),
-                    AllocatorBackend::Exhaustive => solve_exhaustive(inputs),
-                };
-                ControlDirective::two_tier(
-                    solved.unwrap_or_else(|| overload_fallback(inputs)),
-                    None,
-                )
-            }
-            Planner::Proteus => {
-                let (allocation, heavy_fraction) =
-                    solve_proteus(inputs).unwrap_or_else(|| (overload_fallback(inputs), 0.0));
-                ControlDirective::two_tier(allocation, Some(heavy_fraction))
-            }
-        }
-    }
+    /// Ladders of more than two tiers: coordinate-maximizes the threshold
+    /// vector through [`solve_ladder`], MILP or exhaustive residual solves
+    /// behind the search.
+    Ladder {
+        /// Whether the residual solves run on the MILP backend.
+        milp: bool,
+        /// Warm levels + simplex basis carried across ticks.
+        warm: LadderWarmState,
+    },
 }
 
 /// The backend-side half of the control pipeline: applies a
@@ -200,39 +177,6 @@ pub trait PlanActuator {
     fn actuate(&mut self, directive: &ControlDirective);
 }
 
-/// The deferral-profile stage of the pipeline: which `f(t)` the allocator
-/// solves against.
-#[derive(Debug, Clone)]
-enum ProfileEstimator {
-    /// Solve against the offline-profiled curve only (the pre-§4.2 mode).
-    Offline,
-    /// Refresh the curve online from observed confidences, falling back to
-    /// the offline profile until the estimator warms up.
-    Online(OnlineDeferralEstimator),
-}
-
-impl ProfileEstimator {
-    /// Builds the estimator the configuration asks for.
-    fn from_config(config: &SystemConfig) -> Self {
-        if config.online_profile_refresh {
-            ProfileEstimator::Online(OnlineDeferralEstimator::new(
-                config.online_profile_window,
-                config.online_profile_min_samples,
-            ))
-        } else {
-            ProfileEstimator::Offline
-        }
-    }
-
-    /// The online estimate, if this is a warmed-up online estimator.
-    fn online_profile(&self) -> Option<&DeferralProfile> {
-        match self {
-            ProfileEstimator::Offline => None,
-            ProfileEstimator::Online(est) => est.profile(),
-        }
-    }
-}
-
 /// The unified control plane driven by both serving backends.
 ///
 /// Construct one from validated session inputs
@@ -241,68 +185,82 @@ impl ProfileEstimator {
 /// [`step`](ControlLoop::step) every control interval with what the backend
 /// observed; actuate the returned directive.
 ///
-/// Owns the pipeline state: the demand EWMA, the profile estimator, AIMD
-/// batch state, and the deferral-estimation-error series recorded for the
-/// final [`RunReport`](crate::report::RunReport).
+/// Owns the pipeline state: the demand EWMA, the per-boundary profile
+/// estimators, AIMD batch state, and the deferral-estimation-error series
+/// recorded for the final [`RunReport`](crate::report::RunReport). The
+/// state is tier- and boundary-indexed for every ladder size; only the
+/// planner differs between two tiers and more.
 #[derive(Debug)]
 pub struct ControlLoop {
     config: SystemConfig,
     settings: RunSettings,
-    offline: DeferralProfile,
-    light: LatencyProfile,
-    heavy: LatencyProfile,
-    resume_heavy: Option<LatencyProfile>,
-    discriminator_latency: f64,
-    demand: DemandEstimator,
-    profile: ProfileEstimator,
-    planner: Planner,
-    aimd_light_batch: usize,
-    aimd_heavy_batch: usize,
-    deferral_errors: Vec<(f64, f64)>,
-    ladder: Option<LadderControl>,
-}
-
-/// Everything tier- or boundary-indexed the N-tier planner needs beyond
-/// the legacy two-tier fields. Present only on ladder sessions with more
-/// than two tiers; a two-tier ladder plans through the unchanged legacy
-/// path.
-#[derive(Debug)]
-struct LadderControl {
-    /// Per-tier execution profiles, cheapest first.
+    /// Per-tier execution profiles, cheapest first (length N).
     tiers: Vec<LatencyProfile>,
-    /// Per-boundary discriminator latencies, seconds.
+    /// Per-boundary discriminator latencies, seconds (length N − 1); zeros
+    /// when the policy runs no cascade, which never scores an image.
     disc_latencies: Vec<f64>,
     /// Per-boundary offline deferral profiles `f_k(t)`.
     offline: Vec<DeferralProfile>,
-    /// Online estimators for boundaries **deeper than the first**
-    /// (boundary 0 rides the legacy `ProfileEstimator`); empty when
-    /// online refresh is off.
+    /// One online estimator per boundary; empty when online refresh is off.
     online: Vec<OnlineDeferralEstimator>,
-    /// Warm levels + simplex basis carried across ticks.
-    warm: LadderWarmState,
     /// EWMA of the per-tier direct-admission split (length N, sums to 1)
     /// observed through [`ControlObservation::tier_direct_arrivals`];
     /// empty until the first window reports admissions.
     direct_frac: Vec<f64>,
+    /// The terminal tier as a resumed escalation pays it, for the two-tier
+    /// latency constraint; `None` in restart mode.
+    resume_heavy: Option<LatencyProfile>,
+    demand: DemandEstimator,
+    planner: Planner,
+    aimd_light_batch: usize,
+    aimd_heavy_batch: usize,
+    deferral_errors: Vec<(f64, f64)>,
 }
 
 impl ControlLoop {
-    /// Builds the control loop from its constituent parts. Most callers go
-    /// through [`SessionSpec::control_loop`](crate::serve::SessionSpec::control_loop).
-    pub fn new(
+    /// Builds the control loop from per-tier execution profiles (cheapest
+    /// first), per-boundary discriminator latencies and per-boundary
+    /// offline deferral profiles, and picks the session's planner.
+    fn new(
         config: SystemConfig,
         settings: RunSettings,
-        offline: DeferralProfile,
-        light: LatencyProfile,
-        heavy: LatencyProfile,
-        discriminator_latency: f64,
+        tiers: Vec<LatencyProfile>,
+        disc_latencies: Vec<f64>,
+        offline: Vec<DeferralProfile>,
     ) -> Self {
-        let planner = match settings.policy {
-            Policy::Proteus => Planner::Proteus,
-            _ => Planner::cascade(settings.backend),
+        assert_eq!(tiers.len(), offline.len() + 1, "one profile per boundary");
+        assert_eq!(disc_latencies.len(), offline.len());
+        let planner = if tiers.len() > 2 {
+            Planner::Ladder {
+                milp: matches!(settings.backend, AllocatorBackend::Milp),
+                warm: LadderWarmState::new(),
+            }
+        } else if settings.policy == Policy::Proteus {
+            Planner::Proteus
+        } else {
+            Planner::Cascade {
+                backend: settings.backend,
+                warm: AllocWarmState::new(),
+            }
         };
-        let demand = DemandEstimator::new(config.ewma_alpha, config.over_provision);
-        let profile = ProfileEstimator::from_config(&config);
+        let disc_latencies = if settings.policy.uses_cascade() {
+            disc_latencies
+        } else {
+            vec![0.0; disc_latencies.len()]
+        };
+        let online = if config.online_profile_refresh {
+            offline
+                .iter()
+                .map(|_| {
+                    OnlineDeferralEstimator::new(
+                        config.online_profile_window,
+                        config.online_profile_min_samples,
+                    )
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         // With resume-from-latents enabled, an escalated query re-does only
         // `1 − DENOISE_FRAC · credit` of the heavy denoise schedule, so the
         // allocator's latency constraint should charge that cheaper
@@ -320,73 +278,28 @@ impl ControlLoop {
         // tier without latents (direct routing, replays). Capacity planning
         // stays on nameplate throughput; restart mode carries no discount
         // at all.
-        let resume_heavy = if config.resume_from_latents {
+        let heavy = tiers[tiers.len() - 1];
+        let resume_heavy = config.resume_from_latents.then(|| {
             let k = 1.0 - diffserve_imagegen::DENOISE_FRAC * config.resume_step_credit;
             let base =
                 heavy.base_latency * (heavy.batch_overhead + (1.0 - heavy.batch_overhead) * k);
-            Some(LatencyProfile::new(
-                base,
-                heavy.base_latency * heavy.batch_overhead / base,
-            ))
-        } else {
-            None
-        };
+            LatencyProfile::new(base, heavy.base_latency * heavy.batch_overhead / base)
+        });
         ControlLoop {
-            demand,
-            profile,
+            demand: DemandEstimator::new(EWMA_ALPHA, config.over_provision),
             planner,
             aimd_light_batch: 1,
             aimd_heavy_batch: 1,
             deferral_errors: Vec::new(),
             config,
             settings,
-            offline,
-            light,
-            heavy,
-            resume_heavy,
-            discriminator_latency,
-            ladder: None,
-        }
-    }
-
-    /// Attaches N-tier ladder planning state: per-tier execution profiles
-    /// (cheapest first), per-boundary discriminator latencies, and
-    /// per-boundary offline deferral profiles. Once attached, dynamic
-    /// ticks plan an N-dimensional threshold vector through
-    /// [`solve_ladder`] instead of the two-tier solvers.
-    ///
-    /// Callers only attach ladders with more than two tiers
-    /// ([`SessionSpec::control_loop`](crate::serve::SessionSpec::control_loop));
-    /// a two-tier ladder stays on the legacy planner, which is bit-identical
-    /// by construction.
-    pub fn attach_ladder(
-        &mut self,
-        tiers: Vec<LatencyProfile>,
-        disc_latencies: Vec<f64>,
-        offline: Vec<DeferralProfile>,
-    ) {
-        assert_eq!(tiers.len(), offline.len() + 1, "one profile per boundary");
-        assert_eq!(disc_latencies.len(), offline.len());
-        let online = if self.config.online_profile_refresh {
-            (1..offline.len())
-                .map(|_| {
-                    OnlineDeferralEstimator::new(
-                        self.config.online_profile_window,
-                        self.config.online_profile_min_samples,
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.ladder = Some(LadderControl {
             tiers,
             disc_latencies,
             offline,
             online,
-            warm: LadderWarmState::new(),
             direct_frac: Vec::new(),
-        });
+            resume_heavy,
+        }
     }
 
     /// The initial allocation before any demand has been observed.
@@ -397,45 +310,43 @@ impl ControlLoop {
         let thresholds = self.threshold_grid();
         let batches = self.config.batch_sizes.clone();
         let workers = self.config.num_workers;
+        let slo = self.config.slo.as_secs_f64();
+        let idle_queues = vec![0.0; self.tiers.len()];
         match self.settings.policy {
-            Policy::ClipperLight => ControlDirective::two_tier(
-                Allocation {
-                    threshold: 0.5,
-                    light_workers: workers,
-                    heavy_workers: 0,
-                    light_batch: self.clipper_batch(ModelTier::Light),
-                    heavy_batch: 1,
+            // Clipper dedicates the whole fleet to one tier.
+            policy @ (Policy::ClipperLight | Policy::ClipperHeavy) => {
+                let n = self.tiers.len();
+                let tier = if policy == Policy::ClipperLight {
+                    0
+                } else {
+                    n - 1
+                };
+                let mut plan = LadderAllocation {
+                    thresholds: vec![0.5; n - 1],
+                    workers: vec![0; n],
+                    batches: vec![1; n],
                     feasible: true,
-                },
-                None,
-            ),
-            Policy::ClipperHeavy => ControlDirective::two_tier(
-                Allocation {
-                    threshold: 0.5,
-                    light_workers: 0,
-                    heavy_workers: workers,
-                    light_batch: 1,
-                    heavy_batch: self.clipper_batch(ModelTier::Heavy),
-                    feasible: true,
-                },
-                None,
-            ),
-            Policy::DiffServeStatic => {
-                // Provisioned for the anticipated peak and never re-solved
-                // (§4.1: "provisioned to accommodate maximum anticipated
-                // demand").
-                let slo = self.config.slo.as_secs_f64();
-                if self.ladder.is_some() {
-                    return self.plan_ladder(peak_demand, &[], slo, &thresholds, &batches, workers);
+                };
+                plan.workers[tier] = workers;
+                plan.batches[tier] = self.clipper_batch(tier);
+                ControlDirective::Apply {
+                    plan,
+                    heavy_fraction: None,
                 }
-                self.plan_allocation(peak_demand, 0.0, 0.0, slo, &thresholds, &batches, workers)
             }
+            // Provisioned for the anticipated peak and never re-solved
+            // (§4.1: "provisioned to accommodate maximum anticipated
+            // demand").
+            Policy::DiffServeStatic => self.plan(
+                peak_demand,
+                idle_queues,
+                slo,
+                &thresholds,
+                &batches,
+                workers,
+            ),
             Policy::DiffServe | Policy::Proteus => {
-                let slo = self.config.slo.as_secs_f64();
-                if self.ladder.is_some() {
-                    return self.plan_ladder(1.0, &[], slo, &thresholds, &batches, workers);
-                }
-                self.plan_allocation(1.0, 0.0, 0.0, slo, &thresholds, &batches, workers)
+                self.plan(1.0, idle_queues, slo, &thresholds, &batches, workers)
             }
         }
     }
@@ -445,32 +356,13 @@ impl ControlLoop {
     /// their telemetry stays comparable) but always return
     /// [`ControlDirective::Hold`].
     pub fn step(&mut self, obs: &ControlObservation) -> ControlDirective {
-        let interval = self.config.control_interval;
-        self.demand.observe(obs.arrivals, interval);
+        self.demand
+            .observe(obs.arrivals, self.config.control_interval);
         let demand = self.demand.provisioned_estimate().max(0.5);
 
-        // Queuing-delay estimates (Little's law or the Fig. 8 heuristic).
-        let heavy_rate = (obs.heavy_arrivals as f64 / interval.as_secs_f64()).max(0.05);
-        let light_rate = demand.max(0.05);
-        let (q1, q2) = match self.settings.knobs.queue_model {
-            QueueModel::LittlesLaw => {
-                let (light_queue, heavy_queue) = match obs.tier_queues.split_first() {
-                    Some((&entry, deeper)) => (entry, deeper.iter().sum()),
-                    None => (0, 0),
-                };
-                (
-                    light_queue as f64 / light_rate,
-                    heavy_queue as f64 / heavy_rate,
-                )
-            }
-            QueueModel::TwiceExecution => (
-                2.0 * self.stage_latency(ModelTier::Light, obs.current_light_batch),
-                2.0 * self.stage_latency(ModelTier::Heavy, obs.current_heavy_batch),
-            ),
-        };
-
         // AIMD batch adaptation (Fig. 8 ablation).
-        if self.settings.knobs.batch_policy == BatchPolicy::Aimd {
+        let aimd = self.settings.knobs.batch_policy == BatchPolicy::Aimd;
+        if aimd {
             let max_b = self
                 .config
                 .batch_sizes
@@ -486,24 +378,23 @@ impl ControlLoop {
 
         // Profile estimation: score the curve that was in use over the
         // window that just ended, then absorb the window's observations.
-        self.track_profile(obs);
-        self.track_ladder(obs);
+        self.track_profiles(obs);
 
         if !self.settings.policy.is_dynamic() {
             return ControlDirective::Hold;
         }
 
+        let queue_delays = self.queue_delays(obs, demand);
         let thresholds = self.threshold_grid();
-        let batches: Vec<usize> = match self.settings.knobs.batch_policy {
-            BatchPolicy::Milp => self.config.batch_sizes.clone(),
+        let batches: Vec<usize> = if aimd {
             // AIMD owns the batch choice; the planner sees only the current
             // AIMD operating points, so capacity planning reacts a step
             // behind the oscillation — the paper's "reactive signal" flaw.
-            BatchPolicy::Aimd => {
-                let mut b = vec![self.aimd_light_batch, self.aimd_heavy_batch];
-                b.dedup();
-                b
-            }
+            let mut b = vec![self.aimd_light_batch, self.aimd_heavy_batch];
+            b.dedup();
+            b
+        } else {
+            self.config.batch_sizes.clone()
         };
 
         // Degradation awareness: when the backend reports effective
@@ -521,40 +412,21 @@ impl ControlLoop {
         };
         let planned_demand = demand / capacity_scale;
 
-        if self.ladder.is_some() {
-            // N-tier ladder planning: per-tier queue delays, the shared
-            // threshold grid per boundary, MILP or exhaustive residual
-            // solves behind the coordinate search. The AIMD ablation does
-            // not compose with ladders — batch choice stays with the
-            // planner.
-            let slo = self.config.slo.as_secs_f64();
-            let queue_delays = self.ladder_queue_delays(obs, light_rate, heavy_rate);
-            return self.plan_ladder(
-                planned_demand,
-                &queue_delays,
-                slo,
-                &thresholds,
-                &batches,
-                obs.alive_workers,
-            );
-        }
-
-        let aimd_cascade = self.settings.policy == Policy::DiffServe
-            && self.settings.knobs.batch_policy == BatchPolicy::Aimd;
-        // AIMD owns latency reactively (halve on timeout); the planner
-        // only sizes throughput at the current AIMD operating points.
-        // This is the paper's ablation: the latency constraint leaves
-        // the optimization and SLO violations become the (lagging)
-        // control signal.
+        // On the two-tier cascade, AIMD owns latency reactively (halve on
+        // timeout); the planner only sizes throughput at the current AIMD
+        // operating points. This is the paper's ablation: the latency
+        // constraint leaves the optimization and SLO violations become the
+        // (lagging) control signal. Proteus and ladders keep the SLO and
+        // leave the batch choice with the planner.
+        let aimd_cascade = aimd && matches!(self.planner, Planner::Cascade { .. });
         let slo = if aimd_cascade {
             f64::INFINITY
         } else {
             self.config.slo.as_secs_f64()
         };
-        let mut directive = self.plan_allocation(
+        let mut directive = self.plan(
             planned_demand,
-            q1,
-            q2,
+            queue_delays,
             slo,
             &thresholds,
             &batches,
@@ -568,56 +440,86 @@ impl ControlLoop {
         directive
     }
 
-    /// The deferral profile the allocator currently solves against: the
-    /// warmed-up online estimate when available, the offline curve
-    /// otherwise.
-    pub fn effective_profile(&self) -> &DeferralProfile {
-        self.profile.online_profile().unwrap_or(&self.offline)
-    }
-
-    /// Whether the online estimate is currently overriding the offline
-    /// profile.
-    pub fn online_active(&self) -> bool {
-        self.profile.online_profile().is_some()
-    }
-
-    /// Live estimated-vs-offline `f(t)` gap: mean absolute difference over
-    /// the candidate threshold grid, 0 while the offline profile rules.
+    /// Live estimated-vs-offline `f(t)` gap at boundary 0: mean absolute
+    /// difference over the candidate threshold grid, 0 while the offline
+    /// profile rules.
     pub fn deferral_gap(&self) -> f64 {
-        match self.profile.online_profile() {
-            Some(p) => p.gap(&self.offline, &self.config.threshold_grid()),
+        match self
+            .online
+            .first()
+            .and_then(OnlineDeferralEstimator::profile)
+        {
+            Some(p) => p.gap(&self.offline[0], &self.config.threshold_grid()),
             None => 0.0,
         }
     }
 
-    /// The deferral-estimation-error series recorded so far:
-    /// `(tick seconds, mean |f_used(t) − f_observed(t)|)` — the
-    /// one-step-ahead prediction error of the profile the allocator used
-    /// against the confidences the window actually produced.
-    pub fn deferral_error_series(&self) -> &[(f64, f64)] {
-        &self.deferral_errors
-    }
-
-    /// Takes the recorded error series (for [`RunReport`] assembly at
-    /// session teardown).
+    /// Takes the deferral-estimation-error series recorded so far (for
+    /// [`RunReport`] assembly at session teardown): `(tick seconds, mean
+    /// |f_used(t) − f_observed(t)|)` at boundary 0 — the one-step-ahead
+    /// prediction error of the profile the allocator used against the
+    /// confidences the window actually produced.
     ///
     /// [`RunReport`]: crate::report::RunReport
     pub fn take_deferral_error_series(&mut self) -> Vec<(f64, f64)> {
         std::mem::take(&mut self.deferral_errors)
     }
 
-    fn track_profile(&mut self, obs: &ControlObservation) {
+    /// Profile estimation for every boundary: records boundary 0's error
+    /// series, feeds each boundary's confidence stream to its online
+    /// estimator, and smooths the direct-admission split.
+    fn track_profiles(&mut self, obs: &ControlObservation) {
         if obs.confidences.len() >= MIN_ERROR_SAMPLES {
             if let Ok(empirical) = DeferralProfile::from_confidences(obs.confidences.clone()) {
                 let grid = self.config.threshold_grid();
-                let err = self.effective_profile().gap(&empirical, &grid);
+                let err = effective(&self.online, &self.offline, 0).gap(&empirical, &grid);
                 self.deferral_errors.push((obs.now.as_secs_f64(), err));
             }
         }
-        if let ProfileEstimator::Online(est) = &mut self.profile {
-            est.observe_all(&obs.confidences);
+        let streams = std::iter::once(&obs.confidences).chain(&obs.deep_confidences);
+        for (est, stream) in self.online.iter_mut().zip(streams) {
+            est.observe_all(stream);
             est.refresh();
         }
+        // Smooth the observed direct-admission split so the ladder
+        // planner's per-tier demand model sees where traffic actually
+        // enters the ladder (EWMA, same horizon as the demand estimate).
+        let total: u64 = obs.tier_direct_arrivals.iter().sum();
+        if total > 0 {
+            let n = obs.tier_direct_arrivals.len();
+            if self.direct_frac.len() != n {
+                self.direct_frac = vec![0.0; n];
+                self.direct_frac[0] = 1.0;
+            }
+            for (f, &c) in self.direct_frac.iter_mut().zip(&obs.tier_direct_arrivals) {
+                *f += EWMA_ALPHA * (c as f64 / total as f64 - *f);
+            }
+        }
+    }
+
+    /// Per-tier queuing-delay estimates, Little's law or the Fig. 8
+    /// twice-execution heuristic: the entry tier drains at the demand rate,
+    /// deeper tiers at the escalation rate.
+    fn queue_delays(&self, obs: &ControlObservation, demand: f64) -> Vec<f64> {
+        let entry_rate = demand.max(0.05);
+        let interval = self.config.control_interval.as_secs_f64();
+        let deep_rate = (obs.heavy_arrivals as f64 / interval).max(0.05);
+        (0..self.tiers.len())
+            .map(|k| match self.settings.knobs.queue_model {
+                QueueModel::LittlesLaw => {
+                    let queued = obs.tier_queues.get(k).copied().unwrap_or(0);
+                    queued as f64 / if k == 0 { entry_rate } else { deep_rate }
+                }
+                QueueModel::TwiceExecution => {
+                    let b = if k == 0 {
+                        obs.current_light_batch
+                    } else {
+                        obs.current_heavy_batch
+                    };
+                    2.0 * self.stage_latency(k, b.max(1))
+                }
+            })
+            .collect()
     }
 
     /// Candidate thresholds: the pinned static-threshold ablation value or
@@ -631,7 +533,7 @@ impl ControlLoop {
 
     /// Largest batch size whose execution fits half the SLO — the static
     /// batch rule used for the Clipper baselines.
-    fn clipper_batch(&self, tier: ModelTier) -> usize {
+    fn clipper_batch(&self, tier: usize) -> usize {
         let budget = self.config.slo.as_secs_f64() / 2.0;
         self.config
             .batch_sizes
@@ -642,190 +544,111 @@ impl ControlLoop {
             .unwrap_or(1)
     }
 
-    /// Effective stage execution latency; the light stage pays the
-    /// discriminator per image when the policy runs the cascade.
-    fn stage_latency(&self, tier: ModelTier, batch: usize) -> f64 {
-        match tier {
-            ModelTier::Light => {
-                let base = self.light.exec_latency(batch).as_secs_f64();
-                if self.settings.policy.uses_cascade() {
-                    base + self.discriminator_latency * batch as f64
-                } else {
-                    base
-                }
-            }
-            ModelTier::Heavy => self.heavy.exec_latency(batch).as_secs_f64(),
+    /// Effective stage execution latency of tier `tier`; a non-terminal
+    /// tier pays its boundary's discriminator per image.
+    fn stage_latency(&self, tier: usize, batch: usize) -> f64 {
+        let base = self.tiers[tier].exec_latency(batch).as_secs_f64();
+        match self.disc_latencies.get(tier) {
+            Some(disc) => base + disc * batch as f64,
+            None => base,
         }
     }
 
     /// Builds the tick's solver inputs and runs the planner over them in
     /// one step: the inputs borrow the profile state while the planner
     /// mutates its own (warm-start) state, which the borrow checker only
-    /// admits when both happen against disjoint fields in a single method.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_allocation(
+    /// admits over disjoint fields in a single method.
+    fn plan(
         &mut self,
-        demand: f64,
-        queue_delay_light: f64,
-        queue_delay_heavy: f64,
+        demand_qps: f64,
+        queue_delays: Vec<f64>,
         slo: f64,
         thresholds: &[f64],
         batch_sizes: &[usize],
         total_workers: usize,
     ) -> ControlDirective {
-        let inputs = AllocatorInputs {
-            demand_qps: demand,
-            queue_delay_light,
-            queue_delay_heavy,
-            slo,
-            total_workers,
-            deferral: self.profile.online_profile().unwrap_or(&self.offline),
-            light: self.light,
-            heavy: self.heavy,
-            resume_heavy: self.resume_heavy,
-            discriminator_latency: if self.settings.policy.uses_cascade() {
-                self.discriminator_latency
-            } else {
-                0.0
-            },
-            batch_sizes,
-            thresholds,
-        };
-        self.planner.plan(&inputs)
-    }
-
-    /// Feeds boundary-`k ≥ 1` confidence streams to their online
-    /// estimators (boundary 0 rides [`ControlLoop::track_profile`]).
-    fn track_ladder(&mut self, obs: &ControlObservation) {
-        let alpha = self.config.ewma_alpha;
-        if let Some(ladder) = &mut self.ladder {
-            for (est, stream) in ladder.online.iter_mut().zip(&obs.deep_confidences) {
-                est.observe_all(stream);
-                est.refresh();
-            }
-            // Smooth the observed direct-admission split so the planner's
-            // per-tier demand model sees where traffic actually enters the
-            // ladder (EWMA, same horizon as the demand estimate).
-            let total: u64 = obs.tier_direct_arrivals.iter().sum();
-            if total > 0 {
-                let n = obs.tier_direct_arrivals.len();
-                if ladder.direct_frac.len() != n {
-                    ladder.direct_frac = vec![0.0; n];
-                    ladder.direct_frac[0] = 1.0;
-                }
-                for (f, &c) in ladder.direct_frac.iter_mut().zip(&obs.tier_direct_arrivals) {
-                    *f += alpha * (c as f64 / total as f64 - *f);
-                }
-            }
-        }
-    }
-
-    /// Per-tier queuing-delay estimates for the ladder planner, mirroring
-    /// the two-tier Little's-law / twice-execution split: the entry tier
-    /// drains at the demand rate, deeper tiers at the escalation rate.
-    fn ladder_queue_delays(
-        &self,
-        obs: &ControlObservation,
-        entry_rate: f64,
-        deep_rate: f64,
-    ) -> Vec<f64> {
-        let Some(ladder) = &self.ladder else {
-            return Vec::new();
-        };
-        (0..ladder.tiers.len())
-            .map(|k| {
-                let queued = obs.tier_queues.get(k).copied().unwrap_or(0);
-                match self.settings.knobs.queue_model {
-                    QueueModel::LittlesLaw => {
-                        queued as f64 / if k == 0 { entry_rate } else { deep_rate }
-                    }
-                    QueueModel::TwiceExecution => {
-                        let b = if k == 0 {
-                            obs.current_light_batch
-                        } else {
-                            obs.current_heavy_batch
-                        }
-                        .max(1);
-                        let base = ladder.tiers[k].exec_latency(b).as_secs_f64();
-                        let disc = ladder.disc_latencies.get(k).copied().unwrap_or(0.0);
-                        2.0 * (base + disc * b as f64)
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Ladder counterpart of [`ControlLoop::plan_allocation`]: assembles
-    /// per-boundary effective profiles (online where warmed up, offline
-    /// otherwise), runs the coordinate-maximization solver through the
-    /// carried warm state, and falls back to the overload ladder when
-    /// infeasible.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_ladder(
-        &mut self,
-        demand: f64,
-        queue_delays: &[f64],
-        slo: f64,
-        thresholds: &[f64],
-        batch_sizes: &[usize],
-        total_workers: usize,
-    ) -> ControlDirective {
-        let boundary0 = self.profile.online_profile().unwrap_or(&self.offline);
-        let ladder = self
-            .ladder
-            .as_mut()
-            .expect("plan_ladder requires an attached ladder");
-        let LadderControl {
+        let ControlLoop {
+            config,
             tiers,
             disc_latencies,
             offline,
             online,
-            warm,
             direct_frac,
-        } = ladder;
-        let deferrals: Vec<&DeferralProfile> = offline
-            .iter()
-            .enumerate()
-            .map(|(k, off)| {
-                if k == 0 {
-                    boundary0
-                } else {
-                    online.get(k - 1).and_then(|e| e.profile()).unwrap_or(off)
-                }
-            })
-            .collect();
-        let n = tiers.len();
-        let queue_delays = if queue_delays.len() == n {
-            queue_delays.to_vec()
-        } else {
-            vec![0.0; n]
-        };
-        let inputs = LadderInputs {
-            demand_qps: demand,
-            queue_delays,
+            resume_heavy,
+            planner,
+            ..
+        } = self;
+        if let Planner::Ladder { milp, warm } = planner {
+            let inputs = LadderInputs {
+                demand_qps,
+                queue_delays,
+                slo,
+                total_workers,
+                deferrals: (0..offline.len())
+                    .map(|b| effective(online, offline, b))
+                    .collect(),
+                tiers: tiers.clone(),
+                discriminator_latency: disc_latencies.clone(),
+                batch_sizes,
+                thresholds,
+                max_raise_per_solve: config
+                    .ladder
+                    .as_ref()
+                    .map_or(LadderConfig::default().max_threshold_raise_per_tick, |l| {
+                        l.max_threshold_raise_per_tick
+                    }),
+                direct_fractions: direct_frac.clone(),
+            };
+            return ControlDirective::Apply {
+                plan: solve_ladder(&inputs, *milp, warm)
+                    .unwrap_or_else(|| ladder_overload_fallback(&inputs)),
+                heavy_fraction: None,
+            };
+        }
+        let inputs = AllocatorInputs {
+            demand_qps,
+            queue_delay_light: queue_delays[0],
+            queue_delay_heavy: queue_delays[1],
             slo,
             total_workers,
-            deferrals,
-            tiers: tiers.clone(),
-            discriminator_latency: disc_latencies.clone(),
+            deferral: effective(online, offline, 0),
+            light: tiers[0],
+            heavy: tiers[1],
+            resume_heavy: *resume_heavy,
+            discriminator_latency: disc_latencies[0],
             batch_sizes,
             thresholds,
-            max_raise_per_solve: self
-                .config
-                .ladder
-                .as_ref()
-                .map_or(LadderConfig::default().max_threshold_raise_per_tick, |l| {
-                    l.max_threshold_raise_per_tick
-                }),
-            direct_fractions: direct_frac.clone(),
         };
-        let milp = matches!(self.settings.backend, AllocatorBackend::Milp);
-        let solved = solve_ladder(&inputs, milp, warm);
-        ControlDirective::Apply {
-            plan: solved.unwrap_or_else(|| ladder_overload_fallback(&inputs)),
-            heavy_fraction: None,
-        }
+        let (allocation, heavy_fraction) = match planner {
+            Planner::Cascade { backend, warm } => {
+                let solved = match backend {
+                    AllocatorBackend::Milp => solve_milp_allocation_warm(&inputs, warm),
+                    AllocatorBackend::Exhaustive => solve_exhaustive(&inputs),
+                };
+                (solved.unwrap_or_else(|| overload_fallback(&inputs)), None)
+            }
+            Planner::Proteus => {
+                let (allocation, heavy_fraction) =
+                    solve_proteus(&inputs).unwrap_or_else(|| (overload_fallback(&inputs), 0.0));
+                (allocation, Some(heavy_fraction))
+            }
+            Planner::Ladder { .. } => unreachable!("ladders planned above"),
+        };
+        ControlDirective::two_tier(allocation, heavy_fraction)
     }
+}
+
+/// The deferral profile the allocator solves against at boundary `b`: the
+/// warmed-up online estimate when available, the offline curve otherwise.
+fn effective<'a>(
+    online: &'a [OnlineDeferralEstimator],
+    offline: &'a [DeferralProfile],
+    b: usize,
+) -> &'a DeferralProfile {
+    online
+        .get(b)
+        .and_then(OnlineDeferralEstimator::profile)
+        .unwrap_or(&offline[b])
 }
 
 impl SessionSpec<'_> {
@@ -833,29 +656,21 @@ impl SessionSpec<'_> {
     /// point both backends share, so the pipeline configuration cannot
     /// drift between them.
     pub fn control_loop(&self) -> ControlLoop {
-        let mut cl = ControlLoop::new(
+        let runtime = self.runtime;
+        let boundaries = runtime.num_tiers() - 1;
+        ControlLoop::new(
             self.config.clone(),
             self.settings.clone(),
-            self.runtime.deferral.clone(),
-            *self.runtime.spec.light.latency(),
-            *self.runtime.spec.heavy.latency(),
-            self.runtime.discriminator.latency().as_secs_f64(),
-        );
-        // A two-tier ladder stays on the legacy planner (bit-identical by
-        // construction); deeper ladders attach the N-tier planning state.
-        if let Some(art) = &self.runtime.ladder {
-            if art.num_tiers() > 2 {
-                cl.attach_ladder(
-                    art.models.iter().map(|m| *m.latency()).collect(),
-                    art.discriminators
-                        .iter()
-                        .map(|d| d.latency().as_secs_f64())
-                        .collect(),
-                    art.deferrals.clone(),
-                );
-            }
-        }
-        cl
+            (0..=boundaries)
+                .map(|k| *runtime.model(k).latency())
+                .collect(),
+            (0..boundaries)
+                .map(|b| runtime.discriminator(b).latency().as_secs_f64())
+                .collect(),
+            (0..boundaries)
+                .map(|b| runtime.deferral(b).clone())
+                .collect(),
+        )
     }
 }
 
@@ -878,15 +693,27 @@ mod tests {
             .expect("non-empty")
     }
 
-    fn test_loop(policy: Policy, config: SystemConfig) -> ControlLoop {
+    fn loop_with(settings: RunSettings, config: SystemConfig) -> ControlLoop {
         ControlLoop::new(
             config,
-            RunSettings::new(policy, 8.0),
-            uniform_profile(),
-            LatencyProfile::new(0.10, 0.55),
-            LatencyProfile::new(1.78, 0.12),
-            0.01,
+            settings,
+            vec![
+                LatencyProfile::new(0.10, 0.55),
+                LatencyProfile::new(1.78, 0.12),
+            ],
+            vec![0.01],
+            vec![uniform_profile()],
         )
+    }
+
+    fn test_loop(policy: Policy, config: SystemConfig) -> ControlLoop {
+        loop_with(RunSettings::new(policy, 8.0), config)
+    }
+
+    /// Whether boundary 0's online estimate is overriding its offline
+    /// profile.
+    fn online_active(cl: &ControlLoop) -> bool {
+        cl.online.first().is_some_and(|e| e.profile().is_some())
     }
 
     fn obs(arrivals: u64) -> ControlObservation {
@@ -906,6 +733,12 @@ mod tests {
             num_workers: 8,
             ..Default::default()
         }
+    }
+
+    /// Plans an instance far beyond what four workers can serve.
+    fn plan_overload(cl: &mut ControlLoop) -> ControlDirective {
+        let n = cl.tiers.len();
+        cl.plan(10_000.0, vec![0.0; n], 5.0, &[0.0, 0.5, 0.9], &[1, 2, 4], 4)
     }
 
     #[test]
@@ -963,24 +796,9 @@ mod tests {
 
     #[test]
     fn proteus_planner_falls_back_under_overload() {
-        let profile = uniform_profile();
-        let thresholds = [0.0, 0.5, 0.9];
-        let batches = [1usize, 2, 4];
-        let inputs = AllocatorInputs {
-            demand_qps: 10_000.0,
-            queue_delay_light: 0.0,
-            queue_delay_heavy: 0.0,
-            slo: 5.0,
-            total_workers: 4,
-            deferral: &profile,
-            light: LatencyProfile::new(0.10, 0.55),
-            heavy: LatencyProfile::new(1.78, 0.12),
-            resume_heavy: None,
-            discriminator_latency: 0.0,
-            batch_sizes: &batches,
-            thresholds: &thresholds,
-        };
-        match Planner::Proteus.plan(&inputs) {
+        let mut cl = test_loop(Policy::Proteus, small_config());
+        assert_eq!(cl.disc_latencies, [0.0], "Proteus runs no discriminator");
+        match plan_overload(&mut cl) {
             ControlDirective::Apply {
                 plan,
                 heavy_fraction,
@@ -994,31 +812,59 @@ mod tests {
 
     #[test]
     fn cascade_planner_falls_back_under_overload() {
-        let profile = uniform_profile();
-        let thresholds = [0.0, 0.5, 0.9];
-        let batches = [1usize, 2, 4];
-        let inputs = AllocatorInputs {
-            demand_qps: 10_000.0,
-            queue_delay_light: 0.0,
-            queue_delay_heavy: 0.0,
-            slo: 5.0,
-            total_workers: 4,
-            deferral: &profile,
-            light: LatencyProfile::new(0.10, 0.55),
-            heavy: LatencyProfile::new(1.78, 0.12),
-            resume_heavy: None,
-            discriminator_latency: 0.01,
-            batch_sizes: &batches,
-            thresholds: &thresholds,
-        };
         for backend in [AllocatorBackend::Exhaustive, AllocatorBackend::Milp] {
-            match Planner::cascade(backend).plan(&inputs) {
+            let settings = RunSettings {
+                backend,
+                ..RunSettings::new(Policy::DiffServe, 8.0)
+            };
+            let mut cl = loop_with(settings, small_config());
+            match plan_overload(&mut cl) {
                 ControlDirective::Apply { plan, .. } => {
                     assert!(!plan.feasible, "{backend:?} must fall back");
                     assert_eq!(plan.thresholds, [0.0]);
                 }
                 d => panic!("unexpected directive {d:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_deep_ladder_plans_every_boundary_and_estimates_each_online() {
+        let config = SystemConfig {
+            num_workers: 8,
+            online_profile_refresh: true,
+            online_profile_window: 200,
+            online_profile_min_samples: 50,
+            ..Default::default()
+        };
+        let mut cl = ControlLoop::new(
+            config,
+            RunSettings::new(Policy::DiffServe, 8.0),
+            vec![
+                LatencyProfile::new(0.10, 0.55),
+                LatencyProfile::new(0.60, 0.30),
+                LatencyProfile::new(1.78, 0.12),
+            ],
+            vec![0.01, 0.01],
+            vec![uniform_profile(), uniform_profile()],
+        );
+        assert!(matches!(cl.planner, Planner::Ladder { .. }));
+        assert_eq!(cl.online.len(), 2, "one estimator per boundary");
+        let mut o = obs(10);
+        o.tier_queues = vec![0; 3];
+        o.confidences = vec![0.5; 60];
+        o.deep_confidences = vec![vec![0.25; 60]];
+        match cl.step(&o) {
+            ControlDirective::Apply { plan, .. } => {
+                assert_eq!(plan.thresholds.len(), 2);
+                assert_eq!(plan.workers.len(), 3);
+            }
+            d => panic!("unexpected directive {d:?}"),
+        }
+        assert!(cl.online.iter().all(|e| e.profile().is_some()));
+        match plan_overload(&mut cl) {
+            ControlDirective::Apply { plan, .. } => assert!(!plan.feasible),
+            d => panic!("unexpected directive {d:?}"),
         }
     }
 
@@ -1033,7 +879,7 @@ mod tests {
         };
         let mut cl = test_loop(Policy::DiffServe, config);
         cl.bootstrap(8.0);
-        assert!(!cl.online_active());
+        assert!(!online_active(&cl));
         assert_eq!(cl.deferral_gap(), 0.0);
 
         // Stationary phase: confidences match the (uniform) offline curve.
@@ -1042,13 +888,13 @@ mod tests {
         o.confidences = uniform.clone();
         cl.step(&o);
         cl.step(&o);
-        assert!(cl.online_active());
+        assert!(online_active(&cl));
         let stationary_gap = cl.deferral_gap();
         assert!(
             stationary_gap < 0.05,
             "stationary stream must agree with offline: {stationary_gap}"
         );
-        let stationary_err = cl.deferral_error_series().last().unwrap().1;
+        let stationary_err = cl.deferral_errors.last().unwrap().1;
 
         // The prompt mix hardens: confidences collapse toward zero.
         let hard: Vec<f64> = (0..100).map(|i| i as f64 / 400.0).collect();
@@ -1056,7 +902,7 @@ mod tests {
         o.confidences = hard.clone();
         let first_err = {
             cl.step(&o);
-            cl.deferral_error_series().last().unwrap().1
+            cl.deferral_errors.last().unwrap().1
         };
         assert!(
             first_err > stationary_err + 0.1,
@@ -1067,7 +913,7 @@ mod tests {
         // now large (the estimate left the stale offline curve behind).
         cl.step(&o);
         cl.step(&o);
-        let settled_err = cl.deferral_error_series().last().unwrap().1;
+        let settled_err = cl.deferral_errors.last().unwrap().1;
         assert!(
             settled_err < first_err / 2.0,
             "online estimate must converge after the shift: {settled_err} vs {first_err}"
@@ -1087,15 +933,15 @@ mod tests {
         o.confidences = hard;
         cl.step(&o);
         cl.step(&o);
-        assert!(!cl.online_active());
-        let errs = cl.deferral_error_series();
+        assert!(!online_active(&cl));
+        let errs = &cl.deferral_errors;
         assert_eq!(errs.len(), 2);
         assert!(
             errs[1].1 > 0.2 && (errs[1].1 - errs[0].1).abs() < 1e-9,
             "offline error must stay high and flat: {errs:?}"
         );
         assert_eq!(cl.take_deferral_error_series().len(), 2);
-        assert!(cl.deferral_error_series().is_empty());
+        assert!(cl.deferral_errors.is_empty());
     }
 
     #[test]
@@ -1105,17 +951,11 @@ mod tests {
             d => panic!("unexpected directive {d:?}"),
         };
         let observe = |effective: f64, knobs: AblationKnobs| {
-            let mut cl = ControlLoop::new(
-                small_config(),
-                RunSettings {
-                    knobs,
-                    ..RunSettings::new(Policy::DiffServe, 8.0)
-                },
-                uniform_profile(),
-                LatencyProfile::new(0.10, 0.55),
-                LatencyProfile::new(1.78, 0.12),
-                0.01,
-            );
+            let settings = RunSettings {
+                knobs,
+                ..RunSettings::new(Policy::DiffServe, 8.0)
+            };
+            let mut cl = loop_with(settings, small_config());
             cl.bootstrap(8.0);
             let mut o = obs(30);
             o.effective_capacity = effective;
@@ -1141,6 +981,6 @@ mod tests {
         let mut o = obs(4);
         o.confidences = vec![0.5; MIN_ERROR_SAMPLES - 1];
         cl.step(&o);
-        assert!(cl.deferral_error_series().is_empty());
+        assert!(cl.deferral_errors.is_empty());
     }
 }

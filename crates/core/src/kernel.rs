@@ -32,8 +32,7 @@
 
 use diffserve_imagegen::{
     resume_savings, reused_steps, DiffusionModel, Discriminator, GeneratedImage,
-    OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageLatencyBreakdown,
-    StageState,
+    OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageState,
 };
 use diffserve_metrics::{GaussianStats, RollingFid, SloTracker, ViolationWindows};
 use diffserve_simkit::time::{SimDuration, SimTime};
@@ -133,26 +132,18 @@ pub struct Kernel<'a> {
     resume_quality_penalty: f64,
     addons: Option<AddonsConfig>,
     /// Configuration of the pre-execution router, present only where one
-    /// runs: deep ladders on a cascade policy with predictive routing on.
+    /// runs: ladders of more than two tiers on a cascade policy.
     router: Option<OnlineRouterConfig>,
 }
 
 impl<'a> Kernel<'a> {
     /// Resolves the roster and parameters for one session.
     pub fn new(runtime: &'a CascadeRuntime, config: &SystemConfig, settings: &RunSettings) -> Self {
-        let (models, discriminators): (Vec<_>, Vec<_>) = match &runtime.ladder {
-            Some(art) => (
-                art.models.iter().collect(),
-                art.discriminators.iter().collect(),
-            ),
-            None => (
-                vec![&runtime.spec.light, &runtime.spec.heavy],
-                vec![&runtime.discriminator],
-            ),
-        };
+        let boundaries = runtime.num_tiers() - 1;
+        let models: Vec<_> = (0..=boundaries).map(|k| runtime.model(k)).collect();
+        let discriminators: Vec<_> = (0..boundaries).map(|b| runtime.discriminator(b)).collect();
         let ladder = config.ladder.clone().unwrap_or_default();
         let router = (models.len() > 2
-            && ladder.predictive_routing
             && matches!(settings.policy, Policy::DiffServe | Policy::DiffServeStatic))
         .then_some(OnlineRouterConfig {
             observation_noise: ladder.predictive_observation_noise,
@@ -682,13 +673,9 @@ impl<'a> Kernel<'a> {
         deferral_gap: f64,
         addon_stats: AddonStats,
     ) -> SessionSnapshot {
-        let exec1 = |m: &DiffusionModel| {
-            StageLatencyBreakdown::of_latency(m.latency().exec_latency(1).as_secs_f64())
-        };
         let completions = ledger.totals.completions();
         SessionSnapshot {
             now,
-            threshold: thresholds[0],
             failed_workers: fleet.failed,
             degraded_workers: fleet.degraded,
             submitted,
@@ -701,8 +688,6 @@ impl<'a> Kernel<'a> {
             },
             fid_estimate: ledger.rolling_fid.estimate(),
             deferral_gap,
-            light_stage_latency: exec1(self.models[0]),
-            heavy_stage_latency: exec1(self.models[self.models.len() - 1]),
             resumed_completions: ledger.totals.resumed(),
             addon_stats,
             tier_workers: fleet.tier_workers,

@@ -92,7 +92,7 @@ pub use query::{CompletedResponse, ModelTier, Query, QueryId, WorkerHealth};
 pub use report::{RunReport, TierStats};
 pub use runtime::{CascadeRuntime, LadderArtifacts, PreparedRuntime};
 pub use serve::{
-    ArrivalStream, Backend, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend,
+    ArrivalStream, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend,
     ServingSession, SessionBuilder, SessionSnapshot, SessionSpec,
 };
 pub use sim::{run_scenario, run_trace, AllocatorBackend, RunSettings};
@@ -108,7 +108,7 @@ pub mod prelude {
     pub use crate::report::RunReport;
     pub use crate::runtime::{CascadeRuntime, LadderArtifacts};
     pub use crate::serve::{
-        ArrivalStream, Backend, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend,
+        ArrivalStream, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend,
         ServingSession, SessionBuilder, SessionSnapshot, SessionSpec,
     };
     pub use crate::sim::{run_scenario, run_trace, AllocatorBackend, RunSettings};

@@ -281,6 +281,31 @@ impl PreparedRuntime {
         self.ladder.as_ref().map_or(2, LadderArtifacts::num_tiers)
     }
 
+    /// The model serving tier `k`, cheapest first (`k < num_tiers()`).
+    pub fn model(&self, k: usize) -> &DiffusionModel {
+        match &self.ladder {
+            Some(art) => &art.models[k],
+            None => [&self.spec.light, &self.spec.heavy][k],
+        }
+    }
+
+    /// The discriminator of escalation boundary `b` (it scores tier `b`'s
+    /// outputs; `b < num_tiers() - 1`).
+    pub fn discriminator(&self, b: usize) -> &Discriminator {
+        match &self.ladder {
+            Some(art) => &art.discriminators[b],
+            None => &std::slice::from_ref(&self.discriminator)[b],
+        }
+    }
+
+    /// The offline deferral profile `f_b(t)` of escalation boundary `b`.
+    pub fn deferral(&self, b: usize) -> &DeferralProfile {
+        match &self.ladder {
+            Some(art) => &art.deferrals[b],
+            None => &std::slice::from_ref(&self.deferral)[b],
+        }
+    }
+
     /// The prepared score table: `scores()[k][i]` is boundary `k`'s
     /// confidence in tier `k`'s plain render of `dataset.prompts()[i]`.
     pub fn scores(&self) -> &[Vec<f64>] {

@@ -18,7 +18,8 @@
 //!   entry points always returned.
 //!
 //! Both execution engines sit behind the [`ServingBackend`] trait: the
-//! discrete-event simulator (`Backend::Sim`, in this crate) and the
+//! discrete-event simulator (in this crate, what
+//! [`SessionBuilder::build`] constructs) and the
 //! thread-based cluster testbed (`diffserve_cluster::ClusterBackend`,
 //! plugged in through `diffserve_cluster::ClusterSessionExt`). The four
 //! legacy batch functions — [`run_trace`](crate::sim::run_trace),
@@ -45,7 +46,6 @@
 //!     .runtime(&runtime)
 //!     .config(SystemConfig { num_workers: 4, ..Default::default() })
 //!     .policy(Policy::DiffServe)
-//!     .backend(Backend::Sim)
 //!     .build()?;
 //!
 //! // Stream a few queries in, advance time, and collect outcomes.
@@ -62,7 +62,7 @@
 //! # Ok::<(), diffserve_core::serve::BuildError>(())
 //! ```
 
-use diffserve_imagegen::{Prompt, StageLatencyBreakdown, StageState};
+use diffserve_imagegen::{Prompt, StageState};
 use diffserve_simkit::rng::{derive_seed, seeded_rng};
 use diffserve_simkit::time::SimTime;
 use diffserve_trace::{
@@ -81,22 +81,6 @@ use crate::sim::{AllocatorBackend, RunSettings, SimBackend};
 /// Seed stream used for trace-replay arrival generation — shared by every
 /// backend so the simulator and the testbed draw identical Poisson streams.
 pub(crate) const ARRIVAL_SEED_STREAM: u64 = 0xA881;
-
-/// Which execution engine a [`SessionBuilder`] should construct.
-///
-/// The thread-based cluster testbed also implements [`ServingBackend`] but
-/// lives in `diffserve-cluster` (it needs threads and channels); build a
-/// cluster-backed session with `diffserve_cluster::ClusterSessionExt::
-/// build_cluster` instead of a variant here, which keeps the dependency
-/// arrow pointing from the testbed to the core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum Backend {
-    /// The discrete-event simulator (the paper's primary evaluation
-    /// vehicle) — deterministic and bit-reproducible.
-    #[default]
-    Sim,
-}
 
 /// A submitted query's receipt: its id and resolved timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,9 +268,6 @@ impl QueryOutcome {
 pub struct SessionSnapshot {
     /// Current serving time.
     pub now: SimTime,
-    /// Active cascade confidence threshold. For the Proteus policy this
-    /// slot carries the heavy routing fraction instead.
-    pub threshold: f64,
     /// Workers currently fail-stopped.
     pub failed_workers: usize,
     /// Alive workers currently running degraded (below nameplate speed).
@@ -308,12 +289,6 @@ pub struct SessionSnapshot {
     /// while the offline profile rules (online refresh disabled or the
     /// estimator still cold).
     pub deferral_gap: f64,
-    /// Encode/denoise/decode split of the light model's single-query
-    /// nameplate latency (stage-level serving view of the tier).
-    pub light_stage_latency: StageLatencyBreakdown,
-    /// Encode/denoise/decode split of the heavy model's single-query
-    /// nameplate latency.
-    pub heavy_stage_latency: StageLatencyBreakdown,
     /// Completions so far whose heavy pass resumed from carried latents
     /// (always `0` in restart mode).
     pub resumed_completions: u64,
@@ -332,8 +307,9 @@ pub struct SessionSnapshot {
     /// Cumulative escalations across each boundary so far (`[k]` counts
     /// tier `k` → `k + 1` hand-offs); length N-1.
     pub tier_escalations: Vec<u64>,
-    /// Active per-boundary confidence thresholds; `thresholds[0]` equals
-    /// [`threshold`](Self::threshold) on cascade policies.
+    /// Active per-boundary confidence thresholds, entry boundary first.
+    /// For the Proteus policy `thresholds[0]` carries the heavy routing
+    /// fraction instead.
     pub thresholds: Vec<f64>,
 }
 
@@ -478,7 +454,6 @@ pub struct SessionBuilder<'a> {
     peak_demand_hint: f64,
     settings: Option<RunSettings>,
     scenario: Option<Scenario>,
-    backend: Backend,
 }
 
 impl Default for SessionBuilder<'_> {
@@ -492,7 +467,6 @@ impl Default for SessionBuilder<'_> {
             peak_demand_hint: 1.0,
             settings: None,
             scenario: None,
-            backend: Backend::Sim,
         }
     }
 }
@@ -558,12 +532,6 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Selects the execution engine (default: [`Backend::Sim`]).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Validates every input and returns the assembled [`SessionSpec`]
     /// without constructing a backend — the hook out-of-crate backends
     /// (the cluster testbed) use to share the builder's validation.
@@ -625,7 +593,13 @@ impl<'a> SessionBuilder<'a> {
         })
     }
 
-    /// Validates the whole configuration and constructs the session.
+    /// Validates the whole configuration and constructs a session on the
+    /// discrete-event simulator (the paper's primary evaluation vehicle —
+    /// deterministic and bit-reproducible). The thread-based cluster
+    /// testbed lives in `diffserve-cluster` (it needs threads and
+    /// channels) and is built with
+    /// `diffserve_cluster::ClusterSessionExt::build_cluster`, which keeps
+    /// the dependency arrow pointing from the testbed to the core.
     ///
     /// # Errors
     ///
@@ -636,11 +610,8 @@ impl<'a> SessionBuilder<'a> {
     /// [`BuildError::Scenario`] when the scenario's churn would exhaust the
     /// configured worker pool.
     pub fn build(self) -> Result<ServingSession<'a>, BuildError> {
-        let backend_kind = self.backend;
         let spec = self.validate()?;
-        let backend: Box<dyn ServingBackend + 'a> = match backend_kind {
-            Backend::Sim => Box::new(SimBackend::new(&spec)),
-        };
+        let backend = Box::new(SimBackend::new(&spec));
         Ok(ServingSession::from_backend(&spec, backend))
     }
 }
@@ -1010,7 +981,7 @@ mod tests {
         assert!(!snaps.is_empty());
         let last = snaps.last().unwrap();
         assert!(last.completed + last.dropped > 0);
-        assert!(last.threshold.is_finite());
+        assert!(last.thresholds[0].is_finite());
         assert!(last.tier_workers.iter().sum::<usize>() + last.failed_workers <= 4);
 
         // The snapshot's running counters equal a scan over every outcome

@@ -41,7 +41,7 @@ use diffserve_trace::{
 
 use crate::addons::{AddonStats, ModuleCache};
 use crate::allocator::LadderAllocation;
-use crate::config::{ConfigError, SystemConfig};
+use crate::config::{ConfigError, SystemConfig, MODEL_SWITCH_DELAY};
 use crate::control::{ControlDirective, ControlLoop, PlanActuator};
 use crate::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
 use crate::policy::{AblationKnobs, Policy};
@@ -619,14 +619,7 @@ impl<'a> ServingSim<'a> {
         let kernel = Kernel::new(runtime, &config, &settings);
         let num_tiers = kernel.num_tiers();
         let boundaries = num_tiers - 1;
-        let initial = config
-            .ladder
-            .as_ref()
-            .and_then(|l| l.initial_thresholds.as_ref());
-        let thresholds = match initial {
-            Some(ts) if ts.len() == boundaries => ts.clone(),
-            _ => vec![0.5; boundaries],
-        };
+        let thresholds = vec![0.5; boundaries];
         let router = kernel.new_router();
         // Bootstrap: half the fleet per tier until the first control tick
         // (static policies overwrite this immediately below). Mid tiers
@@ -887,7 +880,7 @@ impl<'a> ServingSim<'a> {
         self.workers[idx].busy = true;
         debug_assert!(self.workers[idx].in_flight.is_empty());
         queue.push(
-            now + self.config.model_switch_delay,
+            now + MODEL_SWITCH_DELAY,
             Event::BatchDone {
                 worker: idx,
                 epoch: self.workers[idx].epoch,
@@ -1455,9 +1448,9 @@ impl Actor<Event> for ServingSim<'_> {
 /// [`ServingBackend`] so [`ServingSession`] can drive it incrementally.
 ///
 /// Constructed by
-/// [`SessionBuilder::build`](crate::serve::SessionBuilder::build) with
-/// [`Backend::Sim`](crate::serve::Backend). Deterministic: the same
-/// submissions and tick schedule replay bit-identically.
+/// [`SessionBuilder::build`](crate::serve::SessionBuilder::build).
+/// Deterministic: the same submissions and tick schedule replay
+/// bit-identically.
 pub(crate) struct SimBackend<'a> {
     sim: Simulation<Event, ServingSim<'a>>,
     /// The latest instant the backend has been driven to (>= the engine's

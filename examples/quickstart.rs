@@ -36,7 +36,6 @@ fn main() {
         .config(SystemConfig::default())
         .policy(Policy::DiffServe)
         .peak_demand(trace.max_qps())
-        .backend(Backend::Sim)
         .build()
         .expect("configuration validated at build time");
     session.replay_trace(&trace);

@@ -27,7 +27,6 @@ fn main() {
         .runtime(&runtime)
         .config(config)
         .policy(Policy::DiffServe)
-        .backend(Backend::Sim)
         .build()
         .expect("configuration validated at build time");
 
@@ -41,7 +40,7 @@ fn main() {
                 "  t={:>6} thr={:.2} light {} (q={}, {:.0}% busy) heavy {} (q={}) \
                  done={} dropped={} fid~{:.1}",
                 format!("{}", snap.now),
-                snap.threshold,
+                snap.thresholds[0],
                 snap.tier_workers[0],
                 snap.tier_queues[0],
                 snap.utilization(0) * 100.0,

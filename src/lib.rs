@@ -52,12 +52,11 @@
 //!     .runtime(&runtime)
 //!     .config(SystemConfig::default())
 //!     .policy(Policy::DiffServe)
-//!     .backend(Backend::Sim)
 //!     .build()?;
 //! session.observer(|snap| {
 //!     println!(
 //!         "t={} threshold={:.2} queues={:?}",
-//!         snap.now, snap.threshold, snap.tier_queues
+//!         snap.now, snap.thresholds[0], snap.tier_queues
 //!     );
 //! });
 //! session.replay_trace(&trace);
@@ -93,7 +92,7 @@ pub use diffserve_trace as workload;
 /// One-stop imports for applications.
 ///
 /// Everything the quickstart needs compiles from `use diffserve::prelude::*`
-/// alone: the session API (`ServingSession`, `Backend`, `QuerySpec`,
+/// alone: the session API (`ServingSession`, `SessionBuilder`, `QuerySpec`,
 /// `SessionSnapshot`, …), both run paths' batch wrappers, the cluster
 /// testbed types (`ClusterConfig`, `ServingPlan`,
 /// `ClusterSessionExt::build_cluster`), and the workload/scenario builders.

@@ -112,15 +112,14 @@ fn hand_driven(
     let mut builder = ServingSession::builder()
         .runtime(rt)
         .config(cfg.clone())
-        .settings(settings.clone())
-        .backend(Backend::Sim);
+        .settings(settings.clone());
     if let Some(s) = scenario {
         builder = builder.scenario(s.clone());
     }
     let mut session = builder.build().expect("valid session");
     session.observer(|snap| {
         // Live taps must not perturb the run.
-        assert!(snap.threshold.is_finite());
+        assert!(snap.thresholds[0].is_finite());
     });
     let submitted = session.replay_trace(trace);
     let horizon = SimTime::ZERO + trace.duration() + cfg.slo * 4;

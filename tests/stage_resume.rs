@@ -280,10 +280,10 @@ fn resumed_service_time_is_nameplate_minus_savings() {
     assert!((gpu[1] - (nameplate - savings)).abs() < 1e-12);
 }
 
-/// Session snapshots expose the per-stage latency split and a live resumed
-/// counter, on both engines' shared snapshot type.
+/// Each tier's encode/denoise/decode split sums to its single-query
+/// latency, and session snapshots count resumed completions live.
 #[test]
-fn snapshot_reports_stage_breakdown_and_resume_counter() {
+fn stage_breakdown_sums_to_latency_and_snapshot_counts_resumes() {
     let mut sys = system();
     sys.resume_from_latents = true;
     let mut session = ServingSession::builder()
@@ -297,18 +297,9 @@ fn snapshot_reports_stage_breakdown_and_resume_counter() {
     session.run_until(SimTime::from_secs(60) + sys.slo * 4);
     let snap = session.snapshot();
 
-    for (name, stage, exec1) in [
-        (
-            "light",
-            snap.light_stage_latency,
-            runtime().spec.light.latency().exec_latency(1).as_secs_f64(),
-        ),
-        (
-            "heavy",
-            snap.heavy_stage_latency,
-            runtime().spec.heavy.latency().exec_latency(1).as_secs_f64(),
-        ),
-    ] {
+    for (name, model) in [("light", runtime().model(0)), ("heavy", runtime().model(1))] {
+        let exec1 = model.latency().exec_latency(1).as_secs_f64();
+        let stage = StageLatencyBreakdown::of_latency(exec1);
         assert!(
             (stage.total() - exec1).abs() < 1e-12,
             "{name}: stage breakdown must sum to the single-query latency"
