@@ -215,6 +215,9 @@ pub struct ControlLoop {
     aimd_light_batch: usize,
     aimd_heavy_batch: usize,
     deferral_errors: Vec<(f64, f64)>,
+    /// Scratch for [`ControlLoop::deferral_error`]: a tick's confidences
+    /// bucketed by how many grid thresholds lie at or below each.
+    grid_counts: Vec<usize>,
 }
 
 impl ControlLoop {
@@ -291,6 +294,7 @@ impl ControlLoop {
             aimd_light_batch: 1,
             aimd_heavy_batch: 1,
             deferral_errors: Vec::new(),
+            grid_counts: Vec::new(),
             config,
             settings,
             tiers,
@@ -470,9 +474,7 @@ impl ControlLoop {
     /// estimator, and smooths the direct-admission split.
     fn track_profiles(&mut self, obs: &ControlObservation) {
         if obs.confidences.len() >= MIN_ERROR_SAMPLES {
-            if let Ok(empirical) = DeferralProfile::from_confidences(obs.confidences.clone()) {
-                let grid = self.config.threshold_grid();
-                let err = effective(&self.online, &self.offline, 0).gap(&empirical, &grid);
+            if let Some(err) = self.deferral_error(&obs.confidences) {
                 self.deferral_errors.push((obs.now.as_secs_f64(), err));
             }
         }
@@ -495,6 +497,41 @@ impl ControlLoop {
                 *f += EWMA_ALPHA * (c as f64 / total as f64 - *f);
             }
         }
+    }
+
+    /// Mean `|f_used(t) − f_observed(t)|` over the threshold grid at
+    /// boundary 0, where `f_observed` is the empirical profile of this
+    /// tick's finite `confidences`; `None` when there are none.
+    ///
+    /// Bitwise [`DeferralProfile::gap`] against
+    /// [`DeferralProfile::from_confidences`] of them, without sorting a
+    /// copy: each sample is bucketed by how many grid points lie at or
+    /// below it, and a prefix sum then counts, at each grid point `t`, the
+    /// samples below `t` — the same integers the sorted profile counts.
+    fn deferral_error(&mut self, confidences: &[f64]) -> Option<f64> {
+        let grid = self.config.threshold_grid();
+        let counts = &mut self.grid_counts;
+        counts.clear();
+        counts.resize(grid.len() + 1, 0);
+        let mut n = 0usize;
+        for &c in confidences.iter().filter(|c| c.is_finite()) {
+            counts[grid.partition_point(|&t| t <= c)] += 1;
+            n += 1;
+        }
+        if n == 0 {
+            return None;
+        }
+        let used = effective(&self.online, &self.offline, 0);
+        let mut below = 0;
+        let total: f64 = grid
+            .iter()
+            .zip(counts.iter())
+            .map(|(&t, &k)| {
+                below += k;
+                (used.fraction_deferred(t) - below as f64 / n as f64).abs()
+            })
+            .sum();
+        Some(total / grid.len() as f64)
     }
 
     /// Per-tier queuing-delay estimates, Little's law or the Fig. 8
@@ -982,5 +1019,59 @@ mod tests {
         o.confidences = vec![0.5; MIN_ERROR_SAMPLES - 1];
         cl.step(&o);
         assert!(cl.deferral_errors.is_empty());
+    }
+
+    #[test]
+    fn a_window_without_finite_samples_records_no_error_point() {
+        let mut cl = test_loop(Policy::DiffServe, small_config());
+        cl.bootstrap(8.0);
+        let mut o = obs(4);
+        o.confidences = vec![f64::NAN; MIN_ERROR_SAMPLES];
+        o.confidences[0] = f64::INFINITY;
+        cl.step(&o);
+        assert!(cl.deferral_errors.is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The bucketed error is bitwise the gap to the sorted empirical
+        /// profile, on samples at and between grid points, `-0.0`, values
+        /// past the grid, and NaN/±∞ that both sides ignore.
+        #[test]
+        fn deferral_error_is_the_gap_to_the_sorted_samples(
+            samples in proptest::collection::vec((0u8..8, 0.0f64..1.2), 0..300),
+            online in 0u8..2,
+        ) {
+            let config = SystemConfig {
+                online_profile_refresh: online == 1,
+                ..small_config()
+            };
+            let mut cl = test_loop(Policy::DiffServe, config);
+            let grid = cl.config.threshold_grid();
+            if online == 1 {
+                // Boundary 0 then compares against a skewed online estimate.
+                let window = cl.config.online_profile_window;
+                cl.online[0].observe_all(&vec![0.2; window]);
+                proptest::prop_assert!(cl.online[0].refresh());
+            }
+            let confidences: Vec<f64> = samples
+                .iter()
+                .map(|&(code, x)| match code {
+                    0 => grid[(x * 40.0) as usize],
+                    1 => -0.0,
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    _ => x,
+                })
+                .collect();
+            let used = effective(&cl.online, &cl.offline, 0).clone();
+            let expected = DeferralProfile::from_confidences(confidences.clone())
+                .ok()
+                .map(|empirical| used.gap(&empirical, &grid).to_bits());
+            let got = cl.deferral_error(&confidences).map(f64::to_bits);
+            proptest::prop_assert_eq!(got, expected);
+        }
     }
 }

@@ -31,13 +31,14 @@
 //!   [`CompletionTotals`], the rolling-FID ring, outcomes awaiting a poll).
 
 use diffserve_imagegen::{
-    resume_savings, reused_steps, DiffusionModel, Discriminator, GeneratedImage,
+    resume_savings, reused_steps, DiffusionModel, Discriminator, EmbeddingDraws, GeneratedImage,
     OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageState,
 };
 use diffserve_metrics::{GaussianStats, RollingFid, SloTracker, ViolationWindows};
 use diffserve_simkit::time::{SimDuration, SimTime};
 use diffserve_trace::{CapacityEvent, FleetHealth, ScenarioEvent};
 use rand::Rng;
+use std::sync::Arc;
 
 use crate::addons::{AddonStats, AddonsConfig, ModuleCache};
 use crate::config::SystemConfig;
@@ -134,6 +135,8 @@ pub struct Kernel<'a> {
     /// Configuration of the pre-execution router, present only where one
     /// runs: ladders of more than two tiers on a cascade policy.
     router: Option<OnlineRouterConfig>,
+    /// The runtime's prepared embedding draws, which every router reads.
+    draws: Option<&'a Arc<EmbeddingDraws>>,
 }
 
 impl<'a> Kernel<'a> {
@@ -165,6 +168,7 @@ impl<'a> Kernel<'a> {
             resume_quality_penalty: config.resume_quality_penalty,
             addons: config.addons.clone(),
             router,
+            draws: runtime.embedding_draws(),
         }
     }
 
@@ -180,10 +184,14 @@ impl<'a> Kernel<'a> {
         self.models[tier]
     }
 
-    /// A cold pre-execution router, on sessions that run one.
+    /// A cold pre-execution router, on sessions that run one, reading the
+    /// runtime's prepared embedding draws.
     pub fn new_router(&self) -> Option<OnlinePredictiveRouter> {
-        self.router
-            .map(|config| OnlinePredictiveRouter::new(self.discriminators.len(), config))
+        let router = OnlinePredictiveRouter::new(self.discriminators.len(), self.router?);
+        Some(match self.draws {
+            Some(draws) => router.with_draws(Arc::clone(draws)),
+            None => router,
+        })
     }
 
     // --- Service-time model ------------------------------------------------
@@ -467,7 +475,9 @@ impl<'a> Kernel<'a> {
         router: Option<&mut OnlinePredictiveRouter>,
         deeper_alive: impl FnOnce() -> bool,
     ) -> Verdict {
-        let prompt = self.served_prompt(qid, explicit, difficulty);
+        // Built only where it is read: a render, the router, or a debug
+        // build's check of a tabled output.
+        let prompt = || self.served_prompt(qid, explicit, difficulty);
         let reused = self.reused_steps(tier, resume);
         let plain = reused == 0 || self.resume_quality_penalty == 0.0;
         let row = (explicit.is_none() && difficulty == 0.0 && plain)
@@ -477,7 +487,7 @@ impl<'a> Kernel<'a> {
             _ => {
                 return Verdict::Complete {
                     confidence: None,
-                    image: self.output(tier, row, &prompt, reused),
+                    image: self.output(tier, row, prompt, reused),
                     reused,
                 }
             }
@@ -485,13 +495,13 @@ impl<'a> Kernel<'a> {
         let (confidence, image) = match row {
             Some(i) => (self.scores[tier][i], None),
             None => {
-                let image = self.render(tier, &prompt, reused);
+                let image = self.render(tier, &prompt(), reused);
                 (disc.confidence(&image.features), Some(image))
             }
         };
         let escalate = confidence < thresholds[tier] && deeper_alive();
         if let Some(r) = router {
-            r.observe(tier, &prompt, escalate);
+            r.observe(tier, &prompt(), escalate);
         }
         if escalate {
             Verdict::Escalate {
@@ -503,14 +513,15 @@ impl<'a> Kernel<'a> {
         } else {
             Verdict::Complete {
                 confidence: Some(confidence),
-                image: image.unwrap_or_else(|| self.output(tier, row, &prompt, reused)),
+                image: image.unwrap_or_else(|| self.output(tier, row, prompt, reused)),
                 reused,
             }
         }
     }
 
-    /// Tier `tier`'s output for `prompt`: row `row` of its render table
-    /// when [`Kernel::serve`]'s predicate picked one, else a render.
+    /// Tier `tier`'s output for the served `prompt`: row `row` of its
+    /// render table when [`Kernel::serve`]'s predicate picked one, else a
+    /// render.
     ///
     /// Debug builds render a tabled output too and assert that the row is
     /// that render bit for bit, so a debug test run still generates every
@@ -520,16 +531,16 @@ impl<'a> Kernel<'a> {
         &self,
         tier: usize,
         row: Option<usize>,
-        prompt: &Prompt,
+        prompt: impl FnOnce() -> Prompt,
         reused: u32,
     ) -> GeneratedImage {
         let Some(i) = row else {
-            return self.render(tier, prompt, reused);
+            return self.render(tier, &prompt(), reused);
         };
         let image = self.renders[tier].image(i);
         #[cfg(debug_assertions)]
         {
-            let fresh = self.render(tier, prompt, reused);
+            let fresh = self.render(tier, &prompt(), reused);
             let bits = |img: &GeneratedImage| -> Vec<u64> {
                 img.features.iter().map(|f| f.to_bits()).collect()
             };

@@ -3,7 +3,7 @@
 use diffserve_imagegen::features::DIM;
 use diffserve_imagegen::{
     CascadeSpec, DeferralProfile, DiffusionModel, Discriminator, DiscriminatorConfig,
-    GeneratedImage, PromptDataset, TierLadder,
+    EmbeddingDraws, GeneratedImage, PromptDataset, TierLadder,
 };
 use diffserve_linalg::Mat;
 use diffserve_metrics::GaussianStats;
@@ -44,10 +44,12 @@ impl LadderArtifacts {
 
 /// Everything a serving run needs that is prepared *offline* in the paper:
 /// the prompt dataset, the trained discriminator, the profiled deferral
-/// curve `f(t)` and the FID reference Gaussian — plus two tables this
+/// curve `f(t)` and the FID reference Gaussian — plus the tables this
 /// reproduction adds because a render is a pure function of `(tier,
 /// prompt)`: every tier's plain render of every dataset prompt, and every
-/// boundary's score of it.
+/// boundary's score of it. A ladder of more than two tiers, the only
+/// runtime a pre-execution router serves, also tables every dataset
+/// prompt's text-embedding draws.
 ///
 /// Immutable once prepared: a handle over one shared [`PreparedRuntime`],
 /// which it dereferences to (`runtime.dataset`, `runtime.scores()`).
@@ -95,6 +97,11 @@ pub struct PreparedRuntime {
     /// here, and the score table is scored from it. Read it through
     /// [`PreparedRuntime::renders`].
     renders: Vec<RenderTable>,
+    /// Every dataset prompt's text-embedding draws, which the pre-execution
+    /// router reads instead of drawing them again; present only on ladders
+    /// of more than two tiers. Read it through
+    /// [`PreparedRuntime::embedding_draws`].
+    draws: Option<Arc<EmbeddingDraws>>,
 }
 
 /// One tier's plain render ([`DiffusionModel::generate`]) of every dataset
@@ -259,6 +266,8 @@ impl PreparedRuntime {
             .zip(&renders)
             .map(|(disc, table)| score_boundary(table, disc, disc_config.train_prompts))
             .unzip();
+        let draws =
+            (models.len() > 2).then(|| Arc::new(EmbeddingDraws::prepare(dataset.prompts())));
 
         PreparedRuntime {
             discriminator: discriminators[0].clone(),
@@ -273,6 +282,7 @@ impl PreparedRuntime {
             dataset,
             scores,
             renders,
+            draws,
         }
     }
 
@@ -316,6 +326,12 @@ impl PreparedRuntime {
     /// plain render of `dataset.prompts()[i]`.
     pub(crate) fn renders(&self) -> &[RenderTable] {
         &self.renders
+    }
+
+    /// The prepared text-embedding draws of every dataset prompt, on
+    /// ladders of more than two tiers.
+    pub(crate) fn embedding_draws(&self) -> Option<&Arc<EmbeddingDraws>> {
+        self.draws.as_ref()
     }
 }
 
@@ -411,6 +427,9 @@ mod tests {
         // So is the score table, and it is the fresh render's score.
         assert_eq!(legacy.scores(), ladder.scores());
         assert_table_is_fresh(&ladder);
+        // No router serves two tiers, so neither runtime tables draws.
+        assert!(legacy.embedding_draws().is_none());
+        assert!(ladder.embedding_draws().is_none());
     }
 
     /// Every entry of `rt`'s tables equals, bitwise, a fresh render of its
@@ -500,6 +519,10 @@ mod tests {
         assert_eq!(rt.spec.light.name(), artifacts.models[0].name());
         assert_eq!(rt.spec.heavy.name(), artifacts.models[2].name());
         assert_table_is_fresh(&rt);
+        assert!(
+            rt.embedding_draws().is_some(),
+            "a router serves three tiers"
+        );
     }
 
     #[test]

@@ -140,26 +140,6 @@ impl DeferralProfile {
         assert!(steps >= 2, "grid needs at least two points");
         (0..steps).map(|i| i as f64 / (steps - 1) as f64).collect()
     }
-
-    /// Merges fresh runtime samples into the profile, keeping at most
-    /// `cap` most-recent-biased samples (reservoir-free decimation).
-    pub fn absorb(&mut self, fresh: &[f64], cap: usize) {
-        for &c in fresh {
-            if c.is_finite() {
-                self.sorted.push(c);
-            }
-        }
-        self.sorted
-            .sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-        if self.sorted.len() > cap && cap > 0 {
-            // Decimate uniformly to preserve the distribution shape.
-            let stride = self.sorted.len() as f64 / cap as f64;
-            let decimated: Vec<f64> = (0..cap)
-                .map(|i| self.sorted[(i as f64 * stride) as usize])
-                .collect();
-            self.sorted = decimated;
-        }
-    }
 }
 
 /// Streaming estimator of the deferral profile — the paper's online `f(t)`
@@ -169,10 +149,19 @@ impl DeferralProfile {
 /// [`observe`](OnlineDeferralEstimator::observe); the estimator keeps a
 /// sliding window of the most recent `window` samples (older samples age
 /// out, which is what lets the estimate track difficulty drift) and
-/// [`refresh`](OnlineDeferralEstimator::refresh) rebuilds a
-/// [`DeferralProfile`] through the same `from_confidences` path the offline
-/// profiler uses. Until `min_samples` observations have accumulated the
-/// estimator reports no profile and callers fall back to the offline curve.
+/// [`refresh`](OnlineDeferralEstimator::refresh) brings its
+/// [`DeferralProfile`] up to date with the window. Until `min_samples`
+/// observations have accumulated the estimator reports no profile and
+/// callers fall back to the offline curve.
+///
+/// The profile stays sorted between refreshes, so a refresh sorts only the
+/// samples that arrived since the previous one and merges them in, in one
+/// pass that also drops the samples the window evicted: `O(W + m log m)`
+/// for a window of `W` samples with `m` new ones, and no allocation once
+/// the buffers have grown to the window. The result is bitwise the profile
+/// [`DeferralProfile::from_confidences`] builds from the window's samples
+/// in arrival order — equal samples (`-0.0` and `0.0` included) sit
+/// oldest first.
 ///
 /// Deterministic: the window is a FIFO over the observation stream, so the
 /// same stream always yields the same profile (the simulator relies on
@@ -194,9 +183,19 @@ impl DeferralProfile {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OnlineDeferralEstimator {
+    /// The most recent samples, oldest first.
     window: VecDeque<f64>,
     cap: usize,
     min_samples: usize,
+    /// How many of the newest `window` samples the profile does not hold.
+    unmerged: usize,
+    /// Samples the profile holds that the window has evicted since the
+    /// last refresh.
+    evicted: Vec<f64>,
+    /// Refresh scratch: the unmerged samples, sorted.
+    incoming: Vec<f64>,
+    /// Refresh scratch: the next profile's samples, swapped into it.
+    merged: Vec<f64>,
     profile: Option<DeferralProfile>,
 }
 
@@ -217,6 +216,10 @@ impl OnlineDeferralEstimator {
             window: VecDeque::with_capacity(window.min(4096)),
             cap: window,
             min_samples: min_samples.max(1),
+            unmerged: 0,
+            evicted: Vec::new(),
+            incoming: Vec::new(),
+            merged: Vec::new(),
             profile: None,
         }
     }
@@ -228,9 +231,16 @@ impl OnlineDeferralEstimator {
             return;
         }
         if self.window.len() == self.cap {
-            self.window.pop_front();
+            let oldest = self.window.pop_front().expect("a full window");
+            // The oldest sample is unmerged only when every sample is.
+            if self.unmerged == self.cap {
+                self.unmerged -= 1;
+            } else {
+                self.evicted.push(oldest);
+            }
         }
         self.window.push_back(confidence);
+        self.unmerged += 1;
     }
 
     /// Feeds a batch of observations.
@@ -251,22 +261,47 @@ impl OnlineDeferralEstimator {
         self.window.len() >= self.min_samples
     }
 
-    /// Rebuilds the estimated profile from the current window (a no-op
+    /// Brings the estimated profile up to date with the window (a no-op
     /// while cold). Returns whether a fresh profile is now available.
     pub fn refresh(&mut self) -> bool {
         if !self.warmed_up() {
             return false;
         }
-        let samples: Vec<f64> = self.window.iter().copied().collect();
-        match DeferralProfile::from_confidences(samples) {
-            Ok(p) => {
-                self.profile = Some(p);
-                true
-            }
-            // Unreachable in practice (observe filters non-finite values),
-            // but an empty window must never tear down an earlier estimate.
-            Err(ProfileError::NoSamples) => false,
+        if self.unmerged == 0 {
+            // Nothing arrived, so nothing left: the profile is the window.
+            return true;
         }
+        let by_value = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite samples");
+        self.incoming.clear();
+        self.incoming
+            .extend(self.window.range(self.window.len() - self.unmerged..));
+        // Stable, like `from_confidences`: equal newcomers keep arrival order.
+        self.incoming.sort_by(by_value);
+        self.evicted.sort_unstable_by(by_value);
+        let profile = self
+            .profile
+            .get_or_insert_with(|| DeferralProfile { sorted: Vec::new() });
+        // Equal samples sit in arrival order and eviction is FIFO, so each
+        // evicted sample is the first survivor equal to it; newcomers go
+        // after the survivors they equal.
+        let mut gone = self.evicted.iter().peekable();
+        let mut fresh = self.incoming.iter().copied().peekable();
+        self.merged.clear();
+        for &kept in &profile.sorted {
+            if gone.next_if(|&&e| e == kept).is_some() {
+                continue;
+            }
+            while let Some(c) = fresh.next_if(|&c| c < kept) {
+                self.merged.push(c);
+            }
+            self.merged.push(kept);
+        }
+        self.merged.extend(fresh);
+        debug_assert!(gone.next().is_none(), "every evicted sample was held");
+        std::mem::swap(&mut profile.sorted, &mut self.merged);
+        self.evicted.clear();
+        self.unmerged = 0;
+        true
     }
 
     /// The latest refreshed profile, if the estimator has warmed up.
@@ -336,16 +371,6 @@ mod tests {
         assert_eq!(g[0], 0.0);
         assert_eq!(*g.last().unwrap(), 1.0);
         assert!(g.windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn absorb_keeps_distribution_shape() {
-        let mut p = profile((0..1000).map(|i| i as f64 / 1000.0).collect());
-        p.absorb(&[0.5; 100], 500);
-        assert!(p.sample_count() <= 500);
-        // Median should remain near 0.5.
-        let mid = p.fraction_deferred(0.5);
-        assert!((mid - 0.5).abs() < 0.1, "median drifted: {mid}");
     }
 
     #[test]
@@ -465,6 +490,48 @@ mod tests {
             // Identical sample set ⇒ identical empirical CDF.
             let grid = DeferralProfile::threshold_grid(21);
             prop_assert!(offline.gap(online, &grid) < 1e-12);
+        }
+
+        /// The incrementally merged profile is bitwise the profile built
+        /// from scratch out of the window, after any stream and any refresh
+        /// cadence: equal samples and `-0.0`/`0.0` mixes in arrival order,
+        /// NaN and ±∞ ignored, refreshes after every sample, every few and
+        /// more than a full window apart.
+        #[test]
+        fn merged_window_is_bitwise_the_sorted_window(
+            stream in proptest::collection::vec((0u8..12, 0.0f64..1.0), 1..1300),
+            cap_pick in 0usize..5,
+            min_pick in 0usize..3,
+            cadence_pick in 0usize..5,
+        ) {
+            let cap = [1, 2, 7, 64, 512][cap_pick];
+            let min_samples = [0, cap / 2, cap][min_pick];
+            let every = [1, 3, 17, cap + 1, 2 * cap + 5][cadence_pick];
+            let mut est = OnlineDeferralEstimator::new(cap, min_samples);
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            for (i, &(code, x)) in stream.iter().enumerate() {
+                let sample = match code {
+                    0 | 1 => 0.0,
+                    2 | 3 => -0.0,
+                    4 => 0.5,
+                    5 => f64::NAN,
+                    6 => f64::INFINITY,
+                    7 => f64::NEG_INFINITY,
+                    // Coarse values repeat often.
+                    8 | 9 => (x * 8.0).floor() / 8.0,
+                    _ => x,
+                };
+                est.observe(sample);
+                if (i + 1) % every == 0 || i + 1 == stream.len() {
+                    let window: Vec<f64> = est.window.iter().copied().collect();
+                    prop_assert_eq!(est.refresh(), est.warmed_up());
+                    if let Some(p) = est.profile() {
+                        let scratch = DeferralProfile::from_confidences(window)
+                            .expect("a warm window holds finite samples");
+                        prop_assert_eq!(bits(&p.sorted), bits(&scratch.sorted));
+                    }
+                }
+            }
         }
     }
 }

@@ -60,7 +60,7 @@ pub use discriminator::{DiscArch, Discriminator, DiscriminatorConfig, RealClass}
 pub use features::FeatureSpec;
 pub use ladder::{ladder3, LadderError, TierLadder};
 pub use model::{DiffusionModel, GeneratedImage, LatencyProfile, QualityProfile};
-pub use predictive::{OnlinePredictiveRouter, OnlineRouterConfig};
+pub use predictive::{EmbeddingDraws, OnlinePredictiveRouter, OnlineRouterConfig};
 pub use prompt::{DatasetKind, Prompt, PromptDataset};
 pub use scorers::{ClipScorer, PickScorer};
 pub use stage::{resume_savings, reused_steps, StageLatencyBreakdown, StageState, DENOISE_FRAC};

@@ -14,6 +14,8 @@
 //! deferred queries but routes on strictly less information (it never sees
 //! the actual image).
 
+use std::sync::Arc;
+
 use diffserve_simkit::rng::{derive_seed, seeded_rng, Normal, Sampler};
 
 use crate::prompt::Prompt;
@@ -21,20 +23,53 @@ use crate::prompt::Prompt;
 /// Dimensionality of the synthetic prompt (text) embedding.
 const TEXT_DIM: usize = 8;
 
-/// Deterministic synthetic text embedding of a prompt: two coordinates
-/// carry noisy views of the prompt's difficulty and style, the rest is
-/// prompt-specific structure no router can exploit. The noise level is the
-/// knob that makes text-only quality prediction "challenging" (§5).
-fn text_embedding(prompt: &Prompt, observation_noise: f64) -> Vec<f64> {
-    let mut rng = seeded_rng(derive_seed(prompt.seed, 0x7E87));
+/// The standard normals behind a prompt's text embedding. They depend on
+/// the prompt's `seed` alone, so a difficulty shift leaves them unchanged.
+fn embedding_draws(seed: u64) -> [f64; TEXT_DIM] {
+    let mut rng = seeded_rng(derive_seed(seed, 0x7E87));
     let normal = Normal::standard();
-    let mut e = vec![0.0; TEXT_DIM];
-    e[0] = prompt.difficulty + observation_noise * normal.draw(&mut rng);
-    e[1] = prompt.style_bias + observation_noise * normal.draw(&mut rng);
-    for v in e.iter_mut().skip(2) {
-        *v = normal.draw(&mut rng);
-    }
+    std::array::from_fn(|_| normal.draw(&mut rng))
+}
+
+/// Deterministic synthetic text embedding of a prompt, from its draws `z`:
+/// two coordinates carry noisy views of the prompt's difficulty and style,
+/// the rest is prompt-specific structure no router can exploit. The noise
+/// level is the knob that makes text-only quality prediction
+/// "challenging" (§5).
+fn text_embedding(prompt: &Prompt, z: &[f64; TEXT_DIM], observation_noise: f64) -> [f64; TEXT_DIM] {
+    let mut e = *z;
+    e[0] = prompt.difficulty + observation_noise * z[0];
+    e[1] = prompt.style_bias + observation_noise * z[1];
     e
+}
+
+/// Every prompt's embedding draws, prepared once for a prompt set so that
+/// a router reads them instead of drawing them again on each prediction
+/// and each observation.
+#[derive(Debug)]
+pub struct EmbeddingDraws {
+    /// Row `i`: the seed of the set's `i`-th prompt and its draws.
+    rows: Vec<(u64, [f64; TEXT_DIM])>,
+}
+
+impl EmbeddingDraws {
+    /// Draws for every prompt of `prompts`, one row each, in order.
+    pub fn prepare(prompts: &[Prompt]) -> Self {
+        EmbeddingDraws {
+            rows: prompts
+                .iter()
+                .map(|p| (p.seed, embedding_draws(p.seed)))
+                .collect(),
+        }
+    }
+
+    /// The draws of `prompt`: row `prompt.id`, if that row was drawn from
+    /// `prompt.seed`. A dataset's prompts have their position as id; any
+    /// other prompt misses and is drawn fresh.
+    fn get(&self, prompt: &Prompt) -> Option<&[f64; TEXT_DIM]> {
+        let (seed, z) = self.rows.get(usize::try_from(prompt.id).ok()?)?;
+        (*seed == prompt.seed).then_some(z)
+    }
 }
 
 /// Knobs for the [`OnlinePredictiveRouter`] used by the serving engines in
@@ -82,6 +117,8 @@ pub struct OnlinePredictiveRouter {
     weights: Vec<Vec<f64>>,
     counts: Vec<u64>,
     config: OnlineRouterConfig,
+    /// Prepared draws read in place of fresh ones, when attached.
+    draws: Option<Arc<EmbeddingDraws>>,
 }
 
 impl OnlinePredictiveRouter {
@@ -92,7 +129,15 @@ impl OnlinePredictiveRouter {
             weights: vec![vec![0.0; TEXT_DIM + 1]; boundaries],
             counts: vec![0; boundaries],
             config,
+            draws: None,
         }
+    }
+
+    /// This router reading `draws` for the prompts they hold. The table
+    /// changes no prediction: a prompt it does not hold is drawn fresh.
+    pub fn with_draws(mut self, draws: Arc<EmbeddingDraws>) -> Self {
+        self.draws = Some(draws);
+        self
     }
 
     /// Number of boundaries this router predicts over.
@@ -105,7 +150,16 @@ impl OnlinePredictiveRouter {
         self.counts[boundary]
     }
 
-    fn logit(&self, boundary: usize, embedding: &[f64]) -> f64 {
+    /// The text embedding this router sees for `prompt`.
+    fn embedding(&self, prompt: &Prompt) -> [f64; TEXT_DIM] {
+        let z = match self.draws.as_deref().and_then(|d| d.get(prompt)) {
+            Some(z) => *z,
+            None => embedding_draws(prompt.seed),
+        };
+        text_embedding(prompt, &z, self.config.observation_noise)
+    }
+
+    fn logit(&self, boundary: usize, embedding: &[f64; TEXT_DIM]) -> f64 {
         let w = &self.weights[boundary];
         let mut z = w[TEXT_DIM];
         for (wi, xi) in w[..TEXT_DIM].iter().zip(embedding) {
@@ -118,7 +172,7 @@ impl OnlinePredictiveRouter {
     /// discriminator either kept the query (`escalated = false`) or sent it
     /// deeper (`escalated = true`).
     pub fn observe(&mut self, boundary: usize, prompt: &Prompt, escalated: bool) {
-        let e = text_embedding(prompt, self.config.observation_noise);
+        let e = self.embedding(prompt);
         let p = sigmoid(self.logit(boundary, &e));
         let err = f64::from(escalated) - p;
         let lr = self.config.learning_rate;
@@ -136,8 +190,7 @@ impl OnlinePredictiveRouter {
         if self.counts[boundary] < self.config.min_observations {
             return None;
         }
-        let e = text_embedding(prompt, self.config.observation_noise);
-        Some(sigmoid(self.logit(boundary, &e)))
+        Some(sigmoid(self.logit(boundary, &self.embedding(prompt))))
     }
 
     /// The tier this prompt should enter the ladder at: the deepest tier
@@ -145,11 +198,17 @@ impl OnlinePredictiveRouter {
     /// at or above the configured margin. Cold boundaries stop the walk, so
     /// an untrained router always answers tier 0 (always-cheapest-first).
     pub fn entry_tier(&self, prompt: &Prompt) -> usize {
+        let mut embedding = None;
         let mut tier = 0;
         for boundary in 0..self.boundaries() {
-            match self.escalation_prob(boundary, prompt) {
-                Some(p) if p >= self.config.margin => tier = boundary + 1,
-                _ => break,
+            if self.counts[boundary] < self.config.min_observations {
+                break;
+            }
+            let e = embedding.get_or_insert_with(|| self.embedding(prompt));
+            if sigmoid(self.logit(boundary, e)) >= self.config.margin {
+                tier = boundary + 1;
+            } else {
+                break;
             }
         }
         tier
@@ -164,6 +223,7 @@ fn sigmoid(z: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::features::FeatureSpec;
+    use crate::ladder::ladder3;
     use crate::prompt::{DatasetKind, PromptDataset};
 
     fn dataset() -> PromptDataset {
@@ -174,9 +234,50 @@ mod tests {
     fn embedding_is_deterministic_and_informative() {
         let dataset = dataset();
         let p = &dataset.prompts()[7];
-        assert_eq!(text_embedding(p, 0.3), text_embedding(p, 0.3));
+        let z = embedding_draws(p.seed);
+        assert_eq!(z, embedding_draws(p.seed));
+        assert_eq!(text_embedding(p, &z, 0.3), text_embedding(p, &z, 0.3));
         // Zero-noise embedding carries difficulty exactly.
-        assert!((text_embedding(p, 0.0)[0] - p.difficulty).abs() < 1e-12);
+        assert!((text_embedding(p, &z, 0.0)[0] - p.difficulty).abs() < 1e-12);
+    }
+
+    #[test]
+    fn prepared_draws_are_the_fresh_draws() {
+        let spec = FeatureSpec::default();
+        let dataset = PromptDataset::synthesize(ladder3(spec).dataset, 1500, 7, spec);
+        let prompts = dataset.prompts();
+        let draws = Arc::new(EmbeddingDraws::prepare(prompts));
+        let fresh = OnlinePredictiveRouter::new(2, OnlineRouterConfig::default());
+        let tabled = fresh.clone().with_draws(Arc::clone(&draws));
+        let bits = |e: [f64; TEXT_DIM]| e.map(f64::to_bits);
+        for p in prompts {
+            let row = draws.get(p).expect("a dataset prompt is tabled");
+            assert_eq!(bits(*row), bits(embedding_draws(p.seed)), "prompt {}", p.id);
+            // A difficulty shift keeps the seed, and so the row.
+            for delta in [0.0, 0.25, -0.4] {
+                let shifted = p.harder(delta);
+                assert_eq!(
+                    bits(tabled.embedding(&shifted)),
+                    bits(fresh.embedding(&shifted)),
+                    "prompt {} shifted by {delta}",
+                    p.id
+                );
+            }
+        }
+        // An explicit prompt naming a tabled id with another seed, or an
+        // id past the table, is drawn fresh.
+        let reseeded = Prompt {
+            seed: prompts[3].seed ^ 1,
+            ..prompts[3]
+        };
+        let unknown = Prompt {
+            id: prompts.len() as u64,
+            ..prompts[3]
+        };
+        for p in [reseeded, unknown] {
+            assert!(draws.get(&p).is_none());
+            assert_eq!(bits(tabled.embedding(&p)), bits(fresh.embedding(&p)));
+        }
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //!   (default, AIMD batches, no queuing model, nameplate capacity, static
 //!   threshold) × both allocator backends × online profile refresh on/off
 //!   × latent resume on/off;
-//! * three tiers (`ladder3`): the two cascade policies over the same axes.
+//! * three tiers (`ladder3`): the two cascade policies over the same axes,
+//!   and once more with every query carrying an explicit prompt — a
+//!   dataset prompt, one whose id names a dataset row but whose seed
+//!   differs, or one whose id names none — the prompts the runtime's
+//!   prepared tables must not answer for.
 //!
 //! Every run serves one perturbed scenario (a flash crowd, a brownout and a
 //! prompt-difficulty shift) and is hashed over its decision fields only:
@@ -21,6 +25,7 @@
 //! --nocapture` prints the current table; paste it over `EXPECTED`.
 
 use diffserve::prelude::*;
+use diffserve_simkit::rng::{derive_seed, seeded_rng};
 use diffserve_simkit::time::SimDuration;
 use std::sync::OnceLock;
 
@@ -136,12 +141,14 @@ impl Fnv {
     }
 }
 
-/// One row of the matrix: a runtime, a policy and an ablation.
+/// One row of the matrix: a runtime, a policy and an ablation, serving
+/// dataset queries or explicit prompts.
 struct Row {
     ladder: bool,
     policy: Policy,
     ablation: &'static str,
     knobs: AblationKnobs,
+    explicit: bool,
 }
 
 fn rows() -> Vec<Row> {
@@ -157,11 +164,63 @@ fn rows() -> Vec<Row> {
                     policy,
                     ablation,
                     knobs,
+                    explicit: false,
                 });
             }
         }
     }
+    for policy in [Policy::DiffServe, Policy::DiffServeStatic] {
+        rows.push(Row {
+            ladder: true,
+            policy,
+            ablation: "explicit",
+            knobs: AblationKnobs::default(),
+            explicit: true,
+        });
+    }
     rows
+}
+
+/// The explicit prompt of the `i`-th arrival: the dataset's cyclic prompt
+/// as is, with its seed changed, or with an id past the dataset's end.
+fn explicit_prompt(dataset: &PromptDataset, i: u64) -> Prompt {
+    let p = *dataset.prompt_cyclic(i);
+    match i % 3 {
+        0 => p,
+        1 => Prompt {
+            seed: p.seed ^ 0x5EED,
+            ..p
+        },
+        _ => Prompt {
+            id: p.id + dataset.len() as u64,
+            ..p
+        },
+    }
+}
+
+/// Serves `scenario` with one explicit-prompt query per Poisson arrival of
+/// its trace, to the same horizon as `run_scenario`.
+fn run_explicit(
+    runtime: &CascadeRuntime,
+    system: &SystemConfig,
+    settings: &RunSettings,
+    scenario: &Scenario,
+) -> RunReport {
+    let mut session = ServingSession::builder()
+        .runtime(runtime)
+        .config(system.clone())
+        .settings(settings.clone())
+        .scenario(scenario.clone())
+        .build()
+        .expect("valid session");
+    let trace = scenario.effective_trace();
+    let mut rng = seeded_rng(derive_seed(system.seed, 0xE1));
+    for t in poisson_arrivals(&trace, &mut rng) {
+        let prompt = explicit_prompt(&runtime.dataset, session.submitted());
+        session.submit_spec(QuerySpec::new().at(t).prompt(prompt));
+    }
+    session.run_until(SimTime::ZERO + trace.duration() + system.slo * 4);
+    session.finish()
 }
 
 impl Row {
@@ -193,7 +252,11 @@ impl Row {
                         backend,
                         ..RunSettings::new(self.policy, scenario.effective_trace().max_qps())
                     };
-                    h.report(&run_scenario(runtime, &system, &settings, scenario));
+                    h.report(&if self.explicit {
+                        run_explicit(runtime, &system, &settings, scenario)
+                    } else {
+                        run_scenario(runtime, &system, &settings, scenario)
+                    });
                 }
             }
         }
@@ -202,7 +265,7 @@ impl Row {
 }
 
 /// `(row name, decision hash)` in [`rows`] order.
-const EXPECTED: [(&str, u64); 35] = [
+const EXPECTED: [(&str, u64); 37] = [
     ("2/Clipper-Light/default", 0x297e2479797e00c5),
     ("2/Clipper-Light/aimd", 0x297e2479797e00c5),
     ("2/Clipper-Light/no-queue-model", 0x297e2479797e00c5),
@@ -238,6 +301,8 @@ const EXPECTED: [(&str, u64); 35] = [
     ("3/DiffServe-Static/no-queue-model", 0xf78bee45eb2208ad),
     ("3/DiffServe-Static/nameplate", 0xf78bee45eb2208ad),
     ("3/DiffServe-Static/static-threshold", 0x317411c64d31aad5),
+    ("3/DiffServe/explicit", 0xfecebc4b1b60ea65),
+    ("3/DiffServe-Static/explicit", 0x975ac64526caadc5),
 ];
 
 /// Every row's eight runs must hash to the value captured before the
