@@ -614,7 +614,7 @@ impl ServingBackend for ClusterBackend<'_> {
         let fleet = self
             .shared
             .tally(&self.shared.plan.read(), &self.shared.failed_mask());
-        event.validate_against(self.now(), fleet.health())?;
+        fleet.health().after(self.now(), &event)?;
         self.shared.apply_event(event);
         Ok(())
     }
@@ -817,8 +817,8 @@ impl PlanActuator for ClusterActuator<'_> {
 /// [`Shared::apply_event`]. Sleeps in short slices so shutdown (or a
 /// perturbation scheduled past the trace end) never wedges the run at join
 /// time.
-fn scenario_loop(shared: &Shared, actions: &[(SimTime, ScenarioEvent)]) {
-    for &(at, action) in actions {
+fn scenario_loop(shared: &Shared, actions: &[Incident]) {
+    for &Incident { at, event } in actions {
         let at = at.as_secs_f64();
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
@@ -830,7 +830,7 @@ fn scenario_loop(shared: &Shared, actions: &[(SimTime, ScenarioEvent)]) {
             }
             shared.sleep_sim((at - now).min(1.0));
         }
-        shared.apply_event(action);
+        shared.apply_event(event);
     }
 }
 

@@ -562,7 +562,7 @@ struct ServingSim<'a> {
     router: Option<OnlinePredictiveRouter>,
     proteus_heavy_fraction: f64,
     // Scenario state.
-    actions: Vec<(SimTime, ScenarioEvent)>,
+    actions: IncidentLog,
     difficulty_delta: f64,
     /// The load-correlated fault engine, when the scenario carries one.
     hazard: Option<HazardProcess>,
@@ -612,7 +612,7 @@ impl<'a> ServingSim<'a> {
         settings: RunSettings,
         runtime: &'a CascadeRuntime,
         control: ControlLoop,
-        actions: Vec<(SimTime, ScenarioEvent)>,
+        actions: IncidentLog,
         hazard: Option<HazardProcess>,
     ) -> Self {
         config.validate().expect("valid system config");
@@ -736,7 +736,7 @@ impl<'a> ServingSim<'a> {
     /// Appends a perturbation to the action table, returning its index for
     /// [`Event::Scenario`] scheduling.
     fn push_action(&mut self, at: SimTime, event: ScenarioEvent) -> usize {
-        self.actions.push((at, event));
+        self.actions.push(Incident { at, event });
         self.actions.len() - 1
     }
 
@@ -1315,7 +1315,7 @@ impl<'a> ServingSim<'a> {
     }
 
     fn handle_scenario(&mut self, i: usize, now: SimTime, queue: &mut EventQueue<Event>) {
-        let event = self.actions[i].1;
+        let event = self.actions[i].event;
         self.fire_event(event, now, queue);
     }
 
@@ -1462,14 +1462,10 @@ pub(crate) struct SimBackend<'a> {
     /// events — exactly the batch wrappers' event order.
     started: bool,
     remaining_budget: u64,
-    /// Net worker-failure delta from injected perturbations that are
-    /// scheduled but have not fired yet (cleared on every advance):
-    /// injected fails minus injected recovers. Validation of back-to-back
-    /// injections projects the fleet state forward by this amount.
-    pending_failed: isize,
-    /// Net worker-degradation delta from injected perturbations that have
-    /// not fired yet, mirroring `pending_failed`.
-    pending_degraded: isize,
+    /// The fleet after the injected perturbations that are scheduled but
+    /// have not fired yet, folded through [`FleetHealth::after`]; `None`
+    /// once an advance has fired them all.
+    projected: Option<FleetHealth>,
 }
 
 impl std::fmt::Debug for SimBackend<'_> {
@@ -1515,8 +1511,7 @@ impl<'a> SimBackend<'a> {
             cursor: SimTime::ZERO,
             started: false,
             remaining_budget: EVENT_BUDGET,
-            pending_failed: 0,
-            pending_degraded: 0,
+            projected: None,
         }
     }
 
@@ -1525,7 +1520,7 @@ impl<'a> SimBackend<'a> {
             return;
         }
         self.started = true;
-        let times: Vec<SimTime> = self.sim.actor().actions.iter().map(|&(at, _)| at).collect();
+        let times: Vec<SimTime> = self.sim.actor().actions.iter().map(|inc| inc.at).collect();
         for (i, at) in times.into_iter().enumerate() {
             self.sim.schedule(at, Event::Scenario(i));
         }
@@ -1607,8 +1602,7 @@ impl ServingBackend for SimBackend<'_> {
             .saturating_sub(self.sim.processed() - before);
         // Injected perturbations scheduled at or before the cursor have
         // fired now and are reflected in the live fleet state.
-        self.pending_failed = 0;
-        self.pending_degraded = 0;
+        self.projected = None;
     }
 
     fn drain_completions(&mut self) -> Vec<QueryOutcome> {
@@ -1617,34 +1611,15 @@ impl ServingBackend for SimBackend<'_> {
 
     fn apply_perturbation(&mut self, event: ScenarioEvent) -> Result<(), ScenarioError> {
         self.ensure_started();
-        // Validate against the fleet state *projected* over injections that
-        // are scheduled but have not fired yet (they fire at the next
-        // advance), so back-to-back injections compose like the cluster
-        // backend's immediate application. A bad event must never reach
-        // the incident log, or the recording stops being replayable.
-        let live = self.sim.actor().fleet_tally().health();
-        let total = live.alive + live.failed;
-        let failed = (live.failed as isize + self.pending_failed).clamp(0, total as isize) as usize;
-        let alive = total - failed;
-        let degraded =
-            (live.degraded as isize + self.pending_degraded).clamp(0, alive as isize) as usize;
-        let projected = FleetHealth {
-            alive,
-            failed,
-            degraded,
-        };
-        event.validate_against(self.cursor, projected)?;
-        match event {
-            ScenarioEvent::Capacity(CapacityEvent::Fail(n)) => self.pending_failed += n as isize,
-            ScenarioEvent::Capacity(CapacityEvent::Recover(n)) => self.pending_failed -= n as isize,
-            ScenarioEvent::Capacity(CapacityEvent::Degrade(n, _)) => {
-                self.pending_degraded += n as isize
-            }
-            ScenarioEvent::Capacity(CapacityEvent::Restore(n)) => {
-                self.pending_degraded -= n as isize
-            }
-            ScenarioEvent::Difficulty(_) => {}
-        }
+        // Check against the fleet *projected* over injections that are
+        // scheduled but have not fired yet (they fire at the next advance),
+        // so back-to-back injections compose like the cluster backend's
+        // immediate application. A bad event must never reach the incident
+        // log, or the recording stops being replayable.
+        let fleet = self
+            .projected
+            .unwrap_or_else(|| self.sim.actor().fleet_tally().health());
+        self.projected = Some(fleet.after(self.cursor, &event)?);
         let at = self.cursor;
         let idx = self.sim.actor_mut().push_action(at, event);
         self.sim.schedule(at, Event::Scenario(idx));

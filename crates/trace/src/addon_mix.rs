@@ -13,8 +13,8 @@
 //! Popularity is Zipf-like (module `i` drawn with weight `1/(i+1)`), the
 //! regime where a small module cache earns its keep. A [`TrendWindow`]
 //! overrides the popularity ranking for a time span — the "trending LoRA"
-//! that [`Perturbation::StyleShift`](crate::Perturbation::StyleShift)
-//! lowers into — steering a `share` of adopting queries to one module.
+//! a [`Perturbation::StyleShift`](crate::Perturbation::StyleShift) holds —
+//! steering a `share` of adopting queries to one module.
 //!
 //! # Examples
 //!

@@ -11,12 +11,13 @@
 //! thread-based testbed (`diffserve_cluster::run_cluster_scenario`) can
 //! replay exactly the same stress from one value.
 //!
-//! Demand-side perturbations ([`Perturbation::FlashCrowd`],
-//! [`Perturbation::DemandShift`]) are *baked into the arrival stream* via
-//! [`Scenario::effective_trace`]; capacity and difficulty perturbations are
-//! exposed as timed schedules ([`Scenario::capacity_events`],
-//! [`Scenario::difficulty_events`]) that the run paths inject into their
-//! event loops.
+//! Demand-side [`Perturbation`]s (flash crowds, demand shifts, style
+//! shifts) are *baked into the arrival stream* via
+//! [`Scenario::effective_trace`] and the session's add-on draw. Capacity
+//! churn and difficulty shifts are stored as the [`Incident`]s the run
+//! paths log when they fire; [`Scenario::timeline`] hands them to the event
+//! loops in firing order, and [`FleetHealth::after`] is the one rule that
+//! checks each of them, scheduled, injected or replayed.
 //!
 //! # Examples
 //!
@@ -29,7 +30,7 @@
 //!     .worker_fail(SimTime::from_secs(40), 2)
 //!     .worker_recover(SimTime::from_secs(80), 2);
 //! scenario.validate(8)?;
-//! assert_eq!(scenario.capacity_events().len(), 2);
+//! assert_eq!(scenario.timeline().len(), 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -37,32 +38,19 @@ use diffserve_simkit::rng::{derive_seed, seeded_rng};
 use diffserve_simkit::time::{SimDuration, SimTime};
 use rand::Rng;
 
+use crate::addon_mix::TrendWindow;
 use crate::trace::Trace;
 
 /// RNG stream tag for hazard draws, so the fault engine never shares a
 /// stream with arrival generation or routing.
 const HAZARD_SEED_STREAM: u64 = 0x4A7A;
 
-/// One timed perturbation applied on top of a scenario's base trace.
+/// One demand-side perturbation applied on top of a scenario's base trace.
+/// All three are baked into the arrival stream; what the event loops fire
+/// (worker churn, degradation, difficulty shifts) is a scheduled
+/// [`Incident`] instead.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Perturbation {
-    /// `count` workers fail-stop at `at`: their queued and in-flight work is
-    /// retried elsewhere and the controller must re-solve against the
-    /// shrunken pool.
-    WorkerFail {
-        /// Failure instant.
-        at: SimTime,
-        /// Number of workers that fail (highest-indexed alive workers).
-        count: usize,
-    },
-    /// `count` previously failed workers rejoin at `at`, paying the model
-    /// load delay before serving again.
-    WorkerRecover {
-        /// Recovery instant.
-        at: SimTime,
-        /// Number of workers that rejoin (lowest-indexed failed workers).
-        count: usize,
-    },
     /// A multiplicative rate spike: demand ramps from ×1 to ×`factor` over
     /// `ramp`, holds at ×`factor` for `hold`, then ramps back down over
     /// `ramp`.
@@ -85,125 +73,68 @@ pub enum Perturbation {
         /// Demand multiplier applied from `at` to the trace end.
         factor: f64,
     },
-    /// The prompt-hardness mix changes: from `at` onward every prompt's
-    /// latent difficulty is offset by `delta` (clamped to `[0, 1]`). Harder
-    /// prompts lower discriminator confidence, raising the cascade's
-    /// deferral rate (paper Eq. 3's `f(t)` shifts up) at constant QPS.
-    DifficultyShift {
-        /// Shift instant.
-        at: SimTime,
-        /// Difficulty offset in `[-1, 1]` active from `at` (replaces any
-        /// earlier offset; it does not stack).
-        delta: f64,
-    },
-    /// `count` workers degrade at `at`: they stay alive and keep serving,
-    /// but every batch they execute takes `slowdown`× its nameplate
-    /// latency (a thermally throttled GPU, a noisy neighbor, a sick
-    /// straggler). Unlike [`Perturbation::WorkerFail`], no work is lost —
-    /// it just drains slower — and the controller should re-solve against
-    /// the fleet's *effective* capacity rather than its nameplate.
-    WorkerDegrade {
-        /// Degradation instant.
-        at: SimTime,
-        /// Number of workers that degrade (lowest-indexed healthy
-        /// workers). Best-effort: if fewer healthy workers exist at `at`,
-        /// only those degrade, and the run's incident log records the
-        /// count actually applied (a strict rejection here would falsely
-        /// invalidate legitimately recorded hazard logs, since a fail-stop
-        /// can erase a degradation mid-timeline).
-        count: usize,
-        /// Service-time multiplier (`>= 1`; `2.0` = half speed).
-        slowdown: f64,
-    },
-    /// `count` previously degraded workers return to nameplate speed at
-    /// `at`.
-    WorkerRestore {
-        /// Restoration instant.
-        at: SimTime,
-        /// Number of workers restored (lowest-indexed degraded workers).
-        count: usize,
-    },
-    /// A style-shift: from `start` for `duration`, a trending add-on
-    /// module captures `share` of all add-on-carrying queries, displacing
-    /// the steady-state popularity ranking. If the trending module is not
-    /// already resident in the workers' module caches, the surge thrashes
-    /// them — every cache must swap it in at once. Like the demand-side
-    /// perturbations this is baked into the arrival stream (via the
-    /// session's add-on draw), not lowered into the event loop.
-    StyleShift {
-        /// Start of the trend.
-        start: SimTime,
-        /// How long the trend lasts.
-        duration: SimDuration,
-        /// Catalog id of the trending module.
-        module: usize,
-        /// Fraction of adopting queries captured, in `(0, 1]`.
-        share: f64,
-    },
+    /// A style-shift: during the window, a trending add-on module captures
+    /// `share` of all add-on-carrying queries, displacing the steady-state
+    /// popularity ranking. If the trending module is not already resident
+    /// in the workers' module caches, the surge thrashes them — every cache
+    /// must swap it in at once. The session appends the window to its
+    /// add-on mix.
+    StyleShift(TrendWindow),
 }
 
 impl Perturbation {
     /// The instant this perturbation begins to act.
     pub fn onset(&self) -> SimTime {
         match *self {
-            Perturbation::WorkerFail { at, .. }
-            | Perturbation::WorkerRecover { at, .. }
-            | Perturbation::DemandShift { at, .. }
-            | Perturbation::DifficultyShift { at, .. }
-            | Perturbation::WorkerDegrade { at, .. }
-            | Perturbation::WorkerRestore { at, .. } => at,
-            Perturbation::FlashCrowd { start, .. } | Perturbation::StyleShift { start, .. } => {
-                start
-            }
-        }
-    }
-
-    /// Short human-readable kind name (used in experiment tables).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Perturbation::WorkerFail { .. } => "worker-fail",
-            Perturbation::WorkerRecover { .. } => "worker-recover",
-            Perturbation::FlashCrowd { .. } => "flash-crowd",
-            Perturbation::DemandShift { .. } => "demand-shift",
-            Perturbation::DifficultyShift { .. } => "difficulty-shift",
-            Perturbation::WorkerDegrade { .. } => "worker-degrade",
-            Perturbation::WorkerRestore { .. } => "worker-restore",
-            Perturbation::StyleShift { .. } => "style-shift",
+            Perturbation::FlashCrowd { start, .. } => start,
+            Perturbation::DemandShift { at, .. } => at,
+            Perturbation::StyleShift(window) => window.start,
         }
     }
 }
 
-/// A capacity event derived from the worker-churn and degradation
-/// perturbations, in the form the run paths inject into their event loops.
+/// A change to the worker fleet, in the form the run paths fire in their
+/// event loops.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CapacityEvent {
-    /// This many workers fail-stop.
+    /// This many workers fail-stop (the highest-indexed alive ones): their
+    /// queued and in-flight work is retried elsewhere and the controller
+    /// re-solves against the shrunken pool.
     Fail(usize),
-    /// This many failed workers rejoin.
+    /// This many failed workers rejoin (the lowest-indexed ones), paying
+    /// the model load delay before serving again.
     Recover(usize),
-    /// This many healthy workers degrade to `slowdown`× service times.
+    /// This many healthy workers (the lowest-indexed ones) stay alive but
+    /// run every batch at `slowdown`× its nameplate latency: a throttled
+    /// GPU, a noisy neighbor, a straggler. No work is lost, it drains
+    /// slower. Best-effort: if fewer healthy workers exist, only those
+    /// degrade and the incident log records the count applied (a fail-stop
+    /// can erase a degradation mid-timeline, so a strict rule would reject
+    /// legitimately recorded hazard logs).
     Degrade(usize, f64),
-    /// This many degraded workers return to nameplate speed.
+    /// This many degraded workers (the lowest-indexed ones) return to
+    /// nameplate speed.
     Restore(usize),
 }
 
-/// One lowered scenario event, ready for injection into a run path's event
-/// loop (demand perturbations are not lowered — they live in
-/// [`Scenario::effective_trace`]).
+/// One event a run path fires in its event loop (demand perturbations are
+/// not events — they live in [`Scenario::effective_trace`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScenarioEvent {
     /// Worker churn.
     Capacity(CapacityEvent),
-    /// The active prompt-difficulty offset becomes this value.
+    /// The active prompt-difficulty offset becomes this value. Harder
+    /// prompts lower discriminator confidence, raising the cascade's
+    /// deferral rate (paper Eq. 3's `f(t)` shifts up) at constant QPS.
+    /// Offsets replace each other; they do not stack.
     Difficulty(f64),
 }
 
 impl ScenarioEvent {
-    /// State-independent validity of one lowered event: capacity counts
-    /// must be non-zero, slowdowns finite and `>= 1`, difficulty offsets
-    /// finite and in `[-1, 1]`. Both backends run this before their
-    /// state-dependent injection checks (pool floor, recover/restore
-    /// accounting), so the rule lives in exactly one place.
+    /// State-independent validity of one event: capacity counts must be
+    /// non-zero, slowdowns finite and `>= 1`, difficulty offsets finite and
+    /// in `[-1, 1]`. [`FleetHealth::after`] runs this before the
+    /// fleet-state rules.
     ///
     /// # Errors
     ///
@@ -229,44 +160,14 @@ impl ScenarioEvent {
             _ => Ok(()),
         }
     }
-
-    /// Full validity of injecting this event at `at` into a fleet in state
-    /// `fleet`: [`ScenarioEvent::validate`] first, then the fleet-state
-    /// rules — a failure must leave two workers alive, a recovery cannot
-    /// name more workers than are failed, a restoration no more than are
-    /// degraded. Both engines run this before applying an injected
-    /// perturbation, so a bad event never reaches the incident log.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violated invariant as a typed [`ScenarioError`].
-    pub fn validate_against(&self, at: SimTime, fleet: FleetHealth) -> Result<(), ScenarioError> {
-        self.validate()?;
-        match *self {
-            ScenarioEvent::Capacity(CapacityEvent::Fail(n)) => {
-                let alive = fleet.alive.saturating_sub(n);
-                if alive < 2 {
-                    return Err(ScenarioError::PoolExhausted { at, alive });
-                }
-            }
-            ScenarioEvent::Capacity(CapacityEvent::Recover(n)) if n > fleet.failed => {
-                return Err(ScenarioError::RecoverWithoutFailure { at });
-            }
-            ScenarioEvent::Capacity(CapacityEvent::Restore(n)) if n > fleet.degraded => {
-                return Err(ScenarioError::RestoreWithoutDegrade { at });
-            }
-            _ => {}
-        }
-        Ok(())
-    }
 }
 
-/// One perturbation a run path actually fired, stamped with its firing
-/// instant — the unit of the incident record/replay loop. Both engines
-/// append every fired perturbation (scheduled, injected, and hazard-drawn)
-/// to the [`RunReport`]'s incident log, and
-/// [`Scenario::from_incident_log`] turns a recorded log back into a
-/// replayable scenario.
+/// One event stamped with its firing instant — the unit of both a
+/// scenario's schedule and the incident record/replay loop. A [`Scenario`]
+/// stores its scheduled events as incidents; both engines append every
+/// event they fire (scheduled, injected, and hazard-drawn) to the
+/// [`RunReport`]'s incident log, and [`Scenario::from_incident_log`] turns
+/// a recorded log back into a replayable scenario.
 ///
 /// [`RunReport`]: https://docs.rs/diffserve-core
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -398,7 +299,8 @@ impl Hazard {
     }
 }
 
-/// Live fleet counts a hazard draw conditions on.
+/// Live fleet counts: what a hazard draw conditions on and what every
+/// fired event is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetHealth {
     /// Workers currently alive (not fail-stopped).
@@ -407,6 +309,64 @@ pub struct FleetHealth {
     pub failed: usize,
     /// Alive workers currently running degraded.
     pub degraded: usize,
+}
+
+impl FleetHealth {
+    /// The fleet after `event` fires at `at`: the one fleet-health rule.
+    /// [`Scenario::validate`] folds it over the scheduled timeline, and
+    /// both engines apply it to every injected event, so a bad event never
+    /// reaches the incident log and the recording stays replayable.
+    ///
+    /// [`ScenarioEvent::validate`] runs first, then the fleet-state rules:
+    /// a failure must leave two workers alive (one per tier), a recovery
+    /// cannot name more workers than are failed, a restoration no more than
+    /// are degraded. The update is conservative where the worker picks are
+    /// not known here: a failure keeps at most the survivors degraded, and
+    /// a degradation degrades at most every alive worker.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated invariant as a typed [`ScenarioError`].
+    pub fn after(self, at: SimTime, event: &ScenarioEvent) -> Result<FleetHealth, ScenarioError> {
+        event.validate()?;
+        let ScenarioEvent::Capacity(capacity) = *event else {
+            return Ok(self);
+        };
+        let FleetHealth {
+            mut alive,
+            mut failed,
+            mut degraded,
+        } = self;
+        match capacity {
+            CapacityEvent::Fail(n) => {
+                alive = alive.saturating_sub(n);
+                if alive < 2 {
+                    return Err(ScenarioError::PoolExhausted { at, alive });
+                }
+                failed += n;
+                degraded = degraded.min(alive);
+            }
+            CapacityEvent::Recover(n) => {
+                if n > failed {
+                    return Err(ScenarioError::RecoverWithoutFailure { at });
+                }
+                failed -= n;
+                alive += n;
+            }
+            CapacityEvent::Degrade(n, _) => degraded = degraded.saturating_add(n).min(alive),
+            CapacityEvent::Restore(n) => {
+                if n > degraded {
+                    return Err(ScenarioError::RestoreWithoutDegrade { at });
+                }
+                degraded -= n;
+            }
+        }
+        Ok(FleetHealth {
+            alive,
+            failed,
+            degraded,
+        })
+    }
 }
 
 /// The runtime state of a [`Hazard`]: the spec plus its seeded RNG stream.
@@ -445,7 +405,9 @@ impl HazardProcess {
     /// pool below two alive workers (one per tier), degradations only hit
     /// healthy workers, recoveries/restorations only fire when there is
     /// something to recover/restore, and drawn difficulty offsets stay in
-    /// `[0, Hazard::MAX_DRAWN_DIFFICULTY]`.
+    /// `[0, Hazard::MAX_DRAWN_DIFFICULTY]`. The guards are not a fold of
+    /// [`FleetHealth::after`]: recovery and restoration read the counts
+    /// from before the step, and the replay tests pin this draw stream.
     pub fn step(
         &mut self,
         dt: SimDuration,
@@ -621,6 +583,8 @@ pub struct Scenario {
     name: String,
     base: Trace,
     perturbations: Vec<Perturbation>,
+    /// Scheduled loop events, in insertion order.
+    events: IncidentLog,
     hazard: Option<Hazard>,
 }
 
@@ -631,16 +595,17 @@ impl Scenario {
             name: name.into(),
             base,
             perturbations: Vec::new(),
+            events: Vec::new(),
             hazard: None,
         }
     }
 
-    /// Rebuilds a replayable scenario from a recorded [`IncidentLog`]: every
-    /// logged perturbation becomes a timed scheduled perturbation, and no
-    /// hazard is attached — the randomness already collapsed into the log.
-    /// On the discrete-event simulator, replaying the log of a seeded
-    /// hazard run reproduces the original [`RunReport`] bit-exactly, which
-    /// turns "a weird run happened" into a regression test.
+    /// Rebuilds a replayable scenario from a recorded [`IncidentLog`]: the
+    /// log becomes the schedule, and no hazard is attached — the randomness
+    /// already collapsed into the log. On the discrete-event simulator,
+    /// replaying the log of a seeded hazard run reproduces the original
+    /// [`RunReport`] bit-exactly, which turns "a weird run happened" into a
+    /// regression test.
     ///
     /// `base` must be the trace the original run drew arrivals from (for a
     /// scenario with demand perturbations, its
@@ -649,59 +614,21 @@ impl Scenario {
     ///
     /// [`RunReport`]: https://docs.rs/diffserve-core
     pub fn from_incident_log(name: impl Into<String>, base: Trace, log: &[Incident]) -> Self {
-        let mut s = Scenario::new(name, base);
-        for inc in log {
-            s = s.with(match inc.event {
-                ScenarioEvent::Capacity(CapacityEvent::Fail(count)) => {
-                    Perturbation::WorkerFail { at: inc.at, count }
-                }
-                ScenarioEvent::Capacity(CapacityEvent::Recover(count)) => {
-                    Perturbation::WorkerRecover { at: inc.at, count }
-                }
-                ScenarioEvent::Capacity(CapacityEvent::Degrade(count, slowdown)) => {
-                    Perturbation::WorkerDegrade {
-                        at: inc.at,
-                        count,
-                        slowdown,
-                    }
-                }
-                ScenarioEvent::Capacity(CapacityEvent::Restore(count)) => {
-                    Perturbation::WorkerRestore { at: inc.at, count }
-                }
-                ScenarioEvent::Difficulty(delta) => {
-                    Perturbation::DifficultyShift { at: inc.at, delta }
-                }
-            });
+        Scenario {
+            events: log.to_vec(),
+            ..Scenario::new(name, base)
         }
-        s
     }
 
     /// The replay counterpart of running *this* scenario: keeps the base
-    /// trace and the demand-side perturbations (flash crowds, demand
-    /// shifts — they are baked into the arrival stream, not logged), drops
-    /// every capacity/difficulty perturbation and the hazard, and schedules
-    /// the recorded log instead.
+    /// trace and the demand-side perturbations (they are baked into the
+    /// arrival stream, not logged), drops the scheduled events and the
+    /// hazard, and schedules the recorded log instead.
     pub fn replay(&self, log: &[Incident]) -> Scenario {
-        let mut s = Scenario::new(format!("{}-replay", self.name), self.base.clone());
-        for p in &self.perturbations {
-            if matches!(
-                p,
-                Perturbation::FlashCrowd { .. }
-                    | Perturbation::DemandShift { .. }
-                    | Perturbation::StyleShift { .. }
-            ) {
-                s = s.with(p.clone());
-            }
+        Scenario {
+            perturbations: self.perturbations.clone(),
+            ..Scenario::from_incident_log(format!("{}-replay", self.name), self.base.clone(), log)
         }
-        let demand_only = s;
-        let mut replayed =
-            Scenario::from_incident_log(demand_only.name.clone(), demand_only.base.clone(), log);
-        // Prepend the demand perturbations (order within the vec does not
-        // matter for demand multipliers; they compose multiplicatively).
-        let mut perturbations = demand_only.perturbations;
-        perturbations.append(&mut replayed.perturbations);
-        replayed.perturbations = perturbations;
-        replayed
     }
 
     /// Scenario name (used in reports and experiment tables).
@@ -714,51 +641,55 @@ impl Scenario {
         &self.base
     }
 
-    /// All perturbations, in insertion order.
-    pub fn perturbations(&self) -> &[Perturbation] {
-        &self.perturbations
-    }
-
-    /// Onset times of every perturbation (seconds), sorted ascending —
-    /// what recovery-time measurements anchor to.
+    /// Onset times of every perturbation and scheduled event (seconds),
+    /// sorted ascending — what recovery-time measurements anchor to.
     pub fn perturbation_onsets(&self) -> Vec<f64> {
         let mut v: Vec<f64> = self
             .perturbations
             .iter()
-            .map(|p| p.onset().as_secs_f64())
+            .map(Perturbation::onset)
+            .chain(self.events.iter().map(|inc| inc.at))
+            .map(SimTime::as_secs_f64)
             .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite onsets"));
+        v.sort_by(f64::total_cmp);
         v
     }
 
-    /// Appends an arbitrary perturbation.
+    /// Appends a demand-side perturbation.
     pub fn with(mut self, p: Perturbation) -> Self {
         self.perturbations.push(p);
         self
     }
 
-    /// `count` workers fail-stop at `at`.
+    /// Schedules `event` to fire at `at`.
+    fn schedule(mut self, at: SimTime, event: ScenarioEvent) -> Self {
+        self.events.push(Incident { at, event });
+        self
+    }
+
+    /// `count` workers fail-stop at `at` ([`CapacityEvent::Fail`]).
     pub fn worker_fail(self, at: SimTime, count: usize) -> Self {
-        self.with(Perturbation::WorkerFail { at, count })
+        self.schedule(at, ScenarioEvent::Capacity(CapacityEvent::Fail(count)))
     }
 
-    /// `count` failed workers rejoin at `at`.
+    /// `count` failed workers rejoin at `at` ([`CapacityEvent::Recover`]).
     pub fn worker_recover(self, at: SimTime, count: usize) -> Self {
-        self.with(Perturbation::WorkerRecover { at, count })
+        self.schedule(at, ScenarioEvent::Capacity(CapacityEvent::Recover(count)))
     }
 
-    /// `count` workers degrade to `slowdown`× service times at `at`.
+    /// `count` workers degrade to `slowdown`× service times at `at`
+    /// ([`CapacityEvent::Degrade`]).
     pub fn worker_degrade(self, at: SimTime, count: usize, slowdown: f64) -> Self {
-        self.with(Perturbation::WorkerDegrade {
+        self.schedule(
             at,
-            count,
-            slowdown,
-        })
+            ScenarioEvent::Capacity(CapacityEvent::Degrade(count, slowdown)),
+        )
     }
 
-    /// `count` degraded workers return to nameplate speed at `at`.
+    /// `count` degraded workers return to nameplate speed at `at`
+    /// ([`CapacityEvent::Restore`]).
     pub fn worker_restore(self, at: SimTime, count: usize) -> Self {
-        self.with(Perturbation::WorkerRestore { at, count })
+        self.schedule(at, ScenarioEvent::Capacity(CapacityEvent::Restore(count)))
     }
 
     /// Attaches a load-correlated [`Hazard`] process: the run paths draw
@@ -797,9 +728,10 @@ impl Scenario {
         self.with(Perturbation::DemandShift { at, factor })
     }
 
-    /// A prompt-difficulty offset of `delta` active from `at` onward.
+    /// A prompt-difficulty offset of `delta` active from `at` onward
+    /// ([`ScenarioEvent::Difficulty`]).
     pub fn difficulty_shift(self, at: SimTime, delta: f64) -> Self {
-        self.with(Perturbation::DifficultyShift { at, delta })
+        self.schedule(at, ScenarioEvent::Difficulty(delta))
     }
 
     /// A style-shift: for `duration` from `start`, add-on module `module`
@@ -811,32 +743,22 @@ impl Scenario {
         module: usize,
         share: f64,
     ) -> Self {
-        self.with(Perturbation::StyleShift {
+        self.with(Perturbation::StyleShift(TrendWindow {
             start,
             duration,
             module,
             share,
-        })
+        }))
     }
 
-    /// The style-shift perturbations lowered into [`crate::TrendWindow`]s, in
-    /// insertion order — what the serving session appends to its add-on
-    /// mix so the trend is baked into the per-query draw.
-    pub fn style_shift_windows(&self) -> Vec<crate::addon_mix::TrendWindow> {
+    /// The style-shift windows, in insertion order — what the serving
+    /// session appends to its add-on mix so the trend is baked into the
+    /// per-query draw.
+    pub fn style_shift_windows(&self) -> Vec<TrendWindow> {
         self.perturbations
             .iter()
             .filter_map(|p| match *p {
-                Perturbation::StyleShift {
-                    start,
-                    duration,
-                    module,
-                    share,
-                } => Some(crate::addon_mix::TrendWindow {
-                    start,
-                    duration,
-                    module,
-                    share,
-                }),
+                Perturbation::StyleShift(window) => Some(window),
                 _ => None,
             })
             .collect()
@@ -864,7 +786,7 @@ impl Scenario {
     ///     SimDuration::from_secs(12),
     /// );
     /// // One initial failure plus three staggered follow-ons at 34/38/42 s.
-    /// assert_eq!(s.capacity_events().len(), 4);
+    /// assert_eq!(s.timeline().len(), 4);
     /// assert_eq!(s.perturbation_onsets(), vec![30.0, 34.0, 38.0, 42.0]);
     /// s.validate(8)?;
     /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -891,11 +813,13 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant: non-positive demand factors,
-    /// out-of-range difficulty offsets, zero-worker churn, slowdowns below
-    /// 1, recoveries that exceed the failed count, restorations that exceed
-    /// the degraded count, churn that would leave fewer than two workers
-    /// alive at any instant, or an invalid hazard process.
+    /// Returns the first violated invariant: non-positive demand factors
+    /// or out-of-range style-shift shares (in insertion order), then an
+    /// invalid hazard process, then the first event of the timeline that
+    /// [`FleetHealth::after`] rejects — zero-worker churn, slowdowns below
+    /// 1, out-of-range difficulty offsets, churn that would leave fewer
+    /// than two workers alive, recoveries that exceed the failed count, or
+    /// restorations that exceed the degraded count.
     pub fn validate(&self, num_workers: usize) -> Result<(), ScenarioError> {
         for p in &self.perturbations {
             match *p {
@@ -905,29 +829,7 @@ impl Scenario {
                         return Err(ScenarioError::InvalidFactor { factor });
                     }
                 }
-                Perturbation::DifficultyShift { delta, .. } => {
-                    if !delta.is_finite() || !(-1.0..=1.0).contains(&delta) {
-                        return Err(ScenarioError::InvalidDelta { delta });
-                    }
-                }
-                Perturbation::WorkerFail { count, .. }
-                | Perturbation::WorkerRecover { count, .. }
-                | Perturbation::WorkerRestore { count, .. } => {
-                    if count == 0 {
-                        return Err(ScenarioError::ZeroWorkers);
-                    }
-                }
-                Perturbation::WorkerDegrade {
-                    count, slowdown, ..
-                } => {
-                    if count == 0 {
-                        return Err(ScenarioError::ZeroWorkers);
-                    }
-                    if !slowdown.is_finite() || slowdown < 1.0 {
-                        return Err(ScenarioError::InvalidSlowdown { slowdown });
-                    }
-                }
-                Perturbation::StyleShift { share, .. } => {
+                Perturbation::StyleShift(TrendWindow { share, .. }) => {
                     if !share.is_finite() || share <= 0.0 || share > 1.0 {
                         return Err(ScenarioError::InvalidShare { share });
                     }
@@ -937,46 +839,21 @@ impl Scenario {
         if let Some(h) = &self.hazard {
             h.validate()?;
         }
-        // Walk the capacity timeline tracking failed and degraded counts.
-        // Fail-stopping a worker clears its degradation (it rejoins
-        // healthy), so failures conservatively shrink the degraded count to
-        // what can still be alive.
-        let mut failed = 0usize;
-        let mut degraded = 0usize;
-        for (at, ev) in self.capacity_events() {
-            match ev {
-                CapacityEvent::Fail(n) => {
-                    failed += n;
-                    let alive = num_workers.saturating_sub(failed);
-                    if alive < 2 {
-                        return Err(ScenarioError::PoolExhausted { at, alive });
-                    }
-                    degraded = degraded.min(alive);
-                }
-                CapacityEvent::Recover(n) => {
-                    if n > failed {
-                        return Err(ScenarioError::RecoverWithoutFailure { at });
-                    }
-                    failed -= n;
-                }
-                CapacityEvent::Degrade(n, _) => {
-                    degraded = (degraded + n).min(num_workers.saturating_sub(failed));
-                }
-                CapacityEvent::Restore(n) => {
-                    if n > degraded {
-                        return Err(ScenarioError::RestoreWithoutDegrade { at });
-                    }
-                    degraded -= n;
-                }
-            }
-        }
+        let healthy = FleetHealth {
+            alive: num_workers,
+            failed: 0,
+            degraded: 0,
+        };
+        self.timeline()
+            .iter()
+            .try_fold(healthy, |fleet, inc| fleet.after(inc.at, &inc.event))?;
         Ok(())
     }
 
     /// The demand multiplier active at time `t`: the product of every
     /// [`Perturbation::FlashCrowd`] envelope and [`Perturbation::DemandShift`]
     /// factor covering `t`.
-    pub fn demand_multiplier(&self, t: SimTime) -> f64 {
+    fn demand_multiplier(&self, t: SimTime) -> f64 {
         let mut m = 1.0;
         for p in &self.perturbations {
             match *p {
@@ -1029,63 +906,13 @@ impl Scenario {
         Trace::from_qps(bins, bw).expect("base trace valid, multipliers positive")
     }
 
-    /// Worker-churn and degradation events sorted by time (ties keep
-    /// insertion order).
-    pub fn capacity_events(&self) -> Vec<(SimTime, CapacityEvent)> {
-        let mut events: Vec<(SimTime, CapacityEvent)> = self
-            .perturbations
-            .iter()
-            .filter_map(|p| match *p {
-                Perturbation::WorkerFail { at, count } => Some((at, CapacityEvent::Fail(count))),
-                Perturbation::WorkerRecover { at, count } => {
-                    Some((at, CapacityEvent::Recover(count)))
-                }
-                Perturbation::WorkerDegrade {
-                    at,
-                    count,
-                    slowdown,
-                } => Some((at, CapacityEvent::Degrade(count, slowdown))),
-                Perturbation::WorkerRestore { at, count } => {
-                    Some((at, CapacityEvent::Restore(count)))
-                }
-                _ => None,
-            })
-            .collect();
-        events.sort_by_key(|&(at, _)| at);
-        events
-    }
-
-    /// The full lowered event timeline (capacity churn + difficulty
-    /// offsets) sorted by time — what both run paths inject into their
-    /// event loops so they replay identical perturbations.
-    pub fn timeline(&self) -> Vec<(SimTime, ScenarioEvent)> {
-        let mut events: Vec<(SimTime, ScenarioEvent)> = self
-            .capacity_events()
-            .into_iter()
-            .map(|(at, ev)| (at, ScenarioEvent::Capacity(ev)))
-            .collect();
-        events.extend(
-            self.difficulty_events()
-                .into_iter()
-                .map(|(at, d)| (at, ScenarioEvent::Difficulty(d))),
-        );
-        events.sort_by_key(|&(at, _)| at);
-        events
-    }
-
-    /// Difficulty-offset events sorted by time: `(at, delta)` means the
-    /// active offset becomes `delta` at `at` (later events replace earlier
-    /// ones; offsets do not stack).
-    pub fn difficulty_events(&self) -> Vec<(SimTime, f64)> {
-        let mut events: Vec<(SimTime, f64)> = self
-            .perturbations
-            .iter()
-            .filter_map(|p| match *p {
-                Perturbation::DifficultyShift { at, delta } => Some((at, delta)),
-                _ => None,
-            })
-            .collect();
-        events.sort_by_key(|&(at, _)| at);
+    /// The scheduled events in firing order — what both run paths inject
+    /// into their event loops so they replay identical perturbations.
+    /// Sorted by time; at one instant capacity events fire before
+    /// difficulty events, each kind in insertion order.
+    pub fn timeline(&self) -> IncidentLog {
+        let mut events = self.events.clone();
+        events.sort_by_key(|inc| (inc.at, matches!(inc.event, ScenarioEvent::Difficulty(_))));
         events
     }
 }
@@ -1205,12 +1032,18 @@ mod tests {
         Trace::constant(4.0, secs(100)).unwrap()
     }
 
+    fn incident(at_secs: u64, event: ScenarioEvent) -> Incident {
+        Incident {
+            at: SimTime::from_secs(at_secs),
+            event,
+        }
+    }
+
     #[test]
     fn steady_scenario_replays_base_unchanged() {
         let s = Scenario::new("steady", base());
         assert_eq!(s.effective_trace(), base());
-        assert!(s.capacity_events().is_empty());
-        assert!(s.difficulty_events().is_empty());
+        assert!(s.timeline().is_empty());
         assert_eq!(s.name(), "steady");
     }
 
@@ -1268,15 +1101,35 @@ mod tests {
         let s = Scenario::new("churn", base())
             .worker_recover(SimTime::from_secs(80), 1)
             .worker_fail(SimTime::from_secs(20), 1);
-        let ev = s.capacity_events();
         assert_eq!(
-            ev,
+            s.timeline(),
             vec![
-                (SimTime::from_secs(20), CapacityEvent::Fail(1)),
-                (SimTime::from_secs(80), CapacityEvent::Recover(1)),
+                incident(20, ScenarioEvent::Capacity(CapacityEvent::Fail(1))),
+                incident(80, ScenarioEvent::Capacity(CapacityEvent::Recover(1))),
             ]
         );
         assert_eq!(s.perturbation_onsets(), vec![20.0, 80.0]);
+    }
+
+    #[test]
+    fn timeline_fires_capacity_before_difficulty_at_one_instant() {
+        let at = SimTime::from_secs(30);
+        let s = Scenario::new("tie", base())
+            .difficulty_shift(at, 0.2)
+            .worker_fail(at, 1)
+            .difficulty_shift(SimTime::from_secs(10), 0.1)
+            .difficulty_shift(at, 0.3)
+            .worker_degrade(at, 1, 2.0);
+        assert_eq!(
+            s.timeline(),
+            vec![
+                incident(10, ScenarioEvent::Difficulty(0.1)),
+                incident(30, ScenarioEvent::Capacity(CapacityEvent::Fail(1))),
+                incident(30, ScenarioEvent::Capacity(CapacityEvent::Degrade(1, 2.0))),
+                incident(30, ScenarioEvent::Difficulty(0.2)),
+                incident(30, ScenarioEvent::Difficulty(0.3)),
+            ]
+        );
     }
 
     #[test]
@@ -1291,39 +1144,54 @@ mod tests {
     }
 
     #[test]
-    fn validate_against_applies_fleet_state_rules() {
+    fn fleet_health_after_applies_fleet_state_rules() {
         let at = SimTime::from_secs(3);
         let fleet = FleetHealth {
             alive: 5,
             failed: 3,
             degraded: 2,
         };
-        let check = |e: CapacityEvent| ScenarioEvent::Capacity(e).validate_against(at, fleet);
-        assert_eq!(check(CapacityEvent::Fail(3)), Ok(()));
+        let health = |alive, failed, degraded| {
+            Ok(FleetHealth {
+                alive,
+                failed,
+                degraded,
+            })
+        };
+        let check = |e: CapacityEvent| fleet.after(at, &ScenarioEvent::Capacity(e));
+        // A failure keeps at most the survivors degraded.
+        assert_eq!(check(CapacityEvent::Fail(3)), health(2, 6, 2));
+        assert_eq!(check(CapacityEvent::Fail(2)), health(3, 5, 2));
         assert_eq!(
             check(CapacityEvent::Fail(4)),
             Err(ScenarioError::PoolExhausted { at, alive: 1 })
         );
-        assert_eq!(check(CapacityEvent::Recover(3)), Ok(()));
+        assert_eq!(check(CapacityEvent::Recover(3)), health(8, 0, 2));
         assert_eq!(
             check(CapacityEvent::Recover(4)),
             Err(ScenarioError::RecoverWithoutFailure { at })
         );
-        assert_eq!(check(CapacityEvent::Restore(2)), Ok(()));
+        assert_eq!(check(CapacityEvent::Restore(2)), health(5, 3, 0));
         assert_eq!(
             check(CapacityEvent::Restore(3)),
             Err(ScenarioError::RestoreWithoutDegrade { at })
         );
-        assert_eq!(check(CapacityEvent::Degrade(9, 2.0)), Ok(()));
+        // A degradation degrades at most every alive worker.
+        assert_eq!(check(CapacityEvent::Degrade(9, 2.0)), health(5, 3, 5));
+        assert_eq!(
+            check(CapacityEvent::Degrade(usize::MAX, 2.0)),
+            health(5, 3, 5)
+        );
         // State-independent checks come first.
         assert_eq!(
             check(CapacityEvent::Recover(0)),
             Err(ScenarioError::ZeroWorkers)
         );
         assert_eq!(
-            ScenarioEvent::Difficulty(0.3).validate_against(at, fleet),
-            Ok(())
+            fleet.after(at, &ScenarioEvent::Difficulty(1.5)),
+            Err(ScenarioError::InvalidDelta { delta: 1.5 })
         );
+        assert_eq!(fleet.after(at, &ScenarioEvent::Difficulty(0.3)), Ok(fleet));
     }
 
     #[test]
@@ -1357,8 +1225,11 @@ mod tests {
             .difficulty_shift(SimTime::from_secs(60), 0.1)
             .difficulty_shift(SimTime::from_secs(30), 0.3);
         assert_eq!(
-            s.difficulty_events(),
-            vec![(SimTime::from_secs(30), 0.3), (SimTime::from_secs(60), 0.1)]
+            s.timeline(),
+            vec![
+                incident(30, ScenarioEvent::Difficulty(0.3)),
+                incident(60, ScenarioEvent::Difficulty(0.1)),
+            ]
         );
     }
 
@@ -1682,15 +1553,9 @@ mod tests {
         ];
         let s = Scenario::from_incident_log("replayed", base(), &log);
         assert!(s.hazard().is_none());
-        assert_eq!(s.perturbations().len(), 5);
         assert!(s.validate(8).is_ok());
-        // The lowered timeline reproduces the log exactly.
-        let timeline = s.timeline();
-        assert_eq!(timeline.len(), log.len());
-        for (inc, &(at, ev)) in log.iter().zip(&timeline) {
-            assert_eq!(inc.at, at);
-            assert_eq!(inc.event, ev);
-        }
+        // The timeline reproduces the log exactly.
+        assert_eq!(s.timeline(), log);
     }
 
     #[test]
@@ -1718,13 +1583,7 @@ mod tests {
             original.demand_multiplier(SimTime::from_secs(40))
         );
         assert_eq!(replay.effective_trace(), original.effective_trace());
-        assert_eq!(
-            replay.capacity_events(),
-            vec![
-                (SimTime::from_secs(20), CapacityEvent::Fail(1)),
-                (SimTime::from_secs(33), CapacityEvent::Degrade(1, 1.8)),
-            ]
-        );
+        assert_eq!(replay.timeline(), log);
     }
 
     #[test]
@@ -1735,12 +1594,20 @@ mod tests {
             4,
             secs(20),
         );
-        let ev = s.capacity_events();
+        let ev = s.timeline();
         assert_eq!(ev.len(), 5);
-        assert_eq!(ev[0], (SimTime::from_secs(20), CapacityEvent::Fail(2)));
-        for (i, &(at, e)) in ev.iter().enumerate().skip(1) {
-            assert_eq!(e, CapacityEvent::Fail(1));
-            assert_eq!(at, SimTime::from_secs(20 + 5 * i as u64));
+        assert_eq!(
+            ev[0],
+            incident(20, ScenarioEvent::Capacity(CapacityEvent::Fail(2)))
+        );
+        for (i, &inc) in ev.iter().enumerate().skip(1) {
+            assert_eq!(
+                inc,
+                incident(
+                    20 + 5 * i as u64,
+                    ScenarioEvent::Capacity(CapacityEvent::Fail(1))
+                )
+            );
         }
         // 6 correlated failures exhaust an 8-pool at the last follow-on...
         assert!(matches!(
@@ -1761,12 +1628,12 @@ mod tests {
         );
         // Everything lands at the initial instant.
         assert!(s
-            .capacity_events()
+            .timeline()
             .iter()
-            .all(|&(at, _)| at == SimTime::from_secs(10)));
+            .all(|inc| inc.at == SimTime::from_secs(10)));
         let s =
             Scenario::new("solo", base()).cascading_failure(SimTime::from_secs(10), 2, 0, secs(30));
-        assert_eq!(s.capacity_events().len(), 1);
+        assert_eq!(s.timeline().len(), 1);
     }
 
     #[test]
@@ -1794,10 +1661,9 @@ mod tests {
         assert!(!windows[0].contains(SimTime::from_secs(50)));
         // A style shift never touches demand or the capacity timeline.
         assert_eq!(s.demand_multiplier(SimTime::from_secs(30)), 1.0);
-        assert_eq!(s.capacity_events().len(), 1);
+        assert_eq!(s.timeline().len(), 1);
         assert!(s.validate(8).is_ok());
-        assert_eq!(s.perturbations()[0].kind(), "style-shift");
-        assert_eq!(s.perturbations()[0].onset(), SimTime::from_secs(20));
+        assert_eq!(s.perturbation_onsets(), vec![20.0, 50.0]);
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn main() {
     println!(
         "scenario '{}': {} perturbations, ~{:.0} queries offered\n",
         scenario.name(),
-        scenario.perturbations().len(),
+        scenario.perturbation_onsets().len(),
         scenario.effective_trace().expected_queries()
     );
 
@@ -123,14 +123,70 @@ fn main() {
         &settings,
         &hazardous.replay(&original.incident_log),
     );
-    assert_eq!(original.total_queries, replay.total_queries);
     assert_eq!(
-        original.fid.to_bits(),
-        replay.fid.to_bits(),
+        report_bits(&original),
+        report_bits(&replay),
         "incident replay must be bit-exact on the simulator"
     );
+    assert_eq!(original.incident_log, replay.incident_log);
     println!(
         "incident replay: {} — bit-identical to the recorded run",
         replay.summary()
     );
+}
+
+/// Every count of a report and the bits of every scalar, series points,
+/// add-on statistics and per-tier figures included, each under its name:
+/// two reports with equal keys are indistinguishable.
+fn report_bits(r: &RunReport) -> Vec<(String, u64)> {
+    let mut bits: Vec<(String, u64)> = [
+        ("total_queries", r.total_queries),
+        ("completed", r.completed),
+        ("dropped", r.dropped),
+        ("late", r.late),
+        ("resumed_queries", r.resumed_queries),
+        ("violation_ratio", r.violation_ratio.to_bits()),
+        ("mean_latency", r.mean_latency.to_bits()),
+        ("fid", r.fid.to_bits()),
+        ("mean_windowed_fid", r.mean_windowed_fid.to_bits()),
+        ("heavy_fraction", r.heavy_fraction.to_bits()),
+        ("mean_heavy_latency", r.mean_heavy_latency.to_bits()),
+        ("mean_reused_steps", r.mean_reused_steps.to_bits()),
+        ("gpu_time_per_query", r.gpu_time_per_query.to_bits()),
+    ]
+    .into_iter()
+    .map(|(name, v)| (name.to_string(), v))
+    .collect();
+    let series = [
+        ("fid_series", &r.fid_series),
+        ("violation_series", &r.violation_series),
+        ("demand_series", &r.demand_series),
+        ("threshold_series", &r.threshold_series),
+        ("deferral_error_series", &r.deferral_error_series),
+    ];
+    for (name, points) in series {
+        bits.push((format!("{name}.len"), points.len() as u64));
+        for (i, &(t, v)) in points.iter().enumerate() {
+            bits.push((format!("{name}[{i}].t"), t.to_bits()));
+            bits.push((format!("{name}[{i}].v"), v.to_bits()));
+        }
+    }
+    let addons = &r.addon_stats;
+    for k in 0..2 {
+        bits.push((format!("addon_stats.hits[{k}]"), addons.hits[k]));
+        bits.push((format!("addon_stats.misses[{k}]"), addons.misses[k]));
+        bits.push((
+            format!("addon_stats.swap_secs[{k}]"),
+            addons.swap_secs[k].to_bits(),
+        ));
+    }
+    bits.push(("tier_breakdown.len".into(), r.tier_breakdown.len() as u64));
+    for t in &r.tier_breakdown {
+        let k = t.tier;
+        bits.push((format!("tier{k}.completions"), t.completions));
+        bits.push((format!("tier{k}.mean_latency"), t.mean_latency.to_bits()));
+        bits.push((format!("tier{k}.fid"), t.fid.to_bits()));
+        bits.push((format!("tier{k}.escalated_past"), t.escalated_past));
+    }
+    bits
 }

@@ -185,6 +185,125 @@ proptest! {
     }
 }
 
+/// Schedules one random event: a kind, an instant slot, a worker count and
+/// a free parameter (the slowdown or difficulty offset).
+fn schedule_random(
+    scenario: Scenario,
+    (kind, slot, count, x): (usize, u64, usize, f64),
+) -> Scenario {
+    // Four odd-second instants: several events share one, none meets a
+    // control tick (every 2 s).
+    let at = SimTime::from_secs(3 + 4 * slot);
+    match kind {
+        0 | 1 => scenario.worker_fail(at, count),
+        2 => scenario.worker_recover(at, count),
+        3 | 4 => scenario.worker_degrade(at, count, 1.0 + 2.0 * x),
+        5 => scenario.worker_restore(at, count),
+        _ => scenario.difficulty_shift(at, x - 0.5),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Property: every scheduled timeline `Scenario::validate` accepts runs
+    /// with query conservation, its incident log is already in timeline
+    /// order (capacity before difficulty at one instant, each kind in
+    /// firing order), and replaying the log reproduces the report bit for
+    /// bit.
+    #[test]
+    fn accepted_timelines_conserve_queries_and_replay_bit_exactly(
+        raw in proptest::collection::vec((0usize..8, 0u64..4, 1usize..4, 0.0f64..1.0), 1..9),
+    ) {
+        let sys = system();
+        let scenario = raw
+            .into_iter()
+            .fold(Scenario::new("timeline-prop", flat(4.0, 20)), schedule_random);
+        if scenario.validate(sys.num_workers).is_err() {
+            return;
+        }
+        let settings = RunSettings::new(Policy::DiffServe, 4.0);
+        let original = run_scenario(runtime(), &sys, &settings, &scenario);
+        prop_assert_eq!(
+            original.completed + original.dropped,
+            original.total_queries,
+            "queries leaked under {:?}",
+            scenario.timeline()
+        );
+        let log = &original.incident_log;
+        prop_assert_eq!(
+            &Scenario::from_incident_log("log", flat(4.0, 20), log).timeline(),
+            log
+        );
+        let replay = run_scenario(runtime(), &sys, &settings, &scenario.replay(log));
+        assert_reports_bit_identical(&original, &replay, "timeline replay");
+    }
+}
+
+/// The fleet-health rule is one fold for every engine. On four workers
+/// `Degrade(10, 2.0)` degrades the four alive ones and `Restore(3)` leaves
+/// one degraded, so a back-to-back `Restore(2)` is rejected by the
+/// simulator session, the testbed session and `Scenario::validate` of the
+/// same schedule at one instant alike.
+#[test]
+fn back_to_back_restores_are_rejected_by_every_engine() {
+    let sys = SystemConfig {
+        num_workers: 4,
+        ..Default::default()
+    };
+    let degrade = ScenarioEvent::Capacity(CapacityEvent::Degrade(10, 2.0));
+    let restore = |n| ScenarioEvent::Capacity(CapacityEvent::Restore(n));
+    let builder = || {
+        ServingSession::builder()
+            .runtime(runtime())
+            .config(sys.clone())
+    };
+    let sessions = [
+        ("simulator", builder().build().expect("valid session")),
+        (
+            "testbed",
+            builder()
+                .build_cluster(0.05)
+                .expect("valid cluster session"),
+        ),
+    ];
+    for (engine, mut session) in sessions {
+        session.inject(degrade).expect("degrade is best-effort");
+        session.inject(restore(3)).expect("3 of 4 degraded");
+        assert!(
+            matches!(
+                session.inject(restore(2)),
+                Err(ScenarioError::RestoreWithoutDegrade { .. })
+            ),
+            "{engine} accepted a restore of 2 with 1 degraded"
+        );
+        session.run_until(SimTime::from_secs(1));
+        let events: Vec<ScenarioEvent> = session
+            .finish()
+            .incident_log
+            .iter()
+            .map(|inc| inc.event)
+            .collect();
+        assert_eq!(
+            events,
+            [
+                ScenarioEvent::Capacity(CapacityEvent::Degrade(4, 2.0)),
+                restore(3)
+            ],
+            "{engine}"
+        );
+    }
+    let at = SimTime::from_secs(5);
+    let schedule = Scenario::new("back-to-back", flat(1.0, 10))
+        .worker_degrade(at, 10, 2.0)
+        .worker_restore(at, 3)
+        .worker_restore(at, 2);
+    assert_eq!(
+        schedule.validate(sys.num_workers),
+        Err(ScenarioError::RestoreWithoutDegrade { at })
+    );
+}
+
 /// Stage-level serving under degradation: a browned-out worker stretches
 /// only the *residual* denoise steps of a resumed query. The service time
 /// must be `(nameplate − savings) × slowdown` — the savings come off before
