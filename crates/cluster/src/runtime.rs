@@ -926,8 +926,11 @@ fn worker_loop(
     let mut current_tier = shared.plan.read().tiers[wid];
     let mut was_failed = false;
     let poll = Duration::from_secs_f64((0.02 * shared.scale).max(0.0002));
-    // Scratch for the distinct missing add-on modules of a batch.
+    // Scratch, reused across batches: the distinct missing add-on modules
+    // of a batch, the batch itself and the thresholds it is judged by.
     let mut seen = Vec::new();
+    let mut batch = Vec::new();
+    let mut thresholds = Vec::new();
     loop {
         // Scenario fail-stop: re-route anything queued here to surviving
         // workers and idle until recovery (or shutdown).
@@ -982,7 +985,8 @@ fn worker_loop(
             Err(RecvTimeoutError::Disconnected) => return,
         };
         shared.depths[wid].fetch_sub(1, Ordering::Relaxed);
-        let mut batch = vec![first];
+        batch.clear();
+        batch.push(first);
         while batch.len() < bmax {
             match rx.try_recv() {
                 Ok(job) => {
@@ -1040,9 +1044,9 @@ fn worker_loop(
         shared.sleep_sim(exec);
         shared.busy[wid].store(false, Ordering::Relaxed);
         let now = shared.now();
-        let thresholds = shared.plan.read().thresholds.clone();
+        thresholds.clone_from(&shared.plan.read().thresholds);
 
-        for mut job in batch {
+        for mut job in batch.drain(..) {
             let verdict = {
                 let mut router = shared.router.as_ref().map(|r| r.lock());
                 kernel.serve(

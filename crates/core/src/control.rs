@@ -46,6 +46,7 @@ use crate::allocator::{
     LadderAllocation, LadderInputs, LadderWarmState,
 };
 use crate::config::{LadderConfig, SystemConfig, EWMA_ALPHA};
+use crate::kernel::StageLatencies;
 use crate::policy::{BatchPolicy, Policy, QueueModel};
 use crate::serve::SessionSpec;
 use crate::sim::{AllocatorBackend, RunSettings};
@@ -194,11 +195,10 @@ pub trait PlanActuator {
 pub struct ControlLoop {
     config: SystemConfig,
     settings: RunSettings,
-    /// Per-tier execution profiles, cheapest first (length N).
-    tiers: Vec<LatencyProfile>,
-    /// Per-boundary discriminator latencies, seconds (length N − 1); zeros
-    /// when the policy runs no cascade, which never scores an image.
-    disc_latencies: Vec<f64>,
+    /// Per-tier execution profiles and per-boundary discriminator charges
+    /// (zeros when the policy runs no cascade), and the stage latency of
+    /// every tier at every configured batch size.
+    stages: StageLatencies,
     /// Per-boundary offline deferral profiles `f_k(t)`.
     offline: Vec<DeferralProfile>,
     /// One online estimator per boundary; empty when online refresh is off.
@@ -221,18 +221,17 @@ pub struct ControlLoop {
 }
 
 impl ControlLoop {
-    /// Builds the control loop from per-tier execution profiles (cheapest
-    /// first), per-boundary discriminator latencies and per-boundary
-    /// offline deferral profiles, and picks the session's planner.
+    /// Builds the control loop from the session's stage latencies and
+    /// per-boundary offline deferral profiles, and picks the session's
+    /// planner.
     fn new(
         config: SystemConfig,
         settings: RunSettings,
-        tiers: Vec<LatencyProfile>,
-        disc_latencies: Vec<f64>,
+        stages: StageLatencies,
         offline: Vec<DeferralProfile>,
     ) -> Self {
+        let tiers = stages.profiles();
         assert_eq!(tiers.len(), offline.len() + 1, "one profile per boundary");
-        assert_eq!(disc_latencies.len(), offline.len());
         let planner = if tiers.len() > 2 {
             Planner::Ladder {
                 milp: matches!(settings.backend, AllocatorBackend::Milp),
@@ -245,11 +244,6 @@ impl ControlLoop {
                 backend: settings.backend,
                 warm: AllocWarmState::new(),
             }
-        };
-        let disc_latencies = if settings.policy.uses_cascade() {
-            disc_latencies
-        } else {
-            vec![0.0; disc_latencies.len()]
         };
         let online = if config.online_profile_refresh {
             offline
@@ -297,8 +291,7 @@ impl ControlLoop {
             grid_counts: Vec::new(),
             config,
             settings,
-            tiers,
-            disc_latencies,
+            stages,
             offline,
             online,
             direct_frac: Vec::new(),
@@ -315,11 +308,11 @@ impl ControlLoop {
         let batches = self.config.batch_sizes.clone();
         let workers = self.config.num_workers;
         let slo = self.config.slo.as_secs_f64();
-        let idle_queues = vec![0.0; self.tiers.len()];
+        let idle_queues = vec![0.0; self.stages.profiles().len()];
         match self.settings.policy {
             // Clipper dedicates the whole fleet to one tier.
             policy @ (Policy::ClipperLight | Policy::ClipperHeavy) => {
-                let n = self.tiers.len();
+                let n = self.stages.profiles().len();
                 let tier = if policy == Policy::ClipperLight {
                     0
                 } else {
@@ -541,7 +534,7 @@ impl ControlLoop {
         let entry_rate = demand.max(0.05);
         let interval = self.config.control_interval.as_secs_f64();
         let deep_rate = (obs.heavy_arrivals as f64 / interval).max(0.05);
-        (0..self.tiers.len())
+        (0..self.stages.profiles().len())
             .map(|k| match self.settings.knobs.queue_model {
                 QueueModel::LittlesLaw => {
                     let queued = obs.tier_queues.get(k).copied().unwrap_or(0);
@@ -553,7 +546,7 @@ impl ControlLoop {
                     } else {
                         obs.current_heavy_batch
                     };
-                    2.0 * self.stage_latency(k, b.max(1))
+                    2.0 * self.stages.secs(k, b.max(1))
                 }
             })
             .collect()
@@ -576,19 +569,9 @@ impl ControlLoop {
             .batch_sizes
             .iter()
             .copied()
-            .filter(|&b| self.stage_latency(tier, b) <= budget)
+            .filter(|&b| self.stages.secs(tier, b) <= budget)
             .max()
             .unwrap_or(1)
-    }
-
-    /// Effective stage execution latency of tier `tier`; a non-terminal
-    /// tier pays its boundary's discriminator per image.
-    fn stage_latency(&self, tier: usize, batch: usize) -> f64 {
-        let base = self.tiers[tier].exec_latency(batch).as_secs_f64();
-        match self.disc_latencies.get(tier) {
-            Some(disc) => base + disc * batch as f64,
-            None => base,
-        }
     }
 
     /// Builds the tick's solver inputs and runs the planner over them in
@@ -606,8 +589,7 @@ impl ControlLoop {
     ) -> ControlDirective {
         let ControlLoop {
             config,
-            tiers,
-            disc_latencies,
+            stages,
             offline,
             online,
             direct_frac,
@@ -624,8 +606,8 @@ impl ControlLoop {
                 deferrals: (0..offline.len())
                     .map(|b| effective(online, offline, b))
                     .collect(),
-                tiers: tiers.clone(),
-                discriminator_latency: disc_latencies.clone(),
+                tiers: stages.profiles().to_vec(),
+                discriminator_latency: stages.discriminators().to_vec(),
                 batch_sizes,
                 thresholds,
                 max_raise_per_solve: config
@@ -649,10 +631,10 @@ impl ControlLoop {
             slo,
             total_workers,
             deferral: effective(online, offline, 0),
-            light: tiers[0],
-            heavy: tiers[1],
+            light: stages.profiles()[0],
+            heavy: stages.profiles()[1],
             resume_heavy: *resume_heavy,
-            discriminator_latency: disc_latencies[0],
+            discriminator_latency: stages.discriminators()[0],
             batch_sizes,
             thresholds,
         };
@@ -694,17 +676,11 @@ impl SessionSpec<'_> {
     /// drift between them.
     pub fn control_loop(&self) -> ControlLoop {
         let runtime = self.runtime;
-        let boundaries = runtime.num_tiers() - 1;
         ControlLoop::new(
             self.config.clone(),
             self.settings.clone(),
-            (0..=boundaries)
-                .map(|k| *runtime.model(k).latency())
-                .collect(),
-            (0..boundaries)
-                .map(|b| runtime.discriminator(b).latency().as_secs_f64())
-                .collect(),
-            (0..boundaries)
+            StageLatencies::of_session(runtime, &self.config, self.settings.policy),
+            (0..runtime.num_tiers() - 1)
                 .map(|b| runtime.deferral(b).clone())
                 .collect(),
         )
@@ -730,17 +706,30 @@ mod tests {
             .expect("non-empty")
     }
 
-    fn loop_with(settings: RunSettings, config: SystemConfig) -> ControlLoop {
-        ControlLoop::new(
-            config,
-            settings,
-            vec![
-                LatencyProfile::new(0.10, 0.55),
-                LatencyProfile::new(1.78, 0.12),
-            ],
-            vec![0.01],
-            vec![uniform_profile()],
+    /// The stage latencies of `profiles` under `settings`' policy, over
+    /// `config`'s batch sizes.
+    fn stages(
+        profiles: Vec<LatencyProfile>,
+        disc_latencies: Vec<f64>,
+        settings: &RunSettings,
+        config: &SystemConfig,
+    ) -> StageLatencies {
+        let max_batch = config.batch_sizes.iter().copied().max().unwrap();
+        StageLatencies::new(
+            profiles,
+            disc_latencies,
+            settings.policy.uses_cascade(),
+            max_batch,
         )
+    }
+
+    fn loop_with(settings: RunSettings, config: SystemConfig) -> ControlLoop {
+        let profiles = vec![
+            LatencyProfile::new(0.10, 0.55),
+            LatencyProfile::new(1.78, 0.12),
+        ];
+        let stages = stages(profiles, vec![0.01], &settings, &config);
+        ControlLoop::new(config, settings, stages, vec![uniform_profile()])
     }
 
     fn test_loop(policy: Policy, config: SystemConfig) -> ControlLoop {
@@ -774,7 +763,7 @@ mod tests {
 
     /// Plans an instance far beyond what four workers can serve.
     fn plan_overload(cl: &mut ControlLoop) -> ControlDirective {
-        let n = cl.tiers.len();
+        let n = cl.stages.profiles().len();
         cl.plan(10_000.0, vec![0.0; n], 5.0, &[0.0, 0.5, 0.9], &[1, 2, 4], 4)
     }
 
@@ -834,7 +823,11 @@ mod tests {
     #[test]
     fn proteus_planner_falls_back_under_overload() {
         let mut cl = test_loop(Policy::Proteus, small_config());
-        assert_eq!(cl.disc_latencies, [0.0], "Proteus runs no discriminator");
+        assert_eq!(
+            cl.stages.discriminators(),
+            [0.0],
+            "Proteus runs no discriminator"
+        );
         match plan_overload(&mut cl) {
             ControlDirective::Apply {
                 plan,
@@ -874,15 +867,17 @@ mod tests {
             online_profile_min_samples: 50,
             ..Default::default()
         };
+        let settings = RunSettings::new(Policy::DiffServe, 8.0);
+        let profiles = vec![
+            LatencyProfile::new(0.10, 0.55),
+            LatencyProfile::new(0.60, 0.30),
+            LatencyProfile::new(1.78, 0.12),
+        ];
+        let stages = stages(profiles, vec![0.01, 0.01], &settings, &config);
         let mut cl = ControlLoop::new(
             config,
-            RunSettings::new(Policy::DiffServe, 8.0),
-            vec![
-                LatencyProfile::new(0.10, 0.55),
-                LatencyProfile::new(0.60, 0.30),
-                LatencyProfile::new(1.78, 0.12),
-            ],
-            vec![0.01, 0.01],
+            settings,
+            stages,
             vec![uniform_profile(), uniform_profile()],
         );
         assert!(matches!(cl.planner, Planner::Ladder { .. }));

@@ -32,7 +32,7 @@
 
 use diffserve_imagegen::{
     resume_savings, reused_steps, DiffusionModel, Discriminator, EmbeddingDraws, GeneratedImage,
-    OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageState,
+    LatencyProfile, OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageState,
 };
 use diffserve_metrics::{GaussianStats, RollingFid, SloTracker, ViolationWindows};
 use diffserve_simkit::time::{SimDuration, SimTime};
@@ -44,7 +44,7 @@ use crate::addons::{AddonStats, AddonsConfig, ModuleCache};
 use crate::config::SystemConfig;
 use crate::control::ControlObservation;
 use crate::policy::Policy;
-use crate::query::{CompletedResponse, ModelTier, QueryId};
+use crate::query::{CompletedResponse, ModelTier, QueryId, ServedImage};
 use crate::report::CompletionTotals;
 use crate::runtime::{CascadeRuntime, RenderTable};
 use crate::serve::{QueryOutcome, SessionSnapshot};
@@ -78,8 +78,9 @@ pub enum Verdict {
         /// The boundary confidence, when one was scored (`None` on the
         /// terminal tier and off-cascade policies).
         confidence: Option<f64>,
-        /// The tier's output: a render, or its render-table copy.
-        image: GeneratedImage,
+        /// The tier's output: a render's features copied in, or its
+        /// render-table row.
+        image: ServedImage,
         /// Denoise steps the render reused from carried latents.
         reused: u32,
     },
@@ -103,6 +104,127 @@ impl Verdict {
     }
 }
 
+/// Every tier's single-stage service latency at every batch size a session
+/// can run: the tier's model execution plus — on non-terminal tiers under a
+/// cascade policy — the boundary discriminator's per-query scoring cost.
+///
+/// Built once per session ([`StageLatencies::of_session`]) for the kernel's
+/// service-time model and the control loop alike, so the formula exists
+/// once and a read is one lookup. The table spans batches
+/// `1..=max(batch_sizes)`: a worker's batch is at most its plan's batch
+/// size, which the planners draw from `batch_sizes` (or set to 1), so that
+/// covers every call, and a batch outside it panics.
+#[derive(Debug, Clone)]
+pub(crate) struct StageLatencies {
+    /// Per-tier execution profiles, cheapest first (length N).
+    profiles: Vec<LatencyProfile>,
+    /// Per-boundary discriminator seconds charged per image (length N − 1);
+    /// zeros when the policy runs no cascade, which never scores an image.
+    discriminators: Vec<f64>,
+    max_batch: usize,
+    /// `secs[tier · max_batch + batch − 1]`.
+    secs: Vec<f64>,
+}
+
+impl StageLatencies {
+    /// Tabulates the stage latency of `profiles` (cheapest first) with
+    /// boundary `k` charging `discriminators[k]` seconds per image — or
+    /// nothing when `cascade` is off — for batches `1..=max_batch`. With
+    /// the charge zeroed, `base + 0.0 · b` is `base` bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one discriminator per boundary and
+    /// `max_batch ≥ 1`.
+    pub(crate) fn new(
+        profiles: Vec<LatencyProfile>,
+        discriminators: Vec<f64>,
+        cascade: bool,
+        max_batch: usize,
+    ) -> Self {
+        assert_eq!(
+            discriminators.len() + 1,
+            profiles.len(),
+            "one discriminator per boundary"
+        );
+        assert!(max_batch >= 1, "the table needs a batch size");
+        let discriminators = if cascade {
+            discriminators
+        } else {
+            vec![0.0; discriminators.len()]
+        };
+        let secs = profiles
+            .iter()
+            .enumerate()
+            .flat_map(|(tier, profile)| {
+                let charge = discriminators.get(tier).copied();
+                (1..=max_batch).map(move |b| {
+                    let base = profile.exec_latency(b).as_secs_f64();
+                    match charge {
+                        Some(d) => base + d * b as f64,
+                        None => base,
+                    }
+                })
+            })
+            .collect();
+        StageLatencies {
+            profiles,
+            discriminators,
+            max_batch,
+            secs,
+        }
+    }
+
+    /// The table of a session serving `runtime` under `config` and `policy`.
+    pub(crate) fn of_session(
+        runtime: &CascadeRuntime,
+        config: &SystemConfig,
+        policy: Policy,
+    ) -> Self {
+        let boundaries = runtime.num_tiers() - 1;
+        StageLatencies::new(
+            (0..=boundaries)
+                .map(|k| *runtime.model(k).latency())
+                .collect(),
+            (0..boundaries)
+                .map(|b| runtime.discriminator(b).latency().as_secs_f64())
+                .collect(),
+            policy.uses_cascade(),
+            config
+                .batch_sizes
+                .iter()
+                .copied()
+                .max()
+                .expect("a validated config has batch sizes"),
+        )
+    }
+
+    /// Stage latency of a `batch` on `tier`, seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is outside `1..=max(batch_sizes)`.
+    #[inline]
+    pub(crate) fn secs(&self, tier: usize, batch: usize) -> f64 {
+        assert!(
+            (1..=self.max_batch).contains(&batch),
+            "batch {batch} is outside the stage-latency table (1..={})",
+            self.max_batch
+        );
+        self.secs[tier * self.max_batch + batch - 1]
+    }
+
+    /// The per-tier execution profiles, cheapest first.
+    pub(crate) fn profiles(&self) -> &[LatencyProfile] {
+        &self.profiles
+    }
+
+    /// The per-boundary discriminator seconds charged per image.
+    pub(crate) fn discriminators(&self) -> &[f64] {
+        &self.discriminators
+    }
+}
+
 /// The tier roster and the static serving parameters every decision reads.
 ///
 /// Borrows the prepared models from the [`CascadeRuntime`] and copies the
@@ -121,6 +243,8 @@ pub struct Kernel<'a> {
     /// The runtime's score table: `scores[k][i]` is `discriminators[k]`'s
     /// confidence in `models[k]`'s plain render of dataset prompt `i`.
     scores: &'a [Vec<f64>],
+    /// Every tier's stage latency at every batch size the session runs.
+    stages: StageLatencies,
     /// The runtime's render table: `renders[k].image(i)` is `models[k]`'s
     /// plain render of dataset prompt `i`.
     renders: &'a [RenderTable],
@@ -158,6 +282,7 @@ impl<'a> Kernel<'a> {
             models,
             discriminators,
             scores: runtime.scores(),
+            stages: StageLatencies::of_session(runtime, config, settings.policy),
             renders: runtime.renders(),
             dataset: &runtime.dataset,
             policy: settings.policy,
@@ -198,9 +323,31 @@ impl<'a> Kernel<'a> {
 
     /// Single-stage service latency of a batch on a tier: the tier's model
     /// execution plus — on non-terminal cascade tiers — the boundary
-    /// discriminator's per-query scoring cost.
+    /// discriminator's per-query scoring cost, read from the session's
+    /// table.
+    ///
+    /// Debug builds re-derive every read from the models and assert its
+    /// bits, so a stale or misindexed table fails loudly in tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is outside `1..=max(batch_sizes)`.
     #[inline]
     pub fn stage_latency(&self, tier: usize, batch: usize) -> f64 {
+        let secs = self.stages.secs(tier, batch);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            secs.to_bits(),
+            self.derive_stage_latency(tier, batch).to_bits(),
+            "stage-latency table diverged at tier {tier}, batch {batch}"
+        );
+        secs
+    }
+
+    /// The formula the stage-latency table replaced, read straight off the
+    /// models — kept as a debug-build cross-check of every table read.
+    #[cfg(debug_assertions)]
+    fn derive_stage_latency(&self, tier: usize, batch: usize) -> f64 {
         let base = self.models[tier]
             .latency()
             .exec_latency(batch)
@@ -496,7 +643,7 @@ impl<'a> Kernel<'a> {
             Some(i) => (self.scores[tier][i], None),
             None => {
                 let image = self.render(tier, &prompt(), reused);
-                (disc.confidence(&image.features), Some(image))
+                (disc.confidence(&image.features), Some(image.into()))
             }
         };
         let escalate = confidence < thresholds[tier] && deeper_alive();
@@ -521,7 +668,7 @@ impl<'a> Kernel<'a> {
 
     /// Tier `tier`'s output for the served `prompt`: row `row` of its
     /// render table when [`Kernel::serve`]'s predicate picked one, else a
-    /// render.
+    /// render copied in.
     ///
     /// Debug builds render a tabled output too and assert that the row is
     /// that render bit for bit, so a debug test run still generates every
@@ -533,18 +680,21 @@ impl<'a> Kernel<'a> {
         row: Option<usize>,
         prompt: impl FnOnce() -> Prompt,
         reused: u32,
-    ) -> GeneratedImage {
+    ) -> ServedImage {
         let Some(i) = row else {
-            return self.render(tier, &prompt(), reused);
+            return self.render(tier, &prompt(), reused).into();
         };
         let image = self.renders[tier].image(i);
         #[cfg(debug_assertions)]
         {
             let fresh = self.render(tier, &prompt(), reused);
-            let bits = |img: &GeneratedImage| -> Vec<u64> {
-                img.features.iter().map(|f| f.to_bits()).collect()
-            };
-            assert_eq!(bits(&image), bits(&fresh), "tier {tier} row {i} features");
+            let bits =
+                |features: &[f64]| -> Vec<u64> { features.iter().map(|f| f.to_bits()).collect() };
+            assert_eq!(
+                bits(&image.features),
+                bits(&fresh.features),
+                "tier {tier} row {i} features"
+            );
             assert_eq!(
                 image.quality.to_bits(),
                 fresh.quality.to_bits(),
@@ -573,7 +723,7 @@ impl<'a> Kernel<'a> {
         id: QueryId,
         arrival: SimTime,
         completion: SimTime,
-        image: GeneratedImage,
+        image: ServedImage,
         entry: usize,
         tier: usize,
         confidence: Option<f64>,
@@ -1059,7 +1209,7 @@ impl Ledger {
 mod tests {
     use super::*;
     use crate::policy::Policy;
-    use diffserve_imagegen::{ladder3, DiscriminatorConfig, FeatureSpec};
+    use diffserve_imagegen::{cascade1, ladder3, DiscriminatorConfig, FeatureSpec};
     use std::sync::OnceLock;
 
     /// A small 3-tier runtime: the kernel only reads its latency profiles,
@@ -1174,6 +1324,72 @@ mod tests {
             proptest::prop_assert_eq!(eta.to_bits(), bare.to_bits());
             proptest::prop_assert_eq!(charged.to_bits(), bare.to_bits());
             proptest::prop_assert_eq!(stats, AddonStats::default());
+        }
+    }
+
+    /// Every entry of the stage-latency table is the formula each of its
+    /// two readers used to spell out, bit for bit: the kernel's (the
+    /// discriminator charged only under a cascade policy) and the control
+    /// loop's (a charge zeroed off-cascade, always added). Both readers'
+    /// tables are checked on a two-tier cascade and a three-tier ladder,
+    /// under a cascade and a non-cascade policy; a batch outside the table
+    /// panics.
+    #[test]
+    fn the_stage_latency_table_is_the_formula_at_every_tier_and_batch() {
+        let cascade = CascadeRuntime::prepare(
+            cascade1(FeatureSpec::default()),
+            300,
+            7,
+            DiscriminatorConfig {
+                train_prompts: 100,
+                epochs: 1,
+                ..Default::default()
+            },
+        );
+        let config = SystemConfig {
+            batch_sizes: vec![1, 3, 12],
+            ..Default::default()
+        };
+        for rt in [&cascade, runtime()] {
+            let n = rt.num_tiers();
+            for policy in [Policy::DiffServe, Policy::ClipperHeavy] {
+                let kernel = Kernel::new(rt, &config, &RunSettings::new(policy, 8.0));
+                let control = StageLatencies::of_session(rt, &config, policy);
+                let cascade_on = policy.uses_cascade();
+                for tier in 0..n {
+                    let disc =
+                        (tier + 1 < n).then(|| rt.discriminator(tier).latency().as_secs_f64());
+                    for b in 1..=12 {
+                        let base = rt.model(tier).latency().exec_latency(b).as_secs_f64();
+                        let kernel_formula = match disc {
+                            Some(d) if cascade_on => base + d * b as f64,
+                            _ => base,
+                        };
+                        let control_formula = match disc {
+                            Some(d) => {
+                                let charged = if cascade_on { d } else { 0.0 };
+                                base + charged * b as f64
+                            }
+                            None => base,
+                        };
+                        let at = format!("{policy:?}, {n} tiers, tier {tier}, batch {b}");
+                        assert_eq!(
+                            kernel.stage_latency(tier, b).to_bits(),
+                            kernel_formula.to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            control.secs(tier, b).to_bits(),
+                            control_formula.to_bits(),
+                            "{at}"
+                        );
+                    }
+                }
+                for b in [0, 13] {
+                    let read = std::panic::catch_unwind(|| kernel.stage_latency(0, b));
+                    assert!(read.is_err(), "batch {b} is outside the table");
+                }
+            }
         }
     }
 
@@ -1325,14 +1541,15 @@ mod tests {
     }
 
     /// The image of a verdict that completed.
-    fn completed_image(verdict: Verdict) -> GeneratedImage {
+    fn completed_image(verdict: Verdict) -> ServedImage {
         match verdict {
             Verdict::Complete { image, .. } => image,
             other => panic!("expected a completion, got {other:?}"),
         }
     }
 
-    fn bits(image: &GeneratedImage) -> Vec<u64> {
+    fn bits(image: impl Into<ServedImage>) -> Vec<u64> {
+        let image = image.into();
         let mut bits: Vec<u64> = image.features.iter().map(|f| f.to_bits()).collect();
         bits.push(image.quality.to_bits());
         bits
@@ -1385,7 +1602,7 @@ mod tests {
                 None,
                 || true,
             ));
-            assert_eq!(bits(&served), bits(&kernel.model(tier).generate(&prompt)));
+            assert_eq!(bits(served), bits(kernel.model(tier).generate(&prompt)));
 
             let stale = with_stale_renders(kernel.clone());
             let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1399,8 +1616,8 @@ mod tests {
             } else {
                 let stale_row = stale.renders[tier].image((qid % 300) as usize);
                 assert_eq!(
-                    bits(&read.expect("release builds trust the table")),
-                    bits(&stale_row)
+                    bits(read.expect("release builds trust the table")),
+                    bits(stale_row)
                 );
             }
         }
@@ -1426,20 +1643,12 @@ mod tests {
             ];
             for (given, shift, expected) in cases {
                 let served = lossy.serve(tier, qid, given, shift, None, &thresholds, None, || true);
-                assert_eq!(
-                    bits(&completed_image(served)),
-                    bits(&expected),
-                    "tier {tier}"
-                );
+                assert_eq!(bits(completed_image(served)), bits(expected), "tier {tier}");
             }
             if tier > 0 {
                 let served = lossy.serve(tier, qid, None, 0.0, carried, &thresholds, None, || true);
                 let expected = model.generate_with_quality_shift(&prompt, -0.1);
-                assert_eq!(
-                    bits(&completed_image(served)),
-                    bits(&expected),
-                    "tier {tier}"
-                );
+                assert_eq!(bits(completed_image(served)), bits(expected), "tier {tier}");
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Queries and responses flowing through the serving system.
 
-use diffserve_imagegen::Prompt;
+use diffserve_imagegen::features::DIM;
+use diffserve_imagegen::{GeneratedImage, Prompt};
 use diffserve_simkit::time::SimTime;
 
 /// Identifier of a query within one simulation run.
@@ -99,6 +100,36 @@ pub struct Query {
     pub deadline: SimTime,
 }
 
+/// The image a query completes with, inline: a render-table row copied in,
+/// or a render's feature vector copied once. Being `Copy`, it travels from
+/// the boundary verdict into the [`CompletedResponse`] without touching the
+/// heap.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServedImage {
+    /// The image's feature vector.
+    pub features: [f64; DIM],
+    /// Its latent quality.
+    pub quality: f64,
+}
+
+impl From<GeneratedImage> for ServedImage {
+    /// Copies a render's features in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the render does not have `DIM` features.
+    fn from(image: GeneratedImage) -> Self {
+        ServedImage {
+            features: image
+                .features
+                .as_slice()
+                .try_into()
+                .expect("a render has DIM features"),
+            quality: image.quality,
+        }
+    }
+}
+
 /// A completed response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletedResponse {
@@ -108,8 +139,8 @@ pub struct CompletedResponse {
     pub arrival: SimTime,
     /// Completion time.
     pub completion: SimTime,
-    /// Feature vector of the returned image (for FID).
-    pub features: Vec<f64>,
+    /// Feature vector of the returned image (for FID), inline.
+    pub features: [f64; DIM],
     /// Latent quality of the returned image.
     pub quality: f64,
     /// Which model produced the response. For quality-ladder runs this is
@@ -158,7 +189,7 @@ mod tests {
             id: QueryId(1),
             arrival: SimTime::from_secs(10),
             completion: SimTime::from_secs(12),
-            features: vec![],
+            features: [0.0; DIM],
             quality: 0.5,
             tier: ModelTier::Heavy,
             tier_index: 1,

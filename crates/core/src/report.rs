@@ -1,5 +1,6 @@
 //! Run reports: the measurements every experiment consumes.
 
+use diffserve_imagegen::features::DIM;
 use diffserve_metrics::{frechet_distance, CenteredMoments, GaussianStats};
 use diffserve_simkit::time::SimDuration;
 use diffserve_trace::IncidentLog;
@@ -121,7 +122,7 @@ struct TierTotals {
 /// accumulated one response at a time so that no row has to be kept for
 /// [`RunReport::assemble`] to re-read.
 ///
-/// The FID family comes from [`CenteredMoments`] cells, one per (metrics
+/// The FID family comes from `CenteredMoments<DIM>` cells, one per (metrics
 /// window, ladder tier), each row centred on the reference mean: cells
 /// merge by addition, so the run FID is the fit of all cells merged, a
 /// window's FID the fit of its row of cells, and a tier's FID the fit of its
@@ -131,12 +132,12 @@ struct TierTotals {
 #[derive(Debug, Clone)]
 pub struct CompletionTotals {
     reference: GaussianStats,
+    /// The reference mean every recorded row is centred on.
+    shift: [f64; DIM],
     window: SimDuration,
     /// `cells[w][t]`: tier `t`'s completions in metrics window `w`. Both
     /// levels grow on demand.
-    cells: Vec<Vec<CenteredMoments>>,
-    /// Scratch: the row being recorded minus the reference mean.
-    centered: Vec<f64>,
+    cells: Vec<Vec<CenteredMoments<DIM>>>,
     /// Per ladder tier, up to the deepest that completed anything.
     tiers: Vec<TierTotals>,
     heavy: u64,
@@ -149,12 +150,19 @@ pub struct CompletionTotals {
 impl CompletionTotals {
     /// Empty totals scoring against `reference`, with the FID series
     /// bucketed into windows of length `window`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reference` does not have `DIM` features.
     pub fn new(reference: &GaussianStats, window: SimDuration) -> Self {
         CompletionTotals {
             reference: reference.clone(),
+            shift: reference
+                .mean()
+                .try_into()
+                .expect("the FID reference has DIM features"),
             window,
             cells: Vec::new(),
-            centered: Vec::with_capacity(reference.dim()),
             tiers: Vec::new(),
             heavy: 0,
             heavy_latency_sum: 0.0,
@@ -164,12 +172,9 @@ impl CompletionTotals {
         }
     }
 
-    /// Adds one completed response.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the response's features do not have the reference's
-    /// dimensionality.
+    /// Adds one completed response. Its row is centred on the stack and
+    /// pushed into its cell: nothing is allocated unless the response opens
+    /// a new metrics window or tier.
     #[inline]
     pub fn record(&mut self, response: &CompletedResponse) {
         let latency = response.latency_secs();
@@ -195,18 +200,10 @@ impl CompletionTotals {
         }
         let row = &mut self.cells[window];
         if tier >= row.len() {
-            let dim = self.reference.dim();
-            row.resize_with(tier + 1, || CenteredMoments::new(dim));
+            row.resize_with(tier + 1, CenteredMoments::new);
         }
-        self.centered.clear();
-        self.centered.extend(
-            response
-                .features
-                .iter()
-                .zip(self.reference.mean())
-                .map(|(x, r)| x - r),
-        );
-        row[tier].push(&self.centered);
+        let centered: [f64; DIM] = std::array::from_fn(|j| response.features[j] - self.shift[j]);
+        row[tier].push(&centered);
     }
 
     /// Responses recorded so far.
@@ -229,7 +226,7 @@ impl CompletionTotals {
     /// the reference's dimensionality that the fit overwrites.
     fn fid(
         &self,
-        moments: &CenteredMoments,
+        moments: &CenteredMoments<DIM>,
         ridge: f64,
         fitted: &mut GaussianStats,
     ) -> Option<f64> {
@@ -263,10 +260,9 @@ impl RunReport {
         let (slo, totals) = (ledger.slo(), ledger.totals());
         // One pass over the cells: each merges into its window, its tier
         // and (through its window) the run.
-        let dim = totals.reference.dim();
-        let mut run = CenteredMoments::new(dim);
-        let mut per_tier = vec![CenteredMoments::new(dim); totals.tiers.len()];
-        let mut in_window = CenteredMoments::new(dim);
+        let mut run = CenteredMoments::<DIM>::new();
+        let mut per_tier = vec![CenteredMoments::new(); totals.tiers.len()];
+        let mut in_window = CenteredMoments::new();
         let mut fitted = totals.reference.clone();
         let mut fid_series = Vec::new();
         for (w, row) in totals.cells.iter().enumerate() {
@@ -445,7 +441,6 @@ mod tests {
             || (streamed - oracle).abs() <= 1e-9 * oracle.abs().max(1e-12)
     }
 
-    const DIM: usize = 4;
     const WINDOW_SECS: u64 = 10;
     /// Window populations the generator draws from: empty, too few to fit,
     /// either side of the 24-row rule, and comfortably above it.
@@ -457,7 +452,8 @@ mod tests {
             1 => 0.2,
             _ => 0.0,
         });
-        GaussianStats::from_moments(vec![0.4, -1.1, 2.5, 0.0], cov)
+        let mean = (0..DIM).map(|i| [0.4, -1.1, 2.5, 0.0][i % 4]).collect();
+        GaussianStats::from_moments(mean, cov)
     }
 
     /// Random completions: `populations[w]` of them in metrics window `w`,
@@ -494,10 +490,9 @@ mod tests {
                     arrival: SimTime::from_micros(completion.as_micros() - latency),
                     completion,
                     // Each tier sits at its own distance from the reference.
-                    features: mean
-                        .iter()
-                        .map(|m| m + 0.5 * tier as f64 + rng.gen_range(-1.5..1.5))
-                        .collect(),
+                    features: std::array::from_fn(|j| {
+                        mean[j] + 0.5 * tier as f64 + rng.gen_range(-1.5..1.5)
+                    }),
                     quality: 0.5,
                     tier: model_tier(tier),
                     tier_index: tier,

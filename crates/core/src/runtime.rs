@@ -3,13 +3,14 @@
 use diffserve_imagegen::features::DIM;
 use diffserve_imagegen::{
     CascadeSpec, DeferralProfile, DiffusionModel, Discriminator, DiscriminatorConfig,
-    EmbeddingDraws, GeneratedImage, PromptDataset, TierLadder,
+    EmbeddingDraws, PromptDataset, TierLadder,
 };
-use diffserve_linalg::Mat;
 use diffserve_metrics::GaussianStats;
 use diffserve_simkit::rng::derive_seed;
 use std::ops::Deref;
 use std::sync::Arc;
+
+use crate::query::ServedImage;
 
 /// Per-boundary artifacts for an N-tier quality ladder.
 ///
@@ -105,35 +106,33 @@ pub struct PreparedRuntime {
 }
 
 /// One tier's plain render ([`DiffusionModel::generate`]) of every dataset
-/// prompt: an `N × DIM` feature matrix and `N` latent qualities.
+/// prompt: `N` inline feature rows and `N` latent qualities.
 #[derive(Debug)]
 pub(crate) struct RenderTable {
-    features: Mat,
+    features: Vec<[f64; DIM]>,
     quality: Vec<f64>,
 }
 
 impl RenderTable {
     /// Renders every prompt of `dataset` with `model`.
     fn render(model: &DiffusionModel, dataset: &PromptDataset) -> Self {
-        let mut features = Mat::zeros(dataset.len(), DIM);
-        let quality = dataset
+        let (features, quality) = dataset
             .prompts()
             .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let image = model.generate(p);
-                features.row_mut(i).copy_from_slice(&image.features);
-                image.quality
+            .map(|p| {
+                let image = ServedImage::from(model.generate(p));
+                (image.features, image.quality)
             })
-            .collect();
+            .unzip();
         RenderTable { features, quality }
     }
 
-    /// The image of `dataset.prompts()[i]`, bitwise what `generate` returns.
+    /// The image of `dataset.prompts()[i]`, bitwise what `generate` returns,
+    /// copied out of the table.
     #[inline]
-    pub(crate) fn image(&self, i: usize) -> GeneratedImage {
-        GeneratedImage {
-            features: self.features.row(i).to_vec(),
+    pub(crate) fn image(&self, i: usize) -> ServedImage {
+        ServedImage {
+            features: self.features[i],
             quality: self.quality[i],
         }
     }
@@ -345,7 +344,7 @@ fn score_boundary(
     train_prompts: usize,
 ) -> (Vec<f64>, DeferralProfile) {
     let scores: Vec<f64> = (0..renders.quality.len())
-        .map(|i| discriminator.confidence(renders.features.row(i)))
+        .map(|i| discriminator.confidence(&renders.features[i]))
         .collect();
     let deferral = DeferralProfile::from_confidences(scores[train_prompts..].to_vec())
         .expect("held-out profiling set is non-empty by the dataset-size assertion");
@@ -447,7 +446,7 @@ mod tests {
         assert_eq!(rt.scores().len(), discs.len(), "one row per boundary");
         for (k, (model, table)) in models.iter().zip(rt.renders()).enumerate() {
             assert_eq!(table.quality.len(), rt.dataset.len(), "tier {k}");
-            assert_eq!(table.features.rows(), rt.dataset.len(), "tier {k}");
+            assert_eq!(table.features.len(), rt.dataset.len(), "tier {k}");
             for (i, p) in rt.dataset.prompts().iter().enumerate() {
                 let (tabled, fresh) = (table.image(i), model.generate(p));
                 assert_eq!(tabled.quality.to_bits(), fresh.quality.to_bits());

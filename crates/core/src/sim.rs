@@ -31,7 +31,7 @@
 
 use std::collections::VecDeque;
 
-use diffserve_imagegen::{GeneratedImage, OnlinePredictiveRouter, Prompt, StageState};
+use diffserve_imagegen::{OnlinePredictiveRouter, Prompt, StageState};
 use diffserve_metrics::WindowedSeries;
 use diffserve_simkit::prelude::*;
 use diffserve_trace::{
@@ -45,7 +45,7 @@ use crate::config::{ConfigError, SystemConfig, MODEL_SWITCH_DELAY};
 use crate::control::{ControlDirective, ControlLoop, PlanActuator};
 use crate::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
 use crate::policy::{AblationKnobs, Policy};
-use crate::query::{QueryId, WorkerHealth};
+use crate::query::{QueryId, ServedImage, WorkerHealth};
 use crate::report::RunReport;
 use crate::runtime::CascadeRuntime;
 use crate::serve::{
@@ -1078,7 +1078,7 @@ impl<'a> ServingSim<'a> {
     fn complete(
         &mut self,
         query: Slot,
-        image: GeneratedImage,
+        image: ServedImage,
         tier: usize,
         confidence: Option<f64>,
         reused: u32,

@@ -152,9 +152,9 @@ impl GaussianStats {
     }
 }
 
-/// Mergeable sufficient statistics of a feature set, for fitting a Gaussian
-/// to a stream without keeping its rows: the row count `n`, `Σc` and the
-/// upper triangle of `Σccᵀ` over *centred* rows `c = x − r`.
+/// Mergeable sufficient statistics of a `D`-feature set, for fitting a
+/// Gaussian to a stream without keeping its rows: the row count `n`, `Σc`
+/// and the upper triangle of `Σccᵀ` over *centred* rows `c = x − r`.
 ///
 /// The shift `r` is the caller's, fixed for every row of every set that
 /// will be merged: sets centred on the same `r` merge by plain addition.
@@ -162,6 +162,11 @@ impl GaussianStats {
 /// `Σccᵀ − ΣcΣcᵀ/n` cancels digits in proportion to `|mean − r|² /
 /// variance`, so `r` should sit near the data (for generated features, the
 /// FID reference mean), not wherever the feature space has its origin.
+///
+/// The dimensionality is a type parameter, so a row of another width does
+/// not compile and [`CenteredMoments::push`] is one loop nest of known trip
+/// counts. Every cell adds its products in row order, whatever the loop
+/// shape: the sums are the bits a plain row-by-row accumulation gives.
 ///
 /// # Examples
 ///
@@ -171,7 +176,7 @@ impl GaussianStats {
 ///
 /// let rows = [[1.0, 2.0], [2.0, 4.5], [3.0, 6.0]];
 /// let shift = [2.0, 4.0];
-/// let mut moments = CenteredMoments::new(2);
+/// let mut moments = CenteredMoments::<2>::new();
 /// for row in &rows {
 ///     moments.push(&[row[0] - shift[0], row[1] - shift[1]]);
 /// }
@@ -182,20 +187,29 @@ impl GaussianStats {
 /// # Ok::<(), diffserve_metrics::FidError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct CenteredMoments {
+pub struct CenteredMoments<const D: usize> {
     count: u64,
-    sum: Vec<f64>,
-    /// Upper triangle of `Σccᵀ`, packed row by row (`d`, `d − 1`, … cells).
-    scatter: Vec<f64>,
+    sum: [f64; D],
+    /// Upper triangle of `Σccᵀ`, packed row by row (`D`, `D − 1`, … cells).
+    scatter: Box<[f64]>,
 }
 
-impl CenteredMoments {
-    /// An empty set over `dim` features.
-    pub fn new(dim: usize) -> Self {
+impl<const D: usize> Default for CenteredMoments<D> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const D: usize> CenteredMoments<D> {
+    /// Cells of the packed upper triangle.
+    const PACKED: usize = D * (D + 1) / 2;
+
+    /// An empty set.
+    pub fn new() -> Self {
         CenteredMoments {
             count: 0,
-            sum: vec![0.0; dim],
-            scatter: vec![0.0; dim * (dim + 1) / 2],
+            sum: [0.0; D],
+            scatter: vec![0.0; Self::PACKED].into_boxed_slice(),
         }
     }
 
@@ -207,26 +221,22 @@ impl CenteredMoments {
     /// Forgets every row, keeping the buffers.
     pub fn clear(&mut self) {
         self.count = 0;
-        self.sum.fill(0.0);
+        self.sum = [0.0; D];
         self.scatter.fill(0.0);
     }
 
     /// Adds one row, already centred on the shift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row does not have this set's dimensionality.
     #[inline]
-    pub fn push(&mut self, centered: &[f64]) {
-        assert_eq!(centered.len(), self.sum.len(), "feature dimension mismatch");
+    pub fn push(&mut self, centered: &[f64; D]) {
         self.count += 1;
-        for (s, &c) in self.sum.iter_mut().zip(centered) {
+        for (s, c) in self.sum.iter_mut().zip(centered) {
             *s += c;
         }
-        let mut rest = self.scatter.as_mut_slice();
-        for (a, &ca) in centered.iter().enumerate() {
-            let (row, tail) = rest.split_at_mut(centered.len() - a);
-            for (cell, &cb) in row.iter_mut().zip(&centered[a..]) {
+        let mut rest = &mut self.scatter[..Self::PACKED];
+        for a in 0..D {
+            let (row, tail) = rest.split_at_mut(D - a);
+            let ca = centered[a];
+            for (cell, cb) in row.iter_mut().zip(&centered[a..]) {
                 *cell += ca * cb;
             }
             rest = tail;
@@ -234,21 +244,12 @@ impl CenteredMoments {
     }
 
     /// Adds every row of `other`, which must be centred on the same shift.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a dimensionality mismatch.
-    pub fn merge(&mut self, other: &CenteredMoments) {
-        assert_eq!(
-            other.sum.len(),
-            self.sum.len(),
-            "feature dimension mismatch"
-        );
+    pub fn merge(&mut self, other: &CenteredMoments<D>) {
         self.count += other.count;
         for (s, o) in self.sum.iter_mut().zip(&other.sum) {
             *s += o;
         }
-        for (s, o) in self.scatter.iter_mut().zip(&other.scatter) {
+        for (s, o) in self.scatter.iter_mut().zip(other.scatter.iter()) {
             *s += o;
         }
     }
@@ -260,9 +261,12 @@ impl CenteredMoments {
     /// # Errors
     ///
     /// Returns [`FidError::TooFewSamples`] with fewer than two rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shift` does not have `D` features.
     pub fn gaussian(&self, shift: &[f64], ridge: f64) -> Result<GaussianStats, FidError> {
-        let d = self.sum.len();
-        let mut fitted = GaussianStats::from_moments(vec![0.0; d], Mat::zeros(d, d));
+        let mut fitted = GaussianStats::from_moments(vec![0.0; D], Mat::zeros(D, D));
         self.gaussian_into(shift, ridge, &mut fitted)?;
         Ok(fitted)
     }
@@ -278,16 +282,15 @@ impl CenteredMoments {
     ///
     /// # Panics
     ///
-    /// Panics if `shift` or `out` does not have this set's dimensionality.
+    /// Panics if `shift` or `out` does not have `D` features.
     pub fn gaussian_into(
         &self,
         shift: &[f64],
         ridge: f64,
         out: &mut GaussianStats,
     ) -> Result<(), FidError> {
-        let d = self.sum.len();
-        assert_eq!(shift.len(), d, "feature dimension mismatch");
-        assert_eq!(out.dim(), d, "feature dimension mismatch");
+        assert_eq!(shift.len(), D, "feature dimension mismatch");
+        assert_eq!(out.dim(), D, "feature dimension mismatch");
         if self.count < 2 {
             return Err(FidError::TooFewSamples {
                 got: self.count as usize,
@@ -298,9 +301,9 @@ impl CenteredMoments {
             *m = r + s / n;
         }
         let mut packed = self.scatter.iter();
-        for a in 0..d {
-            for b in a..d {
-                let scatter = packed.next().expect("d(d+1)/2 packed cells");
+        for a in 0..D {
+            for b in a..D {
+                let scatter = packed.next().expect("D(D+1)/2 packed cells");
                 let c = (scatter - self.sum[a] * self.sum[b] / n) / (n - 1.0);
                 out.cov[(a, b)] = c;
                 out.cov[(b, a)] = c;
@@ -481,7 +484,7 @@ mod tests {
 
     #[test]
     fn centered_moments_need_two_rows() {
-        let mut m = CenteredMoments::new(2);
+        let mut m = CenteredMoments::<2>::new();
         assert!(matches!(
             m.gaussian(&[0.0, 0.0], 0.0),
             Err(FidError::TooFewSamples { got: 0 })
@@ -498,14 +501,21 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "feature dimension mismatch")]
-    fn centered_moments_reject_a_row_of_another_width() {
-        CenteredMoments::new(2).push(&[1.0, 2.0, 3.0]);
+    fn centered_moments_reject_a_shift_of_another_width() {
+        let mut m = CenteredMoments::<2>::new();
+        m.push(&[1.0, 2.0]);
+        m.push(&[2.0, 1.0]);
+        let _ = m.gaussian(&[0.0, 0.0, 0.0], 0.0);
     }
 
     #[test]
     #[should_panic(expected = "feature dimension mismatch")]
-    fn centered_moments_of_another_width_do_not_merge() {
-        CenteredMoments::new(2).merge(&CenteredMoments::new(3));
+    fn centered_moments_do_not_fit_into_a_gaussian_of_another_width() {
+        let mut m = CenteredMoments::<2>::new();
+        m.push(&[1.0, 2.0]);
+        m.push(&[2.0, 1.0]);
+        let mut out = GaussianStats::from_moments(vec![0.0; 3], Mat::identity(3));
+        let _ = m.gaussian_into(&[0.0, 0.0], 0.0, &mut out);
     }
 
     #[test]
@@ -561,15 +571,10 @@ mod tests {
         let reference = GaussianStats::fit(&feature_rows(500, 0.0, 3), 1e-6).unwrap();
         reference.cov_sqrt().unwrap();
         let rows = feature_rows(40, 0.3, 4);
-        let mut moments = CenteredMoments::new(16);
+        let mut moments = CenteredMoments::<16>::new();
         for i in 0..40 {
-            let c: Vec<f64> = rows
-                .row(i)
-                .iter()
-                .zip(reference.mean())
-                .map(|(x, r)| x - r)
-                .collect();
-            moments.push(&c);
+            let (row, mean) = (rows.row(i), reference.mean());
+            moments.push(&std::array::from_fn(|j| row[j] - mean[j]));
         }
         let fresh = moments.gaussian(reference.mean(), 1e-3).unwrap();
         let mut reused = reference.clone();
@@ -589,6 +594,62 @@ mod tests {
             .gaussian_into(reference.mean(), 1e-3, &mut reused)
             .is_err());
         assert_eq!(reused, fresh);
+    }
+
+    /// Streams `n` drawn rows through `CenteredMoments<D>` (the first
+    /// `split` into one set, the rest into another, then merged) and
+    /// asserts every bit against sums written out naively: the count, `Σc`
+    /// and the packed upper triangle of `Σccᵀ`, each cell summed in row
+    /// order over both halves and the halves then added, as a merge does.
+    fn assert_naive_bits<const D: usize>(seed: u64, n: usize, split: usize) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let rows: Vec<[f64; D]> = (0..n)
+            .map(|_| std::array::from_fn(|_| rng.gen_range(-4.0..4.0)))
+            .collect();
+        let split = split.min(n);
+        let naive = |rows: &[[f64; D]]| {
+            let mut sum = vec![0.0; D];
+            let mut packed = Vec::new();
+            for a in 0..D {
+                for b in a..D {
+                    let mut cell = 0.0;
+                    for row in rows {
+                        cell += row[a] * row[b];
+                    }
+                    packed.push(cell);
+                }
+            }
+            for row in rows {
+                for (s, x) in sum.iter_mut().zip(row) {
+                    *s += x;
+                }
+            }
+            (sum, packed)
+        };
+        let (mut head, mut tail) = (CenteredMoments::<D>::new(), CenteredMoments::<D>::new());
+        for (i, row) in rows.iter().enumerate() {
+            if i < split {
+                head.push(row)
+            } else {
+                tail.push(row)
+            }
+        }
+        head.merge(&tail);
+        let ((sum_h, packed_h), (sum_t, packed_t)) = (naive(&rows[..split]), naive(&rows[split..]));
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let added =
+            |a: &[f64], b: &[f64]| -> Vec<f64> { a.iter().zip(b).map(|(x, y)| x + y).collect() };
+        assert_eq!(head.count(), n as u64);
+        assert_eq!(
+            bits(&head.sum),
+            bits(&added(&sum_h, &sum_t)),
+            "D = {D}: sum"
+        );
+        assert_eq!(
+            bits(&head.scatter),
+            bits(&added(&packed_h, &packed_t)),
+            "D = {D}: scatter"
+        );
     }
 
     proptest! {
@@ -629,9 +690,10 @@ mod tests {
         ) {
             let x = gaussian_samples(n, &[0.7, -1.3, 4.0], 1.5, seed);
             let shift = [0.5 * shift_scale, -shift_scale, 3.0 + shift_scale];
-            let (mut head, mut tail) = (CenteredMoments::new(3), CenteredMoments::new(3));
+            let (mut head, mut tail) = (CenteredMoments::<3>::new(), CenteredMoments::new());
             for i in 0..n {
-                let c: Vec<f64> = x.row(i).iter().zip(&shift).map(|(v, r)| v - r).collect();
+                let row = x.row(i);
+                let c = std::array::from_fn(|j| row[j] - shift[j]);
                 if i < split { head.push(&c) } else { tail.push(&c) }
             }
             head.merge(&tail);
@@ -643,6 +705,21 @@ mod tests {
             }
             prop_assert!(streamed.cov().max_abs_diff(two_pass.cov()) < 1e-11);
             prop_assert!(streamed.cov().is_symmetric(0.0));
+        }
+
+        /// Push and merge are bitwise a naive accumulation that adds each
+        /// row's products into the packed triangle cell by cell, in row
+        /// order, at every width the crate's callers use and the edges.
+        #[test]
+        fn centered_moments_are_the_naive_row_order_sums(
+            seed in 0u64..1000,
+            n in 0usize..60,
+            split in 0usize..60,
+        ) {
+            assert_naive_bits::<1>(seed, n, split);
+            assert_naive_bits::<2>(seed, n, split);
+            assert_naive_bits::<3>(seed, n, split);
+            assert_naive_bits::<16>(seed, n, split);
         }
 
         #[test]
