@@ -68,14 +68,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use criterion::{black_box, Criterion};
-use diffserve_bench::{
-    bench_ladder3_solve, f2, CascadeId, Scale, Table, EXPERIMENT_SEED, LADDER3_TICKS,
-};
+use diffserve_bench::{f2, CascadeId, Scale, Table, EXPERIMENT_SEED};
 use diffserve_cluster::{run_cluster, ClusterConfig};
 use diffserve_core::{
-    run_scenario, run_trace, solve_milp_allocation, solve_milp_allocation_warm, AddonsConfig,
-    AllocWarmState, AllocatorInputs, CascadeRuntime, LadderConfig, Policy, RunSettings,
-    SystemConfig,
+    run_scenario, run_trace, solve_ladder, solve_milp_allocation, solve_milp_allocation_warm,
+    AddonsConfig, AllocWarmState, AllocatorInputs, CascadeRuntime, LadderConfig, LadderInputs,
+    LadderWarmState, Policy, RunSettings, SystemConfig,
 };
 use diffserve_imagegen::{ladder3, FeatureSpec, LatencyProfile};
 use diffserve_simkit::time::SimDuration;
@@ -644,6 +642,61 @@ fn milp_ladder(runtime: &CascadeRuntime, criterion: &mut Criterion) {
             let mut warm = AllocWarmState::new();
             for &d in &demands {
                 black_box(solve_milp_allocation_warm(&inputs_at(d), &mut warm));
+            }
+        })
+    });
+}
+
+/// Control ticks per iteration of the `ladder3_solve_*` benchmarks.
+const LADDER3_TICKS: usize = 12;
+
+/// Registers `ladder3_solve_cold` and `ladder3_solve_warm`: the N-tier
+/// allocator's control tick ([`solve_ladder`] on a 3-tier ladder with the
+/// MILP inner solver, predictive direct-admission fractions set and the
+/// default raise limit), [`LADDER3_TICKS`] ticks under an EWMA-like ~0.6 %
+/// per-tick demand drift. Cold gives every tick a fresh
+/// [`LadderWarmState`]; warm threads one through all of them, the way the
+/// control loop does.
+fn bench_ladder3_solve(runtime: &CascadeRuntime, criterion: &mut Criterion) {
+    let config = SystemConfig::default();
+    let thresholds = config.threshold_grid();
+    let inputs_at = |demand: f64| LadderInputs {
+        demand_qps: demand,
+        queue_delays: vec![0.2, 0.3, 0.2],
+        slo: config.slo.as_secs_f64(),
+        total_workers: config.num_workers,
+        deferrals: vec![&runtime.deferral; 2],
+        tiers: vec![
+            LatencyProfile::new(0.10, 0.55),
+            LatencyProfile::new(0.85, 0.15),
+            LatencyProfile::new(1.78, 0.12),
+        ],
+        discriminator_latency: vec![0.01; 2],
+        batch_sizes: &config.batch_sizes,
+        thresholds: &thresholds,
+        max_raise_per_solve: LadderConfig::default().max_threshold_raise_per_tick,
+        direct_fractions: vec![0.8, 0.15, 0.05],
+    };
+    let demands: Vec<f64> = (0..LADDER3_TICKS)
+        .map(|i| 8.0 * 1.006f64.powi(i as i32))
+        .collect();
+
+    criterion.bench_function("ladder3_solve_cold", |b| {
+        b.iter(|| {
+            for &d in &demands {
+                black_box(solve_ladder(
+                    &inputs_at(d),
+                    true,
+                    &mut LadderWarmState::new(),
+                ));
+            }
+        })
+    });
+    criterion.bench_function("ladder3_solve_warm", |b| {
+        b.iter(|| {
+            let mut warm = LadderWarmState::new();
+            for &d in &demands {
+                black_box(solve_ladder(&inputs_at(d), true, &mut warm));
             }
         })
     });

@@ -3,8 +3,8 @@
 //! Experiment harness for the DiffServe reproduction. The `repro` binary
 //! runs every paper table, figure and extension experiment
 //! (`cargo run -p diffserve-bench --release --bin repro -- [--smoke] [ID…]`);
-//! the `perf` binary and the Criterion benches
-//! (`cargo bench -p diffserve-bench`) time the system.
+//! the `perf` binary (`cargo run -p diffserve-bench --release --bin perf`)
+//! times the system and writes the `BENCH_sim.json` baseline.
 //!
 //! An experiment's output is one [`Table`], printed to stdout and written
 //! as CSV to `results/<id>.csv`.
@@ -16,13 +16,9 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-use criterion::{black_box, Criterion};
-use diffserve_core::{
-    solve_ladder, CascadeRuntime, LadderConfig, LadderInputs, LadderWarmState, SystemConfig,
-};
+use diffserve_core::CascadeRuntime;
 use diffserve_imagegen::{
-    cascade1, cascade2, cascade3, CascadeSpec, DiscriminatorConfig, FeatureSpec, LatencyProfile,
-    TierLadder,
+    cascade1, cascade2, cascade3, CascadeSpec, DiscriminatorConfig, FeatureSpec, TierLadder,
 };
 
 /// Standard seed shared by all experiments for reproducibility.
@@ -142,9 +138,9 @@ pub enum Scale {
     /// Standard experiment scale: [`DATASET_SIZE`] prompts and the default
     /// (1K-prompt) discriminator training set.
     Full,
-    /// Reduced scale for CI smoke runs and the benches, so they spend
-    /// their time on the system under test rather than on setup: 1.5K
-    /// prompts and a 500-prompt, 10-epoch discriminator.
+    /// Reduced scale for CI smoke runs, so they spend their time on the
+    /// system under test rather than on setup: 1.5K prompts and a
+    /// 500-prompt, 10-epoch discriminator.
     Smoke,
 }
 
@@ -190,62 +186,6 @@ impl Scale {
             self.discriminator(),
         )
     }
-}
-
-/// Control ticks per iteration of the `ladder3_solve_*` benchmarks.
-pub const LADDER3_TICKS: usize = 12;
-
-/// Registers `ladder3_solve_cold` and `ladder3_solve_warm`: the N-tier
-/// allocator's control tick ([`solve_ladder`] on a 3-tier ladder with the
-/// MILP inner solver, predictive direct-admission fractions set and the
-/// default raise limit), [`LADDER3_TICKS`] ticks under an EWMA-like ~0.6 %
-/// per-tick demand drift. Cold gives every tick a fresh
-/// [`LadderWarmState`]; warm threads one through all of them, the way the
-/// control loop does. Shared by the `perf` binary (`BENCH_sim.json`) and
-/// the `allocator` Criterion bench so both time the same thing.
-pub fn bench_ladder3_solve(runtime: &CascadeRuntime, criterion: &mut Criterion) {
-    let config = SystemConfig::default();
-    let thresholds = config.threshold_grid();
-    let inputs_at = |demand: f64| LadderInputs {
-        demand_qps: demand,
-        queue_delays: vec![0.2, 0.3, 0.2],
-        slo: config.slo.as_secs_f64(),
-        total_workers: config.num_workers,
-        deferrals: vec![&runtime.deferral; 2],
-        tiers: vec![
-            LatencyProfile::new(0.10, 0.55),
-            LatencyProfile::new(0.85, 0.15),
-            LatencyProfile::new(1.78, 0.12),
-        ],
-        discriminator_latency: vec![0.01; 2],
-        batch_sizes: &config.batch_sizes,
-        thresholds: &thresholds,
-        max_raise_per_solve: LadderConfig::default().max_threshold_raise_per_tick,
-        direct_fractions: vec![0.8, 0.15, 0.05],
-    };
-    let demands: Vec<f64> = (0..LADDER3_TICKS)
-        .map(|i| 8.0 * 1.006f64.powi(i as i32))
-        .collect();
-
-    criterion.bench_function("ladder3_solve_cold", |b| {
-        b.iter(|| {
-            for &d in &demands {
-                black_box(solve_ladder(
-                    &inputs_at(d),
-                    true,
-                    &mut LadderWarmState::new(),
-                ));
-            }
-        })
-    });
-    criterion.bench_function("ladder3_solve_warm", |b| {
-        b.iter(|| {
-            let mut warm = LadderWarmState::new();
-            for &d in &demands {
-                black_box(solve_ladder(&inputs_at(d), true, &mut warm));
-            }
-        })
-    });
 }
 
 /// Formats a float with 2 decimals (experiment table convention).

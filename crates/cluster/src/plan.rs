@@ -80,15 +80,10 @@ impl ServingPlan {
     }
 
     /// Re-derives two-tier assignments from target counts, switching as few
-    /// workers as possible (stable assignment).
-    pub fn retarget(&mut self, light_workers: usize, heavy_workers: usize) {
-        self.retarget_masked(light_workers, heavy_workers, &[]);
-    }
-
-    /// Like [`ServingPlan::retarget`], but only counts and reassigns workers
-    /// whose `excluded` flag is unset — used under scenario-driven worker
-    /// churn so a failed worker's slot neither satisfies nor distorts the
-    /// allocation. `excluded` may be shorter than the fleet; missing entries
+    /// workers as possible (stable assignment). Only counts and reassigns
+    /// workers whose `excluded` flag is unset — used under scenario-driven
+    /// worker churn so a failed worker's slot neither satisfies nor distorts
+    /// the allocation. `excluded` may be shorter than the fleet; missing entries
     /// mean "not excluded". The N = 2 case of
     /// [`ServingPlan::retarget_ladder_masked`].
     ///
@@ -184,7 +179,7 @@ mod tests {
     #[test]
     fn retarget_minimizes_switches() {
         let mut p = ServingPlan::bootstrap(8);
-        p.retarget(6, 2);
+        p.retarget_masked(6, 2, &[]);
         assert_eq!(p.workers_of(0).len(), 6);
         // The original 4 light workers must not have flipped.
         for i in 0..4 {
@@ -211,7 +206,7 @@ mod tests {
     #[test]
     fn retarget_assigns_spare_to_light() {
         let mut p = ServingPlan::bootstrap(8);
-        p.retarget(2, 2); // 4 spare → light
+        p.retarget_masked(2, 2, &[]); // 4 spare → light
         assert_eq!(p.workers_of(0).len(), 6);
         assert_eq!(p.workers_of(1).len(), 2);
     }

@@ -28,7 +28,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use diffserve_core::config::MODEL_SWITCH_DELAY;
+use diffserve_core::config::{METRICS_WINDOW, MODEL_SWITCH_DELAY};
 use diffserve_core::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
 use diffserve_core::serve::{
     BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession,
@@ -412,7 +412,7 @@ impl<'a> ClusterBackend<'a> {
             failed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             busy: (0..n).map(|_| AtomicBool::new(false)).collect(),
             speed_bits: (0..n).map(|_| AtomicU64::new(1.0f64.to_bits())).collect(),
-            threshold_track: Mutex::new(WindowedSeries::new(sys.metrics_window)),
+            threshold_track: Mutex::new(WindowedSeries::new(METRICS_WINDOW)),
             incident_log: Mutex::new(Vec::new()),
             difficulty_bits: AtomicU64::new(0.0f64.to_bits()),
             module_caches: match &sys.addons {
@@ -440,7 +440,7 @@ impl<'a> ClusterBackend<'a> {
             let (rt, sys, settings) = (runtime.clone(), sys.clone(), settings.clone());
             worker_handles.push(thread::spawn(move || {
                 let kernel = Kernel::new(&rt, &sys, &settings);
-                worker_loop(wid, &shared, &rx, &txs, &done, &kernel, &sys);
+                worker_loop(wid, &shared, &rx, &txs, &done, &kernel);
             }));
         }
         drop(done_tx);
@@ -479,7 +479,7 @@ impl<'a> ClusterBackend<'a> {
             scenario_thread: Some(scenario_thread),
             hazard_thread,
             route_rng: seeded_rng(derive_seed(sys.seed, 0x20C7)),
-            demand_track: WindowedSeries::new(sys.metrics_window),
+            demand_track: WindowedSeries::new(METRICS_WINDOW),
             ledger: Ledger::new(&sys, &runtime.reference),
             control,
             kernel,
@@ -920,7 +920,6 @@ fn worker_loop(
     txs: &[Sender<Job>],
     done: &Sender<Outcome>,
     kernel: &Kernel<'_>,
-    sys: &SystemConfig,
 ) {
     let switch_delay = MODEL_SWITCH_DELAY.as_secs_f64();
     let mut current_tier = shared.plan.read().tiers[wid];
@@ -1003,30 +1002,28 @@ fn worker_loop(
         // so the two price the same residency.
         let slowdown = shared.slowdown(wid);
         let mut cache = shared.module_caches.get(wid).map(|c| c.lock());
-        if sys.drop_predicted_misses {
-            let now = shared.now();
-            let shed = kernel.predicted_misses(
-                current_tier,
-                batch.len(),
-                bmax,
-                now,
-                slowdown,
-                cache.as_deref(),
-                |i| batch[i].member(),
-                |i| batch[i].deadline,
-                &mut seen,
-            );
-            for job in batch.drain(..shed) {
-                shared.telemetry.lock().record_violation(current_tier);
-                let _ = done.send(Outcome::Dropped {
-                    qid: job.qid,
-                    arrival: job.arrival,
-                    at: now,
-                });
-            }
-            if batch.is_empty() {
-                continue;
-            }
+        let now = shared.now();
+        let shed = kernel.predicted_misses(
+            current_tier,
+            batch.len(),
+            bmax,
+            now,
+            slowdown,
+            cache.as_deref(),
+            |i| batch[i].member(),
+            |i| batch[i].deadline,
+            &mut seen,
+        );
+        for job in batch.drain(..shed) {
+            shared.telemetry.lock().record_violation(current_tier);
+            let _ = done.send(Outcome::Dropped {
+                qid: job.qid,
+                arrival: job.arrival,
+                at: now,
+            });
+        }
+        if batch.is_empty() {
+            continue;
         }
 
         // "Execute" the batch by sleeping its service time (charged once
@@ -1130,7 +1127,6 @@ mod tests {
         ClusterConfig {
             system: SystemConfig {
                 num_workers: 8,
-                metrics_window: SimDuration::from_secs(10),
                 ..Default::default()
             },
             // Debug builds execute the (real) discriminator inference ~50x
@@ -1231,10 +1227,7 @@ mod tests {
                 QueryOutcome::Dropped { .. } => None,
             })
             .collect();
-        let heavy = done
-            .iter()
-            .filter(|r| r.tier == diffserve_core::ModelTier::Heavy)
-            .count();
+        let heavy = done.iter().filter(|r| r.tier > 0).count();
         let resumed = done.iter().filter(|r| r.reused_steps > 0).count() as u64;
         assert!(heavy > 0 && resumed > 0, "exercise both counters");
         assert_eq!(snap.completed, done.len() as u64);
@@ -1244,6 +1237,71 @@ mod tests {
         let report = session.finish();
         assert_eq!(report.total_queries, n);
         assert_eq!(report.completed + report.dropped, report.total_queries);
+    }
+
+    /// The testbed's completions carry the same boundary scores as the
+    /// simulator's: the score table's entry for a light completion's
+    /// prompt, and `None` for a heavy one, although an escalated query's
+    /// light output was scored.
+    #[test]
+    fn cluster_completions_carry_their_tiers_boundary_score() {
+        let (cfg, rt) = (quick_config(), test_runtime());
+        let mut session = ServingSession::builder()
+            .runtime(rt)
+            .config(cfg.system.clone())
+            .policy(Policy::DiffServe)
+            .build_cluster(cfg.time_scale)
+            .expect("valid cluster session");
+        let trace = Trace::constant(4.0, SimDuration::from_secs(20)).unwrap();
+        session.replay_trace(&trace);
+        session.run_until(SimTime::from_secs(40));
+        let mut per_tier = [0usize; 2];
+        for outcome in session.poll() {
+            let QueryOutcome::Completed(r) = outcome else {
+                continue;
+            };
+            per_tier[r.tier] += 1;
+            let want =
+                (r.tier == 0).then(|| rt.scores()[0][(r.id.0 % rt.dataset.len() as u64) as usize]);
+            assert_eq!(
+                r.confidence.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "query {} at tier {}",
+                r.id.0,
+                r.tier
+            );
+        }
+        assert!(
+            per_tier.iter().all(|&n| n > 0),
+            "both tiers complete queries: {per_tier:?}"
+        );
+        session.finish();
+    }
+
+    /// The testbed windows its series as the simulator does: every series
+    /// is keyed by the starts of consecutive [`METRICS_WINDOW`]s.
+    #[test]
+    fn cluster_series_are_keyed_by_metrics_window_starts() {
+        let report = run_cluster(
+            test_runtime(),
+            &quick_config(),
+            &RunSettings::new(Policy::DiffServe, 8.0),
+            &Trace::constant(5.0, SimDuration::from_secs(60)).unwrap(),
+        );
+        let window = METRICS_WINDOW.as_secs_f64();
+        for (name, series) in [
+            ("demand", &report.demand_series),
+            ("threshold", &report.threshold_series),
+            ("violation", &report.violation_series),
+        ] {
+            assert!(series.len() >= 3, "{name}: {} windows", series.len());
+            for (i, &(t, _)) in series.iter().enumerate() {
+                assert_eq!(t, i as f64 * window, "{name} window {i}");
+            }
+        }
+        for &(t, _) in &report.fid_series {
+            assert_eq!((t / window).fract(), 0.0, "fid window at {t}");
+        }
     }
 
     #[test]

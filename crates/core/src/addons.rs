@@ -28,7 +28,6 @@ use std::collections::VecDeque;
 use diffserve_trace::AddonMix;
 
 use crate::config::ConfigError;
-use crate::query::ModelTier;
 
 /// One add-on module in the catalog: a LoRA style or ControlNet
 /// conditioner with a real memory footprint and load cost.
@@ -197,9 +196,9 @@ impl ModuleCache {
     }
 }
 
-/// Per-tier add-on cache accounting, indexed by tier slot (0 = light,
-/// 1 = heavy). Both engines record one entry per add-on-carrying query at
-/// dispatch time and surface the totals in
+/// Per-tier add-on cache accounting in two tier slots: slot 0 is the entry
+/// tier, slot 1 every deeper tier. Both engines record one entry per
+/// add-on-carrying query at dispatch time and surface the totals in
 /// [`RunReport`](crate::report::RunReport) and
 /// [`SessionSnapshot`](crate::serve::SessionSnapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -213,17 +212,15 @@ pub struct AddonStats {
     pub swap_secs: [f64; 2],
 }
 
-fn tier_slot(tier: ModelTier) -> usize {
-    match tier {
-        ModelTier::Light => 0,
-        ModelTier::Heavy => 1,
-    }
+/// The slot ladder tier `tier` is counted in.
+fn tier_slot(tier: usize) -> usize {
+    tier.min(1)
 }
 
 impl AddonStats {
-    /// Records one add-on lookup on `tier`: a hit, or a miss that charged
-    /// `swap_secs` of load latency.
-    pub fn record(&mut self, tier: ModelTier, hit: bool, swap_secs: f64) {
+    /// Records one add-on lookup on ladder tier `tier`: a hit, or a miss
+    /// that charged `swap_secs` of load latency.
+    pub fn record(&mut self, tier: usize, hit: bool, swap_secs: f64) {
         let s = tier_slot(tier);
         if hit {
             self.hits[s] += 1;
@@ -233,14 +230,14 @@ impl AddonStats {
         }
     }
 
-    /// Lookups on `tier` (hits + misses).
-    pub fn lookups(&self, tier: ModelTier) -> u64 {
+    /// Lookups (hits + misses) in ladder tier `tier`'s slot.
+    pub fn lookups(&self, tier: usize) -> u64 {
         let s = tier_slot(tier);
         self.hits[s] + self.misses[s]
     }
 
-    /// Hit rate on `tier`, or `0.0` with no lookups.
-    pub fn hit_rate(&self, tier: ModelTier) -> f64 {
+    /// Hit rate in ladder tier `tier`'s slot, or `0.0` with no lookups.
+    pub fn hit_rate(&self, tier: usize) -> f64 {
         let n = self.lookups(tier);
         if n == 0 {
             0.0
@@ -414,24 +411,27 @@ mod tests {
     #[test]
     fn stats_accumulate_per_tier() {
         let mut stats = AddonStats::default();
-        stats.record(ModelTier::Light, true, 0.0);
-        stats.record(ModelTier::Light, false, 0.4);
-        stats.record(ModelTier::Heavy, false, 0.3);
-        assert_eq!(stats.lookups(ModelTier::Light), 2);
-        assert_eq!(stats.lookups(ModelTier::Heavy), 1);
-        assert_eq!(stats.hit_rate(ModelTier::Light), 0.5);
-        assert_eq!(stats.hit_rate(ModelTier::Heavy), 0.0);
-        assert_eq!(stats.total_lookups(), 3);
-        assert!((stats.total_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((stats.total_mean_swap_secs() - 0.7 / 3.0).abs() < 1e-12);
+        stats.record(0, true, 0.0);
+        stats.record(0, false, 0.4);
+        stats.record(1, false, 0.3);
+        stats.record(2, true, 0.0);
+        assert_eq!(stats.hits, [1, 1], "tier 2 counts in the deeper slot");
+        assert_eq!(stats.lookups(0), 2);
+        assert_eq!(stats.lookups(1), 2);
+        assert_eq!(stats.lookups(2), 2);
+        assert_eq!(stats.hit_rate(0), 0.5);
+        assert_eq!(stats.hit_rate(1), 0.5);
+        assert_eq!(stats.total_lookups(), 4);
+        assert!((stats.total_hit_rate() - 0.5).abs() < 1e-12);
+        assert!((stats.total_mean_swap_secs() - 0.7 / 4.0).abs() < 1e-12);
         let mut merged = AddonStats::default();
         merged.merge(&stats);
         merged.merge(&stats);
-        assert_eq!(merged.total_lookups(), 6);
-        assert_eq!(merged.hit_rate(ModelTier::Light), 0.5);
+        assert_eq!(merged.total_lookups(), 8);
+        assert_eq!(merged.hit_rate(0), 0.5);
         // Empty stats report zeros, not NaN.
         let empty = AddonStats::default();
-        assert_eq!(empty.hit_rate(ModelTier::Light), 0.0);
+        assert_eq!(empty.hit_rate(0), 0.0);
         assert_eq!(empty.total_mean_swap_secs(), 0.0);
     }
 

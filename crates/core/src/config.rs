@@ -22,6 +22,10 @@ pub(crate) const EWMA_ALPHA: f64 = 0.6;
 /// Latency to swap the model hosted by a worker (weights load).
 pub const MODEL_SWITCH_DELAY: SimDuration = SimDuration::from_secs(1);
 
+/// Window of the time-series metrics (FID over time, violations over
+/// time, the threshold and demand series).
+pub const METRICS_WINDOW: SimDuration = SimDuration::from_secs(20);
+
 /// Cluster and controller configuration for a serving run.
 ///
 /// Defaults follow the paper's testbed: 16 workers, 5 s SLO (Cascade 1),
@@ -38,11 +42,6 @@ pub struct SystemConfig {
     pub batch_sizes: Vec<usize>,
     /// Over-provisioning factor λ applied to the demand estimate (§3.3).
     pub over_provision: f64,
-    /// Whether workers preemptively drop queries predicted to miss their
-    /// deadline (counted as SLO violations, §4.1).
-    pub drop_predicted_misses: bool,
-    /// Window for time-series metrics (FID over time, violations over time).
-    pub metrics_window: SimDuration,
     /// Base RNG seed for the run.
     pub seed: u64,
     /// Whether the controller refreshes the deferral profile `f(t)` online
@@ -70,11 +69,6 @@ pub struct SystemConfig {
     /// capped so at least one heavy step always remains. Only consulted
     /// when [`resume_from_latents`](Self::resume_from_latents) is set.
     pub resume_step_credit: f64,
-    /// Quality penalty applied to resumed heavy generations, in `[0, 1]`:
-    /// resuming from a foreign latent may cost fidelity. The default of
-    /// `0.0` models a lossless hand-off (resumed output is bit-identical
-    /// to a restarted one).
-    pub resume_quality_penalty: f64,
     /// Add-on-aware serving: the module catalog, per-worker cache budget,
     /// and seeded per-query requirement mix. `None` (the default) disables
     /// the subsystem bit-identically — no query carries an add-on, no
@@ -96,15 +90,12 @@ impl Default for SystemConfig {
             control_interval: SimDuration::from_secs(2),
             batch_sizes: vec![1, 2, 4, 8, 16],
             over_provision: 1.05,
-            drop_predicted_misses: true,
-            metrics_window: SimDuration::from_secs(20),
             seed: 0xD1FF,
             online_profile_refresh: false,
             online_profile_window: 512,
             online_profile_min_samples: 64,
             resume_from_latents: false,
             resume_step_credit: 0.5,
-            resume_quality_penalty: 0.0,
             addons: None,
             ladder: None,
         }
@@ -202,10 +193,8 @@ impl SystemConfig {
         if self.over_provision < 1.0 {
             return Err(ConfigError::new("over-provisioning factor must be >= 1"));
         }
-        if self.control_interval.is_zero() || self.metrics_window.is_zero() {
-            return Err(ConfigError::new(
-                "control interval and metrics window must be positive",
-            ));
+        if self.control_interval.is_zero() {
+            return Err(ConfigError::new("control interval must be positive"));
         }
         if self.online_profile_window == 0 {
             return Err(ConfigError::new("online profile window must be positive"));
@@ -219,13 +208,6 @@ impl SystemConfig {
         }
         if !self.resume_step_credit.is_finite() || !(0.0..=1.0).contains(&self.resume_step_credit) {
             return Err(ConfigError::new("resume step credit must lie in [0, 1]"));
-        }
-        if !self.resume_quality_penalty.is_finite()
-            || !(0.0..=1.0).contains(&self.resume_quality_penalty)
-        {
-            return Err(ConfigError::new(
-                "resume quality penalty must lie in [0, 1]",
-            ));
         }
         if let Some(addons) = &self.addons {
             addons.validate()?;
@@ -362,13 +344,6 @@ mod tests {
                 "resume credit NaN",
                 SystemConfig {
                     resume_step_credit: f64::NAN,
-                    ..base.clone()
-                },
-            ),
-            (
-                "resume penalty negative",
-                SystemConfig {
-                    resume_quality_penalty: -0.1,
                     ..base.clone()
                 },
             ),

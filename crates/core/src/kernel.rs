@@ -31,8 +31,8 @@
 //!   [`CompletionTotals`], the rolling-FID ring, outcomes awaiting a poll).
 
 use diffserve_imagegen::{
-    resume_savings, reused_steps, DiffusionModel, Discriminator, EmbeddingDraws, GeneratedImage,
-    LatencyProfile, OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageState,
+    resume_savings, reused_steps, DiffusionModel, Discriminator, EmbeddingDraws, LatencyProfile,
+    OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageState,
 };
 use diffserve_metrics::{GaussianStats, RollingFid, SloTracker, ViolationWindows};
 use diffserve_simkit::time::{SimDuration, SimTime};
@@ -41,25 +41,14 @@ use rand::Rng;
 use std::sync::Arc;
 
 use crate::addons::{AddonStats, AddonsConfig, ModuleCache};
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, METRICS_WINDOW};
 use crate::control::ControlObservation;
 use crate::policy::Policy;
-use crate::query::{CompletedResponse, ModelTier, QueryId, ServedImage};
+use crate::query::{CompletedResponse, QueryId, ServedImage};
 use crate::report::CompletionTotals;
 use crate::runtime::{CascadeRuntime, RenderTable};
 use crate::serve::{QueryOutcome, SessionSnapshot};
 use crate::sim::RunSettings;
-
-/// The legacy two-bucket view of a ladder tier: the entry tier is the
-/// light side, every deeper tier the heavy side.
-#[inline]
-pub fn model_tier(tier: usize) -> ModelTier {
-    if tier == 0 {
-        ModelTier::Light
-    } else {
-        ModelTier::Heavy
-    }
-}
 
 /// What the service-time model needs to know about one batch member.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -254,7 +243,6 @@ pub struct Kernel<'a> {
     affinity_blind: bool,
     resume: bool,
     resume_step_credit: f64,
-    resume_quality_penalty: f64,
     addons: Option<AddonsConfig>,
     /// Configuration of the pre-execution router, present only where one
     /// runs: ladders of more than two tiers on a cascade policy.
@@ -290,7 +278,6 @@ impl<'a> Kernel<'a> {
             affinity_blind: settings.knobs.affinity_blind_routing,
             resume: config.resume_from_latents,
             resume_step_credit: config.resume_step_credit,
-            resume_quality_penalty: config.resume_quality_penalty,
             addons: config.addons.clone(),
             router,
             draws: runtime.embedding_draws(),
@@ -449,7 +436,7 @@ impl<'a> Kernel<'a> {
             } else {
                 0.0
             };
-            stats.record(model_tier(tier), hit, swap);
+            stats.record(tier, hit, swap);
             secs += swap;
         }
         for id in members.flatten() {
@@ -598,17 +585,16 @@ impl<'a> Kernel<'a> {
     /// Every verdict, kept or escalated, trains the pre-execution `router`.
     /// The terminal tier and off-cascade policies complete without scoring.
     ///
-    /// The output resumes from carried latents when possible: a restart (no
-    /// reuse) is bitwise `generate`, and a lossless resume
-    /// (`resume_quality_penalty == 0`) the identical image at lower service
-    /// time. So when the query serves its dataset prompt unshifted
-    /// (`explicit` is `None`, `difficulty` is `0.0`) and the output is that
-    /// plain render, one predicate sends both reads to the runtime's
-    /// prepared tables: its confidence is the score table's entry, its
-    /// image the render table's row — on every tier, terminal and
-    /// off-cascade included — and nothing is rendered. Any other output
-    /// (explicit prompts, difficulty shifts, lossy resumes) is rendered and
-    /// scored, and the one render is what completes.
+    /// A resume from carried latents renders the same image as a restart,
+    /// at lower service time: every output is bitwise `generate` of the
+    /// served prompt. So when the query serves its dataset prompt unshifted
+    /// (`explicit` is `None`, `difficulty` is `0.0`), one predicate sends
+    /// both reads to the runtime's prepared tables: its confidence is the
+    /// score table's entry, its image the render table's row — on every
+    /// tier, terminal and off-cascade included, resumed or not — and
+    /// nothing is rendered. Any other output (explicit prompts, difficulty
+    /// shifts) is rendered and scored, and the one render is what
+    /// completes.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn serve(
@@ -626,15 +612,14 @@ impl<'a> Kernel<'a> {
         // build's check of a tabled output.
         let prompt = || self.served_prompt(qid, explicit, difficulty);
         let reused = self.reused_steps(tier, resume);
-        let plain = reused == 0 || self.resume_quality_penalty == 0.0;
-        let row = (explicit.is_none() && difficulty == 0.0 && plain)
+        let row = (explicit.is_none() && difficulty == 0.0)
             .then(|| (qid % self.dataset.len() as u64) as usize);
         let disc = match self.discriminators.get(tier) {
             Some(d) if self.policy.uses_cascade() => d,
             _ => {
                 return Verdict::Complete {
                     confidence: None,
-                    image: self.output(tier, row, prompt, reused),
+                    image: self.output(tier, row, prompt),
                     reused,
                 }
             }
@@ -642,7 +627,7 @@ impl<'a> Kernel<'a> {
         let (confidence, image) = match row {
             Some(i) => (self.scores[tier][i], None),
             None => {
-                let image = self.render(tier, &prompt(), reused);
+                let image = self.models[tier].generate(&prompt());
                 (disc.confidence(&image.features), Some(image.into()))
             }
         };
@@ -660,7 +645,7 @@ impl<'a> Kernel<'a> {
         } else {
             Verdict::Complete {
                 confidence: Some(confidence),
-                image: image.unwrap_or_else(|| self.output(tier, row, prompt, reused)),
+                image: image.unwrap_or_else(|| self.output(tier, row, prompt)),
                 reused,
             }
         }
@@ -679,15 +664,14 @@ impl<'a> Kernel<'a> {
         tier: usize,
         row: Option<usize>,
         prompt: impl FnOnce() -> Prompt,
-        reused: u32,
     ) -> ServedImage {
         let Some(i) = row else {
-            return self.render(tier, &prompt(), reused).into();
+            return self.models[tier].generate(&prompt()).into();
         };
         let image = self.renders[tier].image(i);
         #[cfg(debug_assertions)]
         {
-            let fresh = self.render(tier, &prompt(), reused);
+            let fresh = self.models[tier].generate(&prompt());
             let bits =
                 |features: &[f64]| -> Vec<u64> { features.iter().map(|f| f.to_bits()).collect() };
             assert_eq!(
@@ -702,17 +686,6 @@ impl<'a> Kernel<'a> {
             );
         }
         image
-    }
-
-    /// Tier `tier`'s output for a prompt, `reused` steps into it.
-    #[inline]
-    fn render(&self, tier: usize, prompt: &Prompt, reused: u32) -> GeneratedImage {
-        let model = self.models[tier];
-        if reused > 0 {
-            model.generate_with_quality_shift(prompt, -self.resume_quality_penalty)
-        } else {
-            model.generate(prompt)
-        }
     }
 
     /// Assembles the response for a query completing at `tier`.
@@ -735,8 +708,7 @@ impl<'a> Kernel<'a> {
             completion,
             features: image.features,
             quality: image.quality,
-            tier: model_tier(tier),
-            tier_index: tier,
+            tier,
             confidence,
             gpu_time: self.single_query_gpu_time(entry, tier, reused),
             reused_steps: reused,
@@ -1126,13 +1098,13 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// An empty ledger for the configured SLO and metrics window, scoring
-    /// against the FID reference.
+    /// An empty ledger for the configured SLO, windowed by
+    /// [`METRICS_WINDOW`] and scoring against the FID reference.
     pub fn new(config: &SystemConfig, reference: &GaussianStats) -> Self {
         Ledger {
             slo: SloTracker::new(config.slo),
-            violations: ViolationWindows::new(config.metrics_window),
-            totals: CompletionTotals::new(reference, config.metrics_window),
+            violations: ViolationWindows::new(METRICS_WINDOW),
+            totals: CompletionTotals::new(reference),
             rolling_fid: RollingFid::new(reference.clone(), FID_ESTIMATE_TAIL, FID_ESTIMATE_RIDGE),
             undrained: Some(Vec::new()),
         }
@@ -1575,16 +1547,37 @@ mod tests {
         kernel
     }
 
-    /// Terminal-tier and off-cascade completions on a dataset prompt are
-    /// `generate`'s bits, and come from the render table: behind a stale
-    /// table a release build serves the stale row and a debug build's
-    /// cross-check panics. Explicit, shifted and lossy-resume queries never
-    /// read the table, so a stale one cannot change them.
+    /// Terminal-tier, off-cascade and resumed completions on a dataset
+    /// prompt are `generate`'s bits, and come from the render table: behind
+    /// a stale table a release build serves the stale row and a debug
+    /// build's cross-check panics. Explicit and shifted queries never read
+    /// the table, so a stale one cannot change them.
     #[test]
     fn completions_read_the_render_table_under_one_predicate() {
         let (qid, thresholds) = (317, [0.0; 2]);
         let rt = runtime();
         let prompt = *rt.dataset.prompt_cyclic(qid);
+        // Serves `qid`'s dataset prompt at `tier` behind a stale table.
+        let reads_the_table = |kernel: &Kernel<'static>, tier: usize, resume| {
+            let stale = with_stale_renders(kernel.clone());
+            let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                stale.serve(tier, qid, None, 0.0, resume, &thresholds, None, || true)
+            }));
+            if cfg!(debug_assertions) {
+                assert!(
+                    read.is_err(),
+                    "tier {tier}: the cross-check must catch a stale row"
+                );
+            } else {
+                let stale_row = stale.renders[tier].image((qid % 300) as usize);
+                assert_eq!(
+                    bits(completed_image(
+                        read.expect("release builds trust the table")
+                    )),
+                    bits(stale_row)
+                );
+            }
+        };
         let terminal = Kernel::new(rt, &SystemConfig::default(), &settings());
         let off_cascade = Kernel::new(
             rt,
@@ -1603,32 +1596,16 @@ mod tests {
                 || true,
             ));
             assert_eq!(bits(served), bits(kernel.model(tier).generate(&prompt)));
-
-            let stale = with_stale_renders(kernel.clone());
-            let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                completed_image(stale.serve(tier, qid, None, 0.0, None, &thresholds, None, || true))
-            }));
-            if cfg!(debug_assertions) {
-                assert!(
-                    read.is_err(),
-                    "tier {tier}: the cross-check must catch a stale row"
-                );
-            } else {
-                let stale_row = stale.renders[tier].image((qid % 300) as usize);
-                assert_eq!(
-                    bits(read.expect("release builds trust the table")),
-                    bits(stale_row)
-                );
-            }
+            reads_the_table(kernel, tier, None);
         }
 
-        let lossy = SystemConfig {
+        let resuming = SystemConfig {
             resume_from_latents: true,
-            resume_quality_penalty: 0.1,
             ..Default::default()
         };
-        let lossy = with_stale_renders(Kernel::new(rt, &lossy, &settings()));
-        let carried = Some(StageState::completed(lossy.model(0).steps()));
+        let resuming = Kernel::new(rt, &resuming, &settings());
+        let stale = with_stale_renders(resuming.clone());
+        let carried = Some(StageState::completed(resuming.model(0).steps()));
         let explicit = Prompt {
             id: 9,
             difficulty: 0.4,
@@ -1636,19 +1613,28 @@ mod tests {
             seed: 99,
         };
         for tier in 0..3 {
-            let model = lossy.model(tier);
+            let model = resuming.model(tier);
+            if tier > 0 {
+                let served =
+                    resuming.serve(tier, qid, None, 0.0, carried, &thresholds, None, || true);
+                let Verdict::Complete { image, reused, .. } = served else {
+                    panic!("tier {tier}: a zero threshold keeps every output");
+                };
+                assert!(reused > 0, "tier {tier}: the pass resumes");
+                assert_eq!(bits(image), bits(model.generate(&prompt)), "tier {tier}");
+                reads_the_table(&resuming, tier, carried);
+            }
             let cases = [
                 (Some(explicit), 0.0, model.generate(&explicit)),
                 (None, 0.2, model.generate(&prompt.harder(0.2))),
             ];
             for (given, shift, expected) in cases {
-                let served = lossy.serve(tier, qid, given, shift, None, &thresholds, None, || true);
-                assert_eq!(bits(completed_image(served)), bits(expected), "tier {tier}");
-            }
-            if tier > 0 {
-                let served = lossy.serve(tier, qid, None, 0.0, carried, &thresholds, None, || true);
-                let expected = model.generate_with_quality_shift(&prompt, -0.1);
-                assert_eq!(bits(completed_image(served)), bits(expected), "tier {tier}");
+                let expected = bits(expected);
+                for resume in [None, carried] {
+                    let served =
+                        stale.serve(tier, qid, given, shift, resume, &thresholds, None, || true);
+                    assert_eq!(bits(completed_image(served)), expected, "tier {tier}");
+                }
             }
         }
     }

@@ -88,7 +88,7 @@ pub use control::{ControlDirective, ControlLoop, ControlObservation, PlanActuato
 pub use diffserve_milp::WarmStart;
 pub use kernel::Kernel;
 pub use policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};
-pub use query::{CompletedResponse, ModelTier, Query, QueryId, WorkerHealth};
+pub use query::{CompletedResponse, QueryId, WorkerHealth};
 pub use report::{RunReport, TierStats};
 pub use runtime::{CascadeRuntime, LadderArtifacts, PreparedRuntime};
 pub use serve::{
@@ -104,7 +104,7 @@ pub mod prelude {
     pub use crate::config::{ConfigError, LadderConfig, SystemConfig};
     pub use crate::control::{ControlDirective, ControlLoop, ControlObservation, PlanActuator};
     pub use crate::policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};
-    pub use crate::query::{CompletedResponse, ModelTier, Query, QueryId, WorkerHealth};
+    pub use crate::query::{CompletedResponse, QueryId, WorkerHealth};
     pub use crate::report::RunReport;
     pub use crate::runtime::{CascadeRuntime, LadderArtifacts};
     pub use crate::serve::{

@@ -1,39 +1,12 @@
 //! Queries and responses flowing through the serving system.
 
 use diffserve_imagegen::features::DIM;
-use diffserve_imagegen::{GeneratedImage, Prompt};
+use diffserve_imagegen::GeneratedImage;
 use diffserve_simkit::time::SimTime;
 
 /// Identifier of a query within one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u64);
-
-/// Which cascade member produced the final response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModelTier {
-    /// The lightweight diffusion model.
-    Light,
-    /// The heavyweight diffusion model.
-    Heavy,
-}
-
-impl ModelTier {
-    /// The other tier.
-    pub fn other(self) -> ModelTier {
-        match self {
-            ModelTier::Light => ModelTier::Heavy,
-            ModelTier::Heavy => ModelTier::Light,
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ModelTier::Light => "light",
-            ModelTier::Heavy => "heavy",
-        }
-    }
-}
 
 /// Per-worker health: how fast the worker currently runs relative to its
 /// nameplate profile. A healthy worker has `speed_factor == 1.0`; a
@@ -87,19 +60,6 @@ impl WorkerHealth {
     }
 }
 
-/// A query in flight: a prompt plus its arrival time and deadline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Query {
-    /// Unique id within the run.
-    pub id: QueryId,
-    /// The text prompt (synthetic stand-in).
-    pub prompt: Prompt,
-    /// When the query entered the system.
-    pub arrival: SimTime,
-    /// Hard latency deadline (`arrival + SLO`).
-    pub deadline: SimTime,
-}
-
 /// The image a query completes with, inline: a render-table row copied in,
 /// or a render's feature vector copied once. Being `Copy`, it travels from
 /// the boundary verdict into the [`CompletedResponse`] without touching the
@@ -143,14 +103,14 @@ pub struct CompletedResponse {
     pub features: [f64; DIM],
     /// Latent quality of the returned image.
     pub quality: f64,
-    /// Which model produced the response. For quality-ladder runs this is
-    /// the legacy two-bucket view: `Light` iff the entry tier answered.
-    pub tier: ModelTier,
-    /// 0-based ladder tier that produced the response; `0`/`1` on legacy
-    /// two-tier runs (matching [`CompletedResponse::tier`]), deeper values
-    /// on N-tier ladders.
-    pub tier_index: usize,
-    /// Discriminator confidence of the light output, when one was scored.
+    /// 0-based ladder tier that produced the response: `0` is the entry
+    /// (cheapest) tier, and a two-tier cascade's heavy model is tier `1`.
+    pub tier: usize,
+    /// The completing tier's boundary score: the discriminator confidence
+    /// in the output this query completed with. `None` at the terminal
+    /// tier and under off-cascade policies, where no boundary scores the
+    /// output — so on a two-tier cascade an escalated query completes with
+    /// `None`, although its light output was scored.
     pub confidence: Option<f64>,
     /// Total GPU-seconds of model execution this query consumed across
     /// every tier it touched (light generation, discriminator scoring, and
@@ -177,13 +137,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tier_other_flips() {
-        assert_eq!(ModelTier::Light.other(), ModelTier::Heavy);
-        assert_eq!(ModelTier::Heavy.other(), ModelTier::Light);
-        assert_eq!(ModelTier::Light.name(), "light");
-    }
-
-    #[test]
     fn latency_computation() {
         let r = CompletedResponse {
             id: QueryId(1),
@@ -191,8 +144,7 @@ mod tests {
             completion: SimTime::from_secs(12),
             features: [0.0; DIM],
             quality: 0.5,
-            tier: ModelTier::Heavy,
-            tier_index: 1,
+            tier: 1,
             confidence: Some(0.3),
             gpu_time: 1.9,
             reused_steps: 0,

@@ -2,13 +2,13 @@
 
 use diffserve_imagegen::features::DIM;
 use diffserve_metrics::{frechet_distance, CenteredMoments, GaussianStats};
-use diffserve_simkit::time::SimDuration;
 use diffserve_trace::IncidentLog;
 
 use crate::addons::AddonStats;
+use crate::config::METRICS_WINDOW;
 use crate::kernel::Ledger;
 use crate::policy::Policy;
-use crate::query::{CompletedResponse, ModelTier};
+use crate::query::CompletedResponse;
 
 /// Aggregate and time-series results of one serving run.
 #[derive(Debug, Clone)]
@@ -48,7 +48,8 @@ pub struct RunReport {
     pub deferral_error_series: Vec<(f64, f64)>,
     /// Mean of the windowed FID series (the paper's "Avg FID" bars).
     pub mean_windowed_fid: f64,
-    /// Fraction of completed responses served by the heavy model.
+    /// Fraction of completed responses served past the entry tier: by the
+    /// heavy model on a two-tier cascade, by any deeper tier on a ladder.
     pub heavy_fraction: f64,
     /// Mean end-to-end latency (seconds) of heavy-tier completions only —
     /// the escalated-query latency that restart-vs-resume escalation
@@ -79,7 +80,7 @@ pub struct RunReport {
     /// [`SystemConfig::addons`]: crate::config::SystemConfig::addons
     pub addon_stats: AddonStats,
     /// Per-ladder-tier completion statistics, cheapest tier first, derived
-    /// from each response's [`CompletedResponse::tier_index`]. Two entries
+    /// from each response's [`CompletedResponse::tier`]. Two entries
     /// on legacy runs; empty when nothing completed.
     pub tier_breakdown: Vec<TierStats>,
 }
@@ -134,7 +135,6 @@ pub struct CompletionTotals {
     reference: GaussianStats,
     /// The reference mean every recorded row is centred on.
     shift: [f64; DIM],
-    window: SimDuration,
     /// `cells[w][t]`: tier `t`'s completions in metrics window `w`. Both
     /// levels grow on demand.
     cells: Vec<Vec<CenteredMoments<DIM>>>,
@@ -149,19 +149,18 @@ pub struct CompletionTotals {
 
 impl CompletionTotals {
     /// Empty totals scoring against `reference`, with the FID series
-    /// bucketed into windows of length `window`.
+    /// bucketed into windows of [`METRICS_WINDOW`].
     ///
     /// # Panics
     ///
     /// Panics if `reference` does not have `DIM` features.
-    pub fn new(reference: &GaussianStats, window: SimDuration) -> Self {
+    pub fn new(reference: &GaussianStats) -> Self {
         CompletionTotals {
             reference: reference.clone(),
             shift: reference
                 .mean()
                 .try_into()
                 .expect("the FID reference has DIM features"),
-            window,
             cells: Vec::new(),
             tiers: Vec::new(),
             heavy: 0,
@@ -178,9 +177,9 @@ impl CompletionTotals {
     #[inline]
     pub fn record(&mut self, response: &CompletedResponse) {
         let latency = response.latency_secs();
-        let tier = response.tier_index;
+        let tier = response.tier;
         self.gpu_time_sum += response.gpu_time;
-        if response.tier == ModelTier::Heavy {
+        if tier > 0 {
             self.heavy += 1;
             self.heavy_latency_sum += latency;
         }
@@ -194,7 +193,7 @@ impl CompletionTotals {
         self.tiers[tier].completions += 1;
         self.tiers[tier].latency_sum += latency;
 
-        let window = (response.completion.as_micros() / self.window.as_micros()) as usize;
+        let window = (response.completion.as_micros() / METRICS_WINDOW.as_micros()) as usize;
         if window >= self.cells.len() {
             self.cells.resize_with(window + 1, Vec::new);
         }
@@ -274,7 +273,7 @@ impl RunReport {
             run.merge(&in_window);
             if in_window.count() >= WINDOW_FID_MIN_ROWS {
                 if let Some(fid) = totals.fid(&in_window, WINDOW_FID_RIDGE, &mut fitted) {
-                    fid_series.push((w as f64 * totals.window.as_secs_f64(), fid));
+                    fid_series.push((w as f64 * METRICS_WINDOW.as_secs_f64(), fid));
                 }
             }
         }
@@ -347,7 +346,7 @@ impl RunReport {
     /// after `event_time` recovers (or the series is empty).
     ///
     /// Windows are keyed by their start time, so the result is quantized to
-    /// the run's `metrics_window`.
+    /// [`METRICS_WINDOW`].
     ///
     /// # Examples
     ///
@@ -416,10 +415,9 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::kernel::model_tier;
     use crate::query::QueryId;
     use diffserve_linalg::Mat;
-    use diffserve_simkit::time::SimTime;
+    use diffserve_simkit::time::{SimDuration, SimTime};
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
@@ -441,7 +439,7 @@ mod tests {
             || (streamed - oracle).abs() <= 1e-9 * oracle.abs().max(1e-12)
     }
 
-    const WINDOW_SECS: u64 = 10;
+    const WINDOW_MICROS: u64 = METRICS_WINDOW.as_micros();
     /// Window populations the generator draws from: empty, too few to fit,
     /// either side of the 24-row rule, and comfortably above it.
     const POPULATIONS: [usize; 8] = [0, 1, 2, 23, 24, 25, 40, 61];
@@ -482,7 +480,7 @@ mod tests {
             .enumerate()
             .map(|(id, (w, tier))| {
                 let completion = SimTime::from_micros(
-                    w as u64 * WINDOW_SECS * 1_000_000 + rng.gen_range(0..WINDOW_SECS * 1_000_000),
+                    w as u64 * WINDOW_MICROS + rng.gen_range(0..WINDOW_MICROS),
                 );
                 let latency = rng.gen_range(0..completion.as_micros().min(8_000_000) + 1);
                 CompletedResponse {
@@ -494,8 +492,7 @@ mod tests {
                         mean[j] + 0.5 * tier as f64 + rng.gen_range(-1.5..1.5)
                     }),
                     quality: 0.5,
-                    tier: model_tier(tier),
-                    tier_index: tier,
+                    tier,
                     confidence: None,
                     gpu_time: rng.gen_range(0.1..3.0),
                     reused_steps: if tier > 0 { rng.gen_range(0..4) } else { 0 },
@@ -525,10 +522,9 @@ mod tests {
             let populations: Vec<usize> = populations.iter().map(|&p| POPULATIONS[p]).collect();
             let responses = responses(&populations, tier_mask, lonely == 1, seed);
             let reference = reference();
-            let window = SimDuration::from_secs(WINDOW_SECS);
+            let window = METRICS_WINDOW;
             let config = SystemConfig {
                 slo: SimDuration::from_secs(5),
-                metrics_window: window,
                 ..SystemConfig::default()
             };
             let mut ledger = Ledger::new(&config, &reference);
@@ -580,11 +576,11 @@ mod tests {
 
             // The breakdown: an entry per tier up to the deepest that
             // completed anything, empty tiers in between included.
-            let depth = all.iter().map(|r| r.tier_index + 1).max().unwrap_or(0);
+            let depth = all.iter().map(|r| r.tier + 1).max().unwrap_or(0);
             proptest::prop_assert_eq!(report.tier_breakdown.len(), depth);
             for (t, stats) in report.tier_breakdown.iter().enumerate() {
                 let members: Vec<&CompletedResponse> =
-                    all.iter().copied().filter(|r| r.tier_index == t).collect();
+                    all.iter().copied().filter(|r| r.tier == t).collect();
                 proptest::prop_assert_eq!(stats.tier, t);
                 proptest::prop_assert_eq!(stats.completions, members.len() as u64);
                 let mean_latency = if members.is_empty() {
@@ -597,7 +593,7 @@ mod tests {
                 proptest::prop_assert!(close(stats.fid, two_pass_fid(&members, &reference, 1e-6)));
                 proptest::prop_assert_eq!(
                     stats.escalated_past,
-                    all.iter().filter(|r| r.tier_index > t).count() as u64
+                    all.iter().filter(|r| r.tier > t).count() as u64
                 );
             }
 
@@ -605,7 +601,7 @@ mod tests {
             let n = all.len() as f64;
             let heavy: Vec<f64> = all
                 .iter()
-                .filter(|r| r.tier == ModelTier::Heavy)
+                .filter(|r| r.tier > 0)
                 .map(|r| r.latency_secs())
                 .collect();
             let reused: Vec<f64> = all

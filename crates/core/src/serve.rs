@@ -72,11 +72,11 @@ use rand::rngs::StdRng;
 
 use crate::addons::AddonStats;
 use crate::config::{ConfigError, SystemConfig};
-use crate::policy::{AblationKnobs, Policy};
+use crate::policy::Policy;
 use crate::query::{CompletedResponse, QueryId};
 use crate::report::RunReport;
 use crate::runtime::CascadeRuntime;
-use crate::sim::{AllocatorBackend, RunSettings, SimBackend};
+use crate::sim::{RunSettings, SimBackend};
 
 /// Seed stream used for trace-replay arrival generation — shared by every
 /// backend so the simulator and the testbed draw identical Poisson streams.
@@ -278,7 +278,8 @@ pub struct SessionSnapshot {
     pub completed: u64,
     /// Queries dropped so far.
     pub dropped: u64,
-    /// Fraction of completions served by the heavy model.
+    /// Fraction of completions served past the entry tier: by the heavy
+    /// model on a two-tier cascade, by any deeper tier on a ladder.
     pub heavy_fraction: f64,
     /// Rolling FID estimate over the most recent completions (`NaN` until
     /// enough responses have accumulated).
@@ -448,11 +449,7 @@ pub trait ServingBackend {
 pub struct SessionBuilder<'a> {
     runtime: Option<&'a CascadeRuntime>,
     config: SystemConfig,
-    policy: Policy,
-    knobs: AblationKnobs,
-    allocator: AllocatorBackend,
-    peak_demand_hint: f64,
-    settings: Option<RunSettings>,
+    settings: RunSettings,
     scenario: Option<Scenario>,
 }
 
@@ -461,11 +458,7 @@ impl Default for SessionBuilder<'_> {
         SessionBuilder {
             runtime: None,
             config: SystemConfig::default(),
-            policy: Policy::DiffServe,
-            knobs: AblationKnobs::default(),
-            allocator: AllocatorBackend::Exhaustive,
-            peak_demand_hint: 1.0,
-            settings: None,
+            settings: RunSettings::new(Policy::DiffServe, 1.0),
             scenario: None,
         }
     }
@@ -484,41 +477,25 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Sets the serving policy (default: [`Policy::DiffServe`]). Ignored if
-    /// [`SessionBuilder::settings`] supplies full [`RunSettings`].
+    /// Sets the serving policy (default: [`Policy::DiffServe`]).
     pub fn policy(mut self, policy: Policy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the Fig. 8 allocator ablations. Ignored if
-    /// [`SessionBuilder::settings`] supplies full [`RunSettings`].
-    pub fn knobs(mut self, knobs: AblationKnobs) -> Self {
-        self.knobs = knobs;
-        self
-    }
-
-    /// Sets the allocator implementation (default: exhaustive grid scan).
-    /// Ignored if [`SessionBuilder::settings`] supplies full
-    /// [`RunSettings`].
-    pub fn allocator(mut self, backend: AllocatorBackend) -> Self {
-        self.allocator = backend;
+        self.settings.policy = policy;
         self
     }
 
     /// Sets the expected peak demand in QPS, which static policies
-    /// provision for (default: 1.0). Ignored if
-    /// [`SessionBuilder::settings`] supplies full [`RunSettings`].
+    /// provision for (default: 1.0).
     pub fn peak_demand(mut self, qps: f64) -> Self {
-        self.peak_demand_hint = qps;
+        self.settings.peak_demand_hint = qps;
         self
     }
 
-    /// Supplies complete [`RunSettings`], overriding
-    /// [`SessionBuilder::policy`], [`SessionBuilder::knobs`],
-    /// [`SessionBuilder::allocator`], and [`SessionBuilder::peak_demand`].
+    /// Replaces the [`RunSettings`] — policy, peak demand, ablations and
+    /// allocator backend — that [`SessionBuilder::policy`] and
+    /// [`SessionBuilder::peak_demand`] write into (default:
+    /// [`RunSettings::new`] for [`Policy::DiffServe`] at 1.0 QPS).
     pub fn settings(mut self, settings: RunSettings) -> Self {
-        self.settings = Some(settings);
+        self.settings = settings;
         self
     }
 
@@ -542,12 +519,7 @@ impl<'a> SessionBuilder<'a> {
     pub fn validate(self) -> Result<SessionSpec<'a>, BuildError> {
         let runtime = self.runtime.ok_or(BuildError::MissingRuntime)?;
         self.config.validate().map_err(BuildError::Config)?;
-        let settings = self.settings.unwrap_or(RunSettings {
-            policy: self.policy,
-            knobs: self.knobs,
-            backend: self.allocator,
-            peak_demand_hint: self.peak_demand_hint,
-        });
+        let settings = self.settings;
         settings.validate().map_err(BuildError::Settings)?;
         if runtime.num_tiers() > 2 && !settings.policy.uses_cascade() {
             return Err(BuildError::Settings(ConfigError::new(
@@ -804,7 +776,6 @@ impl<'a> ServingSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::ModelTier;
     use diffserve_imagegen::{cascade1, DiscriminatorConfig, FeatureSpec};
     use diffserve_simkit::time::SimDuration;
     use std::sync::OnceLock;
@@ -864,6 +835,41 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, BuildError::Settings(_)), "hint {bad}: {err}");
         }
+    }
+
+    #[test]
+    fn builder_setters_write_one_run_settings_in_call_order() {
+        let base = RunSettings {
+            knobs: crate::policy::AblationKnobs::static_threshold(0.4),
+            ..RunSettings::new(Policy::Proteus, 9.0)
+        };
+        let builder = || {
+            ServingSession::builder()
+                .runtime(test_runtime())
+                .config(small_config())
+        };
+        let spec = builder()
+            .settings(base.clone())
+            .policy(Policy::DiffServeStatic)
+            .peak_demand(12.0)
+            .validate()
+            .expect("valid settings");
+        assert_eq!(spec.settings.policy, Policy::DiffServeStatic);
+        assert_eq!(spec.settings.peak_demand_hint, 12.0);
+        assert_eq!(spec.settings.knobs, base.knobs);
+        let spec = builder()
+            .policy(Policy::ClipperLight)
+            .settings(base.clone())
+            .validate()
+            .expect("valid settings");
+        assert_eq!(spec.settings.policy, Policy::Proteus);
+        assert_eq!(spec.settings.peak_demand_hint, 9.0);
+        let err = builder()
+            .settings(base)
+            .peak_demand(f64::NAN)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, BuildError::Settings(_)), "{err}");
     }
 
     #[test]
@@ -994,12 +1000,57 @@ mod tests {
                 QueryOutcome::Dropped { .. } => None,
             })
             .collect();
-        let heavy = done.iter().filter(|r| r.tier == ModelTier::Heavy).count();
+        let heavy = done.iter().filter(|r| r.tier > 0).count();
         let resumed = done.iter().filter(|r| r.reused_steps > 0).count() as u64;
         assert!(heavy > 0 && resumed > 0, "exercise both counters");
         assert_eq!(last.completed, done.len() as u64);
         assert_eq!(last.heavy_fraction, heavy as f64 / done.len() as f64);
         assert_eq!(last.resumed_completions, resumed);
+    }
+
+    /// A completion carries the boundary score of the tier it completed
+    /// at: the score table's entry for its prompt on the light tier, and
+    /// `None` on the heavy tier, which no boundary scores — although an
+    /// escalated query's light output was scored. Off-cascade policies
+    /// score nothing.
+    #[test]
+    fn confidence_is_the_completing_tiers_boundary_score() {
+        let rt = test_runtime();
+        let trace = Trace::constant(3.0, SimDuration::from_secs(30)).unwrap();
+        for policy in Policy::all() {
+            let mut session = ServingSession::builder()
+                .runtime(rt)
+                .config(small_config())
+                .policy(policy)
+                .build()
+                .expect("valid session");
+            session.replay_trace(&trace);
+            session.run_until(SimTime::from_secs(60));
+            let mut per_tier = [0usize; 2];
+            for outcome in session.poll() {
+                let QueryOutcome::Completed(r) = outcome else {
+                    continue;
+                };
+                per_tier[r.tier] += 1;
+                let want = (policy.uses_cascade() && r.tier == 0)
+                    .then(|| rt.scores()[0][(r.id.0 % rt.dataset.len() as u64) as usize]);
+                assert_eq!(
+                    r.confidence.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{}: query {} at tier {}",
+                    policy.name(),
+                    r.id.0,
+                    r.tier
+                );
+            }
+            if policy.uses_cascade() {
+                assert!(
+                    per_tier.iter().all(|&n| n > 0),
+                    "{}: both tiers complete queries: {per_tier:?}",
+                    policy.name()
+                );
+            }
+        }
     }
 
     #[test]

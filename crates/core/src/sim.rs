@@ -41,7 +41,7 @@ use diffserve_trace::{
 
 use crate::addons::{AddonStats, ModuleCache};
 use crate::allocator::LadderAllocation;
-use crate::config::{ConfigError, SystemConfig, MODEL_SWITCH_DELAY};
+use crate::config::{ConfigError, SystemConfig, METRICS_WINDOW, MODEL_SWITCH_DELAY};
 use crate::control::{ControlDirective, ControlLoop, PlanActuator};
 use crate::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
 use crate::policy::{AblationKnobs, Policy};
@@ -667,8 +667,8 @@ impl<'a> ServingSim<'a> {
             addon_scratch: Vec::new(),
             ledger: Ledger::new(&config, &runtime.reference),
             tier_escalations: vec![0; boundaries],
-            threshold_series: WindowedSeries::new(config.metrics_window),
-            arrival_series: WindowedSeries::new(config.metrics_window),
+            threshold_series: WindowedSeries::new(METRICS_WINDOW),
+            arrival_series: WindowedSeries::new(METRICS_WINDOW),
             rng: seeded_rng(derive_seed(config.seed, 0x51A7)),
             total_arrivals: 0,
             batch_scratch: Vec::new(),
@@ -1005,29 +1005,26 @@ impl<'a> ServingSim<'a> {
 
         // Drop-front policy: shed queries that cannot finish this stage in
         // time (counted as SLO violations, §4.1).
-        let mut shed = 0;
-        if self.config.drop_predicted_misses {
-            let (pending, queries) = (&self.workers[idx].queue, &self.queries);
-            shed = self.kernel.predicted_misses(
-                tier,
-                pending.len(),
-                bmax,
-                now,
-                slowdown,
-                self.caches.get(idx),
-                |i| queries[pending[i]].member(),
-                |i| queries[pending[i]].deadline,
-                &mut self.addon_scratch,
-            );
-            for _ in 0..shed {
-                let front = self.workers[idx]
-                    .queue
-                    .pop_front()
-                    .expect("shed entries are queued");
-                let rec = self.queries.remove(front);
-                self.ledger.drop_query(QueryId(rec.id), rec.arrival, now);
-                self.telemetry.record_violation(tier);
-            }
+        let (pending, queries) = (&self.workers[idx].queue, &self.queries);
+        let shed = self.kernel.predicted_misses(
+            tier,
+            pending.len(),
+            bmax,
+            now,
+            slowdown,
+            self.caches.get(idx),
+            |i| queries[pending[i]].member(),
+            |i| queries[pending[i]].deadline,
+            &mut self.addon_scratch,
+        );
+        for _ in 0..shed {
+            let front = self.workers[idx]
+                .queue
+                .pop_front()
+                .expect("shed entries are queued");
+            let rec = self.queries.remove(front);
+            self.ledger.drop_query(QueryId(rec.id), rec.arrival, now);
+            self.telemetry.record_violation(tier);
         }
         // Dropped-front pops changed the load; moving queue entries into
         // the in-flight buffer below does not (both count toward it).
@@ -1829,7 +1826,6 @@ mod tests {
     fn small_config() -> SystemConfig {
         SystemConfig {
             num_workers: 8,
-            metrics_window: SimDuration::from_secs(10),
             ..Default::default()
         }
     }
@@ -2026,7 +2022,6 @@ mod tests {
         let cfg = SystemConfig {
             num_workers: 136,
             addons: Some(crate::addons::AddonsConfig::demo(31)),
-            metrics_window: SimDuration::from_secs(10),
             ..Default::default()
         };
         let scenario = Scenario::new("churn", flat_trace(80.0, 40))
@@ -2402,5 +2397,39 @@ mod tests {
         // Demand series should hover near the offered 6 QPS.
         let mid = report.demand_series[report.demand_series.len() / 2].1;
         assert!((mid - 6.0).abs() < 3.0, "demand series off: {mid}");
+    }
+
+    /// Every windowed series is keyed by the starts of consecutive
+    /// [`METRICS_WINDOW`]s (the FID series skips windows too sparse to
+    /// fit), and the demand series counts each arrival exactly once.
+    #[test]
+    fn every_series_is_keyed_by_metrics_window_starts() {
+        let report = run_trace(
+            test_runtime(),
+            &small_config(),
+            &RunSettings::new(Policy::DiffServe, 8.0),
+            &flat_trace(6.0, 100),
+        );
+        let window = METRICS_WINDOW.as_secs_f64();
+        for (name, series) in [
+            ("demand", &report.demand_series),
+            ("threshold", &report.threshold_series),
+            ("violation", &report.violation_series),
+        ] {
+            assert!(series.len() >= 5, "{name}: {} windows", series.len());
+            for (i, &(t, _)) in series.iter().enumerate() {
+                assert_eq!(t, i as f64 * window, "{name} window {i}");
+            }
+        }
+        assert!(!report.fid_series.is_empty());
+        for &(t, _) in &report.fid_series {
+            assert_eq!((t / window).fract(), 0.0, "fid window at {t}");
+        }
+        let arrivals: f64 = report
+            .demand_series
+            .iter()
+            .map(|&(_, qps)| qps * window)
+            .sum();
+        assert_eq!(arrivals.round() as u64, report.total_queries);
     }
 }

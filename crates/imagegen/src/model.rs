@@ -307,18 +307,21 @@ mod tests {
 
     #[test]
     fn a_lossless_shift_is_the_plain_render_bitwise() {
-        // A resume with no quality penalty renders with shift `-0.0`; the
-        // serving kernel reads such a render's score from the table of plain
-        // renders, which is sound only if the two are the same bits.
+        // `repro reuse` warm-starts Cascade 1 with a zero shift and reads
+        // its FID against the plain cascade's: that is sound only if a
+        // zero shift, of either sign, renders the same bits.
         let m = test_model(0.3, 0.3, 1.0);
         let d = PromptDataset::synthesize(DatasetKind::MsCoco, 500, 4, FeatureSpec::default());
+        let bits = |img: &GeneratedImage| -> Vec<u64> {
+            img.features.iter().map(|f| f.to_bits()).collect()
+        };
         for p in d.prompts() {
-            let (plain, lossless) = (m.generate(p), m.generate_with_quality_shift(p, -0.0));
-            assert_eq!(plain.quality.to_bits(), lossless.quality.to_bits());
-            let bits = |img: &GeneratedImage| -> Vec<u64> {
-                img.features.iter().map(|f| f.to_bits()).collect()
-            };
-            assert_eq!(bits(&plain), bits(&lossless), "prompt {}", p.id);
+            let plain = m.generate(p);
+            for shift in [0.0, -0.0] {
+                let lossless = m.generate_with_quality_shift(p, shift);
+                assert_eq!(plain.quality.to_bits(), lossless.quality.to_bits());
+                assert_eq!(bits(&plain), bits(&lossless), "prompt {}", p.id);
+            }
         }
     }
 

@@ -19,8 +19,9 @@
 //!
 //! The DiffServe allocation instances are tiny by MILP standards (tens of
 //! integer variables, tens of constraints), and the paper reports ~10 ms
-//! solve times on Gurobi; the `milp_solver` Criterion bench in
-//! `diffserve-bench` verifies this solver lands in the same regime.
+//! solve times on Gurobi. The repo benchmark's traced `milp.solve_cold_us`
+//! and `core.allocator.milp_cold_us_p50` keys (`benchmark/`) show this
+//! solver lands in the same regime.
 //!
 //! # Examples
 //!

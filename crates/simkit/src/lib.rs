@@ -17,7 +17,7 @@
 //! * [`slab`] — a slot-addressed arena ([`Slab`]) for per-entity records
 //!   that are retired when the entity leaves the simulation.
 //! * [`rng`] — seeded RNG helpers and from-scratch samplers (exponential,
-//!   normal, gamma, beta, log-normal).
+//!   normal, gamma, beta).
 //! * [`stats`] — online statistics (Welford, EWMA, quantiles) used by the
 //!   controller and by experiment harnesses.
 //!
@@ -59,9 +59,7 @@ pub use time::{SimDuration, SimTime};
 pub mod prelude {
     pub use crate::engine::{Actor, RunOutcome, Simulation};
     pub use crate::event::EventQueue;
-    pub use crate::rng::{
-        derive_seed, seeded_rng, Beta, Exponential, Gamma, LogNormal, Normal, Sampler,
-    };
+    pub use crate::rng::{derive_seed, seeded_rng, Beta, Exponential, Gamma, Normal, Sampler};
     pub use crate::slab::{Slab, Slot};
     pub use crate::stats::{Ewma, Quantiles, Welford};
     pub use crate::time::{SimDuration, SimTime};

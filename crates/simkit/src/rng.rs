@@ -2,9 +2,9 @@
 //!
 //! All stochastic components of the reproduction draw from [`StdRng`]
 //! instances created with [`seeded_rng`], so every experiment is reproducible
-//! from its seed. The distributions here (exponential, normal, gamma, beta,
-//! log-normal) are implemented from scratch because only the base `rand`
-//! crate is sanctioned for this workspace.
+//! from its seed. The distributions here (exponential, normal, gamma, beta)
+//! are implemented from scratch because only the base `rand` crate is
+//! sanctioned for this workspace.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -247,32 +247,6 @@ impl Sampler for Beta {
     }
 }
 
-/// Log-normal distribution: `exp(N(mu, sigma))`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    inner: Normal,
-}
-
-impl LogNormal {
-    /// Creates a log-normal with location `mu` and scale `sigma` (parameters
-    /// of the underlying normal).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the underlying normal parameters are invalid.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self, DistributionError> {
-        Ok(LogNormal {
-            inner: Normal::new(mu, sigma)?,
-        })
-    }
-}
-
-impl Sampler for LogNormal {
-    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.inner.draw(rng).exp()
-    }
-}
-
 /// Error returned when constructing a distribution with invalid parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributionError {
@@ -373,13 +347,6 @@ mod tests {
         let (mean, _) = mean_and_var(&samples);
         assert!((mean - 2.0 / 7.0).abs() < 0.01, "mean={mean}");
         assert!(samples.iter().all(|&x| (0.0..=1.0).contains(&x)));
-    }
-
-    #[test]
-    fn lognormal_positive() {
-        let ln = LogNormal::new(0.0, 0.5).unwrap();
-        let mut rng = seeded_rng(14);
-        assert!(ln.draw_n(&mut rng, 1000).iter().all(|&x| x > 0.0));
     }
 
     #[test]

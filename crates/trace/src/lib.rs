@@ -28,7 +28,6 @@
 pub mod addon_mix;
 pub mod arrival;
 pub mod azure;
-pub mod burst;
 pub mod demand;
 pub mod scenario;
 mod trace;
@@ -36,7 +35,6 @@ mod trace;
 pub use addon_mix::{AddonMix, TrendWindow};
 pub use arrival::{poisson_arrivals, PoissonArrivals};
 pub use azure::{synthesize_azure_trace, AzureTraceConfig};
-pub use burst::{bursty_arrivals, BurstConfig};
 pub use demand::DemandEstimator;
 pub use scenario::{
     standard_scenarios, style_shift_flash_crowd, CapacityEvent, FleetHealth, Hazard, HazardProcess,

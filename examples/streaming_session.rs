@@ -74,7 +74,7 @@ fn main() {
         for outcome in session.poll() {
             if let QueryOutcome::Completed(r) = outcome {
                 completed += 1;
-                if r.tier == ModelTier::Heavy {
+                if r.tier > 0 {
                     escalated += 1;
                 }
             }

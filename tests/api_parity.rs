@@ -24,7 +24,6 @@ fn runtime() -> CascadeRuntime {
 fn config() -> SystemConfig {
     SystemConfig {
         num_workers: 8,
-        metrics_window: SimDuration::from_secs(10),
         ..Default::default()
     }
 }
@@ -543,68 +542,42 @@ fn tabled_scores_match_render_then_score_on_a_resuming_ladder() {
             ..Default::default()
         },
     );
-    let cfg = |resume_quality_penalty| SystemConfig {
+    let cfg = SystemConfig {
         ladder: Some(LadderConfig::default()),
         resume_from_latents: true,
-        resume_quality_penalty,
         addons: Some(AddonsConfig::demo(5)),
         ..config()
     };
-    let (lossless, lossless_report) =
-        tabled_matches_rendered(&rt, &cfg(0.0), Policy::DiffServe, "ladder3 lossless");
-    // A lossy resume renders the mid tier's output with a quality penalty,
-    // which is not the plain render the table scored: those queries must
-    // take the render-then-score path (the explicit-prompt twin above would
-    // catch a tabled score), and their boundary-1 scores must move.
-    let (lossy, lossy_report) =
-        tabled_matches_rendered(&rt, &cfg(0.2), Policy::DiffServe, "ladder3 lossy");
-    assert!(lossless_report.resumed_queries > 0);
-    let resumed_mid_tier = |outcomes: &[QueryOutcome]| -> Vec<(u64, u64)> {
-        outcomes
-            .iter()
-            .filter_map(|o| match o {
-                QueryOutcome::Completed(r) if r.tier_index == 1 && r.reused_steps > 0 => {
-                    Some((r.id.0, r.confidence.expect("boundary 1 scored").to_bits()))
-                }
-                _ => None,
-            })
-            .collect()
-    };
-    let lossless_scores = resumed_mid_tier(&lossless);
-    let lossy_scores = resumed_mid_tier(&lossy);
-    assert!(!lossless_scores.is_empty() && !lossy_scores.is_empty());
-    let moved = lossy_scores
-        .iter()
-        .filter(|(id, bits)| {
-            lossless_scores
-                .iter()
-                .any(|(other, other_bits)| other == id && other_bits != bits)
-        })
-        .count();
-    assert!(
-        moved > 0,
-        "no resumed mid-tier query's boundary score moved under the penalty"
-    );
-    assert_ne!(lossless_report.fid.to_bits(), lossy_report.fid.to_bits());
+    let (outcomes, report) = tabled_matches_rendered(&rt, &cfg, Policy::DiffServe, "ladder3");
+    assert!(report.resumed_queries > 0);
+    // Resumed passes read the tables too, so the twin above compared them:
+    // the mid tier's boundary scored some of them.
+    assert!(outcomes.iter().any(|o| matches!(
+        o,
+        QueryOutcome::Completed(r) if r.tier == 1 && r.reused_steps > 0 && r.confidence.is_some()
+    )));
 }
 
 #[test]
 fn testbed_render_then_score_makes_the_simulators_tabled_decisions() {
     // The testbed's timing is the host's, so only what is decided by
     // scores alone can be compared exactly: under a pinned threshold, with
-    // no predictive drops and no churn, every query's path through the
-    // cascade is fixed by its boundary score. The testbed serves explicit
-    // prompts (render, then score); the simulator replays dataset queries
-    // (scores read from the table).
+    // no churn and an SLO so loose that the drop-front rule never predicts
+    // a miss, every query's path through the cascade is fixed by its
+    // boundary score. The testbed serves explicit prompts (render, then
+    // score); the simulator replays dataset queries (scores read from the
+    // table).
     let rt = runtime();
     let cfg = SystemConfig {
-        drop_predicted_misses: false,
+        slo: SimDuration::from_secs(20),
         ..config()
     };
     let trace = Trace::constant(3.0, SimDuration::from_secs(30)).unwrap();
     let mut settings = RunSettings::new(Policy::DiffServeStatic, 3.0);
     settings.knobs = AblationKnobs::static_threshold(0.5);
-    let horizon = SimTime::ZERO + trace.duration() + cfg.slo * 4;
+    // One SLO past the last arrival: what is still unfinished then is
+    // accounted as a drop, which the check below would catch.
+    let horizon = SimTime::ZERO + trace.duration() + cfg.slo;
 
     let sim = run_trace(&rt, &cfg, &settings, &trace);
     let mut testbed = ServingSession::builder()
@@ -626,7 +599,7 @@ fn testbed_render_then_score_makes_the_simulators_tabled_decisions() {
         (r.total_queries, r.completed, r.dropped, tiers)
     };
     assert_eq!(decisions(&testbed), decisions(&sim));
-    assert_eq!(sim.completed, sim.total_queries, "nothing is shed");
+    assert_eq!((sim.dropped, testbed.dropped), (0, 0), "nothing is shed");
     assert!(sim.tier_breakdown[0].escalated_past > 0 && sim.tier_breakdown[0].completions > 0);
     for r in [&sim, &testbed] {
         assert!(r.threshold_series.iter().all(|&(_, t)| t == 0.5));

@@ -238,3 +238,88 @@ fn milp_and_exhaustive_backends_serve_a_ladder_session_identically() {
     assert!(milp.total_queries > 1000, "{}", milp.total_queries);
     assert_eq!(format!("{milp:?}"), format!("{exhaustive:?}"));
 }
+
+/// A 3-tier DiffServe session on the simulator, drained: its completions,
+/// the snapshot taken once every query has resolved, and its report.
+fn drained_ladder_session() -> (Vec<CompletedResponse>, SessionSnapshot, RunReport) {
+    let mut session = ServingSession::builder()
+        .runtime(ladder3_runtime())
+        .config(SystemConfig {
+            num_workers: 8,
+            ladder: Some(LadderConfig::default()),
+            ..Default::default()
+        })
+        .policy(Policy::DiffServe)
+        .peak_demand(5.0)
+        .build()
+        .expect("valid session");
+    let trace = Trace::constant(5.0, SimDuration::from_secs(50)).unwrap();
+    let submitted = session.replay_trace(&trace);
+    session.run_until(SimTime::from_secs(100));
+    let outcomes = session.poll();
+    assert_eq!(outcomes.len() as u64, submitted, "every query resolved");
+    let done = outcomes
+        .into_iter()
+        .filter_map(|o| match o {
+            QueryOutcome::Completed(r) => Some(r),
+            QueryOutcome::Dropped { .. } => None,
+        })
+        .collect();
+    let snapshot = session.snapshot();
+    (done, snapshot, session.finish())
+}
+
+/// On a ladder, a completion's `confidence` is the boundary score of the
+/// tier it completed at — the score table's entry for its prompt on the
+/// entry and mid tiers — and `None` on the terminal tier, which no
+/// boundary scores.
+#[test]
+fn ladder_completions_carry_their_tiers_boundary_score() {
+    let rt = ladder3_runtime();
+    let (done, _, _) = drained_ladder_session();
+    let mut per_tier = [0usize; 3];
+    for r in &done {
+        per_tier[r.tier] += 1;
+        let want =
+            (r.tier < 2).then(|| rt.scores()[r.tier][(r.id.0 % rt.dataset.len() as u64) as usize]);
+        assert_eq!(
+            r.confidence.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "query {} at tier {}",
+            r.id.0,
+            r.tier
+        );
+    }
+    assert!(
+        per_tier.iter().all(|&n| n > 0),
+        "every tier completes queries: {per_tier:?}"
+    );
+}
+
+/// `heavy_fraction`, in the report and in the snapshot, is the share of
+/// completions served past the entry tier: the mid and terminal tiers
+/// both count.
+#[test]
+fn heavy_fraction_counts_every_completion_past_the_entry_tier() {
+    let (done, snapshot, report) = drained_ladder_session();
+    let count = |tier: usize| done.iter().filter(|r| r.tier == tier).count();
+    assert!(
+        count(1) > 0 && count(2) > 0,
+        "mid {} / terminal {}",
+        count(1),
+        count(2)
+    );
+    let past_entry = (count(1) + count(2)) as f64 / done.len() as f64;
+    assert_eq!(snapshot.completed, done.len() as u64);
+    assert_eq!(snapshot.heavy_fraction, past_entry);
+    assert_eq!(report.completed, done.len() as u64);
+    assert_eq!(report.heavy_fraction, past_entry);
+    let deeper: u64 = report.tier_breakdown[1..]
+        .iter()
+        .map(|t| t.completions)
+        .sum();
+    assert_eq!(
+        report.heavy_fraction,
+        deeper as f64 / report.completed as f64
+    );
+}

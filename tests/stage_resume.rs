@@ -142,9 +142,6 @@ proptest! {
         let mut resume_sys = restart_sys.clone();
         resume_sys.resume_from_latents = true;
         resume_sys.resume_step_credit = 0.0;
-        // A configured penalty must be inert at zero reuse: no query resumes,
-        // so no query may be penalized.
-        resume_sys.resume_quality_penalty = 0.3;
 
         let restart = run_scenario(runtime(), &restart_sys, &settings, &scenario);
         let resume = run_scenario(runtime(), &resume_sys, &settings, &scenario);
@@ -193,7 +190,7 @@ fn resume_beats_restart_on_heavy_latency_and_gpu_time() {
         resume.gpu_time_per_query,
         restart.gpu_time_per_query
     );
-    // Lossless hand-off (default penalty 0.0): the resumed heavy image is
+    // Lossless hand-off: the resumed heavy image is
     // bit-identical to the restarted one, so quality may only move through
     // second-order control decisions — hold it to equal-or-better with a
     // small tolerance for those.
@@ -319,5 +316,75 @@ fn stage_breakdown_sums_to_latency_and_snapshot_counts_resumes() {
     assert_eq!(
         report.resumed_queries, snap.resumed_completions,
         "final snapshot and report must agree on resumed count"
+    );
+}
+
+/// A resume renders the plain image: every resumed completion — on a
+/// dataset prompt, read from the render table, or on an explicit one,
+/// rendered — is bitwise the completing tier's `generate` of its prompt.
+#[test]
+fn every_resumed_completion_is_the_plain_render_of_its_prompt() {
+    let sys = SystemConfig {
+        resume_from_latents: true,
+        ..system()
+    };
+    let mut session = ServingSession::builder()
+        .runtime(runtime())
+        .config(sys.clone())
+        .policy(Policy::DiffServe)
+        .build()
+        .expect("valid session");
+    session.replay_trace(&flat(6.0, 60));
+    let mut explicit = std::collections::HashMap::new();
+    for i in 0..120u64 {
+        let prompt = Prompt {
+            id: 10_000 + i,
+            difficulty: (i % 9) as f64 / 8.0,
+            style_bias: 0.0,
+            seed: 0xE5 + i,
+        };
+        let spec = QuerySpec::new()
+            .at(SimTime::from_secs(i / 2))
+            .prompt(prompt);
+        explicit.insert(session.submit_spec(spec).id, prompt);
+    }
+    session.run_until(SimTime::from_secs(60) + sys.slo * 4);
+    let (mut tabled, mut rendered) = (0, 0);
+    for outcome in session.poll() {
+        let QueryOutcome::Completed(r) = outcome else {
+            continue;
+        };
+        if r.reused_steps == 0 {
+            continue;
+        }
+        let prompt = match explicit.get(&r.id) {
+            Some(p) => {
+                rendered += 1;
+                *p
+            }
+            None => {
+                tabled += 1;
+                *runtime().dataset.prompt_cyclic(r.id.0)
+            }
+        };
+        let plain = runtime().model(r.tier).generate(&prompt);
+        assert_eq!(
+            r.quality.to_bits(),
+            plain.quality.to_bits(),
+            "query {}",
+            r.id.0
+        );
+        assert!(
+            r.features
+                .iter()
+                .map(|f| f.to_bits())
+                .eq(plain.features.iter().map(|f| f.to_bits())),
+            "query {}",
+            r.id.0
+        );
+    }
+    assert!(
+        tabled > 0 && rendered > 0,
+        "tabled {tabled}, rendered {rendered}"
     );
 }
