@@ -438,7 +438,6 @@ fn azure_replay(
         min_qps,
         max_qps,
         duration: SimDuration::from_secs(secs),
-        ..Default::default()
     })
     .expect("valid azure trace");
     let settings = RunSettings::new(Policy::DiffServe, trace.max_qps());
@@ -570,7 +569,6 @@ fn cluster_replay(
         min_qps: 4.0,
         max_qps: 14.0,
         duration: SimDuration::from_secs(secs),
-        ..Default::default()
     })
     .expect("valid azure trace");
     let settings = RunSettings::new(Policy::DiffServe, trace.max_qps());

@@ -183,12 +183,10 @@ fn horizon(scale: Scale, full: SimDuration) -> SimDuration {
 
 /// The Azure-style diurnal trace over `min_qps..max_qps`.
 fn azure(scale: Scale, min_qps: f64, max_qps: f64) -> Trace {
-    let default = AzureTraceConfig::default();
     synthesize_azure_trace(&AzureTraceConfig {
         min_qps,
         max_qps,
-        duration: horizon(scale, default.duration),
-        ..default
+        duration: horizon(scale, AzureTraceConfig::default().duration),
     })
     .expect("valid trace")
 }

@@ -5,8 +5,10 @@
 //! over gRPC (§4.1). This module reproduces that architecture at
 //! thread-and-channel scale: worker threads batch and "execute" queries by
 //! sleeping the profiled latency (scaled by [`ClusterConfig::time_scale`]),
-//! escalations travel over channels, and a controller thread re-solves the
-//! allocation periodically. The Fig. 6 experiment compares its measurements
+//! escalations travel over channels, and one clock thread fires what the
+//! simulator's event queue schedules: the scenario's incidents, the hazard
+//! checks and the control ticks that re-solve the allocation, each at its
+//! absolute instant. The Fig. 6 experiment compares its measurements
 //! with the simulator's — the paper reports a 0.56% FID / 1.1%
 //! SLO-violation gap between the two.
 //!
@@ -42,8 +44,8 @@ use diffserve_imagegen::{OnlinePredictiveRouter, Prompt, StageState};
 use diffserve_metrics::WindowedSeries;
 use diffserve_simkit::prelude::*;
 use diffserve_trace::{
-    CapacityEvent, Hazard, HazardProcess, Incident, IncidentLog, Scenario, ScenarioError,
-    ScenarioEvent, Trace,
+    CapacityEvent, HazardProcess, Incident, IncidentLog, Scenario, ScenarioError, ScenarioEvent,
+    Trace,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -101,8 +103,8 @@ struct Shared {
     plan: RwLock<ServingPlan>,
     depths: Vec<AtomicUsize>,
     /// Arrivals, violations and confidences since the last control tick —
-    /// recorded by the submitter and the workers, drained by the
-    /// controller thread into the shared [`ControlLoop`].
+    /// recorded by the submitter and the workers, drained by the clock
+    /// thread into the shared [`ControlLoop`].
     telemetry: Mutex<TickTelemetry>,
     shutdown: AtomicBool,
     start: Instant,
@@ -122,8 +124,8 @@ struct Shared {
     /// Every perturbation fired against this fleet (scheduled, injected,
     /// hazard-drawn), for the report's incident log.
     incident_log: Mutex<IncidentLog>,
-    /// Active prompt-difficulty offset (f64 bits), set by the scenario
-    /// thread and read by workers at generation time.
+    /// Active prompt-difficulty offset (f64 bits), set by a fired incident
+    /// and read by workers at generation time.
     difficulty_bits: AtomicU64,
     /// Per-worker bounded LRU module caches (empty with add-ons off).
     module_caches: Vec<Mutex<ModuleCache>>,
@@ -151,6 +153,25 @@ impl Shared {
     fn sleep_sim(&self, sim_secs: f64) {
         if sim_secs > 0.0 {
             thread::sleep(Duration::from_secs_f64(sim_secs * self.scale));
+        }
+    }
+
+    /// Sleeps until the simulated instant `at`, in slices of at most one
+    /// simulated second so that a shutdown is seen promptly. Returns
+    /// `false` once the session is shutting down, even if `at` has come due:
+    /// nothing fires during teardown, where it could stamp an incident a
+    /// replay can never re-fire.
+    fn wait_until(&self, at: SimTime) -> bool {
+        let at = at.as_secs_f64();
+        loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                return false;
+            }
+            let now = self.sim_now();
+            if at <= now {
+                return true;
+            }
+            self.sleep_sim((at - now).min(1.0));
         }
     }
 
@@ -205,14 +226,14 @@ impl Shared {
     }
 
     /// Applies one lowered scenario event against live state and records it
-    /// in the incident log — the single funnel the scenario replay thread,
-    /// mid-run injection, and the hazard thread all go through. A capacity
-    /// event touches the workers [`kernel::capacity_targets`] picks (the
-    /// simulator applies the same rule); a difficulty event swaps the
-    /// offset.
+    /// in the incident log — the single funnel the clock thread's scheduled
+    /// and hazard-drawn incidents and mid-run injection all go through. A
+    /// capacity event touches the workers [`kernel::capacity_targets`]
+    /// picks (the simulator applies the same rule); a difficulty event
+    /// swaps the offset.
     ///
-    /// Those three threads can race each other, so the whole
-    /// pick-apply-log sequence is serialized under the log lock. Only the
+    /// An injection races the clock thread, so the whole pick-apply-log
+    /// sequence is serialized under the log lock. Only the
     /// *applied* event is logged — the incident log must stay a faithful,
     /// replayable account, never a wish list.
     fn apply_event(&self, action: ScenarioEvent) {
@@ -321,8 +342,8 @@ enum Outcome {
 /// The thread-based testbed behind the unified session API: real threads,
 /// real (crossbeam) channels, wall-clock time scaled by `time_scale`.
 ///
-/// Workers, controller, and scenario threads are launched at construction
-/// and serve continuously; [`ServingBackend::submit`] routes one query into
+/// The workers and one clock thread are launched at construction and serve
+/// continuously; [`ServingBackend::submit`] routes one query into
 /// the fleet, [`ServingBackend::tick`] sleeps scaled wall-clock time, and
 /// [`ServingBackend::finish`] shuts the fleet down and assembles the
 /// [`RunReport`]. Build one through [`ClusterSessionExt::build_cluster`].
@@ -331,11 +352,9 @@ pub struct ClusterBackend<'a> {
     job_txs: Arc<Vec<Sender<Job>>>,
     done_rx: Receiver<Outcome>,
     worker_handles: Vec<thread::JoinHandle<()>>,
-    controller: Option<thread::JoinHandle<()>>,
-    scenario_thread: Option<thread::JoinHandle<()>>,
-    hazard_thread: Option<thread::JoinHandle<()>>,
-    /// The shared control plane, driven by the controller thread and read
-    /// for snapshots and the final report.
+    clock: Option<thread::JoinHandle<()>>,
+    /// The shared control plane, driven by the clock thread and read for
+    /// snapshots and the final report.
     control: Arc<Mutex<ControlLoop>>,
     /// The serving kernel the submit path decides with. Every worker thread
     /// builds its own over a clone of the runtime handle, so all of them
@@ -362,8 +381,8 @@ impl std::fmt::Debug for ClusterBackend<'_> {
 }
 
 impl<'a> ClusterBackend<'a> {
-    /// Launches the testbed fleet (workers, controller, scenario thread)
-    /// from validated session inputs.
+    /// Launches the testbed fleet (one thread per worker, plus the clock
+    /// thread) from validated session inputs.
     ///
     /// # Errors
     ///
@@ -445,39 +464,30 @@ impl<'a> ClusterBackend<'a> {
         }
         drop(done_tx);
 
-        // --- Controller thread --------------------------------------------
-        let controller = {
+        // --- Clock thread (incidents, hazard checks, control ticks) --------
+        let clock = {
             let shared = Arc::clone(&shared);
             let control = Arc::clone(&control);
-            let sys = sys.clone();
-            thread::spawn(move || controller_loop(&shared, &control, &sys))
-        };
-
-        // --- Scenario thread (worker churn, difficulty shifts) -------------
-        let scenario_thread = {
-            let shared = Arc::clone(&shared);
-            let actions = spec
+            let interval = sys.control_interval;
+            let incidents = spec
                 .scenario
                 .as_ref()
                 .map(|s| s.timeline())
                 .unwrap_or_default();
-            thread::spawn(move || scenario_loop(&shared, &actions))
+            let hazard = spec
+                .scenario
+                .as_ref()
+                .and_then(|s| s.hazard())
+                .map(|h| HazardProcess::new(h, interval));
+            thread::spawn(move || clock_loop(&shared, &control, interval, &incidents, hazard))
         };
-
-        // --- Hazard thread (load-correlated fault engine) -------------------
-        let hazard_thread = spec.scenario.as_ref().and_then(|s| s.hazard()).map(|h| {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || hazard_loop(&shared, h))
-        });
 
         Ok(ClusterBackend {
             shared,
             job_txs,
             done_rx,
             worker_handles,
-            controller: Some(controller),
-            scenario_thread: Some(scenario_thread),
-            hazard_thread,
+            clock: Some(clock),
             route_rng: seeded_rng(derive_seed(sys.seed, 0x20C7)),
             demand_track: WindowedSeries::new(METRICS_WINDOW),
             ledger: Ledger::new(&sys, &runtime.reference),
@@ -509,14 +519,9 @@ impl<'a> ClusterBackend<'a> {
     fn shutdown_and_join(&mut self) -> Result<(), &'static str> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let workers = self.worker_handles.drain(..).map(|h| ("worker", h));
-        let others = [
-            ("controller", self.controller.take()),
-            ("scenario", self.scenario_thread.take()),
-            ("hazard", self.hazard_thread.take()),
-        ];
-        let others = others.into_iter().filter_map(|(role, h)| Some((role, h?)));
+        let clock = self.clock.take().map(|h| ("clock", h));
         let mut joined = Ok(());
-        for (role, h) in workers.chain(others) {
+        for (role, h) in workers.chain(clock) {
             if h.join().is_err() && joined.is_ok() {
                 joined = Err(role);
             }
@@ -657,8 +662,8 @@ impl ServingBackend for ClusterBackend<'_> {
                 .into_iter()
                 .map(|(t, v)| (t.as_secs_f64(), v))
                 .collect(),
-            // The controller thread pushed its threshold decision every
-            // control tick; windows during the post-horizon drain are
+            // The clock thread pushed its threshold decision every control
+            // tick; windows during the post-horizon drain are
             // artifacts and truncated, like the simulator's assembly.
             self.shared
                 .threshold_track
@@ -750,9 +755,9 @@ pub fn run_cluster(
 /// drives both the discrete-event simulator and this testbed.
 ///
 /// Demand perturbations are baked into the replayed arrival stream;
-/// worker churn and difficulty shifts are applied live by a scenario thread
-/// (failed workers re-route their queues and idle until recovery, paying
-/// the model load delay when they rejoin). One parity caveat: failure
+/// worker churn and difficulty shifts are applied live by the clock thread
+/// at their scheduled instants (failed workers re-route their queues and
+/// idle until recovery, paying the model load delay when they rejoin). One parity caveat: failure
 /// granularity here is the batch boundary — a worker already executing a
 /// batch delivers it before going down, while the simulator's fail-stop
 /// kills in-flight work instantly and retries it elsewhere.
@@ -813,103 +818,81 @@ impl PlanActuator for ClusterActuator<'_> {
     }
 }
 
-/// Replays the scenario's timed actions against live shared state via
-/// [`Shared::apply_event`]. Sleeps in short slices so shutdown (or a
-/// perturbation scheduled past the trace end) never wedges the run at join
-/// time.
-fn scenario_loop(shared: &Shared, actions: &[Incident]) {
-    for &Incident { at, event } in actions {
-        let at = at.as_secs_f64();
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let now = shared.sim_now();
-            if at <= now {
-                break;
-            }
-            shared.sleep_sim((at - now).min(1.0));
-        }
-        shared.apply_event(event);
-    }
-}
-
-/// The load-correlated fault engine's cluster half: evaluates the seeded
-/// [`HazardProcess`] every check interval against the fleet's live busy
-/// flags and applies (and logs) whatever it draws. The wall-clock testbed
-/// cannot promise a bit-identical utilization trajectory across runs, so
-/// hazard-drawn faults here are reproducible only through the incident log
-/// — which is exactly what record/replay is for.
-fn hazard_loop(shared: &Shared, spec: Hazard) {
-    let mut process = HazardProcess::new(spec);
-    let interval = spec.check_interval.as_secs_f64();
-    // First check at half-phase, like the simulator — and like there, the
-    // first evaluation covers only the half-interval that actually elapsed.
-    let mut next = spec.first_check().as_secs_f64();
-    let mut first = true;
+/// The testbed's one clock. It fires the scenario's scheduled incidents,
+/// the hazard checks at the control interval's half-phase and the control
+/// ticks at whole intervals, each at its absolute instant, so the ticks do
+/// not drift by the time the previous one took. At a shared instant it
+/// fires incidents first, then the hazard check, then the tick: the order
+/// the simulator's event queue produces. A late wake-up fires everything
+/// overdue in time order.
+///
+/// The wall-clock testbed cannot promise a bit-identical utilization
+/// trajectory across runs, so hazard-drawn faults here are reproducible
+/// only through the incident log — which is exactly what record/replay is
+/// for.
+fn clock_loop(
+    shared: &Shared,
+    control: &Mutex<ControlLoop>,
+    interval: SimDuration,
+    incidents: &[Incident],
+    hazard: Option<HazardProcess>,
+) {
+    let mut incidents = incidents.iter().peekable();
+    let mut hazard = hazard.map(|process| (process.first_check(), process));
+    let mut next_tick = SimTime::ZERO + interval;
     loop {
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let now = shared.sim_now();
-            if next <= now {
-                break;
-            }
-            shared.sleep_sim((next - now).min(1.0));
-        }
-        // A check that comes due exactly as the session tears down must not
-        // stamp an incident the replay run can never re-fire.
-        if shared.shutdown.load(Ordering::SeqCst) {
+        let next = [incidents.peek().map(|i| i.at), hazard.as_ref().map(|h| h.0)]
+            .into_iter()
+            .flatten()
+            .fold(next_tick, std::cmp::min);
+        if !shared.wait_until(next) {
             return;
         }
-        let fleet = shared.tally(&shared.plan.read(), &shared.failed_mask());
-        let dt = if first {
-            spec.first_dt()
-        } else {
-            spec.check_interval
-        };
-        first = false;
-        for event in process.step(dt, fleet.utilization(), fleet.health()) {
-            shared.apply_event(event);
+        while let Some(incident) = incidents.next_if(|i| i.at <= next) {
+            shared.apply_event(incident.event);
         }
-        next += interval;
+        if let Some((check, process)) = hazard.as_mut().filter(|h| h.0 == next) {
+            let fleet = shared.tally(&shared.plan.read(), &shared.failed_mask());
+            for event in process.step(fleet.utilization(), fleet.health()) {
+                shared.apply_event(event);
+            }
+            *check += interval;
+        }
+        if next_tick == next {
+            control_tick(shared, control);
+            next_tick += interval;
+        }
     }
 }
 
-/// Drives the shared [`ControlLoop`] at the configured control cadence:
-/// hands over what the fleet observed since the last tick (the drained
-/// telemetry, live channel depths), steps the pipeline, and swaps the
-/// actuated plan in. Runs for every policy so the demand and profile
-/// estimators stay live; static policies simply always `Hold`.
-fn controller_loop(shared: &Shared, control: &Mutex<ControlLoop>, sys: &SystemConfig) {
-    let interval = sys.control_interval.as_secs_f64();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        shared.sleep_sim(interval);
-        // Little's-law queue estimates come from live channel depths of
-        // alive workers only — failed workers drain their queues elsewhere.
-        // The pool size and the retarget mask derive from one reading of
-        // the fail-stop flags so the solver and retarget never disagree
-        // mid-churn.
-        let mut plan = shared.plan.read().clone();
-        let excluded = shared.failed_mask();
-        let fleet = shared.tally(&plan, &excluded);
-        let now = shared.now();
-        let batches = (plan.batch_for(0), plan.batch_for(plan.num_tiers() - 1));
-        let obs = shared.telemetry.lock().observe(now, &fleet, batches);
-        let directive = control.lock().step(&obs);
-        ClusterActuator {
-            plan: &mut plan,
-            excluded: &excluded,
-        }
-        .actuate(&directive);
-        // Record the decision that is now in force — the series the
-        // report's `threshold_series` is built from (mirroring the
-        // simulator, which pushes its threshold on every tick).
-        shared.threshold_track.lock().push(now, plan.thresholds[0]);
-        if directive != ControlDirective::Hold {
-            *shared.plan.write() = plan;
-        }
+/// One control tick: hands the shared [`ControlLoop`] what the fleet
+/// observed since the last tick (the drained telemetry, live channel
+/// depths), steps the pipeline, and swaps the actuated plan in. Runs for
+/// every policy so the demand and profile estimators stay live; static
+/// policies simply always `Hold`.
+fn control_tick(shared: &Shared, control: &Mutex<ControlLoop>) {
+    // Little's-law queue estimates come from live channel depths of alive
+    // workers only — failed workers drain their queues elsewhere. The pool
+    // size and the retarget mask derive from one reading of the fail-stop
+    // flags so the solver and retarget never disagree mid-churn.
+    let mut plan = shared.plan.read().clone();
+    let excluded = shared.failed_mask();
+    let fleet = shared.tally(&plan, &excluded);
+    let now = shared.now();
+    let batches = (plan.batch_for(0), plan.batch_for(plan.num_tiers() - 1));
+    let obs = shared.telemetry.lock().observe(now, &fleet, batches);
+    let directive = control.lock().step(&obs);
+    ClusterActuator {
+        plan: &mut plan,
+        excluded: &excluded,
+    }
+    .actuate(&directive);
+    // Record the decision that is now in force — the series the report's
+    // `threshold_series` is built from (mirroring the simulator, which
+    // pushes its threshold on every tick).
+    shared.threshold_track.lock().push(now, plan.thresholds[0]);
+    if directive != ControlDirective::Hold {
+        *shared.plan.write() = plan;
     }
 }
 

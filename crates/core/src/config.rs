@@ -36,7 +36,9 @@ pub struct SystemConfig {
     pub num_workers: usize,
     /// Latency SLO.
     pub slo: SimDuration,
-    /// How often the controller re-solves the allocation.
+    /// How often the controller re-solves the allocation. A scenario's
+    /// hazard process is checked on the same clock, at the half-phase of
+    /// each interval.
     pub control_interval: SimDuration,
     /// Batch sizes the allocator may choose from.
     pub batch_sizes: Vec<usize>,
@@ -193,8 +195,9 @@ impl SystemConfig {
         if self.over_provision < 1.0 {
             return Err(ConfigError::new("over-provisioning factor must be >= 1"));
         }
-        if self.control_interval.is_zero() {
-            return Err(ConfigError::new("control interval must be positive"));
+        // Below 2 µs the hazard checks' half-phase would round onto a tick.
+        if self.control_interval < SimDuration::from_micros(2) {
+            return Err(ConfigError::new("control interval must be at least 2 µs"));
         }
         if self.online_profile_window == 0 {
             return Err(ConfigError::new("online profile window must be positive"));
@@ -294,6 +297,14 @@ mod tests {
                 "batches",
                 SystemConfig {
                     batch_sizes: vec![],
+                    ..base.clone()
+                },
+            ),
+            (
+                // Its half-phase hazard checks would round onto the ticks.
+                "1 µs control interval",
+                SystemConfig {
+                    control_interval: SimDuration::from_micros(1),
                     ..base.clone()
                 },
             ),

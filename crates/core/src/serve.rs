@@ -531,31 +531,6 @@ impl<'a> SessionBuilder<'a> {
             scenario
                 .validate(self.config.num_workers)
                 .map_err(BuildError::Scenario)?;
-            // Hazard checks fire at `check/2 + k·check` (integer micros).
-            // The incident record/replay loop is bit-exact only if no check
-            // can ever share an instant with a control tick at `m·ci` (the
-            // tick would observe pre- vs post-fault fleet state depending
-            // on event order). The congruence `k·check ≡ -check/2 (mod ci)`
-            // is solvable — a collision instant exists — iff
-            // gcd(check, ci) divides check/2. The default (equal
-            // intervals) is collision-free.
-            if let Some(h) = scenario.hazard() {
-                fn gcd(mut a: u64, mut b: u64) -> u64 {
-                    while b != 0 {
-                        (a, b) = (b, a % b);
-                    }
-                    a
-                }
-                let check = h.check_interval.as_micros();
-                let ci = self.config.control_interval.as_micros();
-                if (check / 2) % gcd(check, ci) == 0 {
-                    return Err(BuildError::Scenario(ScenarioError::InvalidHazard {
-                        reason: "hazard checks would collide with control ticks; \
-                                 pick a check interval whose odd half-phases miss \
-                                 the control grid (equal intervals work)",
-                    }));
-                }
-            }
         }
         Ok(SessionSpec {
             runtime,
@@ -883,38 +858,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, BuildError::Scenario(_)), "{err}");
-    }
-
-    #[test]
-    fn builder_rejects_hazard_colliding_with_control_ticks() {
-        use diffserve_trace::Hazard;
-        let trace = Trace::constant(2.0, SimDuration::from_secs(10)).unwrap();
-        // A 1 s control interval puts ticks on every odd second — exactly
-        // where a 2 s hazard's half-phase checks land; replay would not be
-        // bit-exact, so the builder must refuse.
-        let colliding = SystemConfig {
-            num_workers: 4,
-            control_interval: SimDuration::from_secs(1),
-            ..Default::default()
-        };
-        let scenario = Scenario::new("hazardous", trace.clone()).with_hazard(Hazard::default());
-        let err = ServingSession::builder()
-            .runtime(test_runtime())
-            .config(colliding)
-            .scenario(scenario.clone())
-            .build()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            BuildError::Scenario(ScenarioError::InvalidHazard { .. })
-        ));
-        // The default (equal intervals) is collision-free and accepted.
-        assert!(ServingSession::builder()
-            .runtime(test_runtime())
-            .config(small_config())
-            .scenario(scenario)
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -153,9 +153,9 @@ enum Event {
     ControlTick,
     /// The `i`-th scheduled scenario action fires.
     Scenario(usize),
-    /// The load-correlated hazard process evaluates once. Scheduled at
-    /// half-phase instants so it never shares a timestamp with a control
-    /// tick, which keeps incident replay bit-exact.
+    /// The load-correlated hazard process evaluates once. Scheduled at the
+    /// control interval's half-phase so it never shares a timestamp with a
+    /// control tick, which keeps incident replay bit-exact.
     HazardCheck,
 }
 
@@ -566,9 +566,6 @@ struct ServingSim<'a> {
     difficulty_delta: f64,
     /// The load-correlated fault engine, when the scenario carries one.
     hazard: Option<HazardProcess>,
-    /// Hazard evaluations performed so far (the first covers only the
-    /// half-interval since simulation start).
-    hazard_checks: u64,
     /// Every perturbation actually fired (scheduled, injected, or
     /// hazard-drawn), in firing order — surfaced in the [`RunReport`] for
     /// incident replay.
@@ -655,7 +652,6 @@ impl<'a> ServingSim<'a> {
             actions,
             difficulty_delta: 0.0,
             hazard,
-            hazard_checks: 0,
             incident_log: Vec::new(),
             caches: match &config.addons {
                 Some(a) => (0..config.num_workers)
@@ -1325,21 +1321,11 @@ impl<'a> ServingSim<'a> {
         let Some(hazard) = self.hazard.as_mut() else {
             return;
         };
-        let interval = hazard.spec().check_interval;
-        // The first check sits at half-phase, so it only covers half an
-        // interval of elapsed time — use the true dt or the configured
-        // per-second rates overstate the opening window.
-        let dt = if self.hazard_checks == 0 {
-            hazard.spec().first_dt()
-        } else {
-            interval
-        };
-        self.hazard_checks += 1;
-        let events = hazard.step(dt, fleet.utilization(), fleet.health());
+        let events = hazard.step(fleet.utilization(), fleet.health());
         for event in events {
             self.fire_event(event, now, queue);
         }
-        queue.push(now + interval, Event::HazardCheck);
+        queue.push(now + self.config.control_interval, Event::HazardCheck);
     }
 
     /// One pass over the workers: per-tier alive counts, queue depths and
@@ -1487,7 +1473,7 @@ impl<'a> SimBackend<'a> {
             .scenario
             .as_ref()
             .and_then(|s| s.hazard())
-            .map(HazardProcess::new);
+            .map(|h| HazardProcess::new(h, spec.config.control_interval));
         let state = ServingSim::new(
             spec.config.clone(),
             spec.settings.clone(),
@@ -1529,7 +1515,7 @@ impl<'a> SimBackend<'a> {
             .actor()
             .hazard
             .as_ref()
-            .map(|h| h.spec().first_check())
+            .map(HazardProcess::first_check)
         {
             self.sim.schedule(first, Event::HazardCheck);
         }

@@ -21,16 +21,18 @@ pub struct AzureTraceConfig {
     pub max_qps: f64,
     /// Total trace length.
     pub duration: SimDuration,
-    /// Where the peak falls as a fraction of the duration (paper's Fig. 5
-    /// trace peaks slightly past the middle; default 0.55).
-    pub peak_position: f64,
-    /// Relative amplitude of secondary ripples (default 0.12).
-    pub ripple: f64,
-    /// Relative standard deviation of per-bin noise (default 0.05).
-    pub noise: f64,
-    /// RNG seed for the noise.
-    pub seed: u64,
 }
+
+/// Where the peak falls as a fraction of the duration: the paper's Fig. 5
+/// trace peaks slightly past the middle.
+const PEAK_POSITION: f64 = 0.55;
+/// Relative amplitude of the secondary ripples.
+const RIPPLE: f64 = 0.12;
+/// Relative standard deviation of the per-bin noise.
+const NOISE: f64 = 0.05;
+/// RNG seed for the noise: the curve is a fixed artefact, like the paper's
+/// one Azure trace file.
+const SEED: u64 = 0xA2CE;
 
 impl Default for AzureTraceConfig {
     fn default() -> Self {
@@ -38,21 +40,17 @@ impl Default for AzureTraceConfig {
             min_qps: 4.0,
             max_qps: 32.0,
             duration: SimDuration::from_secs(350),
-            peak_position: 0.55,
-            ripple: 0.12,
-            noise: 0.05,
-            seed: 0xA2CE,
         }
     }
 }
 
 /// Synthesizes a diurnal demand trace with 1-second bins.
 ///
-/// The curve rises from the trough to a single peak at
-/// `config.peak_position` and falls back, with sinusoidal ripples and
-/// Gaussian bin noise, then is affinely rescaled so the minimum and maximum
-/// equal `min_qps` / `max_qps` exactly — mirroring the paper's
-/// shape-preserving transformation of the Azure trace.
+/// The curve rises from the trough to a single peak 55 % of the way in and
+/// falls back, with sinusoidal ripples and Gaussian bin noise drawn from a
+/// fixed seed, then is affinely rescaled so the minimum and maximum equal
+/// `min_qps` / `max_qps` exactly — mirroring the paper's shape-preserving
+/// transformation of the Azure trace.
 ///
 /// # Errors
 ///
@@ -73,23 +71,22 @@ pub fn synthesize_azure_trace(config: &AzureTraceConfig) -> Result<Trace, TraceE
         });
     }
     let n = (config.duration.as_secs_f64().ceil() as usize).max(2);
-    let peak = config.peak_position.clamp(0.05, 0.95);
-    let noise = Normal::new(0.0, config.noise.max(0.0)).expect("validated std");
-    let mut rng = seeded_rng(config.seed);
+    let noise = Normal::new(0.0, NOISE).expect("positive std");
+    let mut rng = seeded_rng(SEED);
 
     let mut bins = Vec::with_capacity(n);
     for i in 0..n {
         let x = i as f64 / (n - 1) as f64;
-        // Asymmetric bell peaking at `peak`: rise and fall are half-cosines
+        // Asymmetric bell peaking at `PEAK_POSITION`: rise and fall are half-cosines
         // with different widths, matching the Azure trace's slow ramp-up and
         // faster drain.
-        let phase = if x <= peak {
-            x / peak * std::f64::consts::PI
+        let phase = if x <= PEAK_POSITION {
+            x / PEAK_POSITION * std::f64::consts::PI
         } else {
-            std::f64::consts::PI * (1.0 + (x - peak) / (1.0 - peak))
+            std::f64::consts::PI * (1.0 + (x - PEAK_POSITION) / (1.0 - PEAK_POSITION))
         };
         let bell = 0.5 * (1.0 - phase.cos());
-        let ripple = config.ripple * (x * 23.0).sin() * bell;
+        let ripple = RIPPLE * (x * 23.0).sin() * bell;
         let jitter = noise.draw(&mut rng);
         bins.push((bell + ripple + jitter).max(0.0));
     }
@@ -112,12 +109,7 @@ mod tests {
 
     #[test]
     fn peak_is_near_configured_position() {
-        let t = synthesize_azure_trace(&AzureTraceConfig {
-            noise: 0.0,
-            ripple: 0.0,
-            ..Default::default()
-        })
-        .unwrap();
+        let t = synthesize_azure_trace(&AzureTraceConfig::default()).unwrap();
         let (peak_idx, _) = t
             .bins()
             .iter()
@@ -125,17 +117,15 @@ mod tests {
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .unwrap();
         let frac = peak_idx as f64 / t.len() as f64;
-        assert!((frac - 0.55).abs() < 0.05, "peak at {frac}");
+        // Ripples and noise move the top bin off the bell's crest.
+        assert!((frac - PEAK_POSITION).abs() < 0.1, "peak at {frac}");
     }
 
     #[test]
     fn starts_and_ends_near_trough() {
-        let t = synthesize_azure_trace(&AzureTraceConfig {
-            noise: 0.0,
-            ripple: 0.0,
-            ..Default::default()
-        })
-        .unwrap();
+        let t = synthesize_azure_trace(&AzureTraceConfig::default()).unwrap();
+        // The bell starts and ends at the trough, ripples and noise
+        // included.
         assert!(t.qps_at(SimTime::ZERO) < 6.0);
         assert!(t.bins()[t.len() - 1] < 6.0);
     }
@@ -145,12 +135,6 @@ mod tests {
         let a = synthesize_azure_trace(&AzureTraceConfig::default()).unwrap();
         let b = synthesize_azure_trace(&AzureTraceConfig::default()).unwrap();
         assert_eq!(a, b);
-        let c = synthesize_azure_trace(&AzureTraceConfig {
-            seed: 99,
-            ..Default::default()
-        })
-        .unwrap();
-        assert_ne!(a, c);
     }
 
     #[test]

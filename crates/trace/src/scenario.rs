@@ -190,112 +190,60 @@ pub type IncidentLog = Vec<Incident>;
 /// Every rate is a per-second hazard rate for a fleet-level event; the
 /// failure and degradation rates are boosted by
 /// `1 + load_coupling × utilization`, so a saturated fleet faults more —
-/// the "failures correlate with load" regime the ROADMAP calls for.
+/// the "failures correlate with load" regime the ROADMAP calls for. One
+/// failed worker rejoins, and one degraded worker returns to nameplate
+/// speed, at a fixed 0.02 per second each (not load-coupled); a drawn
+/// degradation slows its worker by a factor uniform in `[1.5, 3]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hazard {
     /// Seed for the hazard's private RNG stream.
     pub seed: u64,
-    /// How often the run paths evaluate the hazard. Checks are fired at
-    /// odd half-phases (`(k + ½)·interval`) so they never collide with
-    /// control ticks at whole multiples of the control interval.
-    pub check_interval: SimDuration,
     /// Per-second baseline rate of a single-worker fail-stop at zero load.
     pub fail_rate: f64,
     /// Per-second baseline rate of a single-worker degradation at zero
     /// load.
     pub degrade_rate: f64,
-    /// Per-second rate of one failed worker rejoining (not load-coupled).
-    pub recover_rate: f64,
-    /// Per-second rate of one degraded worker returning to nameplate speed
-    /// (not load-coupled).
-    pub restore_rate: f64,
     /// Slope of the load boost: the fail/degrade rates are multiplied by
     /// `1 + load_coupling × utilization`.
     pub load_coupling: f64,
-    /// Smallest slowdown a drawn degradation applies (`>= 1`).
-    pub min_slowdown: f64,
-    /// Largest slowdown a drawn degradation applies (`>= min_slowdown`).
-    pub max_slowdown: f64,
-    /// Per-second rate of a hazard-drawn *difficulty shift* (boosted by the
-    /// same `1 + load_coupling × utilization` factor as faults): a hot fleet
-    /// can see its prompt-hardness mix drift, e.g. a trending style whose
-    /// prompts defer more. A fired shift replaces the active difficulty
-    /// offset with a value drawn uniformly from
-    /// `[0, Hazard::MAX_DRAWN_DIFFICULTY]`. The default `0.0` disables the
-    /// feature *and* its RNG draws, so hazard streams recorded before this
-    /// knob existed replay bit-identically.
-    pub difficulty_coupling: f64,
 }
 
 impl Default for Hazard {
     fn default() -> Self {
         Hazard {
             seed: 0x4A2D,
-            check_interval: SimDuration::from_secs(2),
             fail_rate: 0.002,
             degrade_rate: 0.01,
-            recover_rate: 0.02,
-            restore_rate: 0.02,
             load_coupling: 4.0,
-            min_slowdown: 1.5,
-            max_slowdown: 3.0,
-            difficulty_coupling: 0.0,
         }
     }
 }
 
-impl Hazard {
-    /// Largest difficulty offset a hazard-drawn shift can set (the drawn
-    /// delta is uniform in `[0, MAX_DRAWN_DIFFICULTY]`, well inside the
-    /// `[-1, 1]` range [`ScenarioEvent::validate`] enforces).
-    pub const MAX_DRAWN_DIFFICULTY: f64 = 0.5;
+/// Per-second rate of one failed worker rejoining.
+const RECOVER_RATE: f64 = 0.02;
+/// Per-second rate of one degraded worker returning to nameplate speed.
+const RESTORE_RATE: f64 = 0.02;
+/// Smallest slowdown a drawn degradation applies.
+const MIN_SLOWDOWN: f64 = 1.5;
+/// Largest slowdown a drawn degradation applies.
+const MAX_SLOWDOWN: f64 = 3.0;
 
+impl Hazard {
     /// Checks the hazard parameters.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::InvalidHazard`] naming the first violated
-    /// invariant.
+    /// Returns [`ScenarioError::InvalidHazard`] if a rate or the load
+    /// coupling is negative or non-finite.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        let bad = |reason| Err(ScenarioError::InvalidHazard { reason });
-        if self.check_interval.is_zero() {
-            return bad("check interval must be positive");
-        }
-        for r in [
-            self.fail_rate,
-            self.degrade_rate,
-            self.recover_rate,
-            self.restore_rate,
-            self.load_coupling,
-            self.difficulty_coupling,
-        ] {
+        for r in [self.fail_rate, self.degrade_rate, self.load_coupling] {
             if !r.is_finite() || r < 0.0 {
-                return bad("rates and load coupling must be finite and non-negative");
+                return Err(ScenarioError::InvalidHazard {
+                    reason: "rates and load coupling must be finite and non-negative",
+                });
             }
         }
-        if !self.min_slowdown.is_finite() || self.min_slowdown < 1.0 {
-            return bad("min slowdown must be finite and >= 1");
-        }
-        if !self.max_slowdown.is_finite() || self.max_slowdown < self.min_slowdown {
-            return bad("max slowdown must be finite and >= min slowdown");
-        }
         Ok(())
-    }
-
-    /// The elapsed time the *first* check covers: simulation start to
-    /// [`Hazard::first_check`]. Both engines pass this as the first step's
-    /// `dt` (later steps cover a full interval) — one source of truth for
-    /// the half-phase, which the builder's tick-collision guard and replay
-    /// bit-exactness both depend on.
-    pub fn first_dt(&self) -> SimDuration {
-        SimDuration::from_micros(self.check_interval.as_micros() / 2)
-    }
-
-    /// The first check instant: half a check interval in, and then every
-    /// interval after — the half-phase keeps hazard checks off the control
-    /// ticks so record/replay never has to re-order same-instant events.
-    pub fn first_check(&self) -> SimTime {
-        SimTime::ZERO + self.first_dt()
     }
 }
 
@@ -369,52 +317,54 @@ impl FleetHealth {
     }
 }
 
-/// The runtime state of a [`Hazard`]: the spec plus its seeded RNG stream.
-/// Each run path owns one and calls [`HazardProcess::step`] every check
-/// interval with the fleet's instantaneous utilization.
+/// The runtime state of a [`Hazard`]: the spec, its seeded RNG stream and
+/// its cadence. Both engines check the hazard on the control clock, at the
+/// half-phase of each control interval (`(k + ½)·interval`), so a check
+/// never shares an instant with a control tick and incident replay never
+/// has to re-order the two.
 #[derive(Debug, Clone)]
 pub struct HazardProcess {
     spec: Hazard,
+    interval: SimDuration,
+    /// The elapsed time the next [`HazardProcess::step`] covers: half an
+    /// interval for the first check, a whole one after.
+    dt: SimDuration,
     rng: rand::rngs::StdRng,
 }
 
 impl HazardProcess {
-    /// Builds the process from its spec, deriving the private RNG stream.
-    pub fn new(spec: Hazard) -> Self {
+    /// Builds the process from its spec and the session's control
+    /// interval, deriving the private RNG stream.
+    pub fn new(spec: Hazard, control_interval: SimDuration) -> Self {
         HazardProcess {
             rng: seeded_rng(derive_seed(spec.seed, HAZARD_SEED_STREAM)),
             spec,
+            interval: control_interval,
+            dt: control_interval / 2,
         }
     }
 
-    /// The underlying spec.
-    pub fn spec(&self) -> &Hazard {
-        &self.spec
+    /// The first check instant: half a control interval in. Later checks
+    /// follow one interval apart.
+    pub fn first_check(&self) -> SimTime {
+        SimTime::ZERO + self.interval / 2
     }
 
-    /// One hazard evaluation covering the `dt` that elapsed since the last
-    /// check: draws at most one failure, one degradation, one recovery, and
-    /// one restoration, plus — only when `difficulty_coupling > 0` — one
-    /// difficulty shift. The draw count per step depends only on the spec,
-    /// never on outcomes, so the RNG stream is identical across runs; only
-    /// the utilization trajectory steers which events fire. Specs with the
-    /// default `difficulty_coupling = 0.0` draw exactly the five uniforms
-    /// they always did, so pre-existing hazard streams are unchanged.
+    /// One hazard evaluation covering the time since the last check (half
+    /// an interval on the first call, since the simulation started): draws
+    /// at most one failure, one degradation, one recovery, and one
+    /// restoration. The draw count per step is fixed, never dependent on
+    /// outcomes, so the RNG stream is identical across runs; only the
+    /// utilization trajectory steers which events fire.
     ///
     /// Guards keep the drawn events always-valid: failures never shrink the
     /// pool below two alive workers (one per tier), degradations only hit
-    /// healthy workers, recoveries/restorations only fire when there is
-    /// something to recover/restore, and drawn difficulty offsets stay in
-    /// `[0, Hazard::MAX_DRAWN_DIFFICULTY]`. The guards are not a fold of
+    /// healthy workers, and recoveries/restorations only fire when there is
+    /// something to recover/restore. The guards are not a fold of
     /// [`FleetHealth::after`]: recovery and restoration read the counts
     /// from before the step, and the replay tests pin this draw stream.
-    pub fn step(
-        &mut self,
-        dt: SimDuration,
-        utilization: f64,
-        fleet: FleetHealth,
-    ) -> Vec<ScenarioEvent> {
-        let dt = dt.as_secs_f64();
+    pub fn step(&mut self, utilization: f64, fleet: FleetHealth) -> Vec<ScenarioEvent> {
+        let dt = std::mem::replace(&mut self.dt, self.interval).as_secs_f64();
         let boost = 1.0 + self.spec.load_coupling * utilization.clamp(0.0, 1.0);
         let p = |rate: f64| 1.0 - (-rate * dt).exp();
         // Fixed draw order and count per step.
@@ -434,28 +384,16 @@ impl HazardProcess {
             degraded = degraded.min(alive);
         }
         if u_degrade < p(self.spec.degrade_rate * boost) && degraded < alive {
-            let slowdown = self.spec.min_slowdown
-                + (self.spec.max_slowdown - self.spec.min_slowdown) * u_slowdown;
+            let slowdown = MIN_SLOWDOWN + (MAX_SLOWDOWN - MIN_SLOWDOWN) * u_slowdown;
             events.push(ScenarioEvent::Capacity(CapacityEvent::Degrade(1, slowdown)));
         }
-        if u_recover < p(self.spec.recover_rate) && fleet.failed > 0 {
+        if u_recover < p(RECOVER_RATE) && fleet.failed > 0 {
             events.push(ScenarioEvent::Capacity(CapacityEvent::Recover(1)));
         }
         // Restoration conditions on the *pre-step* degraded count so a
         // degradation drawn this very step is not instantly undone.
-        if u_restore < p(self.spec.restore_rate) && fleet.degraded.min(alive) > 0 {
+        if u_restore < p(RESTORE_RATE) && fleet.degraded.min(alive) > 0 {
             events.push(ScenarioEvent::Capacity(CapacityEvent::Restore(1)));
-        }
-        // Extra draws are gated on the knob so specs without it keep their
-        // exact historical streams (replay bit-exactness).
-        if self.spec.difficulty_coupling > 0.0 {
-            let u_shift: f64 = self.rng.gen_range(0.0..1.0);
-            let u_delta: f64 = self.rng.gen_range(0.0..1.0);
-            if u_shift < p(self.spec.difficulty_coupling * boost) {
-                events.push(ScenarioEvent::Difficulty(
-                    Hazard::MAX_DRAWN_DIFFICULTY * u_delta,
-                ));
-            }
         }
         events
     }
@@ -1330,36 +1268,45 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_hazards() {
-        let cases = [
-            Hazard {
-                check_interval: SimDuration::ZERO,
-                ..Hazard::default()
-            },
-            Hazard {
-                fail_rate: -0.1,
-                ..Hazard::default()
-            },
-            Hazard {
-                min_slowdown: 0.5,
-                ..Hazard::default()
-            },
-            Hazard {
-                min_slowdown: 3.0,
-                max_slowdown: 2.0,
-                ..Hazard::default()
-            },
-        ];
-        for h in cases {
-            let s = Scenario::new("bad", base()).with_hazard(h);
-            assert!(
-                matches!(s.validate(8), Err(ScenarioError::InvalidHazard { .. })),
-                "{h:?} should be rejected"
-            );
-        }
+        let bad = Hazard {
+            fail_rate: -0.1,
+            ..Hazard::default()
+        };
+        let s = Scenario::new("bad", base()).with_hazard(bad);
+        assert!(
+            matches!(s.validate(8), Err(ScenarioError::InvalidHazard { .. })),
+            "{bad:?} should be rejected"
+        );
         assert!(Scenario::new("ok", base())
             .with_hazard(Hazard::default())
             .validate(8)
             .is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_hazard_settings() {
+        for bad in [-0.1, f64::NAN, f64::INFINITY] {
+            for h in [
+                Hazard {
+                    fail_rate: bad,
+                    ..Hazard::default()
+                },
+                Hazard {
+                    degrade_rate: bad,
+                    ..Hazard::default()
+                },
+                Hazard {
+                    load_coupling: bad,
+                    ..Hazard::default()
+                },
+            ] {
+                let s = Scenario::new("bad", base()).with_hazard(h);
+                assert!(
+                    matches!(s.validate(8), Err(ScenarioError::InvalidHazard { .. })),
+                    "{h:?} should be rejected"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1369,7 +1316,6 @@ mod tests {
             fail_rate: 0.05,
             degrade_rate: 0.1,
             load_coupling: 8.0,
-            ..Hazard::default()
         };
         let fleet = FleetHealth {
             alive: 8,
@@ -1377,10 +1323,8 @@ mod tests {
             degraded: 0,
         };
         let run = |util: f64| -> usize {
-            let mut p = HazardProcess::new(spec);
-            (0..200)
-                .map(|_| p.step(SimDuration::from_secs(2), util, fleet).len())
-                .sum()
+            let mut p = HazardProcess::new(spec, SimDuration::from_secs(2));
+            (0..200).map(|_| p.step(util, fleet).len()).sum()
         };
         // Identical seeds and utilization trajectories replay identically.
         assert_eq!(run(0.9), run(0.9));
@@ -1399,15 +1343,12 @@ mod tests {
         let spec = Hazard {
             fail_rate: 1e6, // fires every step
             degrade_rate: 1e6,
-            recover_rate: 1e6,
-            restore_rate: 1e6,
             ..Hazard::default()
         };
-        let mut p = HazardProcess::new(spec);
+        let mut p = HazardProcess::new(spec, SimDuration::from_secs(2));
         // Two alive workers: no failure may fire (pool floor), and with
         // every worker already degraded no further degradation fires.
         let ev = p.step(
-            SimDuration::from_secs(2),
             1.0,
             FleetHealth {
                 alive: 2,
@@ -1422,108 +1363,62 @@ mod tests {
             )),
             "{ev:?}"
         );
-        // Nothing failed/degraded: no recover/restore.
-        let ev = p.step(
-            SimDuration::from_secs(2),
-            0.0,
-            FleetHealth {
-                alive: 8,
-                failed: 0,
-                degraded: 0,
-            },
-        );
-        assert!(
-            !ev.iter().any(|e| matches!(
-                e,
-                ScenarioEvent::Capacity(CapacityEvent::Recover(_) | CapacityEvent::Restore(_))
-            )),
-            "{ev:?}"
-        );
-        // Hazard checks sit at half-phase so they never collide with
-        // control ticks at whole multiples of the interval.
-        assert_eq!(spec.first_check(), SimTime::from_secs(1));
-    }
-
-    #[test]
-    fn difficulty_coupling_draws_valid_shifts() {
-        let spec = Hazard {
-            difficulty_coupling: 1e6, // fires every step
-            ..Hazard::default()
+        // Recovery and restoration fire at their fixed rates, and only
+        // when something is failed or degraded.
+        let count = |p: &mut HazardProcess, fleet: FleetHealth| {
+            let (mut recovers, mut restores) = (0, 0);
+            for _ in 0..1000 {
+                for e in p.step(0.0, fleet) {
+                    match e {
+                        ScenarioEvent::Capacity(CapacityEvent::Recover(_)) => recovers += 1,
+                        ScenarioEvent::Capacity(CapacityEvent::Restore(_)) => restores += 1,
+                        _ => {}
+                    }
+                }
+            }
+            (recovers, restores)
         };
-        let fleet = FleetHealth {
+        let healthy = FleetHealth {
             alive: 8,
             failed: 0,
             degraded: 0,
         };
-        let mut p = HazardProcess::new(spec);
-        let mut shifts = Vec::new();
-        for _ in 0..50 {
-            for ev in p.step(SimDuration::from_secs(2), 0.5, fleet) {
-                if let ScenarioEvent::Difficulty(delta) = ev {
-                    ev.validate().expect("drawn shifts are valid events");
-                    shifts.push(delta);
-                }
+        assert_eq!(count(&mut p, healthy), (0, 0));
+        let (recovers, restores) = count(
+            &mut p,
+            FleetHealth {
+                alive: 6,
+                failed: 2,
+                degraded: 2,
+            },
+        );
+        assert!(recovers > 0 && restores > 0, "{recovers} / {restores}");
+    }
+
+    #[test]
+    fn hazard_checks_sit_at_the_control_half_phase() {
+        for secs in [1, 2] {
+            let interval = SimDuration::from_secs(secs);
+            let mut p = HazardProcess::new(Hazard::default(), interval);
+            // Checks land at (k + ½)·interval, never on a control tick at a
+            // whole multiple of the interval.
+            for k in 0..10 {
+                let at = p.first_check() + interval * k;
+                assert_eq!(at.as_micros() * 2, (2 * k + 1) * interval.as_micros());
+                assert_ne!(at.as_micros() % interval.as_micros(), 0);
             }
-        }
-        assert!(!shifts.is_empty(), "coupling at 1e6 must fire shifts");
-        assert!(shifts
-            .iter()
-            .all(|d| (0.0..=Hazard::MAX_DRAWN_DIFFICULTY).contains(d)));
-        // The drawn offsets wander, they are not a constant.
-        assert!(shifts.iter().any(|d| (d - shifts[0]).abs() > 1e-9));
-    }
-
-    #[test]
-    fn difficulty_coupling_zero_preserves_legacy_stream() {
-        // The knob's extra draws are gated on `> 0.0`: a spec without it
-        // must replay the exact event sequence it produced before the knob
-        // existed, which the incident-replay loop depends on.
-        let legacy = Hazard {
-            seed: 7,
-            fail_rate: 0.05,
-            degrade_rate: 0.1,
-            ..Hazard::default()
-        };
-        let fleet = FleetHealth {
-            alive: 8,
-            failed: 2,
-            degraded: 1,
-        };
-        let run = |spec: Hazard| -> Vec<Vec<ScenarioEvent>> {
-            let mut p = HazardProcess::new(spec);
-            (0..100)
-                .map(|_| p.step(SimDuration::from_secs(2), 0.7, fleet))
-                .collect()
-        };
-        assert_eq!(run(legacy), run(legacy));
-        // The first step's capacity draws come from the same five leading
-        // uniforms whether or not the knob is on (the extra draws happen
-        // after them), so enabling the knob perturbs later steps only.
-        let coupled = Hazard {
-            difficulty_coupling: 0.5,
-            ..legacy
-        };
-        let first_capacity = |steps: Vec<Vec<ScenarioEvent>>| -> Vec<ScenarioEvent> {
-            steps[0]
-                .iter()
-                .filter(|e| matches!(e, ScenarioEvent::Capacity(_)))
-                .copied()
-                .collect()
-        };
-        assert_eq!(first_capacity(run(coupled)), first_capacity(run(legacy)));
-    }
-
-    #[test]
-    fn validate_rejects_bad_difficulty_coupling() {
-        for bad in [-0.1, f64::NAN, f64::INFINITY] {
-            let s = Scenario::new("bad", base()).with_hazard(Hazard {
-                difficulty_coupling: bad,
-                ..Hazard::default()
-            });
-            assert!(
-                matches!(s.validate(8), Err(ScenarioError::InvalidHazard { .. })),
-                "difficulty_coupling {bad} should be rejected"
-            );
+            // The first step covers the half interval since the start, every
+            // later one a whole interval.
+            assert_eq!(p.dt * 2, interval);
+            let fleet = FleetHealth {
+                alive: 8,
+                failed: 0,
+                degraded: 0,
+            };
+            p.step(0.5, fleet);
+            assert_eq!(p.dt, interval);
+            p.step(0.5, fleet);
+            assert_eq!(p.dt, interval);
         }
     }
 

@@ -102,7 +102,6 @@ fn main() {
         fail_rate: 0.01,
         degrade_rate: 0.05,
         load_coupling: 6.0,
-        ..Hazard::default()
     });
     let original = run_scenario(&runtime, &system, &settings, &hazardous);
     println!(

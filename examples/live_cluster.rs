@@ -19,7 +19,6 @@ fn main() {
         min_qps: 4.0,
         max_qps: 18.0,
         duration: SimDuration::from_secs(120),
-        ..Default::default()
     })
     .expect("valid trace");
 

@@ -35,7 +35,6 @@ fn every_policy_serves_the_diurnal_trace() {
         min_qps: 4.0,
         max_qps: 24.0,
         duration: SimDuration::from_secs(120),
-        ..Default::default()
     })
     .unwrap();
     for policy in Policy::all() {
@@ -66,7 +65,6 @@ fn paper_orderings_hold_on_dynamic_trace() {
         min_qps: 4.0,
         max_qps: 28.0,
         duration: SimDuration::from_secs(200),
-        ..Default::default()
     })
     .unwrap();
     let run = |p: Policy| {

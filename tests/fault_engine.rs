@@ -100,10 +100,7 @@ fn hazard_incidents_record_and_replay_bit_exactly_on_sim() {
         seed: 7,
         fail_rate: 0.01,
         degrade_rate: 0.05,
-        recover_rate: 0.05,
-        restore_rate: 0.03,
         load_coupling: 6.0,
-        ..Hazard::default()
     });
     let original = run_scenario(runtime(), &sys, &settings, &scenario);
     assert!(
@@ -124,6 +121,70 @@ fn hazard_incidents_record_and_replay_bit_exactly_on_sim() {
     assert!(replayed.hazard().is_none());
     let replay = run_scenario(runtime(), &sys, &settings, &replayed);
     assert_reports_bit_identical(&original, &replay, "hazard replay");
+}
+
+/// The hazard is checked on the control clock, at the half-phase of each
+/// control interval, so any control interval keeps its checks off the ticks:
+/// a default hazard under a 1 s interval builds, and its incident log
+/// replays bit-exactly.
+#[test]
+fn hazard_on_a_one_second_control_clock_replays_bit_exactly() {
+    let sys = SystemConfig {
+        control_interval: SimDuration::from_secs(1),
+        ..system()
+    };
+    let settings = RunSettings::new(Policy::DiffServe, 8.0);
+    let scenario = Scenario::new("hazardous-1s", flat(7.0, 80)).with_hazard(Hazard::default());
+    let session = ServingSession::builder()
+        .runtime(runtime())
+        .config(sys.clone())
+        .settings(settings.clone())
+        .scenario(scenario.clone())
+        .build();
+    assert!(session.is_ok(), "{:?}", session.err());
+    let original = run_scenario(runtime(), &sys, &settings, &scenario);
+    assert!(
+        !original.incident_log.is_empty(),
+        "the default hazard must fire over this run"
+    );
+    let replay = run_scenario(
+        runtime(),
+        &sys,
+        &settings,
+        &scenario.replay(&original.incident_log),
+    );
+    assert_reports_bit_identical(&original, &replay, "1 s control clock replay");
+}
+
+/// The simulator fires every hazard-drawn incident at a check instant
+/// `(k + ½)·interval` of the session's control interval, including an
+/// interval whose half is not a whole second.
+#[test]
+fn hazard_incidents_fire_at_control_half_phases() {
+    let sys = SystemConfig {
+        control_interval: SimDuration::from_secs(3),
+        ..system()
+    };
+    let settings = RunSettings::new(Policy::DiffServe, 8.0);
+    let scenario = Scenario::new("hazardous-3s", flat(7.0, 60)).with_hazard(Hazard {
+        seed: 11,
+        fail_rate: 0.01,
+        degrade_rate: 0.05,
+        load_coupling: 6.0,
+    });
+    let report = run_scenario(runtime(), &sys, &settings, &scenario);
+    assert!(
+        !report.incident_log.is_empty(),
+        "seeded hazards must fire at these rates"
+    );
+    let interval = sys.control_interval.as_micros();
+    for incident in &report.incident_log {
+        assert_eq!(
+            incident.at.as_micros() % interval,
+            interval / 2,
+            "{incident:?} is off the control half-phase"
+        );
+    }
 }
 
 /// Incident replay also round-trips for purely scheduled fault timelines
@@ -172,7 +233,6 @@ proptest! {
             fail_rate,
             degrade_rate,
             load_coupling: coupling,
-            ..Hazard::default()
         });
         let original = run_scenario(runtime(), &sys, &settings, &scenario);
         let replay = run_scenario(
@@ -364,10 +424,7 @@ fn hazard_replay_stays_bit_exact_with_resume_enabled() {
         seed: 7,
         fail_rate: 0.01,
         degrade_rate: 0.05,
-        recover_rate: 0.05,
-        restore_rate: 0.03,
         load_coupling: 6.0,
-        ..Hazard::default()
     });
     let original = run_scenario(runtime(), &sys, &settings, &scenario);
     assert!(
@@ -574,7 +631,6 @@ fn cluster_hazard_incidents_record_and_replay() {
         fail_rate: 0.01,
         degrade_rate: 0.06,
         load_coupling: 6.0,
-        ..Hazard::default()
     });
     let original = run_cluster_scenario(runtime(), &cfg, &settings, &scenario);
     assert!(

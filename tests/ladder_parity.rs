@@ -223,7 +223,6 @@ fn milp_and_exhaustive_backends_serve_a_ladder_session_identically() {
         min_qps: 2.0,
         max_qps: 16.0,
         duration: SimDuration::from_secs(300),
-        ..Default::default()
     })
     .expect("valid trace");
     let run = |backend| {

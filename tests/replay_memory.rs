@@ -128,7 +128,6 @@ fn replay_child() {
         min_qps: size[0],
         max_qps: size[1],
         duration: SimDuration::from_secs(size[2] as u64),
-        ..Default::default()
     })
     .unwrap();
     let settings = RunSettings::new(Policy::DiffServe, trace.max_qps());
@@ -186,7 +185,6 @@ fn allocation_child() {
         min_qps: 60.0,
         max_qps: 500.0,
         duration: SimDuration::from_secs(500),
-        ..Default::default()
     })
     .unwrap();
     let mut session = ServingSession::builder()

@@ -269,7 +269,6 @@ fn milp_backend_serves_a_fleet_replay_like_exhaustive() {
         min_qps: 60.0,
         max_qps: 500.0,
         duration: SimDuration::from_secs(1200),
-        ..Default::default()
     })
     .expect("valid trace");
     let run = |backend| {
