@@ -12,7 +12,7 @@
 //! latencies (EfficientNet 10 ms, ResNet 2 ms, ViT 5 ms on A100).
 
 use diffserve_linalg::Mat;
-use diffserve_nn::{Adam, Mlp, TrainConfig};
+use diffserve_nn::{accuracy, Adam, Mlp, TrainConfig};
 use diffserve_simkit::rng::{derive_seed, seeded_rng};
 use diffserve_simkit::time::SimDuration;
 
@@ -160,7 +160,8 @@ impl Discriminator {
     ///
     /// # Panics
     ///
-    /// Panics if `config.train_prompts` is zero or exceeds the dataset size.
+    /// Panics if `config.train_prompts` is zero or exceeds the dataset size,
+    /// or if `config.epochs` is zero.
     pub fn train(
         dataset: &PromptDataset,
         light: &DiffusionModel,
@@ -171,6 +172,7 @@ impl Discriminator {
             config.train_prompts > 0,
             "need at least one training prompt"
         );
+        assert!(config.epochs > 0, "need at least one training epoch");
         assert!(
             config.train_prompts <= dataset.len(),
             "train_prompts {} exceeds dataset size {}",
@@ -227,7 +229,7 @@ impl Discriminator {
         let mut rng = seeded_rng(derive_seed(config.seed, 0xA11C));
         let mut classifier = Mlp::new(&widths, &mut rng);
         let mut opt = Adam::new(0.01);
-        let history = classifier.fit(
+        classifier.fit(
             &x,
             &labels,
             &mut opt,
@@ -238,7 +240,7 @@ impl Discriminator {
             },
             &mut rng,
         );
-        let train_accuracy = history.last().map(|h| h.accuracy).unwrap_or(0.0);
+        let train_accuracy = accuracy(&classifier.predict(&x), &labels);
 
         // Calibration set: raw scores of light-model outputs on the training
         // prompts (these are exactly the images the cascade will gate).
@@ -557,6 +559,53 @@ mod tests {
             }
         }
         assert_eq!(bits, RECORDED);
+    }
+
+    /// Every backbone's trained scorer, pinned bit for bit: FNV-1a over the
+    /// final training accuracy and the raw confidence of both cascade
+    /// members' renders of a fixed prompt slice. The training set (300 rows
+    /// for EfficientNet and ResNet, 46 for ViT's subsample) leaves a short
+    /// last batch, and the scored slice lies outside it.
+    #[test]
+    fn trained_scores_are_pinned_for_every_backbone() {
+        const PINNED: u64 = 0xf8ea_207d_1bec_8ff8;
+        const PRIME: u64 = 0x1000_0000_01b3;
+        let spec = FeatureSpec::default();
+        let dataset = PromptDataset::synthesize(DatasetKind::MsCoco, 200, 23, spec);
+        let (light, heavy) = (sd_turbo(spec), sd_v15(spec));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+            }
+        };
+        for arch in ARCHS {
+            let config = DiscriminatorConfig {
+                arch,
+                train_prompts: 150,
+                epochs: 4,
+                ..Default::default()
+            };
+            let disc = Discriminator::train(&dataset, &light, &heavy, config);
+            eat(disc.train_accuracy().to_bits());
+            for p in &dataset.prompts()[150..] {
+                for model in [&light, &heavy] {
+                    eat(disc.raw_confidence(&model.generate(p).features).to_bits());
+                }
+            }
+        }
+        assert_eq!(h, PINNED, "pinned {PINNED:#018x}, got {h:#018x}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one training epoch")]
+    fn zero_epochs_panics() {
+        let (dataset, light, heavy) = small_setup();
+        let cfg = DiscriminatorConfig {
+            epochs: 0,
+            ..quick_config()
+        };
+        let _ = Discriminator::train(&dataset, &light, &heavy, cfg);
     }
 
     #[test]

@@ -61,9 +61,32 @@ impl Dense {
         out
     }
 
+    /// One row of [`Dense::forward`] into `out` (one cell per output),
+    /// through ReLU if `relu`: accumulates in `Mat::matmul`'s order (input
+    /// index outer, output index inner, exact-zero inputs skipped), then
+    /// adds the bias, so each cell has the batched pass's bits.
+    pub(crate) fn forward_row(&self, x: &[f64], out: &mut [f64], relu: bool) {
+        out.fill(0.0);
+        for (&a, row) in x.iter().zip(self.w.as_slice().chunks_exact(out.len())) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &w) in out.iter_mut().zip(row) {
+                *o += a * w;
+            }
+        }
+        for (o, &b) in out.iter_mut().zip(&self.b) {
+            *o += b;
+            if relu {
+                *o = o.max(0.0);
+            }
+        }
+    }
+
     /// Backward pass. Given the upstream gradient `d_out` `(n × out)` and the
     /// cached forward input `x`, returns `(d_x, d_w, d_b)`.
-    pub fn backward(&self, x: &Mat, d_out: &Mat) -> (Mat, Mat, Vec<f64>) {
+    #[cfg(test)]
+    pub(crate) fn backward(&self, x: &Mat, d_out: &Mat) -> (Mat, Mat, Vec<f64>) {
         let d_x = d_out.matmul(&self.w.transpose());
         let d_w = x.transpose().matmul(d_out);
         let mut d_b = vec![0.0; self.outputs()];
@@ -97,6 +120,7 @@ pub(crate) fn relu(x: &Mat) -> Mat {
 }
 
 /// Gradient of ReLU given the forward *input* and upstream gradient.
+#[cfg(test)]
 pub(crate) fn relu_backward(input: &Mat, d_out: &Mat) -> Mat {
     Mat::from_fn(input.rows(), input.cols(), |i, j| {
         if input[(i, j)] > 0.0 {
@@ -109,24 +133,25 @@ pub(crate) fn relu_backward(input: &Mat, d_out: &Mat) -> Mat {
 
 /// Row-wise numerically-stable softmax.
 pub fn softmax(logits: &Mat) -> Mat {
-    let mut out = Mat::zeros(logits.rows(), logits.cols());
-    for i in 0..logits.rows() {
-        let row_max = logits
-            .row(i)
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for j in 0..logits.cols() {
-            let e = (logits[(i, j)] - row_max).exp();
-            out[(i, j)] = e;
-            sum += e;
-        }
-        for j in 0..logits.cols() {
-            out[(i, j)] /= sum;
-        }
+    let mut out = logits.clone();
+    for i in 0..out.rows() {
+        softmax_row(out.row_mut(i));
     }
     out
+}
+
+/// Softmax of one row of logits, in place: subtracts the row maximum,
+/// exponentiates, then divides by the sum accumulated in index order.
+pub(crate) fn softmax_row(row: &mut [f64]) {
+    let row_max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let mut sum = 0.0;
+    for p in row.iter_mut() {
+        *p = (*p - row_max).exp();
+        sum += *p;
+    }
+    for p in row.iter_mut() {
+        *p /= sum;
+    }
 }
 
 #[cfg(test)]

@@ -33,10 +33,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod layer;
+#[cfg(test)]
 mod loss;
 pub mod model;
 pub mod optim;
 
 pub use layer::{softmax, Dense};
-pub use model::{accuracy, auc, EpochStats, Mlp, TrainConfig};
+pub use model::{accuracy, auc, Mlp, TrainConfig};
 pub use optim::Adam;

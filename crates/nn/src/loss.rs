@@ -1,4 +1,6 @@
-//! Loss functions.
+//! Softmax cross-entropy in matrix form: the loss of the test-only
+//! matrix-form training step that `Mlp::fit`'s fused step is checked
+//! against.
 
 use diffserve_linalg::Mat;
 

@@ -4,8 +4,7 @@ use diffserve_linalg::Mat;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::layer::{relu, relu_backward, softmax, Dense};
-use crate::loss::softmax_cross_entropy;
+use crate::layer::{relu, softmax, softmax_row, Dense};
 use crate::optim::Adam;
 
 /// A feed-forward classifier: dense layers with ReLU between them and a
@@ -55,15 +54,6 @@ impl Default for TrainConfig {
             shuffle: true,
         }
     }
-}
-
-/// Per-epoch training record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochStats {
-    /// Mean training loss over the epoch's batches.
-    pub loss: f64,
-    /// Training accuracy measured after the epoch.
-    pub accuracy: f64,
 }
 
 impl Mlp {
@@ -148,35 +138,15 @@ impl Mlp {
         cur[..x.len()].copy_from_slice(x);
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let out = &mut next[..layer.outputs()];
-            out.fill(0.0);
-            let weights = layer.weights().as_slice().chunks_exact(out.len());
-            for (&a, row) in cur[..layer.inputs()].iter().zip(weights) {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &w) in out.iter_mut().zip(row) {
-                    *o += a * w;
-                }
-            }
-            for (o, &b) in out.iter_mut().zip(layer.biases()) {
-                *o += b;
-                if i < last {
-                    *o = o.max(0.0);
-                }
-            }
+            layer.forward_row(
+                &cur[..layer.inputs()],
+                &mut next[..layer.outputs()],
+                i < last,
+            );
             std::mem::swap(&mut cur, &mut next);
         }
         let probs = &mut cur[..self.layers[last].outputs()];
-        let row_max = probs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for p in probs.iter_mut() {
-            *p = (*p - row_max).exp();
-            sum += *p;
-        }
-        for p in probs.iter_mut() {
-            *p /= sum;
-        }
+        softmax_row(probs);
         probs
     }
 
@@ -195,13 +165,179 @@ impl Mlp {
             .collect()
     }
 
-    /// One forward+backward pass on a batch, applying the optimizer.
-    /// Returns the batch loss.
+    /// Trains for `config.epochs` passes and returns each epoch's mean
+    /// batch loss.
+    ///
+    /// Each mini-batch is one fused step over buffers allocated once per
+    /// call: the batch's rows are read from `x` by index, the hidden
+    /// activations, the logit gradient and the weight gradients land in
+    /// those buffers, and nothing is built per batch. Every product keeps
+    /// `Mat::matmul`'s order for each element (inner index ascending,
+    /// exact-zero left operands skipped, bias added after the sum), so the
+    /// weights come out bit-identical to the matrix-form step: forward,
+    /// `(softmax − onehot)·(1/n)`, `d_W = xᵀ·d`, and `d_x = d·Wᵀ` from a
+    /// transposed copy of `W` taken before the Adam update.
     ///
     /// # Panics
     ///
-    /// Panics if shapes or labels are inconsistent.
-    pub fn train_batch(&mut self, x: &Mat, labels: &[usize], optimizer: &mut Adam) -> f64 {
+    /// Panics if `labels.len()` differs from the number of rows of `x`, `x`
+    /// does not match the input width, a label is out of range, or the
+    /// batch size is zero.
+    pub fn fit<R: Rng + ?Sized>(
+        &mut self,
+        x: &Mat,
+        labels: &[usize],
+        optimizer: &mut Adam,
+        config: &TrainConfig,
+        rng: &mut R,
+    ) -> Vec<f64> {
+        assert_eq!(x.rows(), labels.len(), "one label per sample required");
+        assert_eq!(x.cols(), self.layers[0].inputs(), "input width mismatch");
+        assert!(config.batch_size > 0, "batch size must be positive");
+        let classes = self.layers[self.layers.len() - 1].outputs();
+        for &label in labels {
+            assert!(label < classes, "label {label} out of range");
+        }
+        let n = x.rows();
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut buffers = TrainBuffers::new(self, config.batch_size.min(n));
+        let mut losses = Vec::with_capacity(config.epochs);
+        for _ in 0..config.epochs {
+            if config.shuffle {
+                order.shuffle(rng);
+            }
+            let mut loss_sum = 0.0;
+            let mut batches = 0usize;
+            for chunk in order.chunks(config.batch_size) {
+                loss_sum += self.train_step(x, labels, chunk, &mut buffers, optimizer);
+                batches += 1;
+            }
+            losses.push(loss_sum / batches.max(1) as f64);
+        }
+        losses
+    }
+
+    /// One forward+backward pass over the rows `rows` of `x`, applying the
+    /// optimizer (two slots per layer: weights, then biases). Returns the
+    /// batch loss.
+    fn train_step(
+        &mut self,
+        x: &Mat,
+        labels: &[usize],
+        rows: &[usize],
+        buf: &mut TrainBuffers,
+        optimizer: &mut Adam,
+    ) -> f64 {
+        let n = rows.len();
+        let last = self.layers.len() - 1;
+
+        // Forward: hidden activations (after ReLU) into `acts`, logits into
+        // `grad`.
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = buf.acts.split_at_mut(l);
+            let out = if l < last {
+                &mut rest[0]
+            } else {
+                &mut buf.grad
+            };
+            for (r, out_row) in out.chunks_exact_mut(layer.outputs()).take(n).enumerate() {
+                let input = layer_input(x, rows, done, l, layer.inputs(), r);
+                layer.forward_row(input, out_row, l < last);
+            }
+        }
+
+        // Loss, and its gradient `(softmax − onehot)·(1/n)` over the logits
+        // in place.
+        let scale = 1.0 / n as f64;
+        let mut loss = 0.0;
+        let classes = self.layers[last].outputs();
+        for (g, &row) in buf.grad.chunks_exact_mut(classes).zip(rows) {
+            softmax_row(g);
+            let label = labels[row];
+            // Clamp for numerical safety; softmax never returns exact zero
+            // but denormals can round down.
+            loss -= g[label].max(1e-300).ln();
+            g[label] -= 1.0;
+            for v in g.iter_mut() {
+                *v *= scale;
+            }
+        }
+
+        // Backward: `grad` holds the gradient of layer `l`'s output.
+        for l in (0..=last).rev() {
+            let (inputs, outputs) = (self.layers[l].inputs(), self.layers[l].outputs());
+            let d = &buf.grad[..n * outputs];
+            let d_w = &mut buf.d_w[..inputs * outputs];
+            let d_b = &mut buf.d_b[..outputs];
+            d_w.fill(0.0);
+            d_b.fill(0.0);
+            for (r, d_row) in d.chunks_exact(outputs).enumerate() {
+                let input = layer_input(x, rows, &buf.acts, l, inputs, r);
+                for (&a, dw_row) in input.iter().zip(d_w.chunks_exact_mut(outputs)) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (w, &g) in dw_row.iter_mut().zip(d_row) {
+                        *w += a * g;
+                    }
+                }
+                for (b, &g) in d_b.iter_mut().zip(d_row) {
+                    *b += g;
+                }
+            }
+            // Layer 0's input gradient is never needed.
+            if l > 0 {
+                let w_t = &mut buf.w_t[..inputs * outputs];
+                for (k, w_row) in self.layers[l]
+                    .weights()
+                    .as_slice()
+                    .chunks_exact(outputs)
+                    .enumerate()
+                {
+                    for (j, &w) in w_row.iter().enumerate() {
+                        w_t[j * inputs + k] = w;
+                    }
+                }
+                let d_x = &mut buf.d_x[..n * inputs];
+                d_x.fill(0.0);
+                let below = buf.acts[l - 1].chunks_exact(inputs);
+                for ((dx_row, d_row), act_row) in d_x
+                    .chunks_exact_mut(inputs)
+                    .zip(d.chunks_exact(outputs))
+                    .zip(below)
+                {
+                    for (&a, wt_row) in d_row.iter().zip(w_t.chunks_exact(inputs)) {
+                        if a == 0.0 {
+                            continue;
+                        }
+                        for (v, &w) in dx_row.iter_mut().zip(wt_row) {
+                            *v += a * w;
+                        }
+                    }
+                    // ReLU's gradient: the activation is positive exactly
+                    // where its pre-activation was.
+                    for (v, &h) in dx_row.iter_mut().zip(act_row) {
+                        *v = if h > 0.0 { *v } else { 0.0 };
+                    }
+                }
+            }
+            let (w, b) = self.layers[l].params_mut();
+            optimizer.update(2 * l, w.as_mut_slice(), d_w);
+            optimizer.update(2 * l + 1, b, d_b);
+            if l > 0 {
+                std::mem::swap(&mut buf.grad, &mut buf.d_x);
+            }
+        }
+        loss * scale
+    }
+
+    /// One forward+backward pass on a batch in matrix form, applying the
+    /// optimizer: the oracle the fused step is checked against. Returns the
+    /// batch loss.
+    #[cfg(test)]
+    fn train_batch(&mut self, x: &Mat, labels: &[usize], optimizer: &mut Adam) -> f64 {
+        use crate::layer::relu_backward;
+        use crate::loss::softmax_cross_entropy;
         // Forward, caching layer inputs (post-activation) and pre-activations.
         let mut inputs: Vec<Mat> = Vec::with_capacity(self.layers.len());
         let mut pre_acts: Vec<Mat> = Vec::with_capacity(self.layers.len());
@@ -231,45 +367,57 @@ impl Mlp {
         }
         loss
     }
+}
 
-    /// Trains for `config.epochs` passes and returns per-epoch stats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels.len()` differs from the number of rows of `x` or
-    /// the batch size is zero.
-    pub fn fit<R: Rng + ?Sized>(
-        &mut self,
-        x: &Mat,
-        labels: &[usize],
-        optimizer: &mut Adam,
-        config: &TrainConfig,
-        rng: &mut R,
-    ) -> Vec<EpochStats> {
-        assert_eq!(x.rows(), labels.len(), "one label per sample required");
-        assert!(config.batch_size > 0, "batch size must be positive");
-        let n = x.rows();
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut history = Vec::with_capacity(config.epochs);
+/// Row `r` of layer `l`'s input within a batch: row `rows[r]` of the data
+/// for the first layer, else row `r` of the activations below (`width`
+/// cells per row).
+fn layer_input<'a>(
+    x: &'a Mat,
+    rows: &[usize],
+    acts: &'a [Vec<f64>],
+    l: usize,
+    width: usize,
+    r: usize,
+) -> &'a [f64] {
+    match l {
+        0 => x.row(rows[r]),
+        _ => &acts[l - 1][r * width..(r + 1) * width],
+    }
+}
 
-        for _ in 0..config.epochs {
-            if config.shuffle {
-                order.shuffle(rng);
-            }
-            let mut loss_sum = 0.0;
-            let mut batches = 0usize;
-            for chunk in order.chunks(config.batch_size) {
-                let bx = Mat::from_fn(chunk.len(), x.cols(), |i, j| x[(chunk[i], j)]);
-                let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-                loss_sum += self.train_batch(&bx, &by, optimizer);
-                batches += 1;
-            }
-            history.push(EpochStats {
-                loss: loss_sum / batches.max(1) as f64,
-                accuracy: accuracy(&self.predict(x), labels),
-            });
+/// The buffers of [`Mlp::fit`]'s training step, sized for one batch.
+struct TrainBuffers {
+    /// Each hidden layer's activations, `batch × outputs`.
+    acts: Vec<Vec<f64>>,
+    /// The gradient of the current layer's output: the logits' first.
+    grad: Vec<f64>,
+    /// The gradient of the current layer's input.
+    d_x: Vec<f64>,
+    /// The current layer's weight gradient.
+    d_w: Vec<f64>,
+    /// The current layer's bias gradient.
+    d_b: Vec<f64>,
+    /// The current layer's weights, transposed.
+    w_t: Vec<f64>,
+}
+
+impl TrainBuffers {
+    fn new(mlp: &Mlp, batch: usize) -> Self {
+        let (hidden, _) = mlp.layers.split_at(mlp.layers.len() - 1);
+        let weights = mlp.layers.iter().map(|l| l.inputs() * l.outputs()).max();
+        let weights = weights.expect("an MLP has at least one layer");
+        TrainBuffers {
+            acts: hidden
+                .iter()
+                .map(|l| vec![0.0; batch * l.outputs()])
+                .collect(),
+            grad: vec![0.0; batch * mlp.max_width()],
+            d_x: vec![0.0; batch * mlp.max_width()],
+            d_w: vec![0.0; weights],
+            d_b: vec![0.0; mlp.max_width()],
+            w_t: vec![0.0; weights],
         }
-        history
     }
 }
 
@@ -358,7 +506,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let mut model = Mlp::new(&[2, 16, 2], &mut rng);
         let mut opt = Adam::new(0.02);
-        let history = model.fit(
+        let losses = model.fit(
             &x,
             &y,
             &mut opt,
@@ -369,10 +517,11 @@ mod tests {
             },
             &mut rng,
         );
-        let final_acc = history.last().unwrap().accuracy;
+        let final_acc = accuracy(&model.predict(&x), &y);
         assert!(final_acc > 0.98, "accuracy={final_acc}");
         // Loss should broadly decrease.
-        assert!(history.last().unwrap().loss < history[0].loss);
+        assert_eq!(losses.len(), 40);
+        assert!(losses[39] < losses[0]);
     }
 
     #[test]
@@ -449,6 +598,91 @@ mod tests {
             for (g, w) in got.iter().zip(want.row(0)) {
                 proptest::prop_assert_eq!(g.to_bits(), w.to_bits());
             }
+        }
+    }
+
+    /// `fit` in matrix form, as it ran before the fused step: each batch is
+    /// gathered into a fresh `Mat` and trained by [`Mlp::train_batch`].
+    fn fit_matrix_form(
+        model: &mut Mlp,
+        x: &Mat,
+        labels: &[usize],
+        optimizer: &mut Adam,
+        config: &TrainConfig,
+        rng: &mut rand::rngs::StdRng,
+    ) -> Vec<f64> {
+        let mut order: Vec<usize> = (0..x.rows()).collect();
+        let mut losses = Vec::new();
+        for _ in 0..config.epochs {
+            if config.shuffle {
+                order.shuffle(rng);
+            }
+            let mut loss_sum = 0.0;
+            let mut batches = 0usize;
+            for chunk in order.chunks(config.batch_size) {
+                let bx = Mat::from_fn(chunk.len(), x.cols(), |i, j| x[(chunk[i], j)]);
+                let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
+                loss_sum += model.train_batch(&bx, &by, optimizer);
+                batches += 1;
+            }
+            losses.push(loss_sum / batches.max(1) as f64);
+        }
+        losses
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The fused training step is the matrix-form step, bit for bit:
+        /// every epoch's loss, every weight and bias, and the accuracy the
+        /// trained model scores, over several shuffled epochs. Layer stacks include 1-wide hidden layers
+        /// and heads of 2 to 4 classes; batch sizes leave a short last
+        /// chunk; inputs carry exact zeros of both signs.
+        #[test]
+        fn fused_fit_matches_the_matrix_form_bitwise(
+            inputs in 1usize..9,
+            hidden in proptest::collection::vec(1usize..12, 0..3),
+            classes in 2usize..5,
+            n in 1usize..48,
+            batch_size in 1usize..20,
+            epochs in 1usize..4,
+            zero_stride in 1usize..5,
+            seed in 0u64..100_000,
+        ) {
+            use rand::Rng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut widths = vec![inputs];
+            widths.extend(&hidden);
+            widths.push(classes);
+            let model = Mlp::new(&widths, &mut rng);
+            let cells: Vec<f64> = (0..n * inputs)
+                .map(|i| match i % (zero_stride + 2) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-3.0..3.0),
+                })
+                .collect();
+            let x = Mat::from_fn(n, inputs, |i, j| cells[i * inputs + j]);
+            let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..classes)).collect();
+            let config = TrainConfig { epochs, batch_size, shuffle: true };
+
+            let (mut fused, mut oracle) = (model.clone(), model);
+            let (mut fused_opt, mut oracle_opt) = (Adam::new(0.05), Adam::new(0.05));
+            let mut fused_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED);
+            let mut oracle_rng = fused_rng.clone();
+            let got = fused.fit(&x, &labels, &mut fused_opt, &config, &mut fused_rng);
+            let want = fit_matrix_form(&mut oracle, &x, &labels, &mut oracle_opt, &config, &mut oracle_rng);
+
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            for (f, o) in fused.layers.iter().zip(&oracle.layers) {
+                proptest::prop_assert_eq!(bits(f.weights().as_slice()), bits(o.weights().as_slice()));
+                proptest::prop_assert_eq!(bits(f.biases()), bits(o.biases()));
+            }
+            proptest::prop_assert_eq!(
+                accuracy(&fused.predict(&x), &labels).to_bits(),
+                accuracy(&oracle.predict(&x), &labels).to_bits()
+            );
         }
     }
 

@@ -1,7 +1,5 @@
 //! The Adam optimizer.
 
-use std::collections::HashMap;
-
 /// Adam's standard moment decay rates and denominator guard.
 const BETA1: f64 = 0.9;
 const BETA2: f64 = 0.999;
@@ -11,14 +9,16 @@ const EPS: f64 = 1e-8;
 /// parameter slices.
 ///
 /// Parameters are identified by a caller-assigned `slot` so that each one
-/// keeps its own moment buffers.
+/// keeps its own moment buffers. Slots are meant to be dense (`0..k`):
+/// they index a vector.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
-    state: HashMap<usize, AdamSlot>,
+    slots: Vec<AdamSlot>,
 }
 
-#[derive(Debug, Clone)]
+/// One parameter's moment estimates; `t == 0` until its first update.
+#[derive(Debug, Clone, Default)]
 struct AdamSlot {
     m: Vec<f64>,
     v: Vec<f64>,
@@ -36,7 +36,7 @@ impl Adam {
         assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
         Adam {
             lr,
-            state: HashMap::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -48,21 +48,24 @@ impl Adam {
     /// size between calls.
     pub fn update(&mut self, slot: usize, param: &mut [f64], grad: &[f64]) {
         assert_eq!(param.len(), grad.len(), "param/grad length mismatch");
-        let s = self.state.entry(slot).or_insert_with(|| AdamSlot {
-            m: vec![0.0; param.len()],
-            v: vec![0.0; param.len()],
-            t: 0,
-        });
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, AdamSlot::default);
+        }
+        let s = &mut self.slots[slot];
+        if s.t == 0 {
+            s.m = vec![0.0; param.len()];
+            s.v = vec![0.0; param.len()];
+        }
         assert_eq!(s.m.len(), param.len(), "slot {slot} changed size");
         s.t += 1;
         let bc1 = 1.0 - BETA1.powi(s.t as i32);
         let bc2 = 1.0 - BETA2.powi(s.t as i32);
-        for i in 0..param.len() {
-            s.m[i] = BETA1 * s.m[i] + (1.0 - BETA1) * grad[i];
-            s.v[i] = BETA2 * s.v[i] + (1.0 - BETA2) * grad[i] * grad[i];
-            let m_hat = s.m[i] / bc1;
-            let v_hat = s.v[i] / bc2;
-            param[i] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
+        for (((p, &g), m), v) in param.iter_mut().zip(grad).zip(&mut s.m).zip(&mut s.v) {
+            *m = BETA1 * *m + (1.0 - BETA1) * g;
+            *v = BETA2 * *v + (1.0 - BETA2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= self.lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
 }

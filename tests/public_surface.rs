@@ -39,7 +39,6 @@ const KEPT_PUBLIC: &[(&str, &str)] = &[
     ("LpSolution", "milp: `solve_lp` returns one"),
     ("MilpSolution", "milp: `solve_milp` returns one"),
     ("Tableau", "milp: `LpSolver::solution` takes one"),
-    ("EpochStats", "nn: `Mlp::fit` returns them"),
 ];
 
 fn repo_root() -> PathBuf {
