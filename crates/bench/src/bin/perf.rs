@@ -69,7 +69,7 @@ use std::time::Instant;
 
 use criterion::{black_box, Criterion};
 use diffserve_bench::{f2, CascadeId, Scale, Table, EXPERIMENT_SEED};
-use diffserve_cluster::{run_cluster, ClusterConfig};
+use diffserve_cluster::run_cluster;
 use diffserve_core::{
     run_scenario, run_trace, solve_ladder, solve_milp_allocation, solve_milp_allocation_warm,
     AddonsConfig, AllocWarmState, AllocatorInputs, CascadeRuntime, LadderConfig, LadderInputs,
@@ -561,10 +561,6 @@ fn cluster_replay(
         ..Default::default()
     };
     mode.apply(&mut system);
-    let cfg = ClusterConfig {
-        system,
-        time_scale: 0.02,
-    };
     let trace = synthesize_azure_trace(&AzureTraceConfig {
         min_qps: 4.0,
         max_qps: 14.0,
@@ -573,7 +569,7 @@ fn cluster_replay(
     .expect("valid azure trace");
     let settings = RunSettings::new(Policy::DiffServe, trace.max_qps());
     let start = Instant::now();
-    let report = run_cluster(runtime, &cfg, &settings, &trace);
+    let report = run_cluster(runtime, &system, &settings, &trace, 0.02);
     let wall = start.elapsed().as_secs_f64();
     let queries: u64 = report.tier_breakdown.iter().map(|s| s.completions).sum();
     println!("{id:<55} wall {wall:.3} s ({queries} completions)");

@@ -17,7 +17,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use diffserve_bench::{f2, f3, CascadeId, Scale, Table, EXPERIMENT_SEED};
-use diffserve_cluster::{run_cluster, ClusterConfig};
+use diffserve_cluster::run_cluster;
 use diffserve_core::{
     run_scenario, run_trace, AblationKnobs, AddonsConfig, AllocatorBackend, CascadeRuntime,
     LadderConfig, Policy, RunReport, RunSettings, SystemConfig,
@@ -190,6 +190,10 @@ fn azure(scale: Scale, min_qps: f64, max_qps: f64) -> Trace {
     })
     .expect("valid trace")
 }
+
+/// Wall-clock seconds per simulated second on the testbed runs (`fig6`,
+/// `fig8`).
+const TESTBED_TIME_SCALE: f64 = 0.05;
 
 /// The per-run columns of the diurnal-trace experiments (Figs. 5 and 8).
 const DIURNAL_SUMMARY: [&str; 5] = [
@@ -591,14 +595,10 @@ fn fig6(scale: Scale) -> Outcome {
             ..Default::default()
         };
         let trace = azure(scale, min_qps, max_qps);
-        let cluster_cfg = ClusterConfig {
-            system: system.clone(),
-            time_scale: 0.05,
-        };
         let (mut fid_gap_sum, mut viol_gap_sum) = (0.0, 0.0);
         for policy in Policy::all() {
             let settings = RunSettings::new(policy, max_qps);
-            let testbed = run_cluster(&runtime, &cluster_cfg, &settings, &trace);
+            let testbed = run_cluster(&runtime, &system, &settings, &trace, TESTBED_TIME_SCALE);
             let sim = run_trace(&runtime, &system, &settings, &trace);
             let fid_gap = 100.0 * (testbed.fid - sim.fid).abs() / sim.fid;
             let viol_gap = (testbed.violation_ratio - sim.violation_ratio).abs();
@@ -714,10 +714,6 @@ fn fig7(scale: Scale) -> Outcome {
 fn fig8(scale: Scale) -> Outcome {
     let runtime = scale.runtime(CascadeId::One);
     let config = SystemConfig::default();
-    let cluster_cfg = ClusterConfig {
-        system: config.clone(),
-        time_scale: 0.05,
-    };
     let trace = azure(scale, 4.0, 32.0);
     let duration = trace.duration().as_secs_f64();
     let mut t = Table::new(&[&["engine", "variant"], &DIURNAL_SUMMARY[..]].concat());
@@ -737,7 +733,7 @@ fn fig8(scale: Scale) -> Outcome {
             ("sim", run_trace(&runtime, &config, &settings, &trace)),
             (
                 "cluster",
-                run_cluster(&runtime, &cluster_cfg, &settings, &trace),
+                run_cluster(&runtime, &config, &settings, &trace, TESTBED_TIME_SCALE),
             ),
         ] {
             t.row(

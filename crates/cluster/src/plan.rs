@@ -1,6 +1,7 @@
 //! The shared serving plan updated by the controller and read by workers.
 
 use diffserve_core::kernel::worker_targets;
+use diffserve_core::LadderAllocation;
 
 /// A snapshot of the controller's decisions: worker tier assignments,
 /// per-tier batch sizes, and the per-boundary cascade thresholds. Workers
@@ -105,6 +106,17 @@ impl ServingPlan {
         excluded: &[bool],
     ) {
         self.retarget_ladder_masked(&[light_workers, heavy_workers], excluded);
+    }
+
+    /// Takes over a control plan: tier reassignment over the workers not
+    /// `excluded` (fail-stopped, so no tier lands on a dead slot), batch
+    /// sizes, the per-boundary thresholds (Proteus's heavy fraction in the
+    /// first) and the bypass suspension under the overload fallback.
+    pub(crate) fn adopt(&mut self, plan: &LadderAllocation, excluded: &[bool]) {
+        self.retarget_ladder_masked(&plan.workers, excluded);
+        self.batches = plan.batches.iter().map(|&b| b.max(1)).collect();
+        self.thresholds.clone_from(&plan.thresholds);
+        self.bypass_suspended = !plan.feasible;
     }
 
     /// Re-derives tier assignments from per-tier target counts over the

@@ -4,7 +4,8 @@
 //! controller, load balancer, and workers are separate processes talking
 //! over gRPC (§4.1). This module reproduces that architecture at
 //! thread-and-channel scale: worker threads batch and "execute" queries by
-//! sleeping the profiled latency (scaled by [`ClusterConfig::time_scale`]),
+//! sleeping the profiled latency (scaled by the session's time scale, the
+//! wall-clock seconds per simulated second),
 //! escalations travel over channels, and one clock thread fires what the
 //! simulator's event queue schedules: the scenario's incidents, the hazard
 //! checks and the control ticks that re-solve the allocation, each at its
@@ -15,7 +16,8 @@
 //! Threads, sleeps and channels are all this engine owns: what a batch
 //! costs, where a job routes, whether an output escalates and what the
 //! controller is told are calls into `diffserve_core::kernel`, the same
-//! functions the simulator calls.
+//! functions the simulator calls; the bootstrap plan, the drain period
+//! and the report's horizon cut are the core's too.
 //!
 //! The testbed is the second engine behind the unified session API:
 //! [`ClusterBackend`] implements [`ServingBackend`], and
@@ -38,7 +40,7 @@ use diffserve_core::serve::{
 };
 use diffserve_core::{
     AddonStats, CascadeRuntime, CompletedResponse, ConfigError, ControlDirective, ControlLoop,
-    ModuleCache, PlanActuator, Policy, QueryId, RunReport, RunSettings, SystemConfig,
+    ModuleCache, QueryId, RunReport, RunSettings, SystemConfig,
 };
 use diffserve_imagegen::{OnlinePredictiveRouter, Prompt, StageState};
 use diffserve_metrics::WindowedSeries;
@@ -50,25 +52,6 @@ use diffserve_trace::{
 use parking_lot::{Mutex, RwLock};
 
 use crate::plan::ServingPlan;
-
-/// Cluster-runtime configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterConfig {
-    /// The shared system configuration (workers, SLO, controller settings).
-    pub system: SystemConfig,
-    /// Wall-clock seconds per simulated second. `0.02` runs a 350 s trace
-    /// in 7 s while keeping all latency ratios intact.
-    pub time_scale: f64,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            system: SystemConfig::default(),
-            time_scale: 0.02,
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 struct Job {
@@ -114,6 +97,9 @@ struct Shared {
     /// Busy flags (executing a batch or loading a model), one per worker —
     /// feeds the per-tier utilization in [`SessionSnapshot`].
     busy: Vec<AtomicBool>,
+    /// Members of the batch each worker is executing (0 between batches)
+    /// — the in-service half of the kernel's routing load.
+    in_service: Vec<AtomicUsize>,
     /// Per-worker health speed factor (f64 bits; 1.0 = nameplate). Workers
     /// read their own factor at every batch and sleep-scale execution by
     /// its reciprocal, so a degraded worker serves proportionally slower.
@@ -289,25 +275,26 @@ impl Shared {
     }
 
     /// Health-weighted JSQ among alive workers currently assigned to
-    /// `tier`, by the kernel's routing score: channel depth plus the batch
-    /// in service (the busy flag — depths are decremented when a worker
-    /// pulls a job into a batch, so without it a mid-execution straggler
-    /// scores zero), weighted by the worker's slowdown, plus the add-on
-    /// miss penalty where the worker's cache lacks the job's module. The
-    /// first-minimum pick keeps the lowest index on ties. With no alive
-    /// worker on that tier (mid-reconfiguration, or wiped out by churn) it
-    /// falls back to the best alive worker; scenario validation guarantees
-    /// one exists.
+    /// `tier`, by the kernel's routing score: channel depth plus the
+    /// members of the batch in service, weighted by the worker's slowdown,
+    /// plus the add-on miss penalty where the worker's cache lacks the
+    /// job's module. The first-minimum pick keeps the lowest index on ties.
+    /// With no alive worker on that tier (mid-reconfiguration, or wiped out
+    /// by churn) it falls back to the best alive worker; scenario
+    /// validation guarantees one exists.
     fn route(&self, kernel: &Kernel<'_>, tier: usize, addon: Option<usize>) -> usize {
         let penalty = kernel.miss_penalty(tier, addon);
         let score = |i: usize| {
-            let load = self.depths[i].load(Ordering::Relaxed)
-                + usize::from(self.busy[i].load(Ordering::Relaxed));
+            let load = kernel.routing_load(
+                self.depths[i].load(Ordering::Relaxed),
+                self.in_service[i].load(Ordering::Relaxed),
+                self.slowdown(i),
+            );
             let miss = match penalty {
                 Some((id, p)) if !self.module_caches[i].lock().contains(id) => p,
                 _ => 0.0,
             };
-            (i, kernel.routing_load(load, self.slowdown(i)) + miss)
+            (i, load + miss)
         };
         let plan = self.plan.read();
         let alive = || (0..self.depths.len()).filter(|&i| !self.is_failed(i));
@@ -316,17 +303,16 @@ impl Shared {
             .expect("at least one worker must be alive")
     }
 
-    /// Routes `job` to a worker of `tier` and hands it over.
-    fn forward(
-        &self,
-        kernel: &Kernel<'_>,
-        txs: &[Sender<Job>],
-        tier: usize,
-        job: Job,
-    ) -> Result<(), crossbeam::channel::SendError<Job>> {
+    /// Routes `job` to a worker of `tier` and hands it over. The send
+    /// fails only once the target's thread has exited; the job is then
+    /// lost, its depth count is taken back, and the session's finish
+    /// accounts it as a drop.
+    fn forward(&self, kernel: &Kernel<'_>, txs: &[Sender<Job>], tier: usize, job: Job) {
         let target = self.route(kernel, tier, job.addon);
         self.depths[target].fetch_add(1, Ordering::Relaxed);
-        txs[target].send(job)
+        if txs[target].send(job).is_err() {
+            self.depths[target].fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -397,27 +383,17 @@ impl<'a> ClusterBackend<'a> {
         let settings = spec.settings.clone();
         let runtime = spec.runtime;
         let n = sys.num_workers;
-        let effective_trace = spec.scenario.as_ref().map(|s| s.effective_trace());
         let kernel = Kernel::new(runtime, &sys, &settings);
         let nt = kernel.num_tiers();
 
-        // Bootstrap through the shared control plane. Static provisioning
-        // anticipates the larger of the caller's peak hint and the known
-        // trace maximum, with the over-provisioning headroom applied.
+        // Bootstrap through the shared control plane, as the simulator does.
         let mut control = spec.control_loop();
-        let anticipated = settings
-            .peak_demand_hint
-            .max(effective_trace.as_ref().map(Trace::max_qps).unwrap_or(0.0));
-        let peak_demand = match settings.policy {
-            Policy::DiffServeStatic => anticipated * sys.over_provision,
-            _ => settings.peak_demand_hint,
-        };
         let mut plan = ServingPlan::bootstrap_tiers(n, nt);
-        ClusterActuator {
-            plan: &mut plan,
-            excluded: &[],
+        if let ControlDirective::Apply { plan: bootstrap } =
+            control.bootstrap(settings.peak_demand_hint)
+        {
+            plan.adopt(&bootstrap, &[]);
         }
-        .actuate(&control.bootstrap(peak_demand));
         let control = Arc::new(Mutex::new(control));
 
         let router = kernel.new_router();
@@ -430,6 +406,7 @@ impl<'a> ClusterBackend<'a> {
             scale: time_scale,
             failed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             busy: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            in_service: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             speed_bits: (0..n).map(|_| AtomicU64::new(1.0f64.to_bits())).collect(),
             threshold_track: Mutex::new(WindowedSeries::new(METRICS_WINDOW)),
             incident_log: Mutex::new(Vec::new()),
@@ -556,20 +533,17 @@ impl ServingBackend for ClusterBackend<'_> {
         self.demand_track
             .push(SimTime::from_secs_f64(at.max(0.0)), 1.0);
         let qid = self.submitted;
-        // Proteus's heavy routing fraction rides in the first threshold
-        // slot. The router's prediction sees the same (difficulty-shifted)
-        // prompt the tiers will serve.
-        let (heavy_fraction, bypass_suspended) = {
-            let plan = self.shared.plan.read();
-            (plan.thresholds[0], plan.bypass_suspended)
-        };
+        // The router's prediction sees the same (difficulty-shifted)
+        // prompt the tiers will serve. The router lock is taken before the
+        // plan's, the order the workers take them in.
         let (tier, deep_demand) = {
             let router = self.shared.router.as_ref().map(|r| r.lock());
+            let plan = self.shared.plan.read();
             self.kernel.entry_tier(
-                heavy_fraction,
+                &plan.thresholds,
                 &mut self.route_rng,
                 router.as_deref(),
-                bypass_suspended,
+                plan.bypass_suspended,
                 || {
                     self.kernel
                         .served_prompt(qid, spec.prompt, self.shared.difficulty_delta())
@@ -591,9 +565,7 @@ impl ServingBackend for ClusterBackend<'_> {
             resume: spec.resume_from,
             addon: spec.addon,
         };
-        self.shared
-            .forward(&self.kernel, &self.job_txs, tier, job)
-            .expect("worker channels outlive the session");
+        self.shared.forward(&self.kernel, &self.job_txs, tier, job);
         QueryTicket {
             id: QueryId(qid),
             arrival: now,
@@ -652,33 +624,16 @@ impl ServingBackend for ClusterBackend<'_> {
         for _ in self.ledger.slo().total()..total {
             self.ledger.drop_lost(self.shared.now());
         }
-        let h = horizon.as_secs_f64();
         RunReport::assemble(
             self.settings.policy,
             total,
             &self.ledger,
-            self.demand_track
-                .window_rates()
-                .into_iter()
-                .map(|(t, v)| (t.as_secs_f64(), v))
-                .collect(),
+            horizon,
+            &self.demand_track,
             // The clock thread pushed its threshold decision every control
-            // tick; windows during the post-horizon drain are
-            // artifacts and truncated, like the simulator's assembly.
-            self.shared
-                .threshold_track
-                .lock()
-                .window_means()
-                .into_iter()
-                .map(|(t, v)| (t.as_secs_f64(), v))
-                .filter(|&(t, _)| t < h)
-                .collect(),
-            self.control
-                .lock()
-                .take_deferral_error_series()
-                .into_iter()
-                .filter(|&(t, _)| t < h)
-                .collect(),
+            // tick, as the simulator does.
+            &self.shared.threshold_track.lock(),
+            self.control.lock().take_deferral_error_series(),
             std::mem::take(&mut *self.shared.incident_log.lock()),
             *self.shared.addon_stats.lock(),
         )
@@ -727,26 +682,29 @@ impl<'a> ClusterSessionExt<'a> for SessionBuilder<'a> {
 /// Runs one policy on the thread-based cluster and reports the same
 /// metrics as the simulator.
 ///
-/// Supports every policy in Table 1. The run blocks the calling thread for
-/// roughly `trace.duration × time_scale` wall-clock time plus a drain
-/// period. Equivalent to [`run_cluster_scenario`] with a perturbation-free
-/// scenario, and — like it — a thin wrapper over a testbed-backed
-/// [`ServingSession`].
+/// Supports every policy in Table 1. `time_scale` is the wall-clock seconds
+/// per simulated second (`0.02` runs a 350 s trace in 7 s with every
+/// latency ratio intact), so the run blocks the calling thread for roughly
+/// `trace.duration × time_scale` plus a drain period. Equivalent to
+/// [`run_cluster_scenario`] with a perturbation-free scenario, and — like
+/// it — a thin wrapper over a testbed-backed [`ServingSession`].
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid or `time_scale` is not positive.
 pub fn run_cluster(
     runtime: &CascadeRuntime,
-    config: &ClusterConfig,
+    config: &SystemConfig,
     settings: &RunSettings,
     trace: &Trace,
+    time_scale: f64,
 ) -> RunReport {
     run_cluster_scenario(
         runtime,
         config,
         settings,
         &Scenario::new("trace", trace.clone()),
+        time_scale,
     )
 }
 
@@ -760,7 +718,9 @@ pub fn run_cluster(
 /// idle until recovery, paying the model load delay when they rejoin). One parity caveat: failure
 /// granularity here is the batch boundary — a worker already executing a
 /// batch delivers it before going down, while the simulator's fail-stop
-/// kills in-flight work instantly and retries it elsewhere.
+/// kills in-flight work instantly and retries it elsewhere. The replay,
+/// drain and finish are [`ServingSession::run_trace`]'s, as on the
+/// simulator.
 ///
 /// # Panics
 ///
@@ -768,54 +728,19 @@ pub fn run_cluster(
 /// the scenario fails [`Scenario::validate`] for this worker count.
 pub fn run_cluster_scenario(
     runtime: &CascadeRuntime,
-    config: &ClusterConfig,
+    config: &SystemConfig,
     settings: &RunSettings,
     scenario: &Scenario,
+    time_scale: f64,
 ) -> RunReport {
-    let mut session = ServingSession::builder()
+    ServingSession::builder()
         .runtime(runtime)
-        .config(config.system.clone())
+        .config(config.clone())
         .settings(settings.clone())
         .scenario(scenario.clone())
-        .build_cluster(config.time_scale)
-        .expect("valid scenario and system config");
-    let trace = scenario.effective_trace();
-    session.replay_trace(&trace);
-    // Drain period: a full 4 SLOs past the *later* of the trace end and the
-    // actual clock — wall-clock overshoot during replay must never eat into
-    // the drain, or in-flight work gets counted as shutdown drops.
-    let drain_from = session.now().max(SimTime::ZERO + trace.duration());
-    session.run_until(drain_from + config.system.slo * 4);
-    session.finish()
-}
-
-/// The testbed's [`PlanActuator`]: lowers a control directive onto a
-/// [`ServingPlan`], skipping fail-stopped workers so the tier reassignment
-/// never lands on a dead slot. The caller swaps the updated plan in behind
-/// the shared lock.
-struct ClusterActuator<'a> {
-    plan: &'a mut ServingPlan,
-    excluded: &'a [bool],
-}
-
-impl PlanActuator for ClusterActuator<'_> {
-    fn actuate(&mut self, directive: &ControlDirective) {
-        if let ControlDirective::Apply {
-            plan,
-            heavy_fraction,
-        } = directive
-        {
-            self.plan
-                .retarget_ladder_masked(&plan.workers, self.excluded);
-            self.plan.batches = plan.batches.iter().map(|&b| b.max(1)).collect();
-            self.plan.thresholds.clone_from(&plan.thresholds);
-            self.plan.bypass_suspended = !plan.feasible;
-            // Proteus's heavy routing fraction rides in the threshold slot.
-            if let Some(fraction) = heavy_fraction {
-                self.plan.thresholds[0] = *fraction;
-            }
-        }
-    }
+        .build_cluster(time_scale)
+        .expect("valid scenario and system config")
+        .run_trace(&scenario.effective_trace())
 }
 
 /// The testbed's one clock. It fires the scenario's scheduled incidents,
@@ -882,11 +807,9 @@ fn control_tick(shared: &Shared, control: &Mutex<ControlLoop>) {
     let batches = (plan.batch_for(0), plan.batch_for(plan.num_tiers() - 1));
     let obs = shared.telemetry.lock().observe(now, &fleet, batches);
     let directive = control.lock().step(&obs);
-    ClusterActuator {
-        plan: &mut plan,
-        excluded: &excluded,
+    if let ControlDirective::Apply { plan: next } = &directive {
+        plan.adopt(next, &excluded);
     }
-    .actuate(&directive);
     // Record the decision that is now in force — the series the report's
     // `threshold_series` is built from (mirroring the simulator, which
     // pushes its threshold on every tick).
@@ -920,7 +843,7 @@ fn worker_loop(
             was_failed = true;
             while let Ok(job) = rx.try_recv() {
                 shared.depths[wid].fetch_sub(1, Ordering::Relaxed);
-                let _ = shared.forward(kernel, txs, current_tier, job);
+                shared.forward(kernel, txs, current_tier, job);
             }
             if shared.shutdown.load(Ordering::SeqCst) && rx.is_empty() {
                 return;
@@ -1021,7 +944,9 @@ fn worker_loop(
         );
         drop(cache);
         shared.busy[wid].store(true, Ordering::Relaxed);
+        shared.in_service[wid].store(batch.len(), Ordering::Relaxed);
         shared.sleep_sim(exec);
+        shared.in_service[wid].store(0, Ordering::Relaxed);
         shared.busy[wid].store(false, Ordering::Relaxed);
         let now = shared.now();
         thresholds.clone_from(&shared.plan.read().thresholds);
@@ -1076,7 +1001,7 @@ fn worker_loop(
                     }
                     shared.tier_escalations[current_tier].fetch_add(1, Ordering::Relaxed);
                     shared.telemetry.lock().record_escalation();
-                    let _ = shared.forward(kernel, txs, current_tier + 1, job);
+                    shared.forward(kernel, txs, current_tier + 1, job);
                 }
             }
         }
@@ -1086,6 +1011,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffserve_core::Policy;
     use diffserve_imagegen::{cascade1, DiscriminatorConfig, FeatureSpec};
     use diffserve_simkit::time::SimDuration;
     use std::sync::OnceLock;
@@ -1106,16 +1032,15 @@ mod tests {
         })
     }
 
-    fn quick_config() -> ClusterConfig {
-        ClusterConfig {
-            system: SystemConfig {
-                num_workers: 8,
-                ..Default::default()
-            },
-            // Debug builds execute the (real) discriminator inference ~50x
-            // slower, which eats into scaled wall-clock budgets; slow the
-            // clock down accordingly so timing fidelity is preserved.
-            time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
+    /// Debug builds execute the (real) discriminator inference ~50x
+    /// slower, which eats into scaled wall-clock budgets; slow the clock
+    /// down accordingly so timing fidelity is preserved.
+    const TIME_SCALE: f64 = if cfg!(debug_assertions) { 0.05 } else { 0.01 };
+
+    fn quick_config() -> SystemConfig {
+        SystemConfig {
+            num_workers: 8,
+            ..Default::default()
         }
     }
 
@@ -1131,6 +1056,7 @@ mod tests {
             &cfg,
             &RunSettings::new(Policy::DiffServe, 8.0),
             &short_trace(5.0),
+            TIME_SCALE,
         );
         assert!(report.total_queries > 100);
         assert_eq!(report.completed + report.dropped, report.total_queries);
@@ -1151,6 +1077,7 @@ mod tests {
             &cfg,
             &RunSettings::new(Policy::ClipperLight, 8.0),
             &short_trace(5.0),
+            TIME_SCALE,
         );
         assert!(
             report.violation_ratio < 0.05,
@@ -1167,8 +1094,8 @@ mod tests {
         let cfg = quick_config();
         let settings = RunSettings::new(Policy::DiffServe, 8.0);
         let trace = short_trace(5.0);
-        let cluster = run_cluster(test_runtime(), &cfg, &settings, &trace);
-        let sim = diffserve_core::run_trace(test_runtime(), &cfg.system, &settings, &trace);
+        let cluster = run_cluster(test_runtime(), &cfg, &settings, &trace, TIME_SCALE);
+        let sim = diffserve_core::run_trace(test_runtime(), &cfg, &settings, &trace);
         let fid_gap = (cluster.fid - sim.fid).abs() / sim.fid;
         assert!(
             fid_gap < 0.10,
@@ -1187,10 +1114,10 @@ mod tests {
             .runtime(test_runtime())
             .config(SystemConfig {
                 resume_from_latents: true,
-                ..cfg.system.clone()
+                ..cfg
             })
             .policy(Policy::DiffServe)
-            .build_cluster(cfg.time_scale)
+            .build_cluster(TIME_SCALE)
             .expect("valid cluster session");
         let trace = Trace::constant(4.0, SimDuration::from_secs(20)).unwrap();
         let n = session.replay_trace(&trace);
@@ -1231,9 +1158,9 @@ mod tests {
         let (cfg, rt) = (quick_config(), test_runtime());
         let mut session = ServingSession::builder()
             .runtime(rt)
-            .config(cfg.system.clone())
+            .config(cfg)
             .policy(Policy::DiffServe)
-            .build_cluster(cfg.time_scale)
+            .build_cluster(TIME_SCALE)
             .expect("valid cluster session");
         let trace = Trace::constant(4.0, SimDuration::from_secs(20)).unwrap();
         session.replay_trace(&trace);
@@ -1270,6 +1197,7 @@ mod tests {
             &quick_config(),
             &RunSettings::new(Policy::DiffServe, 8.0),
             &Trace::constant(5.0, SimDuration::from_secs(60)).unwrap(),
+            TIME_SCALE,
         );
         let window = METRICS_WINDOW.as_secs_f64();
         for (name, series) in [
@@ -1292,9 +1220,9 @@ mod tests {
         let cfg = quick_config();
         let mut session = ServingSession::builder()
             .runtime(test_runtime())
-            .config(cfg.system.clone())
+            .config(cfg)
             .policy(Policy::DiffServe)
-            .build_cluster(cfg.time_scale)
+            .build_cluster(TIME_SCALE)
             .expect("valid cluster session");
         session
             .inject(ScenarioEvent::Capacity(CapacityEvent::Fail(3)))
@@ -1312,11 +1240,34 @@ mod tests {
         // Abandoning the session (drop without finish) must not hang.
     }
 
+    /// A submit after every worker thread has exited neither panics nor
+    /// drops out of the accounting: the failed send takes its depth count
+    /// back, and `finish` counts the lost query as a drop.
+    #[test]
+    fn submit_after_the_workers_exit_is_accounted_as_a_drop() {
+        let spec = ServingSession::builder()
+            .runtime(test_runtime())
+            .config(quick_config())
+            .validate()
+            .expect("valid session");
+        let mut backend = ClusterBackend::launch(&spec, TIME_SCALE).expect("valid time scale");
+        backend.shutdown_and_join().expect("no thread panicked");
+        let ticket = backend.submit(QuerySpec::new());
+        assert!(backend
+            .shared
+            .depths
+            .iter()
+            .all(|d| d.load(Ordering::Relaxed) == 0));
+        let report = Box::new(backend).finish(ticket.arrival);
+        assert_eq!(report.total_queries, 1);
+        assert_eq!(report.completed + report.dropped, report.total_queries);
+    }
+
     #[test]
     fn build_cluster_rejects_bad_time_scale() {
         let err = ServingSession::builder()
             .runtime(test_runtime())
-            .config(quick_config().system)
+            .config(quick_config())
             .build_cluster(0.0)
             .unwrap_err();
         assert!(matches!(err, BuildError::Config(_)), "{err}");
@@ -1335,6 +1286,7 @@ mod tests {
             &cfg,
             &settings,
             &Trace::constant(10.0, SimDuration::from_secs(40)).unwrap(),
+            TIME_SCALE,
         );
         assert_eq!(report.completed + report.dropped, report.total_queries);
         assert!(report.total_queries > 200);

@@ -20,12 +20,13 @@
 //!    [`solve_proteus`] (per policy and backend), with the
 //!    [`overload_fallback`] when the solve is infeasible; deeper ladders
 //!    plan through [`solve_ladder`] and [`ladder_overload_fallback`].
-//! 4. **Plan actuation** — the backend-side half: a [`PlanActuator`]
-//!    applies the returned [`ControlDirective`] to live serving state (the
+//! 4. **Plan actuation** — the backend-side half: each engine applies the
+//!    returned [`ControlDirective`] to its own live serving state (the
 //!    simulator's worker array, the testbed's shared [`ServingPlan`]).
-//!    Every plan reaches the actuator in the N-tier form: a two-tier
-//!    [`Allocation`] is the N = 2 [`LadderAllocation`], converted once
-//!    here.
+//!    Every plan reaches an engine in the N-tier form: a two-tier
+//!    [`Allocation`](crate::allocator::Allocation) is the N = 2
+//!    [`LadderAllocation`], converted once here. Proteus's heavy routing
+//!    fraction is its plan's first threshold.
 //!
 //! Historically this logic was written twice — interleaved with event
 //! handling in `core::sim` and with thread plumbing in `cluster::runtime` —
@@ -42,8 +43,8 @@ use diffserve_trace::DemandEstimator;
 
 use crate::allocator::{
     ladder_overload_fallback, overload_fallback, solve_exhaustive, solve_ladder,
-    solve_milp_allocation_warm, solve_proteus, AllocWarmState, Allocation, AllocatorInputs,
-    LadderAllocation, LadderInputs, LadderWarmState,
+    solve_milp_allocation_warm, solve_proteus, AllocWarmState, AllocatorInputs, LadderAllocation,
+    LadderInputs, LadderWarmState,
 };
 use crate::config::{LadderConfig, SystemConfig, EWMA_ALPHA};
 use crate::kernel::StageLatencies;
@@ -103,36 +104,19 @@ pub struct ControlObservation {
     pub tier_direct_arrivals: Vec<u64>,
 }
 
-/// What the control pipeline decided this tick; the backend's
-/// [`PlanActuator`] applies it.
+/// What the control pipeline decided this tick; the backend applies it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlDirective {
     /// Apply a solved allocation: per-boundary thresholds, per-tier worker
-    /// counts and batch sizes. A two-tier cascade is the N = 2 plan.
+    /// counts and batch sizes. A two-tier cascade is the N = 2 plan; under
+    /// Proteus, `thresholds[0]` is the fraction of arrivals routed directly
+    /// to the terminal tier.
     Apply {
         /// The plan to actuate.
         plan: LadderAllocation,
-        /// Proteus only: the fraction of arrivals routed directly to the
-        /// terminal tier.
-        heavy_fraction: Option<f64>,
     },
     /// Keep the current plan (static policies after bootstrap).
     Hold,
-}
-
-impl ControlDirective {
-    /// A two-tier allocation in the N-tier plan form every actuator takes.
-    fn two_tier(alloc: Allocation, heavy_fraction: Option<f64>) -> Self {
-        ControlDirective::Apply {
-            plan: LadderAllocation {
-                thresholds: vec![alloc.threshold],
-                workers: vec![alloc.light_workers, alloc.heavy_workers],
-                batches: vec![alloc.light_batch, alloc.heavy_batch],
-                feasible: alloc.feasible,
-            },
-            heavy_fraction,
-        }
-    }
 }
 
 /// The allocation-planning strategy, chosen once per session: demand and
@@ -167,15 +151,6 @@ enum Planner {
         /// Warm levels + simplex basis carried across ticks.
         warm: LadderWarmState,
     },
-}
-
-/// The backend-side half of the control pipeline: applies a
-/// [`ControlDirective`] to live serving state. The simulator implements it
-/// over its worker array (tier reassignment through the model-switch
-/// protocol); the testbed over its shared `ServingPlan`.
-pub trait PlanActuator {
-    /// Applies the directive (a no-op for [`ControlDirective::Hold`]).
-    fn actuate(&mut self, directive: &ControlDirective);
 }
 
 /// The unified control plane driven by both serving backends.
@@ -300,9 +275,8 @@ impl ControlLoop {
     }
 
     /// The initial allocation before any demand has been observed.
-    /// `peak_demand` is what static provisioning plans for — the simulator
-    /// passes the raw peak hint, the testbed additionally folds in the
-    /// trace's known maximum and the over-provisioning factor.
+    /// `peak_demand` is what static provisioning plans for: both engines
+    /// pass the session's raw peak-demand hint.
     pub fn bootstrap(&mut self, peak_demand: f64) -> ControlDirective {
         let thresholds = self.threshold_grid();
         let batches = self.config.batch_sizes.clone();
@@ -326,10 +300,7 @@ impl ControlLoop {
                 };
                 plan.workers[tier] = workers;
                 plan.batches[tier] = self.clipper_batch(tier);
-                ControlDirective::Apply {
-                    plan,
-                    heavy_fraction: None,
-                }
+                ControlDirective::Apply { plan }
             }
             // Provisioned for the anticipated peak and never re-solved
             // (§4.1: "provisioned to accommodate maximum anticipated
@@ -621,7 +592,6 @@ impl ControlLoop {
             return ControlDirective::Apply {
                 plan: solve_ladder(&inputs, *milp, warm)
                     .unwrap_or_else(|| ladder_overload_fallback(&inputs)),
-                heavy_fraction: None,
             };
         }
         let inputs = AllocatorInputs {
@@ -638,22 +608,26 @@ impl ControlLoop {
             batch_sizes,
             thresholds,
         };
-        let (allocation, heavy_fraction) = match planner {
-            Planner::Cascade { backend, warm } => {
-                let solved = match backend {
-                    AllocatorBackend::Milp => solve_milp_allocation_warm(&inputs, warm),
-                    AllocatorBackend::Exhaustive => solve_exhaustive(&inputs),
-                };
-                (solved.unwrap_or_else(|| overload_fallback(&inputs)), None)
-            }
-            Planner::Proteus => {
-                let (allocation, heavy_fraction) =
-                    solve_proteus(&inputs).unwrap_or_else(|| (overload_fallback(&inputs), 0.0));
-                (allocation, Some(heavy_fraction))
-            }
+        let allocation = match planner {
+            Planner::Cascade { backend, warm } => match backend {
+                AllocatorBackend::Milp => solve_milp_allocation_warm(&inputs, warm),
+                AllocatorBackend::Exhaustive => solve_exhaustive(&inputs),
+            },
+            // The solved plan's threshold is the heavy fraction; the
+            // overload fallback's 0.0 routes everything light.
+            Planner::Proteus => solve_proteus(&inputs).map(|(allocation, _)| allocation),
             Planner::Ladder { .. } => unreachable!("ladders planned above"),
         };
-        ControlDirective::two_tier(allocation, heavy_fraction)
+        // The N-tier plan form both engines take.
+        let alloc = allocation.unwrap_or_else(|| overload_fallback(&inputs));
+        ControlDirective::Apply {
+            plan: LadderAllocation {
+                thresholds: vec![alloc.threshold],
+                workers: vec![alloc.light_workers, alloc.heavy_workers],
+                batches: vec![alloc.light_batch, alloc.heavy_batch],
+                feasible: alloc.feasible,
+            },
+        }
     }
 }
 
@@ -829,11 +803,8 @@ mod tests {
             "Proteus runs no discriminator"
         );
         match plan_overload(&mut cl) {
-            ControlDirective::Apply {
-                plan,
-                heavy_fraction,
-            } => {
-                assert_eq!(heavy_fraction, Some(0.0));
+            ControlDirective::Apply { plan } => {
+                assert_eq!(plan.thresholds, [0.0], "everything routes light");
                 assert!(!plan.feasible);
             }
             d => panic!("unexpected directive {d:?}"),

@@ -717,15 +717,16 @@ impl<'a> Kernel<'a> {
 
     // --- Routing -------------------------------------------------------------
 
-    /// The load the router ranks a worker by: its queued-plus-running
-    /// count *plus the arriving query*, weighted by the health slowdown.
-    /// Counting the arrival matters — a straggler with an empty queue
-    /// would otherwise score `0 × slowdown = 0`, indistinguishable from an
-    /// idle healthy worker. On a healthy fleet `(load + 1) × 1.0` ranks
-    /// workers exactly like raw `load`. The health-blind ablation ranks by
-    /// raw count.
+    /// The load the router ranks a worker by: its `queued` queries plus
+    /// the `in_service` members of the batch it is executing, *plus the
+    /// arriving query*, weighted by the health slowdown. Counting the
+    /// arrival matters — a straggler with an empty queue would otherwise
+    /// score `0 × slowdown = 0`, indistinguishable from an idle healthy
+    /// worker. On a healthy fleet `(load + 1) × 1.0` ranks workers exactly
+    /// like the raw load. The health-blind ablation ranks by raw count.
     #[inline]
-    pub fn routing_load(&self, load: usize, slowdown: f64) -> f64 {
+    pub fn routing_load(&self, queued: usize, in_service: usize, slowdown: f64) -> f64 {
+        let load = queued + in_service;
         if self.health_blind {
             load as f64
         } else {
@@ -756,7 +757,8 @@ impl<'a> Kernel<'a> {
     /// The tier an arriving query enters at, and whether it counts as
     /// demand on the deeper pools (the controller's heavy-arrival signal).
     /// Clipper pins one end of the ladder; Proteus draws the terminal tier
-    /// with probability `heavy_fraction`; the cascade policies enter at
+    /// with probability `thresholds[0]`, the heavy fraction its plan
+    /// carries in the first threshold slot; the cascade policies enter at
     /// tier 0 unless the predictive `router` skips ahead. The router is
     /// ignored while `bypass_suspended` — under the overload fallback every
     /// arrival must enter where the floored thresholds can shed it.
@@ -764,7 +766,7 @@ impl<'a> Kernel<'a> {
     #[inline]
     pub fn entry_tier(
         &self,
-        heavy_fraction: f64,
+        thresholds: &[f64],
         rng: &mut impl Rng,
         router: Option<&OnlinePredictiveRouter>,
         bypass_suspended: bool,
@@ -775,7 +777,7 @@ impl<'a> Kernel<'a> {
             Policy::ClipperLight => (0, false),
             Policy::ClipperHeavy => (last, false),
             Policy::Proteus => {
-                if rng.gen_range(0.0..1.0) < heavy_fraction {
+                if rng.gen_range(0.0..1.0) < thresholds[0] {
                     (last, true)
                 } else {
                     (0, false)
@@ -1403,21 +1405,26 @@ mod tests {
             loads
                 .iter()
                 .enumerate()
-                .map(|(i, &l)| (i, kernel.routing_load(l, 1.0)))
+                .map(|(i, &l)| (i, kernel.routing_load(l, 0, 1.0)))
                 .collect()
         };
         assert_eq!(pick_min(scores(&loads).into_iter()), Some(1));
         assert_eq!(pick_min(scores(&[0; 6]).into_iter()), Some(0));
         assert_eq!(pick_min(std::iter::empty()), None);
-        // A 2×-degraded idle worker loses to a healthy one with one queued.
-        let degraded_idle = kernel.routing_load(0, 2.0);
-        let healthy_one = kernel.routing_load(1, 1.0);
+        // A 2×-degraded idle worker loses to a healthy one serving one.
+        let degraded_idle = kernel.routing_load(0, 0, 2.0);
+        let healthy_one = kernel.routing_load(0, 1, 1.0);
         assert_eq!(
             pick_min([(0, degraded_idle), (1, healthy_one)].into_iter()),
             Some(0),
             "(0 + 1) × 2 ties (1 + 1) × 1 and the lower index wins"
         );
-        assert!(kernel.routing_load(0, 2.5) > healthy_one);
+        assert!(kernel.routing_load(0, 0, 2.5) > healthy_one);
+        // Queued and in-service members weigh the same.
+        assert_eq!(
+            kernel.routing_load(2, 1, 1.0),
+            kernel.routing_load(1, 2, 1.0)
+        );
     }
 
     /// Drop-front sheds the front while the batch that would *actually

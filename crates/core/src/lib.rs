@@ -84,7 +84,7 @@ pub use allocator::{
     AllocatorInputs, LadderAllocation, LadderInputs, LadderWarmState,
 };
 pub use config::{ConfigError, LadderConfig, SystemConfig};
-pub use control::{ControlDirective, ControlLoop, ControlObservation, PlanActuator};
+pub use control::{ControlDirective, ControlLoop, ControlObservation};
 pub use diffserve_milp::WarmStart;
 pub use kernel::Kernel;
 pub use policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};
@@ -102,7 +102,7 @@ pub mod prelude {
     pub use crate::addons::{AddonCatalog, AddonModule, AddonStats, AddonsConfig, ModuleCache};
     pub use crate::allocator::{Allocation, AllocatorInputs};
     pub use crate::config::{ConfigError, LadderConfig, SystemConfig};
-    pub use crate::control::{ControlDirective, ControlLoop, ControlObservation, PlanActuator};
+    pub use crate::control::{ControlDirective, ControlLoop, ControlObservation};
     pub use crate::policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};
     pub use crate::query::{CompletedResponse, QueryId, WorkerHealth};
     pub use crate::report::RunReport;

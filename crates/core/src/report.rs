@@ -1,7 +1,8 @@
 //! Run reports: the measurements every experiment consumes.
 
 use diffserve_imagegen::features::DIM;
-use diffserve_metrics::{frechet_distance, CenteredMoments, GaussianStats};
+use diffserve_metrics::{frechet_distance, CenteredMoments, GaussianStats, WindowedSeries};
+use diffserve_simkit::time::SimTime;
 use diffserve_trace::IncidentLog;
 
 use crate::addons::AddonStats;
@@ -241,6 +242,11 @@ impl RunReport {
     /// discrete-event simulator and the thread-based cluster runtime so the
     /// two are compared on identical accounting.
     ///
+    /// `demand` counts arrivals and `thresholds` records the controller's
+    /// boundary-0 threshold at every tick. Their series and the deferral
+    /// errors are cut at `horizon`: windows are keyed by their start, so
+    /// anything at or past it is a partial artifact of the drain period.
+    ///
     /// The cost is one Gaussian fit and one Fréchet distance per metrics
     /// window, per tier and for the run — `O((windows + tiers) · d³)`
     /// whatever the number of responses — and every fit goes into one
@@ -250,12 +256,26 @@ impl RunReport {
         policy: Policy,
         total_queries: u64,
         ledger: &Ledger,
-        demand_series: Vec<(f64, f64)>,
-        threshold_series: Vec<(f64, f64)>,
-        deferral_error_series: Vec<(f64, f64)>,
+        horizon: SimTime,
+        demand: &WindowedSeries,
+        thresholds: &WindowedSeries,
+        deferral_errors: Vec<(f64, f64)>,
         incident_log: IncidentLog,
         addon_stats: AddonStats,
     ) -> RunReport {
+        let h = horizon.as_secs_f64();
+        let secs = |series: Vec<(SimTime, f64)>| -> Vec<(f64, f64)> {
+            series
+                .into_iter()
+                .map(|(t, x)| (t.as_secs_f64(), x))
+                .collect()
+        };
+        let [demand_series, threshold_series, deferral_error_series] = [
+            secs(demand.window_rates()),
+            secs(thresholds.window_means()),
+            deferral_errors,
+        ]
+        .map(|series| series.into_iter().filter(|&(t, _)| t < h).collect());
         let (slo, totals) = (ledger.slo(), ledger.totals());
         // One pass over the cells: each merges into its window, its tier
         // and (through its window) the run.
@@ -536,8 +556,9 @@ mod tests {
                 Policy::DiffServe,
                 responses.len() as u64,
                 &ledger,
-                Vec::new(),
-                Vec::new(),
+                SimTime::MAX,
+                &WindowedSeries::new(window),
+                &WindowedSeries::new(window),
                 Vec::new(),
                 Vec::new(),
                 AddonStats::default(),

@@ -738,6 +738,19 @@ impl<'a> ServingSession<'a> {
         self.backend.apply_perturbation(event)
     }
 
+    /// The batch drive both engines' `run_*` entry points share: replays
+    /// `trace`, serves to the later of the trace end and the clock plus a
+    /// drain period of 4 SLOs, and finishes. Starting the drain from the
+    /// clock matters on the testbed, whose replay can overshoot the trace
+    /// end in wall-clock time: the overshoot must not eat into the drain,
+    /// or in-flight work is counted as shutdown drops.
+    pub fn run_trace(mut self, trace: &Trace) -> RunReport {
+        self.replay_trace(trace);
+        let drain_from = self.now().max(SimTime::ZERO + trace.duration());
+        self.run_until(drain_from + self.config.slo * 4);
+        self.finish()
+    }
+
     /// Ends the session: unfinished queries are accounted as drops at the
     /// latest driven instant, time series are truncated there, and the
     /// final [`RunReport`] — identical in shape and accounting to the batch

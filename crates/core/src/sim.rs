@@ -42,7 +42,7 @@ use diffserve_trace::{
 use crate::addons::{AddonStats, ModuleCache};
 use crate::allocator::LadderAllocation;
 use crate::config::{ConfigError, SystemConfig, METRICS_WINDOW, MODEL_SWITCH_DELAY};
-use crate::control::{ControlDirective, ControlLoop, PlanActuator};
+use crate::control::{ControlDirective, ControlLoop};
 use crate::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
 use crate::policy::{AblationKnobs, Policy};
 use crate::query::{QueryId, ServedImage, WorkerHealth};
@@ -560,7 +560,6 @@ struct ServingSim<'a> {
     /// deeper tier; `None` (every two-tier run) keeps all arrivals at the
     /// entry tier.
     router: Option<OnlinePredictiveRouter>,
-    proteus_heavy_fraction: f64,
     // Scenario state.
     actions: IncidentLog,
     difficulty_delta: f64,
@@ -648,7 +647,6 @@ impl<'a> ServingSim<'a> {
             bypass_suspended: false,
             telemetry: TickTelemetry::new(num_tiers, router.is_some()),
             router,
-            proteus_heavy_fraction: 0.5,
             actions,
             difficulty_delta: 0.0,
             hazard,
@@ -740,12 +738,10 @@ impl<'a> ServingSim<'a> {
     /// the control plane and applied instantly (bootstrap pays no switch
     /// delay).
     fn bootstrap_allocation(&mut self) {
-        if let ControlDirective::Apply {
-            plan,
-            heavy_fraction,
-        } = self.control.bootstrap(self.settings.peak_demand_hint)
+        if let ControlDirective::Apply { plan } =
+            self.control.bootstrap(self.settings.peak_demand_hint)
         {
-            let targets = self.adopt_plan(&plan, heavy_fraction);
+            let targets = self.adopt_plan(&plan);
             self.apply_plan_instant(&plan, &targets);
         }
     }
@@ -774,16 +770,13 @@ impl<'a> ServingSim<'a> {
         v
     }
 
-    /// Takes over a plan's routing parameters — per-boundary thresholds,
-    /// the bypass suspension under the overload fallback, Proteus's heavy
-    /// fraction — and returns the per-tier worker targets it implies for
-    /// the alive fleet.
-    fn adopt_plan(&mut self, plan: &LadderAllocation, heavy_fraction: Option<f64>) -> Vec<usize> {
+    /// Takes over a plan's routing parameters — per-boundary thresholds
+    /// (Proteus's heavy fraction in the first), the bypass suspension under
+    /// the overload fallback — and returns the per-tier worker targets it
+    /// implies for the alive fleet.
+    fn adopt_plan(&mut self, plan: &LadderAllocation) -> Vec<usize> {
         self.thresholds.clone_from(&plan.thresholds);
         self.bypass_suspended = !plan.feasible;
-        if let Some(fraction) = heavy_fraction {
-            self.proteus_heavy_fraction = fraction;
-        }
         kernel::worker_targets(&plan.workers, self.alive_count())
     }
 
@@ -889,7 +882,8 @@ impl<'a> ServingSim<'a> {
     /// the health-blind routing ablation.
     fn routing_load(&self, i: usize) -> f64 {
         let w = &self.workers[i];
-        self.kernel.routing_load(w.load(), w.health.slowdown())
+        self.kernel
+            .routing_load(w.queue.len(), w.in_flight.len(), w.health.slowdown())
     }
 
     /// Affinity-aware pick for an add-on-carrying query: over the default
@@ -1117,7 +1111,7 @@ impl<'a> ServingSim<'a> {
         // The router's prediction sees the same (difficulty-shifted)
         // prompt the tiers will serve.
         let (tier, deep_demand) = self.kernel.entry_tier(
-            self.proteus_heavy_fraction,
+            &self.thresholds,
             &mut self.rng,
             self.router.as_ref(),
             self.bypass_suspended,
@@ -1357,13 +1351,10 @@ impl<'a> ServingSim<'a> {
             self.current_batch(self.kernel.num_tiers() - 1),
         );
         let obs = self.telemetry.observe(now, &fleet, batches);
-        let directive = self.control.step(&obs);
-        SimActuator {
-            sim: self,
-            now,
-            queue,
+        if let ControlDirective::Apply { plan } = self.control.step(&obs) {
+            let targets = self.adopt_plan(&plan);
+            self.apply_plan(&plan, &targets, now, queue);
         }
-        .actuate(&directive);
         self.threshold_series.push(now, self.thresholds[0]);
         queue.push(now + self.config.control_interval, Event::ControlTick);
     }
@@ -1388,28 +1379,6 @@ impl<'a> ServingSim<'a> {
             self.control.deferral_gap(),
             self.addon_stats,
         )
-    }
-}
-
-/// The simulator's [`PlanActuator`]: applies a control directive through
-/// the runtime model-switch protocol (batch sizes change immediately, tier
-/// changes pay the load delay at batch boundaries).
-struct SimActuator<'s, 'a, 'q> {
-    sim: &'s mut ServingSim<'a>,
-    now: SimTime,
-    queue: &'q mut EventQueue<Event>,
-}
-
-impl PlanActuator for SimActuator<'_, '_, '_> {
-    fn actuate(&mut self, directive: &ControlDirective) {
-        if let ControlDirective::Apply {
-            plan,
-            heavy_fraction,
-        } = directive
-        {
-            let targets = self.sim.adopt_plan(plan, *heavy_fraction);
-            self.sim.apply_plan(plan, &targets, self.now, self.queue);
-        }
     }
 }
 
@@ -1725,12 +1694,13 @@ pub fn run_scenario(
     )
 }
 
-/// The batch drive behind [`run_trace`] and [`run_scenario`]: replay the
-/// trace into a simulator-backed session, run to the trace end plus a drain
-/// period of 4 SLOs, finish. Nothing here polls, so the session's ledger is
-/// told to keep no per-query outcomes — a replay's memory then does not
-/// grow with its length. The report is the one a polled session produces:
-/// it is assembled from the ledger's streamed totals either way.
+/// The batch drive behind [`run_trace`] and [`run_scenario`]: a
+/// simulator-backed session's [`ServingSession::run_trace`], whose drain
+/// starts at the trace end (replay leaves the simulator's clock at zero).
+/// Nothing here polls, so the session's ledger is told to keep no
+/// per-query outcomes — a replay's memory then does not grow with its
+/// length. The report is the one a polled session produces: it is
+/// assembled from the ledger's streamed totals either way.
 fn run_batch(
     runtime: &CascadeRuntime,
     config: &SystemConfig,
@@ -1750,35 +1720,18 @@ fn run_batch(
         .expect("valid scenario and system config");
     let mut backend = SimBackend::new(&spec);
     backend.sim.actor_mut().ledger.discard_outcomes();
-    let mut session = ServingSession::from_backend(&spec, Box::new(backend));
-    session.replay_trace(trace);
-    session.run_until(SimTime::ZERO + trace.duration() + config.slo * 4);
-    session.finish()
+    ServingSession::from_backend(&spec, Box::new(backend)).run_trace(trace)
 }
 
 fn build_report(mut state: ServingSim<'_>, horizon: SimTime) -> RunReport {
-    // Series windows are keyed by window *start*, so anything at or past the
-    // horizon is a partial artifact of the drain period — truncate it.
-    let h = horizon.as_secs_f64();
-    let to_secs = |v: Vec<(SimTime, f64)>| -> Vec<(f64, f64)> {
-        v.into_iter()
-            .map(|(t, x)| (t.as_secs_f64(), x))
-            .filter(|&(t, _)| t < h)
-            .collect()
-    };
-    let deferral_errors: Vec<(f64, f64)> = state
-        .control
-        .take_deferral_error_series()
-        .into_iter()
-        .filter(|&(t, _)| t < h)
-        .collect();
     RunReport::assemble(
         state.settings.policy,
         state.total_arrivals,
         &state.ledger,
-        to_secs(state.arrival_series.window_rates()),
-        to_secs(state.threshold_series.window_means()),
-        deferral_errors,
+        horizon,
+        &state.arrival_series,
+        &state.threshold_series,
+        state.control.take_deferral_error_series(),
         std::mem::take(&mut state.incident_log),
         state.addon_stats,
     )

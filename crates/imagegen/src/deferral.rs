@@ -197,7 +197,14 @@ pub struct OnlineDeferralEstimator {
     /// Refresh scratch: the next profile's samples, swapped into it.
     merged: Vec<f64>,
     profile: Option<DeferralProfile>,
+    /// Refreshes that produced a profile.
+    refreshes: u64,
 }
+
+/// Debug builds (and the `verify` profile) compare every this-many-th
+/// refreshed profile bit for bit against a full sort of the window; a sort
+/// per refresh would cost fleet-scale replays more than the merge saves.
+const TWIN_EVERY: u64 = 8;
 
 impl OnlineDeferralEstimator {
     /// Creates an estimator keeping at most `window` samples and requiring
@@ -221,6 +228,7 @@ impl OnlineDeferralEstimator {
             incoming: Vec::new(),
             merged: Vec::new(),
             profile: None,
+            refreshes: 0,
         }
     }
 
@@ -267,10 +275,28 @@ impl OnlineDeferralEstimator {
         if !self.warmed_up() {
             return false;
         }
-        if self.unmerged == 0 {
-            // Nothing arrived, so nothing left: the profile is the window.
-            return true;
+        // Nothing arrived, so nothing left: the profile is the window.
+        if self.unmerged > 0 {
+            self.merge();
         }
+        self.refreshes += 1;
+        if cfg!(debug_assertions) && self.refreshes.is_multiple_of(TWIN_EVERY) {
+            let twin = DeferralProfile::from_confidences(self.window.iter().copied().collect())
+                .expect("a warmed-up window holds finite samples");
+            let held = &self.profile.as_ref().expect("refreshed").sorted;
+            assert!(
+                held.iter()
+                    .map(|c| c.to_bits())
+                    .eq(twin.sorted.iter().map(|c| c.to_bits())),
+                "the merged profile is not the sorted window"
+            );
+        }
+        true
+    }
+
+    /// Merges the unmerged newcomers into the profile and drops the
+    /// evicted samples from it.
+    fn merge(&mut self) {
         let by_value = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite samples");
         self.incoming.clear();
         self.incoming
@@ -301,7 +327,6 @@ impl OnlineDeferralEstimator {
         std::mem::swap(&mut profile.sorted, &mut self.merged);
         self.evicted.clear();
         self.unmerged = 0;
-        true
     }
 
     /// The latest refreshed profile, if the estimator has warmed up.
@@ -450,6 +475,21 @@ mod tests {
     #[should_panic(expected = "fraction must lie in [0, 1]")]
     fn threshold_for_a_fraction_above_one_panics() {
         let _ = profile(vec![0.5]).threshold_for_fraction(1.5);
+    }
+
+    /// Debug builds check every [`TWIN_EVERY`]-th refresh against a full
+    /// sort of the window, also when the refresh had nothing to merge.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the merged profile is not the sorted window")]
+    fn a_corrupted_profile_fails_the_refresh_twin() {
+        let mut est = OnlineDeferralEstimator::new(16, 1);
+        est.observe_all(&[0.2, 0.4]);
+        assert!(est.refresh());
+        est.profile.as_mut().expect("refreshed").sorted.reverse();
+        for _ in 1..TWIN_EVERY {
+            est.refresh();
+        }
     }
 
     proptest! {

@@ -55,15 +55,7 @@ fn main() {
     let sim = run_scenario(&runtime, &system, &settings, &scenario);
     println!("simulator      : {}", sim.summary());
 
-    let testbed = run_cluster_scenario(
-        &runtime,
-        &ClusterConfig {
-            system: system.clone(),
-            time_scale: 0.02,
-        },
-        &settings,
-        &scenario,
-    );
+    let testbed = run_cluster_scenario(&runtime, &system, &settings, &scenario, 0.02);
     println!("cluster testbed: {}", testbed.summary());
 
     // --- Adaptive vs static under the identical churn ----------------------

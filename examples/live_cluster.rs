@@ -37,11 +37,7 @@ fn main() {
         trace.duration().as_secs_f64() * scale + 4.0 * system.slo.as_secs_f64() * scale
     );
 
-    let cluster_cfg = ClusterConfig {
-        system: system.clone(),
-        time_scale: scale,
-    };
-    let testbed = run_cluster(&runtime, &cluster_cfg, &settings, &trace);
+    let testbed = run_cluster(&runtime, &system, &settings, &trace, scale);
     println!("testbed:   {}", testbed.summary());
 
     let sim = run_trace(&runtime, &system, &settings, &trace);

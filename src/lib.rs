@@ -94,12 +94,11 @@ pub use diffserve_trace as workload;
 /// Everything the quickstart needs compiles from `use diffserve::prelude::*`
 /// alone: the session API (`ServingSession`, `SessionBuilder`, `QuerySpec`,
 /// `SessionSnapshot`, …), both run paths' batch wrappers, the cluster
-/// testbed types (`ClusterConfig`, `ServingPlan`,
-/// `ClusterSessionExt::build_cluster`), and the workload/scenario builders.
+/// testbed types (`ServingPlan`, `ClusterSessionExt::build_cluster`), and
+/// the workload/scenario builders.
 pub mod prelude {
     pub use diffserve_cluster::{
-        run_cluster, run_cluster_scenario, ClusterBackend, ClusterConfig, ClusterSessionExt,
-        ServingPlan,
+        run_cluster, run_cluster_scenario, ClusterBackend, ClusterSessionExt, ServingPlan,
     };
     pub use diffserve_core::prelude::*;
     pub use diffserve_imagegen::prelude::*;

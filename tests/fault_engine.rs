@@ -10,6 +10,10 @@ use diffserve_simkit::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
+/// Wall-clock seconds per simulated second on the testbed. Debug builds
+/// run the discriminator ~50x slower, so their clock runs slower too.
+const TIME_SCALE: f64 = if cfg!(debug_assertions) { 0.05 } else { 0.01 };
+
 fn runtime() -> &'static CascadeRuntime {
     static RT: OnceLock<CascadeRuntime> = OnceLock::new();
     RT.get_or_init(|| {
@@ -588,22 +592,19 @@ fn health_weighted_jsq_beats_health_blind_under_brownout_on_sim() {
 #[test]
 fn health_weighted_jsq_beats_health_blind_under_brownout_on_cluster() {
     let sys = system();
-    let cfg = ClusterConfig {
-        system: sys.clone(),
-        time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-    };
     let scenario =
         Scenario::new("brownout", flat(6.0, 60)).worker_degrade(SimTime::from_secs(10), 4, 3.0);
 
     let weighted = run_cluster_scenario(
         runtime(),
-        &cfg,
+        &sys,
         &RunSettings::new(Policy::DiffServe, 6.0),
         &scenario,
+        TIME_SCALE,
     );
     let mut blind_settings = RunSettings::new(Policy::DiffServe, 6.0);
     blind_settings.knobs = AblationKnobs::health_blind();
-    let blind = run_cluster_scenario(runtime(), &cfg, &blind_settings, &scenario);
+    let blind = run_cluster_scenario(runtime(), &sys, &blind_settings, &scenario, TIME_SCALE);
 
     assert!(
         weighted.violation_ratio < blind.violation_ratio,
@@ -621,10 +622,6 @@ fn health_weighted_jsq_beats_health_blind_under_brownout_on_cluster() {
 #[test]
 fn cluster_hazard_incidents_record_and_replay() {
     let sys = system();
-    let cfg = ClusterConfig {
-        system: sys.clone(),
-        time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-    };
     let settings = RunSettings::new(Policy::DiffServe, 7.0);
     let scenario = Scenario::new("hazardous", flat(6.0, 60)).with_hazard(Hazard {
         seed: 11,
@@ -632,16 +629,17 @@ fn cluster_hazard_incidents_record_and_replay() {
         degrade_rate: 0.06,
         load_coupling: 6.0,
     });
-    let original = run_cluster_scenario(runtime(), &cfg, &settings, &scenario);
+    let original = run_cluster_scenario(runtime(), &sys, &settings, &scenario, TIME_SCALE);
     assert!(
         !original.incident_log.is_empty(),
         "cluster hazards must fire and be logged"
     );
     let replay = run_cluster_scenario(
         runtime(),
-        &cfg,
+        &sys,
         &settings,
         &scenario.replay(&original.incident_log),
+        TIME_SCALE,
     );
     assert_eq!(
         original.total_queries, replay.total_queries,

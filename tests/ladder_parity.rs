@@ -23,6 +23,10 @@ use diffserve_simkit::time::SimDuration;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
+/// Wall-clock seconds per simulated second on the testbed. Debug builds
+/// run the discriminator ~50x slower, so their clock runs slower too.
+const TIME_SCALE: f64 = if cfg!(debug_assertions) { 0.05 } else { 0.01 };
+
 fn disc_config() -> DiscriminatorConfig {
     DiscriminatorConfig {
         train_prompts: 500,
@@ -160,15 +164,7 @@ fn sim_and_cluster_agree_on_ladder_escalations() {
     let settings = RunSettings::new(Policy::DiffServe, 5.0);
 
     let sim = run_trace(ladder3_runtime(), &system, &settings, &trace);
-    let testbed = run_cluster(
-        ladder3_runtime(),
-        &ClusterConfig {
-            system: system.clone(),
-            time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-        },
-        &settings,
-        &trace,
-    );
+    let testbed = run_cluster(ladder3_runtime(), &system, &settings, &trace, TIME_SCALE);
 
     assert!(sim.total_queries > 100);
     assert_eq!(

@@ -24,7 +24,6 @@ const KEPT_PUBLIC: &[(&str, &str)] = &[
     ("Allocation", "core: `solve_exhaustive` returns one"),
     ("ArrivalStream", "core: `submit_stream` takes one"),
     ("BatchPolicy", "core: field of `AblationKnobs`"),
-    ("LadderAllocation", "core: `solve_ladder` returns one"),
     ("LadderArtifacts", "core: field of `PreparedRuntime`"),
     ("PreparedRuntime", "core: `CascadeRuntime` derefs to it"),
     ("QueueModel", "core: field of `AblationKnobs`"),

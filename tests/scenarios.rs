@@ -7,6 +7,10 @@ use diffserve::prelude::*;
 use diffserve_simkit::time::{SimDuration, SimTime};
 use std::sync::OnceLock;
 
+/// Wall-clock seconds per simulated second on the testbed. Debug builds
+/// run the discriminator ~50x slower, so their clock runs slower too.
+const TIME_SCALE: f64 = if cfg!(debug_assertions) { 0.05 } else { 0.01 };
+
 fn runtime() -> &'static CascadeRuntime {
     static RT: OnceLock<CascadeRuntime> = OnceLock::new();
     RT.get_or_init(|| {
@@ -81,15 +85,7 @@ fn one_scenario_value_drives_simulator_and_cluster() {
     let settings = RunSettings::new(Policy::DiffServe, 6.0);
 
     let sim = run_scenario(runtime(), &sys, &settings, &scenario);
-    let testbed = run_cluster_scenario(
-        runtime(),
-        &ClusterConfig {
-            system: sys.clone(),
-            time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-        },
-        &settings,
-        &scenario,
-    );
+    let testbed = run_cluster_scenario(runtime(), &sys, &settings, &scenario, TIME_SCALE);
 
     // Identical arrival streams (both draw from the scenario's effective
     // trace with the same seed).
@@ -124,15 +120,7 @@ fn cascading_failure_parity_between_simulator_and_cluster() {
     let settings = RunSettings::new(Policy::DiffServe, 6.0);
 
     let sim = run_scenario(runtime(), &sys, &settings, &scenario);
-    let testbed = run_cluster_scenario(
-        runtime(),
-        &ClusterConfig {
-            system: sys.clone(),
-            time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-        },
-        &settings,
-        &scenario,
-    );
+    let testbed = run_cluster_scenario(runtime(), &sys, &settings, &scenario, TIME_SCALE);
 
     assert_eq!(sim.total_queries, testbed.total_queries);
     assert_eq!(testbed.completed + testbed.dropped, testbed.total_queries);
@@ -160,15 +148,7 @@ fn brownout_parity_between_simulator_and_cluster() {
     let settings = RunSettings::new(Policy::DiffServe, 6.0);
 
     let sim = run_scenario(runtime(), &sys, &settings, &scenario);
-    let testbed = run_cluster_scenario(
-        runtime(),
-        &ClusterConfig {
-            system: sys.clone(),
-            time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-        },
-        &settings,
-        &scenario,
-    );
+    let testbed = run_cluster_scenario(runtime(), &sys, &settings, &scenario, TIME_SCALE);
 
     assert_eq!(sim.total_queries, testbed.total_queries);
     assert_eq!(testbed.completed + testbed.dropped, testbed.total_queries);

@@ -17,6 +17,10 @@ use diffserve::prelude::*;
 use diffserve_simkit::time::SimDuration;
 use std::sync::OnceLock;
 
+/// Wall-clock seconds per simulated second on the testbed. Debug builds
+/// run the discriminator ~50x slower, so their clock runs slower too.
+const TIME_SCALE: f64 = if cfg!(debug_assertions) { 0.05 } else { 0.01 };
+
 fn runtime() -> &'static CascadeRuntime {
     static RT: OnceLock<CascadeRuntime> = OnceLock::new();
     RT.get_or_init(|| {
@@ -43,15 +47,7 @@ fn simulator_and_cluster_agree_for_diffserve() {
     let settings = RunSettings::new(Policy::DiffServe, 5.0);
 
     let sim = run_trace(runtime(), &system, &settings, &trace);
-    let testbed = run_cluster(
-        runtime(),
-        &ClusterConfig {
-            system: system.clone(),
-            time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-        },
-        &settings,
-        &trace,
-    );
+    let testbed = run_cluster(runtime(), &system, &settings, &trace, TIME_SCALE);
 
     assert!(sim.total_queries > 100);
     assert!(
@@ -109,15 +105,7 @@ fn simulator_and_cluster_agree_with_online_estimator() {
     let settings = RunSettings::new(Policy::DiffServe, 5.0);
 
     let sim = run_trace(runtime(), &system, &settings, &trace);
-    let testbed = run_cluster(
-        runtime(),
-        &ClusterConfig {
-            system: system.clone(),
-            time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-        },
-        &settings,
-        &trace,
-    );
+    let testbed = run_cluster(runtime(), &system, &settings, &trace, TIME_SCALE);
 
     assert_eq!(
         sim.total_queries, testbed.total_queries,
@@ -162,15 +150,7 @@ fn simulator_and_cluster_agree_with_resume_from_latents() {
     let settings = RunSettings::new(Policy::DiffServe, 5.0);
 
     let sim = run_trace(runtime(), &system, &settings, &trace);
-    let testbed = run_cluster(
-        runtime(),
-        &ClusterConfig {
-            system: system.clone(),
-            time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-        },
-        &settings,
-        &trace,
-    );
+    let testbed = run_cluster(runtime(), &system, &settings, &trace, TIME_SCALE);
 
     assert_eq!(
         sim.total_queries, testbed.total_queries,
@@ -240,15 +220,7 @@ fn simulator_and_cluster_agree_on_addon_aggregates() {
     let settings = RunSettings::new(Policy::DiffServe, 5.0);
 
     let sim = run_trace(runtime(), &system, &settings, &trace);
-    let testbed = run_cluster(
-        runtime(),
-        &ClusterConfig {
-            system: system.clone(),
-            time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-        },
-        &settings,
-        &trace,
-    );
+    let testbed = run_cluster(runtime(), &system, &settings, &trace, TIME_SCALE);
 
     assert_eq!(
         sim.total_queries, testbed.total_queries,
@@ -295,19 +267,45 @@ fn simulator_and_cluster_agree_for_clipper_light() {
     let trace = Trace::constant(6.0, SimDuration::from_secs(40)).unwrap();
     let settings = RunSettings::new(Policy::ClipperLight, 6.0);
     let sim = run_trace(runtime(), &system, &settings, &trace);
-    let testbed = run_cluster(
-        runtime(),
-        &ClusterConfig {
-            system,
-            time_scale: if cfg!(debug_assertions) { 0.05 } else { 0.01 },
-        },
-        &settings,
-        &trace,
-    );
+    let testbed = run_cluster(runtime(), &system, &settings, &trace, TIME_SCALE);
     // Light-only serving is overload-free: both should report ~0 violations
     // and identical quality (same images, same prompts).
     assert!(sim.violation_ratio < 0.02);
     assert!(testbed.violation_ratio < 0.05);
     let fid_gap = (testbed.fid - sim.fid).abs() / sim.fid;
     assert!(fid_gap < 0.10, "fid gap {fid_gap}");
+}
+
+#[test]
+fn static_provisioning_bootstraps_the_same_plan_on_both_engines() {
+    // DiffServe-Static is provisioned once, for the session's peak-demand
+    // hint, and never re-solved. Both engines bootstrap from the raw hint;
+    // at this one the 5 % over-provisioning headroom would buy a different
+    // split and threshold, so an engine that applied it fails here.
+    let system = SystemConfig {
+        num_workers: 8,
+        ..Default::default()
+    };
+    let hint = 16.5;
+    let builder = || {
+        ServingSession::builder()
+            .runtime(runtime())
+            .config(system.clone())
+            .policy(Policy::DiffServeStatic)
+            .peak_demand(hint)
+    };
+    let spec = builder().validate().expect("valid session");
+    assert_ne!(
+        spec.control_loop().bootstrap(hint),
+        spec.control_loop().bootstrap(hint * system.over_provision),
+        "the headroom must change the plan at this hint"
+    );
+
+    let sim = builder().build().expect("valid session").snapshot();
+    let testbed = builder()
+        .build_cluster(TIME_SCALE)
+        .expect("valid session")
+        .snapshot();
+    assert_eq!(sim.tier_workers, testbed.tier_workers);
+    assert_eq!(sim.thresholds, testbed.thresholds);
 }
