@@ -1,6 +1,6 @@
 //! The shared serving plan updated by the controller and read by workers.
 
-use diffserve_core::kernel::worker_targets;
+use diffserve_core::kernel::{worker_moves, worker_targets};
 use diffserve_core::LadderAllocation;
 
 /// A snapshot of the controller's decisions: worker tier assignments,
@@ -27,36 +27,33 @@ pub struct ServingPlan {
 }
 
 impl ServingPlan {
-    /// A two-tier bootstrap plan: half the fleet per tier, batch 1, mid
-    /// threshold.
+    /// A two-tier plan for a fresh fleet: half the fleet per tier (the
+    /// light tier on the lower indices), batch 1, mid threshold.
     pub fn bootstrap(num_workers: usize) -> Self {
-        ServingPlan::bootstrap_tiers(num_workers, 2)
+        let light = num_workers / 2;
+        ServingPlan::new(
+            num_workers,
+            &LadderAllocation {
+                thresholds: vec![0.5],
+                workers: vec![light, num_workers - light],
+                batches: vec![1, 1],
+                feasible: true,
+            },
+        )
     }
 
-    /// An N-tier bootstrap plan: half the fleet on the entry tier, half on
-    /// the terminal tier (mid tiers start empty — the first control tick
-    /// staffs them), batch 1 everywhere, mid thresholds. Mirrors the
-    /// simulator's pre-bootstrap worker split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_tiers < 2`.
-    pub fn bootstrap_tiers(num_workers: usize, num_tiers: usize) -> Self {
-        assert!(num_tiers >= 2, "a ladder needs at least two tiers");
-        ServingPlan {
-            tiers: (0..num_workers)
-                .map(|i| {
-                    if i < num_workers / 2 {
-                        0
-                    } else {
-                        num_tiers - 1
-                    }
-                })
-                .collect(),
-            batches: vec![1; num_tiers],
-            thresholds: vec![0.5; num_tiers - 1],
+    /// The plan a fresh fleet of `num_workers` takes up under `plan`: the
+    /// fleet starts idle on the terminal tier, so the kernel's
+    /// [`worker_moves`] place it positionally.
+    pub(crate) fn new(num_workers: usize, plan: &LadderAllocation) -> Self {
+        let mut fresh = ServingPlan {
+            tiers: vec![plan.workers.len() - 1; num_workers],
+            batches: Vec::new(),
+            thresholds: Vec::new(),
             bypass_suspended: false,
-        }
+        };
+        fresh.adopt(plan, &[], |_| 0);
+        fresh
     }
 
     /// Number of ladder tiers this plan provisions for.
@@ -80,13 +77,12 @@ impl ServingPlan {
             .collect()
     }
 
-    /// Re-derives two-tier assignments from target counts, switching as few
-    /// workers as possible (stable assignment). Only counts and reassigns
-    /// workers whose `excluded` flag is unset — used under scenario-driven
-    /// worker churn so a failed worker's slot neither satisfies nor distorts
-    /// the allocation. `excluded` may be shorter than the fleet; missing entries
-    /// mean "not excluded". The N = 2 case of
-    /// [`ServingPlan::retarget_ladder_masked`].
+    /// Re-derives two-tier assignments from target counts over the workers
+    /// whose `excluded` flag is unset — used under scenario-driven worker
+    /// churn so a failed worker's slot neither satisfies nor distorts the
+    /// allocation. `excluded` may be shorter than the fleet; missing
+    /// entries mean "not excluded". Every worker counts as idle, so each
+    /// surplus tier gives up its lowest-indexed workers.
     ///
     /// # Examples
     ///
@@ -105,49 +101,68 @@ impl ServingPlan {
         heavy_workers: usize,
         excluded: &[bool],
     ) {
-        self.retarget_ladder_masked(&[light_workers, heavy_workers], excluded);
+        let alive = self.alive(excluded);
+        self.place(&[light_workers, heavy_workers], &alive, |_| 0);
     }
 
-    /// Takes over a control plan: tier reassignment over the workers not
-    /// `excluded` (fail-stopped, so no tier lands on a dead slot), batch
-    /// sizes, the per-boundary thresholds (Proteus's heavy fraction in the
-    /// first) and the bypass suspension under the overload fallback.
-    pub(crate) fn adopt(&mut self, plan: &LadderAllocation, excluded: &[bool]) {
-        self.retarget_ladder_masked(&plan.workers, excluded);
+    /// Takes over a control plan: batch sizes, the kernel's
+    /// [`worker_moves`] over the workers not `excluded` (fail-stopped, so
+    /// no tier lands on a dead slot) ranking donors by `load` (queued plus
+    /// in service), the per-boundary thresholds (Proteus's heavy fraction
+    /// in the first) and the bypass suspension under the overload
+    /// fallback.
+    pub(crate) fn adopt(
+        &mut self,
+        plan: &LadderAllocation,
+        excluded: &[bool],
+        load: impl Fn(usize) -> usize,
+    ) {
         self.batches = plan.batches.iter().map(|&b| b.max(1)).collect();
+        let alive = self.alive(excluded);
+        self.place(&plan.workers, &alive, load);
         self.thresholds.clone_from(&plan.thresholds);
         self.bypass_suspended = !plan.feasible;
     }
 
-    /// Re-derives tier assignments from per-tier target counts over the
-    /// non-excluded workers, flipping as few workers as possible. The
-    /// targets come from the serving kernel's [`worker_targets`]: spare
+    /// The workers not `excluded`, in index order.
+    fn alive(&self, excluded: &[bool]) -> Vec<usize> {
+        (0..self.tiers.len())
+            .filter(|&i| !excluded.get(i).copied().unwrap_or(false))
+            .collect()
+    }
+
+    /// Moves the `alive` workers to the [`worker_targets`] of `planned` by
+    /// the kernel's [`worker_moves`], ranking donors by `load`: spare
     /// capacity beyond the plan joins the entry tier, an over-subscribed
-    /// plan is cut from the deep end.
-    pub fn retarget_ladder_masked(&mut self, workers: &[usize], excluded: &[bool]) {
-        let nt = self.num_tiers();
-        let is_excluded = |i: usize| excluded.get(i).copied().unwrap_or(false);
-        let avail: Vec<usize> = (0..self.tiers.len()).filter(|&i| !is_excluded(i)).collect();
-        let mut planned = workers.to_vec();
-        planned.resize(nt, 0);
-        let target = worker_targets(&planned, avail.len());
-        let mut current = vec![0usize; nt];
-        for &i in &avail {
-            current[self.tiers[i].min(nt - 1)] += 1;
+    /// plan is cut from the deep end. Debug and `verify` builds then check
+    /// that every tier's alive members number its target.
+    fn place(&mut self, planned: &[usize], alive: &[usize], load: impl Fn(usize) -> usize) {
+        let mut targets = worker_targets(planned, alive.len());
+        targets.resize(self.num_tiers(), 0);
+        let mut current = vec![0; targets.len()];
+        for &i in alive {
+            current[self.tiers[i]] += 1;
         }
-        // Move workers from surplus tiers to deficit tiers, lowest worker
-        // index first.
-        for &i in &avail {
-            let t = self.tiers[i].min(nt - 1);
-            if current[t] <= target[t] {
-                continue;
-            }
-            let Some(d) = (0..nt).find(|&d| current[d] < target[d]) else {
-                break;
-            };
-            self.tiers[i] = d;
-            current[t] -= 1;
-            current[d] += 1;
+        let (tiers, load) = (&self.tiers, &load);
+        let moves = worker_moves(
+            |t| current[t],
+            &targets,
+            |t| {
+                alive
+                    .iter()
+                    .filter(move |&&i| tiers[i] == t)
+                    .map(|&i| (load(i), i))
+            },
+        );
+        for (worker, tier) in moves {
+            self.tiers[worker] = tier;
+        }
+        for (tier, &target) in targets.iter().enumerate() {
+            debug_assert_eq!(
+                alive.iter().filter(|&&i| self.tiers[i] == tier).count(),
+                target,
+                "tier {tier} is staffed off its target after a plan"
+            );
         }
     }
 }
@@ -156,47 +171,38 @@ impl ServingPlan {
 mod tests {
     use super::*;
 
+    fn three_tier(workers: Vec<usize>) -> LadderAllocation {
+        LadderAllocation {
+            thresholds: vec![0.3, 0.6],
+            workers,
+            batches: vec![1, 2, 8],
+            feasible: true,
+        }
+    }
+
     #[test]
     fn bootstrap_splits_fleet() {
         let p = ServingPlan::bootstrap(8);
-        assert_eq!(p.workers_of(0).len(), 4);
-        assert_eq!(p.workers_of(1).len(), 4);
+        assert_eq!(p.workers_of(0), [0, 1, 2, 3]);
+        assert_eq!(p.workers_of(1), [4, 5, 6, 7]);
         assert_eq!(p.batch_for(0), 1);
         assert_eq!(p.num_tiers(), 2);
     }
 
+    /// A fresh fleet is placed positionally, spare workers on the entry
+    /// tier, and takes the plan's parameters.
     #[test]
-    fn bootstrap_tiers_leaves_mid_tiers_empty() {
-        let p = ServingPlan::bootstrap_tiers(8, 4);
-        assert_eq!(p.workers_of(0).len(), 4);
-        assert_eq!(p.workers_of(1).len(), 0);
-        assert_eq!(p.workers_of(2).len(), 0);
-        assert_eq!(p.workers_of(3).len(), 4);
-        assert_eq!(p.thresholds.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two tiers")]
-    fn a_one_tier_bootstrap_panics() {
-        let _ = ServingPlan::bootstrap_tiers(4, 1);
+    fn a_fresh_fleet_takes_the_plan_positionally() {
+        let p = ServingPlan::new(6, &three_tier(vec![1, 2, 1]));
+        assert_eq!(p.tiers, [0, 0, 0, 1, 1, 2]);
+        assert_eq!(p.thresholds, [0.3, 0.6]);
+        assert!(!p.bypass_suspended);
     }
 
     #[test]
     fn batch_for_clamps_past_the_last_tier() {
-        let mut p = ServingPlan::bootstrap_tiers(4, 3);
-        p.batches = vec![1, 2, 8];
+        let p = ServingPlan::new(4, &three_tier(vec![2, 1, 1]));
         assert_eq!((p.batch_for(2), p.batch_for(5)), (8, 8));
-    }
-
-    #[test]
-    fn retarget_minimizes_switches() {
-        let mut p = ServingPlan::bootstrap(8);
-        p.retarget_masked(6, 2, &[]);
-        assert_eq!(p.workers_of(0).len(), 6);
-        // The original 4 light workers must not have flipped.
-        for i in 0..4 {
-            assert_eq!(p.tiers[i], 0);
-        }
     }
 
     #[test]
@@ -215,45 +221,20 @@ mod tests {
         assert_eq!(p.tiers[7], 1);
     }
 
+    /// Adopting a plan moves the least-loaded surplus workers.
     #[test]
-    fn retarget_assigns_spare_to_light() {
-        let mut p = ServingPlan::bootstrap(8);
-        p.retarget_masked(2, 2, &[]); // 4 spare → light
-        assert_eq!(p.workers_of(0).len(), 6);
-        assert_eq!(p.workers_of(1).len(), 2);
-    }
-
-    #[test]
-    fn ladder_retarget_staffs_mid_tiers_stably() {
-        let mut p = ServingPlan::bootstrap_tiers(8, 3); // 4 on tier 0, 4 on tier 2
-        p.retarget_ladder_masked(&[4, 2, 2], &[]);
-        assert_eq!(p.workers_of(0).len(), 4);
-        assert_eq!(p.workers_of(1).len(), 2);
-        assert_eq!(p.workers_of(2).len(), 2);
-        // Tier-0 workers were already in place and must not have flipped.
-        for i in 0..4 {
-            assert_eq!(p.tiers[i], 0);
-        }
-    }
-
-    #[test]
-    fn ladder_retarget_spills_spare_to_entry_tier() {
-        let mut p = ServingPlan::bootstrap_tiers(6, 3);
-        p.retarget_ladder_masked(&[1, 1, 1], &[]);
-        assert_eq!(p.workers_of(0).len(), 4); // 1 target + 3 spare
-        assert_eq!(p.workers_of(1).len(), 1);
-        assert_eq!(p.workers_of(2).len(), 1);
-    }
-
-    #[test]
-    fn ladder_retarget_truncates_oversubscription_from_deep_end() {
-        let mut p = ServingPlan::bootstrap_tiers(4, 3);
-        let mut excluded = vec![false; 4];
-        excluded[3] = true;
-        p.retarget_ladder_masked(&[2, 1, 1], &excluded); // 4 targets, 3 alive
-        let alive: Vec<usize> = (0..3).map(|i| p.tiers[i]).collect();
-        assert_eq!(alive.iter().filter(|&&t| t == 0).count(), 2);
-        assert_eq!(alive.iter().filter(|&&t| t == 1).count(), 1);
-        assert_eq!(alive.iter().filter(|&&t| t == 2).count(), 0);
+    fn adopt_moves_the_least_loaded_surplus() {
+        let mut p = ServingPlan::bootstrap(6); // 0..3 light, 3..6 heavy
+        let loads = [4, 0, 2, 1, 5, 0];
+        let next = LadderAllocation {
+            thresholds: vec![0.7],
+            workers: vec![1, 5],
+            batches: vec![2, 1],
+            feasible: false,
+        };
+        p.adopt(&next, &[], |i| loads[i]);
+        assert_eq!(p.tiers, [0, 1, 1, 1, 1, 1]);
+        assert_eq!((p.batches, p.thresholds), (vec![2, 1], vec![0.7]));
+        assert!(p.bypass_suspended);
     }
 }

@@ -14,10 +14,11 @@
 //! SLO-violation gap between the two.
 //!
 //! Threads, sleeps and channels are all this engine owns: what a batch
-//! costs, where a job routes, whether an output escalates and what the
-//! controller is told are calls into `diffserve_core::kernel`, the same
-//! functions the simulator calls; the bootstrap plan, the drain period
-//! and the report's horizon cut are the core's too.
+//! costs, where a job routes, whether an output escalates, which workers
+//! change tier and what the controller is told are calls into
+//! `diffserve_core::kernel`, the same functions the simulator calls; the
+//! bootstrap plan, the drain period and the report's horizon cut are the
+//! core's too.
 //!
 //! The testbed is the second engine behind the unified session API:
 //! [`ClusterBackend`] implements [`ServingBackend`], and
@@ -70,6 +71,9 @@ struct Job {
     /// Add-on module (catalog index) this job requires; rides along on
     /// escalation so the deeper pass needs the same module.
     addon: Option<usize>,
+    /// The tier [`Shared::forward`] routed this job to: a worker that
+    /// changes tier, or fails, hands its queue back there.
+    tier: usize,
 }
 
 impl Job {
@@ -81,6 +85,9 @@ impl Job {
         }
     }
 }
+
+/// [`Shared::hosting`] of a worker with no model loaded.
+const LOADING: usize = usize::MAX;
 
 struct Shared {
     plan: RwLock<ServingPlan>,
@@ -100,6 +107,10 @@ struct Shared {
     /// Members of the batch each worker is executing (0 between batches)
     /// — the in-service half of the kernel's routing load.
     in_service: Vec<AtomicUsize>,
+    /// The tier whose model each worker has loaded, or [`LOADING`] from
+    /// the moment the worker sees its own fail-stop until it has reloaded.
+    /// A worker whose plan tier differs is switching toward it.
+    hosting: Vec<AtomicUsize>,
     /// Per-worker health speed factor (f64 bits; 1.0 = nameplate). Workers
     /// read their own factor at every batch and sleep-scale execution by
     /// its reciprocal, so a degraded worker serves proportionally slower.
@@ -274,14 +285,20 @@ impl Shared {
             .any(|(i, &t)| t > tier && !self.is_failed(i))
     }
 
-    /// Health-weighted JSQ among alive workers currently assigned to
-    /// `tier`, by the kernel's routing score: channel depth plus the
+    /// The queries queued on worker `i` plus those in service.
+    fn load(&self, i: usize) -> usize {
+        self.depths[i].load(Ordering::Relaxed) + self.in_service[i].load(Ordering::Relaxed)
+    }
+
+    /// Health-weighted JSQ over the simulator's candidate order: alive
+    /// workers hosting `tier` and not switching away, then those switching
+    /// toward it (still loading its model), then any alive worker (the
+    /// tier is unstaffed, mid-reconfiguration or wiped out by churn;
+    /// scenario validation guarantees one is alive). Each candidate is
+    /// ranked by the kernel's routing score: channel depth plus the
     /// members of the batch in service, weighted by the worker's slowdown,
     /// plus the add-on miss penalty where the worker's cache lacks the
     /// job's module. The first-minimum pick keeps the lowest index on ties.
-    /// With no alive worker on that tier (mid-reconfiguration, or wiped out
-    /// by churn) it falls back to the best alive worker; scenario
-    /// validation guarantees one exists.
     fn route(&self, kernel: &Kernel<'_>, tier: usize, addon: Option<usize>) -> usize {
         let penalty = kernel.miss_penalty(tier, addon);
         let score = |i: usize| {
@@ -298,7 +315,10 @@ impl Shared {
         };
         let plan = self.plan.read();
         let alive = || (0..self.depths.len()).filter(|&i| !self.is_failed(i));
-        kernel::pick_min(alive().filter(|&i| plan.tiers[i] == tier).map(score))
+        let targeting = || alive().filter(|&i| plan.tiers[i] == tier);
+        let ready = |&i: &usize| self.hosting[i].load(Ordering::Relaxed) == tier;
+        kernel::pick_min(targeting().filter(ready).map(score))
+            .or_else(|| kernel::pick_min(targeting().map(score)))
             .or_else(|| kernel::pick_min(alive().map(score)))
             .expect("at least one worker must be alive")
     }
@@ -307,11 +327,24 @@ impl Shared {
     /// fails only once the target's thread has exited; the job is then
     /// lost, its depth count is taken back, and the session's finish
     /// accounts it as a drop.
-    fn forward(&self, kernel: &Kernel<'_>, txs: &[Sender<Job>], tier: usize, job: Job) {
+    fn forward(&self, kernel: &Kernel<'_>, txs: &[Sender<Job>], tier: usize, mut job: Job) {
+        job.tier = tier;
         let target = self.route(kernel, tier, job.addon);
         self.depths[target].fetch_add(1, Ordering::Relaxed);
         if txs[target].send(job).is_err() {
             self.depths[target].fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Hands every job queued on worker `wid` back to the tier it was
+    /// routed to, as the simulator re-routes a moved or failed worker's
+    /// queue. The queue is drained before any job is forwarded, so a job
+    /// routed straight back here waits for the worker.
+    fn hand_back(&self, wid: usize, rx: &Receiver<Job>, kernel: &Kernel<'_>, txs: &[Sender<Job>]) {
+        let held: Vec<Job> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        self.depths[wid].fetch_sub(held.len(), Ordering::Relaxed);
+        for job in held {
+            self.forward(kernel, txs, job.tier, job);
         }
     }
 }
@@ -386,17 +419,19 @@ impl<'a> ClusterBackend<'a> {
         let kernel = Kernel::new(runtime, &sys, &settings);
         let nt = kernel.num_tiers();
 
-        // Bootstrap through the shared control plane, as the simulator does.
+        // Bootstrap through the shared control plane, as the simulator does:
+        // a fresh fleet is placed positionally and pays no switch delay.
         let mut control = spec.control_loop();
-        let mut plan = ServingPlan::bootstrap_tiers(n, nt);
-        if let ControlDirective::Apply { plan: bootstrap } =
+        let ControlDirective::Apply { plan: bootstrap } =
             control.bootstrap(settings.peak_demand_hint)
-        {
-            plan.adopt(&bootstrap, &[]);
-        }
+        else {
+            unreachable!("the control loop plans a bootstrap for every policy")
+        };
+        let plan = ServingPlan::new(n, &bootstrap);
         let control = Arc::new(Mutex::new(control));
 
         let router = kernel.new_router();
+        let hosting = plan.tiers.iter().map(|&t| AtomicUsize::new(t)).collect();
         let shared = Arc::new(Shared {
             plan: RwLock::new(plan),
             depths: (0..n).map(|_| AtomicUsize::new(0)).collect(),
@@ -407,6 +442,7 @@ impl<'a> ClusterBackend<'a> {
             failed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             busy: (0..n).map(|_| AtomicBool::new(false)).collect(),
             in_service: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            hosting,
             speed_bits: (0..n).map(|_| AtomicU64::new(1.0f64.to_bits())).collect(),
             threshold_track: Mutex::new(WindowedSeries::new(METRICS_WINDOW)),
             incident_log: Mutex::new(Vec::new()),
@@ -564,6 +600,7 @@ impl ServingBackend for ClusterBackend<'_> {
             prompt: spec.prompt,
             resume: spec.resume_from,
             addon: spec.addon,
+            tier,
         };
         self.shared.forward(&self.kernel, &self.job_txs, tier, job);
         QueryTicket {
@@ -808,7 +845,7 @@ fn control_tick(shared: &Shared, control: &Mutex<ControlLoop>) {
     let obs = shared.telemetry.lock().observe(now, &fleet, batches);
     let directive = control.lock().step(&obs);
     if let ControlDirective::Apply { plan: next } = &directive {
-        plan.adopt(next, &excluded);
+        plan.adopt(next, &excluded, |i| shared.load(i));
     }
     // Record the decision that is now in force — the series the report's
     // `threshold_series` is built from (mirroring the simulator, which
@@ -828,6 +865,8 @@ fn worker_loop(
     kernel: &Kernel<'_>,
 ) {
     let switch_delay = MODEL_SWITCH_DELAY.as_secs_f64();
+    // The model this worker serves with: its bootstrap tier, loaded at
+    // launch.
     let mut current_tier = shared.plan.read().tiers[wid];
     let mut was_failed = false;
     let poll = Duration::from_secs_f64((0.02 * shared.scale).max(0.0002));
@@ -836,15 +875,22 @@ fn worker_loop(
     let mut seen = Vec::new();
     let mut batch = Vec::new();
     let mut thresholds = Vec::new();
+    // Sleeps out a model load, busy, then serves `tier`.
+    let load_model = |tier: usize| {
+        shared.busy[wid].store(true, Ordering::Relaxed);
+        shared.sleep_sim(switch_delay);
+        shared.busy[wid].store(false, Ordering::Relaxed);
+        shared.hosting[wid].store(tier, Ordering::SeqCst);
+    };
     loop {
-        // Scenario fail-stop: re-route anything queued here to surviving
+        // Scenario fail-stop: hand anything queued here back to surviving
         // workers and idle until recovery (or shutdown).
         if shared.failed[wid].load(Ordering::SeqCst) {
+            // The restart drops the model; a fail and recover that land
+            // within one batch go unseen and leave it loaded.
             was_failed = true;
-            while let Ok(job) = rx.try_recv() {
-                shared.depths[wid].fetch_sub(1, Ordering::Relaxed);
-                shared.forward(kernel, txs, current_tier, job);
-            }
+            shared.hosting[wid].store(LOADING, Ordering::SeqCst);
+            shared.hand_back(wid, rx, kernel, txs);
             if shared.shutdown.load(Ordering::SeqCst) && rx.is_empty() {
                 return;
             }
@@ -859,19 +905,17 @@ fn worker_loop(
             if let Some(cache) = shared.module_caches.get(wid) {
                 cache.lock().clear();
             }
-            shared.busy[wid].store(true, Ordering::Relaxed);
-            shared.sleep_sim(switch_delay);
-            shared.busy[wid].store(false, Ordering::Relaxed);
             current_tier = shared.plan.read().tiers[wid];
+            load_model(current_tier);
         }
 
-        // Follow the plan: switch models if reassigned.
+        // Follow the plan: a moved worker hands its queue back to the tier
+        // it was routed to, then switches models.
         let desired = shared.plan.read().tiers[wid];
         if desired != current_tier {
-            shared.busy[wid].store(true, Ordering::Relaxed);
-            shared.sleep_sim(switch_delay);
-            shared.busy[wid].store(false, Ordering::Relaxed);
+            shared.hand_back(wid, rx, kernel, txs);
             current_tier = desired;
+            load_model(current_tier);
         }
         let bmax = shared.plan.read().batch_for(current_tier).max(1);
 
@@ -1261,6 +1305,105 @@ mod tests {
         let report = Box::new(backend).finish(ticket.arrival);
         assert_eq!(report.total_queries, 1);
         assert_eq!(report.completed + report.dropped, report.total_queries);
+    }
+
+    /// A four-worker testbed under a hand-written plan (tiers
+    /// `[0, 0, 1, 1]`, batch 1, boundary threshold `threshold`), every
+    /// worker done loading its tier's model. DiffServe-Static holds its
+    /// plan, so no control tick rewrites it.
+    fn launch_four_on_two_tiers(threshold: f64) -> (ClusterBackend<'static>, ServingPlan) {
+        let spec = ServingSession::builder()
+            .runtime(test_runtime())
+            .config(SystemConfig {
+                num_workers: 4,
+                ..Default::default()
+            })
+            .policy(Policy::DiffServeStatic)
+            .validate()
+            .expect("valid session");
+        let mut backend = ClusterBackend::launch(&spec, TIME_SCALE).expect("valid time scale");
+        let plan = ServingPlan {
+            tiers: vec![0, 0, 1, 1],
+            batches: vec![1, 1],
+            thresholds: vec![threshold],
+            bypass_suspended: false,
+        };
+        *backend.shared.plan.write() = plan.clone();
+        backend.tick(backend.now() + SimDuration::from_secs(2));
+        (backend, plan)
+    }
+
+    /// Serves `queries` far-deadline queries on
+    /// [`launch_four_on_two_tiers`]' fleet, moves worker `moved` to the
+    /// other tier once its channel holds at least two jobs, and returns
+    /// the tiers the queries completed at with the boundary-0 escalation
+    /// count.
+    fn serve_across_a_move(threshold: f64, moved: usize, queries: usize) -> (Vec<usize>, u64) {
+        let (mut backend, mut plan) = launch_four_on_two_tiers(threshold);
+        let far = backend.now() + SimDuration::from_secs(10_000);
+        for _ in 0..queries {
+            backend.submit(QuerySpec::new().deadline(far));
+        }
+        let give_up = backend.now() + SimDuration::from_secs(200);
+        while backend.shared.depths[moved].load(Ordering::SeqCst) < 2 {
+            assert!(backend.now() < give_up, "worker {moved} never held a queue");
+            thread::sleep(Duration::from_micros(200));
+        }
+        plan.tiers[moved] = 1 - plan.tiers[moved];
+        *backend.shared.plan.write() = plan;
+        let mut tiers = Vec::new();
+        while tiers.len() < queries {
+            assert!(backend.now() < give_up, "{} of {queries} done", tiers.len());
+            backend.tick(backend.now() + SimDuration::from_secs(1));
+            for outcome in backend.drain_completions() {
+                match outcome {
+                    QueryOutcome::Completed(r) => tiers.push(r.tier),
+                    dropped => panic!("no query may be dropped: {dropped:?}"),
+                }
+            }
+        }
+        let escalations = backend.shared.tier_escalations[0].load(Ordering::SeqCst);
+        (tiers, escalations)
+    }
+
+    /// A worker the plan moves hands its queued jobs back to the tier they
+    /// were routed to: they complete at, or escalate from, that tier, and
+    /// each query crosses boundary 0 exactly once. Served on the worker's
+    /// new model instead, light-bound jobs would complete on the heavy
+    /// tier and heavy-bound ones would be scored at boundary 0 again.
+    #[test]
+    fn a_moved_worker_hands_its_queue_back_to_the_tier_it_was_routed_to() {
+        // Threshold 0: every query completes at the light tier, including
+        // the ones queued on light worker 0 when it moves to heavy.
+        let (tiers, escalations) = serve_across_a_move(0.0, 0, 16);
+        assert!(tiers.iter().all(|&t| t == 0), "completion tiers {tiers:?}");
+        assert_eq!(escalations, 0);
+        // Threshold 1: every query escalates once and completes heavy,
+        // including the ones queued on heavy worker 2 when it moves light.
+        let (tiers, escalations) = serve_across_a_move(1.0, 2, 16);
+        assert!(tiers.iter().all(|&t| t == 1), "completion tiers {tiers:?}");
+        assert_eq!(escalations, 16);
+    }
+
+    /// A fail and a recover that land back to back leave the worker a
+    /// ready host of its tier, whether or not it saw the failure: routing
+    /// still prefers it over a busier ready worker.
+    #[test]
+    fn a_worker_failed_and_recovered_at_once_is_routed_to_as_ready() {
+        let (mut backend, _) = launch_four_on_two_tiers(0.5);
+        // Both pick heavy worker 3: the highest-indexed alive, then the
+        // lowest-indexed failed.
+        for event in [CapacityEvent::Fail(1), CapacityEvent::Recover(1)] {
+            backend.shared.apply_event(ScenarioEvent::Capacity(event));
+        }
+        // Long enough to reload, had the worker seen its failure.
+        backend.tick(backend.now() + SimDuration::from_secs(2));
+        let shared = &backend.shared;
+        assert_eq!(shared.hosting[3].load(Ordering::SeqCst), 1);
+        // Worker 2, the other heavy host, looks busier.
+        shared.depths[2].fetch_add(1, Ordering::SeqCst);
+        assert_eq!(shared.route(&backend.kernel, 1, None), 3);
+        shared.depths[2].fetch_sub(1, Ordering::SeqCst);
     }
 
     #[test]

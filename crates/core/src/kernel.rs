@@ -20,7 +20,8 @@
 //!   the entry tier per policy ([`Kernel::entry_tier`]), a query's pass
 //!   through a tier — boundary verdict, and the image when it completes
 //!   there ([`Kernel::serve`]) — and response / snapshot assembly.
-//! * [`worker_targets`] — per-tier worker targets from a plan.
+//! * [`worker_targets`], [`worker_moves`] — per-tier worker targets from a
+//!   plan, and which workers change tier to meet them.
 //! * [`capacity_targets`], [`applied_capacity_event`] — which workers a
 //!   fail / recover / degrade / restore event touches, and what the
 //!   incident log records of it.
@@ -865,6 +866,52 @@ pub fn worker_targets(planned: &[usize], alive: usize) -> Vec<usize> {
     targets
 }
 
+/// The worker → tier moves that bring the alive fleet to the per-tier
+/// `targets` of [`worker_targets`], in the order an engine applies them.
+///
+/// The fleet is described tier by tier: `current(t)` counts the alive
+/// workers that host tier `t` or are switching to it, and `members(t)`
+/// lists them as `(load, index)`, the load being their queued plus
+/// in-service queries. `members` is asked only of tiers over their target,
+/// so an engine with a per-tier index pays for the tiers that give workers
+/// up and no more.
+///
+/// Donors are each surplus tier's least-loaded surplus by `(load, index)`,
+/// in tier order; they fill the deficit tiers in tier order. Workers a
+/// tier keeps never move, so the moves number exactly the surplus. A fresh
+/// fleet starts idle on the terminal tier, so its bootstrap moves place it
+/// positionally: the terminal tier keeps the highest indices and gives up
+/// the rest to tiers `0, 1, …` in turn. Both engines call this at
+/// bootstrap and on every plan; what a move costs (a model switch, the
+/// queue handed back to the tier it was routed to) is the engine's.
+pub fn worker_moves<M>(
+    current: impl Fn(usize) -> usize,
+    targets: &[usize],
+    mut members: impl FnMut(usize) -> M,
+) -> Vec<(usize, usize)>
+where
+    M: IntoIterator<Item = (usize, usize)>,
+{
+    let mut donors: Vec<(usize, usize)> = Vec::new();
+    for (t, &target) in targets.iter().enumerate() {
+        if current(t) <= target {
+            continue;
+        }
+        let from = donors.len();
+        donors.reserve(current(t));
+        // Folded, not `extend`ed: an engine may list members through nested
+        // adaptors, which external iteration walks several times slower.
+        members(t).into_iter().for_each(|m| donors.push(m));
+        donors[from..].sort_unstable();
+        donors.truncate(from + current(t) - target);
+    }
+    let deficits = targets
+        .iter()
+        .enumerate()
+        .flat_map(|(t, &target)| std::iter::repeat_n(t, target.saturating_sub(current(t))));
+    donors.into_iter().map(|(_, w)| w).zip(deficits).collect()
+}
+
 /// The workers a capacity event applies to, in the order the engines apply
 /// it, given each worker's `(failed, degraded)` state:
 ///
@@ -1393,6 +1440,157 @@ mod tests {
         assert_eq!(worker_targets(&[2, 2, 2], 3), [2, 1, 0]);
         assert_eq!(worker_targets(&[4, 1, 1], 3), [3, 0, 0]);
         assert_eq!(worker_targets(&[1, 1, 1], 6), [4, 1, 1]);
+    }
+
+    /// The moves toward `targets` of a fleet whose worker `i` targets
+    /// `tiers[i]` at load `loads[i]` (0 past the slice); the workers in
+    /// `failed` are left out.
+    fn moves(
+        tiers: &[usize],
+        loads: &[usize],
+        failed: &[usize],
+        targets: &[usize],
+    ) -> Vec<(usize, usize)> {
+        let alive = || (0..tiers.len()).filter(|i| !failed.contains(i));
+        let mut current = vec![0; targets.len()];
+        for i in alive() {
+            current[tiers[i]] += 1;
+        }
+        worker_moves(
+            |t| current[t],
+            targets,
+            |t| {
+                alive()
+                    .filter(|&i| tiers[i] == t)
+                    .map(|i| (loads.get(i).copied().unwrap_or(0), i))
+                    .collect::<Vec<_>>()
+            },
+        )
+    }
+
+    /// The moves for `planned` over a fleet of idle workers, the workers
+    /// in `failed` left out.
+    fn moves_for(tiers: &[usize], failed: &[usize], planned: &[usize]) -> Vec<(usize, usize)> {
+        let targets = worker_targets(planned, tiers.len() - failed.len());
+        moves(tiers, &[], failed, &targets)
+    }
+
+    #[test]
+    fn settled_workers_do_not_move() {
+        let fleet = [0, 0, 0, 0, 1, 1, 1, 1];
+        // Two heavy workers go light; the four light ones stay put.
+        assert_eq!(moves_for(&fleet, &[], &[6, 2]), [(4, 0), (5, 0)]);
+        assert_eq!(moves_for(&fleet, &[], &[4, 4]), []);
+    }
+
+    #[test]
+    fn failed_workers_are_untouched() {
+        let fleet = [0, 0, 1, 1, 1, 1, 1, 1];
+        assert_eq!(moves_for(&fleet, &[6, 7], &[4, 2]), [(2, 0), (3, 0)]);
+        // Failed workers are not counted, so even a plan that wants every
+        // heavy worker light moves only alive ones.
+        assert_eq!(
+            moves_for(&fleet, &[6, 7], &[6, 0]),
+            [(2, 0), (3, 0), (4, 0), (5, 0)]
+        );
+    }
+
+    #[test]
+    fn spare_workers_join_the_entry_tier() {
+        let fleet = [0, 0, 0, 0, 1, 1, 1, 1];
+        assert_eq!(moves_for(&fleet, &[], &[2, 2]), [(4, 0), (5, 0)]);
+        let ladder = [0, 0, 0, 2, 2, 2];
+        assert_eq!(moves_for(&ladder, &[], &[1, 1, 1]), [(3, 0), (4, 1)]);
+    }
+
+    #[test]
+    fn oversubscription_is_cut_from_the_deep_end() {
+        // Four workers planned over three alive: the terminal tier loses
+        // its only alive worker to the mid tier.
+        assert_eq!(moves_for(&[0, 0, 2, 2], &[3], &[2, 1, 1]), [(2, 1)]);
+    }
+
+    #[test]
+    fn mid_tiers_get_staffed() {
+        let fleet = [0, 0, 0, 0, 2, 2, 2, 2];
+        assert_eq!(moves_for(&fleet, &[], &[4, 2, 2]), [(4, 1), (5, 1)]);
+    }
+
+    /// A fresh fleet, idle on the terminal tier, is placed in worker
+    /// order, tier by tier: the bootstrap. A plan that staffs one tier
+    /// alone (Clipper) keeps or gives up the whole fleet.
+    #[test]
+    fn a_fresh_fleet_is_placed_positionally() {
+        assert_eq!(
+            moves_for(&[2; 7], &[], &[2, 3, 2]),
+            [(0, 0), (1, 0), (2, 1), (3, 1), (4, 1)]
+        );
+        assert_eq!(moves_for(&[1; 3], &[], &[3, 0]), [(0, 0), (1, 0), (2, 0)]);
+        assert_eq!(moves_for(&[1; 3], &[], &[0, 3]), []);
+    }
+
+    #[test]
+    fn donors_are_the_least_loaded_surplus_ties_to_the_lower_index() {
+        assert_eq!(
+            moves(&[0; 6], &[3, 1, 2, 1, 0, 1], &[], &[2, 4]),
+            [(4, 1), (1, 1), (3, 1), (5, 1)]
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Over random fleets (failed or assigned workers), loads and
+        /// plans, the moves meet the targets with exactly one move per
+        /// surplus worker, and each surplus tier gives up its least-loaded
+        /// workers.
+        #[test]
+        fn moves_meet_the_targets_with_the_surplus_alone(
+            num_tiers in 2usize..5,
+            fleet in proptest::collection::vec((0usize..5, 0usize..4), 1..40),
+            planned in proptest::collection::vec(0usize..12, 4..5),
+        ) {
+            // Code 0 is failed, `c ≥ 1` tier `(c − 1) % N`.
+            let tiers: Vec<usize> = fleet
+                .iter()
+                .map(|&(code, _)| code.saturating_sub(1) % num_tiers)
+                .collect();
+            let loads: Vec<usize> = fleet.iter().map(|&(_, load)| load).collect();
+            let failed: Vec<usize> = (0..fleet.len()).filter(|&i| fleet[i].0 == 0).collect();
+            let alive: Vec<usize> = (0..fleet.len()).filter(|&i| fleet[i].0 != 0).collect();
+            let targets = worker_targets(&planned[..num_tiers], alive.len());
+            let moves = moves(&tiers, &loads, &failed, &targets);
+
+            let mut current = vec![0usize; num_tiers];
+            for &i in &alive {
+                current[tiers[i]] += 1;
+            }
+            let surplus: usize = (0..num_tiers)
+                .map(|t| current[t].saturating_sub(targets[t]))
+                .sum();
+            proptest::prop_assert_eq!(moves.len(), surplus);
+
+            let mut after = tiers.clone();
+            for &(worker, tier) in &moves {
+                proptest::prop_assert!(!failed.contains(&worker), "failed worker {} moved", worker);
+                proptest::prop_assert!(tiers[worker] != tier, "worker {} stayed", worker);
+                proptest::prop_assert!(after[worker] == tiers[worker], "worker {} moved twice", worker);
+                after[worker] = tier;
+            }
+            for (t, &target) in targets.iter().enumerate() {
+                let staffed = alive.iter().filter(|&&i| after[i] == t).count();
+                proptest::prop_assert_eq!(staffed, target, "tier {}", t);
+                // Every worker the tier gave up ranks below every one it
+                // kept by `(load, index)`.
+                let of_tier = || alive.iter().filter(|&&i| tiers[i] == t);
+                let rank = |&i: &usize| (loads[i], i);
+                let given = of_tier().filter(|&&i| after[i] != t).map(rank).max();
+                let kept = of_tier().filter(|&&i| after[i] == t).map(rank).min();
+                if let (Some(given), Some(kept)) = (given, kept) {
+                    proptest::prop_assert!(given < kept, "tier {}: gave {:?}, kept {:?}", t, given, kept);
+                }
+            }
+        }
     }
 
     /// (d) On an all-healthy fleet equal loads tie, and the first-minimum

@@ -443,12 +443,6 @@ impl LoadIndex {
     fn tier_len(&self, tier: usize) -> usize {
         self.primary[tier].len() + self.pending_to[tier].len()
     }
-
-    /// Appends the indices of every alive worker targeting `tier`.
-    fn tier_members(&self, tier: usize, out: &mut Vec<usize>) {
-        out.extend(self.primary[tier].iter().map(|(_, i)| i));
-        out.extend(self.pending_to[tier].iter().map(|(_, i)| i));
-    }
 }
 
 /// One query between its submission (a trace arrival: its arrival) and its
@@ -596,8 +590,6 @@ struct ServingSim<'a> {
     batch_scratch: Vec<Slot>,
     /// Holds orphaned queries while a failed fleet slice is re-routed.
     orphan_scratch: Vec<(usize, Slot)>,
-    /// Holds donor-tier candidate indices during allocation switches.
-    victim_scratch: Vec<usize>,
     /// Holds a switching worker's queue while it is re-routed.
     requeue_scratch: Vec<Slot>,
 }
@@ -617,16 +609,11 @@ impl<'a> ServingSim<'a> {
         let boundaries = num_tiers - 1;
         let thresholds = vec![0.5; boundaries];
         let router = kernel.new_router();
-        // Bootstrap: half the fleet per tier until the first control tick
-        // (static policies overwrite this immediately below). Mid tiers
-        // start empty; the first plan staffs them.
+        // A fresh fleet idles on the terminal tier until the bootstrap plan
+        // below places it.
         let workers = (0..config.num_workers)
-            .map(|i| Worker {
-                tier: if i < config.num_workers / 2 {
-                    0
-                } else {
-                    num_tiers - 1
-                },
+            .map(|_| Worker {
+                tier: num_tiers - 1,
                 pending_tier: None,
                 batch_max: 1,
                 queue: VecDeque::new(),
@@ -667,7 +654,6 @@ impl<'a> ServingSim<'a> {
             total_arrivals: 0,
             batch_scratch: Vec::new(),
             orphan_scratch: Vec::new(),
-            victim_scratch: Vec::new(),
             requeue_scratch: Vec::new(),
             kernel,
             config,
@@ -735,15 +721,41 @@ impl<'a> ServingSim<'a> {
     }
 
     /// Initial allocation before any demand has been observed, planned by
-    /// the control plane and applied instantly (bootstrap pays no switch
-    /// delay).
+    /// the control plane. The fleet idles on the terminal tier, so the
+    /// kernel's moves place it positionally; bootstrap pays no switch
+    /// delay.
     fn bootstrap_allocation(&mut self) {
         if let ControlDirective::Apply { plan } =
             self.control.bootstrap(self.settings.peak_demand_hint)
         {
             let targets = self.adopt_plan(&plan);
-            self.apply_plan_instant(&plan, &targets);
+            for (idx, tier) in self.worker_moves(&targets) {
+                self.workers[idx].tier = tier;
+                self.refresh_index(idx);
+            }
+            for w in &mut self.workers {
+                w.batch_max = plan.batches[w.tier].max(1);
+            }
+            self.check_staffing(&targets);
         }
+    }
+
+    /// The kernel's [`worker_moves`](kernel::worker_moves) toward
+    /// `targets`. The load index holds each tier's membership, so only the
+    /// tiers that give workers up are walked, never the whole fleet.
+    fn worker_moves(&self, targets: &[usize]) -> Vec<(usize, usize)> {
+        let (index, workers) = (&self.index, &self.workers);
+        kernel::worker_moves(
+            |t| index.tier_len(t),
+            targets,
+            |t| {
+                let pools = [&index.primary[t], &index.pending_to[t]];
+                pools
+                    .into_iter()
+                    .flat_map(Pool::iter)
+                    .map(|(_, i)| (workers[i].load(), i))
+            },
+        )
     }
 
     /// Workers currently alive (not fail-stopped), answered by the load
@@ -780,28 +792,11 @@ impl<'a> ServingSim<'a> {
         kernel::worker_targets(&plan.workers, self.alive_count())
     }
 
-    /// Applies a plan immediately (bootstrap: no switch delay). Failed
-    /// workers are skipped — tiers are assigned positionally across the
-    /// alive fleet only, each tier taking its target count in turn.
-    fn apply_plan_instant(&mut self, plan: &LadderAllocation, targets: &[usize]) {
-        let mut alive = self.workers.iter_mut().filter(|w| !w.failed);
-        for (tier, &count) in targets.iter().enumerate() {
-            for w in alive.by_ref().take(count) {
-                w.tier = tier;
-                w.pending_tier = None;
-                w.batch_max = plan.batches[tier].max(1);
-            }
-        }
-        for i in 0..self.workers.len() {
-            self.refresh_index(i);
-        }
-    }
-
-    /// Applies a plan at runtime: batch sizes update immediately, tier
-    /// changes go through the model-switch protocol (idle workers switch
-    /// now and pay the load delay; busy ones switch at their next batch
-    /// boundary). Each surplus tier donates its least-loaded workers to
-    /// the deficit tiers in tier order.
+    /// Applies a plan at runtime: batch sizes update immediately, and the
+    /// kernel's [`worker_moves`](kernel::worker_moves) go through the
+    /// model-switch protocol (idle workers switch now and pay the load
+    /// delay; busy ones switch at their next batch boundary). A moved
+    /// worker's queue goes back to the tier it was routed to.
     fn apply_plan(
         &mut self,
         plan: &LadderAllocation,
@@ -812,55 +807,39 @@ impl<'a> ServingSim<'a> {
         for w in self.workers.iter_mut().filter(|w| !w.failed) {
             w.batch_max = plan.batches[w.target_tier()].max(1);
         }
-
-        // Donors: each tier's surplus beyond its target, least-loaded
-        // first, collected in tier order. The index already holds each
-        // tier's membership, so only tier-sized work is done here instead
-        // of a full-fleet scan; the explicit `(load, index)` sort key
-        // reproduces the historical stable-sort order.
-        let mut donors: Vec<(usize, usize)> = Vec::new();
-        let mut candidates = std::mem::take(&mut self.victim_scratch);
-        for (t, &target) in targets.iter().enumerate() {
-            let current = self.index.tier_len(t);
-            if current <= target {
-                continue;
+        for (idx, to) in self.worker_moves(targets) {
+            // The worker's queue was routed to the tier it leaves.
+            let from = self.workers[idx].target_tier();
+            let mut orphans = std::mem::take(&mut self.requeue_scratch);
+            orphans.clear();
+            orphans.extend(self.workers[idx].queue.drain(..));
+            self.workers[idx].pending_tier = Some(to);
+            self.workers[idx].batch_max = plan.batches[to].max(1);
+            // Leave the donor pool before the queue is re-routed, or
+            // the router could hand the orphans right back.
+            self.refresh_index(idx);
+            for &q in &orphans {
+                self.route_to_tier(from, q, now, queue);
             }
-            candidates.clear();
-            self.index.tier_members(t, &mut candidates);
-            candidates.sort_unstable_by_key(|&i| (self.workers[i].load(), i));
-            candidates.truncate(current - target);
-            donors.extend(candidates.iter().map(|&i| (t, i)));
+            orphans.clear();
+            self.requeue_scratch = orphans;
+            if !self.workers[idx].busy {
+                self.begin_switch(idx, now, queue);
+            }
         }
-        candidates.clear();
-        self.victim_scratch = candidates;
+        self.check_staffing(targets);
+    }
 
-        let mut donor_iter = donors.into_iter();
-        for (t, &target) in targets.iter().enumerate() {
-            let mut deficit = target.saturating_sub(self.index.tier_len(t));
-            while deficit > 0 {
-                let Some((from, idx)) = donor_iter.next() else {
-                    return;
-                };
-                deficit -= 1;
-                // Re-route queued queries: they were bound for the donor
-                // tier.
-                let mut orphans = std::mem::take(&mut self.requeue_scratch);
-                orphans.clear();
-                orphans.extend(self.workers[idx].queue.drain(..));
-                self.workers[idx].pending_tier = Some(t);
-                self.workers[idx].batch_max = plan.batches[t].max(1);
-                // Leave the donor pool before the queue is re-routed, or
-                // the router could hand the orphans right back.
-                self.refresh_index(idx);
-                for &q in &orphans {
-                    self.route_to_tier(from, q, now, queue);
-                }
-                orphans.clear();
-                self.requeue_scratch = orphans;
-                if !self.workers[idx].busy {
-                    self.begin_switch(idx, now, queue);
-                }
-            }
+    /// In-run twin (debug and `verify` builds): once a plan is applied,
+    /// every tier's alive members, as the load index counts them, number
+    /// its worker target.
+    fn check_staffing(&self, targets: &[usize]) {
+        for (tier, &target) in targets.iter().enumerate() {
+            debug_assert_eq!(
+                self.index.tier_len(tier),
+                target,
+                "tier {tier} is staffed off its target after a plan"
+            );
         }
     }
 
@@ -1859,11 +1838,6 @@ mod tests {
                     proptest::prop_assert_eq!(index.min_primary(t), first(&primaries));
                     proptest::prop_assert_eq!(index.min_pending_to(t), first(&pending));
                     proptest::prop_assert_eq!(index.tier_len(t), primaries.len() + pending.len());
-                    let mut members = Vec::new();
-                    index.tier_members(t, &mut members);
-                    let listed: Vec<usize> =
-                        primaries.iter().chain(&pending).map(|&(_, i)| i).collect();
-                    proptest::prop_assert_eq!(members, listed);
                 }
                 proptest::prop_assert_eq!(&index.slot, &model);
 
