@@ -41,7 +41,7 @@ use diffserve_core::serve::{
 };
 use diffserve_core::{
     AddonStats, CascadeRuntime, CompletedResponse, ConfigError, ControlDirective, ControlLoop,
-    ModuleCache, QueryId, RunReport, RunSettings, SystemConfig,
+    ControlObservation, ModuleCache, QueryId, RunReport, RunSettings, SystemConfig,
 };
 use diffserve_imagegen::{OnlinePredictiveRouter, Prompt, StageState};
 use diffserve_metrics::WindowedSeries;
@@ -207,6 +207,14 @@ impl Shared {
     /// the retarget, so the two never disagree mid-churn.
     fn tally(&self, plan: &ServingPlan, failed: &[bool]) -> FleetTally {
         let mut fleet = FleetTally::new(plan.num_tiers());
+        self.tally_into(plan, failed, &mut fleet);
+        fleet
+    }
+
+    /// [`tally`](Self::tally), into a tally of `plan`'s tiers kept by the
+    /// caller.
+    fn tally_into(&self, plan: &ServingPlan, failed: &[bool], fleet: &mut FleetTally) {
+        fleet.reset();
         for (i, &tier) in plan.tiers.iter().enumerate() {
             if failed[i] {
                 fleet.add_failed();
@@ -219,7 +227,6 @@ impl Shared {
                 );
             }
         }
-        fleet
     }
 
     /// Applies one lowered scenario event against live state and records it
@@ -802,6 +809,9 @@ fn clock_loop(
     let mut incidents = incidents.iter().peekable();
     let mut hazard = hazard.map(|process| (process.first_check(), process));
     let mut next_tick = SimTime::ZERO + interval;
+    // Kept from tick to tick, so their vectors are reused.
+    let mut fleet = FleetTally::new(shared.plan.read().num_tiers());
+    let mut obs = ControlObservation::default();
     loop {
         let next = [incidents.peek().map(|i| i.at), hazard.as_ref().map(|h| h.0)]
             .into_iter()
@@ -814,14 +824,14 @@ fn clock_loop(
             shared.apply_event(incident.event);
         }
         if let Some((check, process)) = hazard.as_mut().filter(|h| h.0 == next) {
-            let fleet = shared.tally(&shared.plan.read(), &shared.failed_mask());
+            shared.tally_into(&shared.plan.read(), &shared.failed_mask(), &mut fleet);
             for event in process.step(fleet.utilization(), fleet.health()) {
                 shared.apply_event(event);
             }
             *check += interval;
         }
         if next_tick == next {
-            control_tick(shared, control);
+            control_tick(shared, control, &mut fleet, &mut obs);
             next_tick += interval;
         }
     }
@@ -831,19 +841,25 @@ fn clock_loop(
 /// observed since the last tick (the drained telemetry, live channel
 /// depths), steps the pipeline, and swaps the actuated plan in. Runs for
 /// every policy so the demand and profile estimators stay live; static
-/// policies simply always `Hold`.
-fn control_tick(shared: &Shared, control: &Mutex<ControlLoop>) {
+/// policies simply always `Hold`. `fleet` and `obs` are the clock's, kept
+/// from tick to tick.
+fn control_tick(
+    shared: &Shared,
+    control: &Mutex<ControlLoop>,
+    fleet: &mut FleetTally,
+    obs: &mut ControlObservation,
+) {
     // Little's-law queue estimates come from live channel depths of alive
     // workers only — failed workers drain their queues elsewhere. The pool
     // size and the retarget mask derive from one reading of the fail-stop
     // flags so the solver and retarget never disagree mid-churn.
     let mut plan = shared.plan.read().clone();
     let excluded = shared.failed_mask();
-    let fleet = shared.tally(&plan, &excluded);
+    shared.tally_into(&plan, &excluded, fleet);
     let now = shared.now();
     let batches = (plan.batch_for(0), plan.batch_for(plan.num_tiers() - 1));
-    let obs = shared.telemetry.lock().observe(now, &fleet, batches);
-    let directive = control.lock().step(&obs);
+    shared.telemetry.lock().observe(obs, now, fleet, batches);
+    let directive = control.lock().step(obs);
     if let ControlDirective::Apply { plan: next } = &directive {
         plan.adopt(next, &excluded, |i| shared.load(i));
     }

@@ -14,8 +14,6 @@
 //! over the configuration grid (the paper notes ~9K configurations for its
 //! setting). Property tests assert they find the same optimal threshold.
 
-use std::collections::HashMap;
-
 use diffserve_imagegen::{DeferralProfile, LatencyProfile};
 use diffserve_milp::{
     find_feasible, solve_milp, solve_milp_warm, Direction, MilpOptions, Problem, Sense, VarKind,
@@ -172,14 +170,16 @@ pub fn solve_exhaustive(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
     best
 }
 
-/// Tick-to-tick solver state for [`solve_milp_allocation_warm`]: one
+/// Tick-to-tick solver state for [`solve_milp_allocation_warm`]: the
+/// two-tier knapsack, built once and re-aimed at every probe; one
 /// [`WarmStart`] handle, carried across every probe and optimality solve
-/// of the two-tier knapsack tick after tick, and the threshold the next
-/// tick's search starts from (the "pin").
+/// tick after tick; and the threshold the next tick's search starts from
+/// (the "pin").
 #[derive(Debug, Clone, Default)]
 pub struct AllocWarmState {
     milp: WarmStart,
     pin: Option<f64>,
+    residual: Option<BatchKnapsack>,
 }
 
 impl AllocWarmState {
@@ -189,7 +189,9 @@ impl AllocWarmState {
         AllocWarmState::default()
     }
 
-    /// Drop all carried state; the next search starts cold.
+    /// Drop all carried state; the next search starts cold. (The kept
+    /// knapsack stays: it is re-aimed before every solve, so it carries
+    /// nothing a solve could see.)
     pub fn clear(&mut self) {
         self.milp.clear();
         self.pin = None;
@@ -419,6 +421,7 @@ fn min_workers(demand: f64, tp: f64) -> f64 {
 }
 
 /// One batch size as a [`BatchKnapsack`] choice.
+#[derive(Debug, Clone, Copy)]
 struct BatchChoice {
     /// Its term in the cascade `latency` row, seconds.
     latency: f64,
@@ -426,6 +429,45 @@ struct BatchChoice {
     throughput: f64,
     /// Tie-break cost, added to any per-worker cost.
     penalty: f64,
+}
+
+impl BatchChoice {
+    /// Whether `other` is this choice bit for bit.
+    fn same(&self, other: &BatchChoice) -> bool {
+        self.latency.to_bits() == other.latency.to_bits()
+            && self.throughput.to_bits() == other.throughput.to_bits()
+            && self.penalty.to_bits() == other.penalty.to_bits()
+    }
+}
+
+/// The N-tier ladder's choice of batch `j` at tier `k`: geometric batch
+/// penalties `1e-4·10^{-k}·j`.
+fn ladder_choice(inputs: &LadderInputs<'_>, k: usize, j: usize) -> BatchChoice {
+    let b = inputs.batch_sizes[j];
+    BatchChoice {
+        latency: inputs.tier_stage_latency(k, b),
+        throughput: inputs.tier_stage_throughput(k, b),
+        penalty: 1e-4 * 10f64.powi(-(k as i32)) * j as f64,
+    }
+}
+
+/// The two-tier cascade's choice of batch `j` for the light (`g` 0) or
+/// heavy (`g` 1) tier: penalties rank the pair `(j, k)` as `j·B + k`.
+fn two_tier_choice(inputs: &AllocatorInputs<'_>, g: usize, j: usize) -> BatchChoice {
+    let b = inputs.batch_sizes[j];
+    if g == 0 {
+        BatchChoice {
+            latency: light_stage_latency(inputs, b),
+            throughput: light_stage_throughput(inputs, b),
+            penalty: (j * inputs.batch_sizes.len()) as f64,
+        }
+    } else {
+        BatchChoice {
+            latency: heavy_slo_latency(inputs, b),
+            throughput: inputs.heavy.throughput(b),
+            penalty: j as f64,
+        }
+    }
 }
 
 /// The residual both MILP allocators search once their thresholds are
@@ -443,6 +485,11 @@ struct BatchChoice {
 /// columns and their names never change, and the fleet size is only a
 /// coefficient: the problem is the same size at 1000 workers as at 8.
 ///
+/// A warm state keeps one knapsack across ticks ([`kept`](Self::kept)):
+/// what moves from tick to tick — the alive fleet `S`, the latency budget
+/// the queue delays leave, the demands — is patched in place too, and only
+/// a change of batch grid or stage latencies builds it anew.
+///
 /// There are no worker columns because, with every batch fixed, the
 /// optimal worker counts are already known:
 ///
@@ -456,6 +503,7 @@ struct BatchChoice {
 ///   heavy tier, so once both batches are fixed the full MILP's worker
 ///   terms are constants. Only the batch pair is left to rank, at cost
 ///   `j·B + k`: the exhaustive solver's lexicographic tie-break.
+#[derive(Debug, Clone)]
 struct BatchKnapsack {
     problem: Problem,
     /// `y[g][j]`: group `g` runs batch choice `j`.
@@ -469,17 +517,28 @@ struct BatchKnapsack {
     fleet: f64,
     /// Row of `capacity`, whose `y_{g,j}` coefficient is `U_{g,j}`.
     capacity_row: usize,
+    /// Row of `latency`, absent under an infinite SLO.
+    latency_row: Option<usize>,
+    /// Probes aimed so far, which paces the debug twin check.
+    probes: u64,
 }
 
 impl BatchKnapsack {
-    /// The problem shape with placeholder costs and capacity coefficients;
-    /// [`aim`](Self::aim) every group before solving.
+    /// The problem shape over `groups × batches` choices, `choice(g, j)`
+    /// each, for a fleet of `total_workers` under `lat_budget`, with
+    /// placeholder costs and capacity coefficients; [`aim`](Self::aim)
+    /// every group before solving.
     fn build(
-        choices: Vec<Vec<BatchChoice>>,
+        groups: usize,
+        batches: usize,
+        choice: impl Fn(usize, usize) -> BatchChoice,
         worker_cost: f64,
         total_workers: usize,
         lat_budget: f64,
     ) -> Self {
+        let choices: Vec<Vec<BatchChoice>> = (0..groups)
+            .map(|g| (0..batches).map(|j| choice(g, j)).collect())
+            .collect();
         let s = total_workers as f64;
         let mut p = Problem::new(Direction::Minimize);
         let y: Vec<Vec<_>> = choices
@@ -502,9 +561,9 @@ impl BatchKnapsack {
             }
         }
         let capacity_row = p.add_constraint("capacity", &cap, Sense::Le, s);
-        if lat_budget.is_finite() {
-            p.add_constraint("latency", &lat, Sense::Le, lat_budget);
-        }
+        let latency_row = lat_budget
+            .is_finite()
+            .then(|| p.add_constraint("latency", &lat, Sense::Le, lat_budget));
         BatchKnapsack {
             problem: p,
             y,
@@ -513,52 +572,103 @@ impl BatchKnapsack {
             worker_cost,
             fleet: s,
             capacity_row,
+            latency_row,
+            probes: 0,
         }
+    }
+
+    /// The knapsack `slot` keeps, re-aimed at `total_workers` and
+    /// `lat_budget` — built anew (as [`build`](Self::build) builds it) only
+    /// when there is none yet, or its choices or latency row no longer
+    /// match bit for bit. Either way every group must be
+    /// [`aim`](Self::aim)ed before a solve.
+    fn kept(
+        slot: &mut Option<BatchKnapsack>,
+        groups: usize,
+        batches: usize,
+        choice: impl Fn(usize, usize) -> BatchChoice,
+        worker_cost: f64,
+        total_workers: usize,
+        lat_budget: f64,
+    ) -> &mut BatchKnapsack {
+        let fits = slot.as_ref().is_some_and(|k| {
+            k.latency_row.is_some() == lat_budget.is_finite()
+                && k.choices.len() == groups
+                && k.choices.iter().enumerate().all(|(g, c_g)| {
+                    c_g.len() == batches
+                        && c_g.iter().enumerate().all(|(j, c)| c.same(&choice(g, j)))
+                })
+        });
+        if !fits {
+            return slot.insert(BatchKnapsack::build(
+                groups,
+                batches,
+                choice,
+                worker_cost,
+                total_workers,
+                lat_budget,
+            ));
+        }
+        let knapsack = slot.as_mut().expect("fits only a kept knapsack");
+        let s = total_workers as f64;
+        knapsack.fleet = s;
+        knapsack.problem.set_rhs(knapsack.capacity_row, s);
+        if let Some(row) = knapsack.latency_row {
+            knapsack.problem.set_rhs(row, lat_budget);
+        }
+        knapsack
     }
 
     /// The N-tier ladder's fixed-level residual.
     fn ladder(inputs: &LadderInputs<'_>) -> Self {
-        let choices = (0..inputs.num_tiers())
-            .map(|k| {
-                let scale = 1e-4 * 10f64.powi(-(k as i32));
-                inputs
-                    .batch_sizes
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &b)| BatchChoice {
-                        latency: inputs.tier_stage_latency(k, b),
-                        throughput: inputs.tier_stage_throughput(k, b),
-                        penalty: scale * j as f64,
-                    })
-                    .collect()
-            })
-            .collect();
-        let lat_budget = inputs.slo - inputs.queue_delays.iter().sum::<f64>();
-        BatchKnapsack::build(choices, 1.0, inputs.total_workers, lat_budget)
+        BatchKnapsack::build(
+            inputs.num_tiers(),
+            inputs.batch_sizes.len(),
+            |k, j| ladder_choice(inputs, k, j),
+            1.0,
+            inputs.total_workers,
+            ladder_latency_budget(inputs),
+        )
     }
 
     /// The two-tier threshold-pinned residual, light group (0) aimed at
     /// the demand; aim the heavy group (1) at a level's deferred load.
     fn two_tier(inputs: &AllocatorInputs<'_>) -> Self {
-        let nb = inputs.batch_sizes.len();
-        let (mut light, mut heavy) = (Vec::with_capacity(nb), Vec::with_capacity(nb));
-        for (j, &b) in inputs.batch_sizes.iter().enumerate() {
-            light.push(BatchChoice {
-                latency: light_stage_latency(inputs, b),
-                throughput: light_stage_throughput(inputs, b),
-                penalty: (j * nb) as f64,
-            });
-            heavy.push(BatchChoice {
-                latency: heavy_slo_latency(inputs, b),
-                throughput: inputs.heavy.throughput(b),
-                penalty: j as f64,
-            });
-        }
-        let lat_budget = inputs.slo - inputs.queue_delay_light - inputs.queue_delay_heavy;
-        let mut knapsack =
-            BatchKnapsack::build(vec![light, heavy], 0.0, inputs.total_workers, lat_budget);
+        let mut knapsack = BatchKnapsack::build(
+            2,
+            inputs.batch_sizes.len(),
+            |g, j| two_tier_choice(inputs, g, j),
+            0.0,
+            inputs.total_workers,
+            two_tier_latency_budget(inputs),
+        );
         knapsack.aim(0, inputs.demand_qps.max(1e-9));
         knapsack
+    }
+
+    /// The debug twin of a kept knapsack: under debug assertions, every
+    /// 8th probe (the first included) rebuilds it with `fresh`, aims every
+    /// group of the rebuild where this one's is aimed, and asserts the two
+    /// problems equal bit for bit — objective, coefficients, bounds and
+    /// right-hand sides.
+    fn check_twin(&mut self, fresh: impl FnOnce() -> BatchKnapsack) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        self.probes += 1;
+        if self.probes % 8 != 1 {
+            return;
+        }
+        let mut twin = fresh();
+        for (g, &d) in self.demand.iter().enumerate() {
+            twin.aim(g, d);
+        }
+        assert!(
+            self.problem.bitwise_eq(&twin.problem),
+            "the re-aimed knapsack drifted from a fresh build:\n{}\nvs\n{}",
+            self.problem,
+            twin.problem
+        );
     }
 
     /// Re-aims group `g` at `demand`: each of its selectors' cost,
@@ -580,7 +690,7 @@ impl BatchKnapsack {
 
     /// Per group, the batch choice `values` selects and the workers it
     /// takes at the demand the group was last aimed at.
-    fn plan(&self, values: &[f64]) -> Vec<(usize, usize)> {
+    fn plan<'k>(&'k self, values: &'k [f64]) -> impl Iterator<Item = (usize, usize)> + 'k {
         self.y
             .iter()
             .zip(&self.choices)
@@ -592,8 +702,18 @@ impl BatchKnapsack {
                     .expect("exactly-one constraint guarantees a selection");
                 (j, min_workers(d, c_g[j].throughput) as usize)
             })
-            .collect()
     }
+}
+
+/// The cascade `latency` row's budget on the N-tier ladder: the SLO less
+/// every tier's queue delay.
+fn ladder_latency_budget(inputs: &LadderInputs<'_>) -> f64 {
+    inputs.slo - inputs.queue_delays.iter().sum::<f64>()
+}
+
+/// The cascade `latency` row's budget on the two-tier cascade.
+fn two_tier_latency_budget(inputs: &AllocatorInputs<'_>) -> f64 {
+    inputs.slo - inputs.queue_delay_light - inputs.queue_delay_heavy
 }
 
 /// The MILP allocator's serving path: the largest feasible threshold and
@@ -608,10 +728,11 @@ impl BatchKnapsack {
 /// no longer on the grid, or the previous tick was infeasible — asking
 /// each probe only *whether* the level is feasible (`find_feasible`, which
 /// re-aims just the heavy selectors), and solves to optimality once, at
-/// the largest feasible level. Every solve goes through the state's one
-/// [`WarmStart`], so a re-solve is a short dual-simplex reoptimization from
-/// the previous basis, or no LP at all when the remembered point still
-/// fits.
+/// the largest feasible level. The knapsack is the state's, re-aimed at
+/// this tick's fleet, latency budget and demand. Every solve goes through
+/// the state's one [`WarmStart`], so a re-solve is a short dual-simplex
+/// reoptimization from the previous basis, or no LP at all when the
+/// remembered point still fits.
 ///
 /// The plan is [`solve_exhaustive`]'s at any fleet size: the largest
 /// feasible threshold, then the lexicographically smallest batch pair,
@@ -630,17 +751,38 @@ pub fn solve_milp_allocation_warm(
         .and_then(|pin| inputs.thresholds.iter().position(|&t| t == pin))
         .unwrap_or(0);
     let options = MilpOptions::default();
-    let mut knapsack = BatchKnapsack::two_tier(inputs);
-    let best = largest_feasible_level(inputs.thresholds.len(), l0, |l| {
+    let AllocWarmState {
+        milp: warm,
+        pin,
+        residual,
+    } = state;
+    let knapsack = BatchKnapsack::kept(
+        residual,
+        2,
+        inputs.batch_sizes.len(),
+        |g, j| two_tier_choice(inputs, g, j),
+        0.0,
+        inputs.total_workers,
+        two_tier_latency_budget(inputs),
+    );
+    knapsack.aim(0, inputs.demand_qps.max(1e-9));
+    let aim_heavy = |knapsack: &mut BatchKnapsack, l: usize| {
         knapsack.aim(1, deferred_load(inputs, l));
-        find_feasible(&knapsack.problem, &options, &mut state.milp).is_ok()
+        knapsack.check_twin(|| BatchKnapsack::two_tier(inputs));
+    };
+    let best = largest_feasible_level(inputs.thresholds.len(), l0, |l| {
+        aim_heavy(knapsack, l);
+        find_feasible(&knapsack.problem, &options, warm).is_ok()
     });
     let alloc = best.map(|l| {
-        knapsack.aim(1, deferred_load(inputs, l));
-        let sol = solve_milp_warm(&knapsack.problem, &options, &mut state.milp)
+        aim_heavy(knapsack, l);
+        let sol = solve_milp_warm(&knapsack.problem, &options, warm)
             .expect("the level was just probed feasible");
-        let plan = knapsack.plan(&sol.values);
-        let ((j, light_workers), (k, _)) = (plan[0], plan[1]);
+        let mut plan = knapsack.plan(&sol.values);
+        let ((j, light_workers), (k, _)) = (
+            plan.next().expect("a light group"),
+            plan.next().expect("a heavy group"),
+        );
         Allocation {
             threshold: inputs.thresholds[l],
             light_workers,
@@ -653,7 +795,7 @@ pub fn solve_milp_allocation_warm(
     // An infeasible tick parks the pin at the grid floor: every level is
     // infeasible, so the next search may as well start from the bottom.
     let floor = inputs.thresholds.first().copied();
-    state.pin = alloc.as_ref().map(|a| a.threshold).or(floor);
+    *pin = alloc.as_ref().map(|a| a.threshold).or(floor);
     alloc
 }
 
@@ -813,12 +955,13 @@ impl LadderInputs<'_> {
         b as f64 / self.tier_stage_latency(k, b)
     }
 
-    /// Per-tier demand under a threshold-level vector. Without direct
-    /// routing, tier 0 sees the full demand and each deeper tier the
-    /// fraction its boundary defers. With predictive straight-to-tier
-    /// routing, tier `k`'s demand is the flow escalated out of tier `k-1`
-    /// plus the share of total demand admitted directly at `k`.
-    fn tier_demands(&self, levels: &[usize]) -> Vec<f64> {
+    /// Per-tier demand under a threshold-level vector, written into
+    /// `demands`. Without direct routing, tier 0 sees the full demand and
+    /// each deeper tier the fraction its boundary defers. With predictive
+    /// straight-to-tier routing, tier `k`'s demand is the flow escalated out
+    /// of tier `k-1` plus the share of total demand admitted directly at
+    /// `k`.
+    fn tier_demands(&self, levels: &[usize], demands: &mut Vec<f64>) {
         let total = self.demand_qps.max(1e-9);
         let direct = |k: usize| -> f64 {
             if self.direct_fractions.is_empty() {
@@ -831,14 +974,13 @@ impl LadderInputs<'_> {
                 self.direct_fractions.get(k).copied().unwrap_or(0.0)
             }
         };
-        let mut demands = Vec::with_capacity(self.num_tiers());
+        demands.clear();
         let mut d = total * direct(0);
         demands.push(d);
         for (k, &l) in levels.iter().enumerate() {
             d = d * self.deferrals[k].fraction_deferred(self.thresholds[l]) + total * direct(k + 1);
             demands.push(d);
         }
-        demands
     }
 }
 
@@ -857,14 +999,16 @@ pub struct LadderAllocation {
 }
 
 /// Tick-to-tick state for [`solve_ladder`]: the previous tick's optimal
-/// threshold levels (seeding the per-boundary gallop) and one shared
-/// [`WarmStart`] handle. Every fixed-level residual MILP has the same
-/// rows and columns, so a single handle serves them all, even though what
-/// moves between probes is not a right-hand side: the per-tier demands set
-/// each batch selector's cost, its capacity coefficient and its bound. The
-/// handle copes by construction: the remembered point is re-validated
-/// against each probe's numbers, and the remembered basis is refactorized
-/// against them, so a probe the hint no longer fits just starts colder.
+/// threshold levels (seeding the per-boundary gallop), one shared
+/// [`WarmStart`] handle, and the fixed-level residual MILP it solves,
+/// built once and re-aimed at every probe. Every probe's residual has the
+/// same rows and columns, so a single handle serves them all, even though
+/// what moves between probes is not a right-hand side: the per-tier
+/// demands set each batch selector's cost, its capacity coefficient and
+/// its bound. The handle copes by construction: the remembered point is
+/// re-validated against each probe's numbers, and the remembered basis is
+/// refactorized against them, so a probe the hint no longer fits just
+/// starts colder.
 #[derive(Debug, Clone, Default)]
 pub struct LadderWarmState {
     levels: Option<Vec<usize>>,
@@ -873,6 +1017,8 @@ pub struct LadderWarmState {
     /// noise does not flap workers (each move burns a model-switch delay).
     workers: Option<Vec<usize>>,
     milp: WarmStart,
+    /// What a solve works in, kept so that ticks do not allocate it anew.
+    probe: ProbeScratch,
 }
 
 impl LadderWarmState {
@@ -881,12 +1027,25 @@ impl LadderWarmState {
         LadderWarmState::default()
     }
 
-    /// Drop all carried state; the next solve runs cold.
+    /// Drop all carried state; the next solve runs cold. (The kept
+    /// residual stays: it is re-aimed before every probe, so it carries
+    /// nothing a probe could see.)
     pub fn clear(&mut self) {
         self.levels = None;
         self.workers = None;
         self.milp.clear();
     }
+}
+
+/// What a [`LadderProbe`] works in, kept from tick to tick; the fields are
+/// the probe's, documented there. The residual is built on the first MILP
+/// solve.
+#[derive(Debug, Clone, Default)]
+struct ProbeScratch {
+    residual: Option<BatchKnapsack>,
+    memo_levels: Vec<usize>,
+    memo: Vec<bool>,
+    demands: Vec<f64>,
 }
 
 /// Worker/batch plan serving fixed per-tier demands, by exhaustive scan
@@ -951,66 +1110,103 @@ fn ladder_fixed_exhaustive(
 /// with the single [`plan`](Self::plan) call that needs an optimum.
 struct LadderProbe<'a, 'i> {
     inputs: &'a LadderInputs<'i>,
-    /// The fixed-level residual ([`BatchKnapsack::ladder`]) for the MILP
-    /// inner solver, `None` for the exhaustive scan.
-    residual: Option<BatchKnapsack>,
+    /// The fixed-level residual ([`BatchKnapsack::ladder`]), kept across
+    /// ticks, for the MILP inner solver; `None` for the exhaustive scan.
+    residual: Option<&'a mut BatchKnapsack>,
     warm: &'a mut WarmStart,
-    /// Feasibility verdicts of this tick, keyed by the level vector. Only
-    /// an identical vector hits: monotonicity could answer more probes
-    /// from their neighbours, but the memo must never decide differently
-    /// from the solver it stands in for.
-    memo: HashMap<Vec<usize>, bool>,
+    /// Feasibility verdicts of this tick: the level vectors probed, back
+    /// to back, and the verdict on each. Only an identical vector hits:
+    /// monotonicity could answer more probes from their neighbours, but
+    /// the memo must never decide differently from the solver it stands in
+    /// for.
+    memo_levels: &'a mut Vec<usize>,
+    memo: &'a mut Vec<bool>,
+    /// The per-tier demands of the probe in hand.
+    demands: &'a mut Vec<f64>,
 }
 
 impl<'a, 'i> LadderProbe<'a, 'i> {
-    fn new(inputs: &'a LadderInputs<'i>, milp: bool, warm: &'a mut WarmStart) -> Self {
+    fn new(
+        inputs: &'a LadderInputs<'i>,
+        milp: bool,
+        warm: &'a mut WarmStart,
+        scratch: &'a mut ProbeScratch,
+    ) -> Self {
+        let ProbeScratch {
+            residual,
+            memo_levels,
+            memo,
+            demands,
+        } = scratch;
+        let residual = if milp {
+            Some(BatchKnapsack::kept(
+                residual,
+                inputs.num_tiers(),
+                inputs.batch_sizes.len(),
+                |k, j| ladder_choice(inputs, k, j),
+                1.0,
+                inputs.total_workers,
+                ladder_latency_budget(inputs),
+            ))
+        } else {
+            None
+        };
+        memo_levels.clear();
+        memo.clear();
         LadderProbe {
             inputs,
-            residual: milp.then(|| BatchKnapsack::ladder(inputs)),
+            residual,
             warm,
-            memo: HashMap::new(),
+            memo_levels,
+            memo,
+            demands,
         }
     }
 
-    /// The per-tier demands `levels` implies, with the residual (if any)
-    /// aimed at them.
-    fn demands_at(&mut self, levels: &[usize]) -> Vec<f64> {
-        let demands = self.inputs.tier_demands(levels);
+    /// Sets `demands` to the per-tier demands `levels` implies, with the
+    /// residual (if any) aimed at them.
+    fn demands_at(&mut self, levels: &[usize]) {
+        self.inputs.tier_demands(levels, self.demands);
         if let Some(residual) = &mut self.residual {
-            for (k, &d) in demands.iter().enumerate() {
+            for (k, &d) in self.demands.iter().enumerate() {
                 residual.aim(k, d);
             }
+            residual.check_twin(|| BatchKnapsack::ladder(self.inputs));
         }
-        demands
     }
 
     /// Whether any worker/batch plan serves the demands `levels` implies.
     fn feasible(&mut self, levels: &[usize]) -> bool {
-        if let Some(&known) = self.memo.get(levels) {
-            return known;
+        let known = self
+            .memo_levels
+            .chunks_exact(levels.len().max(1))
+            .position(|probed| probed == levels);
+        if let Some(i) = known {
+            return self.memo[i];
         }
-        let demands = self.demands_at(levels);
+        self.demands_at(levels);
         let verdict = match &self.residual {
             Some(residual) => {
                 find_feasible(&residual.problem, &MilpOptions::default(), self.warm).is_ok()
             }
-            None => ladder_fixed_exhaustive(self.inputs, &demands, true).is_some(),
+            None => ladder_fixed_exhaustive(self.inputs, self.demands, true).is_some(),
         };
-        self.memo.insert(levels.to_vec(), verdict);
+        self.memo_levels.extend_from_slice(levels);
+        self.memo.push(verdict);
         verdict
     }
 
     /// The minimal worker/batch plan at `levels`; `None` when infeasible.
     fn plan(&mut self, levels: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
-        let demands = self.demands_at(levels);
+        self.demands_at(levels);
         match &self.residual {
             Some(residual) => {
                 let sol =
                     solve_milp_warm(&residual.problem, &MilpOptions::default(), self.warm).ok()?;
-                let plan = residual.plan(&sol.values).into_iter();
+                let plan = residual.plan(&sol.values);
                 Some(plan.map(|(j, w)| (w, self.inputs.batch_sizes[j])).unzip())
             }
-            None => ladder_fixed_exhaustive(self.inputs, &demands, false),
+            None => ladder_fixed_exhaustive(self.inputs, self.demands, false),
         }
     }
 }
@@ -1031,8 +1227,9 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
 /// fixed-level residual problem only *whether* it is feasible, and asks
 /// at most once per level vector per call. Exactly one optimality solve
 /// runs, at the final (rate-limited) levels, and its plan is the answer.
-/// With `milp` the residual is one [`Problem`] re-aimed per probe and one
-/// [`WarmStart`] carried across every probe, tick after tick.
+/// With `milp` the residual is one [`Problem`], kept in `state` and
+/// re-aimed per probe, and one [`WarmStart`] carried across every probe,
+/// tick after tick.
 ///
 /// Spare workers land on the deepest tier. Returns `None` when even the
 /// all-lowest-levels ladder is infeasible; callers then fall back to
@@ -1048,13 +1245,13 @@ pub fn solve_ladder(
         Some(l) if l.len() == nb && l.iter().all(|&x| x < nt) => Some(l),
         _ => None,
     };
-    let mut probe = LadderProbe::new(inputs, milp, &mut state.milp);
+    let mut probe = LadderProbe::new(inputs, milp, &mut state.milp, &mut state.probe);
     let mut levels = warm_levels.clone().unwrap_or_else(|| vec![0; nb]);
     // Re-anchor on a feasible point: the warm levels may have drifted
     // infeasible, and all-lowest-levels is the least-demand ladder — if
     // even that fails, no level vector is feasible (monotonicity).
     if !probe.feasible(&levels) {
-        levels = vec![0; nb];
+        levels.fill(0);
         if !probe.feasible(&levels) {
             return None;
         }
@@ -1698,12 +1895,12 @@ mod tests {
             assert_eq!((effort.refactorizations, effort.cold_solves), (0, 1));
             certified += effort.certified_infeasible;
         }
-        for sol in [
+        for effort in [
             find_feasible(problem, &options, &mut carried.clone()),
-            solve_milp_warm(problem, &options, carried),
+            solve_milp_warm(problem, &options, carried).map(|sol| sol.effort),
         ] {
-            assert_eq!(sol.is_ok(), cold.is_ok());
-            let Ok(effort) = sol.map(|sol| sol.effort) else {
+            assert_eq!(effort.is_ok(), cold.is_ok());
+            let Ok(effort) = effort else {
                 continue;
             };
             assert!(
@@ -1715,8 +1912,58 @@ mod tests {
         certified
     }
 
-    /// Aims each ladder tier's group of `knapsack` at its demand.
-    fn aim_tiers(knapsack: &mut BatchKnapsack, demands: &[f64]) {
+    /// The Eq. 1–5 oracle's branch & bound tree, pinned: four seeded
+    /// instances (demand, queue delays, fleet, SLO, resume discount and a
+    /// skewed deferral profile all drawn) must expand exactly the nodes and
+    /// do exactly the LP work they did when this was written. What the
+    /// solver keeps between nodes (tableaus, scratch) may change how fast a
+    /// node is solved, never which nodes are searched.
+    #[test]
+    fn the_oracles_branch_and_bound_tree_is_pinned() {
+        use diffserve_milp::SolveEffort;
+        use rand::{Rng, SeedableRng};
+        let batches = [1usize, 2, 4, 8, 16];
+        let thresholds = grid(26, 0.9);
+        let effort = |lp_solves, pivots, certified_infeasible| SolveEffort {
+            lp_solves,
+            pivots,
+            refactorizations: 0,
+            cold_solves: 1,
+            certified_infeasible,
+        };
+        let pinned = [
+            (11, 805, effort(1417, 1597, 612)),
+            (23, 326, effort(433, 1158, 107)),
+            (37, 88, effort(147, 818, 59)),
+            (41, 262, effort(461, 534, 199)),
+        ];
+        for (seed, nodes, effort) in pinned {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let skew = rng.gen_range(0.5..2.0);
+            let deferral = DeferralProfile::from_confidences(
+                (0..500).map(|i| (i as f64 / 500.0f64).powf(skew)).collect(),
+            )
+            .unwrap();
+            let mut inputs =
+                cascade1_inputs(&deferral, &batches, &thresholds, rng.gen_range(2.0..30.0));
+            inputs.queue_delay_light = rng.gen_range(0.0..0.6);
+            inputs.queue_delay_heavy = rng.gen_range(0.0..1.2);
+            inputs.slo = rng.gen_range(3.0..8.0);
+            inputs.total_workers = rng.gen_range(6..40);
+            if rng.gen_bool(0.5) {
+                inputs.resume_heavy = Some(LatencyProfile::new(0.89, 0.24));
+            }
+            let sol = solve_milp(&build_allocation_milp(&inputs).0, &MilpOptions::default())
+                .expect("the drawn instances are feasible");
+            assert_eq!((sol.nodes, sol.effort), (nodes, effort), "seed {seed}");
+        }
+    }
+
+    /// Aims each ladder tier's group of `knapsack` at the demand `levels`
+    /// implies.
+    fn aim_tiers(knapsack: &mut BatchKnapsack, inputs: &LadderInputs<'_>, levels: &[usize]) {
+        let mut demands = Vec::new();
+        inputs.tier_demands(levels, &mut demands);
         for (k, &d) in demands.iter().enumerate() {
             knapsack.aim(k, d);
         }
@@ -1758,7 +2005,7 @@ mod tests {
             let inputs = ladder3_inputs(&deferrals, &batches, &thresholds, demand);
             let mut knapsack = BatchKnapsack::ladder(&inputs);
             for levels in [[0, 0], [6, 13], [20, 5], [25, 25]] {
-                aim_tiers(&mut knapsack, &inputs.tier_demands(&levels));
+                aim_tiers(&mut knapsack, &inputs, &levels);
                 check_root_only_effort(&knapsack.problem, &mut carried);
             }
         }
@@ -1850,7 +2097,7 @@ mod tests {
                 .iter()
                 .map(|t| thresholds.iter().position(|g| g == t).expect("on the grid"))
                 .collect();
-            aim_tiers(&mut knapsack, &inputs.tier_demands(&levels));
+            aim_tiers(&mut knapsack, &inputs, &levels);
             let sol = solve_milp_warm(&knapsack.problem, &MilpOptions::default(), &mut carried)
                 .expect("the search verified these levels feasible");
             nodes += sol.nodes;
@@ -1859,6 +2106,53 @@ mod tests {
             nodes <= 3 * 60,
             "{nodes} B&B nodes over 60 optimality solves"
         );
+    }
+
+    /// The kept residuals follow what moves between ticks — the alive
+    /// fleet, the queue delays' latency budget, the batch grid, an SLO the
+    /// AIMD ablation waives — and every tick's plan is the one a state
+    /// built for that tick alone would pick: the two-tier path's a cold
+    /// solve's, the ladder's the exhaustive scan's (through a state of its
+    /// own, so the worker hysteresis matches).
+    #[test]
+    fn kept_residuals_follow_fleet_budget_grid_and_slo_changes() {
+        let deferral = uniform_profile();
+        let deferrals = vec![uniform_profile(), uniform_profile()];
+        let thresholds = grid(26, 0.9);
+        let wide = [1usize, 2, 4, 8, 16];
+        let narrow = [1usize, 4];
+        let ticks: [(usize, f64, &[usize], f64); 8] = [
+            (16, 0.2, &wide, 5.0),
+            (14, 0.6, &wide, 5.0),
+            (14, 0.6, &narrow, 5.0),
+            (9, 0.1, &narrow, f64::INFINITY),
+            (9, 1.4, &wide, f64::INFINITY),
+            (16, 1.4, &wide, 5.0),
+            (3, 0.0, &wide, 5.0),
+            (16, 0.3, &wide, 5.0),
+        ];
+        let mut two_tier = AllocWarmState::new();
+        let (mut milp, mut scan) = (LadderWarmState::new(), LadderWarmState::new());
+        for (tick, &(workers, queue, batches, slo)) in ticks.iter().enumerate() {
+            let mut inputs = cascade1_inputs(&deferral, batches, &thresholds, 7.0);
+            inputs.total_workers = workers;
+            inputs.queue_delay_heavy = queue;
+            inputs.slo = slo;
+            assert_eq!(
+                solve_milp_allocation_warm(&inputs, &mut two_tier),
+                solve_milp_allocation(&inputs),
+                "tick {tick}"
+            );
+            let mut ladder = ladder3_inputs(&deferrals, batches, &thresholds, 5.0);
+            ladder.total_workers = workers;
+            ladder.queue_delays[2] = queue;
+            ladder.slo = slo.min(6.0);
+            assert_eq!(
+                solve_ladder(&ladder, true, &mut milp),
+                solve_ladder(&ladder, false, &mut scan),
+                "tick {tick}"
+            );
+        }
     }
 
     #[test]

@@ -190,6 +190,10 @@ pub struct ControlLoop {
     aimd_light_batch: usize,
     aimd_heavy_batch: usize,
     deferral_errors: Vec<(f64, f64)>,
+    /// The configured threshold grid ([`SystemConfig::threshold_grid`]),
+    /// computed once: the planner's candidates unless the static-threshold
+    /// ablation pins one, and the grid profiles are compared over.
+    grid: Vec<f64>,
     /// Scratch for [`ControlLoop::deferral_error`]: a tick's confidences
     /// bucketed by how many grid thresholds lie at or below each.
     grid_counts: Vec<usize>,
@@ -263,6 +267,7 @@ impl ControlLoop {
             aimd_light_batch: 1,
             aimd_heavy_batch: 1,
             deferral_errors: Vec::new(),
+            grid: config.threshold_grid(),
             grid_counts: Vec::new(),
             config,
             settings,
@@ -278,8 +283,6 @@ impl ControlLoop {
     /// `peak_demand` is what static provisioning plans for: both engines
     /// pass the session's raw peak-demand hint.
     pub fn bootstrap(&mut self, peak_demand: f64) -> ControlDirective {
-        let thresholds = self.threshold_grid();
-        let batches = self.config.batch_sizes.clone();
         let workers = self.config.num_workers;
         let slo = self.config.slo.as_secs_f64();
         let idle_queues = vec![0.0; self.stages.profiles().len()];
@@ -305,17 +308,8 @@ impl ControlLoop {
             // Provisioned for the anticipated peak and never re-solved
             // (§4.1: "provisioned to accommodate maximum anticipated
             // demand").
-            Policy::DiffServeStatic => self.plan(
-                peak_demand,
-                idle_queues,
-                slo,
-                &thresholds,
-                &batches,
-                workers,
-            ),
-            Policy::DiffServe | Policy::Proteus => {
-                self.plan(1.0, idle_queues, slo, &thresholds, &batches, workers)
-            }
+            Policy::DiffServeStatic => self.plan(peak_demand, idle_queues, slo, None, workers),
+            Policy::DiffServe | Policy::Proteus => self.plan(1.0, idle_queues, slo, None, workers),
         }
     }
 
@@ -353,17 +347,12 @@ impl ControlLoop {
         }
 
         let queue_delays = self.queue_delays(obs, demand);
-        let thresholds = self.threshold_grid();
-        let batches: Vec<usize> = if aimd {
-            // AIMD owns the batch choice; the planner sees only the current
-            // AIMD operating points, so capacity planning reacts a step
-            // behind the oscillation — the paper's "reactive signal" flaw.
-            let mut b = vec![self.aimd_light_batch, self.aimd_heavy_batch];
-            b.dedup();
-            b
-        } else {
-            self.config.batch_sizes.clone()
-        };
+        // AIMD owns the batch choice; the planner sees only the current
+        // AIMD operating points (once each), so capacity planning reacts a
+        // step behind the oscillation — the paper's "reactive signal" flaw.
+        let aimd_points = [self.aimd_light_batch, self.aimd_heavy_batch];
+        let distinct = 1 + usize::from(aimd_points[0] != aimd_points[1]);
+        let aimd_batches = aimd.then_some(&aimd_points[..distinct]);
 
         // Degradation awareness: when the backend reports effective
         // capacity below nameplate (degraded workers), inflate the demand
@@ -396,8 +385,7 @@ impl ControlLoop {
             planned_demand,
             queue_delays,
             slo,
-            &thresholds,
-            &batches,
+            aimd_batches,
             obs.alive_workers,
         );
         if aimd_cascade {
@@ -417,7 +405,7 @@ impl ControlLoop {
             .first()
             .and_then(OnlineDeferralEstimator::profile)
         {
-            Some(p) => p.gap(&self.offline[0], &self.config.threshold_grid()),
+            Some(p) => p.gap(&self.offline[0], &self.grid),
             None => 0.0,
         }
     }
@@ -473,7 +461,7 @@ impl ControlLoop {
     /// below it, and a prefix sum then counts, at each grid point `t`, the
     /// samples below `t` — the same integers the sorted profile counts.
     fn deferral_error(&mut self, confidences: &[f64]) -> Option<f64> {
-        let grid = self.config.threshold_grid();
+        let grid = &self.grid;
         let counts = &mut self.grid_counts;
         counts.clear();
         counts.resize(grid.len() + 1, 0);
@@ -523,15 +511,6 @@ impl ControlLoop {
             .collect()
     }
 
-    /// Candidate thresholds: the pinned static-threshold ablation value or
-    /// the configured grid.
-    fn threshold_grid(&self) -> Vec<f64> {
-        match self.settings.knobs.static_threshold {
-            Some(t) => vec![t],
-            None => self.config.threshold_grid(),
-        }
-    }
-
     /// Largest batch size whose execution fits half the SLO — the static
     /// batch rule used for the Clipper baselines.
     fn clipper_batch(&self, tier: usize) -> usize {
@@ -549,25 +528,35 @@ impl ControlLoop {
     /// one step: the inputs borrow the profile state while the planner
     /// mutates its own (warm-start) state, which the borrow checker only
     /// admits over disjoint fields in a single method.
+    ///
+    /// The candidate thresholds are the static-threshold ablation's one
+    /// value or the configured grid; the candidate batch sizes are
+    /// `batch_sizes` when AIMD owns them, the configured ones otherwise.
     fn plan(
         &mut self,
         demand_qps: f64,
         queue_delays: Vec<f64>,
         slo: f64,
-        thresholds: &[f64],
-        batch_sizes: &[usize],
+        batch_sizes: Option<&[usize]>,
         total_workers: usize,
     ) -> ControlDirective {
         let ControlLoop {
             config,
+            settings,
             stages,
             offline,
             online,
             direct_frac,
             resume_heavy,
             planner,
+            grid,
             ..
         } = self;
+        let thresholds = match &settings.knobs.static_threshold {
+            Some(t) => std::slice::from_ref(t),
+            None => &grid[..],
+        };
+        let batch_sizes = batch_sizes.unwrap_or(&config.batch_sizes);
         if let Planner::Ladder { milp, warm } = planner {
             let inputs = LadderInputs {
                 demand_qps,
@@ -738,7 +727,7 @@ mod tests {
     /// Plans an instance far beyond what four workers can serve.
     fn plan_overload(cl: &mut ControlLoop) -> ControlDirective {
         let n = cl.stages.profiles().len();
-        cl.plan(10_000.0, vec![0.0; n], 5.0, &[0.0, 0.5, 0.9], &[1, 2, 4], 4)
+        cl.plan(10_000.0, vec![0.0; n], 5.0, Some(&[1, 2, 4]), 4)
     }
 
     #[test]

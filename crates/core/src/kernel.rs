@@ -990,6 +990,17 @@ impl FleetTally {
         }
     }
 
+    /// Empties the tally for another pass over the same tiers, keeping its
+    /// vectors.
+    pub fn reset(&mut self) {
+        self.tier_workers.fill(0);
+        self.tier_queues.fill(0);
+        self.tier_busy.fill(0);
+        self.failed = 0;
+        self.degraded = 0;
+        self.effective_capacity = 0.0;
+    }
+
     /// Counts one fail-stopped worker.
     pub fn add_failed(&mut self) {
         self.failed += 1;
@@ -1086,36 +1097,51 @@ impl TickTelemetry {
         }
     }
 
-    /// Drains the window into the [`ControlObservation`] for a tick at
-    /// `now` over the given fleet; `batches` are the batch sizes the entry
-    /// and terminal tiers currently operate.
+    /// Drains the window into `obs`, the [`ControlObservation`] for a
+    /// tick at `now` over the given fleet; `batches` are the batch sizes
+    /// the entry and terminal tiers currently operate.
+    ///
+    /// Every field of `obs` is overwritten, and its vectors are reused: a
+    /// confidence stream trades buffers with the window, which starts the
+    /// next one empty in the buffer the observation held. An engine that
+    /// keeps one observation from tick to tick allocates nothing here once
+    /// its windows stop growing.
     pub fn observe(
         &mut self,
+        obs: &mut ControlObservation,
         now: SimTime,
         fleet: &FleetTally,
         batches: (usize, usize),
-    ) -> ControlObservation {
-        let direct = vec![0; self.tier_direct.len()];
-        let [violations_light, violations_heavy] = std::mem::take(&mut self.violations);
-        ControlObservation {
-            now,
-            arrivals: std::mem::take(&mut self.arrivals),
-            heavy_arrivals: std::mem::take(&mut self.heavy_arrivals),
-            violations_light,
-            violations_heavy,
-            alive_workers: fleet.alive(),
-            effective_capacity: fleet.effective_capacity,
-            current_light_batch: batches.0,
-            current_heavy_batch: batches.1,
-            confidences: std::mem::take(&mut self.confidences),
-            tier_queues: fleet.tier_queues.clone(),
-            deep_confidences: self
-                .deep_confidences
-                .iter_mut()
-                .map(std::mem::take)
-                .collect(),
-            tier_direct_arrivals: std::mem::replace(&mut self.tier_direct, direct),
+    ) {
+        /// Moves the window's `stream` into `into`, leaving `stream` the
+        /// (emptied) buffer `into` held.
+        fn trade(into: &mut Vec<f64>, stream: &mut Vec<f64>) {
+            into.clear();
+            std::mem::swap(into, stream);
         }
+        let [violations_light, violations_heavy] = std::mem::take(&mut self.violations);
+        obs.now = now;
+        obs.arrivals = std::mem::take(&mut self.arrivals);
+        obs.heavy_arrivals = std::mem::take(&mut self.heavy_arrivals);
+        obs.violations_light = violations_light;
+        obs.violations_heavy = violations_heavy;
+        obs.alive_workers = fleet.alive();
+        obs.effective_capacity = fleet.effective_capacity;
+        obs.current_light_batch = batches.0;
+        obs.current_heavy_batch = batches.1;
+        trade(&mut obs.confidences, &mut self.confidences);
+        obs.tier_queues.clone_from(&fleet.tier_queues);
+        obs.deep_confidences
+            .resize_with(self.deep_confidences.len(), Vec::new);
+        for (into, stream) in obs
+            .deep_confidences
+            .iter_mut()
+            .zip(&mut self.deep_confidences)
+        {
+            trade(into, stream);
+        }
+        obs.tier_direct_arrivals.clone_from(&self.tier_direct);
+        self.tier_direct.fill(0);
     }
 }
 
@@ -1864,7 +1890,8 @@ mod tests {
         assert_eq!(fleet.degraded, 1);
         assert!((fleet.utilization() - 2.0 / 3.0).abs() < 1e-12);
 
-        let obs = telemetry.observe(SimTime::from_secs(2), &fleet, (4, 1));
+        let mut obs = ControlObservation::default();
+        telemetry.observe(&mut obs, SimTime::from_secs(2), &fleet, (4, 1));
         assert_eq!((obs.arrivals, obs.heavy_arrivals), (2, 2));
         assert_eq!((obs.violations_light, obs.violations_heavy), (1, 2));
         assert_eq!(obs.tier_queues, [4, 2, 3]);
@@ -1875,11 +1902,21 @@ mod tests {
         assert_eq!(obs.deep_confidences, [vec![0.75]]);
         assert_eq!(obs.tier_direct_arrivals, [1, 0, 1]);
 
-        // The window is drained.
-        let next = telemetry.observe(SimTime::from_secs(4), &fleet, (4, 1));
-        assert_eq!((next.arrivals, next.heavy_arrivals), (0, 0));
-        assert_eq!((next.violations_light, next.violations_heavy), (0, 0));
-        assert!(next.confidences.is_empty());
-        assert_eq!(next.tier_direct_arrivals, [0, 0, 0]);
+        // The window is drained, into the same observation; the next
+        // window records into the buffer the observation gave up.
+        telemetry.record_confidence(0, 0.5);
+        let recorded = telemetry.confidences.as_ptr();
+        fleet.reset();
+        assert_eq!(fleet, FleetTally::new(3));
+        telemetry.observe(&mut obs, SimTime::from_secs(4), &fleet, (4, 1));
+        assert_eq!(obs.now, SimTime::from_secs(4));
+        assert_eq!((obs.arrivals, obs.heavy_arrivals), (0, 0));
+        assert_eq!((obs.violations_light, obs.violations_heavy), (0, 0));
+        assert_eq!(obs.confidences, [0.5]);
+        assert_eq!(obs.confidences.as_ptr(), recorded);
+        assert_eq!(obs.deep_confidences, [Vec::<f64>::new()]);
+        assert_eq!(obs.tier_queues, [0, 0, 0]);
+        assert_eq!(obs.alive_workers, 0);
+        assert_eq!(obs.tier_direct_arrivals, [0, 0, 0]);
     }
 }

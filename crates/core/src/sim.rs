@@ -42,7 +42,7 @@ use diffserve_trace::{
 use crate::addons::{AddonStats, ModuleCache};
 use crate::allocator::LadderAllocation;
 use crate::config::{ConfigError, SystemConfig, METRICS_WINDOW, MODEL_SWITCH_DELAY};
-use crate::control::{ControlDirective, ControlLoop};
+use crate::control::{ControlDirective, ControlLoop, ControlObservation};
 use crate::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
 use crate::policy::{AblationKnobs, Policy};
 use crate::query::{QueryId, ServedImage, WorkerHealth};
@@ -527,8 +527,7 @@ struct ServingSim<'a> {
     /// decision is a call into it.
     kernel: Kernel<'a>,
     /// The backend-agnostic control plane; this backend only gathers
-    /// [`ControlObservation`](crate::control::ControlObservation)s and
-    /// actuates the returned directives.
+    /// [`ControlObservation`]s and actuates the returned directives.
     control: ControlLoop,
     workers: Vec<Worker>,
     /// Per-tier load index over `workers`, bucketed by key; kept in sync by
@@ -577,6 +576,12 @@ struct ServingSim<'a> {
     ledger: Ledger,
     /// Arrivals, violations and confidences since the last control tick.
     telemetry: TickTelemetry,
+    /// The last control tick's observation, whose vectors the next one
+    /// reuses.
+    observation: ControlObservation,
+    /// The last fleet tally a hazard check or control tick took, whose
+    /// vectors the next one reuses.
+    fleet: FleetTally,
     /// Cumulative escalations across each boundary (`[k]` counts tier `k`
     /// → `k + 1` hand-offs), surfaced in session snapshots.
     tier_escalations: Vec<u64>,
@@ -592,6 +597,25 @@ struct ServingSim<'a> {
     orphan_scratch: Vec<(usize, Slot)>,
     /// Holds a switching worker's queue while it is re-routed.
     requeue_scratch: Vec<Slot>,
+}
+
+/// Tallies `workers` into `fleet`, over the tiers it was made for: per-tier
+/// alive counts, queue depths and busy flags, failed/degraded counts,
+/// effective capacity.
+fn tally_into(workers: &[Worker], fleet: &mut FleetTally) {
+    fleet.reset();
+    for w in workers {
+        if w.failed {
+            fleet.add_failed();
+        } else {
+            fleet.add_alive(
+                w.target_tier(),
+                w.queue.len(),
+                w.busy,
+                w.health.speed_factor,
+            );
+        }
+    }
 }
 
 impl<'a> ServingSim<'a> {
@@ -633,6 +657,8 @@ impl<'a> ServingSim<'a> {
             thresholds,
             bypass_suspended: false,
             telemetry: TickTelemetry::new(num_tiers, router.is_some()),
+            observation: ControlObservation::default(),
+            fleet: FleetTally::new(num_tiers),
             router,
             actions,
             difficulty_delta: 0.0,
@@ -1290,11 +1316,11 @@ impl<'a> ServingSim<'a> {
     /// hazard does lands in the incident log, so a surprising run replays
     /// from its report.
     fn handle_hazard_check(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        let fleet = self.fleet_tally();
+        tally_into(&self.workers, &mut self.fleet);
         let Some(hazard) = self.hazard.as_mut() else {
             return;
         };
-        let events = hazard.step(fleet.utilization(), fleet.health());
+        let events = hazard.step(self.fleet.utilization(), self.fleet.health());
         for event in events {
             self.fire_event(event, now, queue);
         }
@@ -1305,18 +1331,7 @@ impl<'a> ServingSim<'a> {
     /// busy flags, failed/degraded counts, effective capacity.
     fn fleet_tally(&self) -> FleetTally {
         let mut fleet = FleetTally::new(self.kernel.num_tiers());
-        for w in &self.workers {
-            if w.failed {
-                fleet.add_failed();
-            } else {
-                fleet.add_alive(
-                    w.target_tier(),
-                    w.queue.len(),
-                    w.busy,
-                    w.health.speed_factor,
-                );
-            }
-        }
+        tally_into(&self.workers, &mut fleet);
         fleet
     }
 
@@ -1324,13 +1339,14 @@ impl<'a> ServingSim<'a> {
     /// tick to the shared [`ControlLoop`] (demand estimation → profile
     /// estimation → allocation planning) and actuate the directive.
     fn handle_control_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        let fleet = self.fleet_tally();
+        tally_into(&self.workers, &mut self.fleet);
         let batches = (
             self.current_batch(0),
             self.current_batch(self.kernel.num_tiers() - 1),
         );
-        let obs = self.telemetry.observe(now, &fleet, batches);
-        if let ControlDirective::Apply { plan } = self.control.step(&obs) {
+        self.telemetry
+            .observe(&mut self.observation, now, &self.fleet, batches);
+        if let ControlDirective::Apply { plan } = self.control.step(&self.observation) {
             let targets = self.adopt_plan(&plan);
             self.apply_plan(&plan, &targets, now, queue);
         }

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::problem::{Direction, Problem, Sense, VarId};
+use crate::problem::{Direction, Problem, Sense, VarId, VarKind};
 use crate::simplex::{Basis, LpSolver, SolveEffort, SolveError, Tableau};
 
 /// Tolerance within which an LP value counts as integral.
@@ -38,8 +38,7 @@ pub struct MilpSolution {
     /// Number of branch & bound nodes expanded.
     pub nodes: usize,
     /// `true` when the search completed (solution proved optimal); `false`
-    /// when the node limit stopped the search with an incumbent in hand, and
-    /// always `false` for a [`find_feasible`] witness.
+    /// when the node limit stopped the search with an incumbent in hand.
     pub proved_optimal: bool,
     /// What the search cost: LP solves, pivots, refactorizations, cold
     /// two-phase solves and certified-infeasible children. Below the root
@@ -71,6 +70,11 @@ pub struct MilpSolution {
 /// basis is structurally validated and refactorized against it by the
 /// simplex layer (once, at the root of the search), so a stale or
 /// mismatched hint degrades to a cold solve rather than a wrong answer.
+///
+/// It also keeps what its searches work in — the [`LpSolver`] with its
+/// spare tableaus, the open-node heap, spare value vectors — so that a
+/// controller solving through one handle tick after tick stops allocating
+/// once its searches stop growing. None of that changes an answer.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     previous: Option<Vec<f64>>,
@@ -78,6 +82,7 @@ pub struct WarmStart {
     /// seeds the root LP so a steady-state re-solve is a handful of dual
     /// pivots instead of a full two-phase run.
     basis: Option<Basis>,
+    work: Workspace,
 }
 
 impl WarmStart {
@@ -97,6 +102,12 @@ impl WarmStart {
         self.previous.is_some()
     }
 
+    /// The remembered solution values: the last optimum or feasibility
+    /// witness a search through this handle found.
+    pub fn previous(&self) -> Option<&[f64]> {
+        self.previous.as_deref()
+    }
+
     /// Overrides the remembered solution values (testing hook; normal use
     /// lets [`solve_milp_warm`] manage the handle).
     pub fn set_previous(&mut self, values: Option<Vec<f64>>) {
@@ -114,6 +125,28 @@ impl WarmStart {
     }
 }
 
+/// What one search works in, kept between the searches of a
+/// [`WarmStart`]: the LP solver (re-laid per problem) with its spare
+/// tableaus, the open-node heap, the problem's bounds, and spare value
+/// vectors.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    lp: Option<LpSolver>,
+    heap: BinaryHeap<Node>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    values: Vec<Vec<f64>>,
+}
+
+impl Workspace {
+    /// An empty value vector: a spare one when there is one.
+    fn take_values(&mut self) -> Vec<f64> {
+        let mut values = self.values.pop().unwrap_or_default();
+        values.clear();
+        values
+    }
+}
+
 /// Whether `values` is an integral feasible point of `problem`, usable as
 /// a seeded branch & bound incumbent. Deliberately strict: rejecting a
 /// genuinely feasible hint only costs a cold solve, while accepting an
@@ -122,31 +155,32 @@ fn usable_incumbent(problem: &Problem, values: &[f64]) -> bool {
     if values.len() != problem.num_vars() {
         return false;
     }
-    let lower = problem.lower_bounds();
-    let upper = problem.upper_bounds();
-    for (i, &x) in values.iter().enumerate() {
-        if !x.is_finite() || x < lower[i] - INT_TOL || x > upper[i] + INT_TOL {
-            return false;
-        }
+    let in_bounds = problem
+        .vars
+        .iter()
+        .zip(values)
+        .all(|(v, &x)| x.is_finite() && x >= v.lower - INT_TOL && x <= v.upper + INT_TOL);
+    if !in_bounds {
+        return false;
     }
-    for v in problem.integer_vars() {
-        let x = values[v.index()];
-        if (x - x.round()).abs() > INT_TOL {
-            return false;
-        }
-    }
-    problem.constraints.iter().all(|c| {
-        let lhs: f64 = c.terms.iter().map(|(v, a)| a * values[v.index()]).sum();
-        match c.sense {
-            Sense::Le => lhs <= c.rhs + 1e-9,
-            Sense::Ge => lhs >= c.rhs - 1e-9,
-            Sense::Eq => (lhs - c.rhs).abs() <= 1e-9,
-        }
-    })
+    let integral = problem
+        .vars
+        .iter()
+        .zip(values)
+        .all(|(v, &x)| v.kind != VarKind::Integer || (x - x.round()).abs() <= INT_TOL);
+    integral
+        && problem.constraints.iter().all(|c| {
+            let lhs: f64 = c.terms.iter().map(|(v, a)| a * values[v.index()]).sum();
+            match c.sense {
+                Sense::Le => lhs <= c.rhs + 1e-9,
+                Sense::Ge => lhs >= c.rhs - 1e-9,
+                Sense::Eq => (lhs - c.rhs).abs() <= 1e-9,
+            }
+        })
 }
 
 /// An open node: a solved LP relaxation waiting to be branched on.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Node {
     /// Depth in the tree when the search dives for a first feasible point
     /// ([`Goal::Feasible`]: deepest node first); 0 on every node of an
@@ -213,7 +247,8 @@ impl Ord for Node {
 /// # Ok::<(), diffserve_milp::SolveError>(())
 /// ```
 pub fn solve_milp(problem: &Problem, options: &MilpOptions) -> Result<MilpSolution, SolveError> {
-    solve_seeded(problem, options, Goal::Optimal, None, None).map(|(sol, _)| sol)
+    let mut work = Workspace::default();
+    solve_seeded(problem, options, Goal::Optimal, None, &mut None, &mut work)
 }
 
 /// [`solve_milp`] with tick-to-tick state carried in a [`WarmStart`].
@@ -238,12 +273,25 @@ pub fn solve_milp_warm(
     options: &MilpOptions,
     warm: &mut WarmStart,
 ) -> Result<MilpSolution, SolveError> {
-    solve_through(problem, options, Goal::Optimal, warm)
+    let sol = solve_seeded(
+        problem,
+        options,
+        Goal::Optimal,
+        warm.previous.as_deref(),
+        &mut warm.basis,
+        &mut warm.work,
+    )?;
+    match &mut warm.previous {
+        Some(previous) => previous.clone_from(&sol.values),
+        None => warm.previous = Some(sol.values.clone()),
+    }
+    Ok(sol)
 }
 
-/// Answers only *whether* `problem` has an integral feasible point,
-/// returning the first one found as a witness (`proved_optimal` is
-/// `false`; its objective is whatever the witness happens to score).
+/// Answers only *whether* `problem` has an integral feasible point. The
+/// first one found is the witness; it is remembered in `warm` (readable
+/// through [`WarmStart::previous`]) rather than returned, and what finding
+/// it cost is.
 ///
 /// `Ok` exactly when [`solve_milp`] would be `Ok`, and every error is the
 /// same error: the search is the same branch & bound over the same LP
@@ -254,10 +302,10 @@ pub fn solve_milp_warm(
 /// variable, where best-first order keeps widening the top of the tree;
 /// with no incumbent nothing is ever pruned, so the order cannot change
 /// the verdict). When the point remembered in `warm` is still feasible
-/// for `problem` it returns that point at once, without an LP. Searches
-/// that bisect on feasibility (the ladder allocator's threshold probes)
-/// ask this instead of paying for an optimum they never read. The witness
-/// and its basis are remembered in `warm`.
+/// for `problem` it answers at once, without an LP (`lp_solves == 0`).
+/// Searches that bisect on feasibility (the ladder allocator's threshold
+/// probes) ask this instead of paying for an optimum they never read. The
+/// witness's basis is remembered in `warm` too.
 ///
 /// # Errors
 ///
@@ -266,8 +314,27 @@ pub fn find_feasible(
     problem: &Problem,
     options: &MilpOptions,
     warm: &mut WarmStart,
-) -> Result<MilpSolution, SolveError> {
-    solve_through(problem, options, Goal::Feasible, warm)
+) -> Result<SolveEffort, SolveError> {
+    let mut sol = solve_seeded(
+        problem,
+        options,
+        Goal::Feasible,
+        warm.previous.as_deref(),
+        &mut warm.basis,
+        &mut warm.work,
+    )?;
+    // No node expanded: the remembered point answered, and stays. Otherwise
+    // the witness moves in, and the point it displaces is spare.
+    if sol.nodes > 0 {
+        match &mut warm.previous {
+            Some(previous) => {
+                std::mem::swap(previous, &mut sol.values);
+                warm.work.values.push(sol.values);
+            }
+            None => warm.previous = Some(sol.values),
+        }
+    }
+    Ok(sol.effort)
 }
 
 /// What a search must establish before it may stop.
@@ -279,82 +346,79 @@ enum Goal {
     Feasible,
 }
 
-/// One search seeded from, and remembered into, `warm`.
-fn solve_through(
-    problem: &Problem,
-    options: &MilpOptions,
-    goal: Goal,
-    warm: &mut WarmStart,
-) -> Result<MilpSolution, SolveError> {
-    let (sol, basis) = solve_seeded(
-        problem,
-        options,
-        goal,
-        warm.previous.as_deref(),
-        warm.basis.as_ref(),
-    )?;
-    warm.previous = Some(sol.values.clone());
-    if basis.is_some() {
-        warm.basis = basis;
-    }
-    Ok(sol)
-}
-
-/// Core search. Returns the solution plus the simplex basis of the LP
-/// that produced the incumbent (when one is available), so the caller can
-/// carry it tick to tick.
+/// Core search, working in `work`. `basis` seeds the root LP; whenever
+/// the search finds a better incumbent than the seeded one (or the root
+/// proves the seed optimal), that LP's basis replaces it, so on success
+/// `basis` is the answer's. A [`Goal::Feasible`] search that the seed
+/// answers returns it with no values and `nodes == 0`, since the seed is
+/// where the caller keeps it.
 fn solve_seeded(
     problem: &Problem,
     options: &MilpOptions,
     goal: Goal,
     hint: Option<&[f64]>,
-    hint_basis: Option<&Basis>,
-) -> Result<(MilpSolution, Option<Basis>), SolveError> {
-    let int_vars = problem.integer_vars();
-    let root_lower = problem.lower_bounds();
-    let root_upper = problem.upper_bounds();
-    for &v in &int_vars {
+    basis: &mut Option<Basis>,
+    work: &mut Workspace,
+) -> Result<MilpSolution, SolveError> {
+    for v in problem.vars.iter().filter(|v| v.kind == VarKind::Integer) {
         assert!(
-            root_lower[v.index()].is_finite() && root_upper[v.index()].is_finite(),
+            v.lower.is_finite() && v.upper.is_finite(),
             "integer variable {} must have finite bounds",
-            problem.var_name(v)
+            v.name
         );
     }
 
     // Seed the incumbent from the warm-start hint when it is still an
     // integral feasible point of *this* problem.
-    let incumbent = hint
-        .filter(|values| usable_incumbent(problem, values))
-        .map(|values| integral_point(problem, &int_vars, values.to_vec(), 0, false));
-    let incumbent_basis = incumbent.as_ref().and(hint_basis).cloned();
-    if goal == Goal::Feasible {
+    let seeded = hint.filter(|values| usable_incumbent(problem, values));
+    if goal == Goal::Feasible && seeded.is_some() {
         // A still-feasible remembered point answers the question outright.
-        if let Some(s) = incumbent {
-            return Ok((s, incumbent_basis));
-        }
+        return Ok(integral_point(problem, Vec::new(), 0, false));
     }
+    let incumbent = seeded.map(|values| {
+        let mut point = work.take_values();
+        point.extend_from_slice(values);
+        integral_point(problem, point, 0, false)
+    });
 
-    // The bound-independent part of the LP is laid out once; the root and
-    // every node below it solve through it.
-    let mut lp = LpSolver::new(problem);
+    // The bound-independent part of the LP is laid out once per search;
+    // the root and every node below it solve through it.
+    let Workspace {
+        lp,
+        heap,
+        lower,
+        upper,
+        values,
+    } = work;
+    let lp = match lp {
+        Some(lp) => {
+            lp.lay_out(problem);
+            lp
+        }
+        None => lp.insert(LpSolver::new(problem)),
+    };
+    lower.clear();
+    lower.extend(problem.vars.iter().map(|v| v.lower));
+    upper.clear();
+    upper.extend(problem.vars.iter().map(|v| v.upper));
     let mut search = Search {
         problem,
-        int_vars: &int_vars,
         options,
         goal,
-        lp: &mut lp,
-        heap: BinaryHeap::new(),
+        lp,
+        heap,
+        spare: values,
+        basis,
     };
-    let found = search.run(
-        &root_lower,
-        &root_upper,
-        hint_basis,
-        incumbent,
-        incumbent_basis,
-    );
-    found.map(|(mut solution, basis)| {
-        solution.effort = lp.effort();
-        (solution, basis)
+    let found = search.run(lower, upper, incumbent);
+    // Whatever the search left open goes back to the spares.
+    for node in search.heap.drain() {
+        search.lp.recycle(node.tableau);
+        search.spare.push(node.values);
+    }
+    found.map(|mut solution| {
+        solution.effort = search.lp.effort();
+        solution
     })
 }
 
@@ -364,13 +428,14 @@ fn solve_seeded(
 /// within round-off).
 fn integral_point(
     problem: &Problem,
-    int_vars: &[VarId],
     mut values: Vec<f64>,
     nodes: usize,
     proved_optimal: bool,
 ) -> MilpSolution {
-    for &v in int_vars {
-        values[v.index()] = values[v.index()].round();
+    for (x, v) in values.iter_mut().zip(&problem.vars) {
+        if v.kind == VarKind::Integer {
+            *x = x.round();
+        }
     }
     let objective = problem
         .objective
@@ -387,14 +452,18 @@ fn integral_point(
     }
 }
 
-/// One branch & bound search over one [`LpSolver`].
+/// One branch & bound search over one [`LpSolver`], in a workspace's
+/// buffers.
 struct Search<'a> {
     problem: &'a Problem,
-    int_vars: &'a [VarId],
     options: &'a MilpOptions,
     goal: Goal,
     lp: &'a mut LpSolver,
-    heap: BinaryHeap<Node>,
+    heap: &'a mut BinaryHeap<Node>,
+    /// Spare value vectors.
+    spare: &'a mut Vec<Vec<f64>>,
+    /// The root's warm start, then the incumbent's basis.
+    basis: &'a mut Option<Basis>,
 }
 
 impl Search<'_> {
@@ -406,19 +475,40 @@ impl Search<'_> {
         }
     }
 
+    /// Records `t`'s basis as the incumbent's.
+    fn keep_basis(&mut self, t: &Tableau) {
+        match self.basis {
+            Some(b) => t.basis_into(b),
+            None => *self.basis = Some(t.basis()),
+        }
+    }
+
+    /// Hands a node's buffers back.
+    fn recycle(&mut self, node: Node) {
+        self.lp.recycle(node.tableau);
+        self.spare.push(node.values);
+    }
+
     fn run(
         &mut self,
         root_lower: &[f64],
         root_upper: &[f64],
-        hint_basis: Option<&Basis>,
         mut incumbent: Option<MilpSolution>,
-        mut incumbent_basis: Option<Basis>,
-    ) -> Result<(MilpSolution, Option<Basis>), SolveError> {
+    ) -> Result<MilpSolution, SolveError> {
         let gap = self.options.gap;
         // The one solve that may refactorize: the hint is a basis from
         // another tick, whose coefficients may have moved since.
-        let root = self.lp.solve(root_lower, root_upper, hint_basis)?;
-        let values = self.lp.values(&root);
+        let root = match self.lp.solve(root_lower, root_upper, self.basis.as_ref()) {
+            Ok(root) => root,
+            Err(e) => {
+                if let Some(s) = incumbent {
+                    self.spare.push(s.values);
+                }
+                return Err(e);
+            }
+        };
+        let mut values = self.spare.pop().unwrap_or_default();
+        self.lp.values_into(&root, &mut values);
         let score = self.norm(self.lp.objective(&values));
         if let Some(best) = &incumbent {
             // Fast path: the root bound already proves the seeded incumbent
@@ -428,7 +518,14 @@ impl Search<'_> {
                 let mut s = incumbent.take().expect("just matched Some");
                 s.nodes = 1;
                 s.proved_optimal = true;
-                return Ok((s, Some(root.basis())));
+                self.keep_basis(&root);
+                self.recycle(Node {
+                    dive: 0,
+                    score,
+                    values,
+                    tableau: root,
+                });
+                return Ok(s);
             }
         }
         self.heap.push(Node {
@@ -442,11 +539,12 @@ impl Search<'_> {
 
         while let Some(node) = self.heap.pop() {
             if nodes >= self.options.node_limit {
+                self.recycle(node);
                 return match incumbent {
                     Some(mut s) => {
                         s.nodes = nodes;
                         s.proved_optimal = false;
-                        Ok((s, incumbent_basis))
+                        Ok(s)
                     }
                     None => Err(SolveError::IterationLimit),
                 };
@@ -456,6 +554,7 @@ impl Search<'_> {
             // Prune against the incumbent.
             if let Some(best) = &incumbent {
                 if node.score <= self.norm(best.objective) + gap {
+                    self.recycle(node);
                     continue;
                 }
             }
@@ -463,53 +562,71 @@ impl Search<'_> {
             // Find the most fractional integer variable.
             let mut branch_var = None;
             let mut best_frac = INT_TOL;
-            for &v in self.int_vars {
-                let x = node.values[v.index()];
+            for (j, v) in self.problem.vars.iter().enumerate() {
+                if v.kind != VarKind::Integer {
+                    continue;
+                }
+                let x = node.values[j];
                 let frac = (x - x.round()).abs();
                 if frac > best_frac {
                     best_frac = frac;
-                    branch_var = Some(v);
+                    branch_var = Some(j);
                 }
             }
 
+            let Node {
+                dive,
+                values,
+                tableau,
+                ..
+            } = node;
             match branch_var {
                 None => {
                     // Integral: snap and record as incumbent if better.
-                    let point =
-                        integral_point(self.problem, self.int_vars, node.values, nodes, true);
+                    let point = integral_point(self.problem, values, nodes, true);
                     if self.goal == Goal::Feasible {
                         let witness = MilpSolution {
                             proved_optimal: false,
                             ..point
                         };
-                        return Ok((witness, Some(node.tableau.basis())));
+                        self.keep_basis(&tableau);
+                        self.lp.recycle(tableau);
+                        return Ok(witness);
                     }
                     let better = incumbent
                         .as_ref()
                         .is_none_or(|b| self.norm(point.objective) > self.norm(b.objective) + gap);
                     if better {
-                        incumbent = Some(point);
-                        incumbent_basis = Some(node.tableau.basis());
+                        self.keep_basis(&tableau);
+                        if let Some(old) = incumbent.replace(point) {
+                            self.spare.push(old.values);
+                        }
+                    } else {
+                        self.spare.push(point.values);
                     }
+                    self.lp.recycle(tableau);
                 }
-                Some(v) => {
-                    let floor = node.values[v.index()].floor();
-                    let (lower, upper) = node.tableau.bounds(v);
+                Some(j) => {
+                    let var = VarId(j);
+                    let floor = values[j].floor();
+                    let (lower, upper) = tableau.bounds(var);
                     let cutoff = incumbent
                         .as_ref()
                         .map(|best| self.norm(best.objective) + gap);
                     let dive = match self.goal {
                         Goal::Optimal => 0,
-                        Goal::Feasible => node.dive + 1,
+                        Goal::Feasible => dive + 1,
                     };
                     // Down branch: x <= floor.
                     if lower <= floor {
-                        self.push_child(&node.tableau, v, (lower, floor), dive, cutoff);
+                        self.push_child(&tableau, var, (lower, floor), dive, cutoff);
                     }
                     // Up branch: x >= floor + 1.
                     if floor + 1.0 <= upper {
-                        self.push_child(&node.tableau, v, (floor + 1.0, upper), dive, cutoff);
+                        self.push_child(&tableau, var, (floor + 1.0, upper), dive, cutoff);
                     }
+                    self.lp.recycle(tableau);
+                    self.spare.push(values);
                 }
             }
         }
@@ -520,7 +637,7 @@ impl Search<'_> {
                 // The heap drained, so the search is complete — relevant when a
                 // seeded incumbent (created unproven) was never displaced.
                 s.proved_optimal = true;
-                Ok((s, incumbent_basis))
+                Ok(s)
             }
             None => Err(SolveError::Infeasible),
         }
@@ -543,17 +660,20 @@ impl Search<'_> {
         let Ok(tableau) = self.lp.solve_child(parent, var, bounds.0, bounds.1) else {
             return;
         };
-        let values = self.lp.values(&tableau);
+        let mut values = self.spare.pop().unwrap_or_default();
+        self.lp.values_into(&tableau, &mut values);
         let score = self.norm(self.lp.objective(&values));
-        if cutoff.is_some_and(|c| score <= c) {
-            return; // Bound: can't beat the incumbent.
-        }
-        self.heap.push(Node {
+        let node = Node {
             dive,
             score,
             values,
             tableau,
-        });
+        };
+        if cutoff.is_some_and(|c| score <= c) {
+            self.recycle(node); // Bound: can't beat the incumbent.
+            return;
+        }
+        self.heap.push(node);
     }
 }
 
@@ -854,13 +974,13 @@ mod tests {
         let p = knapsack(9.0);
         let mut warm = WarmStart::new();
         let first = find_feasible(&p, &MilpOptions::default(), &mut warm).unwrap();
-        assert!(usable_incumbent(&p, &first.values));
-        assert!(!first.proved_optimal);
-        assert!(warm.is_primed());
+        assert!(first.lp_solves > 0);
+        let witness = warm.previous().expect("the witness is remembered").to_vec();
+        assert!(usable_incumbent(&p, &witness));
         // The remembered witness still fits: answered without a single LP.
         let again = find_feasible(&p, &MilpOptions::default(), &mut warm).unwrap();
-        assert_eq!(again.nodes, 0);
-        assert_eq!(again.values, first.values);
+        assert_eq!(again, SolveEffort::default());
+        assert_eq!(warm.previous(), Some(&witness[..]));
         // A witness is a valid seed for the optimality solve, never its answer.
         let best = solve_milp_warm(&p, &MilpOptions::default(), &mut warm).unwrap();
         assert_eq!(best.values, vec![1.0, 1.0, 0.0]);
@@ -922,13 +1042,13 @@ mod tests {
                 ("wrong dimension", &mut wrong_dimension),
             ] {
                 match find_feasible(&p, &opts, warm) {
-                    Ok(witness) => {
+                    Ok(_) => {
                         assert!(
                             reference,
                             "trial {trial}, {hint} hint: phantom witness\n{p}"
                         );
                         assert!(
-                            usable_incumbent(&p, &witness.values),
+                            usable_incumbent(&p, warm.previous().unwrap()),
                             "trial {trial}, {hint} hint: witness is not feasible\n{p}"
                         );
                     }

@@ -305,6 +305,40 @@ impl Problem {
     pub fn upper_bounds(&self) -> Vec<f64> {
         self.vars.iter().map(|v| v.upper).collect()
     }
+
+    /// Whether `other` is this problem bit for bit, names aside: the same
+    /// direction, variable kinds and bounds, rows (terms in order, sense,
+    /// right-hand side) and objective, every number compared by its bit
+    /// pattern. A problem re-aimed in place and one built afresh for the
+    /// same numbers must compare equal here, or they could solve
+    /// differently.
+    pub fn bitwise_eq(&self, other: &Problem) -> bool {
+        let bits = |x: f64| x.to_bits();
+        self.direction == other.direction
+            && self.vars.len() == other.vars.len()
+            && self.vars.iter().zip(&other.vars).all(|(a, b)| {
+                a.kind == b.kind && bits(a.lower) == bits(b.lower) && bits(a.upper) == bits(b.upper)
+            })
+            && self.constraints.len() == other.constraints.len()
+            && self
+                .constraints
+                .iter()
+                .zip(&other.constraints)
+                .all(|(a, b)| {
+                    a.sense == b.sense
+                        && bits(a.rhs) == bits(b.rhs)
+                        && a.terms.len() == b.terms.len()
+                        && a.terms
+                            .iter()
+                            .zip(&b.terms)
+                            .all(|((va, ca), (vb, cb))| va == vb && bits(*ca) == bits(*cb))
+                })
+            && self
+                .objective
+                .iter()
+                .map(|&c| bits(c))
+                .eq(other.objective.iter().map(|&c| bits(c)))
+    }
 }
 
 impl fmt::Display for Problem {
@@ -389,6 +423,31 @@ mod tests {
         assert_eq!(p.upper_bounds(), vec![3.0, 1.0]);
         assert_eq!(p.objective, vec![1.0, 0.5]);
         assert_eq!((p.num_vars(), p.num_constraints()), (2, 2));
+    }
+
+    #[test]
+    fn bitwise_equality_compares_every_number_by_its_bits() {
+        let build = |rhs: f64| {
+            let mut p = Problem::new(Direction::Minimize);
+            let x = p.add_var("x", VarKind::Integer, 0.0, 8.0);
+            let row = p.add_constraint("c", &[(x, 2.0)], Sense::Le, rhs);
+            p.set_objective(&[(x, 1.0)]);
+            (p, x, row)
+        };
+        let (mut a, x, row) = build(3.0);
+        let (b, ..) = build(5.0);
+        assert!(!a.bitwise_eq(&b));
+        a.set_rhs(row, 5.0);
+        assert!(a.bitwise_eq(&b), "re-aimed in place equals built afresh");
+        // `==` would call these equal; their bits differ.
+        a.set_objective_coefficient(x, -0.0);
+        let (mut c, ..) = build(5.0);
+        c.set_objective_coefficient(x, 0.0);
+        assert!(!a.bitwise_eq(&c));
+        a.set_objective_coefficient(x, 0.0);
+        assert!(a.bitwise_eq(&c));
+        c.set_upper_bound(x, 7.0);
+        assert!(!a.bitwise_eq(&c));
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //! bound, so it copies the parent's solved [`Tableau`], applies the bound
 //! change to it, and pivots on from there ([`LpSolver::solve_child`]);
 //! the bound-independent part of the LP is built once per [`LpSolver`].
+//! An [`LpSolver`] also outlives its problem: [`LpSolver::lay_out`] re-lays
+//! a re-aimed problem of any shape into the buffers the last one used, and
+//! the tableaus a search is done with come back through
+//! [`LpSolver::recycle`], so a solver carried from search to search stops
+//! allocating once it has seen the largest one.
 //!
 //! A warm solve returns one of three answers. An optimum is re-checked
 //! for primal and dual feasibility before it is handed back. When the
@@ -211,8 +216,16 @@ pub fn solve_lp_with_bounds(
 /// One LP in solver form — `A x + s = b`, senses folded into the slack
 /// bounds, costs in minimization form — ready to be solved under any
 /// number of variable-bound vectors. Everything here is independent of
-/// those bounds and built once; the bounds travel with each [`Tableau`].
-#[derive(Debug)]
+/// those bounds and built once per problem; the bounds travel with each
+/// [`Tableau`].
+///
+/// The solver keeps its buffers: the layout, the tableaus handed back
+/// through [`recycle`](Self::recycle), and the pricing, ratio-test and
+/// refactorization scratch. [`lay_out`](Self::lay_out) re-lays a problem
+/// into them, so a solver carried across searches (a
+/// [`WarmStart`](crate::WarmStart) carries one) allocates only while its
+/// problems still grow.
+#[derive(Debug, Clone)]
 pub struct LpSolver {
     /// Rows (constraints).
     m: usize,
@@ -233,12 +246,26 @@ pub struct LpSolver {
     /// `+1` for minimize, `-1` for maximize (applied to costs).
     sign: f64,
     effort: SolveEffort,
+    /// Tableaus done with, reused by the next solve.
+    spare: Vec<Tableau>,
+    /// Reduced costs, one per column.
+    r: Vec<f64>,
+    /// Phase 1's violation direction, one per row.
+    d: Vec<f64>,
+    /// Refactorization scratch: the eliminated `[A | b]`, which rows a
+    /// basic column has claimed, the new row → column map, and which
+    /// columns the basis names.
+    fact_a: Vec<f64>,
+    fact_rhs: Vec<f64>,
+    assigned: Vec<bool>,
+    new_basis: Vec<usize>,
+    seen: Vec<bool>,
 }
 
 /// A solved LP relaxation: the tableau `B⁻¹A` at the optimum, the basic
 /// values, the column statuses, and the bounds it was solved under.
 /// [`LpSolver::solve_child`] continues from it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct Tableau {
     /// `B⁻¹A`, `m × n` row-major.
     a: Vec<f64>,
@@ -252,6 +279,29 @@ pub struct Tableau {
     lower: Vec<f64>,
     /// Per-column upper bounds.
     upper: Vec<f64>,
+}
+
+impl Clone for Tableau {
+    fn clone(&self) -> Self {
+        Tableau {
+            a: self.a.clone(),
+            xb: self.xb.clone(),
+            basis: self.basis.clone(),
+            status: self.status.clone(),
+            lower: self.lower.clone(),
+            upper: self.upper.clone(),
+        }
+    }
+
+    /// Field by field, into the buffers `self` already has.
+    fn clone_from(&mut self, source: &Self) {
+        self.a.clone_from(&source.a);
+        self.xb.clone_from(&source.xb);
+        self.basis.clone_from(&source.basis);
+        self.status.clone_from(&source.status);
+        self.lower.clone_from(&source.lower);
+        self.upper.clone_from(&source.upper);
+    }
 }
 
 impl Tableau {
@@ -268,6 +318,12 @@ impl Tableau {
         }
     }
 
+    /// [`basis`](Self::basis), written into `out`'s buffers.
+    pub(crate) fn basis_into(&self, out: &mut Basis) {
+        out.statuses.clone_from(&self.status);
+        out.basic.clone_from(&self.basis);
+    }
+
     /// The resting value of nonbasic column `j`.
     fn nb_val(&self, j: usize) -> f64 {
         match self.status[j] {
@@ -277,6 +333,15 @@ impl Tableau {
             ColStatus::Basic => unreachable!("basic column has no resting value"),
         }
     }
+}
+
+/// `v` cleared and refilled with `len` zeros, in the buffer it has. The
+/// pivoting loops take their scratch out of the solver this way (so the
+/// solver can be borrowed while the scratch is written) and put it back.
+fn zeroed(mut v: Vec<f64>, len: usize) -> Vec<f64> {
+    v.clear();
+    v.resize(len, 0.0);
+    v
 }
 
 /// Why a warm solve stopped short of an optimum.
@@ -292,43 +357,93 @@ impl LpSolver {
     /// Lays out `problem`'s LP relaxation. Its own variable bounds are not
     /// read; every solve names the bounds it wants.
     pub fn new(problem: &Problem) -> LpSolver {
+        let mut solver = LpSolver {
+            m: 0,
+            n: 0,
+            ns: 0,
+            a0: Vec::new(),
+            b: Vec::new(),
+            slack_bounds: Vec::new(),
+            cost: Vec::new(),
+            sign: 1.0,
+            effort: SolveEffort::default(),
+            spare: Vec::new(),
+            r: Vec::new(),
+            d: Vec::new(),
+            fact_a: Vec::new(),
+            fact_rhs: Vec::new(),
+            assigned: Vec::new(),
+            new_basis: Vec::new(),
+            seen: Vec::new(),
+        };
+        solver.lay_out(problem);
+        solver
+    }
+
+    /// Re-lays this solver for `problem`, in place: afterwards it is what
+    /// [`new`](Self::new) would build, with its [`effort`](Self::effort)
+    /// back at zero, but the buffers it already has are reused. A
+    /// controller that re-aims one problem's numbers between solves lays
+    /// it out again before each.
+    pub fn lay_out(&mut self, problem: &Problem) {
         let ns = problem.num_vars();
         let m = problem.constraints.len();
         let n = ns + m;
-        let mut a0 = vec![0.0; m * n];
-        let mut b = vec![0.0; m];
-        let mut slack_bounds = Vec::with_capacity(m);
+        self.a0.clear();
+        self.a0.resize(m * n, 0.0);
+        self.b.clear();
+        self.b.resize(m, 0.0);
+        self.slack_bounds.clear();
         for (i, c) in problem.constraints.iter().enumerate() {
             for &(v, coef) in &c.terms {
-                a0[i * n + v.0] += coef;
+                self.a0[i * n + v.0] += coef;
             }
-            a0[i * n + ns + i] = 1.0;
-            b[i] = c.rhs;
+            self.a0[i * n + ns + i] = 1.0;
+            self.b[i] = c.rhs;
             // Sense as slack bounds: a·x + s = rhs.
-            slack_bounds.push(match c.sense {
+            self.slack_bounds.push(match c.sense {
                 Sense::Le => (0.0, f64::INFINITY),
                 Sense::Ge => (f64::NEG_INFINITY, 0.0),
                 Sense::Eq => (0.0, 0.0),
             });
         }
-        let sign = match problem.direction {
+        self.sign = match problem.direction {
             Direction::Minimize => 1.0,
             Direction::Maximize => -1.0,
         };
-        let mut cost = vec![0.0; n];
-        for (c, &obj) in cost.iter_mut().zip(&problem.objective) {
-            *c = obj * sign;
+        self.cost.clear();
+        self.cost.resize(n, 0.0);
+        for (c, &obj) in self.cost.iter_mut().zip(&problem.objective) {
+            *c = obj * self.sign;
         }
-        LpSolver {
-            m,
-            n,
-            ns,
-            a0,
-            b,
-            slack_bounds,
-            cost,
-            sign,
-            effort: SolveEffort::default(),
+        (self.m, self.n, self.ns) = (m, n, ns);
+        self.effort = SolveEffort::default();
+    }
+
+    /// Hands a tableau this solver returned back to it, for a later solve
+    /// to reuse.
+    pub fn recycle(&mut self, t: Tableau) {
+        self.spare.push(t);
+    }
+
+    /// A tableau to solve into: a recycled one when there is one.
+    fn take_tableau(&mut self) -> Tableau {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// `result` with `t` attached, or `t` recycled when there is no
+    /// solution to attach it to.
+    fn finish(
+        &mut self,
+        t: Tableau,
+        result: Result<(), SolveError>,
+    ) -> Result<Tableau, SolveError> {
+        match result {
+            Ok(()) => Ok(t),
+            Err(e) => {
+                self.recycle(t);
+                Err(e)
+            }
         }
     }
 
@@ -361,14 +476,20 @@ impl LpSolver {
             assert!(l <= u + TOL, "inverted bounds for variable {j}: [{l}, {u}]");
         }
         self.effort.lp_solves += 1;
+        let mut t = self.take_tableau();
         // Equal-within-tolerance but numerically inverted pairs clamp.
-        let mut lo: Vec<f64> = lower.iter().zip(upper).map(|(l, u)| l.min(*u)).collect();
-        let mut up = upper.to_vec();
+        t.lower.clear();
+        t.lower
+            .extend(lower.iter().zip(upper).map(|(l, u)| l.min(*u)));
+        t.upper.clear();
+        t.upper.extend_from_slice(upper);
         for &(slo, sup) in &self.slack_bounds {
-            lo.push(slo);
-            up.push(sup);
+            t.lower.push(slo);
+            t.upper.push(sup);
         }
-        self.solve_from(lo, up, warm)
+        let warm = warm.map(|basis| (&basis.statuses[..], &basis.basic[..]));
+        let result = self.solve_from(&mut t, warm);
+        self.finish(t, result)
     }
 
     /// Solves `parent`'s LP with `var`'s bounds replaced by `[lower,
@@ -402,18 +523,17 @@ impl LpSolver {
         assert!(lower <= upper, "inverted bounds [{lower}, {upper}]");
         assert_eq!(parent.a.len(), self.m * self.n, "tableau shape mismatch");
         self.effort.lp_solves += 1;
-        let mut t = parent.clone();
+        let mut t = self.take_tableau();
+        t.clone_from(parent);
         self.rebound(&mut t, var.0, lower, upper);
-        match self.reoptimize(&mut t) {
-            Ok(()) => Ok(t),
+        let result = match self.reoptimize(&mut t) {
+            Ok(()) => Ok(()),
             Err(Stop::Infeasible) => Err(SolveError::Infeasible),
-            Err(Stop::Unsure) => {
-                let (mut lo, mut up) = (parent.lower.clone(), parent.upper.clone());
-                lo[var.0] = lower;
-                up[var.0] = upper;
-                self.solve_from(lo, up, Some(&parent.basis()))
-            }
-        }
+            // `t` is under the child's bounds already; the fallback
+            // overwrites the rest of it.
+            Err(Stop::Unsure) => self.solve_from(&mut t, Some((&parent.status, &parent.basis))),
+        };
+        self.finish(t, result)
     }
 
     /// Reads the solution out of an optimal tableau.
@@ -428,19 +548,24 @@ impl LpSolver {
 
     /// The value of every structural variable at `t`'s vertex.
     pub fn values(&self, t: &Tableau) -> Vec<f64> {
-        let mut values: Vec<f64> = (0..self.ns)
-            .map(|j| match t.status[j] {
-                ColStatus::Basic => 0.0,
-                _ => t.nb_val(j),
-            })
-            .collect();
+        let mut values = Vec::with_capacity(self.ns);
+        self.values_into(t, &mut values);
+        values
+    }
+
+    /// [`values`](Self::values), written into `values`.
+    pub fn values_into(&self, t: &Tableau, values: &mut Vec<f64>) {
+        values.clear();
+        values.extend((0..self.ns).map(|j| match t.status[j] {
+            ColStatus::Basic => 0.0,
+            _ => t.nb_val(j),
+        }));
         for (&bi, &x) in t.basis.iter().zip(&t.xb) {
             if bi < self.ns {
                 // Snap to bounds against round-off.
                 values[bi] = x.max(t.lower[bi]).min(t.upper[bi]);
             }
         }
-        values
     }
 
     /// The objective at `values`, in the problem's original direction.
@@ -453,55 +578,53 @@ impl LpSolver {
         50 * (self.m + self.n + 10)
     }
 
-    /// The whole path under full-length column bounds: the warm start if
-    /// it delivers a verdict, the cold two-phase solve otherwise. Every
-    /// fallback ends here.
+    /// The whole path under `t`'s full-length column bounds, from a warm
+    /// basis (column statuses and the basic column of each row): the warm
+    /// start if it delivers a verdict, the cold two-phase solve otherwise.
+    /// Every fallback ends here. Only `t`'s bounds are read; the rest of it
+    /// is overwritten.
     fn solve_from(
         &mut self,
-        lower: Vec<f64>,
-        upper: Vec<f64>,
-        warm: Option<&Basis>,
-    ) -> Result<Tableau, SolveError> {
-        let mut t = Tableau {
-            a: Vec::new(),
-            xb: Vec::new(),
-            basis: Vec::new(),
-            status: Vec::new(),
-            lower,
-            upper,
-        };
-        if warm.is_some_and(|basis| self.refactorize(basis, &mut t)) {
-            match self.reoptimize(&mut t) {
-                Ok(()) => return Ok(t),
+        t: &mut Tableau,
+        warm: Option<(&[ColStatus], &[usize])>,
+    ) -> Result<(), SolveError> {
+        if warm.is_some_and(|(statuses, basic)| self.refactorize(statuses, basic, t)) {
+            match self.reoptimize(t) {
+                Ok(()) => return Ok(()),
                 Err(Stop::Infeasible) => return Err(SolveError::Infeasible),
                 Err(Stop::Unsure) => {}
             }
         }
         self.effort.cold_solves += 1;
-        self.cold_start(&mut t);
-        self.primal_phase1(&mut t)?;
-        self.primal_phase2(&mut t)?;
-        Ok(t)
+        self.cold_start(t);
+        self.primal_phase1(t)?;
+        self.primal_phase2(t)
     }
 
     /// Resets `t` to the all-slack starting tableau (`B = I`) under its
     /// bounds.
     fn cold_start(&self, t: &mut Tableau) {
-        t.status = (0..self.ns)
-            .map(|j| {
-                if t.lower[j].is_finite() {
-                    ColStatus::AtLower
-                } else if t.upper[j].is_finite() {
-                    ColStatus::AtUpper
-                } else {
-                    ColStatus::Free
-                }
-            })
-            .collect();
-        t.status.resize(self.n, ColStatus::Basic);
-        t.basis = (self.ns..self.n).collect();
-        t.a = self.a0.clone();
-        t.xb = self.b.clone();
+        let Tableau {
+            status,
+            lower,
+            upper,
+            ..
+        } = t;
+        status.clear();
+        status.extend((0..self.ns).map(|j| {
+            if lower[j].is_finite() {
+                ColStatus::AtLower
+            } else if upper[j].is_finite() {
+                ColStatus::AtUpper
+            } else {
+                ColStatus::Free
+            }
+        }));
+        status.resize(self.n, ColStatus::Basic);
+        t.basis.clear();
+        t.basis.extend(self.ns..self.n);
+        t.a.clone_from(&self.a0);
+        t.xb.clone_from(&self.b);
         self.rest_nonbasics(t);
     }
 
@@ -572,17 +695,17 @@ impl LpSolver {
         }
     }
 
-    /// Rebuilds `t`'s tableau for `basis` under `t`'s bounds by
-    /// Gauss-Jordan elimination with row pivoting. Returns `false`, with
-    /// `t`'s bounds untouched, when the basis does not fit this problem or
-    /// its columns are (near-)singular.
-    fn refactorize(&mut self, basis: &Basis, t: &mut Tableau) -> bool {
+    /// Rebuilds `t`'s tableau for the basis `statuses`/`basic` under `t`'s
+    /// bounds by Gauss-Jordan elimination with row pivoting. Returns
+    /// `false`, with `t` untouched, when the basis does not fit this
+    /// problem or its columns are (near-)singular.
+    fn refactorize(&mut self, statuses: &[ColStatus], basic: &[usize], t: &mut Tableau) -> bool {
         let (m, n) = (self.m, self.n);
-        if basis.statuses.len() != n || basis.basic.len() != m {
+        if statuses.len() != n || basic.len() != m {
             return false;
         }
         let mut n_basic = 0usize;
-        for (j, &s) in basis.statuses.iter().enumerate() {
+        for (j, &s) in statuses.iter().enumerate() {
             match s {
                 ColStatus::Basic => n_basic += 1,
                 ColStatus::AtLower if !t.lower[j].is_finite() => return false,
@@ -593,20 +716,27 @@ impl LpSolver {
         if n_basic != m {
             return false;
         }
-        let mut seen = vec![false; n];
-        for &c in &basis.basic {
-            if c >= n || basis.statuses[c] != ColStatus::Basic || seen[c] {
+        let seen = &mut self.seen;
+        seen.clear();
+        seen.resize(n, false);
+        for &c in basic {
+            if c >= n || statuses[c] != ColStatus::Basic || seen[c] {
                 return false;
             }
             seen[c] = true;
         }
 
         self.effort.refactorizations += 1;
-        let mut a = self.a0.clone();
-        let mut rhs = self.b.clone();
-        let mut assigned = vec![false; m];
-        let mut new_basis = vec![usize::MAX; m];
-        for &c in &basis.basic {
+        let (a, rhs) = (&mut self.fact_a, &mut self.fact_rhs);
+        a.clone_from(&self.a0);
+        rhs.clone_from(&self.b);
+        let assigned = &mut self.assigned;
+        assigned.clear();
+        assigned.resize(m, false);
+        let new_basis = &mut self.new_basis;
+        new_basis.clear();
+        new_basis.resize(m, usize::MAX);
+        for &c in basic {
             // Partial pivoting over the rows not yet claimed by a basic
             // column; the basis is a set, so the row assignment is ours
             // to choose.
@@ -644,10 +774,12 @@ impl LpSolver {
             new_basis[row] = c;
         }
 
-        t.a = a;
-        t.xb = rhs;
-        t.basis = new_basis;
-        t.status = basis.statuses.clone();
+        // The old buffers become the next refactorization's scratch.
+        std::mem::swap(&mut t.a, a);
+        std::mem::swap(&mut t.xb, rhs);
+        std::mem::swap(&mut t.basis, new_basis);
+        t.status.clear();
+        t.status.extend_from_slice(statuses);
         self.rest_nonbasics(t);
         true
     }
@@ -673,17 +805,19 @@ impl LpSolver {
         })
     }
 
-    fn is_dual_feasible(&self, t: &Tableau) -> bool {
-        let mut r = vec![0.0; self.n];
+    fn is_dual_feasible(&mut self, t: &Tableau) -> bool {
+        let mut r = zeroed(std::mem::take(&mut self.r), self.n);
         self.price_into(t, &self.cost, &mut r);
-        (0..self.n).all(|j| match t.status[j] {
+        let feasible = (0..self.n).all(|j| match t.status[j] {
             ColStatus::Basic => true,
             // Fixed columns can never enter, so their sign is irrelevant.
             _ if t.lower[j] == t.upper[j] => true,
             ColStatus::AtLower => r[j] >= -DUAL_TOL,
             ColStatus::AtUpper => r[j] <= DUAL_TOL,
             ColStatus::Free => r[j].abs() <= DUAL_TOL,
-        })
+        });
+        self.r = r;
+        feasible
     }
 
     /// Picks the entering column for reduced costs `r`: the most negative
@@ -781,10 +915,21 @@ impl LpSolver {
     /// (an infeasible basic leaving through its violated bound is a kink,
     /// not a wall).
     fn primal_phase1(&mut self, t: &mut Tableau) -> Result<(), SolveError> {
+        let mut d = zeroed(std::mem::take(&mut self.d), self.m); // violation direction per row
+        let mut r = zeroed(std::mem::take(&mut self.r), self.n);
+        let result = self.phase1_pivots(t, &mut d, &mut r);
+        (self.d, self.r) = (d, r);
+        result
+    }
+
+    fn phase1_pivots(
+        &mut self,
+        t: &mut Tableau,
+        d: &mut [f64],
+        r: &mut [f64],
+    ) -> Result<(), SolveError> {
         let (m, n) = (self.m, self.n);
         let bland_after = 10 * (m + n + 10);
-        let mut d = vec![0.0; m]; // violation direction per row
-        let mut r = vec![0.0; n];
         for iter in 0..self.max_iters() {
             let mut infeasible = false;
             for ((di, &bi), &x) in d.iter_mut().zip(&t.basis).zip(&t.xb) {
@@ -811,7 +956,7 @@ impl LpSolver {
                     }
                 }
             }
-            let Some((e, sigma)) = self.pick_entering(t, &r, iter >= bland_after) else {
+            let Some((e, sigma)) = self.pick_entering(t, r, iter >= bland_after) else {
                 return Err(SolveError::Infeasible);
             };
 
@@ -866,12 +1011,18 @@ impl LpSolver {
 
     /// Primal phase 2 from a primal-feasible tableau.
     fn primal_phase2(&mut self, t: &mut Tableau) -> Result<(), SolveError> {
+        let mut r = zeroed(std::mem::take(&mut self.r), self.n);
+        let result = self.phase2_pivots(t, &mut r);
+        self.r = r;
+        result
+    }
+
+    fn phase2_pivots(&mut self, t: &mut Tableau, r: &mut [f64]) -> Result<(), SolveError> {
         let (m, n) = (self.m, self.n);
         let bland_after = 10 * (m + n + 10);
-        let mut r = vec![0.0; n];
         for iter in 0..self.max_iters() {
-            self.price_into(t, &self.cost, &mut r);
-            let Some((e, sigma)) = self.pick_entering(t, &r, iter >= bland_after) else {
+            self.price_into(t, &self.cost, r);
+            let Some((e, sigma)) = self.pick_entering(t, r, iter >= bland_after) else {
                 return Ok(());
             };
 
@@ -939,8 +1090,14 @@ impl LpSolver {
     /// Bounded dual simplex: starting dual feasible, repair primal
     /// feasibility row by row while keeping the reduced costs signed.
     fn dual_simplex(&mut self, t: &mut Tableau) -> Result<(), Stop> {
+        let mut r = zeroed(std::mem::take(&mut self.r), self.n);
+        let result = self.dual_pivots(t, &mut r);
+        self.r = r;
+        result
+    }
+
+    fn dual_pivots(&mut self, t: &mut Tableau, r: &mut [f64]) -> Result<(), Stop> {
         let (m, n) = (self.m, self.n);
-        let mut r = vec![0.0; n];
         for _ in 0..self.max_iters() {
             // Leaving row: the most violated basic.
             let mut leave: Option<(usize, bool)> = None; // (row, below lower)
@@ -962,7 +1119,7 @@ impl LpSolver {
                 return Ok(()); // primal feasible
             };
 
-            self.price_into(t, &self.cost, &mut r);
+            self.price_into(t, &self.cost, r);
             // Entering column: the dual ratio test — smallest |r_j / α_j|
             // over columns whose movement pushes the leaving basic toward
             // its violated bound — keeps every reduced cost signed.

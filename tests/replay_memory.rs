@@ -28,9 +28,21 @@
 //! process that replays 1000 workers on a 60–500 qps Azure trace and polls
 //! every 2 simulated seconds; between the first poll and the last, the
 //! session must make fewer than 0.1 allocations per polled outcome.
-//! Measured over ≈ 125 K outcomes: 0.073. When each completion copied its row into a fresh
+//! Measured over ≈ 125 K outcomes: 0.043 (0.073 before control ticks stopped
+//! allocating). When each completion copied its row into a fresh
 //! `Vec`: 1.073. Debug builds re-render every completion to check the
 //! render table, which allocates, so that test passes vacuously there.
+//!
+//! Nor does a steady-state control tick allocate more than a few times. The
+//! MILP planner keeps its residual knapsack, its simplex tableaus and its
+//! scratch from tick to tick, and the tick's observation reuses its
+//! vectors. The check drives a session as the repo benchmark does, to 1 µs
+//! before each control tick and then to the tick, counts only the second
+//! call, and must read at most 32 allocations per tick on two `Milp` rows:
+//! the benchmark's `ladder_control` configuration (a 3-tier ladder at 16
+//! workers with resume, add-ons and online profile refresh) and a two-tier
+//! cascade at 8 workers. Measured: 13.4 and 6.1. When every probe rebuilt
+//! its knapsack and every solve its tableaus: 233.7 and 142.7.
 //!
 //! Linux only (`VmHWM` from `/proc/self/status`), release only in practice
 //! (≈ 10 s there), so the tests are `#[ignore]`d:
@@ -81,6 +93,9 @@ const ALLOCATION_CHILD_ENV: &str = "DIFFSERVE_ALLOCATION_CHILD";
 
 /// Set in the testbed child: the fleet's worker count.
 const TESTBED_CHILD_ENV: &str = "DIFFSERVE_TESTBED_MEMORY_CHILD";
+
+/// Set in the tick child: which row to drive (`ladder` or `two_tier`).
+const TICK_CHILD_ENV: &str = "DIFFSERVE_TICK_ALLOCATION_CHILD";
 
 /// What a child prints its peak resident set size after, in kB.
 const PEAK_TAG: &str = "replay_memory_peak_kb=";
@@ -213,6 +228,85 @@ fn allocation_child() {
     println!("{ALLOCATIONS_TAG}{}", last - first);
 }
 
+/// The tick child's half: one `Milp` session of the row the environment
+/// names, driven to 1 µs before each control tick and then to the tick.
+/// Prints the ticks after the first and the allocations their calls made.
+#[test]
+#[ignore = "child process of ticks_allocate_a_bounded_amount"]
+fn tick_child() {
+    let Ok(row) = std::env::var(TICK_CHILD_ENV) else {
+        return;
+    };
+    let (runtime, config, trace) = match row.as_str() {
+        "ladder" => (
+            CascadeRuntime::prepare_ladder(
+                ladder3(FeatureSpec::default()),
+                1500,
+                20250509,
+                DiscriminatorConfig::default(),
+            ),
+            SystemConfig {
+                num_workers: 16,
+                ladder: Some(LadderConfig::default()),
+                resume_from_latents: true,
+                addons: Some(AddonsConfig::demo(7)),
+                online_profile_refresh: true,
+                ..Default::default()
+            },
+            synthesize_azure_trace(&AzureTraceConfig {
+                min_qps: 2.0,
+                max_qps: 16.0,
+                duration: SimDuration::from_secs(300),
+            }),
+        ),
+        "two_tier" => (
+            child_runtime(),
+            SystemConfig {
+                num_workers: 8,
+                ..Default::default()
+            },
+            synthesize_azure_trace(&AzureTraceConfig {
+                min_qps: 1.0,
+                max_qps: 8.0,
+                duration: SimDuration::from_secs(300),
+            }),
+        ),
+        other => panic!("unknown row {other}"),
+    };
+    let trace = trace.unwrap();
+    let settings = RunSettings {
+        backend: AllocatorBackend::Milp,
+        ..RunSettings::new(Policy::DiffServe, trace.max_qps())
+    };
+    let mut session = ServingSession::builder()
+        .runtime(&runtime)
+        .config(config.clone())
+        .settings(settings)
+        .build()
+        .expect("valid session");
+    session.replay_trace(&trace);
+    let interval = config.control_interval.as_micros();
+    let horizon = SimTime::ZERO + trace.duration() + config.slo * 4;
+    let (mut ticks, mut allocations) = (0u64, 0u64);
+    for k in 1..=horizon.as_micros() / interval {
+        let tick_at = k * interval;
+        session.run_until(SimTime::from_micros(tick_at - 1));
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        session.run_until(SimTime::from_micros(tick_at));
+        // The first tick sizes what every later one reuses.
+        if k > 1 {
+            ticks += 1;
+            allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        }
+        session.poll();
+    }
+    session.run_until(horizon);
+    let report = session.finish();
+    assert_eq!(report.completed + report.dropped, report.total_queries);
+    println!("replay_memory_queries={ticks}");
+    println!("{ALLOCATIONS_TAG}{allocations}");
+}
+
 /// Re-executes this binary to run the `child` test alone in a process of
 /// its own, with `env` set to `value`; returns its query count and the
 /// figure it printed after `tag`.
@@ -302,4 +396,23 @@ fn completions_allocate_nothing() {
         "{allocations} allocations over {outcomes} polled outcomes: \
          {per_outcome:.3} per outcome, not under 0.1"
     );
+}
+
+#[test]
+#[ignore = "two MILP-planned replays in child processes; needs --release"]
+fn ticks_allocate_a_bounded_amount() {
+    if cfg!(debug_assertions) {
+        return; // The kept residual's debug twin rebuilds it, and allocates.
+    }
+    for row in ["ladder", "two_tier"] {
+        let (ticks, allocations) = run_in_child("tick_child", TICK_CHILD_ENV, row, ALLOCATIONS_TAG);
+        let per_tick = allocations as f64 / ticks as f64;
+        println!("{row}: {ticks} ticks, {allocations} allocations: {per_tick:.1} per tick");
+        assert!(ticks > 100, "{row}: the replay must span many ticks");
+        assert!(
+            per_tick <= 32.0,
+            "{row}: {allocations} allocations over {ticks} ticks: {per_tick:.1} per tick, \
+             more than 32"
+        );
+    }
 }
