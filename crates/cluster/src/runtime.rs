@@ -969,7 +969,7 @@ fn worker_loop(
         let slowdown = shared.slowdown(wid);
         let mut cache = shared.module_caches.get(wid).map(|c| c.lock());
         let now = shared.now();
-        let shed = kernel.predicted_misses(
+        let (shed, priced) = kernel.predicted_misses(
             current_tier,
             batch.len(),
             bmax,
@@ -988,18 +988,20 @@ fn worker_loop(
                 at: now,
             });
         }
-        if batch.is_empty() {
+        // No price: the whole batch was shed.
+        let Some(exec) = priced else {
             continue;
-        }
+        };
 
-        // "Execute" the batch by sleeping its service time (charged once
-        // per dispatch).
-        let exec = kernel.dispatch_secs(
+        // "Execute" the batch by sleeping the service time the drop-front
+        // rule priced it at, once its swaps are charged.
+        kernel.charge_dispatch(
             current_tier,
             batch.iter().map(Job::member),
             cache.as_deref_mut(),
             &mut shared.addon_stats.lock(),
             slowdown,
+            exec,
             &mut seen,
         );
         drop(cache);

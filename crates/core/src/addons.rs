@@ -78,7 +78,7 @@ impl AddonCatalog {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range (the mix's `num_modules` is
+    /// Panics if `id` is out of range (the mix's `num_modules()` is
     /// validated to match the catalog length).
     pub fn get(&self, id: usize) -> &AddonModule {
         &self.modules[id]
@@ -127,15 +127,19 @@ impl AddonCatalog {
 /// One worker's bounded LRU cache over loaded add-on modules.
 ///
 /// Recency order is a deque: front = least recently used, back = most
-/// recently used. [`ModuleCache::admit`] is the single mutation point — a
+/// recently used. Beside it a bitset marks the resident ids, so a lookup
+/// is one bit test. [`ModuleCache::admit`] is the single mutation point — a
 /// hit refreshes recency for free, a miss evicts LRU residents until the
 /// module fits and returns its load latency. Eviction is fully
 /// deterministic: same admit sequence, same final resident set.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ModuleCache {
     budget_mb: f64,
     used_mb: f64,
     resident: VecDeque<usize>,
+    /// Bit `id % 64` of word `id / 64` is set while module `id` is
+    /// resident; grown on the first admit of an id past its end.
+    bits: Vec<u64>,
 }
 
 impl ModuleCache {
@@ -145,12 +149,35 @@ impl ModuleCache {
             budget_mb,
             used_mb: 0.0,
             resident: VecDeque::new(),
+            bits: Vec::new(),
         }
     }
 
     /// Whether module `id` is resident (read-only; does not touch recency).
+    #[inline]
     pub fn contains(&self, id: usize) -> bool {
-        self.resident.contains(&id)
+        self.bits
+            .get(id / 64)
+            .is_some_and(|word| word >> (id % 64) & 1 == 1)
+    }
+
+    /// The resident set as a bitset over module ids (bit `id % 64` of word
+    /// `id / 64`). The words only grow, so a later call returns at least
+    /// as many.
+    pub(crate) fn resident_bits(&self) -> &[u64] {
+        &self.bits
+    }
+
+    fn set_resident(&mut self, id: usize, resident: bool) {
+        let w = id / 64;
+        if w >= self.bits.len() {
+            self.bits.resize(w + 1, 0);
+        }
+        if resident {
+            self.bits[w] |= 1 << (id % 64);
+        } else {
+            self.bits[w] &= !(1 << (id % 64));
+        }
     }
 
     /// Resident module ids in recency order (LRU first).
@@ -177,13 +204,17 @@ impl ModuleCache {
         let module = catalog.get(id);
         while self.used_mb + module.mem_mb > self.budget_mb {
             match self.resident.pop_front() {
-                Some(victim) => self.used_mb -= catalog.get(victim).mem_mb,
+                Some(victim) => {
+                    self.used_mb -= catalog.get(victim).mem_mb;
+                    self.set_resident(victim, false);
+                }
                 None => break,
             }
         }
         if self.used_mb + module.mem_mb <= self.budget_mb {
             self.resident.push_back(id);
             self.used_mb += module.mem_mb;
+            self.set_resident(id, true);
         }
         module.load_secs
     }
@@ -193,6 +224,7 @@ impl ModuleCache {
     pub fn clear(&mut self) {
         self.resident.clear();
         self.used_mb = 0.0;
+        self.bits.fill(0);
     }
 }
 
@@ -293,7 +325,7 @@ pub struct AddonsConfig {
     pub catalog: AddonCatalog,
     /// Per-worker module cache budget in MB.
     pub cache_mem_mb: f64,
-    /// The per-query requirement draw. Its `num_modules` must equal the
+    /// The per-query requirement draw. Its `num_modules()` must equal the
     /// catalog length.
     pub mix: AddonMix,
 }
@@ -327,7 +359,7 @@ impl AddonsConfig {
             ));
         }
         self.mix.validate().map_err(ConfigError::new)?;
-        if self.mix.num_modules != self.catalog.len() {
+        if self.mix.num_modules() != self.catalog.len() {
             return Err(ConfigError::new(
                 "add-on mix must draw over exactly the catalog's modules",
             ));
@@ -378,6 +410,8 @@ mod tests {
         // Full: 0,1,2 with 0 the LRU. Admitting 3 evicts 0.
         cache.admit(3, &cat);
         assert_eq!(cache.resident().collect::<Vec<_>>(), vec![1, 2, 3]);
+        // The resident bitset follows the evictions.
+        assert!((0..4).all(|m| cache.contains(m) == (m != 0)));
     }
 
     #[test]
@@ -404,6 +438,7 @@ mod tests {
         cache.clear();
         assert_eq!(cache.used_mb(), 0.0);
         assert_eq!(cache.resident().count(), 0);
+        assert!((0..4).all(|m| !cache.contains(m)));
         // Everything misses again after the wipe.
         assert_eq!(cache.admit(0, &cat), 0.5);
     }
@@ -440,7 +475,7 @@ mod tests {
         let cfg = AddonsConfig::demo(7);
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.catalog.len(), 12);
-        assert_eq!(cfg.mix.num_modules, 12);
+        assert_eq!(cfg.mix.num_modules(), 12);
         // The budget holds a strict subset of the catalog.
         let total: f64 = cfg.catalog.modules().iter().map(|m| m.mem_mb).sum();
         assert!(cfg.cache_mem_mb < total);
@@ -470,7 +505,7 @@ mod tests {
         assert!(bad_adoption.validate().is_err());
 
         let mut mismatched = base.clone();
-        mismatched.mix.num_modules = 3;
+        mismatched.mix = AddonMix::new(1, 3, base.mix.adoption);
         assert!(mismatched.validate().is_err());
 
         assert!(base.validate().is_ok());

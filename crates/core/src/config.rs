@@ -394,7 +394,7 @@ mod tests {
                 SystemConfig {
                     addons: Some({
                         let mut a = crate::addons::AddonsConfig::demo(1);
-                        a.mix.num_modules = 3;
+                        a.mix = diffserve_trace::AddonMix::new(1, 3, a.mix.adoption);
                         a
                     }),
                     ..base.clone()

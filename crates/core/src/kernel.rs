@@ -13,9 +13,10 @@
 //!
 //! * [`Kernel`] — the tier roster resolved from a [`CascadeRuntime`] plus
 //!   the static serving parameters, and on it the service-time model
-//!   `(stage − resume savings + swap) × slowdown` ([`Kernel::eta_secs`]
-//!   read-only, [`Kernel::dispatch_secs`] charging the module cache), the
-//!   drop-front rule ([`Kernel::predicted_misses`]), the routing score
+//!   `(stage − resume savings + swap) × slowdown` ([`Kernel::eta_secs`]),
+//!   the drop-front rule, which prices the batch that runs
+//!   ([`Kernel::predicted_misses`]), the dispatch charge to the module
+//!   cache ([`Kernel::charge_dispatch`]), the routing score
 //!   ([`Kernel::routing_load`], [`Kernel::miss_penalty`], [`pick_min`]),
 //!   the entry tier per policy ([`Kernel::entry_tier`]), a query's pass
 //!   through a tier — boundary verdict, and the image when it completes
@@ -482,35 +483,53 @@ impl<'a> Kernel<'a> {
         self.service_secs(tier, batch, savings, swap, slowdown)
     }
 
-    /// Service time of a batch at dispatch. Identical arithmetic to
-    /// [`Kernel::eta_secs`] — the two agree bit-for-bit on the same batch
-    /// and cache state — but charges the swaps to `cache` and `stats`.
+    /// Charges a dispatching batch's module swaps to `cache` and `stats`
+    /// (see [`Kernel::charge_batch_swaps`]). The batch's service time is
+    /// `priced`, what [`Kernel::predicted_misses`] returned for it against
+    /// the same cache state: the ETA the drop-front rule judged by and the
+    /// time the batch is charged are one number. Returns the load seconds
+    /// charged. Debug builds re-price the batch with those swaps and assert
+    /// it equals `priced` bit for bit.
     #[inline]
-    pub fn dispatch_secs<I>(
+    #[allow(clippy::too_many_arguments)]
+    pub fn charge_dispatch<I>(
         &self,
         tier: usize,
         members: I,
         cache: Option<&mut ModuleCache>,
         stats: &mut AddonStats,
         slowdown: f64,
+        priced: f64,
         seen: &mut Vec<usize>,
     ) -> f64
     where
         I: ExactSizeIterator<Item = Member> + Clone,
     {
-        let batch = members.len();
-        let savings = self.batch_resume_savings(tier, members.clone().map(|m| m.resume));
-        let swap = self.charge_batch_swaps(tier, cache, stats, members.map(|m| m.addon), seen);
-        self.service_secs(tier, batch, savings, swap, slowdown)
+        let swap =
+            self.charge_batch_swaps(tier, cache, stats, members.clone().map(|m| m.addon), seen);
+        debug_assert_eq!(
+            self.service_secs(
+                tier,
+                members.len(),
+                self.batch_resume_savings(tier, members.map(|m| m.resume)),
+                swap,
+                slowdown,
+            )
+            .to_bits(),
+            priced.to_bits(),
+            "a dispatched batch on tier {tier} priced differently from its ETA"
+        );
+        swap
     }
 
     /// The drop-front rule (§4.1): how many entries at the front of a
     /// worker's queue cannot finish this stage by their deadline and are
-    /// shed. The front is dropped while the ETA of the prospective batch —
-    /// the first `batch_max` *remaining* entries — exceeds the front's
-    /// deadline; every drop re-estimates with the batch that would
-    /// actually run. `member(i)` and `deadline(i)` describe queue entry
-    /// `i` (0 = front).
+    /// shed, and the service time of the batch that then runs — the first
+    /// `batch_max` remaining entries — or `None` when every entry is shed.
+    /// The front is dropped while the ETA of that prospective batch
+    /// exceeds the front's deadline; every drop re-estimates with the batch
+    /// that would actually run. `member(i)` and `deadline(i)` describe
+    /// queue entry `i` (0 = front).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn predicted_misses(
@@ -524,7 +543,7 @@ impl<'a> Kernel<'a> {
         member: impl Fn(usize) -> Member + Copy,
         deadline: impl Fn(usize) -> SimTime,
         seen: &mut Vec<usize>,
-    ) -> usize {
+    ) -> (usize, Option<f64>) {
         let mut shed = 0;
         while shed < queued {
             let batch = (queued - shed).min(batch_max);
@@ -538,10 +557,10 @@ impl<'a> Kernel<'a> {
             if now + SimDuration::from_secs_f64(secs) > deadline(shed) {
                 shed += 1;
             } else {
-                break;
+                return (shed, Some(secs));
             }
         }
-        shed
+        (shed, None)
     }
 
     /// Single-query nameplate GPU-seconds a completion consumed across the
@@ -1306,8 +1325,11 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// (a) The invariant both engines rely on: for any tier, batch,
-        /// cache residency and slowdown, the read-only ETA equals the
-        /// service time charged at dispatch bit-for-bit.
+        /// cache residency and slowdown, the drop-front rule prices the
+        /// batch it keeps at its read-only ETA, and dispatch charges
+        /// exactly the swaps that ETA counted — so the time a batch is
+        /// charged is its ETA bit for bit (debug builds re-price the
+        /// charged batch inside `charge_dispatch` as well).
         #[test]
         fn eta_equals_the_service_time_charged_at_dispatch(
             tier in 0usize..3,
@@ -1332,15 +1354,33 @@ mod tests {
                 slowdown,
                 &mut seen,
             );
-            let charged = kernel.dispatch_secs(
+            let (shed, priced) = kernel.predicted_misses(
+                tier,
+                members.len(),
+                members.len(),
+                SimTime::ZERO,
+                slowdown,
+                Some(&cache),
+                |i| members[i],
+                |_| SimTime::from_secs(1_000_000),
+                &mut seen,
+            );
+            proptest::prop_assert_eq!((shed, priced.map(f64::to_bits)), (0, Some(eta.to_bits())));
+            let swap = kernel.batch_swap_secs(
+                Some(&cache),
+                members.iter().map(|m| m.addon),
+                &mut seen,
+            );
+            let charged = kernel.charge_dispatch(
                 tier,
                 members.iter().copied(),
                 Some(&mut cache),
                 &mut stats,
                 slowdown,
+                eta,
                 &mut seen,
             );
-            proptest::prop_assert_eq!(eta.to_bits(), charged.to_bits());
+            proptest::prop_assert_eq!(swap.to_bits(), charged.to_bits());
             // Dispatch records exactly one lookup per add-on-carrying member.
             let carrying = members.iter().filter(|m| m.addon.is_some()).count() as u64;
             proptest::prop_assert_eq!(stats.total_lookups(), carrying);
@@ -1360,16 +1400,17 @@ mod tests {
             let (mut seen, mut stats) = (Vec::new(), AddonStats::default());
             let bare = kernel.stage_latency(tier, members.len()) * slowdown;
             let eta = kernel.eta_secs(tier, members.iter().copied(), None, slowdown, &mut seen);
-            let charged = kernel.dispatch_secs(
+            let swap = kernel.charge_dispatch(
                 tier,
                 members.iter().copied(),
                 None,
                 &mut stats,
                 slowdown,
+                bare,
                 &mut seen,
             );
             proptest::prop_assert_eq!(eta.to_bits(), bare.to_bits());
-            proptest::prop_assert_eq!(charged.to_bits(), bare.to_bits());
+            proptest::prop_assert_eq!(swap, 0.0);
             proptest::prop_assert_eq!(stats, AddonStats::default());
         }
     }
@@ -1671,7 +1712,7 @@ mod tests {
             fits_three,
             fits_three,
         ];
-        let shed = kernel.predicted_misses(
+        let (shed, priced) = kernel.predicted_misses(
             tier,
             deadlines.len(),
             4,
@@ -1682,7 +1723,11 @@ mod tests {
             |i| deadlines[i],
             &mut Vec::new(),
         );
-        assert_eq!(shed, 1);
+        assert_eq!(
+            (shed, priced),
+            (1, Some(at3)),
+            "the kept batch of 3 is priced"
+        );
         let eta_as_collected = now + SimDuration::from_secs_f64(at4);
         assert_eq!(
             deadlines.iter().filter(|&&d| eta_as_collected > d).count(),
@@ -1701,7 +1746,7 @@ mod tests {
             |i| deadlines[i],
             &mut Vec::new(),
         );
-        assert_eq!(slowed, 4);
+        assert_eq!(slowed, (4, None), "nothing is left to price");
     }
 
     #[test]

@@ -199,6 +199,29 @@ fn load_key(load: f64) -> u64 {
     load.to_bits()
 }
 
+/// Moves worker `worker` between the per-module `holders` sets as its
+/// cache's resident bitset goes from `before` to `after` (`&[]` for a
+/// cache that was cleared): only the modules whose bit flipped move.
+fn update_holders(holders: &mut [WorkerSet], worker: usize, before: &[u64], after: &[u64]) {
+    for w in 0..before.len().max(after.len()) {
+        let now = after.get(w).copied().unwrap_or(0);
+        let flipped = before.get(w).copied().unwrap_or(0) ^ now;
+        for b in set_bits(flipped) {
+            let set = &mut holders[w * 64 + b];
+            if now >> b & 1 == 1 {
+                set.insert(worker);
+            } else {
+                set.remove(worker);
+            }
+        }
+    }
+}
+
+/// Debug builds re-derive every holder set from the caches once per this
+/// many dispatches.
+#[cfg(debug_assertions)]
+const HOLDER_CHECK_EVERY: u64 = 16;
+
 /// Which routing pool an alive worker belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RoutePool {
@@ -256,6 +279,30 @@ impl WorkerSet {
         Some(w * 64 + self.words[w].trailing_zeros() as usize)
     }
 
+    #[cfg(any(test, debug_assertions))]
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The least member that `other` also holds, and the least one it
+    /// does not: one walk over this set's non-empty words, which stops
+    /// once both are found.
+    fn first_in_and_out(&self, other: &WorkerSet) -> (Option<usize>, Option<usize>) {
+        let (mut inside, mut outside) = (None, None);
+        for (s, &bits) in self.summary.iter().enumerate() {
+            for w in set_bits(bits).map(|b| s * 64 + b) {
+                let first =
+                    |word: u64| (word != 0).then(|| w * 64 + word.trailing_zeros() as usize);
+                inside = inside.or_else(|| first(self.words[w] & other.words[w]));
+                outside = outside.or_else(|| first(self.words[w] & !other.words[w]));
+                if inside.is_some() && outside.is_some() {
+                    return (inside, outside);
+                }
+            }
+        }
+        (inside, outside)
+    }
+
     fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         let nonempty_words = self
             .summary
@@ -273,6 +320,9 @@ fn set_bits(word: u64) -> impl Iterator<Item = usize> {
     })
     .map(|rest| rest.trailing_zeros() as usize)
 }
+
+/// A worker as a pool files it: `(routing key, worker index)`.
+type Filed = (u64, usize);
 
 /// One routing pool: its workers bucketed by routing key, the buckets in
 /// key order and none of them empty. Iterating buckets by key and each
@@ -330,6 +380,47 @@ impl Pool {
             .iter()
             .flat_map(|(key, set)| set.iter().map(move |i| (*key, i)))
     }
+
+    /// The first member of `holders` and the first worker outside it in
+    /// the pool's `(key, index)` order, each with its key: per bucket, in
+    /// key order, the first set bit of `bucket & holders` and of
+    /// `bucket & !holders`, until both are found.
+    fn first_in_and_out(&self, holders: &WorkerSet) -> (Option<Filed>, Option<Filed>) {
+        let (mut inside, mut outside) = (None, None);
+        for (key, set) in &self.buckets {
+            let (i, o) = set.first_in_and_out(holders);
+            inside = inside.or(i.map(|i| (*key, i)));
+            outside = outside.or(o.map(|o| (*key, o)));
+            if inside.is_some() && outside.is_some() {
+                break;
+            }
+        }
+        (inside, outside)
+    }
+}
+
+/// The first minimum, in `(key, index)` order, of `key` over workers that
+/// hold a module and `key + penalty` over workers that do not — what
+/// [`kernel::pick_min`] returns over a whole pool in that order — from two
+/// candidates: the first holder and the first non-holder. Every other
+/// holder has a key at least the first's, and with `penalty > 0` and
+/// rounding monotone every other non-holder scores at least the first's
+/// `key + penalty`, so the minimum is one of the two; on a tie the one
+/// earlier in `(key, index)` order wins, as in the scan. A holder's score
+/// is its key because keys are non-negative, and `x + 0.0 == x` there.
+fn two_candidate_pick(holder: Option<Filed>, other: Option<Filed>, penalty: f64) -> Option<usize> {
+    let (Some(h), Some(o)) = (holder, other) else {
+        return holder.or(other).map(|(_, i)| i);
+    };
+    let (held, missed) = (f64::from_bits(h.0), f64::from_bits(o.0) + penalty);
+    let pick = if held < missed {
+        h
+    } else if missed < held {
+        o
+    } else {
+        h.min(o)
+    };
+    Some(pick.1)
 }
 
 /// Per-tier load index over the alive fleet, workers bucketed by routing
@@ -424,14 +515,27 @@ impl LoadIndex {
         self.pools().filter_map(Pool::first).min().map(|(_, i)| i)
     }
 
-    /// Every alive worker in `(key, index)` order, the order one set of
-    /// them all would iterate in. Only a query bound for a tier nobody
-    /// serves ranks the whole fleet, so this is off the hot path and the
-    /// pools are simply gathered and sorted.
-    fn alive_in_order(&self) -> Vec<usize> {
-        let mut all: Vec<(u64, usize)> = self.pools().flat_map(Pool::iter).collect();
-        all.sort_unstable();
-        all.into_iter().map(|(_, i)| i).collect()
+    /// The affinity pick for a query bound for `tier` whose module
+    /// `holders` hold, over the router's candidate ladder: the tier's
+    /// primaries, else the workers switching toward it, else the whole
+    /// alive fleet, whose `(key, index)` order is the merge of the pools'
+    /// (so its first holder and first non-holder are the least of the
+    /// pools'). See [`two_candidate_pick`]; `O(buckets × words)`, with no
+    /// allocation, even for a module no worker holds.
+    fn affinity_pick(&self, tier: usize, holders: &WorkerSet, penalty: f64) -> Option<usize> {
+        let pool = [&self.primary[tier], &self.pending_to[tier]]
+            .into_iter()
+            .find(|pool| !pool.is_empty());
+        let (holder, other) = match pool {
+            Some(pool) => pool.first_in_and_out(holders),
+            None => self
+                .pools()
+                .map(|pool| pool.first_in_and_out(holders))
+                .fold((None, None), |(h, o), (ph, po)| {
+                    (h.into_iter().chain(ph).min(), o.into_iter().chain(po).min())
+                }),
+        };
+        two_candidate_pick(holder, other, penalty)
     }
 
     fn alive_len(&self) -> usize {
@@ -566,10 +670,21 @@ struct ServingSim<'a> {
     /// [`SystemConfig::addons`] unset. A dispatch whose batch needs
     /// modules not resident here pays their load latency.
     caches: Vec<ModuleCache>,
+    /// Per catalog module, the workers whose cache holds it: the
+    /// affinity pick's holder sets, updated from each cache's resident
+    /// bitset after every dispatch charge and fail-stop.
+    holders: Vec<WorkerSet>,
     /// Per-tier add-on cache accounting (hits, misses, swap seconds).
     addon_stats: AddonStats,
     /// Scratch: distinct missing module ids of the batch being priced.
     addon_scratch: Vec<usize>,
+    /// Scratch: the dispatching worker's resident bitset before its swaps
+    /// are charged.
+    resident_scratch: Vec<u64>,
+    /// Dispatches so far; debug builds re-derive every holder set every
+    /// [`HOLDER_CHECK_EVERY`]th.
+    #[cfg(debug_assertions)]
+    dispatches: u64,
     // Metrics.
     /// Outcome accounting: SLO tracker, streamed report totals, rolling
     /// FID, outcomes awaiting a poll.
@@ -670,8 +785,15 @@ impl<'a> ServingSim<'a> {
                     .collect(),
                 None => Vec::new(),
             },
+            holders: match &config.addons {
+                Some(a) => vec![WorkerSet::new(config.num_workers); a.catalog.len()],
+                None => Vec::new(),
+            },
             addon_stats: AddonStats::default(),
             addon_scratch: Vec::new(),
+            resident_scratch: Vec::new(),
+            #[cfg(debug_assertions)]
+            dispatches: 0,
             ledger: Ledger::new(&config, &runtime.reference),
             tier_escalations: vec![0; boundaries],
             threshold_series: WindowedSeries::new(METRICS_WINDOW),
@@ -896,24 +1018,62 @@ impl<'a> ServingSim<'a> {
     /// workers switching toward the tier, then any alive worker), rank
     /// each worker by its routing load plus the kernel's miss penalty when
     /// its cache lacks the module. Ties keep the pool's `(load, index)`
-    /// order. Returns `None` (→ the default ladder, which stays
-    /// bit-identical) when [`Kernel::miss_penalty`] does not apply.
+    /// order. The load index answers it from two candidates per pool
+    /// ([`LoadIndex::affinity_pick`]), which debug builds compare with a
+    /// scan of every candidate. Returns `None` (→ the default ladder,
+    /// which stays bit-identical) when [`Kernel::miss_penalty`] does not
+    /// apply.
     fn affinity_route(&self, tier: usize, query: Slot) -> Option<usize> {
         let (id, penalty) = self.kernel.miss_penalty(tier, self.queries[query].addon)?;
-        let score = |i: usize| {
-            let miss = if self.caches[i].contains(id) {
-                0.0
-            } else {
-                penalty
-            };
-            (i, self.routing_load(i) + miss)
+        let chosen = self.index.affinity_pick(tier, &self.holders[id], penalty);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            chosen,
+            self.scan_affinity(tier, id, penalty),
+            "the affinity pick diverged from the scan of its pool"
+        );
+        chosen
+    }
+
+    /// The scan [`Self::affinity_route`]'s indexed pick replaced: the
+    /// candidate ladder by linear scan, each candidate scored by its
+    /// routing load plus `penalty` unless its cache holds module `id`,
+    /// [`kernel::pick_min`] over `(load, index)` order.
+    #[cfg(debug_assertions)]
+    fn scan_affinity(&self, tier: usize, id: usize, penalty: f64) -> Option<usize> {
+        let pick = |pred: &dyn Fn(&Worker) -> bool| -> Option<usize> {
+            let mut order: Vec<usize> = (0..self.workers.len())
+                .filter(|&i| !self.workers[i].failed && pred(&self.workers[i]))
+                .collect();
+            order.sort_by(|&a, &b| {
+                let (ea, eb) = (self.routing_load(a), self.routing_load(b));
+                ea.total_cmp(&eb).then(a.cmp(&b))
+            });
+            kernel::pick_min(order.into_iter().map(|i| {
+                let miss = if self.caches[i].contains(id) {
+                    0.0
+                } else {
+                    penalty
+                };
+                (i, self.routing_load(i) + miss)
+            }))
         };
-        let pool = [&self.index.primary[tier], &self.index.pending_to[tier]]
-            .into_iter()
-            .find(|pool| !pool.is_empty());
-        match pool {
-            Some(pool) => kernel::pick_min(pool.iter().map(|(_, i)| score(i))),
-            None => kernel::pick_min(self.index.alive_in_order().into_iter().map(score)),
+        pick(&|w| w.tier == tier && w.pending_tier.is_none())
+            .or_else(|| pick(&|w| w.target_tier() == tier))
+            .or_else(|| pick(&|_| true))
+    }
+
+    /// Re-derives every holder set from the caches and asserts it.
+    #[cfg(debug_assertions)]
+    fn check_holders(&self) {
+        for (m, holders) in self.holders.iter().enumerate() {
+            for (i, cache) in self.caches.iter().enumerate() {
+                assert_eq!(
+                    holders.contains(i),
+                    cache.contains(m),
+                    "holder set of module {m} is stale for worker {i}"
+                );
+            }
         }
     }
 
@@ -1001,7 +1161,7 @@ impl<'a> ServingSim<'a> {
         // Drop-front policy: shed queries that cannot finish this stage in
         // time (counted as SLO violations, §4.1).
         let (pending, queries) = (&self.workers[idx].queue, &self.queries);
-        let shed = self.kernel.predicted_misses(
+        let (shed, priced) = self.kernel.predicted_misses(
             tier,
             pending.len(),
             bmax,
@@ -1034,9 +1194,10 @@ impl<'a> ServingSim<'a> {
                 "try_start found worker {idx}'s load-index entry stale"
             );
         }
-        if self.workers[idx].queue.is_empty() {
+        // No price: the whole queue was shed.
+        let Some(secs) = priced else {
             return;
-        }
+        };
         let w = &mut self.workers[idx];
         let take = w.queue.len().min(bmax);
         debug_assert!(w.in_flight.is_empty(), "dispatch on a busy worker");
@@ -1044,18 +1205,40 @@ impl<'a> ServingSim<'a> {
         // dispatch runs at event rate and must not allocate.
         w.in_flight.extend(w.queue.drain(..take));
         w.busy = true;
+        let mut cache = self.caches.get_mut(idx);
+        if let Some(cache) = &cache {
+            self.resident_scratch.clear();
+            self.resident_scratch
+                .extend_from_slice(cache.resident_bits());
+        }
         let queries = &self.queries;
-        let secs = self.kernel.dispatch_secs(
+        self.kernel.charge_dispatch(
             tier,
             self.workers[idx]
                 .in_flight
                 .iter()
                 .map(|&q| queries[q].member()),
-            self.caches.get_mut(idx),
+            cache.as_deref_mut(),
             &mut self.addon_stats,
             slowdown,
+            secs,
             &mut self.addon_scratch,
         );
+        if let Some(cache) = cache {
+            update_holders(
+                &mut self.holders,
+                idx,
+                &self.resident_scratch,
+                cache.resident_bits(),
+            );
+        }
+        #[cfg(debug_assertions)]
+        {
+            self.dispatches += 1;
+            if self.dispatches.is_multiple_of(HOLDER_CHECK_EVERY) {
+                self.check_holders();
+            }
+        }
         queue.push(
             now + SimDuration::from_secs_f64(secs),
             Event::BatchDone {
@@ -1227,6 +1410,7 @@ impl<'a> ServingSim<'a> {
             }
             // A rejoining instance starts with cold module caches.
             if let Some(cache) = self.caches.get_mut(idx) {
+                update_holders(&mut self.holders, idx, cache.resident_bits(), &[]);
                 cache.clear();
             }
             self.refresh_index(idx);
@@ -1779,7 +1963,8 @@ mod tests {
         /// recovery, a re-key, a tier switch, or — filed where it already
         /// is — the early return), a removal (a fail-stop), or the
         /// emptying of a whole tier, after which a query bound for it
-        /// ranks the merged fleet (`alive_in_order`). 150 workers span
+        /// ranks the merged fleet (the pools, which must then partition
+        /// the alive fleet under its keys). 150 workers span
         /// three bitset words, the last one partial. The index also keeps
         /// no empty bucket, and opens a new set only when it holds more
         /// buckets than it ever has: every other one is a spare.
@@ -1844,10 +2029,9 @@ mod tests {
                 let everyone = scan(&|_| true);
                 proptest::prop_assert_eq!(index.alive_len(), everyone.len());
                 proptest::prop_assert_eq!(index.min_alive(), first(&everyone));
-                proptest::prop_assert_eq!(
-                    index.alive_in_order(),
-                    everyone.iter().map(|&(_, i)| i).collect::<Vec<_>>()
-                );
+                let mut filed: Vec<(u64, usize)> = index.pools().flat_map(Pool::iter).collect();
+                filed.sort_unstable();
+                proptest::prop_assert_eq!(&filed, &everyone);
                 for t in 0..TIERS {
                     let primaries = scan(&|p| p == RoutePool::Primary(t));
                     let pending = scan(&|p| p == RoutePool::PendingTo(t));
@@ -1864,6 +2048,76 @@ mod tests {
                 proptest::prop_assert!(index.spares.iter().all(WorkerSet::is_empty));
                 peak_buckets = peak_buckets.max(buckets);
                 proptest::prop_assert_eq!(buckets + index.spares.len(), peak_buckets);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The two-candidate affinity pick against [`kernel::pick_min`]
+        /// over a sorted model of the same fleet: per tier, the candidate
+        /// ladder (primaries, else workers switching toward the tier, else
+        /// every alive worker) in `(key, index)` order, each scored by its
+        /// key plus the penalty unless it holds the module. Keys are
+        /// fractional and fall into tie classes (2 × 1.5 = 3 × 1.0); a
+        /// penalty of 0.5 or 1.0 puts non-holders exactly on holder keys
+        /// (`k_holder == k_other + p`), as does 2.5, and 0.3 never does.
+        /// Holder sets are drawn empty, full, or as a subset that includes
+        /// failed workers. One drawn tier may have no primaries (the pick
+        /// falls to the workers switching toward it) and one no workers at
+        /// all (it falls to the whole fleet). 150 workers span three bitset
+        /// words, the last one partial.
+        #[test]
+        fn affinity_pick_is_pick_min_over_the_pool(
+            filed in proptest::collection::vec((0usize..8, 0usize..5, 0usize..3), 150..151),
+            subset in proptest::collection::vec(0usize..2, 150..151),
+            holding in 0usize..3,
+            penalty in 0usize..4,
+            switching in 0usize..4,
+            unstaffed in 0usize..4,
+        ) {
+            const TIERS: usize = 3;
+            let workers = filed.len();
+            let penalty = [0.5, 1.0, 0.3, 2.5][penalty];
+            let mut index = LoadIndex::new(workers, TIERS);
+            let mut holders = WorkerSet::new(workers);
+            let mut model = Vec::new();
+            for (i, &(pool, load, slowdown)) in filed.iter().enumerate() {
+                // Pools 6 and 7 are fail-stopped workers, filed nowhere,
+                // as are the missing primaries of tier `switching` and
+                // every worker of tier `unstaffed`.
+                let pool = match pool {
+                    p if p % TIERS == unstaffed => continue,
+                    p if p < TIERS && p != switching => RoutePool::Primary(p),
+                    p if (TIERS..2 * TIERS).contains(&p) => RoutePool::PendingTo(p - TIERS),
+                    _ => continue,
+                };
+                let key = load_key((load + 1) as f64 * [1.0, 1.5, 2.0][slowdown]);
+                index.insert(i, pool, key);
+                model.push((key, i, pool));
+            }
+            for (i, &bit) in subset.iter().enumerate() {
+                if holding == 1 || (holding == 2 && bit == 1) {
+                    holders.insert(i);
+                }
+            }
+            model.sort_unstable_by_key(|&(key, i, _)| (key, i));
+            let score = |&(key, i, _): &(u64, usize, RoutePool)| {
+                let miss = if holders.contains(i) { 0.0 } else { penalty };
+                (i, f64::from_bits(key) + miss)
+            };
+            for t in 0..TIERS {
+                let stage = |k: usize, p: RoutePool| match k {
+                    0 => p == RoutePool::Primary(t),
+                    1 => p == RoutePool::PendingTo(t),
+                    _ => true,
+                };
+                let scan = (0..3)
+                    .map(|k| model.iter().filter(|m| stage(k, m.2)).map(score).collect::<Vec<_>>())
+                    .find(|pool| !pool.is_empty())
+                    .and_then(|pool| kernel::pick_min(pool.into_iter()));
+                proptest::prop_assert_eq!(index.affinity_pick(t, &holders, penalty), scan);
             }
         }
     }
@@ -1964,6 +2218,51 @@ mod tests {
         assert!(report.total_queries > 2500, "{}", report.total_queries);
         assert!(report.addon_stats.total_lookups() > 0);
         assert_eq!(report.incident_log.len(), 4);
+    }
+
+    /// A fail-stop clears its victims' caches, so it must take them out
+    /// of every holder set. The fleet is small and busy, so the victims
+    /// (taken from the top of the index range) hold modules when they
+    /// fail; afterwards no holder set names one, and the run goes on — in
+    /// debug builds past every affinity twin and holder re-derivation.
+    #[test]
+    fn fail_stops_take_their_workers_out_of_the_holder_sets() {
+        let config = SystemConfig {
+            num_workers: 8,
+            addons: Some(crate::addons::AddonsConfig::demo(5)),
+            ..Default::default()
+        };
+        let spec = ServingSession::builder()
+            .runtime(test_runtime())
+            .config(config.clone())
+            .settings(RunSettings::new(Policy::DiffServe, 24.0))
+            .validate()
+            .unwrap();
+        let mut backend = SimBackend::new(&spec);
+        let rng = seeded_rng(derive_seed(config.seed, crate::serve::ARRIVAL_SEED_STREAM));
+        let mix = config.addons.as_ref().map(|a| a.mix.clone());
+        backend.submit_stream(ArrivalStream::new(flat_trace(24.0, 60), rng, mix, 0));
+        let fail_at = SimTime::from_secs(20);
+        backend.tick(fail_at);
+        let held: Vec<usize> = (0..8)
+            .map(|i| backend.sim.actor().caches[i].resident().count())
+            .collect();
+        backend
+            .apply_perturbation(ScenarioEvent::Capacity(CapacityEvent::Fail(4)))
+            .unwrap();
+        backend.tick(fail_at + SimDuration::from_millis(1));
+        let state = backend.sim.actor();
+        let failed: Vec<usize> = (0..8).filter(|&i| state.workers[i].failed).collect();
+        assert_eq!(failed.len(), 4);
+        assert!(
+            failed.iter().all(|&i| held[i] > 0),
+            "every victim held a module: {held:?}"
+        );
+        for holders in &state.holders {
+            assert!(failed.iter().all(|&i| !holders.contains(i)));
+        }
+        backend.tick(SimTime::from_secs(80));
+        assert!(backend.sim.actor().addon_stats.total_lookups() > 500);
     }
 
     #[test]

@@ -73,24 +73,42 @@ impl TrendWindow {
 pub struct AddonMix {
     /// Parent seed (typically the experiment seed).
     pub seed: u64,
-    /// Number of modules in the catalog; draws return ids in
-    /// `0..num_modules`.
-    pub num_modules: usize,
     /// Fraction of queries that require *some* add-on, in `[0, 1]`.
     pub adoption: f64,
     /// Active trend windows, checked in order (first covering window wins).
     pub trends: Vec<TrendWindow>,
+    /// The Zipf popularity walk's cumulative thresholds, one per module:
+    /// entry `i` is the probability of drawing a module id `≤ i`. Their
+    /// count is the catalog size, so it is fixed at construction.
+    cumulative: Vec<f64>,
 }
 
 impl AddonMix {
-    /// Creates a mix with no trend windows.
+    /// Creates a mix over `num_modules` modules with no trend windows.
     pub fn new(seed: u64, num_modules: usize, adoption: f64) -> Self {
+        // Module i weighs 1/(i+1). The accumulation order (the total first,
+        // then one division per module, summed in id order) fixes every
+        // threshold's bits, and with them which module each query draws.
+        let total: f64 = (1..=num_modules).map(|i| 1.0 / i as f64).sum();
+        let mut acc = 0.0;
+        let cumulative = (0..num_modules)
+            .map(|i| {
+                acc += 1.0 / ((i + 1) as f64 * total);
+                acc
+            })
+            .collect();
         AddonMix {
             seed,
-            num_modules,
             adoption,
             trends: Vec::new(),
+            cumulative,
         }
+    }
+
+    /// Number of modules in the catalog; draws return ids in
+    /// `0..num_modules()`.
+    pub fn num_modules(&self) -> usize {
+        self.cumulative.len()
     }
 
     /// Appends a trend window.
@@ -106,7 +124,7 @@ impl AddonMix {
     /// Returns the first violated invariant as a static message (the core
     /// crate wraps it into its own config error type).
     pub fn validate(&self) -> Result<(), &'static str> {
-        if self.num_modules == 0 {
+        if self.num_modules() == 0 {
             return Err("add-on mix must name at least one module");
         }
         if !self.adoption.is_finite() || !(0.0..=1.0).contains(&self.adoption) {
@@ -116,7 +134,7 @@ impl AddonMix {
             if !w.share.is_finite() || w.share <= 0.0 || w.share > 1.0 {
                 return Err("trend share must lie in (0, 1]");
             }
-            if w.module >= self.num_modules {
+            if w.module >= self.num_modules() {
                 return Err("trend module must exist in the catalog");
             }
         }
@@ -129,9 +147,7 @@ impl AddonMix {
     /// The draw order is fixed (adoption, trend, popularity) so adding or
     /// removing trend windows never perturbs which queries adopt.
     pub fn draw(&self, qid: u64, at: SimTime) -> Option<usize> {
-        if self.num_modules == 0 {
-            return None;
-        }
+        let last = self.num_modules().checked_sub(1)?;
         let mut rng = seeded_rng(derive_seed(derive_seed(self.seed, ADDON_SEED_STREAM), qid));
         let u_adopt: f64 = rng.gen_range(0.0..1.0);
         let u_trend: f64 = rng.gen_range(0.0..1.0);
@@ -141,20 +157,18 @@ impl AddonMix {
         }
         for w in &self.trends {
             if w.contains(at) && u_trend < w.share {
-                return Some(w.module.min(self.num_modules - 1));
+                return Some(w.module.min(last));
             }
         }
-        // Zipf-like popularity: module i with weight 1/(i+1), walked as a
-        // normalized cumulative sum.
-        let total: f64 = (1..=self.num_modules).map(|i| 1.0 / i as f64).sum();
-        let mut acc = 0.0;
-        for i in 0..self.num_modules {
-            acc += 1.0 / ((i + 1) as f64 * total);
-            if u_pick < acc {
-                return Some(i);
-            }
-        }
-        Some(self.num_modules - 1)
+        // Zipf-like popularity: the first module whose cumulative
+        // threshold exceeds the uniform (the last if rounding leaves the
+        // final threshold below it).
+        Some(
+            self.cumulative
+                .iter()
+                .position(|&acc| u_pick < acc)
+                .unwrap_or(last),
+        )
     }
 }
 
@@ -258,6 +272,34 @@ mod tests {
             .with_trend(window(0, 10, 2, 0.5))
             .validate()
             .is_ok());
+    }
+
+    /// The popularity walk as each draw once computed it: the
+    /// normalization summed and every threshold divided out per draw.
+    fn per_draw_walk(num_modules: usize, u_pick: f64) -> usize {
+        let total: f64 = (1..=num_modules).map(|i| 1.0 / i as f64).sum();
+        let mut acc = 0.0;
+        for i in 0..num_modules {
+            acc += 1.0 / ((i + 1) as f64 * total);
+            if u_pick < acc {
+                return i;
+            }
+        }
+        num_modules - 1
+    }
+
+    /// The prepared thresholds pick exactly what the per-draw walk picked,
+    /// for every catalog size up to 40, on the uniforms the draws take.
+    #[test]
+    fn prepared_thresholds_pick_what_the_per_draw_walk_picked() {
+        for n in 1..=40 {
+            let mix = AddonMix::new(13, n, 1.0);
+            for q in 0..500 {
+                let mut rng = seeded_rng(derive_seed(derive_seed(mix.seed, ADDON_SEED_STREAM), q));
+                let u_pick = (0..3).map(|_| rng.gen_range(0.0..1.0)).last().unwrap();
+                assert_eq!(mix.draw(q, SimTime::ZERO), Some(per_draw_walk(n, u_pick)));
+            }
+        }
     }
 
     #[test]
