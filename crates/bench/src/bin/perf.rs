@@ -14,13 +14,10 @@
 //!    `std::thread::scope` runner. The export records both wall times and
 //!    the resulting speedup (≈1.0 on a single-core host by construction).
 //! 3. **Solver ticks** — control ticks under drifting demand, solved cold
-//!    every tick vs. carrying the warm state tick to tick. Two pairs:
-//!    `milp_ladder_cold/warm` is the legacy *two-tier* allocator (the full
-//!    MILP cold vs. the knapsack search through an [`AllocWarmState`],
-//!    `solve_milp_allocation[_warm]`) — the "ladder" in its key is the
-//!    ladder of ticks, kept so the committed baseline stays comparable — and
+//!    every tick vs. carrying the warm state tick to tick:
 //!    `ladder3_solve_cold/warm` is the N-tier quality-ladder allocator
-//!    (`solve_ladder`, 3 tiers, MILP inner solver).
+//!    (`solve_ladder`, 3 tiers, enumerating batch tuples as the control
+//!    loop does).
 //! 4. **Cluster replay** — the same diurnal curve replayed on the
 //!    thread-and-channel testbed backend (`run_cluster`) at paper-testbed
 //!    fleet scale, wall-clock timed, so the cluster runtime's overhead has
@@ -71,9 +68,8 @@ use criterion::{black_box, Criterion};
 use diffserve_bench::{f2, CascadeId, Scale, Table, EXPERIMENT_SEED};
 use diffserve_cluster::run_cluster;
 use diffserve_core::{
-    run_scenario, run_trace, solve_ladder, solve_milp_allocation, solve_milp_allocation_warm,
-    AddonsConfig, AllocWarmState, AllocatorInputs, CascadeRuntime, LadderConfig, LadderInputs,
-    LadderWarmState, Policy, RunSettings, SystemConfig,
+    run_scenario, run_trace, solve_ladder, AddonsConfig, CascadeRuntime, LadderConfig,
+    LadderInputs, LadderWarmState, Policy, RunSettings, SystemConfig,
 };
 use diffserve_imagegen::{ladder3, FeatureSpec, LatencyProfile};
 use diffserve_simkit::time::SimDuration;
@@ -83,12 +79,6 @@ use diffserve_trace::{
 
 /// A benchmark slower than `baseline × (1 + tolerance)` fails the gate.
 const REGRESSION_TOLERANCE: f64 = 0.20;
-
-/// The warm MILP ladder must beat the cold ladder by at least this margin
-/// (`warm ≤ (1 − margin) × cold`), every run, smoke included. Basis reuse
-/// plus threshold pinning is the whole point of the warm path; a slide
-/// back to parity is a regression even if no baseline file is supplied.
-const WARM_SPEEDUP_MIN: f64 = 0.15;
 
 /// Fleet size for the Azure replay (the paper-scale target from the
 /// roadmap; routing must go through the sorted load index to survive it).
@@ -234,7 +224,6 @@ fn main() {
 
     // Solver ticks: shared between modes, so the CI smoke job tracks solver
     // regressions against the committed full baseline.
-    milp_ladder(&runtime, &mut criterion);
     bench_ladder3_solve(&runtime, &mut criterion);
 
     // Smoke-sized workloads: always run, so a full baseline has the keys
@@ -350,8 +339,6 @@ fn main() {
     for m in criterion.measurements() {
         let extra = if m.id.contains("azure_replay") {
             vec![("workers", FLEET.to_string())]
-        } else if m.id.contains("milp_ladder") {
-            vec![("ticks", MILP_TICKS.to_string())]
         } else if m.id.contains("ladder3_solve") {
             vec![("ticks", LADDER3_TICKS.to_string())]
         } else {
@@ -383,40 +370,11 @@ fn main() {
     write_json(&out, smoke, threads, detected_cores, &records).expect("write benchmark export");
     println!("\nwrote {out}");
 
-    let mut failed = !warm_ladder_gate(&records);
     if let Some(text) = baseline_text {
-        failed |= !check_regressions(&text, &records);
+        if !check_regressions(&text, &records) {
+            std::process::exit(1);
+        }
     }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// The warm-vs-cold solver gate: `milp_ladder_warm` must beat
-/// `milp_ladder_cold` by at least [`WARM_SPEEDUP_MIN`]. Unlike the
-/// baseline comparison this needs no baseline file — both sides are
-/// measured in the same run — so every smoke run enforces it. Returns
-/// `false` on regression to parity.
-fn warm_ladder_gate(records: &[Record]) -> bool {
-    let secs = |name: &str| records.iter().find(|r| r.name == name).map(|r| r.secs);
-    let (Some(cold), Some(warm)) = (secs("milp_ladder_cold"), secs("milp_ladder_warm")) else {
-        eprintln!("warning: milp ladder keys missing; warm-vs-cold gate is vacuous");
-        return true;
-    };
-    let ok = warm <= (1.0 - WARM_SPEEDUP_MIN) * cold;
-    println!(
-        "\n== warm ladder gate (warm must be ≥ {:.0}% faster than cold) ==",
-        WARM_SPEEDUP_MIN * 100.0
-    );
-    println!(
-        "cold {cold:.4} s, warm {warm:.4} s ({}x): {}",
-        f2(cold / warm),
-        if ok { "ok" } else { "FAIL" }
-    );
-    if !ok {
-        eprintln!("FAIL: the warm MILP ladder no longer beats cold by the required margin");
-    }
-    ok
 }
 
 /// Replays the rescaled Azure diurnal trace on a [`FLEET`]-worker fleet.
@@ -584,70 +542,13 @@ fn cluster_replay(
     });
 }
 
-/// Control ticks in the `milp_ladder_*` pair.
-const MILP_TICKS: usize = 12;
-
-/// Times [`MILP_TICKS`] solves of the legacy *two-tier* allocator under a
-/// drifting demand estimate: once solving the full Eq. 1–5 MILP cold every
-/// tick ([`solve_milp_allocation`], the formulation oracle), once
-/// threading an [`AllocWarmState`] through the ticks
-/// ([`solve_milp_allocation_warm`]) the way
-/// the control loop's cascade planner does. Despite the key
-/// this is not the N-tier quality ladder — `solve_ladder` is timed by
-/// `ladder3_solve_*` ([`bench_ladder3_solve`]). At this 16-worker fleet
-/// both return identical allocations. The pair tracks the payoff of the
-/// serving path: warm ticks probe and solve the small two-tier batch
-/// knapsack from the previous basis instead of the full formulation from
-/// scratch, and the `--smoke` gate enforces that warm stays ≥ 15 % faster
-/// than cold.
-fn milp_ladder(runtime: &CascadeRuntime, criterion: &mut Criterion) {
-    let config = SystemConfig::default();
-    let thresholds = config.threshold_grid();
-    let inputs_at = |demand: f64| AllocatorInputs {
-        demand_qps: demand,
-        queue_delay_light: 0.2,
-        queue_delay_heavy: 0.5,
-        slo: config.slo.as_secs_f64(),
-        total_workers: config.num_workers,
-        deferral: &runtime.deferral,
-        light: LatencyProfile::new(0.10, 0.55),
-        heavy: LatencyProfile::new(1.78, 0.12),
-        resume_heavy: None,
-        discriminator_latency: 0.01,
-        batch_sizes: &config.batch_sizes,
-        thresholds: &thresholds,
-    };
-    // The EWMA-smoothed demand estimate a controller actually sees: ~0.6%
-    // drift per tick, so consecutive optima usually coincide and the
-    // carried incumbent is a valid seed on almost every tick.
-    let demands: Vec<f64> = (0..MILP_TICKS)
-        .map(|i| 20.0 * 1.006f64.powi(i as i32))
-        .collect();
-
-    criterion.bench_function("milp_ladder_cold", |b| {
-        b.iter(|| {
-            for &d in &demands {
-                black_box(solve_milp_allocation(&inputs_at(d)));
-            }
-        })
-    });
-    criterion.bench_function("milp_ladder_warm", |b| {
-        b.iter(|| {
-            let mut warm = AllocWarmState::new();
-            for &d in &demands {
-                black_box(solve_milp_allocation_warm(&inputs_at(d), &mut warm));
-            }
-        })
-    });
-}
-
 /// Control ticks per iteration of the `ladder3_solve_*` benchmarks.
 const LADDER3_TICKS: usize = 12;
 
 /// Registers `ladder3_solve_cold` and `ladder3_solve_warm`: the N-tier
-/// allocator's control tick ([`solve_ladder`] on a 3-tier ladder with the
-/// MILP inner solver, predictive direct-admission fractions set and the
-/// default raise limit), [`LADDER3_TICKS`] ticks under an EWMA-like ~0.6 %
+/// allocator's control tick as the control loop runs it ([`solve_ladder`]
+/// on a 3-tier ladder enumerating batch tuples, predictive
+/// direct-admission fractions set and the default raise limit), [`LADDER3_TICKS`] ticks under an EWMA-like ~0.6 %
 /// per-tick demand drift. Cold gives every tick a fresh
 /// [`LadderWarmState`]; warm threads one through all of them, the way the
 /// control loop does.
@@ -680,7 +581,7 @@ fn bench_ladder3_solve(runtime: &CascadeRuntime, criterion: &mut Criterion) {
             for &d in &demands {
                 black_box(solve_ladder(
                     &inputs_at(d),
-                    true,
+                    false,
                     &mut LadderWarmState::new(),
                 ));
             }
@@ -690,7 +591,7 @@ fn bench_ladder3_solve(runtime: &CascadeRuntime, criterion: &mut Criterion) {
         b.iter(|| {
             let mut warm = LadderWarmState::new();
             for &d in &demands {
-                black_box(solve_ladder(&inputs_at(d), true, &mut warm));
+                black_box(solve_ladder(&inputs_at(d), false, &mut warm));
             }
         })
     });
@@ -857,22 +758,5 @@ mod tests {
         let baseline = r#""shared": { "secs": 1.000000, "iters": 1 }"#;
         let records = vec![record("shared", 1.0 + REGRESSION_TOLERANCE + 0.05)];
         assert!(!check_regressions(baseline, &records));
-    }
-
-    #[test]
-    fn warm_gate_requires_the_margin() {
-        let ok = vec![
-            record("milp_ladder_cold", 1.0),
-            record("milp_ladder_warm", 1.0 - WARM_SPEEDUP_MIN - 0.01),
-        ];
-        assert!(warm_ladder_gate(&ok));
-        let parity = vec![
-            record("milp_ladder_cold", 1.0),
-            record("milp_ladder_warm", 1.0 - WARM_SPEEDUP_MIN + 0.01),
-        ];
-        assert!(!warm_ladder_gate(&parity));
-        // Missing keys (a hypothetical reduced run) make the gate vacuous
-        // rather than failing the export.
-        assert!(warm_ladder_gate(&[record("milp_ladder_cold", 1.0)]));
     }
 }

@@ -19,8 +19,8 @@ use std::process::ExitCode;
 use diffserve_bench::{f2, f3, CascadeId, Scale, Table, EXPERIMENT_SEED};
 use diffserve_cluster::run_cluster;
 use diffserve_core::{
-    run_scenario, run_trace, AblationKnobs, AddonsConfig, AllocatorBackend, CascadeRuntime,
-    LadderConfig, Policy, RunReport, RunSettings, SystemConfig,
+    run_scenario, run_trace, AblationKnobs, AddonsConfig, CascadeRuntime, LadderConfig, Policy,
+    RunReport, RunSettings, SystemConfig,
 };
 use diffserve_imagegen::{
     easy_query_fraction, evaluate_cascade, evaluate_single_model, fig1a_variants, ladder3,
@@ -535,7 +535,8 @@ fn fig4(scale: Scale) -> Outcome {
 }
 
 /// Figure 5: all five policies on the Azure-style diurnal trace, Cascade 1
-/// on 16 workers, with the MILP allocator — the paper's method end to end.
+/// on 16 workers, every control tick planning the paper's Eq. 1–5
+/// allocation by enumeration.
 ///
 /// Paper claims to reproduce (shape): Clipper-Light flat-worst FID, near
 /// zero violations; Clipper-Heavy best model but up to ~75% violations at
@@ -550,10 +551,7 @@ fn fig5(scale: Scale) -> Outcome {
     let duration = trace.duration().as_secs_f64();
     let mut t = Table::new(&[&["policy"], &DIURNAL_SUMMARY[..]].concat());
     for policy in Policy::all() {
-        let settings = RunSettings {
-            backend: AllocatorBackend::Milp,
-            ..RunSettings::new(policy, trace.max_qps())
-        };
+        let settings = RunSettings::new(policy, trace.max_qps());
         let r = run_trace(&runtime, &config, &settings, &trace);
         t.row([vec![policy.name().into()], diurnal_summary(&r, duration)].concat());
     }
@@ -724,10 +722,8 @@ fn fig8(scale: Scale) -> Outcome {
         ("AIMD", AblationKnobs::aimd()),
     ] {
         let settings = RunSettings {
-            policy: Policy::DiffServe,
             knobs,
-            backend: AllocatorBackend::Milp,
-            peak_demand_hint: trace.max_qps(),
+            ..RunSettings::new(Policy::DiffServe, trace.max_qps())
         };
         for (engine, r) in [
             ("sim", run_trace(&runtime, &config, &settings, &trace)),

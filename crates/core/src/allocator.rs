@@ -9,10 +9,15 @@
 //! * capacity: `x₁ + x₂ ≤ S` (Eq. 4)
 //! * latency: `e(b₁) + q₁ + e(b₂) + q₂ ≤ SLO` (Eq. 1)
 //!
-//! Two interchangeable solvers are provided: the MILP formulation solved
-//! with `diffserve-milp` (the paper uses Gurobi), and an exhaustive search
-//! over the configuration grid (the paper notes ~9K configurations for its
-//! setting). Property tests assert they find the same optimal threshold.
+//! Every serving tick plans by enumeration — [`solve_exhaustive`],
+//! [`solve_proteus`] and [`solve_ladder`] scan the batch tuples, at most
+//! 125 at the paper's 5 batch sizes and 3 tiers — reading one table of
+//! stage numbers and `f(t_l)` built per tick. The paper solves the same
+//! problem as a MILP with Gurobi; here that formulation
+//! ([`solve_milp_allocation`], on `diffserve-milp`) and its knapsack
+//! searches ([`solve_milp_allocation_warm`], `solve_ladder` with `milp`)
+//! are the oracle: tests, and debug builds on every served tick, assert
+//! that they plan exactly what the enumerators plan.
 
 use diffserve_imagegen::{DeferralProfile, LatencyProfile};
 use diffserve_milp::{
@@ -81,27 +86,138 @@ impl Allocation {
     }
 }
 
-/// Effective light-stage execution latency: model + discriminator scoring
-/// for the whole batch.
-fn light_stage_latency(inputs: &AllocatorInputs<'_>, b: usize) -> f64 {
-    inputs.light.exec_latency(b).as_secs_f64() + inputs.discriminator_latency * b as f64
+/// What a planner reads instead of re-deriving it per probe and tuple:
+/// every tier's [`StageCell`] at every candidate batch `B_j`, and every
+/// boundary's `f_k(t_l)` at every grid level. Built once per tick with
+/// [`LatencyProfile`]'s own arithmetic, in its order, so each number is
+/// the bits the formula gives.
+#[derive(Debug, Clone, Default)]
+struct StageTable {
+    /// Candidate batch sizes `|B|`, the stride of `cells`.
+    batches: usize,
+    /// Threshold grid levels, the stride of `deferred`.
+    levels: usize,
+    /// `cells[k·|B| + j]`: tier `k` at batch `B_j`.
+    cells: Vec<StageCell>,
+    /// `deferred[k·L + l]`: boundary `k`'s `f_k(t_l)`.
+    deferred: Vec<f64>,
 }
 
-/// Light-stage throughput including discriminator overhead.
-fn light_stage_throughput(inputs: &AllocatorInputs<'_>, b: usize) -> f64 {
-    b as f64 / light_stage_latency(inputs, b)
+/// One tier at one candidate batch size, as the planners read it.
+#[derive(Debug, Clone, Copy)]
+struct StageCell {
+    /// The tier's term in the cascade latency row (Eq. 1): model
+    /// execution plus, on non-terminal tiers, the discriminator's
+    /// per-image cost; on the terminal tier of a resuming two-tier
+    /// cascade, the discounted profile's execution.
+    latency: f64,
+    /// One worker's serving throughput, discriminator included and never
+    /// discounted (Eqs. 2–3).
+    throughput: f64,
+    /// The model's own throughput, which the overload fallbacks maximize.
+    nameplate: f64,
 }
 
-/// Heavy execution latency as charged by the cascade latency constraint:
-/// the resume-discounted profile when stage-level serving is on, the
-/// nameplate profile otherwise.
-fn heavy_slo_latency(inputs: &AllocatorInputs<'_>, b: usize) -> f64 {
-    inputs
-        .resume_heavy
-        .as_ref()
-        .unwrap_or(&inputs.heavy)
-        .exec_latency(b)
-        .as_secs_f64()
+impl StageTable {
+    /// Refills the table in place for `tiers` (cheapest first) with
+    /// boundary `k` charging `discriminators[k]` seconds per image, the
+    /// terminal tier's latency term on `resume` when set, and one
+    /// deferral profile per boundary; a refill allocates nothing once the
+    /// columns have grown.
+    fn fill(
+        &mut self,
+        tiers: &[LatencyProfile],
+        discriminators: &[f64],
+        resume: Option<&LatencyProfile>,
+        batch_sizes: &[usize],
+        deferrals: &[&DeferralProfile],
+        thresholds: &[f64],
+    ) {
+        self.batches = batch_sizes.len();
+        self.levels = thresholds.len();
+        self.cells.clear();
+        self.cells.reserve(tiers.len() * self.batches);
+        for (k, profile) in tiers.iter().enumerate() {
+            for &b in batch_sizes {
+                let exec = profile.exec_latency(b).as_secs_f64();
+                let stage = match discriminators.get(k) {
+                    Some(d) => exec + d * b as f64,
+                    None => exec,
+                };
+                self.cells.push(StageCell {
+                    latency: match resume {
+                        Some(r) if k + 1 == tiers.len() => r.exec_latency(b).as_secs_f64(),
+                        _ => stage,
+                    },
+                    throughput: b as f64 / stage,
+                    nameplate: b as f64 / exec,
+                });
+            }
+        }
+        self.deferred.clear();
+        self.deferred.reserve(deferrals.len() * self.levels);
+        for f in deferrals {
+            self.deferred
+                .extend(thresholds.iter().map(|&t| f.fraction_deferred(t)));
+        }
+    }
+
+    /// The two-tier cascade's table; `cascade` off (Proteus) charges no
+    /// discriminator and no resume discount.
+    fn two_tier(inputs: &AllocatorInputs<'_>, cascade: bool) -> Self {
+        let mut table = StageTable::default();
+        table.fill(
+            &[inputs.light, inputs.heavy],
+            &[if cascade {
+                inputs.discriminator_latency
+            } else {
+                0.0
+            }],
+            inputs.resume_heavy.as_ref().filter(|_| cascade),
+            inputs.batch_sizes,
+            &[inputs.deferral],
+            inputs.thresholds,
+        );
+        table
+    }
+
+    /// The N-tier ladder's table.
+    fn ladder(inputs: &LadderInputs<'_>) -> Self {
+        let mut table = StageTable::default();
+        table.fill_ladder(inputs);
+        table
+    }
+
+    /// Refills the table for `inputs`.
+    fn fill_ladder(&mut self, inputs: &LadderInputs<'_>) {
+        self.fill(
+            &inputs.tiers,
+            &inputs.discriminator_latency,
+            None,
+            inputs.batch_sizes,
+            &inputs.deferrals,
+            inputs.thresholds,
+        );
+    }
+
+    fn cell(&self, k: usize, j: usize) -> &StageCell {
+        &self.cells[k * self.batches + j]
+    }
+
+    /// Index of tier `k`'s nameplate-throughput-maximizing batch (the last
+    /// of equals, as `max_by` picks).
+    fn fastest_batch(&self, k: usize) -> usize {
+        (0..self.batches)
+            .max_by(|&a, &b| {
+                let (a, b) = (self.cell(k, a).nameplate, self.cell(k, b).nameplate);
+                a.partial_cmp(&b).expect("finite throughputs")
+            })
+            .expect("non-empty batch sizes")
+    }
+
+    fn deferred(&self, k: usize, l: usize) -> f64 {
+        self.deferred[k * self.levels + l]
+    }
 }
 
 /// Exhaustive solver: scans every `(b₁, b₂)` pair, gives all spare workers
@@ -111,39 +227,37 @@ fn heavy_slo_latency(inputs: &AllocatorInputs<'_>, b: usize) -> f64 {
 /// Returns `None` when no configuration satisfies the constraints — the
 /// caller then falls back to [`overload_fallback`].
 pub fn solve_exhaustive(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
+    let table = StageTable::two_tier(inputs, true);
     let d = inputs.demand_qps.max(1e-9);
     let s = inputs.total_workers;
     let mut best: Option<Allocation> = None;
 
-    for &b1 in inputs.batch_sizes {
-        let t1 = light_stage_throughput(inputs, b1);
-        let x1_min = (d / t1).ceil().max(1.0) as usize;
+    for (j, &b1) in inputs.batch_sizes.iter().enumerate() {
+        let x1_min = min_workers(d, table.cell(0, j).throughput) as usize;
         if x1_min + 1 > s {
             continue; // Need at least one heavy worker too.
         }
-        for &b2 in inputs.batch_sizes {
+        for (k, &b2) in inputs.batch_sizes.iter().enumerate() {
             // Latency constraint (Eq. 1): worst case traverses both stages.
             // An escalated query resumes from latents when stage-level
             // serving is on, so the heavy leg charges the effective profile.
-            let latency = light_stage_latency(inputs, b1)
+            let latency = table.cell(0, j).latency
                 + inputs.queue_delay_light
-                + heavy_slo_latency(inputs, b2)
+                + table.cell(1, k).latency
                 + inputs.queue_delay_heavy;
             if latency > inputs.slo {
                 continue;
             }
             let x2 = s - x1_min;
-            let t2 = inputs.heavy.throughput(b2);
-            let max_fraction = ((x2 as f64 * t2) / d).min(1.0);
+            let max_fraction = ((x2 as f64 * table.cell(1, k).throughput) / d).min(1.0);
             // Largest grid threshold with f(t) within heavy capacity.
-            let mut t_star = None;
-            for &t in inputs.thresholds.iter().rev() {
-                if inputs.deferral.fraction_deferred(t) <= max_fraction + 1e-12 {
-                    t_star = Some(t);
-                    break;
-                }
-            }
-            let Some(threshold) = t_star else { continue };
+            let Some(l) = (0..table.levels)
+                .rev()
+                .find(|&l| table.deferred(0, l) <= max_fraction + 1e-12)
+            else {
+                continue;
+            };
+            let threshold = inputs.thresholds[l];
             let candidate = Allocation {
                 threshold,
                 light_workers: x1_min,
@@ -170,16 +284,14 @@ pub fn solve_exhaustive(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
     best
 }
 
-/// Tick-to-tick solver state for [`solve_milp_allocation_warm`]: the
-/// two-tier knapsack, built once and re-aimed at every probe; one
-/// [`WarmStart`] handle, carried across every probe and optimality solve
-/// tick after tick; and the threshold the next tick's search starts from
-/// (the "pin").
+/// Tick-to-tick state for the oracle's [`solve_milp_allocation_warm`]:
+/// one [`WarmStart`] handle, carried across every probe and optimality
+/// solve tick after tick, and the threshold the next tick's search starts
+/// from (the "pin").
 #[derive(Debug, Clone, Default)]
 pub struct AllocWarmState {
     milp: WarmStart,
     pin: Option<f64>,
-    residual: Option<BatchKnapsack>,
 }
 
 impl AllocWarmState {
@@ -189,9 +301,7 @@ impl AllocWarmState {
         AllocWarmState::default()
     }
 
-    /// Drop all carried state; the next search starts cold. (The kept
-    /// knapsack stays: it is re-aimed before every solve, so it carries
-    /// nothing a solve could see.)
+    /// Drop all carried state; the next search starts cold.
     pub fn clear(&mut self) {
         self.milp.clear();
         self.pin = None;
@@ -210,12 +320,6 @@ impl AllocWarmState {
     }
 }
 
-/// Eq. 3's right-hand side with the threshold pinned at grid level `l`:
-/// the deferred load `D·f(t_l)`.
-fn deferred_load(inputs: &AllocatorInputs<'_>, l: usize) -> f64 {
-    inputs.demand_qps.max(1e-9) * inputs.deferral.fraction_deferred(inputs.thresholds[l])
-}
-
 /// Variable handles for the full allocation MILP.
 struct MilpVars {
     y: Vec<diffserve_milp::VarId>,
@@ -231,6 +335,7 @@ struct MilpVars {
 /// size, with `S` as the big-M. The products in Eqs. 2–3 linearize
 /// because throughput coefficients are constants per batch size.
 fn build_allocation_milp(inputs: &AllocatorInputs<'_>) -> (Problem, MilpVars) {
+    let table = StageTable::two_tier(inputs, true);
     let d = inputs.demand_qps.max(1e-9);
     let s = inputs.total_workers as f64;
     let nb = inputs.batch_sizes.len();
@@ -273,16 +378,16 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>) -> (Problem, MilpVars) {
 
     // Eq. 2: Σ_j T1(B_j)·w1_j ≥ D.
     let light_tp: Vec<(diffserve_milp::VarId, f64)> = (0..nb)
-        .map(|j| (w1[j], light_stage_throughput(inputs, inputs.batch_sizes[j])))
+        .map(|j| (w1[j], table.cell(0, j).throughput))
         .collect();
     p.add_constraint("light-throughput", &light_tp, Sense::Ge, d);
 
     // Eq. 3: Σ_k T2(B_k)·w2_k − D·Σ_l f(t_l)·z_l ≥ 0.
     let mut heavy_tp: Vec<(diffserve_milp::VarId, f64)> = (0..nb)
-        .map(|k| (w2[k], inputs.heavy.throughput(inputs.batch_sizes[k])))
+        .map(|k| (w2[k], table.cell(1, k).throughput))
         .collect();
-    for (&z_l, &t_l) in z.iter().zip(inputs.thresholds.iter()) {
-        heavy_tp.push((z_l, -d * inputs.deferral.fraction_deferred(t_l)));
+    for (l, &z_l) in z.iter().enumerate() {
+        heavy_tp.push((z_l, -d * table.deferred(0, l)));
     }
     p.add_constraint("heavy-throughput", &heavy_tp, Sense::Ge, 0.0);
 
@@ -297,20 +402,20 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>) -> (Problem, MilpVars) {
     // Eq. 1: Σ_j e1(B_j)·y_j + Σ_k e2(B_k)·v_k ≤ SLO − q1 − q2. An infinite
     // SLO (the AIMD ablation, where reactive batching owns latency) waives
     // the constraint.
-    let lat_budget = inputs.slo - inputs.queue_delay_light - inputs.queue_delay_heavy;
+    let lat_budget = two_tier_latency_budget(inputs);
     if lat_budget.is_finite() {
-        let mut lat: Vec<(diffserve_milp::VarId, f64)> = (0..nb)
-            .map(|j| (y[j], light_stage_latency(inputs, inputs.batch_sizes[j])))
-            .collect();
-        for (&v_k, &b_k) in v.iter().zip(inputs.batch_sizes.iter()) {
-            lat.push((v_k, heavy_slo_latency(inputs, b_k)));
+        let mut lat: Vec<(diffserve_milp::VarId, f64)> =
+            (0..nb).map(|j| (y[j], table.cell(0, j).latency)).collect();
+        for (k, &v_k) in v.iter().enumerate() {
+            lat.push((v_k, table.cell(1, k).latency));
         }
         p.add_constraint("latency", &lat, Sense::Le, lat_budget);
     }
 
     // Objective (Eq. 5): maximize the threshold. Tiny lexicographic
-    // penalties make the optimum unique: smaller batches first, then
-    // minimal light workers with the remainder on the heavy tier. The
+    // penalties make the optimum unique: smaller batches first (ranked by
+    // size, whatever order the candidates come in), then minimal light
+    // workers with the remainder on the heavy tier. The
     // penalty scales are far below the threshold grid spacing, so they can
     // never trade away objective value. They reproduce the exhaustive
     // solver's tie-break only while `1.1e-6·ΔU1 < 1e-4`, where `ΔU1` is
@@ -320,8 +425,9 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>) -> (Problem, MilpVars) {
     let mut obj: Vec<(diffserve_milp::VarId, f64)> =
         (0..nt).map(|l| (z[l], inputs.thresholds[l])).collect();
     for j in 0..nb {
-        obj.push((y[j], -1e-4 * j as f64));
-        obj.push((v[j], -1e-5 * j as f64));
+        let rank = size_rank(inputs.batch_sizes, j) as f64;
+        obj.push((y[j], -1e-4 * rank));
+        obj.push((v[j], -1e-5 * rank));
     }
     for j in 0..nb {
         obj.push((w1[j], -1e-6));
@@ -334,10 +440,10 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>) -> (Problem, MilpVars) {
 
 /// The paper's full allocation MILP (Eq. 1–5, `build_allocation_milp`),
 /// solved cold with `diffserve-milp`: the formulation oracle for tests
-/// and the per-layer probe. Serving ticks take
-/// [`solve_milp_allocation_warm`], which returns the same plan below ≈ 91
-/// workers (where this MILP's penalties still reproduce the exhaustive
-/// tie-break) and [`solve_exhaustive`]'s plan at any fleet size.
+/// and the per-layer probe. It plans what [`solve_exhaustive`] plans
+/// below ≈ 91 workers, where its penalties still reproduce the
+/// exhaustive tie-break; [`solve_milp_allocation_warm`] does at any
+/// fleet size.
 ///
 /// Returns `None` if the MILP is infeasible.
 pub fn solve_milp_allocation(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
@@ -414,6 +520,14 @@ fn largest_feasible_level(
     Some(lo)
 }
 
+/// How many candidate batch sizes are smaller than `sizes[j]`: the rank
+/// the two-tier oracles break ties on, so that they rank batches as
+/// [`solve_exhaustive`] does (by size) even on unsorted candidates, as
+/// AIMD's two operating points come. On sorted candidates it is `j`.
+fn size_rank(sizes: &[usize], j: usize) -> usize {
+    sizes.iter().filter(|&&b| b < sizes[j]).count()
+}
+
 /// Workers a tier needs to serve `demand` at throughput `tp`: the minimal
 /// count, and never an empty tier.
 fn min_workers(demand: f64, tp: f64) -> f64 {
@@ -423,56 +537,15 @@ fn min_workers(demand: f64, tp: f64) -> f64 {
 /// One batch size as a [`BatchKnapsack`] choice.
 #[derive(Debug, Clone, Copy)]
 struct BatchChoice {
-    /// Its term in the cascade `latency` row, seconds.
-    latency: f64,
-    /// One worker's serving throughput at this batch size, queries/s.
-    throughput: f64,
+    /// Its latency-row term and one worker's throughput.
+    cell: StageCell,
     /// Tie-break cost, added to any per-worker cost.
     penalty: f64,
 }
 
-impl BatchChoice {
-    /// Whether `other` is this choice bit for bit.
-    fn same(&self, other: &BatchChoice) -> bool {
-        self.latency.to_bits() == other.latency.to_bits()
-            && self.throughput.to_bits() == other.throughput.to_bits()
-            && self.penalty.to_bits() == other.penalty.to_bits()
-    }
-}
-
-/// The N-tier ladder's choice of batch `j` at tier `k`: geometric batch
-/// penalties `1e-4·10^{-k}·j`.
-fn ladder_choice(inputs: &LadderInputs<'_>, k: usize, j: usize) -> BatchChoice {
-    let b = inputs.batch_sizes[j];
-    BatchChoice {
-        latency: inputs.tier_stage_latency(k, b),
-        throughput: inputs.tier_stage_throughput(k, b),
-        penalty: 1e-4 * 10f64.powi(-(k as i32)) * j as f64,
-    }
-}
-
-/// The two-tier cascade's choice of batch `j` for the light (`g` 0) or
-/// heavy (`g` 1) tier: penalties rank the pair `(j, k)` as `j·B + k`.
-fn two_tier_choice(inputs: &AllocatorInputs<'_>, g: usize, j: usize) -> BatchChoice {
-    let b = inputs.batch_sizes[j];
-    if g == 0 {
-        BatchChoice {
-            latency: light_stage_latency(inputs, b),
-            throughput: light_stage_throughput(inputs, b),
-            penalty: (j * inputs.batch_sizes.len()) as f64,
-        }
-    } else {
-        BatchChoice {
-            latency: heavy_slo_latency(inputs, b),
-            throughput: inputs.heavy.throughput(b),
-            penalty: j as f64,
-        }
-    }
-}
-
-/// The residual both MILP allocators search once their thresholds are
-/// fixed: a multiple-choice knapsack over batch selectors `y_{g,j}`, one
-/// group `g` per tier.
+/// The residual the oracle's knapsack searches solve once their
+/// thresholds are fixed: a multiple-choice knapsack over batch selectors
+/// `y_{g,j}`, one group `g` per tier.
 ///
 /// Choosing batch `j` for group `g` takes `U_{g,j} = max(1, ⌈d_g /
 /// T_g(B_j)⌉)` workers, the fewest that serve the group's demand `d_g`.
@@ -484,11 +557,6 @@ fn two_tier_choice(inputs: &AllocatorInputs<'_>, g: usize, j: usize) -> BatchCho
 /// group at a new demand by patching those numbers in place, so rows,
 /// columns and their names never change, and the fleet size is only a
 /// coefficient: the problem is the same size at 1000 workers as at 8.
-///
-/// A warm state keeps one knapsack across ticks ([`kept`](Self::kept)):
-/// what moves from tick to tick — the alive fleet `S`, the latency budget
-/// the queue delays leave, the demands — is patched in place too, and only
-/// a change of batch grid or stage latencies builds it anew.
 ///
 /// There are no worker columns because, with every batch fixed, the
 /// optimal worker counts are already known:
@@ -502,7 +570,10 @@ fn two_tier_choice(inputs: &AllocatorInputs<'_>, g: usize, j: usize) -> BatchCho
 ///   0) keeps the light tier minimal and hands every spare worker to the
 ///   heavy tier, so once both batches are fixed the full MILP's worker
 ///   terms are constants. Only the batch pair is left to rank, at cost
-///   `j·B + k`: the exhaustive solver's lexicographic tie-break.
+///   `r(j)·B + r(k)`, with `r` a batch's rank by size among the
+///   candidates: the exhaustive solver's lexicographic tie-break on batch
+///   sizes, in whatever order the candidates come (AIMD passes its two
+///   operating points unsorted).
 #[derive(Debug, Clone)]
 struct BatchKnapsack {
     problem: Problem,
@@ -517,27 +588,31 @@ struct BatchKnapsack {
     fleet: f64,
     /// Row of `capacity`, whose `y_{g,j}` coefficient is `U_{g,j}`.
     capacity_row: usize,
-    /// Row of `latency`, absent under an infinite SLO.
-    latency_row: Option<usize>,
-    /// Probes aimed so far, which paces the debug twin check.
-    probes: u64,
 }
 
 impl BatchKnapsack {
-    /// The problem shape over `groups × batches` choices, `choice(g, j)`
-    /// each, for a fleet of `total_workers` under `lat_budget`, with
-    /// placeholder costs and capacity coefficients; [`aim`](Self::aim)
-    /// every group before solving.
+    /// The problem shape over `table`'s tiers × batches, batch `j` of
+    /// group `g` tie-broken at `penalty(g, j)`, for a fleet of
+    /// `total_workers` under `lat_budget`, with placeholder costs and
+    /// capacity coefficients; [`aim`](Self::aim) every group before
+    /// solving.
     fn build(
+        table: &StageTable,
         groups: usize,
-        batches: usize,
-        choice: impl Fn(usize, usize) -> BatchChoice,
+        penalty: impl Fn(usize, usize) -> f64,
         worker_cost: f64,
         total_workers: usize,
         lat_budget: f64,
     ) -> Self {
         let choices: Vec<Vec<BatchChoice>> = (0..groups)
-            .map(|g| (0..batches).map(|j| choice(g, j)).collect())
+            .map(|g| {
+                (0..table.batches)
+                    .map(|j| BatchChoice {
+                        cell: *table.cell(g, j),
+                        penalty: penalty(g, j),
+                    })
+                    .collect()
+            })
             .collect();
         let s = total_workers as f64;
         let mut p = Problem::new(Direction::Minimize);
@@ -557,13 +632,13 @@ impl BatchKnapsack {
             p.add_constraint(format!("one-batch-{g}"), &one, Sense::Eq, 1.0);
             for (&id, c) in y_g.iter().zip(c_g) {
                 cap.push((id, 1.0));
-                lat.push((id, c.latency));
+                lat.push((id, c.cell.latency));
             }
         }
         let capacity_row = p.add_constraint("capacity", &cap, Sense::Le, s);
-        let latency_row = lat_budget
-            .is_finite()
-            .then(|| p.add_constraint("latency", &lat, Sense::Le, lat_budget));
+        if lat_budget.is_finite() {
+            p.add_constraint("latency", &lat, Sense::Le, lat_budget);
+        }
         BatchKnapsack {
             problem: p,
             y,
@@ -572,72 +647,32 @@ impl BatchKnapsack {
             worker_cost,
             fleet: s,
             capacity_row,
-            latency_row,
-            probes: 0,
         }
-    }
-
-    /// The knapsack `slot` keeps, re-aimed at `total_workers` and
-    /// `lat_budget` — built anew (as [`build`](Self::build) builds it) only
-    /// when there is none yet, or its choices or latency row no longer
-    /// match bit for bit. Either way every group must be
-    /// [`aim`](Self::aim)ed before a solve.
-    fn kept(
-        slot: &mut Option<BatchKnapsack>,
-        groups: usize,
-        batches: usize,
-        choice: impl Fn(usize, usize) -> BatchChoice,
-        worker_cost: f64,
-        total_workers: usize,
-        lat_budget: f64,
-    ) -> &mut BatchKnapsack {
-        let fits = slot.as_ref().is_some_and(|k| {
-            k.latency_row.is_some() == lat_budget.is_finite()
-                && k.choices.len() == groups
-                && k.choices.iter().enumerate().all(|(g, c_g)| {
-                    c_g.len() == batches
-                        && c_g.iter().enumerate().all(|(j, c)| c.same(&choice(g, j)))
-                })
-        });
-        if !fits {
-            return slot.insert(BatchKnapsack::build(
-                groups,
-                batches,
-                choice,
-                worker_cost,
-                total_workers,
-                lat_budget,
-            ));
-        }
-        let knapsack = slot.as_mut().expect("fits only a kept knapsack");
-        let s = total_workers as f64;
-        knapsack.fleet = s;
-        knapsack.problem.set_rhs(knapsack.capacity_row, s);
-        if let Some(row) = knapsack.latency_row {
-            knapsack.problem.set_rhs(row, lat_budget);
-        }
-        knapsack
     }
 
     /// The N-tier ladder's fixed-level residual.
-    fn ladder(inputs: &LadderInputs<'_>) -> Self {
+    fn ladder(inputs: &LadderInputs<'_>, table: &StageTable) -> Self {
         BatchKnapsack::build(
+            table,
             inputs.num_tiers(),
-            inputs.batch_sizes.len(),
-            |k, j| ladder_choice(inputs, k, j),
+            |k, j| 1e-4 * 10f64.powi(-(k as i32)) * j as f64,
             1.0,
             inputs.total_workers,
-            ladder_latency_budget(inputs),
+            inputs.slo - inputs.queue_delays.iter().sum::<f64>(),
         )
     }
 
     /// The two-tier threshold-pinned residual, light group (0) aimed at
     /// the demand; aim the heavy group (1) at a level's deferred load.
-    fn two_tier(inputs: &AllocatorInputs<'_>) -> Self {
+    fn two_tier(inputs: &AllocatorInputs<'_>, table: &StageTable) -> Self {
+        let sizes = inputs.batch_sizes;
         let mut knapsack = BatchKnapsack::build(
+            table,
             2,
-            inputs.batch_sizes.len(),
-            |g, j| two_tier_choice(inputs, g, j),
+            |g, j| {
+                let rank = size_rank(sizes, j);
+                (if g == 0 { rank * sizes.len() } else { rank }) as f64
+            },
             0.0,
             inputs.total_workers,
             two_tier_latency_budget(inputs),
@@ -646,37 +681,12 @@ impl BatchKnapsack {
         knapsack
     }
 
-    /// The debug twin of a kept knapsack: under debug assertions, every
-    /// 8th probe (the first included) rebuilds it with `fresh`, aims every
-    /// group of the rebuild where this one's is aimed, and asserts the two
-    /// problems equal bit for bit — objective, coefficients, bounds and
-    /// right-hand sides.
-    fn check_twin(&mut self, fresh: impl FnOnce() -> BatchKnapsack) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        self.probes += 1;
-        if self.probes % 8 != 1 {
-            return;
-        }
-        let mut twin = fresh();
-        for (g, &d) in self.demand.iter().enumerate() {
-            twin.aim(g, d);
-        }
-        assert!(
-            self.problem.bitwise_eq(&twin.problem),
-            "the re-aimed knapsack drifted from a fresh build:\n{}\nvs\n{}",
-            self.problem,
-            twin.problem
-        );
-    }
-
     /// Re-aims group `g` at `demand`: each of its selectors' cost,
     /// capacity coefficient and bound.
     fn aim(&mut self, g: usize, demand: f64) {
         self.demand[g] = demand;
         for (&id, c) in self.y[g].iter().zip(&self.choices[g]) {
-            let need = min_workers(demand, c.throughput);
+            let need = min_workers(demand, c.cell.throughput);
             // A batch that alone overflows the fleet is fixed out; capping
             // its numbers at `S` keeps the tableau at the fleet's scale.
             let u = need.min(self.fleet);
@@ -700,15 +710,9 @@ impl BatchKnapsack {
                     .iter()
                     .position(|id| values[id.index()] > 0.5)
                     .expect("exactly-one constraint guarantees a selection");
-                (j, min_workers(d, c_g[j].throughput) as usize)
+                (j, min_workers(d, c_g[j].cell.throughput) as usize)
             })
     }
-}
-
-/// The cascade `latency` row's budget on the N-tier ladder: the SLO less
-/// every tier's queue delay.
-fn ladder_latency_budget(inputs: &LadderInputs<'_>) -> f64 {
-    inputs.slo - inputs.queue_delays.iter().sum::<f64>()
 }
 
 /// The cascade `latency` row's budget on the two-tier cascade.
@@ -716,9 +720,10 @@ fn two_tier_latency_budget(inputs: &AllocatorInputs<'_>) -> f64 {
     inputs.slo - inputs.queue_delay_light - inputs.queue_delay_heavy
 }
 
-/// The MILP allocator's serving path: the largest feasible threshold and
-/// the optimal plan there, searched over the two-tier `BatchKnapsack`
-/// with tick-to-tick state carried in an [`AllocWarmState`].
+/// The oracle's search for the two-tier plan: the largest feasible
+/// threshold and the optimal plan there, searched over the two-tier
+/// `BatchKnapsack` (built on each call) with tick-to-tick state carried
+/// in an [`AllocWarmState`].
 ///
 /// Feasibility at a fixed threshold level is monotone: the only
 /// level-dependent number is Eq. 3's deferred load `D·f(t_l)`, and `f` is
@@ -728,11 +733,10 @@ fn two_tier_latency_budget(inputs: &AllocatorInputs<'_>) -> f64 {
 /// no longer on the grid, or the previous tick was infeasible — asking
 /// each probe only *whether* the level is feasible (`find_feasible`, which
 /// re-aims just the heavy selectors), and solves to optimality once, at
-/// the largest feasible level. The knapsack is the state's, re-aimed at
-/// this tick's fleet, latency budget and demand. Every solve goes through
-/// the state's one [`WarmStart`], so a re-solve is a short dual-simplex
-/// reoptimization from the previous basis, or no LP at all when the
-/// remembered point still fits.
+/// the largest feasible level. Every solve goes through the state's one
+/// [`WarmStart`], so a re-solve is a short dual-simplex reoptimization
+/// from the previous basis, or no LP at all when the remembered point
+/// still fits.
 ///
 /// The plan is [`solve_exhaustive`]'s at any fleet size: the largest
 /// feasible threshold, then the lexicographically smallest batch pair,
@@ -751,31 +755,16 @@ pub fn solve_milp_allocation_warm(
         .and_then(|pin| inputs.thresholds.iter().position(|&t| t == pin))
         .unwrap_or(0);
     let options = MilpOptions::default();
-    let AllocWarmState {
-        milp: warm,
-        pin,
-        residual,
-    } = state;
-    let knapsack = BatchKnapsack::kept(
-        residual,
-        2,
-        inputs.batch_sizes.len(),
-        |g, j| two_tier_choice(inputs, g, j),
-        0.0,
-        inputs.total_workers,
-        two_tier_latency_budget(inputs),
-    );
-    knapsack.aim(0, inputs.demand_qps.max(1e-9));
-    let aim_heavy = |knapsack: &mut BatchKnapsack, l: usize| {
-        knapsack.aim(1, deferred_load(inputs, l));
-        knapsack.check_twin(|| BatchKnapsack::two_tier(inputs));
-    };
+    let table = StageTable::two_tier(inputs, true);
+    let mut knapsack = BatchKnapsack::two_tier(inputs, &table);
+    let d = inputs.demand_qps.max(1e-9);
+    let warm = &mut state.milp;
     let best = largest_feasible_level(inputs.thresholds.len(), l0, |l| {
-        aim_heavy(knapsack, l);
+        knapsack.aim(1, d * table.deferred(0, l));
         find_feasible(&knapsack.problem, &options, warm).is_ok()
     });
     let alloc = best.map(|l| {
-        aim_heavy(knapsack, l);
+        knapsack.aim(1, d * table.deferred(0, l));
         let sol = solve_milp_warm(&knapsack.problem, &options, warm)
             .expect("the level was just probed feasible");
         let mut plan = knapsack.plan(&sol.values);
@@ -795,7 +784,7 @@ pub fn solve_milp_allocation_warm(
     // An infeasible tick parks the pin at the grid floor: every level is
     // infeasible, so the next search may as well start from the bottom.
     let floor = inputs.thresholds.first().copied();
-    *pin = alloc.as_ref().map(|a| a.threshold).or(floor);
+    state.pin = alloc.as_ref().map(|a| a.threshold).or(floor);
     alloc
 }
 
@@ -804,28 +793,14 @@ pub fn solve_milp_allocation_warm(
 /// so stragglers still have a host. The drop policy sheds what this cannot
 /// serve.
 pub fn overload_fallback(inputs: &AllocatorInputs<'_>) -> Allocation {
-    let best_b = |profile: &LatencyProfile| {
-        inputs
-            .batch_sizes
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                profile
-                    .throughput(a)
-                    .partial_cmp(&profile.throughput(b))
-                    .expect("finite throughputs")
-            })
-            .expect("non-empty batch sizes")
-    };
-    let light_batch = best_b(&inputs.light);
-    let heavy_batch = best_b(&inputs.heavy);
+    let table = StageTable::two_tier(inputs, true);
     let heavy_workers = 1.min(inputs.total_workers.saturating_sub(1));
     Allocation {
         threshold: 0.0,
         light_workers: inputs.total_workers - heavy_workers,
         heavy_workers,
-        light_batch,
-        heavy_batch,
+        light_batch: inputs.batch_sizes[table.fastest_batch(0)],
+        heavy_batch: inputs.batch_sizes[table.fastest_batch(1)],
         feasible: false,
     }
 }
@@ -837,22 +812,21 @@ pub fn overload_fallback(inputs: &AllocatorInputs<'_>) -> Allocation {
 /// and a direct-to-heavy query carries no light-tier latents: the
 /// [`resume_heavy`](AllocatorInputs::resume_heavy) discount never applies.
 pub fn solve_proteus(inputs: &AllocatorInputs<'_>) -> Option<(Allocation, f64)> {
+    let table = StageTable::two_tier(inputs, false);
     let d = inputs.demand_qps.max(1e-9);
     let s = inputs.total_workers;
     let mut best: Option<(Allocation, f64)> = None;
 
-    for &b1 in inputs.batch_sizes {
-        let lat1 = inputs.light.exec_latency(b1).as_secs_f64() + inputs.queue_delay_light;
-        if lat1 > inputs.slo {
+    for (j, &b1) in inputs.batch_sizes.iter().enumerate() {
+        if table.cell(0, j).latency + inputs.queue_delay_light > inputs.slo {
             continue;
         }
-        for &b2 in inputs.batch_sizes {
-            let lat2 = inputs.heavy.exec_latency(b2).as_secs_f64() + inputs.queue_delay_heavy;
-            if lat2 > inputs.slo {
+        for (k, &b2) in inputs.batch_sizes.iter().enumerate() {
+            if table.cell(1, k).latency + inputs.queue_delay_heavy > inputs.slo {
                 continue;
             }
-            let t1 = inputs.light.throughput(b1);
-            let t2 = inputs.heavy.throughput(b2);
+            let t1 = table.cell(0, j).throughput;
+            let t2 = table.cell(1, k).throughput;
             // Scan heavy fractions on a fine grid.
             for pi in (0..=100).rev() {
                 let frac = pi as f64 / 100.0;
@@ -939,46 +913,29 @@ impl LadderInputs<'_> {
         self.tiers.len() - 1
     }
 
-    /// Effective execution latency of tier `k` at batch `b`: model
-    /// execution plus per-image discriminator scoring on non-terminal
-    /// tiers.
-    fn tier_stage_latency(&self, k: usize, b: usize) -> f64 {
-        let base = self.tiers[k].exec_latency(b).as_secs_f64();
-        match self.discriminator_latency.get(k) {
-            Some(d) => base + d * b as f64,
-            None => base,
+    /// Share of total demand admitted directly at tier `k`: all of it at
+    /// tier 0 and none deeper without direct routing.
+    pub(crate) fn direct_share(&self, k: usize) -> f64 {
+        match (self.direct_fractions.is_empty(), k) {
+            (true, 0) => 1.0,
+            (true, _) => 0.0,
+            (false, _) => self.direct_fractions.get(k).copied().unwrap_or(0.0),
         }
     }
 
-    /// Tier-`k` serving throughput at batch `b`, discriminator included.
-    fn tier_stage_throughput(&self, k: usize, b: usize) -> f64 {
-        b as f64 / self.tier_stage_latency(k, b)
-    }
-
     /// Per-tier demand under a threshold-level vector, written into
-    /// `demands`. Without direct routing, tier 0 sees the full demand and
-    /// each deeper tier the fraction its boundary defers. With predictive
-    /// straight-to-tier routing, tier `k`'s demand is the flow escalated out
-    /// of tier `k-1` plus the share of total demand admitted directly at
-    /// `k`.
-    fn tier_demands(&self, levels: &[usize], demands: &mut Vec<f64>) {
+    /// `demands`, with `f` read off `table`. Without direct routing, tier 0
+    /// sees the full demand and each deeper tier the fraction its boundary
+    /// defers. With predictive straight-to-tier routing, tier `k`'s demand
+    /// is the flow escalated out of tier `k-1` plus the share of total
+    /// demand admitted directly at `k`.
+    fn tier_demands(&self, table: &StageTable, levels: &[usize], demands: &mut Vec<f64>) {
         let total = self.demand_qps.max(1e-9);
-        let direct = |k: usize| -> f64 {
-            if self.direct_fractions.is_empty() {
-                if k == 0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                self.direct_fractions.get(k).copied().unwrap_or(0.0)
-            }
-        };
         demands.clear();
-        let mut d = total * direct(0);
+        let mut d = total * self.direct_share(0);
         demands.push(d);
         for (k, &l) in levels.iter().enumerate() {
-            d = d * self.deferrals[k].fraction_deferred(self.thresholds[l]) + total * direct(k + 1);
+            d = d * table.deferred(k, l) + total * self.direct_share(k + 1);
             demands.push(d);
         }
     }
@@ -999,16 +956,9 @@ pub struct LadderAllocation {
 }
 
 /// Tick-to-tick state for [`solve_ladder`]: the previous tick's optimal
-/// threshold levels (seeding the per-boundary gallop), one shared
-/// [`WarmStart`] handle, and the fixed-level residual MILP it solves,
-/// built once and re-aimed at every probe. Every probe's residual has the
-/// same rows and columns, so a single handle serves them all, even though
-/// what moves between probes is not a right-hand side: the per-tier
-/// demands set each batch selector's cost, its capacity coefficient and
-/// its bound. The handle copes by construction: the remembered point is
-/// re-validated against each probe's numbers, and the remembered basis is
-/// refactorized against them, so a probe the hint no longer fits just
-/// starts colder.
+/// threshold levels (seeding the per-boundary gallop), the worker split it
+/// actuated, what a solve works in, and — for the MILP oracle only — one
+/// shared [`WarmStart`] handle carried across its residual solves.
 #[derive(Debug, Clone, Default)]
 pub struct LadderWarmState {
     levels: Option<Vec<usize>>,
@@ -1027,9 +977,7 @@ impl LadderWarmState {
         LadderWarmState::default()
     }
 
-    /// Drop all carried state; the next solve runs cold. (The kept
-    /// residual stays: it is re-aimed before every probe, so it carries
-    /// nothing a probe could see.)
+    /// Drop all carried state; the next solve runs cold.
     pub fn clear(&mut self) {
         self.levels = None;
         self.workers = None;
@@ -1037,70 +985,83 @@ impl LadderWarmState {
     }
 }
 
-/// What a [`LadderProbe`] works in, kept from tick to tick; the fields are
-/// the probe's, documented there. The residual is built on the first MILP
-/// solve.
+/// What a [`LadderProbe`] works in, kept from tick to tick: the tick's
+/// [`StageTable`], the odometer's buffers, and the probe's fields,
+/// documented there.
 #[derive(Debug, Clone, Default)]
 struct ProbeScratch {
-    residual: Option<BatchKnapsack>,
+    table: StageTable,
+    odometer: Odometer,
     memo_levels: Vec<usize>,
     memo: Vec<bool>,
     demands: Vec<f64>,
 }
 
-/// Worker/batch plan serving fixed per-tier demands, by exhaustive scan
-/// over batch tuples: the plan with the fewest total workers, tie-breaking
-/// on the lexicographically smallest batch tuple — or, with `first_fit`,
-/// the first tuple that fits at all (a feasibility probe has no use for
-/// the minimum). `None` when infeasible.
+/// The batch-tuple odometer's buffers: the tuple in hand (batch indices,
+/// one per tier) with its workers, and the best tuple so far with its.
+#[derive(Debug, Clone, Default)]
+struct Odometer {
+    idx: Vec<usize>,
+    workers: Vec<usize>,
+    best_idx: Vec<usize>,
+    best_workers: Vec<usize>,
+}
+
+/// Whether a worker/batch plan serves fixed per-tier `demands`, by
+/// exhaustive scan over batch tuples read off `table`. Without
+/// `first_fit` the scan finds the plan with the fewest total workers,
+/// tie-breaking on the lexicographically smallest batch tuple, and leaves
+/// it in `odo.best_idx` / `odo.best_workers`; with it, the scan stops at
+/// the first tuple that fits (a feasibility probe has no use for the
+/// minimum).
 fn ladder_fixed_exhaustive(
     inputs: &LadderInputs<'_>,
+    table: &StageTable,
     demands: &[f64],
     first_fit: bool,
-) -> Option<(Vec<usize>, Vec<usize>)> {
+    odo: &mut Odometer,
+) -> bool {
     let n = inputs.num_tiers();
-    let nb = inputs.batch_sizes.len();
     let queue_total: f64 = inputs.queue_delays.iter().sum();
-    let mut best: Option<(usize, Vec<usize>, Vec<usize>)> = None;
+    let mut best_total = None;
+    odo.idx.clear();
+    odo.idx.resize(n, 0);
+    odo.workers.resize(n, 0);
     // Odometer over batch tuples, lexicographic so the first tuple found
     // at the minimal worker count is also the lexicographically smallest.
-    // `batches` and `workers` are rewritten in place for every tuple.
-    let mut idx = vec![0usize; n];
-    let mut batches = vec![inputs.batch_sizes[0]; n];
-    let mut workers = vec![0usize; n];
     'tuples: loop {
-        let latency: f64 = (0..n)
-            .map(|k| inputs.tier_stage_latency(k, batches[k]))
+        let latency: f64 = (odo.idx.iter().enumerate())
+            .map(|(k, &j)| table.cell(k, j).latency)
             .sum::<f64>()
             + queue_total;
         if latency <= inputs.slo {
-            for k in 0..n {
-                let tp = inputs.tier_stage_throughput(k, batches[k]);
-                workers[k] = min_workers(demands[k], tp) as usize;
+            let tiers = odo.workers.iter_mut().zip(&odo.idx).zip(demands);
+            for (k, ((workers, &j), &demand)) in tiers.enumerate() {
+                *workers = min_workers(demand, table.cell(k, j).throughput) as usize;
             }
-            let total: usize = workers.iter().sum();
+            let total: usize = odo.workers.iter().sum();
             if total <= inputs.total_workers {
                 if first_fit {
-                    return Some((workers, batches));
+                    return true;
                 }
-                if best.as_ref().is_none_or(|(t, _, _)| total < *t) {
-                    best = Some((total, workers.clone(), batches.clone()));
+                if best_total.is_none_or(|t| total < t) {
+                    best_total = Some(total);
+                    odo.best_idx.clone_from(&odo.idx);
+                    odo.best_workers.clone_from(&odo.workers);
                 }
             }
         }
         // Advance the odometer.
         for k in (0..n).rev() {
-            idx[k] += 1;
-            if idx[k] < nb {
-                batches[k] = inputs.batch_sizes[idx[k]];
+            odo.idx[k] += 1;
+            if odo.idx[k] < table.batches {
                 continue 'tuples;
             }
-            idx[k] = 0;
-            batches[k] = inputs.batch_sizes[0];
+            odo.idx[k] = 0;
         }
         break;
     }
-    best.map(|(_, workers, batches)| (workers, batches))
+    best_total.is_some()
 }
 
 /// One tick's view of the fixed-level residual problem, through the
@@ -1110,9 +1071,11 @@ fn ladder_fixed_exhaustive(
 /// with the single [`plan`](Self::plan) call that needs an optimum.
 struct LadderProbe<'a, 'i> {
     inputs: &'a LadderInputs<'i>,
-    /// The fixed-level residual ([`BatchKnapsack::ladder`]), kept across
-    /// ticks, for the MILP inner solver; `None` for the exhaustive scan.
-    residual: Option<&'a mut BatchKnapsack>,
+    table: &'a StageTable,
+    odometer: &'a mut Odometer,
+    /// The oracle's fixed-level residual ([`BatchKnapsack::ladder`]),
+    /// built for this call; `None` for the enumeration that serves.
+    residual: Option<BatchKnapsack>,
     warm: &'a mut WarmStart,
     /// Feasibility verdicts of this tick: the level vectors probed, back
     /// to back, and the verdict on each. Only an identical vector hits:
@@ -1132,46 +1095,29 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
         warm: &'a mut WarmStart,
         scratch: &'a mut ProbeScratch,
     ) -> Self {
-        let ProbeScratch {
-            residual,
-            memo_levels,
-            memo,
-            demands,
-        } = scratch;
-        let residual = if milp {
-            Some(BatchKnapsack::kept(
-                residual,
-                inputs.num_tiers(),
-                inputs.batch_sizes.len(),
-                |k, j| ladder_choice(inputs, k, j),
-                1.0,
-                inputs.total_workers,
-                ladder_latency_budget(inputs),
-            ))
-        } else {
-            None
-        };
-        memo_levels.clear();
-        memo.clear();
+        scratch.table.fill_ladder(inputs);
+        scratch.memo_levels.clear();
+        scratch.memo.clear();
         LadderProbe {
             inputs,
-            residual,
+            residual: milp.then(|| BatchKnapsack::ladder(inputs, &scratch.table)),
+            table: &scratch.table,
+            odometer: &mut scratch.odometer,
             warm,
-            memo_levels,
-            memo,
-            demands,
+            memo_levels: &mut scratch.memo_levels,
+            memo: &mut scratch.memo,
+            demands: &mut scratch.demands,
         }
     }
 
     /// Sets `demands` to the per-tier demands `levels` implies, with the
     /// residual (if any) aimed at them.
     fn demands_at(&mut self, levels: &[usize]) {
-        self.inputs.tier_demands(levels, self.demands);
+        self.inputs.tier_demands(self.table, levels, self.demands);
         if let Some(residual) = &mut self.residual {
             for (k, &d) in self.demands.iter().enumerate() {
                 residual.aim(k, d);
             }
-            residual.check_twin(|| BatchKnapsack::ladder(self.inputs));
         }
     }
 
@@ -1189,7 +1135,9 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
             Some(residual) => {
                 find_feasible(&residual.problem, &MilpOptions::default(), self.warm).is_ok()
             }
-            None => ladder_fixed_exhaustive(self.inputs, self.demands, true).is_some(),
+            None => {
+                ladder_fixed_exhaustive(self.inputs, self.table, self.demands, true, self.odometer)
+            }
         };
         self.memo_levels.extend_from_slice(levels);
         self.memo.push(verdict);
@@ -1199,14 +1147,27 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
     /// The minimal worker/batch plan at `levels`; `None` when infeasible.
     fn plan(&mut self, levels: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
         self.demands_at(levels);
+        let batch = |j: usize| self.inputs.batch_sizes[j];
         match &self.residual {
             Some(residual) => {
                 let sol =
                     solve_milp_warm(&residual.problem, &MilpOptions::default(), self.warm).ok()?;
-                let plan = residual.plan(&sol.values);
-                Some(plan.map(|(j, w)| (w, self.inputs.batch_sizes[j])).unzip())
+                Some(
+                    residual
+                        .plan(&sol.values)
+                        .map(|(j, w)| (w, batch(j)))
+                        .unzip(),
+                )
             }
-            None => ladder_fixed_exhaustive(self.inputs, self.demands, false),
+            None => {
+                let odo = &mut *self.odometer;
+                ladder_fixed_exhaustive(self.inputs, self.table, self.demands, false, odo).then(
+                    || {
+                        let batches = odo.best_idx.iter().map(|&j| batch(j)).collect();
+                        (odo.best_workers.clone(), batches)
+                    },
+                )
+            }
         }
     }
 }
@@ -1227,9 +1188,11 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
 /// fixed-level residual problem only *whether* it is feasible, and asks
 /// at most once per level vector per call. Exactly one optimality solve
 /// runs, at the final (rate-limited) levels, and its plan is the answer.
-/// With `milp` the residual is one [`Problem`], kept in `state` and
-/// re-aimed per probe, and one [`WarmStart`] carried across every probe,
-/// tick after tick.
+/// Serving ticks answer every probe by enumerating batch tuples over the
+/// tick's table, kept in `state` with the odometer's buffers. With `milp`
+/// — the oracle — the residual is one [`Problem`], built per call and
+/// re-aimed per probe, with one [`WarmStart`] carried across every probe,
+/// tick after tick; the plan is the same.
 ///
 /// Spare workers land on the deepest tier. Returns `None` when even the
 /// all-lowest-levels ladder is infeasible; callers then fall back to
@@ -1321,30 +1284,14 @@ pub fn solve_ladder(
 /// proportion to direct load over per-tier service rate (with thresholds
 /// floored, a tier's load is exactly its direct-admission share).
 pub fn ladder_overload_fallback(inputs: &LadderInputs<'_>) -> LadderAllocation {
+    let table = StageTable::ladder(inputs);
     let n = inputs.num_tiers();
-    let batches: Vec<usize> = (0..n)
-        .map(|k| {
-            inputs
-                .batch_sizes
-                .iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    inputs.tiers[k]
-                        .throughput(a)
-                        .partial_cmp(&inputs.tiers[k].throughput(b))
-                        .expect("finite throughputs")
-                })
-                .expect("non-empty batch sizes")
-        })
-        .collect();
+    let fastest: Vec<usize> = (0..n).map(|k| table.fastest_batch(k)).collect();
     let has_bypass = inputs.direct_fractions.iter().skip(1).any(|&f| f > 0.0);
     let mut workers = vec![0usize; n];
     if has_bypass {
         let load: Vec<f64> = (0..n)
-            .map(|k| {
-                let d = inputs.direct_fractions.get(k).copied().unwrap_or(0.0);
-                d / inputs.tiers[k].throughput(batches[k]).max(1e-9)
-            })
+            .map(|k| inputs.direct_share(k) / table.cell(k, fastest[k]).nameplate.max(1e-9))
             .collect();
         let total_load: f64 = load.iter().sum();
         let w = inputs.total_workers;
@@ -1372,7 +1319,7 @@ pub fn ladder_overload_fallback(inputs: &LadderInputs<'_>) -> LadderAllocation {
     LadderAllocation {
         thresholds: vec![0.0; inputs.boundaries()],
         workers,
-        batches,
+        batches: fastest.iter().map(|&j| inputs.batch_sizes[j]).collect(),
         feasible: false,
     }
 }
@@ -1450,6 +1397,24 @@ mod tests {
                 }
                 (None, None) => {}
                 (e, m) => panic!("solver disagreement at demand {demand}: {e:?} vs {m:?}"),
+            }
+        }
+    }
+
+    /// Both oracles break threshold ties on batch sizes, as the
+    /// enumerator does, even when the candidates come unsorted — as
+    /// AIMD's two operating points do.
+    #[test]
+    fn the_oracles_rank_unsorted_batch_candidates_like_the_enumerator() {
+        let deferral = uniform_profile();
+        let thresholds = grid(26, 0.9);
+        for batches in [[9usize, 4].as_slice(), &[16, 2, 8, 1, 4]] {
+            for demand in [0.5, 2.0, 6.0, 12.0, 20.0] {
+                let inputs = cascade1_inputs(&deferral, batches, &thresholds, demand);
+                let served = solve_exhaustive(&inputs);
+                let warm = solve_milp_allocation_warm(&inputs, &mut AllocWarmState::new());
+                assert_eq!(warm, served, "{batches:?} at {demand} qps");
+                assert_eq!(solve_milp_allocation(&inputs), served);
             }
         }
     }
@@ -1853,6 +1818,110 @@ mod tests {
         }
     }
 
+    /// Tier `k`'s stage latency at batch `b`, straight off the profiles.
+    fn stage_latency(inputs: &LadderInputs<'_>, k: usize, b: usize) -> f64 {
+        let exec = inputs.tiers[k].exec_latency(b).as_secs_f64();
+        match inputs.discriminator_latency.get(k) {
+            Some(d) => exec + d * b as f64,
+            None => exec,
+        }
+    }
+
+    /// Tier `k`'s stage throughput at batch `b`, straight off the profiles.
+    fn stage_throughput(inputs: &LadderInputs<'_>, k: usize, b: usize) -> f64 {
+        b as f64 / stage_latency(inputs, k, b)
+    }
+
+    /// Every cell of the table every enumerator reads is the profiles'
+    /// arithmetic bit for bit: the two-tier cascade's with its resume
+    /// discount on and with the discriminator zeroed (Proteus's), and a
+    /// three-tier ladder's with and without discriminators.
+    #[test]
+    fn the_stage_table_is_the_profiles_arithmetic_bit_for_bit() {
+        let deferral = uniform_profile();
+        let skewed = DeferralProfile::from_confidences(
+            (0..700).map(|i| (i as f64 / 700.0).powf(1.7)).collect(),
+        )
+        .unwrap();
+        let batches = [1usize, 2, 3, 4, 8, 16];
+        let thresholds = grid(26, 0.9);
+        let bits = |x: f64| x.to_bits();
+        let mut inputs = cascade1_inputs(&deferral, &batches, &thresholds, 7.0);
+        for resume in [None, Some(LatencyProfile::new(0.89, 0.24))] {
+            inputs.resume_heavy = resume;
+            for cascade in [true, false] {
+                let table = StageTable::two_tier(&inputs, cascade);
+                for (j, &b) in batches.iter().enumerate() {
+                    let exec = inputs.light.exec_latency(b).as_secs_f64();
+                    let light = if cascade {
+                        exec + inputs.discriminator_latency * b as f64
+                    } else {
+                        exec
+                    };
+                    let charged = match resume.filter(|_| cascade) {
+                        Some(r) => r.exec_latency(b).as_secs_f64(),
+                        None => inputs.heavy.exec_latency(b).as_secs_f64(),
+                    };
+                    let cell = (cascade, resume.is_some(), b);
+                    assert_eq!(bits(table.cell(0, j).latency), bits(light), "{cell:?}");
+                    assert_eq!(bits(table.cell(1, j).latency), bits(charged), "{cell:?}");
+                    assert_eq!(
+                        bits(table.cell(0, j).throughput),
+                        bits(b as f64 / light),
+                        "{cell:?}"
+                    );
+                    assert_eq!(
+                        bits(table.cell(1, j).throughput),
+                        bits(inputs.heavy.throughput(b)),
+                        "{cell:?}"
+                    );
+                    assert_eq!(
+                        bits(table.cell(0, j).nameplate),
+                        bits(inputs.light.throughput(b)),
+                        "{cell:?}"
+                    );
+                    assert_eq!(
+                        bits(table.cell(1, j).nameplate),
+                        bits(inputs.heavy.throughput(b)),
+                        "{cell:?}"
+                    );
+                }
+                for (l, &t) in thresholds.iter().enumerate() {
+                    assert_eq!(
+                        bits(table.deferred(0, l)),
+                        bits(deferral.fraction_deferred(t))
+                    );
+                }
+            }
+        }
+        let deferrals = [uniform_profile(), skewed];
+        let mut ladder = ladder3_inputs(&deferrals, &batches, &thresholds, 7.0);
+        for discriminators in [vec![0.01, 0.02], vec![0.0, 0.0]] {
+            ladder.discriminator_latency = discriminators;
+            let table = StageTable::ladder(&ladder);
+            for k in 0..3 {
+                for (j, &b) in batches.iter().enumerate() {
+                    let stage = stage_latency(&ladder, k, b);
+                    assert_eq!(
+                        bits(table.cell(k, j).latency),
+                        bits(stage),
+                        "tier {k} batch {b}"
+                    );
+                    assert_eq!(bits(table.cell(k, j).throughput), bits(b as f64 / stage));
+                    assert_eq!(
+                        bits(table.cell(k, j).nameplate),
+                        bits(ladder.tiers[k].throughput(b))
+                    );
+                }
+            }
+            for (k, f) in deferrals.iter().enumerate() {
+                for (l, &t) in thresholds.iter().enumerate() {
+                    assert_eq!(bits(table.deferred(k, l)), bits(f.fraction_deferred(t)));
+                }
+            }
+        }
+    }
+
     #[test]
     fn two_tier_ladder_matches_legacy_threshold() {
         // On a two-tier ladder the boundary threshold the coordinate
@@ -1959,11 +2028,27 @@ mod tests {
         }
     }
 
+    /// Eq. 3's right-hand side with the threshold pinned at grid level
+    /// `l`: the deferred load `D·f(t_l)`.
+    fn deferred_load(inputs: &AllocatorInputs<'_>, l: usize) -> f64 {
+        inputs.demand_qps.max(1e-9) * inputs.deferral.fraction_deferred(inputs.thresholds[l])
+    }
+
+    /// The two-tier oracle's knapsack for `inputs`.
+    fn two_tier_knapsack(inputs: &AllocatorInputs<'_>) -> BatchKnapsack {
+        BatchKnapsack::two_tier(inputs, &StageTable::two_tier(inputs, true))
+    }
+
+    /// The ladder oracle's knapsack for `inputs`.
+    fn ladder_knapsack(inputs: &LadderInputs<'_>) -> BatchKnapsack {
+        BatchKnapsack::ladder(inputs, &StageTable::ladder(inputs))
+    }
+
     /// Aims each ladder tier's group of `knapsack` at the demand `levels`
     /// implies.
     fn aim_tiers(knapsack: &mut BatchKnapsack, inputs: &LadderInputs<'_>, levels: &[usize]) {
         let mut demands = Vec::new();
-        inputs.tier_demands(levels, &mut demands);
+        inputs.tier_demands(&StageTable::ladder(inputs), levels, &mut demands);
         for (k, &d) in demands.iter().enumerate() {
             knapsack.aim(k, d);
         }
@@ -1992,7 +2077,7 @@ mod tests {
         for (workers, demand) in [(8, 3.0), (8, 12.0), (1000, 400.0), (1000, 4000.0)] {
             let mut inputs = cascade1_inputs(&deferral, &batches, &thresholds, demand);
             inputs.total_workers = workers;
-            let mut knapsack = BatchKnapsack::two_tier(&inputs);
+            let mut knapsack = two_tier_knapsack(&inputs);
             for level in [0, 6, 13, 25] {
                 knapsack.aim(1, deferred_load(&inputs, level));
                 check_root_only_effort(&knapsack.problem, &mut carried);
@@ -2003,7 +2088,7 @@ mod tests {
         let mut carried = WarmStart::new();
         for demand in [2.0, 5.0, 9.0, 14.0] {
             let inputs = ladder3_inputs(&deferrals, &batches, &thresholds, demand);
-            let mut knapsack = BatchKnapsack::ladder(&inputs);
+            let mut knapsack = ladder_knapsack(&inputs);
             for levels in [[0, 0], [6, 13], [20, 5], [25, 25]] {
                 aim_tiers(&mut knapsack, &inputs, &levels);
                 check_root_only_effort(&knapsack.problem, &mut carried);
@@ -2026,7 +2111,7 @@ mod tests {
         let thresholds = grid(51, 0.9);
         let options = MilpOptions::default();
         let shape = |inputs: &AllocatorInputs<'_>| {
-            let p = BatchKnapsack::two_tier(inputs).problem;
+            let p = two_tier_knapsack(inputs).problem;
             (p.num_vars(), p.integer_vars().len(), p.num_constraints())
         };
         for (workers, max_nodes) in [(8usize, 60), (1000, 3 * 60)] {
@@ -2048,7 +2133,7 @@ mod tests {
                 inputs.demand_qps = (1.0 + 9.0 * wave) * workers as f64 / 8.0;
                 let served =
                     solve_milp_allocation_warm(&inputs, &mut state).expect("feasible walk");
-                let mut knapsack = BatchKnapsack::two_tier(&inputs);
+                let mut knapsack = two_tier_knapsack(&inputs);
                 level = largest_feasible_level(thresholds.len(), level, |l| {
                     knapsack.aim(1, deferred_load(&inputs, l));
                     find_feasible(&knapsack.problem, &options, &mut carried).is_ok()
@@ -2077,7 +2162,7 @@ mod tests {
         let batches = [1usize, 2, 4, 8, 16];
         let thresholds = grid(26, 0.9);
         let mut inputs = ladder3_inputs(&deferrals, &batches, &thresholds, 0.0);
-        let mut knapsack = BatchKnapsack::ladder(&inputs);
+        let mut knapsack = ladder_knapsack(&inputs);
         let shape = (
             knapsack.problem.num_vars(),
             knapsack.problem.integer_vars().len(),
@@ -2106,53 +2191,6 @@ mod tests {
             nodes <= 3 * 60,
             "{nodes} B&B nodes over 60 optimality solves"
         );
-    }
-
-    /// The kept residuals follow what moves between ticks — the alive
-    /// fleet, the queue delays' latency budget, the batch grid, an SLO the
-    /// AIMD ablation waives — and every tick's plan is the one a state
-    /// built for that tick alone would pick: the two-tier path's a cold
-    /// solve's, the ladder's the exhaustive scan's (through a state of its
-    /// own, so the worker hysteresis matches).
-    #[test]
-    fn kept_residuals_follow_fleet_budget_grid_and_slo_changes() {
-        let deferral = uniform_profile();
-        let deferrals = vec![uniform_profile(), uniform_profile()];
-        let thresholds = grid(26, 0.9);
-        let wide = [1usize, 2, 4, 8, 16];
-        let narrow = [1usize, 4];
-        let ticks: [(usize, f64, &[usize], f64); 8] = [
-            (16, 0.2, &wide, 5.0),
-            (14, 0.6, &wide, 5.0),
-            (14, 0.6, &narrow, 5.0),
-            (9, 0.1, &narrow, f64::INFINITY),
-            (9, 1.4, &wide, f64::INFINITY),
-            (16, 1.4, &wide, 5.0),
-            (3, 0.0, &wide, 5.0),
-            (16, 0.3, &wide, 5.0),
-        ];
-        let mut two_tier = AllocWarmState::new();
-        let (mut milp, mut scan) = (LadderWarmState::new(), LadderWarmState::new());
-        for (tick, &(workers, queue, batches, slo)) in ticks.iter().enumerate() {
-            let mut inputs = cascade1_inputs(&deferral, batches, &thresholds, 7.0);
-            inputs.total_workers = workers;
-            inputs.queue_delay_heavy = queue;
-            inputs.slo = slo;
-            assert_eq!(
-                solve_milp_allocation_warm(&inputs, &mut two_tier),
-                solve_milp_allocation(&inputs),
-                "tick {tick}"
-            );
-            let mut ladder = ladder3_inputs(&deferrals, batches, &thresholds, 5.0);
-            ladder.total_workers = workers;
-            ladder.queue_delays[2] = queue;
-            ladder.slo = slo.min(6.0);
-            assert_eq!(
-                solve_ladder(&ladder, true, &mut milp),
-                solve_ladder(&ladder, false, &mut scan),
-                "tick {tick}"
-            );
-        }
     }
 
     #[test]
@@ -2240,8 +2278,8 @@ mod tests {
             .enumerate()
         {
             let inputs = ladder3_inputs(&deferrals, &batches, &thresholds, demand);
-            let cold = solve_ladder(&inputs, true, &mut LadderWarmState::new());
-            let warmed = solve_ladder(&inputs, true, &mut warm);
+            let cold = solve_ladder(&inputs, false, &mut LadderWarmState::new());
+            let warmed = solve_ladder(&inputs, false, &mut warm);
             if i == 0 {
                 assert_eq!(warmed, cold, "first solve has no warm state to reuse");
             }
@@ -2260,8 +2298,7 @@ mod tests {
                         if k > 0 {
                             d *= inputs.deferrals[k - 1].fraction_deferred(w.thresholds[k - 1]);
                         }
-                        let cap =
-                            w.workers[k] as f64 * inputs.tier_stage_throughput(k, w.batches[k]);
+                        let cap = w.workers[k] as f64 * stage_throughput(&inputs, k, w.batches[k]);
                         assert!(cap >= d - 1e-9, "demand {demand} tier {k}: {cap} < {d}");
                     }
                 }
@@ -2272,8 +2309,8 @@ mod tests {
         warm.clear();
         let inputs = ladder3_inputs(&deferrals, &batches, &thresholds, 4.0);
         assert_eq!(
-            solve_ladder(&inputs, true, &mut warm),
-            solve_ladder(&inputs, true, &mut LadderWarmState::new()),
+            solve_ladder(&inputs, false, &mut warm),
+            solve_ladder(&inputs, false, &mut LadderWarmState::new()),
             "clear() drops the warm split entirely"
         );
     }
@@ -2295,12 +2332,12 @@ mod tests {
             if k > 0 {
                 d *= inputs.deferrals[k - 1].fraction_deferred(a.thresholds[k - 1]);
             }
-            let cap = a.workers[k] as f64 * inputs.tier_stage_throughput(k, a.batches[k]);
+            let cap = a.workers[k] as f64 * stage_throughput(&inputs, k, a.batches[k]);
             assert!(cap >= d - 1e-9, "tier {k}: capacity {cap} < demand {d}");
         }
         // Worst-case cascade latency fits the SLO.
         let lat: f64 = (0..3)
-            .map(|k| inputs.tier_stage_latency(k, a.batches[k]))
+            .map(|k| stage_latency(&inputs, k, a.batches[k]))
             .sum::<f64>()
             + inputs.queue_delays.iter().sum::<f64>();
         assert!(lat <= inputs.slo + 1e-9);

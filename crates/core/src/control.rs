@@ -14,12 +14,15 @@
 //!    re-estimates its curve from the confidences the boundary actually
 //!    observes, so the controller tracks difficulty drift; the offline
 //!    curve rules until the estimator warms up, and always without it.
-//! 3. **Allocation planning** — one `plan` call. The solver is chosen once,
-//!    when the loop is built: a two-tier session plans over
-//!    [`solve_milp_allocation_warm`], [`solve_exhaustive`] or
-//!    [`solve_proteus`] (per policy and backend), with the
-//!    [`overload_fallback`] when the solve is infeasible; deeper ladders
-//!    plan through [`solve_ladder`] and [`ladder_overload_fallback`].
+//! 3. **Allocation planning** — one `plan` call. The planner is chosen
+//!    once, when the loop is built, and every one enumerates: a two-tier
+//!    session plans over [`solve_exhaustive`] or [`solve_proteus`] (per
+//!    policy), with the [`overload_fallback`] when the solve is infeasible;
+//!    deeper ladders plan through [`solve_ladder`] and
+//!    [`ladder_overload_fallback`]. Debug builds check every cascade and
+//!    ladder plan twice: against the MILP oracle, which must plan the tick
+//!    identically, and against Eq. 1–5 evaluated from the session's stage
+//!    latencies and deferral profiles.
 //! 4. **Plan actuation** — the backend-side half: each engine applies the
 //!    returned [`ControlDirective`] to its own live serving state (the
 //!    simulator's worker array, the testbed's shared [`ServingPlan`]).
@@ -43,14 +46,14 @@ use diffserve_trace::DemandEstimator;
 
 use crate::allocator::{
     ladder_overload_fallback, overload_fallback, solve_exhaustive, solve_ladder,
-    solve_milp_allocation_warm, solve_proteus, AllocWarmState, AllocatorInputs, LadderAllocation,
-    LadderInputs, LadderWarmState,
+    solve_milp_allocation_warm, solve_proteus, AllocatorInputs, LadderAllocation, LadderInputs,
+    LadderWarmState,
 };
 use crate::config::{LadderConfig, SystemConfig, EWMA_ALPHA};
 use crate::kernel::StageLatencies;
 use crate::policy::{BatchPolicy, Policy, QueueModel};
 use crate::serve::SessionSpec;
-use crate::sim::{AllocatorBackend, RunSettings};
+use crate::sim::RunSettings;
 
 /// Fresh confidence samples required in a control window before a
 /// deferral-estimation-error point is recorded (fewer would make the
@@ -126,30 +129,17 @@ pub enum ControlDirective {
 #[derive(Debug, Clone)]
 enum Planner {
     /// Two-tier DiffServe and DiffServe-Static: maximizes the confidence
-    /// threshold via the configured solver.
-    ///
-    /// The MILP backend keeps an [`AllocWarmState`] across ticks: the
-    /// demand estimate moves slowly between control intervals, so the
-    /// previous tick's threshold pins the next solve to a few feasibility
-    /// probes of the two-tier batch knapsack and a single optimality solve,
-    /// each restarted from the previous simplex basis. The plan is the
-    /// exhaustive solver's, whatever state the search starts from.
-    Cascade {
-        /// Which solver implementation to invoke.
-        backend: AllocatorBackend,
-        warm: AllocWarmState,
-    },
+    /// threshold by enumerating batch pairs ([`solve_exhaustive`]).
+    Cascade,
     /// Proteus: maximizes the heavy routing fraction; under overload
     /// everything routes light over the fallback allocation.
     Proteus,
     /// Ladders of more than two tiers: coordinate-maximizes the threshold
-    /// vector through [`solve_ladder`], MILP or exhaustive residual solves
-    /// behind the search.
+    /// vector through [`solve_ladder`], enumerating batch tuples behind
+    /// the search.
     Ladder {
-        /// Whether the residual solves run on the MILP backend.
-        milp: bool,
-        /// Warm levels + simplex basis carried across ticks.
-        warm: LadderWarmState,
+        /// Warm levels, worker split and scratch carried across ticks.
+        warm: Box<LadderWarmState>,
     },
 }
 
@@ -213,16 +203,12 @@ impl ControlLoop {
         assert_eq!(tiers.len(), offline.len() + 1, "one profile per boundary");
         let planner = if tiers.len() > 2 {
             Planner::Ladder {
-                milp: matches!(settings.backend, AllocatorBackend::Milp),
-                warm: LadderWarmState::new(),
+                warm: Box::default(),
             }
         } else if settings.policy == Policy::Proteus {
             Planner::Proteus
         } else {
-            Planner::Cascade {
-                backend: settings.backend,
-                warm: AllocWarmState::new(),
-            }
+            Planner::Cascade
         };
         let online = if config.online_profile_refresh {
             offline
@@ -375,7 +361,7 @@ impl ControlLoop {
         // constraint leaves the optimization and SLO violations become the
         // (lagging) control signal. Proteus and ladders keep the SLO and
         // leave the batch choice with the planner.
-        let aimd_cascade = aimd && matches!(self.planner, Planner::Cascade { .. });
+        let aimd_cascade = aimd && matches!(self.planner, Planner::Cascade);
         let slo = if aimd_cascade {
             f64::INFINITY
         } else {
@@ -532,6 +518,12 @@ impl ControlLoop {
     /// The candidate thresholds are the static-threshold ablation's one
     /// value or the configured grid; the candidate batch sizes are
     /// `batch_sizes` when AIMD owns them, the configured ones otherwise.
+    ///
+    /// Debug builds re-plan every cascade and ladder tick through the MILP
+    /// oracle — [`solve_milp_allocation_warm`] from a cold state, or
+    /// [`solve_ladder`] with `milp` from a copy of the served state — and
+    /// assert the two plans equal, then check the served plan with
+    /// [`check_plan`].
     fn plan(
         &mut self,
         demand_qps: f64,
@@ -557,8 +549,13 @@ impl ControlLoop {
             None => &grid[..],
         };
         let batch_sizes = batch_sizes.unwrap_or(&config.batch_sizes);
-        if let Planner::Ladder { milp, warm } = planner {
-            let inputs = LadderInputs {
+        let (queue_delay_light, queue_delay_heavy) = (queue_delays[0], queue_delays[1]);
+        // The ladder planner's inputs; debug builds also check a cascade
+        // plan against them.
+        let ladder = match planner {
+            Planner::Proteus => None,
+            Planner::Cascade if !cfg!(debug_assertions) => None,
+            _ => Some(LadderInputs {
                 demand_qps,
                 queue_delays,
                 slo,
@@ -576,48 +573,138 @@ impl ControlLoop {
                     .map_or(LadderConfig::default().max_threshold_raise_per_tick, |l| {
                         l.max_threshold_raise_per_tick
                     }),
-                direct_fractions: direct_frac.clone(),
-            };
-            return ControlDirective::Apply {
-                plan: solve_ladder(&inputs, *milp, warm)
-                    .unwrap_or_else(|| ladder_overload_fallback(&inputs)),
-            };
-        }
-        let inputs = AllocatorInputs {
-            demand_qps,
-            queue_delay_light: queue_delays[0],
-            queue_delay_heavy: queue_delays[1],
-            slo,
-            total_workers,
-            deferral: effective(online, offline, 0),
-            light: stages.profiles()[0],
-            heavy: stages.profiles()[1],
-            resume_heavy: *resume_heavy,
-            discriminator_latency: stages.discriminators()[0],
-            batch_sizes,
-            thresholds,
+                // Only a ladder planner models straight-to-tier admission.
+                direct_fractions: match planner {
+                    Planner::Ladder { .. } => direct_frac.clone(),
+                    _ => Vec::new(),
+                },
+            }),
         };
-        let allocation = match planner {
-            Planner::Cascade { backend, warm } => match backend {
-                AllocatorBackend::Milp => solve_milp_allocation_warm(&inputs, warm),
-                AllocatorBackend::Exhaustive => solve_exhaustive(&inputs),
-            },
-            // The solved plan's threshold is the heavy fraction; the
-            // overload fallback's 0.0 routes everything light.
-            Planner::Proteus => solve_proteus(&inputs).map(|(allocation, _)| allocation),
-            Planner::Ladder { .. } => unreachable!("ladders planned above"),
-        };
-        // The N-tier plan form both engines take.
-        let alloc = allocation.unwrap_or_else(|| overload_fallback(&inputs));
-        ControlDirective::Apply {
-            plan: LadderAllocation {
+        let plan = if let Planner::Ladder { warm } = planner {
+            let ladder = ladder.as_ref().expect("a ladder tick builds its inputs");
+            let oracle = cfg!(debug_assertions).then(|| warm.clone());
+            let served = solve_ladder(ladder, false, warm);
+            if let Some(mut oracle) = oracle {
+                assert_eq!(
+                    solve_ladder(ladder, true, &mut oracle),
+                    served,
+                    "the MILP oracle plans this ladder tick differently"
+                );
+            }
+            served.unwrap_or_else(|| ladder_overload_fallback(ladder))
+        } else {
+            let inputs = AllocatorInputs {
+                demand_qps,
+                queue_delay_light,
+                queue_delay_heavy,
+                slo,
+                total_workers,
+                deferral: effective(online, offline, 0),
+                light: stages.profiles()[0],
+                heavy: stages.profiles()[1],
+                resume_heavy: *resume_heavy,
+                discriminator_latency: stages.discriminators()[0],
+                batch_sizes,
+                thresholds,
+            };
+            let allocation = if let Planner::Proteus = planner {
+                // The solved plan's threshold is the heavy fraction; the
+                // overload fallback's 0.0 routes everything light.
+                solve_proteus(&inputs).map(|(allocation, _)| allocation)
+            } else {
+                let served = solve_exhaustive(&inputs);
+                if cfg!(debug_assertions) {
+                    let oracle = solve_milp_allocation_warm(&inputs, &mut Default::default());
+                    assert_eq!(
+                        oracle, served,
+                        "the MILP oracle plans this cascade tick differently"
+                    );
+                }
+                served
+            };
+            // The N-tier plan form both engines take.
+            let alloc = allocation.unwrap_or_else(|| overload_fallback(&inputs));
+            LadderAllocation {
                 thresholds: vec![alloc.threshold],
                 workers: vec![alloc.light_workers, alloc.heavy_workers],
                 batches: vec![alloc.light_batch, alloc.heavy_batch],
                 feasible: alloc.feasible,
-            },
+            }
+        };
+        if let Some(ladder) = ladder.filter(|_| cfg!(debug_assertions) && plan.feasible) {
+            let resume = match planner {
+                Planner::Cascade => resume_heavy.as_ref(),
+                _ => None,
+            };
+            check_plan(stages, resume, &ladder, &plan);
         }
+        ControlDirective::Apply { plan }
     }
+}
+
+/// The plan twin: checks a feasible served `plan` against Eq. 1–5 by
+/// evaluating the constraints, not by solving. Every stage number is
+/// re-derived from the session's `stages` — not read from the planner's
+/// table — and every `f` from the deferral profiles:
+///
+/// * each tier's capacity covers its demand — the entry demand, then each
+///   boundary's deferred flow plus the share admitted straight at the
+///   tier (Eqs. 2–3);
+/// * the workers fit the fleet (Eq. 4);
+/// * the cascade's latency, its terminal tier charged on `resume` when
+///   set, fits the SLO less the queue delays, unless the SLO is infinite
+///   (Eq. 1);
+/// * every threshold is a candidate grid value, and every batch a
+///   candidate batch size.
+///
+/// Debug builds call it on every cascade and ladder tick.
+fn check_plan(
+    stages: &StageLatencies,
+    resume: Option<&LatencyProfile>,
+    inputs: &LadderInputs<'_>,
+    plan: &LadderAllocation,
+) {
+    let n = inputs.num_tiers();
+    let tol = |x: f64| 1e-9 * (1.0 + x.abs());
+    assert_eq!(plan.workers.len(), n, "one worker count per tier: {plan:?}");
+    assert!(
+        plan.workers.iter().sum::<usize>() <= inputs.total_workers,
+        "Eq. 4: {plan:?} overflows {} workers",
+        inputs.total_workers
+    );
+    assert!(
+        plan.thresholds
+            .iter()
+            .all(|t| inputs.thresholds.contains(t)),
+        "a threshold is off the grid: {plan:?}"
+    );
+    let demand = inputs.demand_qps.max(1e-9);
+    let (mut need, mut latency) = (0.0, 0.0);
+    for (k, (&workers, &b)) in plan.workers.iter().zip(&plan.batches).enumerate() {
+        assert!(
+            inputs.batch_sizes.contains(&b),
+            "batch {b} is no candidate: {plan:?}"
+        );
+        let stage = stages.secs(k, b);
+        if k > 0 {
+            need *= inputs.deferrals[k - 1].fraction_deferred(plan.thresholds[k - 1]);
+        }
+        need += demand * inputs.direct_share(k);
+        let capacity = workers as f64 * (b as f64 / stage);
+        assert!(
+            capacity + tol(need) >= need,
+            "Eqs. 2–3: tier {k} serves {capacity} of its {need} qps: {plan:?}"
+        );
+        latency += match resume {
+            Some(r) if k + 1 == n => r.exec_latency(b).as_secs_f64(),
+            _ => stage,
+        } + inputs.queue_delays[k];
+    }
+    assert!(
+        inputs.slo.is_infinite() || latency <= inputs.slo + tol(inputs.slo),
+        "Eq. 1: the cascade takes {latency} s of a {} s SLO: {plan:?}",
+        inputs.slo
+    );
 }
 
 /// The deferral profile the allocator solves against at boundary `b`: the
@@ -802,19 +889,13 @@ mod tests {
 
     #[test]
     fn cascade_planner_falls_back_under_overload() {
-        for backend in [AllocatorBackend::Exhaustive, AllocatorBackend::Milp] {
-            let settings = RunSettings {
-                backend,
-                ..RunSettings::new(Policy::DiffServe, 8.0)
-            };
-            let mut cl = loop_with(settings, small_config());
-            match plan_overload(&mut cl) {
-                ControlDirective::Apply { plan, .. } => {
-                    assert!(!plan.feasible, "{backend:?} must fall back");
-                    assert_eq!(plan.thresholds, [0.0]);
-                }
-                d => panic!("unexpected directive {d:?}"),
+        let mut cl = test_loop(Policy::DiffServe, small_config());
+        match plan_overload(&mut cl) {
+            ControlDirective::Apply { plan, .. } => {
+                assert!(!plan.feasible, "the cascade must fall back");
+                assert_eq!(plan.thresholds, [0.0]);
             }
+            d => panic!("unexpected directive {d:?}"),
         }
     }
 
@@ -985,6 +1066,83 @@ mod tests {
         o.confidences[0] = f64::INFINITY;
         cl.step(&o);
         assert!(cl.deferral_errors.is_empty());
+    }
+
+    const TWIN_BATCHES: [usize; 4] = [1, 2, 4, 8];
+    const TWIN_GRID: [f64; 4] = [0.0, 0.25, 0.5, 0.75];
+
+    /// Checks `edit` of the plan the enumerator serves for a two-tier tick
+    /// that eight workers carry comfortably, against `edit`'s inputs.
+    fn check_edited_plan(edit: impl FnOnce(&mut LadderInputs<'_>, &mut LadderAllocation)) {
+        let settings = RunSettings::new(Policy::DiffServe, 8.0);
+        let config = SystemConfig {
+            batch_sizes: TWIN_BATCHES.to_vec(),
+            ..small_config()
+        };
+        let profiles = vec![
+            LatencyProfile::new(0.10, 0.55),
+            LatencyProfile::new(1.78, 0.12),
+        ];
+        let stages = stages(profiles.clone(), vec![0.01], &settings, &config);
+        let deferral = uniform_profile();
+        let mut inputs = LadderInputs {
+            demand_qps: 2.0,
+            queue_delays: vec![0.0, 0.0],
+            slo: 8.0,
+            total_workers: 8,
+            deferrals: vec![&deferral],
+            tiers: profiles,
+            discriminator_latency: vec![0.01],
+            batch_sizes: &TWIN_BATCHES,
+            thresholds: &TWIN_GRID,
+            max_raise_per_solve: None,
+            direct_fractions: Vec::new(),
+        };
+        let mut plan = solve_ladder(&inputs, false, &mut LadderWarmState::default())
+            .expect("eight workers carry two queries a second");
+        assert!(plan.feasible);
+        edit(&mut inputs, &mut plan);
+        check_plan(&stages, None, &inputs, &plan);
+    }
+
+    #[test]
+    fn the_plan_twin_accepts_the_served_plan() {
+        check_edited_plan(|_, _| {});
+        // An infinite SLO lifts Eq. 1 whatever the queue delays.
+        check_edited_plan(|inputs, _| {
+            inputs.slo = f64::INFINITY;
+            inputs.queue_delays = vec![1e9, 1e9];
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "Eq. 4")]
+    fn the_plan_twin_rejects_more_workers_than_the_fleet() {
+        check_edited_plan(|inputs, plan| plan.workers[1] += inputs.total_workers);
+    }
+
+    #[test]
+    #[should_panic(expected = "Eqs. 2")]
+    fn the_plan_twin_rejects_a_tier_short_of_capacity() {
+        check_edited_plan(|inputs, _| inputs.demand_qps *= 1000.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Eq. 1")]
+    fn the_plan_twin_rejects_a_cascade_over_the_slo() {
+        check_edited_plan(|inputs, _| inputs.queue_delays[1] = inputs.slo);
+    }
+
+    #[test]
+    #[should_panic(expected = "off the grid")]
+    fn the_plan_twin_rejects_an_off_grid_threshold() {
+        check_edited_plan(|_, plan| plan.thresholds[0] = 0.3);
+    }
+
+    #[test]
+    #[should_panic(expected = "no candidate")]
+    fn the_plan_twin_rejects_a_batch_that_is_no_candidate() {
+        check_edited_plan(|_, plan| plan.batches[0] = 3);
     }
 
     proptest::proptest! {

@@ -645,7 +645,19 @@ impl<'a> Kernel<'a> {
             }
         };
         let (confidence, image) = match row {
-            Some(i) => (self.scores[tier][i], None),
+            Some(i) => {
+                let confidence = self.scores[tier][i];
+                // The score table's twin: the boundary's confidence in the
+                // tabled render, bit for bit.
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    confidence.to_bits(),
+                    disc.confidence(&self.renders[tier].image(i).features)
+                        .to_bits(),
+                    "score table diverged at tier {tier} row {i}"
+                );
+                (confidence, None)
+            }
             None => {
                 let image = self.models[tier].generate(&prompt());
                 (disc.confidence(&image.features), Some(image.into()))

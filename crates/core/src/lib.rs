@@ -20,9 +20,9 @@
 //! * [`config`] — cluster/controller configuration.
 //! * [`policy`] — DiffServe and the Table 1 baselines (Clipper-Light/Heavy,
 //!   Proteus, DiffServe-Static) plus the Fig. 8 allocator ablations.
-//! * [`allocator`] — the resource manager: MILP formulation (via
-//!   `diffserve-milp`), an exhaustive grid solver, the Proteus allocator,
-//!   and the overload fallback.
+//! * [`allocator`] — the resource manager: the enumerating planners every
+//!   tick runs (two-tier, N-tier ladder, Proteus, overload fallbacks) and
+//!   the Eq. 1–5 MILP formulation (via `diffserve-milp`) that checks them.
 //! * [`control`] — the backend-agnostic control plane: demand estimation →
 //!   online/offline deferral-profile estimation → allocation planning,
 //!   driven each control interval by both execution engines.
@@ -111,5 +111,5 @@ pub mod prelude {
         ArrivalStream, BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend,
         ServingSession, SessionBuilder, SessionSnapshot, SessionSpec,
     };
-    pub use crate::sim::{run_scenario, run_trace, AllocatorBackend, RunSettings};
+    pub use crate::sim::{run_scenario, run_trace, RunSettings};
 }

@@ -364,7 +364,7 @@ pub struct SessionSpec<'a> {
     pub runtime: &'a CascadeRuntime,
     /// Cluster and controller configuration (validated).
     pub config: SystemConfig,
-    /// Policy, ablations, allocator backend, peak-demand hint (validated).
+    /// Policy, ablations, peak-demand hint (validated).
     pub settings: RunSettings,
     /// Perturbation schedule replayed by the backend (validated against
     /// `config.num_workers`).
@@ -490,8 +490,8 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Replaces the [`RunSettings`] — policy, peak demand, ablations and
-    /// allocator backend — that [`SessionBuilder::policy`] and
+    /// Replaces the [`RunSettings`] — policy, peak demand and ablations —
+    /// that [`SessionBuilder::policy`] and
     /// [`SessionBuilder::peak_demand`] write into (default:
     /// [`RunSettings::new`] for [`Policy::DiffServe`] at 1.0 QPS).
     pub fn settings(mut self, settings: RunSettings) -> Self {

@@ -148,8 +148,8 @@ impl Problem {
     }
 
     /// Adds a linear constraint `Σ coef·var  sense  rhs` and returns its
-    /// row index (the handle [`set_rhs`](Self::set_rhs) and
-    /// [`set_coefficient`](Self::set_coefficient) take).
+    /// row index (the handle [`set_coefficient`](Self::set_coefficient)
+    /// takes).
     ///
     /// Repeated variables in `terms` are accumulated.
     ///
@@ -184,25 +184,13 @@ impl Problem {
         self.constraints.len() - 1
     }
 
-    /// Replaces the right-hand side of constraint `row`.
-    ///
-    /// Together with [`set_coefficient`](Self::set_coefficient),
-    /// [`set_upper_bound`](Self::set_upper_bound) and
-    /// [`set_objective_coefficient`](Self::set_objective_coefficient) this
-    /// lets a controller build a problem shape once and re-aim its numbers
-    /// at each related solve. None of them changes the column or row
-    /// layout, so a [`Basis`](crate::Basis) from an earlier solve still
-    /// fits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `rhs` is non-finite.
-    pub fn set_rhs(&mut self, row: usize, rhs: f64) {
-        assert!(rhs.is_finite(), "constraint rhs must be finite");
-        self.constraints[row].rhs = rhs;
-    }
-
     /// Replaces the coefficient of `var` in constraint `row`.
+    ///
+    /// Together with [`set_upper_bound`](Self::set_upper_bound) and
+    /// [`set_objective_coefficient`](Self::set_objective_coefficient) this
+    /// lets a caller build a problem shape once and re-aim its numbers at
+    /// each related solve. None of them changes the column or row layout,
+    /// so a [`Basis`](crate::Basis) from an earlier solve still fits.
     ///
     /// # Panics
     ///
@@ -305,40 +293,6 @@ impl Problem {
     pub fn upper_bounds(&self) -> Vec<f64> {
         self.vars.iter().map(|v| v.upper).collect()
     }
-
-    /// Whether `other` is this problem bit for bit, names aside: the same
-    /// direction, variable kinds and bounds, rows (terms in order, sense,
-    /// right-hand side) and objective, every number compared by its bit
-    /// pattern. A problem re-aimed in place and one built afresh for the
-    /// same numbers must compare equal here, or they could solve
-    /// differently.
-    pub fn bitwise_eq(&self, other: &Problem) -> bool {
-        let bits = |x: f64| x.to_bits();
-        self.direction == other.direction
-            && self.vars.len() == other.vars.len()
-            && self.vars.iter().zip(&other.vars).all(|(a, b)| {
-                a.kind == b.kind && bits(a.lower) == bits(b.lower) && bits(a.upper) == bits(b.upper)
-            })
-            && self.constraints.len() == other.constraints.len()
-            && self
-                .constraints
-                .iter()
-                .zip(&other.constraints)
-                .all(|(a, b)| {
-                    a.sense == b.sense
-                        && bits(a.rhs) == bits(b.rhs)
-                        && a.terms.len() == b.terms.len()
-                        && a.terms
-                            .iter()
-                            .zip(&b.terms)
-                            .all(|((va, ca), (vb, cb))| va == vb && bits(*ca) == bits(*cb))
-                })
-            && self
-                .objective
-                .iter()
-                .map(|&c| bits(c))
-                .eq(other.objective.iter().map(|&c| bits(c)))
-    }
 }
 
 impl fmt::Display for Problem {
@@ -413,41 +367,15 @@ mod tests {
         let active = p.add_constraint("active", &[(x, 1.0), (b, -8.0)], Sense::Le, 0.0);
         let need = p.add_constraint("need", &[(x, 2.0)], Sense::Ge, 3.0);
         assert_eq!((active, need), (0, 1));
-        p.set_rhs(need, 5.0);
         p.set_coefficient(active, b, -3.0);
         p.set_upper_bound(x, 3.0);
         p.set_objective(&[(x, 1.0)]);
         p.set_objective_coefficient(b, 0.5);
-        assert_eq!(p.constraints[need].rhs, 5.0);
+        assert_eq!(p.constraints[need].rhs, 3.0);
         assert_eq!(p.constraints[active].terms, vec![(x, 1.0), (b, -3.0)]);
         assert_eq!(p.upper_bounds(), vec![3.0, 1.0]);
         assert_eq!(p.objective, vec![1.0, 0.5]);
         assert_eq!((p.num_vars(), p.num_constraints()), (2, 2));
-    }
-
-    #[test]
-    fn bitwise_equality_compares_every_number_by_its_bits() {
-        let build = |rhs: f64| {
-            let mut p = Problem::new(Direction::Minimize);
-            let x = p.add_var("x", VarKind::Integer, 0.0, 8.0);
-            let row = p.add_constraint("c", &[(x, 2.0)], Sense::Le, rhs);
-            p.set_objective(&[(x, 1.0)]);
-            (p, x, row)
-        };
-        let (mut a, x, row) = build(3.0);
-        let (b, ..) = build(5.0);
-        assert!(!a.bitwise_eq(&b));
-        a.set_rhs(row, 5.0);
-        assert!(a.bitwise_eq(&b), "re-aimed in place equals built afresh");
-        // `==` would call these equal; their bits differ.
-        a.set_objective_coefficient(x, -0.0);
-        let (mut c, ..) = build(5.0);
-        c.set_objective_coefficient(x, 0.0);
-        assert!(!a.bitwise_eq(&c));
-        a.set_objective_coefficient(x, 0.0);
-        assert!(a.bitwise_eq(&c));
-        c.set_upper_bound(x, 7.0);
-        assert!(!a.bitwise_eq(&c));
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //!
 //! * two tiers (Cascade 1): every policy × the five planner ablations
 //!   (default, AIMD batches, no queuing model, nameplate capacity, static
-//!   threshold) × both allocator backends × online profile refresh on/off
-//!   × latent resume on/off;
+//!   threshold) × online profile refresh on/off × latent resume on/off;
 //! * three tiers (`ladder3`): the two cascade policies over the same axes,
 //!   and once more with every query carrying an explicit prompt — a
 //!   dataset prompt, one whose id names a dataset row but whose seed
@@ -18,8 +17,8 @@
 //! prompt-difficulty shift) and is hashed over its decision fields only:
 //! counts, latencies, the violation / demand / threshold /
 //! deferral-error series, the resume aggregates and the per-tier
-//! breakdown without its FID. One row of the table folds the eight
-//! backend × online × resume runs of one (ladder, policy, ablation).
+//! breakdown without its FID. One row of the table folds the four
+//! online × resume runs of one (ladder, policy, ablation).
 //!
 //! Regenerating: `cargo test --release --test control_matrix -- --ignored
 //! --nocapture` prints the current table; paste it over `EXPECTED`.
@@ -229,8 +228,8 @@ impl Row {
         format!("{tiers}/{}/{}", self.policy.name(), self.ablation)
     }
 
-    /// Serves the scenario under both backends × online refresh × resume
-    /// and folds the eight reports into one hash.
+    /// Serves the scenario under online refresh × resume and folds the
+    /// four reports into one hash.
     fn fingerprint(&self, scenario: &Scenario) -> u64 {
         let runtime = if self.ladder {
             ladder_runtime()
@@ -238,26 +237,23 @@ impl Row {
             cascade_runtime()
         };
         let mut h = Fnv::new();
-        for backend in [AllocatorBackend::Exhaustive, AllocatorBackend::Milp] {
-            for online_profile_refresh in [false, true] {
-                for resume_from_latents in [false, true] {
-                    let system = SystemConfig {
-                        num_workers: WORKERS,
-                        online_profile_refresh,
-                        resume_from_latents,
-                        ..Default::default()
-                    };
-                    let settings = RunSettings {
-                        knobs: self.knobs,
-                        backend,
-                        ..RunSettings::new(self.policy, scenario.effective_trace().max_qps())
-                    };
-                    h.report(&if self.explicit {
-                        run_explicit(runtime, &system, &settings, scenario)
-                    } else {
-                        run_scenario(runtime, &system, &settings, scenario)
-                    });
-                }
+        for online_profile_refresh in [false, true] {
+            for resume_from_latents in [false, true] {
+                let system = SystemConfig {
+                    num_workers: WORKERS,
+                    online_profile_refresh,
+                    resume_from_latents,
+                    ..Default::default()
+                };
+                let settings = RunSettings {
+                    knobs: self.knobs,
+                    ..RunSettings::new(self.policy, scenario.effective_trace().max_qps())
+                };
+                h.report(&if self.explicit {
+                    run_explicit(runtime, &system, &settings, scenario)
+                } else {
+                    run_scenario(runtime, &system, &settings, scenario)
+                });
             }
         }
         h.0
@@ -266,46 +262,46 @@ impl Row {
 
 /// `(row name, decision hash)` in [`rows`] order.
 const EXPECTED: [(&str, u64); 37] = [
-    ("2/Clipper-Light/default", 0x297e2479797e00c5),
-    ("2/Clipper-Light/aimd", 0x297e2479797e00c5),
-    ("2/Clipper-Light/no-queue-model", 0x297e2479797e00c5),
-    ("2/Clipper-Light/nameplate", 0x297e2479797e00c5),
-    ("2/Clipper-Light/static-threshold", 0x297e2479797e00c5),
-    ("2/Clipper-Heavy/default", 0x589b7a7b08a17375),
-    ("2/Clipper-Heavy/aimd", 0x589b7a7b08a17375),
-    ("2/Clipper-Heavy/no-queue-model", 0x589b7a7b08a17375),
-    ("2/Clipper-Heavy/nameplate", 0x589b7a7b08a17375),
-    ("2/Clipper-Heavy/static-threshold", 0x589b7a7b08a17375),
-    ("2/Proteus/default", 0x2367219a6346f315),
-    ("2/Proteus/aimd", 0xa0d11fae65288fe5),
-    ("2/Proteus/no-queue-model", 0xbc29bb9f332e1915),
-    ("2/Proteus/nameplate", 0x9c2c764c7a2afd25),
-    ("2/Proteus/static-threshold", 0x2367219a6346f315),
-    ("2/DiffServe-Static/default", 0xe2b994d9c115c33d),
-    ("2/DiffServe-Static/aimd", 0xe2b994d9c115c33d),
-    ("2/DiffServe-Static/no-queue-model", 0xe2b994d9c115c33d),
-    ("2/DiffServe-Static/nameplate", 0xe2b994d9c115c33d),
-    ("2/DiffServe-Static/static-threshold", 0x2f30a17e2fc1e2ad),
-    ("2/DiffServe/default", 0x7c27060e7288f931),
-    ("2/DiffServe/aimd", 0xcbef4e2606e819d5),
-    ("2/DiffServe/no-queue-model", 0x93ecf7e3d7b7c72d),
-    ("2/DiffServe/nameplate", 0xc9473041c3f73f75),
-    ("2/DiffServe/static-threshold", 0x4ac3945ecba25a55),
-    ("3/DiffServe/default", 0x86237bef97045155),
-    ("3/DiffServe/aimd", 0x42d2bf1b9a2b3705),
-    ("3/DiffServe/no-queue-model", 0x42d2bf1b9a2b3705),
-    ("3/DiffServe/nameplate", 0xd48a470a6c624f55),
-    ("3/DiffServe/static-threshold", 0x8817920e2db2f3a5),
-    ("3/DiffServe-Static/default", 0xf78bee45eb2208ad),
-    ("3/DiffServe-Static/aimd", 0xf78bee45eb2208ad),
-    ("3/DiffServe-Static/no-queue-model", 0xf78bee45eb2208ad),
-    ("3/DiffServe-Static/nameplate", 0xf78bee45eb2208ad),
-    ("3/DiffServe-Static/static-threshold", 0x317411c64d31aad5),
-    ("3/DiffServe/explicit", 0xfecebc4b1b60ea65),
-    ("3/DiffServe-Static/explicit", 0x975ac64526caadc5),
+    ("2/Clipper-Light/default", 0xa84d9fe797ff29b5),
+    ("2/Clipper-Light/aimd", 0xa84d9fe797ff29b5),
+    ("2/Clipper-Light/no-queue-model", 0xa84d9fe797ff29b5),
+    ("2/Clipper-Light/nameplate", 0xa84d9fe797ff29b5),
+    ("2/Clipper-Light/static-threshold", 0xa84d9fe797ff29b5),
+    ("2/Clipper-Heavy/default", 0x0b061da2fac1753d),
+    ("2/Clipper-Heavy/aimd", 0x0b061da2fac1753d),
+    ("2/Clipper-Heavy/no-queue-model", 0x0b061da2fac1753d),
+    ("2/Clipper-Heavy/nameplate", 0x0b061da2fac1753d),
+    ("2/Clipper-Heavy/static-threshold", 0x0b061da2fac1753d),
+    ("2/Proteus/default", 0xdecbd81cf359c8ed),
+    ("2/Proteus/aimd", 0xd11a6b6665d56b45),
+    ("2/Proteus/no-queue-model", 0x8a0cd68d060337ed),
+    ("2/Proteus/nameplate", 0x84c39256c4569025),
+    ("2/Proteus/static-threshold", 0xdecbd81cf359c8ed),
+    ("2/DiffServe-Static/default", 0x3d97f4f20dfe5239),
+    ("2/DiffServe-Static/aimd", 0x3d97f4f20dfe5239),
+    ("2/DiffServe-Static/no-queue-model", 0x3d97f4f20dfe5239),
+    ("2/DiffServe-Static/nameplate", 0x3d97f4f20dfe5239),
+    ("2/DiffServe-Static/static-threshold", 0x5cfb072f114bae29),
+    ("2/DiffServe/default", 0x8bb4559dfeb5c100),
+    ("2/DiffServe/aimd", 0xf4bf26928fc88081),
+    ("2/DiffServe/no-queue-model", 0xed518b9bee3eebd9),
+    ("2/DiffServe/nameplate", 0x77e11d0a7153779e),
+    ("2/DiffServe/static-threshold", 0xbb993864f085f03d),
+    ("3/DiffServe/default", 0x16557337b108f611),
+    ("3/DiffServe/aimd", 0xbb1ff548dac9fbb5),
+    ("3/DiffServe/no-queue-model", 0xbb1ff548dac9fbb5),
+    ("3/DiffServe/nameplate", 0x1a4110d7cdb4035d),
+    ("3/DiffServe/static-threshold", 0x4945e72b69c5e545),
+    ("3/DiffServe-Static/default", 0xe6e8267cb2a3ce91),
+    ("3/DiffServe-Static/aimd", 0xe6e8267cb2a3ce91),
+    ("3/DiffServe-Static/no-queue-model", 0xe6e8267cb2a3ce91),
+    ("3/DiffServe-Static/nameplate", 0xe6e8267cb2a3ce91),
+    ("3/DiffServe-Static/static-threshold", 0x7113a1cf5afcc11d),
+    ("3/DiffServe/explicit", 0xd08ec87433b5e205),
+    ("3/DiffServe-Static/explicit", 0xd0efd6d24b31d0f5),
 ];
 
-/// Every row's eight runs must hash to the value captured before the
+/// Every row's four runs must hash to the value captured before the
 /// control plane last changed.
 #[test]
 fn control_decisions_match_the_matrix() {

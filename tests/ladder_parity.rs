@@ -13,9 +13,10 @@
 //!    thread-based cluster testbed must agree on where traffic settles:
 //!    per-tier escalation counts within a loose wall-clock tolerance,
 //!    mirroring the paper's §4.3 sim-vs-testbed validation.
-//! 3. **Solver parity** — the MILP and exhaustive allocator backends make
-//!    the same plan on every control tick of a real ladder session, so
-//!    the whole run is bit-identical under either.
+//! 3. **Solver parity** — the MILP oracle plans every control tick of a
+//!    real ladder session as the served enumerator does (debug builds
+//!    assert it on each tick), and the run reports what it did when both
+//!    served it.
 
 use diffserve::prelude::*;
 use diffserve_imagegen::TierLadder;
@@ -202,11 +203,13 @@ fn sim_and_cluster_agree_on_ladder_escalations() {
 
 /// Every control tick of a `ladder_control`-shaped session — 3-tier
 /// ladder, latent resume, add-ons, online profile refresh, 16 workers on a
-/// 2–16 qps diurnal trace — is a real allocator instance. The MILP and
-/// exhaustive backends must plan each one identically, so the two runs'
-/// reports must agree to the bit, in every field.
+/// 2–16 qps diurnal trace — is a real allocator instance. Debug builds
+/// re-plan each one through the MILP oracle and check it against Eq. 1–5,
+/// and the report is pinned: its `Debug` text hashes to what the session
+/// reported when the MILP and the enumerator both served it and reported
+/// identically.
 #[test]
-fn milp_and_exhaustive_backends_serve_a_ladder_session_identically() {
+fn a_ladder_session_plans_every_tick_as_the_oracle_does() {
     let system = SystemConfig {
         num_workers: 16,
         ladder: Some(LadderConfig::default()),
@@ -221,17 +224,15 @@ fn milp_and_exhaustive_backends_serve_a_ladder_session_identically() {
         duration: SimDuration::from_secs(300),
     })
     .expect("valid trace");
-    let run = |backend| {
-        let settings = RunSettings {
-            backend,
-            ..RunSettings::new(Policy::DiffServe, trace.max_qps())
-        };
-        run_trace(ladder3_runtime(), &system, &settings, &trace)
-    };
-    let milp = run(AllocatorBackend::Milp);
-    let exhaustive = run(AllocatorBackend::Exhaustive);
-    assert!(milp.total_queries > 1000, "{}", milp.total_queries);
-    assert_eq!(format!("{milp:?}"), format!("{exhaustive:?}"));
+    let settings = RunSettings::new(Policy::DiffServe, trace.max_qps());
+    let report = run_trace(ladder3_runtime(), &system, &settings, &trace);
+    assert_eq!((report.total_queries, report.completed), (2397, 2308));
+    let fnv = format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        });
+    assert_eq!(fnv, 0xee5a_7ae3_f734_b398);
 }
 
 /// A 3-tier DiffServe session on the simulator, drained: its completions,

@@ -28,21 +28,25 @@
 //! process that replays 1000 workers on a 60–500 qps Azure trace and polls
 //! every 2 simulated seconds; between the first poll and the last, the
 //! session must make fewer than 0.1 allocations per polled outcome.
-//! Measured over ≈ 125 K outcomes: 0.043 (0.073 before control ticks stopped
-//! allocating). When each completion copied its row into a fresh
-//! `Vec`: 1.073. Debug builds re-render every completion to check the
-//! render table, which allocates, so that test passes vacuously there.
+//! Measured over ≈ 125 K outcomes: 0.047 (0.043 while the two-tier
+//! enumerator re-derived its stage numbers instead of tabling them per
+//! tick; 0.073 before control ticks stopped allocating). When each
+//! completion copied its row into a fresh `Vec`: 1.073. Debug builds
+//! re-render every completion to check the render table, which
+//! allocates, so that test passes vacuously there.
 //!
-//! Nor does a steady-state control tick allocate more than a few times. The
-//! MILP planner keeps its residual knapsack, its simplex tableaus and its
-//! scratch from tick to tick, and the tick's observation reuses its
-//! vectors. The check drives a session as the repo benchmark does, to 1 µs
-//! before each control tick and then to the tick, counts only the second
-//! call, and must read at most 32 allocations per tick on two `Milp` rows:
-//! the benchmark's `ladder_control` configuration (a 3-tier ladder at 16
-//! workers with resume, add-ons and online profile refresh) and a two-tier
-//! cascade at 8 workers. Measured: 13.4 and 6.1. When every probe rebuilt
-//! its knapsack and every solve its tableaus: 233.7 and 142.7.
+//! Nor does a steady-state control tick allocate more than a few times.
+//! The ladder planner keeps its stage table and its odometer's buffers
+//! from tick to tick, and the tick's observation reuses its vectors. The
+//! check drives a session as the repo benchmark does, to 1 µs before each
+//! control tick and then to the tick, counts only the second call, and
+//! must read at most 32 allocations per tick on two enumerator-planned
+//! rows: the benchmark's `ladder_control` configuration (a 3-tier ladder
+//! at 16 workers with resume, add-ons and online profile refresh) and a
+//! two-tier cascade at 8 workers. Measured: 12.1 and 7.1 (12.8 and 6.1
+//! when the MILP served both rows with its knapsack, tableaus and scratch
+//! kept; 233.7 and 142.7 when every probe rebuilt its knapsack and every
+//! solve its tableaus).
 //!
 //! Linux only (`VmHWM` from `/proc/self/status`), release only in practice
 //! (≈ 10 s there), so the tests are `#[ignore]`d:
@@ -228,9 +232,9 @@ fn allocation_child() {
     println!("{ALLOCATIONS_TAG}{}", last - first);
 }
 
-/// The tick child's half: one `Milp` session of the row the environment
-/// names, driven to 1 µs before each control tick and then to the tick.
-/// Prints the ticks after the first and the allocations their calls made.
+/// The tick child's half: one session of the row the environment names,
+/// driven to 1 µs before each control tick and then to the tick. Prints
+/// the ticks after the first and the allocations their calls made.
 #[test]
 #[ignore = "child process of ticks_allocate_a_bounded_amount"]
 fn tick_child() {
@@ -274,10 +278,7 @@ fn tick_child() {
         other => panic!("unknown row {other}"),
     };
     let trace = trace.unwrap();
-    let settings = RunSettings {
-        backend: AllocatorBackend::Milp,
-        ..RunSettings::new(Policy::DiffServe, trace.max_qps())
-    };
+    let settings = RunSettings::new(Policy::DiffServe, trace.max_qps());
     let mut session = ServingSession::builder()
         .runtime(&runtime)
         .config(config.clone())
@@ -399,10 +400,10 @@ fn completions_allocate_nothing() {
 }
 
 #[test]
-#[ignore = "two MILP-planned replays in child processes; needs --release"]
+#[ignore = "two replays in child processes; needs --release"]
 fn ticks_allocate_a_bounded_amount() {
     if cfg!(debug_assertions) {
-        return; // The kept residual's debug twin rebuilds it, and allocates.
+        return; // The plan's MILP oracle twin builds its problems, and allocates.
     }
     for row in ["ladder", "two_tier"] {
         let (ticks, allocations) = run_in_child("tick_child", TICK_CHILD_ENV, row, ALLOCATIONS_TAG);

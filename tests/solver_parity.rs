@@ -1,20 +1,21 @@
-//! Property tests: the MILP allocator and the exhaustive grid allocator are
-//! interchangeable — same optimal threshold on randomized inputs — the
-//! allocator respects its own constraints, the MILP allocator's
-//! tick-to-tick state never changes a plan, and the MILP backend serves a
-//! fleet-scale replay exactly as the exhaustive one does.
+//! Property tests: the MILP oracle and the exhaustive grid allocator that
+//! serves are interchangeable — same optimal threshold on randomized
+//! inputs — the allocator respects its own constraints, the oracle's
+//! tick-to-tick state never changes a plan, and a fleet-scale replay,
+//! checked against the oracle on every tick, reports what it always has.
 //!
-//! The fleet-scale replay needs release mode, so it is `#[ignore]`d:
+//! The fleet-scale replay needs release codegen, so it is `#[ignore]`d;
+//! the `verify` profile keeps debug assertions on, so the oracle and plan
+//! twins check every tick:
 //!
 //! ```sh
-//! cargo test --release --test solver_parity -- --ignored
+//! cargo test --profile verify --test solver_parity -- --ignored
 //! ```
 
 use diffserve::imagegen::{DeferralProfile, LatencyProfile};
 use diffserve::prelude::{
-    cascade1, run_trace, synthesize_azure_trace, AllocatorBackend, AzureTraceConfig,
-    CascadeRuntime, DiscriminatorConfig, FeatureSpec, Policy, RunSettings, SimDuration,
-    SystemConfig,
+    cascade1, run_trace, synthesize_azure_trace, AzureTraceConfig, CascadeRuntime,
+    DiscriminatorConfig, FeatureSpec, Policy, RunSettings, SimDuration, SystemConfig,
 };
 use diffserve::serving::{
     solve_exhaustive, solve_milp_allocation, solve_milp_allocation_warm, AllocWarmState,
@@ -244,13 +245,23 @@ proptest! {
     }
 }
 
-/// The MILP backend at fleet scale: a `fleet_diurnal`-shaped replay — 1000
-/// workers, the Azure diurnal trace at 60–500 qps over 1200 s, ≈ 295 K
-/// queries — finishes under [`AllocatorBackend::Milp`], and its report
-/// equals [`AllocatorBackend::Exhaustive`]'s in every field.
+/// FNV-1a over the bytes of `text`.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// The served allocator at fleet scale: a `fleet_diurnal`-shaped replay —
+/// 1000 workers, the Azure diurnal trace at 60–500 qps over 1200 s,
+/// ≈ 295 K queries. Built with debug assertions (the `verify` profile),
+/// every control tick is re-planned by the MILP oracle and checked against
+/// Eq. 1–5, and the report is pinned: its `Debug` text hashes to what the
+/// replay reported when the MILP and the enumerator both served it and
+/// reported identically.
 #[test]
-#[ignore = "two fleet-scale replays; needs --release"]
-fn milp_backend_serves_a_fleet_replay_like_exhaustive() {
+#[ignore = "a fleet-scale replay; needs release codegen"]
+fn a_fleet_replay_plans_every_tick_as_the_oracle_does() {
     let runtime = CascadeRuntime::prepare(
         cascade1(FeatureSpec::default()),
         1500,
@@ -271,15 +282,8 @@ fn milp_backend_serves_a_fleet_replay_like_exhaustive() {
         duration: SimDuration::from_secs(1200),
     })
     .expect("valid trace");
-    let run = |backend| {
-        let settings = RunSettings {
-            backend,
-            ..RunSettings::new(Policy::DiffServe, trace.max_qps())
-        };
-        run_trace(&runtime, &config, &settings, &trace)
-    };
-    let milp = run(AllocatorBackend::Milp);
-    let exhaustive = run(AllocatorBackend::Exhaustive);
-    assert!(milp.total_queries > 200_000, "{}", milp.total_queries);
-    assert_eq!(format!("{milp:?}"), format!("{exhaustive:?}"));
+    let settings = RunSettings::new(Policy::DiffServe, trace.max_qps());
+    let report = run_trace(&runtime, &config, &settings, &trace);
+    assert_eq!((report.total_queries, report.completed), (294_829, 294_675));
+    assert_eq!(fnv(&format!("{report:?}")), 0x74ad_9e84_f405_02d0);
 }
