@@ -17,7 +17,10 @@
 //! ([`solve_milp_allocation`], on `diffserve-milp`) and its knapsack
 //! searches ([`solve_milp_allocation_warm`], `solve_ladder` with `milp`)
 //! are the oracle: tests, and debug builds on every served tick, assert
-//! that they plan exactly what the enumerators plan.
+//! that they plan exactly what the enumerators plan. An oracle search
+//! keeps its solver state to itself: its probes share one remembered
+//! point, and only the two-tier search's threshold pin
+//! ([`AllocWarmState`]) reaches the next tick.
 
 use diffserve_imagegen::{DeferralProfile, LatencyProfile};
 use diffserve_milp::{
@@ -285,12 +288,9 @@ pub fn solve_exhaustive(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
 }
 
 /// Tick-to-tick state for the oracle's [`solve_milp_allocation_warm`]:
-/// one [`WarmStart`] handle, carried across every probe and optimality
-/// solve tick after tick, and the threshold the next tick's search starts
-/// from (the "pin").
+/// the threshold the next tick's search starts from (the "pin").
 #[derive(Debug, Clone, Default)]
 pub struct AllocWarmState {
-    milp: WarmStart,
     pin: Option<f64>,
 }
 
@@ -301,9 +301,8 @@ impl AllocWarmState {
         AllocWarmState::default()
     }
 
-    /// Drop all carried state; the next search starts cold.
+    /// Drop the pin; the next search starts from the grid floor.
     pub fn clear(&mut self) {
-        self.milp.clear();
         self.pin = None;
     }
 
@@ -722,8 +721,8 @@ fn two_tier_latency_budget(inputs: &AllocatorInputs<'_>) -> f64 {
 
 /// The oracle's search for the two-tier plan: the largest feasible
 /// threshold and the optimal plan there, searched over the two-tier
-/// `BatchKnapsack` (built on each call) with tick-to-tick state carried
-/// in an [`AllocWarmState`].
+/// `BatchKnapsack` (built on each call), starting from the threshold
+/// pinned in an [`AllocWarmState`].
 ///
 /// Feasibility at a fixed threshold level is monotone: the only
 /// level-dependent number is Eq. 3's deferred load `D·f(t_l)`, and `f` is
@@ -733,16 +732,16 @@ fn two_tier_latency_budget(inputs: &AllocatorInputs<'_>) -> f64 {
 /// no longer on the grid, or the previous tick was infeasible — asking
 /// each probe only *whether* the level is feasible (`find_feasible`, which
 /// re-aims just the heavy selectors), and solves to optimality once, at
-/// the largest feasible level. Every solve goes through the state's one
-/// [`WarmStart`], so a re-solve is a short dual-simplex reoptimization
-/// from the previous basis, or no LP at all when the remembered point
-/// still fits.
+/// the largest feasible level. The call's probes and its optimality solve
+/// share one [`WarmStart`] of their own: a probe whose level the last
+/// witness still fits solves no LP, and the witnesses seed the optimality
+/// solve's incumbent. Nothing of it outlives the call.
 ///
 /// The plan is [`solve_exhaustive`]'s at any fleet size: the largest
 /// feasible threshold, then the lexicographically smallest batch pair,
 /// minimal light workers and every spare on the heavy tier. Below ≈ 91
-/// workers it is also the full MILP's ([`solve_milp_allocation`]). Warm
-/// starting changes solve time, never the plan.
+/// workers it is also the full MILP's ([`solve_milp_allocation`]). The pin
+/// changes where the search starts, never the plan.
 ///
 /// Returns `None` if no level is feasible.
 pub fn solve_milp_allocation_warm(
@@ -758,14 +757,14 @@ pub fn solve_milp_allocation_warm(
     let table = StageTable::two_tier(inputs, true);
     let mut knapsack = BatchKnapsack::two_tier(inputs, &table);
     let d = inputs.demand_qps.max(1e-9);
-    let warm = &mut state.milp;
+    let mut warm = WarmStart::new();
     let best = largest_feasible_level(inputs.thresholds.len(), l0, |l| {
         knapsack.aim(1, d * table.deferred(0, l));
-        find_feasible(&knapsack.problem, &options, warm).is_ok()
+        find_feasible(&knapsack.problem, &options, &mut warm).is_ok()
     });
     let alloc = best.map(|l| {
         knapsack.aim(1, d * table.deferred(0, l));
-        let sol = solve_milp_warm(&knapsack.problem, &options, warm)
+        let sol = solve_milp_warm(&knapsack.problem, &options, &mut warm)
             .expect("the level was just probed feasible");
         let mut plan = knapsack.plan(&sol.values);
         let ((j, light_workers), (k, _)) = (
@@ -957,8 +956,8 @@ pub struct LadderAllocation {
 
 /// Tick-to-tick state for [`solve_ladder`]: the previous tick's optimal
 /// threshold levels (seeding the per-boundary gallop), the worker split it
-/// actuated, what a solve works in, and — for the MILP oracle only — one
-/// shared [`WarmStart`] handle carried across its residual solves.
+/// actuated, and what the enumeration works in. The MILP oracle carries
+/// nothing else from tick to tick.
 #[derive(Debug, Clone, Default)]
 pub struct LadderWarmState {
     levels: Option<Vec<usize>>,
@@ -966,7 +965,6 @@ pub struct LadderWarmState {
     /// it whenever it still covers every tier's minimal need, so demand
     /// noise does not flap workers (each move burns a model-switch delay).
     workers: Option<Vec<usize>>,
-    milp: WarmStart,
     /// What a solve works in, kept so that ticks do not allocate it anew.
     probe: ProbeScratch,
 }
@@ -981,7 +979,6 @@ impl LadderWarmState {
     pub fn clear(&mut self) {
         self.levels = None;
         self.workers = None;
-        self.milp.clear();
     }
 }
 
@@ -1076,7 +1073,9 @@ struct LadderProbe<'a, 'i> {
     /// The oracle's fixed-level residual ([`BatchKnapsack::ladder`]),
     /// built for this call; `None` for the enumeration that serves.
     residual: Option<BatchKnapsack>,
-    warm: &'a mut WarmStart,
+    /// The oracle's remembered point, shared by this call's probes and
+    /// its optimality solve.
+    warm: WarmStart,
     /// Feasibility verdicts of this tick: the level vectors probed, back
     /// to back, and the verdict on each. Only an identical vector hits:
     /// monotonicity could answer more probes from their neighbours, but
@@ -1089,12 +1088,7 @@ struct LadderProbe<'a, 'i> {
 }
 
 impl<'a, 'i> LadderProbe<'a, 'i> {
-    fn new(
-        inputs: &'a LadderInputs<'i>,
-        milp: bool,
-        warm: &'a mut WarmStart,
-        scratch: &'a mut ProbeScratch,
-    ) -> Self {
+    fn new(inputs: &'a LadderInputs<'i>, milp: bool, scratch: &'a mut ProbeScratch) -> Self {
         scratch.table.fill_ladder(inputs);
         scratch.memo_levels.clear();
         scratch.memo.clear();
@@ -1103,7 +1097,7 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
             residual: milp.then(|| BatchKnapsack::ladder(inputs, &scratch.table)),
             table: &scratch.table,
             odometer: &mut scratch.odometer,
-            warm,
+            warm: WarmStart::new(),
             memo_levels: &mut scratch.memo_levels,
             memo: &mut scratch.memo,
             demands: &mut scratch.demands,
@@ -1133,7 +1127,7 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
         self.demands_at(levels);
         let verdict = match &self.residual {
             Some(residual) => {
-                find_feasible(&residual.problem, &MilpOptions::default(), self.warm).is_ok()
+                find_feasible(&residual.problem, &MilpOptions::default(), &mut self.warm).is_ok()
             }
             None => {
                 ladder_fixed_exhaustive(self.inputs, self.table, self.demands, true, self.odometer)
@@ -1151,7 +1145,8 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
         match &self.residual {
             Some(residual) => {
                 let sol =
-                    solve_milp_warm(&residual.problem, &MilpOptions::default(), self.warm).ok()?;
+                    solve_milp_warm(&residual.problem, &MilpOptions::default(), &mut self.warm)
+                        .ok()?;
                 Some(
                     residual
                         .plan(&sol.values)
@@ -1191,8 +1186,8 @@ impl<'a, 'i> LadderProbe<'a, 'i> {
 /// Serving ticks answer every probe by enumerating batch tuples over the
 /// tick's table, kept in `state` with the odometer's buffers. With `milp`
 /// — the oracle — the residual is one [`Problem`], built per call and
-/// re-aimed per probe, with one [`WarmStart`] carried across every probe,
-/// tick after tick; the plan is the same.
+/// re-aimed per probe, and the call's probes and optimality solve share
+/// one [`WarmStart`] of their own; the plan is the same.
 ///
 /// Spare workers land on the deepest tier. Returns `None` when even the
 /// all-lowest-levels ladder is infeasible; callers then fall back to
@@ -1208,7 +1203,7 @@ pub fn solve_ladder(
         Some(l) if l.len() == nb && l.iter().all(|&x| x < nt) => Some(l),
         _ => None,
     };
-    let mut probe = LadderProbe::new(inputs, milp, &mut state.milp, &mut state.probe);
+    let mut probe = LadderProbe::new(inputs, milp, &mut state.probe);
     let mut levels = warm_levels.clone().unwrap_or_else(|| vec![0; nb]);
     // Re-anchor on a feasible point: the warm levels may have drifted
     // infeasible, and all-lowest-levels is the least-demand ladder — if
@@ -1952,16 +1947,16 @@ mod tests {
     }
 
     /// The solver-effort contract every allocator MILP rests on: a search
-    /// refactorizes at most once and solves cold at most once, both at its
-    /// root (a cold handle: never and once), so no child — in particular
-    /// none the dual simplex certified infeasible — is re-solved cold.
-    /// Returns how many children the searches certified infeasible.
+    /// solves cold at most once, at its root (none when a remembered point
+    /// answers a probe outright), so no child — in particular none the
+    /// dual simplex certified infeasible — is re-solved cold. Returns how
+    /// many children the searches certified infeasible.
     fn check_root_only_effort(problem: &Problem, carried: &mut WarmStart) -> usize {
         let options = MilpOptions::default();
         let mut certified = 0;
         let cold = solve_milp(problem, &options).map(|sol| sol.effort);
         if let Ok(effort) = cold {
-            assert_eq!((effort.refactorizations, effort.cold_solves), (0, 1));
+            assert_eq!(effort.cold_solves, 1);
             certified += effort.certified_infeasible;
         }
         for effort in [
@@ -1972,10 +1967,7 @@ mod tests {
             let Ok(effort) = effort else {
                 continue;
             };
-            assert!(
-                effort.refactorizations <= 1 && effort.cold_solves <= 1,
-                "a child fell back: {effort:?}"
-            );
+            assert!(effort.cold_solves <= 1, "a child fell back: {effort:?}");
             certified += effort.certified_infeasible;
         }
         certified
@@ -1984,9 +1976,10 @@ mod tests {
     /// The Eq. 1–5 oracle's branch & bound tree, pinned: four seeded
     /// instances (demand, queue delays, fleet, SLO, resume discount and a
     /// skewed deferral profile all drawn) must expand exactly the nodes and
-    /// do exactly the LP work they did when this was written. What the
-    /// solver keeps between nodes (tableaus, scratch) may change how fast a
-    /// node is solved, never which nodes are searched.
+    /// do exactly the LP work they did when this was pinned (branching on
+    /// the most fractional variable, near-ties within `1e-9` to the lowest
+    /// index). How the solver stores a node may change how fast it is
+    /// solved, never which nodes are searched.
     #[test]
     fn the_oracles_branch_and_bound_tree_is_pinned() {
         use diffserve_milp::SolveEffort;
@@ -1996,15 +1989,14 @@ mod tests {
         let effort = |lp_solves, pivots, certified_infeasible| SolveEffort {
             lp_solves,
             pivots,
-            refactorizations: 0,
             cold_solves: 1,
             certified_infeasible,
         };
         let pinned = [
-            (11, 805, effort(1417, 1597, 612)),
-            (23, 326, effort(433, 1158, 107)),
-            (37, 88, effort(147, 818, 59)),
-            (41, 262, effort(461, 534, 199)),
+            (11, 682, effort(1129, 1581, 447)),
+            (23, 312, effort(377, 1145, 65)),
+            (37, 317, effort(425, 2143, 108)),
+            (41, 115, effort(165, 363, 50)),
         ];
         for (seed, nodes, effort) in pinned {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -2055,7 +2047,7 @@ mod tests {
     }
 
     #[test]
-    fn residual_searches_pay_for_refactorization_and_cold_solves_only_at_the_root() {
+    fn residual_searches_solve_cold_only_at_the_root() {
         let batches = [1usize, 2, 4, 8, 16];
         let thresholds = grid(26, 0.9);
         let deferral = uniform_profile();

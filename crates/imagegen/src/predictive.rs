@@ -153,7 +153,17 @@ impl OnlinePredictiveRouter {
     /// The text embedding this router sees for `prompt`.
     fn embedding(&self, prompt: &Prompt) -> [f64; TEXT_DIM] {
         let z = match self.draws.as_deref().and_then(|d| d.get(prompt)) {
-            Some(z) => *z,
+            Some(z) => {
+                // The draw table's twin: the prompt's own draws, bit for bit.
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    z.map(f64::to_bits),
+                    embedding_draws(prompt.seed).map(f64::to_bits),
+                    "embedding draw table diverged at prompt {}",
+                    prompt.id
+                );
+                *z
+            }
             None => embedding_draws(prompt.seed),
         };
         text_embedding(prompt, &z, self.config.observation_noise)

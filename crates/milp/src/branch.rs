@@ -1,13 +1,21 @@
 //! Branch & bound over the simplex LP relaxation.
+//!
+//! Each search solves its root relaxation cold; every node below it
+//! continues from its parent's solved tableau ([`LpSolver::solve_child`]).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::problem::{Direction, Problem, Sense, VarId, VarKind};
-use crate::simplex::{Basis, LpSolver, SolveEffort, SolveError, Tableau};
+use crate::simplex::{LpSolver, SolveEffort, SolveError, Tableau};
 
 /// Tolerance within which an LP value counts as integral.
 pub const INT_TOL: f64 = 1e-6;
+
+/// How much more fractional than the best candidate so far a variable
+/// must be to be branched on instead: two relaxations that differ only in
+/// round-off then branch on the same variable.
+const TIE_TOL: f64 = 1e-9;
 
 /// Options controlling the branch & bound search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,49 +48,33 @@ pub struct MilpSolution {
     /// `true` when the search completed (solution proved optimal); `false`
     /// when the node limit stopped the search with an incumbent in hand.
     pub proved_optimal: bool,
-    /// What the search cost: LP solves, pivots, refactorizations, cold
-    /// two-phase solves and certified-infeasible children. Below the root
-    /// every node continues from its parent's tableau, so
-    /// `refactorizations ≤ 1`, and `cold_solves` beyond a cold root counts
-    /// the children that fell back.
+    /// What the search cost: LP solves, pivots, cold two-phase solves and
+    /// certified-infeasible children. The root is the one cold solve a
+    /// search plans for; any more are children that fell back.
     pub effort: SolveEffort,
 }
 
-/// Carry-over state for warm-starting successive related solves.
+/// The point a run of related solves remembers.
 ///
-/// Controllers re-solve the same MILP shape every tick with slowly moving
-/// coefficients (the demand estimate drifts; the constraint structure is
-/// fixed), so the previous tick's optimum is usually still feasible — and
-/// very often still optimal. [`solve_milp_warm`] remembers the last
-/// solution here and seeds the next branch & bound search with it: the
-/// search starts with an incumbent in hand, pruning from the first node,
-/// and when the root relaxation already proves the remembered point
-/// optimal the solve returns after a single LP (no branching at all).
+/// Controllers re-solve the same MILP shape with slowly moving
+/// coefficients, so the last optimum is often still feasible, and often
+/// still optimal. [`solve_milp_warm`] remembers its solution here and
+/// seeds the next search's incumbent with it: the search prunes from its
+/// first node, and when the root relaxation already proves the remembered
+/// point optimal it returns after that one LP (no branching at all).
 ///
 /// [`find_feasible`] goes through the same handle: a remembered point that
 /// is still feasible *is* the answer to a feasibility question, so such a
 /// probe returns without solving a single LP, and whatever witness a
 /// probe finds is remembered for the next call of either kind.
 ///
-/// The handle is defensive by construction: a remembered point is
-/// re-validated against the *current* problem (dimensions, bounds,
-/// integrality, every constraint) before it is used, and a remembered
-/// basis is structurally validated and refactorized against it by the
-/// simplex layer (once, at the root of the search), so a stale or
-/// mismatched hint degrades to a cold solve rather than a wrong answer.
-///
-/// It also keeps what its searches work in — the [`LpSolver`] with its
-/// spare tableaus, the open-node heap, spare value vectors — so that a
-/// controller solving through one handle tick after tick stops allocating
-/// once its searches stop growing. None of that changes an answer.
+/// A remembered point is re-validated against the *current* problem
+/// (dimensions, bounds, integrality, every constraint) before it is used,
+/// so a stale or mismatched one costs a cold search, never a wrong answer.
+/// Nothing else is carried: every search solves its root LP cold.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     previous: Option<Vec<f64>>,
-    /// The incumbent's optimal simplex basis from the previous solve;
-    /// seeds the root LP so a steady-state re-solve is a handful of dual
-    /// pivots instead of a full two-phase run.
-    basis: Option<Basis>,
-    work: Workspace,
 }
 
 impl WarmStart {
@@ -94,7 +86,6 @@ impl WarmStart {
     /// Forgets the remembered solution; the next solve runs cold.
     pub fn clear(&mut self) {
         self.previous = None;
-        self.basis = None;
     }
 
     /// Whether a previous solution is currently remembered.
@@ -112,38 +103,6 @@ impl WarmStart {
     /// lets [`solve_milp_warm`] manage the handle).
     pub fn set_previous(&mut self, values: Option<Vec<f64>>) {
         self.previous = values;
-    }
-
-    /// The remembered simplex basis, if any.
-    pub fn basis(&self) -> Option<&Basis> {
-        self.basis.as_ref()
-    }
-
-    /// Overrides the remembered basis (testing hook for staled bases).
-    pub fn set_basis(&mut self, basis: Option<Basis>) {
-        self.basis = basis;
-    }
-}
-
-/// What one search works in, kept between the searches of a
-/// [`WarmStart`]: the LP solver (re-laid per problem) with its spare
-/// tableaus, the open-node heap, the problem's bounds, and spare value
-/// vectors.
-#[derive(Debug, Clone, Default)]
-struct Workspace {
-    lp: Option<LpSolver>,
-    heap: BinaryHeap<Node>,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    values: Vec<Vec<f64>>,
-}
-
-impl Workspace {
-    /// An empty value vector: a spare one when there is one.
-    fn take_values(&mut self) -> Vec<f64> {
-        let mut values = self.values.pop().unwrap_or_default();
-        values.clear();
-        values
     }
 }
 
@@ -247,11 +206,10 @@ impl Ord for Node {
 /// # Ok::<(), diffserve_milp::SolveError>(())
 /// ```
 pub fn solve_milp(problem: &Problem, options: &MilpOptions) -> Result<MilpSolution, SolveError> {
-    let mut work = Workspace::default();
-    solve_seeded(problem, options, Goal::Optimal, None, &mut None, &mut work)
+    solve_seeded(problem, options, Goal::Optimal, None)
 }
 
-/// [`solve_milp`] with tick-to-tick state carried in a [`WarmStart`].
+/// [`solve_milp`] seeded with the point remembered in a [`WarmStart`].
 ///
 /// The previous solution remembered in `warm` (if any, and if still
 /// feasible for `problem`) seeds the branch & bound incumbent; on success
@@ -273,18 +231,8 @@ pub fn solve_milp_warm(
     options: &MilpOptions,
     warm: &mut WarmStart,
 ) -> Result<MilpSolution, SolveError> {
-    let sol = solve_seeded(
-        problem,
-        options,
-        Goal::Optimal,
-        warm.previous.as_deref(),
-        &mut warm.basis,
-        &mut warm.work,
-    )?;
-    match &mut warm.previous {
-        Some(previous) => previous.clone_from(&sol.values),
-        None => warm.previous = Some(sol.values.clone()),
-    }
+    let sol = solve_seeded(problem, options, Goal::Optimal, warm.previous())?;
+    warm.previous = Some(sol.values.clone());
     Ok(sol)
 }
 
@@ -304,8 +252,7 @@ pub fn solve_milp_warm(
 /// the verdict). When the point remembered in `warm` is still feasible
 /// for `problem` it answers at once, without an LP (`lp_solves == 0`).
 /// Searches that bisect on feasibility (the ladder allocator's threshold
-/// probes) ask this instead of paying for an optimum they never read. The
-/// witness's basis is remembered in `warm` too.
+/// probes) ask this instead of paying for an optimum they never read.
 ///
 /// # Errors
 ///
@@ -315,24 +262,10 @@ pub fn find_feasible(
     options: &MilpOptions,
     warm: &mut WarmStart,
 ) -> Result<SolveEffort, SolveError> {
-    let mut sol = solve_seeded(
-        problem,
-        options,
-        Goal::Feasible,
-        warm.previous.as_deref(),
-        &mut warm.basis,
-        &mut warm.work,
-    )?;
-    // No node expanded: the remembered point answered, and stays. Otherwise
-    // the witness moves in, and the point it displaces is spare.
+    let sol = solve_seeded(problem, options, Goal::Feasible, warm.previous())?;
+    // No node expanded: the remembered point answered, and stays.
     if sol.nodes > 0 {
-        match &mut warm.previous {
-            Some(previous) => {
-                std::mem::swap(previous, &mut sol.values);
-                warm.work.values.push(sol.values);
-            }
-            None => warm.previous = Some(sol.values),
-        }
+        warm.previous = Some(sol.values);
     }
     Ok(sol.effort)
 }
@@ -346,19 +279,15 @@ enum Goal {
     Feasible,
 }
 
-/// Core search, working in `work`. `basis` seeds the root LP; whenever
-/// the search finds a better incumbent than the seeded one (or the root
-/// proves the seed optimal), that LP's basis replaces it, so on success
-/// `basis` is the answer's. A [`Goal::Feasible`] search that the seed
-/// answers returns it with no values and `nodes == 0`, since the seed is
-/// where the caller keeps it.
+/// Core search, with `hint` as the seed incumbent when it is still an
+/// integral feasible point of `problem`. A [`Goal::Feasible`] search that
+/// the seed answers returns it with no values and `nodes == 0`, since the
+/// seed is where the caller keeps it.
 fn solve_seeded(
     problem: &Problem,
     options: &MilpOptions,
     goal: Goal,
     hint: Option<&[f64]>,
-    basis: &mut Option<Basis>,
-    work: &mut Workspace,
 ) -> Result<MilpSolution, SolveError> {
     for v in problem.vars.iter().filter(|v| v.kind == VarKind::Integer) {
         assert!(
@@ -368,58 +297,25 @@ fn solve_seeded(
         );
     }
 
-    // Seed the incumbent from the warm-start hint when it is still an
-    // integral feasible point of *this* problem.
     let seeded = hint.filter(|values| usable_incumbent(problem, values));
     if goal == Goal::Feasible && seeded.is_some() {
         // A still-feasible remembered point answers the question outright.
         return Ok(integral_point(problem, Vec::new(), 0, false));
     }
-    let incumbent = seeded.map(|values| {
-        let mut point = work.take_values();
-        point.extend_from_slice(values);
-        integral_point(problem, point, 0, false)
-    });
+    let incumbent = seeded.map(|values| integral_point(problem, values.to_vec(), 0, false));
 
     // The bound-independent part of the LP is laid out once per search;
     // the root and every node below it solve through it.
-    let Workspace {
-        lp,
-        heap,
-        lower,
-        upper,
-        values,
-    } = work;
-    let lp = match lp {
-        Some(lp) => {
-            lp.lay_out(problem);
-            lp
-        }
-        None => lp.insert(LpSolver::new(problem)),
-    };
-    lower.clear();
-    lower.extend(problem.vars.iter().map(|v| v.lower));
-    upper.clear();
-    upper.extend(problem.vars.iter().map(|v| v.upper));
     let mut search = Search {
         problem,
         options,
         goal,
-        lp,
-        heap,
-        spare: values,
-        basis,
+        lp: LpSolver::new(problem),
+        heap: BinaryHeap::new(),
     };
-    let found = search.run(lower, upper, incumbent);
-    // Whatever the search left open goes back to the spares.
-    for node in search.heap.drain() {
-        search.lp.recycle(node.tableau);
-        search.spare.push(node.values);
-    }
-    found.map(|mut solution| {
-        solution.effort = search.lp.effort();
-        solution
-    })
+    let mut solution = search.run(incumbent)?;
+    solution.effort = search.lp.effort();
+    Ok(solution)
 }
 
 /// `values` snapped to an integral point of `problem`, with its objective
@@ -452,18 +348,13 @@ fn integral_point(
     }
 }
 
-/// One branch & bound search over one [`LpSolver`], in a workspace's
-/// buffers.
+/// One branch & bound search over one [`LpSolver`].
 struct Search<'a> {
     problem: &'a Problem,
     options: &'a MilpOptions,
     goal: Goal,
-    lp: &'a mut LpSolver,
-    heap: &'a mut BinaryHeap<Node>,
-    /// Spare value vectors.
-    spare: &'a mut Vec<Vec<f64>>,
-    /// The root's warm start, then the incumbent's basis.
-    basis: &'a mut Option<Basis>,
+    lp: LpSolver,
+    heap: BinaryHeap<Node>,
 }
 
 impl Search<'_> {
@@ -475,56 +366,20 @@ impl Search<'_> {
         }
     }
 
-    /// Records `t`'s basis as the incumbent's.
-    fn keep_basis(&mut self, t: &Tableau) {
-        match self.basis {
-            Some(b) => t.basis_into(b),
-            None => *self.basis = Some(t.basis()),
-        }
-    }
-
-    /// Hands a node's buffers back.
-    fn recycle(&mut self, node: Node) {
-        self.lp.recycle(node.tableau);
-        self.spare.push(node.values);
-    }
-
-    fn run(
-        &mut self,
-        root_lower: &[f64],
-        root_upper: &[f64],
-        mut incumbent: Option<MilpSolution>,
-    ) -> Result<MilpSolution, SolveError> {
+    fn run(&mut self, mut incumbent: Option<MilpSolution>) -> Result<MilpSolution, SolveError> {
         let gap = self.options.gap;
-        // The one solve that may refactorize: the hint is a basis from
-        // another tick, whose coefficients may have moved since.
-        let root = match self.lp.solve(root_lower, root_upper, self.basis.as_ref()) {
-            Ok(root) => root,
-            Err(e) => {
-                if let Some(s) = incumbent {
-                    self.spare.push(s.values);
-                }
-                return Err(e);
-            }
-        };
-        let mut values = self.spare.pop().unwrap_or_default();
-        self.lp.values_into(&root, &mut values);
+        let root = self
+            .lp
+            .solve(&self.problem.lower_bounds(), &self.problem.upper_bounds())?;
+        let values = self.lp.values(&root);
         let score = self.norm(self.lp.objective(&values));
         if let Some(best) = &incumbent {
             // Fast path: the root bound already proves the seeded incumbent
-            // optimal (within the gap) — no branching needed. The root basis
-            // is this tick's optimal basis: carry it instead of the hint.
+            // optimal (within the gap) — no branching needed.
             if score <= self.norm(best.objective) + gap {
                 let mut s = incumbent.take().expect("just matched Some");
                 s.nodes = 1;
                 s.proved_optimal = true;
-                self.keep_basis(&root);
-                self.recycle(Node {
-                    dive: 0,
-                    score,
-                    values,
-                    tableau: root,
-                });
                 return Ok(s);
             }
         }
@@ -539,7 +394,6 @@ impl Search<'_> {
 
         while let Some(node) = self.heap.pop() {
             if nodes >= self.options.node_limit {
-                self.recycle(node);
                 return match incumbent {
                     Some(mut s) => {
                         s.nodes = nodes;
@@ -554,79 +408,61 @@ impl Search<'_> {
             // Prune against the incumbent.
             if let Some(best) = &incumbent {
                 if node.score <= self.norm(best.objective) + gap {
-                    self.recycle(node);
                     continue;
                 }
             }
 
-            // Find the most fractional integer variable.
-            let mut branch_var = None;
-            let mut best_frac = INT_TOL;
+            // Find the most fractional integer variable; one that beats
+            // the best so far by no more than `TIE_TOL` loses to it, so
+            // near-ties go to the lowest index whatever the round-off.
+            let mut branch: Option<(usize, f64)> = None;
             for (j, v) in self.problem.vars.iter().enumerate() {
                 if v.kind != VarKind::Integer {
                     continue;
                 }
                 let x = node.values[j];
                 let frac = (x - x.round()).abs();
-                if frac > best_frac {
-                    best_frac = frac;
-                    branch_var = Some(j);
+                if frac > branch.map_or(INT_TOL, |(_, best)| best + TIE_TOL) {
+                    branch = Some((j, frac));
                 }
             }
 
-            let Node {
-                dive,
-                values,
-                tableau,
-                ..
-            } = node;
-            match branch_var {
+            match branch {
                 None => {
                     // Integral: snap and record as incumbent if better.
-                    let point = integral_point(self.problem, values, nodes, true);
+                    let point = integral_point(self.problem, node.values, nodes, true);
                     if self.goal == Goal::Feasible {
-                        let witness = MilpSolution {
+                        return Ok(MilpSolution {
                             proved_optimal: false,
                             ..point
-                        };
-                        self.keep_basis(&tableau);
-                        self.lp.recycle(tableau);
-                        return Ok(witness);
+                        });
                     }
                     let better = incumbent
                         .as_ref()
                         .is_none_or(|b| self.norm(point.objective) > self.norm(b.objective) + gap);
                     if better {
-                        self.keep_basis(&tableau);
-                        if let Some(old) = incumbent.replace(point) {
-                            self.spare.push(old.values);
-                        }
-                    } else {
-                        self.spare.push(point.values);
+                        incumbent = Some(point);
                     }
-                    self.lp.recycle(tableau);
                 }
-                Some(j) => {
+                Some((j, _)) => {
                     let var = VarId(j);
-                    let floor = values[j].floor();
-                    let (lower, upper) = tableau.bounds(var);
+                    let floor = node.values[j].floor();
+                    let (lower, upper) = node.tableau.bounds(var);
                     let cutoff = incumbent
                         .as_ref()
                         .map(|best| self.norm(best.objective) + gap);
                     let dive = match self.goal {
                         Goal::Optimal => 0,
-                        Goal::Feasible => dive + 1,
+                        Goal::Feasible => node.dive + 1,
                     };
                     // Down branch: x <= floor.
                     if lower <= floor {
-                        self.push_child(&tableau, var, (lower, floor), dive, cutoff);
+                        self.push_child(&node.tableau, var, (lower, floor), dive, cutoff);
                     }
                     // Up branch: x >= floor + 1.
                     if floor + 1.0 <= upper {
-                        self.push_child(&tableau, var, (floor + 1.0, upper), dive, cutoff);
+                        self.push_child(&node.tableau, var, (floor + 1.0, upper), dive, cutoff);
                     }
-                    self.lp.recycle(tableau);
-                    self.spare.push(values);
                 }
             }
         }
@@ -660,20 +496,17 @@ impl Search<'_> {
         let Ok(tableau) = self.lp.solve_child(parent, var, bounds.0, bounds.1) else {
             return;
         };
-        let mut values = self.spare.pop().unwrap_or_default();
-        self.lp.values_into(&tableau, &mut values);
+        let values = self.lp.values(&tableau);
         let score = self.norm(self.lp.objective(&values));
-        let node = Node {
+        if cutoff.is_some_and(|c| score <= c) {
+            return; // Bound: can't beat the incumbent.
+        }
+        self.heap.push(Node {
             dive,
             score,
             values,
             tableau,
-        };
-        if cutoff.is_some_and(|c| score <= c) {
-            self.recycle(node); // Bound: can't beat the incumbent.
-            return;
-        }
-        self.heap.push(node);
+        });
     }
 }
 
@@ -993,7 +826,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1305);
         let opts = MilpOptions::default();
         // One handle carried across every trial: by the next trial its
-        // point and basis are stale, and often the wrong dimension.
+        // point is stale, and often the wrong dimension.
         let mut carried = WarmStart::new();
         let (mut feasible, mut infeasible) = (0, 0);
         for trial in 0..120 {

@@ -10,12 +10,13 @@
 //! Callers that only need to know *whether* an integral point exists ask
 //! [`find_feasible`], which runs the same search but stops at the first
 //! one.
-//! Related solves restart from what the last one left behind instead of
-//! running two phases from scratch: a tick-to-tick controller re-solve
-//! refactorizes the previous optimum's [`Basis`] once, at its root, and
-//! every branch & bound child below continues from its parent's solved
-//! [`Tableau`] with a few dual-simplex pivots ([`LpSolver`]). What a
-//! search cost is on its solution as a [`SolveEffort`].
+//! A search solves its root relaxation cold, with two phases; every
+//! branch & bound child below it continues from its parent's solved
+//! [`Tableau`] with a few dual-simplex pivots ([`LpSolver`]), and falls
+//! back to a cold solve when those are not sure of the answer. Related
+//! searches share only a remembered integral point ([`WarmStart`]), which
+//! seeds the next search's incumbent. What a search cost is on its
+//! solution as a [`SolveEffort`].
 //!
 //! The DiffServe allocation instances are tiny by MILP standards (tens of
 //! integer variables, tens of constraints), and the paper reports ~10 ms
@@ -53,6 +54,5 @@ pub use branch::{
 };
 pub use problem::{Direction, Problem, Sense, VarId, VarKind};
 pub use simplex::{
-    solve_lp, solve_lp_with_bounds, Basis, ColStatus, LpSolution, LpSolver, SolveEffort,
-    SolveError, Tableau,
+    solve_lp, solve_lp_with_bounds, LpSolution, LpSolver, SolveEffort, SolveError, Tableau,
 };

@@ -190,7 +190,8 @@ impl Problem {
     /// [`set_objective_coefficient`](Self::set_objective_coefficient) this
     /// lets a caller build a problem shape once and re-aim its numbers at
     /// each related solve. None of them changes the column or row layout,
-    /// so a [`Basis`](crate::Basis) from an earlier solve still fits.
+    /// so a point a [`WarmStart`](crate::WarmStart) remembers from an
+    /// earlier solve still names the same variables.
     ///
     /// # Panics
     ///

@@ -8,38 +8,30 @@
 //! `=` → slack fixed at zero), so the tableau has exactly one row per
 //! constraint and no artificial or bound rows. That keeps the DiffServe
 //! allocator LP at ~18 rows instead of the ~90 the old
-//! substitution-based formulation produced, and — more importantly — it
-//! makes the column layout independent of the bound values, so a basis
-//! from one solve can restart a related solve (branch & bound children,
-//! tick-to-tick controller re-solves) via [`Basis`].
+//! substitution-based formulation produced, and it makes the column
+//! layout independent of the bound values, so a tableau solved under one
+//! bound vector is a valid start under another.
 //!
-//! Cold solves run a composite phase 1 (minimize the total bound
-//! violation of the basics with a first-breakpoint ratio test) followed
-//! by a primal phase 2. A warm solve reoptimizes with a bounded dual
-//! simplex, and there are two ways into it. A [`Basis`] carried over from
-//! another solve — whose coefficients may have moved since — is
-//! refactorized against this problem first ([`LpSolver::solve`]). A
-//! branch & bound child skips that: it differs from its parent by one
-//! bound, so it copies the parent's solved [`Tableau`], applies the bound
-//! change to it, and pivots on from there ([`LpSolver::solve_child`]);
-//! the bound-independent part of the LP is built once per [`LpSolver`].
-//! An [`LpSolver`] also outlives its problem: [`LpSolver::lay_out`] re-lays
-//! a re-aimed problem of any shape into the buffers the last one used, and
-//! the tableaus a search is done with come back through
-//! [`LpSolver::recycle`], so a solver carried from search to search stops
-//! allocating once it has seen the largest one.
+//! An LP solved from its bounds ([`LpSolver::solve`]) is solved cold: a
+//! composite phase 1 (minimize the total bound violation of the basics
+//! with a first-breakpoint ratio test) followed by a primal phase 2. The
+//! one warm path is a branch & bound child ([`LpSolver::solve_child`]): it
+//! differs from its parent by one bound, so it copies the parent's solved
+//! [`Tableau`], applies the bound change to it, and reoptimizes with a
+//! bounded dual simplex. The bound-independent part of the LP is built
+//! once per [`LpSolver`].
 //!
-//! A warm solve returns one of three answers. An optimum is re-checked
-//! for primal and dual feasibility before it is handed back. When the
-//! dual simplex stops on a violated row that no column can repair, the
-//! row is checked as an infeasibility certificate — every nonbasic column
-//! moved to whichever bound helps the row most, the columns too small to
-//! pivot on charged their full range — and a certified row *is* the
-//! verdict. Anything else (a stale or singular basis, a marginal or
-//! doubtful certificate, an iteration limit, a failed re-check) falls
-//! back to refactorize → cold two-phase, so correctness never depends on
-//! the fast path. Entering variables use Dantzig's rule with a Bland
-//! fallback once the iteration count suggests degenerate cycling.
+//! A child's reoptimization returns one of three answers. An optimum is
+//! re-checked for primal and dual feasibility before it is handed back.
+//! When the dual simplex stops on a violated row that no column can
+//! repair, the row is checked as an infeasibility certificate — every
+//! nonbasic column moved to whichever bound helps the row most, the
+//! columns too small to pivot on charged their full range — and a
+//! certified row *is* the verdict. Anything else (a marginal or doubtful
+//! certificate, an iteration limit, a failed re-check) falls back to a
+//! cold two-phase solve under the child's bounds, so correctness never
+//! depends on the fast path. Entering variables use Dantzig's rule with a
+//! Bland fallback once the iteration count suggests degenerate cycling.
 
 use crate::problem::{Direction, Problem, Sense, VarId};
 
@@ -49,11 +41,9 @@ const TOL: f64 = 1e-9;
 /// Tolerance for primal feasibility decisions (bound violations).
 const FEAS_TOL: f64 = 1e-7;
 
-/// Tolerance for dual feasibility decisions on warm-started bases.
+/// Tolerance for dual feasibility decisions on a child's inherited
+/// tableau.
 const DUAL_TOL: f64 = 1e-7;
-
-/// Smallest pivot magnitude accepted when refactorizing a warm basis.
-const PIVOT_TOL: f64 = 1e-7;
 
 /// Margin by which a row must miss its bound, best case, before the dual
 /// simplex may call the LP infeasible on its own. Ten times [`FEAS_TOL`]:
@@ -86,7 +76,7 @@ impl std::error::Error for SolveError {}
 
 /// Where a column rests in a simplex basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColStatus {
+enum ColStatus {
     /// In the basis; its value lives in the corresponding tableau row.
     Basic,
     /// Nonbasic at its (finite) lower bound.
@@ -97,41 +87,6 @@ pub enum ColStatus {
     Free,
 }
 
-/// A simplex basis: one status per column (structurals first, then one
-/// slack per row) plus the basic column of each row.
-///
-/// Returned by every solve in [`LpSolution::basis`] and accepted back by
-/// [`solve_lp_with_bounds`] to warm-start a related solve. A basis is
-/// validated against the problem it is applied to — wrong shape, bound
-/// mismatch, or a singular column selection silently falls back to the
-/// cold two-phase solve, so a stale basis can cost time but never
-/// correctness.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Basis {
-    statuses: Vec<ColStatus>,
-    basic: Vec<usize>,
-}
-
-impl Basis {
-    /// Assembles a basis from raw parts: `statuses[j]` for each of the
-    /// `num_vars + num_constraints` columns and the basic column of each
-    /// row. No validation happens here — an inconsistent basis is
-    /// detected (and ignored) by the solve it is passed to.
-    pub fn from_parts(statuses: Vec<ColStatus>, basic: Vec<usize>) -> Self {
-        Basis { statuses, basic }
-    }
-
-    /// Number of columns this basis describes (structurals + slacks).
-    pub fn num_cols(&self) -> usize {
-        self.statuses.len()
-    }
-
-    /// Number of rows (= basic columns) this basis describes.
-    pub fn num_rows(&self) -> usize {
-        self.basic.len()
-    }
-}
-
 /// An optimal LP solution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
@@ -139,8 +94,6 @@ pub struct LpSolution {
     pub objective: f64,
     /// Optimal value of each variable, indexed by [`VarId::index`].
     pub values: Vec<f64>,
-    /// The optimal basis, reusable to warm-start a related solve.
-    pub basis: Basis,
 }
 
 /// Exact counts of the work one [`LpSolver`] has done — loop counters,
@@ -153,14 +106,10 @@ pub struct SolveEffort {
     pub lp_solves: usize,
     /// Simplex pivots (basis changes; bound flips are not counted).
     pub pivots: usize,
-    /// Gauss-Jordan refactorizations of a carried [`Basis`]. A search
-    /// needs at most one, at its root; any more are children that fell
-    /// back.
-    pub refactorizations: usize,
-    /// Cold two-phase solves: every solve without a usable warm start,
-    /// and every warm one that fell back.
+    /// Cold two-phase solves: every [`LpSolver::solve`], and every child
+    /// whose reoptimization fell back.
     pub cold_solves: usize,
-    /// Warm solves the dual simplex ended with a certified-infeasible row
+    /// Children the dual simplex ended with a certified-infeasible row
     /// (no cold re-solve).
     pub certified_infeasible: usize,
 }
@@ -172,27 +121,11 @@ pub struct SolveEffort {
 /// Returns [`SolveError::Infeasible`] or [`SolveError::Unbounded`] as
 /// appropriate, and [`SolveError::IterationLimit`] on pathological inputs.
 pub fn solve_lp(problem: &Problem) -> Result<LpSolution, SolveError> {
-    solve_lp_with_bounds(
-        problem,
-        &problem.lower_bounds(),
-        &problem.upper_bounds(),
-        None,
-    )
+    solve_lp_with_bounds(problem, &problem.lower_bounds(), &problem.upper_bounds())
 }
 
-/// Solves the LP relaxation with overridden variable bounds, optionally
-/// warm-started from a previous solve's [`Basis`].
-///
-/// This is [`LpSolver::solve`] on a solver built for the one call: the
-/// basis, if it fits, is refactorized against `problem` and reoptimized
-/// by the dual simplex, which either reaches the optimum or certifies
-/// that none exists; a basis that does not fit (wrong shape, statuses
-/// pointing at infinite bounds, singular) or a reoptimization that is not
-/// sure of its answer gives way to the cold two-phase solve. The warm
-/// path can never change the result, only the time to reach it. Branch &
-/// bound does not come through here per node — it keeps one [`LpSolver`]
-/// per search and continues each child from its parent's [`Tableau`] —
-/// but this is the path every such child falls back to.
+/// Solves the LP relaxation with overridden variable bounds: a cold
+/// [`LpSolver::solve`] on a solver built for the one call.
 ///
 /// # Errors
 ///
@@ -206,10 +139,9 @@ pub fn solve_lp_with_bounds(
     problem: &Problem,
     lower: &[f64],
     upper: &[f64],
-    warm: Option<&Basis>,
 ) -> Result<LpSolution, SolveError> {
     let mut solver = LpSolver::new(problem);
-    let t = solver.solve(lower, upper, warm)?;
+    let t = solver.solve(lower, upper)?;
     Ok(solver.solution(&t))
 }
 
@@ -218,13 +150,6 @@ pub fn solve_lp_with_bounds(
 /// number of variable-bound vectors. Everything here is independent of
 /// those bounds and built once per problem; the bounds travel with each
 /// [`Tableau`].
-///
-/// The solver keeps its buffers: the layout, the tableaus handed back
-/// through [`recycle`](Self::recycle), and the pricing, ratio-test and
-/// refactorization scratch. [`lay_out`](Self::lay_out) re-lays a problem
-/// into them, so a solver carried across searches (a
-/// [`WarmStart`](crate::WarmStart) carries one) allocates only while its
-/// problems still grow.
 #[derive(Debug, Clone)]
 pub struct LpSolver {
     /// Rows (constraints).
@@ -236,8 +161,8 @@ pub struct LpSolver {
     /// Original coefficient matrix, `m × n` row-major (slack identity
     /// included).
     a0: Vec<f64>,
-    /// Right-hand sides, unnormalized (no row flipping — the layout must
-    /// not depend on bound or rhs signs, or bases would not be reusable).
+    /// Right-hand sides, unnormalized (no row flipping, so the layout does
+    /// not depend on rhs signs).
     b: Vec<f64>,
     /// Slack bounds, one pair per row: the row's sense.
     slack_bounds: Vec<(f64, f64)>,
@@ -246,26 +171,12 @@ pub struct LpSolver {
     /// `+1` for minimize, `-1` for maximize (applied to costs).
     sign: f64,
     effort: SolveEffort,
-    /// Tableaus done with, reused by the next solve.
-    spare: Vec<Tableau>,
-    /// Reduced costs, one per column.
-    r: Vec<f64>,
-    /// Phase 1's violation direction, one per row.
-    d: Vec<f64>,
-    /// Refactorization scratch: the eliminated `[A | b]`, which rows a
-    /// basic column has claimed, the new row → column map, and which
-    /// columns the basis names.
-    fact_a: Vec<f64>,
-    fact_rhs: Vec<f64>,
-    assigned: Vec<bool>,
-    new_basis: Vec<usize>,
-    seen: Vec<bool>,
 }
 
 /// A solved LP relaxation: the tableau `B⁻¹A` at the optimum, the basic
 /// values, the column statuses, and the bounds it was solved under.
 /// [`LpSolver::solve_child`] continues from it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone)]
 pub struct Tableau {
     /// `B⁻¹A`, `m × n` row-major.
     a: Vec<f64>,
@@ -281,47 +192,10 @@ pub struct Tableau {
     upper: Vec<f64>,
 }
 
-impl Clone for Tableau {
-    fn clone(&self) -> Self {
-        Tableau {
-            a: self.a.clone(),
-            xb: self.xb.clone(),
-            basis: self.basis.clone(),
-            status: self.status.clone(),
-            lower: self.lower.clone(),
-            upper: self.upper.clone(),
-        }
-    }
-
-    /// Field by field, into the buffers `self` already has.
-    fn clone_from(&mut self, source: &Self) {
-        self.a.clone_from(&source.a);
-        self.xb.clone_from(&source.xb);
-        self.basis.clone_from(&source.basis);
-        self.status.clone_from(&source.status);
-        self.lower.clone_from(&source.lower);
-        self.upper.clone_from(&source.upper);
-    }
-}
-
 impl Tableau {
     /// The `[lower, upper]` bounds `var` was solved under.
     pub fn bounds(&self, var: VarId) -> (f64, f64) {
         (self.lower[var.0], self.upper[var.0])
-    }
-
-    /// The optimal basis, reusable to warm-start a related solve.
-    pub fn basis(&self) -> Basis {
-        Basis {
-            statuses: self.status.clone(),
-            basic: self.basis.clone(),
-        }
-    }
-
-    /// [`basis`](Self::basis), written into `out`'s buffers.
-    pub(crate) fn basis_into(&self, out: &mut Basis) {
-        out.statuses.clone_from(&self.status);
-        out.basic.clone_from(&self.basis);
     }
 
     /// The resting value of nonbasic column `j`.
@@ -335,21 +209,12 @@ impl Tableau {
     }
 }
 
-/// `v` cleared and refilled with `len` zeros, in the buffer it has. The
-/// pivoting loops take their scratch out of the solver this way (so the
-/// solver can be borrowed while the scratch is written) and put it back.
-fn zeroed(mut v: Vec<f64>, len: usize) -> Vec<f64> {
-    v.clear();
-    v.resize(len, 0.0);
-    v
-}
-
-/// Why a warm solve stopped short of an optimum.
+/// Why a child's reoptimization stopped short of an optimum.
 enum Stop {
     /// A violated row that no column movement can repair: the LP is
     /// infeasible, with [`CERT_TOL`] to spare.
     Infeasible,
-    /// Anything else; the cold path decides.
+    /// Anything else; the child is solved cold.
     Unsure,
 }
 
@@ -357,93 +222,43 @@ impl LpSolver {
     /// Lays out `problem`'s LP relaxation. Its own variable bounds are not
     /// read; every solve names the bounds it wants.
     pub fn new(problem: &Problem) -> LpSolver {
-        let mut solver = LpSolver {
-            m: 0,
-            n: 0,
-            ns: 0,
-            a0: Vec::new(),
-            b: Vec::new(),
-            slack_bounds: Vec::new(),
-            cost: Vec::new(),
-            sign: 1.0,
-            effort: SolveEffort::default(),
-            spare: Vec::new(),
-            r: Vec::new(),
-            d: Vec::new(),
-            fact_a: Vec::new(),
-            fact_rhs: Vec::new(),
-            assigned: Vec::new(),
-            new_basis: Vec::new(),
-            seen: Vec::new(),
-        };
-        solver.lay_out(problem);
-        solver
-    }
-
-    /// Re-lays this solver for `problem`, in place: afterwards it is what
-    /// [`new`](Self::new) would build, with its [`effort`](Self::effort)
-    /// back at zero, but the buffers it already has are reused. A
-    /// controller that re-aims one problem's numbers between solves lays
-    /// it out again before each.
-    pub fn lay_out(&mut self, problem: &Problem) {
         let ns = problem.num_vars();
         let m = problem.constraints.len();
         let n = ns + m;
-        self.a0.clear();
-        self.a0.resize(m * n, 0.0);
-        self.b.clear();
-        self.b.resize(m, 0.0);
-        self.slack_bounds.clear();
+        let mut a0 = vec![0.0; m * n];
+        let mut b = Vec::with_capacity(m);
+        let mut slack_bounds = Vec::with_capacity(m);
         for (i, c) in problem.constraints.iter().enumerate() {
             for &(v, coef) in &c.terms {
-                self.a0[i * n + v.0] += coef;
+                a0[i * n + v.0] += coef;
             }
-            self.a0[i * n + ns + i] = 1.0;
-            self.b[i] = c.rhs;
+            a0[i * n + ns + i] = 1.0;
+            b.push(c.rhs);
             // Sense as slack bounds: a·x + s = rhs.
-            self.slack_bounds.push(match c.sense {
+            slack_bounds.push(match c.sense {
                 Sense::Le => (0.0, f64::INFINITY),
                 Sense::Ge => (f64::NEG_INFINITY, 0.0),
                 Sense::Eq => (0.0, 0.0),
             });
         }
-        self.sign = match problem.direction {
+        let sign = match problem.direction {
             Direction::Minimize => 1.0,
             Direction::Maximize => -1.0,
         };
-        self.cost.clear();
-        self.cost.resize(n, 0.0);
-        for (c, &obj) in self.cost.iter_mut().zip(&problem.objective) {
-            *c = obj * self.sign;
+        let mut cost = vec![0.0; n];
+        for (c, &obj) in cost.iter_mut().zip(&problem.objective) {
+            *c = obj * sign;
         }
-        (self.m, self.n, self.ns) = (m, n, ns);
-        self.effort = SolveEffort::default();
-    }
-
-    /// Hands a tableau this solver returned back to it, for a later solve
-    /// to reuse.
-    pub fn recycle(&mut self, t: Tableau) {
-        self.spare.push(t);
-    }
-
-    /// A tableau to solve into: a recycled one when there is one.
-    fn take_tableau(&mut self) -> Tableau {
-        self.spare.pop().unwrap_or_default()
-    }
-
-    /// `result` with `t` attached, or `t` recycled when there is no
-    /// solution to attach it to.
-    fn finish(
-        &mut self,
-        t: Tableau,
-        result: Result<(), SolveError>,
-    ) -> Result<Tableau, SolveError> {
-        match result {
-            Ok(()) => Ok(t),
-            Err(e) => {
-                self.recycle(t);
-                Err(e)
-            }
+        LpSolver {
+            m,
+            n,
+            ns,
+            a0,
+            b,
+            slack_bounds,
+            cost,
+            sign,
+            effort: SolveEffort::default(),
         }
     }
 
@@ -452,9 +267,7 @@ impl LpSolver {
         self.effort
     }
 
-    /// Solves under the variable bounds `lower`/`upper`, warm-started from
-    /// `warm` when it fits: refactorize, reoptimize, and — unless that
-    /// ends in an optimum or a certified infeasibility — solve cold.
+    /// Solves cold under the variable bounds `lower`/`upper`.
     ///
     /// # Errors
     ///
@@ -464,32 +277,21 @@ impl LpSolver {
     ///
     /// Panics if the bound vectors do not match the number of variables or
     /// if any pair is inverted.
-    pub fn solve(
-        &mut self,
-        lower: &[f64],
-        upper: &[f64],
-        warm: Option<&Basis>,
-    ) -> Result<Tableau, SolveError> {
+    pub fn solve(&mut self, lower: &[f64], upper: &[f64]) -> Result<Tableau, SolveError> {
         assert_eq!(lower.len(), self.ns, "lower bounds length mismatch");
         assert_eq!(upper.len(), self.ns, "upper bounds length mismatch");
         for (j, (&l, &u)) in lower.iter().zip(upper).enumerate() {
             assert!(l <= u + TOL, "inverted bounds for variable {j}: [{l}, {u}]");
         }
         self.effort.lp_solves += 1;
-        let mut t = self.take_tableau();
         // Equal-within-tolerance but numerically inverted pairs clamp.
-        t.lower.clear();
-        t.lower
-            .extend(lower.iter().zip(upper).map(|(l, u)| l.min(*u)));
-        t.upper.clear();
-        t.upper.extend_from_slice(upper);
+        let mut lower: Vec<f64> = lower.iter().zip(upper).map(|(l, u)| l.min(*u)).collect();
+        let mut upper = upper.to_vec();
         for &(slo, sup) in &self.slack_bounds {
-            t.lower.push(slo);
-            t.upper.push(sup);
+            lower.push(slo);
+            upper.push(sup);
         }
-        let warm = warm.map(|basis| (&basis.statuses[..], &basis.basic[..]));
-        let result = self.solve_from(&mut t, warm);
-        self.finish(t, result)
+        self.solve_cold(lower, upper)
     }
 
     /// Solves `parent`'s LP with `var`'s bounds replaced by `[lower,
@@ -497,9 +299,8 @@ impl LpSolver {
     /// the parent's tableau: a bound change leaves it dual feasible (a
     /// basic `var` keeps every basic value where it is; a nonbasic one
     /// resting on the moved bound shifts them by `−α·Δ`), so the dual
-    /// simplex needs a handful of pivots and no refactorization. If that
-    /// ends unsure, the child is solved as [`solve`](Self::solve) would
-    /// from the parent's [`Basis`].
+    /// simplex needs a handful of pivots. If that ends unsure, the child
+    /// is solved cold under its own bounds.
     ///
     /// Meant for tightening; any other change is still answered
     /// correctly, because a tableau that lost dual feasibility is either
@@ -523,17 +324,13 @@ impl LpSolver {
         assert!(lower <= upper, "inverted bounds [{lower}, {upper}]");
         assert_eq!(parent.a.len(), self.m * self.n, "tableau shape mismatch");
         self.effort.lp_solves += 1;
-        let mut t = self.take_tableau();
-        t.clone_from(parent);
+        let mut t = parent.clone();
         self.rebound(&mut t, var.0, lower, upper);
-        let result = match self.reoptimize(&mut t) {
-            Ok(()) => Ok(()),
+        match self.reoptimize(&mut t) {
+            Ok(()) => Ok(t),
             Err(Stop::Infeasible) => Err(SolveError::Infeasible),
-            // `t` is under the child's bounds already; the fallback
-            // overwrites the rest of it.
-            Err(Stop::Unsure) => self.solve_from(&mut t, Some((&parent.status, &parent.basis))),
-        };
-        self.finish(t, result)
+            Err(Stop::Unsure) => self.solve_cold(t.lower, t.upper),
+        }
     }
 
     /// Reads the solution out of an optimal tableau.
@@ -542,30 +339,24 @@ impl LpSolver {
         LpSolution {
             objective: self.objective(&values),
             values,
-            basis: t.basis(),
         }
     }
 
     /// The value of every structural variable at `t`'s vertex.
     pub fn values(&self, t: &Tableau) -> Vec<f64> {
-        let mut values = Vec::with_capacity(self.ns);
-        self.values_into(t, &mut values);
-        values
-    }
-
-    /// [`values`](Self::values), written into `values`.
-    pub fn values_into(&self, t: &Tableau, values: &mut Vec<f64>) {
-        values.clear();
-        values.extend((0..self.ns).map(|j| match t.status[j] {
-            ColStatus::Basic => 0.0,
-            _ => t.nb_val(j),
-        }));
+        let mut values: Vec<f64> = (0..self.ns)
+            .map(|j| match t.status[j] {
+                ColStatus::Basic => 0.0,
+                _ => t.nb_val(j),
+            })
+            .collect();
         for (&bi, &x) in t.basis.iter().zip(&t.xb) {
             if bi < self.ns {
                 // Snap to bounds against round-off.
                 values[bi] = x.max(t.lower[bi]).min(t.upper[bi]);
             }
         }
+        values
     }
 
     /// The objective at `values`, in the problem's original direction.
@@ -578,54 +369,35 @@ impl LpSolver {
         50 * (self.m + self.n + 10)
     }
 
-    /// The whole path under `t`'s full-length column bounds, from a warm
-    /// basis (column statuses and the basic column of each row): the warm
-    /// start if it delivers a verdict, the cold two-phase solve otherwise.
-    /// Every fallback ends here. Only `t`'s bounds are read; the rest of it
-    /// is overwritten.
-    fn solve_from(
-        &mut self,
-        t: &mut Tableau,
-        warm: Option<(&[ColStatus], &[usize])>,
-    ) -> Result<(), SolveError> {
-        if warm.is_some_and(|(statuses, basic)| self.refactorize(statuses, basic, t)) {
-            match self.reoptimize(t) {
-                Ok(()) => return Ok(()),
-                Err(Stop::Infeasible) => return Err(SolveError::Infeasible),
-                Err(Stop::Unsure) => {}
-            }
-        }
+    /// The cold two-phase solve under the full-length column bounds
+    /// `lower`/`upper`, from the all-slack starting tableau (`B = I`).
+    fn solve_cold(&mut self, lower: Vec<f64>, upper: Vec<f64>) -> Result<Tableau, SolveError> {
         self.effort.cold_solves += 1;
-        self.cold_start(t);
-        self.primal_phase1(t)?;
-        self.primal_phase2(t)
-    }
-
-    /// Resets `t` to the all-slack starting tableau (`B = I`) under its
-    /// bounds.
-    fn cold_start(&self, t: &mut Tableau) {
-        let Tableau {
+        let status = (0..self.n)
+            .map(|j| {
+                if j >= self.ns {
+                    ColStatus::Basic
+                } else if lower[j].is_finite() {
+                    ColStatus::AtLower
+                } else if upper[j].is_finite() {
+                    ColStatus::AtUpper
+                } else {
+                    ColStatus::Free
+                }
+            })
+            .collect();
+        let mut t = Tableau {
+            a: self.a0.clone(),
+            xb: self.b.clone(),
+            basis: (self.ns..self.n).collect(),
             status,
             lower,
             upper,
-            ..
-        } = t;
-        status.clear();
-        status.extend((0..self.ns).map(|j| {
-            if lower[j].is_finite() {
-                ColStatus::AtLower
-            } else if upper[j].is_finite() {
-                ColStatus::AtUpper
-            } else {
-                ColStatus::Free
-            }
-        }));
-        status.resize(self.n, ColStatus::Basic);
-        t.basis.clear();
-        t.basis.extend(self.ns..self.n);
-        t.a.clone_from(&self.a0);
-        t.xb.clone_from(&self.b);
-        self.rest_nonbasics(t);
+        };
+        self.rest_nonbasics(&mut t);
+        self.primal_phase1(&mut t)?;
+        self.primal_phase2(&mut t)?;
+        Ok(t)
     }
 
     /// Turns `t.xb` from `B⁻¹b` into the basic values: `x_B = B⁻¹b −
@@ -695,100 +467,11 @@ impl LpSolver {
         }
     }
 
-    /// Rebuilds `t`'s tableau for the basis `statuses`/`basic` under `t`'s
-    /// bounds by Gauss-Jordan elimination with row pivoting. Returns
-    /// `false`, with `t` untouched, when the basis does not fit this
-    /// problem or its columns are (near-)singular.
-    fn refactorize(&mut self, statuses: &[ColStatus], basic: &[usize], t: &mut Tableau) -> bool {
-        let (m, n) = (self.m, self.n);
-        if statuses.len() != n || basic.len() != m {
-            return false;
-        }
-        let mut n_basic = 0usize;
-        for (j, &s) in statuses.iter().enumerate() {
-            match s {
-                ColStatus::Basic => n_basic += 1,
-                ColStatus::AtLower if !t.lower[j].is_finite() => return false,
-                ColStatus::AtUpper if !t.upper[j].is_finite() => return false,
-                _ => {}
-            }
-        }
-        if n_basic != m {
-            return false;
-        }
-        let seen = &mut self.seen;
-        seen.clear();
-        seen.resize(n, false);
-        for &c in basic {
-            if c >= n || statuses[c] != ColStatus::Basic || seen[c] {
-                return false;
-            }
-            seen[c] = true;
-        }
-
-        self.effort.refactorizations += 1;
-        let (a, rhs) = (&mut self.fact_a, &mut self.fact_rhs);
-        a.clone_from(&self.a0);
-        rhs.clone_from(&self.b);
-        let assigned = &mut self.assigned;
-        assigned.clear();
-        assigned.resize(m, false);
-        let new_basis = &mut self.new_basis;
-        new_basis.clear();
-        new_basis.resize(m, usize::MAX);
-        for &c in basic {
-            // Partial pivoting over the rows not yet claimed by a basic
-            // column; the basis is a set, so the row assignment is ours
-            // to choose.
-            let mut row = usize::MAX;
-            let mut best = PIVOT_TOL;
-            for (i, &taken) in assigned.iter().enumerate() {
-                if !taken && a[i * n + c].abs() > best {
-                    best = a[i * n + c].abs();
-                    row = i;
-                }
-            }
-            if row == usize::MAX {
-                return false; // singular basis
-            }
-            let p = a[row * n + c];
-            for v in &mut a[row * n..row * n + n] {
-                *v /= p;
-            }
-            rhs[row] /= p;
-            for i in 0..m {
-                if i == row {
-                    continue;
-                }
-                let factor = a[i * n + c];
-                if factor == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    a[i * n + j] -= factor * a[row * n + j];
-                }
-                a[i * n + c] = 0.0;
-                rhs[i] -= factor * rhs[row];
-            }
-            assigned[row] = true;
-            new_basis[row] = c;
-        }
-
-        // The old buffers become the next refactorization's scratch.
-        std::mem::swap(&mut t.a, a);
-        std::mem::swap(&mut t.xb, rhs);
-        std::mem::swap(&mut t.basis, new_basis);
-        t.status.clear();
-        t.status.extend_from_slice(statuses);
-        self.rest_nonbasics(t);
-        true
-    }
-
-    /// Reduced costs `r = c − c_B' B⁻¹A` for `costs`, written into `r`.
-    fn price_into(&self, t: &Tableau, costs: &[f64], r: &mut [f64]) {
-        r.copy_from_slice(costs);
+    /// Reduced costs `r = c − c_B' B⁻¹A`, written into `r`.
+    fn price_into(&self, t: &Tableau, r: &mut [f64]) {
+        r.copy_from_slice(&self.cost);
         for i in 0..self.m {
-            let cb = costs[t.basis[i]];
+            let cb = self.cost[t.basis[i]];
             if cb != 0.0 {
                 let row = &t.a[i * self.n..(i + 1) * self.n];
                 for (rj, &aij) in r.iter_mut().zip(row) {
@@ -805,19 +488,17 @@ impl LpSolver {
         })
     }
 
-    fn is_dual_feasible(&mut self, t: &Tableau) -> bool {
-        let mut r = zeroed(std::mem::take(&mut self.r), self.n);
-        self.price_into(t, &self.cost, &mut r);
-        let feasible = (0..self.n).all(|j| match t.status[j] {
+    fn is_dual_feasible(&self, t: &Tableau) -> bool {
+        let mut r = vec![0.0; self.n];
+        self.price_into(t, &mut r);
+        (0..self.n).all(|j| match t.status[j] {
             ColStatus::Basic => true,
             // Fixed columns can never enter, so their sign is irrelevant.
             _ if t.lower[j] == t.upper[j] => true,
             ColStatus::AtLower => r[j] >= -DUAL_TOL,
             ColStatus::AtUpper => r[j] <= DUAL_TOL,
             ColStatus::Free => r[j].abs() <= DUAL_TOL,
-        });
-        self.r = r;
-        feasible
+        })
     }
 
     /// Picks the entering column for reduced costs `r`: the most negative
@@ -915,20 +596,9 @@ impl LpSolver {
     /// (an infeasible basic leaving through its violated bound is a kink,
     /// not a wall).
     fn primal_phase1(&mut self, t: &mut Tableau) -> Result<(), SolveError> {
-        let mut d = zeroed(std::mem::take(&mut self.d), self.m); // violation direction per row
-        let mut r = zeroed(std::mem::take(&mut self.r), self.n);
-        let result = self.phase1_pivots(t, &mut d, &mut r);
-        (self.d, self.r) = (d, r);
-        result
-    }
-
-    fn phase1_pivots(
-        &mut self,
-        t: &mut Tableau,
-        d: &mut [f64],
-        r: &mut [f64],
-    ) -> Result<(), SolveError> {
         let (m, n) = (self.m, self.n);
+        let mut d = vec![0.0; m]; // violation direction per row
+        let mut r = vec![0.0; n];
         let bland_after = 10 * (m + n + 10);
         for iter in 0..self.max_iters() {
             let mut infeasible = false;
@@ -947,7 +617,7 @@ impl LpSolver {
             }
             // Phase-1 reduced costs: the violation decreases at rate
             // |r_j| along an eligible entering direction.
-            r.iter_mut().for_each(|v| *v = 0.0);
+            r.fill(0.0);
             for (i, &di) in d.iter().enumerate() {
                 if di != 0.0 {
                     let row = &t.a[i * n..(i + 1) * n];
@@ -956,7 +626,7 @@ impl LpSolver {
                     }
                 }
             }
-            let Some((e, sigma)) = self.pick_entering(t, r, iter >= bland_after) else {
+            let Some((e, sigma)) = self.pick_entering(t, &r, iter >= bland_after) else {
                 return Err(SolveError::Infeasible);
             };
 
@@ -1011,18 +681,12 @@ impl LpSolver {
 
     /// Primal phase 2 from a primal-feasible tableau.
     fn primal_phase2(&mut self, t: &mut Tableau) -> Result<(), SolveError> {
-        let mut r = zeroed(std::mem::take(&mut self.r), self.n);
-        let result = self.phase2_pivots(t, &mut r);
-        self.r = r;
-        result
-    }
-
-    fn phase2_pivots(&mut self, t: &mut Tableau, r: &mut [f64]) -> Result<(), SolveError> {
         let (m, n) = (self.m, self.n);
+        let mut r = vec![0.0; n];
         let bland_after = 10 * (m + n + 10);
         for iter in 0..self.max_iters() {
-            self.price_into(t, &self.cost, r);
-            let Some((e, sigma)) = self.pick_entering(t, r, iter >= bland_after) else {
+            self.price_into(t, &mut r);
+            let Some((e, sigma)) = self.pick_entering(t, &r, iter >= bland_after) else {
                 return Ok(());
             };
 
@@ -1090,14 +754,8 @@ impl LpSolver {
     /// Bounded dual simplex: starting dual feasible, repair primal
     /// feasibility row by row while keeping the reduced costs signed.
     fn dual_simplex(&mut self, t: &mut Tableau) -> Result<(), Stop> {
-        let mut r = zeroed(std::mem::take(&mut self.r), self.n);
-        let result = self.dual_pivots(t, &mut r);
-        self.r = r;
-        result
-    }
-
-    fn dual_pivots(&mut self, t: &mut Tableau, r: &mut [f64]) -> Result<(), Stop> {
         let (m, n) = (self.m, self.n);
+        let mut r = vec![0.0; n];
         for _ in 0..self.max_iters() {
             // Leaving row: the most violated basic.
             let mut leave: Option<(usize, bool)> = None; // (row, below lower)
@@ -1119,7 +777,7 @@ impl LpSolver {
                 return Ok(()); // primal feasible
             };
 
-            self.price_into(t, &self.cost, r);
+            self.price_into(t, &mut r);
             // Entering column: the dual ratio test — smallest |r_j / α_j|
             // over columns whose movement pushes the leaving basic toward
             // its violated bound — keeps every reduced cost signed.
@@ -1402,96 +1060,5 @@ mod tests {
             "problem is infeasible"
         );
         assert_eq!(format!("{}", SolveError::Unbounded), "problem is unbounded");
-    }
-
-    fn sample_problem() -> Problem {
-        // min 2x + 3y + z st x + y >= 10, y + z = 4, x <= 6, z <= 3.
-        let mut p = Problem::new(Direction::Minimize);
-        let x = p.add_var("x", VarKind::Continuous, 0.0, 6.0);
-        let y = cont(&mut p, "y");
-        let z = p.add_var("z", VarKind::Continuous, 0.0, 3.0);
-        p.add_constraint("demand", &[(x, 1.0), (y, 1.0)], Sense::Ge, 10.0);
-        p.add_constraint("link", &[(y, 1.0), (z, 1.0)], Sense::Eq, 4.0);
-        p.set_objective(&[(x, 2.0), (y, 3.0), (z, 1.0)]);
-        p
-    }
-
-    #[test]
-    fn warm_restart_from_own_basis_reproduces_the_optimum() {
-        let p = sample_problem();
-        let cold = solve_lp(&p).unwrap();
-        let warm =
-            solve_lp_with_bounds(&p, &p.lower_bounds(), &p.upper_bounds(), Some(&cold.basis))
-                .unwrap();
-        assert_eq!(warm.values, cold.values);
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_restart_after_bound_change_matches_cold() {
-        // min 2x + 3y st x + y >= 10, x in [0, 6] → (6, 4), obj 24.
-        let mut p = Problem::new(Direction::Minimize);
-        let x = p.add_var("x", VarKind::Continuous, 0.0, 6.0);
-        let y = cont(&mut p, "y");
-        p.add_constraint("demand", &[(x, 1.0), (y, 1.0)], Sense::Ge, 10.0);
-        p.set_objective(&[(x, 2.0), (y, 3.0)]);
-        let cold = solve_lp(&p).unwrap();
-        // Tighten x's upper bound to 3: the parent basis stays dual
-        // feasible and the dual simplex repairs primal feasibility,
-        // landing on (3, 7), obj 27.
-        let mut upper = p.upper_bounds();
-        upper[0] = 3.0;
-        let lower = p.lower_bounds();
-        let warm = solve_lp_with_bounds(&p, &lower, &upper, Some(&cold.basis)).unwrap();
-        let re_cold = solve_lp_with_bounds(&p, &lower, &upper, None).unwrap();
-        assert!((warm.objective - 27.0).abs() < 1e-8);
-        assert!((warm.objective - re_cold.objective).abs() < 1e-8);
-        for (a, b) in warm.values.iter().zip(&re_cold.values) {
-            assert!((a - b).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn warm_restart_agrees_with_cold_on_infeasible_children() {
-        let p = sample_problem();
-        let cold = solve_lp(&p).unwrap();
-        // y + z = 4 caps y at 4, so x >= 6; tightening x below that is
-        // infeasible, and the warm path must agree with the cold verdict.
-        let mut upper = p.upper_bounds();
-        upper[0] = 4.0;
-        let lower = p.lower_bounds();
-        let warm = solve_lp_with_bounds(&p, &lower, &upper, Some(&cold.basis));
-        assert_eq!(warm, Err(SolveError::Infeasible));
-    }
-
-    #[test]
-    fn singular_basis_falls_back_to_phase_one() {
-        let p = sample_problem();
-        let cold = solve_lp(&p).unwrap();
-        let n = cold.basis.num_cols();
-        // A deliberately singular basis: x (appearing in row 0 only) and
-        // the row-0 slack span a single row, so the refactorization runs
-        // out of pivotable rows and must fall back to the cold two-phase
-        // path rather than erroring.
-        let mut st = vec![ColStatus::AtLower; n];
-        st[0] = ColStatus::Basic;
-        st[3] = ColStatus::Basic;
-        let singular = Basis::from_parts(st, vec![0, 3]);
-        let warm = solve_lp_with_bounds(&p, &p.lower_bounds(), &p.upper_bounds(), Some(&singular))
-            .unwrap();
-        assert_eq!(warm.values, cold.values);
-        // A shape-mismatched basis is likewise ignored.
-        let stale = Basis::from_parts(vec![ColStatus::AtLower; 2], vec![0]);
-        let warm2 =
-            solve_lp_with_bounds(&p, &p.lower_bounds(), &p.upper_bounds(), Some(&stale)).unwrap();
-        assert_eq!(warm2.values, cold.values);
-    }
-
-    #[test]
-    fn basis_accessors_report_shape() {
-        let p = sample_problem();
-        let s = solve_lp(&p).unwrap();
-        assert_eq!(s.basis.num_cols(), p.num_vars() + 2);
-        assert_eq!(s.basis.num_rows(), 2);
     }
 }

@@ -489,7 +489,7 @@ fn beales_cycling_lp_terminates_at_its_optimum() {
 
     // The same solve, counted: Dantzig's rule cycles until the fallback.
     let mut lp = LpSolver::new(&p);
-    lp.solve(&p.lower_bounds(), &p.upper_bounds(), None)
+    lp.solve(&p.lower_bounds(), &p.upper_bounds())
         .expect("Beale's LP has an optimum");
     let (m, n) = (3, 4 + 3);
     assert!(

@@ -37,7 +37,6 @@ const KEPT_PUBLIC: &[(&str, &str)] = &[
     ("FidError", "metrics: `frechet_distance` returns one"),
     ("LpSolution", "milp: `solve_lp` returns one"),
     ("MilpSolution", "milp: `solve_milp` returns one"),
-    ("Tableau", "milp: `LpSolver::solution` takes one"),
 ];
 
 fn repo_root() -> PathBuf {
