@@ -1061,4 +1061,151 @@ mod tests {
         );
         assert_eq!(format!("{}", SolveError::Unbounded), "problem is unbounded");
     }
+
+    fn sample_problem() -> Problem {
+        // min 2x + 3y + z st x + y >= 10, y + z = 4, x <= 6, z <= 3.
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 6.0);
+        let y = cont(&mut p, "y");
+        let z = p.add_var("z", VarKind::Continuous, 0.0, 3.0);
+        p.add_constraint("demand", &[(x, 1.0), (y, 1.0)], Sense::Ge, 10.0);
+        p.add_constraint("link", &[(y, 1.0), (z, 1.0)], Sense::Eq, 4.0);
+        p.set_objective(&[(x, 2.0), (y, 3.0), (z, 1.0)]);
+        p
+    }
+
+    /// A child whose bounds equal its parent's starts at an optimum: the
+    /// copied tableau is handed back with no pivot and no cold solve.
+    #[test]
+    fn warm_restart_from_own_basis_reproduces_the_optimum() {
+        let p = sample_problem();
+        let mut solver = LpSolver::new(&p);
+        let parent = solver.solve(&p.lower_bounds(), &p.upper_bounds()).unwrap();
+        let before = solver.effort();
+        let child = solver.solve_child(&parent, VarId(0), 0.0, 6.0).unwrap();
+        let cold = solver.solution(&parent);
+        let warm = solver.solution(&child);
+        assert_eq!(warm.values, cold.values);
+        assert!((warm.objective - cold.objective).abs() < 1e-9);
+        let after = solver.effort();
+        assert_eq!(after.lp_solves, before.lp_solves + 1);
+        assert_eq!(after.pivots, before.pivots);
+        assert_eq!(after.cold_solves, before.cold_solves);
+    }
+
+    #[test]
+    fn warm_restart_after_bound_change_matches_cold() {
+        // min 2x + 3y st x + y >= 10, x in [0, 6] → (6, 4), obj 24.
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 6.0);
+        let y = cont(&mut p, "y");
+        p.add_constraint("demand", &[(x, 1.0), (y, 1.0)], Sense::Ge, 10.0);
+        p.set_objective(&[(x, 2.0), (y, 3.0)]);
+        let mut solver = LpSolver::new(&p);
+        let parent = solver.solve(&p.lower_bounds(), &p.upper_bounds()).unwrap();
+        // Tighten x's upper bound to 3: the parent basis stays dual
+        // feasible and the dual simplex repairs primal feasibility,
+        // landing on (3, 7), obj 27, without a cold solve.
+        let child = solver.solve_child(&parent, x, 0.0, 3.0).unwrap();
+        assert_eq!(solver.effort().cold_solves, 1, "only the parent ran cold");
+        let warm = solver.solution(&child);
+        let mut upper = p.upper_bounds();
+        upper[0] = 3.0;
+        let re_cold = solve_lp_with_bounds(&p, &p.lower_bounds(), &upper).unwrap();
+        assert!((warm.objective - 27.0).abs() < 1e-8);
+        assert!((warm.objective - re_cold.objective).abs() < 1e-8);
+        for (a, b) in warm.values.iter().zip(&re_cold.values) {
+            assert!((a - b).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn warm_restart_agrees_with_cold_on_infeasible_children() {
+        let p = sample_problem();
+        let mut solver = LpSolver::new(&p);
+        let parent = solver.solve(&p.lower_bounds(), &p.upper_bounds()).unwrap();
+        // y + z = 4 caps y at 4, so x >= 6; tightening x below that is
+        // infeasible, and the warm path must agree with the cold verdict.
+        let warm = solver.solve_child(&parent, VarId(0), 0.0, 4.0);
+        assert_eq!(warm.err(), Some(SolveError::Infeasible));
+        let mut upper = p.upper_bounds();
+        upper[0] = 4.0;
+        let cold = solve_lp_with_bounds(&p, &p.lower_bounds(), &upper);
+        assert_eq!(cold, Err(SolveError::Infeasible));
+    }
+
+    /// min 2x + 3y st 10 <= x + y <= 15, x in [0, 6], y in [0, 20] → (6,
+    /// 4), obj 24; and the tableau of the same LP maximized, whose optimum
+    /// (0, 15) has basics y and the demand row's slack. That tableau is
+    /// primal feasible for the minimization but not dual feasible.
+    fn band_problem_and_max_tableau() -> (Problem, Tableau) {
+        let mut p = Problem::new(Direction::Maximize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 6.0);
+        let y = p.add_var("y", VarKind::Continuous, 0.0, 20.0);
+        p.add_constraint("demand", &[(x, 1.0), (y, 1.0)], Sense::Ge, 10.0);
+        p.add_constraint("cap", &[(x, 1.0), (y, 1.0)], Sense::Le, 15.0);
+        p.set_objective(&[(x, 2.0), (y, 3.0)]);
+        let max = LpSolver::new(&p)
+            .solve(&p.lower_bounds(), &p.upper_bounds())
+            .unwrap();
+        p.direction = Direction::Minimize;
+        (p, max)
+    }
+
+    /// A child of a primal-feasible but dual-infeasible tableau finishes
+    /// with the primal simplex from the inherited basis, with no cold
+    /// solve.
+    #[test]
+    fn children_that_lose_dual_feasibility_finish_by_primal_simplex() {
+        let (p, parent) = band_problem_and_max_tableau();
+        let mut solver = LpSolver::new(&p);
+        assert!(solver.is_primal_feasible(&parent));
+        assert!(!solver.is_dual_feasible(&parent));
+        let child = solver.solve_child(&parent, VarId(0), 0.0, 6.0).unwrap();
+        assert_eq!(solver.effort().cold_solves, 0);
+        let warm = solver.solution(&child);
+        assert_eq!(warm, solve_lp(&p).unwrap());
+        assert_eq!(warm.values, vec![6.0, 4.0]);
+    }
+
+    /// Neither primal nor dual feasible after the bound change: the
+    /// inherited basis buys nothing, and the child is solved cold under
+    /// its own bounds.
+    #[test]
+    fn children_that_lose_both_feasibilities_are_solved_cold() {
+        let (p, parent) = band_problem_and_max_tableau();
+        let mut solver = LpSolver::new(&p);
+        // The basic y = 15 now breaks its new upper bound 12.
+        let child = solver.solve_child(&parent, VarId(1), 0.0, 12.0).unwrap();
+        assert_eq!(solver.effort().cold_solves, 1, "the child fell back");
+        let mut upper = p.upper_bounds();
+        upper[1] = 12.0;
+        let cold = solve_lp_with_bounds(&p, &p.lower_bounds(), &upper).unwrap();
+        assert_eq!(solver.solution(&child), cold);
+        assert_eq!(child.bounds(VarId(1)), (0.0, 12.0));
+    }
+
+    /// A child's tableau is its own copy: it reports the bounds it was
+    /// solved under, its parent keeps the ones it had, and both keep the
+    /// solver's shape (one row per constraint, one column per structural
+    /// and slack).
+    #[test]
+    fn child_tableaus_report_their_own_bounds() {
+        let p = sample_problem();
+        let mut solver = LpSolver::new(&p);
+        let parent = solver.solve(&p.lower_bounds(), &p.upper_bounds()).unwrap();
+        let child = solver.solve_child(&parent, VarId(2), 0.0, 2.0).unwrap();
+        assert_eq!(parent.bounds(VarId(2)), (0.0, 3.0));
+        assert_eq!(child.bounds(VarId(2)), (0.0, 2.0));
+        assert_eq!(solver.values(&child), solver.values(&parent));
+        for v in [VarId(0), VarId(1)] {
+            assert_eq!(child.bounds(v), parent.bounds(v));
+        }
+        for t in [&parent, &child] {
+            assert_eq!(t.basis.len(), 2);
+            assert_eq!(t.xb.len(), 2);
+            assert_eq!(t.status.len(), p.num_vars() + 2);
+            assert_eq!(t.a.len(), 2 * (p.num_vars() + 2));
+        }
+    }
 }

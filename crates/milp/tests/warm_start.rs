@@ -139,6 +139,121 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Warm solves through one carried handle are bit-identical to cold
+    /// solves across a randomized demand ladder, with stale and corrupt
+    /// remembered points injected mid-ladder: a point many ticks old, one
+    /// of the wrong dimension, one outside the bounds and one that is not
+    /// integral. The uniqueness penalties make THE optimum unique, so
+    /// `values` and the objective must match exactly, not just within
+    /// tolerance.
+    #[test]
+    fn stale_remembered_points_stay_bit_identical_across_demand_ladders(seed in 0u64..5000) {
+        let ip = DriftingIp::random(seed);
+        let mut warm = WarmStart::new();
+        let mut tick0_point: Option<Vec<f64>> = None;
+        for (tick, &drift) in [0.0, 1.0, 1.5, -2.0, 4.0, 0.5, -5.0, 2.5].iter().enumerate() {
+            match tick {
+                3 => warm.set_previous(tick0_point.clone()),
+                4 => warm.set_previous(Some(vec![0.0; ip.n + 1])),
+                5 => warm.set_previous(Some(vec![7.0; ip.n])),
+                6 => warm.set_previous(Some(vec![0.5; ip.n])),
+                _ => {}
+            }
+            let p = ip.at_unique(drift);
+            let cold = solve_milp(&p, &MilpOptions::default()).expect("origin feasible");
+            let warmed = solve_milp_warm(&p, &MilpOptions::default(), &mut warm)
+                .expect("origin feasible");
+            prop_assert_eq!(
+                &warmed.values, &cold.values,
+                "tick {} (drift {}): warm and cold diverged\n{}", tick, drift, p
+            );
+            prop_assert_eq!(
+                warmed.objective, cold.objective,
+                "tick {} (drift {}): objectives diverged", tick, drift
+            );
+            prop_assert!(warmed.proved_optimal);
+            prop_assert_eq!(warm.previous(), Some(&cold.values[..]));
+            if tick == 0 {
+                tick0_point = warm.previous().map(<[f64]>::to_vec);
+            }
+        }
+    }
+}
+
+/// A remembered point that is not an integral feasible point of the
+/// current problem is ignored, never an error: the search then runs
+/// exactly as a cold one (same answer, same nodes, same effort) and
+/// returns the unique optimum of `max x + 2y s.t. x + y ≤ 3`.
+#[test]
+fn corrupt_remembered_points_fall_back_instead_of_erroring() {
+    let mut p = Problem::new(Direction::Maximize);
+    let x = p.add_var("x", VarKind::Integer, 0.0, 6.0);
+    let y = p.add_var("y", VarKind::Integer, 0.0, 6.0);
+    p.add_constraint("cap", &[(x, 1.0), (y, 1.0)], Sense::Le, 3.0);
+    p.set_objective(&[(x, 1.0), (y, 2.0)]);
+    let cold = solve_milp(&p, &MilpOptions::default()).expect("feasible");
+    assert_eq!(cold.values, vec![0.0, 3.0]);
+
+    let corruptions: Vec<Vec<f64>> = vec![
+        // Wrong dimension.
+        vec![0.0; 3],
+        vec![0.0],
+        // Not a number, and not finite.
+        vec![f64::NAN, 0.0],
+        vec![f64::INFINITY, 0.0],
+        // Outside the bounds.
+        vec![-1.0, 0.0],
+        vec![0.0, 7.0],
+        // Not integral.
+        vec![0.5, 2.0],
+        // Breaks the row.
+        vec![2.0, 2.0],
+    ];
+    for (i, point) in corruptions.into_iter().enumerate() {
+        let mut warm = WarmStart::new();
+        warm.set_previous(Some(point));
+        let warmed = solve_milp_warm(&p, &MilpOptions::default(), &mut warm)
+            .unwrap_or_else(|e| panic!("corruption {i} must fall back, got {e:?}"));
+        assert_eq!(warmed.values, cold.values, "corruption {i}");
+        assert_eq!(warmed.nodes, cold.nodes, "corruption {i}");
+        assert_eq!(warmed.effort, cold.effort, "corruption {i}");
+        assert_eq!(warm.previous(), Some(&cold.values[..]), "corruption {i}");
+    }
+}
+
+/// [`find_feasible`] treats an unusable remembered point the same way: it
+/// pays for exactly the search a fresh handle pays for, and remembers the
+/// witness that search finds in place of the corrupt point.
+#[test]
+fn corrupt_remembered_points_cost_find_feasible_a_cold_search() {
+    let options = MilpOptions::default();
+    for seed in 0..40 {
+        let ip = DriftingIp::random(seed);
+        let p = ip.at(-1.0);
+        let mut fresh = WarmStart::new();
+        let cold = find_feasible(&p, &options, &mut fresh).expect("origin feasible");
+        assert!(
+            cold.lp_solves > 0,
+            "seed {seed}: a fresh handle must search"
+        );
+        let witness = fresh.previous().expect("a witness").to_vec();
+        for point in [vec![0.0; ip.n + 1], vec![7.0; ip.n], vec![0.5; ip.n]] {
+            let mut warm = WarmStart::new();
+            warm.set_previous(Some(point.clone()));
+            let effort = find_feasible(&p, &options, &mut warm).expect("origin feasible");
+            assert_eq!(effort, cold, "seed {seed}, hint {point:?}");
+            assert_eq!(
+                warm.previous(),
+                Some(&witness[..]),
+                "seed {seed}, hint {point:?}"
+            );
+        }
+    }
+}
+
 /// The solver's answers on this file's generator, recorded at the commit
 /// before branch & bound children started from their parent's tableau
 /// and certified-infeasible children stopped re-solving cold: FNV-1a over
