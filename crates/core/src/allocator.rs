@@ -1946,57 +1946,53 @@ mod tests {
         }
     }
 
-    /// The solver-effort contract every allocator MILP rests on: a search
-    /// solves cold at most once, at its root (none when a remembered point
-    /// answers a probe outright), so no child — in particular none the
-    /// dual simplex certified infeasible — is re-solved cold. Returns how
-    /// many children the searches certified infeasible.
-    fn check_root_only_effort(problem: &Problem, carried: &mut WarmStart) -> usize {
+    /// What every allocator MILP's searches must agree on: a fresh
+    /// optimality search, a feasibility probe and an optimality search
+    /// through the carried handle give the same verdict and the same
+    /// optimum, every search solves at least one LP per node it expands,
+    /// and once the handle remembers the optimum, a probe through it is
+    /// answered without an LP. Returns whether `problem` is feasible.
+    fn check_searches_agree(problem: &Problem, carried: &mut WarmStart) -> bool {
+        use diffserve_milp::SolveEffort;
         let options = MilpOptions::default();
-        let mut certified = 0;
-        let cold = solve_milp(problem, &options).map(|sol| sol.effort);
-        if let Ok(effort) = cold {
-            assert_eq!(effort.cold_solves, 1);
-            certified += effort.certified_infeasible;
+        let cold = solve_milp(problem, &options);
+        let probe = find_feasible(problem, &options, &mut carried.clone());
+        let warm = solve_milp_warm(problem, &options, carried);
+        assert_eq!(probe.is_ok(), cold.is_ok());
+        assert_eq!(warm.is_ok(), cold.is_ok());
+        let (Ok(cold), Ok(warm)) = (cold, warm) else {
+            return false;
+        };
+        assert!((warm.objective - cold.objective).abs() <= options.gap);
+        for sol in [&cold, &warm] {
+            assert!(sol.effort.lp_solves >= sol.nodes, "{sol:?}");
         }
-        for effort in [
-            find_feasible(problem, &options, &mut carried.clone()),
-            solve_milp_warm(problem, &options, carried).map(|sol| sol.effort),
-        ] {
-            assert_eq!(effort.is_ok(), cold.is_ok());
-            let Ok(effort) = effort else {
-                continue;
-            };
-            assert!(effort.cold_solves <= 1, "a child fell back: {effort:?}");
-            certified += effort.certified_infeasible;
-        }
-        certified
+        let again = find_feasible(problem, &options, &mut carried.clone());
+        assert_eq!(again, Ok(SolveEffort::default()));
+        true
     }
 
     /// The Eq. 1–5 oracle's branch & bound tree, pinned: four seeded
     /// instances (demand, queue delays, fleet, SLO, resume discount and a
     /// skewed deferral profile all drawn) must expand exactly the nodes and
-    /// do exactly the LP work they did when this was pinned (branching on
+    /// solve exactly the LPs they did when this was pinned (branching on
     /// the most fractional variable, near-ties within `1e-9` to the lowest
-    /// index). How the solver stores a node may change how fast it is
-    /// solved, never which nodes are searched.
+    /// index), and take the pivots the cold solve of each node takes. How
+    /// a node is solved may change the pivots, never which nodes are
+    /// searched: the node and LP counts held when children stopped
+    /// starting from their parent's tableau.
     #[test]
     fn the_oracles_branch_and_bound_tree_is_pinned() {
         use diffserve_milp::SolveEffort;
         use rand::{Rng, SeedableRng};
         let batches = [1usize, 2, 4, 8, 16];
         let thresholds = grid(26, 0.9);
-        let effort = |lp_solves, pivots, certified_infeasible| SolveEffort {
-            lp_solves,
-            pivots,
-            cold_solves: 1,
-            certified_infeasible,
-        };
+        let effort = |lp_solves, pivots| SolveEffort { lp_solves, pivots };
         let pinned = [
-            (11, 682, effort(1129, 1581, 447)),
-            (23, 312, effort(377, 1145, 65)),
-            (37, 317, effort(425, 2143, 108)),
-            (41, 115, effort(165, 363, 50)),
+            (11, 682, effort(1129, 11151)),
+            (23, 312, effort(377, 5352)),
+            (37, 317, effort(425, 6003)),
+            (41, 115, effort(165, 1873)),
         ];
         for (seed, nodes, effort) in pinned {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -2047,23 +2043,18 @@ mod tests {
     }
 
     #[test]
-    fn residual_searches_solve_cold_only_at_the_root() {
+    fn the_oracles_searches_agree_and_remembered_optima_answer_probes() {
         let batches = [1usize, 2, 4, 8, 16];
         let thresholds = grid(26, 0.9);
         let deferral = uniform_profile();
-        // The full oracle MILP's big-M trees are deep enough that the
-        // certificate is what prunes them; the knapsacks' trees are too
-        // small to need it.
         let mut carried = WarmStart::new();
-        let mut certified = 0;
         for demand in [6.0, 6.3, 9.0, 14.0, 22.0, 30.0] {
             let inputs = cascade1_inputs(&deferral, &batches, &thresholds, demand);
-            certified += check_root_only_effort(&build_allocation_milp(&inputs).0, &mut carried);
+            assert!(
+                check_searches_agree(&build_allocation_milp(&inputs).0, &mut carried),
+                "{demand} qps fits 16 workers"
+            );
         }
-        assert!(
-            certified > 100,
-            "the certificate must be what prunes: {certified}"
-        );
 
         let mut carried = WarmStart::new();
         for (workers, demand) in [(8, 3.0), (8, 12.0), (1000, 400.0), (1000, 4000.0)] {
@@ -2072,7 +2063,7 @@ mod tests {
             let mut knapsack = two_tier_knapsack(&inputs);
             for level in [0, 6, 13, 25] {
                 knapsack.aim(1, deferred_load(&inputs, level));
-                check_root_only_effort(&knapsack.problem, &mut carried);
+                check_searches_agree(&knapsack.problem, &mut carried);
             }
         }
 
@@ -2083,7 +2074,7 @@ mod tests {
             let mut knapsack = ladder_knapsack(&inputs);
             for levels in [[0, 0], [6, 13], [20, 5], [25, 25]] {
                 aim_tiers(&mut knapsack, &inputs, &levels);
-                check_root_only_effort(&knapsack.problem, &mut carried);
+                check_searches_agree(&knapsack.problem, &mut carried);
             }
         }
     }

@@ -1,13 +1,13 @@
 //! Branch & bound over the simplex LP relaxation.
 //!
-//! Each search solves its root relaxation cold; every node below it
-//! continues from its parent's solved tableau ([`LpSolver::solve_child`]).
+//! Every node's relaxation, the root's included, is solved cold under
+//! that node's own variable bounds.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::problem::{Direction, Problem, Sense, VarId, VarKind};
-use crate::simplex::{LpSolver, SolveEffort, SolveError, Tableau};
+use crate::problem::{Direction, Problem, Sense, VarKind};
+use crate::simplex::{LpSolver, SolveEffort, SolveError};
 
 /// Tolerance within which an LP value counts as integral.
 pub const INT_TOL: f64 = 1e-6;
@@ -48,9 +48,7 @@ pub struct MilpSolution {
     /// `true` when the search completed (solution proved optimal); `false`
     /// when the node limit stopped the search with an incumbent in hand.
     pub proved_optimal: bool,
-    /// What the search cost: LP solves, pivots, cold two-phase solves and
-    /// certified-infeasible children. The root is the one cold solve a
-    /// search plans for; any more are children that fell back.
+    /// What the search cost: LP solves and pivots.
     pub effort: SolveEffort,
 }
 
@@ -139,7 +137,7 @@ fn usable_incumbent(problem: &Problem, values: &[f64]) -> bool {
 }
 
 /// An open node: a solved LP relaxation waiting to be branched on.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     /// Depth in the tree when the search dives for a first feasible point
     /// ([`Goal::Feasible`]: deepest node first); 0 on every node of an
@@ -149,9 +147,9 @@ struct Node {
     score: f64,
     /// The relaxation's optimal point.
     values: Vec<f64>,
-    /// The relaxation's solved tableau, which holds the node's variable
-    /// bounds too. Children copy it and change one bound.
-    tableau: Tableau,
+    /// The node's variable bounds. Each child copies them and changes one.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
 }
 
 impl PartialEq for Node {
@@ -368,11 +366,9 @@ impl Search<'_> {
 
     fn run(&mut self, mut incumbent: Option<MilpSolution>) -> Result<MilpSolution, SolveError> {
         let gap = self.options.gap;
-        let root = self
-            .lp
-            .solve(&self.problem.lower_bounds(), &self.problem.upper_bounds())?;
-        let values = self.lp.values(&root);
-        let score = self.norm(self.lp.objective(&values));
+        let (lower, upper) = (self.problem.lower_bounds(), self.problem.upper_bounds());
+        let root = self.lp.solve(&lower, &upper)?;
+        let score = self.norm(root.objective);
         if let Some(best) = &incumbent {
             // Fast path: the root bound already proves the seeded incumbent
             // optimal (within the gap) — no branching needed.
@@ -386,8 +382,9 @@ impl Search<'_> {
         self.heap.push(Node {
             dive: 0,
             score,
-            values,
-            tableau: root,
+            values: root.values,
+            lower,
+            upper,
         });
 
         let mut nodes = 0usize;
@@ -445,9 +442,8 @@ impl Search<'_> {
                     }
                 }
                 Some((j, _)) => {
-                    let var = VarId(j);
                     let floor = node.values[j].floor();
-                    let (lower, upper) = node.tableau.bounds(var);
+                    let (lower, upper) = (node.lower[j], node.upper[j]);
                     let cutoff = incumbent
                         .as_ref()
                         .map(|best| self.norm(best.objective) + gap);
@@ -457,11 +453,11 @@ impl Search<'_> {
                     };
                     // Down branch: x <= floor.
                     if lower <= floor {
-                        self.push_child(&node.tableau, var, (lower, floor), dive, cutoff);
+                        self.push_child(&node, j, (lower, floor), dive, cutoff);
                     }
                     // Up branch: x >= floor + 1.
                     if floor + 1.0 <= upper {
-                        self.push_child(&node.tableau, var, (floor + 1.0, upper), dive, cutoff);
+                        self.push_child(&node, j, (floor + 1.0, upper), dive, cutoff);
                     }
                 }
             }
@@ -479,33 +475,35 @@ impl Search<'_> {
         }
     }
 
-    /// Solves the child of `parent` that confines `var` to `bounds` —
-    /// from a copy of the parent's tableau, with that one bound changed —
-    /// and queues it, unless it is infeasible or its bound cannot beat
-    /// `cutoff` (the incumbent's normalized objective plus the gap).
+    /// Solves the child of `parent` that confines variable `j` to `bounds`
+    /// — cold, under the parent's bounds with that one changed — and
+    /// queues it, unless it is infeasible or its bound cannot beat `cutoff`
+    /// (the incumbent's normalized objective plus the gap).
     fn push_child(
         &mut self,
-        parent: &Tableau,
-        var: VarId,
+        parent: &Node,
+        j: usize,
         bounds: (f64, f64),
         dive: usize,
         cutoff: Option<f64>,
     ) {
+        let (mut lower, mut upper) = (parent.lower.clone(), parent.upper.clone());
+        (lower[j], upper[j]) = bounds;
         // Infeasible children end here. So do unbounded/iteration-limit ones:
         // the root solve already screened for unboundedness.
-        let Ok(tableau) = self.lp.solve_child(parent, var, bounds.0, bounds.1) else {
+        let Ok(lp) = self.lp.solve(&lower, &upper) else {
             return;
         };
-        let values = self.lp.values(&tableau);
-        let score = self.norm(self.lp.objective(&values));
+        let score = self.norm(lp.objective);
         if cutoff.is_some_and(|c| score <= c) {
             return; // Bound: can't beat the incumbent.
         }
         self.heap.push(Node {
             dive,
             score,
-            values,
-            tableau,
+            values: lp.values,
+            lower,
+            upper,
         });
     }
 }
@@ -643,6 +641,93 @@ mod tests {
         p.add_constraint("w", &[(a, 5.0), (b, 4.0), (c, 3.0)], Sense::Le, capacity);
         p.set_objective(&[(a, 10.0), (b, 6.0), (c, 4.0)]);
         p
+    }
+
+    /// A search over `p` and the node of its LP relaxation under the
+    /// bounds `lower`/`upper`.
+    fn search_and_node<'a>(
+        p: &'a Problem,
+        options: &'a MilpOptions,
+        lower: Vec<f64>,
+        upper: Vec<f64>,
+    ) -> (Search<'a>, Node) {
+        let mut search = Search {
+            problem: p,
+            options,
+            goal: Goal::Optimal,
+            lp: LpSolver::new(p),
+            heap: BinaryHeap::new(),
+        };
+        let lp = search.lp.solve(&lower, &upper).unwrap();
+        let node = Node {
+            dive: 0,
+            score: search.norm(lp.objective),
+            values: lp.values,
+            lower,
+            upper,
+        };
+        (search, node)
+    }
+
+    /// A child is its parent's bounds with one changed, solved under
+    /// exactly those: the parent keeps its own, and the child's point is
+    /// the cold optimum of its bounds.
+    #[test]
+    fn children_copy_their_parents_bounds_and_change_one() {
+        let p = knapsack(8.0);
+        let options = MilpOptions::default();
+        let (mut search, parent) =
+            search_and_node(&p, &options, p.lower_bounds(), p.upper_bounds());
+        // LP optimum a = 1, b = 0.75: 14.5.
+        assert_eq!(parent.values, vec![1.0, 0.75, 0.0]);
+        for (bounds, want) in [
+            ((0.0, 0.0), vec![1.0, 0.0, 1.0]),
+            ((1.0, 1.0), vec![0.8, 1.0, 0.0]),
+        ] {
+            search.push_child(&parent, 1, bounds, 0, None);
+            let child = search.heap.pop().expect("a feasible child is queued");
+            assert_eq!((child.lower[1], child.upper[1]), bounds);
+            for j in [0, 2] {
+                assert_eq!(
+                    (child.lower[j], child.upper[j]),
+                    (parent.lower[j], parent.upper[j])
+                );
+            }
+            for (got, want) in child.values.iter().zip(&want) {
+                assert!((got - want).abs() < 1e-12, "{:?}", child.values);
+            }
+            assert!((child.score - 14.0).abs() < 1e-9, "{}", child.score);
+            let cold = LpSolver::new(&p).solve(&child.lower, &child.upper).unwrap();
+            assert_eq!(child.values, cold.values);
+        }
+        assert_eq!(
+            (parent.lower, parent.upper),
+            (p.lower_bounds(), p.upper_bounds())
+        );
+        assert_eq!(
+            search.lp.effort().lp_solves,
+            3,
+            "the parent and two children"
+        );
+    }
+
+    /// A child that is infeasible, or whose bound cannot beat the cutoff,
+    /// costs its LP and is not queued.
+    #[test]
+    fn infeasible_and_cut_off_children_are_not_queued() {
+        let p = knapsack(8.0);
+        let options = MilpOptions::default();
+        // a fixed at 1 leaves weight 3: b = 1 would need 4.
+        let (mut search, parent) =
+            search_and_node(&p, &options, vec![1.0, 0.0, 0.0], p.upper_bounds());
+        search.push_child(&parent, 1, (1.0, 1.0), 0, None);
+        assert!(search.heap.is_empty(), "infeasible child queued");
+        // Down child: a = c = 1, value 14 — no better than a cutoff of 14.
+        search.push_child(&parent, 1, (0.0, 0.0), 0, Some(14.0));
+        assert!(search.heap.is_empty(), "cut-off child queued");
+        search.push_child(&parent, 1, (0.0, 0.0), 0, Some(13.5));
+        assert_eq!(search.heap.len(), 1);
+        assert_eq!(search.lp.effort().lp_solves, 4);
     }
 
     #[test]

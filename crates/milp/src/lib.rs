@@ -5,24 +5,24 @@
 //! The DiffServe paper formulates its resource-allocation problem as a MILP
 //! and solves it with Gurobi (§3.3, §4.5). Gurobi is proprietary, so this
 //! crate provides the substitute substrate: a dense bounded-variable
-//! primal/dual simplex ([`solve_lp`]) and a best-first branch & bound
+//! primal simplex ([`solve_lp`]) and a best-first branch & bound
 //! ([`solve_milp`]) over it, behind a small modelling API ([`Problem`]).
 //! Callers that only need to know *whether* an integral point exists ask
 //! [`find_feasible`], which runs the same search but stops at the first
 //! one.
-//! A search solves its root relaxation cold, with two phases; every
-//! branch & bound child below it continues from its parent's solved
-//! [`Tableau`] with a few dual-simplex pivots ([`LpSolver`]), and falls
-//! back to a cold solve when those are not sure of the answer. Related
-//! searches share only a remembered integral point ([`WarmStart`]), which
-//! seeds the next search's incumbent. What a search cost is on its
-//! solution as a [`SolveEffort`].
+//! Every branch & bound node, the root included, solves its LP relaxation
+//! cold with two phases under its own bounds. Related searches share only
+//! a remembered integral point ([`WarmStart`]), which seeds the next
+//! search's incumbent. What a search cost is on its solution as a
+//! [`SolveEffort`].
 //!
 //! The DiffServe allocation instances are tiny by MILP standards (tens of
 //! integer variables, tens of constraints), and the paper reports ~10 ms
-//! solve times on Gurobi. The repo benchmark's traced `milp.solve_cold_us`
-//! and `core.allocator.milp_cold_us_p50` keys (`benchmark/`) show this
-//! solver lands in the same regime.
+//! solve times on Gurobi. This solver is the reference the served
+//! enumerators are checked against, kept simple rather than fast: the
+//! repo benchmark's traced `milp.solve_cold_us` (`benchmark/`) reads
+//! ≈ 65 ms for the full Eq. 1–5 MILP on `ladder_control` at seed 7 on a
+//! 2-core host.
 //!
 //! # Examples
 //!
@@ -53,6 +53,4 @@ pub use branch::{
     find_feasible, solve_milp, solve_milp_warm, MilpOptions, MilpSolution, WarmStart, INT_TOL,
 };
 pub use problem::{Direction, Problem, Sense, VarId, VarKind};
-pub use simplex::{
-    solve_lp, solve_lp_with_bounds, LpSolution, LpSolver, SolveEffort, SolveError, Tableau,
-};
+pub use simplex::{solve_lp, LpSolution, SolveEffort, SolveError};

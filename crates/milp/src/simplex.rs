@@ -1,4 +1,4 @@
-//! Bounded-variable primal/dual simplex over a dense tableau.
+//! Bounded-variable primal simplex over a dense tableau.
 //!
 //! Variable bounds are handled natively: a nonbasic variable rests at its
 //! lower bound, its upper bound, or (for free variables) at zero, and the
@@ -9,47 +9,23 @@
 //! constraint and no artificial or bound rows. That keeps the DiffServe
 //! allocator LP at ~18 rows instead of the ~90 the old
 //! substitution-based formulation produced, and it makes the column
-//! layout independent of the bound values, so a tableau solved under one
-//! bound vector is a valid start under another.
+//! layout independent of the bound values.
 //!
-//! An LP solved from its bounds ([`LpSolver::solve`]) is solved cold: a
-//! composite phase 1 (minimize the total bound violation of the basics
-//! with a first-breakpoint ratio test) followed by a primal phase 2. The
-//! one warm path is a branch & bound child ([`LpSolver::solve_child`]): it
-//! differs from its parent by one bound, so it copies the parent's solved
-//! [`Tableau`], applies the bound change to it, and reoptimizes with a
-//! bounded dual simplex. The bound-independent part of the LP is built
-//! once per [`LpSolver`].
-//!
-//! A child's reoptimization returns one of three answers. An optimum is
-//! re-checked for primal and dual feasibility before it is handed back.
-//! When the dual simplex stops on a violated row that no column can
-//! repair, the row is checked as an infeasibility certificate — every
-//! nonbasic column moved to whichever bound helps the row most, the
-//! columns too small to pivot on charged their full range — and a
-//! certified row *is* the verdict. Anything else (a marginal or doubtful
-//! certificate, an iteration limit, a failed re-check) falls back to a
-//! cold two-phase solve under the child's bounds, so correctness never
-//! depends on the fast path. Entering variables use Dantzig's rule with a
+//! Every LP is solved cold, under the bounds it names: a composite phase 1
+//! (minimize the total bound violation of the basics with a
+//! first-breakpoint ratio test) from the all-slack basis, followed by a
+//! primal phase 2. The bound-independent part of the LP is laid out once
+//! per `LpSolver`, so a branch & bound search builds it once and solves
+//! each node through it. Entering variables use Dantzig's rule with a
 //! Bland fallback once the iteration count suggests degenerate cycling.
 
-use crate::problem::{Direction, Problem, Sense, VarId};
+use crate::problem::{Direction, Problem, Sense};
 
 /// Numerical tolerance used throughout the solver.
 const TOL: f64 = 1e-9;
 
 /// Tolerance for primal feasibility decisions (bound violations).
 const FEAS_TOL: f64 = 1e-7;
-
-/// Tolerance for dual feasibility decisions on a child's inherited
-/// tableau.
-const DUAL_TOL: f64 = 1e-7;
-
-/// Margin by which a row must miss its bound, best case, before the dual
-/// simplex may call the LP infeasible on its own. Ten times [`FEAS_TOL`]:
-/// a gap within a few `FEAS_TOL` is where the cold path's round-off could
-/// land on the other side, so those go cold.
-const CERT_TOL: f64 = 1e-6;
 
 /// Why the solver could not return an optimum.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,26 +68,20 @@ enum ColStatus {
 pub struct LpSolution {
     /// Optimal objective value in the problem's original direction.
     pub objective: f64,
-    /// Optimal value of each variable, indexed by [`VarId::index`].
+    /// Optimal value of each variable, indexed by [`VarId::index`](crate::VarId::index).
     pub values: Vec<f64>,
 }
 
-/// Exact counts of the work one [`LpSolver`] has done — loop counters,
-/// always on. A branch & bound search stamps them on its
+/// Exact counts of the work an LP solver has done — loop counters, always
+/// on. A branch & bound search stamps them on its
 /// [`MilpSolution`](crate::MilpSolution).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveEffort {
-    /// LP relaxations solved ([`LpSolver::solve`] and
-    /// [`LpSolver::solve_child`] calls), whatever their verdict.
+    /// LP relaxations solved, whatever their verdict. Each is a cold
+    /// two-phase solve.
     pub lp_solves: usize,
     /// Simplex pivots (basis changes; bound flips are not counted).
     pub pivots: usize,
-    /// Cold two-phase solves: every [`LpSolver::solve`], and every child
-    /// whose reoptimization fell back.
-    pub cold_solves: usize,
-    /// Children the dual simplex ended with a certified-infeasible row
-    /// (no cold re-solve).
-    pub certified_infeasible: usize,
 }
 
 /// Solves the LP relaxation of `problem` (integrality ignored).
@@ -121,37 +91,15 @@ pub struct SolveEffort {
 /// Returns [`SolveError::Infeasible`] or [`SolveError::Unbounded`] as
 /// appropriate, and [`SolveError::IterationLimit`] on pathological inputs.
 pub fn solve_lp(problem: &Problem) -> Result<LpSolution, SolveError> {
-    solve_lp_with_bounds(problem, &problem.lower_bounds(), &problem.upper_bounds())
-}
-
-/// Solves the LP relaxation with overridden variable bounds: a cold
-/// [`LpSolver::solve`] on a solver built for the one call.
-///
-/// # Errors
-///
-/// See [`solve_lp`].
-///
-/// # Panics
-///
-/// Panics if the bound vectors do not match the number of variables or if
-/// any pair is inverted.
-pub fn solve_lp_with_bounds(
-    problem: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-) -> Result<LpSolution, SolveError> {
-    let mut solver = LpSolver::new(problem);
-    let t = solver.solve(lower, upper)?;
-    Ok(solver.solution(&t))
+    LpSolver::new(problem).solve(&problem.lower_bounds(), &problem.upper_bounds())
 }
 
 /// One LP in solver form — `A x + s = b`, senses folded into the slack
 /// bounds, costs in minimization form — ready to be solved under any
 /// number of variable-bound vectors. Everything here is independent of
-/// those bounds and built once per problem; the bounds travel with each
-/// [`Tableau`].
-#[derive(Debug, Clone)]
-pub struct LpSolver {
+/// those bounds and built once per problem.
+#[derive(Debug)]
+pub(crate) struct LpSolver {
     /// Rows (constraints).
     m: usize,
     /// Columns: `ns` structurals then `m` slacks.
@@ -173,11 +121,9 @@ pub struct LpSolver {
     effort: SolveEffort,
 }
 
-/// A solved LP relaxation: the tableau `B⁻¹A` at the optimum, the basic
-/// values, the column statuses, and the bounds it was solved under.
-/// [`LpSolver::solve_child`] continues from it.
-#[derive(Debug, Clone)]
-pub struct Tableau {
+/// One solve's working state: the tableau `B⁻¹A`, the basic values, the
+/// column statuses, and the bounds it is solved under.
+struct Tableau {
     /// `B⁻¹A`, `m × n` row-major.
     a: Vec<f64>,
     /// Value of the basic variable of each row.
@@ -190,14 +136,11 @@ pub struct Tableau {
     lower: Vec<f64>,
     /// Per-column upper bounds.
     upper: Vec<f64>,
+    /// Scratch for [`LpSolver::pivot`]: the pivot row's nonzero entries.
+    nonzero: Vec<(usize, f64)>,
 }
 
 impl Tableau {
-    /// The `[lower, upper]` bounds `var` was solved under.
-    pub fn bounds(&self, var: VarId) -> (f64, f64) {
-        (self.lower[var.0], self.upper[var.0])
-    }
-
     /// The resting value of nonbasic column `j`.
     fn nb_val(&self, j: usize) -> f64 {
         match self.status[j] {
@@ -209,19 +152,10 @@ impl Tableau {
     }
 }
 
-/// Why a child's reoptimization stopped short of an optimum.
-enum Stop {
-    /// A violated row that no column movement can repair: the LP is
-    /// infeasible, with [`CERT_TOL`] to spare.
-    Infeasible,
-    /// Anything else; the child is solved cold.
-    Unsure,
-}
-
 impl LpSolver {
     /// Lays out `problem`'s LP relaxation. Its own variable bounds are not
     /// read; every solve names the bounds it wants.
-    pub fn new(problem: &Problem) -> LpSolver {
+    pub(crate) fn new(problem: &Problem) -> LpSolver {
         let ns = problem.num_vars();
         let m = problem.constraints.len();
         let n = ns + m;
@@ -263,21 +197,18 @@ impl LpSolver {
     }
 
     /// The work done through this solver so far.
-    pub fn effort(&self) -> SolveEffort {
+    pub(crate) fn effort(&self) -> SolveEffort {
         self.effort
     }
 
-    /// Solves cold under the variable bounds `lower`/`upper`.
-    ///
-    /// # Errors
-    ///
-    /// See [`solve_lp`].
+    /// Solves cold under the variable bounds `lower`/`upper`, from the
+    /// all-slack starting tableau (`B = I`).
     ///
     /// # Panics
     ///
     /// Panics if the bound vectors do not match the number of variables or
     /// if any pair is inverted.
-    pub fn solve(&mut self, lower: &[f64], upper: &[f64]) -> Result<Tableau, SolveError> {
+    pub(crate) fn solve(&mut self, lower: &[f64], upper: &[f64]) -> Result<LpSolution, SolveError> {
         assert_eq!(lower.len(), self.ns, "lower bounds length mismatch");
         assert_eq!(upper.len(), self.ns, "upper bounds length mismatch");
         for (j, (&l, &u)) in lower.iter().zip(upper).enumerate() {
@@ -291,88 +222,6 @@ impl LpSolver {
             lower.push(slo);
             upper.push(sup);
         }
-        self.solve_cold(lower, upper)
-    }
-
-    /// Solves `parent`'s LP with `var`'s bounds replaced by `[lower,
-    /// upper]` — a branch & bound child. The child starts from a copy of
-    /// the parent's tableau: a bound change leaves it dual feasible (a
-    /// basic `var` keeps every basic value where it is; a nonbasic one
-    /// resting on the moved bound shifts them by `−α·Δ`), so the dual
-    /// simplex needs a handful of pivots. If that ends unsure, the child
-    /// is solved cold under its own bounds.
-    ///
-    /// Meant for tightening; any other change is still answered
-    /// correctly, because a tableau that lost dual feasibility is either
-    /// finished by the primal simplex or handed to the fallback.
-    ///
-    /// # Errors
-    ///
-    /// See [`solve_lp`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lower > upper` or `parent` is not a tableau of this
-    /// solver's shape.
-    pub fn solve_child(
-        &mut self,
-        parent: &Tableau,
-        var: VarId,
-        lower: f64,
-        upper: f64,
-    ) -> Result<Tableau, SolveError> {
-        assert!(lower <= upper, "inverted bounds [{lower}, {upper}]");
-        assert_eq!(parent.a.len(), self.m * self.n, "tableau shape mismatch");
-        self.effort.lp_solves += 1;
-        let mut t = parent.clone();
-        self.rebound(&mut t, var.0, lower, upper);
-        match self.reoptimize(&mut t) {
-            Ok(()) => Ok(t),
-            Err(Stop::Infeasible) => Err(SolveError::Infeasible),
-            Err(Stop::Unsure) => self.solve_cold(t.lower, t.upper),
-        }
-    }
-
-    /// Reads the solution out of an optimal tableau.
-    pub fn solution(&self, t: &Tableau) -> LpSolution {
-        let values = self.values(t);
-        LpSolution {
-            objective: self.objective(&values),
-            values,
-        }
-    }
-
-    /// The value of every structural variable at `t`'s vertex.
-    pub fn values(&self, t: &Tableau) -> Vec<f64> {
-        let mut values: Vec<f64> = (0..self.ns)
-            .map(|j| match t.status[j] {
-                ColStatus::Basic => 0.0,
-                _ => t.nb_val(j),
-            })
-            .collect();
-        for (&bi, &x) in t.basis.iter().zip(&t.xb) {
-            if bi < self.ns {
-                // Snap to bounds against round-off.
-                values[bi] = x.max(t.lower[bi]).min(t.upper[bi]);
-            }
-        }
-        values
-    }
-
-    /// The objective at `values`, in the problem's original direction.
-    pub fn objective(&self, values: &[f64]) -> f64 {
-        let min_obj: f64 = values.iter().zip(&self.cost).map(|(v, c)| v * c).sum();
-        min_obj * self.sign
-    }
-
-    fn max_iters(&self) -> usize {
-        50 * (self.m + self.n + 10)
-    }
-
-    /// The cold two-phase solve under the full-length column bounds
-    /// `lower`/`upper`, from the all-slack starting tableau (`B = I`).
-    fn solve_cold(&mut self, lower: Vec<f64>, upper: Vec<f64>) -> Result<Tableau, SolveError> {
-        self.effort.cold_solves += 1;
         let status = (0..self.n)
             .map(|j| {
                 if j >= self.ns {
@@ -393,11 +242,39 @@ impl LpSolver {
             status,
             lower,
             upper,
+            nonzero: Vec::with_capacity(self.n),
         };
         self.rest_nonbasics(&mut t);
         self.primal_phase1(&mut t)?;
         self.primal_phase2(&mut t)?;
-        Ok(t)
+        Ok(self.solution(&t))
+    }
+
+    /// Reads the solution out of an optimal tableau: every structural's
+    /// value at its vertex, and the objective there in the problem's
+    /// original direction.
+    fn solution(&self, t: &Tableau) -> LpSolution {
+        let mut values: Vec<f64> = (0..self.ns)
+            .map(|j| match t.status[j] {
+                ColStatus::Basic => 0.0,
+                _ => t.nb_val(j),
+            })
+            .collect();
+        for (&bi, &x) in t.basis.iter().zip(&t.xb) {
+            if bi < self.ns {
+                // Snap to bounds against round-off.
+                values[bi] = x.max(t.lower[bi]).min(t.upper[bi]);
+            }
+        }
+        let min_obj: f64 = values.iter().zip(&self.cost).map(|(v, c)| v * c).sum();
+        LpSolution {
+            objective: min_obj * self.sign,
+            values,
+        }
+    }
+
+    fn max_iters(&self) -> usize {
+        50 * (self.m + self.n + 10)
     }
 
     /// Turns `t.xb` from `B⁻¹b` into the basic values: `x_B = B⁻¹b −
@@ -425,48 +302,6 @@ impl LpSolver {
         }
     }
 
-    /// Replaces column `j`'s bounds in a solved tableau. A basic column
-    /// only gets new bounds to be checked against; a nonbasic one stays on
-    /// the side it rests on (while that side is finite) and carries the
-    /// basics along if its resting value moved.
-    fn rebound(&self, t: &mut Tableau, j: usize, lower: f64, upper: f64) {
-        let rested = (t.status[j] != ColStatus::Basic).then(|| t.nb_val(j));
-        t.lower[j] = lower;
-        t.upper[j] = upper;
-        let Some(rested) = rested else { return };
-        t.status[j] = match t.status[j] {
-            ColStatus::AtLower if lower.is_finite() => ColStatus::AtLower,
-            ColStatus::AtUpper if upper.is_finite() => ColStatus::AtUpper,
-            _ if lower.is_finite() => ColStatus::AtLower,
-            _ if upper.is_finite() => ColStatus::AtUpper,
-            _ => ColStatus::Free,
-        };
-        let delta = t.nb_val(j) - rested;
-        if delta != 0.0 {
-            self.shift_basics(t, j, delta);
-        }
-    }
-
-    /// Drives a tableau with a valid basis to the optimum of its bounds:
-    /// dual simplex when it starts dual feasible, primal simplex when it
-    /// starts primal feasible, and a final check that what comes out is an
-    /// optimum.
-    fn reoptimize(&mut self, t: &mut Tableau) -> Result<(), Stop> {
-        if self.is_dual_feasible(t) {
-            self.dual_simplex(t)?;
-        } else if !self.is_primal_feasible(t) {
-            // Neither dual nor primal feasible: the basis buys nothing.
-            return Err(Stop::Unsure);
-        }
-        self.primal_phase2(t).map_err(|_| Stop::Unsure)?;
-        // Paranoia: never hand back a tableau that is not an optimum.
-        if self.is_primal_feasible(t) && self.is_dual_feasible(t) {
-            Ok(())
-        } else {
-            Err(Stop::Unsure)
-        }
-    }
-
     /// Reduced costs `r = c − c_B' B⁻¹A`, written into `r`.
     fn price_into(&self, t: &Tableau, r: &mut [f64]) {
         r.copy_from_slice(&self.cost);
@@ -479,26 +314,6 @@ impl LpSolver {
                 }
             }
         }
-    }
-
-    fn is_primal_feasible(&self, t: &Tableau) -> bool {
-        t.xb.iter().zip(&t.basis).all(|(&x, &b)| {
-            x >= t.lower[b] - FEAS_TOL * (1.0 + t.lower[b].abs())
-                && x <= t.upper[b] + FEAS_TOL * (1.0 + t.upper[b].abs())
-        })
-    }
-
-    fn is_dual_feasible(&self, t: &Tableau) -> bool {
-        let mut r = vec![0.0; self.n];
-        self.price_into(t, &mut r);
-        (0..self.n).all(|j| match t.status[j] {
-            ColStatus::Basic => true,
-            // Fixed columns can never enter, so their sign is irrelevant.
-            _ if t.lower[j] == t.upper[j] => true,
-            ColStatus::AtLower => r[j] >= -DUAL_TOL,
-            ColStatus::AtUpper => r[j] <= DUAL_TOL,
-            ColStatus::Free => r[j].abs() <= DUAL_TOL,
-        })
     }
 
     /// Picks the entering column for reduced costs `r`: the most negative
@@ -566,27 +381,29 @@ impl LpSolver {
         }
     }
 
-    /// Pivots the tableau on `(row, col)`.
+    /// Pivots the tableau on `(row, col)`. Only the pivot row's nonzero
+    /// columns change in the other rows.
     fn pivot(t: &mut Tableau, n: usize, row: usize, col: usize) {
         let p = t.a[row * n + col];
         debug_assert!(p.abs() > 1e-12, "pivot on (near-)zero element");
-        for v in &mut t.a[row * n..row * n + n] {
+        let (above, rest) = t.a.split_at_mut(row * n);
+        let (pivot_row, below) = rest.split_at_mut(n);
+        t.nonzero.clear();
+        for (j, v) in pivot_row.iter_mut().enumerate() {
             *v /= p;
-        }
-        let m = t.xb.len();
-        for i in 0..m {
-            if i == row {
-                continue;
+            if *v != 0.0 {
+                t.nonzero.push((j, *v));
             }
-            let factor = t.a[i * n + col];
+        }
+        for other in above.chunks_exact_mut(n).chain(below.chunks_exact_mut(n)) {
+            let factor = other[col];
             if factor == 0.0 {
                 continue;
             }
-            for j in 0..n {
-                let pivot_v = t.a[row * n + j];
-                t.a[i * n + j] -= factor * pivot_v;
+            for &(j, pivot_v) in &t.nonzero {
+                other[j] -= factor * pivot_v;
             }
-            t.a[i * n + col] = 0.0; // exact zero against round-off
+            other[col] = 0.0; // exact zero against round-off
         }
         t.basis[row] = col;
     }
@@ -750,163 +567,6 @@ impl LpSolver {
             Some((l, _)) => tstep < best - TOL || (tstep < best + TOL && t.basis[row] < t.basis[l]),
         }
     }
-
-    /// Bounded dual simplex: starting dual feasible, repair primal
-    /// feasibility row by row while keeping the reduced costs signed.
-    fn dual_simplex(&mut self, t: &mut Tableau) -> Result<(), Stop> {
-        let (m, n) = (self.m, self.n);
-        let mut r = vec![0.0; n];
-        for _ in 0..self.max_iters() {
-            // Leaving row: the most violated basic.
-            let mut leave: Option<(usize, bool)> = None; // (row, below lower)
-            let mut worst: f64 = 0.0;
-            for i in 0..m {
-                let bi = t.basis[i];
-                let below = (t.lower[bi] - t.xb[i]) / (1.0 + t.lower[bi].abs());
-                let above = (t.xb[i] - t.upper[bi]) / (1.0 + t.upper[bi].abs());
-                if below > worst.max(FEAS_TOL) {
-                    worst = below;
-                    leave = Some((i, true));
-                }
-                if above > worst.max(FEAS_TOL) {
-                    worst = above;
-                    leave = Some((i, false));
-                }
-            }
-            let Some((row, below)) = leave else {
-                return Ok(()); // primal feasible
-            };
-
-            self.price_into(t, &mut r);
-            // Entering column: the dual ratio test — smallest |r_j / α_j|
-            // over columns whose movement pushes the leaving basic toward
-            // its violated bound — keeps every reduced cost signed.
-            let mut best: Option<(usize, f64)> = None;
-            for (j, &rj) in r.iter().enumerate().take(n) {
-                if t.status[j] == ColStatus::Basic || t.lower[j] == t.upper[j] {
-                    continue;
-                }
-                let alpha = t.a[row * n + j];
-                if alpha.abs() <= TOL {
-                    continue;
-                }
-                let eligible = match t.status[j] {
-                    ColStatus::AtLower => {
-                        if below {
-                            alpha < 0.0
-                        } else {
-                            alpha > 0.0
-                        }
-                    }
-                    ColStatus::AtUpper => {
-                        if below {
-                            alpha > 0.0
-                        } else {
-                            alpha < 0.0
-                        }
-                    }
-                    ColStatus::Free => true,
-                    ColStatus::Basic => unreachable!(),
-                };
-                if !eligible {
-                    continue;
-                }
-                let ratio = (rj / alpha).abs();
-                let better = match best {
-                    None => true,
-                    Some((bj, br)) => ratio < br - TOL || (ratio < br + TOL && j < bj),
-                };
-                if better {
-                    best = Some((j, ratio));
-                }
-            }
-            // No eligible column: this row may prove the LP infeasible.
-            let Some((e, _)) = best else {
-                return Err(if self.certifies_infeasibility(t, row, below) {
-                    self.effort.certified_infeasible += 1;
-                    Stop::Infeasible
-                } else {
-                    Stop::Unsure
-                });
-            };
-
-            let alpha = t.a[row * n + e];
-            let sigma = if below {
-                -alpha.signum()
-            } else {
-                alpha.signum()
-            };
-            let bi = t.basis[row];
-            let target = if below { t.lower[bi] } else { t.upper[bi] };
-            let rate = -sigma * alpha;
-            let step = ((target - t.xb[row]) / rate).max(0.0);
-            self.apply_step(t, e, sigma, step, Some((row, !below)));
-        }
-        Err(Stop::Unsure)
-    }
-
-    /// Whether `row`, whose basic sits `below` its lower (or above its
-    /// upper) bound, proves the LP infeasible. The row reads `x_B = x̄_B −
-    /// Σ_j α_j·(x_j − x̄_j)` over the nonbasic columns, so the furthest the
-    /// basic can travel toward its bound is the sum, over those columns,
-    /// of the best each can do inside its own bounds — computed here
-    /// column by column rather than inferred from "the ratio test found
-    /// nothing". A column the ratio test skipped for `|α| ≤ TOL` is
-    /// charged `|α|` times all the [`travel`](Self::travel) it has,
-    /// whichever way it would have to move; unbounded travel that helps at
-    /// all leaves the row uncertified. Certified means the bound is still
-    /// out of reach by [`CERT_TOL`].
-    fn certifies_infeasibility(&self, t: &Tableau, row: usize, below: bool) -> bool {
-        let bi = t.basis[row];
-        let (gap, bound) = if below {
-            (t.lower[bi] - t.xb[row], t.lower[bi])
-        } else {
-            (t.xb[row] - t.upper[bi], t.upper[bi])
-        };
-        let mut reach = 0.0;
-        for j in 0..self.n {
-            let alpha = t.a[row * self.n + j];
-            if t.status[j] == ColStatus::Basic || alpha == 0.0 || t.lower[j] == t.upper[j] {
-                continue;
-            }
-            // Rate at which the basic nears its bound as x_j rises.
-            let toward = if below { -alpha } else { alpha };
-            let helps = alpha.abs() <= TOL
-                || match t.status[j] {
-                    ColStatus::AtLower => toward > 0.0,
-                    ColStatus::AtUpper => toward < 0.0,
-                    _ => true,
-                };
-            if helps {
-                reach += alpha.abs() * self.travel(t, j);
-            }
-        }
-        gap - reach > CERT_TOL * (1.0 + bound.abs())
-    }
-
-    /// How far nonbasic column `j` can sit from its resting value in any
-    /// feasible point. For most columns that is the width of their bounds.
-    /// A slack with an open side (`≤` and `≥` rows) is still confined by
-    /// its row, `s = b − a·x` over the box the structurals live in — which
-    /// is what keeps pivoting round-off of `1e-17` in such a column from
-    /// voiding every certificate.
-    fn travel(&self, t: &Tableau, j: usize) -> f64 {
-        let width = t.upper[j] - t.lower[j];
-        if width.is_finite() || j < self.ns {
-            return width;
-        }
-        let i = j - self.ns;
-        let (mut least, mut most) = (self.b[i], self.b[i]);
-        for (k, &a) in self.a0[i * self.n..i * self.n + self.ns].iter().enumerate() {
-            if a != 0.0 {
-                let (p, q) = (a * t.lower[k], a * t.upper[k]);
-                least -= p.max(q);
-                most -= p.min(q);
-            }
-        }
-        let rest = t.nb_val(j);
-        (most - rest).abs().max((least - rest).abs())
-    }
 }
 
 #[cfg(test)]
@@ -1062,8 +722,35 @@ mod tests {
         assert_eq!(format!("{}", SolveError::Unbounded), "problem is unbounded");
     }
 
+    /// `min x + 2y` over `x + y ≥ 1.5` with `x ≤ 0.5 − gap`, `y ≤ 1`:
+    /// every point misses the row by at least `gap`. The cold solve ends
+    /// with the miss on the row's slack, whose bound is 0, so `FEAS_TOL`
+    /// itself decides: a gap under it is no gap, a wider one is infeasible.
+    #[test]
+    fn marginal_gaps_are_judged_by_the_feasibility_tolerance() {
+        for multiple in [-3.0, -1.0, 0.0, 0.5, 0.9, 1.5, 3.0, 5.0, 1e4] {
+            let gap = multiple * FEAS_TOL;
+            let mut p = Problem::new(Direction::Minimize);
+            let x = p.add_var("x", VarKind::Continuous, 0.0, 0.5 - gap);
+            let y = p.add_var("y", VarKind::Continuous, 0.0, 1.0);
+            p.add_constraint("cover", &[(x, 1.0), (y, 1.0)], Sense::Ge, 1.5);
+            p.set_objective(&[(x, 1.0), (y, 2.0)]);
+            let verdict = solve_lp(&p);
+            if multiple > 1.0 {
+                assert_eq!(
+                    verdict,
+                    Err(SolveError::Infeasible),
+                    "gap {multiple}·FEAS_TOL"
+                );
+            } else {
+                assert!(verdict.is_ok(), "gap {multiple}·FEAS_TOL is no gap");
+            }
+        }
+    }
+
     fn sample_problem() -> Problem {
-        // min 2x + 3y + z st x + y >= 10, y + z = 4, x <= 6, z <= 3.
+        // min 2x + 3y + z st x + y >= 10, y + z = 4, x <= 6, z <= 3 →
+        // (6, 4, 0), obj 24.
         let mut p = Problem::new(Direction::Minimize);
         let x = p.add_var("x", VarKind::Continuous, 0.0, 6.0);
         let y = cont(&mut p, "y");
@@ -1074,138 +761,191 @@ mod tests {
         p
     }
 
-    /// A child whose bounds equal its parent's starts at an optimum: the
-    /// copied tableau is handed back with no pivot and no cold solve.
-    #[test]
-    fn warm_restart_from_own_basis_reproduces_the_optimum() {
-        let p = sample_problem();
-        let mut solver = LpSolver::new(&p);
-        let parent = solver.solve(&p.lower_bounds(), &p.upper_bounds()).unwrap();
-        let before = solver.effort();
-        let child = solver.solve_child(&parent, VarId(0), 0.0, 6.0).unwrap();
-        let cold = solver.solution(&parent);
-        let warm = solver.solution(&child);
-        assert_eq!(warm.values, cold.values);
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
-        let after = solver.effort();
-        assert_eq!(after.lp_solves, before.lp_solves + 1);
-        assert_eq!(after.pivots, before.pivots);
-        assert_eq!(after.cold_solves, before.cold_solves);
-    }
-
-    #[test]
-    fn warm_restart_after_bound_change_matches_cold() {
-        // min 2x + 3y st x + y >= 10, x in [0, 6] → (6, 4), obj 24.
+    /// min 2x + 3y st x + y >= 10, x in [0, 6] → (6, 4), obj 24.
+    fn demand_problem() -> Problem {
         let mut p = Problem::new(Direction::Minimize);
         let x = p.add_var("x", VarKind::Continuous, 0.0, 6.0);
         let y = cont(&mut p, "y");
         p.add_constraint("demand", &[(x, 1.0), (y, 1.0)], Sense::Ge, 10.0);
         p.set_objective(&[(x, 2.0), (y, 3.0)]);
+        p
+    }
+
+    /// A branch & bound search solves every node through one solver: each
+    /// solve starts over from its own bounds, so what an earlier solve left
+    /// behind — an optimum, an infeasible verdict — never shows in a later
+    /// answer, which is bit for bit a fresh solver's.
+    #[test]
+    fn one_solver_resolved_under_new_bounds_matches_a_fresh_one() {
+        let p = sample_problem();
+        let (lower, upper) = (p.lower_bounds(), p.upper_bounds());
+        let with = |bounds: &[f64], j: usize, v: f64| {
+            let mut b = bounds.to_vec();
+            b[j] = v;
+            b
+        };
+        let sequence = [
+            (lower.clone(), upper.clone()),
+            (lower.clone(), with(&upper, 2, 2.0)),
+            // y + z = 4 caps y at 4, so x >= 6: x <= 4 is infeasible.
+            (lower.clone(), with(&upper, 0, 4.0)),
+            (with(&lower, 0, 6.0), upper.clone()),
+            (lower.clone(), upper.clone()),
+        ];
         let mut solver = LpSolver::new(&p);
-        let parent = solver.solve(&p.lower_bounds(), &p.upper_bounds()).unwrap();
-        // Tighten x's upper bound to 3: the parent basis stays dual
-        // feasible and the dual simplex repairs primal feasibility,
-        // landing on (3, 7), obj 27, without a cold solve.
-        let child = solver.solve_child(&parent, x, 0.0, 3.0).unwrap();
-        assert_eq!(solver.effort().cold_solves, 1, "only the parent ran cold");
-        let warm = solver.solution(&child);
-        let mut upper = p.upper_bounds();
-        upper[0] = 3.0;
-        let re_cold = solve_lp_with_bounds(&p, &p.lower_bounds(), &upper).unwrap();
-        assert!((warm.objective - 27.0).abs() < 1e-8);
-        assert!((warm.objective - re_cold.objective).abs() < 1e-8);
-        for (a, b) in warm.values.iter().zip(&re_cold.values) {
-            assert!((a - b).abs() < 1e-8);
+        let mut answers = Vec::new();
+        for (lo, up) in &sequence {
+            let reused = solver.solve(lo, up);
+            let fresh = LpSolver::new(&p).solve(lo, up);
+            assert_eq!(reused, fresh, "bounds {lo:?} {up:?}");
+            answers.push(reused);
         }
+        assert_eq!(answers[2], Err(SolveError::Infeasible));
+        assert_eq!(answers[4], answers[0]);
+        let first = answers[0].as_ref().unwrap();
+        assert!((first.objective - 24.0).abs() < 1e-9);
+        assert_eq!(first.values, vec![6.0, 4.0, 0.0]);
+    }
+
+    /// The problem's own bounds are only its root's: a solve under tighter
+    /// or looser ones answers for those.
+    #[test]
+    fn solves_read_the_bounds_they_are_given_not_the_problems() {
+        let p = demand_problem();
+        let mut solver = LpSolver::new(&p);
+        let tight = solver.solve(&[0.0, 0.0], &[3.0, f64::INFINITY]).unwrap();
+        assert!((tight.objective - 27.0).abs() < 1e-9, "{tight:?}");
+        assert_eq!(tight.values, vec![3.0, 7.0]);
+        let loose = solver.solve(&[0.0, 0.0], &[20.0, f64::INFINITY]).unwrap();
+        assert!((loose.objective - 20.0).abs() < 1e-9, "{loose:?}");
+        assert_eq!(loose.values, vec![10.0, 0.0]);
+        let own = solver.solve(&p.lower_bounds(), &p.upper_bounds()).unwrap();
+        assert_eq!(own, solve_lp(&p).unwrap());
+        assert_eq!(own.values, vec![6.0, 4.0]);
+    }
+
+    /// Every solve counts, infeasible ones too, and a cold solve's pivots
+    /// depend only on its bounds; an LP whose all-slack start is already
+    /// optimal takes none.
+    #[test]
+    fn effort_counts_every_solve_and_its_pivots() {
+        let p = sample_problem();
+        let (lower, upper) = (p.lower_bounds(), p.upper_bounds());
+        let mut solver = LpSolver::new(&p);
+        assert_eq!(solver.effort(), SolveEffort::default());
+        solver.solve(&lower, &upper).unwrap();
+        let once = solver.effort();
+        assert_eq!(once.lp_solves, 1);
+        assert!(once.pivots > 0, "{once:?}");
+        let mut capped = upper.clone();
+        capped[0] = 4.0;
+        assert_eq!(solver.solve(&lower, &capped), Err(SolveError::Infeasible));
+        let after_infeasible = solver.effort();
+        assert_eq!(after_infeasible.lp_solves, 2);
+        solver.solve(&lower, &upper).unwrap();
+        let thrice = solver.effort();
+        assert_eq!(thrice.lp_solves, 3);
+        assert_eq!(thrice.pivots - after_infeasible.pivots, once.pivots);
+
+        // min x + y st x + y <= 4: the start (0, 0) is optimal.
+        let mut q = Problem::new(Direction::Minimize);
+        let x = q.add_var("x", VarKind::Continuous, 0.0, 5.0);
+        let y = q.add_var("y", VarKind::Continuous, 0.0, 5.0);
+        q.add_constraint("cap", &[(x, 1.0), (y, 1.0)], Sense::Le, 4.0);
+        q.set_objective(&[(x, 1.0), (y, 1.0)]);
+        let mut solver = LpSolver::new(&q);
+        let sol = solver.solve(&[1.0, 0.0], &[5.0, 5.0]).unwrap();
+        assert_eq!(sol.values, vec![1.0, 0.0]);
+        assert_eq!(
+            solver.effort(),
+            SolveEffort {
+                lp_solves: 1,
+                pivots: 0
+            }
+        );
     }
 
     #[test]
-    fn warm_restart_agrees_with_cold_on_infeasible_children() {
-        let p = sample_problem();
-        let mut solver = LpSolver::new(&p);
-        let parent = solver.solve(&p.lower_bounds(), &p.upper_bounds()).unwrap();
-        // y + z = 4 caps y at 4, so x >= 6; tightening x below that is
-        // infeasible, and the warm path must agree with the cold verdict.
-        let warm = solver.solve_child(&parent, VarId(0), 0.0, 4.0);
-        assert_eq!(warm.err(), Some(SolveError::Infeasible));
-        let mut upper = p.upper_bounds();
-        upper[0] = 4.0;
-        let cold = solve_lp_with_bounds(&p, &p.lower_bounds(), &upper);
-        assert_eq!(cold, Err(SolveError::Infeasible));
+    #[should_panic(expected = "inverted bounds for variable 0")]
+    fn inverted_bounds_panic() {
+        let p = demand_problem();
+        let _ = LpSolver::new(&p).solve(&[4.0, 0.0], &[3.0, f64::INFINITY]);
     }
 
-    /// min 2x + 3y st 10 <= x + y <= 15, x in [0, 6], y in [0, 20] → (6,
-    /// 4), obj 24; and the tableau of the same LP maximized, whose optimum
-    /// (0, 15) has basics y and the demand row's slack. That tableau is
-    /// primal feasible for the minimization but not dual feasible.
-    fn band_problem_and_max_tableau() -> (Problem, Tableau) {
-        let mut p = Problem::new(Direction::Maximize);
-        let x = p.add_var("x", VarKind::Continuous, 0.0, 6.0);
-        let y = p.add_var("y", VarKind::Continuous, 0.0, 20.0);
-        p.add_constraint("demand", &[(x, 1.0), (y, 1.0)], Sense::Ge, 10.0);
-        p.add_constraint("cap", &[(x, 1.0), (y, 1.0)], Sense::Le, 15.0);
-        p.set_objective(&[(x, 2.0), (y, 3.0)]);
-        let max = LpSolver::new(&p)
-            .solve(&p.lower_bounds(), &p.upper_bounds())
+    #[test]
+    #[should_panic(expected = "upper bounds length mismatch")]
+    fn bound_vectors_of_the_wrong_length_panic() {
+        let p = demand_problem();
+        let _ = LpSolver::new(&p).solve(&[0.0, 0.0], &[6.0]);
+    }
+
+    /// A lower bound above its upper one by no more than `TOL` is round-off,
+    /// not an inversion: the variable is fixed at its upper bound.
+    #[test]
+    fn bounds_inverted_within_tolerance_fix_the_variable() {
+        let p = demand_problem();
+        let sol = LpSolver::new(&p)
+            .solve(&[3.0 + 0.5 * TOL, 0.0], &[3.0, f64::INFINITY])
             .unwrap();
-        p.direction = Direction::Minimize;
-        (p, max)
+        assert_eq!(sol.values[0], 3.0);
+        assert!((sol.values[1] - 7.0).abs() < 1e-9, "{sol:?}");
+        assert!((sol.objective - 27.0).abs() < 1e-9, "{sol:?}");
     }
 
-    /// A child of a primal-feasible but dual-infeasible tableau finishes
-    /// with the primal simplex from the inherited basis, with no cold
-    /// solve.
+    /// The pivot skips the pivot row's zero columns and the rows with a zero
+    /// in the pivot column; what it does compute is the dense update's
+    /// arithmetic, so the two tableaus are equal entry for entry (`==`, under
+    /// which the signs of zeros do not matter).
     #[test]
-    fn children_that_lose_dual_feasibility_finish_by_primal_simplex() {
-        let (p, parent) = band_problem_and_max_tableau();
-        let mut solver = LpSolver::new(&p);
-        assert!(solver.is_primal_feasible(&parent));
-        assert!(!solver.is_dual_feasible(&parent));
-        let child = solver.solve_child(&parent, VarId(0), 0.0, 6.0).unwrap();
-        assert_eq!(solver.effort().cold_solves, 0);
-        let warm = solver.solution(&child);
-        assert_eq!(warm, solve_lp(&p).unwrap());
-        assert_eq!(warm.values, vec![6.0, 4.0]);
-    }
+    fn sparse_pivot_matches_a_dense_pivot() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9170);
+        for _ in 0..200 {
+            let m = rng.gen_range(1..=6usize);
+            let n = rng.gen_range(1..=9usize);
+            let a: Vec<f64> = (0..m * n)
+                .map(|_| {
+                    if rng.gen_bool(0.4) {
+                        0.0
+                    } else {
+                        rng.gen_range(-4.0..4.0)
+                    }
+                })
+                .collect();
+            let (row, col) = (rng.gen_range(0..m), rng.gen_range(0..n));
+            let mut t = Tableau {
+                a: a.clone(),
+                xb: vec![0.0; m],
+                basis: (0..m).collect(),
+                status: vec![ColStatus::AtLower; n],
+                lower: vec![0.0; n],
+                upper: vec![1.0; n],
+                nonzero: Vec::new(),
+            };
+            t.a[row * n + col] =
+                rng.gen_range(0.5..4.0) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            let before = t.a.clone();
+            LpSolver::pivot(&mut t, n, row, col);
 
-    /// Neither primal nor dual feasible after the bound change: the
-    /// inherited basis buys nothing, and the child is solved cold under
-    /// its own bounds.
-    #[test]
-    fn children_that_lose_both_feasibilities_are_solved_cold() {
-        let (p, parent) = band_problem_and_max_tableau();
-        let mut solver = LpSolver::new(&p);
-        // The basic y = 15 now breaks its new upper bound 12.
-        let child = solver.solve_child(&parent, VarId(1), 0.0, 12.0).unwrap();
-        assert_eq!(solver.effort().cold_solves, 1, "the child fell back");
-        let mut upper = p.upper_bounds();
-        upper[1] = 12.0;
-        let cold = solve_lp_with_bounds(&p, &p.lower_bounds(), &upper).unwrap();
-        assert_eq!(solver.solution(&child), cold);
-        assert_eq!(child.bounds(VarId(1)), (0.0, 12.0));
-    }
-
-    /// A child's tableau is its own copy: it reports the bounds it was
-    /// solved under, its parent keeps the ones it had, and both keep the
-    /// solver's shape (one row per constraint, one column per structural
-    /// and slack).
-    #[test]
-    fn child_tableaus_report_their_own_bounds() {
-        let p = sample_problem();
-        let mut solver = LpSolver::new(&p);
-        let parent = solver.solve(&p.lower_bounds(), &p.upper_bounds()).unwrap();
-        let child = solver.solve_child(&parent, VarId(2), 0.0, 2.0).unwrap();
-        assert_eq!(parent.bounds(VarId(2)), (0.0, 3.0));
-        assert_eq!(child.bounds(VarId(2)), (0.0, 2.0));
-        assert_eq!(solver.values(&child), solver.values(&parent));
-        for v in [VarId(0), VarId(1)] {
-            assert_eq!(child.bounds(v), parent.bounds(v));
-        }
-        for t in [&parent, &child] {
-            assert_eq!(t.basis.len(), 2);
-            assert_eq!(t.xb.len(), 2);
-            assert_eq!(t.status.len(), p.num_vars() + 2);
-            assert_eq!(t.a.len(), 2 * (p.num_vars() + 2));
+            let p = before[row * n + col];
+            let pivot_row: Vec<f64> = before[row * n..(row + 1) * n]
+                .iter()
+                .map(|v| v / p)
+                .collect();
+            let mut dense = before.clone();
+            for i in 0..m {
+                for j in 0..n {
+                    dense[i * n + j] = if i == row {
+                        pivot_row[j]
+                    } else if j == col {
+                        0.0
+                    } else {
+                        before[i * n + j] - before[i * n + col] * pivot_row[j]
+                    };
+                }
+            }
+            assert_eq!(t.a, dense, "pivot on ({row}, {col}) of {m}×{n}");
+            assert_eq!(t.basis[row], col);
         }
     }
 }

@@ -104,12 +104,11 @@ fn origin_is_always_feasible_in_generated_ips() {
     }
 }
 
-/// The solver's answers on this file's generator, recorded at the commit
-/// before branch & bound children started from their parent's tableau
-/// and certified-infeasible children stopped re-solving cold: FNV-1a over
-/// every optimal objective's bit pattern (integer data, so alternate
-/// optima hash alike) and every [`find_feasible`] verdict. Neither change
-/// may move an answer.
+/// The solver's answers on this file's generator, recorded before branch
+/// & bound children were ever solved from their parent's tableau: FNV-1a
+/// over every optimal objective's bit pattern (integer data, so alternate
+/// optima hash alike) and every [`find_feasible`] verdict. Solving every
+/// node cold, as the search does again now, may not move an answer.
 #[test]
 fn answers_match_the_recorded_parent_commit() {
     let options = MilpOptions::default();
@@ -118,11 +117,6 @@ fn answers_match_the_recorded_parent_commit() {
     for seed in 0..400 {
         let ip = random_tracked_ip(seed);
         let sol = solve_milp(&ip.problem, &options).expect("origin feasible");
-        assert_eq!(
-            sol.effort.cold_solves, 1,
-            "seed {seed}: a cold search solves cold once, at its root\n{}",
-            ip.problem
-        );
         mix(sol.objective.to_bits());
         let mut probe = WarmStart::new();
         let found = find_feasible(&ip.problem, &options, &mut probe).is_ok();

@@ -11,12 +11,18 @@
 //!
 //! The instances are small on purpose and hostile on purpose: `Le`, `Ge`
 //! and `Eq` rows; degenerate ones (duplicate and zero rows, zero costs,
-//! fixed columns, rows through a box corner); and near-singular ones (a row
-//! that is another plus a `1e-6` perturbation). Beale's LP, on which
-//! Dantzig pricing with a lowest-index tie-break cycles, must still reach
-//! its optimum through the Bland fallback.
+//! fixed columns, rows through a box corner); near-singular ones (a row
+//! that is another plus a `1e-6` perturbation); marginal ones (one bound
+//! cut `1e-6·(1 + |x|)` past one end of a variable's feasible range); and
+//! chains of thirty bound tightenings, the bound vectors a branch & bound
+//! dive solves under. A split of one variable's range must leave two
+//! children whose better optimum is their parent's. Beale's LP, on which Dantzig pricing with a
+//! lowest-index tie-break cycles, must still reach its optimum through the
+//! Bland fallback.
 
-use diffserve_milp::{solve_lp, Direction, LpSolver, Problem, Sense, SolveError, VarKind};
+use diffserve_milp::{
+    solve_lp, solve_milp, Direction, MilpOptions, Problem, Sense, SolveError, VarKind,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -38,6 +44,9 @@ struct SmallLp {
     upper: Vec<f64>,
     rows: Vec<Row>,
     cost: Vec<f64>,
+    /// The point the rows of a feasible-by-construction shape are taken at
+    /// (it satisfies every row and bound); meaningless for [`Shape::Plain`].
+    anchor: Vec<f64>,
 }
 
 /// Which family of instance a case draws.
@@ -155,28 +164,7 @@ fn small_lp(seed: u64, shape: Shape) -> SmallLp {
         })
         .collect();
 
-    let mut problem = Problem::new(direction);
-    let vars: Vec<_> = (0..n)
-        .map(|j| problem.add_var(format!("x{j}"), VarKind::Continuous, lower[j], upper[j]))
-        .collect();
-    for (i, row) in rows.iter().enumerate() {
-        let terms: Vec<_> = vars
-            .iter()
-            .zip(&row.coeffs)
-            .map(|(&v, &a)| (v, a))
-            .collect();
-        problem.add_constraint(format!("r{i}"), &terms, row.sense, row.rhs);
-    }
-    let objective: Vec<_> = vars.iter().zip(&cost).map(|(&v, &c)| (v, c)).collect();
-    problem.set_objective(&objective);
-    SmallLp {
-        problem,
-        direction,
-        lower,
-        upper,
-        rows,
-        cost,
-    }
+    SmallLp::new(direction, lower, upper, rows, cost, anchor)
 }
 
 /// Relative tolerance a candidate vertex must meet its half-spaces within.
@@ -198,6 +186,53 @@ struct HalfSpace<'a> {
 }
 
 impl SmallLp {
+    fn new(
+        direction: Direction,
+        lower: Vec<f64>,
+        upper: Vec<f64>,
+        rows: Vec<Row>,
+        cost: Vec<f64>,
+        anchor: Vec<f64>,
+    ) -> SmallLp {
+        let mut problem = Problem::new(direction);
+        let vars: Vec<_> = (0..lower.len())
+            .map(|j| problem.add_var(format!("x{j}"), VarKind::Continuous, lower[j], upper[j]))
+            .collect();
+        for (i, row) in rows.iter().enumerate() {
+            let terms: Vec<_> = vars
+                .iter()
+                .zip(&row.coeffs)
+                .map(|(&v, &a)| (v, a))
+                .collect();
+            problem.add_constraint(format!("r{i}"), &terms, row.sense, row.rhs);
+        }
+        let objective: Vec<_> = vars.iter().zip(&cost).map(|(&v, &c)| (v, c)).collect();
+        problem.set_objective(&objective);
+        SmallLp {
+            problem,
+            direction,
+            lower,
+            upper,
+            rows,
+            cost,
+            anchor,
+        }
+    }
+
+    /// The same LP with variable `j` confined to `[lo, up]`.
+    fn with_bounds(&self, j: usize, lo: f64, up: f64) -> SmallLp {
+        let (mut lower, mut upper) = (self.lower.clone(), self.upper.clone());
+        (lower[j], upper[j]) = (lo, up);
+        SmallLp::new(
+            self.direction,
+            lower,
+            upper,
+            self.rows.clone(),
+            self.cost.clone(),
+            self.anchor.clone(),
+        )
+    }
+
     /// The rows as half-spaces (an `Eq` row is two), each loosened by
     /// `relax · (1 + |rhs|)`.
     fn half_spaces(&self, relax: f64) -> Vec<HalfSpace<'_>> {
@@ -264,24 +299,40 @@ impl SmallLp {
     /// (then that LP is infeasible: a nonempty polyhedron inside a box has
     /// a vertex).
     fn vertex_optimum(&self, relax: f64) -> Option<f64> {
+        self.vertices(relax)
+            .iter()
+            .map(|x| self.objective(x))
+            .reduce(|best, obj| if self.beats(obj, best) { obj } else { best })
+    }
+
+    /// Every vertex of the LP with its rows loosened by `relax` (the box
+    /// stays exact), repeats included.
+    fn vertices(&self, relax: f64) -> Vec<Vec<f64>> {
         let n = self.lower.len();
         let rows = self.half_spaces(relax);
-        let mut best: Option<f64> = None;
-        // Per variable: 0 at lower, 1 at upper, 2 free.
-        for code in 0..3usize.pow(n as u32) {
+        let tight_sets: Vec<_> = (0..=n).map(|k| subsets(rows.len(), k)).collect();
+        let mut out = Vec::new();
+        // Per variable: 0 at lower, 1 at upper, 2 free. A fixed column is
+        // only ever at its lower bound: every vertex has a set of tight
+        // constraints that includes it.
+        'codes: for code in 0..3usize.pow(n as u32) {
             let mut x = vec![0.0; n];
             let mut free = Vec::new();
             let mut c = code;
             for (j, xj) in x.iter_mut().enumerate() {
-                match c % 3 {
+                let digit = c % 3;
+                c /= 3;
+                if digit > 0 && self.lower[j] == self.upper[j] {
+                    continue 'codes;
+                }
+                match digit {
                     0 => *xj = self.lower[j],
                     1 => *xj = self.upper[j],
                     _ => free.push(j),
                 }
-                c /= 3;
             }
             let k = free.len();
-            for tight in subsets(rows.len(), k) {
+            for tight in &tight_sets[k] {
                 // Solve the free variables from the chosen half-spaces'
                 // boundaries.
                 let mut a = vec![vec![0.0; k + 1]; k];
@@ -303,14 +354,38 @@ impl SmallLp {
                     x[j] = sol[col];
                 }
                 if self.feasible(&x, relax, ORACLE_FEAS_TOL) {
-                    let obj = self.objective(&x);
-                    if best.is_none_or(|b| self.beats(obj, b)) {
-                        best = Some(obj);
-                    }
+                    out.push(x.clone());
                 }
             }
         }
-        best
+        out
+    }
+
+    /// The LPs that cut one variable's bound `1e-6·(1 + |x|)` past either
+    /// end of its feasible range `[least, most]` over the exact LP's
+    /// vertices (an upper bound below `least`, a lower bound above
+    /// `most`), wherever its box leaves room, each with the variable's
+    /// index: no point is feasible, and none misses by more than a few
+    /// solver tolerances.
+    fn marginal_cuts(&self) -> Vec<(usize, SmallLp)> {
+        let vertices = self.vertices(0.0);
+        let margin = |x: f64| 1e-6 * (1.0 + x.abs());
+        let mut cuts = Vec::new();
+        for j in 0..self.lower.len() {
+            let values = || vertices.iter().map(|x| x[j]);
+            let (Some(least), Some(most)) = (values().reduce(f64::min), values().reduce(f64::max))
+            else {
+                return cuts; // No vertex: nothing to cut past.
+            };
+            let (lo, up) = (self.lower[j], self.upper[j]);
+            if least - margin(least) >= lo {
+                cuts.push((j, self.with_bounds(j, lo, least - margin(least))));
+            }
+            if most + margin(most) <= up {
+                cuts.push((j, self.with_bounds(j, most + margin(most), up)));
+            }
+        }
+        cuts
     }
 }
 
@@ -368,28 +443,23 @@ fn gauss(mut a: Vec<Vec<f64>>) -> Option<Vec<f64>> {
 /// tight check; two almost parallel rows pull them apart — the region
 /// between them may be a thin wedge a tolerance widens a long way — and
 /// there it is the check that remains.
-fn agrees_with_vertex_enumeration(seed: u64, shape: Shape) -> bool {
-    let lp = small_lp(seed, shape);
+fn agrees_with_vertex_enumeration(lp: &SmallLp, case: &str) -> bool {
     let exact = lp.vertex_optimum(0.0);
     let loose = lp.vertex_optimum(SOLVER_FEAS_TOL);
     match solve_lp(&lp.problem) {
         Ok(sol) => {
-            let loose = loose.unwrap_or_else(|| {
-                panic!(
-                    "seed {seed} {shape:?}: solved an infeasible LP\n{}",
-                    lp.problem
-                )
-            });
+            let loose =
+                loose.unwrap_or_else(|| panic!("{case}: solved an infeasible LP\n{}", lp.problem));
             assert!(
                 lp.feasible(&sol.values, SOLVER_FEAS_TOL, ORACLE_FEAS_TOL),
-                "seed {seed} {shape:?}: solver point {:?} is not feasible\n{}",
+                "{case}: solver point {:?} is not feasible\n{}",
                 sol.values,
                 lp.problem
             );
             let tol = |v: f64| 1e-6 * (1.0 + v.abs());
             assert!(
                 (lp.objective(&sol.values) - sol.objective).abs() <= tol(sol.objective),
-                "seed {seed} {shape:?}: reported objective is not its point's\n{}",
+                "{case}: reported objective is not its point's\n{}",
                 lp.problem
             );
             let exact = exact.unwrap_or(loose);
@@ -399,7 +469,7 @@ fn agrees_with_vertex_enumeration(seed: u64, shape: Shape) -> bool {
             };
             assert!(
                 !lp.beats(worst, sol.objective) && !lp.beats(sol.objective, best),
-                "seed {seed} {shape:?}: solver {} at {:?}, vertex optima {exact} exact and \
+                "{case}: solver {} at {:?}, vertex optima {exact} exact and \
                  {loose} loosened\n{}box {:?} {:?}",
                 sol.objective,
                 sol.values,
@@ -412,45 +482,168 @@ fn agrees_with_vertex_enumeration(seed: u64, shape: Shape) -> bool {
         Err(SolveError::Infeasible) => {
             assert!(
                 exact.is_none(),
-                "seed {seed} {shape:?}: missed the optimum {exact:?}\n{}",
+                "{case}: missed the optimum {exact:?}\n{}",
                 lp.problem
             );
             false
         }
-        Err(e) => panic!("seed {seed} {shape:?}: {e}\n{}", lp.problem),
+        Err(e) => panic!("{case}: {e}\n{}", lp.problem),
     }
+}
+
+/// Holds `solve_lp` to the oracle on the instance `seed` draws of
+/// `shape` and, when that is feasible, on each of its marginal cuts.
+/// Returns whether the instance is feasible, and how many cuts were
+/// checked and how many of those the solver called feasible.
+///
+/// Near-singular instances get no cuts: the oracle cannot judge them. Its
+/// vertices meet each row within `ORACLE_FEAS_TOL`, and on two almost
+/// parallel `Eq` rows that lets a variable the pair pins exactly drift by
+/// `1e-3` and more, so a vertex of the cut LP can sit `1e-6` past the
+/// exact range (seed 1: the pair forces `x2 = 2.25`, and the oracle
+/// accepts `x2 = 2.2500023` with `x0` past its bound `−2.5`). The solver
+/// calls that LP infeasible, as exact arithmetic does.
+fn check_case(seed: u64, shape: Shape) -> (bool, usize, usize) {
+    let lp = small_lp(seed, shape);
+    let feasible = agrees_with_vertex_enumeration(&lp, &format!("seed {seed} {shape:?}"));
+    let (mut cuts, mut cuts_feasible) = (0, 0);
+    if feasible && !matches!(shape, Shape::NearSingular) {
+        for (j, cut) in lp.marginal_cuts() {
+            let case = format!(
+                "seed {seed} {shape:?}, x{j} in {:?}",
+                (cut.lower[j], cut.upper[j])
+            );
+            cuts += 1;
+            cuts_feasible += usize::from(agrees_with_vertex_enumeration(&cut, &case));
+        }
+    }
+    (feasible, cuts, cuts_feasible)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
-    /// Every family, every direction, one to four structurals and rows.
+    /// Every family, every direction, one to four structurals and rows,
+    /// and the marginal cuts of every feasible instance.
     #[test]
     fn solve_lp_matches_vertex_enumeration(seed in 0u64..1_000_000, family in 0u8..3) {
         let shape = [Shape::Plain, Shape::Degenerate, Shape::NearSingular][family as usize];
-        agrees_with_vertex_enumeration(seed, shape);
+        check_case(seed, shape);
     }
 }
 
-/// The property above checks little unless its cases reach both verdicts:
-/// a fixed sweep of plain instances must contain feasible and infeasible
-/// ones in fair numbers, and every degenerate and near-singular instance is
-/// feasible by construction.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Thirty tightenings in a row, each closing one bound in on the
+    /// anchor of a feasible-by-construction instance (so every LP of the
+    /// chain stays feasible while vertex after vertex is cut off, and
+    /// columns end up fixed), each solved under the whole chain's bounds
+    /// so far.
+    #[test]
+    fn thirty_deep_bound_chains_match_vertex_enumeration(
+        seed in 0u64..1_000_000,
+        family in 0u8..2,
+    ) {
+        let shape = [Shape::Degenerate, Shape::NearSingular][family as usize];
+        let mut lp = small_lp(seed, shape);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(!seed);
+        for step in 0..30 {
+            let j = rng.gen_range(0..lp.lower.len());
+            let shrink = rng.gen_range(1..=4) as f64 / 4.0;
+            let (mut lo, mut up) = (lp.lower[j], lp.upper[j]);
+            if rng.gen_bool(0.5) {
+                up -= shrink * (up - lp.anchor[j]);
+            } else {
+                lo += shrink * (lp.anchor[j] - lo);
+            }
+            lp = lp.with_bounds(j, lo, up);
+            let case = format!("seed {seed} {shape:?} step {step}");
+            prop_assert!(agrees_with_vertex_enumeration(&lp, &case), "{case}: the anchor is inside");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Branching is sound only if the two children of a split cover their
+    /// parent: with one variable's range cut at `s` into `[lo, s]` and
+    /// `[s, up]`, the parent is infeasible exactly when both children are,
+    /// and otherwise its optimum is the better child's. Each child is also
+    /// held to the oracle on its own.
+    ///
+    /// Near-singular instances are left out, as from the marginal cuts in
+    /// [`check_case`]: a split can leave a child infeasible by less than
+    /// the solver's feasibility tolerance (seed 888083: the `1e-6`-perturbed
+    /// pair forces `x1 ≥ 2.5`, the cut `x2 ≥ 2.75` forces `x1 ≤ 2.41667`),
+    /// and the oracle judges such a child by a different tolerance.
+    #[test]
+    fn a_split_variables_optimum_is_its_better_childs(
+        seed in 0u64..1_000_000,
+        family in 0u8..2,
+        cut in 0u8..=4,
+    ) {
+        let shape = [Shape::Plain, Shape::Degenerate][family as usize];
+        let lp = small_lp(seed, shape);
+        let j = (seed % lp.lower.len() as u64) as usize;
+        let (lo, up) = (lp.lower[j], lp.upper[j]);
+        let s = lo + (up - lo) * f64::from(cut) / 4.0;
+        let down = lp.with_bounds(j, lo, s);
+        let up_child = lp.with_bounds(j, s, up);
+        let case = format!("seed {seed} {shape:?}, x{j} split at {s}");
+        agrees_with_vertex_enumeration(&down, &format!("{case}, down"));
+        agrees_with_vertex_enumeration(&up_child, &format!("{case}, up"));
+        let children: Vec<f64> = [&down, &up_child]
+            .into_iter()
+            .filter_map(|c| solve_lp(&c.problem).ok().map(|sol| sol.objective))
+            .collect();
+        match solve_lp(&lp.problem) {
+            Ok(parent) => {
+                let best = children
+                    .iter()
+                    .copied()
+                    .reduce(|a, b| if lp.beats(a, b) { a } else { b });
+                let best = best.unwrap_or_else(|| panic!("{case}: both children infeasible"));
+                prop_assert!(
+                    (parent.objective - best).abs() <= 1e-6 * (1.0 + best.abs()),
+                    "{case}: parent {} but best child {best}",
+                    parent.objective
+                );
+            }
+            Err(SolveError::Infeasible) => {
+                prop_assert!(children.is_empty(), "{case}: a child of an infeasible LP solved");
+            }
+            Err(e) => panic!("{case}: {e}"),
+        }
+    }
+}
+
+/// The properties above check little unless their cases reach both
+/// verdicts: a fixed sweep of plain instances must contain feasible and
+/// infeasible ones in fair numbers, every degenerate and near-singular
+/// instance is feasible by construction, and the feasible ones must yield
+/// marginal cuts in numbers.
 #[test]
 fn the_oracle_cases_reach_both_verdicts() {
     let (mut feasible, mut infeasible) = (0, 0);
+    let (mut cuts, mut cuts_feasible) = (0, 0);
     for seed in 0..300 {
-        if agrees_with_vertex_enumeration(seed, Shape::Plain) {
-            feasible += 1;
-        } else {
-            infeasible += 1;
+        for shape in [Shape::Plain, Shape::Degenerate, Shape::NearSingular] {
+            let (ok, c, f) = check_case(seed, shape);
+            match (shape, ok) {
+                (Shape::Plain, true) => feasible += 1,
+                (Shape::Plain, false) => infeasible += 1,
+                (_, ok) => assert!(ok, "seed {seed} {shape:?} is feasible by construction"),
+            }
+            cuts += c;
+            cuts_feasible += f;
         }
-        assert!(agrees_with_vertex_enumeration(seed, Shape::Degenerate));
-        assert!(agrees_with_vertex_enumeration(seed, Shape::NearSingular));
     }
     assert!(
-        feasible >= 60 && infeasible >= 60,
-        "{feasible} feasible, {infeasible} infeasible"
+        feasible >= 60 && infeasible >= 60 && cuts >= 300,
+        "{feasible} feasible, {infeasible} infeasible, {cuts} marginal cuts \
+         ({cuts_feasible} called feasible)"
     );
 }
 
@@ -487,14 +680,14 @@ fn beales_cycling_lp_terminates_at_its_optimum() {
         assert!((got - want).abs() < 1e-9, "{:?}", sol.values);
     }
 
-    // The same solve, counted: Dantzig's rule cycles until the fallback.
-    let mut lp = LpSolver::new(&p);
-    lp.solve(&p.lower_bounds(), &p.upper_bounds())
-        .expect("Beale's LP has an optimum");
+    // The same solve, counted (with no integer variable, the search is
+    // its root LP): Dantzig's rule cycles until the fallback.
+    let root = solve_milp(&p, &MilpOptions::default()).expect("Beale's LP has an optimum");
     let (m, n) = (3, 4 + 3);
+    assert_eq!(root.effort.lp_solves, 1);
     assert!(
-        lp.effort().pivots >= 10 * (m + n + 10),
+        root.effort.pivots >= 10 * (m + n + 10),
         "the solve never cycled into the Bland fallback: {:?}",
-        lp.effort()
+        root.effort
     );
 }

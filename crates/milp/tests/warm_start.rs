@@ -254,13 +254,12 @@ fn corrupt_remembered_points_cost_find_feasible_a_cold_search() {
     }
 }
 
-/// The solver's answers on this file's generator, recorded at the commit
-/// before branch & bound children started from their parent's tableau
-/// and certified-infeasible children stopped re-solving cold: FNV-1a over
-/// the unique optimum (every value's and the objective's bit pattern) of
-/// each tick of a drift path, solved cold and through one carried handle,
-/// and over every [`find_feasible`] verdict. Neither change may move an
-/// answer.
+/// The solver's answers on this file's generator, recorded before branch
+/// & bound children were ever solved from their parent's tableau: FNV-1a
+/// over the unique optimum (every value's and the objective's bit
+/// pattern) of each tick of a drift path, solved cold and through one
+/// carried handle, and over every [`find_feasible`] verdict. Solving every
+/// node cold, as the search does again now, may not move an answer.
 #[test]
 fn answers_match_the_recorded_parent_commit() {
     let options = MilpOptions::default();
