@@ -5,7 +5,7 @@
 //! The paper's evaluation runs on two implementations: a discrete-event
 //! simulator (in `diffserve-core`) and a 16×A100 cluster testbed with gRPC
 //! communication. This crate stands in for the latter: real threads, real
-//! (crossbeam) channels, real wall-clock time — with model execution
+//! (`std::sync::mpsc`) channels, real wall-clock time — with model execution
 //! replaced by sleeping the profiled latency scaled by a time scale (the
 //! wall-clock seconds per simulated second). Comparing its measurements
 //! against the simulator reproduces the paper's validation experiment

@@ -28,11 +28,11 @@
 //! thin wrappers over such a session.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use diffserve_core::config::{METRICS_WINDOW, MODEL_SWITCH_DELAY};
 use diffserve_core::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
 use diffserve_core::serve::{
@@ -50,7 +50,6 @@ use diffserve_trace::{
     CapacityEvent, HazardProcess, Incident, IncidentLog, Scenario, ScenarioError, ScenarioEvent,
     Trace,
 };
-use parking_lot::{Mutex, RwLock};
 
 use crate::plan::ServingPlan;
 
@@ -241,7 +240,7 @@ impl Shared {
     /// *applied* event is logged — the incident log must stay a faithful,
     /// replayable account, never a wish list.
     fn apply_event(&self, action: ScenarioEvent) {
-        let mut log = self.incident_log.lock();
+        let mut log = self.incident_log.lock().unwrap();
         let applied = match action {
             ScenarioEvent::Capacity(capacity) => {
                 let states: Vec<(bool, bool)> = (0..self.failed.len())
@@ -285,11 +284,19 @@ impl Shared {
     /// between same-tier workers forever (generation is deterministic), so
     /// callers serve this tier's output instead.
     fn has_alive_deeper(&self, tier: usize) -> bool {
-        let plan = self.plan.read();
+        let plan = self.plan.read().unwrap();
         plan.tiers
             .iter()
             .enumerate()
             .any(|(i, &t)| t > tier && !self.is_failed(i))
+    }
+
+    /// Whether worker `i` may exit: the session is shutting down and
+    /// nothing is queued to it. Every send raises the target's depth
+    /// before it hands the job over, so a send that has begun keeps the
+    /// worker serving until its job arrives.
+    fn may_exit(&self, i: usize) -> bool {
+        self.shutdown.load(Ordering::SeqCst) && self.depths[i].load(Ordering::SeqCst) == 0
     }
 
     /// The queries queued on worker `i` plus those in service.
@@ -315,12 +322,12 @@ impl Shared {
                 self.slowdown(i),
             );
             let miss = match penalty {
-                Some((id, p)) if !self.module_caches[i].lock().contains(id) => p,
+                Some((id, p)) if !self.module_caches[i].lock().unwrap().contains(id) => p,
                 _ => 0.0,
             };
             (i, load + miss)
         };
-        let plan = self.plan.read();
+        let plan = self.plan.read().unwrap();
         let alive = || (0..self.depths.len()).filter(|&i| !self.is_failed(i));
         let targeting = || alive().filter(|&i| plan.tiers[i] == tier);
         let ready = |&i: &usize| self.hosting[i].load(Ordering::Relaxed) == tier;
@@ -366,7 +373,8 @@ enum Outcome {
 }
 
 /// The thread-based testbed behind the unified session API: real threads,
-/// real (crossbeam) channels, wall-clock time scaled by `time_scale`.
+/// real (`std::sync::mpsc`) channels, wall-clock time scaled by
+/// `time_scale`.
 ///
 /// The workers and one clock thread are launched at construction and serve
 /// continuously; [`ServingBackend::submit`] routes one query into
@@ -466,9 +474,9 @@ impl<'a> ClusterBackend<'a> {
         });
 
         let (job_txs, job_rxs): (Vec<Sender<Job>>, Vec<Receiver<Job>>) =
-            (0..n).map(|_| unbounded()).unzip();
+            (0..n).map(|_| channel()).unzip();
         let job_txs = Arc::new(job_txs);
-        let (done_tx, done_rx) = unbounded::<Outcome>();
+        let (done_tx, done_rx) = channel::<Outcome>();
 
         // --- Worker threads -----------------------------------------------
         let mut worker_handles = Vec::new();
@@ -580,8 +588,8 @@ impl ServingBackend for ClusterBackend<'_> {
         // prompt the tiers will serve. The router lock is taken before the
         // plan's, the order the workers take them in.
         let (tier, deep_demand) = {
-            let router = self.shared.router.as_ref().map(|r| r.lock());
-            let plan = self.shared.plan.read();
+            let router = self.shared.router.as_ref().map(|r| r.lock().unwrap());
+            let plan = self.shared.plan.read().unwrap();
             self.kernel.entry_tier(
                 &plan.thresholds,
                 &mut self.route_rng,
@@ -596,6 +604,7 @@ impl ServingBackend for ClusterBackend<'_> {
         self.shared
             .telemetry
             .lock()
+            .unwrap()
             .record_arrival(tier, deep_demand);
         self.submitted += 1;
         let deadline = spec.deadline.unwrap_or(now + self.sys.slo);
@@ -632,16 +641,17 @@ impl ServingBackend for ClusterBackend<'_> {
     }
 
     fn apply_perturbation(&mut self, event: ScenarioEvent) -> Result<(), ScenarioError> {
-        let fleet = self
-            .shared
-            .tally(&self.shared.plan.read(), &self.shared.failed_mask());
+        let fleet = self.shared.tally(
+            &self.shared.plan.read().unwrap(),
+            &self.shared.failed_mask(),
+        );
         fleet.health().after(self.now(), &event)?;
         self.shared.apply_event(event);
         Ok(())
     }
 
     fn snapshot(&self) -> SessionSnapshot {
-        let plan = self.shared.plan.read();
+        let plan = self.shared.plan.read().unwrap();
         self.kernel.snapshot(
             self.now(),
             self.shared.tally(&plan, &self.shared.failed_mask()),
@@ -653,8 +663,8 @@ impl ServingBackend for ClusterBackend<'_> {
                 .collect(),
             self.submitted,
             &self.ledger,
-            self.control.lock().deferral_gap(),
-            *self.shared.addon_stats.lock(),
+            self.control.lock().unwrap().deferral_gap(),
+            *self.shared.addon_stats.lock().unwrap(),
         )
     }
 
@@ -676,10 +686,10 @@ impl ServingBackend for ClusterBackend<'_> {
             &self.demand_track,
             // The clock thread pushed its threshold decision every control
             // tick, as the simulator does.
-            &self.shared.threshold_track.lock(),
-            self.control.lock().take_deferral_error_series(),
-            std::mem::take(&mut *self.shared.incident_log.lock()),
-            *self.shared.addon_stats.lock(),
+            &self.shared.threshold_track.lock().unwrap(),
+            self.control.lock().unwrap().take_deferral_error_series(),
+            std::mem::take(&mut *self.shared.incident_log.lock().unwrap()),
+            *self.shared.addon_stats.lock().unwrap(),
         )
     }
 }
@@ -810,7 +820,7 @@ fn clock_loop(
     let mut hazard = hazard.map(|process| (process.first_check(), process));
     let mut next_tick = SimTime::ZERO + interval;
     // Kept from tick to tick, so their vectors are reused.
-    let mut fleet = FleetTally::new(shared.plan.read().num_tiers());
+    let mut fleet = FleetTally::new(shared.plan.read().unwrap().num_tiers());
     let mut obs = ControlObservation::default();
     loop {
         let next = [incidents.peek().map(|i| i.at), hazard.as_ref().map(|h| h.0)]
@@ -824,7 +834,11 @@ fn clock_loop(
             shared.apply_event(incident.event);
         }
         if let Some((check, process)) = hazard.as_mut().filter(|h| h.0 == next) {
-            shared.tally_into(&shared.plan.read(), &shared.failed_mask(), &mut fleet);
+            shared.tally_into(
+                &shared.plan.read().unwrap(),
+                &shared.failed_mask(),
+                &mut fleet,
+            );
             for event in process.step(fleet.utilization(), fleet.health()) {
                 shared.apply_event(event);
             }
@@ -853,22 +867,30 @@ fn control_tick(
     // workers only — failed workers drain their queues elsewhere. The pool
     // size and the retarget mask derive from one reading of the fail-stop
     // flags so the solver and retarget never disagree mid-churn.
-    let mut plan = shared.plan.read().clone();
+    let mut plan = shared.plan.read().unwrap().clone();
     let excluded = shared.failed_mask();
     shared.tally_into(&plan, &excluded, fleet);
     let now = shared.now();
     let batches = (plan.batch_for(0), plan.batch_for(plan.num_tiers() - 1));
-    shared.telemetry.lock().observe(obs, now, fleet, batches);
-    let directive = control.lock().step(obs);
+    shared
+        .telemetry
+        .lock()
+        .unwrap()
+        .observe(obs, now, fleet, batches);
+    let directive = control.lock().unwrap().step(obs);
     if let ControlDirective::Apply { plan: next } = &directive {
         plan.adopt(next, &excluded, |i| shared.load(i));
     }
     // Record the decision that is now in force — the series the report's
     // `threshold_series` is built from (mirroring the simulator, which
     // pushes its threshold on every tick).
-    shared.threshold_track.lock().push(now, plan.thresholds[0]);
+    shared
+        .threshold_track
+        .lock()
+        .unwrap()
+        .push(now, plan.thresholds[0]);
     if directive != ControlDirective::Hold {
-        *shared.plan.write() = plan;
+        *shared.plan.write().unwrap() = plan;
     }
 }
 
@@ -883,7 +905,7 @@ fn worker_loop(
     let switch_delay = MODEL_SWITCH_DELAY.as_secs_f64();
     // The model this worker serves with: its bootstrap tier, loaded at
     // launch.
-    let mut current_tier = shared.plan.read().tiers[wid];
+    let mut current_tier = shared.plan.read().unwrap().tiers[wid];
     let mut was_failed = false;
     let poll = Duration::from_secs_f64((0.02 * shared.scale).max(0.0002));
     // Scratch, reused across batches: the distinct missing add-on modules
@@ -907,7 +929,7 @@ fn worker_loop(
             was_failed = true;
             shared.hosting[wid].store(LOADING, Ordering::SeqCst);
             shared.hand_back(wid, rx, kernel, txs);
-            if shared.shutdown.load(Ordering::SeqCst) && rx.is_empty() {
+            if shared.may_exit(wid) {
                 return;
             }
             thread::sleep(poll);
@@ -919,21 +941,21 @@ fn worker_loop(
             // comes back cold (like the simulator's fail handling).
             was_failed = false;
             if let Some(cache) = shared.module_caches.get(wid) {
-                cache.lock().clear();
+                cache.lock().unwrap().clear();
             }
-            current_tier = shared.plan.read().tiers[wid];
+            current_tier = shared.plan.read().unwrap().tiers[wid];
             load_model(current_tier);
         }
 
         // Follow the plan: a moved worker hands its queue back to the tier
         // it was routed to, then switches models.
-        let desired = shared.plan.read().tiers[wid];
+        let desired = shared.plan.read().unwrap().tiers[wid];
         if desired != current_tier {
             shared.hand_back(wid, rx, kernel, txs);
             current_tier = desired;
             load_model(current_tier);
         }
-        let bmax = shared.plan.read().batch_for(current_tier).max(1);
+        let bmax = shared.plan.read().unwrap().batch_for(current_tier).max(1);
 
         // Collect a batch: block briefly for the first job, then take
         // whatever else is queued (Clipper-style no-wait batching). The
@@ -942,7 +964,7 @@ fn worker_loop(
         let first = match rx.recv_timeout(poll) {
             Ok(job) => job,
             Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) && rx.is_empty() {
+                if shared.may_exit(wid) {
                     return;
                 }
                 continue;
@@ -967,7 +989,7 @@ fn worker_loop(
         // locked from the drop-front estimate through the dispatch charge,
         // so the two price the same residency.
         let slowdown = shared.slowdown(wid);
-        let mut cache = shared.module_caches.get(wid).map(|c| c.lock());
+        let mut cache = shared.module_caches.get(wid).map(|c| c.lock().unwrap());
         let now = shared.now();
         let (shed, priced) = kernel.predicted_misses(
             current_tier,
@@ -981,7 +1003,11 @@ fn worker_loop(
             &mut seen,
         );
         for job in batch.drain(..shed) {
-            shared.telemetry.lock().record_violation(current_tier);
+            shared
+                .telemetry
+                .lock()
+                .unwrap()
+                .record_violation(current_tier);
             let _ = done.send(Outcome::Dropped {
                 qid: job.qid,
                 arrival: job.arrival,
@@ -999,7 +1025,7 @@ fn worker_loop(
             current_tier,
             batch.iter().map(Job::member),
             cache.as_deref_mut(),
-            &mut shared.addon_stats.lock(),
+            &mut shared.addon_stats.lock().unwrap(),
             slowdown,
             exec,
             &mut seen,
@@ -1011,11 +1037,11 @@ fn worker_loop(
         shared.in_service[wid].store(0, Ordering::Relaxed);
         shared.busy[wid].store(false, Ordering::Relaxed);
         let now = shared.now();
-        thresholds.clone_from(&shared.plan.read().thresholds);
+        thresholds.clone_from(&shared.plan.read().unwrap().thresholds);
 
         for mut job in batch.drain(..) {
             let verdict = {
-                let mut router = shared.router.as_ref().map(|r| r.lock());
+                let mut router = shared.router.as_ref().map(|r| r.lock().unwrap());
                 kernel.serve(
                     current_tier,
                     job.qid,
@@ -1031,6 +1057,7 @@ fn worker_loop(
                 shared
                     .telemetry
                     .lock()
+                    .unwrap()
                     .record_confidence(current_tier, confidence);
             }
             match verdict {
@@ -1044,7 +1071,11 @@ fn worker_loop(
                     // against the heavy side); escalations are not
                     // completions and record nothing at shallower stages.
                     if now > job.deadline {
-                        shared.telemetry.lock().record_violation(current_tier);
+                        shared
+                            .telemetry
+                            .lock()
+                            .unwrap()
+                            .record_violation(current_tier);
                     }
                     let _ = done.send(Outcome::Completed(kernel.response(
                         QueryId(job.qid),
@@ -1062,7 +1093,7 @@ fn worker_loop(
                         job.resume = resume;
                     }
                     shared.tier_escalations[current_tier].fetch_add(1, Ordering::Relaxed);
-                    shared.telemetry.lock().record_escalation();
+                    shared.telemetry.lock().unwrap().record_escalation();
                     shared.forward(kernel, txs, current_tier + 1, job);
                 }
             }
@@ -1346,7 +1377,7 @@ mod tests {
             thresholds: vec![threshold],
             bypass_suspended: false,
         };
-        *backend.shared.plan.write() = plan.clone();
+        *backend.shared.plan.write().unwrap() = plan.clone();
         backend.tick(backend.now() + SimDuration::from_secs(2));
         (backend, plan)
     }
@@ -1368,7 +1399,7 @@ mod tests {
             thread::sleep(Duration::from_micros(200));
         }
         plan.tiers[moved] = 1 - plan.tiers[moved];
-        *backend.shared.plan.write() = plan;
+        *backend.shared.plan.write().unwrap() = plan;
         let mut tiers = Vec::new();
         while tiers.len() < queries {
             assert!(backend.now() < give_up, "{} of {queries} done", tiers.len());
@@ -1422,6 +1453,57 @@ mod tests {
         shared.depths[2].fetch_add(1, Ordering::SeqCst);
         assert_eq!(shared.route(&backend.kernel, 1, None), 3);
         shared.depths[2].fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// A worker leaves at shutdown only once nothing is queued to it. A
+    /// send raises its target's depth before it hands the job over, so a
+    /// worker whose depth is raised keeps polling through shutdown until
+    /// the job arrives, serves it, and only then exits; the workers with
+    /// nothing queued exit at once.
+    #[test]
+    fn at_shutdown_a_worker_waits_for_a_job_whose_send_has_begun() {
+        let (mut backend, _) = launch_four_on_two_tiers(0.0);
+        let shared = Arc::clone(&backend.shared);
+        // Half a send to light worker 0: the depth is raised, the job is
+        // not handed over yet.
+        shared.depths[0].fetch_add(1, Ordering::SeqCst);
+        shared.shutdown.store(true, Ordering::SeqCst);
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while !backend.worker_handles[1..].iter().all(|h| h.is_finished()) {
+            assert!(Instant::now() < give_up, "idle workers never exited");
+            thread::sleep(Duration::from_millis(1));
+        }
+        // Dozens of the worker's polls.
+        thread::sleep(Duration::from_millis(50));
+        assert!(
+            !backend.worker_handles[0].is_finished(),
+            "worker 0 left its job behind"
+        );
+        let far = SimTime::from_secs(10_000);
+        let job = Job {
+            qid: 7,
+            arrival: shared.now(),
+            deadline: far,
+            entry: 0,
+            prompt: None,
+            resume: None,
+            addon: None,
+            tier: 0,
+        };
+        backend.job_txs[0]
+            .send(job)
+            .expect("worker 0 still receives");
+        let served = backend
+            .done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("worker 0 served the job");
+        assert!(matches!(served, Outcome::Completed(r) if r.id == QueryId(7)));
+        backend
+            .worker_handles
+            .remove(0)
+            .join()
+            .expect("worker 0 exits");
+        assert_eq!(shared.depths[0].load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub use control::{ControlDirective, ControlLoop, ControlObservation};
 pub use diffserve_milp::WarmStart;
 pub use kernel::Kernel;
 pub use policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};
-pub use query::{CompletedResponse, QueryId, WorkerHealth};
+pub use query::{CompletedResponse, QueryId};
 pub use report::{RunReport, TierStats};
 pub use runtime::{CascadeRuntime, LadderArtifacts, PreparedRuntime};
 pub use serve::{
@@ -104,7 +104,7 @@ pub mod prelude {
     pub use crate::config::{ConfigError, LadderConfig, SystemConfig};
     pub use crate::control::{ControlDirective, ControlLoop, ControlObservation};
     pub use crate::policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};
-    pub use crate::query::{CompletedResponse, QueryId, WorkerHealth};
+    pub use crate::query::{CompletedResponse, QueryId};
     pub use crate::report::RunReport;
     pub use crate::runtime::{CascadeRuntime, LadderArtifacts};
     pub use crate::serve::{

@@ -95,13 +95,11 @@ pub struct AblationKnobs {
     /// the planner sees effective throughput and sheds deferrals instead
     /// of deadlines under a brownout.
     pub nameplate_capacity: bool,
-    /// Route by raw queue depth, ignoring [`WorkerHealth::speed_factor`] —
-    /// the health-blind JSQ this codebase shipped before routing learned to
-    /// weigh a degraded worker's queue slots by its slowdown. `false` = the
-    /// fixed design (effective-load JSQ). Kept as an ablation so regression
-    /// tests can demonstrate the brownout SLO gap.
-    ///
-    /// [`WorkerHealth::speed_factor`]: crate::query::WorkerHealth::speed_factor
+    /// Route by raw queue depth, ignoring each worker's health speed factor
+    /// — the health-blind JSQ this codebase shipped before routing learned
+    /// to weigh a degraded worker's queue slots by its slowdown. `false` =
+    /// the fixed design (effective-load JSQ). Kept as an ablation so
+    /// regression tests can demonstrate the brownout SLO gap.
     pub health_blind_routing: bool,
     /// Route add-on-carrying queries by queue depth alone, ignoring which
     /// workers have the required module cached (the affinity-blindness

@@ -17,9 +17,9 @@ pub struct QueryId(pub u64);
 /// fleet's *effective* capacity so the allocator solves against degraded
 /// throughput instead of nameplate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkerHealth {
+pub(crate) struct WorkerHealth {
     /// Fraction of nameplate speed the worker delivers, in `(0, 1]`.
-    pub speed_factor: f64,
+    pub(crate) speed_factor: f64,
 }
 
 impl Default for WorkerHealth {

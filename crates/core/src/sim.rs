@@ -21,7 +21,7 @@
 //! replaying a plain demand trace, [`run_scenario`] additionally injecting
 //! a [`Scenario`]'s perturbations (fail-stop worker churn with in-flight
 //! work retried elsewhere, partial degradation that stretches a worker's
-//! service times via [`WorkerHealth`], seeded load-correlated hazards
+//! service times via `WorkerHealth`, seeded load-correlated hazards
 //! evaluated against instantaneous utilization, flash crowds and demand
 //! shocks baked into the arrival stream, and prompt-difficulty shifts that
 //! raise the cascade's deferral rate at constant QPS) — are thin wrappers
@@ -1560,9 +1560,9 @@ impl<'a> ServingSim<'a> {
             self.addon_stats,
         )
     }
-}
 
-impl Actor<Event> for ServingSim<'_> {
+    /// Handles one event at simulated time `now`, scheduling any follow-up
+    /// events on `queue`.
     fn handle(&mut self, now: SimTime, event: Event, queue: &mut EventQueue<Event>) {
         match event {
             Event::Arrival(query) => self.handle_arrival(query, now, queue),
@@ -1575,24 +1575,31 @@ impl Actor<Event> for ServingSim<'_> {
     }
 }
 
-/// The discrete-event simulator behind the unified session API: wraps the
-/// serving state machine in a [`Simulation`] and implements
-/// [`ServingBackend`] so [`ServingSession`] can drive it incrementally.
+/// The discrete-event simulator behind the unified session API: owns the
+/// serving state machine and its event queue, pops the queue in time order
+/// up to each advance, and implements [`ServingBackend`] so
+/// [`ServingSession`] can drive it incrementally.
 ///
 /// Constructed by
 /// [`SessionBuilder::build`](crate::serve::SessionBuilder::build).
 /// Deterministic: the same submissions and tick schedule replay
 /// bit-identically.
 pub(crate) struct SimBackend<'a> {
-    sim: Simulation<Event, ServingSim<'a>>,
-    /// The latest instant the backend has been driven to (>= the engine's
-    /// last-event clock).
+    state: ServingSim<'a>,
+    queue: EventQueue<Event>,
+    /// Timestamp of the last processed event.
+    clock: SimTime,
+    /// Number of events processed so far.
+    processed: u64,
+    /// The latest instant the backend has been driven to (>= `clock`).
     cursor: SimTime,
     /// Whether the scenario timeline and the first control tick have been
     /// scheduled. Deferred to the first advance so that pre-submitted
     /// arrivals keep their schedule order ahead of same-instant control
     /// events — exactly the batch wrappers' event order.
     started: bool,
+    /// Events the run may still process: [`EVENT_BUDGET`], topped up by
+    /// [`EVENTS_PER_QUERY`] for every submitted query.
     remaining_budget: u64,
     /// The fleet after the injected perturbations that are scheduled but
     /// have not fired yet, folded through [`FleetHealth::after`]; `None`
@@ -1605,7 +1612,7 @@ impl std::fmt::Debug for SimBackend<'_> {
         f.debug_struct("SimBackend")
             .field("cursor", &self.cursor)
             .field("started", &self.started)
-            .field("processed", &self.sim.processed())
+            .field("processed", &self.processed)
             .finish_non_exhaustive()
     }
 }
@@ -1639,7 +1646,10 @@ impl<'a> SimBackend<'a> {
         // event-queue reallocation.
         let event_capacity = spec.config.num_workers * 4 + 1024;
         SimBackend {
-            sim: Simulation::with_capacity(state, event_capacity),
+            state,
+            queue: EventQueue::with_capacity(event_capacity),
+            clock: SimTime::ZERO,
+            processed: 0,
             cursor: SimTime::ZERO,
             started: false,
             remaining_budget: EVENT_BUDGET,
@@ -1652,21 +1662,14 @@ impl<'a> SimBackend<'a> {
             return;
         }
         self.started = true;
-        let times: Vec<SimTime> = self.sim.actor().actions.iter().map(|inc| inc.at).collect();
-        for (i, at) in times.into_iter().enumerate() {
-            self.sim.schedule(at, Event::Scenario(i));
+        for (i, inc) in self.state.actions.iter().enumerate() {
+            self.queue.push(inc.at, Event::Scenario(i));
         }
-        let interval = self.sim.actor().config.control_interval;
-        self.sim
-            .schedule(SimTime::ZERO + interval, Event::ControlTick);
-        if let Some(first) = self
-            .sim
-            .actor()
-            .hazard
-            .as_ref()
-            .map(HazardProcess::first_check)
-        {
-            self.sim.schedule(first, Event::HazardCheck);
+        let interval = self.state.config.control_interval;
+        self.queue
+            .push(SimTime::ZERO + interval, Event::ControlTick);
+        if let Some(first) = self.state.hazard.as_ref().map(HazardProcess::first_check) {
+            self.queue.push(first, Event::HazardCheck);
         }
     }
 }
@@ -1678,11 +1681,10 @@ impl ServingBackend for SimBackend<'_> {
 
     fn submit(&mut self, spec: QuerySpec) -> QueryTicket {
         let at = arrival_time(&spec, self.cursor);
-        let state = self.sim.actor_mut();
-        let id = state.reserve_ids(1);
-        let query = state.admit(id, at, &spec);
-        let deadline = state.queries[query].deadline;
-        self.sim.schedule(at, Event::Arrival(query));
+        let id = self.state.reserve_ids(1);
+        let query = self.state.admit(id, at, &spec);
+        let deadline = self.state.queries[query].deadline;
+        self.queue.push(at, Event::Arrival(query));
         self.remaining_budget = self.remaining_budget.saturating_add(EVENTS_PER_QUERY);
         QueryTicket {
             id: QueryId(id),
@@ -1693,8 +1695,8 @@ impl ServingBackend for SimBackend<'_> {
 
     fn submit_stream(&mut self, stream: ArrivalStream) {
         let n = stream.len() as u64;
-        let seq = self.sim.reserve_seq();
-        let state = self.sim.actor_mut();
+        let seq = self.queue.reserve_seq();
+        let state = &mut self.state;
         let first_id = state.reserve_ids(n);
         debug_assert_eq!(stream.next_id(), first_id, "stream drawn for other ids");
         let mut feed = TraceFeed {
@@ -1707,7 +1709,7 @@ impl ServingBackend for SimBackend<'_> {
         state.feeds.push(feed);
         let feed = state.feeds.len() - 1;
         if let Some(at) = first {
-            self.sim.schedule_at(at, seq, Event::TraceArrival(feed));
+            self.queue.push_at(at, seq, Event::TraceArrival(feed));
         }
         self.remaining_budget = self
             .remaining_budget
@@ -1719,26 +1721,32 @@ impl ServingBackend for SimBackend<'_> {
         if until > self.cursor {
             self.cursor = until;
         }
-        let before = self.sim.processed();
-        let outcome = self
-            .sim
-            .run_until_with_budget(self.cursor, self.remaining_budget);
-        debug_assert_ne!(
-            outcome,
-            RunOutcome::EventBudgetExhausted,
-            "event budget exhausted at {}: a schedule loop",
-            self.sim.now()
-        );
-        self.remaining_budget = self
-            .remaining_budget
-            .saturating_sub(self.sim.processed() - before);
+        let horizon = self.cursor;
+        let mut budget = self.remaining_budget;
+        while self.queue.peek_time().is_some_and(|t| t <= horizon) {
+            if budget == 0 {
+                debug_assert!(
+                    false,
+                    "event budget exhausted at {}: a schedule loop",
+                    self.clock
+                );
+                break;
+            }
+            budget -= 1;
+            let (t, event) = self.queue.pop().expect("peeked event must pop");
+            debug_assert!(t >= self.clock, "time went backwards: {t} < {}", self.clock);
+            self.clock = t;
+            self.processed += 1;
+            self.state.handle(t, event, &mut self.queue);
+        }
+        self.remaining_budget = budget;
         // Injected perturbations scheduled at or before the cursor have
         // fired now and are reflected in the live fleet state.
         self.projected = None;
     }
 
     fn drain_completions(&mut self) -> Vec<QueryOutcome> {
-        self.sim.actor_mut().ledger.drain()
+        self.state.ledger.drain()
     }
 
     fn apply_perturbation(&mut self, event: ScenarioEvent) -> Result<(), ScenarioError> {
@@ -1750,21 +1758,21 @@ impl ServingBackend for SimBackend<'_> {
         // log, or the recording stops being replayable.
         let fleet = self
             .projected
-            .unwrap_or_else(|| self.sim.actor().fleet_tally().health());
+            .unwrap_or_else(|| self.state.fleet_tally().health());
         self.projected = Some(fleet.after(self.cursor, &event)?);
         let at = self.cursor;
-        let idx = self.sim.actor_mut().push_action(at, event);
-        self.sim.schedule(at, Event::Scenario(idx));
+        let idx = self.state.push_action(at, event);
+        self.queue.push(at, Event::Scenario(idx));
         Ok(())
     }
 
     fn snapshot(&self) -> SessionSnapshot {
-        self.sim.actor().snapshot(self.cursor)
+        self.state.snapshot(self.cursor)
     }
 
     fn finish(mut self: Box<Self>, horizon: SimTime) -> RunReport {
         self.tick(horizon);
-        let mut state = self.sim.into_actor();
+        let mut state = self.state;
         // Whatever has a record is unfinished. Arrived but never finished:
         // it violated its deadline long ago (the drain period exceeds the
         // SLO). Submitted for an arrival past the horizon: it never entered
@@ -1899,7 +1907,7 @@ fn run_batch(
         .validate()
         .expect("valid scenario and system config");
     let mut backend = SimBackend::new(&spec);
-    backend.sim.actor_mut().ledger.discard_outcomes();
+    backend.state.ledger.discard_outcomes();
     ServingSession::from_backend(&spec, Box::new(backend)).run_trace(trace)
 }
 
@@ -2165,14 +2173,14 @@ mod tests {
             .validate()
             .unwrap();
         let mut backend = SimBackend::new(&spec);
-        backend.sim.actor_mut().ledger.discard_outcomes();
+        backend.state.ledger.discard_outcomes();
         let rng = seeded_rng(derive_seed(config.seed, crate::serve::ARRIVAL_SEED_STREAM));
         backend.submit_stream(ArrivalStream::new(trace.clone(), rng, None, 0));
         backend.tick(SimTime::ZERO + trace.duration() + config.slo * 4);
-        let state = backend.sim.actor();
+        let state = &backend.state;
         assert!(state.queries.is_empty(), "every record was retired");
         assert!(state.submitted > 30 * secs);
-        (state.queries.high_water(), backend.sim.queue().high_water())
+        (state.queries.high_water(), backend.queue.high_water())
     }
 
     /// Memory as a count: the live query records and the pending events
@@ -2246,13 +2254,13 @@ mod tests {
         let fail_at = SimTime::from_secs(20);
         backend.tick(fail_at);
         let held: Vec<usize> = (0..8)
-            .map(|i| backend.sim.actor().caches[i].resident().count())
+            .map(|i| backend.state.caches[i].resident().count())
             .collect();
         backend
             .apply_perturbation(ScenarioEvent::Capacity(CapacityEvent::Fail(4)))
             .unwrap();
         backend.tick(fail_at + SimDuration::from_millis(1));
-        let state = backend.sim.actor();
+        let state = &backend.state;
         let failed: Vec<usize> = (0..8).filter(|&i| state.workers[i].failed).collect();
         assert_eq!(failed.len(), 4);
         assert!(
@@ -2263,7 +2271,37 @@ mod tests {
             assert!(failed.iter().all(|&i| !holders.contains(i)));
         }
         backend.tick(SimTime::from_secs(80));
-        assert!(backend.sim.actor().addon_stats.total_lookups() > 500);
+        assert!(backend.state.addon_stats.total_lookups() > 500);
+    }
+
+    /// The event budget's rule: running out of it means a schedule loop.
+    /// Debug builds assert at the first event it cannot pay for; release
+    /// builds stop advancing there, and `finish` accounts every query
+    /// still in flight as dropped.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "event budget exhausted"))]
+    fn an_exhausted_event_budget_stops_the_run() {
+        let spec = ServingSession::builder()
+            .runtime(test_runtime())
+            .config(small_config())
+            .settings(RunSettings::new(Policy::DiffServe, 8.0))
+            .validate()
+            .unwrap();
+        let mut backend = SimBackend::new(&spec);
+        for i in 0..20 {
+            backend.submit(QuerySpec::new().at(SimTime::from_millis(200 * i)));
+        }
+        backend.remaining_budget = 6;
+        backend.tick(SimTime::from_secs(60));
+        assert_eq!((backend.processed, backend.remaining_budget), (6, 0));
+        let stopped = backend.clock;
+        assert!(stopped < SimTime::from_secs(4), "stopped at {stopped}");
+        backend.tick(SimTime::from_secs(120));
+        assert_eq!((backend.processed, backend.clock), (6, stopped));
+        let report = Box::new(backend).finish(SimTime::from_secs(120));
+        assert_eq!(report.total_queries, 20);
+        assert_eq!(report.completed + report.dropped, 20);
+        assert!(report.dropped >= 14, "dropped {}", report.dropped);
     }
 
     #[test]

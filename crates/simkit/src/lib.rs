@@ -12,14 +12,12 @@
 //!   [`SimDuration`]) for exact, platform-independent event ordering.
 //! * [`event`] — a deterministic time-ordered [`EventQueue`] with FIFO
 //!   tie-breaking.
-//! * [`engine`] — a small driver loop ([`Simulation`]) over an [`Actor`]
-//!   state machine.
 //! * [`slab`] — a slot-addressed arena ([`Slab`]) for per-entity records
 //!   that are retired when the entity leaves the simulation.
 //! * [`rng`] — seeded RNG helpers and from-scratch samplers (exponential,
 //!   normal, gamma, beta).
-//! * [`stats`] — online statistics (Welford, EWMA, quantiles) used by the
-//!   controller and by experiment harnesses.
+//! * [`stats`] — online statistics ([`stats::Welford`]) used by
+//!   experiment harnesses.
 //!
 //! # Examples
 //!
@@ -42,14 +40,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod engine;
 pub mod event;
 pub mod rng;
 pub mod slab;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Actor, RunOutcome, Simulation};
 pub use event::EventQueue;
 pub use rng::{seeded_rng, Sampler};
 pub use slab::{Slab, Slot};
@@ -57,10 +53,9 @@ pub use time::{SimDuration, SimTime};
 
 /// Convenience re-exports for simulation code.
 pub mod prelude {
-    pub use crate::engine::{Actor, RunOutcome, Simulation};
     pub use crate::event::EventQueue;
     pub use crate::rng::{derive_seed, seeded_rng, Beta, Exponential, Gamma, Normal, Sampler};
     pub use crate::slab::{Slab, Slot};
-    pub use crate::stats::{Ewma, Quantiles, Welford};
+    pub use crate::stats::Welford;
     pub use crate::time::{SimDuration, SimTime};
 }

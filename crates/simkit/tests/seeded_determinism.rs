@@ -7,35 +7,23 @@
 
 use diffserve_simkit::prelude::*;
 
-/// A stochastic actor: every event re-schedules itself after an
-/// exponentially distributed delay and logs the (time, draw) pair.
-struct PoissonLogger {
-    rng: rand::rngs::StdRng,
-    exp: Exponential,
-    trace: Vec<(SimTime, u64)>,
-}
-
-impl Actor<u32> for PoissonLogger {
-    fn handle(&mut self, now: SimTime, event: u32, queue: &mut EventQueue<u32>) {
-        let delay = self.exp.draw(&mut self.rng);
-        self.trace.push((now, u64::from(event)));
+/// Drives an event queue in which every event re-schedules itself after an
+/// exponentially distributed delay, up to event 500, and logs the
+/// (time, payload) pair of each one it pops.
+fn run_trace_with_seed(seed: u64) -> Vec<(SimTime, u64)> {
+    let mut rng = seeded_rng(seed);
+    let exp = Exponential::new(25.0).expect("valid rate");
+    let mut queue = EventQueue::new();
+    queue.push(SimTime::ZERO, 0u32);
+    let mut trace = Vec::new();
+    while let Some((now, event)) = queue.pop() {
+        let delay = exp.draw(&mut rng);
+        trace.push((now, u64::from(event)));
         if event < 500 {
             queue.push(now + SimDuration::from_secs_f64(delay), event + 1);
         }
     }
-}
-
-fn run_trace_with_seed(seed: u64) -> Vec<(SimTime, u64)> {
-    let actor = PoissonLogger {
-        rng: seeded_rng(seed),
-        exp: Exponential::new(25.0).expect("valid rate"),
-        trace: Vec::new(),
-    };
-    let mut sim = Simulation::new(actor);
-    sim.schedule(SimTime::ZERO, 0);
-    let outcome = sim.run_until(SimTime::from_secs(1_000_000));
-    assert_eq!(outcome, RunOutcome::Drained);
-    sim.into_actor().trace
+    trace
 }
 
 #[test]

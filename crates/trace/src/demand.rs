@@ -5,7 +5,6 @@
 //! over-provisions by a factor `λ` (1.05 by default) before handing the
 //! estimate to the MILP (paper §3.3).
 
-use diffserve_simkit::stats::Ewma;
 use diffserve_simkit::time::SimDuration;
 
 /// EWMA-smoothed demand estimator with over-provisioning.
@@ -23,7 +22,9 @@ use diffserve_simkit::time::SimDuration;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DemandEstimator {
-    ewma: Ewma,
+    alpha: f64,
+    /// The smoothed demand in QPS; `None` before the first observation.
+    smoothed: Option<f64>,
     over_provision: f64,
 }
 
@@ -36,11 +37,16 @@ impl DemandEstimator {
     /// Panics if `alpha` is outside `(0, 1]` or `over_provision < 1`.
     pub fn new(alpha: f64, over_provision: f64) -> Self {
         assert!(
+            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
+            "alpha must lie in (0, 1], got {alpha}"
+        );
+        assert!(
             over_provision >= 1.0 && over_provision.is_finite(),
             "over-provisioning factor must be >= 1, got {over_provision}"
         );
         DemandEstimator {
-            ewma: Ewma::new(alpha).expect("alpha must lie in (0, 1]"),
+            alpha,
+            smoothed: None,
             over_provision,
         }
     }
@@ -53,12 +59,15 @@ impl DemandEstimator {
     pub fn observe(&mut self, arrivals: u64, window: SimDuration) {
         assert!(!window.is_zero(), "observation window must be positive");
         let qps = arrivals as f64 / window.as_secs_f64();
-        self.ewma.update(qps);
+        self.smoothed = Some(match self.smoothed {
+            None => qps,
+            Some(v) => self.alpha * qps + (1.0 - self.alpha) * v,
+        });
     }
 
     /// Current smoothed demand estimate in QPS (0 before any observation).
     pub fn estimate(&self) -> f64 {
-        self.ewma.value_or(0.0)
+        self.smoothed.unwrap_or(0.0)
     }
 
     /// Demand estimate multiplied by the over-provisioning factor — the `λD`
@@ -100,6 +109,15 @@ mod tests {
         let d = DemandEstimator::new(0.3, 1.05);
         assert_eq!(d.estimate(), 0.0);
         assert_eq!(d.provisioned_estimate(), 0.0);
+    }
+
+    #[test]
+    fn rejects_alpha_outside_the_unit_interval() {
+        for alpha in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            let caught = std::panic::catch_unwind(|| DemandEstimator::new(alpha, 1.05));
+            assert!(caught.is_err(), "alpha {alpha} was accepted");
+        }
+        let _ = DemandEstimator::new(1.0, 1.05);
     }
 
     #[test]

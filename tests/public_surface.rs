@@ -1,18 +1,20 @@
-//! Every name a crate re-exports from its root is used outside that crate.
+//! Every name a crate re-exports from its root or its `prelude` is used
+//! outside that crate.
 //!
 //! A `pub use` in `crates/*/src/lib.rs` is a promise that some other code
 //! needs the name. This test holds each crate to it: every name in a
-//! top-level `pub use` of a crate root (the `prelude` modules are
-//! conveniences and are not checked) must appear as a whole word in some
-//! `.rs` file outside that crate's `src/` — in another crate, the crate's
-//! own `tests/`, `examples/` or `benches/`, the facade's `src/`, `tests/` or
-//! `examples/`, or `benchmark/src/`. `vendor/` and `target/` are not read.
+//! top-level `pub use` of a crate root, or in a `pub use` of its
+//! `pub mod prelude`, must appear as a whole word in some `.rs` file
+//! outside that crate's `src/` — in another crate, the crate's own
+//! `tests/`, `examples/` or `benches/`, the facade's `src/`, `tests/` or
+//! `examples/`, or `benchmark/src/`. A glob (`pub use x::*`) names nothing
+//! and is not checked. `vendor/` and `target/` are not read.
 //!
 //! A name that fails is dead surface: delete it, or make it private if its
 //! own crate still uses it. The exception is a type that no caller names
 //! but that stays public because its crate exposes it (as a field, an
-//! argument, a return type, a `Deref` target or a prelude name); those are
-//! listed in [`KEPT_PUBLIC`] with the reason.
+//! argument, a return type or a `Deref` target); those are listed in
+//! [`KEPT_PUBLIC`] with the reason.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -28,7 +30,6 @@ const KEPT_PUBLIC: &[(&str, &str)] = &[
     ("PreparedRuntime", "core: `CascadeRuntime` derefs to it"),
     ("QueueModel", "core: field of `AblationKnobs`"),
     ("TierStats", "core: field of `RunReport`"),
-    ("WorkerHealth", "core: a prelude name"),
     ("CascadeEval", "imagegen: `evaluate_cascade` returns one"),
     ("LadderError", "imagegen: `validate` returns one"),
     ("ProfileError", "imagegen: `from_confidences` returns one"),
@@ -58,14 +59,14 @@ fn crates() -> Vec<(String, PathBuf)> {
     out
 }
 
-/// The names bound by the top-level `pub use` items of a crate root.
-/// Prelude re-exports are indented inside `pub mod prelude` and so are not
-/// top-level.
-fn root_reexports(lib_rs: &str) -> Vec<String> {
+/// The names bound by the `pub use` items of `text` that start a line
+/// indented by `indent`.
+fn reexports(text: &str, indent: &str) -> Vec<String> {
+    let marker = format!("\n{indent}pub use ");
     let mut names = Vec::new();
-    let mut rest = lib_rs;
-    while let Some(at) = rest.find("\npub use ") {
-        let item = &rest[at + "\npub use ".len()..];
+    let mut rest = text;
+    while let Some(at) = rest.find(&marker) {
+        let item = &rest[at + marker.len()..];
         let end = item.find(';').expect("a `pub use` ends with `;`");
         let body = &item[..end];
         let list = match (body.find('{'), body.rfind('}')) {
@@ -82,6 +83,24 @@ fn root_reexports(lib_rs: &str) -> Vec<String> {
         rest = &item[end..];
     }
     names
+}
+
+/// The names bound by the top-level `pub use` items of a crate root.
+/// Prelude re-exports are indented inside `pub mod prelude` and so are not
+/// top-level.
+fn root_reexports(lib_rs: &str) -> Vec<String> {
+    reexports(lib_rs, "")
+}
+
+/// The names bound by the `pub use` items of a crate root's
+/// `pub mod prelude`, in order; none if the crate has no prelude.
+fn prelude_reexports(lib_rs: &str) -> Vec<String> {
+    let Some(at) = lib_rs.find("\npub mod prelude {") else {
+        return Vec::new();
+    };
+    let module = &lib_rs[at..];
+    let end = module.find("\n}").expect("the prelude module closes");
+    reexports(&module[..end], "    ")
 }
 
 /// Every `.rs` file under `dir`, skipping `vendor/` and `target/`.
@@ -133,15 +152,21 @@ fn has_word(text: &str, name: &str) -> bool {
     })
 }
 
-/// Each crate's root re-exports that no source outside its `src/` names,
-/// as `(crate, name)`.
+/// Each crate's root and prelude re-exports that no source outside its
+/// `src/` names, as `(crate, name)`; a name in both is listed once.
 fn unnamed_reexports() -> Vec<(String, String)> {
     let sources = sources();
     let mut unnamed = Vec::new();
     for (krate, dir) in crates() {
         let lib_rs = fs::read_to_string(dir.join("src/lib.rs")).expect("lib.rs is readable");
         let own_src = dir.join("src");
-        for name in root_reexports(&lib_rs) {
+        let mut names = root_reexports(&lib_rs);
+        for name in prelude_reexports(&lib_rs) {
+            if !names.contains(&name) {
+                names.push(name);
+            }
+        }
+        for name in names {
             let named = sources
                 .iter()
                 .any(|(path, text)| !path.starts_with(&own_src) && has_word(text, &name));
@@ -154,7 +179,7 @@ fn unnamed_reexports() -> Vec<(String, String)> {
 }
 
 #[test]
-fn every_root_reexport_is_named_outside_its_crate() {
+fn every_root_and_prelude_reexport_is_named_outside_its_crate() {
     let dead: Vec<String> = unnamed_reexports()
         .into_iter()
         .filter(|(_, name)| !KEPT_PUBLIC.iter().any(|(allowed, _)| allowed == name))
@@ -162,7 +187,7 @@ fn every_root_reexport_is_named_outside_its_crate() {
         .collect();
     assert!(
         dead.is_empty(),
-        "root re-exports no other workspace member names (delete them, make them \
+        "root or prelude re-exports no other workspace member names (delete them, make them \
          private, or list a type a public signature exposes in KEPT_PUBLIC): {dead:?}"
     );
 }
@@ -177,8 +202,8 @@ fn the_allowlist_has_no_stale_entries() {
         .collect();
     assert!(
         stale.is_empty(),
-        "KEPT_PUBLIC lists names that are no longer root re-exports, or that \
-         another member now names: {stale:?}"
+        "KEPT_PUBLIC lists names that are no longer root or prelude \
+         re-exports, or that another member now names: {stale:?}"
     );
 }
 
@@ -189,11 +214,14 @@ fn the_parser_reads_lists_aliases_and_skips_the_prelude() {
         pub use a::{One, two as Two,\n    Three};\n\
         pub use b::Four;\n\
         pub use other_crate as five;\n\
-        pub mod prelude {\n    pub use crate::a::Six;\n}\n";
+        pub mod prelude {\n    pub use crate::a::{Six, Seven};\n    pub use other_crate::prelude::*;\n}\n\
+        pub use c::Eight;\n";
     assert_eq!(
         root_reexports(lib_rs),
-        ["One", "Two", "Three", "Four", "five"]
+        ["One", "Two", "Three", "Four", "five", "Eight"]
     );
+    assert_eq!(prelude_reexports(lib_rs), ["Six", "Seven"]);
+    assert!(prelude_reexports("pub use a::One;\n").is_empty());
     assert!(has_word("use x::{Four};", "Four"));
     assert!(!has_word("FourFive Four_ _Four", "Four"));
 }
