@@ -1506,6 +1506,111 @@ mod tests {
         assert_eq!(shared.depths[0].load(Ordering::SeqCst), 0);
     }
 
+    /// A light-tier job for query `qid` that arrived now, with a deadline
+    /// no run reaches.
+    fn far_light_job(shared: &Shared, qid: u64) -> Job {
+        Job {
+            qid,
+            arrival: shared.now(),
+            deadline: SimTime::from_secs(10_000),
+            entry: 0,
+            prompt: None,
+            resume: None,
+            addon: None,
+            tier: 0,
+        }
+    }
+
+    /// Receives `n` outcomes and returns the completed queries' ids and
+    /// tiers in the order they came; a drop fails the test.
+    fn completions(backend: &ClusterBackend<'_>, n: usize) -> Vec<(u64, usize)> {
+        (0..n)
+            .map(|_| {
+                match backend
+                    .done_rx
+                    .recv_timeout(Duration::from_secs(20))
+                    .expect("the job was served")
+                {
+                    Outcome::Completed(r) => (r.id.0, r.tier),
+                    Outcome::Dropped { qid, .. } => panic!("query {qid} was dropped"),
+                }
+            })
+            .collect()
+    }
+
+    /// The exit rule, read directly: shutdown must be signalled and the
+    /// worker's queue depth must be zero.
+    #[test]
+    fn a_worker_may_exit_only_at_shutdown_with_nothing_queued() {
+        let (backend, _) = launch_four_on_two_tiers(0.0);
+        let shared = &backend.shared;
+        assert!(!shared.may_exit(0) && !shared.may_exit(1));
+        shared.depths[0].fetch_add(1, Ordering::SeqCst);
+        shared.shutdown.store(true, Ordering::SeqCst);
+        assert!(!shared.may_exit(0));
+        assert!(shared.may_exit(1));
+        shared.depths[0].fetch_sub(1, Ordering::SeqCst);
+        assert!(shared.may_exit(0));
+    }
+
+    /// One worker's channel is first in, first out: with batch 1 the jobs
+    /// sent to it complete in the order they were sent.
+    #[test]
+    fn jobs_sent_to_one_worker_are_served_in_send_order() {
+        let (backend, _) = launch_four_on_two_tiers(0.0);
+        let shared = &backend.shared;
+        for qid in 1..=6 {
+            shared.depths[0].fetch_add(1, Ordering::SeqCst);
+            backend.job_txs[0]
+                .send(far_light_job(shared, qid))
+                .expect("worker 0 receives");
+        }
+        let served = completions(&backend, 6);
+        assert_eq!(served, (1..=6).map(|qid| (qid, 0)).collect::<Vec<_>>());
+    }
+
+    /// `hand_back` empties the channel it is given, takes the held jobs'
+    /// depth back from their worker, and re-routes each job to its tier,
+    /// where it is served.
+    #[test]
+    fn hand_back_forwards_every_held_job_and_takes_its_depth_back() {
+        let (backend, _) = launch_four_on_two_tiers(0.0);
+        let shared = &backend.shared;
+        let (tx, rx) = channel();
+        for qid in 1..=3 {
+            shared.depths[1].fetch_add(1, Ordering::SeqCst);
+            tx.send(far_light_job(shared, qid)).unwrap();
+        }
+        shared.hand_back(1, &rx, &backend.kernel, &backend.job_txs);
+        assert!(rx.try_recv().is_err(), "a job stayed behind");
+        let mut served = completions(&backend, 3);
+        served.sort_unstable();
+        assert_eq!(served, [(1, 0), (2, 0), (3, 0)]);
+        assert!(shared.depths.iter().all(|d| d.load(Ordering::SeqCst) == 0));
+    }
+
+    /// A session dropped without `finish` joins its worker and clock
+    /// threads: none of them still holds the shared state.
+    #[test]
+    fn an_abandoned_session_joins_every_thread() {
+        let spec = ServingSession::builder()
+            .runtime(test_runtime())
+            .config(quick_config())
+            .validate()
+            .expect("valid session");
+        let mut backend = ClusterBackend::launch(&spec, TIME_SCALE).expect("valid time scale");
+        backend.submit(QuerySpec::new());
+        let shared = Arc::clone(&backend.shared);
+        assert!(Arc::strong_count(&shared) > 2);
+        drop(backend);
+        assert!(shared.shutdown.load(Ordering::SeqCst));
+        assert_eq!(
+            Arc::strong_count(&shared),
+            1,
+            "a thread outlived the session"
+        );
+    }
+
     #[test]
     fn build_cluster_rejects_bad_time_scale() {
         let err = ServingSession::builder()

@@ -2274,6 +2274,102 @@ mod tests {
         assert!(backend.state.addon_stats.total_lookups() > 500);
     }
 
+    /// A DiffServe backend on [`small_config`] with `n` queries submitted
+    /// 200 ms apart from t = 200 ms, not yet advanced.
+    fn backend_with_queries(n: u64) -> SimBackend<'static> {
+        let spec = ServingSession::builder()
+            .runtime(test_runtime())
+            .config(small_config())
+            .settings(RunSettings::new(Policy::DiffServe, 8.0))
+            .validate()
+            .unwrap();
+        let mut backend = SimBackend::new(&spec);
+        for i in 1..=n {
+            backend.submit(QuerySpec::new().at(SimTime::from_millis(200 * i)));
+        }
+        backend
+    }
+
+    /// The scenario timeline and the first control tick are scheduled at
+    /// the first advance, once: behind the arrivals submitted before it.
+    #[test]
+    fn the_first_tick_schedules_the_control_loop_once() {
+        let mut backend = backend_with_queries(3);
+        assert!(!backend.started);
+        assert_eq!(backend.queue.len(), 3);
+        backend.tick(SimTime::ZERO);
+        assert!(backend.started);
+        assert_eq!((backend.processed, backend.queue.len()), (0, 4));
+        backend.tick(SimTime::ZERO);
+        assert_eq!((backend.processed, backend.queue.len()), (0, 4));
+    }
+
+    /// A tick handles every event at or before its horizon and none after:
+    /// the clock is the last event handled, the cursor is the horizon.
+    #[test]
+    fn a_tick_stops_at_its_horizon() {
+        let mut backend = backend_with_queries(40);
+        let horizon = SimTime::from_millis(3_100);
+        backend.tick(horizon);
+        assert_eq!(backend.now(), horizon);
+        assert!(backend.processed > 0);
+        assert!(backend.clock <= horizon, "clock {}", backend.clock);
+        let next = backend.queue.peek_time().expect("later arrivals pending");
+        assert!(next > horizon, "event at {next} left behind");
+    }
+
+    /// A tick to an instant the backend has passed neither rewinds the
+    /// cursor nor handles anything.
+    #[test]
+    fn a_tick_into_the_past_moves_nothing() {
+        let mut backend = backend_with_queries(40);
+        backend.tick(SimTime::from_secs(5));
+        let before = (backend.processed, backend.clock, backend.queue.len());
+        backend.tick(SimTime::from_secs(2));
+        assert_eq!(backend.now(), SimTime::from_secs(5));
+        assert_eq!(
+            (backend.processed, backend.clock, backend.queue.len()),
+            before
+        );
+    }
+
+    /// Driving in chunks handles the same events as one tick to the end.
+    #[test]
+    fn chunked_ticks_handle_what_one_tick_does() {
+        let end = SimTime::from_secs(30);
+        let mut whole = backend_with_queries(40);
+        whole.tick(end);
+        let mut chunked = backend_with_queries(40);
+        for k in 1..=42 {
+            chunked.tick(SimTime::from_millis(730 * k).min(end));
+        }
+        let state = |b: &SimBackend<'_>| (b.processed, b.clock, b.remaining_budget, b.queue.len());
+        assert_eq!(state(&chunked), state(&whole));
+    }
+
+    /// Every submission, one query or a whole stream, tops the budget up
+    /// by [`EVENTS_PER_QUERY`] a query, and every handled event is paid
+    /// from it.
+    #[test]
+    fn submissions_top_up_the_event_budget_and_events_spend_it() {
+        let mut backend = backend_with_queries(40);
+        let topped = EVENT_BUDGET + 40 * EVENTS_PER_QUERY;
+        assert_eq!(backend.remaining_budget, topped);
+        backend.tick(SimTime::from_secs(60));
+        assert!(backend.processed > 40);
+        assert_eq!(backend.processed + backend.remaining_budget, topped);
+
+        let mut streamed = backend_with_queries(0);
+        let stream = ArrivalStream::new(flat_trace(4.0, 10), seeded_rng(7), None, 0);
+        let n = stream.len() as u64;
+        assert!(n > 0);
+        streamed.submit_stream(stream);
+        assert_eq!(
+            streamed.remaining_budget,
+            EVENT_BUDGET + n * EVENTS_PER_QUERY
+        );
+    }
+
     /// The event budget's rule: running out of it means a schedule loop.
     /// Debug builds assert at the first event it cannot pay for; release
     /// builds stop advancing there, and `finish` accounts every query

@@ -364,6 +364,69 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 2);
     }
 
+    /// The driving loop a simulator runs: pop the earliest event, handle
+    /// it, and push what it schedules. Two events that schedule each
+    /// other 1 ms apart alternate until the handler stops re-scheduling.
+    #[test]
+    fn a_handler_loop_alternates_until_its_limit() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Ev {
+            Ping,
+            Pong,
+        }
+        let step = crate::time::SimDuration::from_millis(1);
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, Ev::Ping);
+        let (mut pings, mut pongs, mut last) = (0, 0, SimTime::ZERO);
+        let mut expect = Ev::Ping;
+        while let Some((now, event)) = q.pop() {
+            assert_eq!(event, expect);
+            assert!(now >= last, "time went backwards: {now} < {last}");
+            last = now;
+            match event {
+                Ev::Ping => {
+                    pings += 1;
+                    q.push(now + step, Ev::Pong);
+                    expect = Ev::Pong;
+                }
+                Ev::Pong => {
+                    pongs += 1;
+                    if pongs < 10 {
+                        q.push(now + step, Ev::Ping);
+                    }
+                    expect = Ev::Ping;
+                }
+            }
+        }
+        assert_eq!((pings, pongs), (10, 10));
+        assert_eq!(last, SimTime::from_millis(19));
+    }
+
+    /// A loop that stops at a horizon handles every event at or before it
+    /// and leaves the first later one pending, ready to resume.
+    #[test]
+    fn a_loop_stopped_at_a_horizon_leaves_later_events_pending() {
+        let step = crate::time::SimDuration::from_millis(1);
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, ());
+        let run_until = |q: &mut EventQueue<()>, horizon: SimTime| {
+            let mut handled = 0;
+            while q.peek_time().is_some_and(|t| t <= horizon) {
+                let (now, ()) = q.pop().unwrap();
+                q.push(now + step, ());
+                handled += 1;
+            }
+            handled
+        };
+        // Events at t = 0, 1, 2, 3, 4 ms.
+        assert_eq!(run_until(&mut q, SimTime::from_millis(4)), 5);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
+        assert_eq!(q.len(), 1);
+        assert_eq!(run_until(&mut q, SimTime::from_millis(4)), 0);
+        assert_eq!(run_until(&mut q, SimTime::from_millis(9)), 5);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
+    }
+
     #[test]
     fn slab_slots_are_recycled() {
         // A steady-state workload (push one, pop one) must not grow the

@@ -121,6 +121,59 @@ mod tests {
     }
 
     #[test]
+    fn the_first_window_seeds_the_estimate_and_later_ones_blend() {
+        let mut d = DemandEstimator::new(0.25, 1.0);
+        let w = SimDuration::from_secs(1);
+        d.observe(8, w);
+        assert_eq!(d.estimate(), 8.0);
+        d.observe(0, w);
+        // 0.25·0 + 0.75·8 = 6.
+        assert!((d.estimate() - 6.0).abs() < 1e-12);
+    }
+
+    /// The update is `alpha·x + (1 − alpha)·v` in exactly that order, so
+    /// every demand estimate keeps its bits.
+    #[test]
+    fn the_update_keeps_its_bits() {
+        let alpha = 0.3;
+        let mut d = DemandEstimator::new(alpha, 1.05);
+        let w = SimDuration::from_millis(700);
+        let mut v: Option<f64> = None;
+        for arrivals in [13u64, 2, 40, 7, 0, 29, 31, 5] {
+            d.observe(arrivals, w);
+            let x = arrivals as f64 / w.as_secs_f64();
+            let next = match v {
+                None => x,
+                Some(v) => alpha * x + (1.0 - alpha) * v,
+            };
+            v = Some(next);
+            assert_eq!(d.estimate().to_bits(), next.to_bits());
+        }
+    }
+
+    #[test]
+    fn alpha_one_tracks_the_latest_window() {
+        let mut d = DemandEstimator::new(1.0, 1.0);
+        d.observe(50, SimDuration::from_secs(5));
+        assert_eq!(d.estimate(), 10.0);
+        d.observe(12, SimDuration::from_secs(4));
+        assert_eq!(d.estimate(), 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must lie in (0, 1]")]
+    fn a_rejected_alpha_names_the_interval() {
+        let _ = DemandEstimator::new(2.0, 1.05);
+    }
+
+    #[test]
+    #[should_panic(expected = "observation window must be positive")]
+    fn rejects_an_empty_window() {
+        let mut d = DemandEstimator::new(0.5, 1.0);
+        d.observe(3, SimDuration::ZERO);
+    }
+
+    #[test]
     #[should_panic(expected = "over-provisioning")]
     fn rejects_under_provisioning() {
         let _ = DemandEstimator::new(0.5, 0.9);
