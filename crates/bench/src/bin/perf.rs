@@ -1,18 +1,20 @@
 //! Performance baseline for the serving engine.
 //!
-//! Three workloads, exported to `BENCH_sim.json` so every future PR has a
-//! trajectory to beat:
+//! One run times every serving mode on the same workloads and exports the
+//! results to `BENCH_sim.json`, so every future change has a trajectory to
+//! beat:
 //!
 //! 1. **Azure replay at fleet scale** — the diurnal `trace::azure` curve
 //!    replayed on a 1000-worker fleet through the arena-flattened
 //!    simulator (per-tier sorted load index, reused batch buffers). Two
 //!    sizes: the historical `azure_replay_1000w` (~95 K queries) and the
 //!    multi-million-query `azure_replay_1000w_2m` (~2 M queries over two
-//!    simulated diurnal hours), each with a `smoke/` variant for CI.
-//! 2. **Policy × scenario sweep** — the full 5-policy × 9-scenario matrix,
-//!    run once serially and once fanned across cores by a work-stealing
-//!    `std::thread::scope` runner. The export records both wall times and
-//!    the resulting speedup (≈1.0 on a single-core host by construction).
+//!    simulated diurnal hours).
+//! 2. **Policy × scenario sweep** — the 5-policy × 9-scenario matrix, run
+//!    once serially and once fanned across every detected core by a
+//!    work-stealing `std::thread::scope` runner. The export records both
+//!    wall times and the resulting speedup (≈1.0 on a single-core host by
+//!    construction).
 //! 3. **Solver ticks** — control ticks under drifting demand, solved cold
 //!    every tick vs. carrying the warm state tick to tick:
 //!    `ladder3_solve_cold/warm` is the N-tier quality-ladder allocator
@@ -21,37 +23,23 @@
 //! 4. **Cluster replay** — the same diurnal curve replayed on the
 //!    thread-and-channel testbed backend (`run_cluster`) at paper-testbed
 //!    fleet scale, wall-clock timed, so the cluster runtime's overhead has
-//!    a tracked trajectory too (`cluster_replay`, plus a `smoke/` variant
-//!    for CI).
+//!    a tracked trajectory too (`cluster_replay`).
+//!
+//! Every run times the solver ticks once and the CI-sized `smoke/`
+//! variants of the serving workloads (1–2 and 4) under each [`Mode`]: the
+//! restart cascade (unprefixed keys), stage-level resume (`resume/`),
+//! add-on serving (`addons/`) and the 3-tier ladder (`ladder/`). A full run
+//! adds the full-size restart-cascade keys, so a committed full baseline
+//! carries every key a smoke run compares.
 //!
 //! Usage:
 //!
 //! ```text
-//! perf [--smoke] [--resume | --addons | --ladder] [--threads N]
-//!      [--out PATH] [--baseline PATH]
+//! perf [--smoke] [--out PATH] [--baseline PATH]
 //! ```
 //!
-//! * `--smoke` — CI-sized workloads only (still 1000 workers, shorter
-//!   trace, reduced sweep). A full run *also* executes the smoke
-//!   workloads, so a committed full baseline carries every key the CI
-//!   smoke job compares against.
-//! * `--resume` — run the serving workloads with stage-level resume
-//!   enabled (`SystemConfig::resume_from_latents`); benchmark keys gain a
-//!   `resume/` prefix so the modes never gate against each other's
-//!   baselines. A full run in any mode also executes the *other* modes'
-//!   smoke workloads, so one committed full baseline covers every CI
-//!   matrix leg.
-//! * `--addons` — run the serving workloads with add-on serving enabled
-//!   (the demo catalog/mix on `SystemConfig::addons`: per-worker module
-//!   caches, swap charging, affinity routing); keys gain an `addons/`
-//!   prefix.
-//! * `--ladder` — run the serving workloads on the 3-tier quality ladder
-//!   (`ladder3` runtime, `SystemConfig::ladder` attached, predictive
-//!   routing on); keys gain a `ladder/` prefix.
-//! * `--threads N` — fan the parallel sweep across `N` threads instead of
-//!   the detected core count (env `PERF_THREADS` works too; the flag
-//!   wins). Both the thread count used and the detected core count are
-//!   recorded in the export.
+//! * `--smoke` — the smoke keys only (still 1000 workers, shorter traces,
+//!   reduced sweep).
 //! * `--out PATH` — where to write the JSON (default `BENCH_sim.json`).
 //! * `--baseline PATH` — compare against a previous export and exit
 //!   nonzero if any benchmark present in both regressed by more than
@@ -61,10 +49,10 @@
 //! line-oriented — one benchmark per line — so [`parse_benchmark_secs`]
 //! can read a baseline back with plain string scanning.
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use criterion::{black_box, Criterion};
 use diffserve_bench::{f2, CascadeId, Scale, Table, EXPERIMENT_SEED};
 use diffserve_cluster::run_cluster;
 use diffserve_core::{
@@ -95,9 +83,14 @@ const REPLAY_2M_SECS: u64 = 7200;
 /// Simulated duration of the CI-sized `smoke/` variant (~17 K queries).
 const REPLAY_2M_SMOKE_SECS: u64 = 60;
 
+/// The time a timed benchmark fills after its probe iteration.
+const TARGET_TIME: Duration = Duration::from_millis(300);
+/// The most iterations a timed benchmark runs.
+const MAX_ITERS: u64 = 10_000;
+
 /// Which serving-feature variant the serving workloads run under. Each
-/// mode namespaces its benchmark keys so the CI matrix legs never gate
-/// against each other's baselines.
+/// mode namespaces its benchmark keys so no mode gates against another's
+/// baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Plain restart cascade — the unprefixed historical keys.
@@ -147,47 +140,20 @@ struct Record {
 
 fn main() {
     let mut smoke = false;
-    let mut resume = false;
-    let mut addons = false;
-    let mut ladder = false;
-    let mut threads_arg: Option<usize> = None;
     let mut out = String::from("BENCH_sim.json");
     let mut baseline: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--resume" => resume = true,
-            "--addons" => addons = true,
-            "--ladder" => ladder = true,
-            "--threads" => {
-                let n = args.next().expect("--threads needs a count");
-                threads_arg = Some(n.parse().expect("--threads needs a positive integer"));
-            }
-            "--out" => out = args.next().expect("--out needs a path"),
-            "--baseline" => baseline = Some(args.next().expect("--baseline needs a path")),
+            "--out" => out = args.next().unwrap_or_else(|| usage()),
+            "--baseline" => baseline = Some(args.next().unwrap_or_else(|| usage())),
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: perf [--smoke] [--resume | --addons | --ladder] [--threads N] \
-                     [--out PATH] [--baseline PATH]"
-                );
-                std::process::exit(2);
+                usage()
             }
         }
     }
-    let mode = match (resume, addons, ladder) {
-        (false, false, false) => Mode::Restart,
-        (true, false, false) => Mode::Resume,
-        (false, true, false) => Mode::Addons,
-        (false, false, true) => Mode::Ladder,
-        _ => {
-            eprintln!(
-                "--resume, --addons, and --ladder are separate baseline namespaces; pick one"
-            );
-            std::process::exit(2);
-        }
-    };
 
     // Read the baseline up front: CI overwrites the checked-in file with
     // its own export (`--out BENCH_sim.json --baseline BENCH_sim.json`),
@@ -197,159 +163,22 @@ fn main() {
     });
 
     let runtime = Scale::Smoke.runtime(CascadeId::One);
-    // The ladder mode serves the 3-tier `ladder3` runtime; a full run in
-    // any mode also needs it for the ladder smoke keys. Prepared lazily so
-    // smoke runs of the other modes skip the extra discriminator training.
-    let ladder_runtime = (mode == Mode::Ladder || !smoke)
-        .then(|| Scale::Smoke.ladder_runtime(ladder3(FeatureSpec::default())));
-    let rt_for = |m: Mode| -> &CascadeRuntime {
-        match m {
-            Mode::Ladder => ladder_runtime.as_ref().expect("ladder runtime prepared"),
-            _ => &runtime,
-        }
-    };
-    let detected_cores = std::thread::available_parallelism()
+    let ladder_runtime = Scale::Smoke.ladder_runtime(ladder3(FeatureSpec::default()));
+    let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let threads = threads_arg
-        .or_else(|| {
-            std::env::var("PERF_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(detected_cores)
-        .max(1);
     let mut records = Vec::new();
-    let mut criterion = Criterion::default();
 
-    // Solver ticks: shared between modes, so the CI smoke job tracks solver
-    // regressions against the committed full baseline.
-    bench_ladder3_solve(&runtime, &mut criterion);
-
-    // Smoke-sized workloads: always run, so a full baseline has the keys
-    // the CI job compares.
-    azure_replay(
-        rt_for(mode),
-        &mut criterion,
-        &format!("{}smoke/azure_replay_1000w", mode.prefix()),
-        30.0,
-        120.0,
-        60,
-        mode,
-    );
-    azure_replay(
-        rt_for(mode),
-        &mut criterion,
-        &format!("{}smoke/azure_replay_1000w_2m", mode.prefix()),
-        REPLAY_2M_MIN_QPS,
-        REPLAY_2M_MAX_QPS,
-        REPLAY_2M_SMOKE_SECS,
-        mode,
-    );
-    sweep(
-        rt_for(mode),
-        &mut records,
-        &format!("{}smoke/sweep", mode.prefix()),
-        true,
-        threads,
-        mode,
-    );
-    cluster_replay(
-        rt_for(mode),
-        &mut records,
-        &format!("{}smoke/cluster_replay", mode.prefix()),
-        CLUSTER_REPLAY_SMOKE_SECS,
-        mode,
-    );
-
-    if !smoke {
-        azure_replay(
-            rt_for(mode),
-            &mut criterion,
-            &format!("{}azure_replay_1000w", mode.prefix()),
-            60.0,
-            480.0,
-            350,
-            mode,
-        );
-        azure_replay(
-            rt_for(mode),
-            &mut criterion,
-            &format!("{}azure_replay_1000w_2m", mode.prefix()),
-            REPLAY_2M_MIN_QPS,
-            REPLAY_2M_MAX_QPS,
-            REPLAY_2M_SECS,
-            mode,
-        );
-        sweep(
-            rt_for(mode),
-            &mut records,
-            &format!("{}sweep_5x9", mode.prefix()),
-            false,
-            threads,
-            mode,
-        );
-        cluster_replay(
-            rt_for(mode),
-            &mut records,
-            &format!("{}cluster_replay", mode.prefix()),
-            CLUSTER_REPLAY_SECS,
-            mode,
-        );
-        // A full baseline also carries the *other* modes' smoke keys, so
-        // every leg of the CI bench matrix gates against one committed
-        // export.
-        for other in Mode::all().into_iter().filter(|&m| m != mode) {
-            azure_replay(
-                rt_for(other),
-                &mut criterion,
-                &format!("{}smoke/azure_replay_1000w", other.prefix()),
-                30.0,
-                120.0,
-                60,
-                other,
-            );
-            azure_replay(
-                rt_for(other),
-                &mut criterion,
-                &format!("{}smoke/azure_replay_1000w_2m", other.prefix()),
-                REPLAY_2M_MIN_QPS,
-                REPLAY_2M_MAX_QPS,
-                REPLAY_2M_SMOKE_SECS,
-                other,
-            );
-            sweep(
-                rt_for(other),
-                &mut records,
-                &format!("{}smoke/sweep", other.prefix()),
-                true,
-                threads,
-                other,
-            );
-            cluster_replay(
-                rt_for(other),
-                &mut records,
-                &format!("{}smoke/cluster_replay", other.prefix()),
-                CLUSTER_REPLAY_SMOKE_SECS,
-                other,
-            );
-        }
-    }
-
-    for m in criterion.measurements() {
-        let extra = if m.id.contains("azure_replay") {
-            vec![("workers", FLEET.to_string())]
-        } else if m.id.contains("ladder3_solve") {
-            vec![("ticks", LADDER3_TICKS.to_string())]
-        } else {
-            Vec::new()
+    bench_ladder3_solve(&runtime, &mut records);
+    for mode in Mode::all() {
+        let runtime = match mode {
+            Mode::Ladder => &ladder_runtime,
+            _ => &runtime,
         };
-        records.push(Record {
-            name: m.id.clone(),
-            secs: m.mean_secs,
-            iters: m.iters,
-            extra,
-        });
+        serving_workloads(runtime, &mut records, mode, true, threads);
+    }
+    if !smoke {
+        serving_workloads(&runtime, &mut records, Mode::Restart, false, threads);
     }
     records.sort_by(|a, b| a.name.cmp(&b.name));
 
@@ -367,7 +196,7 @@ fn main() {
     );
     table.print();
 
-    write_json(&out, smoke, threads, detected_cores, &records).expect("write benchmark export");
+    write_json(&out, smoke, threads, &records).expect("write benchmark export");
     println!("\nwrote {out}");
 
     if let Some(text) = baseline_text {
@@ -377,10 +206,106 @@ fn main() {
     }
 }
 
+/// Prints the usage line and exits 2.
+fn usage() -> ! {
+    eprintln!("usage: perf [--smoke] [--out PATH] [--baseline PATH]");
+    std::process::exit(2)
+}
+
+/// How many iterations fill [`TARGET_TIME`] when one takes `probe`
+/// (floored at 1 ns), clamped to `[1, MAX_ITERS]`.
+fn iterations_for(probe: Duration) -> u64 {
+    let per_iter = probe.max(Duration::from_nanos(1)).as_nanos();
+    (TARGET_TIME.as_nanos() / per_iter).clamp(1, MAX_ITERS.into()) as u64
+}
+
+/// Times `routine`: one probe iteration, then as many iterations as
+/// [`iterations_for`] gives for the probe's time, and records their mean
+/// wall time per iteration.
+fn bench<O>(
+    records: &mut Vec<Record>,
+    name: &str,
+    extra: Vec<(&'static str, String)>,
+    mut routine: impl FnMut() -> O,
+) {
+    let start = Instant::now();
+    black_box(routine());
+    let iters = iterations_for(start.elapsed());
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(routine());
+    }
+    let secs = start.elapsed().as_secs_f64() / iters as f64;
+    println!("{name:<55} {:>12.3} us/iter ({iters} iters)", secs * 1e6);
+    records.push(Record {
+        name: name.to_string(),
+        secs,
+        iters,
+        extra,
+    });
+}
+
+/// Times the serving workloads under `mode`: the `smoke/` variants, or
+/// the full-size ones (keys without `smoke/`).
+fn serving_workloads(
+    runtime: &CascadeRuntime,
+    records: &mut Vec<Record>,
+    mode: Mode,
+    smoke: bool,
+    threads: usize,
+) {
+    let (size, sweep_id, replay, replay_2m_secs, cluster_secs) = if smoke {
+        (
+            "smoke/",
+            "sweep",
+            (30.0, 120.0, 60),
+            REPLAY_2M_SMOKE_SECS,
+            CLUSTER_REPLAY_SMOKE_SECS,
+        )
+    } else {
+        (
+            "",
+            "sweep_5x9",
+            (60.0, 480.0, 350),
+            REPLAY_2M_SECS,
+            CLUSTER_REPLAY_SECS,
+        )
+    };
+    let prefix = format!("{}{size}", mode.prefix());
+    let (min_qps, max_qps, secs) = replay;
+    let id = format!("{prefix}azure_replay_1000w");
+    azure_replay(runtime, records, &id, min_qps, max_qps, secs, mode);
+    let id = format!("{prefix}azure_replay_1000w_2m");
+    azure_replay(
+        runtime,
+        records,
+        &id,
+        REPLAY_2M_MIN_QPS,
+        REPLAY_2M_MAX_QPS,
+        replay_2m_secs,
+        mode,
+    );
+    sweep(
+        runtime,
+        records,
+        &format!("{prefix}{sweep_id}"),
+        smoke,
+        threads,
+        mode,
+    );
+    cluster_replay(
+        runtime,
+        records,
+        &format!("{prefix}cluster_replay"),
+        cluster_secs,
+        mode,
+    );
+}
+
 /// Replays the rescaled Azure diurnal trace on a [`FLEET`]-worker fleet.
 fn azure_replay(
     runtime: &CascadeRuntime,
-    criterion: &mut Criterion,
+    records: &mut Vec<Record>,
     id: &str,
     min_qps: f64,
     max_qps: f64,
@@ -399,8 +324,8 @@ fn azure_replay(
     })
     .expect("valid azure trace");
     let settings = RunSettings::new(Policy::DiffServe, trace.max_qps());
-    criterion.bench_function(id, |b| {
-        b.iter(|| run_trace(runtime, &config, &settings, black_box(&trace)))
+    bench(records, id, vec![("workers", FLEET.to_string())], || {
+        run_trace(runtime, &config, &settings, black_box(&trace))
     });
 }
 
@@ -545,14 +470,14 @@ fn cluster_replay(
 /// Control ticks per iteration of the `ladder3_solve_*` benchmarks.
 const LADDER3_TICKS: usize = 12;
 
-/// Registers `ladder3_solve_cold` and `ladder3_solve_warm`: the N-tier
+/// Times `ladder3_solve_cold` and `ladder3_solve_warm`: the N-tier
 /// allocator's control tick as the control loop runs it ([`solve_ladder`]
 /// on a 3-tier ladder enumerating batch tuples, predictive
 /// direct-admission fractions set and the default raise limit), [`LADDER3_TICKS`] ticks under an EWMA-like ~0.6 %
 /// per-tick demand drift. Cold gives every tick a fresh
 /// [`LadderWarmState`]; warm threads one through all of them, the way the
 /// control loop does.
-fn bench_ladder3_solve(runtime: &CascadeRuntime, criterion: &mut Criterion) {
+fn bench_ladder3_solve(runtime: &CascadeRuntime, records: &mut Vec<Record>) {
     let config = SystemConfig::default();
     let thresholds = config.threshold_grid();
     let inputs_at = |demand: f64| LadderInputs {
@@ -576,36 +501,27 @@ fn bench_ladder3_solve(runtime: &CascadeRuntime, criterion: &mut Criterion) {
         .map(|i| 8.0 * 1.006f64.powi(i as i32))
         .collect();
 
-    criterion.bench_function("ladder3_solve_cold", |b| {
-        b.iter(|| {
-            for &d in &demands {
-                black_box(solve_ladder(
-                    &inputs_at(d),
-                    false,
-                    &mut LadderWarmState::new(),
-                ));
-            }
-        })
+    let ticks = || vec![("ticks", LADDER3_TICKS.to_string())];
+    bench(records, "ladder3_solve_cold", ticks(), || {
+        for &d in &demands {
+            black_box(solve_ladder(
+                &inputs_at(d),
+                false,
+                &mut LadderWarmState::new(),
+            ));
+        }
     });
-    criterion.bench_function("ladder3_solve_warm", |b| {
-        b.iter(|| {
-            let mut warm = LadderWarmState::new();
-            for &d in &demands {
-                black_box(solve_ladder(&inputs_at(d), false, &mut warm));
-            }
-        })
+    bench(records, "ladder3_solve_warm", ticks(), || {
+        let mut warm = LadderWarmState::new();
+        for &d in &demands {
+            black_box(solve_ladder(&inputs_at(d), false, &mut warm));
+        }
     });
 }
 
 /// Writes the line-oriented JSON export. Every benchmark is one line of
 /// the `"benchmarks"` object so the baseline reader stays a string scan.
-fn write_json(
-    path: &str,
-    smoke: bool,
-    threads: usize,
-    detected_cores: usize,
-    records: &[Record],
-) -> std::io::Result<()> {
+fn write_json(path: &str, smoke: bool, threads: usize, records: &[Record]) -> std::io::Result<()> {
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"diffserve-perf/v1\",\n");
     s.push_str(&format!(
@@ -613,7 +529,8 @@ fn write_json(
         if smoke { "smoke" } else { "full" }
     ));
     s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str(&format!("  \"detected_cores\": {detected_cores},\n"));
+    // The sweep fans out over every detected core, so the two agree.
+    s.push_str(&format!("  \"detected_cores\": {threads},\n"));
     s.push_str("  \"benchmarks\": {\n");
     for (i, r) in records.iter().enumerate() {
         let mut line = format!(
@@ -712,6 +629,31 @@ mod tests {
             iters: 1,
             extra: Vec::new(),
         }
+    }
+
+    #[test]
+    fn iterations_fill_the_target_time() {
+        // 300 ms of 1 ms iterations, and a remainder rounds down.
+        assert_eq!(iterations_for(Duration::from_millis(1)), 300);
+        assert_eq!(iterations_for(Duration::from_micros(70)), 4285);
+        assert_eq!(iterations_for(TARGET_TIME), 1);
+    }
+
+    #[test]
+    fn iterations_clamp_to_one_and_to_the_cap() {
+        // A probe slower than the target still runs once.
+        assert_eq!(iterations_for(TARGET_TIME * 4), 1);
+        // Fast probes stop at the cap: 30 µs exactly fills it, 29 µs
+        // would overfill it.
+        assert_eq!(iterations_for(Duration::from_micros(30)), MAX_ITERS);
+        assert_eq!(iterations_for(Duration::from_micros(29)), MAX_ITERS);
+        assert_eq!(iterations_for(Duration::from_micros(31)), 9677);
+    }
+
+    #[test]
+    fn a_zero_probe_counts_as_one_nanosecond() {
+        // The 1 ns floor keeps the division defined; the cap then applies.
+        assert_eq!(iterations_for(Duration::ZERO), MAX_ITERS);
     }
 
     #[test]

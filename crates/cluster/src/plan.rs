@@ -67,16 +67,6 @@ impl ServingPlan {
         self.batches[tier.min(self.batches.len() - 1)]
     }
 
-    /// Worker indices currently assigned to a ladder tier.
-    pub fn workers_of(&self, tier: usize) -> Vec<usize> {
-        self.tiers
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t == tier)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Re-derives two-tier assignments from target counts over the workers
     /// whose `excluded` flag is unset — used under scenario-driven worker
     /// churn so a failed worker's slot neither satisfies nor distorts the
@@ -92,7 +82,7 @@ impl ServingPlan {
     /// let mut plan = ServingPlan::bootstrap(4); // 2 light, 2 heavy
     /// // Worker 3 is down: rebalance the 3 alive workers to 1 light / 2 heavy.
     /// plan.retarget_masked(1, 2, &[false, false, false, true]);
-    /// let alive_light = plan.workers_of(0).into_iter().filter(|&i| i != 3).count();
+    /// let alive_light = (0..3).filter(|&i| plan.tiers[i] == 0).count();
     /// assert_eq!(alive_light, 1);
     /// ```
     pub fn retarget_masked(
@@ -183,8 +173,7 @@ mod tests {
     #[test]
     fn bootstrap_splits_fleet() {
         let p = ServingPlan::bootstrap(8);
-        assert_eq!(p.workers_of(0), [0, 1, 2, 3]);
-        assert_eq!(p.workers_of(1), [4, 5, 6, 7]);
+        assert_eq!(p.tiers, [0, 0, 0, 0, 1, 1, 1, 1]);
         assert_eq!(p.batch_for(0), 1);
         assert_eq!(p.num_tiers(), 2);
     }

@@ -303,16 +303,6 @@ impl AddonStats {
             self.swap_secs.iter().sum::<f64>() / n as f64
         }
     }
-
-    /// Folds another stats block into this one (the cluster engine merges
-    /// per-thread tallies).
-    pub fn merge(&mut self, other: &AddonStats) {
-        for s in 0..2 {
-            self.hits[s] += other.hits[s];
-            self.misses[s] += other.misses[s];
-            self.swap_secs[s] += other.swap_secs[s];
-        }
-    }
 }
 
 /// The add-on serving configuration: the catalog, the per-worker cache
@@ -459,11 +449,6 @@ mod tests {
         assert_eq!(stats.total_lookups(), 4);
         assert!((stats.total_hit_rate() - 0.5).abs() < 1e-12);
         assert!((stats.total_mean_swap_secs() - 0.7 / 4.0).abs() < 1e-12);
-        let mut merged = AddonStats::default();
-        merged.merge(&stats);
-        merged.merge(&stats);
-        assert_eq!(merged.total_lookups(), 8);
-        assert_eq!(merged.hit_rate(0), 0.5);
         // Empty stats report zeros, not NaN.
         let empty = AddonStats::default();
         assert_eq!(empty.hit_rate(0), 0.0);

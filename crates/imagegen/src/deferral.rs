@@ -258,11 +258,6 @@ impl OnlineDeferralEstimator {
         }
     }
 
-    /// Samples currently in the window.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// Whether enough samples have accumulated for the estimate to be
     /// trusted over the offline profile.
     pub fn warmed_up(&self) -> bool {
@@ -447,14 +442,13 @@ mod tests {
         est.refresh();
         // The window has fully turned over: everything now defers at 0.5.
         assert_eq!(est.profile().unwrap().fraction_deferred(0.5), 1.0);
-        assert_eq!(est.window_len(), 50);
+        assert_eq!(est.profile().unwrap().sample_count(), 50);
     }
 
     #[test]
     fn online_estimator_ignores_non_finite_observations() {
         let mut est = OnlineDeferralEstimator::new(16, 2);
         est.observe_all(&[f64::NAN, 0.4, f64::INFINITY, 0.6]);
-        assert_eq!(est.window_len(), 2);
         assert!(est.refresh());
         assert_eq!(est.profile().unwrap().sample_count(), 2);
     }

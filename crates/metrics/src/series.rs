@@ -92,16 +92,6 @@ impl WindowedSeries {
         self.per_window(|sum, n| if n == 0 { 0.0 } else { sum / n as f64 })
     }
 
-    /// Per-window sums.
-    pub fn window_sums(&self) -> Vec<(SimTime, f64)> {
-        self.per_window(|sum, _| sum)
-    }
-
-    /// Per-window sample counts.
-    pub fn window_counts(&self) -> Vec<(SimTime, u64)> {
-        self.per_window(|_, n| n)
-    }
-
     /// Per-window rates: count divided by window length in seconds
     /// (e.g. arrivals → QPS).
     pub fn window_rates(&self) -> Vec<(SimTime, f64)> {
@@ -119,14 +109,14 @@ mod tests {
     }
 
     #[test]
-    fn means_and_sums_per_window() {
+    fn means_and_rates_per_window() {
         let mut s = WindowedSeries::new(SimDuration::from_secs(5));
         s.push(secs(0), 1.0);
         s.push(secs(4), 3.0);
         s.push(secs(5), 10.0);
         assert_eq!(s.window_means(), vec![(secs(0), 2.0), (secs(5), 10.0)]);
-        assert_eq!(s.window_sums(), vec![(secs(0), 4.0), (secs(5), 10.0)]);
-        assert_eq!(s.window_counts(), vec![(secs(0), 2), (secs(5), 1)]);
+        // Two samples, then one, over 5 s windows.
+        assert_eq!(s.window_rates(), vec![(secs(0), 0.4), (secs(5), 0.2)]);
     }
 
     #[test]
@@ -154,7 +144,7 @@ mod tests {
 
     /// Samples need not come in time order (the testbed's demand track is
     /// pushed at the instants arrivals were *due*): a sample lands in its
-    /// own window whenever it is pushed, and a window's sum adds in push
+    /// own window whenever it is pushed, and a window's mean sums in push
     /// order.
     #[test]
     fn out_of_order_samples_land_in_their_windows() {
@@ -164,15 +154,15 @@ mod tests {
         s.push(secs(3), 0.3);
         assert_eq!(s.len(), 3);
         assert_eq!(
-            s.window_sums(),
+            s.window_means(),
             vec![
                 (secs(0), 0.2),
                 (secs(1), 0.0),
                 (secs(2), 0.0),
-                (secs(3), 0.1 + 0.3)
+                (secs(3), (0.1 + 0.3) / 2.0)
             ]
         );
-        assert_eq!(s.window_counts()[3].1, 2);
+        assert_eq!(s.window_rates()[3].1, 2.0);
     }
 
     #[test]

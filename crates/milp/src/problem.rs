@@ -261,15 +261,6 @@ impl Problem {
         self.constraints.len()
     }
 
-    /// Name of a variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn var_name(&self, id: VarId) -> &str {
-        &self.vars[id.0].name
-    }
-
     /// Ids of all integer variables.
     pub fn integer_vars(&self) -> Vec<VarId> {
         self.vars
@@ -344,7 +335,8 @@ mod tests {
         p.set_objective(&[(x, 1.0)]);
         assert_eq!(p.num_vars(), 2);
         assert_eq!(p.num_constraints(), 1);
-        assert_eq!(p.var_name(x), "x");
+        // Variables keep their names: the rendered objective reads `x`.
+        assert_eq!(p.to_string().lines().next(), Some("maximize 1·x"));
         assert_eq!(p.integer_vars(), vec![b]);
         assert_eq!(p.lower_bounds(), vec![0.0, 0.0]);
         assert_eq!(p.upper_bounds(), vec![10.0, 1.0]);

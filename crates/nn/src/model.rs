@@ -72,19 +72,6 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Number of dense layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Total number of trainable parameters.
-    pub fn num_params(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.inputs() * l.outputs() + l.outputs())
-            .sum()
-    }
-
     /// Forward pass returning logits for a batch `(n × in)`.
     pub fn logits(&self, x: &Mat) -> Mat {
         let mut h = x.clone();
@@ -693,14 +680,6 @@ mod tests {
         let model = Mlp::new(&[3, 5, 4], &mut rng);
         assert_eq!(model.max_width(), 5);
         let _ = model.predict_proba_row(&[0.1, -0.2, 0.3], &mut [0.0; 9]);
-    }
-
-    #[test]
-    fn num_params_counts_weights_and_biases() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let model = Mlp::new(&[4, 8, 2], &mut rng);
-        assert_eq!(model.num_layers(), 2);
-        assert_eq!(model.num_params(), 4 * 8 + 8 + 8 * 2 + 2);
     }
 
     #[test]
