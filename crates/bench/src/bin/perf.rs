@@ -139,21 +139,14 @@ struct Record {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out = String::from("BENCH_sim.json");
-    let mut baseline: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().unwrap_or_else(|| usage()),
-            "--baseline" => baseline = Some(args.next().unwrap_or_else(|| usage())),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage()
-            }
-        }
-    }
+    let Args {
+        smoke,
+        out,
+        baseline,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
 
     // Read the baseline up front: CI overwrites the checked-in file with
     // its own export (`--out BENCH_sim.json --baseline BENCH_sim.json`),
@@ -170,15 +163,12 @@ fn main() {
     let mut records = Vec::new();
 
     bench_ladder3_solve(&runtime, &mut records);
-    for mode in Mode::all() {
+    for (mode, smoke) in workload_runs(smoke) {
         let runtime = match mode {
             Mode::Ladder => &ladder_runtime,
             _ => &runtime,
         };
-        serving_workloads(runtime, &mut records, mode, true, threads);
-    }
-    if !smoke {
-        serving_workloads(&runtime, &mut records, Mode::Restart, false, threads);
+        serving_workloads(runtime, &mut records, mode, smoke, threads);
     }
     records.sort_by(|a, b| a.name.cmp(&b.name));
 
@@ -204,6 +194,34 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// The command line: `--smoke`, `--out PATH` and `--baseline PATH`.
+#[derive(Debug, PartialEq)]
+struct Args {
+    smoke: bool,
+    out: String,
+    baseline: Option<String>,
+}
+
+/// Parses the arguments after the program name. Any other argument, or a
+/// flag missing its value, is an error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        smoke: false,
+        out: String::from("BENCH_sim.json"),
+        baseline: None,
+    };
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--out" => parsed.out = args.next().ok_or("--out needs a path")?,
+            "--baseline" => parsed.baseline = Some(args.next().ok_or("--baseline needs a path")?),
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    Ok(parsed)
 }
 
 /// Prints the usage line and exits 2.
@@ -245,6 +263,36 @@ fn bench<O>(
     });
 }
 
+/// The serving workloads a run times, as `(mode, smoke)` pairs: the smoke
+/// variants under every mode, then, in a full run, the full-size restart
+/// cascade.
+fn workload_runs(smoke: bool) -> Vec<(Mode, bool)> {
+    let mut runs: Vec<(Mode, bool)> = Mode::all().into_iter().map(|m| (m, true)).collect();
+    if !smoke {
+        runs.push((Mode::Restart, false));
+    }
+    runs
+}
+
+/// The benchmark ids of the serving workloads under `mode` at one size,
+/// in order: the two Azure replays, the sweep (recorded as `{id}_serial`
+/// and `{id}_parallel`) and the cluster replay.
+fn workload_ids(mode: Mode, smoke: bool) -> [String; 4] {
+    let (size, sweep) = if smoke {
+        ("smoke/", "sweep")
+    } else {
+        ("", "sweep_5x9")
+    };
+    let prefix = format!("{}{size}", mode.prefix());
+    [
+        "azure_replay_1000w",
+        "azure_replay_1000w_2m",
+        sweep,
+        "cluster_replay",
+    ]
+    .map(|workload| format!("{prefix}{workload}"))
+}
+
 /// Times the serving workloads under `mode`: the `smoke/` variants, or
 /// the full-size ones (keys without `smoke/`).
 fn serving_workloads(
@@ -254,52 +302,28 @@ fn serving_workloads(
     smoke: bool,
     threads: usize,
 ) {
-    let (size, sweep_id, replay, replay_2m_secs, cluster_secs) = if smoke {
+    let ((min_qps, max_qps, secs), replay_2m_secs, cluster_secs) = if smoke {
         (
-            "smoke/",
-            "sweep",
             (30.0, 120.0, 60),
             REPLAY_2M_SMOKE_SECS,
             CLUSTER_REPLAY_SMOKE_SECS,
         )
     } else {
-        (
-            "",
-            "sweep_5x9",
-            (60.0, 480.0, 350),
-            REPLAY_2M_SECS,
-            CLUSTER_REPLAY_SECS,
-        )
+        ((60.0, 480.0, 350), REPLAY_2M_SECS, CLUSTER_REPLAY_SECS)
     };
-    let prefix = format!("{}{size}", mode.prefix());
-    let (min_qps, max_qps, secs) = replay;
-    let id = format!("{prefix}azure_replay_1000w");
-    azure_replay(runtime, records, &id, min_qps, max_qps, secs, mode);
-    let id = format!("{prefix}azure_replay_1000w_2m");
+    let [azure, azure_2m, sweep_id, cluster] = workload_ids(mode, smoke);
+    azure_replay(runtime, records, &azure, min_qps, max_qps, secs, mode);
     azure_replay(
         runtime,
         records,
-        &id,
+        &azure_2m,
         REPLAY_2M_MIN_QPS,
         REPLAY_2M_MAX_QPS,
         replay_2m_secs,
         mode,
     );
-    sweep(
-        runtime,
-        records,
-        &format!("{prefix}{sweep_id}"),
-        smoke,
-        threads,
-        mode,
-    );
-    cluster_replay(
-        runtime,
-        records,
-        &format!("{prefix}cluster_replay"),
-        cluster_secs,
-        mode,
-    );
+    sweep(runtime, records, &sweep_id, smoke, threads, mode);
+    cluster_replay(runtime, records, &cluster, cluster_secs, mode);
 }
 
 /// Replays the rescaled Azure diurnal trace on a [`FLEET`]-worker fleet.
@@ -629,6 +653,200 @@ mod tests {
             iters: 1,
             extra: Vec::new(),
         }
+    }
+
+    fn args(words: &[&str]) -> Result<Args, String> {
+        parse_args(words.iter().map(|w| w.to_string()))
+    }
+
+    /// Every key a run records, in [`workload_runs`] order.
+    fn run_keys(smoke: bool) -> Vec<String> {
+        let mut keys = vec![
+            "ladder3_solve_cold".to_string(),
+            "ladder3_solve_warm".to_string(),
+        ];
+        for (mode, smoke) in workload_runs(smoke) {
+            let [azure, azure_2m, sweep, cluster] = workload_ids(mode, smoke);
+            keys.extend([
+                azure,
+                azure_2m,
+                format!("{sweep}_serial"),
+                format!("{sweep}_parallel"),
+                cluster,
+            ]);
+        }
+        keys
+    }
+
+    #[test]
+    fn no_arguments_run_the_full_suite_into_the_committed_file() {
+        assert_eq!(
+            args(&[]),
+            Ok(Args {
+                smoke: false,
+                out: "BENCH_sim.json".to_string(),
+                baseline: None,
+            })
+        );
+    }
+
+    #[test]
+    fn the_three_flags_parse_in_any_order() {
+        let expected = Ok(Args {
+            smoke: true,
+            out: "a.json".to_string(),
+            baseline: Some("b.json".to_string()),
+        });
+        assert_eq!(
+            args(&["--smoke", "--out", "a.json", "--baseline", "b.json"]),
+            expected
+        );
+        assert_eq!(
+            args(&["--baseline", "b.json", "--smoke", "--out", "a.json"]),
+            expected
+        );
+    }
+
+    #[test]
+    fn a_flag_without_its_path_is_an_error() {
+        assert!(args(&["--out"]).is_err());
+        assert!(args(&["--smoke", "--baseline"]).is_err());
+    }
+
+    #[test]
+    fn the_removed_mode_and_thread_flags_are_unknown() {
+        for flag in ["--resume", "--addons", "--ladder", "--threads", "-j"] {
+            assert_eq!(
+                args(&["--smoke", flag]),
+                Err(format!("unknown argument: {flag}"))
+            );
+        }
+    }
+
+    #[test]
+    fn modes_namespace_their_keys_apart() {
+        let prefixes: Vec<&str> = Mode::all().iter().map(|m| m.prefix()).collect();
+        assert_eq!(prefixes, ["", "resume/", "addons/", "ladder/"]);
+    }
+
+    #[test]
+    fn each_mode_switches_on_only_its_own_feature() {
+        for mode in Mode::all() {
+            let mut config = SystemConfig::default();
+            mode.apply(&mut config);
+            assert_eq!(config.resume_from_latents, mode == Mode::Resume, "{mode:?}");
+            assert_eq!(config.addons.is_some(), mode == Mode::Addons, "{mode:?}");
+            assert_eq!(config.ladder.is_some(), mode == Mode::Ladder, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn the_smoke_sweep_is_diffserve_on_three_scenarios() {
+        let system = SystemConfig {
+            num_workers: 8,
+            ..Default::default()
+        };
+        let jobs = sweep_jobs(&system, true);
+        let mut names: Vec<&str> = jobs.iter().map(|(_, s)| s.name()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["brownout", "cascading-failure", "steady"]);
+        assert!(jobs.iter().all(|(s, _)| s.policy == Policy::DiffServe));
+    }
+
+    #[test]
+    fn the_full_sweep_is_every_policy_on_every_scenario() {
+        let system = SystemConfig {
+            num_workers: 8,
+            ..Default::default()
+        };
+        let jobs = sweep_jobs(&system, false);
+        assert_eq!(jobs.len(), 45);
+        for policy in Policy::all() {
+            assert_eq!(jobs.iter().filter(|(s, _)| s.policy == policy).count(), 9);
+        }
+    }
+
+    #[test]
+    fn a_smoke_run_records_the_solver_and_every_modes_smoke_keys() {
+        let keys = run_keys(true);
+        assert_eq!(keys.len(), 22);
+        let mut unique = keys.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), 22, "{keys:?}");
+        for key in &keys[2..] {
+            assert!(key.contains("smoke/"), "{key}");
+        }
+        assert!(keys.contains(&"ladder/smoke/sweep_parallel".to_string()));
+        assert!(keys.contains(&"smoke/azure_replay_1000w".to_string()));
+    }
+
+    #[test]
+    fn a_full_run_adds_the_five_full_size_restart_keys() {
+        let smoke = run_keys(true);
+        let full = run_keys(false);
+        assert_eq!(full[..22], smoke[..]);
+        assert_eq!(
+            full[22..],
+            [
+                "azure_replay_1000w",
+                "azure_replay_1000w_2m",
+                "sweep_5x9_serial",
+                "sweep_5x9_parallel",
+                "cluster_replay",
+            ]
+        );
+    }
+
+    #[test]
+    fn the_committed_baseline_holds_exactly_a_full_runs_keys() {
+        let committed = include_str!("../../../../BENCH_sim.json");
+        let mut names: Vec<String> = parse_benchmark_secs(committed)
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        let mut full = run_keys(false);
+        names.sort();
+        full.sort();
+        assert_eq!(names, full);
+    }
+
+    #[test]
+    fn an_export_reads_back_through_the_parser() {
+        let records = vec![
+            Record {
+                name: "ladder3_solve_warm".to_string(),
+                secs: 0.000_092,
+                iters: 4307,
+                extra: vec![("ticks", "12".to_string())],
+            },
+            record("smoke/cluster_replay", 1.613_666),
+        ];
+        let path = std::env::temp_dir().join(format!("perf-export-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        write_json(path, true, 2, &records).expect("write export");
+        let text = std::fs::read_to_string(path).expect("read export");
+        std::fs::remove_file(path).expect("remove export");
+
+        assert!(text.contains("\"schema\": \"diffserve-perf/v1\""));
+        assert!(text.contains("\"mode\": \"smoke\""));
+        assert!(text.contains("\"ticks\": 12 },\n"));
+        // The last benchmark line carries no trailing comma.
+        assert!(text.contains("\"iters\": 1 }\n  }\n}\n"));
+        assert_eq!(
+            parse_benchmark_secs(&text),
+            vec![
+                ("ladder3_solve_warm".to_string(), 0.000_092),
+                ("smoke/cluster_replay".to_string(), 1.613_666),
+            ]
+        );
+    }
+
+    #[test]
+    fn regression_gate_passes_at_exactly_the_tolerance() {
+        let baseline = r#""shared": { "secs": 1.000000, "iters": 1 }"#;
+        let records = vec![record("shared", 1.0 + REGRESSION_TOLERANCE)];
+        assert!(check_regressions(baseline, &records));
     }
 
     #[test]

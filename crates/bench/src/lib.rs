@@ -234,4 +234,29 @@ mod tests {
         assert_eq!(f2(1.005), "1.00");
         assert_eq!(f3(0.1234), "0.123");
     }
+
+    #[test]
+    fn smoke_scale_prepares_less_than_full_scale() {
+        assert_eq!(Scale::Full.dataset_size(), DATASET_SIZE);
+        assert!(Scale::Smoke.dataset_size() < Scale::Full.dataset_size());
+        let (smoke, full) = (Scale::Smoke.discriminator(), Scale::Full.discriminator());
+        assert!(smoke.train_prompts < full.train_prompts);
+        assert!(smoke.epochs <= full.epochs);
+    }
+
+    #[test]
+    fn table_csv_keeps_row_order() {
+        let mut t = Table::new(&["id", "v"]);
+        for (id, v) in [("b", 2.0), ("a", 1.0)] {
+            t.row(vec![id.to_string(), f3(v)]);
+        }
+        let path = std::env::temp_dir()
+            .join(format!("diffserve-bench-order-{}", std::process::id()))
+            .join("nested")
+            .join("t.csv");
+        t.write_csv(&path);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::remove_dir_all(path.parent().unwrap().parent().unwrap()).unwrap();
+        assert_eq!(text, "id,v\nb,2.000\na,1.000\n");
+    }
 }

@@ -226,4 +226,35 @@ mod tests {
         assert_eq!((p.batches, p.thresholds), (vec![2, 1], vec![0.7]));
         assert!(p.bypass_suspended);
     }
+
+    #[test]
+    fn adopt_floors_batches_at_one_and_lifts_the_suspension() {
+        let mut p = ServingPlan::bootstrap(4);
+        p.bypass_suspended = true;
+        let next = LadderAllocation {
+            thresholds: vec![0.4],
+            workers: vec![2, 2],
+            batches: vec![0, 3],
+            feasible: true,
+        };
+        p.adopt(&next, &[], |_| 0);
+        assert_eq!(p.batches, [1, 3]);
+        assert!(!p.bypass_suspended);
+        assert_eq!(p.tiers, [0, 0, 1, 1], "a settled fleet does not move");
+    }
+
+    #[test]
+    fn an_oversubscribed_fresh_plan_is_cut_from_the_deep_end() {
+        let p = ServingPlan::new(4, &three_tier(vec![2, 2, 2]));
+        assert_eq!(p.tiers, [0, 0, 1, 1]);
+        assert_eq!(p.num_tiers(), 3);
+    }
+
+    #[test]
+    fn workers_past_the_exclusion_mask_count_as_alive() {
+        let mut p = ServingPlan::bootstrap(4); // 0, 1 light; 2, 3 heavy
+                                               // Only worker 2 is excluded; worker 3 lies past the mask.
+        p.retarget_masked(3, 0, &[false, false, true]);
+        assert_eq!(p.tiers, [0, 0, 1, 0]);
+    }
 }

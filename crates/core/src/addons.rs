@@ -495,4 +495,65 @@ mod tests {
 
         assert!(base.validate().is_ok());
     }
+
+    #[test]
+    fn module_ids_past_one_word_are_tracked() {
+        let cat = AddonCatalog::demo(80);
+        let mut cache = ModuleCache::new(2000.0);
+        cache.admit(70, &cat);
+        cache.admit(6, &cat);
+        assert!(cache.contains(70) && cache.contains(6));
+        assert!(!cache.contains(134) && !cache.contains(7));
+        assert_eq!(cache.resident_bits().len(), 2);
+        assert_eq!(cache.resident().collect::<Vec<_>>(), [70, 6]);
+    }
+
+    #[test]
+    fn a_module_that_exactly_fills_the_budget_is_cached() {
+        let cat = catalog();
+        let mut cache = ModuleCache::new(200.0);
+        cache.admit(0, &cat);
+        cache.admit(1, &cat);
+        assert_eq!(cache.used_mb(), 200.0);
+        assert_eq!(cache.resident().count(), 2);
+        assert_eq!(cache.admit(1, &cat), 0.0, "a hit");
+    }
+
+    #[test]
+    fn hits_carry_no_swap_time() {
+        let mut stats = AddonStats::default();
+        stats.record(0, true, 5.0);
+        stats.record(1, true, 5.0);
+        assert_eq!(stats.swap_secs, [0.0, 0.0]);
+        assert_eq!(stats.total_hit_rate(), 1.0);
+        assert_eq!(stats.total_mean_swap_secs(), 0.0);
+    }
+
+    #[test]
+    fn the_demo_catalog_cycles_sizes_and_load_times() {
+        let cat = AddonCatalog::demo(6);
+        assert_eq!(cat.len(), 6);
+        assert!(!cat.is_empty());
+        assert_eq!(cat.get(4).name, "lora-4");
+        let mem: Vec<f64> = cat.modules().iter().map(|m| m.mem_mb).collect();
+        assert_eq!(mem, [256.0, 320.0, 384.0, 448.0, 512.0, 256.0]);
+        assert_eq!(cat.get(3).load_secs, cat.get(0).load_secs);
+        assert!(cat.validate().is_ok());
+        assert!(AddonCatalog::demo(0).is_empty());
+    }
+
+    #[test]
+    fn load_times_must_be_finite_and_non_negative() {
+        let with_load = |load_secs: f64| {
+            AddonCatalog::new(vec![AddonModule {
+                name: "m".into(),
+                mem_mb: 100.0,
+                load_secs,
+            }])
+        };
+        assert!(with_load(0.0).validate().is_ok());
+        assert!(with_load(-0.1).validate().is_err());
+        assert!(with_load(f64::NAN).validate().is_err());
+        assert!(with_load(f64::INFINITY).validate().is_err());
+    }
 }

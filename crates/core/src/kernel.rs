@@ -1976,4 +1976,81 @@ mod tests {
         assert_eq!(obs.alive_workers, 0);
         assert_eq!(obs.tier_direct_arrivals, [0, 0, 0]);
     }
+
+    fn completion(id: u64, latency_secs: u64) -> CompletedResponse {
+        CompletedResponse {
+            id: QueryId(id),
+            arrival: SimTime::from_secs(1),
+            completion: SimTime::from_secs(1 + latency_secs),
+            features: [0.0; diffserve_imagegen::features::DIM],
+            quality: 0.5,
+            tier: 0,
+            confidence: None,
+            gpu_time: 0.1,
+            reused_steps: 0,
+        }
+    }
+
+    #[test]
+    fn the_ledger_hands_over_each_outcome_once_in_recording_order() {
+        let config = SystemConfig::default();
+        let mut ledger = Ledger::new(&config, &runtime().reference);
+        let slo_secs = config.slo.as_secs_f64() as u64;
+        assert!(!ledger.complete(completion(0, 1)));
+        assert!(ledger.complete(completion(1, slo_secs + 1)));
+        let (arrival, at) = (SimTime::from_secs(2), SimTime::from_secs(3));
+        ledger.drop_query(QueryId(2), arrival, at);
+        // A lost query counts against the SLO but leaves no outcome.
+        ledger.drop_lost(SimTime::from_secs(4));
+
+        let outcomes = ledger.drain();
+        let ids: Vec<QueryId> = outcomes.iter().map(QueryOutcome::id).collect();
+        assert_eq!(ids, [QueryId(0), QueryId(1), QueryId(2)]);
+        assert_eq!(
+            outcomes[2],
+            QueryOutcome::Dropped {
+                id: QueryId(2),
+                arrival,
+                at
+            }
+        );
+        assert!(ledger.drain().is_empty());
+        let slo = ledger.slo();
+        assert_eq!((slo.on_time(), slo.late(), slo.dropped()), (1, 1, 2));
+        assert_eq!(ledger.totals().completions(), 2);
+    }
+
+    #[test]
+    fn a_ledger_that_discards_outcomes_still_counts_them() {
+        let mut ledger = Ledger::new(&SystemConfig::default(), &runtime().reference);
+        ledger.discard_outcomes();
+        ledger.complete(completion(0, 1));
+        ledger.drop_query(QueryId(1), SimTime::ZERO, SimTime::from_secs(1));
+        assert!(ledger.drain().is_empty());
+        assert_eq!(ledger.slo().total(), 2);
+        assert_eq!(ledger.totals().completions(), 1);
+    }
+
+    #[test]
+    fn fleet_health_counts_alive_failed_and_degraded_workers() {
+        let mut fleet = FleetTally::new(2);
+        assert_eq!(fleet.utilization(), 0.0, "nobody alive");
+        fleet.add_alive(0, 0, false, 1.0);
+        fleet.add_alive(1, 5, true, 0.25);
+        fleet.add_alive(1, 0, false, 0.5);
+        fleet.add_failed();
+        fleet.add_failed();
+        assert_eq!(
+            fleet.health(),
+            FleetHealth {
+                alive: 3,
+                failed: 2,
+                degraded: 2,
+            }
+        );
+        assert_eq!(fleet.tier_workers, [1, 2]);
+        assert_eq!(fleet.tier_queues, [0, 5]);
+        assert_eq!(fleet.effective_capacity, 1.75);
+        assert!((fleet.utilization() - 1.0 / 3.0).abs() < 1e-12);
+    }
 }

@@ -226,4 +226,46 @@ mod tests {
         assert!(!d.nameplate_capacity);
         assert!(!d.affinity_blind_routing);
     }
+
+    #[test]
+    fn each_ablation_builder_moves_one_knob_off_the_design() {
+        let design = AblationKnobs::default();
+        let differs = |k: AblationKnobs| {
+            [
+                k.static_threshold != design.static_threshold,
+                k.queue_model != design.queue_model,
+                k.batch_policy != design.batch_policy,
+                k.nameplate_capacity != design.nameplate_capacity,
+                k.health_blind_routing != design.health_blind_routing,
+                k.affinity_blind_routing != design.affinity_blind_routing,
+            ]
+        };
+        let builders = [
+            AblationKnobs::static_threshold(0.5),
+            AblationKnobs::no_queue_model(),
+            AblationKnobs::aimd(),
+            AblationKnobs::nameplate(),
+            AblationKnobs::health_blind(),
+            AblationKnobs::affinity_blind(),
+        ];
+        for (i, knobs) in builders.into_iter().enumerate() {
+            let moved = differs(knobs);
+            for (j, &m) in moved.iter().enumerate() {
+                assert_eq!(m, i == j, "builder {i}, knob {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_query_aware_policies_run_the_cascade() {
+        let cascaded: Vec<&str> = Policy::all()
+            .into_iter()
+            .filter(|p| p.uses_cascade())
+            .map(Policy::name)
+            .collect();
+        assert_eq!(cascaded, ["DiffServe-Static", "DiffServe"]);
+        // The paper's presentation order: baselines first, DiffServe last.
+        assert_eq!(Policy::all()[0], Policy::ClipperLight);
+        assert_eq!(Policy::all()[4], Policy::DiffServe);
+    }
 }

@@ -157,4 +157,70 @@ mod tests {
     fn a_speedup_is_not_a_degradation() {
         let _ = WorkerHealth::degraded(0.5);
     }
+
+    fn response(arrival: SimTime, completion: SimTime) -> CompletedResponse {
+        CompletedResponse {
+            id: QueryId(7),
+            arrival,
+            completion,
+            features: [0.0; DIM],
+            quality: 0.5,
+            tier: 0,
+            confidence: None,
+            gpu_time: 0.2,
+            reused_steps: 0,
+        }
+    }
+
+    #[test]
+    fn a_completion_before_its_arrival_has_zero_latency() {
+        let r = response(SimTime::from_secs(5), SimTime::from_secs(3));
+        assert_eq!(r.latency_secs(), 0.0);
+        let r = response(SimTime::from_micros(1), SimTime::from_micros(250_001));
+        assert!((r.latency_secs() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_healthy_worker_runs_at_nameplate_speed() {
+        let healthy = WorkerHealth::default();
+        assert_eq!(healthy, WorkerHealth::healthy());
+        assert!(!healthy.is_degraded());
+        assert_eq!(healthy.slowdown(), 1.0);
+        // A slowdown of exactly one is still nameplate speed.
+        assert!(!WorkerHealth::degraded(1.0).is_degraded());
+    }
+
+    #[test]
+    fn a_degraded_worker_slows_by_its_factor() {
+        let health = WorkerHealth::degraded(4.0);
+        assert!(health.is_degraded());
+        assert_eq!(health.speed_factor, 0.25);
+        assert_eq!(health.slowdown(), 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slowdown must be finite and >= 1")]
+    fn an_infinite_slowdown_is_rejected() {
+        let _ = WorkerHealth::degraded(f64::INFINITY);
+    }
+
+    #[test]
+    fn a_render_converts_into_an_inline_image() {
+        let features: Vec<f64> = (0..DIM).map(|i| i as f64 * 0.5).collect();
+        let served = ServedImage::from(GeneratedImage {
+            features: features.clone(),
+            quality: 0.8,
+        });
+        assert_eq!(served.features.as_slice(), features.as_slice());
+        assert_eq!(served.quality, 0.8);
+    }
+
+    #[test]
+    #[should_panic(expected = "a render has DIM features")]
+    fn a_render_of_the_wrong_width_is_rejected() {
+        let _ = ServedImage::from(GeneratedImage {
+            features: vec![0.0; DIM + 1],
+            quality: 0.8,
+        });
+    }
 }

@@ -683,4 +683,107 @@ mod tests {
         assert!(s.contains("17.25"));
         assert!(s.contains("0.070"));
     }
+
+    /// A report assembled from `ledger` with the given series.
+    fn assembled(
+        ledger: &Ledger,
+        horizon: SimTime,
+        demand: &WindowedSeries,
+        thresholds: &WindowedSeries,
+        deferral_errors: Vec<(f64, f64)>,
+    ) -> RunReport {
+        RunReport::assemble(
+            Policy::DiffServe,
+            0,
+            ledger,
+            horizon,
+            demand,
+            thresholds,
+            deferral_errors,
+            Vec::new(),
+            AddonStats::default(),
+        )
+    }
+
+    #[test]
+    fn a_run_without_completions_reports_no_fid() {
+        let ledger = Ledger::new(&SystemConfig::default(), &reference());
+        let empty = WindowedSeries::new(METRICS_WINDOW);
+        let report = assembled(&ledger, SimTime::MAX, &empty, &empty, Vec::new());
+        assert_eq!((report.completed, report.dropped, report.late), (0, 0, 0));
+        assert!(report.fid.is_nan());
+        assert!(report.mean_windowed_fid.is_nan());
+        assert!(report.fid_series.is_empty());
+        assert!(report.tier_breakdown.is_empty());
+        assert_eq!(report.heavy_fraction, 0.0);
+        assert_eq!(report.gpu_time_per_query, 0.0);
+        assert_eq!(report.violation_ratio, 0.0);
+    }
+
+    #[test]
+    fn series_are_cut_at_the_horizon() {
+        let ledger = Ledger::new(&SystemConfig::default(), &reference());
+        let w = METRICS_WINDOW.as_secs_f64();
+        let mut demand = WindowedSeries::new(METRICS_WINDOW);
+        let mut thresholds = WindowedSeries::new(METRICS_WINDOW);
+        for k in 0..4u32 {
+            let t = SimTime::from_secs_f64(w * f64::from(k) + 0.5);
+            demand.push(t, 1.0);
+            thresholds.push(t, 0.1 * f64::from(k));
+        }
+        let errors = (0..4).map(|k| (w * k as f64, 0.01)).collect();
+        // The horizon is the start of window 2: windows 0 and 1 stay.
+        let horizon = SimTime::from_secs_f64(2.0 * w);
+        let report = assembled(&ledger, horizon, &demand, &thresholds, errors);
+        let starts = |s: &[(f64, f64)]| s.iter().map(|&(t, _)| t).collect::<Vec<_>>();
+        assert_eq!(starts(&report.demand_series), [0.0, w]);
+        assert_eq!(starts(&report.threshold_series), [0.0, w]);
+        assert_eq!(starts(&report.deferral_error_series), [0.0, w]);
+        assert_eq!(report.threshold_series[1].1, 0.1);
+    }
+
+    #[test]
+    fn recovery_counts_only_windows_from_the_event_on() {
+        let mut report = RunReport::empty(Policy::DiffServe);
+        assert_eq!(report.recovery_time_after(0.0, 1.0), None);
+        report.violation_series = vec![(0.0, 0.0), (20.0, 0.4), (40.0, 0.02)];
+        // The calm window before the event does not count as recovery.
+        assert_eq!(report.recovery_time_after(10.0, 0.05), Some(30.0));
+        // A window at the event instant that is already calm recovers at 0.
+        assert_eq!(report.recovery_time_after(40.0, 0.05), Some(0.0));
+        assert_eq!(report.recovery_time_after(41.0, 0.05), None);
+    }
+
+    #[test]
+    fn slo_counts_come_from_the_ledger() {
+        let config = SystemConfig {
+            slo: SimDuration::from_secs(5),
+            ..SystemConfig::default()
+        };
+        let mut ledger = Ledger::new(&config, &reference());
+        let mean = reference().mean().to_vec();
+        for (id, latency) in [1u64, 2, 9].into_iter().enumerate() {
+            ledger.complete(CompletedResponse {
+                id: QueryId(id as u64),
+                arrival: SimTime::from_secs(10),
+                completion: SimTime::from_secs(10 + latency),
+                features: std::array::from_fn(|j| mean[j]),
+                quality: 0.5,
+                tier: usize::from(latency > 1),
+                confidence: None,
+                gpu_time: 1.0,
+                reused_steps: 0,
+            });
+        }
+        ledger.drop_lost(SimTime::from_secs(30));
+        let empty = WindowedSeries::new(METRICS_WINDOW);
+        let report = assembled(&ledger, SimTime::MAX, &empty, &empty, Vec::new());
+        assert_eq!((report.completed, report.late, report.dropped), (3, 1, 1));
+        assert_eq!(report.violation_ratio, 0.5);
+        assert_eq!(report.mean_latency, 4.0);
+        assert!((report.heavy_fraction - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(report.mean_heavy_latency, 5.5);
+        assert_eq!(report.tier_breakdown.len(), 2);
+        assert_eq!(report.tier_breakdown[0].escalated_past, 2);
+    }
 }

@@ -207,4 +207,58 @@ mod tests {
         };
         assert_eq!(one.validate(), Err(LadderError::TooFewTiers(1)));
     }
+
+    #[test]
+    fn rejects_a_deeper_tier_with_fewer_steps() {
+        let spec = FeatureSpec::default();
+        let (dpms, v15) = (sd_v15_dpms(spec), sd_v15(spec));
+        // As slow as SDv1.5 but with fewer steps than the tier before it.
+        let few_steps = DiffusionModel::new(
+            "few-steps",
+            dpms.steps() - 1,
+            *v15.latency(),
+            *v15.quality_profile(),
+            spec,
+        );
+        let cheap = dpms.name().to_string();
+        let ladder = TierLadder {
+            name: "bad-steps",
+            tiers: vec![sd_turbo(spec), dpms, few_steps],
+            dataset: DatasetKind::MsCoco,
+            slo: SimDuration::from_secs(5),
+        };
+        let err = ladder.validate().unwrap_err();
+        assert_eq!(
+            err,
+            LadderError::StepsNotMonotone {
+                cheap,
+                deep: "few-steps".to_string(),
+            }
+        );
+        assert!(err.to_string().contains("fewer steps"), "{err}");
+    }
+
+    #[test]
+    fn the_cascade_view_of_a_ladder_skips_its_mid_tiers() {
+        let spec = FeatureSpec::default();
+        let ladder = ladder3(spec);
+        let view = ladder.cascade_view();
+        assert_eq!(view.light.name(), ladder.tiers[0].name());
+        assert_eq!(view.heavy.name(), ladder.tiers[2].name());
+        assert_eq!((view.name, view.slo), (ladder.name, ladder.slo));
+    }
+
+    #[test]
+    fn an_empty_ladder_has_no_boundaries() {
+        let empty = TierLadder {
+            name: "empty",
+            tiers: Vec::new(),
+            dataset: DatasetKind::MsCoco,
+            slo: SimDuration::from_secs(5),
+        };
+        assert_eq!((empty.num_tiers(), empty.boundaries()), (0, 0));
+        let err = empty.validate().unwrap_err();
+        assert_eq!(err, LadderError::TooFewTiers(0));
+        assert_eq!(err.to_string(), "ladder needs at least 2 tiers, got 0");
+    }
 }

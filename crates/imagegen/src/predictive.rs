@@ -345,4 +345,64 @@ mod tests {
             replay.escalation_prob(0, &held_out[3])
         );
     }
+
+    /// A router with a short warm-up, for tests that train it.
+    fn router(boundaries: usize) -> OnlinePredictiveRouter {
+        OnlinePredictiveRouter::new(
+            boundaries,
+            OnlineRouterConfig {
+                min_observations: 8,
+                ..Default::default()
+            },
+        )
+    }
+
+    #[test]
+    fn each_boundary_counts_and_warms_up_on_its_own() {
+        let dataset = dataset();
+        let p = &dataset.prompts()[0];
+        let mut router = router(2);
+        assert_eq!(router.boundaries(), 2);
+        for _ in 0..7 {
+            router.observe(1, p, true);
+        }
+        assert_eq!((router.observations(0), router.observations(1)), (0, 7));
+        assert_eq!(router.escalation_prob(1, p), None, "one short of warm");
+        router.observe(1, p, true);
+        let prob = router.escalation_prob(1, p).expect("warm");
+        assert!(prob > 0.5 && prob < 1.0, "{prob}");
+        assert_eq!(router.escalation_prob(0, p), None);
+    }
+
+    #[test]
+    fn a_prompt_predicted_to_escalate_everywhere_enters_at_the_terminal_tier() {
+        let dataset = dataset();
+        let prompts = &dataset.prompts()[..200];
+        let mut router = router(2);
+        for p in prompts {
+            router.observe(0, p, true);
+            router.observe(1, p, true);
+        }
+        assert!(prompts.iter().all(|p| router.entry_tier(p) == 2));
+    }
+
+    #[test]
+    fn the_entry_walk_stops_at_a_kept_or_cold_boundary() {
+        let dataset = dataset();
+        let prompts = &dataset.prompts()[..200];
+        // Boundary 0 escalates everything; boundary 1 is still cold.
+        let mut cold_deep = router(2);
+        for p in prompts {
+            cold_deep.observe(0, p, true);
+        }
+        assert!(prompts.iter().all(|p| cold_deep.entry_tier(p) == 1));
+        // Boundary 0 keeps everything: nothing skips the entry tier, however
+        // sure boundary 1 is.
+        let mut kept = router(2);
+        for p in prompts {
+            kept.observe(0, p, false);
+            kept.observe(1, p, true);
+        }
+        assert!(prompts.iter().all(|p| kept.entry_tier(p) == 0));
+    }
 }

@@ -414,4 +414,57 @@ mod tests {
         assert!(s.contains("cap"));
         assert!(s.contains("<="));
     }
+
+    #[test]
+    fn set_objective_replaces_the_previous_objective() {
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 1.0);
+        let y = p.add_var("y", VarKind::Continuous, 0.0, 1.0);
+        p.set_objective(&[(x, 2.0), (y, 3.0)]);
+        p.set_objective(&[(y, 1.0)]);
+        assert_eq!(p.objective, vec![0.0, 1.0]);
+        assert_eq!(p.to_string().lines().next(), Some("minimize 1·y"));
+    }
+
+    #[test]
+    fn ids_follow_creation_order() {
+        let mut p = Problem::new(Direction::Maximize);
+        let ids: Vec<usize> = (0..4)
+            .map(|i| p.add_binary(format!("b{i}")).index())
+            .collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        assert_eq!(p.direction(), Direction::Maximize);
+        assert_eq!(p.integer_vars().len(), 4);
+    }
+
+    #[test]
+    fn display_renders_every_sense() {
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 4.0);
+        p.add_constraint("lo", &[(x, 1.0)], Sense::Ge, 1.0);
+        p.add_constraint("eq", &[(x, 2.0)], Sense::Eq, 3.0);
+        p.add_constraint("hi", &[(x, 1.0)], Sense::Le, 4.0);
+        let text = p.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[1..],
+            ["  lo: 1·x >= 1", "  eq: 2·x = 3", "  hi: 1·x <= 4"]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds upper bound")]
+    fn an_upper_bound_below_the_lower_panics() {
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Integer, 2.0, 5.0);
+        p.set_upper_bound(x, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "objective coefficient must be finite")]
+    fn a_non_finite_objective_coefficient_panics() {
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 1.0);
+        p.set_objective_coefficient(x, f64::INFINITY);
+    }
 }

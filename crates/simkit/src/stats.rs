@@ -138,4 +138,53 @@ mod tests {
             prop_assert!(w.variance() >= -1e-9);
         }
     }
+
+    #[test]
+    fn merging_an_empty_accumulator_changes_nothing() {
+        let mut w = Welford::new();
+        for x in [1.5, -2.0, 8.25] {
+            w.push(x);
+        }
+        let before = w;
+        w.merge(&Welford::new());
+        assert_eq!(w, before);
+        let mut empty = Welford::new();
+        empty.merge(&before);
+        assert_eq!(empty, before);
+    }
+
+    #[test]
+    fn one_observation_has_its_value_as_mean_and_no_spread() {
+        let mut w = Welford::new();
+        w.push(-3.5);
+        assert_eq!((w.count(), w.mean()), (1, -3.5));
+        assert_eq!(w.variance(), 0.0);
+        assert_eq!(w.std(), 0.0);
+    }
+
+    proptest! {
+        #[test]
+        fn merge_at_any_split_matches_pushing_in_order(
+            xs in proptest::collection::vec(-1e3f64..1e3, 0..60),
+            split in 0usize..60,
+        ) {
+            let split = split.min(xs.len());
+            let mut whole = Welford::new();
+            let (mut left, mut right) = (Welford::new(), Welford::new());
+            for (i, &x) in xs.iter().enumerate() {
+                whole.push(x);
+                if i < split {
+                    left.push(x);
+                } else {
+                    right.push(x);
+                }
+            }
+            left.merge(&right);
+            prop_assert_eq!(left.count(), whole.count());
+            prop_assert!((left.mean() - whole.mean()).abs() <= 1e-9 * (1.0 + whole.mean().abs()));
+            prop_assert!(
+                (left.variance() - whole.variance()).abs() <= 1e-7 * (1.0 + whole.variance())
+            );
+        }
+    }
 }

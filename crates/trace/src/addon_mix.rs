@@ -307,4 +307,13 @@ mod tests {
         let mix = AddonMix::new(1, 0, 1.0);
         assert_eq!(mix.draw(0, SimTime::ZERO), None);
     }
+
+    #[test]
+    fn a_trend_window_is_half_open() {
+        let w = window(10, 5, 2, 0.5);
+        assert!(!w.contains(SimTime::from_micros(9_999_999)));
+        assert!(w.contains(SimTime::from_secs(10)));
+        assert!(w.contains(SimTime::from_micros(14_999_999)));
+        assert!(!w.contains(SimTime::from_secs(15)));
+    }
 }
