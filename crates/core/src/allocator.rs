@@ -93,7 +93,8 @@ impl Allocation {
 /// every tier's [`StageCell`] at every candidate batch `B_j`, and every
 /// boundary's `f_k(t_l)` at every grid level. Built once per tick with
 /// [`LatencyProfile`]'s own arithmetic, in its order, so each number is
-/// the bits the formula gives.
+/// the bits the formula gives; the `f_k(t_l)` are copied from the
+/// profile's own grid table ([`DeferralProfile::fractions_deferred`]).
 #[derive(Debug, Clone, Default)]
 struct StageTable {
     /// Candidate batch sizes `|B|`, the stride of `cells`.
@@ -160,8 +161,7 @@ impl StageTable {
         self.deferred.clear();
         self.deferred.reserve(deferrals.len() * self.levels);
         for f in deferrals {
-            self.deferred
-                .extend(thresholds.iter().map(|&t| f.fraction_deferred(t)));
+            self.deferred.extend(f.fractions_deferred(thresholds));
         }
     }
 

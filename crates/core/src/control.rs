@@ -461,12 +461,12 @@ impl ControlLoop {
         }
         let used = effective(&self.online, &self.offline, 0);
         let mut below = 0;
-        let total: f64 = grid
-            .iter()
+        let total: f64 = used
+            .fractions_deferred(grid)
             .zip(counts.iter())
-            .map(|(&t, &k)| {
+            .map(|(f, &k)| {
                 below += k;
-                (used.fraction_deferred(t) - below as f64 / n as f64).abs()
+                (f - below as f64 / n as f64).abs()
             })
             .sum();
         Some(total / grid.len() as f64)

@@ -10,6 +10,7 @@
 //! cascade actually observes, so the controller tracks difficulty drift.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// A deferral profile could not be built from the supplied samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +38,11 @@ impl std::error::Error for ProfileError {}
 
 /// Empirical deferral profile built from confidence samples.
 ///
+/// Also carries `f(t)` at the first threshold grid asked of
+/// [`fractions_deferred`](DeferralProfile::fractions_deferred), once that
+/// call has tabled it: clones of a tabled profile are tabled, and equality
+/// looks at the samples only.
+///
 /// # Examples
 ///
 /// ```
@@ -48,10 +54,26 @@ impl std::error::Error for ProfileError {}
 /// assert_eq!(profile.fraction_deferred(1.1), 1.0);
 /// # Ok::<(), diffserve_imagegen::ProfileError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DeferralProfile {
     /// Confidence samples, ascending.
     sorted: Vec<f64>,
+    /// `f(t)` at every point of one threshold grid, set on first use.
+    table: OnceLock<GridTable>,
+}
+
+/// A profile's [`DeferralProfile::fraction_deferred`] at every point of
+/// `grid`.
+#[derive(Debug, Clone)]
+struct GridTable {
+    grid: Vec<f64>,
+    fractions: Vec<f64>,
+}
+
+impl PartialEq for DeferralProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.sorted == other.sorted
+    }
 }
 
 impl DeferralProfile {
@@ -68,9 +90,15 @@ impl DeferralProfile {
             return Err(ProfileError::NoSamples);
         }
         confidences.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered"));
-        Ok(DeferralProfile {
-            sorted: confidences,
-        })
+        Ok(DeferralProfile::from_sorted(confidences))
+    }
+
+    /// A profile over samples already in ascending order, with no table.
+    fn from_sorted(sorted: Vec<f64>) -> Self {
+        DeferralProfile {
+            sorted,
+            table: OnceLock::new(),
+        }
     }
 
     /// Number of samples backing the profile.
@@ -84,6 +112,55 @@ impl DeferralProfile {
     pub fn fraction_deferred(&self, t: f64) -> f64 {
         let idx = self.sorted.partition_point(|&c| c < t);
         idx as f64 / self.sorted.len() as f64
+    }
+
+    /// [`fraction_deferred`](Self::fraction_deferred) at each of
+    /// `thresholds`, in order, bitwise.
+    ///
+    /// The first grid asked of a profile is tabled and kept, so every
+    /// later ask at an equal grid reads the table instead of searching the
+    /// samples: a control loop asks at its threshold grid every tick, of a
+    /// profile that changes only when the online estimator refreshes it.
+    /// An ask at another grid searches and leaves the table as it is.
+    /// Debug builds check every table read against a fresh search.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use diffserve_imagegen::DeferralProfile;
+    ///
+    /// let profile = DeferralProfile::from_confidences(vec![0.1, 0.4, 0.6, 0.9])?;
+    /// let grid = DeferralProfile::threshold_grid(5);
+    /// let f: Vec<f64> = profile.fractions_deferred(&grid).collect();
+    /// assert_eq!(f, [0.0, 0.25, 0.5, 0.75, 1.0]);
+    /// # Ok::<(), diffserve_imagegen::ProfileError>(())
+    /// ```
+    pub fn fractions_deferred<'a>(
+        &'a self,
+        thresholds: &'a [f64],
+    ) -> impl Iterator<Item = f64> + 'a {
+        let table = self.table.get_or_init(|| GridTable {
+            grid: thresholds.to_vec(),
+            fractions: thresholds
+                .iter()
+                .map(|&t| self.fraction_deferred(t))
+                .collect(),
+        });
+        let tabled = (table.grid == thresholds).then_some(&table.fractions);
+        thresholds
+            .iter()
+            .enumerate()
+            .map(move |(l, &t)| match tabled {
+                Some(fractions) => {
+                    debug_assert_eq!(
+                        fractions[l].to_bits(),
+                        self.fraction_deferred(t).to_bits(),
+                        "the tabled f({t}) is not the profile's"
+                    );
+                    fractions[l]
+                }
+                None => self.fraction_deferred(t),
+            })
     }
 
     /// Mean absolute gap between two profiles' deferral fractions over a
@@ -301,7 +378,7 @@ impl OnlineDeferralEstimator {
         self.evicted.sort_unstable_by(by_value);
         let profile = self
             .profile
-            .get_or_insert_with(|| DeferralProfile { sorted: Vec::new() });
+            .get_or_insert_with(|| DeferralProfile::from_sorted(Vec::new()));
         // Equal samples sit in arrival order and eviction is FIFO, so each
         // evicted sample is the first survivor equal to it; newcomers go
         // after the survivors they equal.
@@ -320,6 +397,7 @@ impl OnlineDeferralEstimator {
         self.merged.extend(fresh);
         debug_assert!(gone.next().is_none(), "every evicted sample was held");
         std::mem::swap(&mut profile.sorted, &mut self.merged);
+        profile.table = OnceLock::new();
         self.evicted.clear();
         self.unmerged = 0;
     }
@@ -409,6 +487,45 @@ mod tests {
         // Symmetric.
         assert_eq!(low.gap(&shifted, &grid), shifted.gap(&low, &grid));
         assert_eq!(low.gap(&shifted, &[]), 0.0);
+    }
+
+    #[test]
+    fn the_first_grid_is_tabled_and_another_is_searched_beside_it() {
+        let p = profile(vec![0.1, 0.4, 0.4, 0.6, 0.9]);
+        let grid = DeferralProfile::threshold_grid(11);
+        let searched: Vec<f64> = grid.iter().map(|&t| p.fraction_deferred(t)).collect();
+        assert!(p.table.get().is_none());
+        assert!(p.fractions_deferred(&grid).eq(searched.iter().copied()));
+        let tabled = p.table.get().expect("the first ask tables its grid");
+        assert_eq!(tabled.grid, grid);
+        assert_eq!(tabled.fractions, searched);
+        // One static threshold: searched, and the grid's table stays.
+        let pinned = [0.4];
+        assert!(p.fractions_deferred(&pinned).eq([p.fraction_deferred(0.4)]));
+        assert_eq!(p.table.get().expect("kept").grid, grid);
+        assert!(p.fractions_deferred(&grid).eq(searched.iter().copied()));
+        // Clones keep the table; equality ignores it.
+        let unasked = profile(vec![0.1, 0.4, 0.4, 0.6, 0.9]);
+        assert!(p.clone().table.get().is_some());
+        assert_eq!(p, unasked);
+        assert!(unasked.table.get().is_none());
+        // A grid as long as the tabled one but not equal to it is searched.
+        let shifted: Vec<f64> = grid.iter().map(|t| t + 0.05).collect();
+        let at_shifted: Vec<f64> = shifted.iter().map(|&t| p.fraction_deferred(t)).collect();
+        assert!(p.fractions_deferred(&shifted).eq(at_shifted));
+    }
+
+    /// Debug builds check every table read against a fresh search.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not the profile's")]
+    fn a_corrupted_table_fails_the_read_twin() {
+        let p = profile(vec![0.2, 0.4, 0.6]);
+        let grid = [0.0, 0.5, 1.0];
+        assert_eq!(p.fractions_deferred(&grid).count(), 3);
+        let mut p = p;
+        p.table.get_mut().expect("tabled").fractions[1] = 0.25;
+        let _ = p.fractions_deferred(&grid).count();
     }
 
     #[test]
@@ -524,6 +641,52 @@ mod tests {
             // Identical sample set ⇒ identical empirical CDF.
             let grid = DeferralProfile::threshold_grid(21);
             prop_assert!(offline.gap(online, &grid) < 1e-12);
+        }
+
+        /// The online profile's grid-table reads are bitwise
+        /// `fraction_deferred` after every refresh: a merge drops the
+        /// table of the samples it replaced, a refresh with nothing new
+        /// keeps it, and a second grid never evicts it.
+        #[test]
+        fn tabled_fractions_are_the_searched_ones_across_merges(
+            stream in proptest::collection::vec((0u8..8, 0.0f64..1.0), 1..600),
+            cap_pick in 0usize..4,
+            cadence_pick in 0usize..4,
+            steps in 2usize..60,
+        ) {
+            let cap = [1, 7, 64, 256][cap_pick];
+            let every = [1, 3, 17, cap + 1][cadence_pick];
+            let grid = DeferralProfile::threshold_grid(steps);
+            let other = [0.5];
+            let mut est = OnlineDeferralEstimator::new(cap, cap / 2);
+            for (i, &(code, x)) in stream.iter().enumerate() {
+                let sample = match code {
+                    0 => 0.0,
+                    1 => -0.0,
+                    // Samples on grid points and coarse repeats.
+                    2 | 3 => grid[(x * (steps - 1) as f64).round() as usize],
+                    4 => (x * 4.0).floor() / 4.0,
+                    _ => x,
+                };
+                est.observe(sample);
+                if (i + 1) % every != 0 {
+                    continue;
+                }
+                est.refresh();
+                // A refresh with nothing to merge keeps the table.
+                let kept = est.refresh();
+                let Some(p) = est.profile() else {
+                    prop_assert!(!kept);
+                    continue;
+                };
+                for _ in 0..2 {
+                    let read: Vec<u64> = p.fractions_deferred(&grid).map(f64::to_bits).collect();
+                    let searched: Vec<u64> =
+                        grid.iter().map(|&t| p.fraction_deferred(t).to_bits()).collect();
+                    prop_assert_eq!(read, searched);
+                    prop_assert!(p.fractions_deferred(&other).eq([p.fraction_deferred(0.5)]));
+                }
+            }
         }
 
         /// The incrementally merged profile is bitwise the profile built

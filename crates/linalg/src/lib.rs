@@ -7,9 +7,12 @@
 //! discriminator substrate needs matrix products. This crate implements
 //! exactly that surface from
 //! scratch — [`Mat`] plus [`sym_eigen`] and its values-only form
-//! [`sym_eigenvalues`] (one solver: Householder tridiagonalization, then
-//! implicit-shift QL) and [`sqrtm_psd`] — because no external
-//! linear-algebra crate is sanctioned for this workspace.
+//! [`sym_eigenvalues`] and [`sqrtm_psd`] — because no external
+//! linear-algebra crate is sanctioned for this workspace. Both
+//! eigen-solvers share one Householder tridiagonalization; `sym_eigen`
+//! then runs implicit-shift QL with plane rotations, which `sqrtm_psd`
+//! roots with, and `sym_eigenvalues` (one per Fréchet distance) a rational
+//! QL on the squared couplings, with no square root per rotation.
 //!
 //! # Examples
 //!
