@@ -1,6 +1,6 @@
 //! The shared serving plan updated by the controller and read by workers.
 
-use diffserve_core::kernel::{worker_moves, worker_targets};
+use diffserve_core::kernel::{adopt_batches, worker_moves, worker_targets};
 use diffserve_core::LadderAllocation;
 
 /// A snapshot of the controller's decisions: worker tier assignments,
@@ -95,7 +95,7 @@ impl ServingPlan {
         self.place(&[light_workers, heavy_workers], &alive, |_| 0);
     }
 
-    /// Takes over a control plan: batch sizes, the kernel's
+    /// Takes over a control plan: the kernel's [`adopt_batches`], its
     /// [`worker_moves`] over the workers not `excluded` (fail-stopped, so
     /// no tier lands on a dead slot) ranking donors by `load` (queued plus
     /// in service), the per-boundary thresholds (Proteus's heavy fraction
@@ -107,7 +107,7 @@ impl ServingPlan {
         excluded: &[bool],
         load: impl Fn(usize) -> usize,
     ) {
-        self.batches = plan.batches.iter().map(|&b| b.max(1)).collect();
+        adopt_batches(&mut self.batches, plan);
         let alive = self.alive(excluded);
         self.place(&plan.workers, &alive, load);
         self.thresholds.clone_from(&plan.thresholds);

@@ -34,7 +34,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use diffserve_core::config::{METRICS_WINDOW, MODEL_SWITCH_DELAY};
-use diffserve_core::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
+use diffserve_core::kernel::{
+    self, Candidate, FleetTally, Kernel, Ledger, Member, Rung, TickTelemetry, Verdict, WorkerState,
+};
 use diffserve_core::serve::{
     BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession,
     SessionBuilder, SessionSnapshot, SessionSpec,
@@ -201,31 +203,28 @@ impl Shared {
             .collect()
     }
 
-    /// Tallies the fleet under `plan` from live channel depths, busy flags
-    /// and speed factors; `failed` is the mask the caller also hands to
-    /// the retarget, so the two never disagree mid-churn.
-    fn tally(&self, plan: &ServingPlan, failed: &[bool]) -> FleetTally {
-        let mut fleet = FleetTally::new(plan.num_tiers());
-        self.tally_into(plan, failed, &mut fleet);
-        fleet
+    /// What the fleet tally reads of each worker under `plan`, from live
+    /// channel depths, busy flags and speed factors; `failed` is the mask
+    /// the caller also hands to the retarget, so the two never disagree
+    /// mid-churn.
+    fn states<'s>(
+        &'s self,
+        plan: &'s ServingPlan,
+        failed: &'s [bool],
+    ) -> impl Iterator<Item = Option<WorkerState>> + 's {
+        plan.tiers.iter().enumerate().map(move |(i, &tier)| {
+            (!failed[i]).then(|| WorkerState {
+                tier,
+                queued: self.depths[i].load(Ordering::Relaxed),
+                busy: self.busy[i].load(Ordering::Relaxed),
+                speed_factor: self.speed_factor(i),
+            })
+        })
     }
 
-    /// [`tally`](Self::tally), into a tally of `plan`'s tiers kept by the
-    /// caller.
-    fn tally_into(&self, plan: &ServingPlan, failed: &[bool], fleet: &mut FleetTally) {
-        fleet.reset();
-        for (i, &tier) in plan.tiers.iter().enumerate() {
-            if failed[i] {
-                fleet.add_failed();
-            } else {
-                fleet.add_alive(
-                    tier,
-                    self.depths[i].load(Ordering::Relaxed),
-                    self.busy[i].load(Ordering::Relaxed),
-                    self.speed_factor(i),
-                );
-            }
-        }
+    /// The fleet tally under `plan` of [`states`](Self::states).
+    fn tally(&self, plan: &ServingPlan, failed: &[bool]) -> FleetTally {
+        FleetTally::of(plan.num_tiers(), self.states(plan, failed))
     }
 
     /// Applies one lowered scenario event against live state and records it
@@ -279,12 +278,11 @@ impl Shared {
         }
     }
 
-    /// Whether any alive worker is assigned a tier deeper than `tier` —
-    /// when churn wipes the deeper pools out, escalations would bounce
-    /// between same-tier workers forever (generation is deterministic), so
-    /// callers serve this tier's output instead.
-    fn has_alive_deeper(&self, tier: usize) -> bool {
-        let plan = self.plan.read().unwrap();
+    /// Whether any alive worker is assigned by `plan` a tier deeper than
+    /// `tier` — when churn wipes the deeper pools out, escalations would
+    /// bounce between same-tier workers forever (generation is
+    /// deterministic), so callers serve this tier's output instead.
+    fn has_alive_deeper(&self, plan: &ServingPlan, tier: usize) -> bool {
         plan.tiers
             .iter()
             .enumerate()
@@ -304,37 +302,35 @@ impl Shared {
         self.depths[i].load(Ordering::Relaxed) + self.in_service[i].load(Ordering::Relaxed)
     }
 
-    /// Health-weighted JSQ over the simulator's candidate order: alive
-    /// workers hosting `tier` and not switching away, then those switching
-    /// toward it (still loading its model), then any alive worker (the
-    /// tier is unstaffed, mid-reconfiguration or wiped out by churn;
-    /// scenario validation guarantees one is alive). Each candidate is
-    /// ranked by the kernel's routing score: channel depth plus the
-    /// members of the batch in service, weighted by the worker's slowdown,
-    /// plus the add-on miss penalty where the worker's cache lacks the
-    /// job's module. The first-minimum pick keeps the lowest index on ties.
+    /// Health-weighted JSQ by the kernel's
+    /// [`pick_worker`](kernel::pick_worker), in one pass over the alive
+    /// workers (scenario validation guarantees one): each stands on the
+    /// candidate ladder by its plan tier and the model it hosts, and is
+    /// ranked by its channel depth plus the members of the batch in
+    /// service, weighted by its slowdown, plus the add-on miss penalty
+    /// where its cache lacks the job's module.
     fn route(&self, kernel: &Kernel<'_>, tier: usize, addon: Option<usize>) -> usize {
         let penalty = kernel.miss_penalty(tier, addon);
-        let score = |i: usize| {
-            let load = kernel.routing_load(
+        let plan = self.plan.read().unwrap();
+        let alive = (0..self.depths.len()).filter(|&i| !self.is_failed(i));
+        kernel::pick_worker(alive.map(|i| Candidate {
+            worker: i,
+            rung: Rung::of(
+                tier,
+                plan.tiers[i],
+                self.hosting[i].load(Ordering::Relaxed) == plan.tiers[i],
+            ),
+            load: kernel.routing_load(
                 self.depths[i].load(Ordering::Relaxed),
                 self.in_service[i].load(Ordering::Relaxed),
                 self.slowdown(i),
-            );
-            let miss = match penalty {
+            ),
+            miss: match penalty {
                 Some((id, p)) if !self.module_caches[i].lock().unwrap().contains(id) => p,
                 _ => 0.0,
-            };
-            (i, load + miss)
-        };
-        let plan = self.plan.read().unwrap();
-        let alive = || (0..self.depths.len()).filter(|&i| !self.is_failed(i));
-        let targeting = || alive().filter(|&i| plan.tiers[i] == tier);
-        let ready = |&i: &usize| self.hosting[i].load(Ordering::Relaxed) == tier;
-        kernel::pick_min(targeting().filter(ready).map(score))
-            .or_else(|| kernel::pick_min(targeting().map(score)))
-            .or_else(|| kernel::pick_min(alive().map(score)))
-            .expect("at least one worker must be alive")
+            },
+        }))
+        .expect("at least one worker must be alive")
     }
 
     /// Routes `job` to a worker of `tier` and hands it over. The send
@@ -834,11 +830,7 @@ fn clock_loop(
             shared.apply_event(incident.event);
         }
         if let Some((check, process)) = hazard.as_mut().filter(|h| h.0 == next) {
-            shared.tally_into(
-                &shared.plan.read().unwrap(),
-                &shared.failed_mask(),
-                &mut fleet,
-            );
+            fleet.fill(shared.states(&shared.plan.read().unwrap(), &shared.failed_mask()));
             for event in process.step(fleet.utilization(), fleet.health()) {
                 shared.apply_event(event);
             }
@@ -869,14 +861,13 @@ fn control_tick(
     // flags so the solver and retarget never disagree mid-churn.
     let mut plan = shared.plan.read().unwrap().clone();
     let excluded = shared.failed_mask();
-    shared.tally_into(&plan, &excluded, fleet);
+    fleet.fill(shared.states(&plan, &excluded));
     let now = shared.now();
-    let batches = (plan.batch_for(0), plan.batch_for(plan.num_tiers() - 1));
     shared
         .telemetry
         .lock()
         .unwrap()
-        .observe(obs, now, fleet, batches);
+        .observe(obs, now, fleet, &plan.batches);
     let directive = control.lock().unwrap().step(obs);
     if let ControlDirective::Apply { plan: next } = &directive {
         plan.adopt(next, &excluded, |i| shared.load(i));
@@ -1037,7 +1028,12 @@ fn worker_loop(
         shared.in_service[wid].store(0, Ordering::Relaxed);
         shared.busy[wid].store(false, Ordering::Relaxed);
         let now = shared.now();
-        thresholds.clone_from(&shared.plan.read().unwrap().thresholds);
+        // Tier membership is read once per batch, as on the simulator.
+        let deeper_alive = {
+            let plan = shared.plan.read().unwrap();
+            thresholds.clone_from(&plan.thresholds);
+            shared.has_alive_deeper(&plan, current_tier)
+        };
 
         for mut job in batch.drain(..) {
             let verdict = {
@@ -1050,33 +1046,21 @@ fn worker_loop(
                     job.resume,
                     &thresholds,
                     router.as_deref_mut(),
-                    || shared.has_alive_deeper(current_tier),
+                    || deeper_alive,
                 )
             };
-            if let Some(confidence) = verdict.confidence() {
-                shared
-                    .telemetry
-                    .lock()
-                    .unwrap()
-                    .record_confidence(current_tier, confidence);
-            }
+            let late = kernel.is_late(job.arrival, now);
+            shared
+                .telemetry
+                .lock()
+                .unwrap()
+                .record_served(current_tier, &verdict, late);
             match verdict {
                 Verdict::Complete {
                     confidence,
                     image,
                     reused,
                 } => {
-                    // Late completions are violations attributed to the
-                    // tier that finished the query (escalated queries count
-                    // against the heavy side); escalations are not
-                    // completions and record nothing at shallower stages.
-                    if now > job.deadline {
-                        shared
-                            .telemetry
-                            .lock()
-                            .unwrap()
-                            .record_violation(current_tier);
-                    }
                     let _ = done.send(Outcome::Completed(kernel.response(
                         QueryId(job.qid),
                         job.arrival,
@@ -1093,7 +1077,6 @@ fn worker_loop(
                         job.resume = resume;
                     }
                     shared.tier_escalations[current_tier].fetch_add(1, Ordering::Relaxed);
-                    shared.telemetry.lock().unwrap().record_escalation();
                     shared.forward(kernel, txs, current_tier + 1, job);
                 }
             }
@@ -1104,7 +1087,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffserve_core::Policy;
+    use diffserve_core::{AddonCatalog, AddonsConfig, Policy};
     use diffserve_imagegen::{cascade1, DiscriminatorConfig, FeatureSpec};
     use diffserve_simkit::time::SimDuration;
     use std::sync::OnceLock;
@@ -1363,12 +1346,21 @@ mod tests {
     /// worker done loading its tier's model. DiffServe-Static holds its
     /// plan, so no control tick rewrites it.
     fn launch_four_on_two_tiers(threshold: f64) -> (ClusterBackend<'static>, ServingPlan) {
+        launch_four(four_workers(), threshold)
+    }
+
+    fn four_workers() -> SystemConfig {
+        SystemConfig {
+            num_workers: 4,
+            ..Default::default()
+        }
+    }
+
+    /// [`launch_four_on_two_tiers`] under `config`, a four-worker one.
+    fn launch_four(config: SystemConfig, threshold: f64) -> (ClusterBackend<'static>, ServingPlan) {
         let spec = ServingSession::builder()
             .runtime(test_runtime())
-            .config(SystemConfig {
-                num_workers: 4,
-                ..Default::default()
-            })
+            .config(config)
             .policy(Policy::DiffServeStatic)
             .validate()
             .expect("valid session");
@@ -1455,6 +1447,71 @@ mod tests {
         shared.depths[2].fetch_add(1, Ordering::SeqCst);
         assert_eq!(shared.route(&backend.kernel, 1, None), 3);
         shared.depths[2].fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// An exact score tie between a module holder and a non-holder goes to
+    /// the lower load, as the kernel's rule and the simulator's load index
+    /// route it, not to the lower index.
+    #[test]
+    fn an_exact_affinity_tie_goes_to_the_lower_load() {
+        // Module 0 loads in exactly twice the heavy tier's single-query
+        // stage time, so a worker without it pays a penalty of 2.0.
+        let settings = RunSettings::new(Policy::DiffServeStatic, 8.0);
+        let stage = Kernel::new(test_runtime(), &four_workers(), &settings).stage_latency(1, 1);
+        let mut addons = AddonsConfig::demo(1);
+        let mut modules = addons.catalog.modules().to_vec();
+        modules[0].load_secs = 2.0 * stage;
+        addons.catalog = AddonCatalog::new(modules);
+        let config = SystemConfig {
+            addons: Some(addons.clone()),
+            ..four_workers()
+        };
+        let (backend, _) = launch_four(config, 0.5);
+        let shared = &backend.shared;
+        assert_eq!(backend.kernel.miss_penalty(1, Some(0)), Some((0, 2.0)));
+        // Heavy worker 2 holds the module two jobs deep: (2 + 1) × 1.0.
+        // Idle heavy worker 3 scores 1.0 plus the penalty: the same 3.0.
+        shared.module_caches[2]
+            .lock()
+            .unwrap()
+            .admit(0, &addons.catalog);
+        shared.depths[2].fetch_add(2, Ordering::SeqCst);
+        let picked = shared.route(&backend.kernel, 1, Some(0));
+        // Taken back before asserting: a raised depth holds its worker
+        // past shutdown.
+        shared.depths[2].fetch_sub(2, Ordering::SeqCst);
+        assert_eq!(picked, 3);
+    }
+
+    /// A completion is late when its latency is over the SLO, the ledger's
+    /// rule, whatever deadline it carried: the controller is told of
+    /// exactly the late completions the report counts. A far explicit
+    /// deadline keeps the query from being shed, not from being late.
+    #[test]
+    fn a_late_completion_is_judged_by_the_slo_not_its_deadline() {
+        // An SLO no render meets, and no control tick to drain the window.
+        let config = SystemConfig {
+            slo: SimDuration::from_millis(1),
+            control_interval: SimDuration::from_secs(100_000),
+            ..four_workers()
+        };
+        let (mut backend, _) = launch_four(config, 0.0);
+        let far = backend.now() + SimDuration::from_secs(10_000);
+        backend.submit(QuerySpec::new().deadline(far));
+        let give_up = backend.now() + SimDuration::from_secs(200);
+        while backend.ledger.slo().total() == 0 {
+            assert!(backend.now() < give_up, "the query never completed");
+            backend.tick(backend.now() + SimDuration::from_secs(1));
+        }
+        assert_eq!(backend.ledger.slo().late(), 1);
+        let mut obs = ControlObservation::default();
+        backend.shared.telemetry.lock().unwrap().observe(
+            &mut obs,
+            backend.now(),
+            &FleetTally::new(2),
+            &[1, 1],
+        );
+        assert_eq!((obs.violations_light, obs.violations_heavy), (1, 0));
     }
 
     /// A worker leaves at shutdown only once nothing is queued to it. A

@@ -1963,7 +1963,7 @@ mod tests {
         let (Ok(cold), Ok(warm)) = (cold, warm) else {
             return false;
         };
-        assert!((warm.objective - cold.objective).abs() <= options.gap);
+        assert!((warm.objective - cold.objective).abs() <= 1e-9);
         for sol in [&cold, &warm] {
             assert!(sol.effort.lp_solves >= sol.nodes, "{sol:?}");
         }

@@ -17,17 +17,21 @@
 //!   the drop-front rule, which prices the batch that runs
 //!   ([`Kernel::predicted_misses`]), the dispatch charge to the module
 //!   cache ([`Kernel::charge_dispatch`]), the routing score
-//!   ([`Kernel::routing_load`], [`Kernel::miss_penalty`], [`pick_min`]),
-//!   the entry tier per policy ([`Kernel::entry_tier`]), a query's pass
-//!   through a tier — boundary verdict, and the image when it completes
-//!   there ([`Kernel::serve`]) — and response / snapshot assembly.
-//! * [`worker_targets`], [`worker_moves`] — per-tier worker targets from a
-//!   plan, and which workers change tier to meet them.
+//!   ([`Kernel::routing_load`], [`Kernel::miss_penalty`]), the entry tier
+//!   per policy ([`Kernel::entry_tier`]), a query's pass through a tier —
+//!   boundary verdict, and the image when it completes there
+//!   ([`Kernel::serve`]) — its lateness ([`Kernel::is_late`]), and
+//!   response / snapshot assembly.
+//! * [`pick_worker`] — the routing pick over the candidate ladder.
+//! * [`adopt_batches`], [`worker_targets`], [`worker_moves`] — the batch
+//!   each tier runs, per-tier worker targets from a plan, and which
+//!   workers change tier to meet them.
 //! * [`capacity_targets`], [`applied_capacity_event`] — which workers a
 //!   fail / recover / degrade / restore event touches, and what the
 //!   incident log records of it.
 //! * [`TickTelemetry`], [`FleetTally`] — what an engine counts between
-//!   control ticks and across its fleet, and the one place a
+//!   control ticks ([`TickTelemetry::record_served`] per batch member) and
+//!   across its fleet ([`FleetTally::fill`]), and the one place a
 //!   [`ControlObservation`] is built from them.
 //! * [`Ledger`] — outcome accounting (SLO tracker, the report's streamed
 //!   [`CompletionTotals`], the rolling-FID ring, outcomes awaiting a poll).
@@ -36,13 +40,16 @@ use diffserve_imagegen::{
     resume_savings, reused_steps, DiffusionModel, Discriminator, EmbeddingDraws, LatencyProfile,
     OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageState,
 };
-use diffserve_metrics::{GaussianStats, RollingFid, SloTracker, ViolationWindows};
+use diffserve_metrics::{
+    GaussianStats, QueryOutcome as SloOutcome, RollingFid, SloTracker, ViolationWindows,
+};
 use diffserve_simkit::time::{SimDuration, SimTime};
 use diffserve_trace::{CapacityEvent, FleetHealth, ScenarioEvent};
 use rand::Rng;
 use std::sync::Arc;
 
 use crate::addons::{AddonStats, AddonsConfig, ModuleCache};
+use crate::allocator::LadderAllocation;
 use crate::config::{SystemConfig, METRICS_WINDOW};
 use crate::control::ControlObservation;
 use crate::policy::Policy;
@@ -245,6 +252,7 @@ pub struct Kernel<'a> {
     affinity_blind: bool,
     resume: bool,
     resume_step_credit: f64,
+    slo: SimDuration,
     addons: Option<AddonsConfig>,
     /// Configuration of the pre-execution router, present only where one
     /// runs: ladders of more than two tiers on a cascade policy.
@@ -280,6 +288,7 @@ impl<'a> Kernel<'a> {
             affinity_blind: settings.knobs.affinity_blind_routing,
             resume: config.resume_from_latents,
             resume_step_credit: config.resume_step_credit,
+            slo: config.slo,
             addons: config.addons.clone(),
             router,
             draws: runtime.embedding_draws(),
@@ -720,6 +729,15 @@ impl<'a> Kernel<'a> {
         image
     }
 
+    /// Whether a query that arrived at `arrival` and completes at
+    /// `completion` is late: its latency is over the SLO, the rule the
+    /// [`Ledger`] counts by. An explicit earlier or later deadline moves
+    /// only the drop-front rule.
+    #[inline]
+    pub fn is_late(&self, arrival: SimTime, completion: SimTime) -> bool {
+        SloOutcome::of_completion(completion.saturating_since(arrival), self.slo).is_violation()
+    }
+
     /// Assembles the response for a query completing at `tier`.
     #[inline]
     #[allow(clippy::too_many_arguments)]
@@ -866,18 +884,72 @@ impl<'a> Kernel<'a> {
     }
 }
 
-/// First-minimum pick over `(worker, score)` candidates: the strict `<`
-/// keeps the earliest candidate on ties, so feeding candidates in worker
-/// order breaks ties toward the lowest index. `None` when empty.
-#[inline]
-pub fn pick_min(candidates: impl Iterator<Item = (usize, f64)>) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (worker, score) in candidates {
-        if best.is_none_or(|(_, b)| score < b) {
-            best = Some((worker, score));
+/// Where an alive worker stands on the router's candidate ladder for a
+/// query bound for some tier, best first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rung {
+    /// Hosts the tier and is not switching away.
+    Ready,
+    /// Switching toward the tier: still loading its model.
+    Switching,
+    /// Any other alive worker, eligible only while the tier has none
+    /// (unstaffed, mid-reconfiguration or wiped out by churn).
+    Fallback,
+}
+
+impl Rung {
+    /// The rung, for a query bound for `tier`, of a worker assigned to
+    /// `target` that has (`ready`) or has not yet loaded that tier's model.
+    #[inline]
+    pub fn of(tier: usize, target: usize, ready: bool) -> Rung {
+        match (target == tier, ready) {
+            (true, true) => Rung::Ready,
+            (true, false) => Rung::Switching,
+            _ => Rung::Fallback,
         }
     }
-    best.map(|(worker, _)| worker)
+}
+
+/// One alive worker as the router ranks it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Candidate {
+    /// The worker's index.
+    pub worker: usize,
+    /// Its rung on the candidate ladder.
+    pub rung: Rung,
+    /// Its [`Kernel::routing_load`].
+    pub load: f64,
+    /// The [`Kernel::miss_penalty`] it pays for lacking the query's
+    /// add-on module, else `0.0`.
+    pub miss: f64,
+}
+
+/// The router's pick: the first non-empty rung's minimum by
+/// `(load + miss, load, worker)`. A cached replica slightly deeper in queue
+/// beats an idle worker that must swap, an exact score tie goes to the
+/// lower load, and a load tie to the lower index. Both engines route
+/// every query by this rule; the simulator answers it from its load index
+/// and debug builds compare every answer with this scan. `None` with no
+/// candidate. Loads are finite and non-negative.
+pub fn pick_worker(candidates: impl IntoIterator<Item = Candidate>) -> Option<usize> {
+    let rank = |c: &Candidate| (c.rung, c.load + c.miss, c.load, c.worker);
+    let mut best: Option<Candidate> = None;
+    for c in candidates {
+        if best.is_none_or(|b| rank(&c) < rank(&b)) {
+            best = Some(c);
+        }
+    }
+    best.map(|c| c.worker)
+}
+
+/// Takes over into `batches` the batch each tier's workers run under
+/// `plan`: its planned batch, at least 1. Both engines keep this vector
+/// from the plan they adopt and read a worker's batch from it when the
+/// worker dispatches, so a new plan takes effect at each worker's next
+/// batch.
+pub fn adopt_batches(batches: &mut Vec<usize>, plan: &LadderAllocation) {
+    batches.clear();
+    batches.extend(plan.batches.iter().map(|&b| b.max(1)));
 }
 
 /// Per-tier worker targets for a fleet of `alive` workers under a plan
@@ -989,6 +1061,19 @@ pub fn applied_capacity_event(event: CapacityEvent, applied: usize) -> Option<Sc
     (applied > 0).then_some(ScenarioEvent::Capacity(event))
 }
 
+/// What a [`FleetTally`] reads of one alive worker.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorkerState {
+    /// The tier it hosts or is switching to.
+    pub tier: usize,
+    /// Queries queued on it (the batch in service excluded).
+    pub queued: usize,
+    /// Executing a batch or loading a model.
+    pub busy: bool,
+    /// Its health speed factor (1.0 = nameplate).
+    pub speed_factor: f64,
+}
+
 /// A point-in-time tally of a fleet, gathered by one pass over the
 /// engine's workers: per-tier alive workers, queue depths and busy counts,
 /// the failed and degraded counts, and the effective capacity.
@@ -1021,29 +1106,34 @@ impl FleetTally {
         }
     }
 
-    /// Empties the tally for another pass over the same tiers, keeping its
-    /// vectors.
-    pub fn reset(&mut self) {
+    /// A tally over `num_tiers` tiers of `workers` (see [`FleetTally::fill`]).
+    pub fn of(num_tiers: usize, workers: impl IntoIterator<Item = Option<WorkerState>>) -> Self {
+        let mut fleet = FleetTally::new(num_tiers);
+        fleet.fill(workers);
+        fleet
+    }
+
+    /// Re-tallies the same tiers from one pass over an engine's workers,
+    /// in worker order, keeping the tally's vectors: `None` is a
+    /// fail-stopped worker.
+    pub fn fill(&mut self, workers: impl IntoIterator<Item = Option<WorkerState>>) {
         self.tier_workers.fill(0);
         self.tier_queues.fill(0);
         self.tier_busy.fill(0);
         self.failed = 0;
         self.degraded = 0;
         self.effective_capacity = 0.0;
-    }
-
-    /// Counts one fail-stopped worker.
-    pub fn add_failed(&mut self) {
-        self.failed += 1;
-    }
-
-    /// Counts one alive worker targeting `tier`.
-    pub fn add_alive(&mut self, tier: usize, queued: usize, busy: bool, speed_factor: f64) {
-        self.tier_workers[tier] += 1;
-        self.tier_queues[tier] += queued;
-        self.tier_busy[tier] += usize::from(busy);
-        self.degraded += usize::from(speed_factor < 1.0);
-        self.effective_capacity += speed_factor;
+        for worker in workers {
+            let Some(w) = worker else {
+                self.failed += 1;
+                continue;
+            };
+            self.tier_workers[w.tier] += 1;
+            self.tier_queues[w.tier] += w.queued;
+            self.tier_busy[w.tier] += usize::from(w.busy);
+            self.degraded += usize::from(w.speed_factor < 1.0);
+            self.effective_capacity += w.speed_factor;
+        }
     }
 
     /// Alive workers across all tiers.
@@ -1106,12 +1196,6 @@ impl TickTelemetry {
         }
     }
 
-    /// Counts an escalation as demand on the deeper pools.
-    #[inline]
-    pub fn record_escalation(&mut self) {
-        self.heavy_arrivals += 1;
-    }
-
     /// Attributes one SLO violation (a drop or a late completion) to the
     /// tier that was serving the query.
     #[inline]
@@ -1119,18 +1203,28 @@ impl TickTelemetry {
         self.violations[usize::from(tier > 0)] += 1;
     }
 
-    /// Appends a confidence scored at boundary `tier → tier + 1`.
+    /// Counts one batch member's pass through `tier`: the confidence its
+    /// `verdict` scored at boundary `tier → tier + 1`, if any; an
+    /// escalation as demand on the deeper pools; and a completion that is
+    /// `late` by [`Kernel::is_late`], the ledger's rule, as a violation.
     #[inline]
-    pub fn record_confidence(&mut self, tier: usize, confidence: f64) {
-        match tier {
-            0 => self.confidences.push(confidence),
-            _ => self.deep_confidences[tier - 1].push(confidence),
+    pub fn record_served(&mut self, tier: usize, verdict: &Verdict, late: bool) {
+        match (verdict.confidence(), tier) {
+            (None, _) => {}
+            (Some(confidence), 0) => self.confidences.push(confidence),
+            (Some(confidence), _) => self.deep_confidences[tier - 1].push(confidence),
+        }
+        match verdict {
+            Verdict::Escalate { .. } => self.heavy_arrivals += 1,
+            Verdict::Complete { .. } if late => self.record_violation(tier),
+            Verdict::Complete { .. } => {}
         }
     }
 
     /// Drains the window into `obs`, the [`ControlObservation`] for a
-    /// tick at `now` over the given fleet; `batches` are the batch sizes
-    /// the entry and terminal tiers currently operate.
+    /// tick at `now` over the given fleet; `batches` are the adopted
+    /// plan's per-tier batches (see [`adopt_batches`]), of which the
+    /// controller is told the entry and terminal tiers'.
     ///
     /// Every field of `obs` is overwritten, and its vectors are reused: a
     /// confidence stream trades buffers with the window, which starts the
@@ -1142,7 +1236,7 @@ impl TickTelemetry {
         obs: &mut ControlObservation,
         now: SimTime,
         fleet: &FleetTally,
-        batches: (usize, usize),
+        batches: &[usize],
     ) {
         /// Moves the window's `stream` into `into`, leaving `stream` the
         /// (emptied) buffer `into` held.
@@ -1158,8 +1252,8 @@ impl TickTelemetry {
         obs.violations_heavy = violations_heavy;
         obs.alive_workers = fleet.alive();
         obs.effective_capacity = fleet.effective_capacity;
-        obs.current_light_batch = batches.0;
-        obs.current_heavy_batch = batches.1;
+        obs.current_light_batch = batches[0];
+        obs.current_heavy_batch = batches[batches.len() - 1];
         trade(&mut obs.confidences, &mut self.confidences);
         obs.tier_queues.clone_from(&fleet.tier_queues);
         obs.deep_confidences
@@ -1222,9 +1316,9 @@ impl Ledger {
         self.undrained = None;
     }
 
-    /// Records a completion; returns whether it missed the SLO.
+    /// Records a completion, late by [`Kernel::is_late`]'s rule.
     #[inline]
-    pub fn complete(&mut self, response: CompletedResponse) -> bool {
+    pub fn complete(&mut self, response: CompletedResponse) {
         let outcome = self
             .slo
             .record_completion(response.arrival, response.completion);
@@ -1235,7 +1329,6 @@ impl Ledger {
         if let Some(undrained) = &mut self.undrained {
             undrained.push(QueryOutcome::Completed(response));
         }
-        outcome.is_violation()
     }
 
     /// Records a query shed at `at`.
@@ -1672,31 +1765,56 @@ mod tests {
         }
     }
 
-    /// (d) On an all-healthy fleet equal loads tie, and the first-minimum
-    /// pick over candidates in worker order keeps the lowest index.
+    /// Ready candidates for workers `0..` at these routing loads and miss
+    /// penalties.
+    fn ready(scores: &[(f64, f64)]) -> Vec<Candidate> {
+        let ready = |(worker, &(load, miss))| Candidate {
+            worker,
+            rung: Rung::Ready,
+            load,
+            miss,
+        };
+        scores.iter().enumerate().map(ready).collect()
+    }
+
+    /// (d) On an all-healthy fleet equal loads tie, and the pick keeps the
+    /// lowest index; an exact score tie between a module holder and a
+    /// non-holder goes to the lower load, whatever the indices.
     #[test]
     fn first_minimum_breaks_ties_toward_the_lowest_index() {
         let kernel = Kernel::new(runtime(), &SystemConfig::default(), &settings());
-        let loads = [3usize, 1, 2, 1, 1];
-        let scores = |loads: &[usize]| -> Vec<(usize, f64)> {
-            loads
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| (i, kernel.routing_load(l, 0, 1.0)))
-                .collect()
+        let scores = |loads: &[usize]| -> Vec<(f64, f64)> {
+            let score = |&l: &usize| (kernel.routing_load(l, 0, 1.0), 0.0);
+            loads.iter().map(score).collect()
         };
-        assert_eq!(pick_min(scores(&loads).into_iter()), Some(1));
-        assert_eq!(pick_min(scores(&[0; 6]).into_iter()), Some(0));
-        assert_eq!(pick_min(std::iter::empty()), None);
+        assert_eq!(pick_worker(ready(&scores(&[3, 1, 2, 1, 1]))), Some(1));
+        assert_eq!(pick_worker(ready(&scores(&[0; 6]))), Some(0));
+        assert_eq!(pick_worker([]), None);
         // A 2×-degraded idle worker loses to a healthy one serving one.
         let degraded_idle = kernel.routing_load(0, 0, 2.0);
         let healthy_one = kernel.routing_load(0, 1, 1.0);
         assert_eq!(
-            pick_min([(0, degraded_idle), (1, healthy_one)].into_iter()),
+            pick_worker(ready(&[(degraded_idle, 0.0), (healthy_one, 0.0)])),
             Some(0),
             "(0 + 1) × 2 ties (1 + 1) × 1 and the lower index wins"
         );
+        // A holder at load 3 ties a non-holder at load 1 paying 2.
+        assert_eq!(pick_worker(ready(&[(3.0, 0.0), (1.0, 2.0)])), Some(1));
+        assert_eq!(pick_worker(ready(&[(1.0, 2.0), (3.0, 0.0)])), Some(0));
         assert!(kernel.routing_load(0, 0, 2.5) > healthy_one);
+        // The first non-empty rung wins, however loaded.
+        let rungs = [(2, 1, true), (1, 1, false), (1, 0, true)];
+        let candidate =
+            |(worker, &(target, load, ready)): (usize, &(usize, usize, bool))| Candidate {
+                worker,
+                rung: Rung::of(1, target, ready),
+                load: kernel.routing_load(load, 0, 1.0),
+                miss: 0.0,
+            };
+        let ladder: Vec<Candidate> = rungs.iter().enumerate().map(candidate).collect();
+        assert_eq!(pick_worker(ladder.iter().copied()), Some(2));
+        assert_eq!(pick_worker(ladder[..2].iter().copied()), Some(1));
+        assert_eq!(pick_worker(ladder[..1].iter().copied()), Some(0));
         // Queued and in-service members weigh the same.
         assert_eq!(
             kernel.routing_load(2, 1, 1.0),
@@ -1927,28 +2045,57 @@ mod tests {
         }
     }
 
+    /// Alive workers `(tier, queued, busy, speed factor)`, then `failed`
+    /// fail-stopped ones.
+    fn workers(alive: &[(usize, usize, bool, f64)], failed: usize) -> Vec<Option<WorkerState>> {
+        let state = |&(tier, queued, busy, speed_factor)| WorkerState {
+            tier,
+            queued,
+            busy,
+            speed_factor,
+        };
+        let alive = alive.iter().map(state).map(Some);
+        alive.chain(std::iter::repeat_n(None, failed)).collect()
+    }
+
+    /// A completion scored at `confidence`.
+    fn kept(confidence: Option<f64>) -> Verdict {
+        Verdict::Complete {
+            confidence,
+            image: runtime().renders()[0].image(0),
+            reused: 0,
+        }
+    }
+
     #[test]
     fn telemetry_drains_into_one_observation() {
         let mut telemetry = TickTelemetry::new(3, true);
         telemetry.record_arrival(0, false);
         telemetry.record_arrival(2, true);
-        telemetry.record_escalation();
+        // An escalation is demand, never a violation; a completion is one
+        // only when late.
+        let escalated = Verdict::Escalate {
+            confidence: 0.25,
+            resume: None,
+        };
+        telemetry.record_served(0, &escalated, true);
         telemetry.record_violation(0);
-        telemetry.record_violation(2);
-        telemetry.record_violation(1);
-        telemetry.record_confidence(0, 0.25);
-        telemetry.record_confidence(1, 0.75);
-        let mut fleet = FleetTally::new(3);
-        fleet.add_alive(0, 4, true, 1.0);
-        fleet.add_alive(1, 2, false, 0.5);
-        fleet.add_alive(2, 3, true, 1.0);
-        fleet.add_failed();
+        telemetry.record_served(1, &kept(Some(0.75)), true);
+        telemetry.record_served(2, &kept(None), true);
+        telemetry.record_served(2, &kept(None), false);
+        let mut fleet = FleetTally::of(
+            3,
+            workers(
+                &[(0, 4, true, 1.0), (1, 2, false, 0.5), (2, 3, true, 1.0)],
+                1,
+            ),
+        );
         assert_eq!(fleet.alive(), 3);
         assert_eq!(fleet.degraded, 1);
         assert!((fleet.utilization() - 2.0 / 3.0).abs() < 1e-12);
 
         let mut obs = ControlObservation::default();
-        telemetry.observe(&mut obs, SimTime::from_secs(2), &fleet, (4, 1));
+        telemetry.observe(&mut obs, SimTime::from_secs(2), &fleet, &[4, 2, 1]);
         assert_eq!((obs.arrivals, obs.heavy_arrivals), (2, 2));
         assert_eq!((obs.violations_light, obs.violations_heavy), (1, 2));
         assert_eq!(obs.tier_queues, [4, 2, 3]);
@@ -1961,11 +2108,11 @@ mod tests {
 
         // The window is drained, into the same observation; the next
         // window records into the buffer the observation gave up.
-        telemetry.record_confidence(0, 0.5);
+        telemetry.record_served(0, &kept(Some(0.5)), false);
         let recorded = telemetry.confidences.as_ptr();
-        fleet.reset();
+        fleet.fill([]);
         assert_eq!(fleet, FleetTally::new(3));
-        telemetry.observe(&mut obs, SimTime::from_secs(4), &fleet, (4, 1));
+        telemetry.observe(&mut obs, SimTime::from_secs(4), &fleet, &[4, 2, 1]);
         assert_eq!(obs.now, SimTime::from_secs(4));
         assert_eq!((obs.arrivals, obs.heavy_arrivals), (0, 0));
         assert_eq!((obs.violations_light, obs.violations_heavy), (0, 0));
@@ -1996,8 +2143,15 @@ mod tests {
         let config = SystemConfig::default();
         let mut ledger = Ledger::new(&config, &runtime().reference);
         let slo_secs = config.slo.as_secs_f64() as u64;
-        assert!(!ledger.complete(completion(0, 1)));
-        assert!(ledger.complete(completion(1, slo_secs + 1)));
+        ledger.complete(completion(0, 1));
+        assert_eq!(ledger.slo().late(), 0);
+        ledger.complete(completion(1, slo_secs + 1));
+        assert_eq!(ledger.slo().late(), 1);
+        // The kernel judges lateness by the same rule.
+        let kernel = Kernel::new(runtime(), &config, &settings());
+        let arrival = SimTime::from_secs(1);
+        assert!(!kernel.is_late(arrival, arrival + config.slo));
+        assert!(kernel.is_late(arrival, arrival + config.slo + SimDuration::from_micros(1)));
         let (arrival, at) = (SimTime::from_secs(2), SimTime::from_secs(3));
         ledger.drop_query(QueryId(2), arrival, at);
         // A lost query counts against the SLO but leaves no outcome.
@@ -2033,13 +2187,14 @@ mod tests {
 
     #[test]
     fn fleet_health_counts_alive_failed_and_degraded_workers() {
-        let mut fleet = FleetTally::new(2);
-        assert_eq!(fleet.utilization(), 0.0, "nobody alive");
-        fleet.add_alive(0, 0, false, 1.0);
-        fleet.add_alive(1, 5, true, 0.25);
-        fleet.add_alive(1, 0, false, 0.5);
-        fleet.add_failed();
-        fleet.add_failed();
+        assert_eq!(FleetTally::new(2).utilization(), 0.0, "nobody alive");
+        let fleet = FleetTally::of(
+            2,
+            workers(
+                &[(0, 0, false, 1.0), (1, 5, true, 0.25), (1, 0, false, 0.5)],
+                2,
+            ),
+        );
         assert_eq!(
             fleet.health(),
             FleetHealth {

@@ -43,7 +43,9 @@ use crate::addons::{AddonStats, ModuleCache};
 use crate::allocator::LadderAllocation;
 use crate::config::{ConfigError, SystemConfig, METRICS_WINDOW, MODEL_SWITCH_DELAY};
 use crate::control::{ControlDirective, ControlLoop, ControlObservation};
-use crate::kernel::{self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict};
+use crate::kernel::{
+    self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict, WorkerState,
+};
 use crate::policy::{AblationKnobs, Policy};
 use crate::query::{QueryId, ServedImage, WorkerHealth};
 use crate::report::RunReport;
@@ -166,7 +168,6 @@ struct Worker {
     /// cascade is tiers 0/1).
     tier: usize,
     pending_tier: Option<usize>,
-    batch_max: usize,
     queue: VecDeque<Slot>,
     busy: bool,
     in_flight: Vec<Slot>,
@@ -188,6 +189,16 @@ impl Worker {
 
     fn load(&self) -> usize {
         self.queue.len() + self.in_flight.len()
+    }
+
+    /// What the fleet tally reads of this worker; `None` while failed.
+    fn state(&self) -> Option<WorkerState> {
+        (!self.failed).then(|| WorkerState {
+            tier: self.target_tier(),
+            queued: self.queue.len(),
+            busy: self.busy,
+            speed_factor: self.health.speed_factor,
+        })
     }
 }
 
@@ -400,15 +411,16 @@ impl Pool {
     }
 }
 
-/// The first minimum, in `(key, index)` order, of `key` over workers that
-/// hold a module and `key + penalty` over workers that do not — what
-/// [`kernel::pick_min`] returns over a whole pool in that order — from two
-/// candidates: the first holder and the first non-holder. Every other
-/// holder has a key at least the first's, and with `penalty > 0` and
-/// rounding monotone every other non-holder scores at least the first's
-/// `key + penalty`, so the minimum is one of the two; on a tie the one
-/// earlier in `(key, index)` order wins, as in the scan. A holder's score
-/// is its key because keys are non-negative, and `x + 0.0 == x` there.
+/// The minimum by `(score, key, index)` of `key` over workers that hold a
+/// module and `key + penalty` over workers that do not — the kernel's
+/// [`pick_worker`](kernel::pick_worker) over a pool — from two candidates:
+/// the first holder and the first non-holder in `(key, index)` order.
+/// Every other holder has a key at least the first's, and with
+/// `penalty > 0` and rounding monotone every other non-holder scores at
+/// least the first's `key + penalty`, so the minimum is one of the two; on
+/// a score tie the lower `(key, index)` wins, as in the kernel. A holder's
+/// score is its key because keys are non-negative, and `x + 0.0 == x`
+/// there.
 fn two_candidate_pick(holder: Option<Filed>, other: Option<Filed>, penalty: f64) -> Option<usize> {
     let (Some(h), Some(o)) = (holder, other) else {
         return holder.or(other).map(|(_, i)| i);
@@ -436,14 +448,15 @@ fn two_candidate_pick(holder: Option<Filed>, other: Option<Filed>, penalty: f64)
 /// least-loaded worker of a tier is the first bucket's lowest bit, and
 /// re-keying a worker clears one bit and sets another. Emptied sets wait in
 /// `spares` for the next new key, so the steady state allocates nothing.
-/// The `(key, index)` order reproduces the scan's `(load, index)`
+/// The `(key, index)` order reproduces the kernel's `(load, index)`
 /// tie-break bit-for-bit. Because the pools partition the alive fleet
 /// there is no separate set of all alive workers: their count is a
 /// counter, their minimum the least of the pool minima, and their
 /// `(key, index)` order the merge of the pools. Debug builds assert
-/// agreement with the scan on every routing decision (see
-/// `ServingSim::scan_route`); `load_index_matches_a_linear_scan` does the
-/// same against a model in release builds.
+/// agreement with the kernel's [`pick_worker`](kernel::pick_worker) on
+/// every routing decision (see `ServingSim::ruled_pick`);
+/// `load_index_matches_a_linear_scan` does the same against a model in
+/// release builds.
 #[derive(Debug, Clone)]
 struct LoadIndex {
     primary: Vec<Pool>,
@@ -498,35 +511,32 @@ impl LoadIndex {
         self.alive += 1;
     }
 
-    fn min_primary(&self, tier: usize) -> Option<usize> {
-        self.primary[tier].first().map(|(_, i)| i)
-    }
-
-    fn min_pending_to(&self, tier: usize) -> Option<usize> {
-        self.pending_to[tier].first().map(|(_, i)| i)
-    }
-
     /// The pools, which between them hold every alive worker once.
     fn pools(&self) -> impl Iterator<Item = &Pool> {
         self.primary.iter().chain(&self.pending_to)
     }
 
-    /// The least `(key, index)` over the whole alive fleet.
-    fn min_alive(&self) -> Option<usize> {
-        self.pools().filter_map(Pool::first).min().map(|(_, i)| i)
-    }
-
-    /// The affinity pick for a query bound for `tier` whose module
-    /// `holders` hold, over the router's candidate ladder: the tier's
-    /// primaries, else the workers switching toward it, else the whole
-    /// alive fleet, whose `(key, index)` order is the merge of the pools'
-    /// (so its first holder and first non-holder are the least of the
-    /// pools'). See [`two_candidate_pick`]; `O(buckets × words)`, with no
+    /// The kernel's [`pick_worker`](kernel::pick_worker) for a query
+    /// bound for `tier`, over the candidate ladder: the tier's primaries,
+    /// else the workers switching toward it, else the whole alive fleet.
+    /// Without an add-on term that is the least `(key, index)` of the
+    /// first non-empty pool, or of every pool. With one — the module's
+    /// `holders` and the `penalty` the others pay — it is a choice between
+    /// two candidates ([`two_candidate_pick`]), the fleet's first holder
+    /// and first non-holder being the least of the pools' since its
+    /// `(key, index)` order is their merge: `O(buckets × words)`, with no
     /// allocation, even for a module no worker holds.
-    fn affinity_pick(&self, tier: usize, holders: &WorkerSet, penalty: f64) -> Option<usize> {
+    fn route(&self, tier: usize, affinity: Option<(&WorkerSet, f64)>) -> Option<usize> {
         let pool = [&self.primary[tier], &self.pending_to[tier]]
             .into_iter()
             .find(|pool| !pool.is_empty());
+        let Some((holders, penalty)) = affinity else {
+            return match pool {
+                Some(pool) => pool.first(),
+                None => self.pools().filter_map(Pool::first).min(),
+            }
+            .map(|(_, i)| i);
+        };
         let (holder, other) = match pool {
             Some(pool) => pool.first_in_and_out(holders),
             None => self
@@ -649,6 +659,9 @@ struct ServingSim<'a> {
     /// Per-boundary confidence thresholds; `thresholds[0]` is the legacy
     /// cascade threshold.
     thresholds: Vec<f64>,
+    /// The batch each tier's workers run under the adopted plan
+    /// ([`kernel::adopt_batches`]), read at dispatch.
+    batches: Vec<usize>,
     /// `true` while the actuated plan is the overload fallback: the
     /// predictive router stops bypassing so every arrival enters the entry
     /// tier, where the floored thresholds can actually shed it (bypassed
@@ -715,25 +728,6 @@ struct ServingSim<'a> {
     requeue_scratch: Vec<Slot>,
 }
 
-/// Tallies `workers` into `fleet`, over the tiers it was made for: per-tier
-/// alive counts, queue depths and busy flags, failed/degraded counts,
-/// effective capacity.
-fn tally_into(workers: &[Worker], fleet: &mut FleetTally) {
-    fleet.reset();
-    for w in workers {
-        if w.failed {
-            fleet.add_failed();
-        } else {
-            fleet.add_alive(
-                w.target_tier(),
-                w.queue.len(),
-                w.busy,
-                w.health.speed_factor,
-            );
-        }
-    }
-}
-
 impl<'a> ServingSim<'a> {
     fn new(
         config: SystemConfig,
@@ -755,7 +749,6 @@ impl<'a> ServingSim<'a> {
             .map(|_| Worker {
                 tier: num_tiers - 1,
                 pending_tier: None,
-                batch_max: 1,
                 queue: VecDeque::new(),
                 busy: false,
                 in_flight: Vec::new(),
@@ -771,6 +764,7 @@ impl<'a> ServingSim<'a> {
             submitted: 0,
             feeds: Vec::new(),
             thresholds,
+            batches: vec![1; num_tiers],
             bypass_suspended: false,
             telemetry: TickTelemetry::new(num_tiers, router.is_some()),
             observation: ControlObservation::default(),
@@ -882,9 +876,6 @@ impl<'a> ServingSim<'a> {
                 self.workers[idx].tier = tier;
                 self.refresh_index(idx);
             }
-            for w in &mut self.workers {
-                w.batch_max = plan.batches[w.tier].max(1);
-            }
             self.check_staffing(&targets);
         }
     }
@@ -931,31 +922,23 @@ impl<'a> ServingSim<'a> {
         v
     }
 
-    /// Takes over a plan's routing parameters — per-boundary thresholds
-    /// (Proteus's heavy fraction in the first), the bypass suspension under
-    /// the overload fallback — and returns the per-tier worker targets it
-    /// implies for the alive fleet.
+    /// Takes over a plan's batches and routing parameters — per-boundary
+    /// thresholds (Proteus's heavy fraction in the first), the bypass
+    /// suspension under the overload fallback — and returns the per-tier
+    /// worker targets it implies for the alive fleet.
     fn adopt_plan(&mut self, plan: &LadderAllocation) -> Vec<usize> {
+        kernel::adopt_batches(&mut self.batches, plan);
         self.thresholds.clone_from(&plan.thresholds);
         self.bypass_suspended = !plan.feasible;
         kernel::worker_targets(&plan.workers, self.alive_count())
     }
 
-    /// Applies a plan at runtime: batch sizes update immediately, and the
-    /// kernel's [`worker_moves`](kernel::worker_moves) go through the
-    /// model-switch protocol (idle workers switch now and pay the load
-    /// delay; busy ones switch at their next batch boundary). A moved
-    /// worker's queue goes back to the tier it was routed to.
-    fn apply_plan(
-        &mut self,
-        plan: &LadderAllocation,
-        targets: &[usize],
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) {
-        for w in self.workers.iter_mut().filter(|w| !w.failed) {
-            w.batch_max = plan.batches[w.target_tier()].max(1);
-        }
+    /// Moves workers to an adopted plan's `targets`: the kernel's
+    /// [`worker_moves`](kernel::worker_moves) go through the model-switch
+    /// protocol (idle workers switch now and pay the load delay; busy ones
+    /// switch at their next batch boundary). A moved worker's queue goes
+    /// back to the tier it was routed to.
+    fn apply_plan(&mut self, targets: &[usize], now: SimTime, queue: &mut EventQueue<Event>) {
         for (idx, to) in self.worker_moves(targets) {
             // The worker's queue was routed to the tier it leaves.
             let from = self.workers[idx].target_tier();
@@ -963,7 +946,6 @@ impl<'a> ServingSim<'a> {
             orphans.clear();
             orphans.extend(self.workers[idx].queue.drain(..));
             self.workers[idx].pending_tier = Some(to);
-            self.workers[idx].batch_max = plan.batches[to].max(1);
             // Leave the donor pool before the queue is re-routed, or
             // the router could hand the orphans right back.
             self.refresh_index(idx);
@@ -1014,56 +996,6 @@ impl<'a> ServingSim<'a> {
             .routing_load(w.queue.len(), w.in_flight.len(), w.health.slowdown())
     }
 
-    /// Affinity-aware pick for an add-on-carrying query: over the default
-    /// ladder's first non-empty candidate pool (tier primaries, then
-    /// workers switching toward the tier, then any alive worker), rank
-    /// each worker by its routing load plus the kernel's miss penalty when
-    /// its cache lacks the module. Ties keep the pool's `(load, index)`
-    /// order. The load index answers it from two candidates per pool
-    /// ([`LoadIndex::affinity_pick`]), which debug builds compare with a
-    /// scan of every candidate. Returns `None` (→ the default ladder,
-    /// which stays bit-identical) when [`Kernel::miss_penalty`] does not
-    /// apply.
-    fn affinity_route(&self, tier: usize, query: Slot) -> Option<usize> {
-        let (id, penalty) = self.kernel.miss_penalty(tier, self.queries[query].addon)?;
-        let chosen = self.index.affinity_pick(tier, &self.holders[id], penalty);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            chosen,
-            self.scan_affinity(tier, id, penalty),
-            "the affinity pick diverged from the scan of its pool"
-        );
-        chosen
-    }
-
-    /// The scan [`Self::affinity_route`]'s indexed pick replaced: the
-    /// candidate ladder by linear scan, each candidate scored by its
-    /// routing load plus `penalty` unless its cache holds module `id`,
-    /// [`kernel::pick_min`] over `(load, index)` order.
-    #[cfg(debug_assertions)]
-    fn scan_affinity(&self, tier: usize, id: usize, penalty: f64) -> Option<usize> {
-        let pick = |pred: &dyn Fn(&Worker) -> bool| -> Option<usize> {
-            let mut order: Vec<usize> = (0..self.workers.len())
-                .filter(|&i| !self.workers[i].failed && pred(&self.workers[i]))
-                .collect();
-            order.sort_by(|&a, &b| {
-                let (ea, eb) = (self.routing_load(a), self.routing_load(b));
-                ea.total_cmp(&eb).then(a.cmp(&b))
-            });
-            kernel::pick_min(order.into_iter().map(|i| {
-                let miss = if self.caches[i].contains(id) {
-                    0.0
-                } else {
-                    penalty
-                };
-                (i, self.routing_load(i) + miss)
-            }))
-        };
-        pick(&|w| w.tier == tier && w.pending_tier.is_none())
-            .or_else(|| pick(&|w| w.target_tier() == tier))
-            .or_else(|| pick(&|_| true))
-    }
-
     /// Re-derives every holder set from the caches and asserts it.
     #[cfg(debug_assertions)]
     fn check_holders(&self) {
@@ -1078,19 +1010,21 @@ impl<'a> ServingSim<'a> {
         }
     }
 
-    /// Health-weighted join-shortest-queue routing to the pool of a tier.
-    /// Prefers alive workers already running the tier; falls back to ones
-    /// switching toward it, then to any alive worker.
+    /// Health-weighted join-shortest-queue routing to the pool of a tier,
+    /// by the kernel's [`pick_worker`](kernel::pick_worker): alive workers
+    /// already running the tier, else ones switching toward it, else any
+    /// alive worker, each ranked by its routing load plus, for a query
+    /// carrying an add-on, the [`Kernel::miss_penalty`] when its cache
+    /// lacks the module.
     ///
-    /// Each candidate is ranked by its routing load, so a 2×-degraded
-    /// worker's queue slots cost twice a healthy one's. Health-blind JSQ
-    /// keeps feeding stragglers as if they drained at nameplate speed,
-    /// which is exactly where SLO violations concentrate under brownout.
-    /// The candidate ladder is answered by the per-tier load index, each
-    /// pool's minimum the lowest bit of its least-key bucket — the exact
-    /// `(routing load, index)` ranking of the linear scan that debug
-    /// builds re-run and compare against. Add-on-carrying queries go
-    /// through [`Self::affinity_route`] first.
+    /// The routing load is health-weighted, so a 2×-degraded worker's
+    /// queue slots cost twice a healthy one's. Health-blind JSQ keeps
+    /// feeding stragglers as if they drained at nameplate speed, which is
+    /// exactly where SLO violations concentrate under brownout. The load
+    /// index answers the pick ([`LoadIndex::route`]); debug builds run the
+    /// kernel's rule over the whole fleet and compare on every decision,
+    /// so a missed [`Self::refresh_index`] call fails loudly in tests
+    /// instead of silently diverging.
     fn route_to_tier(
         &mut self,
         tier: usize,
@@ -1098,49 +1032,36 @@ impl<'a> ServingSim<'a> {
         now: SimTime,
         queue: &mut EventQueue<Event>,
     ) {
-        if let Some(chosen) = self.affinity_route(tier, query) {
-            self.workers[chosen].queue.push_back(query);
-            self.refresh_index(chosen);
-            self.try_start(chosen, now, queue);
-            return;
-        }
-        let t = tier;
+        let penalty = self.kernel.miss_penalty(tier, self.queries[query].addon);
         let chosen = self
             .index
-            .min_primary(t)
-            .or_else(|| self.index.min_pending_to(t))
-            .or_else(|| self.index.min_alive())
+            .route(tier, penalty.map(|(id, p)| (&self.holders[id], p)))
             .expect("scenario validation keeps at least one worker alive");
         #[cfg(debug_assertions)]
         assert_eq!(
             Some(chosen),
-            self.scan_route(tier),
-            "per-tier load index diverged from the linear routing scan"
+            self.ruled_pick(tier, penalty),
+            "the load index diverged from the kernel's routing pick"
         );
         self.workers[chosen].queue.push_back(query);
         self.refresh_index(chosen);
         self.try_start(chosen, now, queue);
     }
 
-    /// The linear three-stage scan the load index replaced — kept as a
-    /// debug-build cross-check so a missed [`Self::refresh_index`] call
-    /// fails loudly in tests instead of silently diverging.
+    /// The kernel's routing pick over every alive worker, scanned: the
+    /// debug-build twin of [`LoadIndex::route`].
     #[cfg(debug_assertions)]
-    fn scan_route(&self, tier: usize) -> Option<usize> {
-        let pick = |pred: &dyn Fn(&Worker) -> bool| -> Option<usize> {
-            (0..self.workers.len())
-                .filter(|&i| !self.workers[i].failed && pred(&self.workers[i]))
-                .min_by(|&a, &b| {
-                    let ea = self.routing_load(a);
-                    let eb = self.routing_load(b);
-                    ea.partial_cmp(&eb)
-                        .expect("routing loads are finite")
-                        .then(a.cmp(&b))
-                })
-        };
-        pick(&|w| w.tier == tier && w.pending_tier.is_none())
-            .or_else(|| pick(&|w| w.target_tier() == tier))
-            .or_else(|| pick(&|_| true))
+    fn ruled_pick(&self, tier: usize, penalty: Option<(usize, f64)>) -> Option<usize> {
+        let alive = self.workers.iter().enumerate().filter(|(_, w)| !w.failed);
+        kernel::pick_worker(alive.map(|(i, w)| kernel::Candidate {
+            worker: i,
+            rung: kernel::Rung::of(tier, w.target_tier(), w.pending_tier.is_none()),
+            load: self.routing_load(i),
+            miss: match penalty {
+                Some((id, p)) if !self.caches[i].contains(id) => p,
+                _ => 0.0,
+            },
+        }))
     }
 
     fn try_start(&mut self, idx: usize, now: SimTime, queue: &mut EventQueue<Event>) {
@@ -1155,7 +1076,7 @@ impl<'a> ServingSim<'a> {
             return;
         }
         let tier = self.workers[idx].tier;
-        let bmax = self.workers[idx].batch_max;
+        let bmax = self.batches[tier];
         // Degraded workers execute every batch slower than nameplate.
         let slowdown = self.workers[idx].health.slowdown();
 
@@ -1271,9 +1192,7 @@ impl<'a> ServingSim<'a> {
             confidence,
             reused,
         );
-        if self.ledger.complete(response) {
-            self.telemetry.record_violation(tier);
-        }
+        self.ledger.complete(response);
     }
 
     /// The scheduled arrival of trace stream `feed` fires: the stream's
@@ -1362,9 +1281,8 @@ impl<'a> ServingSim<'a> {
                 self.router.as_mut(),
                 || deeper_alive,
             );
-            if let Some(confidence) = verdict.confidence() {
-                self.telemetry.record_confidence(tier, confidence);
-            }
+            let late = self.kernel.is_late(rec.arrival, now);
+            self.telemetry.record_served(tier, &verdict, late);
             match verdict {
                 Verdict::Complete {
                     confidence,
@@ -1376,7 +1294,6 @@ impl<'a> ServingSim<'a> {
                         self.queries[query].resume = resume;
                     }
                     self.tier_escalations[tier] += 1;
-                    self.telemetry.record_escalation();
                     self.route_to_tier(tier + 1, query, now, queue);
                 }
             }
@@ -1501,7 +1418,7 @@ impl<'a> ServingSim<'a> {
     /// hazard does lands in the incident log, so a surprising run replays
     /// from its report.
     fn handle_hazard_check(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        tally_into(&self.workers, &mut self.fleet);
+        self.fleet.fill(self.workers.iter().map(Worker::state));
         let Some(hazard) = self.hazard.as_mut() else {
             return;
         };
@@ -1512,39 +1429,26 @@ impl<'a> ServingSim<'a> {
         queue.push(now + self.config.control_interval, Event::HazardCheck);
     }
 
-    /// One pass over the workers: per-tier alive counts, queue depths and
-    /// busy flags, failed/degraded counts, effective capacity.
-    fn fleet_tally(&self) -> FleetTally {
-        let mut fleet = FleetTally::new(self.kernel.num_tiers());
-        tally_into(&self.workers, &mut fleet);
-        fleet
-    }
-
     /// One control tick: hand what this backend observed since the last
     /// tick to the shared [`ControlLoop`] (demand estimation → profile
     /// estimation → allocation planning) and actuate the directive.
     fn handle_control_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        tally_into(&self.workers, &mut self.fleet);
-        let batches = (
-            self.current_batch(0),
-            self.current_batch(self.kernel.num_tiers() - 1),
-        );
+        self.fleet.fill(self.workers.iter().map(Worker::state));
         self.telemetry
-            .observe(&mut self.observation, now, &self.fleet, batches);
+            .observe(&mut self.observation, now, &self.fleet, &self.batches);
         if let ControlDirective::Apply { plan } = self.control.step(&self.observation) {
             let targets = self.adopt_plan(&plan);
-            self.apply_plan(&plan, &targets, now, queue);
+            self.apply_plan(&targets, now, queue);
         }
         self.threshold_series.push(now, self.thresholds[0]);
         queue.push(now + self.config.control_interval, Event::ControlTick);
     }
 
-    fn current_batch(&self, tier: usize) -> usize {
-        self.workers
-            .iter()
-            .find(|w| !w.failed && w.target_tier() == tier)
-            .map(|w| w.batch_max)
-            .unwrap_or(1)
+    fn fleet_tally(&self) -> FleetTally {
+        FleetTally::of(
+            self.kernel.num_tiers(),
+            self.workers.iter().map(Worker::state),
+        )
     }
 
     /// Live metrics for [`SessionSnapshot`] taps.
@@ -1961,31 +1865,71 @@ mod tests {
         Trace::constant(qps, SimDuration::from_secs(secs)).unwrap()
     }
 
+    /// The kernel's [`pick_worker`](kernel::pick_worker) for a query bound
+    /// for `tier`, scanned over workers filed as `slots` says (`None`:
+    /// failed), each paying the `affinity` penalty unless its holder set
+    /// holds the worker.
+    fn ruled(
+        slots: &[Option<(RoutePool, u64)>],
+        tier: usize,
+        affinity: Option<(&WorkerSet, f64)>,
+    ) -> Option<usize> {
+        let candidate = |(worker, slot): (usize, &Option<(RoutePool, u64)>)| {
+            let (pool, key) = (*slot)?;
+            let (target, ready) = match pool {
+                RoutePool::Primary(t) => (t, true),
+                RoutePool::PendingTo(t) => (t, false),
+            };
+            let miss = match affinity {
+                Some((holders, penalty)) if !holders.contains(worker) => penalty,
+                _ => 0.0,
+            };
+            Some(kernel::Candidate {
+                worker,
+                rung: kernel::Rung::of(tier, target, ready),
+                load: f64::from_bits(key),
+                miss,
+            })
+        };
+        kernel::pick_worker(slots.iter().enumerate().filter_map(candidate))
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
         /// The load index against a model that keeps each worker's
-        /// `(pool, key)` in a plain vector and answers every question by
-        /// linear scan. `scan_route` makes the same comparison on live
-        /// routing decisions, but only in debug builds; this one holds in
-        /// release builds too. Each drawn operation is an insert (a
-        /// recovery, a re-key, a tier switch, or — filed where it already
-        /// is — the early return), a removal (a fail-stop), or the
-        /// emptying of a whole tier, after which a query bound for it
-        /// ranks the merged fleet (the pools, which must then partition
-        /// the alive fleet under its keys). 150 workers span
-        /// three bitset words, the last one partial. The index also keeps
-        /// no empty bucket, and opens a new set only when it holds more
-        /// buckets than it ever has: every other one is a spare.
+        /// `(pool, key)` in a plain vector: every pick is the kernel's
+        /// routing rule scanned over the model, with and without an
+        /// add-on term, and every count a linear scan. `ruled_pick` makes
+        /// the same comparison on live routing decisions, but only in
+        /// debug builds; this one holds in release builds too. Each drawn
+        /// operation is an insert (a recovery, a re-key, a tier switch,
+        /// or — filed where it already is — the early return), a removal
+        /// (a fail-stop), or the emptying of a whole tier, after which a
+        /// query bound for it ranks the merged fleet (the pools, which
+        /// must then partition the alive fleet under its keys). Keys are
+        /// whole or halves, and the penalties 1.0, 2.0 and 0.5 put a
+        /// non-holder's score exactly on a holder's at a higher load. 150
+        /// workers span three bitset words, the last one partial. The
+        /// index also keeps no empty bucket, and opens a new set only when
+        /// it holds more buckets than it ever has: every other one is a
+        /// spare.
         #[test]
         fn load_index_matches_a_linear_scan(
             ops in proptest::collection::vec(
                 (0usize..8, 0usize..150, 0usize..6, 0usize..5, 0usize..3),
                 1..300,
             ),
+            holding in proptest::collection::vec(0usize..2, 150..151),
+            penalty in 0usize..4,
         ) {
             const WORKERS: usize = 150;
             const TIERS: usize = 3;
+            let penalty = [1.0, 2.0, 0.5, 0.3][penalty];
+            let mut holders = WorkerSet::new(WORKERS);
+            for i in (0..WORKERS).filter(|&i| holding[i] == 1) {
+                holders.insert(i);
+            }
             let mut index = LoadIndex::new(WORKERS, TIERS);
             let mut model: Vec<Option<(RoutePool, u64)>> = vec![None; WORKERS];
             let mut peak_buckets = 0;
@@ -2034,19 +1978,17 @@ mod tests {
                     members.sort_unstable();
                     members
                 };
-                let first = |members: &[(u64, usize)]| members.first().map(|&(_, i)| i);
                 let everyone = scan(&|_| true);
                 proptest::prop_assert_eq!(index.alive_len(), everyone.len());
-                proptest::prop_assert_eq!(index.min_alive(), first(&everyone));
                 let mut filed: Vec<(u64, usize)> = index.pools().flat_map(Pool::iter).collect();
                 filed.sort_unstable();
                 proptest::prop_assert_eq!(&filed, &everyone);
                 for t in 0..TIERS {
-                    let primaries = scan(&|p| p == RoutePool::Primary(t));
-                    let pending = scan(&|p| p == RoutePool::PendingTo(t));
-                    proptest::prop_assert_eq!(index.min_primary(t), first(&primaries));
-                    proptest::prop_assert_eq!(index.min_pending_to(t), first(&pending));
-                    proptest::prop_assert_eq!(index.tier_len(t), primaries.len() + pending.len());
+                    let affinity = Some((&holders, penalty));
+                    proptest::prop_assert_eq!(index.route(t, None), ruled(&model, t, None));
+                    proptest::prop_assert_eq!(index.route(t, affinity), ruled(&model, t, affinity));
+                    let members = scan(&|p| p == RoutePool::Primary(t) || p == RoutePool::PendingTo(t));
+                    proptest::prop_assert_eq!(index.tier_len(t), members.len());
                 }
                 proptest::prop_assert_eq!(&index.slot, &model);
 
@@ -2064,13 +2006,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// The two-candidate affinity pick against [`kernel::pick_min`]
-        /// over a sorted model of the same fleet: per tier, the candidate
-        /// ladder (primaries, else workers switching toward the tier, else
-        /// every alive worker) in `(key, index)` order, each scored by its
-        /// key plus the penalty unless it holds the module. Keys are
-        /// fractional and fall into tie classes (2 × 1.5 = 3 × 1.0); a
-        /// penalty of 0.5 or 1.0 puts non-holders exactly on holder keys
+        /// The two-candidate affinity pick against the kernel's
+        /// [`pick_worker`](kernel::pick_worker) scanned over a model of
+        /// the same fleet: per tier, the candidate ladder (primaries, else
+        /// workers switching toward the tier, else every alive worker),
+        /// each scored by its key plus the penalty unless it holds the
+        /// module. Keys are fractional and fall into tie classes
+        /// (2 × 1.5 = 3 × 1.0); a penalty of 0.5 or 1.0 puts non-holders
+        /// exactly on the keys of holders at a higher load
         /// (`k_holder == k_other + p`), as does 2.5, and 0.3 never does.
         /// Holder sets are drawn empty, full, or as a subset that includes
         /// failed workers. One drawn tier may have no primaries (the pick
@@ -2091,7 +2034,7 @@ mod tests {
             let penalty = [0.5, 1.0, 0.3, 2.5][penalty];
             let mut index = LoadIndex::new(workers, TIERS);
             let mut holders = WorkerSet::new(workers);
-            let mut model = Vec::new();
+            let mut model = vec![None; workers];
             for (i, &(pool, load, slowdown)) in filed.iter().enumerate() {
                 // Pools 6 and 7 are fail-stopped workers, filed nowhere,
                 // as are the missing primaries of tier `switching` and
@@ -2104,29 +2047,16 @@ mod tests {
                 };
                 let key = load_key((load + 1) as f64 * [1.0, 1.5, 2.0][slowdown]);
                 index.insert(i, pool, key);
-                model.push((key, i, pool));
+                model[i] = Some((pool, key));
             }
             for (i, &bit) in subset.iter().enumerate() {
                 if holding == 1 || (holding == 2 && bit == 1) {
                     holders.insert(i);
                 }
             }
-            model.sort_unstable_by_key(|&(key, i, _)| (key, i));
-            let score = |&(key, i, _): &(u64, usize, RoutePool)| {
-                let miss = if holders.contains(i) { 0.0 } else { penalty };
-                (i, f64::from_bits(key) + miss)
-            };
             for t in 0..TIERS {
-                let stage = |k: usize, p: RoutePool| match k {
-                    0 => p == RoutePool::Primary(t),
-                    1 => p == RoutePool::PendingTo(t),
-                    _ => true,
-                };
-                let scan = (0..3)
-                    .map(|k| model.iter().filter(|m| stage(k, m.2)).map(score).collect::<Vec<_>>())
-                    .find(|pool| !pool.is_empty())
-                    .and_then(|pool| kernel::pick_min(pool.into_iter()));
-                proptest::prop_assert_eq!(index.affinity_pick(t, &holders, penalty), scan);
+                let affinity = Some((&holders, penalty));
+                proptest::prop_assert_eq!(index.route(t, affinity), ruled(&model, t, affinity));
             }
         }
     }
@@ -2201,12 +2131,11 @@ mod tests {
         assert_eq!((records, events), (records_8x, events_8x));
     }
 
-    /// Debug builds cross-check every indexed pick against `scan_route`,
+    /// Debug builds cross-check every indexed pick against `ruled_pick`,
     /// and this is the session test that routes across more than one
     /// 64-worker bitset word: 136 workers (three words, the last partial)
     /// through fail-stops, a brownout that makes the routing keys
-    /// fractional, recovery, and add-on queries that rank whole pools in
-    /// `affinity_route`. The brownout covers the lowest 100 healthy
+    /// fractional, recovery, and add-on queries that rank whole pools. The brownout covers the lowest 100 healthy
     /// workers, so while it lasts the least keys sit in the upper words,
     /// and the recovered workers in the partial last one.
     #[test]

@@ -189,28 +189,6 @@ impl DeferralProfile {
         total / thresholds.len() as f64
     }
 
-    /// Largest threshold whose deferral fraction does not exceed
-    /// `max_fraction` — the inverse used when capacity bounds the heavy
-    /// side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_fraction` is outside `[0, 1]`.
-    pub fn threshold_for_fraction(&self, max_fraction: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&max_fraction),
-            "fraction must lie in [0, 1], got {max_fraction}"
-        );
-        let n = self.sorted.len();
-        let allowed = (max_fraction * n as f64).floor() as usize;
-        if allowed >= n {
-            return 1.0;
-        }
-        // Deferring `allowed` queries means the threshold sits at the
-        // `allowed`-th order statistic (everything strictly below defers).
-        self.sorted[allowed]
-    }
-
     /// Evenly spaced candidate thresholds (inclusive of 0 and 1) for the
     /// MILP's threshold discretization.
     pub fn threshold_grid(steps: usize) -> Vec<f64> {
@@ -440,29 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_inverse_respects_capacity() {
-        let p = profile((0..100).map(|i| i as f64 / 100.0).collect());
-        // Allow at most 30% deferral.
-        let t = p.threshold_for_fraction(0.30);
-        assert!(p.fraction_deferred(t) <= 0.30 + 1e-12);
-        // And the next-larger threshold would exceed it.
-        assert!(p.fraction_deferred(t + 0.011) > 0.30);
-    }
-
-    #[test]
-    fn full_capacity_allows_threshold_one() {
-        let p = profile(vec![0.1, 0.9]);
-        assert_eq!(p.threshold_for_fraction(1.0), 1.0);
-    }
-
-    #[test]
-    fn zero_capacity_blocks_all_deferral() {
-        let p = profile(vec![0.3, 0.6, 0.9]);
-        let t = p.threshold_for_fraction(0.0);
-        assert_eq!(p.fraction_deferred(t), 0.0);
-    }
-
-    #[test]
     fn grid_spans_unit_interval() {
         let g = DeferralProfile::threshold_grid(51);
         assert_eq!(g.len(), 51);
@@ -582,12 +537,6 @@ mod tests {
         let _ = OnlineDeferralEstimator::new(0, 0);
     }
 
-    #[test]
-    #[should_panic(expected = "fraction must lie in [0, 1]")]
-    fn threshold_for_a_fraction_above_one_panics() {
-        let _ = profile(vec![0.5]).threshold_for_fraction(1.5);
-    }
-
     /// Debug builds check every [`TWIN_EVERY`]-th refresh against a full
     /// sort of the window, also when the refresh had nothing to merge.
     #[test]
@@ -605,14 +554,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn inverse_is_consistent(samples in proptest::collection::vec(0.0f64..1.0, 10..200),
-                                 frac in 0.0f64..1.0) {
-            let p = DeferralProfile::from_confidences(samples).expect("non-empty");
-            let t = p.threshold_for_fraction(frac);
-            prop_assert!(p.fraction_deferred(t) <= frac + 1e-12);
-        }
 
         #[test]
         fn monotone_in_threshold(samples in proptest::collection::vec(0.0f64..1.0, 10..200)) {

@@ -63,7 +63,7 @@ pub use model::{DiffusionModel, GeneratedImage, LatencyProfile, QualityProfile};
 pub use predictive::{EmbeddingDraws, OnlinePredictiveRouter, OnlineRouterConfig};
 pub use prompt::{DatasetKind, Prompt, PromptDataset};
 pub use scorers::{ClipScorer, PickScorer};
-pub use stage::{resume_savings, reused_steps, StageLatencyBreakdown, StageState, DENOISE_FRAC};
+pub use stage::{resume_savings, reused_steps, StageState, DENOISE_FRAC};
 pub use zoo::{cascade1, cascade2, cascade3, fig1a_variants, sd_turbo, sd_v15, sdxs, CascadeSpec};
 
 /// Convenience re-exports.
@@ -78,6 +78,6 @@ pub mod prelude {
     pub use crate::model::{DiffusionModel, GeneratedImage, LatencyProfile, QualityProfile};
     pub use crate::prompt::{DatasetKind, Prompt, PromptDataset};
     pub use crate::scorers::{ClipScorer, PickScorer};
-    pub use crate::stage::{resume_savings, reused_steps, StageLatencyBreakdown, StageState};
+    pub use crate::stage::{resume_savings, reused_steps, StageState};
     pub use crate::zoo::{cascade1, cascade2, cascade3, fig1a_variants, CascadeSpec};
 }

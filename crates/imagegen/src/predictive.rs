@@ -194,15 +194,6 @@ impl OnlinePredictiveRouter {
         self.counts[boundary] += 1;
     }
 
-    /// Predicted probability that this prompt escalates through `boundary`,
-    /// or `None` while the boundary is still cold.
-    pub fn escalation_prob(&self, boundary: usize, prompt: &Prompt) -> Option<f64> {
-        if self.counts[boundary] < self.config.min_observations {
-            return None;
-        }
-        Some(sigmoid(self.logit(boundary, &self.embedding(prompt))))
-    }
-
     /// The tier this prompt should enter the ladder at: the deepest tier
     /// whose every preceding boundary predicts escalation with probability
     /// at or above the configured margin. Cold boundaries stop the walk, so
@@ -317,7 +308,7 @@ mod tests {
             let probs: Vec<f64> = held_out
                 .iter()
                 .filter(|p| filter(p))
-                .map(|p| router.escalation_prob(0, p).expect("warmed up"))
+                .map(|p| prob(&router, 0, p))
                 .collect();
             probs.iter().sum::<f64>() / probs.len() as f64
         };
@@ -341,9 +332,15 @@ mod tests {
             }
         }
         assert_eq!(
-            router.escalation_prob(0, &held_out[3]),
-            replay.escalation_prob(0, &held_out[3])
+            prob(&router, 0, &held_out[3]),
+            prob(&replay, 0, &held_out[3])
         );
+    }
+
+    /// The probability the router predicts that `prompt` escalates through
+    /// `boundary`: what its entry walk compares with the margin.
+    fn prob(router: &OnlinePredictiveRouter, boundary: usize, prompt: &Prompt) -> f64 {
+        sigmoid(router.logit(boundary, &router.embedding(prompt)))
     }
 
     /// A router with a short warm-up, for tests that train it.
@@ -357,21 +354,35 @@ mod tests {
         )
     }
 
+    /// Under a zero margin a warm boundary always passes the entry walk,
+    /// so the walk shows which boundaries are warm.
     #[test]
     fn each_boundary_counts_and_warms_up_on_its_own() {
         let dataset = dataset();
         let p = &dataset.prompts()[0];
-        let mut router = router(2);
+        let mut router = OnlinePredictiveRouter::new(
+            2,
+            OnlineRouterConfig {
+                min_observations: 8,
+                margin: 0.0,
+                ..Default::default()
+            },
+        );
         assert_eq!(router.boundaries(), 2);
         for _ in 0..7 {
             router.observe(1, p, true);
         }
         assert_eq!((router.observations(0), router.observations(1)), (0, 7));
-        assert_eq!(router.escalation_prob(1, p), None, "one short of warm");
         router.observe(1, p, true);
-        let prob = router.escalation_prob(1, p).expect("warm");
-        assert!(prob > 0.5 && prob < 1.0, "{prob}");
-        assert_eq!(router.escalation_prob(0, p), None);
+        let learned = prob(&router, 1, p);
+        assert!(learned > 0.5 && learned < 1.0, "{learned}");
+        assert_eq!(router.entry_tier(p), 0, "boundary 0 is still cold");
+        for _ in 0..7 {
+            router.observe(0, p, true);
+        }
+        assert_eq!(router.entry_tier(p), 0, "one short of warm");
+        router.observe(0, p, true);
+        assert_eq!(router.entry_tier(p), 2);
     }
 
     #[test]

@@ -179,21 +179,20 @@ impl PromptDataset {
     pub fn spec(&self) -> &FeatureSpec {
         &self.spec
     }
-
-    /// Mean prompt difficulty.
-    pub fn mean_difficulty(&self) -> f64 {
-        self.prompts.iter().map(|p| p.difficulty).sum::<f64>() / self.prompts.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn mean_difficulty(d: &PromptDataset) -> f64 {
+        d.prompts().iter().map(|p| p.difficulty).sum::<f64>() / d.len() as f64
+    }
+
     #[test]
     fn coco_difficulty_distribution() {
         let d = PromptDataset::synthesize(DatasetKind::MsCoco, 3000, 1, FeatureSpec::default());
-        let mean = d.mean_difficulty();
+        let mean = mean_difficulty(&d);
         assert!((mean - 1.0 / 3.0).abs() < 0.03, "mean difficulty {mean}");
         assert!(d
             .prompts()
@@ -206,7 +205,7 @@ mod tests {
         let coco = PromptDataset::synthesize(DatasetKind::MsCoco, 3000, 2, FeatureSpec::default());
         let ddb =
             PromptDataset::synthesize(DatasetKind::DiffusionDb, 3000, 2, FeatureSpec::default());
-        assert!(ddb.mean_difficulty() > coco.mean_difficulty() + 0.05);
+        assert!(mean_difficulty(&ddb) > mean_difficulty(&coco) + 0.05);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! * [`reused_steps`] / [`resume_savings`] — the latency discount a
 //!   resume-aware dispatch path subtracts from the heavy model's service
 //!   time, covering only the residual steps.
-//! * [`StageLatencyBreakdown`] — the fixed encode/denoise/decode split of a
-//!   model's end-to-end latency, exposed in session snapshots.
 //!
 //! # Invariants
 //!
@@ -31,19 +29,11 @@
 
 use crate::model::LatencyProfile;
 
-/// Fraction of a model's end-to-end latency spent in the prompt/latent
-/// encode stage. Encode is prompt-conditioned and tier-specific, so it is
-/// never reused across tiers.
-const ENCODE_FRAC: f64 = 0.05;
-
 /// Fraction of a model's end-to-end latency spent in the iterative denoise
 /// stage — the only stage whose steps can be resumed from another tier's
-/// latents.
+/// latents. The rest, prompt/latent encode and VAE decode, always runs on
+/// the serving tier.
 pub const DENOISE_FRAC: f64 = 0.85;
-
-/// Fraction of a model's end-to-end latency spent in the VAE decode stage.
-/// Decode consumes the final latent, so it always runs on the serving tier.
-const DECODE_FRAC: f64 = 0.10;
 
 /// Progress of a query through a model's denoise schedule, carried across
 /// an escalation so the next tier can resume instead of restarting.
@@ -105,43 +95,9 @@ pub fn resume_savings(profile: &LatencyProfile, reused: u32, total: u32) -> f64 
         / (total as f64)
 }
 
-/// Fixed encode/denoise/decode split of a latency value, for per-stage
-/// queue/latency breakdowns in session snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StageLatencyBreakdown {
-    /// Seconds attributed to the encode stage.
-    pub encode: f64,
-    /// Seconds attributed to the denoise stage.
-    pub denoise: f64,
-    /// Seconds attributed to the decode stage.
-    pub decode: f64,
-}
-
-impl StageLatencyBreakdown {
-    /// Splits `total_latency` seconds across the three stages by the fixed
-    /// stage fractions.
-    pub fn of_latency(total_latency: f64) -> StageLatencyBreakdown {
-        StageLatencyBreakdown {
-            encode: total_latency * ENCODE_FRAC,
-            denoise: total_latency * DENOISE_FRAC,
-            decode: total_latency * DECODE_FRAC,
-        }
-    }
-
-    /// Sum of the three stage components.
-    pub fn total(&self) -> f64 {
-        self.encode + self.denoise + self.decode
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fractions_sum_to_one() {
-        assert!((ENCODE_FRAC + DENOISE_FRAC + DECODE_FRAC - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn completed_state_has_full_progress() {
@@ -179,14 +135,5 @@ mod tests {
         // Savings never exceed the per-query denoise share.
         let max = resume_savings(&p, 49, 50);
         assert!(max < p.base_latency * (1.0 - p.batch_overhead) * DENOISE_FRAC);
-    }
-
-    #[test]
-    fn breakdown_splits_and_sums() {
-        let b = StageLatencyBreakdown::of_latency(2.0);
-        assert!((b.encode - 0.1).abs() < 1e-12);
-        assert!((b.denoise - 1.7).abs() < 1e-12);
-        assert!((b.decode - 0.2).abs() < 1e-12);
-        assert!((b.total() - 2.0).abs() < 1e-12);
     }
 }

@@ -25,6 +25,16 @@ impl QueryOutcome {
     pub fn is_violation(self) -> bool {
         !matches!(self, QueryOutcome::OnTime)
     }
+
+    /// How a query completed after `latency` fares against `slo`: late
+    /// only when over it.
+    pub fn of_completion(latency: SimDuration, slo: SimDuration) -> QueryOutcome {
+        if latency <= slo {
+            QueryOutcome::OnTime
+        } else {
+            QueryOutcome::Late
+        }
+    }
 }
 
 /// Counts per-query outcomes and reports violation statistics. Its size
@@ -78,13 +88,12 @@ impl SloTracker {
         let latency = finish.saturating_since(arrival);
         self.latency_sum += latency.as_secs_f64();
         self.latency_count += 1;
-        if latency <= self.slo {
-            self.on_time += 1;
-            QueryOutcome::OnTime
-        } else {
-            self.late += 1;
-            QueryOutcome::Late
+        let outcome = QueryOutcome::of_completion(latency, self.slo);
+        match outcome {
+            QueryOutcome::OnTime => self.on_time += 1,
+            _ => self.late += 1,
         }
+        outcome
     }
 
     /// Records a preemptive drop.

@@ -17,21 +17,21 @@ pub const INT_TOL: f64 = 1e-6;
 /// round-off then branch on the same variable.
 const TIE_TOL: f64 = 1e-9;
 
+/// Absolute optimality gap at which a node is pruned against the
+/// incumbent.
+const GAP: f64 = 1e-9;
+
 /// Options controlling the branch & bound search.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MilpOptions {
     /// Maximum number of B&B nodes to expand before giving up.
     pub node_limit: usize,
-    /// Absolute optimality gap at which a node is pruned against the
-    /// incumbent.
-    pub gap: f64,
 }
 
 impl Default for MilpOptions {
     fn default() -> Self {
         MilpOptions {
             node_limit: 100_000,
-            gap: 1e-9,
         }
     }
 }
@@ -365,14 +365,13 @@ impl Search<'_> {
     }
 
     fn run(&mut self, mut incumbent: Option<MilpSolution>) -> Result<MilpSolution, SolveError> {
-        let gap = self.options.gap;
         let (lower, upper) = (self.problem.lower_bounds(), self.problem.upper_bounds());
         let root = self.lp.solve(&lower, &upper)?;
         let score = self.norm(root.objective);
         if let Some(best) = &incumbent {
             // Fast path: the root bound already proves the seeded incumbent
             // optimal (within the gap) — no branching needed.
-            if score <= self.norm(best.objective) + gap {
+            if score <= self.norm(best.objective) + GAP {
                 let mut s = incumbent.take().expect("just matched Some");
                 s.nodes = 1;
                 s.proved_optimal = true;
@@ -404,7 +403,7 @@ impl Search<'_> {
 
             // Prune against the incumbent.
             if let Some(best) = &incumbent {
-                if node.score <= self.norm(best.objective) + gap {
+                if node.score <= self.norm(best.objective) + GAP {
                     continue;
                 }
             }
@@ -436,7 +435,7 @@ impl Search<'_> {
                     }
                     let better = incumbent
                         .as_ref()
-                        .is_none_or(|b| self.norm(point.objective) > self.norm(b.objective) + gap);
+                        .is_none_or(|b| self.norm(point.objective) > self.norm(b.objective) + GAP);
                     if better {
                         incumbent = Some(point);
                     }
@@ -446,7 +445,7 @@ impl Search<'_> {
                     let (lower, upper) = (node.lower[j], node.upper[j]);
                     let cutoff = incumbent
                         .as_ref()
-                        .map(|best| self.norm(best.objective) + gap);
+                        .map(|best| self.norm(best.objective) + GAP);
                     let dive = match self.goal {
                         Goal::Optimal => 0,
                         Goal::Feasible => node.dive + 1,
@@ -621,10 +620,7 @@ mod tests {
             .map(|(i, &v)| (v, 1.0 + (i as f64) * 0.618 % 3.0))
             .collect();
         p.set_objective(&obj);
-        let opts = MilpOptions {
-            node_limit: 3,
-            ..Default::default()
-        };
+        let opts = MilpOptions { node_limit: 3 };
         match solve_milp(&p, &opts) {
             Ok(s) => assert!(!s.proved_optimal || s.nodes <= 3),
             Err(SolveError::IterationLimit) => {}

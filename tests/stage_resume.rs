@@ -277,10 +277,10 @@ fn resumed_service_time_is_nameplate_minus_savings() {
     assert!((gpu[1] - (nameplate - savings)).abs() < 1e-12);
 }
 
-/// Each tier's encode/denoise/decode split sums to its single-query
-/// latency, and session snapshots count resumed completions live.
+/// Session snapshots count resumed completions live, and the final
+/// report agrees with the last snapshot.
 #[test]
-fn stage_breakdown_sums_to_latency_and_snapshot_counts_resumes() {
+fn snapshots_count_resumed_completions_live() {
     let mut sys = system();
     sys.resume_from_latents = true;
     let mut session = ServingSession::builder()
@@ -293,21 +293,6 @@ fn stage_breakdown_sums_to_latency_and_snapshot_counts_resumes() {
     session.replay_trace(&trace);
     session.run_until(SimTime::from_secs(60) + sys.slo * 4);
     let snap = session.snapshot();
-
-    for (name, model) in [("light", runtime().model(0)), ("heavy", runtime().model(1))] {
-        let exec1 = model.latency().exec_latency(1).as_secs_f64();
-        let stage = StageLatencyBreakdown::of_latency(exec1);
-        assert!(
-            (stage.total() - exec1).abs() < 1e-12,
-            "{name}: stage breakdown must sum to the single-query latency"
-        );
-        assert!(stage.encode > 0.0 && stage.denoise > 0.0 && stage.decode > 0.0);
-        assert!(
-            stage.denoise > stage.encode + stage.decode,
-            "{name}: denoising dominates a diffusion pipeline"
-        );
-    }
-
     assert!(
         snap.resumed_completions > 0,
         "escalations under resume must show up in the live counter"
