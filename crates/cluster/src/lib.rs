@@ -1,11 +1,11 @@
 //! # diffserve-cluster
 //!
-//! Thread-and-channel testbed runtime for the DiffServe reproduction.
+//! Thread-based testbed runtime for the DiffServe reproduction.
 //!
 //! The paper's evaluation runs on two implementations: a discrete-event
 //! simulator (in `diffserve-core`) and a 16×A100 cluster testbed with gRPC
-//! communication. This crate stands in for the latter: real threads, real
-//! (`std::sync::mpsc`) channels, real wall-clock time — with model execution
+//! communication. This crate stands in for the latter: real threads, a job
+//! queue per worker, real wall-clock time — with model execution
 //! replaced by sleeping the profiled latency scaled by a time scale (the
 //! wall-clock seconds per simulated second). Comparing its measurements
 //! against the simulator reproduces the paper's validation experiment

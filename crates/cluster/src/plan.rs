@@ -61,12 +61,6 @@ impl ServingPlan {
         self.batches.len()
     }
 
-    /// Batch size for a ladder tier (clamped to the last tier's slot for
-    /// out-of-range indices, which only arise mid-reconfiguration).
-    pub fn batch_for(&self, tier: usize) -> usize {
-        self.batches[tier.min(self.batches.len() - 1)]
-    }
-
     /// Re-derives two-tier assignments from target counts over the workers
     /// whose `excluded` flag is unset — used under scenario-driven worker
     /// churn so a failed worker's slot neither satisfies nor distorts the
@@ -174,7 +168,7 @@ mod tests {
     fn bootstrap_splits_fleet() {
         let p = ServingPlan::bootstrap(8);
         assert_eq!(p.tiers, [0, 0, 0, 0, 1, 1, 1, 1]);
-        assert_eq!(p.batch_for(0), 1);
+        assert_eq!(p.batches[0], 1);
         assert_eq!(p.num_tiers(), 2);
     }
 
@@ -186,12 +180,6 @@ mod tests {
         assert_eq!(p.tiers, [0, 0, 0, 1, 1, 2]);
         assert_eq!(p.thresholds, [0.3, 0.6]);
         assert!(!p.bypass_suspended);
-    }
-
-    #[test]
-    fn batch_for_clamps_past_the_last_tier() {
-        let p = ServingPlan::new(4, &three_tier(vec![2, 1, 1]));
-        assert_eq!((p.batch_for(2), p.batch_for(5)), (8, 8));
     }
 
     #[test]

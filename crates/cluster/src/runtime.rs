@@ -2,23 +2,24 @@
 //!
 //! The paper validates its simulator against a 16×A100 cluster where the
 //! controller, load balancer, and workers are separate processes talking
-//! over gRPC (§4.1). This module reproduces that architecture at
-//! thread-and-channel scale: worker threads batch and "execute" queries by
-//! sleeping the profiled latency (scaled by the session's time scale, the
-//! wall-clock seconds per simulated second),
-//! escalations travel over channels, and one clock thread fires what the
-//! simulator's event queue schedules: the scenario's incidents, the hazard
-//! checks and the control ticks that re-solve the allocation, each at its
-//! absolute instant. The Fig. 6 experiment compares its measurements
-//! with the simulator's — the paper reports a 0.56% FID / 1.1%
-//! SLO-violation gap between the two.
+//! over gRPC (§4.1). This module reproduces that architecture at thread
+//! scale: worker threads take batches from their own job queues and
+//! "execute" them by sleeping the profiled latency (scaled by the
+//! session's time scale, the wall-clock seconds per simulated second),
+//! escalations are pushed onto a deeper worker's queue, outcomes are
+//! recorded straight into the session's ledger, and one clock thread
+//! fires what the simulator's event queue schedules: the scenario's
+//! incidents, the hazard checks and the control ticks that re-solve the
+//! allocation, each at its absolute instant. The Fig. 6 experiment
+//! compares its measurements with the simulator's — the paper reports a
+//! 0.56% FID / 1.1% SLO-violation gap between the two.
 //!
-//! Threads, sleeps and channels are all this engine owns: what a batch
-//! costs, where a job routes, whether an output escalates, which workers
-//! change tier and what the controller is told are calls into
-//! `diffserve_core::kernel`, the same functions the simulator calls; the
-//! bootstrap plan, the drain period and the report's horizon cut are the
-//! core's too.
+//! Threads, sleeps, queues and locks are all this engine owns: what a
+//! batch costs, where a job routes, whether an output escalates, which
+//! workers change tier, what the controller is told and how an outcome is
+//! accounted are calls into `diffserve_core::kernel`, the same functions
+//! the simulator calls; the bootstrap plan, the drain period and the
+//! report's horizon cut are the core's too.
 //!
 //! The testbed is the second engine behind the unified session API:
 //! [`ClusterBackend`] implements [`ServingBackend`], and
@@ -27,9 +28,9 @@
 //! The batch entry points [`run_cluster`] / [`run_cluster_scenario`] are
 //! thin wrappers over such a session.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -42,8 +43,8 @@ use diffserve_core::serve::{
     SessionBuilder, SessionSnapshot, SessionSpec,
 };
 use diffserve_core::{
-    AddonStats, CascadeRuntime, CompletedResponse, ConfigError, ControlDirective, ControlLoop,
-    ControlObservation, ModuleCache, QueryId, RunReport, RunSettings, SystemConfig,
+    AddonStats, CascadeRuntime, ConfigError, ControlDirective, ControlLoop, ControlObservation,
+    ModuleCache, QueryId, RunReport, RunSettings, SystemConfig,
 };
 use diffserve_imagegen::{OnlinePredictiveRouter, Prompt, StageState};
 use diffserve_metrics::WindowedSeries;
@@ -87,12 +88,102 @@ impl Job {
     }
 }
 
-/// [`Shared::hosting`] of a worker with no model loaded.
+/// One worker's jobs, first in, first out. Its length is read here and
+/// nowhere else kept, so routing, the fleet tally and the exit rule all
+/// see the jobs actually waiting.
+#[derive(Default)]
+struct JobQueue {
+    jobs: Mutex<VecDeque<Job>>,
+    /// Signalled on every push; only the queue's own worker waits on it.
+    pushed: Condvar,
+}
+
+impl JobQueue {
+    fn push(&self, job: Job) {
+        self.jobs.lock().unwrap().push_back(job);
+        self.pushed.notify_one();
+    }
+
+    /// Waits up to `timeout` for a first job, then moves it and whatever
+    /// else is queued, up to `max` jobs in all, into `batch`
+    /// (Clipper-style no-wait batching). `batch` is left empty if no job
+    /// came.
+    fn pop_batch(&self, max: usize, timeout: Duration, batch: &mut Vec<Job>) {
+        let jobs = self.jobs.lock().unwrap();
+        let (mut jobs, _) = self
+            .pushed
+            .wait_timeout_while(jobs, timeout, |jobs| jobs.is_empty())
+            .unwrap();
+        let n = jobs.len().min(max);
+        batch.clear();
+        batch.extend(jobs.drain(..n));
+    }
+
+    /// Takes every queued job, oldest first.
+    fn drain(&self) -> Vec<Job> {
+        self.jobs.lock().unwrap().drain(..).collect()
+    }
+
+    fn len(&self) -> usize {
+        self.jobs.lock().unwrap().len()
+    }
+}
+
+/// [`Worker::hosting`] of a worker with no model loaded.
 const LOADING: usize = usize::MAX;
+
+/// What the fleet shares of one worker: its job queue and the state that
+/// routing, the fleet tally and the scenario's events read and write.
+#[derive(Default)]
+struct Worker {
+    queue: JobQueue,
+    /// Scenario fail-stop flag.
+    failed: AtomicBool,
+    /// Executing a batch or loading a model — feeds the per-tier
+    /// utilization in [`SessionSnapshot`].
+    busy: AtomicBool,
+    /// Members of the batch in execution (0 between batches) — the
+    /// in-service half of the kernel's routing load.
+    in_service: AtomicUsize,
+    /// The tier whose model is loaded, or [`LOADING`] from the moment the
+    /// worker sees its own fail-stop until it has reloaded. A worker whose
+    /// plan tier differs is switching toward it.
+    hosting: AtomicUsize,
+    /// Health speed factor (f64 bits; 1.0 = nameplate). The worker reads it
+    /// at every batch and sleep-scales execution by its reciprocal, so a
+    /// degraded worker serves proportionally slower.
+    speed_bits: AtomicU64,
+    /// Bounded LRU add-on module cache; `None` with add-ons off.
+    cache: Option<Mutex<ModuleCache>>,
+}
+
+impl Worker {
+    fn is_failed(&self) -> bool {
+        self.failed.load(Ordering::Relaxed)
+    }
+
+    /// The current health speed factor (1.0 = nameplate).
+    fn speed_factor(&self) -> f64 {
+        f64::from_bits(self.speed_bits.load(Ordering::Relaxed))
+    }
+
+    /// Service-time multiplier the worker currently pays.
+    fn slowdown(&self) -> f64 {
+        1.0 / self.speed_factor()
+    }
+
+    /// The queries queued here plus those in service.
+    fn load(&self) -> usize {
+        self.queue.len() + self.in_service.load(Ordering::Relaxed)
+    }
+}
 
 struct Shared {
     plan: RwLock<ServingPlan>,
-    depths: Vec<AtomicUsize>,
+    workers: Vec<Worker>,
+    /// The session's outcome accounting. Workers record into it with no
+    /// other lock held; the backend drains and reports from it.
+    ledger: Mutex<Ledger>,
     /// Arrivals, violations and confidences since the last control tick —
     /// recorded by the submitter and the workers, drained by the clock
     /// thread into the shared [`ControlLoop`].
@@ -100,22 +191,6 @@ struct Shared {
     shutdown: AtomicBool,
     start: Instant,
     scale: f64,
-    /// Scenario fail-stop flags, one per worker.
-    failed: Vec<AtomicBool>,
-    /// Busy flags (executing a batch or loading a model), one per worker —
-    /// feeds the per-tier utilization in [`SessionSnapshot`].
-    busy: Vec<AtomicBool>,
-    /// Members of the batch each worker is executing (0 between batches)
-    /// — the in-service half of the kernel's routing load.
-    in_service: Vec<AtomicUsize>,
-    /// The tier whose model each worker has loaded, or [`LOADING`] from
-    /// the moment the worker sees its own fail-stop until it has reloaded.
-    /// A worker whose plan tier differs is switching toward it.
-    hosting: Vec<AtomicUsize>,
-    /// Per-worker health speed factor (f64 bits; 1.0 = nameplate). Workers
-    /// read their own factor at every batch and sleep-scale execution by
-    /// its reciprocal, so a degraded worker serves proportionally slower.
-    speed_bits: Vec<AtomicU64>,
     /// Controller threshold decisions over time — the series the final
     /// report's `threshold_series` is assembled from.
     threshold_track: Mutex<WindowedSeries>,
@@ -125,8 +200,6 @@ struct Shared {
     /// Active prompt-difficulty offset (f64 bits), set by a fired incident
     /// and read by workers at generation time.
     difficulty_bits: AtomicU64,
-    /// Per-worker bounded LRU module caches (empty with add-ons off).
-    module_caches: Vec<Mutex<ModuleCache>>,
     /// Per-tier add-on cache accounting (hits, misses, swap seconds).
     addon_stats: Mutex<AddonStats>,
     /// Escalations observed at each boundary (`tier k → k + 1`) over the
@@ -140,6 +213,47 @@ struct Shared {
 }
 
 impl Shared {
+    /// The state a fleet of `sys.num_workers` shares under its first
+    /// `plan`: every worker hosts its plan tier's model and has nothing
+    /// queued. No thread is started.
+    fn new(
+        runtime: &CascadeRuntime,
+        sys: &SystemConfig,
+        kernel: &Kernel<'_>,
+        plan: ServingPlan,
+        scale: f64,
+    ) -> Self {
+        let router = kernel.new_router();
+        let workers = plan
+            .tiers
+            .iter()
+            .map(|&tier| Worker {
+                hosting: AtomicUsize::new(tier),
+                speed_bits: AtomicU64::new(1.0f64.to_bits()),
+                cache: sys
+                    .addons
+                    .as_ref()
+                    .map(|a| Mutex::new(ModuleCache::new(a.cache_mem_mb))),
+                ..Worker::default()
+            })
+            .collect();
+        Shared {
+            plan: RwLock::new(plan),
+            workers,
+            ledger: Mutex::new(Ledger::new(sys, &runtime.reference)),
+            telemetry: Mutex::new(TickTelemetry::new(kernel.num_tiers(), router.is_some())),
+            shutdown: AtomicBool::new(false),
+            start: Instant::now(),
+            scale,
+            threshold_track: Mutex::new(WindowedSeries::new(METRICS_WINDOW)),
+            incident_log: Mutex::new(Vec::new()),
+            difficulty_bits: AtomicU64::new(0.0f64.to_bits()),
+            addon_stats: Mutex::new(AddonStats::default()),
+            tier_escalations: (1..kernel.num_tiers()).map(|_| AtomicU64::new(0)).collect(),
+            router: router.map(Mutex::new),
+        }
+    }
+
     fn sim_now(&self) -> f64 {
         self.start.elapsed().as_secs_f64() / self.scale
     }
@@ -173,38 +287,20 @@ impl Shared {
         }
     }
 
-    fn is_failed(&self, i: usize) -> bool {
-        self.failed[i].load(Ordering::Relaxed)
-    }
-
     fn difficulty_delta(&self) -> f64 {
         f64::from_bits(self.difficulty_bits.load(Ordering::Relaxed))
     }
 
-    /// The worker's current health speed factor (1.0 = nameplate).
-    fn speed_factor(&self, i: usize) -> f64 {
-        f64::from_bits(self.speed_bits[i].load(Ordering::Relaxed))
-    }
-
-    /// Service-time multiplier the worker currently pays.
-    fn slowdown(&self, i: usize) -> f64 {
-        1.0 / self.speed_factor(i)
-    }
-
-    fn is_degraded(&self, i: usize) -> bool {
-        self.speed_factor(i) < 1.0
-    }
-
     /// One consistent reading of the fail-stop flags.
     fn failed_mask(&self) -> Vec<bool> {
-        self.failed
+        self.workers
             .iter()
-            .map(|f| f.load(Ordering::SeqCst))
+            .map(|w| w.failed.load(Ordering::SeqCst))
             .collect()
     }
 
     /// What the fleet tally reads of each worker under `plan`, from live
-    /// channel depths, busy flags and speed factors; `failed` is the mask
+    /// queue lengths, busy flags and speed factors; `failed` is the mask
     /// the caller also hands to the retarget, so the two never disagree
     /// mid-churn.
     fn states<'s>(
@@ -212,19 +308,24 @@ impl Shared {
         plan: &'s ServingPlan,
         failed: &'s [bool],
     ) -> impl Iterator<Item = Option<WorkerState>> + 's {
-        plan.tiers.iter().enumerate().map(move |(i, &tier)| {
-            (!failed[i]).then(|| WorkerState {
-                tier,
-                queued: self.depths[i].load(Ordering::Relaxed),
-                busy: self.busy[i].load(Ordering::Relaxed),
-                speed_factor: self.speed_factor(i),
+        plan.tiers
+            .iter()
+            .zip(&self.workers)
+            .zip(failed)
+            .map(|((&tier, w), &failed)| {
+                (!failed).then(|| WorkerState {
+                    tier,
+                    queued: w.queue.len(),
+                    busy: w.busy.load(Ordering::Relaxed),
+                    speed_factor: w.speed_factor(),
+                })
             })
-        })
     }
 
-    /// The fleet tally under `plan` of [`states`](Self::states).
-    fn tally(&self, plan: &ServingPlan, failed: &[bool]) -> FleetTally {
-        FleetTally::of(plan.num_tiers(), self.states(plan, failed))
+    /// The fleet tally under `plan` of [`states`](Self::states), read
+    /// with the fail-stop flags as they stand.
+    fn tally(&self, plan: &ServingPlan) -> FleetTally {
+        FleetTally::of(plan.num_tiers(), self.states(plan, &self.failed_mask()))
     }
 
     /// Applies one lowered scenario event against live state and records it
@@ -242,23 +343,27 @@ impl Shared {
         let mut log = self.incident_log.lock().unwrap();
         let applied = match action {
             ScenarioEvent::Capacity(capacity) => {
-                let states: Vec<(bool, bool)> = (0..self.failed.len())
-                    .map(|i| (self.is_failed(i), self.is_degraded(i)))
+                let states: Vec<(bool, bool)> = self
+                    .workers
+                    .iter()
+                    .map(|w| (w.is_failed(), w.speed_factor() < 1.0))
                     .collect();
                 let touched = kernel::capacity_targets(capacity, &states);
                 for &i in &touched {
+                    let w = &self.workers[i];
                     match capacity {
                         CapacityEvent::Fail(_) => {
-                            self.failed[i].store(true, Ordering::SeqCst);
+                            w.failed.store(true, Ordering::SeqCst);
                             // A dead worker's degradation dies with it; it
                             // rejoins at nameplate speed.
-                            self.speed_bits[i].store(1.0f64.to_bits(), Ordering::SeqCst);
+                            w.speed_bits.store(1.0f64.to_bits(), Ordering::SeqCst);
                         }
-                        CapacityEvent::Recover(_) => self.failed[i].store(false, Ordering::SeqCst),
-                        CapacityEvent::Degrade(_, slowdown) => self.speed_bits[i]
+                        CapacityEvent::Recover(_) => w.failed.store(false, Ordering::SeqCst),
+                        CapacityEvent::Degrade(_, slowdown) => w
+                            .speed_bits
                             .store((1.0 / slowdown.max(1.0)).to_bits(), Ordering::SeqCst),
                         CapacityEvent::Restore(_) => {
-                            self.speed_bits[i].store(1.0f64.to_bits(), Ordering::SeqCst)
+                            w.speed_bits.store(1.0f64.to_bits(), Ordering::SeqCst)
                         }
                     }
                 }
@@ -285,92 +390,74 @@ impl Shared {
     fn has_alive_deeper(&self, plan: &ServingPlan, tier: usize) -> bool {
         plan.tiers
             .iter()
-            .enumerate()
-            .any(|(i, &t)| t > tier && !self.is_failed(i))
+            .zip(&self.workers)
+            .any(|(&t, w)| t > tier && !w.is_failed())
     }
 
-    /// Whether worker `i` may exit: the session is shutting down and
-    /// nothing is queued to it. Every send raises the target's depth
-    /// before it hands the job over, so a send that has begun keeps the
-    /// worker serving until its job arrives.
+    /// Whether worker `i` may exit: the session is shutting down and its
+    /// queue, read under the queue's lock, is empty. A job pushed before
+    /// this check is therefore served; one pushed after the worker has
+    /// exited waits in the queue for [`ServingBackend::finish`], which
+    /// drops it.
     fn may_exit(&self, i: usize) -> bool {
-        self.shutdown.load(Ordering::SeqCst) && self.depths[i].load(Ordering::SeqCst) == 0
-    }
-
-    /// The queries queued on worker `i` plus those in service.
-    fn load(&self, i: usize) -> usize {
-        self.depths[i].load(Ordering::Relaxed) + self.in_service[i].load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::SeqCst) && self.workers[i].queue.len() == 0
     }
 
     /// Health-weighted JSQ by the kernel's
     /// [`pick_worker`](kernel::pick_worker), in one pass over the alive
     /// workers (scenario validation guarantees one): each stands on the
     /// candidate ladder by its plan tier and the model it hosts, and is
-    /// ranked by its channel depth plus the members of the batch in
+    /// ranked by its queue length plus the members of the batch in
     /// service, weighted by its slowdown, plus the add-on miss penalty
     /// where its cache lacks the job's module.
     fn route(&self, kernel: &Kernel<'_>, tier: usize, addon: Option<usize>) -> usize {
         let penalty = kernel.miss_penalty(tier, addon);
         let plan = self.plan.read().unwrap();
-        let alive = (0..self.depths.len()).filter(|&i| !self.is_failed(i));
-        kernel::pick_worker(alive.map(|i| Candidate {
+        let alive = self
+            .workers
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| !w.is_failed());
+        kernel::pick_worker(alive.map(|(i, w)| Candidate {
             worker: i,
             rung: Rung::of(
                 tier,
                 plan.tiers[i],
-                self.hosting[i].load(Ordering::Relaxed) == plan.tiers[i],
+                w.hosting.load(Ordering::Relaxed) == plan.tiers[i],
             ),
             load: kernel.routing_load(
-                self.depths[i].load(Ordering::Relaxed),
-                self.in_service[i].load(Ordering::Relaxed),
-                self.slowdown(i),
+                w.queue.len(),
+                w.in_service.load(Ordering::Relaxed),
+                w.slowdown(),
             ),
-            miss: match penalty {
-                Some((id, p)) if !self.module_caches[i].lock().unwrap().contains(id) => p,
+            miss: match (penalty, &w.cache) {
+                (Some((id, p)), Some(cache)) if !cache.lock().unwrap().contains(id) => p,
                 _ => 0.0,
             },
         }))
         .expect("at least one worker must be alive")
     }
 
-    /// Routes `job` to a worker of `tier` and hands it over. The send
-    /// fails only once the target's thread has exited; the job is then
-    /// lost, its depth count is taken back, and the session's finish
-    /// accounts it as a drop.
-    fn forward(&self, kernel: &Kernel<'_>, txs: &[Sender<Job>], tier: usize, mut job: Job) {
+    /// Routes `job` to a worker of `tier` and queues it there.
+    fn forward(&self, kernel: &Kernel<'_>, tier: usize, mut job: Job) {
         job.tier = tier;
         let target = self.route(kernel, tier, job.addon);
-        self.depths[target].fetch_add(1, Ordering::Relaxed);
-        if txs[target].send(job).is_err() {
-            self.depths[target].fetch_sub(1, Ordering::Relaxed);
-        }
+        self.workers[target].queue.push(job);
     }
 
     /// Hands every job queued on worker `wid` back to the tier it was
     /// routed to, as the simulator re-routes a moved or failed worker's
     /// queue. The queue is drained before any job is forwarded, so a job
     /// routed straight back here waits for the worker.
-    fn hand_back(&self, wid: usize, rx: &Receiver<Job>, kernel: &Kernel<'_>, txs: &[Sender<Job>]) {
-        let held: Vec<Job> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
-        self.depths[wid].fetch_sub(held.len(), Ordering::Relaxed);
-        for job in held {
-            self.forward(kernel, txs, job.tier, job);
+    fn hand_back(&self, wid: usize, kernel: &Kernel<'_>) {
+        for job in self.workers[wid].queue.drain() {
+            self.forward(kernel, job.tier, job);
         }
     }
 }
 
-enum Outcome {
-    Completed(CompletedResponse),
-    Dropped {
-        qid: u64,
-        arrival: SimTime,
-        at: SimTime,
-    },
-}
-
 /// The thread-based testbed behind the unified session API: real threads,
-/// real (`std::sync::mpsc`) channels, wall-clock time scaled by
-/// `time_scale`.
+/// per-worker job queues, wall-clock time scaled by `time_scale`.
 ///
 /// The workers and one clock thread are launched at construction and serve
 /// continuously; [`ServingBackend::submit`] routes one query into
@@ -379,8 +466,6 @@ enum Outcome {
 /// [`RunReport`]. Build one through [`ClusterSessionExt::build_cluster`].
 pub struct ClusterBackend<'a> {
     shared: Arc<Shared>,
-    job_txs: Arc<Vec<Sender<Job>>>,
-    done_rx: Receiver<Outcome>,
     worker_handles: Vec<thread::JoinHandle<()>>,
     clock: Option<thread::JoinHandle<()>>,
     /// The shared control plane, driven by the clock thread and read for
@@ -392,9 +477,6 @@ pub struct ClusterBackend<'a> {
     kernel: Kernel<'a>,
     settings: RunSettings,
     sys: SystemConfig,
-    /// Outcome accounting: SLO tracker, streamed report totals, rolling
-    /// FID, outcomes awaiting a poll.
-    ledger: Ledger,
     route_rng: rand::rngs::StdRng,
     demand_track: WindowedSeries,
     submitted: u64,
@@ -426,9 +508,7 @@ impl<'a> ClusterBackend<'a> {
         let sys = spec.config.clone();
         let settings = spec.settings.clone();
         let runtime = spec.runtime;
-        let n = sys.num_workers;
         let kernel = Kernel::new(runtime, &sys, &settings);
-        let nt = kernel.num_tiers();
 
         // Bootstrap through the shared control plane, as the simulator does:
         // a fresh fleet is placed positionally and pays no switch delay.
@@ -438,55 +518,21 @@ impl<'a> ClusterBackend<'a> {
         else {
             unreachable!("the control loop plans a bootstrap for every policy")
         };
-        let plan = ServingPlan::new(n, &bootstrap);
+        let plan = ServingPlan::new(sys.num_workers, &bootstrap);
         let control = Arc::new(Mutex::new(control));
-
-        let router = kernel.new_router();
-        let hosting = plan.tiers.iter().map(|&t| AtomicUsize::new(t)).collect();
-        let shared = Arc::new(Shared {
-            plan: RwLock::new(plan),
-            depths: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            telemetry: Mutex::new(TickTelemetry::new(nt, router.is_some())),
-            shutdown: AtomicBool::new(false),
-            start: Instant::now(),
-            scale: time_scale,
-            failed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            busy: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            in_service: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            hosting,
-            speed_bits: (0..n).map(|_| AtomicU64::new(1.0f64.to_bits())).collect(),
-            threshold_track: Mutex::new(WindowedSeries::new(METRICS_WINDOW)),
-            incident_log: Mutex::new(Vec::new()),
-            difficulty_bits: AtomicU64::new(0.0f64.to_bits()),
-            module_caches: match &sys.addons {
-                Some(a) => (0..n)
-                    .map(|_| Mutex::new(ModuleCache::new(a.cache_mem_mb)))
-                    .collect(),
-                None => Vec::new(),
-            },
-            addon_stats: Mutex::new(AddonStats::default()),
-            tier_escalations: (0..nt - 1).map(|_| AtomicU64::new(0)).collect(),
-            router: router.map(Mutex::new),
-        });
-
-        let (job_txs, job_rxs): (Vec<Sender<Job>>, Vec<Receiver<Job>>) =
-            (0..n).map(|_| channel()).unzip();
-        let job_txs = Arc::new(job_txs);
-        let (done_tx, done_rx) = channel::<Outcome>();
+        let shared = Arc::new(Shared::new(runtime, &sys, &kernel, plan, time_scale));
 
         // --- Worker threads -----------------------------------------------
-        let mut worker_handles = Vec::new();
-        for (wid, rx) in job_rxs.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let txs = Arc::clone(&job_txs);
-            let done = done_tx.clone();
-            let (rt, sys, settings) = (runtime.clone(), sys.clone(), settings.clone());
-            worker_handles.push(thread::spawn(move || {
-                let kernel = Kernel::new(&rt, &sys, &settings);
-                worker_loop(wid, &shared, &rx, &txs, &done, &kernel);
-            }));
-        }
-        drop(done_tx);
+        let worker_handles = (0..sys.num_workers)
+            .map(|wid| {
+                let shared = Arc::clone(&shared);
+                let (rt, sys, settings) = (runtime.clone(), sys.clone(), settings.clone());
+                thread::spawn(move || {
+                    let kernel = Kernel::new(&rt, &sys, &settings);
+                    worker_loop(wid, &shared, &kernel);
+                })
+            })
+            .collect();
 
         // --- Clock thread (incidents, hazard checks, control ticks) --------
         let clock = {
@@ -508,13 +554,10 @@ impl<'a> ClusterBackend<'a> {
 
         Ok(ClusterBackend {
             shared,
-            job_txs,
-            done_rx,
             worker_handles,
             clock: Some(clock),
             route_rng: seeded_rng(derive_seed(sys.seed, 0x20C7)),
             demand_track: WindowedSeries::new(METRICS_WINDOW),
-            ledger: Ledger::new(&sys, &runtime.reference),
             control,
             kernel,
             settings,
@@ -523,23 +566,19 @@ impl<'a> ClusterBackend<'a> {
         })
     }
 
-    /// Drains completed/dropped outcomes from the worker fleet into the
-    /// ledger.
-    fn ingest(&mut self) {
-        while let Ok(outcome) = self.done_rx.try_recv() {
-            match outcome {
-                Outcome::Completed(r) => {
-                    self.ledger.complete(r);
-                }
-                Outcome::Dropped { qid, arrival, at } => {
-                    self.ledger.drop_query(QueryId(qid), arrival, at)
-                }
-            }
-        }
+    /// Makes room in the ledger for the outcome of every query still in
+    /// the fleet. Done on the caller's thread, so a worker never grows the
+    /// buffer while it holds the ledger's lock.
+    fn reserve_outcomes(&self) {
+        let mut ledger = self.shared.ledger.lock().unwrap();
+        let in_fleet = self.submitted - ledger.slo().total();
+        ledger.reserve_outcomes(in_fleet as usize);
     }
 
     /// Signals shutdown and joins every thread, even past one that
-    /// panicked; returns the first panicked thread's role.
+    /// panicked; returns the first panicked thread's role. A worker leaves
+    /// only once its queue is empty, so every job queued before the
+    /// signal is served.
     fn shutdown_and_join(&mut self) -> Result<(), &'static str> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let workers = self.worker_handles.drain(..).map(|h| ("worker", h));
@@ -614,7 +653,8 @@ impl ServingBackend for ClusterBackend<'_> {
             addon: spec.addon,
             tier,
         };
-        self.shared.forward(&self.kernel, &self.job_txs, tier, job);
+        self.reserve_outcomes();
+        self.shared.forward(&self.kernel, tier, job);
         QueryTicket {
             id: QueryId(qid),
             arrival: now,
@@ -628,19 +668,16 @@ impl ServingBackend for ClusterBackend<'_> {
         if target > now {
             self.shared.sleep_sim(target - now);
         }
-        self.ingest();
     }
 
     fn drain_completions(&mut self) -> Vec<QueryOutcome> {
-        self.ingest();
-        self.ledger.drain()
+        let outcomes = self.shared.ledger.lock().unwrap().drain();
+        self.reserve_outcomes();
+        outcomes
     }
 
     fn apply_perturbation(&mut self, event: ScenarioEvent) -> Result<(), ScenarioError> {
-        let fleet = self.shared.tally(
-            &self.shared.plan.read().unwrap(),
-            &self.shared.failed_mask(),
-        );
+        let fleet = self.shared.tally(&self.shared.plan.read().unwrap());
         fleet.health().after(self.now(), &event)?;
         self.shared.apply_event(event);
         Ok(())
@@ -650,7 +687,7 @@ impl ServingBackend for ClusterBackend<'_> {
         let plan = self.shared.plan.read().unwrap();
         self.kernel.snapshot(
             self.now(),
-            self.shared.tally(&plan, &self.shared.failed_mask()),
+            self.shared.tally(&plan),
             plan.thresholds.clone(),
             self.shared
                 .tier_escalations
@@ -658,7 +695,7 @@ impl ServingBackend for ClusterBackend<'_> {
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
             self.submitted,
-            &self.ledger,
+            &self.shared.ledger.lock().unwrap(),
             self.control.lock().unwrap().deferral_gap(),
             *self.shared.addon_stats.lock().unwrap(),
         )
@@ -668,16 +705,29 @@ impl ServingBackend for ClusterBackend<'_> {
         if let Err(role) = self.shutdown_and_join() {
             panic!("{role} thread panicked");
         }
-        self.ingest();
-        // Jobs stuck in closed channels at shutdown count as drops.
-        let total = self.submitted;
-        for _ in self.ledger.slo().total()..total {
-            self.ledger.drop_lost(self.shared.now());
+        // A job queued on a worker after it exited was never served: it is
+        // dropped at the horizon by its id, as the simulator drops what
+        // the horizon cut short.
+        let mut unserved: Vec<Job> = self
+            .shared
+            .workers
+            .iter()
+            .flat_map(|w| w.queue.drain())
+            .collect();
+        unserved.sort_unstable_by_key(|job| job.qid);
+        let mut ledger = self.shared.ledger.lock().unwrap();
+        for job in unserved {
+            ledger.drop_query(QueryId(job.qid), job.arrival, horizon);
         }
+        debug_assert_eq!(
+            ledger.slo().total(),
+            self.submitted,
+            "every submitted query has exactly one ledger record"
+        );
         RunReport::assemble(
             self.settings.policy,
-            total,
-            &self.ledger,
+            self.submitted,
+            &ledger,
             horizon,
             &self.demand_track,
             // The clock thread pushed its threshold decision every control
@@ -844,8 +894,8 @@ fn clock_loop(
 }
 
 /// One control tick: hands the shared [`ControlLoop`] what the fleet
-/// observed since the last tick (the drained telemetry, live channel
-/// depths), steps the pipeline, and swaps the actuated plan in. Runs for
+/// observed since the last tick (the drained telemetry, live queue
+/// lengths), steps the pipeline, and swaps the actuated plan in. Runs for
 /// every policy so the demand and profile estimators stay live; static
 /// policies simply always `Hold`. `fleet` and `obs` are the clock's, kept
 /// from tick to tick.
@@ -855,7 +905,7 @@ fn control_tick(
     fleet: &mut FleetTally,
     obs: &mut ControlObservation,
 ) {
-    // Little's-law queue estimates come from live channel depths of alive
+    // Little's-law queue estimates come from live queue lengths of alive
     // workers only — failed workers drain their queues elsewhere. The pool
     // size and the retarget mask derive from one reading of the fail-stop
     // flags so the solver and retarget never disagree mid-churn.
@@ -870,7 +920,7 @@ fn control_tick(
         .observe(obs, now, fleet, &plan.batches);
     let directive = control.lock().unwrap().step(obs);
     if let ControlDirective::Apply { plan: next } = &directive {
-        plan.adopt(next, &excluded, |i| shared.load(i));
+        plan.adopt(next, &excluded, |i| shared.workers[i].load());
     }
     // Record the decision that is now in force — the series the report's
     // `threshold_series` is built from (mirroring the simulator, which
@@ -885,14 +935,8 @@ fn control_tick(
     }
 }
 
-fn worker_loop(
-    wid: usize,
-    shared: &Shared,
-    rx: &Receiver<Job>,
-    txs: &[Sender<Job>],
-    done: &Sender<Outcome>,
-    kernel: &Kernel<'_>,
-) {
+fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
+    let me = &shared.workers[wid];
     let switch_delay = MODEL_SWITCH_DELAY.as_secs_f64();
     // The model this worker serves with: its bootstrap tier, loaded at
     // launch.
@@ -906,20 +950,20 @@ fn worker_loop(
     let mut thresholds = Vec::new();
     // Sleeps out a model load, busy, then serves `tier`.
     let load_model = |tier: usize| {
-        shared.busy[wid].store(true, Ordering::Relaxed);
+        me.busy.store(true, Ordering::Relaxed);
         shared.sleep_sim(switch_delay);
-        shared.busy[wid].store(false, Ordering::Relaxed);
-        shared.hosting[wid].store(tier, Ordering::SeqCst);
+        me.busy.store(false, Ordering::Relaxed);
+        me.hosting.store(tier, Ordering::SeqCst);
     };
     loop {
         // Scenario fail-stop: hand anything queued here back to surviving
         // workers and idle until recovery (or shutdown).
-        if shared.failed[wid].load(Ordering::SeqCst) {
+        if me.failed.load(Ordering::SeqCst) {
             // The restart drops the model; a fail and recover that land
             // within one batch go unseen and leave it loaded.
             was_failed = true;
-            shared.hosting[wid].store(LOADING, Ordering::SeqCst);
-            shared.hand_back(wid, rx, kernel, txs);
+            me.hosting.store(LOADING, Ordering::SeqCst);
+            shared.hand_back(wid, kernel);
             if shared.may_exit(wid) {
                 return;
             }
@@ -931,7 +975,7 @@ fn worker_loop(
             // restart also wiped device memory, so the add-on module cache
             // comes back cold (like the simulator's fail handling).
             was_failed = false;
-            if let Some(cache) = shared.module_caches.get(wid) {
+            if let Some(cache) = &me.cache {
                 cache.lock().unwrap().clear();
             }
             current_tier = shared.plan.read().unwrap().tiers[wid];
@@ -942,45 +986,28 @@ fn worker_loop(
         // it was routed to, then switches models.
         let desired = shared.plan.read().unwrap().tiers[wid];
         if desired != current_tier {
-            shared.hand_back(wid, rx, kernel, txs);
+            shared.hand_back(wid, kernel);
             current_tier = desired;
             load_model(current_tier);
         }
-        let bmax = shared.plan.read().unwrap().batch_for(current_tier).max(1);
+        let bmax = shared.plan.read().unwrap().batches[current_tier];
 
-        // Collect a batch: block briefly for the first job, then take
-        // whatever else is queued (Clipper-style no-wait batching). The
-        // poll must be fine relative to *simulated* time or idle polling
-        // inflates queueing delays for sub-100ms models like SDXS.
-        let first = match rx.recv_timeout(poll) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.may_exit(wid) {
-                    return;
-                }
-                continue;
+        // The poll must be fine relative to *simulated* time or idle
+        // polling inflates queueing delays for sub-100ms models like SDXS.
+        me.queue.pop_batch(bmax, poll, &mut batch);
+        if batch.is_empty() {
+            if shared.may_exit(wid) {
+                return;
             }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        shared.depths[wid].fetch_sub(1, Ordering::Relaxed);
-        batch.clear();
-        batch.push(first);
-        while batch.len() < bmax {
-            match rx.try_recv() {
-                Ok(job) => {
-                    shared.depths[wid].fetch_sub(1, Ordering::Relaxed);
-                    batch.push(job);
-                }
-                Err(_) => break,
-            }
+            continue;
         }
 
         // A degraded worker predicts and executes with its *actual*
         // (slowed) service time, not nameplate. The module cache stays
         // locked from the drop-front estimate through the dispatch charge,
         // so the two price the same residency.
-        let slowdown = shared.slowdown(wid);
-        let mut cache = shared.module_caches.get(wid).map(|c| c.lock().unwrap());
+        let slowdown = me.slowdown();
+        let mut cache = me.cache.as_ref().map(|c| c.lock().unwrap());
         let now = shared.now();
         let (shed, priced) = kernel.predicted_misses(
             current_tier,
@@ -993,17 +1020,29 @@ fn worker_loop(
             |i| batch[i].deadline,
             &mut seen,
         );
+        if let Some(exec) = priced {
+            kernel.charge_dispatch(
+                current_tier,
+                batch[shed..].iter().map(Job::member),
+                cache.as_deref_mut(),
+                &mut shared.addon_stats.lock().unwrap(),
+                slowdown,
+                exec,
+                &mut seen,
+            );
+        }
+        drop(cache);
         for job in batch.drain(..shed) {
             shared
                 .telemetry
                 .lock()
                 .unwrap()
                 .record_violation(current_tier);
-            let _ = done.send(Outcome::Dropped {
-                qid: job.qid,
-                arrival: job.arrival,
-                at: now,
-            });
+            shared
+                .ledger
+                .lock()
+                .unwrap()
+                .drop_query(QueryId(job.qid), job.arrival, now);
         }
         // No price: the whole batch was shed.
         let Some(exec) = priced else {
@@ -1011,22 +1050,12 @@ fn worker_loop(
         };
 
         // "Execute" the batch by sleeping the service time the drop-front
-        // rule priced it at, once its swaps are charged.
-        kernel.charge_dispatch(
-            current_tier,
-            batch.iter().map(Job::member),
-            cache.as_deref_mut(),
-            &mut shared.addon_stats.lock().unwrap(),
-            slowdown,
-            exec,
-            &mut seen,
-        );
-        drop(cache);
-        shared.busy[wid].store(true, Ordering::Relaxed);
-        shared.in_service[wid].store(batch.len(), Ordering::Relaxed);
+        // rule priced it at.
+        me.busy.store(true, Ordering::Relaxed);
+        me.in_service.store(batch.len(), Ordering::Relaxed);
         shared.sleep_sim(exec);
-        shared.in_service[wid].store(0, Ordering::Relaxed);
-        shared.busy[wid].store(false, Ordering::Relaxed);
+        me.in_service.store(0, Ordering::Relaxed);
+        me.busy.store(false, Ordering::Relaxed);
         let now = shared.now();
         // Tier membership is read once per batch, as on the simulator.
         let deeper_alive = {
@@ -1061,7 +1090,7 @@ fn worker_loop(
                     image,
                     reused,
                 } => {
-                    let _ = done.send(Outcome::Completed(kernel.response(
+                    let response = kernel.response(
                         QueryId(job.qid),
                         job.arrival,
                         now,
@@ -1070,14 +1099,15 @@ fn worker_loop(
                         current_tier,
                         confidence,
                         reused,
-                    )));
+                    );
+                    shared.ledger.lock().unwrap().complete(response);
                 }
                 Verdict::Escalate { resume, .. } => {
                     if resume.is_some() {
                         job.resume = resume;
                     }
                     shared.tier_escalations[current_tier].fetch_add(1, Ordering::Relaxed);
-                    shared.forward(kernel, txs, current_tier + 1, job);
+                    shared.forward(kernel, current_tier + 1, job);
                 }
             }
         }
@@ -1087,7 +1117,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffserve_core::{AddonCatalog, AddonsConfig, Policy};
+    use diffserve_core::{AddonCatalog, AddonsConfig, CompletedResponse, Policy};
     use diffserve_imagegen::{cascade1, DiscriminatorConfig, FeatureSpec};
     use diffserve_simkit::time::SimDuration;
     use std::sync::OnceLock;
@@ -1207,7 +1237,8 @@ mod tests {
         assert!(snap.completed + snap.dropped > 0);
         assert_eq!(snap.tier_workers.iter().sum::<usize>(), 8);
         // The snapshot's running counters equal a scan over the outcomes
-        // the poll just drained (nothing is ingested in between).
+        // the poll just drained (every query was served long before, so
+        // nothing is recorded in between).
         let done: Vec<&CompletedResponse> = outcomes
             .iter()
             .filter_map(|o| match o {
@@ -1319,8 +1350,9 @@ mod tests {
     }
 
     /// A submit after every worker thread has exited neither panics nor
-    /// drops out of the accounting: the failed send takes its depth count
-    /// back, and `finish` counts the lost query as a drop.
+    /// drops out of the accounting: the job waits on its worker's queue,
+    /// and `finish` drops it at the horizon by its id, an outcome the
+    /// ledger hands over as it hands over any other.
     #[test]
     fn submit_after_the_workers_exit_is_accounted_as_a_drop() {
         let spec = ServingSession::builder()
@@ -1331,14 +1363,21 @@ mod tests {
         let mut backend = ClusterBackend::launch(&spec, TIME_SCALE).expect("valid time scale");
         backend.shutdown_and_join().expect("no thread panicked");
         let ticket = backend.submit(QuerySpec::new());
-        assert!(backend
-            .shared
-            .depths
-            .iter()
-            .all(|d| d.load(Ordering::Relaxed) == 0));
+        assert!(backend.drain_completions().is_empty(), "nothing served it");
+        let shared = Arc::clone(&backend.shared);
         let report = Box::new(backend).finish(ticket.arrival);
         assert_eq!(report.total_queries, 1);
-        assert_eq!(report.completed + report.dropped, report.total_queries);
+        assert_eq!((report.completed, report.dropped), (0, 1));
+        assert!(shared.workers.iter().all(|w| w.queue.len() == 0));
+        // What `drain_completions` would hand over next.
+        assert_eq!(
+            shared.ledger.lock().unwrap().drain(),
+            [QueryOutcome::Dropped {
+                id: ticket.id,
+                arrival: ticket.arrival,
+                at: ticket.arrival,
+            }]
+        );
     }
 
     /// A four-worker testbed under a hand-written plan (tiers
@@ -1356,6 +1395,16 @@ mod tests {
         }
     }
 
+    /// The hand-written plan of [`launch_four_on_two_tiers`].
+    fn two_tier_plan(threshold: f64) -> ServingPlan {
+        ServingPlan {
+            tiers: vec![0, 0, 1, 1],
+            batches: vec![1, 1],
+            thresholds: vec![threshold],
+            bypass_suspended: false,
+        }
+    }
+
     /// [`launch_four_on_two_tiers`] under `config`, a four-worker one.
     fn launch_four(config: SystemConfig, threshold: f64) -> (ClusterBackend<'static>, ServingPlan) {
         let spec = ServingSession::builder()
@@ -1365,20 +1414,27 @@ mod tests {
             .validate()
             .expect("valid session");
         let mut backend = ClusterBackend::launch(&spec, TIME_SCALE).expect("valid time scale");
-        let plan = ServingPlan {
-            tiers: vec![0, 0, 1, 1],
-            batches: vec![1, 1],
-            thresholds: vec![threshold],
-            bypass_suspended: false,
-        };
+        let plan = two_tier_plan(threshold);
         *backend.shared.plan.write().unwrap() = plan.clone();
         backend.tick(backend.now() + SimDuration::from_secs(2));
         (backend, plan)
     }
 
+    /// The shared state of [`launch_four`]'s fleet under `config` and the
+    /// plan of threshold `threshold`, with no thread started: a pushed job
+    /// stays queued until the test serves or drains it. Returns the kernel
+    /// the workers would decide with.
+    fn four_without_threads(config: SystemConfig, threshold: f64) -> (Shared, Kernel<'static>) {
+        let settings = RunSettings::new(Policy::DiffServeStatic, 8.0);
+        let kernel = Kernel::new(test_runtime(), &config, &settings);
+        let plan = two_tier_plan(threshold);
+        let shared = Shared::new(test_runtime(), &config, &kernel, plan, TIME_SCALE);
+        (shared, kernel)
+    }
+
     /// Serves `queries` far-deadline queries on
     /// [`launch_four_on_two_tiers`]' fleet, moves worker `moved` to the
-    /// other tier once its channel holds at least two jobs, and returns
+    /// other tier once its queue holds at least two jobs, and returns
     /// the tiers the queries completed at with the boundary-0 escalation
     /// count.
     fn serve_across_a_move(threshold: f64, moved: usize, queries: usize) -> (Vec<usize>, u64) {
@@ -1388,7 +1444,7 @@ mod tests {
             backend.submit(QuerySpec::new().deadline(far));
         }
         let give_up = backend.now() + SimDuration::from_secs(200);
-        while backend.shared.depths[moved].load(Ordering::SeqCst) < 2 {
+        while backend.shared.workers[moved].queue.len() < 2 {
             assert!(backend.now() < give_up, "worker {moved} never held a queue");
             thread::sleep(Duration::from_micros(200));
         }
@@ -1441,12 +1497,13 @@ mod tests {
         }
         // Long enough to reload, had the worker seen its failure.
         backend.tick(backend.now() + SimDuration::from_secs(2));
+        // Stopped, so that nothing serves the job queued below.
+        backend.shutdown_and_join().expect("no thread panicked");
         let shared = &backend.shared;
-        assert_eq!(shared.hosting[3].load(Ordering::SeqCst), 1);
-        // Worker 2, the other heavy host, looks busier.
-        shared.depths[2].fetch_add(1, Ordering::SeqCst);
+        assert_eq!(shared.workers[3].hosting.load(Ordering::SeqCst), 1);
+        // Worker 2, the other heavy host, is busier.
+        shared.workers[2].queue.push(far_job(shared, 0, 1));
         assert_eq!(shared.route(&backend.kernel, 1, None), 3);
-        shared.depths[2].fetch_sub(1, Ordering::SeqCst);
     }
 
     /// An exact score tie between a module holder and a non-holder goes to
@@ -1466,21 +1523,16 @@ mod tests {
             addons: Some(addons.clone()),
             ..four_workers()
         };
-        let (backend, _) = launch_four(config, 0.5);
-        let shared = &backend.shared;
-        assert_eq!(backend.kernel.miss_penalty(1, Some(0)), Some((0, 2.0)));
+        let (shared, kernel) = four_without_threads(config, 0.5);
+        assert_eq!(kernel.miss_penalty(1, Some(0)), Some((0, 2.0)));
         // Heavy worker 2 holds the module two jobs deep: (2 + 1) × 1.0.
         // Idle heavy worker 3 scores 1.0 plus the penalty: the same 3.0.
-        shared.module_caches[2]
-            .lock()
-            .unwrap()
-            .admit(0, &addons.catalog);
-        shared.depths[2].fetch_add(2, Ordering::SeqCst);
-        let picked = shared.route(&backend.kernel, 1, Some(0));
-        // Taken back before asserting: a raised depth holds its worker
-        // past shutdown.
-        shared.depths[2].fetch_sub(2, Ordering::SeqCst);
-        assert_eq!(picked, 3);
+        let cache = shared.workers[2].cache.as_ref().expect("add-ons are on");
+        cache.lock().unwrap().admit(0, &addons.catalog);
+        for qid in 0..2 {
+            shared.workers[2].queue.push(far_job(&shared, qid, 1));
+        }
+        assert_eq!(shared.route(&kernel, 1, Some(0)), 3);
     }
 
     /// A completion is late when its latency is over the SLO, the ledger's
@@ -1499,11 +1551,11 @@ mod tests {
         let far = backend.now() + SimDuration::from_secs(10_000);
         backend.submit(QuerySpec::new().deadline(far));
         let give_up = backend.now() + SimDuration::from_secs(200);
-        while backend.ledger.slo().total() == 0 {
+        while backend.shared.ledger.lock().unwrap().slo().total() == 0 {
             assert!(backend.now() < give_up, "the query never completed");
             backend.tick(backend.now() + SimDuration::from_secs(1));
         }
-        assert_eq!(backend.ledger.slo().late(), 1);
+        assert_eq!(backend.shared.ledger.lock().unwrap().slo().late(), 1);
         let mut obs = ControlObservation::default();
         backend.shared.telemetry.lock().unwrap().observe(
             &mut obs,
@@ -1514,138 +1566,124 @@ mod tests {
         assert_eq!((obs.violations_light, obs.violations_heavy), (1, 0));
     }
 
-    /// A worker leaves at shutdown only once nothing is queued to it. A
-    /// send raises its target's depth before it hands the job over, so a
-    /// worker whose depth is raised keeps polling through shutdown until
-    /// the job arrives, serves it, and only then exits; the workers with
-    /// nothing queued exit at once.
-    #[test]
-    fn at_shutdown_a_worker_waits_for_a_job_whose_send_has_begun() {
-        let (mut backend, _) = launch_four_on_two_tiers(0.0);
-        let shared = Arc::clone(&backend.shared);
-        // Half a send to light worker 0: the depth is raised, the job is
-        // not handed over yet.
-        shared.depths[0].fetch_add(1, Ordering::SeqCst);
-        shared.shutdown.store(true, Ordering::SeqCst);
-        let give_up = Instant::now() + Duration::from_secs(20);
-        while !backend.worker_handles[1..].iter().all(|h| h.is_finished()) {
-            assert!(Instant::now() < give_up, "idle workers never exited");
-            thread::sleep(Duration::from_millis(1));
-        }
-        // Dozens of the worker's polls.
-        thread::sleep(Duration::from_millis(50));
-        assert!(
-            !backend.worker_handles[0].is_finished(),
-            "worker 0 left its job behind"
-        );
-        let far = SimTime::from_secs(10_000);
-        let job = Job {
-            qid: 7,
-            arrival: shared.now(),
-            deadline: far,
-            entry: 0,
-            prompt: None,
-            resume: None,
-            addon: None,
-            tier: 0,
-        };
-        backend.job_txs[0]
-            .send(job)
-            .expect("worker 0 still receives");
-        let served = backend
-            .done_rx
-            .recv_timeout(Duration::from_secs(20))
-            .expect("worker 0 served the job");
-        assert!(matches!(served, Outcome::Completed(r) if r.id == QueryId(7)));
-        backend
-            .worker_handles
-            .remove(0)
-            .join()
-            .expect("worker 0 exits");
-        assert_eq!(shared.depths[0].load(Ordering::SeqCst), 0);
-    }
-
-    /// A light-tier job for query `qid` that arrived now, with a deadline
-    /// no run reaches.
-    fn far_light_job(shared: &Shared, qid: u64) -> Job {
+    /// A job for query `qid` bound for `tier` that arrived now, with a
+    /// deadline no run reaches.
+    fn far_job(shared: &Shared, qid: u64, tier: usize) -> Job {
         Job {
             qid,
             arrival: shared.now(),
             deadline: SimTime::from_secs(10_000),
-            entry: 0,
+            entry: tier,
             prompt: None,
             resume: None,
             addon: None,
-            tier: 0,
+            tier,
         }
     }
 
-    /// Receives `n` outcomes and returns the completed queries' ids and
-    /// tiers in the order they came; a drop fails the test.
-    fn completions(backend: &ClusterBackend<'_>, n: usize) -> Vec<(u64, usize)> {
-        (0..n)
-            .map(|_| {
-                match backend
-                    .done_rx
-                    .recv_timeout(Duration::from_secs(20))
-                    .expect("the job was served")
-                {
-                    Outcome::Completed(r) => (r.id.0, r.tier),
-                    Outcome::Dropped { qid, .. } => panic!("query {qid} was dropped"),
-                }
+    /// Runs worker `wid`'s loop on this thread after the shutdown signal,
+    /// so it serves what is queued to it and returns, and hands over the
+    /// ids and tiers of the queries it completed, in completion order; a
+    /// drop fails the test.
+    fn serve_at_shutdown(shared: &Shared, kernel: &Kernel<'_>, wid: usize) -> Vec<(u64, usize)> {
+        shared.shutdown.store(true, Ordering::SeqCst);
+        worker_loop(wid, shared, kernel);
+        let outcomes = shared.ledger.lock().unwrap().drain();
+        outcomes
+            .into_iter()
+            .map(|outcome| match outcome {
+                QueryOutcome::Completed(r) => (r.id.0, r.tier),
+                dropped => panic!("no query may be dropped: {dropped:?}"),
             })
             .collect()
     }
 
+    /// A queue hands out its oldest jobs first, at most a batch at a time,
+    /// and an empty batch once its wait runs out with nothing pushed.
+    #[test]
+    fn pop_batch_takes_the_oldest_jobs_up_to_the_batch_size() {
+        let (shared, _) = four_without_threads(four_workers(), 0.0);
+        let queue = &shared.workers[0].queue;
+        for qid in 1..=5 {
+            queue.push(far_job(&shared, qid, 0));
+        }
+        let mut batch = Vec::new();
+        let mut taken = Vec::new();
+        for _ in 0..3 {
+            queue.pop_batch(2, Duration::ZERO, &mut batch);
+            taken.push(batch.iter().map(|job| job.qid).collect::<Vec<_>>());
+        }
+        assert_eq!(taken, [vec![1, 2], vec![3, 4], vec![5]]);
+        assert_eq!(queue.len(), 0);
+        queue.pop_batch(2, Duration::from_millis(1), &mut batch);
+        assert!(batch.is_empty());
+    }
+
     /// The exit rule, read directly: shutdown must be signalled and the
-    /// worker's queue depth must be zero.
+    /// worker's queue must be empty.
     #[test]
     fn a_worker_may_exit_only_at_shutdown_with_nothing_queued() {
-        let (backend, _) = launch_four_on_two_tiers(0.0);
-        let shared = &backend.shared;
+        let (shared, _) = four_without_threads(four_workers(), 0.0);
         assert!(!shared.may_exit(0) && !shared.may_exit(1));
-        shared.depths[0].fetch_add(1, Ordering::SeqCst);
+        shared.workers[0].queue.push(far_job(&shared, 1, 0));
         shared.shutdown.store(true, Ordering::SeqCst);
         assert!(!shared.may_exit(0));
         assert!(shared.may_exit(1));
-        shared.depths[0].fetch_sub(1, Ordering::SeqCst);
+        assert_eq!(shared.workers[0].queue.drain().len(), 1);
         assert!(shared.may_exit(0));
     }
 
-    /// One worker's channel is first in, first out: with batch 1 the jobs
-    /// sent to it complete in the order they were sent.
+    /// A worker that finds the shutdown signal set serves every job queued
+    /// to it before its exit check, and only then returns.
     #[test]
-    fn jobs_sent_to_one_worker_are_served_in_send_order() {
-        let (backend, _) = launch_four_on_two_tiers(0.0);
-        let shared = &backend.shared;
-        for qid in 1..=6 {
-            shared.depths[0].fetch_add(1, Ordering::SeqCst);
-            backend.job_txs[0]
-                .send(far_light_job(shared, qid))
-                .expect("worker 0 receives");
+    fn at_shutdown_a_worker_serves_the_jobs_pushed_before_its_exit_check() {
+        let (shared, kernel) = four_without_threads(four_workers(), 0.0);
+        for qid in [7, 8, 9] {
+            shared.workers[0].queue.push(far_job(&shared, qid, 0));
         }
-        let served = completions(&backend, 6);
-        assert_eq!(served, (1..=6).map(|qid| (qid, 0)).collect::<Vec<_>>());
+        assert_eq!(
+            serve_at_shutdown(&shared, &kernel, 0),
+            [(7, 0), (8, 0), (9, 0)]
+        );
+        assert_eq!(shared.workers[0].queue.len(), 0);
     }
 
-    /// `hand_back` empties the channel it is given, takes the held jobs'
-    /// depth back from their worker, and re-routes each job to its tier,
-    /// where it is served.
+    /// One worker's queue is first in, first out: with batch 1 the jobs
+    /// pushed to it complete in the order they were pushed.
     #[test]
-    fn hand_back_forwards_every_held_job_and_takes_its_depth_back() {
-        let (backend, _) = launch_four_on_two_tiers(0.0);
-        let shared = &backend.shared;
-        let (tx, rx) = channel();
-        for qid in 1..=3 {
-            shared.depths[1].fetch_add(1, Ordering::SeqCst);
-            tx.send(far_light_job(shared, qid)).unwrap();
+    fn jobs_sent_to_one_worker_are_served_in_send_order() {
+        let (shared, kernel) = four_without_threads(four_workers(), 0.0);
+        for qid in [4, 1, 6, 2, 5, 3] {
+            shared.workers[0].queue.push(far_job(&shared, qid, 0));
         }
-        shared.hand_back(1, &rx, &backend.kernel, &backend.job_txs);
-        assert!(rx.try_recv().is_err(), "a job stayed behind");
-        let mut served = completions(&backend, 3);
-        served.sort_unstable();
-        assert_eq!(served, [(1, 0), (2, 0), (3, 0)]);
-        assert!(shared.depths.iter().all(|d| d.load(Ordering::SeqCst) == 0));
+        let served: Vec<u64> = serve_at_shutdown(&shared, &kernel, 0)
+            .into_iter()
+            .map(|(qid, _)| qid)
+            .collect();
+        assert_eq!(served, [4, 1, 6, 2, 5, 3]);
+    }
+
+    /// `hand_back` empties its worker's queue and re-routes every held job
+    /// to the tier it was routed to, in queue order: a light worker the
+    /// plan moved to the heavy tier hands its light jobs to the remaining
+    /// light worker.
+    #[test]
+    fn hand_back_re_routes_every_held_job_to_its_tier() {
+        let (shared, kernel) = four_without_threads(four_workers(), 0.0);
+        for qid in 1..=3 {
+            shared.workers[1].queue.push(far_job(&shared, qid, 0));
+        }
+        shared.plan.write().unwrap().tiers[1] = 1;
+        shared.hand_back(1, &kernel);
+        assert_eq!(shared.workers[1].queue.len(), 0);
+        let held: Vec<(u64, usize)> = shared.workers[0]
+            .queue
+            .drain()
+            .iter()
+            .map(|job| (job.qid, job.tier))
+            .collect();
+        assert_eq!(held, [(1, 0), (2, 0), (3, 0)]);
+        assert!(shared.workers[2..].iter().all(|w| w.queue.len() == 0));
     }
 
     /// A session dropped without `finish` joins its worker and clock

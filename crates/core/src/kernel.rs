@@ -1331,24 +1331,23 @@ impl Ledger {
         }
     }
 
-    /// Records a query shed at `at`.
+    /// Records a query dropped at `at`: shed by the drop-front rule, or
+    /// left unfinished at the horizon.
     #[inline]
     pub fn drop_query(&mut self, id: QueryId, arrival: SimTime, at: SimTime) {
-        self.count_drop(at);
+        self.slo.record_drop();
+        self.violations.record(at, true);
         if let Some(undrained) = &mut self.undrained {
             undrained.push(QueryOutcome::Dropped { id, arrival, at });
         }
     }
 
-    /// Records a query lost without a trace (stuck in a closed channel at
-    /// shutdown): it counts against the SLO but has no outcome to drain.
-    pub fn drop_lost(&mut self, at: SimTime) {
-        self.count_drop(at);
-    }
-
-    fn count_drop(&mut self, at: SimTime) {
-        self.slo.record_drop();
-        self.violations.record(at, true);
+    /// Makes room for `additional` more outcomes awaiting a poll, so that
+    /// recording them does not grow the buffer.
+    pub fn reserve_outcomes(&mut self, additional: usize) {
+        if let Some(undrained) = &mut self.undrained {
+            undrained.reserve(additional);
+        }
     }
 
     /// Hands over the outcomes recorded since the last call, in recording
@@ -2154,8 +2153,6 @@ mod tests {
         assert!(kernel.is_late(arrival, arrival + config.slo + SimDuration::from_micros(1)));
         let (arrival, at) = (SimTime::from_secs(2), SimTime::from_secs(3));
         ledger.drop_query(QueryId(2), arrival, at);
-        // A lost query counts against the SLO but leaves no outcome.
-        ledger.drop_lost(SimTime::from_secs(4));
 
         let outcomes = ledger.drain();
         let ids: Vec<QueryId> = outcomes.iter().map(QueryOutcome::id).collect();
@@ -2170,7 +2167,7 @@ mod tests {
         );
         assert!(ledger.drain().is_empty());
         let slo = ledger.slo();
-        assert_eq!((slo.on_time(), slo.late(), slo.dropped()), (1, 1, 2));
+        assert_eq!((slo.on_time(), slo.late(), slo.dropped()), (1, 1, 1));
         assert_eq!(ledger.totals().completions(), 2);
     }
 
@@ -2183,6 +2180,24 @@ mod tests {
         assert!(ledger.drain().is_empty());
         assert_eq!(ledger.slo().total(), 2);
         assert_eq!(ledger.totals().completions(), 1);
+    }
+
+    /// Outcomes recorded into reserved room land in the buffer the
+    /// reservation made; a ledger that keeps no outcomes reserves nothing.
+    #[test]
+    fn reserved_outcomes_are_recorded_without_moving_the_buffer() {
+        let mut ledger = Ledger::new(&SystemConfig::default(), &runtime().reference);
+        ledger.reserve_outcomes(3);
+        let buffer = |ledger: &Ledger| ledger.undrained.as_ref().map(Vec::as_ptr);
+        let reserved = buffer(&ledger);
+        ledger.complete(completion(0, 1));
+        ledger.complete(completion(1, 2));
+        ledger.drop_query(QueryId(2), SimTime::ZERO, SimTime::from_secs(1));
+        assert_eq!(buffer(&ledger), reserved);
+        assert_eq!(ledger.drain().len(), 3);
+        ledger.discard_outcomes();
+        ledger.reserve_outcomes(3);
+        assert_eq!(buffer(&ledger), None);
     }
 
     #[test]

@@ -775,7 +775,7 @@ mod tests {
                 reused_steps: 0,
             });
         }
-        ledger.drop_lost(SimTime::from_secs(30));
+        ledger.drop_query(QueryId(3), SimTime::from_secs(25), SimTime::from_secs(30));
         let empty = WindowedSeries::new(METRICS_WINDOW);
         let report = assembled(&ledger, SimTime::MAX, &empty, &empty, Vec::new());
         assert_eq!((report.completed, report.late, report.dropped), (3, 1, 1));

@@ -543,8 +543,8 @@ impl<'a> SessionBuilder<'a> {
     /// Validates the whole configuration and constructs a session on the
     /// discrete-event simulator (the paper's primary evaluation vehicle —
     /// deterministic and bit-reproducible). The thread-based cluster
-    /// testbed lives in `diffserve-cluster` (it needs threads and
-    /// channels) and is built with
+    /// testbed lives in `diffserve-cluster` (it needs threads) and is
+    /// built with
     /// `diffserve_cluster::ClusterSessionExt::build_cluster`, which keeps
     /// the dependency arrow pointing from the testbed to the core.
     ///

@@ -737,7 +737,6 @@ impl<'a> ServingSim<'a> {
         actions: IncidentLog,
         hazard: Option<HazardProcess>,
     ) -> Self {
-        config.validate().expect("valid system config");
         let kernel = Kernel::new(runtime, &config, &settings);
         let num_tiers = kernel.num_tiers();
         let boundaries = num_tiers - 1;

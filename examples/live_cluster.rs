@@ -1,4 +1,4 @@
-//! Runs the thread-based testbed runtime (real threads + channels + wall
+//! Runs the thread-based testbed runtime (real threads + job queues + wall
 //! clock at 1/50 time scale) on a short diurnal trace and compares it with
 //! the discrete-event simulator on the same workload — the paper's §4.3
 //! validation in miniature.
