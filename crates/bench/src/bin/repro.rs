@@ -3,8 +3,10 @@
 //! Every experiment is one row of [`EXPERIMENTS`]: an `id`, the paper
 //! artefact it reproduces (or "extension"), and a `run` that returns one
 //! [`Table`] plus claims. The table is printed and written to
-//! `results/<id>.csv`. A claim is a named predicate over the experiment's
-//! runs; any broken claim makes `repro` exit nonzero.
+//! `results/<id>.csv`, or under `--smoke` to `results/smoke/<id>.csv`, so a
+//! smoke run never writes over a full run's file. A claim is a named
+//! predicate over the experiment's runs; any broken claim makes `repro`
+//! exit nonzero.
 //!
 //! Usage: `repro [--smoke] [ID…]` — with no ID, every experiment runs.
 //!
@@ -126,7 +128,11 @@ fn main() -> ExitCode {
         for note in &outcome.notes {
             println!("{note}");
         }
-        let path = Path::new("results").join(format!("{}.csv", exp.id));
+        let dir = match scale {
+            Scale::Full => Path::new("results"),
+            Scale::Smoke => Path::new("results/smoke"),
+        };
+        let path = dir.join(format!("{}.csv", exp.id));
         outcome.table.write_csv(&path);
         println!("wrote {}", path.display());
         for claim in &outcome.claims {

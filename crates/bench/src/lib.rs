@@ -7,7 +7,7 @@
 //! times the system and writes the `BENCH_sim.json` baseline.
 //!
 //! An experiment's output is one [`Table`], printed to stdout and written
-//! as CSV to `results/<id>.csv`.
+//! as CSV to `results/<id>.csv` (`results/smoke/<id>.csv` at smoke scale).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

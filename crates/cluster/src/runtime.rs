@@ -34,24 +34,22 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use diffserve_core::config::{METRICS_WINDOW, MODEL_SWITCH_DELAY};
+use diffserve_core::config::MODEL_SWITCH_DELAY;
 use diffserve_core::kernel::{
-    self, Candidate, FleetTally, Kernel, Ledger, Member, Rung, TickTelemetry, Verdict, WorkerState,
+    self, Candidate, FleetTally, Kernel, Ledger, Member, Rung, Verdict, WorkerState,
 };
 use diffserve_core::serve::{
     BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession,
     SessionBuilder, SessionSnapshot, SessionSpec,
 };
 use diffserve_core::{
-    AddonStats, CascadeRuntime, ConfigError, ControlDirective, ControlLoop, ControlObservation,
-    ModuleCache, QueryId, RunReport, RunSettings, SystemConfig,
+    CascadeRuntime, ConfigError, ControlDirective, ControlLoop, ControlObservation, ModuleCache,
+    QueryId, RunReport, RunSettings, SystemConfig,
 };
 use diffserve_imagegen::{OnlinePredictiveRouter, Prompt, StageState};
-use diffserve_metrics::WindowedSeries;
 use diffserve_simkit::prelude::*;
 use diffserve_trace::{
-    CapacityEvent, HazardProcess, Incident, IncidentLog, Scenario, ScenarioError, ScenarioEvent,
-    Trace,
+    CapacityEvent, HazardProcess, Incident, Scenario, ScenarioError, ScenarioEvent, Trace,
 };
 
 use crate::plan::ServingPlan;
@@ -181,31 +179,18 @@ impl Worker {
 struct Shared {
     plan: RwLock<ServingPlan>,
     workers: Vec<Worker>,
-    /// The session's outcome accounting. Workers record into it with no
-    /// other lock held; the backend drains and reports from it.
+    /// The session's one record: every arrival, outcome, incident,
+    /// threshold and add-on charge, and the tick window the clock thread
+    /// drains into the shared [`ControlLoop`]. It is the innermost lock:
+    /// nothing else is locked while it is held, so the lock order is
+    /// module-cache guard (or plan) → ledger, never the reverse.
     ledger: Mutex<Ledger>,
-    /// Arrivals, violations and confidences since the last control tick —
-    /// recorded by the submitter and the workers, drained by the clock
-    /// thread into the shared [`ControlLoop`].
-    telemetry: Mutex<TickTelemetry>,
     shutdown: AtomicBool,
     start: Instant,
     scale: f64,
-    /// Controller threshold decisions over time — the series the final
-    /// report's `threshold_series` is assembled from.
-    threshold_track: Mutex<WindowedSeries>,
-    /// Every perturbation fired against this fleet (scheduled, injected,
-    /// hazard-drawn), for the report's incident log.
-    incident_log: Mutex<IncidentLog>,
     /// Active prompt-difficulty offset (f64 bits), set by a fired incident
     /// and read by workers at generation time.
     difficulty_bits: AtomicU64,
-    /// Per-tier add-on cache accounting (hits, misses, swap seconds).
-    addon_stats: Mutex<AddonStats>,
-    /// Escalations observed at each boundary (`tier k → k + 1`) over the
-    /// whole run — the per-tier series the snapshot reports and the
-    /// sim-vs-cluster parity tests compare.
-    tier_escalations: Vec<AtomicU64>,
     /// Online pre-execution router sending predicted-hard queries straight
     /// to a deeper tier; `None` on two-tier runs or with predictive
     /// routing disabled. Trained by workers on every boundary verdict.
@@ -240,16 +225,16 @@ impl Shared {
         Shared {
             plan: RwLock::new(plan),
             workers,
-            ledger: Mutex::new(Ledger::new(sys, &runtime.reference)),
-            telemetry: Mutex::new(TickTelemetry::new(kernel.num_tiers(), router.is_some())),
+            ledger: Mutex::new(Ledger::new(
+                sys,
+                &runtime.reference,
+                kernel.num_tiers(),
+                router.is_some(),
+            )),
             shutdown: AtomicBool::new(false),
             start: Instant::now(),
             scale,
-            threshold_track: Mutex::new(WindowedSeries::new(METRICS_WINDOW)),
-            incident_log: Mutex::new(Vec::new()),
             difficulty_bits: AtomicU64::new(0.0f64.to_bits()),
-            addon_stats: Mutex::new(AddonStats::default()),
-            tier_escalations: (1..kernel.num_tiers()).map(|_| AtomicU64::new(0)).collect(),
             router: router.map(Mutex::new),
         }
     }
@@ -329,18 +314,18 @@ impl Shared {
     }
 
     /// Applies one lowered scenario event against live state and records it
-    /// in the incident log — the single funnel the clock thread's scheduled
-    /// and hazard-drawn incidents and mid-run injection all go through. A
-    /// capacity event touches the workers [`kernel::capacity_targets`]
-    /// picks (the simulator applies the same rule); a difficulty event
-    /// swaps the offset.
+    /// in the ledger's incident log — the single funnel the clock thread's
+    /// scheduled and hazard-drawn incidents and mid-run injection all go
+    /// through. A capacity event touches the workers
+    /// [`kernel::capacity_targets`] picks (the simulator applies the same
+    /// rule); a difficulty event swaps the offset.
     ///
     /// An injection races the clock thread, so the whole pick-apply-log
-    /// sequence is serialized under the log lock. Only the
+    /// sequence is serialized under the ledger lock. Only the
     /// *applied* event is logged — the incident log must stay a faithful,
     /// replayable account, never a wish list.
     fn apply_event(&self, action: ScenarioEvent) {
-        let mut log = self.incident_log.lock().unwrap();
+        let mut ledger = self.ledger.lock().unwrap();
         let applied = match action {
             ScenarioEvent::Capacity(capacity) => {
                 let states: Vec<(bool, bool)> = self
@@ -376,7 +361,7 @@ impl Shared {
             }
         };
         if let Some(event) = applied {
-            log.push(Incident {
+            ledger.record_incident(Incident {
                 at: SimTime::from_secs_f64(self.sim_now().max(0.0)),
                 event,
             });
@@ -478,7 +463,6 @@ pub struct ClusterBackend<'a> {
     settings: RunSettings,
     sys: SystemConfig,
     route_rng: rand::rngs::StdRng,
-    demand_track: WindowedSeries,
     submitted: u64,
 }
 
@@ -557,7 +541,6 @@ impl<'a> ClusterBackend<'a> {
             worker_handles,
             clock: Some(clock),
             route_rng: seeded_rng(derive_seed(sys.seed, 0x20C7)),
-            demand_track: WindowedSeries::new(METRICS_WINDOW),
             control,
             kernel,
             settings,
@@ -566,11 +549,10 @@ impl<'a> ClusterBackend<'a> {
         })
     }
 
-    /// Makes room in the ledger for the outcome of every query still in
-    /// the fleet. Done on the caller's thread, so a worker never grows the
-    /// buffer while it holds the ledger's lock.
-    fn reserve_outcomes(&self) {
-        let mut ledger = self.shared.ledger.lock().unwrap();
+    /// Makes room in `ledger`, the session's, for the outcome of every
+    /// query still in the fleet. Done on the caller's thread, so a worker
+    /// never grows the buffer while it holds the ledger's lock.
+    fn reserve_outcomes(&self, ledger: &mut Ledger) {
         let in_fleet = self.submitted - ledger.slo().total();
         ledger.reserve_outcomes(in_fleet as usize);
     }
@@ -616,8 +598,6 @@ impl ServingBackend for ClusterBackend<'_> {
             self.shared.sleep_sim(at - now0);
         }
         let now = self.shared.now();
-        self.demand_track
-            .push(SimTime::from_secs_f64(at.max(0.0)), 1.0);
         let qid = self.submitted;
         // The router's prediction sees the same (difficulty-shifted)
         // prompt the tiers will serve. The router lock is taken before the
@@ -636,12 +616,11 @@ impl ServingBackend for ClusterBackend<'_> {
                 },
             )
         };
-        self.shared
-            .telemetry
-            .lock()
-            .unwrap()
-            .record_arrival(tier, deep_demand);
         self.submitted += 1;
+        let mut ledger = self.shared.ledger.lock().unwrap();
+        ledger.arrive(SimTime::from_secs_f64(at.max(0.0)), tier, deep_demand);
+        self.reserve_outcomes(&mut ledger);
+        drop(ledger);
         let deadline = spec.deadline.unwrap_or(now + self.sys.slo);
         let job = Job {
             qid,
@@ -653,7 +632,6 @@ impl ServingBackend for ClusterBackend<'_> {
             addon: spec.addon,
             tier,
         };
-        self.reserve_outcomes();
         self.shared.forward(&self.kernel, tier, job);
         QueryTicket {
             id: QueryId(qid),
@@ -671,8 +649,9 @@ impl ServingBackend for ClusterBackend<'_> {
     }
 
     fn drain_completions(&mut self) -> Vec<QueryOutcome> {
-        let outcomes = self.shared.ledger.lock().unwrap().drain();
-        self.reserve_outcomes();
+        let mut ledger = self.shared.ledger.lock().unwrap();
+        let outcomes = ledger.drain();
+        self.reserve_outcomes(&mut ledger);
         outcomes
     }
 
@@ -684,20 +663,16 @@ impl ServingBackend for ClusterBackend<'_> {
     }
 
     fn snapshot(&self) -> SessionSnapshot {
+        let deferral_gap = self.control.lock().unwrap().deferral_gap();
         let plan = self.shared.plan.read().unwrap();
-        self.kernel.snapshot(
+        // Tallied before the ledger is locked: the tally takes queue locks.
+        let fleet = self.shared.tally(&plan);
+        self.shared.ledger.lock().unwrap().snapshot(
             self.now(),
-            self.shared.tally(&plan),
+            fleet,
             plan.thresholds.clone(),
-            self.shared
-                .tier_escalations
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
             self.submitted,
-            &self.shared.ledger.lock().unwrap(),
-            self.control.lock().unwrap().deferral_gap(),
-            *self.shared.addon_stats.lock().unwrap(),
+            deferral_gap,
         )
     }
 
@@ -715,6 +690,7 @@ impl ServingBackend for ClusterBackend<'_> {
             .flat_map(|w| w.queue.drain())
             .collect();
         unserved.sort_unstable_by_key(|job| job.qid);
+        let deferral_errors = self.control.lock().unwrap().take_deferral_error_series();
         let mut ledger = self.shared.ledger.lock().unwrap();
         for job in unserved {
             ledger.drop_query(QueryId(job.qid), job.arrival, horizon);
@@ -729,13 +705,7 @@ impl ServingBackend for ClusterBackend<'_> {
             self.submitted,
             &ledger,
             horizon,
-            &self.demand_track,
-            // The clock thread pushed its threshold decision every control
-            // tick, as the simulator does.
-            &self.shared.threshold_track.lock().unwrap(),
-            self.control.lock().unwrap().take_deferral_error_series(),
-            std::mem::take(&mut *self.shared.incident_log.lock().unwrap()),
-            *self.shared.addon_stats.lock().unwrap(),
+            deferral_errors,
         )
     }
 }
@@ -894,7 +864,7 @@ fn clock_loop(
 }
 
 /// One control tick: hands the shared [`ControlLoop`] what the fleet
-/// observed since the last tick (the drained telemetry, live queue
+/// observed since the last tick (the ledger's tick window, live queue
 /// lengths), steps the pipeline, and swaps the actuated plan in. Runs for
 /// every policy so the demand and profile estimators stay live; static
 /// policies simply always `Hold`. `fleet` and `obs` are the clock's, kept
@@ -914,7 +884,7 @@ fn control_tick(
     fleet.fill(shared.states(&plan, &excluded));
     let now = shared.now();
     shared
-        .telemetry
+        .ledger
         .lock()
         .unwrap()
         .observe(obs, now, fleet, &plan.batches);
@@ -922,14 +892,13 @@ fn control_tick(
     if let ControlDirective::Apply { plan: next } = &directive {
         plan.adopt(next, &excluded, |i| shared.workers[i].load());
     }
-    // Record the decision that is now in force — the series the report's
-    // `threshold_series` is built from (mirroring the simulator, which
-    // pushes its threshold on every tick).
+    // Record the decision that is now in force, as the simulator does on
+    // every tick.
     shared
-        .threshold_track
+        .ledger
         .lock()
         .unwrap()
-        .push(now, plan.thresholds[0]);
+        .record_threshold(now, plan.thresholds[0]);
     if directive != ControlDirective::Hold {
         *shared.plan.write().unwrap() = plan;
     }
@@ -1005,7 +974,8 @@ fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
         // A degraded worker predicts and executes with its *actual*
         // (slowed) service time, not nameplate. The module cache stays
         // locked from the drop-front estimate through the dispatch charge,
-        // so the two price the same residency.
+        // so the two price the same residency; the charge and the sheds
+        // take the ledger once, inside the cache guard.
         let slowdown = me.slowdown();
         let mut cache = me.cache.as_ref().map(|c| c.lock().unwrap());
         let now = shared.now();
@@ -1020,12 +990,13 @@ fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
             |i| batch[i].deadline,
             &mut seen,
         );
+        let mut ledger = shared.ledger.lock().unwrap();
         if let Some(exec) = priced {
             kernel.charge_dispatch(
                 current_tier,
                 batch[shed..].iter().map(Job::member),
                 cache.as_deref_mut(),
-                &mut shared.addon_stats.lock().unwrap(),
+                &mut ledger,
                 slowdown,
                 exec,
                 &mut seen,
@@ -1033,17 +1004,9 @@ fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
         }
         drop(cache);
         for job in batch.drain(..shed) {
-            shared
-                .telemetry
-                .lock()
-                .unwrap()
-                .record_violation(current_tier);
-            shared
-                .ledger
-                .lock()
-                .unwrap()
-                .drop_query(QueryId(job.qid), job.arrival, now);
+            ledger.shed(QueryId(job.qid), job.arrival, now, current_tier);
         }
+        drop(ledger);
         // No price: the whole batch was shed.
         let Some(exec) = priced else {
             continue;
@@ -1078,12 +1041,6 @@ fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
                     || deeper_alive,
                 )
             };
-            let late = kernel.is_late(job.arrival, now);
-            shared
-                .telemetry
-                .lock()
-                .unwrap()
-                .record_served(current_tier, &verdict, late);
             match verdict {
                 Verdict::Complete {
                     confidence,
@@ -1102,11 +1059,15 @@ fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
                     );
                     shared.ledger.lock().unwrap().complete(response);
                 }
-                Verdict::Escalate { resume, .. } => {
+                Verdict::Escalate { confidence, resume } => {
                     if resume.is_some() {
                         job.resume = resume;
                     }
-                    shared.tier_escalations[current_tier].fetch_add(1, Ordering::Relaxed);
+                    shared
+                        .ledger
+                        .lock()
+                        .unwrap()
+                        .escalate(current_tier, confidence);
                     shared.forward(kernel, current_tier + 1, job);
                 }
             }
@@ -1117,6 +1078,7 @@ fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diffserve_core::config::METRICS_WINDOW;
     use diffserve_core::{AddonCatalog, AddonsConfig, CompletedResponse, Policy};
     use diffserve_imagegen::{cascade1, DiscriminatorConfig, FeatureSpec};
     use diffserve_simkit::time::SimDuration;
@@ -1461,7 +1423,7 @@ mod tests {
                 }
             }
         }
-        let escalations = backend.shared.tier_escalations[0].load(Ordering::SeqCst);
+        let escalations = backend.snapshot().tier_escalations[0];
         (tiers, escalations)
     }
 
@@ -1557,7 +1519,7 @@ mod tests {
         }
         assert_eq!(backend.shared.ledger.lock().unwrap().slo().late(), 1);
         let mut obs = ControlObservation::default();
-        backend.shared.telemetry.lock().unwrap().observe(
+        backend.shared.ledger.lock().unwrap().observe(
             &mut obs,
             backend.now(),
             &FleetTally::new(2),

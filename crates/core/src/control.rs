@@ -31,11 +31,9 @@
 //!    [`LadderAllocation`], converted once here. Proteus's heavy routing
 //!    fraction is its plan's first threshold.
 //!
-//! Historically this logic was written twice — interleaved with event
-//! handling in `core::sim` and with thread plumbing in `cluster::runtime` —
-//! so every controller improvement had to land in both. Now both backends
-//! gather a [`ControlObservation`], call [`ControlLoop::step`], and actuate
-//! the directive; the decision logic exists exactly once.
+//! Both backends gather a [`ControlObservation`] (from the session's
+//! [`Ledger`](crate::kernel::Ledger)), call [`ControlLoop::step`], and
+//! actuate the directive; the decision logic exists once.
 //!
 //! [`ServingPlan`]: https://docs.rs/diffserve-cluster
 //! [`OnlineDeferralEstimator`]: diffserve_imagegen::OnlineDeferralEstimator

@@ -20,8 +20,7 @@
 //!   ([`Kernel::routing_load`], [`Kernel::miss_penalty`]), the entry tier
 //!   per policy ([`Kernel::entry_tier`]), a query's pass through a tier —
 //!   boundary verdict, and the image when it completes there
-//!   ([`Kernel::serve`]) — its lateness ([`Kernel::is_late`]), and
-//!   response / snapshot assembly.
+//!   ([`Kernel::serve`]) — and response assembly.
 //! * [`pick_worker`] — the routing pick over the candidate ladder.
 //! * [`adopt_batches`], [`worker_targets`], [`worker_moves`] — the batch
 //!   each tier runs, per-tier worker targets from a plan, and which
@@ -29,22 +28,21 @@
 //! * [`capacity_targets`], [`applied_capacity_event`] — which workers a
 //!   fail / recover / degrade / restore event touches, and what the
 //!   incident log records of it.
-//! * [`TickTelemetry`], [`FleetTally`] — what an engine counts between
-//!   control ticks ([`TickTelemetry::record_served`] per batch member) and
-//!   across its fleet ([`FleetTally::fill`]), and the one place a
-//!   [`ControlObservation`] is built from them.
-//! * [`Ledger`] — outcome accounting (SLO tracker, the report's streamed
-//!   [`CompletionTotals`], the rolling-FID ring, outcomes awaiting a poll).
+//! * [`FleetTally`] — what an engine counts across its fleet
+//!   ([`FleetTally::fill`]).
+//! * [`Ledger`] — the session's one record: every arrival, completion,
+//!   escalation, shed, incident, threshold and add-on charge is written
+//!   to it once, and the control tick's [`ControlObservation`]
+//!   ([`Ledger::observe`]), the live snapshot and the final report are
+//!   read from it.
 
 use diffserve_imagegen::{
     resume_savings, reused_steps, DiffusionModel, Discriminator, EmbeddingDraws, LatencyProfile,
     OnlinePredictiveRouter, OnlineRouterConfig, Prompt, PromptDataset, StageState,
 };
-use diffserve_metrics::{
-    GaussianStats, QueryOutcome as SloOutcome, RollingFid, SloTracker, ViolationWindows,
-};
+use diffserve_metrics::{GaussianStats, RollingFid, SloTracker, ViolationWindows, WindowedSeries};
 use diffserve_simkit::time::{SimDuration, SimTime};
-use diffserve_trace::{CapacityEvent, FleetHealth, ScenarioEvent};
+use diffserve_trace::{CapacityEvent, FleetHealth, Incident, IncidentLog, ScenarioEvent};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -90,16 +88,6 @@ pub enum Verdict {
         /// resume from; `None` in restart mode.
         resume: Option<StageState>,
     },
-}
-
-impl Verdict {
-    /// The boundary confidence, when one was scored.
-    pub fn confidence(&self) -> Option<f64> {
-        match *self {
-            Verdict::Complete { confidence, .. } => confidence,
-            Verdict::Escalate { confidence, .. } => Some(confidence),
-        }
-    }
 }
 
 /// Every tier's single-stage service latency at every batch size a session
@@ -231,9 +219,8 @@ impl StageLatencies {
 /// touching configuration again.
 #[derive(Debug, Clone)]
 pub struct Kernel<'a> {
-    /// The model tiers, cheapest first. A legacy (non-ladder) runtime is
-    /// exactly `[light, heavy]`, so every tier-indexed function reduces to
-    /// the two-tier arithmetic bit-for-bit.
+    /// The model tiers, cheapest first; `[light, heavy]` on a two-tier
+    /// cascade.
     models: Vec<&'a DiffusionModel>,
     /// One discriminator per escalation boundary (length `N − 1`);
     /// `discriminators[k]` scores tier-`k` outputs.
@@ -252,7 +239,6 @@ pub struct Kernel<'a> {
     affinity_blind: bool,
     resume: bool,
     resume_step_credit: f64,
-    slo: SimDuration,
     addons: Option<AddonsConfig>,
     /// Configuration of the pre-execution router, present only where one
     /// runs: ladders of more than two tiers on a cascade policy.
@@ -288,14 +274,13 @@ impl<'a> Kernel<'a> {
             affinity_blind: settings.knobs.affinity_blind_routing,
             resume: config.resume_from_latents,
             resume_step_credit: config.resume_step_credit,
-            slo: config.slo,
             addons: config.addons.clone(),
             router,
             draws: runtime.embedding_draws(),
         }
     }
 
-    /// Number of model tiers (2 for a legacy cascade).
+    /// Number of model tiers (2 for a two-tier cascade).
     #[inline]
     pub fn num_tiers(&self) -> usize {
         self.models.len()
@@ -418,11 +403,12 @@ impl<'a> Kernel<'a> {
         secs
     }
 
-    /// Charges a dispatching batch's module swaps: records one hit/miss
-    /// per add-on-carrying member (judged against cache residency at batch
-    /// start, with each distinct missing module's load latency attributed
-    /// to its first requester), then admits every required module in
-    /// member order — hits refresh LRU recency, misses load and evict.
+    /// Charges a dispatching batch's module swaps: records in `ledger` one
+    /// hit/miss per add-on-carrying member (judged against cache residency
+    /// at batch start, with each distinct missing module's load latency
+    /// attributed to its first requester), then admits every required
+    /// module in member order — hits refresh LRU recency, misses load and
+    /// evict.
     /// Returns the total load seconds, bitwise what
     /// [`Kernel::batch_swap_secs`] predicted for the same batch.
     #[inline]
@@ -430,7 +416,7 @@ impl<'a> Kernel<'a> {
         &self,
         tier: usize,
         cache: Option<&mut ModuleCache>,
-        stats: &mut AddonStats,
+        ledger: &mut Ledger,
         members: impl Iterator<Item = Option<usize>> + Clone,
         seen: &mut Vec<usize>,
     ) -> f64 {
@@ -447,7 +433,7 @@ impl<'a> Kernel<'a> {
             } else {
                 0.0
             };
-            stats.record(tier, hit, swap);
+            ledger.addons.record(tier, hit, swap);
             secs += swap;
         }
         for id in members.flatten() {
@@ -492,7 +478,7 @@ impl<'a> Kernel<'a> {
         self.service_secs(tier, batch, savings, swap, slowdown)
     }
 
-    /// Charges a dispatching batch's module swaps to `cache` and `stats`
+    /// Charges a dispatching batch's module swaps to `cache` and `ledger`
     /// (see [`Kernel::charge_batch_swaps`]). The batch's service time is
     /// `priced`, what [`Kernel::predicted_misses`] returned for it against
     /// the same cache state: the ETA the drop-front rule judged by and the
@@ -506,7 +492,7 @@ impl<'a> Kernel<'a> {
         tier: usize,
         members: I,
         cache: Option<&mut ModuleCache>,
-        stats: &mut AddonStats,
+        ledger: &mut Ledger,
         slowdown: f64,
         priced: f64,
         seen: &mut Vec<usize>,
@@ -515,7 +501,7 @@ impl<'a> Kernel<'a> {
         I: ExactSizeIterator<Item = Member> + Clone,
     {
         let swap =
-            self.charge_batch_swaps(tier, cache, stats, members.clone().map(|m| m.addon), seen);
+            self.charge_batch_swaps(tier, cache, ledger, members.clone().map(|m| m.addon), seen);
         debug_assert_eq!(
             self.service_secs(
                 tier,
@@ -729,15 +715,6 @@ impl<'a> Kernel<'a> {
         image
     }
 
-    /// Whether a query that arrived at `arrival` and completes at
-    /// `completion` is late: its latency is over the SLO, the rule the
-    /// [`Ledger`] counts by. An explicit earlier or later deadline moves
-    /// only the drop-front rule.
-    #[inline]
-    pub fn is_late(&self, arrival: SimTime, completion: SimTime) -> bool {
-        SloOutcome::of_completion(completion.saturating_since(arrival), self.slo).is_violation()
-    }
-
     /// Assembles the response for a query completing at `tier`.
     #[inline]
     #[allow(clippy::too_many_arguments)]
@@ -840,46 +817,6 @@ impl<'a> Kernel<'a> {
                 }
                 _ => (0, false),
             },
-        }
-    }
-
-    // --- Snapshots -----------------------------------------------------------
-
-    /// Assembles a live [`SessionSnapshot`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn snapshot(
-        &self,
-        now: SimTime,
-        fleet: FleetTally,
-        thresholds: Vec<f64>,
-        tier_escalations: Vec<u64>,
-        submitted: u64,
-        ledger: &Ledger,
-        deferral_gap: f64,
-        addon_stats: AddonStats,
-    ) -> SessionSnapshot {
-        let completions = ledger.totals.completions();
-        SessionSnapshot {
-            now,
-            failed_workers: fleet.failed,
-            degraded_workers: fleet.degraded,
-            submitted,
-            completed: ledger.slo.on_time() + ledger.slo.late(),
-            dropped: ledger.slo.dropped(),
-            heavy_fraction: if completions == 0 {
-                0.0
-            } else {
-                ledger.totals.heavy() as f64 / completions as f64
-            },
-            fid_estimate: ledger.rolling_fid.estimate(),
-            deferral_gap,
-            resumed_completions: ledger.totals.resumed(),
-            addon_stats,
-            tier_workers: fleet.tier_workers,
-            tier_queues: fleet.tier_queues,
-            tier_busy: fleet.tier_busy,
-            tier_escalations,
-            thresholds,
         }
     }
 }
@@ -1159,9 +1096,9 @@ impl FleetTally {
     }
 }
 
-/// What an engine counts between two control ticks.
-#[derive(Debug, Clone, Default)]
-pub struct TickTelemetry {
+/// What the ledger counts between two control ticks.
+#[derive(Debug, Default)]
+struct TickWindow {
     arrivals: u64,
     heavy_arrivals: u64,
     /// SLO violations attributed to the entry tier / to any deeper tier —
@@ -1174,54 +1111,174 @@ pub struct TickTelemetry {
     tier_direct: Vec<u64>,
 }
 
-impl TickTelemetry {
-    /// Fresh counters for a `num_tiers` ladder. Per-tier direct admissions
-    /// are only tracked where a predictive router can produce them.
-    pub fn new(num_tiers: usize, track_direct: bool) -> Self {
-        TickTelemetry {
-            deep_confidences: vec![Vec::new(); num_tiers.saturating_sub(2)],
-            tier_direct: vec![0; if track_direct { num_tiers } else { 0 }],
-            ..Default::default()
+impl TickWindow {
+    /// Attributes one SLO violation (a shed or a late completion) to the
+    /// tier that was serving the query.
+    fn violation(&mut self, tier: usize) {
+        self.violations[usize::from(tier > 0)] += 1;
+    }
+
+    /// Adds a confidence scored at boundary `tier → tier + 1`.
+    fn confidence(&mut self, tier: usize, confidence: f64) {
+        match tier {
+            0 => self.confidences.push(confidence),
+            _ => self.deep_confidences[tier - 1].push(confidence),
+        }
+    }
+}
+
+/// Number of most-recent responses the snapshots' rolling FID estimate is
+/// fit on.
+const FID_ESTIMATE_TAIL: usize = 256;
+
+/// Ridge added to the rolling window's covariance diagonal; matches the
+/// regularization the report's windowed FID series uses for small windows.
+const FID_ESTIMATE_RIDGE: f64 = 1e-3;
+
+/// A session's one record of what happened, written once by either engine
+/// where it happens and read by the control tick ([`Ledger::observe`]), the
+/// live snapshot ([`Ledger::snapshot`]) and the final report
+/// ([`RunReport::assemble`](crate::RunReport::assemble)).
+///
+/// It keeps the SLO tracker, the per-window violation counts, the streamed
+/// totals the report is assembled from, the ring behind the snapshots'
+/// rolling FID estimate and the outcomes awaiting the next poll; the tick
+/// window of arrivals, violations and boundary confidences; the demand and
+/// threshold series; the incident log; the add-on cache accounting; and
+/// the per-boundary escalation counts. A completion's feature row is read
+/// twice here (into its moment cell and into the ring) and never again, so
+/// neither a snapshot nor the report costs anything per response.
+#[derive(Debug)]
+pub struct Ledger {
+    slo: SloTracker,
+    violations: ViolationWindows,
+    totals: CompletionTotals,
+    rolling_fid: RollingFid,
+    /// Outcomes recorded since the last drain, in recording order. `None`
+    /// on a session that is never polled (the batch entry points), which
+    /// then keeps no outcome at all.
+    undrained: Option<Vec<QueryOutcome>>,
+    window: TickWindow,
+    demand: WindowedSeries,
+    thresholds: WindowedSeries,
+    incidents: IncidentLog,
+    addons: AddonStats,
+    /// `[k]` counts the tier `k` → `k + 1` hand-offs.
+    escalations: Vec<u64>,
+}
+
+impl Ledger {
+    /// An empty ledger for a `num_tiers` ladder under the configured SLO,
+    /// windowed by [`METRICS_WINDOW`] and scoring against the FID
+    /// reference. Per-tier direct admissions are counted only with
+    /// `track_direct`, where a predictive router can produce them.
+    pub fn new(
+        config: &SystemConfig,
+        reference: &GaussianStats,
+        num_tiers: usize,
+        track_direct: bool,
+    ) -> Self {
+        Ledger {
+            slo: SloTracker::new(config.slo),
+            violations: ViolationWindows::new(METRICS_WINDOW),
+            totals: CompletionTotals::new(reference),
+            rolling_fid: RollingFid::new(reference.clone(), FID_ESTIMATE_TAIL, FID_ESTIMATE_RIDGE),
+            undrained: Some(Vec::new()),
+            window: TickWindow {
+                deep_confidences: vec![Vec::new(); num_tiers.saturating_sub(2)],
+                tier_direct: vec![0; if track_direct { num_tiers } else { 0 }],
+                ..TickWindow::default()
+            },
+            demand: WindowedSeries::new(METRICS_WINDOW),
+            thresholds: WindowedSeries::new(METRICS_WINDOW),
+            incidents: Vec::new(),
+            addons: AddonStats::default(),
+            escalations: vec![0; num_tiers.saturating_sub(1)],
         }
     }
 
-    /// Counts an arrival admitted at `tier`; `deep_demand` is the second
-    /// half of [`Kernel::entry_tier`]'s answer.
+    /// Stops keeping outcomes for [`Ledger::drain`]: for sessions whose
+    /// driver never polls.
+    pub(crate) fn discard_outcomes(&mut self) {
+        self.undrained = None;
+    }
+
+    /// Records an arrival at `at` admitted at `tier`; `deep_demand` is the
+    /// second half of [`Kernel::entry_tier`]'s answer.
     #[inline]
-    pub fn record_arrival(&mut self, tier: usize, deep_demand: bool) {
-        self.arrivals += 1;
-        self.heavy_arrivals += u64::from(deep_demand);
-        if let Some(c) = self.tier_direct.get_mut(tier) {
+    pub fn arrive(&mut self, at: SimTime, tier: usize, deep_demand: bool) {
+        self.demand.push(at, 1.0);
+        self.window.arrivals += 1;
+        self.window.heavy_arrivals += u64::from(deep_demand);
+        if let Some(c) = self.window.tier_direct.get_mut(tier) {
             *c += 1;
         }
     }
 
-    /// Attributes one SLO violation (a drop or a late completion) to the
-    /// tier that was serving the query.
+    /// Records a completion: late when its latency is over the SLO, which
+    /// counts as a violation of its tier in the tick window, as does its
+    /// boundary confidence when one was scored. An explicit deadline moves
+    /// only the drop-front rule.
     #[inline]
-    pub fn record_violation(&mut self, tier: usize) {
-        self.violations[usize::from(tier > 0)] += 1;
+    pub fn complete(&mut self, response: CompletedResponse) {
+        let late = self
+            .slo
+            .record_completion(response.arrival, response.completion)
+            .is_violation();
+        self.violations.record(response.completion, late);
+        if let Some(confidence) = response.confidence {
+            self.window.confidence(response.tier, confidence);
+        }
+        if late {
+            self.window.violation(response.tier);
+        }
+        self.rolling_fid.push(&response.features);
+        self.totals.record(&response);
+        if let Some(undrained) = &mut self.undrained {
+            undrained.push(QueryOutcome::Completed(response));
+        }
     }
 
-    /// Counts one batch member's pass through `tier`: the confidence its
-    /// `verdict` scored at boundary `tier → tier + 1`, if any; an
-    /// escalation as demand on the deeper pools; and a completion that is
-    /// `late` by [`Kernel::is_late`], the ledger's rule, as a violation.
+    /// Records a query handed from `tier` to the next at boundary
+    /// `confidence`: demand on the deeper pools and one escalation.
     #[inline]
-    pub fn record_served(&mut self, tier: usize, verdict: &Verdict, late: bool) {
-        match (verdict.confidence(), tier) {
-            (None, _) => {}
-            (Some(confidence), 0) => self.confidences.push(confidence),
-            (Some(confidence), _) => self.deep_confidences[tier - 1].push(confidence),
-        }
-        match verdict {
-            Verdict::Escalate { .. } => self.heavy_arrivals += 1,
-            Verdict::Complete { .. } if late => self.record_violation(tier),
-            Verdict::Complete { .. } => {}
+    pub fn escalate(&mut self, tier: usize, confidence: f64) {
+        self.window.confidence(tier, confidence);
+        self.window.heavy_arrivals += 1;
+        self.escalations[tier] += 1;
+    }
+
+    /// Records a query the drop-front rule shed at `at` from `tier`: a drop,
+    /// and a violation of that tier in the tick window.
+    #[inline]
+    pub fn shed(&mut self, id: QueryId, arrival: SimTime, at: SimTime, tier: usize) {
+        self.drop_query(id, arrival, at);
+        self.window.violation(tier);
+    }
+
+    /// Records a query left unfinished at the horizon `at`. The session is
+    /// over, so no tick window hears of it.
+    #[inline]
+    pub fn drop_query(&mut self, id: QueryId, arrival: SimTime, at: SimTime) {
+        self.slo.record_drop();
+        self.violations.record(at, true);
+        if let Some(undrained) = &mut self.undrained {
+            undrained.push(QueryOutcome::Dropped { id, arrival, at });
         }
     }
 
-    /// Drains the window into `obs`, the [`ControlObservation`] for a
+    /// Records the entry-boundary threshold in force after the control tick
+    /// at `now`.
+    pub fn record_threshold(&mut self, now: SimTime, threshold: f64) {
+        self.thresholds.push(now, threshold);
+    }
+
+    /// Records a perturbation as it was applied.
+    pub fn record_incident(&mut self, incident: Incident) {
+        self.incidents.push(incident);
+    }
+
+    /// Drains the tick window into `obs`, the [`ControlObservation`] for a
     /// tick at `now` over the given fleet; `batches` are the adopted
     /// plan's per-tier batches (see [`adopt_batches`]), of which the
     /// controller is told the entry and terminal tiers'.
@@ -1244,102 +1301,30 @@ impl TickTelemetry {
             into.clear();
             std::mem::swap(into, stream);
         }
-        let [violations_light, violations_heavy] = std::mem::take(&mut self.violations);
+        let window = &mut self.window;
+        let [violations_light, violations_heavy] = std::mem::take(&mut window.violations);
         obs.now = now;
-        obs.arrivals = std::mem::take(&mut self.arrivals);
-        obs.heavy_arrivals = std::mem::take(&mut self.heavy_arrivals);
+        obs.arrivals = std::mem::take(&mut window.arrivals);
+        obs.heavy_arrivals = std::mem::take(&mut window.heavy_arrivals);
         obs.violations_light = violations_light;
         obs.violations_heavy = violations_heavy;
         obs.alive_workers = fleet.alive();
         obs.effective_capacity = fleet.effective_capacity;
         obs.current_light_batch = batches[0];
         obs.current_heavy_batch = batches[batches.len() - 1];
-        trade(&mut obs.confidences, &mut self.confidences);
+        trade(&mut obs.confidences, &mut window.confidences);
         obs.tier_queues.clone_from(&fleet.tier_queues);
         obs.deep_confidences
-            .resize_with(self.deep_confidences.len(), Vec::new);
+            .resize_with(window.deep_confidences.len(), Vec::new);
         for (into, stream) in obs
             .deep_confidences
             .iter_mut()
-            .zip(&mut self.deep_confidences)
+            .zip(&mut window.deep_confidences)
         {
             trade(into, stream);
         }
-        obs.tier_direct_arrivals.clone_from(&self.tier_direct);
-        self.tier_direct.fill(0);
-    }
-}
-
-/// Number of most-recent responses the snapshots' rolling FID estimate is
-/// fit on.
-const FID_ESTIMATE_TAIL: usize = 256;
-
-/// Ridge added to the rolling window's covariance diagonal; matches the
-/// regularization the report's windowed FID series uses for small windows.
-const FID_ESTIMATE_RIDGE: f64 = 1e-3;
-
-/// Outcome accounting for one session, updated where an outcome is
-/// recorded: the SLO tracker, the per-window violation counts, the streamed
-/// totals the final report is assembled from, the ring behind the
-/// snapshots' rolling FID estimate, and the outcomes awaiting the next
-/// poll. A completion's feature row is read twice here (into its moment
-/// cell and into the ring) and never again, so neither a snapshot nor the
-/// report costs anything per response.
-#[derive(Debug)]
-pub struct Ledger {
-    slo: SloTracker,
-    violations: ViolationWindows,
-    totals: CompletionTotals,
-    rolling_fid: RollingFid,
-    /// Outcomes recorded since the last drain, in recording order. `None`
-    /// on a session that is never polled (the batch entry points), which
-    /// then keeps no outcome at all.
-    undrained: Option<Vec<QueryOutcome>>,
-}
-
-impl Ledger {
-    /// An empty ledger for the configured SLO, windowed by
-    /// [`METRICS_WINDOW`] and scoring against the FID reference.
-    pub fn new(config: &SystemConfig, reference: &GaussianStats) -> Self {
-        Ledger {
-            slo: SloTracker::new(config.slo),
-            violations: ViolationWindows::new(METRICS_WINDOW),
-            totals: CompletionTotals::new(reference),
-            rolling_fid: RollingFid::new(reference.clone(), FID_ESTIMATE_TAIL, FID_ESTIMATE_RIDGE),
-            undrained: Some(Vec::new()),
-        }
-    }
-
-    /// Stops keeping outcomes for [`Ledger::drain`]: for sessions whose
-    /// driver never polls.
-    pub(crate) fn discard_outcomes(&mut self) {
-        self.undrained = None;
-    }
-
-    /// Records a completion, late by [`Kernel::is_late`]'s rule.
-    #[inline]
-    pub fn complete(&mut self, response: CompletedResponse) {
-        let outcome = self
-            .slo
-            .record_completion(response.arrival, response.completion);
-        self.violations
-            .record(response.completion, outcome.is_violation());
-        self.rolling_fid.push(&response.features);
-        self.totals.record(&response);
-        if let Some(undrained) = &mut self.undrained {
-            undrained.push(QueryOutcome::Completed(response));
-        }
-    }
-
-    /// Records a query dropped at `at`: shed by the drop-front rule, or
-    /// left unfinished at the horizon.
-    #[inline]
-    pub fn drop_query(&mut self, id: QueryId, arrival: SimTime, at: SimTime) {
-        self.slo.record_drop();
-        self.violations.record(at, true);
-        if let Some(undrained) = &mut self.undrained {
-            undrained.push(QueryOutcome::Dropped { id, arrival, at });
-        }
+        obs.tier_direct_arrivals.clone_from(&window.tier_direct);
+        window.tier_direct.fill(0);
     }
 
     /// Makes room for `additional` more outcomes awaiting a poll, so that
@@ -1359,6 +1344,41 @@ impl Ledger {
             .unwrap_or_default()
     }
 
+    /// A live [`SessionSnapshot`] at `now` of a session that has taken
+    /// `submitted` queries, over its fleet and the thresholds in force.
+    pub fn snapshot(
+        &self,
+        now: SimTime,
+        fleet: FleetTally,
+        thresholds: Vec<f64>,
+        submitted: u64,
+        deferral_gap: f64,
+    ) -> SessionSnapshot {
+        let completions = self.totals.completions();
+        SessionSnapshot {
+            now,
+            failed_workers: fleet.failed,
+            degraded_workers: fleet.degraded,
+            submitted,
+            completed: self.slo.on_time() + self.slo.late(),
+            dropped: self.slo.dropped(),
+            heavy_fraction: if completions == 0 {
+                0.0
+            } else {
+                self.totals.heavy() as f64 / completions as f64
+            },
+            fid_estimate: self.rolling_fid.estimate(),
+            deferral_gap,
+            resumed_completions: self.totals.resumed(),
+            addon_stats: self.addons,
+            tier_workers: fleet.tier_workers,
+            tier_queues: fleet.tier_queues,
+            tier_busy: fleet.tier_busy,
+            tier_escalations: self.escalations.clone(),
+            thresholds,
+        }
+    }
+
     /// The SLO tracker.
     pub fn slo(&self) -> &SloTracker {
         &self.slo
@@ -1372,6 +1392,26 @@ impl Ledger {
     /// What the final report derives from the completions.
     pub fn totals(&self) -> &CompletionTotals {
         &self.totals
+    }
+
+    /// Arrivals over time.
+    pub(crate) fn demand(&self) -> &WindowedSeries {
+        &self.demand
+    }
+
+    /// The entry-boundary threshold over time, one push per control tick.
+    pub(crate) fn thresholds(&self) -> &WindowedSeries {
+        &self.thresholds
+    }
+
+    /// Every perturbation applied, in firing order.
+    pub(crate) fn incidents(&self) -> &IncidentLog {
+        &self.incidents
+    }
+
+    /// Per-tier add-on module-cache accounting.
+    pub(crate) fn addon_stats(&self) -> AddonStats {
+        self.addons
     }
 }
 
@@ -1450,7 +1490,8 @@ mod tests {
                 cache.admit(id, &addons.catalog);
             }
             let slowdown = f64::from(slowdown_tenths) / 10.0;
-            let (mut seen, mut stats) = (Vec::new(), AddonStats::default());
+            let mut seen = Vec::new();
+            let mut ledger = Ledger::new(&config, &runtime().reference, 3, false);
             let eta = kernel.eta_secs(
                 tier,
                 members.iter().copied(),
@@ -1479,7 +1520,7 @@ mod tests {
                 tier,
                 members.iter().copied(),
                 Some(&mut cache),
-                &mut stats,
+                &mut ledger,
                 slowdown,
                 eta,
                 &mut seen,
@@ -1487,7 +1528,7 @@ mod tests {
             proptest::prop_assert_eq!(swap.to_bits(), charged.to_bits());
             // Dispatch records exactly one lookup per add-on-carrying member.
             let carrying = members.iter().filter(|m| m.addon.is_some()).count() as u64;
-            proptest::prop_assert_eq!(stats.total_lookups(), carrying);
+            proptest::prop_assert_eq!(ledger.addons.total_lookups(), carrying);
         }
 
         /// (c) Resume off and add-ons off: whatever state the members
@@ -1498,24 +1539,26 @@ mod tests {
             drawn in proptest::collection::vec((0usize..3, 0usize..9), 1..17),
             slowdown_tenths in 10u32..40,
         ) {
-            let kernel = Kernel::new(runtime(), &SystemConfig::default(), &settings());
+            let config = SystemConfig::default();
+            let kernel = Kernel::new(runtime(), &config, &settings());
             let members: Vec<Member> = drawn.iter().map(|&d| member(&kernel, d)).collect();
             let slowdown = f64::from(slowdown_tenths) / 10.0;
-            let (mut seen, mut stats) = (Vec::new(), AddonStats::default());
+            let mut seen = Vec::new();
+            let mut ledger = Ledger::new(&config, &runtime().reference, 3, false);
             let bare = kernel.stage_latency(tier, members.len()) * slowdown;
             let eta = kernel.eta_secs(tier, members.iter().copied(), None, slowdown, &mut seen);
             let swap = kernel.charge_dispatch(
                 tier,
                 members.iter().copied(),
                 None,
-                &mut stats,
+                &mut ledger,
                 slowdown,
                 bare,
                 &mut seen,
             );
             proptest::prop_assert_eq!(eta.to_bits(), bare.to_bits());
             proptest::prop_assert_eq!(swap, 0.0);
-            proptest::prop_assert_eq!(stats, AddonStats::default());
+            proptest::prop_assert_eq!(ledger.addons, AddonStats::default());
         }
     }
 
@@ -2057,31 +2100,64 @@ mod tests {
         alive.chain(std::iter::repeat_n(None, failed)).collect()
     }
 
-    /// A completion scored at `confidence`.
-    fn kept(confidence: Option<f64>) -> Verdict {
-        Verdict::Complete {
-            confidence,
-            image: runtime().renders()[0].image(0),
-            reused: 0,
-        }
-    }
-
+    /// A scripted session on a three-tier ladder, written once into the
+    /// ledger: the control tick, the snapshot and the report each read it.
     #[test]
-    fn telemetry_drains_into_one_observation() {
-        let mut telemetry = TickTelemetry::new(3, true);
-        telemetry.record_arrival(0, false);
-        telemetry.record_arrival(2, true);
-        // An escalation is demand, never a violation; a completion is one
-        // only when late.
-        let escalated = Verdict::Escalate {
-            confidence: 0.25,
-            resume: None,
+    fn one_ledger_feeds_the_tick_the_snapshot_and_the_report() {
+        let config = full_config();
+        let kernel = Kernel::new(runtime(), &config, &settings());
+        let mut ledger = Ledger::new(&config, &runtime().reference, 3, true);
+        let late = config.slo.as_secs_f64() as u64 + 1;
+        let t = SimTime::from_secs(1);
+        ledger.arrive(t, 0, false);
+        ledger.arrive(t, 1, true);
+        ledger.arrive(t, 0, false);
+        // A shed is a violation of the tier that shed it.
+        ledger.shed(QueryId(2), t, SimTime::from_secs(2), 0);
+        // An escalation is demand on the deeper pools, never a violation.
+        ledger.escalate(0, 0.25);
+        // A completion is a violation only when late; its boundary score
+        // joins its tier's stream, and the terminal tier scores nothing.
+        ledger.complete(CompletedResponse {
+            tier: 1,
+            confidence: Some(0.75),
+            ..completion(0, late)
+        });
+        ledger.complete(CompletedResponse {
+            confidence: Some(0.5),
+            ..completion(1, 1)
+        });
+        ledger.complete(CompletedResponse {
+            tier: 2,
+            ..completion(3, late)
+        });
+        // The horizon ends the session: its drops reach no tick.
+        ledger.drop_query(QueryId(4), t, SimTime::from_secs(9));
+        let incident = Incident {
+            at: SimTime::from_secs(3),
+            event: ScenarioEvent::Difficulty(0.2),
         };
-        telemetry.record_served(0, &escalated, true);
-        telemetry.record_violation(0);
-        telemetry.record_served(1, &kept(Some(0.75)), true);
-        telemetry.record_served(2, &kept(None), true);
-        telemetry.record_served(2, &kept(None), false);
+        ledger.record_incident(incident);
+        ledger.record_threshold(SimTime::from_secs(2), 0.4);
+        // Two members need module 0 on a cold cache: a miss, then a hit.
+        let addons = config.addons.as_ref().expect("add-ons on");
+        let mut cache = ModuleCache::new(addons.cache_mem_mb);
+        let members = [Member {
+            resume: None,
+            addon: Some(0),
+        }; 2];
+        let mut seen = Vec::new();
+        let eta = kernel.eta_secs(0, members.into_iter(), Some(&cache), 1.0, &mut seen);
+        kernel.charge_dispatch(
+            0,
+            members.into_iter(),
+            Some(&mut cache),
+            &mut ledger,
+            1.0,
+            eta,
+            &mut seen,
+        );
+
         let mut fleet = FleetTally::of(
             3,
             workers(
@@ -2094,24 +2170,27 @@ mod tests {
         assert!((fleet.utilization() - 2.0 / 3.0).abs() < 1e-12);
 
         let mut obs = ControlObservation::default();
-        telemetry.observe(&mut obs, SimTime::from_secs(2), &fleet, &[4, 2, 1]);
-        assert_eq!((obs.arrivals, obs.heavy_arrivals), (2, 2));
+        ledger.observe(&mut obs, SimTime::from_secs(2), &fleet, &[4, 2, 1]);
+        assert_eq!((obs.arrivals, obs.heavy_arrivals), (3, 2));
         assert_eq!((obs.violations_light, obs.violations_heavy), (1, 2));
         assert_eq!(obs.tier_queues, [4, 2, 3]);
         assert_eq!(obs.alive_workers, 3);
         assert_eq!(obs.effective_capacity, 2.5);
         assert_eq!((obs.current_light_batch, obs.current_heavy_batch), (4, 1));
-        assert_eq!(obs.confidences, [0.25]);
+        assert_eq!(obs.confidences, [0.25, 0.5]);
         assert_eq!(obs.deep_confidences, [vec![0.75]]);
-        assert_eq!(obs.tier_direct_arrivals, [1, 0, 1]);
+        assert_eq!(obs.tier_direct_arrivals, [2, 1, 0]);
 
         // The window is drained, into the same observation; the next
         // window records into the buffer the observation gave up.
-        telemetry.record_served(0, &kept(Some(0.5)), false);
-        let recorded = telemetry.confidences.as_ptr();
+        ledger.complete(CompletedResponse {
+            confidence: Some(0.5),
+            ..completion(5, 1)
+        });
+        let recorded = ledger.window.confidences.as_ptr();
         fleet.fill([]);
         assert_eq!(fleet, FleetTally::new(3));
-        telemetry.observe(&mut obs, SimTime::from_secs(4), &fleet, &[4, 2, 1]);
+        ledger.observe(&mut obs, SimTime::from_secs(4), &fleet, &[4, 2, 1]);
         assert_eq!(obs.now, SimTime::from_secs(4));
         assert_eq!((obs.arrivals, obs.heavy_arrivals), (0, 0));
         assert_eq!((obs.violations_light, obs.violations_heavy), (0, 0));
@@ -2121,6 +2200,23 @@ mod tests {
         assert_eq!(obs.tier_queues, [0, 0, 0]);
         assert_eq!(obs.alive_workers, 0);
         assert_eq!(obs.tier_direct_arrivals, [0, 0, 0]);
+
+        // The snapshot and the report read the same record.
+        let snap = ledger.snapshot(SimTime::from_secs(4), fleet, vec![0.4, 0.5], 6, 0.0);
+        let report =
+            crate::RunReport::assemble(Policy::DiffServe, 6, &ledger, SimTime::MAX, vec![]);
+        assert_eq!(snap.tier_escalations, [1, 0]);
+        assert_eq!(snap.addon_stats.total_lookups(), 2);
+        assert_eq!(snap.addon_stats, report.addon_stats);
+        assert_eq!(report.incident_log, [incident]);
+        assert_eq!((snap.completed, snap.dropped), (4, 2));
+        assert_eq!((report.completed, report.dropped), (4, 2));
+        assert_eq!(report.late, 2);
+        assert_eq!(
+            report.demand_series,
+            [(0.0, 3.0 / METRICS_WINDOW.as_secs_f64())]
+        );
+        assert_eq!(report.threshold_series, [(0.0, 0.4)]);
     }
 
     fn completion(id: u64, latency_secs: u64) -> CompletedResponse {
@@ -2140,17 +2236,24 @@ mod tests {
     #[test]
     fn the_ledger_hands_over_each_outcome_once_in_recording_order() {
         let config = SystemConfig::default();
-        let mut ledger = Ledger::new(&config, &runtime().reference);
+        let mut ledger = Ledger::new(&config, &runtime().reference, 2, false);
         let slo_secs = config.slo.as_secs_f64() as u64;
         ledger.complete(completion(0, 1));
         assert_eq!(ledger.slo().late(), 0);
         ledger.complete(completion(1, slo_secs + 1));
         assert_eq!(ledger.slo().late(), 1);
-        // The kernel judges lateness by the same rule.
-        let kernel = Kernel::new(runtime(), &config, &settings());
+        // Lateness is judged over the SLO, to the microsecond, and the tick
+        // window hears of exactly the late completions the report counts.
+        let mut judged = Ledger::new(&config, &runtime().reference, 2, false);
         let arrival = SimTime::from_secs(1);
-        assert!(!kernel.is_late(arrival, arrival + config.slo));
-        assert!(kernel.is_late(arrival, arrival + config.slo + SimDuration::from_micros(1)));
+        for latency in [config.slo, config.slo + SimDuration::from_micros(1)] {
+            judged.complete(CompletedResponse {
+                completion: arrival + latency,
+                ..completion(9, 0)
+            });
+        }
+        assert_eq!((judged.slo().on_time(), judged.slo().late()), (1, 1));
+        assert_eq!(judged.window.violations, [1, 0]);
         let (arrival, at) = (SimTime::from_secs(2), SimTime::from_secs(3));
         ledger.drop_query(QueryId(2), arrival, at);
 
@@ -2173,7 +2276,7 @@ mod tests {
 
     #[test]
     fn a_ledger_that_discards_outcomes_still_counts_them() {
-        let mut ledger = Ledger::new(&SystemConfig::default(), &runtime().reference);
+        let mut ledger = Ledger::new(&SystemConfig::default(), &runtime().reference, 2, false);
         ledger.discard_outcomes();
         ledger.complete(completion(0, 1));
         ledger.drop_query(QueryId(1), SimTime::ZERO, SimTime::from_secs(1));
@@ -2186,7 +2289,7 @@ mod tests {
     /// reservation made; a ledger that keeps no outcomes reserves nothing.
     #[test]
     fn reserved_outcomes_are_recorded_without_moving_the_buffer() {
-        let mut ledger = Ledger::new(&SystemConfig::default(), &runtime().reference);
+        let mut ledger = Ledger::new(&SystemConfig::default(), &runtime().reference, 2, false);
         ledger.reserve_outcomes(3);
         let buffer = |ledger: &Ledger| ledger.undrained.as_ref().map(Vec::as_ptr);
         let reserved = buffer(&ledger);

@@ -1,7 +1,7 @@
 //! Run reports: the measurements every experiment consumes.
 
 use diffserve_imagegen::features::DIM;
-use diffserve_metrics::{frechet_distance, CenteredMoments, GaussianStats, WindowedSeries};
+use diffserve_metrics::{frechet_distance, CenteredMoments, GaussianStats};
 use diffserve_simkit::time::SimTime;
 use diffserve_trace::IncidentLog;
 
@@ -238,30 +238,25 @@ impl CompletionTotals {
 }
 
 impl RunReport {
-    /// Assembles a report from a run's streamed accounting. Shared by the
-    /// discrete-event simulator and the thread-based cluster runtime so the
-    /// two are compared on identical accounting.
+    /// Assembles the report of a session that took `total_queries` queries
+    /// from its ledger. Shared by the discrete-event simulator and the
+    /// thread-based cluster runtime so the two are compared on identical
+    /// accounting.
     ///
-    /// `demand` counts arrivals and `thresholds` records the controller's
-    /// boundary-0 threshold at every tick. Their series and the deferral
-    /// errors are cut at `horizon`: windows are keyed by their start, so
-    /// anything at or past it is a partial artifact of the drain period.
+    /// The demand and threshold series and the deferral errors are cut at
+    /// `horizon`: windows are keyed by their start, so anything at or past
+    /// it is a partial artifact of the drain period.
     ///
     /// The cost is one Gaussian fit and one Fréchet distance per metrics
     /// window, per tier and for the run — `O((windows + tiers) · d³)`
     /// whatever the number of responses — and every fit goes into one
     /// reused Gaussian.
-    #[allow(clippy::too_many_arguments)]
     pub fn assemble(
         policy: Policy,
         total_queries: u64,
         ledger: &Ledger,
         horizon: SimTime,
-        demand: &WindowedSeries,
-        thresholds: &WindowedSeries,
         deferral_errors: Vec<(f64, f64)>,
-        incident_log: IncidentLog,
-        addon_stats: AddonStats,
     ) -> RunReport {
         let h = horizon.as_secs_f64();
         let secs = |series: Vec<(SimTime, f64)>| -> Vec<(f64, f64)> {
@@ -271,8 +266,8 @@ impl RunReport {
                 .collect()
         };
         let [demand_series, threshold_series, deferral_error_series] = [
-            secs(demand.window_rates()),
-            secs(thresholds.window_means()),
+            secs(ledger.demand().window_rates()),
+            secs(ledger.thresholds().window_means()),
             deferral_errors,
         ]
         .map(|series| series.into_iter().filter(|&(t, _)| t < h).collect());
@@ -348,8 +343,8 @@ impl RunReport {
             demand_series,
             threshold_series,
             deferral_error_series,
-            incident_log,
-            addon_stats,
+            incident_log: ledger.incidents().clone(),
+            addon_stats: ledger.addon_stats(),
             mean_windowed_fid,
             heavy_fraction: mean_of(totals.heavy as f64, completions),
             mean_heavy_latency: mean_of(totals.heavy_latency_sum, totals.heavy),
@@ -547,7 +542,7 @@ mod tests {
                 slo: SimDuration::from_secs(5),
                 ..SystemConfig::default()
             };
-            let mut ledger = Ledger::new(&config, &reference);
+            let mut ledger = Ledger::new(&config, &reference, 4, false);
             for r in &responses {
                 ledger.complete(r.clone());
             }
@@ -557,11 +552,7 @@ mod tests {
                 responses.len() as u64,
                 &ledger,
                 SimTime::MAX,
-                &WindowedSeries::new(window),
-                &WindowedSeries::new(window),
                 Vec::new(),
-                Vec::new(),
-                AddonStats::default(),
             );
 
             let all: Vec<&CompletedResponse> = responses.iter().collect();
@@ -684,32 +675,20 @@ mod tests {
         assert!(s.contains("0.070"));
     }
 
-    /// A report assembled from `ledger` with the given series.
-    fn assembled(
-        ledger: &Ledger,
-        horizon: SimTime,
-        demand: &WindowedSeries,
-        thresholds: &WindowedSeries,
-        deferral_errors: Vec<(f64, f64)>,
-    ) -> RunReport {
-        RunReport::assemble(
-            Policy::DiffServe,
-            0,
-            ledger,
-            horizon,
-            demand,
-            thresholds,
-            deferral_errors,
-            Vec::new(),
-            AddonStats::default(),
-        )
+    /// An empty two-tier ledger under `config`.
+    fn ledger(config: &SystemConfig) -> Ledger {
+        Ledger::new(config, &reference(), 2, false)
+    }
+
+    /// A report assembled from `ledger` with these deferral errors.
+    fn assembled(ledger: &Ledger, horizon: SimTime, deferral_errors: Vec<(f64, f64)>) -> RunReport {
+        RunReport::assemble(Policy::DiffServe, 0, ledger, horizon, deferral_errors)
     }
 
     #[test]
     fn a_run_without_completions_reports_no_fid() {
-        let ledger = Ledger::new(&SystemConfig::default(), &reference());
-        let empty = WindowedSeries::new(METRICS_WINDOW);
-        let report = assembled(&ledger, SimTime::MAX, &empty, &empty, Vec::new());
+        let ledger = ledger(&SystemConfig::default());
+        let report = assembled(&ledger, SimTime::MAX, Vec::new());
         assert_eq!((report.completed, report.dropped, report.late), (0, 0, 0));
         assert!(report.fid.is_nan());
         assert!(report.mean_windowed_fid.is_nan());
@@ -722,19 +701,17 @@ mod tests {
 
     #[test]
     fn series_are_cut_at_the_horizon() {
-        let ledger = Ledger::new(&SystemConfig::default(), &reference());
+        let mut ledger = ledger(&SystemConfig::default());
         let w = METRICS_WINDOW.as_secs_f64();
-        let mut demand = WindowedSeries::new(METRICS_WINDOW);
-        let mut thresholds = WindowedSeries::new(METRICS_WINDOW);
         for k in 0..4u32 {
             let t = SimTime::from_secs_f64(w * f64::from(k) + 0.5);
-            demand.push(t, 1.0);
-            thresholds.push(t, 0.1 * f64::from(k));
+            ledger.arrive(t, 0, false);
+            ledger.record_threshold(t, 0.1 * f64::from(k));
         }
         let errors = (0..4).map(|k| (w * k as f64, 0.01)).collect();
         // The horizon is the start of window 2: windows 0 and 1 stay.
         let horizon = SimTime::from_secs_f64(2.0 * w);
-        let report = assembled(&ledger, horizon, &demand, &thresholds, errors);
+        let report = assembled(&ledger, horizon, errors);
         let starts = |s: &[(f64, f64)]| s.iter().map(|&(t, _)| t).collect::<Vec<_>>();
         assert_eq!(starts(&report.demand_series), [0.0, w]);
         assert_eq!(starts(&report.threshold_series), [0.0, w]);
@@ -760,7 +737,7 @@ mod tests {
             slo: SimDuration::from_secs(5),
             ..SystemConfig::default()
         };
-        let mut ledger = Ledger::new(&config, &reference());
+        let mut ledger = ledger(&config);
         let mean = reference().mean().to_vec();
         for (id, latency) in [1u64, 2, 9].into_iter().enumerate() {
             ledger.complete(CompletedResponse {
@@ -776,8 +753,7 @@ mod tests {
             });
         }
         ledger.drop_query(QueryId(3), SimTime::from_secs(25), SimTime::from_secs(30));
-        let empty = WindowedSeries::new(METRICS_WINDOW);
-        let report = assembled(&ledger, SimTime::MAX, &empty, &empty, Vec::new());
+        let report = assembled(&ledger, SimTime::MAX, Vec::new());
         assert_eq!((report.completed, report.late, report.dropped), (3, 1, 1));
         assert_eq!(report.violation_ratio, 0.5);
         assert_eq!(report.mean_latency, 4.0);

@@ -32,20 +32,17 @@
 use std::collections::VecDeque;
 
 use diffserve_imagegen::{OnlinePredictiveRouter, Prompt, StageState};
-use diffserve_metrics::WindowedSeries;
 use diffserve_simkit::prelude::*;
 use diffserve_trace::{
     CapacityEvent, FleetHealth, HazardProcess, Incident, IncidentLog, Scenario, ScenarioError,
     ScenarioEvent, Trace,
 };
 
-use crate::addons::{AddonStats, ModuleCache};
+use crate::addons::ModuleCache;
 use crate::allocator::LadderAllocation;
-use crate::config::{ConfigError, SystemConfig, METRICS_WINDOW, MODEL_SWITCH_DELAY};
+use crate::config::{ConfigError, SystemConfig, MODEL_SWITCH_DELAY};
 use crate::control::{ControlDirective, ControlLoop, ControlObservation};
-use crate::kernel::{
-    self, FleetTally, Kernel, Ledger, Member, TickTelemetry, Verdict, WorkerState,
-};
+use crate::kernel::{self, FleetTally, Kernel, Ledger, Member, Verdict, WorkerState};
 use crate::policy::{AblationKnobs, Policy};
 use crate::query::{QueryId, ServedImage, WorkerHealth};
 use crate::report::RunReport;
@@ -656,8 +653,7 @@ struct ServingSim<'a> {
     submitted: u64,
     /// Attached trace replays, in attach (and so id) order.
     feeds: Vec<TraceFeed>,
-    /// Per-boundary confidence thresholds; `thresholds[0]` is the legacy
-    /// cascade threshold.
+    /// Per-boundary confidence thresholds, entry boundary first.
     thresholds: Vec<f64>,
     /// The batch each tier's workers run under the adopted plan
     /// ([`kernel::adopt_batches`]), read at dispatch.
@@ -676,10 +672,6 @@ struct ServingSim<'a> {
     difficulty_delta: f64,
     /// The load-correlated fault engine, when the scenario carries one.
     hazard: Option<HazardProcess>,
-    /// Every perturbation actually fired (scheduled, injected, or
-    /// hazard-drawn), in firing order — surfaced in the [`RunReport`] for
-    /// incident replay.
-    incident_log: IncidentLog,
     /// Per-worker bounded LRU add-on module caches; empty with
     /// [`SystemConfig::addons`] unset. A dispatch whose batch needs
     /// modules not resident here pays their load latency.
@@ -688,8 +680,6 @@ struct ServingSim<'a> {
     /// affinity pick's holder sets, updated from each cache's resident
     /// bitset after every dispatch charge and fail-stop.
     holders: Vec<WorkerSet>,
-    /// Per-tier add-on cache accounting (hits, misses, swap seconds).
-    addon_stats: AddonStats,
     /// Scratch: distinct missing module ids of the batch being priced.
     addon_scratch: Vec<usize>,
     /// Scratch: the dispatching worker's resident bitset before its swaps
@@ -699,25 +689,16 @@ struct ServingSim<'a> {
     /// [`HOLDER_CHECK_EVERY`]th.
     #[cfg(debug_assertions)]
     dispatches: u64,
-    // Metrics.
-    /// Outcome accounting: SLO tracker, streamed report totals, rolling
-    /// FID, outcomes awaiting a poll.
+    /// The session's record: every arrival, outcome, incident, threshold
+    /// and add-on charge, and the tick window the controller reads.
     ledger: Ledger,
-    /// Arrivals, violations and confidences since the last control tick.
-    telemetry: TickTelemetry,
     /// The last control tick's observation, whose vectors the next one
     /// reuses.
     observation: ControlObservation,
     /// The last fleet tally a hazard check or control tick took, whose
     /// vectors the next one reuses.
     fleet: FleetTally,
-    /// Cumulative escalations across each boundary (`[k]` counts tier `k`
-    /// → `k + 1` hand-offs), surfaced in session snapshots.
-    tier_escalations: Vec<u64>,
-    threshold_series: WindowedSeries,
-    arrival_series: WindowedSeries,
     rng: rand::rngs::StdRng,
-    total_arrivals: u64,
     // Reused scratch buffers — dispatch and churn paths run at event rate,
     // so they must not allocate per event.
     /// Holds a completed batch while its queries are scored and routed.
@@ -765,14 +746,13 @@ impl<'a> ServingSim<'a> {
             thresholds,
             batches: vec![1; num_tiers],
             bypass_suspended: false,
-            telemetry: TickTelemetry::new(num_tiers, router.is_some()),
+            ledger: Ledger::new(&config, &runtime.reference, num_tiers, router.is_some()),
             observation: ControlObservation::default(),
             fleet: FleetTally::new(num_tiers),
             router,
             actions,
             difficulty_delta: 0.0,
             hazard,
-            incident_log: Vec::new(),
             caches: match &config.addons {
                 Some(a) => (0..config.num_workers)
                     .map(|_| ModuleCache::new(a.cache_mem_mb))
@@ -783,17 +763,11 @@ impl<'a> ServingSim<'a> {
                 Some(a) => vec![WorkerSet::new(config.num_workers); a.catalog.len()],
                 None => Vec::new(),
             },
-            addon_stats: AddonStats::default(),
             addon_scratch: Vec::new(),
             resident_scratch: Vec::new(),
             #[cfg(debug_assertions)]
             dispatches: 0,
-            ledger: Ledger::new(&config, &runtime.reference),
-            tier_escalations: vec![0; boundaries],
-            threshold_series: WindowedSeries::new(METRICS_WINDOW),
-            arrival_series: WindowedSeries::new(METRICS_WINDOW),
             rng: seeded_rng(derive_seed(config.seed, 0x51A7)),
-            total_arrivals: 0,
             batch_scratch: Vec::new(),
             orphan_scratch: Vec::new(),
             requeue_scratch: Vec::new(),
@@ -908,8 +882,7 @@ impl<'a> ServingSim<'a> {
     /// Whether any alive worker hosts (or is switching to) a tier deeper
     /// than `tier`, answered by the load index in `O(tiers)` — this runs on
     /// every cascade completion, where a fleet scan would dominate at large
-    /// worker counts. For the legacy two-tier cascade this is exactly the
-    /// old "has alive heavy" check.
+    /// worker counts.
     fn has_alive_deeper(&self, tier: usize) -> bool {
         let v = (tier + 1..self.kernel.num_tiers()).any(|t| self.index.tier_len(t) > 0);
         debug_assert_eq!(
@@ -1099,8 +1072,7 @@ impl<'a> ServingSim<'a> {
                 .pop_front()
                 .expect("shed entries are queued");
             let rec = self.queries.remove(front);
-            self.ledger.drop_query(QueryId(rec.id), rec.arrival, now);
-            self.telemetry.record_violation(tier);
+            self.ledger.shed(QueryId(rec.id), rec.arrival, now, tier);
         }
         // Dropped-front pops changed the load; moving queue entries into
         // the in-flight buffer below does not (both count toward it).
@@ -1140,7 +1112,7 @@ impl<'a> ServingSim<'a> {
                 .iter()
                 .map(|&q| queries[q].member()),
             cache.as_deref_mut(),
-            &mut self.addon_stats,
+            &mut self.ledger,
             slowdown,
             secs,
             &mut self.addon_scratch,
@@ -1212,8 +1184,6 @@ impl<'a> ServingSim<'a> {
         debug_assert!(!rec.arrived, "duplicate arrival for query {}", rec.id);
         rec.arrived = true;
         let (id, explicit) = (rec.id, rec.prompt);
-        self.total_arrivals += 1;
-        self.arrival_series.push(now, 1.0);
 
         // The router's prediction sees the same (difficulty-shifted)
         // prompt the tiers will serve.
@@ -1227,7 +1197,7 @@ impl<'a> ServingSim<'a> {
                     .served_prompt(id, explicit, self.difficulty_delta)
             },
         );
-        self.telemetry.record_arrival(tier, deep_demand);
+        self.ledger.arrive(now, tier, deep_demand);
         self.queries[query].entry_tier = tier;
         self.route_to_tier(tier, query, now, queue);
     }
@@ -1280,19 +1250,17 @@ impl<'a> ServingSim<'a> {
                 self.router.as_mut(),
                 || deeper_alive,
             );
-            let late = self.kernel.is_late(rec.arrival, now);
-            self.telemetry.record_served(tier, &verdict, late);
             match verdict {
                 Verdict::Complete {
                     confidence,
                     image,
                     reused,
                 } => self.complete(query, image, tier, confidence, reused, now),
-                Verdict::Escalate { resume, .. } => {
+                Verdict::Escalate { confidence, resume } => {
                     if resume.is_some() {
                         self.queries[query].resume = resume;
                     }
-                    self.tier_escalations[tier] += 1;
+                    self.ledger.escalate(tier, confidence);
                     self.route_to_tier(tier + 1, query, now, queue);
                 }
             }
@@ -1403,7 +1371,7 @@ impl<'a> ServingSim<'a> {
             }
         };
         if let Some(event) = applied {
-            self.incident_log.push(Incident { at: now, event });
+            self.ledger.record_incident(Incident { at: now, event });
         }
     }
 
@@ -1433,13 +1401,13 @@ impl<'a> ServingSim<'a> {
     /// estimation → allocation planning) and actuate the directive.
     fn handle_control_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
         self.fleet.fill(self.workers.iter().map(Worker::state));
-        self.telemetry
+        self.ledger
             .observe(&mut self.observation, now, &self.fleet, &self.batches);
         if let ControlDirective::Apply { plan } = self.control.step(&self.observation) {
             let targets = self.adopt_plan(&plan);
             self.apply_plan(&targets, now, queue);
         }
-        self.threshold_series.push(now, self.thresholds[0]);
+        self.ledger.record_threshold(now, self.thresholds[0]);
         queue.push(now + self.config.control_interval, Event::ControlTick);
     }
 
@@ -1452,15 +1420,12 @@ impl<'a> ServingSim<'a> {
 
     /// Live metrics for [`SessionSnapshot`] taps.
     fn snapshot(&self, now: SimTime) -> SessionSnapshot {
-        self.kernel.snapshot(
+        self.ledger.snapshot(
             now,
             self.fleet_tally(),
             self.thresholds.clone(),
-            self.tier_escalations.clone(),
             self.submitted,
-            &self.ledger,
             self.control.deferral_gap(),
-            self.addon_stats,
         )
     }
 
@@ -1684,9 +1649,6 @@ impl ServingBackend for SimBackend<'_> {
         let mut live: Vec<QueryRec> = state.queries.values().copied().collect();
         live.sort_unstable_by_key(|rec| rec.id);
         for rec in live {
-            if !rec.arrived {
-                state.total_arrivals += 1;
-            }
             state
                 .ledger
                 .drop_query(QueryId(rec.id), rec.arrival, horizon);
@@ -1695,13 +1657,23 @@ impl ServingBackend for SimBackend<'_> {
         // scheduled arrival and the ones not drawn yet, in id order.
         for feed in &mut state.feeds {
             while let Some((id, spec)) = feed.pending {
-                state.total_arrivals += 1;
                 let arrival = arrival_time(&spec, feed.floor);
                 state.ledger.drop_query(QueryId(id), arrival, horizon);
                 feed.advance();
             }
         }
-        build_report(state, horizon)
+        debug_assert_eq!(
+            state.ledger.slo().total(),
+            state.submitted,
+            "every submitted query has exactly one ledger record"
+        );
+        RunReport::assemble(
+            state.settings.policy,
+            state.submitted,
+            &state.ledger,
+            horizon,
+            state.control.take_deferral_error_series(),
+        )
     }
 }
 
@@ -1814,23 +1786,10 @@ fn run_batch(
     ServingSession::from_backend(&spec, Box::new(backend)).run_trace(trace)
 }
 
-fn build_report(mut state: ServingSim<'_>, horizon: SimTime) -> RunReport {
-    RunReport::assemble(
-        state.settings.policy,
-        state.total_arrivals,
-        &state.ledger,
-        horizon,
-        &state.arrival_series,
-        &state.threshold_series,
-        state.control.take_deferral_error_series(),
-        std::mem::take(&mut state.incident_log),
-        state.addon_stats,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::METRICS_WINDOW;
     use crate::policy::Policy;
     use diffserve_imagegen::{cascade1, DiscriminatorConfig, FeatureSpec};
     use diffserve_simkit::time::SimDuration;
@@ -2199,7 +2158,7 @@ mod tests {
             assert!(failed.iter().all(|&i| !holders.contains(i)));
         }
         backend.tick(SimTime::from_secs(80));
-        assert!(backend.state.addon_stats.total_lookups() > 500);
+        assert!(backend.state.ledger.addon_stats().total_lookups() > 500);
     }
 
     /// A DiffServe backend on [`small_config`] with `n` queries submitted
