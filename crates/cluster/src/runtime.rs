@@ -431,9 +431,11 @@ impl Shared {
     }
 
     /// Hands every job queued on worker `wid` back to the tier it was
-    /// routed to, as the simulator re-routes a moved or failed worker's
-    /// queue. The queue is drained before any job is forwarded, so a job
-    /// routed straight back here waits for the worker.
+    /// routed to. The simulator re-routes a moved or failed worker's queue
+    /// to the worker's own tier instead, which differs for a job a
+    /// fallback pick placed on another tier's worker. The queue is drained
+    /// before any job is forwarded, so a job routed straight back here
+    /// waits for the worker.
     fn hand_back(&self, wid: usize, kernel: &Kernel<'_>) {
         for job in self.workers[wid].queue.drain() {
             self.forward(kernel, job.tier, job);
@@ -691,19 +693,12 @@ impl ServingBackend for ClusterBackend<'_> {
             .collect();
         unserved.sort_unstable_by_key(|job| job.qid);
         let deferral_errors = self.control.lock().unwrap().take_deferral_error_series();
-        let mut ledger = self.shared.ledger.lock().unwrap();
-        for job in unserved {
-            ledger.drop_query(QueryId(job.qid), job.arrival, horizon);
-        }
-        debug_assert_eq!(
-            ledger.slo().total(),
-            self.submitted,
-            "every submitted query has exactly one ledger record"
-        );
-        RunReport::assemble(
+        self.shared.ledger.lock().unwrap().close(
             self.settings.policy,
             self.submitted,
-            &ledger,
+            unserved
+                .into_iter()
+                .map(|job| (QueryId(job.qid), job.arrival)),
             horizon,
             deferral_errors,
         )
@@ -1525,7 +1520,7 @@ mod tests {
             &FleetTally::new(2),
             &[1, 1],
         );
-        assert_eq!((obs.violations_light, obs.violations_heavy), (1, 0));
+        assert_eq!(obs.tier_violations, [1, 0]);
     }
 
     /// A job for query `qid` bound for `tier` that arrived now, with a

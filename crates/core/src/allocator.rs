@@ -21,6 +21,10 @@
 //! keeps its solver state to itself: its probes share one remembered
 //! point, and only the two-tier search's threshold pin
 //! ([`AllocWarmState`]) reaches the next tick.
+//!
+//! Every planner returns a [`LadderAllocation`]; a two-tier plan is the
+//! N = 2 one, its `thresholds[0]` the cascade threshold or Proteus's heavy
+//! routing fraction. One overload fallback body serves every tier count.
 
 use diffserve_imagegen::{DeferralProfile, LatencyProfile};
 use diffserve_milp::{
@@ -62,31 +66,6 @@ pub struct AllocatorInputs<'a> {
     pub batch_sizes: &'a [usize],
     /// Candidate confidence thresholds (ascending).
     pub thresholds: &'a [f64],
-}
-
-/// One allocation decision.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Allocation {
-    /// Confidence threshold `t`.
-    pub threshold: f64,
-    /// Workers hosting the light model (with discriminator).
-    pub light_workers: usize,
-    /// Workers hosting the heavy model.
-    pub heavy_workers: usize,
-    /// Light-stage batch size.
-    pub light_batch: usize,
-    /// Heavy-stage batch size.
-    pub heavy_batch: usize,
-    /// `true` if every constraint was satisfiable; `false` if this is the
-    /// best-effort overload fallback.
-    pub feasible: bool,
-}
-
-impl Allocation {
-    /// Fraction of queries this allocation defers to the heavy model.
-    pub fn deferral_fraction(&self, deferral: &DeferralProfile) -> f64 {
-        deferral.fraction_deferred(self.threshold)
-    }
 }
 
 /// What a planner reads instead of re-deriving it per probe and tuple:
@@ -229,18 +208,21 @@ impl StageTable {
 ///
 /// Returns `None` when no configuration satisfies the constraints — the
 /// caller then falls back to [`overload_fallback`].
-pub fn solve_exhaustive(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
+pub fn solve_exhaustive(inputs: &AllocatorInputs<'_>) -> Option<LadderAllocation> {
     let table = StageTable::two_tier(inputs, true);
     let d = inputs.demand_qps.max(1e-9);
     let s = inputs.total_workers;
-    let mut best: Option<Allocation> = None;
+    let sizes = inputs.batch_sizes;
+    // The best candidate so far: its threshold level, its light and heavy
+    // batch indices and its light workers.
+    let mut best: Option<(usize, usize, usize, usize)> = None;
 
-    for (j, &b1) in inputs.batch_sizes.iter().enumerate() {
+    for j in 0..table.batches {
         let x1_min = min_workers(d, table.cell(0, j).throughput) as usize;
         if x1_min + 1 > s {
             continue; // Need at least one heavy worker too.
         }
-        for (k, &b2) in inputs.batch_sizes.iter().enumerate() {
+        for k in 0..table.batches {
             // Latency constraint (Eq. 1): worst case traverses both stages.
             // An escalated query resumes from latents when stage-level
             // serving is on, so the heavy leg charges the effective profile.
@@ -260,31 +242,34 @@ pub fn solve_exhaustive(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
             else {
                 continue;
             };
-            let threshold = inputs.thresholds[l];
-            let candidate = Allocation {
-                threshold,
-                light_workers: x1_min,
-                heavy_workers: x2,
-                light_batch: b1,
-                heavy_batch: b2,
-                feasible: true,
-            };
-            let better = match &best {
+            let better = match best {
                 None => true,
-                Some(b) => {
-                    threshold > b.threshold + 1e-12
+                Some((bl, bj, bk, _)) => {
+                    let (t, bt) = (inputs.thresholds[l], inputs.thresholds[bl]);
+                    t > bt + 1e-12
                         // Tie-break: smaller batches → lower latency slack.
-                        || ((threshold - b.threshold).abs() <= 1e-12
-                            && (candidate.light_batch, candidate.heavy_batch)
-                                < (b.light_batch, b.heavy_batch))
+                        || ((t - bt).abs() <= 1e-12
+                            && (sizes[j], sizes[k]) < (sizes[bj], sizes[bk]))
                 }
             };
             if better {
-                best = Some(candidate);
+                best = Some((l, j, k, x1_min));
             }
         }
     }
-    best
+    best.map(|(l, j, k, x1)| {
+        two_tier_plan(inputs.thresholds[l], [x1, s - x1], [sizes[j], sizes[k]])
+    })
+}
+
+/// A feasible two-tier plan: the N = 2 [`LadderAllocation`].
+fn two_tier_plan(threshold: f64, workers: [usize; 2], batches: [usize; 2]) -> LadderAllocation {
+    LadderAllocation {
+        thresholds: vec![threshold],
+        workers: workers.to_vec(),
+        batches: batches.to_vec(),
+        feasible: true,
+    }
 }
 
 /// Tick-to-tick state for the oracle's [`solve_milp_allocation_warm`]:
@@ -445,7 +430,7 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>) -> (Problem, MilpVars) {
 /// fleet size.
 ///
 /// Returns `None` if the MILP is infeasible.
-pub fn solve_milp_allocation(inputs: &AllocatorInputs<'_>) -> Option<Allocation> {
+pub fn solve_milp_allocation(inputs: &AllocatorInputs<'_>) -> Option<LadderAllocation> {
     let (p, vars) = build_allocation_milp(inputs);
     let values = solve_milp(&p, &MilpOptions::default()).ok()?.values;
     let pick = |sel: &[diffserve_milp::VarId]| -> usize {
@@ -456,14 +441,14 @@ pub fn solve_milp_allocation(inputs: &AllocatorInputs<'_>) -> Option<Allocation>
     let workers = |w: &[diffserve_milp::VarId]| -> usize {
         w.iter().map(|id| values[id.index()] as usize).sum()
     };
-    Some(Allocation {
-        threshold: inputs.thresholds[pick(&vars.z)],
-        light_workers: workers(&vars.w1),
-        heavy_workers: workers(&vars.w2),
-        light_batch: inputs.batch_sizes[pick(&vars.y)],
-        heavy_batch: inputs.batch_sizes[pick(&vars.v)],
-        feasible: true,
-    })
+    Some(two_tier_plan(
+        inputs.thresholds[pick(&vars.z)],
+        [workers(&vars.w1), workers(&vars.w2)],
+        [
+            inputs.batch_sizes[pick(&vars.y)],
+            inputs.batch_sizes[pick(&vars.v)],
+        ],
+    ))
 }
 
 /// The largest level in `0..nt` at which `feasible` holds, or `None` when
@@ -747,7 +732,7 @@ fn two_tier_latency_budget(inputs: &AllocatorInputs<'_>) -> f64 {
 pub fn solve_milp_allocation_warm(
     inputs: &AllocatorInputs<'_>,
     state: &mut AllocWarmState,
-) -> Option<Allocation> {
+) -> Option<LadderAllocation> {
     // The pin is only trusted when it still names a grid value exactly.
     let l0 = state
         .pin
@@ -771,37 +756,31 @@ pub fn solve_milp_allocation_warm(
             plan.next().expect("a light group"),
             plan.next().expect("a heavy group"),
         );
-        Allocation {
-            threshold: inputs.thresholds[l],
-            light_workers,
-            heavy_workers: inputs.total_workers - light_workers,
-            light_batch: inputs.batch_sizes[j],
-            heavy_batch: inputs.batch_sizes[k],
-            feasible: true,
-        }
+        two_tier_plan(
+            inputs.thresholds[l],
+            [light_workers, inputs.total_workers - light_workers],
+            [inputs.batch_sizes[j], inputs.batch_sizes[k]],
+        )
     });
     // An infeasible tick parks the pin at the grid floor: every level is
     // infeasible, so the next search may as well start from the bottom.
     let floor = inputs.thresholds.first().copied();
-    state.pin = alloc.as_ref().map(|a| a.threshold).or(floor);
+    state.pin = best.map(|l| inputs.thresholds[l]).or(floor);
     alloc
 }
 
-/// Best-effort allocation under overload: threshold 0 (everything stays on
-/// the light model), throughput-maximizing batch size, one heavy worker kept
-/// so stragglers still have a host. The drop policy sheds what this cannot
-/// serve.
-pub fn overload_fallback(inputs: &AllocatorInputs<'_>) -> Allocation {
-    let table = StageTable::two_tier(inputs, true);
-    let heavy_workers = 1.min(inputs.total_workers.saturating_sub(1));
-    Allocation {
-        threshold: 0.0,
-        light_workers: inputs.total_workers - heavy_workers,
-        heavy_workers,
-        light_batch: inputs.batch_sizes[table.fastest_batch(0)],
-        heavy_batch: inputs.batch_sizes[table.fastest_batch(1)],
-        feasible: false,
-    }
+/// The two-tier overload plan: [`ladder_overload_fallback`]'s at N = 2
+/// without direct admission — threshold 0 (everything stays on the light
+/// model), each tier's throughput-maximizing batch, and one heavy worker
+/// kept so stragglers still have a host. The drop policy sheds what this
+/// cannot serve.
+pub fn overload_fallback(inputs: &AllocatorInputs<'_>) -> LadderAllocation {
+    fallback_plan(
+        &StageTable::two_tier(inputs, true),
+        inputs.batch_sizes,
+        inputs.total_workers,
+        &[],
+    )
 }
 
 /// Proteus allocation (query-agnostic model scaling): maximize the fraction
@@ -810,17 +789,21 @@ pub fn overload_fallback(inputs: &AllocatorInputs<'_>) -> Allocation {
 /// model — there is no cascade, so each branch only pays its own latency,
 /// and a direct-to-heavy query carries no light-tier latents: the
 /// [`resume_heavy`](AllocatorInputs::resume_heavy) discount never applies.
-pub fn solve_proteus(inputs: &AllocatorInputs<'_>) -> Option<(Allocation, f64)> {
+///
+/// The plan's `thresholds[0]` is the heavy fraction `p`.
+pub fn solve_proteus(inputs: &AllocatorInputs<'_>) -> Option<LadderAllocation> {
     let table = StageTable::two_tier(inputs, false);
     let d = inputs.demand_qps.max(1e-9);
     let s = inputs.total_workers;
-    let mut best: Option<(Allocation, f64)> = None;
+    // The best candidate so far: its heavy fraction, its light and heavy
+    // batch indices and its light and heavy workers.
+    let mut best: Option<(f64, usize, usize, [usize; 2])> = None;
 
-    for (j, &b1) in inputs.batch_sizes.iter().enumerate() {
+    for j in 0..table.batches {
         if table.cell(0, j).latency + inputs.queue_delay_light > inputs.slo {
             continue;
         }
-        for (k, &b2) in inputs.batch_sizes.iter().enumerate() {
+        for k in 0..table.batches {
             if table.cell(1, k).latency + inputs.queue_delay_heavy > inputs.slo {
                 continue;
             }
@@ -832,27 +815,16 @@ pub fn solve_proteus(inputs: &AllocatorInputs<'_>) -> Option<(Allocation, f64)> 
                 let x2 = ((d * frac) / t2).ceil() as usize;
                 let x1 = ((d * (1.0 - frac)) / t1).ceil().max(1.0) as usize;
                 if x1 + x2 <= s && x2 >= 1 {
-                    let candidate = (
-                        Allocation {
-                            threshold: frac, // reused as the heavy fraction
-                            light_workers: x1.max(1),
-                            heavy_workers: x2.max(1),
-                            light_batch: b1,
-                            heavy_batch: b2,
-                            feasible: true,
-                        },
-                        frac,
-                    );
-                    let better = best.as_ref().is_none_or(|(_, bf)| frac > *bf);
-                    if better {
-                        best = Some(candidate);
+                    if best.is_none_or(|(bf, ..)| frac > bf) {
+                        best = Some((frac, j, k, [x1, x2]));
                     }
                     break; // fractions below `frac` are worse for this (b1, b2)
                 }
             }
         }
     }
-    best
+    let sizes = inputs.batch_sizes;
+    best.map(|(frac, j, k, workers)| two_tier_plan(frac, workers, [sizes[j], sizes[k]]))
 }
 
 /// Inputs to one N-tier ladder allocation decision.
@@ -912,16 +884,6 @@ impl LadderInputs<'_> {
         self.tiers.len() - 1
     }
 
-    /// Share of total demand admitted directly at tier `k`: all of it at
-    /// tier 0 and none deeper without direct routing.
-    pub(crate) fn direct_share(&self, k: usize) -> f64 {
-        match (self.direct_fractions.is_empty(), k) {
-            (true, 0) => 1.0,
-            (true, _) => 0.0,
-            (false, _) => self.direct_fractions.get(k).copied().unwrap_or(0.0),
-        }
-    }
-
     /// Per-tier demand under a threshold-level vector, written into
     /// `demands`, with `f` read off `table`. Without direct routing, tier 0
     /// sees the full demand and each deeper tier the fraction its boundary
@@ -931,16 +893,28 @@ impl LadderInputs<'_> {
     fn tier_demands(&self, table: &StageTable, levels: &[usize], demands: &mut Vec<f64>) {
         let total = self.demand_qps.max(1e-9);
         demands.clear();
-        let mut d = total * self.direct_share(0);
+        let mut d = total * direct_share(&self.direct_fractions, 0);
         demands.push(d);
         for (k, &l) in levels.iter().enumerate() {
-            d = d * table.deferred(k, l) + total * self.direct_share(k + 1);
+            d = d * table.deferred(k, l) + total * direct_share(&self.direct_fractions, k + 1);
             demands.push(d);
         }
     }
 }
 
-/// One N-tier ladder allocation decision.
+/// Share of total demand admitted directly at tier `k` under the per-tier
+/// `direct` fractions ([`LadderInputs::direct_fractions`]): all of it at
+/// tier 0 and none deeper without direct routing.
+pub(crate) fn direct_share(direct: &[f64], k: usize) -> f64 {
+    match (direct.is_empty(), k) {
+        (true, 0) => 1.0,
+        (true, _) => 0.0,
+        (false, _) => direct.get(k).copied().unwrap_or(0.0),
+    }
+}
+
+/// One allocation decision for a ladder of any size; a two-tier plan is
+/// the N = 2 one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderAllocation {
     /// Per-boundary confidence thresholds (length N-1).
@@ -1279,17 +1253,38 @@ pub fn solve_ladder(
 /// proportion to direct load over per-tier service rate (with thresholds
 /// floored, a tier's load is exactly its direct-admission share).
 pub fn ladder_overload_fallback(inputs: &LadderInputs<'_>) -> LadderAllocation {
-    let table = StageTable::ladder(inputs);
-    let n = inputs.num_tiers();
-    let fastest: Vec<usize> = (0..n).map(|k| table.fastest_batch(k)).collect();
-    let has_bypass = inputs.direct_fractions.iter().skip(1).any(|&f| f > 0.0);
+    fallback_plan(
+        &StageTable::ladder(inputs),
+        inputs.batch_sizes,
+        inputs.total_workers,
+        &inputs.direct_fractions,
+    )
+}
+
+/// The overload plan both fallbacks serve, over the tick's `table`: its
+/// tiers' nameplate-fastest batches among `batch_sizes`, `w` workers split
+/// by the `direct` admission fractions as [`ladder_overload_fallback`]
+/// documents, and every threshold 0.
+fn fallback_plan(
+    table: &StageTable,
+    batch_sizes: &[usize],
+    w: usize,
+    direct: &[f64],
+) -> LadderAllocation {
+    let n = table.cells.len() / table.batches;
+    let batches: Vec<usize> = (0..n)
+        .map(|k| batch_sizes[table.fastest_batch(k)])
+        .collect();
+    let has_bypass = direct.iter().skip(1).any(|&f| f > 0.0);
     let mut workers = vec![0usize; n];
     if has_bypass {
         let load: Vec<f64> = (0..n)
-            .map(|k| inputs.direct_share(k) / table.cell(k, fastest[k]).nameplate.max(1e-9))
+            .map(|k| {
+                let nameplate = table.cell(k, table.fastest_batch(k)).nameplate;
+                direct_share(direct, k) / nameplate.max(1e-9)
+            })
             .collect();
         let total_load: f64 = load.iter().sum();
-        let w = inputs.total_workers;
         let quotas: Vec<f64> = load.iter().map(|l| w as f64 * l / total_load).collect();
         for (wk, q) in workers.iter_mut().zip(&quotas) {
             *wk = q.floor() as usize;
@@ -1305,16 +1300,16 @@ pub fn ladder_overload_fallback(inputs: &LadderInputs<'_>) -> LadderAllocation {
             workers[k] += 1;
         }
     } else {
-        let deep = (n - 1).min(inputs.total_workers.saturating_sub(1));
+        let deep = (n - 1).min(w.saturating_sub(1));
         for k in (n - deep..n).rev() {
             workers[k] = 1;
         }
-        workers[0] = inputs.total_workers - deep;
+        workers[0] = w - deep;
     }
     LadderAllocation {
-        thresholds: vec![0.0; inputs.boundaries()],
+        thresholds: vec![0.0; n - 1],
         workers,
-        batches: fastest.iter().map(|&j| inputs.batch_sizes[j]).collect(),
+        batches,
         feasible: false,
     }
 }
@@ -1363,12 +1358,12 @@ mod tests {
         let inputs = cascade1_inputs(&deferral, &batches, &thresholds, 10.0);
         let a = solve_exhaustive(&inputs).expect("feasible at 10 qps");
         assert!(a.feasible);
-        assert!(a.light_workers >= 1 && a.heavy_workers >= 1);
-        assert!(a.light_workers + a.heavy_workers <= 16);
-        assert!(a.threshold > 0.0);
+        assert!(a.workers[0] >= 1 && a.workers[1] >= 1);
+        assert!(a.workers[0] + a.workers[1] <= 16);
+        assert!(a.thresholds[0] > 0.0);
         // Heavy capacity must cover the deferred fraction.
-        let f = deferral.fraction_deferred(a.threshold);
-        let heavy_capacity = a.heavy_workers as f64 * inputs.heavy.throughput(a.heavy_batch);
+        let f = deferral.fraction_deferred(a.thresholds[0]);
+        let heavy_capacity = a.workers[1] as f64 * inputs.heavy.throughput(a.batches[1]);
         assert!(heavy_capacity >= 10.0 * f - 1e-9);
     }
 
@@ -1384,10 +1379,10 @@ mod tests {
             match (ex, milp) {
                 (Some(e), Some(m)) => {
                     assert!(
-                        (e.threshold - m.threshold).abs() < 1e-9,
+                        (e.thresholds[0] - m.thresholds[0]).abs() < 1e-9,
                         "demand {demand}: exhaustive t={} vs milp t={}",
-                        e.threshold,
-                        m.threshold
+                        e.thresholds[0],
+                        m.thresholds[0]
                     );
                 }
                 (None, None) => {}
@@ -1432,7 +1427,7 @@ mod tests {
             // tick after it gallops up from there, not through the full MILP.
             assert_eq!(
                 warm.pinned_threshold(),
-                Some(cold.map_or(thresholds[0], |a| a.threshold)),
+                Some(cold.map_or(thresholds[0], |a| a.thresholds[0])),
                 "pin must track the optimal threshold at demand {demand}"
             );
         }
@@ -1467,7 +1462,7 @@ mod tests {
             &mut warm,
         )
         .expect("feasible");
-        assert_eq!(warm.pinned_threshold(), Some(a.threshold));
+        assert_eq!(warm.pinned_threshold(), Some(a.thresholds[0]));
         // Whether or not the coarse optimum happens to sit bit-for-bit on
         // the fine grid, the warm answer must equal cold on the new grid.
         let inputs = cascade1_inputs(&deferral, &batches, &fine, 8.0);
@@ -1527,10 +1522,10 @@ mod tests {
         let high = solve_exhaustive(&cascade1_inputs(&deferral, &batches, &thresholds, 28.0))
             .expect("high demand feasible");
         assert!(
-            low.threshold >= high.threshold,
+            low.thresholds[0] >= high.thresholds[0],
             "threshold should not increase with demand: {} vs {}",
-            low.threshold,
-            high.threshold
+            low.thresholds[0],
+            high.thresholds[0]
         );
     }
 
@@ -1545,9 +1540,9 @@ mod tests {
         assert!(solve_milp_allocation(&inputs).is_none());
         let fb = overload_fallback(&inputs);
         assert!(!fb.feasible);
-        assert_eq!(fb.threshold, 0.0);
-        assert_eq!(fb.light_workers + fb.heavy_workers, 16);
-        assert!(fb.heavy_workers >= 1);
+        assert_eq!(fb.thresholds[0], 0.0);
+        assert_eq!(fb.workers[0] + fb.workers[1], 16);
+        assert!(fb.workers[1] >= 1);
     }
 
     #[test]
@@ -1560,7 +1555,7 @@ mod tests {
         inputs.queue_delay_light = 0.0;
         inputs.queue_delay_heavy = 0.0;
         let a = solve_exhaustive(&inputs).expect("feasible with b2 = 1");
-        assert_eq!(a.heavy_batch, 1);
+        assert_eq!(a.batches[1], 1);
     }
 
     #[test]
@@ -1582,7 +1577,7 @@ mod tests {
         let resume = solve_exhaustive(&inputs).expect("discount makes the SLO reachable");
         assert!(resume.feasible);
         let milp = solve_milp_allocation(&inputs).expect("MILP agrees");
-        assert!((milp.threshold - resume.threshold).abs() < 1e-9);
+        assert!((milp.thresholds[0] - resume.thresholds[0]).abs() < 1e-9);
     }
 
     #[test]
@@ -1607,16 +1602,16 @@ mod tests {
             discounted.resume_heavy = Some(LatencyProfile::new(0.89, 0.24));
             let resume = solve_exhaustive(&discounted).expect("discounted feasible");
             assert!(
-                resume.threshold >= restart.threshold - 1e-9,
+                resume.thresholds[0] >= restart.thresholds[0] - 1e-9,
                 "demand {demand}: relaxing a constraint cannot lower the optimum: {} vs {}",
-                resume.threshold,
-                restart.threshold
+                resume.thresholds[0],
+                restart.thresholds[0]
             );
             assert!(
-                resume.threshold <= ceiling.threshold + 1e-9,
+                resume.thresholds[0] <= ceiling.thresholds[0] + 1e-9,
                 "demand {demand}: discount must not exceed the capacity ceiling: {} vs {}",
-                resume.threshold,
-                ceiling.threshold
+                resume.thresholds[0],
+                ceiling.thresholds[0]
             );
         }
     }
@@ -1630,55 +1625,97 @@ mod tests {
             .expect("feasible");
         let high = solve_proteus(&cascade1_inputs(&deferral, &batches, &thresholds, 25.0))
             .expect("feasible");
-        assert!(low.1 > high.1, "heavy fraction should fall with demand");
-        assert!(
-            low.1 > 0.8,
-            "ample capacity should go mostly heavy: {}",
-            low.1
+        let (low, high) = (low.thresholds[0], high.thresholds[0]);
+        assert!(low > high, "heavy fraction should fall with demand");
+        assert!(low > 0.8, "ample capacity should go mostly heavy: {low}");
+    }
+
+    /// Candidate batch sets the fallback tests sweep: the configured
+    /// sizes, and AIMD's two operating points in both orders.
+    const FALLBACK_BATCHES: [&[usize]; 4] = [&[1, 2, 4, 8, 16], &[1, 4], &[9, 4], &[4, 9]];
+
+    /// Fleets the fallback tests sweep: 1–24 workers, and the fleet scale.
+    fn fallback_fleets() -> impl Iterator<Item = usize> {
+        (1..=24).chain([1000])
+    }
+
+    /// `inputs` as the N = 2 ladder's, without direct admission.
+    fn as_ladder<'a>(inputs: &AllocatorInputs<'a>) -> LadderInputs<'a> {
+        LadderInputs {
+            demand_qps: inputs.demand_qps,
+            queue_delays: vec![inputs.queue_delay_light, inputs.queue_delay_heavy],
+            slo: inputs.slo,
+            total_workers: inputs.total_workers,
+            deferrals: vec![inputs.deferral],
+            tiers: vec![inputs.light, inputs.heavy],
+            discriminator_latency: vec![inputs.discriminator_latency],
+            batch_sizes: inputs.batch_sizes,
+            thresholds: inputs.thresholds,
+            max_raise_per_solve: None,
+            direct_fractions: Vec::new(),
+        }
+    }
+
+    /// The two-tier overload plan for a hopeless demand on `workers`
+    /// workers over `batches`, with the resume discount on or off; checked
+    /// to be the N = 2 ladder fallback's plan.
+    fn two_tier_fallback(batches: &[usize], workers: usize, resume: bool) -> LadderAllocation {
+        let deferral = uniform_profile();
+        let thresholds = grid(11, 0.9);
+        let mut inputs = cascade1_inputs(&deferral, batches, &thresholds, 1e6);
+        inputs.total_workers = workers;
+        inputs.resume_heavy = resume.then(|| LatencyProfile::new(0.89, 0.24));
+        let fb = overload_fallback(&inputs);
+        assert_eq!(
+            ladder_overload_fallback(&as_ladder(&inputs)),
+            fb,
+            "{batches:?} on {workers} workers"
         );
+        fb
     }
 
     #[test]
     fn fallback_picks_throughput_maximizing_batches() {
-        let deferral = uniform_profile();
-        let batches = [1usize, 2, 4, 8, 16];
-        let thresholds = grid(11, 0.9);
-        let inputs = cascade1_inputs(&deferral, &batches, &thresholds, 500.0);
-        let fb = overload_fallback(&inputs);
         // The fallback maximizes shed-free throughput per tier: for both
         // profiles (affine latency, overhead < 1) throughput is increasing
-        // in batch size, so it must pick the largest candidate.
-        let best = |p: &LatencyProfile| {
+        // in batch size, so it must pick the largest candidate, wherever
+        // the candidates put it.
+        let best = |batches: &[usize], p: LatencyProfile| {
             batches
                 .iter()
                 .copied()
                 .max_by(|&a, &b| p.throughput(a).partial_cmp(&p.throughput(b)).unwrap())
                 .unwrap()
         };
-        assert_eq!(fb.light_batch, best(&inputs.light));
-        assert_eq!(fb.heavy_batch, best(&inputs.heavy));
-        assert_eq!(fb.light_batch, 16);
+        let (light, heavy) = (
+            LatencyProfile::new(0.10, 0.55),
+            LatencyProfile::new(1.78, 0.12),
+        );
+        for batches in FALLBACK_BATCHES {
+            let largest = *batches.iter().max().unwrap();
+            for workers in fallback_fleets() {
+                for resume in [false, true] {
+                    let fb = two_tier_fallback(batches, workers, resume);
+                    assert_eq!(fb.batches, [best(batches, light), best(batches, heavy)]);
+                    assert_eq!(fb.batches, [largest, largest], "{batches:?}");
+                }
+            }
+        }
     }
 
     #[test]
     fn fallback_keeps_exactly_one_heavy_straggler_host() {
-        let deferral = uniform_profile();
-        let batches = [1usize, 4];
-        let thresholds = grid(5, 0.9);
-        for workers in [2usize, 3, 16] {
-            let mut inputs = cascade1_inputs(&deferral, &batches, &thresholds, 100.0);
-            inputs.total_workers = workers;
-            let fb = overload_fallback(&inputs);
-            assert_eq!(fb.heavy_workers, 1, "workers={workers}");
-            assert_eq!(fb.light_workers, workers - 1, "workers={workers}");
-            assert!(!fb.feasible);
-            assert_eq!(fb.threshold, 0.0);
+        for batches in FALLBACK_BATCHES {
+            for workers in fallback_fleets() {
+                let fb = two_tier_fallback(batches, workers, false);
+                // A single-worker pool is all light; any larger one keeps
+                // exactly one heavy host.
+                let heavy = usize::from(workers >= 2);
+                assert_eq!(fb.workers, [workers - heavy, heavy], "workers={workers}");
+                assert!(!fb.feasible);
+                assert_eq!(fb.thresholds, [0.0]);
+            }
         }
-        // Degenerate single-worker pool: everything goes light.
-        let mut inputs = cascade1_inputs(&deferral, &batches, &thresholds, 100.0);
-        inputs.total_workers = 1;
-        let fb = overload_fallback(&inputs);
-        assert_eq!((fb.light_workers, fb.heavy_workers), (1, 0));
     }
 
     #[test]
@@ -1688,13 +1725,14 @@ mod tests {
         let thresholds = grid(11, 0.9);
         for demand in [2.0, 8.0, 16.0, 28.0] {
             let inputs = cascade1_inputs(&deferral, &batches, &thresholds, demand);
-            let (a, frac) = solve_proteus(&inputs).expect("feasible demand");
+            let a = solve_proteus(&inputs).expect("feasible demand");
+            let frac = a.thresholds[0];
             // Worker budget.
-            assert!(a.light_workers + a.heavy_workers <= inputs.total_workers);
-            assert!(a.light_workers >= 1 && a.heavy_workers >= 1);
+            assert!(a.workers[0] + a.workers[1] <= inputs.total_workers);
+            assert!(a.workers[0] >= 1 && a.workers[1] >= 1);
             // Per-branch throughput: each branch must cover its share.
-            let light_cap = a.light_workers as f64 * inputs.light.throughput(a.light_batch);
-            let heavy_cap = a.heavy_workers as f64 * inputs.heavy.throughput(a.heavy_batch);
+            let light_cap = a.workers[0] as f64 * inputs.light.throughput(a.batches[0]);
+            let heavy_cap = a.workers[1] as f64 * inputs.heavy.throughput(a.batches[1]);
             assert!(
                 light_cap >= demand * (1.0 - frac) - 1e-9,
                 "demand {demand}: light {light_cap} < {}",
@@ -1707,11 +1745,11 @@ mod tests {
             );
             // Per-branch latency (no cascade: each branch pays only itself).
             assert!(
-                inputs.light.exec_latency(a.light_batch).as_secs_f64() + inputs.queue_delay_light
+                inputs.light.exec_latency(a.batches[0]).as_secs_f64() + inputs.queue_delay_light
                     <= inputs.slo
             );
             assert!(
-                inputs.heavy.exec_latency(a.heavy_batch).as_secs_f64() + inputs.queue_delay_heavy
+                inputs.heavy.exec_latency(a.batches[1]).as_secs_f64() + inputs.queue_delay_heavy
                     <= inputs.slo
             );
         }
@@ -1739,8 +1777,8 @@ mod tests {
         for workers in [4usize, 8, 16, 32] {
             let mut inputs = cascade1_inputs(&deferral, &batches, &thresholds, 10.0);
             inputs.total_workers = workers;
-            let (_, frac) = solve_proteus(&inputs).expect("feasible");
-            fracs.push(frac);
+            let plan = solve_proteus(&inputs).expect("feasible");
+            fracs.push(plan.thresholds[0]);
         }
         for w in fracs.windows(2) {
             assert!(
@@ -1748,20 +1786,6 @@ mod tests {
                 "more workers should not lower the heavy share: {fracs:?}"
             );
         }
-    }
-
-    #[test]
-    fn allocation_deferral_fraction_reads_profile() {
-        let deferral = uniform_profile();
-        let a = Allocation {
-            threshold: 0.4,
-            light_workers: 2,
-            heavy_workers: 2,
-            light_batch: 4,
-            heavy_batch: 2,
-            feasible: true,
-        };
-        assert!((a.deferral_fraction(&deferral) - 0.4).abs() < 0.01);
     }
 
     fn ladder3_inputs<'a>(
@@ -1937,10 +1961,10 @@ mod tests {
             .expect("ladder feasible");
             assert_eq!(ladder.thresholds.len(), 1);
             assert!(
-                (ladder.thresholds[0] - legacy.threshold).abs() < 1e-9,
+                (ladder.thresholds[0] - legacy.thresholds[0]).abs() < 1e-9,
                 "demand {demand}: ladder t={} vs legacy t={}",
                 ladder.thresholds[0],
-                legacy.threshold
+                legacy.thresholds[0]
             );
             assert_eq!(ladder.workers.iter().sum::<usize>(), 16, "spares placed");
         }
@@ -2122,7 +2146,7 @@ mod tests {
                     find_feasible(&knapsack.problem, &options, &mut carried).is_ok()
                 })
                 .expect("feasible walk");
-                assert_eq!(thresholds[level], served.threshold, "step {step}");
+                assert_eq!(thresholds[level], served.thresholds[0], "step {step}");
                 knapsack.aim(1, deferred_load(&inputs, level));
                 let sol = solve_milp_warm(&knapsack.problem, &options, &mut carried)
                     .expect("the search verified this level feasible");

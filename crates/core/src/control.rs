@@ -19,17 +19,18 @@
 //!    session plans over [`solve_exhaustive`] or [`solve_proteus`] (per
 //!    policy), with the [`overload_fallback`] when the solve is infeasible;
 //!    deeper ladders plan through [`solve_ladder`] and
-//!    [`ladder_overload_fallback`]. Debug builds check every cascade and
-//!    ladder plan twice: against the MILP oracle, which must plan the tick
-//!    identically, and against Eq. 1–5 evaluated from the session's stage
-//!    latencies and deferral profiles.
+//!    [`ladder_overload_fallback`], whose body the two-tier fallback
+//!    shares. Debug builds check every cascade and ladder plan twice:
+//!    against the MILP oracle, which must plan the tick identically, and
+//!    against Eq. 1–5 evaluated from the session's stage latencies and
+//!    deferral profiles.
 //! 4. **Plan actuation** — the backend-side half: each engine applies the
 //!    returned [`ControlDirective`] to its own live serving state (the
 //!    simulator's worker array, the testbed's shared [`ServingPlan`]).
-//!    Every plan reaches an engine in the N-tier form: a two-tier
-//!    [`Allocation`](crate::allocator::Allocation) is the N = 2
-//!    [`LadderAllocation`], converted once here. Proteus's heavy routing
-//!    fraction is its plan's first threshold.
+//!    Every planner returns the one plan type, [`LadderAllocation`], so a
+//!    plan reaches an engine as the planner made it; a two-tier plan is
+//!    the N = 2 one, and Proteus's heavy routing fraction is its first
+//!    threshold.
 //!
 //! Both backends gather a [`ControlObservation`] (from the session's
 //! [`Ledger`](crate::kernel::Ledger)), call [`ControlLoop::step`], and
@@ -43,7 +44,7 @@ use diffserve_simkit::time::SimTime;
 use diffserve_trace::DemandEstimator;
 
 use crate::allocator::{
-    ladder_overload_fallback, overload_fallback, solve_exhaustive, solve_ladder,
+    direct_share, ladder_overload_fallback, overload_fallback, solve_exhaustive, solve_ladder,
     solve_milp_allocation_warm, solve_proteus, AllocatorInputs, LadderAllocation, LadderInputs,
     LadderWarmState,
 };
@@ -68,11 +69,10 @@ pub struct ControlObservation {
     pub arrivals: u64,
     /// Queries routed (or escalated) to the heavy tier since the last tick.
     pub heavy_arrivals: u64,
-    /// SLO violations attributed to the light tier since the last tick
-    /// (feeds AIMD batch adaptation).
-    pub violations_light: u64,
-    /// SLO violations attributed to the heavy tier since the last tick.
-    pub violations_heavy: u64,
+    /// SLO violations since the last tick, by the tier that was serving
+    /// the query (a shed or a late completion), entry tier first (length
+    /// N; a missing entry reads as zero). Feeds AIMD batch adaptation.
+    pub tier_violations: Vec<u64>,
     /// Workers currently alive (the allocator's capacity `S`).
     pub alive_workers: usize,
     /// Sum of the alive workers' health speed factors — the fleet's
@@ -316,10 +316,12 @@ impl ControlLoop {
                 .copied()
                 .max()
                 .expect("non-empty");
-            self.aimd_light_batch =
-                aimd_step(self.aimd_light_batch, obs.violations_light > 0, max_b);
+            // The light point halves on an entry-tier violation, the heavy
+            // one on a violation at any deeper tier.
+            let (entry, deeper) = obs.tier_violations.split_first().unwrap_or((&0, &[]));
+            self.aimd_light_batch = aimd_step(self.aimd_light_batch, *entry > 0, max_b);
             self.aimd_heavy_batch =
-                aimd_step(self.aimd_heavy_batch, obs.violations_heavy > 0, max_b);
+                aimd_step(self.aimd_heavy_batch, deeper.iter().any(|&v| v > 0), max_b);
         }
 
         // Profile estimation: score the curve that was in use over the
@@ -605,10 +607,10 @@ impl ControlLoop {
                 batch_sizes,
                 thresholds,
             };
-            let allocation = if let Planner::Proteus = planner {
+            let served = if let Planner::Proteus = planner {
                 // The solved plan's threshold is the heavy fraction; the
                 // overload fallback's 0.0 routes everything light.
-                solve_proteus(&inputs).map(|(allocation, _)| allocation)
+                solve_proteus(&inputs)
             } else {
                 let served = solve_exhaustive(&inputs);
                 if cfg!(debug_assertions) {
@@ -620,14 +622,7 @@ impl ControlLoop {
                 }
                 served
             };
-            // The N-tier plan form both engines take.
-            let alloc = allocation.unwrap_or_else(|| overload_fallback(&inputs));
-            LadderAllocation {
-                thresholds: vec![alloc.threshold],
-                workers: vec![alloc.light_workers, alloc.heavy_workers],
-                batches: vec![alloc.light_batch, alloc.heavy_batch],
-                feasible: alloc.feasible,
-            }
+            served.unwrap_or_else(|| overload_fallback(&inputs))
         };
         if let Some(ladder) = ladder.filter(|_| cfg!(debug_assertions) && plan.feasible) {
             let resume = match planner {
@@ -687,7 +682,7 @@ fn check_plan(
         if k > 0 {
             need *= inputs.deferrals[k - 1].fraction_deferred(plan.thresholds[k - 1]);
         }
-        need += demand * inputs.direct_share(k);
+        need += demand * direct_share(&inputs.direct_fractions, k);
         let capacity = workers as f64 * (b as f64 / stage);
         assert!(
             capacity + tol(need) >= need,
@@ -937,6 +932,45 @@ mod tests {
             ControlDirective::Apply { plan, .. } => assert!(!plan.feasible),
             d => panic!("unexpected directive {d:?}"),
         }
+    }
+
+    /// On a three-tier ladder, AIMD's light point reads the entry tier's
+    /// violations and its heavy point every deeper tier's.
+    #[test]
+    fn aimd_reads_the_entry_tier_and_the_deeper_tiers_apart() {
+        let config = small_config();
+        let settings = RunSettings {
+            knobs: AblationKnobs::aimd(),
+            ..RunSettings::new(Policy::DiffServe, 8.0)
+        };
+        let profiles = vec![
+            LatencyProfile::new(0.10, 0.55),
+            LatencyProfile::new(0.60, 0.30),
+            LatencyProfile::new(1.78, 0.12),
+        ];
+        let stages = stages(profiles, vec![0.01, 0.01], &settings, &config);
+        let mut cl = ControlLoop::new(
+            config,
+            settings,
+            stages,
+            vec![uniform_profile(), uniform_profile()],
+        );
+        let mut step = |tier_violations: Vec<u64>| {
+            (cl.aimd_light_batch, cl.aimd_heavy_batch) = (4, 4);
+            cl.step(&ControlObservation {
+                tier_violations,
+                tier_queues: vec![0; 3],
+                ..obs(10)
+            });
+            (cl.aimd_light_batch, cl.aimd_heavy_batch)
+        };
+        assert_eq!(step(vec![0, 0, 1]), (5, 2), "a terminal-tier violation");
+        assert_eq!(step(vec![0, 3, 0]), (5, 2), "a middle-tier violation");
+        assert_eq!(step(vec![2, 0, 0]), (2, 5), "an entry-tier violation");
+        assert_eq!(step(vec![1, 0, 1]), (2, 2));
+        assert_eq!(step(vec![0, 0, 0]), (5, 5));
+        // An observation that reports no tiers reads as no violation.
+        assert_eq!(step(Vec::new()), (5, 5));
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::config::{SystemConfig, METRICS_WINDOW};
 use crate::control::ControlObservation;
 use crate::policy::Policy;
 use crate::query::{CompletedResponse, QueryId, ServedImage};
-use crate::report::CompletionTotals;
+use crate::report::{CompletionTotals, RunReport};
 use crate::runtime::{CascadeRuntime, RenderTable};
 use crate::serve::{QueryOutcome, SessionSnapshot};
 use crate::sim::RunSettings;
@@ -563,7 +563,7 @@ impl<'a> Kernel<'a> {
     /// cascade stage from the query's entry tier through its completion
     /// tier, net of resumed steps at the final tier.
     #[inline]
-    pub fn single_query_gpu_time(&self, entry: usize, tier: usize, reused: u32) -> f64 {
+    fn single_query_gpu_time(&self, entry: usize, tier: usize, reused: u32) -> f64 {
         let model = self.models[tier];
         let own =
             self.stage_latency(tier, 1) - resume_savings(model.latency(), reused, model.steps());
@@ -1101,9 +1101,9 @@ impl FleetTally {
 struct TickWindow {
     arrivals: u64,
     heavy_arrivals: u64,
-    /// SLO violations attributed to the entry tier / to any deeper tier —
-    /// AIMD's two-bucket decrease signal.
-    violations: [u64; 2],
+    /// SLO violations (sheds and late completions) attributed to each
+    /// tier that was serving the query (length N).
+    violations: Vec<u64>,
     confidences: Vec<f64>,
     /// Boundary ≥ 1 confidence streams (`[k]` holds boundary `k + 1`).
     deep_confidences: Vec<Vec<f64>>,
@@ -1112,12 +1112,6 @@ struct TickWindow {
 }
 
 impl TickWindow {
-    /// Attributes one SLO violation (a shed or a late completion) to the
-    /// tier that was serving the query.
-    fn violation(&mut self, tier: usize) {
-        self.violations[usize::from(tier > 0)] += 1;
-    }
-
     /// Adds a confidence scored at boundary `tier → tier + 1`.
     fn confidence(&mut self, tier: usize, confidence: f64) {
         match tier {
@@ -1138,7 +1132,7 @@ const FID_ESTIMATE_RIDGE: f64 = 1e-3;
 /// A session's one record of what happened, written once by either engine
 /// where it happens and read by the control tick ([`Ledger::observe`]), the
 /// live snapshot ([`Ledger::snapshot`]) and the final report
-/// ([`RunReport::assemble`](crate::RunReport::assemble)).
+/// ([`Ledger::close`]).
 ///
 /// It keeps the SLO tracker, the per-window violation counts, the streamed
 /// totals the report is assembled from, the ring behind the snapshots'
@@ -1185,6 +1179,7 @@ impl Ledger {
             rolling_fid: RollingFid::new(reference.clone(), FID_ESTIMATE_TAIL, FID_ESTIMATE_RIDGE),
             undrained: Some(Vec::new()),
             window: TickWindow {
+                violations: vec![0; num_tiers],
                 deep_confidences: vec![Vec::new(); num_tiers.saturating_sub(2)],
                 tier_direct: vec![0; if track_direct { num_tiers } else { 0 }],
                 ..TickWindow::default()
@@ -1230,7 +1225,7 @@ impl Ledger {
             self.window.confidence(response.tier, confidence);
         }
         if late {
-            self.window.violation(response.tier);
+            self.window.violations[response.tier] += 1;
         }
         self.rolling_fid.push(&response.features);
         self.totals.record(&response);
@@ -1253,18 +1248,42 @@ impl Ledger {
     #[inline]
     pub fn shed(&mut self, id: QueryId, arrival: SimTime, at: SimTime, tier: usize) {
         self.drop_query(id, arrival, at);
-        self.window.violation(tier);
+        self.window.violations[tier] += 1;
     }
 
-    /// Records a query left unfinished at the horizon `at`. The session is
-    /// over, so no tick window hears of it.
+    /// Records a query dropped at `at`: one the horizon left unfinished
+    /// ([`Ledger::close`]), of which no tick window hears, or a shed.
     #[inline]
-    pub fn drop_query(&mut self, id: QueryId, arrival: SimTime, at: SimTime) {
+    pub(crate) fn drop_query(&mut self, id: QueryId, arrival: SimTime, at: SimTime) {
         self.slo.record_drop();
         self.violations.record(at, true);
         if let Some(undrained) = &mut self.undrained {
             undrained.push(QueryOutcome::Dropped { id, arrival, at });
         }
+    }
+
+    /// Closes a session of `policy` that took `submitted` queries at
+    /// `horizon`: records every query in `unfinished` (its id and arrival)
+    /// as dropped at the horizon, in the order given, and assembles the
+    /// [`RunReport`] with the controller's `deferral_errors`. Debug builds
+    /// assert that every submitted query then has exactly one record.
+    pub fn close(
+        &mut self,
+        policy: Policy,
+        submitted: u64,
+        unfinished: impl IntoIterator<Item = (QueryId, SimTime)>,
+        horizon: SimTime,
+        deferral_errors: Vec<(f64, f64)>,
+    ) -> RunReport {
+        for (id, arrival) in unfinished {
+            self.drop_query(id, arrival, horizon);
+        }
+        debug_assert_eq!(
+            self.slo.total(),
+            submitted,
+            "every submitted query has exactly one ledger record"
+        );
+        RunReport::assemble(policy, submitted, self, horizon, deferral_errors)
     }
 
     /// Records the entry-boundary threshold in force after the control tick
@@ -1302,12 +1321,11 @@ impl Ledger {
             std::mem::swap(into, stream);
         }
         let window = &mut self.window;
-        let [violations_light, violations_heavy] = std::mem::take(&mut window.violations);
         obs.now = now;
         obs.arrivals = std::mem::take(&mut window.arrivals);
         obs.heavy_arrivals = std::mem::take(&mut window.heavy_arrivals);
-        obs.violations_light = violations_light;
-        obs.violations_heavy = violations_heavy;
+        obs.tier_violations.clone_from(&window.violations);
+        window.violations.fill(0);
         obs.alive_workers = fleet.alive();
         obs.effective_capacity = fleet.effective_capacity;
         obs.current_light_batch = batches[0];
@@ -2172,7 +2190,9 @@ mod tests {
         let mut obs = ControlObservation::default();
         ledger.observe(&mut obs, SimTime::from_secs(2), &fleet, &[4, 2, 1]);
         assert_eq!((obs.arrivals, obs.heavy_arrivals), (3, 2));
-        assert_eq!((obs.violations_light, obs.violations_heavy), (1, 2));
+        // Tier 0's shed, and tier 1's and tier 2's late completions; the
+        // horizon drop is at no tier.
+        assert_eq!(obs.tier_violations, [1, 1, 1]);
         assert_eq!(obs.tier_queues, [4, 2, 3]);
         assert_eq!(obs.alive_workers, 3);
         assert_eq!(obs.effective_capacity, 2.5);
@@ -2193,7 +2213,7 @@ mod tests {
         ledger.observe(&mut obs, SimTime::from_secs(4), &fleet, &[4, 2, 1]);
         assert_eq!(obs.now, SimTime::from_secs(4));
         assert_eq!((obs.arrivals, obs.heavy_arrivals), (0, 0));
-        assert_eq!((obs.violations_light, obs.violations_heavy), (0, 0));
+        assert_eq!(obs.tier_violations, [0, 0, 0]);
         assert_eq!(obs.confidences, [0.5]);
         assert_eq!(obs.confidences.as_ptr(), recorded);
         assert_eq!(obs.deep_confidences, [Vec::<f64>::new()]);
@@ -2231,6 +2251,46 @@ mod tests {
             gpu_time: 0.1,
             reused_steps: 0,
         }
+    }
+
+    /// Closing drops the unfinished queries at the horizon in the order the
+    /// engine passes them, and the report counts them.
+    #[test]
+    fn closing_drops_the_unfinished_in_the_given_order() {
+        let config = SystemConfig::default();
+        let mut ledger = Ledger::new(&config, &runtime().reference, 2, false);
+        ledger.complete(completion(1, 1));
+        let horizon = SimTime::from_secs(60);
+        let unfinished =
+            [(5, 3), (0, 2), (7, 4)].map(|(id, secs)| (QueryId(id), SimTime::from_secs(secs)));
+        let report = ledger.close(Policy::DiffServe, 4, unfinished, horizon, vec![]);
+        assert_eq!((report.completed, report.dropped), (1, 3));
+        let dropped: Vec<QueryOutcome> = ledger.drain().into_iter().skip(1).collect();
+        let expected = unfinished.map(|(id, arrival)| QueryOutcome::Dropped {
+            id,
+            arrival,
+            at: horizon,
+        });
+        assert_eq!(dropped, expected);
+        // No tick window hears of a horizon drop.
+        assert_eq!(ledger.window.violations, [0, 0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "every submitted query has exactly one ledger record")]
+    fn closing_checks_every_submitted_query_has_a_record() {
+        let config = SystemConfig::default();
+        let mut ledger = Ledger::new(&config, &runtime().reference, 2, false);
+        ledger.complete(completion(0, 1));
+        let unfinished = [(QueryId(1), SimTime::from_secs(2))];
+        ledger.close(
+            Policy::DiffServe,
+            3,
+            unfinished,
+            SimTime::from_secs(60),
+            vec![],
+        );
     }
 
     #[test]

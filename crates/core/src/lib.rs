@@ -80,7 +80,7 @@ pub mod sim;
 pub use addons::{AddonCatalog, AddonModule, AddonStats, AddonsConfig, ModuleCache};
 pub use allocator::{
     ladder_overload_fallback, overload_fallback, solve_exhaustive, solve_ladder,
-    solve_milp_allocation, solve_milp_allocation_warm, solve_proteus, AllocWarmState, Allocation,
+    solve_milp_allocation, solve_milp_allocation_warm, solve_proteus, AllocWarmState,
     AllocatorInputs, LadderAllocation, LadderInputs, LadderWarmState,
 };
 pub use config::{ConfigError, LadderConfig, SystemConfig};
@@ -100,7 +100,7 @@ pub use sim::{run_scenario, run_trace, AllocatorBackend, RunSettings};
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::addons::{AddonCatalog, AddonModule, AddonStats, AddonsConfig, ModuleCache};
-    pub use crate::allocator::{Allocation, AllocatorInputs};
+    pub use crate::allocator::AllocatorInputs;
     pub use crate::config::{ConfigError, LadderConfig, SystemConfig};
     pub use crate::control::{ControlDirective, ControlLoop, ControlObservation};
     pub use crate::policy::{AblationKnobs, BatchPolicy, Policy, QueueModel};

@@ -122,7 +122,7 @@ struct TierTotals {
 
 /// Everything a [`RunReport`] derives from the completed responses,
 /// accumulated one response at a time so that no row has to be kept for
-/// [`RunReport::assemble`] to re-read.
+/// the report to re-read at [`Ledger::close`].
 ///
 /// The FID family comes from `CenteredMoments<DIM>` cells, one per (metrics
 /// window, ladder tier), each row centred on the reference mean: cells
@@ -251,7 +251,7 @@ impl RunReport {
     /// window, per tier and for the run — `O((windows + tiers) · d³)`
     /// whatever the number of responses — and every fit goes into one
     /// reused Gaussian.
-    pub fn assemble(
+    pub(crate) fn assemble(
         policy: Policy,
         total_queries: u64,
         ledger: &Ledger,

@@ -254,11 +254,6 @@ impl QueryOutcome {
             QueryOutcome::Dropped { id, .. } => *id,
         }
     }
-
-    /// Whether the query completed (on time or late).
-    pub fn is_completed(&self) -> bool {
-        matches!(self, QueryOutcome::Completed(_))
-    }
 }
 
 /// A live point-in-time view of the serving system, delivered to

@@ -908,11 +908,16 @@ impl<'a> ServingSim<'a> {
     /// Moves workers to an adopted plan's `targets`: the kernel's
     /// [`worker_moves`](kernel::worker_moves) go through the model-switch
     /// protocol (idle workers switch now and pay the load delay; busy ones
-    /// switch at their next batch boundary). A moved worker's queue goes
-    /// back to the tier it was routed to.
+    /// switch at their next batch boundary). A moved worker's queue is
+    /// re-routed to the tier the worker leaves, its target before the
+    /// move, as [`fail_workers`](Self::fail_workers) re-routes a failed
+    /// one's. That is each query's own tier unless a
+    /// [`Rung::Fallback`](kernel::Rung::Fallback) pick placed it on another
+    /// tier's worker; the testbed re-routes every job to the tier it was
+    /// routed to instead.
     fn apply_plan(&mut self, targets: &[usize], now: SimTime, queue: &mut EventQueue<Event>) {
         for (idx, to) in self.worker_moves(targets) {
-            // The worker's queue was routed to the tier it leaves.
+            // The queue goes back to the tier the worker leaves.
             let from = self.workers[idx].target_tier();
             let mut orphans = std::mem::take(&mut self.requeue_scratch);
             orphans.clear();
@@ -1648,31 +1653,24 @@ impl ServingBackend for SimBackend<'_> {
         // cluster backend's shutdown-drop bookkeeping.
         let mut live: Vec<QueryRec> = state.queries.values().copied().collect();
         live.sort_unstable_by_key(|rec| rec.id);
-        for rec in live {
-            state
-                .ledger
-                .drop_query(QueryId(rec.id), rec.arrival, horizon);
-        }
+        let live = live.into_iter().map(|rec| (QueryId(rec.id), rec.arrival));
         // So is the rest of every trace replay the horizon cut short: its
         // scheduled arrival and the ones not drawn yet, in id order.
-        for feed in &mut state.feeds {
-            while let Some((id, spec)) = feed.pending {
+        let unreplayed = state.feeds.iter_mut().flat_map(|feed| {
+            std::iter::from_fn(move || {
+                let (id, spec) = feed.pending?;
                 let arrival = arrival_time(&spec, feed.floor);
-                state.ledger.drop_query(QueryId(id), arrival, horizon);
                 feed.advance();
-            }
-        }
-        debug_assert_eq!(
-            state.ledger.slo().total(),
-            state.submitted,
-            "every submitted query has exactly one ledger record"
-        );
-        RunReport::assemble(
+                Some((QueryId(id), arrival))
+            })
+        });
+        let deferral_errors = state.control.take_deferral_error_series();
+        state.ledger.close(
             state.settings.policy,
             state.submitted,
-            &state.ledger,
+            live.chain(unreplayed),
             horizon,
-            state.control.take_deferral_error_series(),
+            deferral_errors,
         )
     }
 }

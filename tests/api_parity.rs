@@ -266,7 +266,7 @@ fn polling_every_tick_moves_no_bit_and_sees_every_query_once() {
         polled.run_until(t);
         for outcome in polled.poll() {
             seen[outcome.id().0 as usize] += 1;
-            if outcome.is_completed() {
+            if matches!(outcome, QueryOutcome::Completed(_)) {
                 completed += 1;
             } else {
                 dropped += 1;

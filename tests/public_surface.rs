@@ -24,7 +24,6 @@ use std::path::{Path, PathBuf};
 const KEPT_PUBLIC: &[(&str, &str)] = &[
     ("AddonModule", "core: `AddonCatalog::new` takes them"),
     ("AddonStats", "core: field of `RunReport`"),
-    ("Allocation", "core: `solve_exhaustive` returns one"),
     ("ArrivalStream", "core: `submit_stream` takes one"),
     ("BatchPolicy", "core: field of `AblationKnobs`"),
     ("LadderArtifacts", "core: field of `PreparedRuntime`"),

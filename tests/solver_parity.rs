@@ -64,12 +64,12 @@ proptest! {
         match (ex, milp) {
             (Some(e), Some(m)) => {
                 prop_assert!(
-                    (e.threshold - m.threshold).abs() < 1e-9,
+                    (e.thresholds[0] - m.thresholds[0]).abs() < 1e-9,
                     "thresholds differ: exhaustive {} vs milp {}",
-                    e.threshold, m.threshold
+                    e.thresholds[0], m.thresholds[0]
                 );
-                prop_assert_eq!(e.light_batch, m.light_batch);
-                prop_assert_eq!(e.heavy_batch, m.heavy_batch);
+                prop_assert_eq!(e.batches[0], m.batches[0]);
+                prop_assert_eq!(e.batches[1], m.batches[1]);
             }
             (None, None) => {}
             (e, m) => prop_assert!(false, "feasibility disagreement: {:?} vs {:?}", e, m),
@@ -100,22 +100,22 @@ proptest! {
         };
         if let Some(a) = solve_exhaustive(&inputs) {
             // Eq. 4: capacity.
-            prop_assert!(a.light_workers + a.heavy_workers <= workers);
-            prop_assert!(a.light_workers >= 1 && a.heavy_workers >= 1);
+            prop_assert!(a.workers[0] + a.workers[1] <= workers);
+            prop_assert!(a.workers[0] >= 1 && a.workers[1] >= 1);
             // Eq. 2: light throughput covers demand.
             let disc = 0.01;
-            let light_lat = inputs.light.exec_latency(a.light_batch).as_secs_f64()
-                + disc * a.light_batch as f64;
-            let t1 = a.light_batch as f64 / light_lat;
-            prop_assert!(a.light_workers as f64 * t1 >= demand - 1e-9);
+            let light_lat = inputs.light.exec_latency(a.batches[0]).as_secs_f64()
+                + disc * a.batches[0] as f64;
+            let t1 = a.batches[0] as f64 / light_lat;
+            prop_assert!(a.workers[0] as f64 * t1 >= demand - 1e-9);
             // Eq. 3: heavy throughput covers the deferred fraction.
-            let f = deferral.fraction_deferred(a.threshold);
-            let t2 = inputs.heavy.throughput(a.heavy_batch);
-            prop_assert!(a.heavy_workers as f64 * t2 >= demand * f - 1e-9);
+            let f = deferral.fraction_deferred(a.thresholds[0]);
+            let t2 = inputs.heavy.throughput(a.batches[1]);
+            prop_assert!(a.workers[1] as f64 * t2 >= demand * f - 1e-9);
             // Eq. 1: latency budget.
             let lat = light_lat
                 + inputs.queue_delay_light
-                + inputs.heavy.exec_latency(a.heavy_batch).as_secs_f64()
+                + inputs.heavy.exec_latency(a.batches[1]).as_secs_f64()
                 + inputs.queue_delay_heavy;
             prop_assert!(lat <= inputs.slo + 1e-9);
         }
@@ -147,9 +147,9 @@ proptest! {
         let large = solve_exhaustive(&mk(base_workers * 2));
         if let (Some(s), Some(l)) = (small, large) {
             prop_assert!(
-                l.threshold >= s.threshold - 1e-9,
+                l.thresholds[0] >= s.thresholds[0] - 1e-9,
                 "more workers should never lower the optimal threshold: {} -> {}",
-                s.threshold, l.threshold
+                s.thresholds[0], l.thresholds[0]
             );
         }
     }
