@@ -184,44 +184,39 @@ impl Discriminator {
         let prompts = &dataset.prompts()[..n];
 
         // Fake class: half light, half heavy outputs, as in the paper's
-        // training diagram (GLM + GHM).
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(3 * n);
-        let mut labels: Vec<usize> = Vec::with_capacity(3 * n);
-        for (i, p) in prompts.iter().enumerate() {
+        // training diagram (GLM + GHM), in rows `0..n`; the real class in
+        // rows `n..2n`.
+        let mut x = Mat::zeros(2 * n, DIM);
+        let (fake, real) = x.as_mut_slice().split_at_mut(n * DIM);
+        for ((i, p), row) in prompts.iter().enumerate().zip(fake.chunks_exact_mut(DIM)) {
             let img = if i % 2 == 0 {
                 light.generate(p)
             } else {
                 heavy.generate(p)
             };
-            rows.push(img.features);
-            labels.push(0); // fake
+            row.copy_from_slice(&img.features);
         }
         match config.real_class {
             RealClass::GroundTruth => {
-                let real = dataset.training_real_features(n);
-                for i in 0..n {
-                    rows.push(real.row(i).to_vec());
-                    labels.push(1); // real
-                }
+                real.copy_from_slice(dataset.training_real_features(n).as_slice());
             }
             RealClass::HeavyOutputs => {
-                for p in prompts.iter() {
-                    rows.push(heavy.generate(p).features);
-                    labels.push(1); // "real" = heavy output
+                // "Real" = heavy outputs.
+                for (p, row) in prompts.iter().zip(real.chunks_exact_mut(DIM)) {
+                    row.copy_from_slice(&heavy.generate(p).features);
                 }
             }
         }
+        let labels: Vec<usize> = (0..2 * n).map(|i| usize::from(i >= n)).collect();
         // The backbone sees its own (noisy) feature extraction at train time.
         let sigma = config.arch.feature_noise();
         if sigma > 0.0 {
             let mut noise_rng = seeded_rng(derive_seed(config.seed, 0xFEA7));
             let normal = Normal::standard();
-            for row in &mut rows {
+            for row in x.as_mut_slice().chunks_exact_mut(DIM) {
                 row[crate::features::ARTIFACT_AXIS] += sigma * normal.draw(&mut noise_rng);
             }
         }
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = Mat::from_rows(&refs);
 
         let mut widths = vec![DIM];
         widths.extend(config.arch.hidden_widths());

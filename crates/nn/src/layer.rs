@@ -62,19 +62,13 @@ impl Dense {
     }
 
     /// One row of [`Dense::forward`] into `out` (one cell per output),
-    /// through ReLU if `relu`: accumulates in `Mat::matmul`'s order (input
-    /// index outer, output index inner, exact-zero inputs skipped), then
-    /// adds the bias, so each cell has the batched pass's bits.
+    /// through ReLU if `relu`: each cell sums its products by [`row_times`]
+    /// in ascending input index from +0.0, then adds the bias, so it has
+    /// the batched pass's bits. `Mat::matmul` skips exact-zero inputs and
+    /// this pass adds them; with finite weights that product is ±0.0, which
+    /// leaves the sum's bits alone (see [`row_times`]).
     pub(crate) fn forward_row(&self, x: &[f64], out: &mut [f64], relu: bool) {
-        out.fill(0.0);
-        for (&a, row) in x.iter().zip(self.w.as_slice().chunks_exact(out.len())) {
-            if a == 0.0 {
-                continue;
-            }
-            for (o, &w) in out.iter_mut().zip(row) {
-                *o += a * w;
-            }
-        }
+        row_times(x, self.w.as_slice(), out);
         for (o, &b) in out.iter_mut().zip(&self.b) {
             *o += b;
             if relu {
@@ -111,6 +105,100 @@ impl Dense {
     /// Shared access to the biases.
     pub fn biases(&self) -> &[f64] {
         &self.b
+    }
+}
+
+/// `out = x·m` for one row `x` and the row-major `x.len() × out.len()`
+/// matrix `m`.
+///
+/// Branch-free and register-blocked: each block of up to 16 output cells
+/// keeps its sums in registers over the whole of `x`. Each cell starts at
+/// +0.0 and adds `x[k]·m[k][j]` in ascending `k`, so it has the bits of
+/// the zero-skipping loop (`Mat::matmul`'s) whenever `m` is finite: an
+/// exact-zero `x[k]` makes a ±0.0 product, and in round-to-nearest a sum
+/// that starts at +0.0 never becomes −0.0, so adding ±0.0 leaves it as it
+/// was.
+///
+/// # Panics
+///
+/// Panics if `m` does not hold `x.len() × out.len()` cells.
+pub(crate) fn row_times(x: &[f64], m: &[f64], out: &mut [f64]) {
+    let cols = out.len();
+    assert_eq!(m.len(), x.len() * cols, "row_times dimension mismatch");
+    blocked(out, |j0, acc| {
+        for (k, &a) in x.iter().enumerate() {
+            add_scaled(acc, a, &m[k * cols + j0..]);
+        }
+    });
+}
+
+/// `out = aᵀ·d` for the row-major `n × p` matrix `a` and `n × q` matrix
+/// `d` (`n = rows`), into the `p × q` matrix `out`: the weight gradient
+/// of a batch.
+///
+/// Register-blocked like [`row_times`]: each cell starts at +0.0 and adds
+/// `a[r][k]·d[r][j]` in ascending `r`, with the bits of the loop that
+/// skips exact-zero `a[r][k]` whenever `d` is finite.
+///
+/// # Panics
+///
+/// Panics if `rows` is zero, `d` is empty, or the slices do not hold
+/// `rows`-row matrices whose widths multiply to `out.len()`.
+pub(crate) fn gram(rows: usize, a: &[f64], d: &[f64], out: &mut [f64]) {
+    assert!(rows > 0, "gram needs at least one row");
+    let (p, q) = (a.len() / rows, d.len() / rows);
+    assert!(
+        a.len() == rows * p && d.len() == rows * q && out.len() == p * q,
+        "gram dimension mismatch"
+    );
+    for (k, out_row) in out.chunks_exact_mut(q).enumerate() {
+        blocked(out_row, |j0, acc| {
+            for r in 0..rows {
+                add_scaled(acc, a[r * p + k], &d[r * q + j0..]);
+            }
+        });
+    }
+}
+
+/// Fills `out` block by block, each as wide as what is left allows of 16,
+/// 8, 4, 2 or 1 cells: `sum(j0, acc)` accumulates the cells from `j0` on
+/// into `acc`, which starts at +0.0 and is as long as the block. Sixteen
+/// cells are eight SSE2 registers of sums, enough independent additions to
+/// hide an addition's latency.
+#[inline(always)]
+fn blocked(out: &mut [f64], mut sum: impl FnMut(usize, &mut [f64])) {
+    let mut j0 = 0;
+    while j0 < out.len() {
+        j0 += match out.len() - j0 {
+            16.. => block::<16>(out, j0, &mut sum),
+            8.. => block::<8>(out, j0, &mut sum),
+            4.. => block::<4>(out, j0, &mut sum),
+            2.. => block::<2>(out, j0, &mut sum),
+            _ => block::<1>(out, j0, &mut sum),
+        };
+    }
+}
+
+/// One block of [`blocked`]: the `W` cells from `j0` on. Returns `W`.
+#[inline(always)]
+fn block<const W: usize>(
+    out: &mut [f64],
+    j0: usize,
+    sum: &mut impl FnMut(usize, &mut [f64]),
+) -> usize {
+    let mut acc = [0.0; W];
+    sum(j0, &mut acc);
+    out[j0..j0 + W].copy_from_slice(&acc);
+    W
+}
+
+/// `acc[c] += s · v[c]` for every cell of `acc`.
+#[inline(always)]
+fn add_scaled(acc: &mut [f64], s: f64, v: &[f64]) {
+    // One length for both, so a full block unrolls into registers.
+    let v = &v[..acc.len()];
+    for (c, &x) in acc.iter_mut().zip(v) {
+        *c += s * x;
     }
 }
 
@@ -255,5 +343,82 @@ mod tests {
     fn forward_rejects_a_batch_of_the_wrong_width() {
         let layer = Dense::new(3, 2, &mut rand::rngs::StdRng::seed_from_u64(1));
         let _ = layer.forward(&Mat::zeros(1, 2));
+    }
+
+    /// `len` cells in `(-3, 3)`, with +0.0 and −0.0 every `zero_stride + 2`.
+    fn cells(len: usize, zero_stride: usize, rng: &mut rand::rngs::StdRng) -> Vec<f64> {
+        use rand::Rng;
+        (0..len)
+            .map(|i| match i % (zero_stride + 2) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-3.0..3.0),
+            })
+            .collect()
+    }
+
+    /// The bits of a cell slice.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `row_times` is the zero-skipping loop it replaced, bit for bit:
+        /// widths up to 40 span two full 16-cell blocks and every narrower
+        /// block, and both operands carry exact zeros of both signs.
+        #[test]
+        fn row_times_matches_the_zero_skipping_loop(
+            inputs in 1usize..41,
+            outputs in 1usize..41,
+            zero_stride in 0usize..5,
+            seed in 0u64..100_000,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let x = cells(inputs, zero_stride, &mut rng);
+            let m = cells(inputs * outputs, zero_stride + 1, &mut rng);
+            let mut want = vec![0.0; outputs];
+            for (&a, row) in x.iter().zip(m.chunks_exact(outputs)) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &w) in want.iter_mut().zip(row) {
+                    *o += a * w;
+                }
+            }
+            let mut got = vec![f64::NAN; outputs];
+            row_times(&x, &m, &mut got);
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        /// `gram` is the zero-skipping weight-gradient loop it replaced, bit
+        /// for bit, over batches of up to 40 rows and widths up to 40.
+        #[test]
+        fn gram_matches_the_zero_skipping_loop(
+            rows in 1usize..41,
+            inputs in 1usize..41,
+            outputs in 1usize..41,
+            zero_stride in 0usize..5,
+            seed in 0u64..100_000,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let a = cells(rows * inputs, zero_stride, &mut rng);
+            let d = cells(rows * outputs, zero_stride + 1, &mut rng);
+            let mut want = vec![0.0; inputs * outputs];
+            for (a_row, d_row) in a.chunks_exact(inputs).zip(d.chunks_exact(outputs)) {
+                for (&s, w_row) in a_row.iter().zip(want.chunks_exact_mut(outputs)) {
+                    if s == 0.0 {
+                        continue;
+                    }
+                    for (w, &g) in w_row.iter_mut().zip(d_row) {
+                        *w += s * g;
+                    }
+                }
+            }
+            let mut got = vec![f64::NAN; inputs * outputs];
+            gram(rows, &a, &d, &mut got);
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 }

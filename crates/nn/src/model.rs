@@ -4,7 +4,7 @@ use diffserve_linalg::Mat;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::layer::{relu, softmax, softmax_row, Dense};
+use crate::layer::{gram, relu, row_times, softmax, softmax_row, Dense};
 use crate::optim::Adam;
 
 /// A feed-forward classifier: dense layers with ReLU between them and a
@@ -104,9 +104,12 @@ impl Mlp {
     /// returned slice (one probability per class) borrows from it.
     ///
     /// Bit-identical to [`Mlp::predict_proba`] on the 1-row matrix: each
-    /// layer accumulates in `Mat::matmul`'s order (input index outer,
-    /// output index inner, exact-zero inputs skipped), then adds the bias
-    /// and applies the same ReLU and max-shifted softmax.
+    /// output cell sums its products from +0.0 in ascending input index, as
+    /// `Mat::matmul` does, then adds the bias and applies the same ReLU and
+    /// max-shifted softmax. `matmul` skips exact-zero inputs and the row
+    /// pass adds their products; with finite weights each is ±0.0, and a
+    /// sum that starts at +0.0 never becomes −0.0 in round-to-nearest, so
+    /// adding it changes no bit.
     ///
     /// # Panics
     ///
@@ -156,14 +159,19 @@ impl Mlp {
     /// batch loss.
     ///
     /// Each mini-batch is one fused step over buffers allocated once per
-    /// call: the batch's rows are read from `x` by index, the hidden
-    /// activations, the logit gradient and the weight gradients land in
-    /// those buffers, and nothing is built per batch. Every product keeps
-    /// `Mat::matmul`'s order for each element (inner index ascending,
-    /// exact-zero left operands skipped, bias added after the sum), so the
+    /// call: the batch's rows are copied out of `x` by index, and they, the
+    /// hidden activations, the logit gradient and the weight gradients
+    /// land in those buffers, so nothing is built per batch. Every product keeps
+    /// `Mat::matmul`'s order for each element (each cell summed from +0.0
+    /// with its inner index ascending, bias added after the sum), so the
     /// weights come out bit-identical to the matrix-form step: forward,
     /// `(softmax − onehot)·(1/n)`, `d_W = xᵀ·d`, and `d_x = d·Wᵀ` from a
-    /// transposed copy of `W` taken before the Adam update.
+    /// transposed copy of `W` taken before the Adam update. `matmul` skips
+    /// exact-zero left operands and the step's branch-free kernels add
+    /// their products: with the other operand finite each is ±0.0, and a
+    /// sum that starts at +0.0 never becomes −0.0 in round-to-nearest, so
+    /// adding it changes no bit. Debug builds check after every update that
+    /// the parameters stay finite.
     ///
     /// # Panics
     ///
@@ -217,19 +225,25 @@ impl Mlp {
     ) -> f64 {
         let n = rows.len();
         let last = self.layers.len() - 1;
+        for (cells, &row) in buf.x.chunks_exact_mut(x.cols()).zip(rows) {
+            cells.copy_from_slice(x.row(row));
+        }
 
         // Forward: hidden activations (after ReLU) into `acts`, logits into
         // `grad`.
         for (l, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = buf.acts.split_at_mut(l);
+            let (below, rest) = buf.acts.split_at_mut(l);
+            let input = layer_input(&buf.x, below, l);
             let out = if l < last {
                 &mut rest[0]
             } else {
                 &mut buf.grad
             };
-            for (r, out_row) in out.chunks_exact_mut(layer.outputs()).take(n).enumerate() {
-                let input = layer_input(x, rows, done, l, layer.inputs(), r);
-                layer.forward_row(input, out_row, l < last);
+            let pairs = input
+                .chunks_exact(layer.inputs())
+                .zip(out.chunks_exact_mut(layer.outputs()));
+            for (in_row, out_row) in pairs.take(n) {
+                layer.forward_row(in_row, out_row, l < last);
             }
         }
 
@@ -254,20 +268,12 @@ impl Mlp {
         for l in (0..=last).rev() {
             let (inputs, outputs) = (self.layers[l].inputs(), self.layers[l].outputs());
             let d = &buf.grad[..n * outputs];
+            let input = &layer_input(&buf.x, &buf.acts, l)[..n * inputs];
             let d_w = &mut buf.d_w[..inputs * outputs];
+            gram(n, input, d, d_w);
             let d_b = &mut buf.d_b[..outputs];
-            d_w.fill(0.0);
             d_b.fill(0.0);
-            for (r, d_row) in d.chunks_exact(outputs).enumerate() {
-                let input = layer_input(x, rows, &buf.acts, l, inputs, r);
-                for (&a, dw_row) in input.iter().zip(d_w.chunks_exact_mut(outputs)) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for (w, &g) in dw_row.iter_mut().zip(d_row) {
-                        *w += a * g;
-                    }
-                }
+            for d_row in d.chunks_exact(outputs) {
                 for (b, &g) in d_b.iter_mut().zip(d_row) {
                     *b += g;
                 }
@@ -286,21 +292,13 @@ impl Mlp {
                     }
                 }
                 let d_x = &mut buf.d_x[..n * inputs];
-                d_x.fill(0.0);
                 let below = buf.acts[l - 1].chunks_exact(inputs);
                 for ((dx_row, d_row), act_row) in d_x
                     .chunks_exact_mut(inputs)
                     .zip(d.chunks_exact(outputs))
                     .zip(below)
                 {
-                    for (&a, wt_row) in d_row.iter().zip(w_t.chunks_exact(inputs)) {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        for (v, &w) in dx_row.iter_mut().zip(wt_row) {
-                            *v += a * w;
-                        }
-                    }
+                    row_times(d_row, w_t, dx_row);
                     // ReLU's gradient: the activation is positive exactly
                     // where its pre-activation was.
                     for (v, &h) in dx_row.iter_mut().zip(act_row) {
@@ -311,6 +309,14 @@ impl Mlp {
             let (w, b) = self.layers[l].params_mut();
             optimizer.update(2 * l, w.as_mut_slice(), d_w);
             optimizer.update(2 * l + 1, b, d_b);
+            // The kernels add the exact-zero products the matrix form skips,
+            // which keeps its bits only while the other operand (a weight,
+            // or a gradient cell) is finite. A non-finite gradient cell
+            // makes its column's bias gradient, and so that bias, non-finite.
+            debug_assert!(
+                w.as_slice().iter().chain(b.iter()).all(|v| v.is_finite()),
+                "layer {l} has a non-finite parameter after the Adam update"
+            );
             if l > 0 {
                 std::mem::swap(&mut buf.grad, &mut buf.d_x);
             }
@@ -356,25 +362,19 @@ impl Mlp {
     }
 }
 
-/// Row `r` of layer `l`'s input within a batch: row `rows[r]` of the data
-/// for the first layer, else row `r` of the activations below (`width`
-/// cells per row).
-fn layer_input<'a>(
-    x: &'a Mat,
-    rows: &[usize],
-    acts: &'a [Vec<f64>],
-    l: usize,
-    width: usize,
-    r: usize,
-) -> &'a [f64] {
+/// Layer `l`'s input rows within a batch: the gathered data rows `x` for
+/// the first layer, else the activations below.
+fn layer_input<'a>(x: &'a [f64], acts: &'a [Vec<f64>], l: usize) -> &'a [f64] {
     match l {
-        0 => x.row(rows[r]),
-        _ => &acts[l - 1][r * width..(r + 1) * width],
+        0 => x,
+        _ => &acts[l - 1],
     }
 }
 
 /// The buffers of [`Mlp::fit`]'s training step, sized for one batch.
 struct TrainBuffers {
+    /// The batch's data rows, `batch × inputs`.
+    x: Vec<f64>,
     /// Each hidden layer's activations, `batch × outputs`.
     acts: Vec<Vec<f64>>,
     /// The gradient of the current layer's output: the logits' first.
@@ -395,6 +395,7 @@ impl TrainBuffers {
         let weights = mlp.layers.iter().map(|l| l.inputs() * l.outputs()).max();
         let weights = weights.expect("an MLP has at least one layer");
         TrainBuffers {
+            x: vec![0.0; batch * mlp.layers[0].inputs()],
             acts: hidden
                 .iter()
                 .map(|l| vec![0.0; batch * l.outputs()])
@@ -549,8 +550,9 @@ mod tests {
         /// The allocation-free row forward returns exactly the bits of
         /// `predict_proba` on the 1-row matrix, for any layer stack —
         /// including exact zeros (of either sign) in the input and the
-        /// weights, which `matmul` skips, and the exact zeros ReLU
-        /// produces in the hidden activations.
+        /// weights, and the exact zeros ReLU produces in the hidden
+        /// activations: `matmul` skips a zero input, the row pass adds its
+        /// ±0.0 product to a sum that started at +0.0, which keeps its bits.
         #[test]
         fn row_forward_matches_the_one_row_matrix_bitwise(
             widths in proptest::collection::vec(1usize..40, 2..6),
@@ -617,18 +619,65 @@ mod tests {
         losses
     }
 
+    /// Trains one model by the fused step and a clone of it in matrix
+    /// form on the same shuffles, and returns each side's bits: every
+    /// epoch's loss, every weight and bias, and the accuracy the trained
+    /// model scores. `n` rows of data carry exact zeros of both signs every
+    /// `zero_stride + 2` cells.
+    fn fused_and_matrix_form_bits(
+        widths: &[usize],
+        n: usize,
+        config: TrainConfig,
+        zero_stride: usize,
+        seed: u64,
+    ) -> (Vec<u64>, Vec<u64>) {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let model = Mlp::new(widths, &mut rng);
+        let (inputs, classes) = (widths[0], widths[widths.len() - 1]);
+        let cells: Vec<f64> = (0..n * inputs)
+            .map(|i| match i % (zero_stride + 2) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-3.0..3.0),
+            })
+            .collect();
+        let x = Mat::from_fn(n, inputs, |i, j| cells[i * inputs + j]);
+        let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..classes)).collect();
+        let train_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED);
+        let side = |fused: bool| {
+            let mut model = model.clone();
+            let mut opt = Adam::new(0.05);
+            let mut rng = train_rng.clone();
+            let losses = if fused {
+                model.fit(&x, &labels, &mut opt, &config, &mut rng)
+            } else {
+                fit_matrix_form(&mut model, &x, &labels, &mut opt, &config, &mut rng)
+            };
+            let mut bits: Vec<u64> = losses.iter().map(|f| f.to_bits()).collect();
+            for layer in &model.layers {
+                let params = layer.weights().as_slice().iter().chain(layer.biases());
+                bits.extend(params.map(|f| f.to_bits()));
+            }
+            bits.push(accuracy(&model.predict(&x), &labels).to_bits());
+            bits
+        };
+        (side(true), side(false))
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
-        /// The fused training step is the matrix-form step, bit for bit:
-        /// every epoch's loss, every weight and bias, and the accuracy the
-        /// trained model scores, over several shuffled epochs. Layer stacks include 1-wide hidden layers
-        /// and heads of 2 to 4 classes; batch sizes leave a short last
-        /// chunk; inputs carry exact zeros of both signs.
+        /// The fused training step is the matrix-form step, bit for bit,
+        /// over several shuffled epochs. Layer stacks include 1-wide hidden
+        /// layers and hidden layers up to 39 wide (two full 16-cell kernel
+        /// blocks and every narrower one), and heads of 2 to 4 classes;
+        /// batch sizes leave a short last chunk; inputs carry exact zeros of
+        /// both signs.
         #[test]
         fn fused_fit_matches_the_matrix_form_bitwise(
             inputs in 1usize..9,
-            hidden in proptest::collection::vec(1usize..12, 0..3),
+            hidden in proptest::collection::vec(1usize..40, 0..3),
             classes in 2usize..5,
             n in 1usize..48,
             batch_size in 1usize..20,
@@ -636,41 +685,28 @@ mod tests {
             zero_stride in 1usize..5,
             seed in 0u64..100_000,
         ) {
-            use rand::Rng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut widths = vec![inputs];
             widths.extend(&hidden);
             widths.push(classes);
-            let model = Mlp::new(&widths, &mut rng);
-            let cells: Vec<f64> = (0..n * inputs)
-                .map(|i| match i % (zero_stride + 2) {
-                    0 => 0.0,
-                    1 => -0.0,
-                    _ => rng.gen_range(-3.0..3.0),
-                })
-                .collect();
-            let x = Mat::from_fn(n, inputs, |i, j| cells[i * inputs + j]);
-            let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..classes)).collect();
             let config = TrainConfig { epochs, batch_size, shuffle: true };
-
-            let (mut fused, mut oracle) = (model.clone(), model);
-            let (mut fused_opt, mut oracle_opt) = (Adam::new(0.05), Adam::new(0.05));
-            let mut fused_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED);
-            let mut oracle_rng = fused_rng.clone();
-            let got = fused.fit(&x, &labels, &mut fused_opt, &config, &mut fused_rng);
-            let want = fit_matrix_form(&mut oracle, &x, &labels, &mut oracle_opt, &config, &mut oracle_rng);
-
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            proptest::prop_assert_eq!(bits(&got), bits(&want));
-            for (f, o) in fused.layers.iter().zip(&oracle.layers) {
-                proptest::prop_assert_eq!(bits(f.weights().as_slice()), bits(o.weights().as_slice()));
-                proptest::prop_assert_eq!(bits(f.biases()), bits(o.biases()));
-            }
-            proptest::prop_assert_eq!(
-                accuracy(&fused.predict(&x), &labels).to_bits(),
-                accuracy(&oracle.predict(&x), &labels).to_bits()
-            );
+            let (fused, matrix_form) =
+                fused_and_matrix_form_bits(&widths, n, config, zero_stride, seed);
+            proptest::prop_assert_eq!(fused, matrix_form);
         }
+    }
+
+    /// The same at the discriminator's own shape and batch size, over a
+    /// few full batches and a short last one.
+    #[test]
+    fn fused_fit_matches_the_matrix_form_at_the_discriminator_shape() {
+        let config = TrainConfig {
+            epochs: 3,
+            batch_size: 64,
+            shuffle: true,
+        };
+        let (fused, matrix_form) =
+            fused_and_matrix_form_bits(&[16, 32, 16, 2], 300, config, 5, 0xD15C);
+        assert_eq!(fused, matrix_form);
     }
 
     #[test]

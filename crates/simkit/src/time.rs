@@ -68,7 +68,7 @@ impl SimTime {
             secs.is_finite() && secs >= 0.0,
             "SimTime requires a finite non-negative number of seconds, got {secs}"
         );
-        SimTime((secs * 1e6).round() as u64)
+        SimTime(round_to_u64(secs * 1e6))
     }
 
     /// Returns the time as integer microseconds.
@@ -120,7 +120,7 @@ impl SimDuration {
             secs.is_finite() && secs >= 0.0,
             "SimDuration requires a finite non-negative number of seconds, got {secs}"
         );
-        SimDuration((secs * 1e6).round() as u64)
+        SimDuration(round_to_u64(secs * 1e6))
     }
 
     /// Returns the duration as integer microseconds.
@@ -203,6 +203,16 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `x.round() as u64` for a non-negative `x`, infinity included, without
+/// the libm `round` call: the fraction `x − ⌊x⌋` of a double is exact, so
+/// rounding half away from zero is truncation plus one where that
+/// fraction is at least one half. The cast saturates at `u64::MAX`, as
+/// `x.round() as u64` does, and the `+1` saturates with it.
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,6 +271,32 @@ mod tests {
     }
 
     #[test]
+    fn rounding_edges_match_f64_round() {
+        for v in [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            2.5,
+            4503599627370495.5,
+            9007199254740993.0,
+            18446744073709549568.0,
+            18446744073709551616.0,
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            assert_eq!(round_to_u64(v), v.round() as u64, "v = {v}");
+        }
+        assert_eq!(round_to_u64(f64::INFINITY), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration requires a finite")]
+    fn negative_duration_panics() {
+        let _ = SimDuration::from_secs_f64(-1e-9);
+    }
+
+    #[test]
     fn duration_scaling() {
         let d = SimDuration::from_millis(10) * 4 / 2;
         assert_eq!(d, SimDuration::from_millis(20));
@@ -272,6 +308,34 @@ mod tests {
             let t = SimTime::from_micros(base);
             let d = SimDuration::from_micros(delta);
             prop_assert_eq!((t + d).saturating_since(t), d);
+        }
+
+        /// `round_to_u64` is `f64::round` and the saturating cast: on
+        /// random values, exact half-way ties, the band 2⁵²–2⁵³ where
+        /// doubles step by one, integers up to `u64::MAX`, and values past
+        /// it up to `f64::MAX`.
+        #[test]
+        fn rounding_matches_f64_round(
+            x in 0.0f64..1e9,
+            whole in 0u64..1 << 52,
+            band in 0u64..1 << 52,
+            big in (1u64 << 53)..u64::MAX,
+            mantissa in 1.0f64..2.0,
+            exponent in 64i32..1024,
+        ) {
+            let tie = whole as f64 + 0.5;
+            let banded = ((1u64 << 52) + band) as f64;
+            let huge = mantissa * 2f64.powi(exponent);
+            for v in [x, tie, banded, big as f64, huge] {
+                prop_assert_eq!(round_to_u64(v), v.round() as u64, "v = {}", v);
+            }
+        }
+
+        #[test]
+        fn duration_from_secs_rounds_to_the_nearest_micro(secs in 0.0f64..1e7) {
+            let want = (secs * 1e6).round() as u64;
+            prop_assert_eq!(SimDuration::from_secs_f64(secs).as_micros(), want);
+            prop_assert_eq!(SimTime::from_secs_f64(secs).as_micros(), want);
         }
 
         #[test]
