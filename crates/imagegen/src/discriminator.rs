@@ -180,7 +180,9 @@ impl Discriminator {
             dataset.len()
         );
         let n = ((config.train_prompts as f64) * config.arch.data_fraction()).ceil() as usize;
-        let n = n.clamp(8, dataset.len());
+        // At least 8 prompts where the dataset holds that many, so a
+        // backbone's small data fraction still trains on a few rows.
+        let n = n.max(8).min(dataset.len());
         let prompts = &dataset.prompts()[..n];
 
         // Fake class: half light, half heavy outputs, as in the paper's
@@ -601,6 +603,23 @@ mod tests {
             ..quick_config()
         };
         let _ = Discriminator::train(&dataset, &light, &heavy, cfg);
+    }
+
+    /// A dataset of fewer than 8 prompts trains on all of them: the
+    /// 8-prompt floor stops at the dataset's size.
+    #[test]
+    fn trains_on_a_dataset_of_fewer_than_eight_prompts() {
+        let spec = FeatureSpec::default();
+        let dataset = PromptDataset::synthesize(DatasetKind::MsCoco, 5, 11, spec);
+        let cfg = DiscriminatorConfig {
+            train_prompts: 4,
+            epochs: 2,
+            ..Default::default()
+        };
+        let disc = Discriminator::train(&dataset, &sd_turbo(spec), &sd_v15(spec), cfg);
+        assert_eq!(disc.calibration.len(), 5);
+        let score = disc.confidence(&sd_turbo(spec).generate(&dataset.prompts()[0]).features);
+        assert!((0.0..=1.0).contains(&score), "confidence {score}");
     }
 
     #[test]

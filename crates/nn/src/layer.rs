@@ -61,18 +61,21 @@ impl Dense {
         out
     }
 
-    /// One row of [`Dense::forward`] into `out` (one cell per output),
-    /// through ReLU if `relu`: each cell sums its products by [`row_times`]
-    /// in ascending input index from +0.0, then adds the bias, so it has
-    /// the batched pass's bits. `Mat::matmul` skips exact-zero inputs and
-    /// this pass adds them; with finite weights that product is ±0.0, which
-    /// leaves the sum's bits alone (see [`row_times`]).
-    pub(crate) fn forward_row(&self, x: &[f64], out: &mut [f64], relu: bool) {
-        row_times(x, self.w.as_slice(), out);
-        for (o, &b) in out.iter_mut().zip(&self.b) {
-            *o += b;
-            if relu {
-                *o = o.max(0.0);
+    /// [`Dense::forward`] of the rows `x` (each `inputs()` wide) into `out`
+    /// (each `outputs()` wide), through ReLU if `relu`: each cell sums its
+    /// products by [`times`] in ascending input index from +0.0, then adds
+    /// the bias, so it has the batched pass's bits. `Mat::matmul` skips
+    /// exact-zero inputs and this pass adds them; with finite weights that
+    /// product is ±0.0, which leaves the sum's bits alone (see [`times`]).
+    #[inline(always)]
+    pub(crate) fn forward_rows(&self, x: &[f64], out: &mut [f64], relu: bool) {
+        times(Left::Rows(x), self.w.as_slice(), self.outputs(), out);
+        for row in out.chunks_exact_mut(self.outputs()) {
+            for (o, &b) in row.iter_mut().zip(&self.b) {
+                *o += b;
+                if relu {
+                    *o = o.max(0.0);
+                }
             }
         }
     }
@@ -108,95 +111,130 @@ impl Dense {
     }
 }
 
-/// `out = x·m` for one row `x` and the row-major `x.len() × out.len()`
-/// matrix `m`.
+/// The left operand of [`times`], `rows × depth`.
+#[derive(Clone, Copy)]
+pub(crate) enum Left<'a> {
+    /// The operand in row-major order: a batch of rows.
+    Rows(&'a [f64]),
+    /// Its transpose in row-major order, `depth × rows`: a batch whose
+    /// columns are the operand's rows, as in a weight gradient `xᵀ·d`.
+    Transposed(&'a [f64]),
+}
+
+/// `out = l·m` for the `rows × depth` left operand `l`, the row-major
+/// `depth × cols` matrix `m` and the row-major `rows × cols` matrix `out`.
 ///
-/// Branch-free and register-blocked: each block of up to 16 output cells
-/// keeps its sums in registers over the whole of `x`. Each cell starts at
-/// +0.0 and adds `x[k]·m[k][j]` in ascending `k`, so it has the bits of
-/// the zero-skipping loop (`Mat::matmul`'s) whenever `m` is finite: an
-/// exact-zero `x[k]` makes a ±0.0 product, and in round-to-nearest a sum
-/// that starts at +0.0 never becomes −0.0, so adding ±0.0 leaves it as it
-/// was.
+/// Branch-free and register-blocked: each tile of output cells keeps its
+/// sums in eight vector registers over the whole depth (four lanes each
+/// under AVX2), enough independent additions to hide an addition's
+/// latency. A tile is 2 rows × 16 columns where 16 columns are left, else
+/// 4 × 8, 8 × 4, 8 × 2 (a 2-wide logit layer) or 8 × 1; rows that do not
+/// fill a tile take one-row tiles, so a single row (the per-query forward)
+/// sums 16 cells at a time. Each cell starts at +0.0 and adds
+/// `l[i][k]·m[k][j]` in ascending `k`, so it has the bits of the loop that
+/// skips exact-zero `l[i][k]` (`Mat::matmul`'s) whenever `m` is finite: an
+/// exact-zero `l[i][k]` makes a ±0.0 product, and in round-to-nearest a
+/// sum that starts at +0.0 never becomes −0.0, so adding ±0.0 leaves it as
+/// it was.
 ///
 /// # Panics
 ///
-/// Panics if `m` does not hold `x.len() × out.len()` cells.
-pub(crate) fn row_times(x: &[f64], m: &[f64], out: &mut [f64]) {
-    let cols = out.len();
-    assert_eq!(m.len(), x.len() * cols, "row_times dimension mismatch");
-    blocked(out, |j0, acc| {
-        for (k, &a) in x.iter().enumerate() {
-            add_scaled(acc, a, &m[k * cols + j0..]);
-        }
-    });
-}
-
-/// `out = aᵀ·d` for the row-major `n × p` matrix `a` and `n × q` matrix
-/// `d` (`n = rows`), into the `p × q` matrix `out`: the weight gradient
-/// of a batch.
-///
-/// Register-blocked like [`row_times`]: each cell starts at +0.0 and adds
-/// `a[r][k]·d[r][j]` in ascending `r`, with the bits of the loop that
-/// skips exact-zero `a[r][k]` whenever `d` is finite.
-///
-/// # Panics
-///
-/// Panics if `rows` is zero, `d` is empty, or the slices do not hold
-/// `rows`-row matrices whose widths multiply to `out.len()`.
-pub(crate) fn gram(rows: usize, a: &[f64], d: &[f64], out: &mut [f64]) {
-    assert!(rows > 0, "gram needs at least one row");
-    let (p, q) = (a.len() / rows, d.len() / rows);
-    assert!(
-        a.len() == rows * p && d.len() == rows * q && out.len() == p * q,
-        "gram dimension mismatch"
-    );
-    for (k, out_row) in out.chunks_exact_mut(q).enumerate() {
-        blocked(out_row, |j0, acc| {
-            for r in 0..rows {
-                add_scaled(acc, a[r * p + k], &d[r * q + j0..]);
-            }
-        });
-    }
-}
-
-/// Fills `out` block by block, each as wide as what is left allows of 16,
-/// 8, 4, 2 or 1 cells: `sum(j0, acc)` accumulates the cells from `j0` on
-/// into `acc`, which starts at +0.0 and is as long as the block. Sixteen
-/// cells are eight SSE2 registers of sums, enough independent additions to
-/// hide an addition's latency.
+/// Panics if `cols` is zero, `m` is empty, or the slices do not hold whole
+/// matrices of matching shapes.
 #[inline(always)]
-fn blocked(out: &mut [f64], mut sum: impl FnMut(usize, &mut [f64])) {
+pub(crate) fn times(l: Left<'_>, m: &[f64], cols: usize, out: &mut [f64]) {
+    assert!(cols > 0 && !m.is_empty(), "times needs a non-empty product");
+    let (depth, rows) = (m.len() / cols, out.len() / cols);
+    let l_len = match l {
+        Left::Rows(l) | Left::Transposed(l) => l.len(),
+    };
+    assert!(
+        m.len() == depth * cols && out.len() == rows * cols && l_len == rows * depth,
+        "times dimension mismatch"
+    );
+    let product = Product { l, m, cols, depth };
     let mut j0 = 0;
-    while j0 < out.len() {
-        j0 += match out.len() - j0 {
-            16.. => block::<16>(out, j0, &mut sum),
-            8.. => block::<8>(out, j0, &mut sum),
-            4.. => block::<4>(out, j0, &mut sum),
-            2.. => block::<2>(out, j0, &mut sum),
-            _ => block::<1>(out, j0, &mut sum),
+    while j0 < cols {
+        j0 += match cols - j0 {
+            16.. => product.columns::<2, 16>(j0, out),
+            8.. => product.columns::<4, 8>(j0, out),
+            4.. => product.columns::<8, 4>(j0, out),
+            2.. => product.columns::<8, 2>(j0, out),
+            _ => product.columns::<8, 1>(j0, out),
         };
     }
 }
 
-/// One block of [`blocked`]: the `W` cells from `j0` on. Returns `W`.
-#[inline(always)]
-fn block<const W: usize>(
-    out: &mut [f64],
-    j0: usize,
-    sum: &mut impl FnMut(usize, &mut [f64]),
-) -> usize {
-    let mut acc = [0.0; W];
-    sum(j0, &mut acc);
-    out[j0..j0 + W].copy_from_slice(&acc);
-    W
+/// The operands of one [`times`] call.
+struct Product<'a> {
+    l: Left<'a>,
+    m: &'a [f64],
+    cols: usize,
+    depth: usize,
+}
+
+impl Product<'_> {
+    /// The `J` columns from `j0` on of every row of `out`: tiles of `R`
+    /// rows, then the rows left one at a time. Returns `J`.
+    #[inline(always)]
+    fn columns<const R: usize, const J: usize>(&self, j0: usize, out: &mut [f64]) -> usize {
+        let rows = out.len() / self.cols;
+        let mut i0 = 0;
+        while i0 + R <= rows {
+            self.tile::<R, J>(i0, j0, out);
+            i0 += R;
+        }
+        while i0 < rows {
+            self.tile::<1, J>(i0, j0, out);
+            i0 += 1;
+        }
+        J
+    }
+
+    /// The `R × J` cells from `(i0, j0)` on, each summed from +0.0 in
+    /// ascending `k`.
+    #[inline(always)]
+    fn tile<const R: usize, const J: usize>(&self, i0: usize, j0: usize, out: &mut [f64]) {
+        let mut acc = [[0.0; J]; R];
+        let (cols, depth) = (self.cols, self.depth);
+        // Plain loops: an iterator adapter here may stay a call, and a
+        // call spills the tile's registers at every step.
+        match self.l {
+            Left::Rows(l) => {
+                let mut l_rows: [&[f64]; R] = [&[]; R];
+                for (i, l_row) in l_rows.iter_mut().enumerate() {
+                    *l_row = &l[(i0 + i) * depth..][..depth];
+                }
+                for k in 0..depth {
+                    let m_row = &self.m[k * cols + j0..][..J];
+                    for (acc_row, l_row) in acc.iter_mut().zip(&l_rows) {
+                        add_scaled(acc_row, l_row[k], m_row);
+                    }
+                }
+            }
+            Left::Transposed(l) => {
+                let rows = l.len() / depth;
+                for k in 0..depth {
+                    let l_col = &l[k * rows + i0..][..R];
+                    let m_row = &self.m[k * cols + j0..][..J];
+                    for (acc_row, &s) in acc.iter_mut().zip(l_col) {
+                        add_scaled(acc_row, s, m_row);
+                    }
+                }
+            }
+        }
+        for (i, acc_row) in acc.iter().enumerate() {
+            let at = (i0 + i) * self.cols + j0;
+            out[at..at + J].copy_from_slice(acc_row);
+        }
+    }
 }
 
 /// `acc[c] += s · v[c]` for every cell of `acc`.
 #[inline(always)]
-fn add_scaled(acc: &mut [f64], s: f64, v: &[f64]) {
-    // One length for both, so a full block unrolls into registers.
-    let v = &v[..acc.len()];
+fn add_scaled<const J: usize>(acc: &mut [f64; J], s: f64, v: &[f64]) {
+    // One length for both, so the tile unrolls into registers.
+    let v = &v[..J];
     for (c, &x) in acc.iter_mut().zip(v) {
         *c += s * x;
     }
@@ -230,6 +268,7 @@ pub fn softmax(logits: &Mat) -> Mat {
 
 /// Softmax of one row of logits, in place: subtracts the row maximum,
 /// exponentiates, then divides by the sum accumulated in index order.
+#[inline(always)]
 pub(crate) fn softmax_row(row: &mut [f64]) {
     let row_max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
@@ -365,35 +404,41 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// `row_times` is the zero-skipping loop it replaced, bit for bit:
-        /// widths up to 40 span two full 16-cell blocks and every narrower
-        /// block, and both operands carry exact zeros of both signs.
+        /// `times` over a batch of rows (the forward pass's form) is the
+        /// zero-skipping loop it replaced, bit for bit: widths up to 40
+        /// span two full 16-column tiles and every narrower one, batches of
+        /// up to 20 rows fill multi-row tiles and leave rows over, and both
+        /// operands carry exact zeros of both signs.
         #[test]
         fn row_times_matches_the_zero_skipping_loop(
+            rows in 1usize..21,
             inputs in 1usize..41,
             outputs in 1usize..41,
             zero_stride in 0usize..5,
             seed in 0u64..100_000,
         ) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let x = cells(inputs, zero_stride, &mut rng);
+            let x = cells(rows * inputs, zero_stride, &mut rng);
             let m = cells(inputs * outputs, zero_stride + 1, &mut rng);
-            let mut want = vec![0.0; outputs];
-            for (&a, row) in x.iter().zip(m.chunks_exact(outputs)) {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &w) in want.iter_mut().zip(row) {
-                    *o += a * w;
+            let mut want = vec![0.0; rows * outputs];
+            for (x_row, want_row) in x.chunks_exact(inputs).zip(want.chunks_exact_mut(outputs)) {
+                for (&a, row) in x_row.iter().zip(m.chunks_exact(outputs)) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (o, &w) in want_row.iter_mut().zip(row) {
+                        *o += a * w;
+                    }
                 }
             }
-            let mut got = vec![f64::NAN; outputs];
-            row_times(&x, &m, &mut got);
+            let mut got = vec![f64::NAN; rows * outputs];
+            times(Left::Rows(&x), &m, outputs, &mut got);
             proptest::prop_assert_eq!(bits(&got), bits(&want));
         }
 
-        /// `gram` is the zero-skipping weight-gradient loop it replaced, bit
-        /// for bit, over batches of up to 40 rows and widths up to 40.
+        /// `times` over a batch's transpose (the weight gradient's form) is
+        /// the zero-skipping loop it replaced, bit for bit, over batches of
+        /// up to 40 rows and widths up to 40.
         #[test]
         fn gram_matches_the_zero_skipping_loop(
             rows in 1usize..41,
@@ -417,7 +462,7 @@ mod tests {
                 }
             }
             let mut got = vec![f64::NAN; inputs * outputs];
-            gram(rows, &a, &d, &mut got);
+            times(Left::Transposed(&a), &d, outputs, &mut got);
             proptest::prop_assert_eq!(bits(&got), bits(&want));
         }
     }

@@ -4,7 +4,7 @@ use diffserve_linalg::Mat;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::layer::{gram, relu, row_times, softmax, softmax_row, Dense};
+use crate::layer::{relu, softmax, softmax_row, times, Dense, Left};
 use crate::optim::Adam;
 
 /// A feed-forward classifier: dense layers with ReLU between them and a
@@ -116,6 +116,14 @@ impl Mlp {
     /// Panics if `x` does not match the input width or `scratch` holds
     /// fewer than `2 × max_width()` cells.
     pub fn predict_proba_row<'s>(&self, x: &[f64], scratch: &'s mut [f64]) -> &'s [f64] {
+        let probs = self.logits_row(x, scratch);
+        softmax_row(probs);
+        probs
+    }
+
+    /// The logits of one input row, as [`Mlp::predict_proba_row`] computes
+    /// them before its softmax: the bits of [`Mlp::logits`]' row.
+    fn logits_row<'s>(&self, x: &[f64], scratch: &'s mut [f64]) -> &'s mut [f64] {
         let width = self.max_width();
         assert!(
             scratch.len() >= 2 * width,
@@ -128,25 +136,30 @@ impl Mlp {
         cur[..x.len()].copy_from_slice(x);
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            layer.forward_row(
+            layer.forward_rows(
                 &cur[..layer.inputs()],
                 &mut next[..layer.outputs()],
                 i < last,
             );
             std::mem::swap(&mut cur, &mut next);
         }
-        let probs = &mut cur[..self.layers[last].outputs()];
-        softmax_row(probs);
-        probs
+        &mut cur[..self.layers[last].outputs()]
     }
 
-    /// Hard class predictions (argmax).
+    /// Hard class predictions: each row's argmax over its logits, the last
+    /// class on a tie. Runs the row forward of [`Mlp::predict_proba_row`]
+    /// over one scratch buffer, so its logits have [`Mlp::logits`]' bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not match the input width or a logit is NaN.
     pub fn predict(&self, x: &Mat) -> Vec<usize> {
-        let p = self.logits(x);
-        (0..p.rows())
+        let mut scratch = vec![0.0; 2 * self.max_width()];
+        (0..x.rows())
             .map(|i| {
-                let row = p.row(i);
-                row.iter()
+                let logits = self.logits_row(x.row(i), &mut scratch);
+                logits
+                    .iter()
                     .enumerate()
                     .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
                     .map(|(j, _)| j)
@@ -173,12 +186,53 @@ impl Mlp {
     /// adding it changes no bit. Debug builds check after every update that
     /// the parameters stay finite.
     ///
+    /// On an x86-64 host with AVX2 the step runs compiled for AVX2, so the
+    /// kernels' sums run four lanes wide; elsewhere it runs in the
+    /// target's baseline codegen. Both have the same bits: vector lanes
+    /// hold different cells, never parts of one sum, each cell's sum keeps
+    /// its order, and `fma` stays off, so every product is rounded before
+    /// it is added.
+    ///
     /// # Panics
     ///
     /// Panics if `labels.len()` differs from the number of rows of `x`, `x`
     /// does not match the input width, a label is out of range, or the
     /// batch size is zero.
     pub fn fit<R: Rng + ?Sized>(
+        &mut self,
+        x: &Mat,
+        labels: &[usize],
+        optimizer: &mut Adam,
+        config: &TrainConfig,
+        rng: &mut R,
+    ) -> Vec<f64> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `fit_avx2` requires only that the CPU support AVX2,
+            // which the detection above has just established.
+            return unsafe { self.fit_avx2(x, labels, optimizer, config, rng) };
+        }
+        self.fit_body(x, labels, optimizer, config, rng)
+    }
+
+    /// [`Mlp::fit_body`] compiled for AVX2 (and not `fma`).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn fit_avx2<R: Rng + ?Sized>(
+        &mut self,
+        x: &Mat,
+        labels: &[usize],
+        optimizer: &mut Adam,
+        config: &TrainConfig,
+        rng: &mut R,
+    ) -> Vec<f64> {
+        self.fit_body(x, labels, optimizer, config, rng)
+    }
+
+    /// [`Mlp::fit`]'s loop, inlined (with every kernel it calls) into each
+    /// caller so that it takes the caller's codegen.
+    #[inline(always)]
+    fn fit_body<R: Rng + ?Sized>(
         &mut self,
         x: &Mat,
         labels: &[usize],
@@ -215,6 +269,7 @@ impl Mlp {
     /// One forward+backward pass over the rows `rows` of `x`, applying the
     /// optimizer (two slots per layer: weights, then biases). Returns the
     /// batch loss.
+    #[inline(always)]
     fn train_step(
         &mut self,
         x: &Mat,
@@ -233,18 +288,13 @@ impl Mlp {
         // `grad`.
         for (l, layer) in self.layers.iter().enumerate() {
             let (below, rest) = buf.acts.split_at_mut(l);
-            let input = layer_input(&buf.x, below, l);
+            let input = &layer_input(&buf.x, below, l)[..n * layer.inputs()];
             let out = if l < last {
                 &mut rest[0]
             } else {
                 &mut buf.grad
             };
-            let pairs = input
-                .chunks_exact(layer.inputs())
-                .zip(out.chunks_exact_mut(layer.outputs()));
-            for (in_row, out_row) in pairs.take(n) {
-                layer.forward_row(in_row, out_row, l < last);
-            }
+            layer.forward_rows(input, &mut out[..n * layer.outputs()], l < last);
         }
 
         // Loss, and its gradient `(softmax − onehot)·(1/n)` over the logits
@@ -270,7 +320,7 @@ impl Mlp {
             let d = &buf.grad[..n * outputs];
             let input = &layer_input(&buf.x, &buf.acts, l)[..n * inputs];
             let d_w = &mut buf.d_w[..inputs * outputs];
-            gram(n, input, d, d_w);
+            times(Left::Transposed(input), d, outputs, d_w);
             let d_b = &mut buf.d_b[..outputs];
             d_b.fill(0.0);
             for d_row in d.chunks_exact(outputs) {
@@ -292,18 +342,11 @@ impl Mlp {
                     }
                 }
                 let d_x = &mut buf.d_x[..n * inputs];
-                let below = buf.acts[l - 1].chunks_exact(inputs);
-                for ((dx_row, d_row), act_row) in d_x
-                    .chunks_exact_mut(inputs)
-                    .zip(d.chunks_exact(outputs))
-                    .zip(below)
-                {
-                    row_times(d_row, w_t, dx_row);
-                    // ReLU's gradient: the activation is positive exactly
-                    // where its pre-activation was.
-                    for (v, &h) in dx_row.iter_mut().zip(act_row) {
-                        *v = if h > 0.0 { *v } else { 0.0 };
-                    }
+                times(Left::Rows(d), w_t, inputs, d_x);
+                // ReLU's gradient: the activation is positive exactly where
+                // its pre-activation was.
+                for (v, &h) in d_x.iter_mut().zip(&buf.acts[l - 1]) {
+                    *v = if h > 0.0 { *v } else { 0.0 };
                 }
             }
             let (w, b) = self.layers[l].params_mut();
@@ -465,6 +508,7 @@ pub fn auc(scores: &[f64], labels: &[bool]) -> f64 {
 mod tests {
     use super::*;
     use crate::optim::Adam;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn two_gaussians(n: usize, seed: u64) -> (Mat, Vec<usize>) {
@@ -598,7 +642,7 @@ mod tests {
         labels: &[usize],
         optimizer: &mut Adam,
         config: &TrainConfig,
-        rng: &mut rand::rngs::StdRng,
+        rng: &mut StdRng,
     ) -> Vec<f64> {
         let mut order: Vec<usize> = (0..x.rows()).collect();
         let mut losses = Vec::new();
@@ -619,21 +663,26 @@ mod tests {
         losses
     }
 
-    /// Trains one model by the fused step and a clone of it in matrix
-    /// form on the same shuffles, and returns each side's bits: every
-    /// epoch's loss, every weight and bias, and the accuracy the trained
-    /// model scores. `n` rows of data carry exact zeros of both signs every
-    /// `zero_stride + 2` cells.
-    fn fused_and_matrix_form_bits(
+    /// A way to train: `Mlp::fit`, its body in baseline codegen, or the
+    /// matrix form.
+    type Fit = fn(&mut Mlp, &Mat, &[usize], &mut Adam, &TrainConfig, &mut StdRng) -> Vec<f64>;
+
+    /// Trains a model by `fit` and returns the bits of every epoch's loss,
+    /// every weight and bias, and the accuracy the trained model scores.
+    /// `n` rows of data carry exact zeros of both signs every
+    /// `zero_stride + 2` cells; the model, the data and the shuffles
+    /// depend on `seed` alone, so two ways to train see the same ones.
+    fn trained_bits(
         widths: &[usize],
         n: usize,
         config: TrainConfig,
         zero_stride: usize,
         seed: u64,
-    ) -> (Vec<u64>, Vec<u64>) {
+        fit: Fit,
+    ) -> Vec<u64> {
         use rand::Rng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let model = Mlp::new(widths, &mut rng);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model = Mlp::new(widths, &mut rng);
         let (inputs, classes) = (widths[0], widths[widths.len() - 1]);
         let cells: Vec<f64> = (0..n * inputs)
             .map(|i| match i % (zero_stride + 2) {
@@ -644,25 +693,16 @@ mod tests {
             .collect();
         let x = Mat::from_fn(n, inputs, |i, j| cells[i * inputs + j]);
         let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..classes)).collect();
-        let train_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED);
-        let side = |fused: bool| {
-            let mut model = model.clone();
-            let mut opt = Adam::new(0.05);
-            let mut rng = train_rng.clone();
-            let losses = if fused {
-                model.fit(&x, &labels, &mut opt, &config, &mut rng)
-            } else {
-                fit_matrix_form(&mut model, &x, &labels, &mut opt, &config, &mut rng)
-            };
-            let mut bits: Vec<u64> = losses.iter().map(|f| f.to_bits()).collect();
-            for layer in &model.layers {
-                let params = layer.weights().as_slice().iter().chain(layer.biases());
-                bits.extend(params.map(|f| f.to_bits()));
-            }
-            bits.push(accuracy(&model.predict(&x), &labels).to_bits());
-            bits
-        };
-        (side(true), side(false))
+        let mut opt = Adam::new(0.05);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let losses = fit(&mut model, &x, &labels, &mut opt, &config, &mut rng);
+        let mut bits: Vec<u64> = losses.iter().map(|f| f.to_bits()).collect();
+        for layer in &model.layers {
+            let params = layer.weights().as_slice().iter().chain(layer.biases());
+            bits.extend(params.map(|f| f.to_bits()));
+        }
+        bits.push(accuracy(&model.predict(&x), &labels).to_bits());
+        bits
     }
 
     proptest::proptest! {
@@ -670,8 +710,8 @@ mod tests {
 
         /// The fused training step is the matrix-form step, bit for bit,
         /// over several shuffled epochs. Layer stacks include 1-wide hidden
-        /// layers and hidden layers up to 39 wide (two full 16-cell kernel
-        /// blocks and every narrower one), and heads of 2 to 4 classes;
+        /// layers and hidden layers up to 39 wide (two full 16-column kernel
+        /// tiles and every narrower one), and heads of 2 to 4 classes;
         /// batch sizes leave a short last chunk; inputs carry exact zeros of
         /// both signs.
         #[test]
@@ -689,9 +729,75 @@ mod tests {
             widths.extend(&hidden);
             widths.push(classes);
             let config = TrainConfig { epochs, batch_size, shuffle: true };
-            let (fused, matrix_form) =
-                fused_and_matrix_form_bits(&widths, n, config, zero_stride, seed);
-            proptest::prop_assert_eq!(fused, matrix_form);
+            proptest::prop_assert_eq!(
+                trained_bits(&widths, n, config, zero_stride, seed, Mlp::fit),
+                trained_bits(&widths, n, config, zero_stride, seed, fit_matrix_form)
+            );
+        }
+
+        /// `fit` (on an AVX2 host, the body compiled for AVX2) is the body
+        /// compiled for the target's baseline, bit for bit. Output widths
+        /// of 1 to 3 make multi-row kernel tiles of every height, and
+        /// batches of 1 to 70 rows fill some and leave rows over.
+        #[test]
+        fn avx2_fit_matches_the_baseline_body_bitwise(
+            inputs in 1usize..20,
+            hidden in proptest::collection::vec(1usize..40, 0..3),
+            classes in 1usize..4,
+            n in 1usize..141,
+            batch_size in 1usize..71,
+            epochs in 1usize..3,
+            zero_stride in 1usize..5,
+            seed in 0u64..100_000,
+        ) {
+            let mut widths = vec![inputs];
+            widths.extend(&hidden);
+            widths.push(classes);
+            let config = TrainConfig { epochs, batch_size, shuffle: true };
+            proptest::prop_assert_eq!(
+                trained_bits(&widths, n, config, zero_stride, seed, Mlp::fit),
+                trained_bits(&widths, n, config, zero_stride, seed, Mlp::fit_body)
+            );
+        }
+
+        /// The row-path `predict` is the argmax over the batched `logits`,
+        /// the last class on a tie. A tied head copies its first column
+        /// (weights and bias) into every other, so every row's logits tie.
+        #[test]
+        fn predict_is_the_argmax_of_the_logits(
+            widths in proptest::collection::vec(1usize..20, 1..4),
+            classes in 1usize..4,
+            tied in 0u8..2,
+            rows in 1usize..30,
+            seed in 0u64..100_000,
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut widths = widths;
+            widths.push(classes);
+            let mut model = Mlp::new(&widths, &mut rng);
+            if tied == 1 {
+                let head = model.layers.last_mut().expect("an MLP has layers");
+                let (w, b) = head.params_mut();
+                for row in w.as_mut_slice().chunks_exact_mut(classes) {
+                    let w0 = row[0];
+                    row.fill(w0);
+                }
+                let b0 = b[0];
+                b.fill(b0);
+            }
+            let x = Mat::from_fn(rows, widths[0], |_, _| rng.gen_range(-3.0..3.0));
+            let logits = model.logits(&x);
+            let want: Vec<usize> = (0..rows)
+                .map(|i| {
+                    let row = logits.row(i);
+                    (0..classes)
+                        .rev()
+                        .find(|&j| row.iter().all(|&v| v <= row[j]))
+                        .expect("a row has a maximum")
+                })
+                .collect();
+            proptest::prop_assert_eq!(model.predict(&x), want);
         }
     }
 
@@ -704,9 +810,23 @@ mod tests {
             batch_size: 64,
             shuffle: true,
         };
-        let (fused, matrix_form) =
-            fused_and_matrix_form_bits(&[16, 32, 16, 2], 300, config, 5, 0xD15C);
-        assert_eq!(fused, matrix_form);
+        let bits = |fit| trained_bits(&[16, 32, 16, 2], 300, config, 5, 0xD15C, fit);
+        assert_eq!(bits(Mlp::fit), bits(fit_matrix_form));
+    }
+
+    /// The host runs `fit`'s AVX2 body, so the bitwise proptest above
+    /// checked it. Ignored because a host without AVX2 is no fault of the
+    /// code; CI runs it.
+    #[test]
+    #[ignore = "asserts a property of the host; CI runs it"]
+    fn avx2_path_is_exercised() {
+        #[cfg(not(target_arch = "x86_64"))]
+        panic!("the AVX2 training body exists only on x86-64");
+        #[cfg(target_arch = "x86_64")]
+        assert!(
+            std::arch::is_x86_feature_detected!("avx2"),
+            "this host lacks AVX2, so `fit` ran its baseline body"
+        );
     }
 
     #[test]

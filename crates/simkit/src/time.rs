@@ -63,6 +63,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `secs` is negative, NaN, or too large to represent.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
@@ -115,6 +116,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative, NaN, or too large to represent.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
@@ -208,6 +210,7 @@ impl fmt::Display for SimDuration {
 /// rounding half away from zero is truncation plus one where that
 /// fraction is at least one half. The cast saturates at `u64::MAX`, as
 /// `x.round() as u64` does, and the `+1` saturates with it.
+#[inline]
 fn round_to_u64(x: f64) -> u64 {
     let whole = x as u64;
     whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
