@@ -14,12 +14,13 @@
 //! compares its measurements with the simulator's — the paper reports a
 //! 0.56% FID / 1.1% SLO-violation gap between the two.
 //!
-//! Threads, sleeps, queues and locks are all this engine owns: what a
-//! batch costs, where a job routes, whether an output escalates, which
-//! workers change tier, what the controller is told and how an outcome is
-//! accounted are calls into `diffserve_core::kernel`, the same functions
-//! the simulator calls; the bootstrap plan, the drain period and the
-//! report's horizon cut are the core's too.
+//! Threads, sleeps, queues and locks are all this engine owns: a worker's
+//! dispatch and batch completion, where a job routes, which workers change
+//! tier and what the controller is told are calls into
+//! `diffserve_core::kernel`, the same functions the simulator calls, and a
+//! moved or failed worker's queue follows the kernel's hand-back rule; the
+//! bootstrap plan, the drain period and the report's horizon cut are the
+//! core's too.
 //!
 //! The testbed is the second engine behind the unified session API:
 //! [`ClusterBackend`] implements [`ServingBackend`], and
@@ -36,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use diffserve_core::config::MODEL_SWITCH_DELAY;
 use diffserve_core::kernel::{
-    self, Candidate, FleetTally, Kernel, Ledger, Member, Rung, Verdict, WorkerState,
+    self, Candidate, FleetTally, Kernel, Ledger, Query, Rung, WorkerState,
 };
 use diffserve_core::serve::{
     BuildError, QueryOutcome, QuerySpec, QueryTicket, ServingBackend, ServingSession,
@@ -46,7 +47,7 @@ use diffserve_core::{
     CascadeRuntime, ConfigError, ControlDirective, ControlLoop, ControlObservation, ModuleCache,
     QueryId, RunReport, RunSettings, SystemConfig,
 };
-use diffserve_imagegen::{OnlinePredictiveRouter, Prompt, StageState};
+use diffserve_imagegen::OnlinePredictiveRouter;
 use diffserve_simkit::prelude::*;
 use diffserve_trace::{
     CapacityEvent, HazardProcess, Incident, Scenario, ScenarioError, ScenarioEvent, Trace,
@@ -54,71 +55,44 @@ use diffserve_trace::{
 
 use crate::plan::ServingPlan;
 
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    qid: u64,
-    arrival: SimTime,
-    deadline: SimTime,
-    /// Ladder tier the query entered the system at — `0` on the classic
-    /// policy path, deeper when the predictive router skipped cheap tiers.
-    /// The cross-tier GPU-time accounting sums sunk stages from here.
-    entry: usize,
-    /// Explicit prompt payload; `None` serves the dataset's cyclic prompt.
-    prompt: Option<Prompt>,
-    /// Denoise progress carried over from a shallower tier, set at the
-    /// escalation site when [`SystemConfig::resume_from_latents`] is on.
-    resume: Option<StageState>,
-    /// Add-on module (catalog index) this job requires; rides along on
-    /// escalation so the deeper pass needs the same module.
-    addon: Option<usize>,
-    /// The tier [`Shared::forward`] routed this job to: a worker that
-    /// changes tier, or fails, hands its queue back there.
-    tier: usize,
-}
-
-impl Job {
-    /// What the service-time model reads of this job.
-    fn member(&self) -> Member {
-        Member {
-            resume: self.resume,
-            addon: self.addon,
-        }
-    }
-}
-
-/// One worker's jobs, first in, first out. Its length is read here and
-/// nowhere else kept, so routing, the fleet tally and the exit rule all
-/// see the jobs actually waiting.
+/// One worker's queued queries (its jobs), first in, first out. Its length
+/// is read here and nowhere else kept, so routing, the fleet tally and the
+/// exit rule all see the jobs actually waiting.
 #[derive(Default)]
 struct JobQueue {
-    jobs: Mutex<VecDeque<Job>>,
+    jobs: Mutex<VecDeque<Query>>,
     /// Signalled on every push; only the queue's own worker waits on it.
     pushed: Condvar,
 }
 
 impl JobQueue {
-    fn push(&self, job: Job) {
+    fn push(&self, job: Query) {
         self.jobs.lock().unwrap().push_back(job);
         self.pushed.notify_one();
     }
 
-    /// Waits up to `timeout` for a first job, then moves it and whatever
-    /// else is queued, up to `max` jobs in all, into `batch`
-    /// (Clipper-style no-wait batching). `batch` is left empty if no job
-    /// came.
-    fn pop_batch(&self, max: usize, timeout: Duration, batch: &mut Vec<Job>) {
+    /// Waits up to `timeout` for a first job; returns whether one is
+    /// queued.
+    fn wait(&self, timeout: Duration) -> bool {
         let jobs = self.jobs.lock().unwrap();
-        let (mut jobs, _) = self
+        let (jobs, _) = self
             .pushed
             .wait_timeout_while(jobs, timeout, |jobs| jobs.is_empty())
             .unwrap();
+        !jobs.is_empty()
+    }
+
+    /// Moves the oldest queued jobs, up to `max`, into `batch`
+    /// (Clipper-style no-wait batching).
+    fn pop_batch(&self, max: usize, batch: &mut Vec<Query>) {
+        let mut jobs = self.jobs.lock().unwrap();
         let n = jobs.len().min(max);
         batch.clear();
         batch.extend(jobs.drain(..n));
     }
 
     /// Takes every queued job, oldest first.
-    fn drain(&self) -> Vec<Job> {
+    fn drain(&self) -> Vec<Query> {
         self.jobs.lock().unwrap().drain(..).collect()
     }
 
@@ -183,7 +157,7 @@ struct Shared {
     /// threshold and add-on charge, and the tick window the clock thread
     /// drains into the shared [`ControlLoop`]. It is the innermost lock:
     /// nothing else is locked while it is held, so the lock order is
-    /// module-cache guard (or plan) → ledger, never the reverse.
+    /// module-cache guard, router or plan → ledger, never the reverse.
     ledger: Mutex<Ledger>,
     shutdown: AtomicBool,
     start: Instant,
@@ -388,22 +362,26 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst) && self.workers[i].queue.len() == 0
     }
 
-    /// Health-weighted JSQ by the kernel's
-    /// [`pick_worker`](kernel::pick_worker), in one pass over the alive
+    /// Routes `job` to a worker of `tier` and queues it there, by
+    /// health-weighted JSQ of the kernel's
+    /// [`pick_worker`](kernel::pick_worker) in one pass over the alive
     /// workers (scenario validation guarantees one): each stands on the
     /// candidate ladder by its plan tier and the model it hosts, and is
     /// ranked by its queue length plus the members of the batch in
     /// service, weighted by its slowdown, plus the add-on miss penalty
-    /// where its cache lacks the job's module.
-    fn route(&self, kernel: &Kernel<'_>, tier: usize, addon: Option<usize>) -> usize {
-        let penalty = kernel.miss_penalty(tier, addon);
+    /// where its cache lacks the job's module. The pick and the push are
+    /// made under one read of the plan, so no job routed by a plan lands on
+    /// a moved worker's queue after [`swap_plan`](Self::swap_plan) drained
+    /// it.
+    fn forward(&self, kernel: &Kernel<'_>, tier: usize, job: Query) {
+        let penalty = kernel.miss_penalty(tier, job.addon);
         let plan = self.plan.read().unwrap();
         let alive = self
             .workers
             .iter()
             .enumerate()
             .filter(|(_, w)| !w.is_failed());
-        kernel::pick_worker(alive.map(|(i, w)| Candidate {
+        let target = kernel::pick_worker(alive.map(|(i, w)| Candidate {
             worker: i,
             rung: Rung::of(
                 tier,
@@ -420,25 +398,26 @@ impl Shared {
                 _ => 0.0,
             },
         }))
-        .expect("at least one worker must be alive")
-    }
-
-    /// Routes `job` to a worker of `tier` and queues it there.
-    fn forward(&self, kernel: &Kernel<'_>, tier: usize, mut job: Job) {
-        job.tier = tier;
-        let target = self.route(kernel, tier, job.addon);
+        .expect("at least one worker must be alive");
         self.workers[target].queue.push(job);
     }
 
-    /// Hands every job queued on worker `wid` back to the tier it was
-    /// routed to. The simulator re-routes a moved or failed worker's queue
-    /// to the worker's own tier instead, which differs for a job a
-    /// fallback pick placed on another tier's worker. The queue is drained
-    /// before any job is forwarded, so a job routed straight back here
-    /// waits for the worker.
-    fn hand_back(&self, wid: usize, kernel: &Kernel<'_>) {
-        for job in self.workers[wid].queue.drain() {
-            self.forward(kernel, job.tier, job);
+    /// Swaps `next` in as the plan and hands each moved worker's queue back
+    /// by the kernel's hand-back rule (see [`kernel::worker_moves`]): to the
+    /// tier it leaves, its tier under the plan `next` replaces. The queues
+    /// are drained under the plan's write lock and routed once it drops,
+    /// so a job routed to a moved worker afterwards, on the switching rung
+    /// of its new tier, stays queued for the switch, as on the simulator.
+    fn swap_plan(&self, kernel: &Kernel<'_>, next: ServingPlan) {
+        let mut plan = self.plan.write().unwrap();
+        let moved = plan.tiers.iter().zip(&next.tiers).zip(&self.workers);
+        let held: Vec<(usize, Query)> = (moved.filter(|((from, to), _)| from != to))
+            .flat_map(|((&from, _), w)| w.queue.drain().into_iter().map(move |q| (from, q)))
+            .collect();
+        *plan = next;
+        drop(plan);
+        for (from, job) in held {
+            self.forward(kernel, from, job);
         }
     }
 }
@@ -535,7 +514,13 @@ impl<'a> ClusterBackend<'a> {
                 .as_ref()
                 .and_then(|s| s.hazard())
                 .map(|h| HazardProcess::new(h, interval));
-            thread::spawn(move || clock_loop(&shared, &control, interval, &incidents, hazard))
+            let (rt, sys, settings) = (runtime.clone(), sys.clone(), settings.clone());
+            thread::spawn(move || {
+                // The tick's hand-back routes jobs, so the clock decides
+                // with a kernel of its own, as each worker does.
+                let kernel = Kernel::new(&rt, &sys, &settings);
+                clock_loop(&shared, &kernel, &control, interval, &incidents, hazard)
+            })
         };
 
         Ok(ClusterBackend {
@@ -600,45 +585,29 @@ impl ServingBackend for ClusterBackend<'_> {
             self.shared.sleep_sim(at - now0);
         }
         let now = self.shared.now();
-        let qid = self.submitted;
-        // The router's prediction sees the same (difficulty-shifted)
-        // prompt the tiers will serve. The router lock is taken before the
-        // plan's, the order the workers take them in.
-        let (tier, deep_demand) = {
+        let mut job = Query::new(self.submitted, now, &spec, self.sys.slo);
+        self.submitted += 1;
+        let tier = {
             let router = self.shared.router.as_ref().map(|r| r.lock().unwrap());
             let plan = self.shared.plan.read().unwrap();
-            self.kernel.entry_tier(
+            let mut ledger = self.shared.ledger.lock().unwrap();
+            self.reserve_outcomes(&mut ledger);
+            self.kernel.arrive(
+                &mut job,
+                SimTime::from_secs_f64(at.max(0.0)),
+                self.shared.difficulty_delta(),
                 &plan.thresholds,
                 &mut self.route_rng,
                 router.as_deref(),
                 plan.bypass_suspended,
-                || {
-                    self.kernel
-                        .served_prompt(qid, spec.prompt, self.shared.difficulty_delta())
-                },
+                &mut ledger,
             )
-        };
-        self.submitted += 1;
-        let mut ledger = self.shared.ledger.lock().unwrap();
-        ledger.arrive(SimTime::from_secs_f64(at.max(0.0)), tier, deep_demand);
-        self.reserve_outcomes(&mut ledger);
-        drop(ledger);
-        let deadline = spec.deadline.unwrap_or(now + self.sys.slo);
-        let job = Job {
-            qid,
-            arrival: now,
-            deadline,
-            entry: tier,
-            prompt: spec.prompt,
-            resume: spec.resume_from,
-            addon: spec.addon,
-            tier,
         };
         self.shared.forward(&self.kernel, tier, job);
         QueryTicket {
-            id: QueryId(qid),
+            id: QueryId(job.id),
             arrival: now,
-            deadline,
+            deadline: job.deadline,
         }
     }
 
@@ -685,20 +654,14 @@ impl ServingBackend for ClusterBackend<'_> {
         // A job queued on a worker after it exited was never served: it is
         // dropped at the horizon by its id, as the simulator drops what
         // the horizon cut short.
-        let mut unserved: Vec<Job> = self
-            .shared
-            .workers
-            .iter()
-            .flat_map(|w| w.queue.drain())
-            .collect();
-        unserved.sort_unstable_by_key(|job| job.qid);
+        let unserved = self.shared.workers.iter().flat_map(|w| w.queue.drain());
+        let mut unserved: Vec<_> = unserved.map(|job| (QueryId(job.id), job.arrival)).collect();
+        unserved.sort_unstable();
         let deferral_errors = self.control.lock().unwrap().take_deferral_error_series();
         self.shared.ledger.lock().unwrap().close(
             self.settings.policy,
             self.submitted,
-            unserved
-                .into_iter()
-                .map(|job| (QueryId(job.qid), job.arrival)),
+            unserved,
             horizon,
             deferral_errors,
         )
@@ -822,6 +785,7 @@ pub fn run_cluster_scenario(
 /// for.
 fn clock_loop(
     shared: &Shared,
+    kernel: &Kernel<'_>,
     control: &Mutex<ControlLoop>,
     interval: SimDuration,
     incidents: &[Incident],
@@ -852,7 +816,7 @@ fn clock_loop(
             *check += interval;
         }
         if next_tick == next {
-            control_tick(shared, control, &mut fleet, &mut obs);
+            control_tick(shared, kernel, control, &mut fleet, &mut obs);
             next_tick += interval;
         }
     }
@@ -860,12 +824,14 @@ fn clock_loop(
 
 /// One control tick: hands the shared [`ControlLoop`] what the fleet
 /// observed since the last tick (the ledger's tick window, live queue
-/// lengths), steps the pipeline, and swaps the actuated plan in. Runs for
-/// every policy so the demand and profile estimators stay live; static
-/// policies simply always `Hold`. `fleet` and `obs` are the clock's, kept
-/// from tick to tick.
+/// lengths), steps the pipeline, and swaps the actuated plan in, handing
+/// each moved worker's queue back ([`Shared::swap_plan`]). Runs for every
+/// policy so the demand and profile estimators stay live; static policies
+/// simply always `Hold`. `fleet` and `obs` are the clock's, kept from tick
+/// to tick.
 fn control_tick(
     shared: &Shared,
+    kernel: &Kernel<'_>,
     control: &Mutex<ControlLoop>,
     fleet: &mut FleetTally,
     obs: &mut ControlObservation,
@@ -895,16 +861,16 @@ fn control_tick(
         .unwrap()
         .record_threshold(now, plan.thresholds[0]);
     if directive != ControlDirective::Hold {
-        *shared.plan.write().unwrap() = plan;
+        shared.swap_plan(kernel, plan);
     }
 }
 
 fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
     let me = &shared.workers[wid];
     let switch_delay = MODEL_SWITCH_DELAY.as_secs_f64();
-    // The model this worker serves with: its bootstrap tier, loaded at
-    // launch.
-    let mut current_tier = shared.plan.read().unwrap().tiers[wid];
+    // The model this worker serves with: the one it hosts at launch, its
+    // bootstrap tier. A plan that moved it since is followed below.
+    let mut current_tier = me.hosting.load(Ordering::SeqCst);
     let mut was_failed = false;
     let poll = Duration::from_secs_f64((0.02 * shared.scale).max(0.0002));
     // Scratch, reused across batches: the distinct missing add-on modules
@@ -927,7 +893,13 @@ fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
             // within one batch go unseen and leave it loaded.
             was_failed = true;
             me.hosting.store(LOADING, Ordering::SeqCst);
-            shared.hand_back(wid, kernel);
+            // The kernel's hand-back rule: to the tier it leaves, its plan
+            // tier. Drained before any job is forwarded, so a job routed
+            // straight back here waits for the worker.
+            let from = shared.plan.read().unwrap().tiers[wid];
+            for job in me.queue.drain() {
+                shared.forward(kernel, from, job);
+            }
             if shared.may_exit(wid) {
                 return;
             }
@@ -946,64 +918,50 @@ fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
             load_model(current_tier);
         }
 
-        // Follow the plan: a moved worker hands its queue back to the tier
-        // it was routed to, then switches models.
+        // Follow the plan: the tick that moved this worker handed its
+        // queue back, and what was routed here since waits for the switch.
         let desired = shared.plan.read().unwrap().tiers[wid];
         if desired != current_tier {
-            shared.hand_back(wid, kernel);
             current_tier = desired;
             load_model(current_tier);
         }
-        let bmax = shared.plan.read().unwrap().batches[current_tier];
 
         // The poll must be fine relative to *simulated* time or idle
         // polling inflates queueing delays for sub-100ms models like SDXS.
-        me.queue.pop_batch(bmax, poll, &mut batch);
-        if batch.is_empty() {
+        if !me.queue.wait(poll) {
             if shared.may_exit(wid) {
                 return;
             }
             continue;
         }
+        // Taken under a read of the plan, which a swap drains queues under:
+        // if a swap moved this worker while it waited, its jobs were routed
+        // to its new tier, so the switch comes first.
+        let plan = shared.plan.read().unwrap();
+        if plan.tiers[wid] != current_tier {
+            continue;
+        }
+        let bmax = plan.batches[current_tier];
+        me.queue.pop_batch(bmax, &mut batch);
+        drop(plan);
 
         // A degraded worker predicts and executes with its *actual*
-        // (slowed) service time, not nameplate. The module cache stays
-        // locked from the drop-front estimate through the dispatch charge,
-        // so the two price the same residency; the charge and the sheds
-        // take the ledger once, inside the cache guard.
-        let slowdown = me.slowdown();
-        let mut cache = me.cache.as_ref().map(|c| c.lock().unwrap());
-        let now = shared.now();
-        let (shed, priced) = kernel.predicted_misses(
+        // (slowed) service time. The module cache stays locked through the
+        // dispatch, so its price and its charge see one residency.
+        let dispatch = kernel.dispatch(
             current_tier,
             batch.len(),
             bmax,
-            now,
-            slowdown,
-            cache.as_deref(),
-            |i| batch[i].member(),
-            |i| batch[i].deadline,
+            shared.now(),
+            me.slowdown(),
+            me.cache.as_ref().map(|c| c.lock().unwrap()).as_deref_mut(),
+            |i| batch[i],
+            &mut shared.ledger.lock().unwrap(),
             &mut seen,
         );
-        let mut ledger = shared.ledger.lock().unwrap();
-        if let Some(exec) = priced {
-            kernel.charge_dispatch(
-                current_tier,
-                batch[shed..].iter().map(Job::member),
-                cache.as_deref_mut(),
-                &mut ledger,
-                slowdown,
-                exec,
-                &mut seen,
-            );
-        }
-        drop(cache);
-        for job in batch.drain(..shed) {
-            ledger.shed(QueryId(job.qid), job.arrival, now, current_tier);
-        }
-        drop(ledger);
-        // No price: the whole batch was shed.
-        let Some(exec) = priced else {
+        batch.drain(..dispatch.shed);
+        // No batch: every job was shed.
+        let Some(exec) = dispatch.secs else {
             continue;
         };
 
@@ -1021,51 +979,26 @@ fn worker_loop(wid: usize, shared: &Shared, kernel: &Kernel<'_>) {
             thresholds.clone_from(&plan.thresholds);
             shared.has_alive_deeper(&plan, current_tier)
         };
-
-        for mut job in batch.drain(..) {
-            let verdict = {
-                let mut router = shared.router.as_ref().map(|r| r.lock().unwrap());
-                kernel.serve(
+        // The router stays locked for the batch and the ledger, the
+        // innermost lock, for one member at a time. The batch keeps its
+        // escalations, routed once the router is released.
+        {
+            let mut router = shared.router.as_ref().map(|r| r.lock().unwrap());
+            batch.retain_mut(|job| {
+                kernel.finish(
                     current_tier,
-                    job.qid,
-                    job.prompt,
+                    now,
+                    job,
                     shared.difficulty_delta(),
-                    job.resume,
                     &thresholds,
+                    deeper_alive,
                     router.as_deref_mut(),
-                    || deeper_alive,
+                    &mut shared.ledger.lock().unwrap(),
                 )
-            };
-            match verdict {
-                Verdict::Complete {
-                    confidence,
-                    image,
-                    reused,
-                } => {
-                    let response = kernel.response(
-                        QueryId(job.qid),
-                        job.arrival,
-                        now,
-                        image,
-                        job.entry,
-                        current_tier,
-                        confidence,
-                        reused,
-                    );
-                    shared.ledger.lock().unwrap().complete(response);
-                }
-                Verdict::Escalate { confidence, resume } => {
-                    if resume.is_some() {
-                        job.resume = resume;
-                    }
-                    shared
-                        .ledger
-                        .lock()
-                        .unwrap()
-                        .escalate(current_tier, confidence);
-                    shared.forward(kernel, current_tier + 1, job);
-                }
-            }
+            });
+        }
+        for job in batch.drain(..) {
+            shared.forward(kernel, current_tier + 1, job);
         }
     }
 }
@@ -1372,7 +1305,7 @@ mod tests {
             .expect("valid session");
         let mut backend = ClusterBackend::launch(&spec, TIME_SCALE).expect("valid time scale");
         let plan = two_tier_plan(threshold);
-        *backend.shared.plan.write().unwrap() = plan.clone();
+        backend.shared.swap_plan(&backend.kernel, plan.clone());
         backend.tick(backend.now() + SimDuration::from_secs(2));
         (backend, plan)
     }
@@ -1406,7 +1339,7 @@ mod tests {
             thread::sleep(Duration::from_micros(200));
         }
         plan.tiers[moved] = 1 - plan.tiers[moved];
-        *backend.shared.plan.write().unwrap() = plan;
+        backend.shared.swap_plan(&backend.kernel, plan);
         let mut tiers = Vec::new();
         while tiers.len() < queries {
             assert!(backend.now() < give_up, "{} of {queries} done", tiers.len());
@@ -1422,11 +1355,12 @@ mod tests {
         (tiers, escalations)
     }
 
-    /// A worker the plan moves hands its queued jobs back to the tier they
-    /// were routed to: they complete at, or escalate from, that tier, and
-    /// each query crosses boundary 0 exactly once. Served on the worker's
-    /// new model instead, light-bound jobs would complete on the heavy
-    /// tier and heavy-bound ones would be scored at boundary 0 again.
+    /// A worker the plan moves hands its queued jobs back to the tier it
+    /// leaves, which here is the tier they were routed to: they complete
+    /// at, or escalate from, that tier, and each query crosses boundary 0
+    /// exactly once. Served on the worker's new model instead, light-bound
+    /// jobs would complete on the heavy tier and heavy-bound ones would be
+    /// scored at boundary 0 again.
     #[test]
     fn a_moved_worker_hands_its_queue_back_to_the_tier_it_was_routed_to() {
         // Threshold 0: every query completes at the light tier, including
@@ -1459,8 +1393,9 @@ mod tests {
         let shared = &backend.shared;
         assert_eq!(shared.workers[3].hosting.load(Ordering::SeqCst), 1);
         // Worker 2, the other heavy host, is busier.
-        shared.workers[2].queue.push(far_job(shared, 0, 1));
-        assert_eq!(shared.route(&backend.kernel, 1, None), 3);
+        shared.workers[2].queue.push(far_job(shared, 0));
+        shared.forward(&backend.kernel, 1, far_job(shared, 1));
+        assert_eq!(shared.workers[3].queue.len(), 1);
     }
 
     /// An exact score tie between a module holder and a non-holder goes to
@@ -1487,9 +1422,14 @@ mod tests {
         let cache = shared.workers[2].cache.as_ref().expect("add-ons are on");
         cache.lock().unwrap().admit(0, &addons.catalog);
         for qid in 0..2 {
-            shared.workers[2].queue.push(far_job(&shared, qid, 1));
+            shared.workers[2].queue.push(far_job(&shared, qid));
         }
-        assert_eq!(shared.route(&kernel, 1, Some(0)), 3);
+        let job = Query {
+            addon: Some(0),
+            ..far_job(&shared, 2)
+        };
+        shared.forward(&kernel, 1, job);
+        assert_eq!(shared.workers[3].queue.len(), 1);
     }
 
     /// A completion is late when its latency is over the SLO, the ledger's
@@ -1523,19 +1463,11 @@ mod tests {
         assert_eq!(obs.tier_violations, [1, 0]);
     }
 
-    /// A job for query `qid` bound for `tier` that arrived now, with a
-    /// deadline no run reaches.
-    fn far_job(shared: &Shared, qid: u64, tier: usize) -> Job {
-        Job {
-            qid,
-            arrival: shared.now(),
-            deadline: SimTime::from_secs(10_000),
-            entry: tier,
-            prompt: None,
-            resume: None,
-            addon: None,
-            tier,
-        }
+    /// A job for query `qid` that arrived now, with a deadline no run
+    /// reaches.
+    fn far_job(shared: &Shared, qid: u64) -> Query {
+        let spec = QuerySpec::new().deadline(SimTime::from_secs(10_000));
+        Query::new(qid, shared.now(), &spec, SimDuration::ZERO)
     }
 
     /// Runs worker `wid`'s loop on this thread after the shutdown signal,
@@ -1555,24 +1487,27 @@ mod tests {
             .collect()
     }
 
-    /// A queue hands out its oldest jobs first, at most a batch at a time,
-    /// and an empty batch once its wait runs out with nothing pushed.
+    /// A queue hands out its oldest jobs first, at most a batch at a time;
+    /// once it is empty its wait runs out with nothing queued, and it
+    /// hands out an empty batch.
     #[test]
     fn pop_batch_takes_the_oldest_jobs_up_to_the_batch_size() {
         let (shared, _) = four_without_threads(four_workers(), 0.0);
         let queue = &shared.workers[0].queue;
         for qid in 1..=5 {
-            queue.push(far_job(&shared, qid, 0));
+            queue.push(far_job(&shared, qid));
         }
         let mut batch = Vec::new();
         let mut taken = Vec::new();
         for _ in 0..3 {
-            queue.pop_batch(2, Duration::ZERO, &mut batch);
-            taken.push(batch.iter().map(|job| job.qid).collect::<Vec<_>>());
+            assert!(queue.wait(Duration::ZERO));
+            queue.pop_batch(2, &mut batch);
+            taken.push(batch.iter().map(|job| job.id).collect::<Vec<_>>());
         }
         assert_eq!(taken, [vec![1, 2], vec![3, 4], vec![5]]);
         assert_eq!(queue.len(), 0);
-        queue.pop_batch(2, Duration::from_millis(1), &mut batch);
+        assert!(!queue.wait(Duration::from_millis(1)));
+        queue.pop_batch(2, &mut batch);
         assert!(batch.is_empty());
     }
 
@@ -1582,7 +1517,7 @@ mod tests {
     fn a_worker_may_exit_only_at_shutdown_with_nothing_queued() {
         let (shared, _) = four_without_threads(four_workers(), 0.0);
         assert!(!shared.may_exit(0) && !shared.may_exit(1));
-        shared.workers[0].queue.push(far_job(&shared, 1, 0));
+        shared.workers[0].queue.push(far_job(&shared, 1));
         shared.shutdown.store(true, Ordering::SeqCst);
         assert!(!shared.may_exit(0));
         assert!(shared.may_exit(1));
@@ -1596,7 +1531,7 @@ mod tests {
     fn at_shutdown_a_worker_serves_the_jobs_pushed_before_its_exit_check() {
         let (shared, kernel) = four_without_threads(four_workers(), 0.0);
         for qid in [7, 8, 9] {
-            shared.workers[0].queue.push(far_job(&shared, qid, 0));
+            shared.workers[0].queue.push(far_job(&shared, qid));
         }
         assert_eq!(
             serve_at_shutdown(&shared, &kernel, 0),
@@ -1611,7 +1546,7 @@ mod tests {
     fn jobs_sent_to_one_worker_are_served_in_send_order() {
         let (shared, kernel) = four_without_threads(four_workers(), 0.0);
         for qid in [4, 1, 6, 2, 5, 3] {
-            shared.workers[0].queue.push(far_job(&shared, qid, 0));
+            shared.workers[0].queue.push(far_job(&shared, qid));
         }
         let served: Vec<u64> = serve_at_shutdown(&shared, &kernel, 0)
             .into_iter()
@@ -1620,27 +1555,72 @@ mod tests {
         assert_eq!(served, [4, 1, 6, 2, 5, 3]);
     }
 
-    /// `hand_back` empties its worker's queue and re-routes every held job
-    /// to the tier it was routed to, in queue order: a light worker the
-    /// plan moved to the heavy tier hands its light jobs to the remaining
-    /// light worker.
+    /// A worker the plan moves empties its queue and re-routes every held
+    /// job to the tier it leaves, in queue order: a light worker moved to
+    /// the heavy tier hands its jobs to the remaining light worker and
+    /// serves none of them.
     #[test]
     fn hand_back_re_routes_every_held_job_to_its_tier() {
         let (shared, kernel) = four_without_threads(four_workers(), 0.0);
         for qid in 1..=3 {
-            shared.workers[1].queue.push(far_job(&shared, qid, 0));
+            shared.workers[1].queue.push(far_job(&shared, qid));
         }
-        shared.plan.write().unwrap().tiers[1] = 1;
-        shared.hand_back(1, &kernel);
+        shared.swap_plan(&kernel, moved(&shared, 1, 1));
+        assert_eq!(serve_at_shutdown(&shared, &kernel, 1), []);
         assert_eq!(shared.workers[1].queue.len(), 0);
-        let held: Vec<(u64, usize)> = shared.workers[0]
+        let held: Vec<u64> = shared.workers[0]
             .queue
             .drain()
             .iter()
-            .map(|job| (job.qid, job.tier))
+            .map(|job| job.id)
             .collect();
-        assert_eq!(held, [(1, 0), (2, 0), (3, 0)]);
+        assert_eq!(held, [1, 2, 3]);
         assert!(shared.workers[2..].iter().all(|w| w.queue.len() == 0));
+    }
+
+    /// The plan in force with worker `wid` moved to `tier`.
+    fn moved(shared: &Shared, wid: usize, tier: usize) -> ServingPlan {
+        let mut plan = shared.plan.read().unwrap().clone();
+        plan.tiers[wid] = tier;
+        plan
+    }
+
+    /// The one hand-back rule where it differs from sending each job back
+    /// to the tier it was routed to. With the heavy tier wiped out, a
+    /// heavy-bound job takes the fallback rung onto light worker 0. The
+    /// plan then moves worker 0 to the heavy tier: the job goes back to the
+    /// tier the worker leaves and completes there, on light worker 1. The
+    /// simulator's twin of this test is
+    /// `sim::tests::a_fallback_job_goes_back_to_the_tier_its_worker_leaves`.
+    #[test]
+    fn a_fallback_job_goes_back_to_the_tier_its_worker_leaves() {
+        let (shared, kernel) = four_without_threads(four_workers(), 0.0);
+        for w in &shared.workers[2..] {
+            w.failed.store(true, Ordering::SeqCst);
+        }
+        shared.forward(&kernel, 1, far_job(&shared, 5));
+        assert_eq!(shared.workers[0].queue.len(), 1, "the fallback pick");
+        shared.swap_plan(&kernel, moved(&shared, 0, 1));
+        assert_eq!(serve_at_shutdown(&shared, &kernel, 0), []);
+        assert_eq!(serve_at_shutdown(&shared, &kernel, 1), [(5, 0)]);
+    }
+
+    /// The plan's swap hands a moved worker's queue back, and the worker
+    /// keeps what is routed to it afterwards. With the heavy tier wiped
+    /// out, the plan moves light worker 0 to it; a heavy-bound job then
+    /// takes worker 0's switching rung, waits for the switch and completes
+    /// on the heavy model. The simulator serves it the same way
+    /// (`sim::tests::a_job_routed_to_a_switching_worker_is_served_after_the_switch`).
+    #[test]
+    fn a_job_routed_to_a_switching_worker_is_served_after_the_switch() {
+        let (shared, kernel) = four_without_threads(four_workers(), 0.0);
+        for w in &shared.workers[2..] {
+            w.failed.store(true, Ordering::SeqCst);
+        }
+        shared.swap_plan(&kernel, moved(&shared, 0, 1));
+        shared.forward(&kernel, 1, far_job(&shared, 5));
+        assert_eq!(shared.workers[0].queue.len(), 1, "the switching rung");
+        assert_eq!(serve_at_shutdown(&shared, &kernel, 0), [(5, 1)]);
     }
 
     /// A session dropped without `finish` joins its worker and clock

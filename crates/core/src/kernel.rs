@@ -11,20 +11,22 @@
 //! (sorted load index vs atomics and locks); every decision is a call
 //! here.
 //!
+//! * [`Query`] — one query in flight, the record both engines hold.
 //! * [`Kernel`] — the tier roster resolved from a [`CascadeRuntime`] plus
-//!   the static serving parameters, and on it the service-time model
-//!   `(stage − resume savings + swap) × slowdown` ([`Kernel::eta_secs`]),
-//!   the drop-front rule, which prices the batch that runs
-//!   ([`Kernel::predicted_misses`]), the dispatch charge to the module
-//!   cache ([`Kernel::charge_dispatch`]), the routing score
-//!   ([`Kernel::routing_load`], [`Kernel::miss_penalty`]), the entry tier
-//!   per policy ([`Kernel::entry_tier`]), a query's pass through a tier —
-//!   boundary verdict, and the image when it completes there
-//!   ([`Kernel::serve`]) — and response assembly.
+//!   the static serving parameters, and on it a worker's lifecycle:
+//!   [`Kernel::dispatch`] (the drop-front rule, the sheds, the swap charge
+//!   and the priced batch) and [`Kernel::finish`] (a batch member's
+//!   boundary verdict, completing into the ledger or escalating), both
+//!   over the service-time model `(stage − resume savings + swap) ×
+//!   slowdown`; the routing score ([`Kernel::routing_load`],
+//!   [`Kernel::miss_penalty`]) and an arrival's entry tier per policy
+//!   ([`Kernel::arrive`]).
 //! * [`pick_worker`] — the routing pick over the candidate ladder.
 //! * [`adopt_batches`], [`worker_targets`], [`worker_moves`] — the batch
 //!   each tier runs, per-tier worker targets from a plan, and which
-//!   workers change tier to meet them.
+//!   workers change tier to meet them; on the last, the one hand-back
+//!   rule: a moved or failed worker's queue goes back to the tier that
+//!   worker leaves.
 //! * [`capacity_targets`], [`applied_capacity_event`] — which workers a
 //!   fail / recover / degrade / restore event touches, and what the
 //!   incident log records of it.
@@ -54,21 +56,74 @@ use crate::policy::Policy;
 use crate::query::{CompletedResponse, QueryId, ServedImage};
 use crate::report::{CompletionTotals, RunReport};
 use crate::runtime::{CascadeRuntime, RenderTable};
-use crate::serve::{QueryOutcome, SessionSnapshot};
+use crate::serve::{QueryOutcome, QuerySpec, SessionSnapshot};
 use crate::sim::RunSettings;
+
+/// One query between its submission and its terminal state: the record
+/// both engines queue, batch and hand between tiers.
+#[derive(Debug, Clone, Copy)]
+pub struct Query {
+    /// Its id, in submission order.
+    pub id: u64,
+    /// When it arrived.
+    pub arrival: SimTime,
+    /// What the drop-front rule judges it by: its explicit deadline, else
+    /// its arrival plus the SLO.
+    pub deadline: SimTime,
+    /// Explicit prompt payload; `None` serves the dataset's cyclic prompt.
+    pub prompt: Option<Prompt>,
+    /// Denoise progress carried from another tier, set on escalation when
+    /// [`SystemConfig::resume_from_latents`] is on, or up front via
+    /// [`QuerySpec::resume_from`]: a resuming pass covers only the
+    /// residual steps.
+    pub resume: Option<StageState>,
+    /// Add-on module (catalog index) it requires; rides along on
+    /// escalation, so a deeper pass needs the same module.
+    pub addon: Option<usize>,
+    /// The tier it entered at: 0, or deeper when the predictive router
+    /// skipped cheap tiers. Its GPU-time accounting charges only tiers
+    /// `entry..=final`.
+    pub entry: usize,
+}
+
+impl Query {
+    /// The record of query `id`, submitted as `spec` and arriving at `at`
+    /// under an SLO of `slo`, entering at tier 0 until its entry tier is
+    /// drawn.
+    pub fn new(id: u64, at: SimTime, spec: &QuerySpec, slo: SimDuration) -> Self {
+        Query {
+            id,
+            arrival: at,
+            deadline: spec.deadline.unwrap_or(at + slo),
+            prompt: spec.prompt,
+            resume: spec.resume_from,
+            addon: spec.addon,
+            entry: 0,
+        }
+    }
+
+    /// What the service-time model reads of this query.
+    #[inline]
+    fn member(&self) -> Member {
+        Member {
+            resume: self.resume,
+            addon: self.addon,
+        }
+    }
+}
 
 /// What the service-time model needs to know about one batch member.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Member {
+struct Member {
     /// Denoise progress carried from another tier, if any.
-    pub resume: Option<StageState>,
+    resume: Option<StageState>,
     /// Add-on module (catalog index) the member requires, if any.
-    pub addon: Option<usize>,
+    addon: Option<usize>,
 }
 
 /// What a tier's output does at its escalation boundary.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
+enum Verdict {
     /// Serve this tier's output.
     Complete {
         /// The boundary confidence, when one was scored (`None` on the
@@ -88,6 +143,16 @@ pub enum Verdict {
         /// resume from; `None` in restart mode.
         resume: Option<StageState>,
     },
+}
+
+/// What [`Kernel::dispatch`] did with a worker's pending queries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Dispatch {
+    /// How many were shed from the front.
+    pub shed: usize,
+    /// The service seconds of the batch that runs, the next `batch_max`
+    /// pending queries at most; `None` when every one was shed.
+    pub secs: Option<f64>,
 }
 
 /// Every tier's single-stage service latency at every batch size a session
@@ -349,7 +414,7 @@ impl<'a> Kernel<'a> {
     /// function below reduces to the restart arithmetic bit-for-bit in
     /// those cases.
     #[inline]
-    pub fn reused_steps(&self, tier: usize, resume: Option<StageState>) -> u32 {
+    fn reused_steps(&self, tier: usize, resume: Option<StageState>) -> u32 {
         match resume {
             Some(st) if tier > 0 && self.resume => {
                 reused_steps(self.models[tier].steps(), st, self.resume_step_credit)
@@ -362,7 +427,7 @@ impl<'a> Kernel<'a> {
     /// [`resume_savings`]. Always `0.0` for the entry tier and in restart
     /// mode, so `stage_latency − 0.0` stays bitwise the undiscounted time.
     #[inline]
-    pub fn batch_resume_savings(
+    fn batch_resume_savings(
         &self,
         tier: usize,
         members: impl Iterator<Item = Option<StageState>>,
@@ -383,7 +448,7 @@ impl<'a> Kernel<'a> {
     /// start. Read-only (`seen` is caller-provided scratch for the distinct
     /// set); exactly `0.0` with add-ons disabled.
     #[inline]
-    pub fn batch_swap_secs(
+    fn batch_swap_secs(
         &self,
         cache: Option<&ModuleCache>,
         members: impl Iterator<Item = Option<usize>>,
@@ -412,7 +477,7 @@ impl<'a> Kernel<'a> {
     /// Returns the total load seconds, bitwise what
     /// [`Kernel::batch_swap_secs`] predicted for the same batch.
     #[inline]
-    pub fn charge_batch_swaps(
+    fn charge_batch_swaps(
         &self,
         tier: usize,
         cache: Option<&mut ModuleCache>,
@@ -461,7 +526,7 @@ impl<'a> Kernel<'a> {
     /// Read-only service time of a prospective batch on the worker owning
     /// `cache`, at its current health.
     #[inline]
-    pub fn eta_secs<I>(
+    fn eta_secs<I>(
         &self,
         tier: usize,
         members: I,
@@ -487,7 +552,7 @@ impl<'a> Kernel<'a> {
     /// it equals `priced` bit for bit.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub fn charge_dispatch<I>(
+    fn charge_dispatch<I>(
         &self,
         tier: usize,
         members: I,
@@ -527,7 +592,7 @@ impl<'a> Kernel<'a> {
     /// queue entry `i` (0 = front).
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub fn predicted_misses(
+    fn predicted_misses(
         &self,
         tier: usize,
         queued: usize,
@@ -558,6 +623,104 @@ impl<'a> Kernel<'a> {
         (shed, None)
     }
 
+    /// Dispatches a worker's next batch on `tier` at `now`, from its
+    /// `queued` pending queries (`query(i)`, 0 = front) on the worker
+    /// owning `cache` at `slowdown`: applies the drop-front rule
+    /// (`predicted_misses`), records each shed query in `ledger`,
+    /// front first, and charges the swaps of the batch that then runs — the
+    /// next `batch_max` at most — once, to `cache` and `ledger`. The batch's
+    /// service time is the ETA the drop-front rule judged by. The engine
+    /// takes the shed and batched queries off its queue.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn dispatch(
+        &self,
+        tier: usize,
+        queued: usize,
+        batch_max: usize,
+        now: SimTime,
+        slowdown: f64,
+        cache: Option<&mut ModuleCache>,
+        query: impl Fn(usize) -> Query + Copy,
+        ledger: &mut Ledger,
+        seen: &mut Vec<usize>,
+    ) -> Dispatch {
+        let (shed, priced) = self.predicted_misses(
+            tier,
+            queued,
+            batch_max,
+            now,
+            slowdown,
+            cache.as_deref(),
+            |i| query(i).member(),
+            |i| query(i).deadline,
+            seen,
+        );
+        for q in (0..shed).map(query) {
+            ledger.shed(QueryId(q.id), q.arrival, now, tier);
+        }
+        if let Some(secs) = priced {
+            let len = (queued - shed).min(batch_max);
+            let members = (shed..shed + len).map(|i| query(i).member());
+            self.charge_dispatch(tier, members, cache, ledger, slowdown, secs, seen);
+        }
+        Dispatch { shed, secs: priced }
+    }
+
+    /// Finishes `query`, a member of a batch that ran on `tier`, at `now`:
+    /// its boundary verdict (`serve`) under the boundary `thresholds` and
+    /// the prompt `difficulty` shift, which trains the pre-execution
+    /// `router`. A query that completes goes to `ledger`. One that
+    /// escalates is recorded there, takes this tier's denoise progress and
+    /// makes this return `true`: the engine routes it to `tier + 1`. With
+    /// no alive worker on a deeper tier (`deeper_alive` false) every query
+    /// completes here.
+    ///
+    /// One call per member, not per batch: the simulator routes each
+    /// escalation before it finishes the next member, which takes its
+    /// whole state between the calls.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn finish(
+        &self,
+        tier: usize,
+        now: SimTime,
+        query: &mut Query,
+        difficulty: f64,
+        thresholds: &[f64],
+        deeper_alive: bool,
+        router: Option<&mut OnlinePredictiveRouter>,
+        ledger: &mut Ledger,
+    ) -> bool {
+        let verdict = self.serve(
+            tier,
+            query.id,
+            query.prompt,
+            difficulty,
+            query.resume,
+            thresholds,
+            router,
+            deeper_alive,
+        );
+        match verdict {
+            Verdict::Complete {
+                confidence,
+                image,
+                reused,
+            } => {
+                ledger.complete(self.response(query, now, image, tier, confidence, reused));
+                false
+            }
+            Verdict::Escalate { confidence, resume } => {
+                if resume.is_some() {
+                    query.resume = resume;
+                }
+                ledger.escalate(tier, confidence);
+                true
+            }
+        }
+    }
+
     /// Single-query nameplate GPU-seconds a completion consumed across the
     /// tiers it touched (see [`CompletedResponse::gpu_time`]): every
     /// cascade stage from the query's entry tier through its completion
@@ -582,7 +745,7 @@ impl<'a> Kernel<'a> {
     /// submitted, else the dataset's cyclic prompt — with the active
     /// difficulty shift applied.
     #[inline]
-    pub fn served_prompt(&self, qid: u64, explicit: Option<Prompt>, difficulty: f64) -> Prompt {
+    fn served_prompt(&self, qid: u64, explicit: Option<Prompt>, difficulty: f64) -> Prompt {
         explicit
             .unwrap_or_else(|| *self.dataset.prompt_cyclic(qid))
             .harder(difficulty)
@@ -593,10 +756,11 @@ impl<'a> Kernel<'a> {
     /// completes here or when the score needs it.
     ///
     /// The query escalates when the confidence falls below the boundary's
-    /// threshold *and* a deeper tier has an alive worker, else completes.
-    /// With the deeper pools wiped out by churn an escalation would land
-    /// back on this tier, deterministically regenerate the same image and
-    /// bounce forever — serving this output instead degrades gracefully.
+    /// threshold *and* a deeper tier has an alive worker (`deeper_alive`),
+    /// else completes. With the deeper pools wiped out by churn an
+    /// escalation would land back on this tier, deterministically
+    /// regenerate the same image and bounce forever — serving this output
+    /// instead degrades gracefully.
     /// Every verdict, kept or escalated, trains the pre-execution `router`.
     /// The terminal tier and off-cascade policies complete without scoring.
     ///
@@ -612,7 +776,7 @@ impl<'a> Kernel<'a> {
     /// completes.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub fn serve(
+    fn serve(
         &self,
         tier: usize,
         qid: u64,
@@ -621,7 +785,7 @@ impl<'a> Kernel<'a> {
         resume: Option<StageState>,
         thresholds: &[f64],
         router: Option<&mut OnlinePredictiveRouter>,
-        deeper_alive: impl FnOnce() -> bool,
+        deeper_alive: bool,
     ) -> Verdict {
         // Built only where it is read: a render, the router, or a debug
         // build's check of a tabled output.
@@ -658,7 +822,7 @@ impl<'a> Kernel<'a> {
                 (disc.confidence(&image.features), Some(image.into()))
             }
         };
-        let escalate = confidence < thresholds[tier] && deeper_alive();
+        let escalate = confidence < thresholds[tier] && deeper_alive;
         if let Some(r) = router {
             r.observe(tier, &prompt(), escalate);
         }
@@ -715,29 +879,27 @@ impl<'a> Kernel<'a> {
         image
     }
 
-    /// Assembles the response for a query completing at `tier`.
+    /// Assembles the response for `query` completing at `tier` at
+    /// `completion`.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn response(
+    fn response(
         &self,
-        id: QueryId,
-        arrival: SimTime,
+        query: &Query,
         completion: SimTime,
         image: ServedImage,
-        entry: usize,
         tier: usize,
         confidence: Option<f64>,
         reused: u32,
     ) -> CompletedResponse {
         CompletedResponse {
-            id,
-            arrival,
+            id: QueryId(query.id),
+            arrival: query.arrival,
             completion,
             features: image.features,
             quality: image.quality,
             tier,
             confidence,
-            gpu_time: self.single_query_gpu_time(entry, tier, reused),
+            gpu_time: self.single_query_gpu_time(query.entry, tier, reused),
             reused_steps: reused,
         }
     }
@@ -781,26 +943,32 @@ impl<'a> Kernel<'a> {
         ))
     }
 
-    /// The tier an arriving query enters at, and whether it counts as
-    /// demand on the deeper pools (the controller's heavy-arrival signal).
-    /// Clipper pins one end of the ladder; Proteus draws the terminal tier
-    /// with probability `thresholds[0]`, the heavy fraction its plan
-    /// carries in the first threshold slot; the cascade policies enter at
-    /// tier 0 unless the predictive `router` skips ahead. The router is
-    /// ignored while `bypass_suspended` — under the overload fallback every
-    /// arrival must enter where the floored thresholds can shed it.
-    /// `prompt` is only evaluated when the router is consulted.
+    /// Admits `query`, arriving at `at`: draws the tier it enters at into
+    /// `query.entry`, records the arrival in `ledger` with whether it counts
+    /// as demand on the deeper pools (the controller's heavy-arrival
+    /// signal), and returns that tier. Clipper pins one end of the ladder;
+    /// Proteus draws the terminal tier with probability `thresholds[0]`,
+    /// the heavy fraction its plan carries in the first threshold slot; the
+    /// cascade policies enter at tier 0 unless the predictive `router` skips
+    /// ahead. The router is ignored while `bypass_suspended` — under the
+    /// overload fallback every arrival must enter where the floored
+    /// thresholds can shed it. The router predicts from the prompt the
+    /// tiers will serve: the query's, shifted by `difficulty`.
     #[inline]
-    pub fn entry_tier(
+    #[allow(clippy::too_many_arguments)]
+    pub fn arrive(
         &self,
+        query: &mut Query,
+        at: SimTime,
+        difficulty: f64,
         thresholds: &[f64],
         rng: &mut impl Rng,
         router: Option<&OnlinePredictiveRouter>,
         bypass_suspended: bool,
-        prompt: impl FnOnce() -> Prompt,
-    ) -> (usize, bool) {
+        ledger: &mut Ledger,
+    ) -> usize {
         let last = self.models.len() - 1;
-        match self.policy {
+        let (tier, deep_demand) = match self.policy {
             Policy::ClipperLight => (0, false),
             Policy::ClipperHeavy => (last, false),
             Policy::Proteus => {
@@ -812,12 +980,16 @@ impl<'a> Kernel<'a> {
             }
             Policy::DiffServeStatic | Policy::DiffServe => match router {
                 Some(r) if !bypass_suspended => {
-                    let tier = r.entry_tier(&prompt());
+                    let tier =
+                        r.entry_tier(&self.served_prompt(query.id, query.prompt, difficulty));
                     (tier, tier > 0)
                 }
                 _ => (0, false),
             },
-        }
+        };
+        ledger.arrive(at, tier, deep_demand);
+        query.entry = tier;
+        tier
     }
 }
 
@@ -922,8 +1094,19 @@ pub fn worker_targets(planned: &[usize], alive: usize) -> Vec<usize> {
 /// fleet starts idle on the terminal tier, so its bootstrap moves place it
 /// positionally: the terminal tier keeps the highest indices and gives up
 /// the rest to tiers `0, 1, …` in turn. Both engines call this at
-/// bootstrap and on every plan; what a move costs (a model switch, the
-/// queue handed back to the tier it was routed to) is the engine's.
+/// bootstrap and on every plan, and a moved worker pays its engine's model
+/// switch.
+///
+/// The one hand-back rule: when a plan moves a worker, and when a worker
+/// fail-stops, every query queued on it goes, oldest first, to the tier it
+/// leaves — its target before the move or the failure — and the engine
+/// routes it there with the worker already out of that tier's pool. That
+/// is each query's own tier unless a [`Rung::Fallback`] pick placed it on
+/// the worker while its tier had no alive worker; it then goes where the
+/// worker's other queries go, so no [`Query`] carries the tier it was
+/// routed to. Both engines hand a moved worker's queue back at the control
+/// tick that moves it, so a query routed to it on the [`Rung::Switching`]
+/// rung afterwards waits for the switch and is served at its new tier.
 pub fn worker_moves<M>(
     current: impl Fn(usize) -> usize,
     targets: &[usize],
@@ -1198,10 +1381,10 @@ impl Ledger {
         self.undrained = None;
     }
 
-    /// Records an arrival at `at` admitted at `tier`; `deep_demand` is the
-    /// second half of [`Kernel::entry_tier`]'s answer.
+    /// Records an arrival at `at` admitted at `tier`, counting as demand on
+    /// the deeper pools when `deep_demand` (see [`Kernel::arrive`]).
     #[inline]
-    pub fn arrive(&mut self, at: SimTime, tier: usize, deep_demand: bool) {
+    pub(crate) fn arrive(&mut self, at: SimTime, tier: usize, deep_demand: bool) {
         self.demand.push(at, 1.0);
         self.window.arrivals += 1;
         self.window.heavy_arrivals += u64::from(deep_demand);
@@ -1215,7 +1398,7 @@ impl Ledger {
     /// boundary confidence when one was scored. An explicit deadline moves
     /// only the drop-front rule.
     #[inline]
-    pub fn complete(&mut self, response: CompletedResponse) {
+    pub(crate) fn complete(&mut self, response: CompletedResponse) {
         let late = self
             .slo
             .record_completion(response.arrival, response.completion)
@@ -1237,7 +1420,7 @@ impl Ledger {
     /// Records a query handed from `tier` to the next at boundary
     /// `confidence`: demand on the deeper pools and one escalation.
     #[inline]
-    pub fn escalate(&mut self, tier: usize, confidence: f64) {
+    fn escalate(&mut self, tier: usize, confidence: f64) {
         self.window.confidence(tier, confidence);
         self.window.heavy_arrivals += 1;
         self.escalations[tier] += 1;
@@ -1246,7 +1429,7 @@ impl Ledger {
     /// Records a query the drop-front rule shed at `at` from `tier`: a drop,
     /// and a violation of that tier in the tick window.
     #[inline]
-    pub fn shed(&mut self, id: QueryId, arrival: SimTime, at: SimTime, tier: usize) {
+    fn shed(&mut self, id: QueryId, arrival: SimTime, at: SimTime, tier: usize) {
         self.drop_query(id, arrival, at);
         self.window.violations[tier] += 1;
     }
@@ -1577,6 +1760,193 @@ mod tests {
             proptest::prop_assert_eq!(eta.to_bits(), bare.to_bits());
             proptest::prop_assert_eq!(swap, 0.0);
             proptest::prop_assert_eq!(ledger.addons, AddonStats::default());
+        }
+    }
+
+    /// Query `id` of a drawn batch: it arrived at zero, is due `due` after
+    /// `now`, and carries the drawn `(resume, add-on)` member codes.
+    fn drawn_query(kernel: &Kernel<'_>, id: u64, codes: (usize, usize), due: SimDuration) -> Query {
+        let Member { resume, addon } = member(kernel, codes);
+        let spec = QuerySpec {
+            deadline: Some(SimTime::from_secs(100) + due),
+            resume_from: resume,
+            addon,
+            ..QuerySpec::default()
+        };
+        Query::new(id, SimTime::ZERO, &spec, SimDuration::ZERO)
+    }
+
+    /// The ids and tiers of the completions `ledger` recorded since its
+    /// last drain, in order; a drop fails the test.
+    fn completed(ledger: &mut Ledger) -> Vec<(u64, usize)> {
+        let completed = ledger.drain().into_iter().map(|outcome| match outcome {
+            QueryOutcome::Completed(r) => (r.id.0, r.tier),
+            dropped => panic!("no query may be dropped: {dropped:?}"),
+        });
+        completed.collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// `dispatch` is the drop-front rule, its sheds and one swap
+        /// charge: it records the queries `predicted_misses` sheds, front
+        /// first, as drops at `now` on this tier, then charges the batch
+        /// that runs exactly as one `charge_dispatch` would — one lookup
+        /// per add-on-carrying member, the same cache afterwards — and
+        /// returns the seconds `predicted_misses` priced it at, bit for
+        /// bit. Deadlines from 0 to 4 s shed some fronts.
+        #[test]
+        fn dispatch_sheds_in_queue_order_then_charges_the_batch_once(
+            tier in 0usize..3,
+            drawn in proptest::collection::vec((0usize..3, 0usize..9, 0u64..40), 1..17),
+            batch_max in 1usize..6,
+            resident in proptest::collection::vec(0usize..8, 0..6),
+            slowdown_tenths in 10u32..40,
+        ) {
+            let config = full_config();
+            let kernel = Kernel::new(runtime(), &config, &settings());
+            let addons = config.addons.as_ref().expect("add-ons on");
+            let queries: Vec<Query> = (drawn.iter().enumerate())
+                .map(|(i, &(r, a, tenths))| {
+                    drawn_query(&kernel, i as u64, (r, a), SimDuration::from_millis(100 * tenths))
+                })
+                .collect();
+            let mut cache = ModuleCache::new(addons.cache_mem_mb);
+            for &id in &resident {
+                cache.admit(id, &addons.catalog);
+            }
+            let mut charged = cache.clone();
+            let (now, slowdown) = (SimTime::from_secs(100), f64::from(slowdown_tenths) / 10.0);
+            let mut seen = Vec::new();
+            let (shed, priced) = kernel.predicted_misses(
+                tier,
+                queries.len(),
+                batch_max,
+                now,
+                slowdown,
+                Some(&cache),
+                |i| queries[i].member(),
+                |i| queries[i].deadline,
+                &mut seen,
+            );
+            let mut ledger = Ledger::new(&config, &runtime().reference, 3, false);
+            let dispatch = kernel.dispatch(
+                tier,
+                queries.len(),
+                batch_max,
+                now,
+                slowdown,
+                Some(&mut cache),
+                |i| queries[i],
+                &mut ledger,
+                &mut seen,
+            );
+            let len = (queries.len() - shed).min(batch_max);
+            proptest::prop_assert_eq!(dispatch.shed, shed);
+            proptest::prop_assert_eq!(
+                dispatch.secs.map(f64::to_bits),
+                priced.map(f64::to_bits)
+            );
+            let sheds: Vec<QueryOutcome> = (queries[..shed].iter())
+                .map(|q| QueryOutcome::Dropped { id: QueryId(q.id), arrival: q.arrival, at: now })
+                .collect();
+            proptest::prop_assert_eq!(ledger.drain(), sheds);
+            proptest::prop_assert_eq!(ledger.window.violations[tier], shed as u64);
+            let mut once = Ledger::new(&config, &runtime().reference, 3, false);
+            if let Some(secs) = priced {
+                let batch = queries[shed..shed + len].iter().map(Query::member);
+                kernel.charge_dispatch(tier, batch, Some(&mut charged), &mut once, slowdown, secs, &mut seen);
+            }
+            proptest::prop_assert_eq!(ledger.addons, once.addons);
+            proptest::prop_assert_eq!(cache.resident_bits(), charged.resident_bits());
+        }
+
+        /// `finish` serves every member of a batch exactly once, in order:
+        /// it completes into the ledger at this tier, or it escalates — one
+        /// escalation recorded — and comes back for the next tier, carrying
+        /// this tier's finished schedule. The terminal tier escalates
+        /// nothing.
+        #[test]
+        fn finish_completes_or_escalates_every_member_once(
+            tier in 0usize..3,
+            drawn in proptest::collection::vec(0u64..300, 1..12),
+            thresholds in proptest::collection::vec(0u32..=10, 2..3),
+        ) {
+            let config = SystemConfig {
+                resume_from_latents: true,
+                ..Default::default()
+            };
+            let kernel = Kernel::new(runtime(), &config, &settings());
+            let thresholds: Vec<f64> = thresholds.iter().map(|&t| f64::from(t) / 10.0).collect();
+            let mut ids = drawn;
+            ids.sort_unstable();
+            ids.dedup();
+            let mut ledger = Ledger::new(&config, &runtime().reference, 3, false);
+            let escalated = finish_all(&kernel, tier, &ids, &thresholds, true, &mut ledger);
+            let completed = completed(&mut ledger);
+            proptest::prop_assert!(completed.iter().all(|&(_, t)| t == tier));
+            let resumed = StageState::completed(kernel.model(tier).steps());
+            proptest::prop_assert!(escalated.iter().all(|q| q.resume == Some(resumed)));
+            let escalations = ledger.escalations.get(tier).copied().unwrap_or(0);
+            proptest::prop_assert_eq!(escalations, escalated.len() as u64);
+            if tier == 2 {
+                proptest::prop_assert!(escalated.is_empty());
+            }
+            let mut served: Vec<u64> = completed.iter().map(|&(id, _)| id).collect();
+            served.extend(escalated.iter().map(|q| q.id));
+            served.sort_unstable();
+            proptest::prop_assert_eq!(served, ids);
+        }
+    }
+
+    /// Finishes a batch of the dataset queries `ids` on `tier` at 100 s,
+    /// member by member as an engine does; returns the escalated ones.
+    fn finish_all(
+        kernel: &Kernel<'_>,
+        tier: usize,
+        ids: &[u64],
+        thresholds: &[f64],
+        deeper_alive: bool,
+        ledger: &mut Ledger,
+    ) -> Vec<Query> {
+        let now = SimTime::from_secs(100);
+        let batch = ids
+            .iter()
+            .map(|&id| drawn_query(kernel, id, (0, 0), SimDuration::ZERO));
+        batch
+            .filter_map(|mut q| {
+                kernel
+                    .finish(
+                        tier,
+                        now,
+                        &mut q,
+                        0.0,
+                        thresholds,
+                        deeper_alive,
+                        None,
+                        ledger,
+                    )
+                    .then_some(q)
+            })
+            .collect()
+    }
+
+    /// With no alive worker on a deeper tier, `finish` completes every
+    /// member at its own tier, even where a threshold of 1 would escalate
+    /// each one.
+    #[test]
+    fn finish_completes_every_member_with_no_deeper_tier_alive() {
+        let config = SystemConfig::default();
+        let kernel = Kernel::new(runtime(), &config, &settings());
+        let ids: Vec<u64> = (0..6).collect();
+        for tier in 0..3 {
+            let mut ledger = Ledger::new(&config, &runtime().reference, 3, false);
+            let escalated = finish_all(&kernel, tier, &ids, &[1.0, 1.0], false, &mut ledger);
+            assert!(escalated.is_empty(), "tier {tier} escalated {escalated:?}");
+            let expected: Vec<(u64, usize)> = ids.iter().map(|&id| (id, tier)).collect();
+            assert_eq!(completed(&mut ledger), expected);
+            assert_eq!(ledger.escalations, [0, 0]);
         }
     }
 
@@ -2027,7 +2397,7 @@ mod tests {
         let reads_the_table = |kernel: &Kernel<'static>, tier: usize, resume| {
             let stale = with_stale_renders(kernel.clone());
             let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                stale.serve(tier, qid, None, 0.0, resume, &thresholds, None, || true)
+                stale.serve(tier, qid, None, 0.0, resume, &thresholds, None, true)
             }));
             if cfg!(debug_assertions) {
                 assert!(
@@ -2051,16 +2421,8 @@ mod tests {
             &RunSettings::new(Policy::ClipperLight, 8.0),
         );
         for (kernel, tier) in [(&terminal, 2), (&off_cascade, 0), (&off_cascade, 1)] {
-            let served = completed_image(kernel.serve(
-                tier,
-                qid,
-                None,
-                0.0,
-                None,
-                &thresholds,
-                None,
-                || true,
-            ));
+            let served =
+                completed_image(kernel.serve(tier, qid, None, 0.0, None, &thresholds, None, true));
             assert_eq!(bits(served), bits(kernel.model(tier).generate(&prompt)));
             reads_the_table(kernel, tier, None);
         }
@@ -2081,8 +2443,7 @@ mod tests {
         for tier in 0..3 {
             let model = resuming.model(tier);
             if tier > 0 {
-                let served =
-                    resuming.serve(tier, qid, None, 0.0, carried, &thresholds, None, || true);
+                let served = resuming.serve(tier, qid, None, 0.0, carried, &thresholds, None, true);
                 let Verdict::Complete { image, reused, .. } = served else {
                     panic!("tier {tier}: a zero threshold keeps every output");
                 };
@@ -2098,7 +2459,7 @@ mod tests {
                 let expected = bits(expected);
                 for resume in [None, carried] {
                     let served =
-                        stale.serve(tier, qid, given, shift, resume, &thresholds, None, || true);
+                        stale.serve(tier, qid, given, shift, resume, &thresholds, None, true);
                     assert_eq!(bits(completed_image(served)), expected, "tier {tier}");
                 }
             }

@@ -8,30 +8,24 @@
 //! ablations run through this one simulator.
 //!
 //! The simulator is one of the two engines behind the unified
-//! [`ServingSession`] API (the other is the
-//! thread-based testbed in `diffserve-cluster`). It owns *when* things
-//! happen — the event queue — and its state access (the per-tier load
-//! index, workers bucketed by routing key); every serving decision
-//! (service times, drop-front, routing score, entry tier, escalation
-//! verdict, worker targets, telemetry) is a call into the shared
-//! [`crate::kernel`]. `SimBackend` implements
-//! [`ServingBackend`] over the event loop, so
-//! applications can submit queries incrementally, tap live metrics, and
-//! inject perturbations mid-run. The two batch entry points — [`run_trace`]
-//! replaying a plain demand trace, [`run_scenario`] additionally injecting
-//! a [`Scenario`]'s perturbations (fail-stop worker churn with in-flight
-//! work retried elsewhere, partial degradation that stretches a worker's
-//! service times via `WorkerHealth`, seeded load-correlated hazards
-//! evaluated against instantaneous utilization, flash crowds and demand
-//! shocks baked into the arrival stream, and prompt-difficulty shifts that
-//! raise the cascade's deferral rate at constant QPS) — are thin wrappers
-//! over a session. Every perturbation that actually fires is recorded in
-//! the report's incident log, and replaying the log reproduces the run
-//! bit-exactly.
+//! [`ServingSession`] API (the other is the thread-based testbed in
+//! `diffserve-cluster`). It owns *when* things happen — the event queue —
+//! and its state access: the per-tier load index, workers bucketed by
+//! routing key, and the slab of in-flight query records. Every serving
+//! decision, a worker's dispatch and batch completion included, is a call
+//! into the shared [`crate::kernel`], whose hand-back rule a moved or
+//! failed worker's queue follows. `SimBackend` implements
+//! [`ServingBackend`] over the event loop, so applications can submit
+//! queries incrementally, tap live metrics, and inject perturbations
+//! mid-run. The batch entry points [`run_trace`] and [`run_scenario`] (a
+//! [`Scenario`]'s churn, degradation, hazards, demand shocks and
+//! difficulty shifts) are thin wrappers over a session. Every perturbation
+//! that actually fires is recorded in the report's incident log, and
+//! replaying the log reproduces the run bit-exactly.
 
 use std::collections::VecDeque;
 
-use diffserve_imagegen::{OnlinePredictiveRouter, Prompt, StageState};
+use diffserve_imagegen::OnlinePredictiveRouter;
 use diffserve_simkit::prelude::*;
 use diffserve_trace::{
     CapacityEvent, FleetHealth, HazardProcess, Incident, IncidentLog, Scenario, ScenarioError,
@@ -42,9 +36,9 @@ use crate::addons::ModuleCache;
 use crate::allocator::LadderAllocation;
 use crate::config::{ConfigError, SystemConfig, MODEL_SWITCH_DELAY};
 use crate::control::{ControlDirective, ControlLoop, ControlObservation};
-use crate::kernel::{self, FleetTally, Kernel, Ledger, Member, Verdict, WorkerState};
+use crate::kernel::{self, FleetTally, Kernel, Ledger, Query, WorkerState};
 use crate::policy::{AblationKnobs, Policy};
-use crate::query::{QueryId, ServedImage, WorkerHealth};
+use crate::query::{QueryId, WorkerHealth};
 use crate::report::RunReport;
 use crate::runtime::CascadeRuntime;
 use crate::serve::{
@@ -557,45 +551,6 @@ impl LoadIndex {
     }
 }
 
-/// One query between its submission (a trace arrival: its arrival) and its
-/// terminal state, when the record is retired: the table holds what is in
-/// flight, not what was ever submitted.
-#[derive(Debug, Clone, Copy)]
-struct QueryRec {
-    id: u64,
-    arrival: SimTime,
-    deadline: SimTime,
-    /// Whether the arrival event has been processed yet (explicit
-    /// submissions are registered at submit time, which may precede their
-    /// arrival).
-    arrived: bool,
-    /// Explicit prompt payload; `None` serves the dataset's cyclic prompt.
-    prompt: Option<Prompt>,
-    /// Denoise progress carried from another tier: a resume-aware heavy
-    /// dispatch covers only the residual steps. Set on escalation when
-    /// [`SystemConfig::resume_from_latents`] is enabled, or up front via
-    /// [`QuerySpec::resume_from`].
-    resume: Option<StageState>,
-    /// Add-on module (catalog index) this query requires; `None` = a
-    /// base-model query. Rides along on escalation, so the heavy pass
-    /// needs the same module.
-    addon: Option<usize>,
-    /// The ladder tier this query entered at. Tier 0 for every legacy
-    /// policy path; deeper when the predictive router skipped cheap tiers.
-    /// Its GPU-time accounting charges only tiers `entry..=final`.
-    entry_tier: usize,
-}
-
-impl QueryRec {
-    /// What the service-time model reads of this query.
-    fn member(&self) -> Member {
-        Member {
-            resume: self.resume,
-            addon: self.addon,
-        }
-    }
-}
-
 /// An attached trace replay: the stream of its arrivals and the one of them
 /// that is scheduled. Handling that arrival draws and schedules the next,
 /// all under the one event-queue sequence number reserved when the stream
@@ -645,9 +600,10 @@ struct ServingSim<'a> {
     /// Per-tier load index over `workers`, bucketed by key; kept in sync by
     /// [`Self::refresh_index`] after every load/health/tier mutation.
     index: LoadIndex,
-    /// The in-flight queries' records; worker queues, batches and events
-    /// name them by slot.
-    queries: Slab<QueryRec>,
+    /// The records of the queries between submission (a trace arrival: its
+    /// arrival) and their terminal state: what is in flight, not what was
+    /// ever submitted. Worker queues, batches and events name them by slot.
+    queries: Slab<Query>,
     /// Ids handed out so far, trace replays' reserved ranges included; the
     /// next submission gets this one.
     submitted: u64,
@@ -689,6 +645,10 @@ struct ServingSim<'a> {
     /// [`HOLDER_CHECK_EVERY`]th.
     #[cfg(debug_assertions)]
     dispatches: u64,
+    /// Debug builds: by query id, whether its arrival has fired, so a
+    /// second `Arrival` for one query fails loudly.
+    #[cfg(debug_assertions)]
+    arrived: Vec<bool>,
     /// The session's record: every arrival, outcome, incident, threshold
     /// and add-on charge, and the tick window the controller reads.
     ledger: Ledger,
@@ -701,11 +661,9 @@ struct ServingSim<'a> {
     rng: rand::rngs::StdRng,
     // Reused scratch buffers — dispatch and churn paths run at event rate,
     // so they must not allocate per event.
-    /// Holds a completed batch while its queries are scored and routed.
+    /// Holds a completed batch while its queries are finished and routed.
     batch_scratch: Vec<Slot>,
-    /// Holds orphaned queries while a failed fleet slice is re-routed.
-    orphan_scratch: Vec<(usize, Slot)>,
-    /// Holds a switching worker's queue while it is re-routed.
+    /// Holds a moved or failed worker's queue while it is handed back.
     requeue_scratch: Vec<Slot>,
 }
 
@@ -767,9 +725,10 @@ impl<'a> ServingSim<'a> {
             resident_scratch: Vec::new(),
             #[cfg(debug_assertions)]
             dispatches: 0,
+            #[cfg(debug_assertions)]
+            arrived: Vec::new(),
             rng: seeded_rng(derive_seed(config.seed, 0x51A7)),
             batch_scratch: Vec::new(),
-            orphan_scratch: Vec::new(),
             requeue_scratch: Vec::new(),
             kernel,
             config,
@@ -810,16 +769,8 @@ impl<'a> ServingSim<'a> {
     /// Allocates the record of query `id`, arriving at `at`. Scheduling
     /// (or handling) the arrival is the caller's.
     fn admit(&mut self, id: u64, at: SimTime, spec: &QuerySpec) -> Slot {
-        self.queries.insert(QueryRec {
-            id,
-            arrival: at,
-            deadline: spec.deadline.unwrap_or(at + self.config.slo),
-            arrived: false,
-            prompt: spec.prompt,
-            resume: spec.resume_from,
-            addon: spec.addon,
-            entry_tier: 0,
-        })
+        self.queries
+            .insert(Query::new(id, at, spec, self.config.slo))
     }
 
     /// Takes the next `n` query ids; returns the first.
@@ -908,34 +859,33 @@ impl<'a> ServingSim<'a> {
     /// Moves workers to an adopted plan's `targets`: the kernel's
     /// [`worker_moves`](kernel::worker_moves) go through the model-switch
     /// protocol (idle workers switch now and pay the load delay; busy ones
-    /// switch at their next batch boundary). A moved worker's queue is
-    /// re-routed to the tier the worker leaves, its target before the
-    /// move, as [`fail_workers`](Self::fail_workers) re-routes a failed
-    /// one's. That is each query's own tier unless a
-    /// [`Rung::Fallback`](kernel::Rung::Fallback) pick placed it on another
-    /// tier's worker; the testbed re-routes every job to the tier it was
-    /// routed to instead.
+    /// switch at their next batch boundary), and each hands its queue back
+    /// to the tier it leaves, its target before the move.
     fn apply_plan(&mut self, targets: &[usize], now: SimTime, queue: &mut EventQueue<Event>) {
         for (idx, to) in self.worker_moves(targets) {
-            // The queue goes back to the tier the worker leaves.
             let from = self.workers[idx].target_tier();
-            let mut orphans = std::mem::take(&mut self.requeue_scratch);
-            orphans.clear();
-            orphans.extend(self.workers[idx].queue.drain(..));
             self.workers[idx].pending_tier = Some(to);
-            // Leave the donor pool before the queue is re-routed, or
-            // the router could hand the orphans right back.
-            self.refresh_index(idx);
-            for &q in &orphans {
-                self.route_to_tier(from, q, now, queue);
-            }
-            orphans.clear();
-            self.requeue_scratch = orphans;
+            self.hand_back(idx, from, now, queue);
             if !self.workers[idx].busy {
                 self.begin_switch(idx, now, queue);
             }
         }
         self.check_staffing(targets);
+    }
+
+    /// Hands worker `idx`'s queue back to `from`, the tier it leaves, by
+    /// the kernel's hand-back rule (see [`kernel::worker_moves`]). The
+    /// worker has failed or switches away: its index entry is refreshed
+    /// before anything is routed, so the router cannot hand the queue
+    /// straight back.
+    fn hand_back(&mut self, idx: usize, from: usize, now: SimTime, queue: &mut EventQueue<Event>) {
+        let mut held = std::mem::take(&mut self.requeue_scratch);
+        held.extend(self.workers[idx].queue.drain(..));
+        self.refresh_index(idx);
+        for q in held.drain(..) {
+            self.route_to_tier(from, q, now, queue);
+        }
+        self.requeue_scratch = held;
     }
 
     /// In-run twin (debug and `verify` builds): once a plan is applied,
@@ -1041,85 +991,34 @@ impl<'a> ServingSim<'a> {
         }))
     }
 
+    /// Starts worker `idx`'s next batch if it is idle: a model switch when
+    /// one is pending, else the kernel's [`Kernel::dispatch`] over its
+    /// queue, whose sheds are retired here and whose batch moves in flight.
     fn try_start(&mut self, idx: usize, now: SimTime, queue: &mut EventQueue<Event>) {
-        if self.workers[idx].busy || self.workers[idx].failed {
+        let w = &self.workers[idx];
+        if w.busy || w.failed || (w.queue.is_empty() && w.pending_tier.is_none()) {
             return;
         }
-        if self.workers[idx].pending_tier.is_some() {
+        if w.pending_tier.is_some() {
             self.begin_switch(idx, now, queue);
             return;
         }
-        if self.workers[idx].queue.is_empty() {
-            return;
-        }
-        let tier = self.workers[idx].tier;
-        let bmax = self.batches[tier];
-        // Degraded workers execute every batch slower than nameplate.
-        let slowdown = self.workers[idx].health.slowdown();
-
-        // Drop-front policy: shed queries that cannot finish this stage in
-        // time (counted as SLO violations, §4.1).
-        let (pending, queries) = (&self.workers[idx].queue, &self.queries);
-        let (shed, priced) = self.kernel.predicted_misses(
-            tier,
-            pending.len(),
-            bmax,
-            now,
-            slowdown,
-            self.caches.get(idx),
-            |i| queries[pending[i]].member(),
-            |i| queries[pending[i]].deadline,
-            &mut self.addon_scratch,
-        );
-        for _ in 0..shed {
-            let front = self.workers[idx]
-                .queue
-                .pop_front()
-                .expect("shed entries are queued");
-            let rec = self.queries.remove(front);
-            self.ledger.shed(QueryId(rec.id), rec.arrival, now, tier);
-        }
-        // Dropped-front pops changed the load; moving queue entries into
-        // the in-flight buffer below does not (both count toward it).
-        // Every caller refreshed `idx` after its own last change, so
-        // without a drop the entry is already current.
-        if shed > 0 {
-            self.refresh_index(idx);
-        } else {
-            debug_assert_eq!(
-                self.index.slot[idx],
-                self.index_entry(idx),
-                "try_start found worker {idx}'s load-index entry stale"
-            );
-        }
-        // No price: the whole queue was shed.
-        let Some(secs) = priced else {
-            return;
-        };
-        let w = &mut self.workers[idx];
-        let take = w.queue.len().min(bmax);
-        debug_assert!(w.in_flight.is_empty(), "dispatch on a busy worker");
-        // Move the batch into the worker's reusable in-flight buffer —
-        // dispatch runs at event rate and must not allocate.
-        w.in_flight.extend(w.queue.drain(..take));
-        w.busy = true;
+        let (tier, pending, queries) = (w.tier, &w.queue, &self.queries);
         let mut cache = self.caches.get_mut(idx);
         if let Some(cache) = &cache {
             self.resident_scratch.clear();
             self.resident_scratch
                 .extend_from_slice(cache.resident_bits());
         }
-        let queries = &self.queries;
-        self.kernel.charge_dispatch(
+        let dispatch = self.kernel.dispatch(
             tier,
-            self.workers[idx]
-                .in_flight
-                .iter()
-                .map(|&q| queries[q].member()),
+            pending.len(),
+            self.batches[tier],
+            now,
+            w.health.slowdown(),
             cache.as_deref_mut(),
+            |i| queries[pending[i]],
             &mut self.ledger,
-            slowdown,
-            secs,
             &mut self.addon_scratch,
         );
         if let Some(cache) = cache {
@@ -1130,6 +1029,33 @@ impl<'a> ServingSim<'a> {
                 cache.resident_bits(),
             );
         }
+        // Popped one at a time: a `VecDeque::drain` costs the dispatch path
+        // even when it drains nothing.
+        for _ in 0..dispatch.shed {
+            let shed = self.workers[idx].queue.pop_front();
+            self.queries.remove(shed.expect("shed queries are queued"));
+        }
+        // Sheds changed the load; moving queue entries into the in-flight
+        // buffer below does not (both count toward it). Every caller
+        // refreshed `idx` after its own last change, so without a shed the
+        // entry is already current.
+        debug_assert!(
+            dispatch.shed > 0 || self.index.slot[idx] == self.index_entry(idx),
+            "try_start found worker {idx}'s load-index entry stale"
+        );
+        if dispatch.shed > 0 {
+            self.refresh_index(idx);
+        }
+        let Some(secs) = dispatch.secs else {
+            return;
+        };
+        let w = &mut self.workers[idx];
+        debug_assert!(w.in_flight.is_empty(), "dispatch on a busy worker");
+        // The worker's reusable in-flight buffer: dispatch runs at event
+        // rate and must not allocate.
+        let take = w.queue.len().min(self.batches[tier]);
+        w.in_flight.extend(w.queue.drain(..take));
+        w.busy = true;
         #[cfg(debug_assertions)]
         {
             self.dispatches += 1;
@@ -1146,31 +1072,6 @@ impl<'a> ServingSim<'a> {
         );
     }
 
-    /// A query's terminal state: its record is retired and its response
-    /// goes to the ledger.
-    fn complete(
-        &mut self,
-        query: Slot,
-        image: ServedImage,
-        tier: usize,
-        confidence: Option<f64>,
-        reused: u32,
-        now: SimTime,
-    ) {
-        let rec = self.queries.remove(query);
-        let response = self.kernel.response(
-            QueryId(rec.id),
-            rec.arrival,
-            now,
-            image,
-            rec.entry_tier,
-            tier,
-            confidence,
-            reused,
-        );
-        self.ledger.complete(response);
-    }
-
     /// The scheduled arrival of trace stream `feed` fires: the stream's
     /// next arrival takes its place in the event queue, and the query gets
     /// its record now — not when the replay was attached — and arrives.
@@ -1185,25 +1086,25 @@ impl<'a> ServingSim<'a> {
     }
 
     fn handle_arrival(&mut self, query: Slot, now: SimTime, queue: &mut EventQueue<Event>) {
-        let rec = &mut self.queries[query];
-        debug_assert!(!rec.arrived, "duplicate arrival for query {}", rec.id);
-        rec.arrived = true;
-        let (id, explicit) = (rec.id, rec.prompt);
-
-        // The router's prediction sees the same (difficulty-shifted)
-        // prompt the tiers will serve.
-        let (tier, deep_demand) = self.kernel.entry_tier(
+        #[cfg(debug_assertions)]
+        {
+            let id = self.queries[query].id as usize;
+            self.arrived.resize(self.arrived.len().max(id + 1), false);
+            assert!(
+                !std::mem::replace(&mut self.arrived[id], true),
+                "duplicate arrival for query {id}"
+            );
+        }
+        let tier = self.kernel.arrive(
+            &mut self.queries[query],
+            now,
+            self.difficulty_delta,
             &self.thresholds,
             &mut self.rng,
             self.router.as_ref(),
             self.bypass_suspended,
-            || {
-                self.kernel
-                    .served_prompt(id, explicit, self.difficulty_delta)
-            },
+            &mut self.ledger,
         );
-        self.ledger.arrive(now, tier, deep_demand);
-        self.queries[query].entry_tier = tier;
         self.route_to_tier(tier, query, now, queue);
     }
 
@@ -1244,30 +1145,20 @@ impl<'a> ServingSim<'a> {
         // index probe answers for every member.
         let deeper_alive = self.has_alive_deeper(tier);
         for &query in &batch {
-            let rec = &self.queries[query];
-            let verdict = self.kernel.serve(
+            let escalated = self.kernel.finish(
                 tier,
-                rec.id,
-                rec.prompt,
+                now,
+                &mut self.queries[query],
                 self.difficulty_delta,
-                rec.resume,
                 &self.thresholds,
+                deeper_alive,
                 self.router.as_mut(),
-                || deeper_alive,
+                &mut self.ledger,
             );
-            match verdict {
-                Verdict::Complete {
-                    confidence,
-                    image,
-                    reused,
-                } => self.complete(query, image, tier, confidence, reused, now),
-                Verdict::Escalate { confidence, resume } => {
-                    if resume.is_some() {
-                        self.queries[query].resume = resume;
-                    }
-                    self.ledger.escalate(tier, confidence);
-                    self.route_to_tier(tier + 1, query, now, queue);
-                }
+            if escalated {
+                self.route_to_tier(tier + 1, query, now, queue);
+            } else {
+                self.queries.remove(query);
             }
         }
         batch.clear();
@@ -1275,13 +1166,11 @@ impl<'a> ServingSim<'a> {
         self.try_start(idx, now, queue);
     }
 
-    /// A scenario fail-stop of `victims`: their queued *and* in-flight
-    /// queries are retried on surviving workers of the same tier (fail-stop
-    /// loses batch progress), and stale completions are fenced off by the
-    /// epoch bump.
+    /// A scenario fail-stop of `victims`: fail-stop loses batch progress,
+    /// so each hands its queued *and* in-flight queries back to the tier
+    /// it leaves once every victim is down, and stale completions are
+    /// fenced off by the epoch bump.
     fn fail_workers(&mut self, victims: &[usize], now: SimTime, queue: &mut EventQueue<Event>) {
-        let mut orphans = std::mem::take(&mut self.orphan_scratch);
-        orphans.clear();
         for &idx in victims {
             let w = &mut self.workers[idx];
             w.failed = true;
@@ -1290,14 +1179,7 @@ impl<'a> ServingSim<'a> {
             // A dead worker's degradation dies with it: it rejoins healthy
             // (fresh instance, fresh weights).
             w.health = WorkerHealth::healthy();
-            let tier = w.target_tier();
-            w.pending_tier = None;
-            for q in w.queue.drain(..) {
-                orphans.push((tier, q));
-            }
-            for q in w.in_flight.drain(..) {
-                orphans.push((tier, q));
-            }
+            w.queue.extend(w.in_flight.drain(..));
             // A rejoining instance starts with cold module caches.
             if let Some(cache) = self.caches.get_mut(idx) {
                 update_holders(&mut self.holders, idx, cache.resident_bits(), &[]);
@@ -1305,13 +1187,11 @@ impl<'a> ServingSim<'a> {
             }
             self.refresh_index(idx);
         }
-        // Queued and in-flight queries are all unfinished: a record leaves
-        // its worker's buffers before it is retired.
-        for &(tier, q) in &orphans {
-            self.route_to_tier(tier, q, now, queue);
+        for &idx in victims {
+            let from = self.workers[idx].target_tier();
+            self.workers[idx].pending_tier = None;
+            self.hand_back(idx, from, now, queue);
         }
-        orphans.clear();
-        self.orphan_scratch = orphans;
     }
 
     /// A scenario recovery of `returning`: each pays the model load delay
@@ -1380,11 +1260,6 @@ impl<'a> ServingSim<'a> {
         }
     }
 
-    fn handle_scenario(&mut self, i: usize, now: SimTime, queue: &mut EventQueue<Event>) {
-        let event = self.actions[i].event;
-        self.fire_event(event, now, queue);
-    }
-
     /// One hazard evaluation: feed the fleet's instantaneous utilization to
     /// the seeded hazard process and fire whatever it draws. Everything the
     /// hazard does lands in the incident log, so a surprising run replays
@@ -1442,7 +1317,7 @@ impl<'a> ServingSim<'a> {
             Event::TraceArrival(feed) => self.handle_trace_arrival(feed, now, queue),
             Event::BatchDone { worker, epoch } => self.handle_batch_done(worker, epoch, now, queue),
             Event::ControlTick => self.handle_control_tick(now, queue),
-            Event::Scenario(i) => self.handle_scenario(i, now, queue),
+            Event::Scenario(i) => self.fire_event(self.actions[i].event, now, queue),
             Event::HazardCheck => self.handle_hazard_check(now, queue),
         }
     }
@@ -1651,9 +1526,9 @@ impl ServingBackend for SimBackend<'_> {
         // SLO). Submitted for an arrival past the horizon: it never entered
         // the system, but every submission must be accounted — mirror the
         // cluster backend's shutdown-drop bookkeeping.
-        let mut live: Vec<QueryRec> = state.queries.values().copied().collect();
-        live.sort_unstable_by_key(|rec| rec.id);
-        let live = live.into_iter().map(|rec| (QueryId(rec.id), rec.arrival));
+        let live = state.queries.values().map(|q| (QueryId(q.id), q.arrival));
+        let mut live: Vec<_> = live.collect();
+        live.sort_unstable();
         // So is the rest of every trace replay the horizon cut short: its
         // scheduled arrival and the ones not drawn yet, in id order.
         let unreplayed = state.feeds.iter_mut().flat_map(|feed| {
@@ -1668,7 +1543,7 @@ impl ServingBackend for SimBackend<'_> {
         state.ledger.close(
             state.settings.policy,
             state.submitted,
-            live.chain(unreplayed),
+            live.into_iter().chain(unreplayed),
             horizon,
             deferral_errors,
         )
@@ -2157,6 +2032,95 @@ mod tests {
         }
         backend.tick(SimTime::from_secs(80));
         assert!(backend.state.ledger.addon_stats().total_lookups() > 500);
+    }
+
+    /// A four-worker DiffServe-Static backend on tiers `[0, 0, 1, 1]` at
+    /// batch 1, every output kept at its tier, whose heavy workers have
+    /// failed at t = 0.
+    fn four_with_heavy_failed() -> SimBackend<'static> {
+        let spec = ServingSession::builder()
+            .runtime(test_runtime())
+            .config(SystemConfig {
+                num_workers: 4,
+                ..Default::default()
+            })
+            .settings(RunSettings::new(Policy::DiffServeStatic, 8.0))
+            .validate()
+            .unwrap();
+        let mut backend = SimBackend::new(&spec);
+        let (state, events) = (&mut backend.state, &mut backend.queue);
+        for (i, tier) in [0, 0, 1, 1].into_iter().enumerate() {
+            state.workers[i].tier = tier;
+            state.refresh_index(i);
+        }
+        state.batches = vec![1, 1];
+        state.thresholds = vec![0.0];
+        state.fail_workers(&[2, 3], SimTime::ZERO, events);
+        backend
+    }
+
+    /// Runs `backend`'s pending events out and returns the ids and tiers
+    /// of the queries completed, in completion order; a drop fails the
+    /// test.
+    fn served_to_the_end(backend: &mut SimBackend<'_>) -> Vec<(u64, usize)> {
+        let (state, events) = (&mut backend.state, &mut backend.queue);
+        while let Some((t, event)) = events.pop() {
+            state.handle(t, event, events);
+        }
+        (state.ledger.drain().into_iter())
+            .map(|outcome| match outcome {
+                QueryOutcome::Completed(r) => (r.id.0, r.tier),
+                dropped => panic!("no query may be dropped: {dropped:?}"),
+            })
+            .collect()
+    }
+
+    /// The one hand-back rule where it differs from sending each query
+    /// back to the tier it was routed to (the testbed's twin of this test
+    /// has the same name in `diffserve-cluster`). With the heavy tier wiped
+    /// out, a heavy-bound query takes the fallback rung onto light worker
+    /// 0. A plan then moves worker 0 to the heavy tier: the query goes back
+    /// to the tier the worker leaves and completes there, on light worker 1.
+    #[test]
+    fn a_fallback_job_goes_back_to_the_tier_its_worker_leaves() {
+        let mut backend = four_with_heavy_failed();
+        let (state, events) = (&mut backend.state, &mut backend.queue);
+        let now = SimTime::ZERO;
+        // Busy light workers queue what they are routed.
+        state.workers[0].busy = true;
+        state.workers[1].busy = true;
+        let far = QuerySpec::new().deadline(SimTime::from_secs(10_000));
+        let fallback = state.admit(5, now, &far);
+        state.route_to_tier(1, fallback, now, events);
+        assert_eq!(state.workers[0].queue, [fallback], "the fallback pick");
+        let light = state.admit(6, now, &far);
+        state.route_to_tier(0, light, now, events);
+        // Both light workers hold one query: the move takes worker 0.
+        state.apply_plan(&[1, 1], now, events);
+        assert_eq!(state.workers[0].pending_tier, Some(1));
+        assert_eq!(state.workers[1].queue, [light, fallback]);
+        state.workers[1].busy = false;
+        state.try_start(1, now, events);
+        assert_eq!(served_to_the_end(&mut backend), [(6, 0), (5, 0)]);
+    }
+
+    /// A query routed to a worker on the switching rung, after the plan
+    /// that moved it, waits for the switch and completes at its new tier
+    /// (the testbed's twin has the same name in `diffserve-cluster`). With
+    /// the heavy tier wiped out, a plan moves idle light worker 0 to it,
+    /// and a heavy-bound query then queues on worker 0.
+    #[test]
+    fn a_job_routed_to_a_switching_worker_is_served_after_the_switch() {
+        let mut backend = four_with_heavy_failed();
+        let (state, events) = (&mut backend.state, &mut backend.queue);
+        let now = SimTime::ZERO;
+        state.apply_plan(&[1, 1], now, events);
+        assert_eq!(state.workers[0].pending_tier, Some(1));
+        let far = QuerySpec::new().deadline(SimTime::from_secs(10_000));
+        let heavy = state.admit(5, now, &far);
+        state.route_to_tier(1, heavy, now, events);
+        assert_eq!(state.workers[0].queue, [heavy], "the switching rung");
+        assert_eq!(served_to_the_end(&mut backend), [(5, 1)]);
     }
 
     /// A DiffServe backend on [`small_config`] with `n` queries submitted

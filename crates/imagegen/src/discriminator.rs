@@ -185,18 +185,24 @@ impl Discriminator {
         let n = n.max(8).min(dataset.len());
         let prompts = &dataset.prompts()[..n];
 
+        // Every light output is rendered once: the even ones are fake rows,
+        // and all of them, as rendered, are the calibration set.
+        let mut lights = vec![0.0; n * DIM];
+        for (p, row) in prompts.iter().zip(lights.chunks_exact_mut(DIM)) {
+            row.copy_from_slice(&light.generate(p).features);
+        }
         // Fake class: half light, half heavy outputs, as in the paper's
         // training diagram (GLM + GHM), in rows `0..n`; the real class in
         // rows `n..2n`.
         let mut x = Mat::zeros(2 * n, DIM);
         let (fake, real) = x.as_mut_slice().split_at_mut(n * DIM);
-        for ((i, p), row) in prompts.iter().enumerate().zip(fake.chunks_exact_mut(DIM)) {
-            let img = if i % 2 == 0 {
-                light.generate(p)
+        let rows = fake.chunks_exact_mut(DIM).zip(lights.chunks_exact(DIM));
+        for ((i, p), (row, rendered)) in prompts.iter().enumerate().zip(rows) {
+            if i % 2 == 0 {
+                row.copy_from_slice(rendered);
             } else {
-                heavy.generate(p)
-            };
-            row.copy_from_slice(&img.features);
+                row.copy_from_slice(&heavy.generate(p).features);
+            }
         }
         match config.real_class {
             RealClass::GroundTruth => {
@@ -247,9 +253,9 @@ impl Discriminator {
             train_accuracy,
             calibration: Vec::new(),
         };
-        let mut raw: Vec<f64> = prompts
-            .iter()
-            .map(|p| disc.raw_confidence(&light.generate(p).features))
+        let mut raw: Vec<f64> = lights
+            .chunks_exact(DIM)
+            .map(|features| disc.raw_confidence(features))
             .collect();
         raw.sort_by(|a, b| a.partial_cmp(b).expect("softmax outputs are finite"));
         disc.calibration = raw;
