@@ -64,10 +64,11 @@ pub struct CascadeRuntime(Arc<PreparedRuntime>);
 /// one, and nothing hands out a mutable reference to it.
 ///
 /// No real-image feature rows stay resident: the dataset keeps its
-/// reference only as a Gaussian, and discriminator training samples the
-/// real rows it reads and frees them. The resident tables are the render
-/// table (`N × DIM` features and `N` qualities per tier, ≈ 0.68 MB a tier
-/// at 5 000 prompts) and the score table.
+/// reference only as a Gaussian, and set-up samples the real rows
+/// discriminator training reads once, for every boundary, and frees them.
+/// The resident tables are the render table (`N × DIM` features and `N`
+/// qualities per tier, ≈ 0.68 MB a tier at 5 000 prompts) and the score
+/// table.
 #[derive(Debug)]
 pub struct PreparedRuntime {
     /// The light/heavy pairing with latency and SLO metadata.
@@ -105,7 +106,7 @@ pub struct PreparedRuntime {
     draws: Option<Arc<EmbeddingDraws>>,
 }
 
-/// One tier's plain render ([`DiffusionModel::generate`]) of every dataset
+/// One tier's plain render ([`DiffusionModel::render`]) of every dataset
 /// prompt: `N` inline feature rows and `N` latent qualities.
 #[derive(Debug)]
 pub(crate) struct RenderTable {
@@ -119,10 +120,7 @@ impl RenderTable {
         let (features, quality) = dataset
             .prompts()
             .iter()
-            .map(|p| {
-                let image = ServedImage::from(model.generate(p));
-                (image.features, image.quality)
-            })
+            .map(|p| model.render(p, 0.0))
             .unzip();
         RenderTable { features, quality }
     }
@@ -147,10 +145,10 @@ impl Deref for CascadeRuntime {
 }
 
 impl CascadeRuntime {
-    /// Prepares a cascade: synthesizes the dataset, trains the
-    /// discriminator, renders every dataset prompt on both tiers, scores
-    /// the light renders, and profiles `f(t)` from the scores of the
-    /// prompts held out from discriminator training.
+    /// Prepares a cascade: synthesizes the dataset, renders every dataset
+    /// prompt on both tiers, trains the discriminator on the first prompts'
+    /// renders, scores the light renders, and profiles `f(t)` from the
+    /// scores of the prompts held out from discriminator training.
     ///
     /// # Panics
     ///
@@ -191,10 +189,10 @@ impl CascadeRuntime {
     }
 
     /// Prepares an N-tier quality ladder: synthesizes the dataset once,
-    /// trains one discriminator per boundary, renders every dataset prompt
-    /// on every tier, then scores each boundary's renders and profiles one
-    /// deferral curve per boundary (each on the same held-out prompt split
-    /// the legacy cascade uses).
+    /// renders every dataset prompt on every tier, trains one
+    /// discriminator per boundary from the renders, then scores each
+    /// boundary's renders and profiles one deferral curve per boundary
+    /// (each on the same held-out prompt split the legacy cascade uses).
     ///
     /// A two-tier ladder runs the same preparation as
     /// [`CascadeRuntime::prepare`], so its artifacts — and every downstream
@@ -249,16 +247,29 @@ impl PreparedRuntime {
             Some(tiers) => tiers.iter().collect(),
             None => vec![&spec.light, &spec.heavy],
         };
-        let (cheap, terminal) = models.split_at(models.len() - 1);
-        // Every boundary trains before any tier renders, so the tables
-        // reuse the heap the training sets freed instead of adding to it.
-        let discriminators: Vec<Discriminator> = cheap
-            .iter()
-            .map(|tier| Discriminator::train(&dataset, tier, terminal[0], disc_config))
-            .collect();
+        // Every tier renders before any boundary trains: a boundary trains
+        // on its two tiers' table rows, and the ground-truth rows are drawn
+        // once for every boundary. The order costs peak memory, since the
+        // training buffers sit on top of the resident tables: on a 2-core
+        // host the benchmark's peak RSS read 12.5 → 12.9 MB on
+        // `fleet_diurnal` and 7.4 → 7.8 MB on `cluster_testbed`.
         let renders: Vec<RenderTable> = models
             .iter()
             .map(|tier| RenderTable::render(tier, &dataset))
+            .collect();
+        let n = disc_config.trained_prompts(dataset.len());
+        let ground_truth = disc_config.ground_truth(&dataset);
+        let (cheap, terminal) = renders.split_at(renders.len() - 1);
+        let discriminators: Vec<Discriminator> = cheap
+            .iter()
+            .map(|table| {
+                Discriminator::train_on_renders(
+                    &table.features[..n],
+                    &terminal[0].features[..n],
+                    ground_truth.as_ref(),
+                    disc_config,
+                )
+            })
             .collect();
         let (scores, deferrals): (Vec<_>, Vec<_>) = discriminators
             .iter()
@@ -343,9 +354,7 @@ fn score_boundary(
     discriminator: &Discriminator,
     train_prompts: usize,
 ) -> (Vec<f64>, DeferralProfile) {
-    let scores: Vec<f64> = (0..renders.quality.len())
-        .map(|i| discriminator.confidence(&renders.features[i]))
-        .collect();
+    let scores = discriminator.confidences(&renders.features);
     let deferral = DeferralProfile::from_confidences(scores[train_prompts..].to_vec())
         .expect("held-out profiling set is non-empty by the dataset-size assertion");
     (scores, deferral)
@@ -522,6 +531,50 @@ mod tests {
             rt.embedding_draws().is_some(),
             "a router serves three tiers"
         );
+    }
+
+    /// Each boundary a ladder trains from its render tables is the
+    /// discriminator `Discriminator::train` trains standalone on the same
+    /// tier pair: the same calibration set and training accuracy (`Debug`
+    /// prints each such value so that it parses back to the same bits),
+    /// and the same raw score of every tabled render on every tier.
+    #[test]
+    fn boundaries_trained_from_the_tables_are_the_standalone_ones() {
+        use diffserve_imagegen::{ladder3, DiscArch};
+        for arch in [DiscArch::EfficientNetV2, DiscArch::ViTB16] {
+            let config = DiscriminatorConfig {
+                arch,
+                train_prompts: 150,
+                epochs: 3,
+                ..Default::default()
+            };
+            let rt =
+                CascadeRuntime::prepare_ladder(ladder3(FeatureSpec::default()), 300, 7, config);
+            let artifacts = rt.ladder.as_ref().expect("ladder artifacts");
+            let terminal = artifacts.models.last().expect("a ladder has tiers");
+            for (k, prepared) in artifacts.discriminators.iter().enumerate() {
+                let standalone =
+                    Discriminator::train(&rt.dataset, &artifacts.models[k], terminal, config);
+                assert_eq!(
+                    format!("{prepared:?}"),
+                    format!("{standalone:?}"),
+                    "boundary {k}"
+                );
+                assert_eq!(
+                    prepared.train_accuracy().to_bits(),
+                    standalone.train_accuracy().to_bits()
+                );
+                for table in rt.renders() {
+                    for row in &table.features {
+                        assert_eq!(
+                            prepared.raw_confidence(row).to_bits(),
+                            standalone.raw_confidence(row).to_bits(),
+                            "boundary {k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

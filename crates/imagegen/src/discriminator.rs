@@ -11,6 +11,8 @@
 //! synthetic feature space, keeping the paper's measured per-image scoring
 //! latencies (EfficientNet 10 ms, ResNet 2 ms, ViT 5 ms on A100).
 
+use std::borrow::Cow;
+
 use diffserve_linalg::Mat;
 use diffserve_nn::{accuracy, Adam, Mlp, TrainConfig};
 use diffserve_simkit::rng::{derive_seed, seeded_rng};
@@ -129,6 +131,41 @@ impl Default for DiscriminatorConfig {
     }
 }
 
+impl DiscriminatorConfig {
+    /// How many of a `dataset_len`-prompt dataset's first prompts training
+    /// reads: `train_prompts` scaled by the backbone's data fraction, at
+    /// least 8 where the dataset holds that many, so a small data fraction
+    /// still trains on a few rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `train_prompts` is zero or exceeds `dataset_len`.
+    pub fn trained_prompts(&self, dataset_len: usize) -> usize {
+        assert!(self.train_prompts > 0, "need at least one training prompt");
+        assert!(
+            self.train_prompts <= dataset_len,
+            "train_prompts {} exceeds dataset size {}",
+            self.train_prompts,
+            dataset_len
+        );
+        let n = ((self.train_prompts as f64) * self.arch.data_fraction()).ceil() as usize;
+        n.max(8).min(dataset_len)
+    }
+
+    /// The ground-truth rows training reads from `dataset`, one per
+    /// trained prompt ([`PromptDataset::training_real_features`]), under
+    /// [`RealClass::GroundTruth`]; `None` under
+    /// [`RealClass::HeavyOutputs`], whose real rows are heavy renders.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`DiscriminatorConfig::trained_prompts`] does.
+    pub fn ground_truth(&self, dataset: &PromptDataset) -> Option<Mat> {
+        let n = self.trained_prompts(dataset.len());
+        (self.real_class == RealClass::GroundTruth).then(|| dataset.training_real_features(n))
+    }
+}
+
 /// A trained discriminator producing confidence-that-real scores.
 ///
 /// Raw softmax outputs of a near-separable classifier saturate at 0/1,
@@ -156,7 +193,9 @@ impl Discriminator {
     /// The training set follows the paper (Fig. 3): "real" samples come from
     /// the dataset's ground-truth images (or from heavy-model outputs for
     /// the `HeavyOutputs` ablation); "fake" samples are generated by both
-    /// cascade members over a prompt subsample.
+    /// cascade members over a prompt subsample. Renders both members'
+    /// images of the trained prompts, once each, and trains on them by
+    /// [`Discriminator::train_on_renders`].
     ///
     /// # Panics
     ///
@@ -168,52 +207,62 @@ impl Discriminator {
         heavy: &DiffusionModel,
         config: DiscriminatorConfig,
     ) -> Self {
+        let n = config.trained_prompts(dataset.len());
+        let render = |model: &DiffusionModel| -> Vec<[f64; DIM]> {
+            let prompts = &dataset.prompts()[..n];
+            prompts.iter().map(|p| model.render(p, 0.0).0).collect()
+        };
+        let ground_truth = config.ground_truth(dataset);
+        Self::train_on_renders(
+            &render(light),
+            &render(heavy),
+            ground_truth.as_ref(),
+            config,
+        )
+    }
+
+    /// Trains on rendered rows: `light[i]` and `heavy[i]` are the two
+    /// cascade members' renders of the dataset's `i`-th prompt, for its
+    /// first [`DiscriminatorConfig::trained_prompts`] prompts, and
+    /// `ground_truth` is [`DiscriminatorConfig::ground_truth`]. The one
+    /// training body: [`Discriminator::train`] renders its rows and calls
+    /// it, and runtime set-up calls it with rows of its render tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows are empty or unequal in number, if
+    /// `ground_truth` does not hold one row per light row under
+    /// [`RealClass::GroundTruth`], or if `config.epochs` is zero.
+    pub fn train_on_renders(
+        light: &[[f64; DIM]],
+        heavy: &[[f64; DIM]],
+        ground_truth: Option<&Mat>,
+        config: DiscriminatorConfig,
+    ) -> Self {
+        let n = light.len();
         assert!(
-            config.train_prompts > 0,
-            "need at least one training prompt"
+            n > 0 && heavy.len() == n,
+            "training needs one heavy render per light render, got {n} and {}",
+            heavy.len()
         );
         assert!(config.epochs > 0, "need at least one training epoch");
-        assert!(
-            config.train_prompts <= dataset.len(),
-            "train_prompts {} exceeds dataset size {}",
-            config.train_prompts,
-            dataset.len()
-        );
-        let n = ((config.train_prompts as f64) * config.arch.data_fraction()).ceil() as usize;
-        // At least 8 prompts where the dataset holds that many, so a
-        // backbone's small data fraction still trains on a few rows.
-        let n = n.max(8).min(dataset.len());
-        let prompts = &dataset.prompts()[..n];
-
-        // Every light output is rendered once: the even ones are fake rows,
-        // and all of them, as rendered, are the calibration set.
-        let mut lights = vec![0.0; n * DIM];
-        for (p, row) in prompts.iter().zip(lights.chunks_exact_mut(DIM)) {
-            row.copy_from_slice(&light.generate(p).features);
-        }
         // Fake class: half light, half heavy outputs, as in the paper's
         // training diagram (GLM + GHM), in rows `0..n`; the real class in
         // rows `n..2n`.
         let mut x = Mat::zeros(2 * n, DIM);
         let (fake, real) = x.as_mut_slice().split_at_mut(n * DIM);
-        let rows = fake.chunks_exact_mut(DIM).zip(lights.chunks_exact(DIM));
-        for ((i, p), (row, rendered)) in prompts.iter().enumerate().zip(rows) {
-            if i % 2 == 0 {
-                row.copy_from_slice(rendered);
-            } else {
-                row.copy_from_slice(&heavy.generate(p).features);
-            }
+        let rows = fake.chunks_exact_mut(DIM).zip(light.iter().zip(heavy));
+        for (i, (row, (l, h))) in rows.enumerate() {
+            row.copy_from_slice(if i % 2 == 0 { l } else { h });
         }
         match config.real_class {
             RealClass::GroundTruth => {
-                real.copy_from_slice(dataset.training_real_features(n).as_slice());
+                let rows = ground_truth.expect("ground-truth rows under RealClass::GroundTruth");
+                assert_eq!(rows.rows(), n, "one ground-truth row per trained prompt");
+                real.copy_from_slice(rows.as_slice());
             }
-            RealClass::HeavyOutputs => {
-                // "Real" = heavy outputs.
-                for (p, row) in prompts.iter().zip(real.chunks_exact_mut(DIM)) {
-                    row.copy_from_slice(&heavy.generate(p).features);
-                }
-            }
+            // "Real" = heavy outputs.
+            RealClass::HeavyOutputs => real.copy_from_slice(heavy.as_flattened()),
         }
         let labels: Vec<usize> = (0..2 * n).map(|i| usize::from(i >= n)).collect();
         // The backbone sees its own (noisy) feature extraction at train time.
@@ -253,10 +302,7 @@ impl Discriminator {
             train_accuracy,
             calibration: Vec::new(),
         };
-        let mut raw: Vec<f64> = lights
-            .chunks_exact(DIM)
-            .map(|features| disc.raw_confidence(features))
-            .collect();
+        let mut raw = disc.raw_confidences(light);
         raw.sort_by(|a, b| a.partial_cmp(b).expect("softmax outputs are finite"));
         disc.calibration = raw;
         disc
@@ -271,22 +317,46 @@ impl Discriminator {
     ///
     /// Panics if the feature vector has the wrong dimensionality.
     pub fn raw_confidence(&self, features: &[f64]) -> f64 {
+        let extracted = self.extract(features);
+        let mut scratch = [0.0; 2 * MAX_WIDTH];
+        self.classifier.predict_proba_row(&extracted, &mut scratch)[1]
+    }
+
+    /// [`Discriminator::raw_confidence`] of every row, bit for bit, scored
+    /// in blocks of rows ([`Mlp::predict_proba_rows`]).
+    fn raw_confidences(&self, rows: &[[f64; DIM]]) -> Vec<f64> {
+        let extracted: Cow<[[f64; DIM]]> = if self.config.arch.feature_noise() == 0.0 {
+            Cow::Borrowed(rows)
+        } else {
+            rows.iter().map(|row| self.extract(row)).collect()
+        };
+        let mut probs = vec![0.0; 2 * rows.len()];
+        self.classifier
+            .predict_proba_rows(extracted.as_flattened(), &mut probs);
+        probs.chunks_exact(2).map(|p| p[1]).collect()
+    }
+
+    /// The features the backbone extracts from `features`: the image's
+    /// own, plus the backbone's feature-extraction noise on the artifact
+    /// axis, deterministic per image (seeded from the feature bits) so
+    /// that repeated scoring of the same image is stable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the feature vector has the wrong dimensionality.
+    fn extract(&self, features: &[f64]) -> [f64; DIM] {
         assert_eq!(features.len(), DIM, "feature dimensionality mismatch");
         let mut extracted = [0.0; DIM];
         extracted.copy_from_slice(features);
         let sigma = self.config.arch.feature_noise();
         if sigma != 0.0 {
-            // The backbone's feature-extraction noise, deterministic per
-            // image (seeded from the feature bits) so repeated scoring of
-            // the same image is stable.
             let tag = features
                 .iter()
                 .fold(0u64, |acc, f| acc.rotate_left(7) ^ f.to_bits());
             let mut rng = seeded_rng(derive_seed(self.config.seed, tag));
             extracted[crate::features::ARTIFACT_AXIS] += sigma * Normal::standard().draw(&mut rng);
         }
-        let mut scratch = [0.0; 2 * MAX_WIDTH];
-        self.classifier.predict_proba_row(&extracted, &mut scratch)[1]
+        extracted
     }
 
     /// Calibrated confidence in `[0, 1]` — the cascade's quality score.
@@ -300,11 +370,14 @@ impl Discriminator {
         self.equalize(self.raw_confidence(features))
     }
 
-    /// Batched calibrated confidence scoring.
-    pub fn confidences(&self, features: &Mat) -> Vec<f64> {
-        (0..features.rows())
-            .map(|i| self.confidence(features.row(i)))
-            .collect()
+    /// [`Discriminator::confidence`] of every row, bit for bit, scored in
+    /// blocks of rows.
+    pub fn confidences(&self, rows: &[[f64; DIM]]) -> Vec<f64> {
+        let mut scores = self.raw_confidences(rows);
+        for score in &mut scores {
+            *score = self.equalize(*score);
+        }
+        scores
     }
 
     /// Maps a raw score through the empirical CDF of the calibration set
@@ -415,18 +488,21 @@ mod tests {
         assert!(mean_conf(&heavy) > mean_conf(&light) + 0.05);
     }
 
+    /// The batched confidences are the one-row ones, bit for bit, on every
+    /// backbone, over more rows than one forward block.
     #[test]
     fn confidences_batch_matches_single() {
-        let (dataset, light, heavy) = small_setup();
-        let disc = Discriminator::train(&dataset, &light, &heavy, quick_config());
-        let imgs: Vec<Vec<f64>> = dataset.prompts()[..5]
+        let (dataset, models, discs) = trained_archs();
+        let rows: Vec<[f64; DIM]> = dataset.prompts()[..150]
             .iter()
-            .map(|p| light.generate(p).features)
+            .map(|p| models[0].render(p, 0.0).0)
             .collect();
-        let refs: Vec<&[f64]> = imgs.iter().map(|r| r.as_slice()).collect();
-        let batch = disc.confidences(&Mat::from_rows(&refs));
-        for (i, img) in imgs.iter().enumerate() {
-            assert!((batch[i] - disc.confidence(img)).abs() < 1e-12);
+        for disc in discs {
+            let batch = disc.confidences(&rows);
+            assert_eq!(batch.len(), rows.len());
+            for (score, row) in batch.iter().zip(&rows) {
+                assert_eq!(score.to_bits(), disc.confidence(row).to_bits());
+            }
         }
     }
 
@@ -564,14 +640,13 @@ mod tests {
         assert_eq!(bits, RECORDED);
     }
 
-    /// Every backbone's trained scorer, pinned bit for bit: FNV-1a over the
-    /// final training accuracy and the raw confidence of both cascade
-    /// members' renders of a fixed prompt slice. The training set (300 rows
-    /// for EfficientNet and ResNet, 46 for ViT's subsample) leaves a short
-    /// last batch, and the scored slice lies outside it.
-    #[test]
-    fn trained_scores_are_pinned_for_every_backbone() {
-        const PINNED: u64 = 0xf8ea_207d_1bec_8ff8;
+    /// FNV-1a over every backbone's final training accuracy and the raw
+    /// confidence of both cascade members' renders of a fixed prompt
+    /// slice, each backbone trained with `real_class` as its real class.
+    /// The training set (300 rows for EfficientNet and ResNet, 46 for
+    /// ViT's subsample) leaves a short last batch, and the scored slice
+    /// lies outside it.
+    fn trained_score_hash(real_class: RealClass) -> u64 {
         const PRIME: u64 = 0x1000_0000_01b3;
         let spec = FeatureSpec::default();
         let dataset = PromptDataset::synthesize(DatasetKind::MsCoco, 200, 23, spec);
@@ -585,6 +660,7 @@ mod tests {
         for arch in ARCHS {
             let config = DiscriminatorConfig {
                 arch,
+                real_class,
                 train_prompts: 150,
                 epochs: 4,
                 ..Default::default()
@@ -597,6 +673,25 @@ mod tests {
                 }
             }
         }
+        h
+    }
+
+    /// Every backbone's trained scorer, pinned bit for bit.
+    #[test]
+    fn trained_scores_are_pinned_for_every_backbone() {
+        const PINNED: u64 = 0xf8ea_207d_1bec_8ff8;
+        let h = trained_score_hash(RealClass::GroundTruth);
+        assert_eq!(h, PINNED, "pinned {PINNED:#018x}, got {h:#018x}");
+    }
+
+    /// The same with heavy outputs as the real class (the "EfficientNet w
+    /// Fake" ablation), whose real rows are the heavy renders the odd
+    /// fake rows also read. Pinned while training still rendered those
+    /// twice.
+    #[test]
+    fn heavy_output_training_is_pinned_for_every_backbone() {
+        const PINNED: u64 = 0xf18f_ff34_c10e_6371;
+        let h = trained_score_hash(RealClass::HeavyOutputs);
         assert_eq!(h, PINNED, "pinned {PINNED:#018x}, got {h:#018x}");
     }
 

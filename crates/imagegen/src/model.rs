@@ -168,13 +168,24 @@ impl DiffusionModel {
     /// experiment (§5) where heavy generation warm-started from light
     /// latents can lose quality on incompatible pairs.
     pub fn generate_with_quality_shift(&self, prompt: &Prompt, shift: f64) -> GeneratedImage {
+        let (features, quality) = self.render(prompt, shift);
+        GeneratedImage {
+            features: features.to_vec(),
+            quality,
+        }
+    }
+
+    /// The image [`DiffusionModel::generate_with_quality_shift`] returns,
+    /// as an inline feature row and its quality: the one render body,
+    /// which allocates nothing.
+    pub fn render(&self, prompt: &Prompt, shift: f64) -> ([f64; DIM], f64) {
         let mut rng = seeded_rng(derive_seed(prompt.seed, self.seed_tag));
         let normal = Normal::standard();
         let q_noise = normal.draw(&mut rng) * self.quality.noise_std;
         let quality =
             (self.quality.expected_quality(prompt.difficulty) + q_noise + shift).clamp(0.0, 1.0);
 
-        let mut features = vec![0.0; DIM];
+        let mut features = [0.0; DIM];
         let scale = self.spec.feature_scale;
         features[ARTIFACT_AXIS] = scale
             * (self.spec.artifact_gain * (1.0 - quality)
@@ -185,7 +196,7 @@ impl DiffusionModel {
         for f in &mut features[SHARED_AXES] {
             *f = scale * normal.draw(&mut rng) * self.spec.shared_sigma;
         }
-        GeneratedImage { features, quality }
+        (features, quality)
     }
 }
 

@@ -15,16 +15,19 @@
 //!
 //! # Training and scoring speed
 //!
-//! [`Mlp::fit`] trains in one fused step per mini-batch, and
-//! [`Mlp::predict_proba_row`] scores one row over caller scratch. Both run
-//! on one branch-free kernel that keeps a tile of up to 32 output sums in
-//! registers. Every weight has the bits of the plain matrix-form step
-//! (`Mat::matmul`, softmax, Adam). On an x86-64 host with AVX2, detected
-//! once per `fit` call, the training step runs compiled for AVX2, four
-//! lanes wide; elsewhere it runs in the target's baseline codegen. No bit
-//! differs between the two: a lane holds its own cell, each cell keeps its
-//! order of additions, and `fma` stays off, so every product is rounded
-//! before it is added.
+//! [`Mlp::fit`] trains in one fused step per mini-batch,
+//! [`Mlp::predict_proba_row`] scores one row over caller scratch, and
+//! [`Mlp::predict_proba_rows`] (and [`Mlp::predict`]) score many rows, a
+//! block at a time. All run on one branch-free kernel that keeps a tile of
+//! up to 32 output sums in registers. Every weight has the bits of the
+//! plain matrix-form step (`Mat::matmul`, softmax, Adam), and every row
+//! scored in a block the bits of its one-row forward. On an x86-64 host
+//! with AVX2, detected once per `fit` or batched call, the training step
+//! and the batched forward run compiled for AVX2, four lanes wide;
+//! elsewhere they run in the target's baseline codegen. No bit differs
+//! between the two: a lane holds its own cell, each cell keeps its order
+//! of additions, and `fma` stays off, so every product is rounded before
+//! it is added.
 //!
 //! # Examples
 //!

@@ -7,6 +7,11 @@ use rand::Rng;
 use crate::layer::{relu, softmax, softmax_row, times, Dense, Left};
 use crate::optim::Adam;
 
+/// Rows a batched forward ([`Mlp::predict_proba_rows`]) carries through
+/// the layers at a time: its activations stay in a few tens of kilobytes
+/// of scratch however many rows it scores.
+const FORWARD_BLOCK: usize = 64;
+
 /// A feed-forward classifier: dense layers with ReLU between them and a
 /// linear logit head.
 ///
@@ -116,50 +121,127 @@ impl Mlp {
     /// Panics if `x` does not match the input width or `scratch` holds
     /// fewer than `2 × max_width()` cells.
     pub fn predict_proba_row<'s>(&self, x: &[f64], scratch: &'s mut [f64]) -> &'s [f64] {
-        let probs = self.logits_row(x, scratch);
+        let probs = self.logits_rows(x, 1, scratch);
         softmax_row(probs);
         probs
     }
 
-    /// The logits of one input row, as [`Mlp::predict_proba_row`] computes
-    /// them before its softmax: the bits of [`Mlp::logits`]' row.
-    fn logits_row<'s>(&self, x: &[f64], scratch: &'s mut [f64]) -> &'s mut [f64] {
-        let width = self.max_width();
+    /// Class probabilities of every row of `x` (row-major, each the input
+    /// width) into `out` (row-major, one row of class probabilities per
+    /// input row), a block of 64 rows at a time over one scratch buffer,
+    /// so that a block's rows share the kernel's multi-row tiles.
+    ///
+    /// Each row has the bits [`Mlp::predict_proba_row`] gives it: a tile
+    /// sums each of its cells alone, from +0.0 in ascending input index,
+    /// whatever rows share the tile. On an x86-64 host with AVX2 the pass
+    /// runs compiled for AVX2, chosen as [`Mlp::fit`] chooses it, with the
+    /// same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not hold whole rows of the input width or `out`
+    /// does not hold one row of class probabilities per input row.
+    pub fn predict_proba_rows(&self, x: &[f64], out: &mut [f64]) {
+        self.forward(x, out, true);
+    }
+
+    /// The logits (or, if `probabilities`, the softmax of them) of every
+    /// row of `x` into `out`, in the codegen [`Mlp::fit`] picks.
+    fn forward(&self, x: &[f64], out: &mut [f64], probabilities: bool) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `forward_avx2` requires only that the CPU support
+            // AVX2, which the detection above has just established.
+            return unsafe { self.forward_avx2(x, out, probabilities) };
+        }
+        self.forward_body(x, out, probabilities)
+    }
+
+    /// [`Mlp::forward_body`] compiled for AVX2 (and not `fma`).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn forward_avx2(&self, x: &[f64], out: &mut [f64], probabilities: bool) {
+        self.forward_body(x, out, probabilities)
+    }
+
+    /// [`Mlp::forward`]'s blocks, inlined (with every kernel it calls) into
+    /// each caller so that it takes the caller's codegen.
+    #[inline(always)]
+    fn forward_body(&self, x: &[f64], out: &mut [f64], probabilities: bool) {
+        let (inputs, classes) = (self.layers[0].inputs(), self.classes());
+        let rows = x.len() / inputs;
         assert!(
-            scratch.len() >= 2 * width,
+            x.len() == rows * inputs && out.len() == rows * classes,
+            "batched forward of {} input cells into {} output cells",
+            x.len(),
+            out.len()
+        );
+        let mut scratch = vec![0.0; 2 * FORWARD_BLOCK * self.max_width()];
+        let blocks = x.chunks(FORWARD_BLOCK * inputs);
+        for (x, out) in blocks.zip(out.chunks_mut(FORWARD_BLOCK * classes)) {
+            let logits = self.logits_rows(x, x.len() / inputs, &mut scratch);
+            if probabilities {
+                for row in logits.chunks_exact_mut(classes) {
+                    softmax_row(row);
+                }
+            }
+            out.copy_from_slice(logits);
+        }
+    }
+
+    /// Number of classes: the width of the logit layer.
+    fn classes(&self) -> usize {
+        self.layers[self.layers.len() - 1].outputs()
+    }
+
+    /// The logits of the `rows` input rows `x`, as [`Mlp::predict_proba_row`]
+    /// computes them before its softmax: the bits of [`Mlp::logits`]' rows.
+    /// The activations ping-pong between two halves of `scratch`, each
+    /// `rows × max_width()` cells.
+    #[inline(always)]
+    fn logits_rows<'s>(&self, x: &[f64], rows: usize, scratch: &'s mut [f64]) -> &'s mut [f64] {
+        let half = rows * self.max_width();
+        assert!(
+            scratch.len() >= 2 * half,
             "row forward needs {} scratch cells, got {}",
-            2 * width,
+            2 * half,
             scratch.len()
         );
-        assert_eq!(x.len(), self.layers[0].inputs(), "input width mismatch");
-        let (mut cur, mut next) = scratch.split_at_mut(width);
+        assert_eq!(
+            x.len(),
+            rows * self.layers[0].inputs(),
+            "input width mismatch"
+        );
+        let (mut cur, mut next) = scratch[..2 * half].split_at_mut(half);
         cur[..x.len()].copy_from_slice(x);
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             layer.forward_rows(
-                &cur[..layer.inputs()],
-                &mut next[..layer.outputs()],
+                &cur[..rows * layer.inputs()],
+                &mut next[..rows * layer.outputs()],
                 i < last,
             );
             std::mem::swap(&mut cur, &mut next);
         }
-        &mut cur[..self.layers[last].outputs()]
+        &mut cur[..rows * self.classes()]
     }
 
     /// Hard class predictions: each row's argmax over its logits, the last
-    /// class on a tie. Runs the row forward of [`Mlp::predict_proba_row`]
-    /// over one scratch buffer, so its logits have [`Mlp::logits`]' bits.
+    /// class on a tie. The logits come from the batched forward of
+    /// [`Mlp::predict_proba_rows`], so they have [`Mlp::logits`]' bits.
     ///
     /// # Panics
     ///
     /// Panics if `x` does not match the input width or a logit is NaN.
     pub fn predict(&self, x: &Mat) -> Vec<usize> {
-        let mut scratch = vec![0.0; 2 * self.max_width()];
-        (0..x.rows())
-            .map(|i| {
-                let logits = self.logits_row(x.row(i), &mut scratch);
-                logits
-                    .iter()
+        assert_eq!(x.cols(), self.layers[0].inputs(), "input width mismatch");
+        let classes = self.classes();
+        let mut logits = vec![0.0; x.rows() * classes];
+        self.forward(x.as_slice(), &mut logits, false);
+        logits
+            .chunks_exact(classes)
+            .map(|row| {
+                row.iter()
                     .enumerate()
                     .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
                     .map(|(j, _)| j)
@@ -243,7 +325,7 @@ impl Mlp {
         assert_eq!(x.rows(), labels.len(), "one label per sample required");
         assert_eq!(x.cols(), self.layers[0].inputs(), "input width mismatch");
         assert!(config.batch_size > 0, "batch size must be positive");
-        let classes = self.layers[self.layers.len() - 1].outputs();
+        let classes = self.classes();
         for &label in labels {
             assert!(label < classes, "label {label} out of range");
         }
@@ -630,6 +712,47 @@ mod tests {
             proptest::prop_assert_eq!(got.len(), want.cols());
             for (g, w) in got.iter().zip(want.row(0)) {
                 proptest::prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The batched forward gives every row the bits of the one-row
+        /// forward, for any layer stack (the discriminator's 2-wide logit
+        /// layer among them) and row counts that fill no whole number of
+        /// kernel tiles or forward blocks, with exact zeros of both signs
+        /// in the input.
+        #[test]
+        fn batched_forward_matches_the_row_forward_bitwise(
+            widths in proptest::collection::vec(1usize..40, 1..5),
+            classes in 1usize..4,
+            rows in 0usize..(3 * FORWARD_BLOCK + 10),
+            zero_stride in 1usize..6,
+            seed in 0u64..100_000,
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut widths = widths;
+            widths.push(classes);
+            let model = Mlp::new(&widths, &mut rng);
+            let x: Vec<f64> = (0..rows * widths[0])
+                .map(|i| match i % (zero_stride + 2) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-3.0..3.0),
+                })
+                .collect();
+            let mut got = vec![f64::NAN; rows * classes];
+            model.predict_proba_rows(&x, &mut got);
+            let mut scratch = vec![0.0; 2 * model.max_width()];
+            let rows_in = x.chunks_exact(widths[0]);
+            for (row, got) in rows_in.zip(got.chunks_exact(classes)) {
+                let want = model.predict_proba_row(row, &mut scratch);
+                for (g, w) in got.iter().zip(want) {
+                    proptest::prop_assert_eq!(g.to_bits(), w.to_bits());
+                }
             }
         }
     }
