@@ -2,9 +2,10 @@
 //!
 //! Experiment harness for the DiffServe reproduction. The `repro` binary
 //! runs every paper table, figure and extension experiment
-//! (`cargo run -p diffserve-bench --release --bin repro -- [--smoke] [ID…]`);
-//! the `perf` binary (`cargo run -p diffserve-bench --release --bin perf`)
-//! times the system and writes the `BENCH_sim.json` baseline.
+//! (`cargo run -p diffserve-bench --release --bin repro -- [--smoke] [ID…]`).
+//! Timing lives elsewhere: the repo benchmark (`benchmark/`, declared by
+//! `BENCHMARK.json`) measures every workload, and `tests/replay_memory.rs`
+//! pins the exact work counts of the fleet replay and the control ticks.
 //!
 //! An experiment's output is one [`Table`], printed to stdout and written
 //! as CSV to `results/<id>.csv` (`results/smoke/<id>.csv` at smoke scale).

@@ -371,7 +371,10 @@ fn build_allocation_milp(inputs: &AllocatorInputs<'_>) -> (Problem, MilpVars) {
         .map(|k| (w2[k], table.cell(1, k).throughput))
         .collect();
     for (l, &z_l) in z.iter().enumerate() {
-        heavy_tp.push((z_l, -d * table.deferred(0, l)));
+        // At (near) zero demand a level's deferred load is below what the
+        // solver can price (1e-9), which `Problem` rejects: it is no load.
+        let load = d * table.deferred(0, l);
+        heavy_tp.push((z_l, if load > 1e-9 { -load } else { 0.0 }));
     }
     p.add_constraint("heavy-throughput", &heavy_tp, Sense::Ge, 0.0);
 
@@ -1372,7 +1375,8 @@ mod tests {
         let deferral = uniform_profile();
         let batches = [1usize, 2, 4, 8, 16];
         let thresholds = grid(26, 0.9);
-        for demand in [2.0, 6.0, 12.0, 20.0, 30.0] {
+        // An idle cascade's deferred loads are below what the solver prices.
+        for demand in [0.0, 1e-12, 2.0, 6.0, 12.0, 20.0, 30.0] {
             let inputs = cascade1_inputs(&deferral, &batches, &thresholds, demand);
             let ex = solve_exhaustive(&inputs);
             let milp = solve_milp_allocation(&inputs);

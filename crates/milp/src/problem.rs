@@ -7,6 +7,24 @@
 
 use std::fmt;
 
+/// Numerical tolerance of the solver: its pricing and ratio tests read a
+/// tableau entry of at most this magnitude as zero. A nonzero constraint
+/// coefficient that small would be priced as absent (so `x + 1e-10·z ≥ 1.5`
+/// with `x ≤ 1` would read infeasible), and [`Problem`] rejects one.
+pub(crate) const TOL: f64 = 1e-9;
+
+/// Panics unless `coef` is finite and either zero or above [`TOL`] in
+/// magnitude; `row` names the constraint in the message.
+fn check_coefficient(row: &str, var: VarId, coef: f64) {
+    assert!(coef.is_finite(), "constraint coefficient must be finite");
+    assert!(
+        coef == 0.0 || coef.abs() > TOL,
+        "constraint {row:?}: coefficient {coef:e} of variable {} is nonzero but \
+         at most {TOL:e} in magnitude, which the solver reads as zero",
+        var.0
+    );
+}
+
 /// Identifier of a variable within a [`Problem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub(crate) usize);
@@ -155,8 +173,9 @@ impl Problem {
     ///
     /// # Panics
     ///
-    /// Panics if any [`VarId`] does not belong to this problem or any
-    /// coefficient is non-finite.
+    /// Panics if any [`VarId`] does not belong to this problem, any
+    /// coefficient is non-finite, or an accumulated coefficient is nonzero
+    /// but no more than the solver's tolerance (1e-9) in magnitude.
     pub fn add_constraint(
         &mut self,
         name: impl Into<String>,
@@ -165,6 +184,7 @@ impl Problem {
         rhs: f64,
     ) -> usize {
         assert!(rhs.is_finite(), "constraint rhs must be finite");
+        let name = name.into();
         let mut acc: Vec<(VarId, f64)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
             assert!(v.0 < self.vars.len(), "variable id out of range");
@@ -175,8 +195,11 @@ impl Problem {
                 acc.push((v, c));
             }
         }
+        for &(v, c) in &acc {
+            check_coefficient(&name, v, c);
+        }
         self.constraints.push(Constraint {
-            name: name.into(),
+            name,
             terms: acc,
             sense,
             rhs,
@@ -195,12 +218,14 @@ impl Problem {
     ///
     /// # Panics
     ///
-    /// Panics if `row` is out of range, `coef` is non-finite, or `var` is
+    /// Panics if `row` is out of range, `coef` is non-finite or nonzero but
+    /// no more than the solver's tolerance (1e-9) in magnitude, or `var` is
     /// not one of the constraint's terms (the sparsity pattern is fixed
     /// when the constraint is added).
     pub fn set_coefficient(&mut self, row: usize, var: VarId, coef: f64) {
-        assert!(coef.is_finite(), "constraint coefficient must be finite");
-        let slot = self.constraints[row]
+        let constraint = &mut self.constraints[row];
+        check_coefficient(&constraint.name, var, coef);
+        let slot = constraint
             .terms
             .iter_mut()
             .find(|(id, _)| *id == var)
@@ -458,6 +483,53 @@ mod tests {
         let mut p = Problem::new(Direction::Minimize);
         let x = p.add_var("x", VarKind::Integer, 2.0, 5.0);
         p.set_upper_bound(x, 1.0);
+    }
+
+    /// The solver prices `1e-10·z` as absent, so it would answer this
+    /// feasible problem (`z = 5e9` meets the row) `Infeasible`; the row is
+    /// rejected instead, by name.
+    #[test]
+    #[should_panic(expected = "constraint \"need\": coefficient 1e-10 of variable 1")]
+    fn a_coefficient_the_solver_reads_as_zero_panics() {
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 1.0);
+        let z = p.add_var("z", VarKind::Continuous, 0.0, f64::INFINITY);
+        p.add_constraint("need", &[(x, 1.0), (z, 1e-10)], Sense::Ge, 1.5);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "constraint \"need\": coefficient 4.656612873077393e-10 of variable 1"
+    )]
+    fn merged_terms_the_solver_reads_as_zero_panic() {
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 1.0);
+        let z = p.add_var("z", VarKind::Continuous, 0.0, f64::INFINITY);
+        // The two terms sum to 2^-31 exactly.
+        let terms = [(x, 1.0), (z, 1.0), (z, 2f64.powi(-31) - 1.0)];
+        p.add_constraint("need", &terms, Sense::Ge, 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "constraint \"need\": coefficient -1e-10 of variable 1")]
+    fn patching_in_a_coefficient_the_solver_reads_as_zero_panics() {
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 1.0);
+        let z = p.add_var("z", VarKind::Continuous, 0.0, f64::INFINITY);
+        let row = p.add_constraint("need", &[(x, 1.0), (z, 1.0)], Sense::Ge, 1.5);
+        p.set_coefficient(row, z, -1e-10);
+    }
+
+    #[test]
+    fn zero_coefficients_and_cancelled_terms_are_accepted() {
+        let mut p = Problem::new(Direction::Minimize);
+        let x = p.add_var("x", VarKind::Continuous, 0.0, 1.0);
+        let z = p.add_var("z", VarKind::Continuous, 0.0, 1.0);
+        let row = p.add_constraint("c", &[(x, 1.0), (z, 2.0), (z, -2.0)], Sense::Le, 1.0);
+        assert_eq!(p.constraints[row].terms, vec![(x, 1.0), (z, 0.0)]);
+        p.set_coefficient(row, x, 0.0);
+        p.set_coefficient(row, z, 2.0 * TOL);
+        assert_eq!(p.constraints[row].terms, vec![(x, 0.0), (z, 2.0 * TOL)]);
     }
 
     #[test]

@@ -19,10 +19,7 @@
 //! each node through it. Entering variables use Dantzig's rule with a
 //! Bland fallback once the iteration count suggests degenerate cycling.
 
-use crate::problem::{Direction, Problem, Sense};
-
-/// Numerical tolerance used throughout the solver.
-const TOL: f64 = 1e-9;
+use crate::problem::{Direction, Problem, Sense, TOL};
 
 /// Tolerance for primal feasibility decisions (bound violations).
 const FEAS_TOL: f64 = 1e-7;
