@@ -793,41 +793,72 @@ pub fn overload_fallback(inputs: &AllocatorInputs<'_>) -> LadderAllocation {
 /// and a direct-to-heavy query carries no light-tier latents: the
 /// [`resume_heavy`](AllocatorInputs::resume_heavy) discount never applies.
 ///
+/// Every batch pair `(b₁, b₂)` within the latency bound offers the largest
+/// `p` on the grid `0, 0.01, …, 1` whose branches fit the fleet,
+/// `⌈D(1−p)/T₁⌉ (≥ 1) + ⌈Dp/T₂⌉ (≥ 1) ≤ S`; the first pair in `(b₁, b₂)`
+/// order to offer the largest wins. The heavy worker count only grows
+/// with `p`, so a binary search per heavy batch finds the largest `p`
+/// whose heavy branch leaves a light worker; each pair scans down from
+/// there and stops once its `p` cannot beat the best pair's. Only
+/// fractions that cannot fit or cannot win are skipped, so the plan is
+/// the full 101-point scan's.
+///
 /// The plan's `thresholds[0]` is the heavy fraction `p`.
 pub fn solve_proteus(inputs: &AllocatorInputs<'_>) -> Option<LadderAllocation> {
+    const STEPS: usize = 100;
     let table = StageTable::two_tier(inputs, false);
     let d = inputs.demand_qps.max(1e-9);
     let s = inputs.total_workers;
-    // The best candidate so far: its heavy fraction, its light and heavy
-    // batch indices and its light and heavy workers.
-    let mut best: Option<(f64, usize, usize, [usize; 2])> = None;
-
+    let frac = |pi: usize| pi as f64 / STEPS as f64;
+    let heavy_workers = |pi: usize, t2: f64| ((d * frac(pi)) / t2).ceil() as usize;
+    // Per heavy batch within the latency bound, the largest grid step whose
+    // heavy branch leaves a light worker: a binary search, since the heavy
+    // count never falls as `p` grows (step 0 needs no heavy worker).
+    let tops: Vec<Option<usize>> = (0..table.batches)
+        .map(|k| {
+            let room = s.checked_sub(1)?;
+            if table.cell(1, k).latency + inputs.queue_delay_heavy > inputs.slo {
+                return None;
+            }
+            let t2 = table.cell(1, k).throughput;
+            let (mut lo, mut hi) = (0, STEPS);
+            while lo < hi {
+                let mid = (lo + hi).div_ceil(2);
+                if heavy_workers(mid, t2) <= room {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            Some(lo)
+        })
+        .collect();
+    // The best candidate so far: its grid step, its light and heavy batch
+    // indices and its light and heavy workers.
+    let mut best: Option<(usize, usize, usize, [usize; 2])> = None;
     for j in 0..table.batches {
         if table.cell(0, j).latency + inputs.queue_delay_light > inputs.slo {
             continue;
         }
-        for k in 0..table.batches {
-            if table.cell(1, k).latency + inputs.queue_delay_heavy > inputs.slo {
-                continue;
-            }
-            let t1 = table.cell(0, j).throughput;
+        let t1 = table.cell(0, j).throughput;
+        for (k, top) in tops.iter().enumerate() {
+            let Some(top) = *top else { continue };
             let t2 = table.cell(1, k).throughput;
-            // Scan heavy fractions on a fine grid.
-            for pi in (0..=100).rev() {
-                let frac = pi as f64 / 100.0;
-                let x2 = ((d * frac) / t2).ceil() as usize;
-                let x1 = ((d * (1.0 - frac)) / t1).ceil().max(1.0) as usize;
-                if x1 + x2 <= s && x2 >= 1 {
-                    if best.is_none_or(|(bf, ..)| frac > bf) {
-                        best = Some((frac, j, k, [x1, x2]));
-                    }
-                    break; // fractions below `frac` are worse for this (b1, b2)
+            for pi in (0..=top).rev() {
+                if best.is_some_and(|(bp, ..)| pi <= bp) {
+                    break; // this pair cannot beat the best
+                }
+                let x2 = heavy_workers(pi, t2);
+                let x1 = ((d * (1.0 - frac(pi))) / t1).ceil().max(1.0) as usize;
+                if x2 >= 1 && x1 <= s - x2 {
+                    best = Some((pi, j, k, [x1, x2]));
+                    break; // fractions below `pi` are worse for this pair
                 }
             }
         }
     }
     let sizes = inputs.batch_sizes;
-    best.map(|(frac, j, k, workers)| two_tier_plan(frac, workers, [sizes[j], sizes[k]]))
+    best.map(|(pi, j, k, workers)| two_tier_plan(frac(pi), workers, [sizes[j], sizes[k]]))
 }
 
 /// Inputs to one N-tier ladder allocation decision.
@@ -1789,6 +1820,105 @@ mod tests {
                 w[1] >= w[0] - 1e-12,
                 "more workers should not lower the heavy share: {fracs:?}"
             );
+        }
+    }
+
+    /// The Proteus planner as it was before its scan was bounded: every
+    /// pair within the latency bound walks the 101-point grid down from
+    /// `p = 1` to its first fitting fraction.
+    fn solve_proteus_scan(inputs: &AllocatorInputs<'_>) -> Option<LadderAllocation> {
+        let table = StageTable::two_tier(inputs, false);
+        let d = inputs.demand_qps.max(1e-9);
+        let s = inputs.total_workers;
+        let mut best: Option<(f64, usize, usize, [usize; 2])> = None;
+        for j in 0..table.batches {
+            if table.cell(0, j).latency + inputs.queue_delay_light > inputs.slo {
+                continue;
+            }
+            for k in 0..table.batches {
+                if table.cell(1, k).latency + inputs.queue_delay_heavy > inputs.slo {
+                    continue;
+                }
+                let t1 = table.cell(0, j).throughput;
+                let t2 = table.cell(1, k).throughput;
+                for pi in (0..=100).rev() {
+                    let frac = pi as f64 / 100.0;
+                    let x2 = ((d * frac) / t2).ceil() as usize;
+                    let x1 = ((d * (1.0 - frac)) / t1).ceil().max(1.0) as usize;
+                    if x1 + x2 <= s && x2 >= 1 {
+                        if best.is_none_or(|(bf, ..)| frac > bf) {
+                            best = Some((frac, j, k, [x1, x2]));
+                        }
+                        break;
+                    }
+                }
+            }
+        }
+        let sizes = inputs.batch_sizes;
+        best.map(|(frac, j, k, workers)| two_tier_plan(frac, workers, [sizes[j], sizes[k]]))
+    }
+
+    /// The bounded scan against the full one at the edges: no worker, one
+    /// worker (no room for both branches), overload that no pair fits,
+    /// zero and near-zero demand, and a latency bound only some batches
+    /// meet.
+    #[test]
+    fn proteus_matches_the_full_scan_at_the_edges() {
+        let deferral = uniform_profile();
+        let batches = [1usize, 2, 4, 8, 16];
+        let thresholds = grid(11, 0.9);
+        for workers in [0usize, 1, 2, 3, 16] {
+            for demand in [0.0, 1e-12, 1e-9, 0.5, 10.0, 1e4] {
+                for slo in [0.5, 2.5, 5.0] {
+                    let mut inputs = cascade1_inputs(&deferral, &batches, &thresholds, demand);
+                    inputs.total_workers = workers;
+                    inputs.slo = slo;
+                    let plan = solve_proteus(&inputs);
+                    assert_eq!(
+                        plan,
+                        solve_proteus_scan(&inputs),
+                        "{workers} workers, {demand} qps"
+                    );
+                    if workers < 2 || demand == 1e4 {
+                        assert_eq!(plan, None, "{workers} workers, {demand} qps");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The bounded scan plans what the full 101-point scan plans, plan
+        /// for plan, from an idle fleet to overload, on fleets of 0 to 64
+        /// workers, with queue delays that put some batches past the SLO.
+        #[test]
+        fn proteus_matches_the_full_scan(
+            demand_log in 0u32..=1000,
+            workers in 0usize..65,
+            batch_grid in 0usize..4,
+            queues in (0u32..300, 0u32..300),
+            light in (1u32..50, 1u32..100),
+            heavy in (50u32..300, 1u32..30),
+        ) {
+            let deferral = uniform_profile();
+            let batches: &[usize] = [
+                &[1usize, 2, 4, 8, 16][..],
+                &[1, 2, 4, 8],
+                &[4, 1],
+                &[1, 2, 3],
+            ][batch_grid];
+            let thresholds = grid(11, 0.9);
+            // Log-uniform over 1e-3 ..= 1e3 qps.
+            let demand = 1e-3 * 1e6f64.powf(demand_log as f64 / 1000.0);
+            let mut inputs = cascade1_inputs(&deferral, batches, &thresholds, demand);
+            inputs.total_workers = workers;
+            inputs.queue_delay_light = queues.0 as f64 / 100.0;
+            inputs.queue_delay_heavy = queues.1 as f64 / 100.0;
+            inputs.light = LatencyProfile::new(light.0 as f64 / 100.0, light.1 as f64 / 100.0);
+            inputs.heavy = LatencyProfile::new(heavy.0 as f64 / 100.0, heavy.1 as f64 / 100.0);
+            proptest::prop_assert_eq!(solve_proteus(&inputs), solve_proteus_scan(&inputs));
         }
     }
 

@@ -1,7 +1,8 @@
 //! Run reports: the measurements every experiment consumes.
 
 use diffserve_imagegen::features::DIM;
-use diffserve_metrics::{frechet_distance, CenteredMoments, GaussianStats};
+use diffserve_linalg::Mat;
+use diffserve_metrics::{CenteredMoments, FrechetKernel, GaussianStats};
 use diffserve_simkit::time::SimTime;
 use diffserve_trace::IncidentLog;
 
@@ -220,20 +221,76 @@ impl CompletionTotals {
     pub fn resumed(&self) -> u64 {
         self.resumed
     }
+}
 
-    /// FID of the rows in `moments` against the reference; `None` with
-    /// fewer than two rows or on numerical failure. `fitted` is scratch of
-    /// the reference's dimensionality that the fit overwrites.
-    fn fid(
-        &self,
-        moments: &CenteredMoments<DIM>,
-        ridge: f64,
-        fitted: &mut GaussianStats,
-    ) -> Option<f64> {
-        moments
-            .gaussian_into(self.reference.mean(), ridge, fitted)
-            .ok()?;
-        frechet_distance(fitted, &self.reference).ok()
+/// A set whose FID [`RunReport::assemble`] owes.
+#[derive(Debug, Clone, Copy)]
+enum FidOwner {
+    Window(usize),
+    Run,
+    Tier(usize),
+}
+
+/// The FIDs [`RunReport::assemble`] takes, measured [`FrechetKernel::LANES`]
+/// at a time: each set is fitted into the next of that many reused
+/// Gaussians, and a full batch goes to the kernel at once, so a report
+/// holds four covariance buffers whatever its number of windows.
+struct FidBatches<'t> {
+    reference: &'t GaussianStats,
+    kernel: FrechetKernel,
+    fitted: Vec<GaussianStats>,
+    owners: Vec<FidOwner>,
+    /// `(window start seconds, fid)` of each window measured, in order.
+    series: Vec<(f64, f64)>,
+    run: f64,
+    tiers: Vec<f64>,
+}
+
+impl<'t> FidBatches<'t> {
+    fn new(reference: &'t GaussianStats, tiers: usize) -> Self {
+        let empty = || GaussianStats::from_moments(vec![0.0; DIM], Mat::zeros(DIM, DIM));
+        FidBatches {
+            reference,
+            kernel: FrechetKernel::new(),
+            fitted: (0..FrechetKernel::LANES).map(|_| empty()).collect(),
+            owners: Vec::with_capacity(FrechetKernel::LANES),
+            series: Vec::new(),
+            run: f64::NAN,
+            tiers: vec![f64::NAN; tiers],
+        }
+    }
+
+    /// Queues the FID of the rows in `moments` for `owner`; a set of fewer
+    /// than two rows has none.
+    fn push(&mut self, owner: FidOwner, moments: &CenteredMoments<DIM>, ridge: f64) {
+        let slot = &mut self.fitted[self.owners.len()];
+        if moments
+            .gaussian_into(self.reference.mean(), ridge, slot)
+            .is_ok()
+        {
+            self.owners.push(owner);
+            if self.owners.len() == FrechetKernel::LANES {
+                self.flush();
+            }
+        }
+    }
+
+    /// Measures the queued sets; a numerical failure leaves its owner
+    /// without a FID.
+    fn flush(&mut self) {
+        let fitted = &self.fitted[..self.owners.len()];
+        let distances = self.kernel.distances(fitted, self.reference);
+        for (&owner, fid) in self.owners.iter().zip(distances) {
+            let Ok(fid) = fid else { continue };
+            match owner {
+                FidOwner::Window(w) => self
+                    .series
+                    .push((w as f64 * METRICS_WINDOW.as_secs_f64(), fid)),
+                FidOwner::Run => self.run = fid,
+                FidOwner::Tier(t) => self.tiers[t] = fid,
+            }
+        }
+        self.owners.clear();
     }
 }
 
@@ -249,8 +306,10 @@ impl RunReport {
     ///
     /// The cost is one Gaussian fit and one Fréchet distance per metrics
     /// window, per tier and for the run — `O((windows + tiers) · d³)`
-    /// whatever the number of responses — and every fit goes into one
-    /// reused Gaussian.
+    /// whatever the number of responses. The windows that qualify go to
+    /// one [`FrechetKernel`] four at a time, in window order, and the run
+    /// and the tiers ride in the last batch: each fit goes into one of four
+    /// reused Gaussians, and no matrix is allocated per distance.
     pub(crate) fn assemble(
         policy: Policy,
         total_queries: u64,
@@ -277,8 +336,7 @@ impl RunReport {
         let mut run = CenteredMoments::<DIM>::new();
         let mut per_tier = vec![CenteredMoments::new(); totals.tiers.len()];
         let mut in_window = CenteredMoments::new();
-        let mut fitted = totals.reference.clone();
-        let mut fid_series = Vec::new();
+        let mut fids = FidBatches::new(&totals.reference, totals.tiers.len());
         for (w, row) in totals.cells.iter().enumerate() {
             in_window.clear();
             for (cell, tier) in row.iter().zip(&mut per_tier) {
@@ -287,14 +345,15 @@ impl RunReport {
             }
             run.merge(&in_window);
             if in_window.count() >= WINDOW_FID_MIN_ROWS {
-                if let Some(fid) = totals.fid(&in_window, WINDOW_FID_RIDGE, &mut fitted) {
-                    fid_series.push((w as f64 * METRICS_WINDOW.as_secs_f64(), fid));
-                }
+                fids.push(FidOwner::Window(w), &in_window, WINDOW_FID_RIDGE);
             }
         }
-        let fid = totals
-            .fid(&run, RUN_FID_RIDGE, &mut fitted)
-            .unwrap_or(f64::NAN);
+        fids.push(FidOwner::Run, &run, RUN_FID_RIDGE);
+        for (t, moments) in per_tier.iter().enumerate() {
+            fids.push(FidOwner::Tier(t), moments, RUN_FID_RIDGE);
+        }
+        fids.flush();
+        let (fid, fid_series) = (fids.run, fids.series);
         let completions = totals.completions();
         let mean_windowed_fid = if fid_series.is_empty() {
             fid
@@ -317,15 +376,13 @@ impl RunReport {
         let tier_breakdown = totals
             .tiers
             .iter()
-            .zip(&per_tier)
+            .zip(fids.tiers)
             .enumerate()
-            .map(|(t, (tier, moments))| TierStats {
+            .map(|(t, (tier, fid))| TierStats {
                 tier: t,
                 completions: tier.completions,
                 mean_latency: mean_of(tier.latency_sum, tier.completions),
-                fid: totals
-                    .fid(moments, RUN_FID_RIDGE, &mut fitted)
-                    .unwrap_or(f64::NAN),
+                fid,
                 escalated_past: totals.tiers[t + 1..].iter().map(|d| d.completions).sum(),
             })
             .collect();
@@ -431,7 +488,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::query::QueryId;
-    use diffserve_linalg::Mat;
+    use diffserve_metrics::frechet_distance;
     use diffserve_simkit::time::{SimDuration, SimTime};
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -640,6 +697,42 @@ mod tests {
             proptest::prop_assert_eq!(totals.completions(), all.len() as u64);
             proptest::prop_assert_eq!(totals.heavy(), heavy.len() as u64);
             proptest::prop_assert_eq!(totals.resumed(), reused.len() as u64);
+
+            // The batched FIDs against one distance per set, fitted from
+            // the merged cells as before the kernel: the same bits.
+            let one_by_one = |moments: &CenteredMoments<DIM>, ridge: f64| {
+                moments
+                    .gaussian(reference.mean(), ridge)
+                    .and_then(|g| frechet_distance(&g, &reference))
+                    .unwrap_or(f64::NAN)
+            };
+            let mut run = CenteredMoments::<DIM>::new();
+            let mut windows = Vec::new();
+            for (w, row) in totals.cells.iter().enumerate() {
+                let mut in_window = CenteredMoments::new();
+                for cell in row {
+                    in_window.merge(cell);
+                }
+                run.merge(&in_window);
+                if in_window.count() >= WINDOW_FID_MIN_ROWS {
+                    let fid = one_by_one(&in_window, WINDOW_FID_RIDGE);
+                    windows.push((w as f64 * window.as_secs_f64(), fid));
+                }
+            }
+            let bits = |series: &[(f64, f64)]| -> Vec<(u64, u64)> {
+                series.iter().map(|(t, f)| (t.to_bits(), f.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(bits(&report.fid_series), bits(&windows));
+            let run_fid = one_by_one(&run, RUN_FID_RIDGE);
+            proptest::prop_assert_eq!(report.fid.to_bits(), run_fid.to_bits());
+            for (t, stats) in report.tier_breakdown.iter().enumerate() {
+                let mut tier = CenteredMoments::new();
+                for cell in totals.cells.iter().filter_map(|row| row.get(t)) {
+                    tier.merge(cell);
+                }
+                let tier_fid = one_by_one(&tier, RUN_FID_RIDGE);
+                proptest::prop_assert_eq!(stats.fid.to_bits(), tier_fid.to_bits());
+            }
         }
     }
 

@@ -14,10 +14,12 @@
 //! the symmetric reformulation `tr((Σ₁Σ₂)^{1/2}) = Σᵢ √λᵢ(S Σ₁ S)` with
 //! `S = Σ₂^{1/2}`: the root is taken of the *second* Gaussian, which every
 //! caller makes the long-lived reference, and is kept by it.
+//! [`FrechetKernel`] takes up to four distances to one reference at once,
+//! in buffers it keeps; [`frechet_distance`] is its one-Gaussian call.
 
 use std::sync::OnceLock;
 
-use diffserve_linalg::{sqrtm_psd, sym_eigenvalues, DecompError, Mat};
+use diffserve_linalg::{sqrtm_psd, DecompError, Mat, SandwichEigenvalues, LANES};
 
 /// Errors from FID computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -315,7 +317,8 @@ impl<const D: usize> CenteredMoments<D> {
     }
 }
 
-/// Exact Fréchet distance between two Gaussians.
+/// Exact Fréchet distance between two Gaussians: [`FrechetKernel`]'s
+/// one-Gaussian call, with buffers of its own.
 ///
 /// The trace term goes through the square root of **`b`'s** covariance
 /// ([`GaussianStats::cov_sqrt`], computed once per `b` and carried by its
@@ -329,31 +332,99 @@ impl<const D: usize> CenteredMoments<D> {
 /// Returns [`FidError::DimensionMismatch`] or a numerical failure from the
 /// eigendecomposition.
 pub fn frechet_distance(a: &GaussianStats, b: &GaussianStats) -> Result<f64, FidError> {
-    if a.dim() != b.dim() {
-        return Err(FidError::DimensionMismatch {
-            a: a.dim(),
-            b: b.dim(),
-        });
+    FrechetKernel::new()
+        .distances(std::slice::from_ref(a), b)
+        .next()
+        .expect("one distance per Gaussian")
+}
+
+/// Fréchet distances of up to [`FrechetKernel::LANES`] Gaussians to one
+/// reference at a time, in buffers kept from one call to the next.
+///
+/// Per Gaussian `a`, the distance is `‖μ_a − μ_ref‖² + tr Σ_a + tr Σ_ref −
+/// 2 Σᵢ √λᵢ(S Σ_a S)` with `S` the reference's covariance root: the
+/// products `S Σ_a S`, their eigenvalues and the sums are
+/// [`SandwichEigenvalues`]', whose rational QLs run side by side, so a
+/// batch of four costs well under four single distances. Once the buffers
+/// have grown to the dimension, a call allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use diffserve_linalg::Mat;
+/// use diffserve_metrics::{frechet_distance, FrechetKernel, GaussianStats};
+///
+/// let reference = GaussianStats::from_moments(vec![0.0, 0.0], Mat::identity(2));
+/// let fitted: Vec<GaussianStats> = (1..=3)
+///     .map(|k| GaussianStats::from_moments(vec![k as f64, 0.0], Mat::identity(2)))
+///     .collect();
+/// let mut kernel = FrechetKernel::new();
+/// for (g, d) in fitted.iter().zip(kernel.distances(&fitted, &reference)) {
+///     assert_eq!(d?.to_bits(), frechet_distance(g, &reference)?.to_bits());
+/// }
+/// # Ok::<(), diffserve_metrics::FidError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct FrechetKernel {
+    eigen: SandwichEigenvalues,
+}
+
+impl FrechetKernel {
+    /// The most Gaussians one [`FrechetKernel::distances`] call takes.
+    pub const LANES: usize = LANES;
+
+    /// Empty buffers; the first call sizes them.
+    pub fn new() -> Self {
+        FrechetKernel::default()
     }
-    let mean_term: f64 = a
-        .mean
-        .iter()
-        .zip(&b.mean)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum();
 
-    // tr((Σa Σb)^{1/2}) through the symmetric product S Σa S, S = Σb^{1/2}.
-    let s = b.cov_sqrt()?;
-    let mut inner = s.matmul(&a.cov).matmul(s);
-    inner.symmetrize();
-    let tr_sqrt: f64 = sym_eigenvalues(&inner)?
-        .iter()
-        .map(|&l| l.max(0.0).sqrt())
-        .sum();
-
-    let fid = mean_term + a.cov.trace() + b.cov.trace() - 2.0 * tr_sqrt;
-    // Clamp tiny negative round-off; FID is non-negative by construction.
-    Ok(fid.max(0.0))
+    /// The distance of each Gaussian of `fitted` to `reference`, in
+    /// `fitted`'s order, each the bits `frechet_distance(g, reference)`
+    /// gives. An item fails as that call would; the others are unaffected.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than [`FrechetKernel::LANES`] Gaussians.
+    pub fn distances<'k>(
+        &'k mut self,
+        fitted: &'k [GaussianStats],
+        reference: &'k GaussianStats,
+    ) -> impl Iterator<Item = Result<f64, FidError>> + 'k {
+        assert!(fitted.len() <= LANES, "at most {LANES} Gaussians a call");
+        let fits = |a: &GaussianStats| a.dim() == reference.dim();
+        // One solve, of every Gaussian of the reference's dimension.
+        let mut solved = reference.cov_sqrt().map(|root| {
+            let mut middles = [reference.cov(); LANES];
+            let mut lanes = 0;
+            for a in fitted.iter().filter(|&a| fits(a)) {
+                middles[lanes] = &a.cov;
+                lanes += 1;
+            }
+            self.eigen.solve(root, &middles[..lanes])
+        });
+        fitted.iter().map(move |a| {
+            if !fits(a) {
+                return Err(FidError::DimensionMismatch {
+                    a: a.dim(),
+                    b: reference.dim(),
+                });
+            }
+            let values = match solved.as_mut() {
+                Ok(lanes) => lanes.next().expect("a lane per matching Gaussian")?,
+                Err(e) => return Err(e.clone()),
+            };
+            let mean_term: f64 = a
+                .mean
+                .iter()
+                .zip(&reference.mean)
+                .map(|(x, y)| (x - y) * (x - y))
+                .sum();
+            let tr_sqrt: f64 = values.iter().map(|&l| l.max(0.0).sqrt()).sum();
+            let fid = mean_term + a.cov.trace() + reference.cov.trace() - 2.0 * tr_sqrt;
+            // Clamp tiny negative round-off; FID is non-negative by construction.
+            Ok(fid.max(0.0))
+        })
+    }
 }
 
 /// Convenience: fit Gaussians to two feature matrices and return their FID.
@@ -650,6 +721,128 @@ mod tests {
             bits(&added(&packed_h, &packed_t)),
             "D = {D}: scatter"
         );
+    }
+
+    /// [`frechet_distance`] as it was before the kernel: two allocating
+    /// products, [`Mat::symmetrize`] and [`diffserve_linalg::sym_eigenvalues`].
+    fn frechet_distance_scalar(a: &GaussianStats, b: &GaussianStats) -> Result<f64, FidError> {
+        if a.dim() != b.dim() {
+            return Err(FidError::DimensionMismatch {
+                a: a.dim(),
+                b: b.dim(),
+            });
+        }
+        let mean_term: f64 = a
+            .mean
+            .iter()
+            .zip(&b.mean)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum();
+        let s = b.cov_sqrt()?;
+        let mut inner = s.matmul(&a.cov).matmul(s);
+        inner.symmetrize();
+        let tr_sqrt: f64 = diffserve_linalg::sym_eigenvalues(&inner)?
+            .iter()
+            .map(|&l| l.max(0.0).sqrt())
+            .sum();
+        let fid = mean_term + a.cov.trace() + b.cov.trace() - 2.0 * tr_sqrt;
+        Ok(fid.max(0.0))
+    }
+
+    /// `n` correlated rows of width `d`, like [`feature_rows`].
+    fn rows_of_width(d: usize, n: usize, offset: f64, seed: u64) -> Mat {
+        let mean: Vec<f64> = (0..d).map(|j| offset + 0.1 * j as f64).collect();
+        let mut x = gaussian_samples(n, &mean, 1.0, seed);
+        for i in 0..n {
+            let row = x.row_mut(i);
+            for j in 1..d {
+                row[j] = (0.4 + 0.05 * j as f64) * row[j] + 0.3 * row[j - 1];
+            }
+        }
+        x
+    }
+
+    /// A fitted Gaussian of width `d` of one of the shapes a report
+    /// meets: a window's fit (24–400 rows, the window ridge), a ridge alone
+    /// (every row the same), rank-deficient with the run ridge (fewer rows
+    /// than features), and rank-deficient with no ridge at all.
+    fn shaped_fit(d: usize, kind: usize, seed: u64) -> GaussianStats {
+        let offset = (seed % 7) as f64 * 0.1 - 0.3;
+        match kind {
+            0 => {
+                let n = 24 + (seed % 377) as usize;
+                GaussianStats::fit(&rows_of_width(d, n, offset, seed), 1e-3).unwrap()
+            }
+            1 => {
+                let row = rows_of_width(d, 1, offset, seed);
+                let same: Vec<&[f64]> = (0..5).map(|_| row.row(0)).collect();
+                GaussianStats::fit(&Mat::from_rows(&same), 1e-3).unwrap()
+            }
+            2 => GaussianStats::fit(&rows_of_width(d, (d / 2).max(2), offset, seed), 1e-6).unwrap(),
+            _ => GaussianStats::fit(&rows_of_width(d, (d / 2).max(2), offset, seed), 0.0).unwrap(),
+        }
+    }
+
+    #[test]
+    fn a_failing_lane_fails_alone() {
+        let reference = GaussianStats::fit(&feature_rows(2000, 0.0, 5), 1e-6).unwrap();
+        let mut fitted: Vec<GaussianStats> = (0..4)
+            .map(|k| shaped_fit(16, k % 3, 40 + k as u64))
+            .collect();
+        let mut poisoned = fitted[1].cov().clone();
+        poisoned[(3, 7)] = f64::NAN;
+        poisoned[(7, 3)] = f64::NAN;
+        fitted[1] = GaussianStats::from_moments(fitted[1].mean().to_vec(), poisoned);
+        fitted[2] = GaussianStats::from_moments(vec![0.0; 3], Mat::identity(3));
+        let mut kernel = FrechetKernel::new();
+        let got: Vec<Result<f64, FidError>> = kernel.distances(&fitted, &reference).collect();
+        assert_eq!(got.len(), 4);
+        assert_eq!(got[1], Err(FidError::Numerical(DecompError::NoConvergence)));
+        assert_eq!(got[2], Err(FidError::DimensionMismatch { a: 3, b: 16 }));
+        for (g, d) in fitted.iter().zip(&got) {
+            let want = frechet_distance_scalar(g, &reference);
+            assert_eq!(d.clone().map(f64::to_bits), want.map(f64::to_bits));
+        }
+        // A reference that cannot be rooted fails every lane with its error.
+        let mut broken = reference.cov().clone();
+        broken[(0, 0)] = f64::INFINITY;
+        let broken = GaussianStats::from_moments(reference.mean().to_vec(), broken);
+        for (g, d) in fitted.iter().zip(kernel.distances(&fitted, &broken)) {
+            assert_eq!(d, frechet_distance_scalar(g, &broken));
+            assert!(d.is_err());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Distances taken through one reused kernel, four at a time with
+        /// a ragged last batch, are the pre-kernel scalar distances bit for
+        /// bit, at both widths and on every covariance shape.
+        #[test]
+        fn batched_distances_are_the_scalar_distances_bitwise(
+            wide in 0usize..2,
+            kinds in proptest::collection::vec(0usize..4, 1..12),
+            seed in 0u64..100_000,
+        ) {
+            let d = [2, 16][wide];
+            let reference =
+                GaussianStats::fit(&rows_of_width(d, 2000, 0.0, seed), 1e-6).unwrap();
+            let fitted: Vec<GaussianStats> = kinds
+                .iter()
+                .enumerate()
+                .map(|(k, &kind)| shaped_fit(d, kind, seed + 1 + k as u64))
+                .collect();
+            let mut kernel = FrechetKernel::new();
+            for batch in fitted.chunks(FrechetKernel::LANES) {
+                let got: Vec<_> = kernel.distances(batch, &reference).collect();
+                prop_assert_eq!(got.len(), batch.len());
+                for (g, d) in batch.iter().zip(got) {
+                    let want = frechet_distance_scalar(g, &reference);
+                    prop_assert_eq!(d.map(f64::to_bits), want.map(f64::to_bits));
+                }
+            }
+        }
     }
 
     proptest! {

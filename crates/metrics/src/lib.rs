@@ -25,7 +25,9 @@ pub mod rolling;
 pub mod series;
 pub mod slo;
 
-pub use fid::{fid_score, frechet_distance, CenteredMoments, FidError, GaussianStats};
+pub use fid::{
+    fid_score, frechet_distance, CenteredMoments, FidError, FrechetKernel, GaussianStats,
+};
 pub use rolling::RollingFid;
 pub use series::WindowedSeries;
 pub use slo::{QueryOutcome, SloTracker, ViolationWindows};

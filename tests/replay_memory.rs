@@ -56,6 +56,14 @@
 //!   table rebuilt every tick instead of refilled costs 2 allocations a
 //!   tick (15.5, inside the bound); only the golden catches that.
 //!
+//! Every row also pins the allocations made inside `session.finish()`,
+//! which drains the session and assembles its report. The report measures
+//! its FIDs four at a time through one `FrechetKernel` and fits them into
+//! four reused Gaussians, so the count does not grow with the number of
+//! metrics windows: 41, 41, 40 and 41 on the four rows (161, 111, 95 and
+//! 96 when every distance allocated its products and eigen-solver
+//! buffers).
+//!
 //! A change that moves a count on purpose re-pins it: the failing test
 //! prints the recomputed table, ready to paste over [`GOLDEN`], and the
 //! change says why the counts moved. Debug builds cross-check the render
@@ -133,6 +141,9 @@ struct WorkCounts<'a> {
     /// What the span covered: polled outcomes on `replay`, control ticks
     /// on the tick rows.
     units: u64,
+    /// Allocations and reallocations inside `session.finish()`: the drain
+    /// and the report's assembly, its FID family included.
+    finish_allocations: u64,
     total_queries: u64,
     completed: u64,
     dropped: u64,
@@ -149,6 +160,7 @@ const GOLDEN: &[WorkCounts<'static>] = &[
         row: "replay",
         allocations: 5892,
         units: 125417,
+        finish_allocations: 41,
         total_queries: 125421,
         completed: 125267,
         dropped: 154,
@@ -160,6 +172,7 @@ const GOLDEN: &[WorkCounts<'static>] = &[
         row: "ladder",
         allocations: 2148,
         units: 159,
+        finish_allocations: 41,
         total_queries: 2397,
         completed: 2298,
         dropped: 99,
@@ -171,6 +184,7 @@ const GOLDEN: &[WorkCounts<'static>] = &[
         row: "two_tier",
         allocations: 1124,
         units: 159,
+        finish_allocations: 40,
         total_queries: 1193,
         completed: 1145,
         dropped: 48,
@@ -182,6 +196,7 @@ const GOLDEN: &[WorkCounts<'static>] = &[
         row: "two_tier_worker_failure",
         allocations: 1128,
         units: 159,
+        finish_allocations: 41,
         total_queries: 1193,
         completed: 1149,
         dropped: 44,
@@ -194,17 +209,18 @@ const GOLDEN: &[WorkCounts<'static>] = &[
 impl<'a> WorkCounts<'a> {
     /// The row the allocation child printed as `numbers`.
     fn from_numbers(row: &'a str, numbers: &'a [u64]) -> Self {
-        let (tiers, rest) = numbers[7..].as_chunks::<2>();
+        let (tiers, rest) = numbers[8..].as_chunks::<2>();
         assert!(rest.is_empty(), "{row}: unpaired tier counts {numbers:?}");
         WorkCounts {
             row,
             allocations: numbers[0],
             units: numbers[1],
-            total_queries: numbers[2],
-            completed: numbers[3],
-            dropped: numbers[4],
-            late: numbers[5],
-            resumed_queries: numbers[6],
+            finish_allocations: numbers[2],
+            total_queries: numbers[3],
+            completed: numbers[4],
+            dropped: numbers[5],
+            late: numbers[6],
+            resumed_queries: numbers[7],
             tiers,
         }
     }
@@ -223,6 +239,7 @@ impl fmt::Display for WorkCounts<'_> {
         for (name, value) in [
             ("allocations", self.allocations),
             ("units", self.units),
+            ("finish_allocations", self.finish_allocations),
             ("total_queries", self.total_queries),
             ("completed", self.completed),
             ("dropped", self.dropped),
@@ -398,11 +415,14 @@ fn allocation_child() {
     } else {
         drive_ticks(&mut session, config.control_interval, horizon)
     };
+    let before_finish = ALLOCATIONS.load(Ordering::Relaxed);
     let report = session.finish();
+    let finish_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before_finish;
     assert_eq!(report.completed + report.dropped, report.total_queries);
     let mut counts = vec![
         allocations,
         units,
+        finish_allocations,
         report.total_queries,
         report.completed,
         report.dropped,
